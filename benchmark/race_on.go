@@ -1,0 +1,6 @@
+//go:build race
+
+package main
+
+// raceDetector reports whether the binary was built with -race.
+const raceDetector = true
