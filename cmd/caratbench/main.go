@@ -56,7 +56,7 @@ func main() {
 	faults := flag.String("faults", "",
 		"inject faults into policy experiments: seed:rate sets every injection point to rate (e.g. 42:0.01)")
 	pauseBudget := flag.Uint64("pausebudget", 0,
-		"max world-stop pause in cycles for policy experiments: runs incremental moves with the largest batch that fits (0 = legacy full stops)")
+		"max world-stop pause in cycles for policy experiments: moves and swaps patch in windows that fit the budget (0 = unbounded, one stop per operation)")
 	closure := flag.Bool("closure", false,
 		"run every VM on the closure compilation tier (fastest engine; modeled results are byte-identical)")
 	httpAddr := flag.String("http", "",

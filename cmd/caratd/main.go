@@ -42,7 +42,7 @@ func run() error {
 		memBytes     = flag.Uint64("mem", 0, "shared physical memory bytes (overrides config)")
 		maxInflight  = flag.Int("max-inflight", 0, "machine-wide concurrent request cap (overrides config)")
 		noBallast    = flag.Bool("no-ballast", false, "disable the background mmpolicy ballast service")
-		pauseBudget  = flag.Uint64("pausebudget", 0, "max world-stop pause in cycles per tenant run: 0 keeps legacy full stops (overrides config)")
+		pauseBudget  = flag.Uint64("pausebudget", 0, "max world-stop pause in cycles per tenant run, 0 = unbounded (overrides config when non-zero)")
 		closure      = flag.Bool("closure", false, "run tenant VMs on the closure compilation tier (overrides config)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	)

@@ -53,10 +53,10 @@ type Options struct {
 	// Sampler, when non-nil, attaches the cycle-sampling profiler to every
 	// VM run (one track each) and to the policy daemon ("policy" phase).
 	Sampler *obs.Sampler
-	// PauseBudget, when non-zero, runs the policy-daemon experiments'
-	// processes under the incremental move protocol with the largest batch
-	// whose worst-case pause fits the budget (caratbench's -pausebudget
-	// flag). 0 keeps the legacy full-stop protocol.
+	// PauseBudget is the max-pause budget in modeled cycles for the
+	// policy-daemon experiments' processes (caratbench's -pausebudget flag;
+	// see mmpolicy.HarnessConfig.PauseBudget). 0 is unbounded: one stop per
+	// move or swap.
 	PauseBudget uint64
 	// Closure runs every VM on the closure compilation tier (caratbench's
 	// -closure flag). Modeled results are byte-identical with the default

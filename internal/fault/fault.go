@@ -54,9 +54,9 @@ const (
 	// FlushFail fails one attempt to drain an escape buffer into the
 	// allocation table; the buffer retries until the flush lands.
 	FlushFail Point = "escape.flush"
-	// MoveBatch aborts an incremental move at a batch boundary — the
-	// window close where mutator threads briefly resume between patch
-	// batches. Only checked when the incremental protocol is enabled; the
+	// MoveBatch aborts a move at a pause-window boundary — the window close
+	// where mutator threads briefly resume between patch batches. Only
+	// checked when a move outgrows its window (never at pause budget 0); the
 	// runtime rolls the move back exactly as for MoveAbort.
 	MoveBatch Point = "move.batch_boundary"
 )

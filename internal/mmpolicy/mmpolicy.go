@@ -202,7 +202,7 @@ type Daemon struct {
 	// PauseBudget is the max-pause budget (modeled cycles) the run was
 	// configured with, recorded into the policy document. Informational:
 	// the budget is enforced by the runtimes the harness configures, not by
-	// the daemon. 0 = legacy full-stop protocol.
+	// the daemon. 0 = unbounded (one stop per operation).
 	PauseBudget uint64
 
 	mu        sync.Mutex

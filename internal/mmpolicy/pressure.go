@@ -83,12 +83,11 @@ type HarnessConfig struct {
 	// Sampler, when non-nil, receives the daemon's "policy"-phase cycle
 	// samples (see Daemon.AttachSampler).
 	Sampler *obs.Sampler
-	// PauseBudget, when non-zero, is the max-pause budget in modeled
-	// cycles: every process runtime switches to the incremental bounded-
-	// pause move protocol with the largest batch whose worst-case pause
-	// (runtime.PauseBound) fits the budget. 0 keeps the legacy full-stop
-	// protocol. Modeled cycles and memory digests are identical either way;
-	// only the pause histogram changes shape.
+	// PauseBudget is the max-pause budget in modeled cycles handed to every
+	// process runtime (runtime.SetPauseBudget): moves and swaps patch in
+	// windows whose worst-case pause fits the budget. 0 is unbounded — one
+	// stop per operation. Modeled cycles and memory digests are identical
+	// at every budget; only the pause histogram changes shape.
 	PauseBudget uint64
 }
 
@@ -149,9 +148,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		rt := runtime.NewWith(k.Mem, nil, k.Obs)
 		rt.SetTracer(cfg.Trace)
 		rt.SetInjector(cfg.Fault)
-		if cfg.PauseBudget > 0 {
-			rt.SetIncremental(runtime.BatchForBudget(cfg.PauseBudget))
-		}
+		rt.SetPauseBudget(cfg.PauseBudget)
 		p.Handler = rt
 		mp := d.Attach(spec.Name, p, rt)
 		wp := &WorkProc{

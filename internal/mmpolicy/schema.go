@@ -85,8 +85,8 @@ type Document struct {
 	// PauseCycles.P99 (0 when no pauses were recorded).
 	PauseP99Cycles float64 `json:"pause_p99_cycles"`
 	// PauseBudgetCycles (v2) records the max-pause budget the run was
-	// configured with (HarnessConfig.PauseBudget); 0 means the legacy
-	// full-stop protocol with no bound.
+	// configured with (HarnessConfig.PauseBudget); 0 means unbounded, one
+	// stop per operation.
 	PauseBudgetCycles uint64 `json:"pause_budget_cycles"`
 }
 

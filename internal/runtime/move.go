@@ -125,14 +125,14 @@ func (r *Runtime) HandleMove(req *kernel.MoveRequest) (kernel.MoveResult, error)
 
 // handleMoveLocked drives the move as a phase state machine: expand,
 // negotiate, patch escapes, patch registers, rebase tables, copy, commit.
-// In legacy mode the world stays stopped end to end and the whole modeled
-// cost is one pause. In incremental mode (SetIncremental) the pause meter
-// slices the patch phases into bounded windows separated by ResumeBatch/
-// StopBatch round trips, with the guard-level forwarding window keeping
-// accesses that race into the half-patched state correct in between.
-// Phase order, every fault-injection draw, and every program-clock formula
-// are identical in both modes: incremental changes pause *attribution*
-// only, so modeled cycles and memory digests stay byte-identical per seed.
+// The pause meter slices the stop-window work into windows that fit the
+// pause budget (SetPauseBudget), separated by resume/stop round trips, with
+// the guard-level forwarding window keeping accesses that race into the
+// half-patched state correct in between; at budget 0 the single window
+// never closes and the world stays stopped end to end. Phase order, every
+// fault-injection draw, and every program-clock formula are the same at
+// every budget: the budget changes pause *attribution* only, so modeled
+// cycles and memory digests stay byte-identical per seed.
 func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
@@ -165,7 +165,7 @@ func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kern
 	r.Stats.Moves.Inc()
 	r.Stats.MoveCycles.Add(st.bd.TotalCycles())
 	r.moveHist.Observe(st.bd.TotalCycles())
-	st.meter.finish(st.bd.TotalCycles())
+	st.meter.finish()
 	r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
 	return kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.src, st.dst, st.length, nil
 }
@@ -194,8 +194,8 @@ type moveState struct {
 
 // phaseExpand implements steps 5/6: expand [src, src+len) until its
 // boundaries split no allocation (allocations must move in their entirety,
-// §4.3). The table is re-queried on every iteration, so in incremental
-// mode a window boundary inside this phase is safe: allocation churn from
+// §4.3). The table is re-queried on every iteration, so a window
+// boundary inside this phase is safe: allocation churn from
 // briefly-resumed mutators is folded into the next query.
 func (st *moveState) phaseExpand() error {
 	st.src = st.req.Src
@@ -241,10 +241,11 @@ func (st *moveState) phaseExpand() error {
 
 // phaseNegotiate implements step 5: the kernel allocates and maps the
 // destination. On success the undo log opens — every later mutation is
-// recorded before it is applied — and, in incremental mode, so does the
-// forwarding window: patched pointers will name the destination while the
-// data still lives at the source, and the window forwards those accesses
-// back until the copy lands.
+// recorded before it is applied — and, when the mutators will run between
+// pause windows, so does the forwarding window: patched pointers will name
+// the destination while the data still lives at the source, and the window
+// forwards those accesses back until the copy lands. A bounded move never
+// runs without that read barrier: if it cannot open, the move rolls back.
 func (st *moveState) phaseNegotiate() error {
 	dst, err := st.req.NegotiateDst(st.src, st.pages)
 	if err != nil {
@@ -252,12 +253,14 @@ func (st *moveState) phaseNegotiate() error {
 	}
 	st.dst = dst
 	st.bd.MoveCycles += st.pages * cycPageAlloc
+	st.meter.concurrent(st.pages * cycPageAlloc)
 	st.txn = &moveTxn{}
-	if st.meter.incremental() {
+	if st.meter.bounded() {
 		if rs := st.req.Regions(); rs != nil {
-			if err := rs.OpenForward(st.src, st.dst, st.length); err == nil {
-				st.fwd = rs
+			if err := rs.OpenForward(st.src, st.dst, st.length); err != nil {
+				return fmt.Errorf("runtime: move cannot open its forwarding window: %w", err)
 			}
+			st.fwd = rs
 		}
 	}
 	return nil
@@ -265,8 +268,8 @@ func (st *moveState) phaseNegotiate() error {
 
 // phasePatchEscapes implements steps 7-8: patch every escape of every
 // affected allocation so each pointer names the address its target will
-// have after the move. This is the phase incremental batching exists for —
-// escape density is what scales the pause (Table 3).
+// have after the move. This is the phase pause windows exist for — escape
+// density is what scales the pause (Table 3).
 func (st *moveState) phasePatchEscapes() error {
 	for _, a := range st.affected {
 		st.bd.AllocsMoved++
@@ -333,16 +336,17 @@ func (st *moveState) phaseRebase() error {
 	return st.inj.Fail(fault.MoveAbort, "before data copy")
 }
 
-// phaseCopy implements step 9: move the data. The copy is charged to the
-// program clock in both modes, but attributed off-pause in incremental
-// mode — a production runtime copies concurrently under the forwarding
-// window, and the flip to the destination happens inside the final stop.
+// phaseCopy implements step 9: move the data. The copy is always charged to
+// the program clock, but attributed off-pause when the forwarding window is
+// open — a production runtime copies concurrently under it, and the flip to
+// the destination happens inside the final stop.
 func (st *moveState) phaseCopy() error {
 	if err := st.r.mem.Move(st.dst, st.src, st.length); err != nil {
 		return fmt.Errorf("runtime: data move failed: %w", err)
 	}
 	st.txn.copied = true
 	st.bd.MoveCycles += st.length * cycPerByteMove
+	st.meter.concurrent(st.length * cycPerByteMove)
 	st.bd.PagesMoved = st.pages
 	if st.fwd != nil {
 		// Data is at the destination now: stale source pointers forward.
@@ -372,10 +376,10 @@ func (st *moveState) closeForward() {
 // fail unwinds a failed phase. Before destination negotiation (txn nil)
 // nothing has mutated: a bare veto suffices. After it, the undo log rolls
 // the address space back to the exact pre-move state. The pause observed
-// at the abort covers the work since the last window boundary (legacy:
-// the whole partial breakdown), matching the committed abort attribution.
+// at the abort covers the work since the last window boundary (at budget 0:
+// the whole partial breakdown).
 func (st *moveState) fail(cause error) (kernel.MoveResult, uint64, uint64, uint64, error) {
-	st.meter.abort("move_abort", st.bd.TotalCycles())
+	st.meter.closeWindow("move_abort")
 	if st.txn == nil {
 		st.req.Veto()
 		return kernel.MoveResult{}, 0, 0, 0, cause

@@ -2,42 +2,40 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
 	"carat/internal/fault"
 )
 
-// The pause meter: bounded-window pause attribution for the incremental
-// move/swap protocol.
+// The pause meter: window-by-window pause attribution for the move/swap
+// protocol.
 //
-// The legacy protocol stops the world once and observes the whole
-// operation's modeled cost as a single pause. The incremental protocol
-// keeps the same phases, the same fault-injection draw order, and the same
-// program-clock formulas, but slices the stop-window *work* — table
-// lookups, allocation scans, escape patches, register patches, metadata
-// rebases — into windows of at most one batch, separated by ResumeBatch/
-// StopBatch round trips on a BoundedWorld. Each window observes
-// cycBarrier + (work in window) into the pause histograms, so no recorded
-// pause ever exceeds PauseBound(batch).
+// Every map-changing operation runs the same phases, the same
+// fault-injection draw order, and the same program-clock formulas. What the
+// pause budget (SetPauseBudget) decides is how the stop-window *work* —
+// table lookups, allocation scans, escape patches, register patches,
+// metadata rebases — is sliced: into windows of at most one batch,
+// separated by ResumeTheWorld/StopTheWorld round trips. Each window
+// observes cycBarrier + (work in window) into the pause histograms, so no
+// recorded pause ever exceeds PauseBound(BatchForBudget(budget)). Budget 0
+// is one unbounded window: the whole operation is a single stop.
 //
-// Work that a production implementation performs concurrently with the
-// mutators — destination page allocation and the data copy, both protected
-// by the guard-level forwarding window — is charged to the program clock
-// exactly as in legacy mode but attributed off-pause.
+// Destination page allocation and the data copy run concurrently with the
+// mutators whenever they get to run between windows, protected by the
+// guard-level forwarding window; they are charged to the program clock
+// regardless but land off-pause (see concurrent).
 
-// DefaultMoveBatch is the default incremental batch size: escape patches
-// per stop window.
-const DefaultMoveBatch = 8
-
-// MinMoveBatch is the smallest accepted batch size. The window budget
-// (MinMoveBatch * cycEscapePatch = 220 cycles) must exceed the largest
-// single metered work item (a table lookup, cycTableLookup = 130), so a
-// lone item can never blow the bounded-pause guarantee.
+// MinMoveBatch is the smallest batch size (escape patches per stop window).
+// The window budget (MinMoveBatch * cycEscapePatch = 220 cycles) must
+// exceed the largest single metered work item (a table lookup,
+// cycTableLookup = 130), so a lone item can never blow the bounded-pause
+// guarantee.
 const MinMoveBatch = 4
 
-// PauseBound returns the worst-case single pause of the incremental
-// protocol at the given batch size: one barrier round trip plus one full
-// batch of patch work. The soak harness's bounded-pause gate asserts the
-// observed pause maximum against this.
+// PauseBound returns the worst-case single pause at the given batch size:
+// one barrier round trip plus one full batch of patch work. The soak
+// harness's bounded-pause gate asserts the observed pause maximum against
+// this.
 func PauseBound(batch int) uint64 {
 	if batch < MinMoveBatch {
 		batch = MinMoveBatch
@@ -46,8 +44,8 @@ func PauseBound(batch int) uint64 {
 }
 
 // BatchForBudget returns the largest batch size whose PauseBound stays
-// within budget modeled cycles (the mmpolicy max-pause knob). Budgets too
-// small for even the minimum batch clamp to MinMoveBatch.
+// within budget modeled cycles. Budgets too small for even the minimum
+// batch clamp to MinMoveBatch.
 func BatchForBudget(budget uint64) int {
 	min := PauseBound(MinMoveBatch)
 	if budget <= min {
@@ -56,55 +54,50 @@ func BatchForBudget(budget uint64) int {
 	return int((budget - cycBarrier) / cycEscapePatch)
 }
 
+// unboundedWindow is the per-window work budget at pause budget 0: no work
+// item ever overflows it, so the operation never crosses a boundary.
+const unboundedWindow = math.MaxUint64
+
 // pauseMeter accumulates the stop-window work of one map-changing
-// operation. In legacy mode (bw nil) it is inert: the caller observes the
-// single whole-operation pause itself via finish/abort. In incremental
-// mode it closes a window whenever the next work item would overflow the
-// batch budget: observe the window's pause, resume the mutators, check the
-// batch-boundary fault point, and stop again for the next batch.
+// operation. It closes a window whenever the next work item would overflow
+// the per-window budget: observe the window's pause, resume the mutators,
+// check the batch-boundary fault point, and stop again for the next batch.
 type pauseMeter struct {
 	r     *Runtime
 	cause string
-	bw    BoundedWorld // nil => legacy single-window attribution
-	inj   *fault.Injector
+	w     World
 	chunk uint64 // work-cycle budget per window
 	acc   uint64 // work accumulated in the open window
 
-	// checkBoundary consults fault.MoveBatch at every window close. Moves
-	// set it (the undo log makes a boundary abort safe); swaps do not
-	// (they mutate nothing until their single commit step).
-	checkBoundary bool
+	// inj, when set, is consulted for fault.MoveBatch at every window
+	// boundary. Moves set it (the undo log makes a boundary abort safe);
+	// swaps do not (they mutate nothing until their single commit step).
+	inj *fault.Injector
 }
 
-// newPauseMeter builds the meter for one operation. Incremental windows
-// engage only when SetIncremental is on AND the installed world supports
-// bounded stops.
-func (r *Runtime) newPauseMeter(cause string, checkBoundary bool) *pauseMeter {
-	m := &pauseMeter{r: r, cause: cause}
-	batch := r.IncrementalBatch()
-	if batch <= 0 {
-		return m
+// newPauseMeter builds the meter for one operation on the (stopped)
+// installed world. This is the one place a pause budget becomes a batch
+// size.
+func (r *Runtime) newPauseMeter(cause string, abortable bool) *pauseMeter {
+	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
+	m := &pauseMeter{r: r, cause: cause, w: r.world, chunk: unboundedWindow}
+	if r.pauseBudget > 0 {
+		m.chunk = uint64(BatchForBudget(r.pauseBudget)) * cycEscapePatch
 	}
-	bw, ok := r.getWorld().(BoundedWorld)
-	if !ok {
-		return m
+	if abortable {
+		m.inj = r.inj
 	}
-	m.bw = bw
-	m.chunk = uint64(batch) * cycEscapePatch
-	m.inj = r.injector()
-	m.checkBoundary = checkBoundary
 	return m
 }
 
-// incremental reports whether this meter runs bounded windows.
-func (m *pauseMeter) incremental() bool { return m.bw != nil }
+// bounded reports whether the mutators may run between this operation's
+// windows — i.e. whether the forwarding window has anything to protect.
+func (m *pauseMeter) bounded() bool { return m.chunk != unboundedWindow }
 
 // add charges c cycles of stop-window work, closing the window first if c
 // would overflow it. The returned error is a batch-boundary abort.
 func (m *pauseMeter) add(c uint64) error {
-	if m.bw == nil {
-		return nil
-	}
 	if m.acc > 0 && m.acc+c > m.chunk {
 		if err := m.boundary(); err != nil {
 			return err
@@ -125,52 +118,44 @@ func (m *pauseMeter) addBulk(n int, c uint64) error {
 	return nil
 }
 
+// concurrent charges c cycles of work a production runtime overlaps with
+// the mutators under the forwarding window (destination page allocation,
+// the data copy, swap-device I/O): off-pause when the mutators run between
+// windows, part of the stop when the single unbounded window never lets
+// them.
+func (m *pauseMeter) concurrent(c uint64) {
+	if !m.bounded() {
+		m.acc += c
+	}
+}
+
 // boundary closes the current window: observe its pause, resume the
 // mutators to their next safepoints, and stop again for the next batch.
 // The RegSet handles from the operation's opening stop stay valid across
-// the round trip (BoundedWorld contract), so patching continues on the
-// same snapshots. An injected fault.MoveBatch fires here — the only place
-// an incremental operation can abort that the legacy protocol cannot.
+// the round trip (World contract), so patching continues on the same
+// snapshots. An injected fault.MoveBatch fires here — the one abort point
+// that exists only because the window closed.
 func (m *pauseMeter) boundary() error {
-	m.closeWindow()
-	m.bw.ResumeBatch()
-	var err error
-	if m.checkBoundary {
-		if ferr := m.inj.Fail(fault.MoveBatch, m.cause+" batch boundary"); ferr != nil {
-			err = fmt.Errorf("runtime: %s aborted at batch boundary: %w", m.cause, ferr)
-		}
-	}
-	m.bw.StopBatch()
-	return err
-}
-
-func (m *pauseMeter) closeWindow() {
-	m.r.observePause(m.cause, cycBarrier+m.acc)
+	m.finish()
 	m.r.Stats.BatchPauses.Inc()
-	m.acc = 0
+	m.w.ResumeTheWorld()
+	err := m.inj.Fail(fault.MoveBatch, m.cause+" batch boundary")
+	m.w.StopTheWorld()
+	if err != nil {
+		return fmt.Errorf("runtime: %s aborted at batch boundary: %w", m.cause, err)
+	}
+	return nil
 }
 
-// finish observes the final window of a successful operation. legacyTotal
-// is the whole-operation modeled pause recorded when incremental windows
-// are off — byte-identical to the committed legacy attribution.
-func (m *pauseMeter) finish(legacyTotal uint64) {
-	if m.bw == nil {
-		m.r.observePause(m.cause, legacyTotal)
-		return
-	}
-	m.closeWindow()
-}
+// finish observes the final window of a successful operation.
+func (m *pauseMeter) finish() { m.closeWindow(m.cause) }
 
-// abort observes the window in which the operation failed under the abort
-// cause. In incremental mode, windows closed before the abort were already
-// published under the operation's own cause; only the aborting window
-// lands in the abort histogram.
-func (m *pauseMeter) abort(cause string, legacyTotal uint64) {
-	if m.bw == nil {
-		m.r.observePause(cause, legacyTotal)
-		return
-	}
+// closeWindow observes the open window under cause: the operation's own
+// when it completes or crosses a boundary, the abort cause when it fails —
+// windows closed before an abort were already published under the
+// operation's own cause, so only the aborting window lands in the abort
+// histogram.
+func (m *pauseMeter) closeWindow(cause string) {
 	m.r.observePause(cause, cycBarrier+m.acc)
-	m.r.Stats.BatchPauses.Inc()
 	m.acc = 0
 }

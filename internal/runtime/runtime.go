@@ -13,7 +13,19 @@ import (
 // implements it: StopTheWorld forces every thread to a safepoint — the
 // moral equivalent of the signal handlers in Figure 8 dumping register
 // state on their stacks — and returns the threads' register snapshots for
-// patching. ResumeTheWorld releases the barrier.
+// patching. ResumeTheWorld releases the barrier, letting every thread run
+// to its next safepoint.
+//
+// Contract (verified by the internal/worldtest conformance suite):
+//
+//   - One operation may stop and resume the world several times (once per
+//     bounded pause window, see pause.go). RegSet handles returned by the
+//     first stop stay valid across later ResumeTheWorld/StopTheWorld cycles
+//     — patching continues on the same snapshots, and values written
+//     through them are visible after the next stop.
+//   - Nested stops are rejected: calling StopTheWorld while the world is
+//     already stopped panics. The move protocol never nests stops; a nest
+//     means re-entrancy the protocol cannot survive.
 type World interface {
 	StopTheWorld() []RegSet
 	ResumeTheWorld()
@@ -27,34 +39,10 @@ type RegSet interface {
 	SetReg(i int, v uint64)
 }
 
-// BoundedWorld is a World that can also pause in bounded batches: stop,
-// run one patch batch, resume, repeat. The incremental move/swap protocol
-// (SetIncremental) uses it to cap every mutator pause at one batch plus
-// the barrier round trip instead of the whole patch+copy.
-//
-// Contract (verified by the internal/worldtest conformance suite):
-//
-//   - StopBatch stops the world exactly like StopTheWorld and returns the
-//     same thread register snapshots; ResumeBatch releases it.
-//   - RegSet handles returned by any stop stay valid across ResumeBatch/
-//     StopBatch cycles — patching may continue on the same snapshots, and
-//     values written through them are visible after the next stop.
-//   - Nested stops are rejected: calling StopTheWorld or StopBatch while
-//     the world is already stopped panics. The move protocol never nests
-//     stops; a nest means re-entrancy the protocol cannot survive.
-type BoundedWorld interface {
-	World
-	// StopBatch stops the world for one incremental batch.
-	StopBatch() []RegSet
-	// ResumeBatch releases a batch stop, letting every thread run to its
-	// next safepoint.
-	ResumeBatch()
-}
-
 // noWorld is used when the runtime runs without live threads (unit tests,
-// offline table manipulation, the mmpolicy pressure harness). It is a
-// BoundedWorld so the incremental protocol works — there is simply nobody
-// to stop — and it enforces the no-nested-stops contract.
+// offline table manipulation, the mmpolicy pressure harness): there is
+// simply nobody to stop, but it still enforces the no-nested-stops
+// contract.
 type noWorld struct{ stopped bool }
 
 func (w *noWorld) StopTheWorld() []RegSet {
@@ -65,10 +53,6 @@ func (w *noWorld) StopTheWorld() []RegSet {
 	return nil
 }
 func (w *noWorld) ResumeTheWorld() { w.stopped = false }
-func (w *noWorld) StopBatch() []RegSet {
-	return w.StopTheWorld()
-}
-func (w *noWorld) ResumeBatch() { w.stopped = false }
 
 // Stats is the runtime's typed view over its obs.Registry metrics
 // (Figures 5-7). Each field is a live handle into the registry under the
@@ -90,7 +74,7 @@ type Stats struct {
 	Moves         *obs.Counter // completed kernel-initiated moves
 	MoveCycles    *obs.Counter // total modeled cycles across all moves
 	MoveRollbacks *obs.Counter // aborted moves rolled back to the pre-move state
-	BatchPauses   *obs.Counter // bounded stop windows opened by the incremental protocol
+	BatchPauses   *obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
 	FlushRetries  *obs.Counter // escape-buffer flushes retried after an injected failure
 	MemoHits      *obs.Gauge   // shard-memo fast-path hits on escape resolution
 	MemoMisses    *obs.Gauge   // shard-memo misses (full tree descent)
@@ -182,40 +166,24 @@ type Runtime struct {
 	defBuf   *EscapeBuffer
 	batchMax int
 
-	// moveBatch, when positive, enables the incremental bounded-pause
-	// move/swap protocol with that many escape patches per stop window
-	// (see pause.go). Zero is the committed legacy full-stop protocol.
-	// Guarded by stateMu.
-	moveBatch int
+	// pauseBudget is the max-pause budget in modeled cycles (see
+	// SetPauseBudget). Guarded by stateMu.
+	pauseBudget uint64
 }
 
-// SetIncremental enables the incremental bounded-pause protocol with the
-// given patch batch size (escape patches per stop window); batch <= 0
-// disables it, restoring the legacy full-stop protocol. Batches below
-// MinMoveBatch are clamped up so the bounded-pause guarantee (PauseBound)
-// covers every metered work item. The protocol only engages when the
-// installed World is a BoundedWorld; otherwise moves fall back to legacy
-// attribution. Incremental mode never changes the program clock or the
-// fault-injection draw sequence — modeled cycles and memory digests are
-// byte-identical with the flag on or off.
-func (r *Runtime) SetIncremental(batch int) {
-	if batch > 0 && batch < MinMoveBatch {
-		batch = MinMoveBatch
-	}
+// SetPauseBudget sets the longest modeled world-stop pause, in cycles, a
+// move or swap may impose. 0 (the default) is unbounded: each operation is
+// one stop covering all of its work. A positive budget slices the
+// stop-window work into windows of BatchForBudget(cycles) escape patches,
+// resuming the mutators in between under the guard-level forwarding
+// window, so no recorded pause exceeds PauseBound of that batch (budgets
+// below PauseBound(MinMoveBatch) clamp up to it). The budget never changes
+// the program clock or the fault-injection draw sequence — modeled cycles
+// and memory digests are byte-identical at every budget.
+func (r *Runtime) SetPauseBudget(cycles uint64) {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
-	if batch <= 0 {
-		batch = 0
-	}
-	r.moveBatch = batch
-}
-
-// IncrementalBatch returns the configured incremental batch size (0 when
-// the legacy protocol is active).
-func (r *Runtime) IncrementalBatch() int {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	return r.moveBatch
+	r.pauseBudget = cycles
 }
 
 // AddMoveListener registers fn to run after every completed move, while

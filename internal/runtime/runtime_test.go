@@ -296,26 +296,15 @@ type fakeRegs struct{ vals []uint64 }
 func (f *fakeRegs) Regs() []uint64         { return f.vals }
 func (f *fakeRegs) SetReg(i int, v uint64) { f.vals[i] = v }
 
-// fakeWorld hands back fixed register sets. It implements BoundedWorld
-// (mirroring the worldtest fake, which internal test files cannot import —
-// worldtest imports runtime) and panics on nested stops, like the real VM
-// scheduler.
+// fakeWorld hands back fixed register sets (mirroring the worldtest fake,
+// which internal test files cannot import — worldtest imports runtime) and
+// panics on nested stops, like the real VM scheduler. An operation that
+// crosses n pause-window boundaries stops and resumes it n+1 times.
 type fakeWorld struct {
 	regs    []*fakeRegs
 	stops   int
 	resumes int
-
-	batchStops   int
-	batchResumes int
-	stopped      bool
-}
-
-func (w *fakeWorld) handles() []RegSet {
-	out := make([]RegSet, len(w.regs))
-	for i, r := range w.regs {
-		out[i] = r
-	}
-	return out
+	stopped bool
 }
 
 func (w *fakeWorld) StopTheWorld() []RegSet {
@@ -324,19 +313,13 @@ func (w *fakeWorld) StopTheWorld() []RegSet {
 	}
 	w.stopped = true
 	w.stops++
-	return w.handles()
+	out := make([]RegSet, len(w.regs))
+	for i, r := range w.regs {
+		out[i] = r
+	}
+	return out
 }
 func (w *fakeWorld) ResumeTheWorld() { w.stopped = false; w.resumes++ }
-
-func (w *fakeWorld) StopBatch() []RegSet {
-	if w.stopped {
-		panic("fakeWorld: nested world stop")
-	}
-	w.stopped = true
-	w.batchStops++
-	return w.handles()
-}
-func (w *fakeWorld) ResumeBatch() { w.stopped = false; w.batchResumes++ }
 
 func TestHandleMovePatchesEverything(t *testing.T) {
 	k, p, rt := newTestRuntime(t)

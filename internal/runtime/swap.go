@@ -127,16 +127,14 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 	}
 	r.swapSlots = append(r.swapSlots, rec)
 	r.Stats.SwapOuts.Inc()
-	// Modeled world-stop length of this swap: the barrier round trip, one
-	// patch per poisoned escape, and the copy to the swap device. Observe-
-	// only — swaps charge nothing to the program clock, so neither does the
-	// pause accounting.
-	// SwapCycles keeps the whole-operation formula in both modes; the pause
-	// meter only re-attributes it. In incremental mode the copy to the swap
-	// device is off-pause (it happens under I/O, not under the stop).
-	pause := uint64(cycBarrier) + uint64(len(rec.escapes))*cycEscapePatch + a.Len*cycPerByteMove
-	r.Stats.SwapCycles.Add(pause)
-	meter.finish(pause)
+	// Modeled length of this swap: the barrier round trip, one patch per
+	// poisoned escape, and the copy to the swap device (off-pause, under
+	// I/O, when windows are bounded). Observe-only — swaps charge nothing
+	// to the program clock, so neither does the pause accounting.
+	copyCyc := a.Len * cycPerByteMove
+	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
+	meter.concurrent(copyCyc)
+	meter.finish()
 	r.tracer().Instant("swap.out", "paging",
 		obs.A("slot", slot), obs.A("bytes", a.Len), obs.A("escapes", len(rec.escapes)))
 	return slot, a.Len, nil
@@ -209,9 +207,10 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	r.Stats.SwapIns.Inc()
 	// Mirror of the swap-out pause model: barrier + per-pointer forward
 	// patches + the copy back from the swap device.
-	pause := uint64(cycBarrier) + uint64(len(rec.escapes))*cycEscapePatch + rec.length*cycPerByteMove
-	r.Stats.SwapCycles.Add(pause)
-	meter.finish(pause)
+	copyCyc := rec.length * cycPerByteMove
+	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
+	meter.concurrent(copyCyc)
+	meter.finish()
 	r.tracer().Instant("swap.in", "paging", obs.A("slot", slot), obs.A("bytes", rec.length))
 	return rec.length, nil
 }

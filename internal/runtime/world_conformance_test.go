@@ -1,10 +1,10 @@
 package runtime_test
 
-// The BoundedWorld conformance suite, driven against the worldtest fake
-// that runtime-level move tests build on. The VM's real scheduler runs the
-// identical suite from its own package (it is the other BoundedWorld
-// implementation), so both sides of the incremental protocol are held to
-// the same stop/resume contract. This file is an external test
+// The World conformance suite, driven against the worldtest fake that
+// runtime-level move tests build on. The VM's real scheduler runs the
+// identical suite from its own package (it is the other World
+// implementation), so both sides of the move protocol are held to the same
+// stop/resume contract. This file is an external test
 // (runtime_test) because worldtest imports runtime: an internal test file
 // importing it would be an import cycle.
 
@@ -22,10 +22,7 @@ func TestFakeWorldConformance(t *testing.T) {
 	)
 	worldtest.Conformance(t, "fakeWorld", w)
 	if w.Stops == 0 || w.Stops != w.Resumes {
-		t.Errorf("full stops/resumes not paired: %d/%d", w.Stops, w.Resumes)
-	}
-	if w.BatchStops != w.BatchResumes {
-		t.Errorf("batch stops/resumes not paired: %d/%d", w.BatchStops, w.BatchResumes)
+		t.Errorf("stops/resumes not paired: %d/%d", w.Stops, w.Resumes)
 	}
 }
 

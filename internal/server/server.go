@@ -35,7 +35,6 @@ import (
 	"carat/internal/obs"
 	"carat/internal/obs/telemetry"
 	"carat/internal/passes"
-	rt "carat/internal/runtime"
 	"carat/internal/signing"
 	"carat/internal/vm"
 )
@@ -78,11 +77,11 @@ type Config struct {
 	// Ballast configures the background mmpolicy service.
 	Ballast BallastConfig `json:"ballast"`
 
-	// PauseBudgetCycles, when non-zero, runs every request's runtime under
-	// the incremental bounded-pause move protocol with the largest batch
-	// whose worst-case pause (runtime.PauseBound) fits the budget. Zero
-	// keeps the legacy full-stop protocol. Either way the pause histograms
-	// land tenant-visible on /metrics; modeled results are identical.
+	// PauseBudgetCycles is the longest modeled world-stop pause, in cycles,
+	// a move or swap may impose on a request's (or the ballast's) threads
+	// (vm.Config.PauseBudget). Zero is unbounded: one stop per operation.
+	// Either way the pause histograms land tenant-visible on /metrics;
+	// modeled results are identical.
 	PauseBudgetCycles uint64 `json:"pause_budget_cycles"`
 
 	// Closure runs every tenant VM on the closure compilation tier (the
@@ -559,8 +558,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		XCache:      true,
 		Closure:     s.cfg.Closure,
 		Obs:         runReg,
-		Incremental: s.cfg.PauseBudgetCycles > 0,
-		MoveBatch:   rt.BatchForBudget(s.cfg.PauseBudgetCycles),
+		PauseBudget: s.cfg.PauseBudgetCycles,
 	})
 	if err != nil {
 		switch {

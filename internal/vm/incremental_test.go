@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,29 +12,28 @@ import (
 	"carat/internal/worldtest"
 )
 
-// The incremental-move parity matrix: the bounded-pause protocol must be
-// observationally identical to the legacy full-stop protocol — same program
-// results, same modeled cycle clock, same physical memory image, same
-// metrics — except for the pause-attribution metrics themselves, which are
-// the whole point of the mode.
+// The pause-budget parity matrix: a move must be observationally identical
+// at every pause budget — same program results, same modeled cycle clock,
+// same physical memory image, same metrics — except for the
+// pause-attribution metrics themselves, which are the whole point of the
+// knob.
 
 // pauseMetric reports whether a metric name is pause attribution: the pause
 // histograms (all causes) and the batch-window counter. These are the only
-// metrics allowed to differ between the legacy and incremental protocols.
+// metrics allowed to differ between pause budgets.
 func pauseMetric(name string) bool {
 	return strings.HasPrefix(name, runtime.PauseHist) || name == "carat.runtime.batch_pauses"
 }
 
 // tierMetric reports whether a metric name is execution-tier bookkeeping:
 // the closure tier's own counters exist only when that tier is enabled, and
-// deopt/recompile counts legitimately differ between the legacy and
-// incremental protocols (incremental phases bump the region epoch more
-// often). Everything else must match byte-for-byte across tiers.
+// deopt/recompile counts legitimately differ between budgets (the
+// forwarding window of a bounded move bumps the region epoch more often). Everything else must match byte-for-byte across tiers.
 func tierMetric(name string) bool {
 	return strings.HasPrefix(name, "carat.vm.closure.")
 }
 
-// seedDigest is everything one fuzz-seed run must reproduce across modes.
+// seedDigest is everything one fuzz-seed run must reproduce across budgets.
 type seedDigest struct {
 	ret     int64
 	cycles  uint64
@@ -44,7 +44,7 @@ type seedDigest struct {
 // runSeedDigest runs a fuzz seed under worst-case page moves and digests
 // the observable outcome, excluding pause-attribution and tier-bookkeeping
 // metrics.
-func runSeedDigest(t *testing.T, seed int64, incremental, closure bool) seedDigest {
+func runSeedDigest(t *testing.T, seed int64, budget uint64, closure bool) seedDigest {
 	t.Helper()
 	m := genProgram(seed)
 	pl := passes.Build(passes.LevelTracking)
@@ -55,9 +55,8 @@ func runSeedDigest(t *testing.T, seed int64, incremental, closure bool) seedDige
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = guard.MechRange
-	cfg.Incremental = incremental
+	cfg.PauseBudget = budget
 	cfg.Closure = closure
-	cfg.MoveBatch = runtime.MinMoveBatch // smallest batches = most boundaries
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Fatalf("seed %d: load: %v", seed, err)
@@ -65,7 +64,7 @@ func runSeedDigest(t *testing.T, seed int64, incremental, closure bool) seedDige
 	v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("seed %d (incremental=%v closure=%v): run: %v", seed, incremental, closure, err)
+		t.Fatalf("seed %d (budget=%d closure=%v): run: %v", seed, budget, closure, err)
 	}
 
 	snap := v.Obs().Snapshot()
@@ -91,52 +90,51 @@ func runSeedDigest(t *testing.T, seed int64, incremental, closure bool) seedDige
 	}
 }
 
+// minBudget is the smallest effective pause budget: the smallest windows,
+// so the most boundaries.
+var minBudget = runtime.PauseBound(runtime.MinMoveBatch)
+
 // TestIncrementalParityMatrix runs the existing differential fuzz seeds
-// under {legacy, incremental} x {predecode, closure} and requires
+// under budgets {0, minimum, 1000} x {predecode, closure} and requires
 // byte-identical results: return value, modeled cycle clock, physical
 // memory checksum, and the full metrics snapshot minus pause attribution
 // and tier bookkeeping.
 func TestIncrementalParityMatrix(t *testing.T) {
-	legs := []struct {
-		name                 string
-		incremental, closure bool
-	}{
-		{"incremental", true, false},
-		{"closure", false, true},
-		{"incremental+closure", true, true},
-	}
 	for seed := int64(100); seed <= 112; seed++ {
-		legacy := runSeedDigest(t, seed, false, false)
-		for _, leg := range legs {
-			got := runSeedDigest(t, seed, leg.incremental, leg.closure)
-			if legacy.ret != got.ret {
-				t.Errorf("seed %d: ret %d (legacy) != %d (%s)", seed, legacy.ret, got.ret, leg.name)
-			}
-			if legacy.cycles != got.cycles {
-				t.Errorf("seed %d: cycles %d (legacy) != %d (%s)", seed, legacy.cycles, got.cycles, leg.name)
-			}
-			if legacy.memSum != got.memSum {
-				t.Errorf("seed %d: memory checksum %#x (legacy) != %#x (%s)", seed, legacy.memSum, got.memSum, leg.name)
-			}
-			if legacy.metrics != got.metrics {
-				t.Errorf("seed %d: metrics diverge beyond pause attribution (%s):\n legacy %s\n %s %s",
-					seed, leg.name, legacy.metrics, leg.name, got.metrics)
+		ref := runSeedDigest(t, seed, 0, false)
+		for _, budget := range []uint64{0, minBudget, 1000} {
+			for _, closure := range []bool{false, true} {
+				if budget == 0 && !closure {
+					continue // the reference leg itself
+				}
+				leg := fmt.Sprintf("budget=%d closure=%v", budget, closure)
+				got := runSeedDigest(t, seed, budget, closure)
+				if ref.ret != got.ret {
+					t.Errorf("seed %d: ret %d (reference) != %d (%s)", seed, ref.ret, got.ret, leg)
+				}
+				if ref.cycles != got.cycles {
+					t.Errorf("seed %d: cycles %d (reference) != %d (%s)", seed, ref.cycles, got.cycles, leg)
+				}
+				if ref.memSum != got.memSum {
+					t.Errorf("seed %d: memory checksum %#x (reference) != %#x (%s)", seed, ref.memSum, got.memSum, leg)
+				}
+				if ref.metrics != got.metrics {
+					t.Errorf("seed %d: metrics diverge beyond pause attribution (%s):\n reference %s\n got       %s",
+						seed, leg, ref.metrics, got.metrics)
+				}
 			}
 		}
 	}
 }
 
-// TestIncrementalPauseBoundUnderMoves: with the incremental protocol on,
-// no recorded move pause may exceed PauseBound(batch) — while the legacy
-// run of the same seed must blow through it (otherwise the fixture is too
-// small to mean anything).
+// TestIncrementalPauseBoundUnderMoves: under a pause budget no recorded
+// move pause may exceed it — while the budget-0 run of the same seed must
+// blow through it (otherwise the fixture is too small to mean anything).
 func TestIncrementalPauseBoundUnderMoves(t *testing.T) {
 	const seed = 103 // heap-using seed with worst-case moves
-	batch := runtime.MinMoveBatch
-	bound := runtime.PauseBound(batch)
 	moveHist := runtime.PauseHist + ".move"
 
-	for _, incremental := range []bool{false, true} {
+	for _, budget := range []uint64{0, minBudget} {
 		m := genProgram(seed)
 		pl := passes.Build(passes.LevelTracking)
 		if err := pl.Run(m); err != nil {
@@ -145,8 +143,7 @@ func TestIncrementalPauseBoundUnderMoves(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MemBytes = 1 << 23
 		cfg.HeapBytes = 1 << 19
-		cfg.Incremental = incremental
-		cfg.MoveBatch = batch
+		cfg.PauseBudget = budget
 		v, err := Load(m, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -157,19 +154,19 @@ func TestIncrementalPauseBoundUnderMoves(t *testing.T) {
 		}
 		hist := v.Obs().Histogram(moveHist).Snapshot()
 		if hist.Count == 0 {
-			t.Fatalf("incremental=%v: no move pauses recorded; fixture moved nothing", incremental)
+			t.Fatalf("budget %d: no move pauses recorded; fixture moved nothing", budget)
 		}
-		if incremental && hist.Max > bound {
-			t.Errorf("incremental move pause max %d exceeds PauseBound(%d) = %d", hist.Max, batch, bound)
+		if budget > 0 && hist.Max > budget {
+			t.Errorf("move pause max %d exceeds the budget %d", hist.Max, budget)
 		}
-		if !incremental && hist.Max <= bound {
-			t.Errorf("legacy move pause max %d within the incremental bound %d — fixture too small", hist.Max, bound)
+		if budget == 0 && hist.Max <= minBudget {
+			t.Errorf("unbounded move pause max %d within the minimum budget %d — fixture too small", hist.Max, minBudget)
 		}
 	}
 }
 
 // TestSchedulerWorldConformance drives the VM's real scheduler through the
-// shared BoundedWorld conformance suite, mid-run, with live threads parked
+// shared World conformance suite, mid-run, with live threads parked
 // at a safepoint — the exact state HandleMove sees.
 func TestSchedulerWorldConformance(t *testing.T) {
 	m := genProgram(1)

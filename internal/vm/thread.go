@@ -64,7 +64,7 @@ type frame struct {
 	spSave uint64
 }
 
-// scheduler round-robins threads and implements runtime.BoundedWorld.
+// scheduler round-robins threads and implements runtime.World.
 type scheduler struct {
 	v       *VM
 	threads []*thread
@@ -389,21 +389,10 @@ func (s *scheduler) StopTheWorld() []runtime.RegSet {
 }
 
 // ResumeTheWorld implements runtime.World; with the baton discipline
-// nothing needs releasing.
+// nothing needs releasing, and no mutator runs before a move's next
+// StopTheWorld, so earlier RegSet handles stay valid (threadRegs reads
+// through to the live frames).
 func (s *scheduler) ResumeTheWorld() { s.stopped = false }
-
-// StopBatch implements runtime.BoundedWorld: re-stop the world for the
-// next bounded patch window. Threads are still parked at the safepoints
-// where the opening StopTheWorld found them (the baton discipline means no
-// mutator ran during the window gap), so the RegSet handles handed out by
-// the opening stop remain valid — threadRegs reads through to the live
-// frames, exactly as the BoundedWorld contract requires.
-func (s *scheduler) StopBatch() []runtime.RegSet { return s.StopTheWorld() }
-
-// ResumeBatch implements runtime.BoundedWorld: end a bounded window,
-// letting mutators reach their next safepoints before the following
-// StopBatch.
-func (s *scheduler) ResumeBatch() { s.stopped = false }
 
 // rebaseStacks relocates thread stack bookkeeping after a move of
 // [src, src+length) to dst. Only threads whose stack region actually

@@ -131,18 +131,12 @@ type Config struct {
 	// nil disables injection at zero cost.
 	Fault *fault.Injector
 
-	// Incremental enables the bounded-pause move/swap protocol: instead of
-	// one whole-operation world stop, the runtime patches in batches of
-	// MoveBatch escapes between safepoint stops, forwarding racing accesses
-	// through the guard-level forwarding window. Modeled cycles, memory
-	// contents, and fault-injection draws are byte-identical to the legacy
-	// protocol — only pause attribution changes.
-	Incremental bool
-
-	// MoveBatch is the incremental batch size (escape patches per stop
-	// window). 0 means runtime.DefaultMoveBatch; values below
-	// runtime.MinMoveBatch clamp up. Ignored unless Incremental is set.
-	MoveBatch int
+	// PauseBudget is the longest modeled world-stop pause, in cycles, a
+	// move or swap may impose on this machine's threads (see
+	// runtime.SetPauseBudget); 0 is unbounded, one stop per operation.
+	// Modeled cycles, memory contents, and fault-injection draws are
+	// byte-identical at every budget — only pause attribution changes.
+	PauseBudget uint64
 
 	// ArenaPages, when nonzero, carves a private contiguous page arena of
 	// that size out of the (usually shared) kernel at load time and routes
@@ -262,13 +256,6 @@ func (v *VM) SetMovePolicy(period uint64, fn func() error) {
 	v.movePolicy = fn
 	v.moveTrigger = mmpolicy.NewRareMigration(period)
 }
-
-// SetIncrementalMoves switches the loaded VM's runtime to the bounded-pause
-// incremental protocol with the given batch size (escape patches per stop
-// window; 0 or negative disables, values below runtime.MinMoveBatch clamp
-// up). Equivalent to Config.Incremental/MoveBatch, for tests and harnesses
-// that flip modes after Load.
-func (v *VM) SetIncrementalMoves(batch int) { v.rt.SetIncremental(batch) }
 
 // Kernel returns the VM's kernel, for experiment harnesses that inject
 // change requests.
@@ -572,13 +559,7 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 
 	v.sched = newScheduler(v)
 	v.rt.SetWorld(v.sched)
-	if cfg.Incremental {
-		batch := cfg.MoveBatch
-		if batch == 0 {
-			batch = runtime.DefaultMoveBatch
-		}
-		v.rt.SetIncremental(batch)
-	}
+	v.rt.SetPauseBudget(cfg.PauseBudget)
 	v.trackStart = v.rt.Stats.TrackingCycle.Get()
 	v.moveStart = v.rt.Stats.MoveCycles.Get()
 	v.swapStart = v.rt.Stats.SwapCycles.Get()

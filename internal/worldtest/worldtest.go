@@ -1,10 +1,10 @@
 // Package worldtest is the shared conformance suite for implementations of
-// runtime.BoundedWorld — the stop-the-world interface the incremental move
-// protocol batches through. Both the runtime's test fake and the VM's real
+// runtime.World — the stop-the-world interface the move protocol opens its
+// pause windows through. Both the runtime's test fake and the VM's real
 // scheduler must satisfy the same contract: stops and resumes pair up,
 // RegSet handles from the opening stop stay valid (and patches through them
-// stay visible) across ResumeBatch/StopBatch round trips, and nested stops
-// are rejected loudly. The suite lives in its own package so the runtime's
+// stay visible) across resume/stop round trips, and nested stops are
+// rejected loudly. The suite lives in its own package so the runtime's
 // external tests and the VM's internal tests can drive the identical
 // assertions without an import cycle.
 package worldtest
@@ -25,17 +25,16 @@ func (f *FakeRegs) Regs() []uint64 { return append([]uint64(nil), f.Vals...) }
 // SetReg implements runtime.RegSet.
 func (f *FakeRegs) SetReg(i int, v uint64) { f.Vals[i] = v }
 
-// Fake is an in-memory BoundedWorld for runtime-level tests: it hands out
+// Fake is an in-memory World for runtime-level tests: it hands out
 // stable handles to its register files and counts every stop and resume so
 // tests can assert on the pause structure of an operation.
 type Fake struct {
 	RegSets []*FakeRegs
 
-	Stops, Resumes           int // full StopTheWorld / ResumeTheWorld
-	BatchStops, BatchResumes int // bounded-window round trips
-	Suspends, SusResumes     int // ragged per-process suspensions
-	stopped                  bool
-	suspended                int
+	Stops, Resumes       int // StopTheWorld / ResumeTheWorld
+	Suspends, SusResumes int // ragged per-process suspensions
+	stopped              bool
+	suspended            int
 }
 
 // NewFake builds a fake world over the given register files.
@@ -48,24 +47,15 @@ func (f *Fake) StopTheWorld() []runtime.RegSet {
 	}
 	f.stopped = true
 	f.Stops++
-	return f.handles()
+	out := make([]runtime.RegSet, len(f.RegSets))
+	for i, r := range f.RegSets {
+		out[i] = r
+	}
+	return out
 }
 
 // ResumeTheWorld implements runtime.World.
 func (f *Fake) ResumeTheWorld() { f.stopped = false; f.Resumes++ }
-
-// StopBatch implements runtime.BoundedWorld.
-func (f *Fake) StopBatch() []runtime.RegSet {
-	if f.stopped {
-		panic("worldtest: nested world stop")
-	}
-	f.stopped = true
-	f.BatchStops++
-	return f.handles()
-}
-
-// ResumeBatch implements runtime.BoundedWorld.
-func (f *Fake) ResumeBatch() { f.stopped = false; f.BatchResumes++ }
 
 // Suspend implements Suspender: the fake has no concurrently running
 // guest, so suspension just counts and nests.
@@ -83,78 +73,69 @@ func (f *Fake) Suspend() (resume func()) {
 	}
 }
 
-func (f *Fake) handles() []runtime.RegSet {
-	out := make([]runtime.RegSet, len(f.RegSets))
-	for i, r := range f.RegSets {
-		out[i] = r
-	}
-	return out
-}
-
-// Conformance drives w through the BoundedWorld contract. The world must be
+// Conformance drives w through the World contract. The world must be
 // running (not stopped) on entry and is left running on return. Register-
 // mutation assertions only engage for handles that expose registers; a
 // world with no live threads still has its stop/resume structure checked.
-func Conformance(t *testing.T, name string, w runtime.BoundedWorld) {
+func Conformance(t *testing.T, name string, w runtime.World) {
 	t.Helper()
 
 	regs := w.StopTheWorld()
 
-	// Nested stops of either flavor are protocol bugs and must panic.
+	// Nested stops are protocol bugs and must panic.
 	mustPanic(t, name+": StopTheWorld while stopped", func() { w.StopTheWorld() })
-	mustPanic(t, name+": StopBatch while stopped", func() { w.StopBatch() })
 
 	before := make([][]uint64, len(regs))
 	for i, rs := range regs {
 		before[i] = append([]uint64(nil), rs.Regs()...)
 	}
 
-	// One bounded round trip: the window closes, mutators may advance to
+	// One window boundary: the window closes, mutators may advance to
 	// their next safepoints, the world stops again.
-	w.ResumeBatch()
-	w.StopBatch()
-	mustPanic(t, name+": StopBatch after StopBatch", func() { w.StopBatch() })
+	w.ResumeTheWorld()
+	w.StopTheWorld()
+	mustPanic(t, name+": StopTheWorld after re-stop", func() { w.StopTheWorld() })
 
 	// The handles from the opening stop must still read the same registers.
 	for i, rs := range regs {
 		now := rs.Regs()
 		if len(now) != len(before[i]) {
-			t.Errorf("%s: regset %d has %d regs after batch round trip, had %d at stop",
+			t.Errorf("%s: regset %d has %d regs after resume/stop round trip, had %d at stop",
 				name, i, len(now), len(before[i]))
 			continue
 		}
 		for j := range now {
 			if now[j] != before[i][j] {
-				t.Errorf("%s: regset %d reg %d = %#x after batch round trip, was %#x",
+				t.Errorf("%s: regset %d reg %d = %#x after resume/stop round trip, was %#x",
 					name, i, j, now[j], before[i][j])
 			}
 		}
 	}
 
 	// A patch through an opening-stop handle must stay visible across a
-	// further round trip (the incremental protocol patches registers in one
-	// window and relies on them in the next).
+	// further round trip (a bounded move patches registers in one window
+	// and relies on them in the next).
 	for i, rs := range regs {
 		if len(before[i]) == 0 {
 			continue
 		}
 		rs.SetReg(0, before[i][0]+0x10_0000)
 	}
-	w.ResumeBatch()
-	w.StopBatch()
+	w.ResumeTheWorld()
+	w.StopTheWorld()
 	for i, rs := range regs {
 		if len(before[i]) == 0 {
 			continue
 		}
 		if got := rs.Regs()[0]; got != before[i][0]+0x10_0000 {
-			t.Errorf("%s: regset %d patch lost across batch round trip: reg 0 = %#x, want %#x",
+			t.Errorf("%s: regset %d patch lost across resume/stop round trip: reg 0 = %#x, want %#x",
 				name, i, got, before[i][0]+0x10_0000)
 		}
 		rs.SetReg(0, before[i][0]) // restore
 	}
 
-	// Pairing: a full resume ends the stop, after which a fresh full stop
-	// must succeed and see the same thread population.
+	// Pairing: a resume ends the stop, after which a fresh stop must
+	// succeed and see the same thread population.
 	w.ResumeTheWorld()
 	regs2 := w.StopTheWorld()
 	if len(regs2) != len(regs) {

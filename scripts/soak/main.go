@@ -7,13 +7,14 @@
 // and the allocation-table invariants to hold. A failure therefore comes
 // with its reproducer: the seed.
 //
-// With -pausebudget the soak additionally runs two bounded-pause legs
-// per seed: an incremental leg under the identical fault schedule, which
-// must match the legacy leg's cycle clock and memory image exactly while
-// keeping every recorded pause within one batch plus a barrier round
-// trip, and a chaos leg that also aborts moves at batch boundaries
-// (fault.MoveBatch) and must stay deterministic and bounded while doing
-// so.
+// Every seed runs three legs, each replayed twice: unbounded (pause
+// budget 0, one stop per move); bounded (-pausebudget, default 1000
+// cycles) under the identical fault schedule, which must match the
+// unbounded leg's cycle clock and memory image exactly while keeping
+// every recorded pause within one batch plus a barrier round trip and
+// cutting the p99 pause at least 5x; and chaos, which also aborts moves at
+// window boundaries (fault.MoveBatch) and must stay deterministic and
+// bounded while doing so.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@
 //	go run ./scripts/soak -seed 17 -trace t.json # with a Chrome trace
 //	go run ./scripts/soak -seeds 8 -out soak.json
 //
-// The report is a versioned carat.soak.result v1 JSON document
+// The report is a versioned carat.soak.result v2 JSON document
 // (validated by scripts/validatejson). Exit status is nonzero if any
 // seed failed, and the failing seeds' replay commands are printed.
 package main
@@ -46,7 +47,7 @@ import (
 // incompatible field change.
 const (
 	Schema  = "carat.soak.result"
-	Version = 1
+	Version = 2
 )
 
 // SeedResult is one seed's outcome: the fault schedule it ran under, the
@@ -67,17 +68,16 @@ type SeedResult struct {
 	ReplayIdentical bool   `json:"replay_identical"`
 	Error           string `json:"error,omitempty"`
 
-	// Bounded-pause legs, populated when -pausebudget is set (compatible
-	// v1 additions). The incremental leg shares the legacy leg's fault
-	// schedule; the chaos leg additionally aborts moves at batch
-	// boundaries.
-	PauseBudget    uint64  `json:"pause_budget_cycles,omitempty"`
-	PauseBound     uint64  `json:"pause_bound_cycles,omitempty"` // one batch + barrier round trip
-	LegacyP99      float64 `json:"legacy_pause_p99,omitempty"`
-	IncrementalP99 float64 `json:"incremental_pause_p99,omitempty"`
-	IncrementalMax uint64  `json:"incremental_pause_max,omitempty"`
-	ChaosMax       uint64  `json:"chaos_pause_max,omitempty"`
-	ChaosRollbacks uint64  `json:"chaos_rollbacks,omitempty"`
+	// The pause legs (v2: always present, keyed on budget). The bounded leg
+	// shares the unbounded leg's fault schedule; the chaos leg additionally
+	// aborts moves at window boundaries. Legs after a failed one are zero.
+	PauseBudget    uint64  `json:"pause_budget_cycles"`
+	PauseBound     uint64  `json:"pause_bound_cycles"` // one batch + barrier round trip
+	UnboundedP99   float64 `json:"unbounded_pause_p99"`
+	BoundedP99     float64 `json:"bounded_pause_p99"`
+	BoundedMax     uint64  `json:"bounded_pause_max"`
+	ChaosMax       uint64  `json:"chaos_pause_max"`
+	ChaosRollbacks uint64  `json:"chaos_rollbacks"`
 }
 
 // Document is the full soak report.
@@ -96,11 +96,11 @@ type Document struct {
 // retry bound out of reach while still firing every point constantly:
 // e.g. sixteen consecutive swap-in failures at rate 0.3 is ~4e-9.
 // chaosBatchRate is the fault.MoveBatch rate for the chaos leg. It is
-// deliberately NOT in rateCeilings: batch-boundary checks only happen in
-// incremental mode, so scheduling the point would let the incremental leg
-// consume injector draws the legacy leg never sees and break the
-// cross-mode cycle/memory parity the soak asserts. The chaos leg opts in
-// explicitly and gives up cross-mode comparison in exchange.
+// deliberately NOT in rateCeilings: window-boundary checks only happen
+// when a move outgrows its window, so scheduling the point would let the
+// bounded leg consume injector draws the unbounded leg never sees and
+// break the cross-budget cycle/memory parity the soak asserts. The chaos
+// leg opts in explicitly and gives up cross-budget comparison in exchange.
 const chaosBatchRate = 0.10
 
 var rateCeilings = map[fault.Point]float64{
@@ -129,7 +129,7 @@ func schedule(seed int64) map[fault.Point]float64 {
 }
 
 // digest is everything a replay must reproduce byte-for-byte, plus the
-// pause tail the bounded-pause legs assert on.
+// pause tail the pause legs assert on.
 type digest struct {
 	cycles    uint64
 	memSum    uint64
@@ -143,8 +143,7 @@ type digest struct {
 // runSeed executes one soak run: build the machine, thread the seeded
 // injector through every layer, run the workloads, verify integrity, and
 // return the digest. trace, when non-nil, receives the run's events.
-// pauseBudget > 0 switches every managed process to the incremental move
-// protocol sized to that budget.
+// pauseBudget is every managed process's max-pause budget (0 = unbounded).
 func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget uint64, tr *obs.Tracer) (digest, SeedResult, error) {
 	reg := obs.NewRegistry()
 	inj := fault.New(seed, reg)
@@ -255,53 +254,47 @@ func replayPair(seed int64, steps int, rates map[fault.Point]float64, budget uin
 	return d1, res, ""
 }
 
-// soakSeed runs a seed's legacy leg (twice, byte-compared) and, with a
-// pause budget, the incremental and chaos legs with their own replay and
-// bounded-pause assertions.
+// soakSeed runs a seed's three legs — unbounded, bounded, chaos — each
+// twice and byte-compared, with the cross-budget parity and bounded-pause
+// assertions.
 func soakSeed(seed int64, steps int, budget uint64, tr *obs.Tracer) SeedResult {
 	rates := schedule(seed)
-	dLegacy, res, diverged := replayPair(seed, steps, rates, 0, tr)
+	batch := runtime.BatchForBudget(budget)
+	bound := runtime.PauseBound(batch)
+
+	dUnb, res, diverged := replayPair(seed, steps, rates, 0, tr)
+	res.PauseBudget, res.PauseBound = budget, bound
 	if diverged != "" {
 		res.Seed, res.Steps, res.Error = seed, steps, diverged
 		return res
 	}
-	res.ReplayIdentical = true
-	if budget == 0 {
-		return res
-	}
+	res.UnboundedP99 = dUnb.pauseP99
 
-	batch := runtime.BatchForBudget(budget)
-	bound := runtime.PauseBound(batch)
-	res.PauseBudget = budget
-	res.PauseBound = bound
-	res.LegacyP99 = dLegacy.pauseP99
-
-	// Incremental leg: same fault schedule, bounded pauses. Everything the
-	// program and the fault stream can observe must match the legacy leg —
-	// the modeled cycle clock and the physical memory image — while the
-	// pause attribution (and the injector's check counter, which ticks at
-	// every batch boundary) legitimately differs.
-	dIncr, _, diverged := replayPair(seed, steps, rates, budget, nil)
-	res.IncrementalP99 = dIncr.pauseP99
-	res.IncrementalMax = dIncr.pauseMax
+	// Bounded leg: same fault schedule, bounded pauses. Everything the
+	// program and the fault stream can observe must match the unbounded
+	// leg — the modeled cycle clock and the physical memory image — while
+	// the pause attribution (and the injector's check counter, which ticks
+	// at every window boundary) legitimately differs.
+	dBnd, _, diverged := replayPair(seed, steps, rates, budget, nil)
+	res.BoundedP99 = dBnd.pauseP99
+	res.BoundedMax = dBnd.pauseMax
 	switch {
 	case diverged != "":
-		res.Error = "incremental " + diverged
-	case dIncr.cycles != dLegacy.cycles:
-		res.Error = fmt.Sprintf("mode divergence: cycles %d (legacy) vs %d (incremental)", dLegacy.cycles, dIncr.cycles)
-	case dIncr.memSum != dLegacy.memSum:
-		res.Error = fmt.Sprintf("mode divergence: memory %016x (legacy) vs %016x (incremental)", dLegacy.memSum, dIncr.memSum)
-	case dIncr.pauseMax > bound:
-		res.Error = fmt.Sprintf("pause over bound: %d > %d (batch %d + barrier)", dIncr.pauseMax, bound, batch)
-	case dIncr.pauseP99 > 0 && dLegacy.pauseP99 < 5*dIncr.pauseP99:
-		res.Error = fmt.Sprintf("p99 drop under 5x: legacy %.0f vs incremental %.0f", dLegacy.pauseP99, dIncr.pauseP99)
+		res.Error = "bounded " + diverged
+	case dBnd.cycles != dUnb.cycles:
+		res.Error = fmt.Sprintf("budget divergence: cycles %d (unbounded) vs %d (bounded)", dUnb.cycles, dBnd.cycles)
+	case dBnd.memSum != dUnb.memSum:
+		res.Error = fmt.Sprintf("budget divergence: memory %016x (unbounded) vs %016x (bounded)", dUnb.memSum, dBnd.memSum)
+	case dBnd.pauseMax > bound:
+		res.Error = fmt.Sprintf("pause over bound: %d > %d (batch %d + barrier)", dBnd.pauseMax, bound, batch)
+	case dBnd.pauseP99 > 0 && dUnb.pauseP99 < 5*dBnd.pauseP99:
+		res.Error = fmt.Sprintf("p99 drop under 5x: unbounded %.0f vs bounded %.0f", dUnb.pauseP99, dBnd.pauseP99)
 	}
 	if res.Error != "" {
-		res.ReplayIdentical = false
 		return res
 	}
 
-	// Chaos leg: moves abort at batch boundaries (fault.MoveBatch armed as
+	// Chaos leg: moves abort at window boundaries (fault.MoveBatch armed as
 	// a scheduled rate) while every pause stays within the bound. The extra
 	// injector draws make this leg incomparable to the other two, but it
 	// must still replay byte-identically against itself.
@@ -319,9 +312,7 @@ func soakSeed(seed int64, steps int, budget uint64, tr *obs.Tracer) SeedResult {
 	case dChaos.pauseMax > bound:
 		res.Error = fmt.Sprintf("chaos pause over bound: %d > %d", dChaos.pauseMax, bound)
 	}
-	if res.Error != "" {
-		res.ReplayIdentical = false
-	}
+	res.ReplayIdentical = res.Error == ""
 	return res
 }
 
@@ -330,11 +321,16 @@ func main() {
 	start := flag.Int64("start", 1, "first seed (CI rotates this nightly)")
 	one := flag.Int64("seed", 0, "run exactly this seed (overrides -seeds/-start)")
 	steps := flag.Int("steps", 400, "workload rounds per run")
-	pauseBudget := flag.Uint64("pausebudget", 0,
-		"run bounded-pause legs per seed: incremental (parity + pause bound + 5x p99 drop) and chaos (batch-boundary move aborts)")
+	pauseBudget := flag.Uint64("pausebudget", 1000,
+		"max-pause budget in cycles for the bounded (parity + pause bound + 5x p99 drop) and chaos (window-boundary move aborts) legs")
 	out := flag.String("out", "", "write the carat.soak.result JSON report here")
 	traceFile := flag.String("trace", "", "write a Chrome trace of the first run of the first seed")
 	flag.Parse()
+
+	if *pauseBudget == 0 {
+		fmt.Fprintln(os.Stderr, "soak: -pausebudget must be positive (the unbounded leg always runs)")
+		os.Exit(2)
+	}
 
 	first, count := *start, *seeds
 	if *one != 0 {
@@ -371,11 +367,9 @@ func main() {
 			doc.Passed++
 			fmt.Printf("seed %4d: ok    cycles=%d injected=%d rollbacks=%d retries=%d pins=%d\n",
 				seed, res.Cycles, res.Injected, res.Rollbacks, res.Retries, res.Pins)
-			if *pauseBudget > 0 {
-				fmt.Printf("           pause p99 %.0f -> %.0f (max %d <= bound %d), chaos max %d rollbacks %d\n",
-					res.LegacyP99, res.IncrementalP99, res.IncrementalMax, res.PauseBound,
-					res.ChaosMax, res.ChaosRollbacks)
-			}
+			fmt.Printf("           pause p99 %.0f -> %.0f (max %d <= bound %d), chaos max %d rollbacks %d\n",
+				res.UnboundedP99, res.BoundedP99, res.BoundedMax, res.PauseBound,
+				res.ChaosMax, res.ChaosRollbacks)
 		} else {
 			doc.Failed++
 			fmt.Printf("seed %4d: FAIL  %s\n", seed, res.Error)

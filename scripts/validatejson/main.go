@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,12 +30,16 @@ import (
 	"strconv"
 	"strings"
 
+	"carat/internal/bench"
+	"carat/internal/mmpolicy"
 	"carat/internal/runtime"
 )
 
 // supported maps known schema names to the highest version this tool
-// understands (kept in sync with the constants in internal/obs and
-// internal/bench).
+// understands (kept in sync with the constants in internal/obs,
+// internal/bench, and scripts/soak). carat.soak.result v2 renamed the pause
+// legs' fields (legacy_*/incremental_* -> unbounded_*/bounded_*) and made
+// them unconditional.
 var supported = map[string]int{
 	"carat.bench.result":  2,
 	"carat.bench.exec":    3,
@@ -43,7 +48,7 @@ var supported = map[string]int{
 	"carat.metrics":       1,
 	"carat.trace":         1,
 	"carat.policy":        2,
-	"carat.soak.result":   1,
+	"carat.soak.result":   2,
 	"carat.profile":       1,
 	"carat.server.result": 1,
 	"carat.server.load":   1,
@@ -80,6 +85,19 @@ func main() {
 	}
 }
 
+// decodeStrict decodes data into the producer's own document type,
+// rejecting fields the producer does not declare: the Go struct is the one
+// schema declaration, so a renamed or misspelled field fails here instead
+// of silently zeroing a check.
+func decodeStrict(schema string, data []byte, doc interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(doc); err != nil {
+		return fmt.Errorf("%s: %w", schema, err)
+	}
+	return nil
+}
+
 func validate(name string, r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -103,32 +121,25 @@ func validate(name string, r io.Reader) error {
 		return fmt.Errorf("%s: schema %s version %d unsupported (max %d)",
 			name, doc.Schema, doc.Version, max)
 	}
-	if doc.Schema == "carat.profile" {
-		if err := validateProfile(data); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	if doc.Schema == "carat.server.load" {
-		if err := validateServerLoad(data); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	if doc.Schema == "carat.policy" && doc.Version >= 2 {
-		if err := validatePolicy(data); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	if doc.Schema == "carat.bench.exec" && doc.Version >= 3 {
-		if err := validateBenchExec(data); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	if doc.Schema == "carat.bench.scale" {
-		if err := validateBenchScale(data); err != nil {
+	if c, ok := structural[doc.Schema]; ok && doc.Version >= c.since {
+		if err := c.check(data); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
+}
+
+// structural maps a schema to its structural check and the first version
+// the check applies to.
+var structural = map[string]struct {
+	since int
+	check func(data []byte) error
+}{
+	"carat.profile":     {1, validateProfile},
+	"carat.server.load": {1, validateServerLoad},
+	"carat.policy":      {2, validatePolicy},
+	"carat.bench.exec":  {3, validateBenchExec},
+	"carat.bench.scale": {1, validateBenchScale},
 }
 
 // validateBenchScale structurally checks a carat.bench.scale v1 document:
@@ -139,20 +150,9 @@ func validate(name string, r io.Reader) error {
 // abort legs must actually have rolled moves back, and the recorded
 // speedup must agree with the plain legs' throughputs.
 func validateBenchScale(data []byte) error {
-	var doc struct {
-		Procs int `json:"procs"`
-		Legs  []struct {
-			GOMAXPROCS       int      `json:"gomaxprocs"`
-			Aborts           bool     `json:"aborts"`
-			AggMInstrsPerSec float64  `json:"agg_minstrs_per_sec"`
-			Digests          []uint64 `json:"digests"`
-			Rollbacks        uint64   `json:"rollbacks"`
-		} `json:"legs"`
-		SpeedupAt8    float64 `json:"speedup_8v1"`
-		DeterminismOK bool    `json:"determinism_ok"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("carat.bench.scale: %w", err)
+	var doc bench.ScaleBenchDoc
+	if err := decodeStrict("carat.bench.scale", data, &doc); err != nil {
+		return err
 	}
 	if doc.Procs <= 1 {
 		return fmt.Errorf("carat.bench.scale: procs must be >1")
@@ -212,20 +212,9 @@ func validateBenchScale(data []byte) error {
 // engine-invariant by construction), closure legs must carry inline-cache
 // counters, and speedup_closure must be present.
 func validateBenchExec(data []byte) error {
-	var doc struct {
-		Engines []struct {
-			Engine    string `json:"engine"`
-			Closure   bool   `json:"closure"`
-			Telemetry bool   `json:"telemetry"`
-			Instrs    uint64 `json:"instrs"`
-			Cycles    uint64 `json:"cycles"`
-			ICHits    uint64 `json:"ic_hits"`
-			ICMisses  uint64 `json:"ic_misses"`
-		} `json:"engines"`
-		SpeedupClosure float64 `json:"speedup_closure"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("carat.bench.exec: %w", err)
+	var doc bench.ExecBenchDoc
+	if err := decodeStrict("carat.bench.exec", data, &doc); err != nil {
+		return err
 	}
 	if len(doc.Engines) == 0 {
 		return fmt.Errorf("carat.bench.exec: no engines")
@@ -265,17 +254,9 @@ func validateBenchExec(data []byte) error {
 // minimum batch clamp to MinMoveBatch, so the enforced bound — not the
 // raw budget — is what the max is held to).
 func validatePolicy(data []byte) error {
-	var doc struct {
-		PauseP99Cycles    float64 `json:"pause_p99_cycles"`
-		PauseBudgetCycles uint64  `json:"pause_budget_cycles"`
-		PauseCycles       *struct {
-			Count uint64  `json:"count"`
-			P99   float64 `json:"p99"`
-			Max   uint64  `json:"max"`
-		} `json:"pause_cycles"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("carat.policy: %w", err)
+	var doc mmpolicy.Document
+	if err := decodeStrict("carat.policy", data, &doc); err != nil {
+		return err
 	}
 	if doc.PauseCycles == nil || doc.PauseCycles.Count == 0 {
 		if doc.PauseP99Cycles != 0 {
