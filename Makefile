@@ -14,7 +14,7 @@ FUZZTIME ?= 20s
 # cover` accepts. Raise it when coverage grows; never lower it.
 COVER_FLOOR ?= 75
 
-.PHONY: all fmt vet build test race smoke bench scale check lint cover soak fuzz serve loadtest loc
+.PHONY: all fmt vet build test race smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test
 
 all: check
 
@@ -135,5 +135,16 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# benchmark runs the repository benchmark (BENCHMARK.json: four workloads,
+# end-to-end metrics in reference-host time; see benchmark/README.md).
+# benchmark-test vets and tests the nested benchmark/ module, which
+# `go build ./... && go test ./...` at the root does not reach: a rename of
+# a symbol its adapter freezes fails here.
+benchmark:
+	bash benchmark/run.sh
+
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 check: fmt vet build test race

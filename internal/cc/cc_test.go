@@ -2,6 +2,7 @@ package cc
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"carat/internal/core"
@@ -300,4 +301,70 @@ func main(): int {
 		t.Error("no guards ran")
 	}
 	_ = ir.Module{}
+}
+
+const slotsSrc = `
+func add(a: int, b: int): int {
+    var s = a + b;
+    return s;
+}
+func main(): int {
+    var acc = 0;
+    for (var i = 0; i < 4; i = i + 1) {
+        var t = add(acc, i);
+        acc = t;
+    }
+    return acc;
+}`
+
+// TestCompileIsAFunctionOfItsSource pins that value names (the stack-slot
+// numbering) do not depend on what the process compiled before: the printed
+// module, which signing digests, must repeat byte for byte.
+func TestCompileIsAFunctionOfItsSource(t *testing.T) {
+	first, err := Compile("m", slotsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile("other", "func main(): int { var x = 1; var y = 2; return x + y; }"); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Compile("m", slotsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := first.String(), second.String(); a != b {
+		t.Errorf("same source compiled twice printed differently:\n%s\n---\n%s", a, b)
+	}
+	if !strings.Contains(first.String(), "%slot1 ") {
+		t.Errorf("slot numbering does not start at 1:\n%s", first.String())
+	}
+}
+
+// TestCompileConcurrently compiles from 8 goroutines at once, as caratd's
+// compile workers do; under -race it fails on any lowering state shared
+// between compiles.
+func TestCompileConcurrently(t *testing.T) {
+	want, err := Compile("m", slotsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				m, err := Compile("m", slotsSrc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m.String() != want.String() {
+					t.Error("concurrent compile printed a different module")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

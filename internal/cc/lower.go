@@ -73,6 +73,10 @@ type lowerer struct {
 
 	// builtins
 	malloc, free, printI, printF *ir.Func
+
+	// slots numbers the module's stack slots: value names depend on the
+	// source alone, not on what the process compiled before.
+	slots int
 }
 
 type globalInfo struct {
@@ -170,11 +174,9 @@ func (fl *fnLowerer) newSlot(t *ir.Type) ir.Value {
 	return in
 }
 
-var slotCounter int
-
 func (fl *fnLowerer) freshSlotName() string {
-	slotCounter++
-	return fmt.Sprintf("slot%d", slotCounter)
+	fl.slots++
+	return fmt.Sprintf("slot%d", fl.slots)
 }
 
 func (lo *lowerer) lowerFunc(fd *FuncDecl) error {

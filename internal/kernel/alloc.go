@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -46,7 +47,7 @@ func NewPageAllocator(n uint64) *PageAllocator {
 		pages:  n,
 		free:   n,
 	}
-	a.mark(0, true)
+	a.markRange(0, 1, true)
 	a.free--
 	return a
 }
@@ -63,12 +64,70 @@ func (a *PageAllocator) TotalPages() uint64 { return a.pages }
 
 func (a *PageAllocator) inUse(p uint64) bool { return a.bitmap[p/64]&(1<<(p%64)) != 0 }
 
-func (a *PageAllocator) mark(p uint64, used bool) {
-	if used {
-		a.bitmap[p/64] |= 1 << (p % 64)
-	} else {
-		a.bitmap[p/64] &^= 1 << (p % 64)
+// rangeMask returns the bits of bitmap word w whose pages lie in [lo, hi).
+func rangeMask(w, lo, hi uint64) uint64 {
+	base := w * 64
+	if hi <= base || lo >= base+64 {
+		return 0
 	}
+	m := ^uint64(0)
+	if lo > base {
+		m <<= lo - base
+	}
+	if hi < base+64 {
+		m &= ^uint64(0) >> (base + 64 - hi)
+	}
+	return m
+}
+
+// markRange sets or clears the in-use bits of pages [start, start+n), a
+// word at a time.
+func (a *PageAllocator) markRange(start, n uint64, used bool) {
+	for w := start / 64; w*64 < start+n; w++ {
+		if m := rangeMask(w, start, start+n); used {
+			a.bitmap[w] |= m
+		} else {
+			a.bitmap[w] &^= m
+		}
+	}
+}
+
+// findRun returns the first page s such that [s, s+n) lies inside
+// [from, to) and holds no page Alloc must skip: in use, or free but inside
+// the isolation window. One step per bitmap word, however fragmented.
+func (a *PageAllocator) findRun(from, to, n uint64) (uint64, bool) {
+	to = min(to, a.pages)
+	var run uint64 // free pages ending where the current word begins
+	for w := from / 64; w*64 < to; w++ {
+		// f has a 1 for every page of word w that may be handed out.
+		f := ^a.bitmap[w] & rangeMask(w, from, to)
+		if a.isoLen != 0 {
+			f &^= rangeMask(w, a.isoStart, a.isoStart+a.isoLen)
+		}
+		lo := uint64(bits.TrailingZeros64(^f))
+		if run+lo >= n {
+			return w*64 - run, true
+		}
+		if lo == 64 {
+			run += 64
+			continue
+		}
+		if n < 64 {
+			// A run wholly inside the word: after the loop, bit s of g is
+			// set iff pages s..s+n-1 of the word are all available.
+			g := f
+			for have := uint64(1); have < n; {
+				step := min(have, n-have)
+				g &= g >> step
+				have += step
+			}
+			if g != 0 {
+				return w*64 + uint64(bits.TrailingZeros64(g)), true
+			}
+		}
+		run = uint64(bits.LeadingZeros64(^f))
+	}
+	return 0, false
 }
 
 // Alloc grabs n contiguous page frames and returns the physical address of
@@ -82,43 +141,21 @@ func (a *PageAllocator) Alloc(n uint64) (uint64, error) {
 	if n > a.free {
 		return 0, fmt.Errorf("%w (%d pages requested, %d free)", ErrNoMemory, n, a.free)
 	}
-	try := func(from, to uint64) (uint64, bool) {
-		if to > a.pages {
-			to = a.pages
-		}
-		var run, start uint64
-		for p := from; p < to; p++ {
-			if a.blocked(p) {
-				run = 0
-				continue
-			}
-			if run == 0 {
-				start = p
-			}
-			run++
-			if run == n {
-				return start, true
-			}
-		}
-		return 0, false
-	}
 	var start uint64
 	ok := false
 	if a.prefLen != 0 {
-		start, ok = try(a.prefStart, a.prefStart+a.prefLen)
+		start, ok = a.findRun(a.prefStart, a.prefStart+a.prefLen, n)
 	}
 	if !ok {
-		start, ok = try(a.scanPos, a.pages)
+		start, ok = a.findRun(a.scanPos, a.pages, n)
 	}
 	if !ok {
-		start, ok = try(1, a.scanPos+n)
+		start, ok = a.findRun(1, a.scanPos+n, n)
 	}
 	if !ok {
 		return 0, fmt.Errorf("%w: no contiguous run of %d pages", ErrNoMemory, n)
 	}
-	for p := start; p < start+n; p++ {
-		a.mark(p, true)
-	}
+	a.markRange(start, n, true)
 	a.free -= n
 	a.scanPos = start + n
 	return start * PageSize, nil
@@ -136,14 +173,12 @@ func (a *PageAllocator) Free(addr, n uint64) error {
 	if start+n > a.pages {
 		return fmt.Errorf("kernel: free beyond memory end")
 	}
-	for p := start; p < start+n; p++ {
-		if !a.inUse(p) {
-			return fmt.Errorf("kernel: double free of page %d", p)
+	for w := start / 64; w*64 < start+n; w++ {
+		if miss := rangeMask(w, start, start+n) &^ a.bitmap[w]; miss != 0 {
+			return fmt.Errorf("kernel: double free of page %d", w*64+uint64(bits.TrailingZeros64(miss)))
 		}
 	}
-	for p := start; p < start+n; p++ {
-		a.mark(p, false)
-	}
+	a.markRange(start, n, false)
 	a.free += n
 	return nil
 }
@@ -154,15 +189,6 @@ func (a *PageAllocator) Reserved(addr uint64) bool {
 	defer a.mu.Unlock()
 	p := addr / PageSize
 	return p < a.pages && a.inUse(p)
-}
-
-// blocked reports whether Alloc must skip page p: in use, or free but
-// inside the isolation window.
-func (a *PageAllocator) blocked(p uint64) bool {
-	if a.inUse(p) {
-		return true
-	}
-	return a.isoLen != 0 && p >= a.isoStart && p < a.isoStart+a.isoLen
 }
 
 // Isolate excludes the page window [start, start+pages) from allocation
@@ -227,24 +253,29 @@ func (a *PageAllocator) FragStats() FragStats {
 			return
 		}
 		fs.FreeRuns++
-		if run > fs.LargestRun {
-			fs.LargestRun = run
-		}
-		bucket := 0
-		for r := run; r > 1; r >>= 1 {
-			bucket++
-		}
+		fs.LargestRun = max(fs.LargestRun, run)
+		bucket := bits.Len64(run) - 1
 		for len(fs.RunHist) <= bucket {
 			fs.RunHist = append(fs.RunHist, 0)
 		}
 		fs.RunHist[bucket]++
 		run = 0
 	}
-	for p := uint64(0); p < a.pages; p++ {
-		if a.inUse(p) {
+	for w := range a.bitmap {
+		// Walk the word's runs from page w*64 up; f has a 1 for every free
+		// page, left is how many of its low bits are still unread.
+		f := ^a.bitmap[w] & rangeMask(uint64(w), 0, a.pages)
+		for left := 64; left > 0; {
+			free := bits.TrailingZeros64(^f) // <= left: the bits read so far shifted zeros in
+			run += uint64(free)
+			if left -= free; left == 0 {
+				break // the run may go on in the next word
+			}
 			endRun()
-		} else {
-			run++
+			f >>= free
+			used := min(bits.TrailingZeros64(f), left)
+			f >>= used
+			left -= used
 		}
 	}
 	endRun()

@@ -2,10 +2,11 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Per-process page arenas and the page-ownership map: the kernel-side half
+// Per-process page arenas and the page-ownership table: the kernel-side half
 // of the multi-core execution model.
 //
 // When processes from one machine run truly concurrently, two properties
@@ -21,7 +22,7 @@ import (
 //     addresses are a pure function of its own allocation history.
 //
 //  2. Ragged stops. A page move must pause only the process that owns the
-//     affected pages. The ownership map (physical page -> Process) is what
+//     affected pages. The ownership table (physical page -> Process) is what
 //     lets a mover answer "whose world must acknowledge this?" without
 //     consulting every process's region set.
 
@@ -102,32 +103,37 @@ func (a *Arena) freePages(addr, n uint64) error {
 // successful frame allocation a process makes.
 func (k *Kernel) setOwner(base, pages uint64, p *Process) {
 	k.ownMu.Lock()
-	if k.owners == nil {
-		k.owners = make(map[uint64]*Process)
+	defer k.ownMu.Unlock()
+	tab := k.owners[base/PageSize:][:pages]
+	for i, old := range tab {
+		if old == nil {
+			k.owned++
+		}
+		tab[i] = p
 	}
-	first := base / PageSize
-	for pg := first; pg < first+pages; pg++ {
-		k.owners[pg] = p
-	}
-	k.ownMu.Unlock()
 }
 
 // clearOwner removes ownership records for the page range.
 func (k *Kernel) clearOwner(base, pages uint64) {
 	k.ownMu.Lock()
-	first := base / PageSize
-	for pg := first; pg < first+pages; pg++ {
-		delete(k.owners, pg)
+	defer k.ownMu.Unlock()
+	tab := k.owners[base/PageSize:][:pages]
+	for i, old := range tab {
+		if old != nil {
+			k.owned--
+			tab[i] = nil
+		}
 	}
-	k.ownMu.Unlock()
 }
 
 // OwnerOf returns the process owning the page containing addr.
 func (k *Kernel) OwnerOf(addr uint64) (*Process, bool) {
 	k.ownMu.Lock()
 	defer k.ownMu.Unlock()
-	p, ok := k.owners[addr/PageSize]
-	return p, ok
+	if pg := addr / PageSize; pg < uint64(len(k.owners)) && k.owners[pg] != nil {
+		return k.owners[pg], true
+	}
+	return nil, false
 }
 
 // OwnersOf returns every process owning at least one page in
@@ -136,15 +142,17 @@ func (k *Kernel) OwnerOf(addr uint64) (*Process, bool) {
 // must acknowledge the stop; every other process keeps running.
 func (k *Kernel) OwnersOf(base, length uint64) []*Process {
 	k.ownMu.Lock()
-	seen := make(map[*Process]bool)
+	last := min((base+length+PageSize-1)/PageSize, uint64(len(k.owners)))
+	first := min(base/PageSize, last)
 	var out []*Process
-	first := base / PageSize
-	last := (base + length + PageSize - 1) / PageSize
-	for pg := first; pg < last; pg++ {
-		if p, ok := k.owners[pg]; ok && !seen[p] {
-			seen[p] = true
+	var prev *Process
+	for _, p := range k.owners[first:last] {
+		// Owners come in runs (one grant, one owner), so the previous
+		// page settles almost every repeat before the search.
+		if p != nil && p != prev && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
+		prev = p
 	}
 	k.ownMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -157,5 +165,5 @@ func (k *Kernel) OwnersOf(base, length uint64) []*Process {
 func (k *Kernel) OwnedPageCount() int {
 	k.ownMu.Lock()
 	defer k.ownMu.Unlock()
-	return len(k.owners)
+	return k.owned
 }

@@ -44,12 +44,14 @@ type Kernel struct {
 	tr  *obs.Tracer
 	inj *fault.Injector
 
-	// ownMu guards the page-ownership map (physical page index -> owning
-	// process) and the process-ID counter. The map backs OwnerOf/OwnersOf:
-	// the stop-set computation of the ragged safepoint protocol (see
-	// arena.go).
+	// ownMu guards the page-ownership table (owners[page] is the owning
+	// process, nil when unowned; owned counts the non-nil entries) and the
+	// process-ID counter. The table is sized once from Mem.Pages() and
+	// backs OwnerOf/OwnersOf: the stop-set computation of the ragged
+	// safepoint protocol (see arena.go).
 	ownMu  sync.Mutex
-	owners map[uint64]*Process
+	owners []*Process
+	owned  int
 	nextID uint64
 }
 
@@ -90,10 +92,11 @@ func NewWith(memBytes uint64, reg *obs.Registry) *Kernel {
 	}
 	mem := NewPhysMem(memBytes)
 	return &Kernel{
-		Mem:   mem,
-		Alloc: NewPageAllocator(mem.Pages()),
-		Stats: newStats(reg),
-		Obs:   reg,
+		Mem:    mem,
+		Alloc:  NewPageAllocator(mem.Pages()),
+		Stats:  newStats(reg),
+		Obs:    reg,
+		owners: make([]*Process, mem.Pages()),
 	}
 }
 
@@ -269,15 +272,17 @@ func (p *Process) GrantRegion(sizeBytes uint64, perm guard.Perm) (uint64, error)
 		p.releasePages(pages)
 		return 0, err
 	}
+	// Scrub-on-grant is the only scrub: freed frames keep their contents.
+	err = p.K.Mem.Zero(base, pages*PageSize)
+	if err == nil {
+		err = p.Regions.Add(guard.Region{Base: base, Len: pages * PageSize, Perm: perm})
+	}
+	if err != nil {
+		_ = p.freeFrames(base, pages) // frames just allocated: cannot double-free
+		p.releasePages(pages)
+		return 0, err
+	}
 	p.K.Stats.PageAllocs.Add(pages)
-	if err := p.K.Mem.Zero(base, pages*PageSize); err != nil {
-		p.releasePages(pages)
-		return 0, err
-	}
-	if err := p.Regions.Add(guard.Region{Base: base, Len: pages * PageSize, Perm: perm}); err != nil {
-		p.releasePages(pages)
-		return 0, err
-	}
 	p.notify(MMUEvent{Kind: EventAllocate, Base: base, Len: pages * PageSize})
 	return base, nil
 }
@@ -374,12 +379,12 @@ func (r *MoveRequest) NegotiateDst(src uint64, pages uint64) (uint64, error) {
 		r.proc.releasePages(pages)
 		return 0, err
 	}
-	r.kernel.Stats.PageAllocs.Add(pages)
 	if err := r.proc.Regions.Add(guard.Region{Base: dst, Len: pages * PageSize, Perm: reg.Perm}); err != nil {
 		_ = r.proc.freeFrames(dst, pages)
 		r.proc.releasePages(pages)
 		return 0, err
 	}
+	r.kernel.Stats.PageAllocs.Add(pages)
 	return dst, nil
 }
 

@@ -110,9 +110,7 @@ func (m *PhysMem) Move(dst, src, n uint64) error {
 		return fmt.Errorf("kernel: move ranges overlap")
 	}
 	copy(m.data[dst:dst+n], m.data[src:src+n])
-	for i := src; i < src+n; i++ {
-		m.data[i] = 0
-	}
+	clear(m.data[src : src+n])
 	return nil
 }
 
@@ -157,8 +155,6 @@ func (m *PhysMem) Zero(addr, n uint64) error {
 	if !m.InBounds(addr, n) {
 		return fmt.Errorf("kernel: zero [%#x,%#x) out of bounds", addr, addr+n)
 	}
-	for i := addr; i < addr+n; i++ {
-		m.data[i] = 0
-	}
+	clear(m.data[addr : addr+n])
 	return nil
 }
