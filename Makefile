@@ -121,8 +121,12 @@ soak: build
 	$(GO) run ./scripts/validatejson soak.json
 
 # fuzz runs each native fuzz target for a short budget (the differential
-# invariants over generated programs; seeds replay in plain `make test`).
+# invariants over generated programs, and the IR text round trip; seeds
+# replay in plain `make test`). FuzzIRRoundTrip's seeds are whole kernels,
+# so minimising one interesting input at the default 60 s would eat the
+# budget: cap it.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzIRRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/ir/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialPipeline -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialMoves -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGuardsAgreeOnForgedPointers -fuzztime $(FUZZTIME) ./internal/vm/

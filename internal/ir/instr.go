@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op enumerates instruction opcodes.
 type Op int
@@ -80,14 +83,15 @@ const (
 	PredUGE
 )
 
-var predNames = map[Pred]string{
+var predNames = [...]string{
 	PredEQ: "eq", PredNE: "ne", PredLT: "slt", PredLE: "sle",
 	PredGT: "sgt", PredGE: "sge", PredULT: "ult", PredULE: "ule",
 	PredUGT: "ugt", PredUGE: "uge",
 }
 
-// String returns the textual predicate name ("eq", "slt", ...).
-func (p Pred) String() string { return predNames[p] }
+// String returns the textual predicate name ("eq", "slt", ...), or "" for
+// a value that is not a predicate.
+func (p Pred) String() string { return nameOf(predNames[:], int(p)) }
 
 // GuardKind says what kind of access a guard protects; the distinction
 // matters for the cost model and for Table 1/Figure 3 accounting.
@@ -102,13 +106,14 @@ const (
 	GuardRangeStore                  // merged write guard covering [lo, lo+span)
 )
 
-var guardKindNames = map[GuardKind]string{
+var guardKindNames = [...]string{
 	GuardLoad: "load", GuardStore: "store", GuardCall: "call",
 	GuardRange: "range", GuardRangeStore: "rangestore",
 }
 
-// String returns the guard kind's textual name.
-func (k GuardKind) String() string { return guardKindNames[k] }
+// String returns the guard kind's textual name, or "" for a value that is
+// not a guard kind.
+func (k GuardKind) String() string { return nameOf(guardKindNames[:], int(k)) }
 
 // Instr is a single IR instruction. All opcodes share this struct; the
 // meaning of the fields depends on Op as documented on the Op constants.
@@ -173,7 +178,7 @@ func (in *Instr) AccessSize() int64 {
 	panic(fmt.Sprintf("ir: AccessSize on %v", in.Op))
 }
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpSDiv: "sdiv", OpSRem: "srem",
 	OpUDiv: "udiv", OpURem: "urem",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpLShr: "lshr", OpAShr: "ashr",
@@ -187,20 +192,38 @@ var opNames = map[Op]string{
 	OpGuard: "guard",
 }
 
-var opByName = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, s := range opNames {
-		m[s] = op
+// nameOf returns names[i], or "" when i names nothing.
+func nameOf(names []string, i int) string {
+	if i < 0 || i >= len(names) {
+		return ""
+	}
+	return names[i]
+}
+
+// byName inverts a name table for the parser: name -> index. Slots the
+// table leaves empty (OpInvalid) name nothing.
+func byName[T ~int](names []string) map[string]T {
+	m := make(map[string]T, len(names))
+	for i, s := range names {
+		if s != "" {
+			m[s] = T(i)
+		}
 	}
 	return m
-}()
+}
+
+var (
+	opByName        = byName[Op](opNames[:])
+	predByName      = byName[Pred](predNames[:])
+	guardKindByName = byName[GuardKind](guardKindNames[:])
+)
 
 // String returns the opcode mnemonic.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
+	if s := nameOf(opNames[:], int(o)); s != "" {
 		return s
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // IsBinary reports whether o is a two-operand arithmetic/bitwise op.

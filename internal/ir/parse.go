@@ -3,6 +3,7 @@ package ir
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -11,14 +12,31 @@ import (
 // Parse parses the textual IR syntax produced by Module.String and returns
 // the module. Parse is the inverse of printing: for any module m,
 // Parse(m.String()) yields a module whose printing equals m.String().
-func Parse(src string) (*Module, error) {
-	p := &parser{lex: newLexer(src)}
-	m, err := p.parseModule()
-	if err != nil {
-		return nil, fmt.Errorf("ir: parse: line %d: %w", p.lex.line, err)
+func Parse(src string) (m *Module, err error) {
+	p := &parser{
+		lex:    &lexer{src: src, line: 1},
+		locals: make(map[string]Value), blocks: make(map[string]*Block),
+		funcs: make(map[string]*Func), globals: make(map[string]*Global),
 	}
-	return m, nil
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(parseError)
+			if !ok {
+				panic(r)
+			}
+			m, err = nil, fmt.Errorf("ir: parse: line %d: %w", p.lex.line, pe.error)
+		}
+	}()
+	p.lex.advance()
+	return p.parseModule(), nil
 }
+
+// parseError carries a syntax error up to Parse: the lexer and the parser's
+// productions panic with it rather than thread an error through every
+// call, and Parse alone recovers it (any other panic passes through).
+type parseError struct{ error }
+
+func failf(format string, args ...any) { panic(parseError{fmt.Errorf(format, args...)}) }
 
 // MustParse is Parse that panics on error, for tests and examples.
 func MustParse(src string) *Module {
@@ -54,32 +72,17 @@ type lexer struct {
 	pos  int
 	line int
 	tok  token
-	next *token
 }
 
-func newLexer(src string) *lexer {
-	l := &lexer{src: src, line: 1}
-	l.advance()
-	return l
-}
-
-func (l *lexer) peek() token {
-	if l.next == nil {
-		save := l.tok
-		l.advance()
-		nx := l.tok
-		l.next = &nx
-		l.tok = save
-	}
-	return *l.next
+// colonFollows reports whether the next token is ":", i.e. whether the
+// current identifier is a block label. It skips ahead to that token's
+// first byte, as advance would anyway, without lexing it.
+func (l *lexer) colonFollows() bool {
+	l.skipSpace()
+	return l.pos < len(l.src) && l.src[l.pos] == ':'
 }
 
 func (l *lexer) advance() {
-	if l.next != nil {
-		l.tok = *l.next
-		l.next = nil
-		return
-	}
 	l.skipSpace()
 	start := l.pos
 	if l.pos >= len(l.src) {
@@ -93,7 +96,12 @@ func (l *lexer) advance() {
 		for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
 			l.pos++
 		}
-		kind := map[byte]tokKind{'%': tLocal, '@': tGlobal, '^': tLabel}[c]
+		kind := tLocal
+		if c == '@' {
+			kind = tGlobal
+		} else if c == '^' {
+			kind = tLabel
+		}
 		l.tok = token{kind: kind, text: l.src[start+1 : l.pos], line: l.line}
 	case c == '#':
 		l.pos++
@@ -102,18 +110,33 @@ func (l *lexer) advance() {
 		}
 		l.tok = token{kind: tHex, text: l.src[start+1 : l.pos], line: l.line}
 	case c == '"':
+		// A Go-syntax interpreted string literal, as strconv.Quote writes it.
 		l.pos++
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
+		for l.pos < len(l.src) && l.src[l.pos] != '"' && l.src[l.pos] != '\n' {
+			if l.src[l.pos] == '\\' {
+				l.pos++
+			}
 			l.pos++
 		}
-		text := l.src[start+1 : l.pos]
-		if l.pos < len(l.src) {
-			l.pos++
+		if l.pos >= len(l.src) || l.src[l.pos] != '"' {
+			failf("unterminated string")
+		}
+		l.pos++
+		text, err := strconv.Unquote(l.src[start:l.pos])
+		if err != nil {
+			failf("bad string %s: %v", l.src[start:l.pos], err)
 		}
 		l.tok = token{kind: tStr, text: text, line: l.line}
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
 		l.pos += 2
 		l.tok = token{kind: tPunct, text: "->", line: l.line}
+	case c == '0' && l.pos+1 < len(l.src) && l.src[l.pos+1] == 'x':
+		// Hex bits, only ever after "ptr:" or "f64:" (see Const.AppendRef).
+		l.pos += 2
+		for l.pos < len(l.src) && isHexChar(l.src[l.pos]) {
+			l.pos++
+		}
+		l.tok = token{kind: tNum, text: l.src[start:l.pos], line: l.line}
 	case c == '-' || c >= '0' && c <= '9':
 		l.pos++
 		for l.pos < len(l.src) && (isNumChar(l.src[l.pos])) {
@@ -127,7 +150,7 @@ func (l *lexer) advance() {
 		l.tok = token{kind: tIdent, text: l.src[start:l.pos], line: l.line}
 	default:
 		l.pos++
-		l.tok = token{kind: tPunct, text: string(c), line: l.line}
+		l.tok = token{kind: tPunct, text: l.src[start:l.pos], line: l.line}
 	}
 }
 
@@ -141,13 +164,15 @@ func (l *lexer) skipSpace() {
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		} else if unicode.IsSpace(rune(c)) {
+		} else if isSpace(c) {
 			l.pos++
 		} else {
 			return
 		}
 	}
 }
+
+func isSpace(c byte) bool { return c == ' ' || unicode.IsSpace(rune(c)) }
 
 func isIdentChar(c byte) bool {
 	return c == '_' || c == '.' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
@@ -161,387 +186,359 @@ func isNumChar(c byte) bool {
 	return c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
 }
 
+// fixup is a use parsed before its definition: operand arg of instr (or,
+// with arg == calleeArg, its Callee) is the value called name.
 type fixup struct {
 	instr *Instr
 	arg   int
 	name  string
+	line  int
 }
+
+const calleeArg = -1
 
 type parser struct {
 	lex    *lexer
 	mod    *Module
 	fn     *Func
 	locals map[string]Value
-	fixups []fixup
+	blocks map[string]*Block
+	// undefined counts the labels of p.blocks mentioned but not yet defined.
+	undefined int
+	fixups    []fixup // forward references to locals, resolved per function
+	// Module symbols by name: Module.Func and Module.Global scan, which per
+	// call and per operand would make parsing quadratic in module size.
+	funcs      map[string]*Func
+	globals    map[string]*Global
+	funcFixups []fixup // references to functions defined further down
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf(format, args...)
-}
+func (p *parser) isPunct(s string) bool { return p.lex.tok.kind == tPunct && p.lex.tok.text == s }
+func (p *parser) isIdent(s string) bool { return p.lex.tok.kind == tIdent && p.lex.tok.text == s }
 
-func (p *parser) expectPunct(s string) error {
-	if p.lex.tok.kind != tPunct || p.lex.tok.text != s {
-		return p.errf("expected %q, got %q", s, p.lex.tok.text)
+func (p *parser) expectPunct(s string) {
+	if !p.isPunct(s) {
+		failf("expected %q, got %q", s, p.lex.tok.text)
 	}
 	p.lex.advance()
-	return nil
 }
 
-func (p *parser) expectIdent(s string) error {
-	if p.lex.tok.kind != tIdent || p.lex.tok.text != s {
-		return p.errf("expected %q, got %q", s, p.lex.tok.text)
+func (p *parser) expectIdent(s string) {
+	if !p.isIdent(s) {
+		failf("expected %q, got %q", s, p.lex.tok.text)
 	}
 	p.lex.advance()
-	return nil
 }
 
-func (p *parser) parseModule() (*Module, error) {
-	if err := p.expectIdent("module"); err != nil {
-		return nil, err
+// take consumes a token of kind k, described as what in the error
+// otherwise, and returns its text.
+func (p *parser) take(k tokKind, what string) string {
+	if p.lex.tok.kind != k {
+		failf("expected %s, got %q", what, p.lex.tok.text)
 	}
-	if p.lex.tok.kind != tStr {
-		return nil, p.errf("expected module name string")
-	}
-	p.mod = NewModule(p.lex.tok.text)
+	text := p.lex.tok.text
 	p.lex.advance()
+	return text
+}
 
-	// First pass: scan for func headers so calls can be resolved forward.
-	if err := p.prescan(); err != nil {
-		return nil, err
+// list parses comma-separated items up to and including the closing
+// punctuation.
+func (p *parser) list(closing string, item func()) {
+	for n := 0; !p.isPunct(closing); n++ {
+		if n > 0 {
+			p.expectPunct(",")
+		}
+		item()
 	}
+	p.lex.advance()
+}
 
+func (p *parser) parseModule() *Module {
+	p.expectIdent("module")
+	p.mod = NewModule(p.take(tStr, "module name string"))
 	for p.lex.tok.kind != tEOF {
 		switch {
-		case p.lex.tok.kind == tIdent && p.lex.tok.text == "global":
-			if err := p.parseGlobal(); err != nil {
-				return nil, err
-			}
-		case p.lex.tok.kind == tIdent && p.lex.tok.text == "func":
-			if err := p.parseFunc(); err != nil {
-				return nil, err
-			}
+		case p.isIdent("global"):
+			p.parseGlobal()
+		case p.isIdent("func"):
+			p.parseFunc()
 		default:
-			return nil, p.errf("unexpected token %q at top level", p.lex.tok.text)
+			failf("unexpected token %q at top level", p.lex.tok.text)
 		}
 	}
-	return p.mod, nil
-}
-
-// prescan registers every function name with its signature so that call
-// instructions can reference functions defined later in the file.
-func (p *parser) prescan() error {
-	saveLex := *p.lex
-	for p.lex.tok.kind != tEOF {
-		if p.lex.tok.kind == tIdent && p.lex.tok.text == "func" {
-			p.lex.advance()
-			if p.lex.tok.kind != tGlobal {
-				return p.errf("expected function name after func")
-			}
-			name := p.lex.tok.text
-			p.lex.advance()
-			params, ret, err := p.parseSig()
-			if err != nil {
-				return err
-			}
-			p.mod.AddFunc(name, ret, params...)
+	for _, fx := range p.funcFixups {
+		f := p.funcs[fx.name]
+		if f == nil {
+			p.lex.line = fx.line
+			failf("undefined symbol @%s", fx.name)
+		}
+		if fx.arg == calleeArg {
+			fx.instr.Callee = f
 		} else {
-			p.lex.advance()
+			fx.instr.Args[fx.arg] = f
 		}
 	}
-	*p.lex = saveLex
-	return nil
+	return p.mod
 }
 
-func (p *parser) parseSig() ([]*Param, *Type, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, nil, err
-	}
-	var params []*Param
-	for !(p.lex.tok.kind == tPunct && p.lex.tok.text == ")") {
-		if len(params) > 0 {
-			if err := p.expectPunct(","); err != nil {
-				return nil, nil, err
-			}
-		}
-		if p.lex.tok.kind != tLocal {
-			return nil, nil, p.errf("expected parameter name, got %q", p.lex.tok.text)
-		}
-		name := p.lex.tok.text
-		p.lex.advance()
-		if err := p.expectPunct(":"); err != nil {
-			return nil, nil, err
-		}
-		t, err := p.parseType()
-		if err != nil {
-			return nil, nil, err
-		}
-		params = append(params, &Param{Name: name, Typ: t})
-	}
-	p.lex.advance() // ")"
-	if err := p.expectPunct("->"); err != nil {
-		return nil, nil, err
-	}
-	ret, err := p.parseType()
-	if err != nil {
-		return nil, nil, err
-	}
-	return params, ret, nil
+func (p *parser) parseSig() (params []*Param, ret *Type) {
+	p.expectPunct("(")
+	p.list(")", func() {
+		name := p.take(tLocal, "parameter name")
+		p.expectPunct(":")
+		params = append(params, &Param{Name: name, Typ: p.parseType()})
+	})
+	p.expectPunct("->")
+	return params, p.parseType()
 }
 
-func (p *parser) parseType() (*Type, error) {
-	tok := p.lex.tok
+func (p *parser) parseType() *Type {
 	switch {
-	case tok.kind == tIdent:
-		p.lex.advance()
-		switch tok.text {
+	case p.lex.tok.kind == tIdent:
+		switch name := p.take(tIdent, "type"); name {
+		default:
+			failf("unknown type %q", name)
 		case "void":
-			return Void, nil
+			return Void
 		case "i1":
-			return I1, nil
+			return I1
 		case "i8":
-			return I8, nil
+			return I8
 		case "i16":
-			return I16, nil
+			return I16
 		case "i32":
-			return I32, nil
+			return I32
 		case "i64":
-			return I64, nil
+			return I64
 		case "f64":
-			return F64, nil
+			return F64
 		case "ptr":
-			return Ptr, nil
+			return Ptr
 		}
-		return nil, p.errf("unknown type %q", tok.text)
-	case tok.kind == tPunct && tok.text == "[":
+	case p.isPunct("["):
 		p.lex.advance()
-		if p.lex.tok.kind != tNum {
-			return nil, p.errf("expected array length")
+		n, err := strconv.Atoi(p.take(tNum, "array length"))
+		if err != nil || n < 0 {
+			failf("bad array length")
 		}
-		n, err := strconv.Atoi(p.lex.tok.text)
-		if err != nil {
-			return nil, err
-		}
-		p.lex.advance()
-		if err := p.expectIdent("x"); err != nil {
-			return nil, err
-		}
-		elem, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		return ArrayOf(elem, n), nil
-	case tok.kind == tPunct && tok.text == "{":
+		p.expectIdent("x")
+		elem := p.parseType()
+		p.expectPunct("]")
+		return ArrayOf(elem, n)
+	case p.isPunct("{"):
 		p.lex.advance()
 		var fields []*Type
-		for !(p.lex.tok.kind == tPunct && p.lex.tok.text == "}") {
-			if len(fields) > 0 {
-				if err := p.expectPunct(","); err != nil {
-					return nil, err
-				}
-			}
-			f, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, f)
-		}
-		p.lex.advance()
-		return StructOf(fields...), nil
+		p.list("}", func() { fields = append(fields, p.parseType()) })
+		return StructOf(fields...)
 	}
-	return nil, p.errf("expected type, got %q", tok.text)
-}
-
-func (p *parser) parseGlobal() error {
-	p.lex.advance() // "global"
-	if p.lex.tok.kind != tGlobal {
-		return p.errf("expected global name")
-	}
-	name := p.lex.tok.text
-	p.lex.advance()
-	if err := p.expectPunct(":"); err != nil {
-		return err
-	}
-	elem, err := p.parseType()
-	if err != nil {
-		return err
-	}
-	g := p.mod.AddGlobal(name, elem)
-	if p.lex.tok.kind == tPunct && p.lex.tok.text == "=" {
-		p.lex.advance()
-		if p.lex.tok.kind != tHex {
-			return p.errf("expected #hex initializer")
-		}
-		b, err := hex.DecodeString(p.lex.tok.text)
-		if err != nil {
-			return err
-		}
-		g.Init = b
-		p.lex.advance()
-	}
-	if p.lex.tok.kind == tIdent && p.lex.tok.text == "ptrs" {
-		p.lex.advance()
-		if err := p.expectPunct("["); err != nil {
-			return err
-		}
-		for !(p.lex.tok.kind == tPunct && p.lex.tok.text == "]") {
-			if len(g.PtrInit) > 0 {
-				if err := p.expectPunct(","); err != nil {
-					return err
-				}
-			}
-			if p.lex.tok.kind != tNum {
-				return p.errf("expected pointer offset")
-			}
-			off, err := strconv.ParseInt(p.lex.tok.text, 10, 64)
-			if err != nil {
-				return err
-			}
-			g.PtrInit = append(g.PtrInit, off)
-			p.lex.advance()
-		}
-		p.lex.advance()
-	}
+	failf("expected type, got %q", p.lex.tok.text)
 	return nil
 }
 
-func (p *parser) parseFunc() error {
+func (p *parser) parseGlobal() {
+	p.lex.advance() // "global"
+	name := p.take(tGlobal, "global name")
+	p.expectPunct(":")
+	elem := p.parseType()
+	if p.globals[name] != nil {
+		failf("duplicate global @%s", name)
+	}
+	g := p.mod.AddGlobal(name, elem)
+	p.globals[name] = g
+	if p.isPunct("=") {
+		p.lex.advance()
+		var err error
+		if g.Init, err = hex.DecodeString(p.take(tHex, "#hex initializer")); err != nil {
+			failf("%v", err)
+		}
+	}
+	if p.isIdent("ptrs") {
+		p.lex.advance()
+		p.expectPunct("[")
+		p.list("]", func() {
+			off, err := strconv.ParseInt(p.take(tNum, "pointer offset"), 10, 64)
+			if err != nil {
+				failf("%v", err)
+			}
+			g.PtrInit = append(g.PtrInit, off)
+		})
+	}
+}
+
+func (p *parser) parseFunc() {
 	p.lex.advance() // "func"
-	if p.lex.tok.kind != tGlobal {
-		return p.errf("expected function name")
+	name := p.take(tGlobal, "function name")
+	params, ret := p.parseSig()
+	if p.funcs[name] != nil {
+		failf("duplicate function @%s", name)
 	}
-	name := p.lex.tok.text
-	p.lex.advance()
-	if _, _, err := p.parseSig(); err != nil { // signature already prescanned
-		return err
-	}
-	fn := p.mod.Func(name)
-	p.fn = fn
-	if !(p.lex.tok.kind == tPunct && p.lex.tok.text == "{") {
-		return nil // declaration only
+	fn := p.mod.AddFunc(name, ret, params...)
+	p.funcs[name], p.fn = fn, fn
+	if !p.isPunct("{") {
+		return // declaration only
 	}
 	p.lex.advance()
 
-	p.locals = make(map[string]Value)
-	p.fixups = nil
+	clear(p.locals)
+	clear(p.blocks)
+	p.undefined, p.fixups = 0, p.fixups[:0]
 	for _, prm := range fn.Params {
 		p.locals[prm.Name] = prm
 	}
 
-	// Collect block labels first so branches can be forward.
-	blocks := make(map[string]*Block)
-	var order []*Block // blocks in source (label) order
 	var cur *Block
-	for !(p.lex.tok.kind == tPunct && p.lex.tok.text == "}") {
-		if p.lex.tok.kind == tEOF {
-			return p.errf("unexpected EOF in function body")
-		}
-		// Label line: ident ":"
-		if p.lex.tok.kind == tIdent && p.lex.peek().kind == tPunct && p.lex.peek().text == ":" {
-			lbl := p.lex.tok.text
+	for !p.isPunct("}") {
+		switch {
+		case p.lex.tok.kind == tEOF:
+			failf("unexpected EOF in function body")
+		case p.lex.tok.kind == tIdent && p.lex.colonFollows(): // label line
+			cur = p.blockRef(p.lex.tok.text, true)
 			p.lex.advance()
 			p.lex.advance()
-			b, ok := blocks[lbl]
-			if !ok {
-				b = fn.NewBlock(lbl)
-				b.Name = lbl
-				blocks[lbl] = b
+		case cur == nil:
+			failf("instruction before first block label")
+		default:
+			in := cur.Append(p.parseInstr())
+			if in.Name != "" {
+				p.locals[in.Name] = in
 			}
-			order = append(order, b)
-			cur = b
-			continue
-		}
-		if cur == nil {
-			return p.errf("instruction before first block label")
-		}
-		in, err := p.parseInstr(blocks)
-		if err != nil {
-			return err
-		}
-		cur.Append(in)
-		if in.Name != "" {
-			p.locals[in.Name] = in
 		}
 	}
 	p.lex.advance() // "}"
 
-	if len(order) != len(fn.Blocks) {
-		return p.errf("branch to undefined label in @%s", fn.Name)
+	if p.undefined != 0 {
+		failf("branch to undefined label in @%s", fn.Name)
 	}
-	fn.Blocks = order // restore source order
-
 	// Resolve fixups (forward value references, e.g. in phis).
 	for _, fx := range p.fixups {
 		v, ok := p.locals[fx.name]
 		if !ok {
-			return p.errf("undefined value %%%s in @%s", fx.name, fn.Name)
+			failf("undefined value %%%s in @%s", fx.name, fn.Name)
 		}
-		fx.instr.Args[fx.arg] = v
+		fx.instr.Args[fx.arg] = checkType(v, fx.instr.Args[fx.arg].Type(), "%", fx.name)
 	}
-	return nil
 }
 
-// blockRef returns (creating if needed) the block with the given label.
-func (p *parser) blockRef(blocks map[string]*Block, name string) *Block {
-	if b, ok := blocks[name]; ok {
-		return b
+// blockRef returns the block labelled name, created at its first mention.
+// Its label line (define) is what puts it into the function, in source
+// order. p.blocks keeps labels unique, so the block is appended as is:
+// Func.NewBlock would rescan every block of the function per label.
+func (p *parser) blockRef(name string, define bool) *Block {
+	b := p.blocks[name]
+	if b == nil {
+		b = &Block{Name: name}
+		p.blocks[name] = b
+		p.undefined++
 	}
-	b := p.fn.NewBlock(name)
-	b.Name = name
-	blocks[name] = b
+	if define {
+		if b.Fn != nil {
+			failf("label %s defined twice in @%s", name, p.fn.Name)
+		}
+		b.Fn = p.fn
+		p.fn.Blocks = append(p.fn.Blocks, b)
+		p.undefined--
+	}
 	return b
 }
 
-// operand parses a value reference in a context expecting type t. Unknown
-// local names produce a fixup resolved at end of function.
-func (p *parser) operand(in *Instr, argIdx int, t *Type) (Value, error) {
+// label parses a ^name block reference.
+func (p *parser) label() *Block { return p.blockRef(p.take(tLabel, "block label"), false) }
+
+// anyInt is the expected type of an operand whose syntax states none and
+// which need only be some integer (a gep index, an alloca count, a guard
+// size); a literal there is an i64.
+var anyInt = &Type{Kind: IntKind, Bits: 64}
+
+// checkType fails unless v, written sigil+name, has the type its context
+// states. The encoder writes several instructions' types from their
+// operands, so a value admitted under another type would print as text
+// that parses differently.
+func checkType(v Value, want *Type, sigil, name string) Value {
+	if want != anyInt && !v.Type().Equal(want) {
+		failf("%s%s has type %s, not %s", sigil, name, v.Type(), want)
+	}
+	return v
+}
+
+// operand parses a value reference in a context expecting type t, to be
+// operand argIdx of in. A local not yet defined, or a function defined
+// further down, yields a placeholder and a fixup.
+func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 	tok := p.lex.tok
+	p.lex.advance()
 	switch tok.kind {
 	case tLocal:
-		p.lex.advance()
 		if v, ok := p.locals[tok.text]; ok {
-			return v, nil
+			return checkType(v, t, "%", tok.text)
 		}
 		p.fixups = append(p.fixups, fixup{instr: in, arg: argIdx, name: tok.text})
-		return placeholder{t}, nil
-	case tGlobal:
-		p.lex.advance()
-		if g := p.mod.Global(tok.text); g != nil {
-			return g, nil
+		return placeholder{t}
+	case tGlobal: // a global or a function: either way an address
+		var v Value = placeholder{Ptr}
+		if g := p.globals[tok.text]; g != nil {
+			v = g
+		} else if f := p.funcs[tok.text]; f != nil {
+			v = f
+		} else {
+			p.funcFixups = append(p.funcFixups, fixup{instr: in, arg: argIdx, name: tok.text, line: tok.line})
 		}
-		if f := p.mod.Func(tok.text); f != nil {
-			return f, nil
-		}
-		return nil, p.errf("undefined global @%s", tok.text)
+		return checkType(v, t, "@", tok.text)
 	case tNum:
-		p.lex.advance()
+		if t == anyInt {
+			t = I64
+		}
 		if t.IsFloat() {
 			f, err := strconv.ParseFloat(tok.text, 64)
 			if err != nil {
-				return nil, err
+				failf("%v", err)
 			}
-			return ConstFloat(f), nil
+			return ConstFloat(f)
 		}
 		n, err := strconv.ParseInt(tok.text, 10, 64)
 		if err != nil {
-			return nil, err
+			failf("%v", err)
 		}
-		if t.IsPtr() {
-			return &Const{Typ: Ptr, Int: n}, nil
+		if !t.IsPtr() && !t.IsInt() {
+			failf("integer literal %s for a value of type %s", tok.text, t)
 		}
-		return ConstInt(t, n), nil
+		return &Const{Typ: t, Int: n}
 	case tIdent:
-		if tok.text == "null" {
-			p.lex.advance()
-			return ConstNull(), nil
-		}
-		if strings.HasPrefix(tok.text, "ptr") {
-			// ptr:0x... form
+		switch tok.text {
+		case "null":
+			return ConstNull()
+		case "ptr", "f64": // ptr:0x… and f64:0x…, see Const.AppendRef
+			p.expectPunct(":")
+			text := p.take(tNum, "0x… bits")
+			bits, err := strconv.ParseUint(text, 0, 64)
+			if !strings.HasPrefix(text, "0x") || err != nil {
+				failf("expected 0x… bits after %s:, got %q", tok.text, text)
+			}
+			if tok.text == "ptr" {
+				return &Const{Typ: Ptr, Int: int64(bits)}
+			}
+			return ConstFloat(math.Float64frombits(bits))
 		}
 	}
-	return nil, p.errf("expected operand, got %q", tok.text)
+	failf("expected operand, got %q", tok.text)
+	return nil
+}
+
+// operands parses one comma-separated operand per expected type into
+// in.Args.
+func (p *parser) operands(in *Instr, ts ...*Type) {
+	in.Args = make([]Value, len(ts))
+	for i, t := range ts {
+		if i > 0 {
+			p.expectPunct(",")
+		}
+		in.Args[i] = p.operand(in, i, t)
+	}
+}
+
+// appendOperand parses one more operand of in.
+func (p *parser) appendOperand(in *Instr, t *Type) {
+	in.Args = append(in.Args, nil)
+	in.Args[len(in.Args)-1] = p.operand(in, len(in.Args)-1, t)
 }
 
 // placeholder stands in for a forward-referenced value until fixup.
@@ -550,336 +547,105 @@ type placeholder struct{ t *Type }
 func (ph placeholder) Type() *Type { return ph.t }
 func (ph placeholder) Ref() string { return "%?" }
 
-func (p *parser) parseInstr(blocks map[string]*Block) (*Instr, error) {
+func (p *parser) parseInstr() *Instr {
 	var name string
 	if p.lex.tok.kind == tLocal {
-		name = p.lex.tok.text
-		p.lex.advance()
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
+		name = p.take(tLocal, "value name")
+		p.expectPunct("=")
 	}
-	if p.lex.tok.kind != tIdent {
-		return nil, p.errf("expected opcode, got %q", p.lex.tok.text)
-	}
-	opName := p.lex.tok.text
+	opName := p.take(tIdent, "opcode")
 	op, ok := opByName[opName]
 	if !ok {
-		return nil, p.errf("unknown opcode %q", opName)
+		failf("unknown opcode %q", opName)
 	}
-	p.lex.advance()
-	in := &Instr{Op: op, Name: name}
+	in := &Instr{Op: op, Name: name, Typ: Void}
 
 	switch {
 	case op.IsBinary():
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = t
-		in.Args = make([]Value, 2)
-		if in.Args[0], err = p.operand(in, 0, t); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[1], err = p.operand(in, 1, t); err != nil {
-			return nil, err
-		}
-
+		in.Typ = p.parseType()
+		p.operands(in, in.Typ, in.Typ)
 	case op == OpICmp || op == OpFCmp:
-		if p.lex.tok.kind != tIdent {
-			return nil, p.errf("expected predicate")
+		pred := p.take(tIdent, "predicate")
+		if in.Pred, ok = predByName[pred]; !ok {
+			failf("unknown predicate %q", pred)
 		}
-		var pr Pred
-		found := false
-		for k, v := range predNames {
-			if v == p.lex.tok.text {
-				pr, found = k, true
-				break
-			}
-		}
-		if !found {
-			return nil, p.errf("unknown predicate %q", p.lex.tok.text)
-		}
-		p.lex.advance()
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Pred = pr
+		t := p.parseType()
 		in.Typ = I1
-		in.Args = make([]Value, 2)
-		if in.Args[0], err = p.operand(in, 0, t); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[1], err = p.operand(in, 1, t); err != nil {
-			return nil, err
-		}
-
+		p.operands(in, t, t)
 	case op.IsCast():
-		from, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Args = make([]Value, 1)
-		if in.Args[0], err = p.operand(in, 0, from); err != nil {
-			return nil, err
-		}
-		if err := p.expectIdent("to"); err != nil {
-			return nil, err
-		}
-		to, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = to
-
+		p.operands(in, p.parseType())
+		p.expectIdent("to")
+		in.Typ = p.parseType()
 	case op == OpAlloca:
-		elem, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		in.Elem, in.Typ = elem, Ptr
-		in.Args = make([]Value, 1)
-		if in.Args[0], err = p.operand(in, 0, I64); err != nil {
-			return nil, err
-		}
-
+		in.Elem, in.Typ = p.parseType(), Ptr
+		p.expectPunct(",")
+		p.operands(in, anyInt)
 	case op == OpLoad:
-		elem, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		in.Elem, in.Typ = elem, elem
-		in.Args = make([]Value, 1)
-		if in.Args[0], err = p.operand(in, 0, Ptr); err != nil {
-			return nil, err
-		}
-
+		in.Elem = p.parseType()
+		in.Typ = in.Elem
+		p.expectPunct(",")
+		p.operands(in, Ptr)
 	case op == OpStore:
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = Void
-		in.Args = make([]Value, 2)
-		if in.Args[0], err = p.operand(in, 0, t); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[1], err = p.operand(in, 1, Ptr); err != nil {
-			return nil, err
-		}
-
+		p.operands(in, p.parseType(), Ptr)
 	case op == OpGEP:
-		elem, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		in.Elem, in.Typ = elem, Ptr
-		in.Args = make([]Value, 1, 3)
-		if in.Args[0], err = p.operand(in, 0, Ptr); err != nil {
-			return nil, err
-		}
-		for p.lex.tok.kind == tPunct && p.lex.tok.text == "," {
+		in.Elem, in.Typ = p.parseType(), Ptr
+		in.Args = make([]Value, 0, 2)
+		for t := Ptr; p.isPunct(","); t = anyInt {
 			p.lex.advance()
-			in.Args = append(in.Args, nil)
-			idx := len(in.Args) - 1
-			if in.Args[idx], err = p.operand(in, idx, I64); err != nil {
-				return nil, err
-			}
+			p.appendOperand(in, t)
 		}
-
+		if len(in.Args) == 0 {
+			failf("gep without a base pointer")
+		}
 	case op == OpPhi:
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = t
-		for {
-			if err := p.expectPunct("["); err != nil {
-				return nil, err
-			}
-			in.Args = append(in.Args, nil)
-			idx := len(in.Args) - 1
-			if in.Args[idx], err = p.operand(in, idx, t); err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
-			if p.lex.tok.kind != tLabel {
-				return nil, p.errf("expected block label in phi")
-			}
-			in.Preds = append(in.Preds, p.blockRef(blocks, p.lex.tok.text))
-			p.lex.advance()
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			if !(p.lex.tok.kind == tPunct && p.lex.tok.text == ",") {
-				break
-			}
-			p.lex.advance()
-		}
-
-	case op == OpSelect:
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = t
-		in.Args = make([]Value, 3)
-		if in.Args[0], err = p.operand(in, 0, I1); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[1], err = p.operand(in, 1, t); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[2], err = p.operand(in, 2, t); err != nil {
-			return nil, err
-		}
-
-	case op == OpCall:
-		ret, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Typ = ret
-		if p.lex.tok.kind != tGlobal {
-			return nil, p.errf("expected callee")
-		}
-		callee := p.mod.Func(p.lex.tok.text)
-		if callee == nil {
-			return nil, p.errf("undefined function @%s", p.lex.tok.text)
-		}
-		in.Callee = callee
-		p.lex.advance()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		for !(p.lex.tok.kind == tPunct && p.lex.tok.text == ")") {
+		in.Typ = p.parseType()
+		for more := p.isPunct("["); more; more = p.isPunct(",") { // an entry-block phi has no incoming
 			if len(in.Args) > 0 {
-				if err := p.expectPunct(","); err != nil {
-					return nil, err
-				}
+				p.lex.advance()
 			}
-			t, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			in.Args = append(in.Args, nil)
-			idx := len(in.Args) - 1
-			if in.Args[idx], err = p.operand(in, idx, t); err != nil {
-				return nil, err
-			}
+			p.expectPunct("[")
+			p.appendOperand(in, in.Typ)
+			p.expectPunct(",")
+			in.Preds = append(in.Preds, p.label())
+			p.expectPunct("]")
 		}
-		p.lex.advance()
-
+	case op == OpSelect:
+		in.Typ = p.parseType()
+		p.operands(in, I1, in.Typ, in.Typ)
+	case op == OpCall:
+		in.Typ = p.parseType()
+		line := p.lex.tok.line
+		callee := p.take(tGlobal, "callee")
+		if in.Callee = p.funcs[callee]; in.Callee == nil {
+			p.funcFixups = append(p.funcFixups, fixup{instr: in, arg: calleeArg, name: callee, line: line})
+		}
+		p.expectPunct("(")
+		p.list(")", func() { p.appendOperand(in, p.parseType()) })
 	case op == OpBr:
-		in.Typ = Void
-		if p.lex.tok.kind != tLabel {
-			return nil, p.errf("expected branch target")
-		}
-		in.Succs = []*Block{p.blockRef(blocks, p.lex.tok.text)}
-		p.lex.advance()
-
+		in.Succs = []*Block{p.label()}
 	case op == OpCondBr:
-		in.Typ = Void
-		in.Args = make([]Value, 1)
-		var err error
-		if in.Args[0], err = p.operand(in, 0, I1); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if p.lex.tok.kind != tLabel {
-			return nil, p.errf("expected then target")
-		}
-		then := p.blockRef(blocks, p.lex.tok.text)
-		p.lex.advance()
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if p.lex.tok.kind != tLabel {
-			return nil, p.errf("expected else target")
-		}
-		els := p.blockRef(blocks, p.lex.tok.text)
-		p.lex.advance()
-		in.Succs = []*Block{then, els}
-
+		p.operands(in, I1)
+		p.expectPunct(",")
+		then := p.label()
+		p.expectPunct(",")
+		in.Succs = []*Block{then, p.label()}
 	case op == OpRet:
-		in.Typ = Void
-		if p.lex.tok.kind == tIdent && p.lex.tok.text == "void" {
+		if p.isIdent("void") {
 			p.lex.advance()
-			break
+		} else {
+			p.operands(in, p.parseType())
 		}
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		in.Args = make([]Value, 1)
-		if in.Args[0], err = p.operand(in, 0, t); err != nil {
-			return nil, err
-		}
-
-	case op == OpUnreachable:
-		in.Typ = Void
-
 	case op == OpGuard:
-		in.Typ = Void
-		if p.lex.tok.kind != tIdent {
-			return nil, p.errf("expected guard kind")
+		kind := p.take(tIdent, "guard kind")
+		if in.Kind, ok = guardKindByName[kind]; !ok {
+			failf("unknown guard kind %q", kind)
 		}
-		var k GuardKind
-		found := false
-		for gk, s := range guardKindNames {
-			if s == p.lex.tok.text {
-				k, found = gk, true
-				break
-			}
-		}
-		if !found {
-			return nil, p.errf("unknown guard kind %q", p.lex.tok.text)
-		}
-		in.Kind = k
-		p.lex.advance()
-		in.Args = make([]Value, 2)
-		var err error
-		if in.Args[0], err = p.operand(in, 0, Ptr); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if in.Args[1], err = p.operand(in, 1, I64); err != nil {
-			return nil, err
-		}
-
-	default:
-		return nil, p.errf("unhandled opcode %q", opName)
+		p.operands(in, Ptr, anyInt)
 	}
-	return in, nil
+	if name != "" && (!op.HasResult() || in.Typ == Void) {
+		// The printer drops the name of an instruction without a value, so
+		// later uses of it could not be printed back.
+		failf("%s yields no value to name %%%s", opName, name)
+	}
+	return in
 }

@@ -9,10 +9,7 @@
 // this IR directly against simulated physical memory.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // TypeKind discriminates the members of the IR type system.
 type TypeKind int
@@ -182,37 +179,4 @@ func (t *Type) Equal(u *Type) bool {
 		return true
 	}
 	return false
-}
-
-// String returns the textual syntax of t, e.g. "i32", "ptr", "[4 x f64]",
-// "{i64, ptr}", "f64 (i32, ptr)".
-func (t *Type) String() string {
-	switch t.Kind {
-	case VoidKind:
-		return "void"
-	case IntKind:
-		return fmt.Sprintf("i%d", t.Bits)
-	case FloatKind:
-		return "f64"
-	case PtrKind:
-		return "ptr"
-	case ArrayKind:
-		return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-	case StructKind:
-		parts := make([]string, len(t.Fields))
-		for i, f := range t.Fields {
-			parts[i] = f.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
-	case FuncKind:
-		parts := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			parts[i] = p.String()
-		}
-		if t.Vararg {
-			parts = append(parts, "...")
-		}
-		return fmt.Sprintf("%s (%s)", t.Ret, strings.Join(parts, ", "))
-	}
-	return "?"
 }

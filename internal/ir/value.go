@@ -1,11 +1,5 @@
 package ir
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-)
-
 // Value is anything that can appear as an instruction operand: constants,
 // globals, function parameters, functions, and instructions themselves.
 type Value interface {
@@ -42,23 +36,8 @@ func ConstNull() *Const { return &Const{Typ: Ptr} }
 // Type implements Value.
 func (c *Const) Type() *Type { return c.Typ }
 
-// Ref implements Value.
-func (c *Const) Ref() string {
-	switch {
-	case c.Typ.IsFloat():
-		if c.Float == math.Trunc(c.Float) && math.Abs(c.Float) < 1e15 {
-			return strconv.FormatFloat(c.Float, 'f', 1, 64)
-		}
-		return strconv.FormatFloat(c.Float, 'g', -1, 64)
-	case c.Typ.IsPtr():
-		if c.Int == 0 {
-			return "null"
-		}
-		return fmt.Sprintf("ptr:%#x", uint64(c.Int))
-	default:
-		return strconv.FormatInt(c.Int, 10)
-	}
-}
+// Ref implements Value; AppendRef (encode.go) defines the syntax.
+func (c *Const) Ref() string { return string(c.AppendRef(nil)) }
 
 // IsZero reports whether c is a zero constant (0, 0.0, or null).
 func (c *Const) IsZero() bool { return c.Int == 0 && c.Float == 0 }

@@ -1,7 +1,7 @@
 package passes
 
 import (
-	"fmt"
+	"strconv"
 
 	"carat/internal/analysis"
 	"carat/internal/ir"
@@ -289,15 +289,16 @@ func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error
 	cfg := fa.CFG()
 	dom := fa.Dom()
 	table := make(map[string][]*ir.Instr)
+	keyer := exprKeyer{ids: make(map[*ir.Instr]int)}
 	for _, b := range cfg.RPO {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			if !pureValueOp(in) {
 				continue
 			}
-			key := exprKey(in)
+			key := keyer.key(in)
 			replaced := false
-			for _, prev := range table[key] {
+			for _, prev := range table[string(key)] {
 				if dom.InstrDominates(prev, in) {
 					replaceUses(f, in, prev)
 					b.Remove(in)
@@ -308,7 +309,7 @@ func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error
 				}
 			}
 			if !replaced {
-				table[key] = append(table[key], in)
+				table[string(key)] = append(table[string(key)], in)
 			}
 		}
 	}
@@ -327,32 +328,46 @@ func pureValueOp(in *ir.Instr) bool {
 	return false
 }
 
-// exprKey builds a structural key for an instruction's computation.
-func exprKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d/%d/%s", in.Op, in.Pred, in.Typ)
-	if in.Elem != nil {
-		key += "/" + in.Elem.String()
-	}
-	for _, a := range in.Args {
-		key += "|" + opdKey(a)
-	}
-	return key
+// exprKeyer builds CSE's structural keys: two instructions get equal keys
+// exactly when they apply the same operation, at structurally equal types,
+// to the same operands. Constants are operands by printed value and type,
+// instructions by identity.
+type exprKeyer struct {
+	buf []byte
+	ids map[*ir.Instr]int // instruction operands seen so far, numbered
 }
 
-func opdKey(v ir.Value) string {
-	switch x := v.(type) {
-	case *ir.Const:
-		return "c" + x.Ref() + x.Typ.String()
-	case *ir.Global:
-		return "@" + x.Name
-	case *ir.Param:
-		return fmt.Sprintf("p%d", x.Idx)
-	case *ir.Func:
-		return "f" + x.Name
-	case *ir.Instr:
-		return fmt.Sprintf("i%p", x)
+// key returns in's key in a buffer the next call reuses.
+func (k *exprKeyer) key(in *ir.Instr) []byte {
+	b := append(k.buf[:0], byte(in.Op), byte(in.Pred))
+	b = in.Typ.AppendText(b)
+	if in.Elem != nil {
+		b = in.Elem.AppendText(append(b, '/'))
 	}
-	return "?"
+	for _, a := range in.Args {
+		b = append(b, '|')
+		switch x := a.(type) {
+		case *ir.Const:
+			b = x.Typ.AppendText(x.AppendRef(append(b, 'c')))
+		case *ir.Global:
+			b = append(append(b, '@'), x.Name...)
+		case *ir.Param:
+			b = strconv.AppendInt(append(b, 'p'), int64(x.Idx), 10)
+		case *ir.Func:
+			b = append(append(b, 'f'), x.Name...)
+		case *ir.Instr:
+			id, ok := k.ids[x]
+			if !ok {
+				id = len(k.ids)
+				k.ids[x] = id
+			}
+			b = strconv.AppendInt(append(b, 'i'), int64(id), 10)
+		default:
+			b = append(b, '?')
+		}
+	}
+	k.buf = b
+	return b
 }
 
 // LICM hoists loop-invariant pure computations to loop preheaders. Loads

@@ -463,6 +463,49 @@ entry:
 	}
 }
 
+// TestCSEKeyClasses pins which computations CSE's key calls equal: types
+// structurally (two parses of one aggregate type), float constants by
+// printed value (so 0.0 and -0.0 stay apart), instruction operands by
+// identity, and opcode, predicate and element type all significant.
+func TestCSEKeyClasses(t *testing.T) {
+	m := ir.MustParse(`module "m"
+global @a : [64 x i64]
+func @f(%i: i64, %x: f64) -> i64 {
+entry:
+  %p1 = gep [4 x i64], @a, %i, 1
+  %p2 = gep [4 x i64], @a, %i, 1
+  %p3 = gep [4 x i32], @a, %i, 1
+  %f1 = fadd f64 %x, 1.5
+  %f2 = fadd f64 %x, 1.5
+  %z1 = fadd f64 %x, 0.0
+  %z2 = fadd f64 %x, -0.0
+  %c1 = icmp slt i64 %i, 3
+  %c2 = icmp sle i64 %i, 3
+  %c3 = icmp slt i64 %i, 3
+  %a1 = add i64 %i, 1
+  %a2 = add i64 %a1, 1
+  %a3 = add i64 %a1, 1
+  %a4 = add i64 %a2, 1
+  %s1 = sub i64 %i, 1
+  %w1 = trunc i64 %i to i32
+  %w2 = trunc i64 %i to i16
+  ret i64 %a3
+}`)
+	pl := &PassManager{Passes: []Pass{&CSE{}}}
+	if err := pl.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	m.Func("f").ForEachInstr(func(in *ir.Instr) { left = append(left, in.Name) })
+	want := "p1 p3 f1 z1 z2 c1 c2 a1 a2 a4 s1 w1 w2 "
+	if got := strings.Join(left, " "); got != want {
+		t.Errorf("CSE kept %q, want %q", got, want)
+	}
+	if pl.Stats.CSEd != 4 {
+		t.Errorf("stats.CSEd = %d, want 4 (p2, f2, c3, a3)", pl.Stats.CSEd)
+	}
+}
+
 func TestLICMHoistsInvariantArith(t *testing.T) {
 	m := ir.MustParse(`module "m"
 global @a : [64 x i64]

@@ -76,13 +76,21 @@ func newModuleCache(maxEntries int, maxBytes uint64, workers int, reg *obs.Regis
 // module name, and the source text itself.
 func cacheKey(kind, level, name, source string) string {
 	h := sha256.New()
+	// The source text is hashed through chunk rather than as []byte(part):
+	// that conversion copies the whole source once per request, and
+	// io.WriteString does the same, since sha256 has no WriteString.
+	var chunk [1024]byte
 	for _, part := range []string{kind, level, name, source} {
 		var n [8]byte
 		for i, l := 0, len(part); i < 8; i++ {
 			n[i] = byte(l >> (8 * i))
 		}
 		h.Write(n[:]) // length-prefix each part so field boundaries can't collide
-		h.Write([]byte(part))
+		for len(part) > 0 {
+			c := copy(chunk[:], part)
+			h.Write(chunk[:c])
+			part = part[c:]
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -46,9 +46,13 @@ type SignedModule struct {
 	Sig       []byte
 }
 
-// digest canonicalizes the module (its printed form) and hashes it.
-func digest(m *ir.Module) [32]byte {
-	return sha256.Sum256([]byte(m.String()))
+// digest hashes the module's canonical form, streamed from the IR's one
+// encoder straight into the hash: the printed module's bytes, never held.
+func digest(m *ir.Module) (d [32]byte) {
+	h := sha256.New()
+	_ = m.WriteCanonical(h) // hash.Hash's Write never returns an error
+	h.Sum(d[:0])
+	return d
 }
 
 // Sign produces the signed binary for m.
@@ -86,7 +90,10 @@ func (ts *TrustStore) Trust(name string, pub ed25519.PublicKey) {
 // Verify checks that sm was signed by a trusted toolchain and that the
 // module has not been modified since signing. This is the load-time check
 // of §2.2 ("the kernel first validates the signature on the binary, and
-// then decides whether to trust the compiler ... that built it").
+// then decides whether to trust the compiler ... that built it"). It
+// re-hashes the module on every call, even one signed a moment ago in this
+// process: sm.Module is a live pointer, and trusting the carried digest
+// would pass a module mutated after signing.
 func (ts *TrustStore) Verify(sm *SignedModule) error {
 	if digest(sm.Module) != sm.Digest {
 		return ErrTampered
