@@ -41,7 +41,7 @@ const ExecBenchVersion = 3
 // not hoisted away — this is deliberately the worst case for software
 // address translation, where the cache has the most to recover. The outer
 // latch calls @mix once per outer iteration (feeding the loop bound, so it
-// cannot fold away) to exercise the closure tier's call-site inline cache
+// cannot fold away) to exercise the closure tier's compiled call sites
 // without perturbing the inner-loop hot path.
 const execBenchSrc = `module "execbench"
 global @a : [4096 x i64]

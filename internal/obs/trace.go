@@ -22,12 +22,23 @@ import (
 // keeps its cycle accounting out of the tracer entirely — tracing on or
 // off never changes modeled results (asserted by a differential test in
 // internal/bench).
+//
+// A Tracer value is one lane of a trace: NewTracer returns the root lane
+// and BeginProcess opens further ones. A lane's pid and clock never change
+// after it is created, so VMs running in parallel over one trace each stamp
+// their own events with their own clock; only the sink is shared.
 type Tracer struct {
+	*traceSink
+	pid   int
+	clock func() uint64
+}
+
+// traceSink is the output stream every lane of one trace writes to.
+type traceSink struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
-	clock func() uint64
 	first bool
-	pid   int
+	lanes int // process lanes opened so far
 	err   error
 	tap   func(body string)
 }
@@ -40,12 +51,13 @@ const (
 )
 
 // NewTracer starts a trace stream on w. clock supplies simulated-cycle
-// timestamps for Instant events; it may be nil until SetClock. Call Close
+// timestamps for the root lane's Instant events (nil reads as cycle 0);
+// every VM run gets a lane with its own clock from BeginProcess. Call Close
 // to terminate the JSON document. A nil w makes a sink-less tracer that
 // only feeds taps (see SetTap) — the telemetry server uses this to serve
 // windowed traces without writing a file.
 func NewTracer(w io.Writer, clock func() uint64) *Tracer {
-	t := &Tracer{clock: clock, first: true}
+	t := &Tracer{traceSink: &traceSink{first: true}, clock: clock}
 	if w != nil {
 		t.w = bufio.NewWriter(w)
 		fmt.Fprintf(t.w, "{\"schema\":%q,\"version\":%d,\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
@@ -77,47 +89,31 @@ func TraceHeader() string {
 // TraceFooter returns the closing of a carat.trace v1 document.
 func TraceFooter() string { return "\n]}\n" }
 
-// SetClock replaces the simulated-cycle clock (the VM installs its cycle
-// counter at Load time).
-func (t *Tracer) SetClock(clock func() uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.clock = clock
-	t.mu.Unlock()
-}
-
-// Now reads the simulated-cycle clock (0 when no clock is installed or
-// the tracer is nil).
+// Now reads this lane's simulated-cycle clock (0 when it has none or the
+// tracer is nil). The clock is the caller's own: it is read outside the
+// sink lock, on the goroutine that emits the event.
 func (t *Tracer) Now() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.now()
-}
-
-func (t *Tracer) now() uint64 {
-	if t.clock == nil {
+	if t == nil || t.clock == nil {
 		return 0
 	}
 	return t.clock()
 }
 
-// BeginProcess opens a new trace process (a new pid lane) named name —
-// one per VM run, so sequential workloads in a bench sweep stay separate
-// in the viewer.
-func (t *Tracer) BeginProcess(name string) {
+// BeginProcess opens a new trace process (a new pid lane) named name and
+// returns the handle that writes to it, stamping Instant events with clock
+// — one per VM run, so workloads in a bench sweep stay separate in the
+// viewer whether they run one after another or in parallel.
+func (t *Tracer) BeginProcess(name string, clock func() uint64) *Tracer {
 	if t == nil {
-		return
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pid++
-	t.event(`"name":"process_name","ph":"M","pid":` + strconv.Itoa(t.pid) +
+	t.lanes++
+	lane := &Tracer{traceSink: t.traceSink, pid: t.lanes, clock: clock}
+	t.event(`"name":"process_name","ph":"M","pid":` + strconv.Itoa(lane.pid) +
 		`,"tid":1,"args":{"name":` + quote(name) + `}`)
+	return lane
 }
 
 // Arg is one key/value pair attached to a trace event's args object.
@@ -154,9 +150,10 @@ func (t *Tracer) Instant(name, cat string, args ...Arg) {
 	if t == nil {
 		return
 	}
+	now := t.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.instantAt(name, cat, t.now(), args)
+	t.instantAt(name, cat, now, args)
 }
 
 // InstantAt emits an instant event at an explicit simulated cycle.

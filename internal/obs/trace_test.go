@@ -15,14 +15,14 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // simulated-cycle clock.
 func buildSampleTrace(w *strings.Builder) {
 	var cyc uint64
-	tr := NewTracer(w, func() uint64 { return cyc })
-	tr.BeginProcess("workload \"EP\"")
+	root := NewTracer(w, nil)
+	tr := root.BeginProcess("workload \"EP\"", func() uint64 { return cyc })
 	tr.SpanAt("move.world_stop", "protocol", 100, 50, A("threads", 2))
 	tr.SpanAt("move.copy_data", "protocol", 150, 4096, A("bytes", uint64(4096)), A("dry", false))
 	cyc = 5000
 	tr.Instant("guard.fault", "guard", A("addr", "0xffff800000000000"))
 	tr.InstantAt("page.demand_alloc", "paging", 6000)
-	tr.Close()
+	root.Close()
 }
 
 func TestTraceGolden(t *testing.T) {
@@ -91,11 +91,12 @@ func TestTraceParsesAsChromeFormat(t *testing.T) {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	// Every exported method must be callable on a nil tracer.
-	tr.SetClock(func() uint64 { return 1 })
 	if tr.Now() != 0 {
 		t.Fatal("nil tracer Now should be 0")
 	}
-	tr.BeginProcess("x")
+	if tr.BeginProcess("x", func() uint64 { return 1 }) != nil {
+		t.Fatal("a nil tracer's lanes should be nil too")
+	}
 	tr.SpanAt("a", "b", 0, 1, A("k", 1))
 	tr.Instant("a", "b")
 	tr.InstantAt("a", "b", 5)
@@ -107,22 +108,28 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestTracerMultiProcess(t *testing.T) {
 	var b strings.Builder
 	tr := NewTracer(&b, nil)
-	tr.BeginProcess("run1")
-	tr.SpanAt("s", "c", 0, 1)
-	tr.BeginProcess("run2")
-	tr.SpanAt("s", "c", 0, 1)
+	// Both lanes are open before either emits, as two parallel VM runs
+	// would have them: each event must carry its own lane's pid and clock.
+	run1 := tr.BeginProcess("run1", func() uint64 { return 11 })
+	run2 := tr.BeginProcess("run2", func() uint64 { return 22 })
+	run1.Instant("i", "c")
+	run2.Instant("i", "c")
 	tr.Close()
 	var doc struct {
 		TraceEvents []struct {
 			Ph  string `json:"ph"`
 			Pid int    `json:"pid"`
+			Ts  uint64 `json:"ts"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.TraceEvents[1].Pid != 1 || doc.TraceEvents[3].Pid != 2 {
-		t.Fatalf("pids = %+v", doc.TraceEvents)
+	if e := doc.TraceEvents[2]; e.Pid != 1 || e.Ts != 11 {
+		t.Fatalf("run1 event = %+v, want pid 1 at its own clock 11", e)
+	}
+	if e := doc.TraceEvents[3]; e.Pid != 2 || e.Ts != 22 {
+		t.Fatalf("run2 event = %+v, want pid 2 at its own clock 22", e)
 	}
 }
 

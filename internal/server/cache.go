@@ -5,15 +5,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 
 	"carat/internal/ir"
 	"carat/internal/obs"
+	"carat/internal/vm"
 )
 
 // moduleEntry is one compiled, signature-verified module in the cache.
 // After insertion the module is immutable (compilation mutates its input,
 // so every compile parses a fresh module from source) and is shared by
 // every VM that runs it concurrently.
+//
+// prog is the module's VM-independent code (vm.Program: predecoded and
+// closure-compiled bodies), acquired on the entry's first cache HIT and
+// shared by every later one, so a hot request lowers nothing. The request
+// that compiled the module runs on a throwaway Program instead: compiled
+// code retains roughly 400 B per IR instruction, and most never-seen
+// modules never run twice. Eviction drops the Program with the entry.
 type moduleEntry struct {
 	ref   string
 	mod   *ir.Module
@@ -21,6 +30,7 @@ type moduleEntry struct {
 	level string
 	name  string
 	bytes uint64 // source size, the unit of the cache's byte bound
+	prog  atomic.Pointer[vm.Program]
 }
 
 // compileJob is one in-flight compilation; duplicate requests for the same
@@ -47,6 +57,7 @@ type moduleCache struct {
 	sem chan struct{} // compile worker slots
 
 	hits, misses, evictions *obs.Counter
+	codeHits, codeMisses    *obs.Counter
 	queueDepth              *obs.Gauge
 }
 
@@ -67,6 +78,8 @@ func newModuleCache(maxEntries int, maxBytes uint64, workers int, reg *obs.Regis
 		hits:       reg.Counter("carat.server.module_cache.hits"),
 		misses:     reg.Counter("carat.server.module_cache.misses"),
 		evictions:  reg.Counter("carat.server.module_cache.evictions"),
+		codeHits:   reg.Counter("carat.server.code_cache.hits"),
+		codeMisses: reg.Counter("carat.server.code_cache.misses"),
 		queueDepth: reg.Gauge("carat.server.compile_queue_depth"),
 	}
 }
@@ -147,6 +160,28 @@ func (c *moduleCache) getOrCompile(key string, compile func() (*moduleEntry, err
 	c.mu.Unlock()
 	close(job.done)
 	return job.entry, false, job.err
+}
+
+// program returns the code object a request for e runs on. A request that
+// found e in the cache shares the entry's Program, creating it if this is
+// the first hit (code_cache miss) and reusing it otherwise (hit); the
+// request that compiled e gets a private one (miss), which dies with it.
+func (c *moduleCache) program(e *moduleEntry, cached bool) (*vm.Program, error) {
+	if cached {
+		if p := e.prog.Load(); p != nil {
+			c.codeHits.Inc()
+			return p, nil
+		}
+	}
+	c.codeMisses.Inc()
+	p, err := vm.NewProgram(e.mod)
+	if err != nil || !cached {
+		return p, err
+	}
+	if !e.prog.CompareAndSwap(nil, p) {
+		p = e.prog.Load() // a concurrent first hit published its Program first
+	}
+	return p, nil
 }
 
 // insert adds the entry and evicts from the LRU tail until both bounds

@@ -538,13 +538,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	prog, err := s.cache.program(entry, cached)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "load", err)
+		return
+	}
 	// Each run gets a PRIVATE registry: the vm folds runtime cycle counters
 	// into its modeled clock as deltas, and a shared registry would leak
 	// other tenants' concurrent tracking cycles into this run's deltas —
 	// breaking byte-identical results. Counters are merged into the shared
 	// registry after the run, so /metrics still sees machine-wide totals.
 	runReg := obs.NewRegistry()
-	v, err := vm.Load(entry.mod, vm.Config{
+	v, err := vm.LoadProgram(prog, vm.Config{
 		Mode:        vm.ModeCARAT,
 		GuardMech:   guard.MechRange,
 		Kernel:      s.kern,

@@ -1,12 +1,12 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
+	"carat/internal/kernel"
 	"carat/internal/obs"
 	"carat/internal/runtime"
 )
@@ -26,31 +26,32 @@ import (
 //     by a direct physical access — no separate translate, no duplicate
 //     operand read (GEP+guard+access triples fold in for free: the GEP is
 //     pure, so it rides the same batched charge);
-//   - global/function operands are baked to constant addresses;
-//   - call sites carry a monomorphic inline cache keyed by the callee's
-//     compiled body.
+//   - immediates and global/function addresses live in a per-function
+//     constant pool laid out as extra registers.
 //
 // Each block closure returns the next block's closure directly, so there is
 // no central dispatch loop — just a trampoline.
 //
-// The compiled form is specialized against a snapshot of mutable machine
-// state (baked global/code addresses, xcache-fusable guard paths), so every
-// cfunc is stamped with the guard RegionSet epoch at compile time. Page
-// moves, grants/releases, and the incremental protocol's forwarding windows
-// all bump that epoch; allocation-granularity moves and swap in/out do not,
-// but they also never relocate globals or code, so baked addresses stay
-// valid within an epoch. Stale epochs deopt:
+// A compiled body is a pure function of the module: its closures capture
+// operand indices, strides and successor blocks, never a VM, a thread, or an
+// address. Everything a run contributes reaches them through the cenv. That
+// makes a cfunc part of the Program (program.go) — shared by every VM loaded
+// from it, on any goroutine — and independent of the region epoch:
 //
-//   - at function entry: recompile (one counted deopt);
-//   - at a block head: transfer the live activation to the predecode tier
-//     via pexecFrom (one counted deopt) and drop the compiled body;
-//   - after any call step (a nested call can move pages, spawn a thread —
-//     which grants a stack region — or open a forwarding window): finish
-//     the activation on the predecode tier mid-block (one counted deopt).
+//   - every memory access validates itself (xcache slots are epoch-stamped,
+//     fills are refused under a forwarding window, and every cold path goes
+//     through pexecGuard/cdataAddr → translate);
+//   - the only baked addresses are the pool's global/function entries, which
+//     the cfunc records as relocs. A page move that relocates a global or
+//     code re-bakes each binding's pool and re-copies it into every live
+//     closure frame (VM.repatchPools), with the world stopped, beside the
+//     register patch of Figure 8 — the pool is one more escape of the
+//     address.
 //
-// Epochs can only change at safepoints and inside calls, and the baton
-// discipline means no other thread runs between a block's epoch check and
-// its next call/terminator, so these three checks are sufficient.
+// So compiled code survives moves, grants and forwarding windows at full
+// speed; the one closure → predecode transition left is the compiler's
+// refusal of a function with an undecodable shape, decided at its first
+// call.
 //
 // Like the predecode tier, all of this is host-speed only: instruction
 // counts, modeled cycles, the cycle profile, guard evaluator state, xcache
@@ -59,34 +60,38 @@ import (
 // tests pin this).
 
 // cenv is the per-activation state threaded through a compiled function's
-// block closures. Everything per-VM or per-function is captured by the
-// closures at compile time; cenv carries only what varies per call.
+// block closures: the closures themselves are VM-independent, so everything
+// that belongs to this run — the VM, its evaluator and memory, the
+// function's profile bucket — rides here, one load away.
 //
 // pendN/pendCyc accumulate instruction and cycle charges not yet applied to
 // the VM-wide and per-function counters. Nothing on a block's fast path
-// reads those counters, so charges defer across whole blocks and flush
-// (cflush) only where something can observe them: block entry (before the
-// safepoint, where the sampler and move policies read), before any step
-// that can fault, trace, walk a guard, or call out, and at Ret.
+// reads those counters, so charges defer across whole blocks and flush only
+// where something can observe them: block entry (before the safepoint, where
+// the sampler and move policies read), before any step that can fault,
+// trace, walk a guard, or call out, and at Ret.
 type cenv struct {
-	t        *thread
-	fr       *frame
-	xc       *guard.XCache // t.xc, cached to skip a pointer chase per access
-	ret      uint64        // return value, set by Ret terminators and deopt paths
-	pending  []pcopy       // phi copies owed to the block about to run (deopt form)
-	pendingC []ccopy       // same copies, compiled (fast form); always set together
-	tmp      []uint64
-	prof     *obs.FuncProfile
-	pendN    uint64 // instruction charges not yet applied
-	pendCyc  uint64 // cycle charges not yet applied
+	v       *VM
+	t       *thread
+	fr      *frame
+	xc      *guard.XCache // t.xc, cached to skip a pointer chase per access
+	eval    *guard.Evaluator
+	mem     *kernel.PhysMem
+	ret     uint64  // return value, set by Ret terminators
+	pending []ccopy // phi copies owed to the block about to run
+	tmp     []uint64
+	prof    *obs.FuncProfile
+	pendN   uint64 // instruction charges not yet applied
+	pendCyc uint64 // cycle charges not yet applied
 }
 
-// cflush applies the deferred charges. Called at every point where the
+// flush applies the deferred charges. Called at every point where the
 // counters become observable; the per-instruction tiers' invariant — all
 // instructions up to and including the observing one are charged before it
 // executes — is restored exactly at each such point.
-func (v *VM) cflush(e *cenv) {
+func (e *cenv) flush() {
 	if e.pendN != 0 || e.pendCyc != 0 {
+		v := e.v
 		v.Instrs += e.pendN
 		v.Cycles += e.pendCyc
 		v.Prof.Cat[obs.CatCompute] += e.pendCyc
@@ -94,6 +99,41 @@ func (v *VM) cflush(e *cenv) {
 		e.prof.Cycles += e.pendCyc
 		e.pendN, e.pendCyc = 0, 0
 	}
+}
+
+// charge applies one instruction's accounting directly (the cold path of a
+// fused access, after a flush, where the per-instruction order matters).
+func (e *cenv) charge(cyc uint64) {
+	v := e.v
+	v.Instrs++
+	v.Cycles += cyc
+	v.Prof.Cat[obs.CatCompute] += cyc
+	e.prof.Instrs++
+	e.prof.Cycles += cyc
+}
+
+// due reports whether a block-head safepoint would DO something whoever is
+// running: a stop request is up, a sample is due, or a limit is about to
+// trip. Callers add their own share of the trigger list (a sibling thread,
+// an attached move policy). The tests mirror the safepoint's own exactly,
+// evaluated on (flushed + deferred) counters — the same values a flush would
+// produce — and Track.Due / RareMigration.Pending are side-effect-free when
+// false. So skipping flush + safepoint when every pre-check is false is
+// invisible: the charges ride through to the next observation point. Limits
+// compare at the block head before the incoming edge's phi copies are
+// charged, exactly where the per-instruction tiers trap.
+func (e *cenv) due(v *VM) bool {
+	return v.sched.stopReq.Load() ||
+		(v.track != nil && v.track.Due(v.Cycles+e.pendCyc)) ||
+		v.Instrs+e.pendN > v.maxI || v.Cycles+e.pendCyc > v.maxC
+}
+
+// safepoint takes a block-head safepoint some pre-check asked for. Deferred
+// charges flush first: the sampler, move policies, and pause attribution
+// all read the counters there.
+func (e *cenv) safepoint() error {
+	e.flush()
+	return e.t.safepoint()
 }
 
 // ccopy is one compiled phi assignment: regs[dst] receives regs[src], with
@@ -112,79 +152,68 @@ type cstep func(e *cenv) error
 type cpure func(e *cenv)
 
 // cblock is one compiled basic block. run executes the block (safepoint,
-// epoch check, pending phi copies, body steps) and returns the next block,
-// or nil when the activation completed (Ret, or a deopt that finished it on
-// the predecode tier).
+// pending phi copies, body steps) and returns the next block, or nil when
+// the activation completed.
 type cblock struct {
 	run func(e *cenv) (*cblock, error)
 }
 
-// cfunc is a compiled function body, valid for exactly one region epoch.
-// Constants (immediates, baked global/function addresses) live in a pool
-// appended to the frame's register file at activation entry, so every
-// compiled operand is a plain register index — no per-read branch on
-// operand kind. Pool slots sit above nslots and are invisible to the
-// per-instruction tiers and the move protocol's register patcher (which
-// walks funcInfo.ptrSlots, all below nslots).
+// cfunc is a compiled function body. Constants (immediates, global and
+// function addresses) live in a pool appended to the frame's register file
+// at activation entry, so every compiled operand is a plain register index —
+// no per-read branch on operand kind. Pool slots sit above the function's
+// nSlots and are invisible to the per-instruction tiers and the move
+// protocol's register patcher (which walks ptrSlots, all below nSlots).
+//
+// consts holds the pool as the module alone determines it: immediates in
+// place, address entries zero and listed in relocs. A binding copies consts
+// and bakes the relocs against its VM's address tables (VM.bakePool).
 type cfunc struct {
-	epoch   uint64
+	refused bool // undecodable shape: the function runs on the predecode tier
 	blocks  []*cblock
-	pf      *pfunc
 	maxPhis int
-	nslots  int32
 	consts  []uint64
-	cindex  map[uint64]int32 // value -> pool register; compile-time only
-	nregs   int
+	relocs  []creloc
+
+	// Compile-time only, dropped before the cfunc is published.
+	fn     *ir.Func
+	pf     *pfunc
+	nslots int32
+	cindex map[poperand]cop
 }
 
-// callIC is a per-call-site monomorphic inline cache: when the callee's
-// current compiled body matches, the call skips the funcInfo state checks
-// and enters the compiled form directly. The baton discipline makes the
-// unsynchronized fields safe. The epoch stamp makes a hit self-validating:
-// ic.cf was compiled at ic.epoch, so epoch equality proves it fresh.
-type callIC struct {
-	cf    *cfunc
-	epoch uint64
+// creloc names one pool entry that holds an address-table value.
+type creloc struct {
+	pool int32    // index into consts
+	src  poperand // pkGlobal or pkFunc
 }
-
-// errClosureDone signals, from a call step to its block's run loop, that
-// the activation already completed on the predecode tier (post-call epoch
-// deopt): e.ret holds the result and no further steps may run.
-var errClosureDone = errors.New("vm: closure activation completed via deopt")
 
 // cop is a compiled operand: an index into the activation's extended
-// register file. SSA slots keep their indices; constants (immediates and
-// baked global/function addresses, valid for the cfunc's epoch) resolve to
-// pool registers above nslots — so reading any operand is one branchless
-// indexed load.
+// register file. SSA slots keep their indices; constants resolve to pool
+// registers above nslots — so reading any operand is one branchless indexed
+// load.
 type cop int32
 
 func (o cop) get(fr *frame) uint64 { return fr.regs[o] }
 
-// constSlot interns a constant into the cfunc's pool, returning its
-// register index.
-func (cf *cfunc) constSlot(val uint64) cop {
-	if i, ok := cf.cindex[val]; ok {
-		return cop(i)
-	}
-	i := cf.nslots + int32(len(cf.consts))
-	cf.consts = append(cf.consts, val)
-	cf.cindex[val] = i
-	return cop(i)
-}
-
-// cdecode resolves a predecoded operand against the current address tables.
-func (v *VM) cdecode(cf *cfunc, p poperand) cop {
-	switch p.kind {
-	case pkSlot:
+// operand resolves a predecoded operand to its register, interning
+// constants into the pool by what they ARE (kind plus immediate or table
+// index), never by their current value: an immediate that happens to equal
+// a global's load-time address must not follow that global when it moves.
+func (cf *cfunc) operand(p poperand) cop {
+	if p.kind == pkSlot {
 		return cop(p.idx)
-	case pkImm:
-		return cf.constSlot(p.imm)
-	case pkGlobal:
-		return cf.constSlot(v.globalPhys[p.idx])
-	default:
-		return cf.constSlot(v.funcPhys[p.idx])
 	}
+	if i, ok := cf.cindex[p]; ok {
+		return i
+	}
+	i := cop(cf.nslots) + cop(len(cf.consts))
+	if p.kind != pkImm {
+		cf.relocs = append(cf.relocs, creloc{pool: int32(len(cf.consts)), src: p})
+	}
+	cf.consts = append(cf.consts, p.imm) // zero for a reloc, baked per binding
+	cf.cindex[p] = i
+	return i
 }
 
 // cgep is one dynamic GEP index with its stride.
@@ -193,61 +222,54 @@ type cgep struct {
 	stride int64
 }
 
-// ccallFunc is the closure-tier call entry: compile on first use (or on a
-// stale epoch), fall back to the predecode tier for refused shapes.
-func (v *VM) ccallFunc(t *thread, f *ir.Func, args []uint64) (uint64, error) {
-	fi := v.funcs[f]
-	if fi.noClosure {
-		return v.pcallFunc(t, f, args)
+// bakePool (re)writes fb's pool relocs from the VM's current address tables
+// and reports whether any entry changed.
+func (v *VM) bakePool(fb *funcBinding) bool {
+	changed := false
+	for _, r := range fb.cf.relocs {
+		if a := v.pval(nil, r.src); fb.pool[r.pool] != a { // relocs never read the frame
+			fb.pool[r.pool] = a
+			changed = true
+		}
 	}
-	cf := fi.cf
-	epoch := v.proc.Regions.Epoch
-	if cf == nil || cf.epoch != epoch {
-		if cf != nil {
-			// Stale compiled body found at entry: the world changed since
-			// compilation (recompiling is the deopt).
-			v.closureDeopts++
-		}
-		pf := fi.pf
-		if pf == nil {
-			pf = v.predecodeFunc(f, fi)
-			fi.pf = pf
-		}
-		nc, ok := v.compileClosure(f, fi, pf, epoch)
-		if !ok {
-			// Undecodable shape somewhere in the body: refuse once, run on
-			// the predecode tier permanently.
-			v.closureDeopts++
-			fi.noClosure = true
-			fi.cf = nil
-			return v.pcallFunc(t, f, args)
-		}
-		fi.cf = nc
-		cf = nc
-	}
-	return v.ccallCompiled(t, f, fi, cf, args)
+	return changed
 }
 
-// ccallCompiled runs one activation through a compiled body. The frame
-// prologue (profiling, frame push, alloca unwinding, depth check) is
-// byte-identical with pcallFunc; the body is the block trampoline.
-func (v *VM) ccallCompiled(t *thread, f *ir.Func, fi *funcInfo, cf *cfunc, args []uint64) (uint64, error) {
-	fi.prof.Calls++
-	fr := &frame{fn: f, fi: fi, regs: make([]uint64, cf.nregs), spSave: t.sp}
-	copy(fr.regs, args) // params occupy slots 0..len(Params)-1 in order
-	copy(fr.regs[cf.nslots:], cf.consts)
-	t.frames = append(t.frames, fr)
-	defer func() {
-		t.frames = t.frames[:len(t.frames)-1]
-		if t.sp < fr.spSave {
-			v.rt.UntrackStackRange(t.sp, fr.spSave)
+// repatchPools runs when a move relocated a global or code, with the world
+// stopped: every bound closure body's pool is re-baked, and every live
+// closure frame — each mirrors its function's pool in regs[nslots:] — gets
+// the fresh copy. The pool is one more escape of the moved address, patched
+// where Figure 8 patches registers.
+func (v *VM) repatchPools() {
+	for i := range v.bound {
+		if fb := &v.bound[i]; fb.cf != nil && v.bakePool(fb) {
+			v.closureRepatches++
 		}
-		t.sp = fr.spSave
-	}()
-	if len(t.frames) > 10000 {
-		return 0, fmt.Errorf("vm: call stack overflow in @%s", f.Name)
 	}
-	e := &cenv{t: t, fr: fr, xc: t.xc, prof: fi.prof}
+	for _, t := range v.sched.threads {
+		for _, fr := range t.frames {
+			if fb := fr.fb; fb.cf != nil {
+				copy(fr.regs[fb.nSlots:], fb.pool)
+			}
+		}
+	}
+}
+
+// ccall runs one activation through fb's compiled body. The frame prologue
+// (profiling, frame push, alloca unwinding, depth check) is byte-identical
+// with pcall; the body is the block trampoline.
+func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
+	cf := fb.cf
+	fb.prof.Calls++
+	fr := &frame{fb: fb, regs: make([]uint64, fb.nSlots+len(fb.pool)), spSave: t.sp}
+	copy(fr.regs, args) // params occupy slots 0..len(Params)-1 in order
+	copy(fr.regs[fb.nSlots:], fb.pool)
+	t.frames = append(t.frames, fr)
+	defer t.popFrame(fr)
+	if len(t.frames) > 10000 {
+		return 0, fmt.Errorf("vm: call stack overflow in @%s", fb.fn.Name)
+	}
+	e := &cenv{v: v, t: t, fr: fr, xc: t.xc, eval: v.eval, mem: v.kern.Mem, prof: fb.prof}
 	if cf.maxPhis > 0 {
 		e.tmp = make([]uint64, cf.maxPhis)
 	}
@@ -265,7 +287,7 @@ func (v *VM) ccallCompiled(t *thread, f *ir.Func, fi *funcInfo, cf *cfunc, args 
 // cdataAddr is pdataAddr over a compiled operand: translate with one
 // swap-in retry on a poisoned pointer. Re-reading the operand after the
 // swap-in is what picks up the runtime's pointer patch (only slot operands
-// can hold poisoned heap pointers; baked operands re-read to the same
+// can hold poisoned heap pointers; pool operands re-read to the same
 // constant, which is correct because swap-in never moves globals or code).
 func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, error) {
 	addr := o.get(fr)
@@ -282,36 +304,34 @@ func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, 
 	return 0, err
 }
 
-// compileClosure lowers pf into chained block closures, specialized against
-// the current epoch. Returns ok=false when any instruction carries the
-// predecoder's fallback flag (exotic shapes execute through execInstr,
-// which the closure form cannot batch soundly).
-func (v *VM) compileClosure(f *ir.Func, fi *funcInfo, pf *pfunc, epoch uint64) (*cfunc, bool) {
+// compileClosure lowers pf into chained block closures. A function in which
+// any instruction carries the predecoder's fallback flag is refused (exotic
+// shapes execute through execInstr, which the closure form cannot batch
+// soundly). The result depends on the module alone.
+func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
 	for bi := range pf.blocks {
 		for ci := range pf.blocks[bi].code {
 			if pf.blocks[bi].code[ci].fallback {
-				return nil, false
+				return &cfunc{refused: true}
 			}
 		}
 	}
 	cf := &cfunc{
-		epoch:   epoch,
-		pf:      pf,
 		maxPhis: pf.maxPhis,
 		blocks:  make([]*cblock, len(pf.blocks)),
-		nslots:  int32(fi.nSlots),
-		cindex:  make(map[uint64]int32),
+		nslots:  int32(l.nSlots),
+		fn:      l.fn,
+		pf:      pf,
+		cindex:  make(map[poperand]cop),
 	}
 	for i := range cf.blocks {
 		cf.blocks[i] = &cblock{}
 	}
 	for bi := range pf.blocks {
-		v.compileBlock(f, fi, pf, cf, int32(bi))
+		cf.compileBlock(int32(bi))
 	}
-	cf.nregs = int(cf.nslots) + len(cf.consts)
-	cf.cindex = nil
-	v.closureBlocks += uint64(len(pf.blocks))
-	return cf, true
+	cf.fn, cf.pf, cf.cindex = nil, nil, nil
+	return cf
 }
 
 // cobserving reports whether an instruction can observe or perturb machine
@@ -330,9 +350,8 @@ func cobserving(op ir.Op) bool {
 }
 
 // compileBlock fills cf.blocks[bi] with its superinstruction closure.
-func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int32) {
-	code := pf.blocks[bi].code
-	prof := fi.prof
+func (cf *cfunc) compileBlock(bi int32) {
+	code := cf.pf.blocks[bi].code
 
 	// take closes the accumulated charge group: the batched accounting for
 	// the group (including the observing instruction about to run, whose
@@ -386,14 +405,14 @@ func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int
 					groupN++ // the GEP rides the group charge
 					groupCyc += uint64(in.cost)
 					segN, segCyc, pures := take(1, uint64(g.cost))
-					steps = append(steps, v.compileGuardedAccess(cf, g, nx, in, prof, segN, segCyc, pures))
+					steps = append(steps, cf.compileGuardedAccess(g, nx, in, segN, segCyc, pures))
 					i += 2
 					continue
 				}
 			}
 			groupN++
 			groupCyc += uint64(in.cost)
-			groupPures = append(groupPures, v.compilePure(cf, in))
+			groupPures = append(groupPures, cf.compilePure(in))
 			continue
 		}
 		// Guard+access fusion: a load/store guard immediately followed by
@@ -405,20 +424,20 @@ func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int
 				// The guard rides the group charge; the whole segment —
 				// charge, pures, fused probe+access — is one step.
 				segN, segCyc, pures := take(1, uint64(in.cost))
-				steps = append(steps, v.compileGuardedAccess(cf, in, nx, nil, prof, segN, segCyc, pures))
+				steps = append(steps, cf.compileGuardedAccess(in, nx, nil, segN, segCyc, pures))
 				i++
 				continue
 			}
 		}
 		segN, segCyc, pures := take(1, uint64(in.cost))
-		ob := v.compileObserving(f, fi, pf, cf, bi, i, in, prof)
+		ob := cf.compileObserving(in)
 		steps = append(steps, func(e *cenv) error {
 			e.pendN += segN
 			e.pendCyc += segCyc
 			for _, p := range pures {
 				p(e)
 			}
-			v.cflush(e)
+			e.flush()
 			return ob(e)
 		})
 	}
@@ -432,24 +451,12 @@ func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int
 	}
 	finalN, finalCyc, finalPures := take(termN, termCyc)
 
-	term := v.compileTerm(f, cf, code, ti, fuseCmpBr)
-
-	blk := cf.blocks[bi]
-	myIdx := bi
-	bsteps := steps
+	term := cf.compileTerm(code, ti, fuseCmpBr)
 
 	// Self-loop specialization: a fused compare+branch whose taken edge
 	// re-enters this same block, in a block with no call steps, can iterate
-	// inside one run() invocation while the VM is unobserved. The entry
-	// checks are loop-invariant there: with a single thread, no sampler, no
-	// move policy, and no limits, nothing else executes between iterations —
-	// no call can spawn a thread or move pages (the body has no calls), so
-	// the epoch and the observer set are frozen until run() returns. Each
-	// fast iteration is just phi copies, body steps, the final charge group,
-	// and the compare — no trampoline, no safepoint, no epoch re-check.
-	// Any observer present at entry (or appearing before entry) disables the
-	// internal loop, falling back to one block per run() with a safepoint at
-	// every head, byte-identical with the per-instruction tiers.
+	// inside one run() invocation while the VM is unobserved (see
+	// compileSelfLoop).
 	hasCall := false
 	for i := 0; i < bodyEnd; i++ {
 		if code[i].op == ir.OpCall {
@@ -458,53 +465,24 @@ func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int
 		}
 	}
 	if fuseCmpBr && !hasCall && (code[ti].succ0 == bi || code[ti].succ1 == bi) {
-		v.compileSelfLoop(fi, pf, cf, bi, code, ti, bsteps, finalN, finalCyc, finalPures)
+		cf.compileSelfLoop(bi, code, ti, steps, finalN, finalCyc, finalPures)
 		return
 	}
-	maxI, maxC := v.safepointLimits()
-	blk.run = func(e *cenv) (*cblock, error) {
-		t := e.t
-		// A block-head safepoint only matters when it would DO something: a
-		// sibling thread needs the slice bookkeeping, a sample or migration
-		// is due, or a limit is about to trip. The pre-checks mirror the
-		// safepoint's own tests exactly, evaluated on (flushed + deferred)
-		// counters — the same values a flush would produce — and Track.Due /
-		// RareMigration.Pending are side-effect-free when false. So skipping
-		// flush + safepoint when every pre-check is false is invisible: the
-		// charges ride through to the next observation point. Limits compare
-		// at the block head before the incoming edge's phi copies are
-		// charged, exactly where the per-instruction tiers trap.
-		if v.sched.stopReq.Load() || len(v.sched.threads) > 1 ||
-			(v.track != nil && v.track.Due(v.Cycles+e.pendCyc)) ||
-			(v.movePolicy != nil && v.moveTrigger.Pending(v.Instrs+e.pendN)) ||
-			v.Instrs+e.pendN > maxI || v.Cycles+e.pendCyc > maxC {
-			// Deferred charges flush before the safepoint: the sampler, move
-			// policies, and pause attribution all read the counters there.
-			v.cflush(e)
-			if err := t.safepoint(); err != nil {
+	cf.blocks[bi].run = func(e *cenv) (*cblock, error) {
+		v := e.v
+		if e.due(v) || len(v.sched.threads) > 1 ||
+			(v.movePolicy != nil && v.moveTrigger.Pending(v.Instrs+e.pendN)) {
+			if err := e.safepoint(); err != nil {
 				return nil, err
 			}
 		}
-		// The epoch check runs after the safepoint: an injected move at
-		// this very safepoint must deopt this block, not the next.
-		if v.proc.Regions.Epoch != cf.epoch {
-			v.closureDeopts++
-			fi.cf = nil
-			v.cflush(e)
-			ret, err := v.pexecFrom(t, e.fr, pf, myIdx, 0, e.pending, true)
-			e.ret = ret
-			return nil, err
-		}
-		if n := len(e.pendingC); n > 0 {
-			applyCopies(e, e.pendingC)
+		if n := len(e.pending); n > 0 {
+			applyCopies(e, e.pending)
 			e.pendN += uint64(n)
-			e.pending, e.pendingC = nil, nil
+			e.pending = nil
 		}
-		for _, st := range bsteps {
+		for _, st := range steps {
 			if err := st(e); err != nil {
-				if err == errClosureDone {
-					return nil, nil
-				}
 				return nil, err
 			}
 		}
@@ -515,20 +493,6 @@ func (v *VM) compileBlock(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int
 		}
 		return term(e)
 	}
-}
-
-// safepointLimits returns the instruction and cycle limits as saturating
-// thresholds (no limit = MaxUint64), so hot paths compare against them
-// unconditionally.
-func (v *VM) safepointLimits() (uint64, uint64) {
-	maxI, maxC := v.cfg.MaxInstrs, v.cfg.MaxCycles
-	if maxI == 0 {
-		maxI = ^uint64(0)
-	}
-	if maxC == 0 {
-		maxC = ^uint64(0)
-	}
-	return maxI, maxC
 }
 
 // applyCopies performs one edge's compiled phi assignments with
@@ -557,8 +521,8 @@ func applyCopies(e *cenv, cc []ccopy) {
 // compileCmpBit lowers a compare that feeds a fused conditional branch:
 // the closure writes the compare's result slot (later blocks may read it
 // through a phi) and returns the branch bit.
-func (v *VM) compileCmpBit(cf *cfunc, p *pinstr) func(fr *frame) uint64 {
-	ca, cb := v.cdecode(cf, p.a), v.cdecode(cf, p.b)
+func (cf *cfunc) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
+	ca, cb := cf.operand(p.a), cf.operand(p.b)
 	dst := p.dst
 	pred := p.pred
 	if p.op == ir.OpFCmp {
@@ -587,58 +551,46 @@ func (v *VM) compileCmpBit(cf *cfunc, p *pinstr) func(fr *frame) uint64 {
 }
 
 // compileSelfLoop builds the specialized runner for a block whose fused
-// compare+branch re-enters the block itself (see the call site for why the
-// internal loop is sound). The observed path — anything attached that reads
-// counters at safepoints, or a sibling thread — runs exactly one iteration
-// per run() call, like every other block.
-func (v *VM) compileSelfLoop(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
+// compare+branch re-enters the block itself and whose body has no call
+// steps. With a single thread and no move policy — the fast condition,
+// frozen for the whole run() call because nothing inside a call-free body
+// can attach a policy or spawn a thread — each iteration is just phi copies,
+// body steps, the final charge group and the compare: no trampoline, and a
+// safepoint only at the virtual block heads where a stop request, a due
+// sample, or a limit about to trip needs one. It is taken on flushed
+// counters, before the edge copies are charged — exactly where the
+// per-instruction tiers sample or trap. (Copies cost zero cycles, so sample
+// timing is unaffected by their charge landing in the previous iteration.)
+// An external mover that relocates a global during a park there patches this
+// frame's pool registers in place, so the loop simply carries on. The
+// observed path — a sibling thread or an attached move policy — runs exactly
+// one iteration per run() call, like every other block, byte-identical with
+// the per-instruction tiers.
+func (cf *cfunc) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
 	in := &code[ti]
-	cmp := v.compileCmpBit(cf, &code[ti-1])
+	cmp := cf.compileCmpBit(&code[ti-1])
 	b0, b1 := cf.blocks[in.succ0], cf.blocks[in.succ1]
-	cp0, cp1 := in.copies0, in.copies1
-	ccp0, ccp1 := v.compileCopies(cf, cp0), v.compileCopies(cf, cp1)
+	cp0, cp1 := cf.compileCopies(in.copies0), cf.compileCopies(in.copies1)
 	n0, n1 := uint64(len(cp0)), uint64(len(cp1))
 	selfOnTrue := in.succ0 == bi
 	selfOnFalse := in.succ1 == bi
 
-	maxI, maxC := v.safepointLimits()
-	blk := cf.blocks[bi]
-	blk.run = func(e *cenv) (*cblock, error) {
-		t := e.t
-		// fast freezes for the whole run() call: the body has no call steps,
-		// so nothing inside the internal loop can attach a policy, spawn a
-		// thread, or move pages — and without a move policy, even a
-		// safepoint taken for a due sample cannot change the epoch. Limits
-		// and the sampler stay live via the per-iteration head check.
+	cf.blocks[bi].run = func(e *cenv) (*cblock, error) {
+		v := e.v
 		fast := v.movePolicy == nil && len(v.sched.threads) == 1
-		trk := v.track
-		if v.sched.stopReq.Load() || !fast ||
-			(trk != nil && trk.Due(v.Cycles+e.pendCyc)) ||
-			v.Instrs+e.pendN > maxI || v.Cycles+e.pendCyc > maxC {
-			v.cflush(e)
-			if err := t.safepoint(); err != nil {
+		if !fast || e.due(v) {
+			if err := e.safepoint(); err != nil {
 				return nil, err
 			}
 		}
-		if v.proc.Regions.Epoch != cf.epoch {
-			v.closureDeopts++
-			fi.cf = nil
-			v.cflush(e)
-			ret, err := v.pexecFrom(t, e.fr, pf, bi, 0, e.pending, true)
-			e.ret = ret
-			return nil, err
-		}
-		if n := len(e.pendingC); n > 0 {
-			applyCopies(e, e.pendingC)
+		if n := len(e.pending); n > 0 {
+			applyCopies(e, e.pending)
 			e.pendN += uint64(n)
-			e.pending, e.pendingC = nil, nil
+			e.pending = nil
 		}
 		for {
 			for _, st := range bsteps {
 				if err := st(e); err != nil {
-					if err == errClosureDone {
-						return nil, nil
-					}
 					return nil, err
 				}
 			}
@@ -649,58 +601,29 @@ func (v *VM) compileSelfLoop(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, code 
 			}
 			if cmp(e.fr) != 0 {
 				if selfOnTrue && fast {
-					// The virtual block head: a stop request, a due sample, or
-					// a limit about to trip takes the safepoint on flushed
-					// counters, before the edge copies are charged — exactly
-					// where the per-instruction tiers sample or trap. (Copies
-					// cost zero cycles, so sample timing is unaffected by
-					// their charge landing in the previous iteration.)
-					if v.sched.stopReq.Load() ||
-						(trk != nil && trk.Due(v.Cycles+e.pendCyc)) ||
-						v.Instrs+e.pendN > maxI || v.Cycles+e.pendCyc > maxC {
-						v.cflush(e)
-						if err := t.safepoint(); err != nil {
-							return nil, err
-						}
-						// A park inside that safepoint may have let an
-						// external mover change the epoch — the frozen-epoch
-						// argument only covers work done by this loop itself.
-						if v.proc.Regions.Epoch != cf.epoch {
-							v.closureDeopts++
-							fi.cf = nil
-							ret, err := v.pexecFrom(t, e.fr, pf, bi, 0, cp0, true)
-							e.ret = ret
+					if e.due(v) {
+						if err := e.safepoint(); err != nil {
 							return nil, err
 						}
 					}
-					applyCopies(e, ccp0)
+					applyCopies(e, cp0)
 					e.pendN += n0
 					continue
 				}
-				e.pending, e.pendingC = cp0, ccp0
+				e.pending = cp0
 				return b0, nil
 			}
 			if selfOnFalse && fast {
-				if v.sched.stopReq.Load() ||
-					(trk != nil && trk.Due(v.Cycles+e.pendCyc)) ||
-					v.Instrs+e.pendN > maxI || v.Cycles+e.pendCyc > maxC {
-					v.cflush(e)
-					if err := t.safepoint(); err != nil {
-						return nil, err
-					}
-					if v.proc.Regions.Epoch != cf.epoch {
-						v.closureDeopts++
-						fi.cf = nil
-						ret, err := v.pexecFrom(t, e.fr, pf, bi, 0, cp1, true)
-						e.ret = ret
+				if e.due(v) {
+					if err := e.safepoint(); err != nil {
 						return nil, err
 					}
 				}
-				applyCopies(e, ccp1)
+				applyCopies(e, cp1)
 				e.pendN += n1
 				continue
 			}
-			e.pending, e.pendingC = cp1, ccp1
+			e.pending = cp1
 			return b1, nil
 		}
 	}
@@ -709,31 +632,30 @@ func (v *VM) compileSelfLoop(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, code 
 // compileTerm lowers a block's terminator (possibly fused with the
 // preceding compare). The terminator's cycle charge already landed in the
 // block's final charge group.
-func (v *VM) compileTerm(f *ir.Func, cf *cfunc, code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
+func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
+	name := cf.fn.Name
 	if ti < 0 {
 		return func(e *cenv) (*cblock, error) {
-			v.cflush(e)
-			return nil, fmt.Errorf("vm: block without terminator in @%s", f.Name)
+			e.flush()
+			return nil, fmt.Errorf("vm: block without terminator in @%s", name)
 		}
 	}
 	in := &code[ti]
 	switch in.op {
 	case ir.OpBr:
 		nb := cf.blocks[in.succ0]
-		cp := in.copies0
-		ccp := v.compileCopies(cf, cp)
+		cp := cf.compileCopies(in.copies0)
 		return func(e *cenv) (*cblock, error) {
-			e.pending, e.pendingC = cp, ccp
+			e.pending = cp
 			return nb, nil
 		}
 
 	case ir.OpCondBr:
 		b0, b1 := cf.blocks[in.succ0], cf.blocks[in.succ1]
-		cp0, cp1 := in.copies0, in.copies1
-		ccp0, ccp1 := v.compileCopies(cf, cp0), v.compileCopies(cf, cp1)
+		cp0, cp1 := cf.compileCopies(in.copies0), cf.compileCopies(in.copies1)
 		if fuseCmpBr {
 			p := &code[ti-1]
-			ca, cb := v.cdecode(cf, p.a), v.cdecode(cf, p.b)
+			ca, cb := cf.operand(p.a), cf.operand(p.b)
 			dst := p.dst
 			pred := p.pred
 			if p.op == ir.OpFCmp {
@@ -744,10 +666,10 @@ func (v *VM) compileTerm(f *ir.Func, cf *cfunc, code []pinstr, ti int, fuseCmpBr
 					bit := boolBit(fcmp(pred, x, y))
 					fr.regs[dst] = bit
 					if bit != 0 {
-						e.pending, e.pendingC = cp0, ccp0
+						e.pending = cp0
 						return b0, nil
 					}
-					e.pending, e.pendingC = cp1, ccp1
+					e.pending = cp1
 					return b1, nil
 				}
 			}
@@ -761,54 +683,54 @@ func (v *VM) compileTerm(f *ir.Func, cf *cfunc, code []pinstr, ti int, fuseCmpBr
 				bit := boolBit(icmp(pred, a, b))
 				fr.regs[dst] = bit
 				if bit != 0 {
-					e.pending, e.pendingC = cp0, ccp0
+					e.pending = cp0
 					return b0, nil
 				}
-				e.pending, e.pendingC = cp1, ccp1
+				e.pending = cp1
 				return b1, nil
 			}
 		}
-		cond := v.cdecode(cf, in.a)
+		cond := cf.operand(in.a)
 		return func(e *cenv) (*cblock, error) {
 			if cond.get(e.fr)&1 != 0 {
-				e.pending, e.pendingC = cp0, ccp0
+				e.pending = cp0
 				return b0, nil
 			}
-			e.pending, e.pendingC = cp1, ccp1
+			e.pending = cp1
 			return b1, nil
 		}
 
 	case ir.OpRet:
 		if in.args != nil {
-			a := v.cdecode(cf, in.a)
+			a := cf.operand(in.a)
 			return func(e *cenv) (*cblock, error) {
-				v.cflush(e)
+				e.flush()
 				e.ret = a.get(e.fr)
 				return nil, nil
 			}
 		}
 		return func(e *cenv) (*cblock, error) {
-			v.cflush(e)
+			e.flush()
 			e.ret = 0
 			return nil, nil
 		}
 
 	default: // ir.OpUnreachable, or a malformed block
 		return func(e *cenv) (*cblock, error) {
-			v.cflush(e)
-			return nil, fmt.Errorf("vm: reached unreachable in @%s", f.Name)
+			e.flush()
+			return nil, fmt.Errorf("vm: reached unreachable in @%s", name)
 		}
 	}
 }
 
 // compileCopies lowers one CFG edge's phi assignments to compiled form.
-func (v *VM) compileCopies(cf *cfunc, cp []pcopy) []ccopy {
+func (cf *cfunc) compileCopies(cp []pcopy) []ccopy {
 	if len(cp) == 0 {
 		return nil
 	}
 	cc := make([]ccopy, len(cp))
 	for i, c := range cp {
-		cc[i] = ccopy{dst: c.dst, src: v.cdecode(cf, c.src)}
+		cc[i] = ccopy{dst: c.dst, src: cf.operand(c.src)}
 	}
 	return cc
 }
@@ -816,11 +738,11 @@ func (v *VM) compileCopies(cf *cfunc, cp []pcopy) []ccopy {
 // compilePure lowers one pure (non-observing, non-terminator) instruction.
 // Pure steps never fail and never touch the accounting counters — their
 // segment's prefix closure charges for them and runs them back to back.
-func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
+func (cf *cfunc) compilePure(in *pinstr) cpure {
 	dst := in.dst
 	switch in.op {
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+		a, b := cf.operand(in.a), cf.operand(in.b)
 		op := in.op
 		return func(e *cenv) {
 			fr := e.fr
@@ -840,7 +762,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 
 	case ir.OpICmp:
-		a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+		a, b := cf.operand(in.a), cf.operand(in.b)
 		pred := in.pred
 		if in.maskCmp {
 			srcBits := int(in.srcBits)
@@ -856,7 +778,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 
 	case ir.OpFCmp:
-		a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+		a, b := cf.operand(in.a), cf.operand(in.b)
 		pred := in.pred
 		return func(e *cenv) {
 			fr := e.fr
@@ -866,40 +788,40 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 
 	case ir.OpTrunc:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		bits := int(in.bits)
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = uint64(signExtend(a.get(fr), bits))
 		}
 	case ir.OpZExt:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		srcBits := int(in.srcBits)
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = maskToWidth(a.get(fr), srcBits)
 		}
 	case ir.OpSExt:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		srcBits := int(in.srcBits)
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = uint64(signExtend(a.get(fr), srcBits))
 		}
 	case ir.OpPtrToInt, ir.OpIntToPtr:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = a.get(fr)
 		}
 	case ir.OpSIToFP:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = math.Float64bits(float64(int64(a.get(fr))))
 		}
 	case ir.OpFPToSI:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		bits := int(in.bits)
 		return func(e *cenv) {
 			fr := e.fr
@@ -907,7 +829,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 
 	case ir.OpGEP:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		gc := in.gepConst
 		if len(in.gepSteps) == 0 {
 			return func(e *cenv) {
@@ -920,7 +842,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 		gsteps := make([]cgep, len(in.gepSteps))
 		for i, st := range in.gepSteps {
-			gsteps[i] = cgep{op: v.cdecode(cf, st.op), stride: st.stride}
+			gsteps[i] = cgep{op: cf.operand(st.op), stride: st.stride}
 		}
 		if len(gsteps) == 1 {
 			g0 := gsteps[0]
@@ -944,7 +866,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 		}
 
 	case ir.OpSelect:
-		a, b, c := v.cdecode(cf, in.a), v.cdecode(cf, in.b), v.cdecode(cf, in.c)
+		a, b, c := cf.operand(in.a), cf.operand(in.b), cf.operand(in.c)
 		return func(e *cenv) {
 			fr := e.fr
 			var r uint64
@@ -960,7 +882,7 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 	}
 
 	// Pure integer binops (error-free: divisions are observing).
-	a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+	a, b := cf.operand(in.a), cf.operand(in.b)
 	bits := int(in.bits)
 	op := in.op
 	if bits == 64 {
@@ -1027,11 +949,11 @@ func (v *VM) compilePure(cf *cfunc, in *pinstr) cpure {
 // compileObserving lowers one observing instruction (ends its charge
 // group). in is a stable pointer into pf's code array, so cold paths can
 // hand it to the shared predecode helpers unchanged.
-func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, ci int, in *pinstr, prof *obs.FuncProfile) cstep {
+func (cf *cfunc) compileObserving(in *pinstr) cstep {
 	dst := in.dst
 	switch in.op {
 	case ir.OpAlloca:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		elemSize := in.elemSize
 		return func(e *cenv) error {
 			t, fr := e.t, e.fr
@@ -1051,16 +973,16 @@ func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi
 		}
 
 	case ir.OpLoad:
-		a := v.cdecode(cf, in.a)
+		a := cf.operand(in.a)
 		width := uint64(in.width)
 		signed, srcBits := in.signed, int(in.srcBits)
 		return func(e *cenv) error {
 			fr := e.fr
-			paddr, err := v.cdataAddr(fr, a, width, guard.PermRead)
+			paddr, err := e.v.cdataAddr(fr, a, width, guard.PermRead)
 			if err != nil {
 				return err
 			}
-			raw := v.kern.Mem.LoadN(paddr, int(width))
+			raw := e.mem.LoadN(paddr, int(width))
 			if signed {
 				raw = uint64(signExtend(raw, srcBits))
 			}
@@ -1071,16 +993,16 @@ func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi
 		}
 
 	case ir.OpStore:
-		a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+		a, b := cf.operand(in.a), cf.operand(in.b)
 		width := uint64(in.width)
 		return func(e *cenv) error {
 			fr := e.fr
 			val := a.get(fr)
-			paddr, err := v.cdataAddr(fr, b, width, guard.PermWrite)
+			paddr, err := e.v.cdataAddr(fr, b, width, guard.PermWrite)
 			if err != nil {
 				return err
 			}
-			v.kern.Mem.StoreN(paddr, val, int(width))
+			e.mem.StoreN(paddr, val, int(width))
 			return nil
 		}
 
@@ -1089,15 +1011,15 @@ func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi
 		// not pair): the shared predecode path keeps miss/swap-in/fault
 		// semantics identical.
 		return func(e *cenv) error {
-			return v.pexecGuard(e.t, e.fr, in)
+			return e.v.pexecGuard(e.t, e.fr, in)
 		}
 
 	case ir.OpCall:
-		return v.compileCall(fi, pf, cf, bi, ci, in, prof)
+		return cf.compileCall(in)
 	}
 
 	// Observing integer binops: the divisions, which can fail.
-	a, b := v.cdecode(cf, in.a), v.cdecode(cf, in.b)
+	a, b := cf.operand(in.a), cf.operand(in.b)
 	bits := int(in.bits)
 	op := in.op
 	raw := in.raw
@@ -1105,7 +1027,7 @@ func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi
 		fr := e.fr
 		r, err := intBinop(op, a.get(fr), b.get(fr), bits)
 		if err != nil {
-			return fmt.Errorf("vm: @%s: %s: %w", fr.fn.Name, raw, err)
+			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, raw, err)
 		}
 		if dst >= 0 {
 			fr.regs[dst] = r
@@ -1114,24 +1036,22 @@ func (v *VM) compileObserving(f *ir.Func, fi *funcInfo, pf *pfunc, cf *cfunc, bi
 	}
 }
 
-// compileCall lowers a call site: argument marshalling, a monomorphic
-// inline cache for compiled callees, and the post-call epoch recheck. A
-// nested call is the one mid-block point where the region epoch can change
-// (page moves, thread spawn granting a stack region, forwarding windows),
-// invalidating this body's baked addresses and fused guard paths — so a
-// bumped epoch finishes the activation on the predecode tier, resuming at
-// the instruction after the call.
-func (v *VM) compileCall(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, ci int, in *pinstr, prof *obs.FuncProfile) cstep {
+// compileCall lowers a call site: argument marshalling and the dispatch.
+// The callee is named by its index into the program's function table, so
+// finding its binding is one slice index. A callee already bound with a
+// compiled body enters it directly (counted as an inline-cache hit); the
+// first call, which predecodes, compiles and binds — and every call of a
+// callee the compiler refused — goes through the VM's tier dispatch (a miss).
+func (cf *cfunc) compileCall(in *pinstr) cstep {
 	dst := in.dst
-	callee := in.callee
+	callee, calleeIdx := in.callee, in.calleeIdx
 	cargsOps := make([]cop, len(in.args))
 	for i := range in.args {
-		cargsOps[i] = v.cdecode(cf, in.args[i])
+		cargsOps[i] = cf.operand(in.args[i])
 	}
 	builtin := callee.IsDecl()
-	ic := &callIC{}
 	return func(e *cenv) error {
-		t, fr := e.t, e.fr
+		v, t, fr := e.v, e.t, e.fr
 		cargs := make([]uint64, len(cargsOps))
 		for i := range cargsOps {
 			cargs[i] = cargsOps[i].get(fr)
@@ -1140,39 +1060,18 @@ func (v *VM) compileCall(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, ci int, i
 		var err error
 		if builtin {
 			ret, err = v.callBuiltin(t, callee, cargs)
+		} else if fb := &v.bound[calleeIdx]; fb.cf != nil {
+			v.closureICHits++
+			ret, err = v.ccall(t, fb, cargs)
 		} else {
-			calleeFi := v.funcs[callee]
-			if ic.cf != nil && ic.epoch == v.proc.Regions.Epoch && ic.cf == calleeFi.cf {
-				v.closureICHits++
-				ret, err = v.ccallCompiled(t, callee, calleeFi, ic.cf, cargs)
-			} else {
-				v.closureICMisses++
-				ret, err = v.ccallFunc(t, callee, cargs)
-				if nc := calleeFi.cf; nc != nil && nc.epoch == v.proc.Regions.Epoch {
-					ic.cf, ic.epoch = nc, nc.epoch
-				} else {
-					ic.cf = nil
-				}
-			}
+			v.closureICMisses++
+			ret, err = v.callIdx(t, calleeIdx, cargs)
 		}
 		if err != nil {
 			return err
 		}
 		if dst >= 0 {
 			fr.regs[dst] = ret
-		}
-		if v.proc.Regions.Epoch != cf.epoch {
-			// Deopt mid-block: the rest of this activation runs on the
-			// predecode tier, entering right after the call (no safepoint
-			// until the next block head, same as staying in-tier).
-			v.closureDeopts++
-			fi.cf = nil
-			r2, err2 := v.pexecFrom(t, fr, pf, bi, ci+1, nil, true)
-			if err2 != nil {
-				return err2
-			}
-			e.ret = r2
-			return errClosureDone
 		}
 		return nil
 	}
@@ -1193,24 +1092,13 @@ func (v *VM) compileCall(fi *funcInfo, pf *pfunc, cf *cfunc, bi int32, ci int, i
 // and the guard); they land on the deferred counters, as does the access's
 // own charge on a hit. The cold path flushes before the guard walk and
 // charges the access directly, exactly as the per-instruction tiers would.
-func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.FuncProfile, segN, segCyc uint64, pures []cpure) cstep {
-	// eval and mem are set once at VM construction and never replaced;
-	// capturing them skips two pointer chases per access.
-	eval, mem := v.eval, v.kern.Mem
-	ga, gb := v.cdecode(cf, gi.a), v.cdecode(cf, gi.b)
+func (cf *cfunc) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
+	ga, gb := cf.operand(gi.a), cf.operand(gi.b)
 	width := uint64(ai.width)
 	w := int(ai.width)
 	w8 := ai.width == 8
 	aCost := uint64(ai.cost)
 	dst := ai.dst
-
-	chargeAccess := func() {
-		v.Instrs++
-		v.Cycles += aCost
-		v.Prof.Cat[obs.CatCompute] += aCost
-		prof.Instrs++
-		prof.Cycles += aCost
-	}
 
 	hasGep := gep != nil
 	var gbase, gidx cop
@@ -1218,9 +1106,9 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 	var gstride int64
 	var gdst int32
 	if hasGep {
-		gbase = v.cdecode(cf, gep.a)
+		gbase = cf.operand(gep.a)
 		ggc = gep.gepConst
-		gidx = v.cdecode(cf, gep.gepSteps[0].op)
+		gidx = cf.operand(gep.gepSteps[0].op)
 		gstride = gep.gepSteps[0].stride
 		gdst = gep.dst
 	}
@@ -1232,7 +1120,7 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 
 	if ai.op == ir.OpLoad {
 		signed, srcBits := ai.signed, int(ai.srcBits)
-		aop := v.cdecode(cf, ai.a)
+		aop := cf.operand(ai.a)
 		return func(e *cenv) error {
 			fr := e.fr
 			for _, p := range pures {
@@ -1248,14 +1136,14 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 			}
 			gsize := regs[gb]
 			if int64(gsize) > 0 && width <= gsize {
-				if pa, ok := eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermRead); ok {
+				if pa, ok := e.eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermRead); ok {
 					e.pendN += hitN
 					e.pendCyc += hitCyc
 					var raw uint64
 					if w8 {
-						raw = mem.Load64(pa)
+						raw = e.mem.Load64(pa)
 					} else {
-						raw = mem.LoadN(pa, w)
+						raw = e.mem.LoadN(pa, w)
 					}
 					if signed {
 						raw = uint64(signExtend(raw, srcBits))
@@ -1266,19 +1154,18 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 					return nil
 				}
 			}
-			t := e.t
 			e.pendN += segN
 			e.pendCyc += segCyc
-			v.cflush(e)
-			if err := v.pexecGuard(t, fr, gi); err != nil {
+			e.flush()
+			if err := e.v.pexecGuard(e.t, fr, gi); err != nil {
 				return err
 			}
-			chargeAccess()
-			paddr, err := v.cdataAddr(fr, aop, width, guard.PermRead)
+			e.charge(aCost)
+			paddr, err := e.v.cdataAddr(fr, aop, width, guard.PermRead)
 			if err != nil {
 				return err
 			}
-			raw := mem.LoadN(paddr, w)
+			raw := e.mem.LoadN(paddr, w)
 			if signed {
 				raw = uint64(signExtend(raw, srcBits))
 			}
@@ -1290,8 +1177,8 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 	}
 
 	// Store fusion.
-	vop := v.cdecode(cf, ai.a)
-	bop := v.cdecode(cf, ai.b)
+	vop := cf.operand(ai.a)
+	bop := cf.operand(ai.b)
 	return func(e *cenv) error {
 		fr := e.fr
 		for _, p := range pures {
@@ -1307,31 +1194,30 @@ func (v *VM) compileGuardedAccess(cf *cfunc, gi, ai, gep *pinstr, prof *obs.Func
 		}
 		gsize := regs[gb]
 		if int64(gsize) > 0 && width <= gsize {
-			if pa, ok := eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermWrite); ok {
+			if pa, ok := e.eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermWrite); ok {
 				e.pendN += hitN
 				e.pendCyc += hitCyc
 				if w8 {
-					mem.Store64(pa, regs[vop])
+					e.mem.Store64(pa, regs[vop])
 				} else {
-					mem.StoreN(pa, regs[vop], w)
+					e.mem.StoreN(pa, regs[vop], w)
 				}
 				return nil
 			}
 		}
-		t := e.t
 		e.pendN += segN
 		e.pendCyc += segCyc
-		v.cflush(e)
-		if err := v.pexecGuard(t, fr, gi); err != nil {
+		e.flush()
+		if err := e.v.pexecGuard(e.t, fr, gi); err != nil {
 			return err
 		}
-		chargeAccess()
+		e.charge(aCost)
 		val := vop.get(fr)
-		paddr, err := v.cdataAddr(fr, bop, width, guard.PermWrite)
+		paddr, err := e.v.cdataAddr(fr, bop, width, guard.PermWrite)
 		if err != nil {
 			return err
 		}
-		mem.StoreN(paddr, val, w)
+		e.mem.StoreN(paddr, val, w)
 		return nil
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"carat/internal/passes"
 )
 
-// Exact-count tests for the closure tier's deopt and inline-cache
-// machinery. The counting model (see closure.go): one deopt per compiled
-// activation live when the region epoch bumps (the innermost bails at its
-// next block head, each compiled caller at its post-call check), one deopt
-// per stale-entry recompile, and one per compile refusal (which pins the
-// function to the predecode tier permanently).
+// Exact-count tests for the closure tier's counters. The counting model
+// (see closure.go): compiled code survives every epoch bump — grants, page
+// moves, forwarding windows — so nothing recompiles and nothing leaves the
+// tier mid-run; the one deopt left is the compiler's refusal of a function
+// with an undecodable shape, counted once per VM that binds it. A compiled
+// call site hits when its callee is already bound and compiled, and misses
+// on the call that binds it.
 
 // closureWorkerSrc calls @work 100 times through one call site, so the
 // site's inline cache sees exactly one miss and 99 hits.
@@ -41,8 +42,8 @@ done:
   ret i64 %acc1
 }`
 
-// closureLoopSrc is a call-free main: exactly one compiled activation is
-// ever live, so an injected epoch bump must cost exactly one deopt.
+// closureLoopSrc is a call-free main: one compiled activation, sitting in a
+// self-loop that reads a global, is live when the epoch bumps.
 const closureLoopSrc = `module "closloop"
 global @a : [64 x i64]
 func @main() -> i64 {
@@ -117,73 +118,62 @@ func TestClosureInlineCacheExactCounts(t *testing.T) {
 	}
 }
 
-// TestClosureDeoptOnEpochBumpExactlyOnce: a single region grant mid-run
-// (an epoch bump, the same signal page moves raise) deopts the single
-// live compiled activation exactly once, and the result still matches the
-// predecode tier.
-func TestClosureDeoptOnEpochBumpExactlyOnce(t *testing.T) {
-	m := compile(t, closureLoopSrc, passes.LevelTracking)
+// referenceRun runs src on the reference interpreter (every tier switch
+// off) with the closure tests' machine shape and returns the result.
+func referenceRun(t *testing.T, src string, lvl passes.Level) int64 {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	want, err := func() (int64, error) {
-		v, err := Load(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.Run()
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Predecode, cfg.XCache = false, false
+	_, ret := run(t, compile(t, src, lvl), cfg)
+	return ret
+}
 
+// once wraps a move-policy action so it fires on the first trigger only.
+func once(fired *bool, fn func() error) func() error {
+	return func() error {
+		if *fired {
+			return nil
+		}
+		*fired = true
+		return fn()
+	}
+}
+
+// TestClosureSurvivesEpochBump: a single region grant mid-run (an epoch
+// bump, the same signal page moves raise) costs the live compiled activation
+// nothing — no deopt, no recompile — and the result matches the reference
+// interpreter.
+func TestClosureSurvivesEpochBump(t *testing.T) {
+	want := referenceRun(t, closureLoopSrc, passes.LevelTracking)
 	granted := false
 	v, ret := closureRun(t, closureLoopSrc, passes.LevelTracking, func(v *VM) {
-		v.SetMovePolicy(500, func() error {
-			if granted {
-				return nil
-			}
-			granted = true
+		v.SetMovePolicy(500, once(&granted, func() error {
 			_, err := v.Process().GrantRegion(4096, guard.PermRW)
 			return err
-		})
+		}))
 	})
 	if !granted {
 		t.Fatal("move policy never fired; program too short")
 	}
 	if ret != want {
-		t.Errorf("ret = %d, want %d (predecode tier)", ret, want)
+		t.Errorf("ret = %d, want %d (reference interpreter)", ret, want)
 	}
 	blocks, deopts, _, _ := v.ClosureStats()
-	if deopts != 1 {
-		t.Errorf("deopts = %d, want exactly 1 (one bump, one live activation)", deopts)
+	if deopts != 0 {
+		t.Errorf("deopts = %d, want 0 (an epoch bump is not a deopt)", deopts)
 	}
-	// main never re-enters after deopting mid-activation: no recompile.
 	if blocks != 3 {
 		t.Errorf("blocks = %d, want 3 (entry/loop/done, compiled once)", blocks)
 	}
 }
 
-// TestClosureDeoptOnForwardingWindow: OpenForward/FlipForward/CloseForward
+// TestClosureSurvivesForwardingWindow: OpenForward/FlipForward/CloseForward
 // each bump the region epoch; a full window cycled inside one safepoint
-// costs the live activation exactly one deopt (it checks the stamp once)
-// and the program result is unperturbed.
-func TestClosureDeoptOnForwardingWindow(t *testing.T) {
-	m := compile(t, closureLoopSrc, passes.LevelTracking)
-	cfg := DefaultConfig()
-	cfg.MemBytes = 1 << 23
-	cfg.HeapBytes = 1 << 19
-	want, err := func() (int64, error) {
-		v, err := Load(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.Run()
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// leaves the live activation compiled and the program result unperturbed.
+func TestClosureSurvivesForwardingWindow(t *testing.T) {
+	want := referenceRun(t, closureLoopSrc, passes.LevelTracking)
 	cycled := false
 	v, ret := closureRun(t, closureLoopSrc, passes.LevelTracking, func(v *VM) {
 		src, err := v.Process().GrantRegion(4096, guard.PermRW)
@@ -195,35 +185,32 @@ func TestClosureDeoptOnForwardingWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs := v.Process().Regions
-		v.SetMovePolicy(500, func() error {
-			if cycled {
-				return nil
-			}
-			cycled = true
+		v.SetMovePolicy(500, once(&cycled, func() error {
 			if err := rs.OpenForward(src, dst, 4096); err != nil {
 				return err
 			}
 			rs.FlipForward()
 			rs.CloseForward()
 			return nil
-		})
+		}))
 	})
 	if !cycled {
 		t.Fatal("move policy never fired; program too short")
 	}
 	if ret != want {
-		t.Errorf("ret = %d, want %d (predecode tier)", ret, want)
+		t.Errorf("ret = %d, want %d (reference interpreter)", ret, want)
 	}
-	_, deopts, _, _ := v.ClosureStats()
-	if deopts != 1 {
-		t.Errorf("deopts = %d, want exactly 1 (stamp checked once per block head)", deopts)
+	blocks, deopts, _, _ := v.ClosureStats()
+	if deopts != 0 || blocks != 3 {
+		t.Errorf("deopts = %d, blocks = %d, want 0 and 3 (nothing deopts, nothing recompiles)", deopts, blocks)
 	}
 }
 
 // TestClosureRefusesUndecodableShapes: a dynamic struct-index GEP carries
 // the predecoder's fallback flag, so the closure compiler must refuse the
-// whole function — exactly one deopt, zero blocks, and the predecode tier
-// produces the result.
+// whole function — exactly one deopt per VM that binds it, zero blocks, and
+// the predecode tier produces the result. The refusal is the program's: a
+// second VM over the same Program finds it recorded and counts its own.
 func TestClosureRefusesUndecodableShapes(t *testing.T) {
 	const src = `module "dynstruct"
 global @s : {i64, i64}
@@ -246,54 +233,52 @@ done:
   %r = add i64 %v0, %v1
   ret i64 %r
 }`
-	m := compile(t, src, passes.LevelTracking)
-	cfg := DefaultConfig()
-	cfg.MemBytes = 1 << 23
-	cfg.HeapBytes = 1 << 19
-	want, err := func() (int64, error) {
-		v, err := Load(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.Run()
-	}()
+	want := referenceRun(t, src, passes.LevelTracking)
+	p, err := NewProgram(compile(t, src, passes.LevelTracking))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	v, ret := closureRun(t, src, passes.LevelTracking, nil)
-	if ret != want {
-		t.Errorf("ret = %d, want %d (predecode tier)", ret, want)
-	}
-	blocks, deopts, icHits, icMisses := v.ClosureStats()
-	if blocks != 0 {
-		t.Errorf("blocks = %d, want 0 (compile refused)", blocks)
-	}
-	if deopts != 1 {
-		t.Errorf("deopts = %d, want exactly 1 (one refusal)", deopts)
-	}
-	if icHits != 0 || icMisses != 0 {
-		t.Errorf("ic stats = %d/%d, want 0/0 (no compiled call sites)", icHits, icMisses)
+	cfg := DefaultConfig()
+	cfg.MemBytes = 1 << 23
+	cfg.HeapBytes = 1 << 19
+	cfg.Closure = true
+	for i := 0; i < 2; i++ {
+		v, err := LoadProgram(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ret != want {
+			t.Errorf("vm %d: ret = %d, want %d (reference interpreter)", i, ret, want)
+		}
+		blocks, deopts, icHits, icMisses := v.ClosureStats()
+		if blocks != 0 {
+			t.Errorf("vm %d: blocks = %d, want 0 (compile refused)", i, blocks)
+		}
+		if deopts != 1 {
+			t.Errorf("vm %d: deopts = %d, want exactly 1 (one refusal)", i, deopts)
+		}
+		if icHits != 0 || icMisses != 0 {
+			t.Errorf("vm %d: ic stats = %d/%d, want 0/0 (no compiled call sites)", i, icHits, icMisses)
+		}
 	}
 }
 
-// TestClosureReentryAfterDeopt: after an epoch bump with two compiled
-// activations live (main and @work's compiled body reachable), the tier
-// recovers — @work recompiles and execution returns to compiled code.
-// Exactly two deopts (the bump costs one per compiled activation or one
-// plus a stale-entry recompile, depending on where the safepoint lands —
-// both schedules total two) and exactly one recompiled block.
+// TestClosureReentryAfterDeopt keeps its name from the design in which an
+// epoch bump deopted every live compiled activation and this test watched
+// the tier recover. There is nothing to recover from now: with main and
+// @work both compiled when the epoch bumps, nothing deopts, nothing
+// recompiles, and main's call site stays as hot as in the move-free run.
 func TestClosureReentryAfterDeopt(t *testing.T) {
 	granted := false
 	v, ret := closureRun(t, closureWorkerSrc, passes.LevelTracking, func(v *VM) {
-		v.SetMovePolicy(500, func() error {
-			if granted {
-				return nil
-			}
-			granted = true
+		v.SetMovePolicy(500, once(&granted, func() error {
 			_, err := v.Process().GrantRegion(4096, guard.PermRW)
 			return err
-		})
+		}))
 	})
 	if !granted {
 		t.Fatal("move policy never fired; program too short")
@@ -302,28 +287,21 @@ func TestClosureReentryAfterDeopt(t *testing.T) {
 		t.Fatalf("ret = %d, want %d", ret, want)
 	}
 	blocks, deopts, icHits, icMisses := v.ClosureStats()
-	if deopts != 2 {
-		t.Errorf("deopts = %d, want exactly 2", deopts)
+	if deopts != 0 {
+		t.Errorf("deopts = %d, want 0", deopts)
 	}
-	// 4 first-compile blocks + @work's single block recompiled once.
-	if blocks != 5 {
-		t.Errorf("blocks = %d, want 5 (4 initial + 1 recompile of @work)", blocks)
+	if blocks != 4 {
+		t.Errorf("blocks = %d, want 4 (main 3 + work 1, compiled once)", blocks)
 	}
-	// Once main's activation deopts it finishes on the predecode tier, so
-	// the call site's cache is only consulted up to the bump: exactly the
-	// one cold miss, and strictly fewer than the move-free run's 99 hits.
-	if icMisses != 1 {
-		t.Errorf("ic_misses = %d, want 1 (only the cold miss)", icMisses)
-	}
-	if icHits == 0 || icHits >= 99 {
-		t.Errorf("ic_hits = %d, want in [1, 98] (site hot, then abandoned at the bump)", icHits)
+	if icMisses != 1 || icHits != 99 {
+		t.Errorf("ic hits/misses = %d/%d, want 99/1 (the site stays hot across the bump)", icHits, icMisses)
 	}
 }
 
 // TestClosureParityUnderInjectedMoves is the belt-and-braces end-to-end
-// leg: worst-case page moves (real epoch bumps, not synthetic grants)
-// leave the closure tier's result and modeled clock identical to the
-// predecode tier, while deopts are actually exercised.
+// leg: a worst-case move storm (real epoch bumps, not synthetic grants)
+// leaves the closure tier's result, modeled clock and memory identical to
+// the predecode tier's — without a single deopt or recompile.
 func TestClosureParityUnderInjectedMoves(t *testing.T) {
 	runTier := func(closure bool) (*VM, int64) {
 		m := compile(t, closureWorkerSrc, passes.LevelTracking)
@@ -354,8 +332,11 @@ func TestClosureParityUnderInjectedMoves(t *testing.T) {
 	if pv.Kernel().Mem.Checksum() != cv.Kernel().Mem.Checksum() {
 		t.Error("physical memory checksums diverged")
 	}
-	_, deopts, _, _ := cv.ClosureStats()
-	if deopts == 0 {
-		t.Error("no deopts under worst-case moves — epoch stamping not exercised")
+	if cv.Runtime().Stats.Moves.Get() == 0 {
+		t.Fatal("no move completed; the storm was not exercised")
+	}
+	blocks, deopts, _, _ := cv.ClosureStats()
+	if deopts != 0 || blocks != 4 {
+		t.Errorf("deopts = %d, blocks = %d, want 0 and 4 (moves neither deopt nor recompile)", deopts, blocks)
 	}
 }

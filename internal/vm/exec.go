@@ -30,28 +30,17 @@ var opCycles = [...]uint64{
 	ir.OpGuard: 0, // charged through the guard evaluator
 }
 
-// callFunc interprets one function activation on thread t.
-func (v *VM) callFunc(t *thread, f *ir.Func, args []uint64) (uint64, error) {
-	if f.IsDecl() {
-		return v.callBuiltin(t, f, args)
-	}
-	fi := v.funcs[f]
-	fi.prof.Calls++
-	fr := &frame{fn: f, fi: fi, regs: make([]uint64, fi.nSlots), spSave: t.sp}
+// callFunc interprets one function activation on thread t: the reference
+// interpreter, straight over the IR.
+func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
+	f := fb.fn
+	fb.prof.Calls++
+	fr := &frame{fb: fb, regs: make([]uint64, fb.nSlots), spSave: t.sp}
 	for i := range f.Params {
-		fr.regs[fi.slotOf[f.Params[i]]] = args[i]
+		fr.regs[fb.slotOf[f.Params[i]]] = args[i]
 	}
 	t.frames = append(t.frames, fr)
-	defer func() {
-		t.frames = t.frames[:len(t.frames)-1]
-		// Returning destroys this frame's allocas: the runtime must
-		// forget their allocation entries before the stack space is
-		// reused by a later call at the same depth.
-		if t.sp < fr.spSave {
-			v.rt.UntrackStackRange(t.sp, fr.spSave)
-		}
-		t.sp = fr.spSave
-	}()
+	defer t.popFrame(fr)
 	if len(t.frames) > 10000 {
 		return 0, fmt.Errorf("vm: call stack overflow in @%s", f.Name)
 	}
@@ -84,10 +73,10 @@ func (v *VM) callFunc(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 				}
 			}
 			for i, phi := range phis {
-				fr.regs[fi.slotOf[phi]] = vals[i]
+				fr.regs[fb.slotOf[phi]] = vals[i]
 			}
 			v.Instrs += uint64(len(phis))
-			fi.prof.Instrs += uint64(len(phis))
+			fb.prof.Instrs += uint64(len(phis))
 		}
 
 		for _, in := range block.Instrs[len(phis):] {
@@ -95,8 +84,8 @@ func (v *VM) callFunc(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 			c := opCycles[in.Op]
 			v.Cycles += c
 			v.Prof.Cat[obs.CatCompute] += c
-			fi.prof.Instrs++
-			fi.prof.Cycles += c
+			fb.prof.Instrs++
+			fb.prof.Cycles += c
 			switch in.Op {
 			case ir.OpBr:
 				prev, block = block, in.Succs[0]
@@ -134,19 +123,19 @@ func (v *VM) val(fr *frame, x ir.Value) uint64 {
 		}
 		return uint64(c.Int)
 	case *ir.Global:
-		return v.globalAddr[c]
+		return v.globalPhys[v.prog.globalIdx[c]]
 	case *ir.Func:
-		return v.codeOf[c]
+		return v.funcPhys[v.prog.funcIdx[c]]
 	default:
-		return fr.regs[fr.fi.slotOf[x]]
+		return fr.regs[fr.fb.slotOf[x]]
 	}
 }
 
 func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
-	fi := fr.fi
+	fb := fr.fb
 	set := func(val uint64) {
 		if in.Op.HasResult() && in.Typ != ir.Void {
-			fr.regs[fi.slotOf[in]] = val
+			fr.regs[fb.slotOf[in]] = val
 		}
 	}
 	switch {
@@ -170,7 +159,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		}
 		r, err := intBinop(in.Op, a, b, in.Typ.Bits)
 		if err != nil {
-			return fmt.Errorf("vm: @%s: %s: %w", fr.fn.Name, in, err)
+			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, in, err)
 		}
 		set(r)
 		return nil
@@ -368,7 +357,7 @@ func (v *VM) guardMiss(fr *frame, in *ir.Instr, addr, size uint64, perm guard.Pe
 		msg = "stack footprint check failed"
 	}
 	if debugFaults {
-		fmt.Printf("FAULT guard %s in @%s/^%s addr=%#x arg=%s\n", in, fr.fn.Name, in.Block.Name, addr, in.Args[0].Ref())
+		fmt.Printf("FAULT guard %s in @%s/^%s addr=%#x arg=%s\n", in, fr.fb.fn.Name, in.Block.Name, addr, in.Args[0].Ref())
 	}
 	return &Fault{Addr: addr, Size: size, Perm: perm, Msg: msg}
 }

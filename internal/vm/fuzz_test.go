@@ -78,10 +78,13 @@ func FuzzDifferentialPipeline(f *testing.F) {
 	})
 }
 
-// FuzzDifferentialMoves: concurrent worst-case page moves are invisible
-// to the tracked program.
+// FuzzDifferentialMoves: concurrent page moves are invisible to the tracked
+// program — worst-case moves of its most-escaped page, and moves of its
+// globals and code pages, which the closure tier's constant pools bake.
+// Seeds 108 and 139 are global-heavy: three global arrays and no heap, so
+// every access goes through a global operand.
 func FuzzDifferentialMoves(f *testing.F) {
-	for _, seed := range []int64{100, 111, 125, 200, 210, 220} {
+	for _, seed := range []int64{100, 108, 111, 125, 139, 200, 210, 220} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -97,6 +100,12 @@ func FuzzDifferentialMoves(f *testing.F) {
 		}
 		if got, ok := fuzzRunEngine(t, seed, passes.LevelTracking, true, movePolicy); ok && got != want {
 			t.Errorf("seed %d with page moves closure: got %d, want %d", seed, got, want)
+		}
+		staticsPolicy := func(v *VM) {
+			v.SetMovePolicy(750, (&staticsMover{t: t, v: v}).move)
+		}
+		if got, ok := fuzzRunEngine(t, seed, passes.LevelTracking, true, staticsPolicy); ok && got != want {
+			t.Errorf("seed %d with globals and code moves closure: got %d, want %d", seed, got, want)
 		}
 	})
 }

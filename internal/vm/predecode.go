@@ -67,16 +67,17 @@ type pinstr struct {
 
 	a, b, c poperand // up to three scalar operands
 
-	bits     uint8   // result int width (binops, casts, FPToSI)
-	srcBits  uint8   // source int width (ZExt/SExt, unsigned ICmp mask)
-	maskCmp  bool    // ICmp: unsigned predicate needs width masking
-	pred     ir.Pred // ICmp/FCmp
-	elemSize uint64  // Alloca element size
-	width    uint8   // Load/Store access width (1/2/4/8)
-	signed   bool    // Load: sign-extend an int element
-	kind     ir.GuardKind
-	callee   *ir.Func
-	args     []poperand // Call arguments
+	bits      uint8   // result int width (binops, casts, FPToSI)
+	srcBits   uint8   // source int width (ZExt/SExt, unsigned ICmp mask)
+	maskCmp   bool    // ICmp: unsigned predicate needs width masking
+	pred      ir.Pred // ICmp/FCmp
+	elemSize  uint64  // Alloca element size
+	width     uint8   // Load/Store access width (1/2/4/8)
+	signed    bool    // Load: sign-extend an int element
+	kind      ir.GuardKind
+	callee    *ir.Func
+	calleeIdx int32      // callee's index in the program's function table
+	args      []poperand // Call arguments
 
 	gepConst uint64 // folded constant GEP offset
 	gepSteps []pgepStep
@@ -99,10 +100,11 @@ type pfunc struct {
 	maxPhis int // widest phi set of any block, sizes the copy scratch
 }
 
-// predecodeFunc lowers f once. Called on the first pcallFunc of f; the
-// baton scheduling discipline means at most one program thread executes at
-// a time, so no locking is needed.
-func (v *VM) predecodeFunc(f *ir.Func, fi *funcInfo) *pfunc {
+// predecode lowers l's function. The result depends on the module alone, so
+// it is a Program part: built by the first VM that calls the function and
+// shared from then on (see VM.bind).
+func (p *Program) predecode(l *funcLayout) *pfunc {
+	f := l.fn
 	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
 	for i, b := range f.Blocks {
 		blockIdx[b] = int32(i)
@@ -124,7 +126,7 @@ func (v *VM) predecodeFunc(f *ir.Func, fi *funcInfo) *pfunc {
 			found := false
 			for j, pb := range phi.Preds {
 				if pb == prev {
-					copies[i] = pcopy{dst: int32(fi.slotOf[phi]), src: v.pdecodeOperand(fi, phi.Args[j])}
+					copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: p.pdecodeOperand(l, phi.Args[j])}
 					found = true
 					break
 				}
@@ -132,7 +134,7 @@ func (v *VM) predecodeFunc(f *ir.Func, fi *funcInfo) *pfunc {
 			if !found {
 				// Verified modules always have the edge; mirror the
 				// baseline's runtime error through a fallback phi.
-				copies[i] = pcopy{dst: int32(fi.slotOf[phi]), src: poperand{kind: pkImm}}
+				copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: poperand{kind: pkImm}}
 			}
 		}
 		return copies
@@ -142,7 +144,7 @@ func (v *VM) predecodeFunc(f *ir.Func, fi *funcInfo) *pfunc {
 		phis := b.Phis()
 		code := make([]pinstr, 0, len(b.Instrs)-len(phis))
 		for _, in := range b.Instrs[len(phis):] {
-			pi := v.pdecodeInstr(fi, in)
+			pi := p.pdecodeInstr(l, in)
 			if in.Op == ir.OpBr || in.Op == ir.OpCondBr {
 				pi.succ0 = blockIdx[in.Succs[0]]
 				pi.copies0 = edgeCopies(b, in.Succs[0])
@@ -159,7 +161,7 @@ func (v *VM) predecodeFunc(f *ir.Func, fi *funcInfo) *pfunc {
 }
 
 // pdecodeOperand resolves one ir.Value into a poperand.
-func (v *VM) pdecodeOperand(fi *funcInfo, x ir.Value) poperand {
+func (p *Program) pdecodeOperand(l *funcLayout, x ir.Value) poperand {
 	switch c := x.(type) {
 	case *ir.Const:
 		if c.Typ.IsFloat() {
@@ -167,11 +169,11 @@ func (v *VM) pdecodeOperand(fi *funcInfo, x ir.Value) poperand {
 		}
 		return poperand{kind: pkImm, imm: uint64(c.Int)}
 	case *ir.Global:
-		return poperand{kind: pkGlobal, idx: int32(v.globalIdx[c])}
+		return poperand{kind: pkGlobal, idx: p.globalIdx[c]}
 	case *ir.Func:
-		return poperand{kind: pkFunc, idx: int32(v.funcIdx[c])}
+		return poperand{kind: pkFunc, idx: p.funcIdx[c]}
 	default:
-		return poperand{kind: pkSlot, idx: int32(fi.slotOf[x])}
+		return poperand{kind: pkSlot, idx: int32(l.slotOf[x])}
 	}
 }
 
@@ -192,12 +194,12 @@ func (v *VM) pval(fr *frame, p poperand) uint64 {
 }
 
 // pdecodeInstr lowers one non-phi, possibly-terminator instruction.
-func (v *VM) pdecodeInstr(fi *funcInfo, in *ir.Instr) pinstr {
+func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 	pi := pinstr{op: in.Op, cost: uint8(opCycles[in.Op]), dst: -1, raw: in}
 	if in.Op.HasResult() && in.Typ != ir.Void {
-		pi.dst = int32(fi.slotOf[in])
+		pi.dst = int32(l.slotOf[in])
 	}
-	opnd := func(i int) poperand { return v.pdecodeOperand(fi, in.Args[i]) }
+	opnd := func(i int) poperand { return p.pdecodeOperand(l, in.Args[i]) }
 
 	switch {
 	case in.Op.IsBinary():
@@ -251,13 +253,13 @@ func (v *VM) pdecodeInstr(fi *funcInfo, in *ir.Instr) pinstr {
 		ok := true
 		for i, idxV := range in.Args[1:] {
 			if i == 0 {
-				pi.gepAdd(v, fi, idxV, typ.Size())
+				pi.gepAdd(p, l, idxV, typ.Size())
 				continue
 			}
 			switch typ.Kind {
 			case ir.ArrayKind:
 				typ = typ.Elem
-				pi.gepAdd(v, fi, idxV, typ.Size())
+				pi.gepAdd(p, l, idxV, typ.Size())
 			case ir.StructKind:
 				c, isConst := idxV.(*ir.Const)
 				if !isConst {
@@ -267,7 +269,7 @@ func (v *VM) pdecodeInstr(fi *funcInfo, in *ir.Instr) pinstr {
 				pi.gepConst += uint64(typ.FieldOffset(int(c.Int)))
 				typ = typ.Fields[c.Int]
 			default:
-				pi.gepAdd(v, fi, idxV, typ.Size())
+				pi.gepAdd(p, l, idxV, typ.Size())
 			}
 			if !ok {
 				break
@@ -288,7 +290,7 @@ func (v *VM) pdecodeInstr(fi *funcInfo, in *ir.Instr) pinstr {
 		}
 
 	case in.Op == ir.OpCall:
-		pi.callee = in.Callee
+		pi.callee, pi.calleeIdx = in.Callee, p.funcIdx[in.Callee]
 		pi.args = make([]poperand, len(in.Args))
 		for i := range in.Args {
 			pi.args[i] = opnd(i)
@@ -313,79 +315,39 @@ func (v *VM) pdecodeInstr(fi *funcInfo, in *ir.Instr) pinstr {
 }
 
 // gepAdd folds a constant index into gepConst or appends a dynamic step.
-func (pi *pinstr) gepAdd(v *VM, fi *funcInfo, idxV ir.Value, stride int64) {
+func (pi *pinstr) gepAdd(p *Program, l *funcLayout, idxV ir.Value, stride int64) {
 	if c, isConst := idxV.(*ir.Const); isConst {
 		pi.gepConst += uint64(c.Int * stride)
 		return
 	}
-	pi.gepSteps = append(pi.gepSteps, pgepStep{op: v.pdecodeOperand(fi, idxV), stride: stride})
+	pi.gepSteps = append(pi.gepSteps, pgepStep{op: p.pdecodeOperand(l, idxV), stride: stride})
 }
 
-// call dispatches one function call to the engine the config selects.
-// Builtins always take the declared path.
-func (v *VM) call(t *thread, f *ir.Func, args []uint64) (uint64, error) {
-	if f.IsDecl() {
-		return v.callBuiltin(t, f, args)
-	}
-	if v.cfg.Closure {
-		return v.ccallFunc(t, f, args)
-	}
-	if v.cfg.Predecode {
-		return v.pcallFunc(t, f, args)
-	}
-	return v.callFunc(t, f, args)
-}
-
-// pcallFunc interprets one activation through the predecoded form. Control
+// pcall interprets one activation through the predecoded form. Control
 // flow, accounting, safepoint placement, and phi timing mirror callFunc
 // exactly: the safepoint at a block's head runs BEFORE that block's phi
 // copies are applied, so a move injected at the safepoint patches the
 // frame slots the copies then read — the same order the baseline gives.
-func (v *VM) pcallFunc(t *thread, f *ir.Func, args []uint64) (uint64, error) {
-	fi := v.funcs[f]
-	pf := fi.pf
-	if pf == nil {
-		pf = v.predecodeFunc(f, fi)
-		fi.pf = pf
-	}
-	fi.prof.Calls++
-	fr := &frame{fn: f, fi: fi, regs: make([]uint64, fi.nSlots), spSave: t.sp}
+func (v *VM) pcall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
+	f, pf := fb.fn, fb.pf
+	fb.prof.Calls++
+	fr := &frame{fb: fb, regs: make([]uint64, fb.nSlots), spSave: t.sp}
 	copy(fr.regs, args) // params occupy slots 0..len(Params)-1 in order
 	t.frames = append(t.frames, fr)
-	defer func() {
-		t.frames = t.frames[:len(t.frames)-1]
-		if t.sp < fr.spSave {
-			v.rt.UntrackStackRange(t.sp, fr.spSave)
-		}
-		t.sp = fr.spSave
-	}()
+	defer t.popFrame(fr)
 	if len(t.frames) > 10000 {
 		return 0, fmt.Errorf("vm: call stack overflow in @%s", f.Name)
 	}
-	return v.pexecFrom(t, fr, pf, 0, 0, nil, false)
-}
-
-// pexecFrom runs frame fr through the predecoded engine starting at
-// instruction ci0 of block bi with the given phi copies still pending.
-// pcallFunc enters at (0, 0); the closure tier's deopt paths enter at a
-// block head with skipSafepoint set (the closure block already took that
-// head's safepoint) or mid-block after a call step. The frame is the
-// caller's: deopting transfers an in-flight activation between tiers
-// without disturbing stack or profiling bookkeeping.
-func (v *VM) pexecFrom(t *thread, fr *frame, pf *pfunc, bi int32, ci0 int, pending []pcopy, skipSafepoint bool) (uint64, error) {
-	f := fr.fn
-	fi := fr.fi
 	var tmp []uint64
 	if pf.maxPhis > 0 {
 		tmp = make([]uint64, pf.maxPhis)
 	}
-	ci := ci0
+	var pending []pcopy
+	bi := int32(0)
 
 blockLoop:
 	for {
-		if skipSafepoint {
-			skipSafepoint = false
-		} else if err := t.safepoint(); err != nil {
+		if err := t.safepoint(); err != nil {
 			return 0, err
 		}
 		if len(pending) > 0 {
@@ -396,18 +358,18 @@ blockLoop:
 				fr.regs[pending[i].dst] = tmp[i]
 			}
 			v.Instrs += uint64(len(pending))
-			fi.prof.Instrs += uint64(len(pending))
+			fb.prof.Instrs += uint64(len(pending))
 			pending = nil
 		}
 		code := pf.blocks[bi].code
-		for ; ci < len(code); ci++ {
+		for ci := range code {
 			in := &code[ci]
 			v.Instrs++
 			c := uint64(in.cost)
 			v.Cycles += c
 			v.Prof.Cat[obs.CatCompute] += c
-			fi.prof.Instrs++
-			fi.prof.Cycles += c
+			fb.prof.Instrs++
+			fb.prof.Cycles += c
 
 			if in.fallback {
 				if err := v.execInstr(t, fr, in.raw); err != nil {
@@ -418,14 +380,14 @@ blockLoop:
 
 			switch in.op {
 			case ir.OpBr:
-				pending, bi, ci = in.copies0, in.succ0, 0
+				pending, bi = in.copies0, in.succ0
 				continue blockLoop
 
 			case ir.OpCondBr:
 				if v.pval(fr, in.a)&1 != 0 {
-					pending, bi, ci = in.copies0, in.succ0, 0
+					pending, bi = in.copies0, in.succ0
 				} else {
-					pending, bi, ci = in.copies1, in.succ1, 0
+					pending, bi = in.copies1, in.succ1
 				}
 				continue blockLoop
 
@@ -529,7 +491,13 @@ blockLoop:
 				for i := range in.args {
 					cargs[i] = v.pval(fr, in.args[i])
 				}
-				ret, err := v.call(t, in.callee, cargs)
+				var ret uint64
+				var err error
+				if in.callee.IsDecl() {
+					ret, err = v.callBuiltin(t, in.callee, cargs)
+				} else {
+					ret, err = v.callIdx(t, in.calleeIdx, cargs)
+				}
 				if err != nil {
 					return 0, err
 				}
@@ -558,7 +526,7 @@ blockLoop:
 				}
 				r, err := intBinop(in.op, a, b, int(in.bits))
 				if err != nil {
-					return 0, fmt.Errorf("vm: @%s: %s: %w", fr.fn.Name, in.raw, err)
+					return 0, fmt.Errorf("vm: @%s: %s: %w", f.Name, in.raw, err)
 				}
 				if in.dst >= 0 {
 					fr.regs[in.dst] = r

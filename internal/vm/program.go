@@ -1,0 +1,171 @@
+package vm
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"carat/internal/ir"
+	"carat/internal/obs"
+)
+
+// Program is the VM-independent half of a loaded module: everything the
+// loader, the predecoder and the closure compiler derive from the
+// *ir.Module alone — function and global indices, and per function the
+// register-file layout, the predecoded body, and the compiled closure body
+// with its pool layout and relocs (or the compiler's refusal). Nothing in it
+// names a VM, a thread or an address, so one Program serves any number of
+// VMs on any goroutines: caratd hangs it off a module-cache entry so a cache
+// hit predecodes and compiles nothing.
+//
+// Each function's parts are built on first use and published atomically.
+// The builds are deterministic functions of the module, so when two VMs
+// race, the loser's equivalent copy is dropped and only work is wasted.
+//
+// Immutability contract: a module handed to NewProgram must never be
+// mutated again. The Program keeps pointers into it (instructions, blocks,
+// types) and re-reads them from whichever goroutine first calls a function.
+type Program struct {
+	mod       *ir.Module
+	funcIdx   map[*ir.Func]int32
+	globalIdx map[*ir.Global]int32
+	funcs     []funcCode // parallel to mod.Funcs
+}
+
+// funcCode is one function's share of a Program.
+type funcCode struct {
+	layout atomic.Pointer[funcLayout] // every tier
+	pf     atomic.Pointer[pfunc]      // predecode and closure tiers
+	cf     atomic.Pointer[cfunc]      // closure tier
+}
+
+// funcLayout is the per-function "register file" layout: every SSA value
+// gets a slot; pointer-typed slots are recorded so the move engine can
+// patch in-register pointers.
+type funcLayout struct {
+	fn       *ir.Func
+	slotOf   map[ir.Value]int
+	nSlots   int
+	ptrSlots []int
+}
+
+// NewProgram verifies mod — once, for every VM that will run it — and
+// indexes it. No function is lowered until a VM first calls it.
+func NewProgram(mod *ir.Module) (*Program, error) {
+	if err := mod.Verify(); err != nil {
+		return nil, fmt.Errorf("vm: load: %w", err)
+	}
+	p := &Program{
+		mod:       mod,
+		funcIdx:   make(map[*ir.Func]int32, len(mod.Funcs)),
+		globalIdx: make(map[*ir.Global]int32, len(mod.Globals)),
+		funcs:     make([]funcCode, len(mod.Funcs)),
+	}
+	for i, f := range mod.Funcs {
+		p.funcIdx[f] = int32(i)
+	}
+	for i, g := range mod.Globals {
+		p.globalIdx[g] = int32(i)
+	}
+	return p, nil
+}
+
+// publish returns *slot, building and installing it first when it is empty.
+func publish[T any](slot *atomic.Pointer[T], build func() *T) *T {
+	if x := slot.Load(); x != nil {
+		return x
+	}
+	slot.CompareAndSwap(nil, build())
+	return slot.Load()
+}
+
+func buildLayout(f *ir.Func) *funcLayout {
+	l := &funcLayout{fn: f, slotOf: make(map[ir.Value]int)}
+	add := func(v ir.Value, isPtr bool) {
+		l.slotOf[v] = l.nSlots
+		if isPtr {
+			l.ptrSlots = append(l.ptrSlots, l.nSlots)
+		}
+		l.nSlots++
+	}
+	for _, p := range f.Params {
+		add(p, p.Typ.IsPtr())
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.HasResult() && in.Typ != ir.Void {
+				add(in, in.Typ.IsPtr())
+			}
+		}
+	}
+	return l
+}
+
+// funcBinding is one VM's view of one function: the program's code objects,
+// resolved once on the function's first call, plus what belongs to this run
+// alone — the profile bucket and the constant pool baked against this VM's
+// address tables. Which code objects are resolved is the VM's tier: all
+// three on the closure tier (cf stays nil for a refused function, which then
+// runs its pf), layout and pf on the predecode tier, the layout alone for
+// the reference interpreter.
+type funcBinding struct {
+	*funcLayout // nil until the first call
+	prof        *obs.FuncProfile
+	pf          *pfunc
+	cf          *cfunc
+	pool        []uint64 // cf.consts with the relocs baked (VM.bakePool)
+}
+
+// bind resolves fb, the binding of function idx, on its first call in this
+// VM, lowering the function into the program first if no VM has called it
+// yet.
+func (v *VM) bind(fb *funcBinding, idx int32) {
+	code, f := &v.prog.funcs[idx], v.prog.mod.Funcs[idx]
+	fb.funcLayout = publish(&code.layout, func() *funcLayout { return buildLayout(f) })
+	if !v.cfg.Predecode && !v.cfg.Closure {
+		return
+	}
+	fb.pf = publish(&code.pf, func() *pfunc { return v.prog.predecode(fb.funcLayout) })
+	if !v.cfg.Closure {
+		return
+	}
+	cf := publish(&code.cf, func() *cfunc {
+		cf := compileClosure(fb.funcLayout, fb.pf)
+		v.closureBlocks += uint64(len(cf.blocks))
+		return cf
+	})
+	if cf.refused {
+		// Undecodable shape somewhere in the body: the function runs on the
+		// predecode tier, in this VM and every other.
+		v.closureDeopts++
+		return
+	}
+	fb.cf = cf
+	fb.pool = append([]uint64(nil), cf.consts...)
+	v.bakePool(fb)
+}
+
+// callIdx runs one activation of function idx on the tier its binding
+// resolved to.
+func (v *VM) callIdx(t *thread, idx int32, args []uint64) (uint64, error) {
+	fb := &v.bound[idx]
+	if fb.funcLayout == nil {
+		v.bind(fb, idx)
+	}
+	switch {
+	case fb.cf != nil:
+		return v.ccall(t, fb, args)
+	case fb.pf != nil:
+		return v.pcall(t, fb, args)
+	}
+	return v.callFunc(t, fb, args)
+}
+
+// call dispatches a call by function value: thread entry points and the
+// reference interpreter's call sites. Predecoded and compiled call sites
+// carry the callee's index and skip the map.
+func (v *VM) call(t *thread, f *ir.Func, args []uint64) (uint64, error) {
+	if f.IsDecl() {
+		return v.callBuiltin(t, f, args)
+	}
+	return v.callIdx(t, v.prog.funcIdx[f], args)
+}

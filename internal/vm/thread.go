@@ -56,12 +56,24 @@ type thread struct {
 }
 
 // frame is one activation record: the function's SSA "registers" plus the
-// stack-pointer save for alloca unwinding.
+// stack-pointer save for alloca unwinding. A closure-tier frame's regs
+// extend past the binding's nSlots with a copy of its constant pool, which
+// VM.repatchPools refreshes when a move relocates a global or code.
 type frame struct {
-	fn     *ir.Func
-	fi     *funcInfo
+	fb     *funcBinding
 	regs   []uint64
 	spSave uint64
+}
+
+// popFrame unwinds fr, the innermost activation. Returning destroys the
+// frame's allocas: the runtime must forget their allocation entries before
+// the stack space is reused by a later call at the same depth.
+func (t *thread) popFrame(fr *frame) {
+	t.frames = t.frames[:len(t.frames)-1]
+	if t.sp < fr.spSave {
+		t.v.rt.UntrackStackRange(t.sp, fr.spSave)
+	}
+	t.sp = fr.spSave
 }
 
 // scheduler round-robins threads and implements runtime.World.
@@ -266,7 +278,7 @@ func (t *thread) foldedStack() string {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		b.WriteString(fr.fn.Name)
+		b.WriteString(fr.fb.fn.Name)
 	}
 	return b.String()
 }
@@ -439,7 +451,7 @@ type threadRegs struct{ t *thread }
 func (r *threadRegs) Regs() []uint64 {
 	var out []uint64
 	for _, fr := range r.t.frames {
-		for _, slot := range fr.fi.ptrSlots {
+		for _, slot := range fr.fb.ptrSlots {
 			out = append(out, fr.regs[slot])
 		}
 	}
@@ -449,9 +461,9 @@ func (r *threadRegs) Regs() []uint64 {
 // SetReg implements runtime.RegSet.
 func (r *threadRegs) SetReg(i int, v uint64) {
 	for _, fr := range r.t.frames {
-		n := len(fr.fi.ptrSlots)
+		n := len(fr.fb.ptrSlots)
 		if i < n {
-			fr.regs[fr.fi.ptrSlots[i]] = v
+			fr.regs[fr.fb.ptrSlots[i]] = v
 			return
 		}
 		i -= n
@@ -461,15 +473,16 @@ func (r *threadRegs) SetReg(i int, v uint64) {
 // spawn implements the thread_spawn builtin: fnAddr must be a function
 // code address; the new thread receives arg. Returns the thread id.
 func (s *scheduler) spawn(fnAddr, arg uint64) (int64, error) {
-	fn, ok := s.v.funcAt[fnAddr]
-	if !ok {
-		return 0, fmt.Errorf("vm: thread_spawn of non-function address %#x", fnAddr)
+	for i, a := range s.v.funcPhys {
+		if a == fnAddr {
+			t, err := s.newThread(s.v.prog.mod.Funcs[i], arg)
+			if err != nil {
+				return 0, err
+			}
+			return t.id, nil
+		}
 	}
-	t, err := s.newThread(fn, arg)
-	if err != nil {
-		return 0, err
-	}
-	return t.id, nil
+	return 0, fmt.Errorf("vm: thread_spawn of non-function address %#x", fnAddr)
 }
 
 // join implements the thread_join builtin from thread cur.

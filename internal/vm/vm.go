@@ -98,13 +98,13 @@ type Config struct {
 	// Closure selects the third execution tier: each predecoded function is
 	// lowered once more into chained Go closures — one superinstruction
 	// closure per basic block, fusing compare+branch, GEP+load/store, and
-	// guard-check+access pairs — with monomorphic inline caches on call
-	// sites. The compiled form bakes global/function addresses and is
-	// stamped with the region-set epoch; any epoch bump (page moves, grants,
-	// forwarding windows) deopts in-flight activations back to the predecode
-	// tier and recompiles on the next call. Implies the predecode lowering.
-	// Host-speed only: modeled results are byte-identical to both other
-	// tiers.
+	// guard-check+access pairs. The compiled form is VM-independent (it
+	// lives in the Program) and survives page moves, grants and forwarding
+	// windows: global/function addresses sit in a per-binding constant pool
+	// that a move re-bakes and re-copies into live frames. Only a function
+	// with an undecodable shape stays on the predecode tier. Implies the
+	// predecode lowering. Host-speed only: modeled results are
+	// byte-identical to both other tiers.
 	Closure bool
 
 	// Obs, when set, is the shared metrics registry for all layers of
@@ -180,7 +180,7 @@ func (f *Fault) Error() string {
 // VM is a loaded process ready to run.
 type VM struct {
 	cfg   Config
-	mod   *ir.Module
+	prog  *Program
 	kern  *kernel.Kernel
 	proc  *kernel.Process
 	rt    *runtime.Runtime
@@ -188,25 +188,17 @@ type VM struct {
 	eval  *guard.Evaluator
 	arena *kernel.Arena // non-nil iff Config.ArenaPages was set
 
-	// Layout.
-	codeBase    uint64
-	codeOf      map[*ir.Func]uint64
-	funcAt      map[uint64]*ir.Func
-	globalAddr  map[*ir.Global]uint64
-	globalsBase uint64
-	globalsLen  uint64
-
-	// Predecoded-operand address tables: globalPhys[globalIdx[g]] and
-	// funcPhys[funcIdx[f]] mirror globalAddr/codeOf as flat slices so the
-	// predecoded engine resolves addresses by index. onMove rebuilds them,
-	// keeping kernel-initiated moves visible.
-	globalIdx  map[*ir.Global]int
+	// Layout: the address tables, indexed like the program's globals and
+	// functions (Program.globalIdx/funcIdx). onMove rebases them, keeping
+	// kernel-initiated moves visible to every tier.
 	globalPhys []uint64
-	funcIdx    map[*ir.Func]int
 	funcPhys   []uint64
+	globalsLen uint64
 
 	heap  heap
-	funcs map[*ir.Func]*funcInfo
+	bound []funcBinding // parallel to the program's functions; see VM.bind
+
+	maxI, maxC uint64 // Config.MaxInstrs/MaxCycles, saturated
 
 	// Threads.
 	sched *scheduler
@@ -218,13 +210,17 @@ type VM struct {
 	Output      []int64
 
 	// Closure-tier counters (host-side, never part of the model): blocks
-	// lowered to superinstruction closures, deopt events (stale epoch at
-	// entry, in-flight bailouts to the predecode tier, compile refusals),
-	// and inline-cache hits/misses on closure call sites.
-	closureBlocks   uint64
-	closureDeopts   uint64
-	closureICHits   uint64
-	closureICMisses uint64
+	// this VM lowered to superinstruction closures (zero when the program
+	// already held them), functions bound to the predecode tier because the
+	// compiler refused their shape, constant pools re-baked because a move
+	// relocated a global or code, and compiled call sites that found their
+	// callee bound and compiled (hit) or had to go through tier dispatch —
+	// the binding first call, or a refused callee (miss).
+	closureBlocks    uint64
+	closureDeopts    uint64
+	closureRepatches uint64
+	closureICHits    uint64
+	closureICMisses  uint64
 
 	// Prof attributes every charged cycle to a category and (for compute)
 	// a function; obsReg backs the carat.vm.* metrics published by Run.
@@ -262,7 +258,7 @@ func (v *VM) SetMovePolicy(period uint64, fn func() error) {
 func (v *VM) Kernel() *kernel.Kernel { return v.kern }
 
 // Module returns the loaded module.
-func (v *VM) Module() *ir.Module { return v.mod }
+func (v *VM) Module() *ir.Module { return v.prog.mod }
 
 // Process returns the kernel process handle.
 func (v *VM) Process() *kernel.Process { return v.proc }
@@ -277,7 +273,7 @@ func (v *VM) Obs() *obs.Registry { return v.obsReg }
 func (v *VM) Hierarchy() *tlb.Hierarchy { return v.hier }
 
 // GlobalAddr returns the physical address assigned to global g.
-func (v *VM) GlobalAddr(g *ir.Global) uint64 { return v.globalAddr[g] }
+func (v *VM) GlobalAddr(g *ir.Global) uint64 { return v.globalPhys[v.prog.globalIdx[g]] }
 
 // ProcessBaseBytes models the fixed per-process memory a real Linux
 // process carries regardless of the benchmark (loader image, libc data,
@@ -297,55 +293,24 @@ func (v *VM) ProgramFootprintBytes() uint64 {
 	return total
 }
 
-// funcInfo is the per-function "register file" layout: every SSA value
-// gets a slot; pointer-typed slots are recorded so the move engine can
-// patch in-register pointers.
-type funcInfo struct {
-	slotOf   map[ir.Value]int
-	nSlots   int
-	ptrSlots []int
-	prof     *obs.FuncProfile // resolved once at load; hot-loop updates are plain adds
-	pf       *pfunc           // predecoded body, built on first pcallFunc
-
-	// Closure-tier state: cf is the compiled closure body (nil until the
-	// first closure call, dropped again on deopt); noClosure marks a
-	// function the closure compiler refused (undecodable shape) — it runs
-	// on the predecode tier permanently.
-	cf        *cfunc
-	noClosure bool
-}
-
-func buildFuncInfo(f *ir.Func) *funcInfo {
-	fi := &funcInfo{slotOf: make(map[ir.Value]int)}
-	add := func(v ir.Value, isPtr bool) {
-		fi.slotOf[v] = fi.nSlots
-		if isPtr {
-			fi.ptrSlots = append(fi.ptrSlots, fi.nSlots)
-		}
-		fi.nSlots++
-	}
-	for _, p := range f.Params {
-		add(p, p.Typ.IsPtr())
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op.HasResult() && in.Typ != ir.Void {
-				add(in, in.Typ.IsPtr())
-			}
-		}
-	}
-	return fi
-}
-
 // Load places the module into a fresh simulated machine: code, globals
 // (data+bss), stack, and heap regions are granted by the kernel; globals'
 // initializers are copied; static allocations are registered with the
 // runtime; and the entry thread is created but not started. This mirrors
 // the load-time sequence of §2.2 ("Run-time").
 func Load(mod *ir.Module, cfg Config) (*VM, error) {
-	if err := mod.Verify(); err != nil {
-		return nil, fmt.Errorf("vm: load: %w", err)
+	p, err := NewProgram(mod)
+	if err != nil {
+		return nil, err
 	}
+	return LoadProgram(p, cfg)
+}
+
+// LoadProgram is Load over a Program the caller built (and may share with
+// other VMs): the module is already verified, and every function some VM of
+// the program has called is already lowered.
+func LoadProgram(p *Program, cfg Config) (*VM, error) {
+	mod := p.mod
 	reg := cfg.Obs
 	shared := cfg.Kernel != nil
 	if reg == nil {
@@ -386,27 +351,26 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	}
 	v := &VM{
 		cfg:        cfg,
-		mod:        mod,
+		prog:       p,
 		kern:       k,
 		proc:       proc,
 		arena:      arena,
-		codeOf:     make(map[*ir.Func]uint64),
-		funcAt:     make(map[uint64]*ir.Func),
-		globalAddr: make(map[*ir.Global]uint64),
-		funcs:      make(map[*ir.Func]*funcInfo),
+		globalPhys: make([]uint64, len(mod.Globals)),
+		funcPhys:   make([]uint64, len(mod.Funcs)),
+		bound:      make([]funcBinding, len(mod.Funcs)),
+		maxI:       saturate(cfg.MaxInstrs),
+		maxC:       saturate(cfg.MaxCycles),
 		Prof:       obs.NewCycleProfile(),
 		obsReg:     reg,
-		tr:         cfg.Trace,
 		allocHist:  reg.Histogram("carat.vm.alloc_bytes"),
 	}
 	v.rt = runtime.NewWith(k.Mem, nil, reg)
 	proc.Handler = v.rt
 	v.rt.AddMoveListener(v.onMove)
 
-	// Tracing: all layers share one tracer clocked by this VM's simulated
-	// cycle counter; each run opens its own trace process lane.
-	v.tr.SetClock(func() uint64 { return v.Cycles })
-	v.tr.BeginProcess(mod.Name)
+	// Tracing: each run opens its own lane of the shared trace, clocked by
+	// this VM's simulated cycle counter, and hands it to every layer.
+	v.tr = cfg.Trace.BeginProcess(mod.Name, func() uint64 { return v.Cycles })
 	if !shared {
 		// A shared kernel's tracer/injector belong to its owner; wiring a
 		// per-request tracer into it would race with concurrent loads.
@@ -416,10 +380,8 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	v.rt.SetTracer(v.tr)
 	v.rt.SetInjector(cfg.Fault)
 
-	for _, f := range mod.Funcs {
-		fi := buildFuncInfo(f)
-		fi.prof = v.Prof.Func(f.Name)
-		v.funcs[f] = fi
+	for i, f := range mod.Funcs {
+		v.bound[i].prof = v.Prof.Func(f.Name)
 	}
 
 	// Layout sizes. Code is position-independent by construction (the
@@ -436,7 +398,6 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	}
 
 	var codeBase, globalsBase, heapBase uint64
-	var err error
 	if cfg.Capsule {
 		// Dark-capsule layout (§3): one contiguous region holding code,
 		// globals, and the heap (thread stacks are carved from the heap).
@@ -449,6 +410,7 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 		globalsBase = base + alignTo(codeLen, 16)
 		heapBase = globalsBase + globalsLen
 	} else {
+		var err error
 		codeBase, err = proc.GrantRegion(codeLen, guard.PermRead|guard.PermExec)
 		if err != nil {
 			return nil, fmt.Errorf("vm: code region: %w", err)
@@ -465,17 +427,14 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 		}
 	}
 
-	v.codeBase = codeBase
-	for i, f := range mod.Funcs {
-		addr := codeBase + uint64(i+1)*64
-		v.codeOf[f] = addr
-		v.funcAt[addr] = f
+	for i := range mod.Funcs {
+		v.funcPhys[i] = codeBase + uint64(i+1)*64
 	}
 	if globalsLen > 0 {
-		v.globalsBase, v.globalsLen = globalsBase, globalsLen
+		v.globalsLen = globalsLen
 		off := globalsBase
-		for _, g := range mod.Globals {
-			v.globalAddr[g] = off
+		for i, g := range mod.Globals {
+			v.globalPhys[i] = off
 			if len(g.Init) > 0 {
 				if err := k.Mem.WriteAt(off, g.Init); err != nil {
 					return nil, err
@@ -491,9 +450,9 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	if err := v.rt.TrackStatic(codeBase, codeLen); err != nil {
 		return nil, err
 	}
-	for _, g := range mod.Globals {
+	for i, g := range mod.Globals {
 		if g.Size() > 0 {
-			if err := v.rt.TrackStatic(v.globalAddr[g], uint64(g.Size())); err != nil {
+			if err := v.rt.TrackStatic(v.globalPhys[i], uint64(g.Size())); err != nil {
 				return nil, err
 			}
 		}
@@ -501,9 +460,9 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	// Initial escapes: global initializers that contain pointers (their
 	// offsets are declared in PtrInit). This is the load-time "patch of
 	// all global pointers" moment.
-	for _, g := range mod.Globals {
+	for i, g := range mod.Globals {
 		for _, po := range g.PtrInit {
-			loc := v.globalAddr[g] + uint64(po)
+			loc := v.globalPhys[i] + uint64(po)
 			v.rt.TrackEscape(loc, k.Mem.Load64(loc))
 		}
 	}
@@ -514,20 +473,6 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 		v.hier = tlb.NewHierarchyWith(tlb.NewPageTable(), reg)
 	}
 	v.eval = guard.NewEvaluator(cfg.GuardMech, proc.Regions)
-
-	// Flat address tables for the predecoded engine.
-	v.globalIdx = make(map[*ir.Global]int, len(mod.Globals))
-	v.globalPhys = make([]uint64, len(mod.Globals))
-	for i, g := range mod.Globals {
-		v.globalIdx[g] = i
-		v.globalPhys[i] = v.globalAddr[g]
-	}
-	v.funcIdx = make(map[*ir.Func]int, len(mod.Funcs))
-	v.funcPhys = make([]uint64, len(mod.Funcs))
-	for i, f := range mod.Funcs {
-		v.funcIdx[f] = i
-		v.funcPhys[i] = v.codeOf[f]
-	}
 
 	// Guard/translation cache invalidation (two tiers; see DESIGN.md).
 	// Precise range invalidation for map changes that leave the region set
@@ -643,42 +588,24 @@ func (v *VM) flushXCaches() {
 }
 
 // onMove rebases the VM's own bookkeeping after the kernel moved
-// [src, src+length) to dst: heap metadata, global addresses, and the code
-// map. Thread register slots are patched separately through the World
-// interface.
+// [src, src+length) to dst: heap metadata, the global and function address
+// tables, and — when one of those changed — the closure tier's constant
+// pools, which bake them. Thread register slots are patched separately
+// through the World interface.
 func (v *VM) onMove(src, dst, length uint64) {
-	reb := func(a uint64) uint64 {
-		if a >= src && a < src+length {
-			return a - src + dst
-		}
-		return a
-	}
 	v.heap.rebase(src, dst, length)
-	for g, a := range v.globalAddr {
-		if na := reb(a); na != a {
-			v.globalAddr[g] = na
+	moved := false
+	for _, table := range [][]uint64{v.globalPhys, v.funcPhys} {
+		for i, a := range table {
+			if a >= src && a < src+length {
+				table[i] = a - src + dst
+				moved = true
+			}
 		}
-	}
-	if nb := reb(v.globalsBase); nb != v.globalsBase {
-		v.globalsBase = nb
-	}
-	if nc := reb(v.codeBase); nc != v.codeBase {
-		v.codeBase = nc
-		newAt := make(map[uint64]*ir.Func, len(v.funcAt))
-		for a, f := range v.funcAt {
-			na := reb(a)
-			newAt[na] = f
-			v.codeOf[f] = na
-		}
-		v.funcAt = newAt
 	}
 	v.sched.rebaseStacks(src, dst, length)
-	// Refresh the predecoded engine's flat address tables.
-	for g, i := range v.globalIdx {
-		v.globalPhys[i] = v.globalAddr[g]
-	}
-	for f, i := range v.funcIdx {
-		v.funcPhys[i] = v.codeOf[f]
+	if moved {
+		v.repatchPools()
 	}
 	// Both the vacated and the newly-populated ranges are stale in the
 	// per-thread guard caches.
@@ -690,7 +617,7 @@ func (v *VM) onMove(src, dst, length uint64) {
 // mains). Tracking cycles accumulated by the runtime are folded into the
 // VM cycle count on return.
 func (v *VM) Run() (int64, error) {
-	main := v.mod.Func("main")
+	main := v.prog.mod.Func("main")
 	if main == nil || main.IsDecl() {
 		return 0, fmt.Errorf("vm: module has no @main")
 	}
@@ -733,15 +660,19 @@ func (v *VM) publishMetrics() {
 	if v.cfg.Closure {
 		v.obsReg.Counter("carat.vm.closure.blocks").Add(v.closureBlocks)
 		v.obsReg.Counter("carat.vm.closure.deopts").Add(v.closureDeopts)
+		v.obsReg.Counter("carat.vm.closure.repatches").Add(v.closureRepatches)
 		v.obsReg.Counter("carat.vm.closure.ic_hits").Add(v.closureICHits)
 		v.obsReg.Counter("carat.vm.closure.ic_misses").Add(v.closureICMisses)
 	}
 	v.Prof.PublishTo(v.obsReg, "carat.vm")
 }
 
-// ClosureStats returns the closure-tier counters: basic blocks lowered to
-// superinstruction closures, deopt events, and call-site inline-cache
-// hits/misses. All zero unless Config.Closure is set.
+// ClosureStats returns the closure-tier counters: basic blocks this VM
+// lowered to superinstruction closures, functions refused by the compiler
+// (the only deopt left: they run on the predecode tier), and compiled call
+// sites that found their callee bound and compiled (hit) or not (miss: the
+// first call, which binds, or a refused callee). All zero unless
+// Config.Closure is set.
 func (v *VM) ClosureStats() (blocks, deopts, icHits, icMisses uint64) {
 	return v.closureBlocks, v.closureDeopts, v.closureICHits, v.closureICMisses
 }
@@ -812,3 +743,12 @@ func (v *VM) InjectWorstCaseAllocationMove() error {
 }
 
 func alignTo(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
+
+// saturate maps a limit's "0 = none" to the largest value, so hot paths
+// compare against it unconditionally.
+func saturate(limit uint64) uint64 {
+	if limit == 0 {
+		return ^uint64(0)
+	}
+	return limit
+}
