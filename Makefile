@@ -44,24 +44,31 @@ race:
 # validates that the output parses and carries a supported schema version.
 # The bench output goes through an intermediate file so a caratbench
 # failure fails the target — a pipeline would report only validatejson's
-# status and mask a crashed bench. The second leg starts caratbench with a
-# live -http telemetry server, curls /metrics and /profile, and validates
-# both (see scripts/smoke_telemetry.sh). The third leg boots caratd, posts
-# a module, runs it, scrapes /metrics, drives a small load pass, and
-# drains it (see scripts/smoke_server.sh).
+# status and mask a crashed bench. The second leg runs the suite's text
+# tables twice and requires identical bytes: modeled results are a function
+# of module and seed, and this is what notices when one stops being (a map
+# iteration order reached Figure 2 and Table 2 once). The third leg starts
+# caratbench with a live -http telemetry server, curls /metrics and
+# /profile, and validates both (see scripts/smoke_telemetry.sh). The fourth
+# boots caratd, posts a module, runs it, scrapes /metrics, drives a small
+# load pass, and drains it (see scripts/smoke_server.sh).
 smoke: build
 	$(GO) run ./cmd/caratbench -exp all -scale test -json -workers $(WORKERS) > smoke.json
 	$(GO) run ./scripts/validatejson smoke.json
 	@rm -f smoke.json
+	$(GO) run ./cmd/caratbench -exp all -scale test -workers $(WORKERS) > smoke.1.txt
+	$(GO) run ./cmd/caratbench -exp all -scale test -workers $(WORKERS) > smoke.2.txt
+	cmp smoke.1.txt smoke.2.txt
+	@rm -f smoke.1.txt smoke.2.txt
 	sh ./scripts/smoke_telemetry.sh
 	sh ./scripts/smoke_server.sh
 
-# bench measures the execution engine (baseline dispatch vs predecode vs
-# predecode+xcache vs full+telemetry), writes BENCH_exec.json, validates
-# its schema, and fails if the full engine is below 2x over baseline
-# dispatch, has regressed >20% against the committed reference speedups,
-# or loses >5% throughput with the cycle sampler and a live -http
-# telemetry server attached.
+# bench measures the two execution engines (reference interpreter,
+# compiled engine, compiled engine + telemetry), writes BENCH_exec.json,
+# validates its schema, and fails if the compiled engine is below 10x over
+# the reference interpreter, has regressed >20% against the committed
+# reference speedup, or loses >5% throughput with the cycle sampler and a
+# live -http telemetry server attached.
 bench: build
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 2x ./internal/bench/
 	$(GO) run ./scripts/benchexec -out BENCH_exec.json -baseline BENCH_exec.baseline.json -reps 8
@@ -121,12 +128,14 @@ soak: build
 	$(GO) run ./scripts/validatejson soak.json
 
 # fuzz runs each native fuzz target for a short budget (the differential
-# invariants over generated programs, and the IR text round trip; seeds
-# replay in plain `make test`). FuzzIRRoundTrip's seeds are whole kernels,
-# so minimising one interesting input at the default 60 s would eat the
+# invariants over generated programs, the IR text round trip, and IR text
+# executed on both engines; seeds replay in plain `make test`).
+# FuzzIRRoundTrip's and FuzzIRExecute's seeds are whole kernels, so
+# minimising one interesting input at the default 60 s would eat the
 # budget: cap it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIRRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/ir/
+	$(GO) test -run '^$$' -fuzz FuzzIRExecute -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialPipeline -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialMoves -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGuardsAgreeOnForgedPointers -fuzztime $(FUZZTIME) ./internal/vm/

@@ -57,8 +57,6 @@ func main() {
 		"inject faults into policy experiments: seed:rate sets every injection point to rate (e.g. 42:0.01)")
 	pauseBudget := flag.Uint64("pausebudget", 0,
 		"max world-stop pause in cycles for policy experiments: moves and swaps patch in windows that fit the budget (0 = unbounded, one stop per operation)")
-	closure := flag.Bool("closure", false,
-		"run every VM on the closure compilation tier (fastest engine; modeled results are byte-identical)")
 	httpAddr := flag.String("http", "",
 		"serve live telemetry (/metrics, /profile, /trace, /healthz, /readyz) on this address (e.g. 127.0.0.1:8080, :0 picks a port)")
 	httpLinger := flag.Duration("http-linger", 0,
@@ -86,7 +84,6 @@ func main() {
 	o := bench.DefaultOptions(sc)
 	o.Workers = *workers
 	o.PauseBudget = *pauseBudget
-	o.Closure = *closure
 	if *only != "" {
 		o.Only = strings.Split(*only, ",")
 	}

@@ -43,7 +43,6 @@ func run() error {
 		maxInflight  = flag.Int("max-inflight", 0, "machine-wide concurrent request cap (overrides config)")
 		noBallast    = flag.Bool("no-ballast", false, "disable the background mmpolicy ballast service")
 		pauseBudget  = flag.Uint64("pausebudget", 0, "max world-stop pause in cycles per tenant run, 0 = unbounded (overrides config when non-zero)")
-		closure      = flag.Bool("closure", false, "run tenant VMs on the closure compilation tier (overrides config)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	)
 	flag.Parse()
@@ -72,9 +71,6 @@ func run() error {
 	}
 	if *pauseBudget != 0 {
 		cfg.PauseBudgetCycles = *pauseBudget
-	}
-	if *closure {
-		cfg.Closure = true
 	}
 
 	s, err := server.New(cfg)

@@ -63,8 +63,6 @@ func main() {
 	level := flag.String("level", "carat", "pipeline level: none, guards, guards-opt, carat, tracking-only")
 	mode := flag.String("mode", "carat", "address translation model: carat or traditional")
 	mech := flag.String("mech", "range", "guard mechanism: range, mpx, iftree, bsearch, linear")
-	closure := flag.Bool("closure", false,
-		"execute on the closure compilation tier (fastest engine; modeled results are byte-identical)")
 	heap := flag.Uint64("heap", 1<<26, "heap bytes")
 	stack := flag.Uint64("stack", 1<<20, "stack bytes per thread")
 	mem := flag.Uint64("mem", 1<<28, "physical memory bytes")
@@ -86,7 +84,6 @@ func main() {
 
 	cfg := vm.DefaultConfig()
 	cfg.HeapBytes, cfg.StackBytes, cfg.MemBytes = *heap, *stack, *mem
-	cfg.Closure = *closure
 	switch *mode {
 	case "carat":
 		cfg.Mode = vm.ModeCARAT

@@ -143,23 +143,17 @@ func AblationCapsule(o Options) (*AblCapsuleResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := w.Build(o.Scale)
-		pl := passes.Build(passes.LevelGuardsOpt)
-		pl.Obs = o.Obs
-		pl.Workers = 1
-		if err := pl.Run(m); err != nil {
+		m, _, err := o.compileOnly(w, passes.LevelGuardsOpt)
+		if err != nil {
 			return nil, err
 		}
 		cfg := o.vmConfig(vm.ModeCARAT, guard.MechRange)
 		cfg.Capsule = true
 		// The capsule heap also hosts stacks.
 		cfg.HeapBytes += cfg.StackBytes * 2
-		capV, err := vm.Load(m, cfg)
+		capV, err := o.run(w.Name, m, cfg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", w.Name, err)
-		}
-		if _, err := capV.Run(); err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+			return nil, err
 		}
 		return &AblCapsuleRow{
 			Name:       w.Name,

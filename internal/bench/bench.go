@@ -40,7 +40,9 @@ type Options struct {
 	// workload order.
 	Workers int
 	// Obs, when non-nil, collects every VM's and pipeline's metrics in one
-	// registry (counters accumulate across the sweep).
+	// registry (counters accumulate across the sweep). Each VM or harness
+	// run publishes to a private registry folded in here when it finishes
+	// (see runObs), so no result reads another run's counters.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives trace events from every VM run.
 	Trace *obs.Tracer
@@ -58,10 +60,6 @@ type Options struct {
 	// see mmpolicy.HarnessConfig.PauseBudget). 0 is unbounded: one stop per
 	// move or swap.
 	PauseBudget uint64
-	// Closure runs every VM on the closure compilation tier (caratbench's
-	// -closure flag). Modeled results are byte-identical with the default
-	// predecode tier; only host wall time changes.
-	Closure bool
 }
 
 // DefaultOptions returns the standard configuration for scale s.
@@ -140,36 +138,51 @@ func (o Options) vmConfig(mode vm.Mode, mech guard.Mechanism) vm.Config {
 	cfg.GuardMech = mech
 	cfg.MemBytes = o.MemBytes
 	cfg.HeapBytes = o.HeapBytes
-	cfg.Obs = o.Obs
 	cfg.Trace = o.Trace
 	cfg.Sampler = o.Sampler
-	cfg.Closure = o.Closure
 	return cfg
 }
 
-// buildAndRun compiles w at the given level and executes it.
-func (o Options) buildAndRun(w *workload.Workload, lvl passes.Level, mode vm.Mode,
-	mech guard.Mechanism, tweak func(*vm.VM)) (*vm.VM, *passes.Stats, error) {
-	m := w.Build(o.Scale)
-	pl := passes.Build(lvl)
-	pl.Obs = o.Obs
-	// Workload legs are the parallel unit of a sweep; compiling each small
-	// workload module with one worker avoids nested parallelism.
-	pl.Workers = 1
-	if err := pl.Run(m); err != nil {
-		return nil, nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+// runObs returns the registry one VM or harness run publishes to, and the
+// function that folds it into o.Obs once the run is over. Results read
+// registry-backed metrics — TLB misses, tracking bytes, pause histograms —
+// so a run that published straight into the sweep's shared registry would
+// report every earlier (or concurrent) run's numbers on top of its own.
+func (o Options) runObs() (reg *obs.Registry, done func()) {
+	if o.Obs == nil {
+		return nil, func() {}
 	}
-	v, err := vm.Load(m, o.vmConfig(mode, mech))
+	reg = obs.NewRegistry()
+	return reg, func() { o.Obs.Merge(reg) }
+}
+
+// run loads m under cfg, applies tweak, and executes it to completion.
+func (o Options) run(name string, m *ir.Module, cfg vm.Config, tweak func(*vm.VM)) (*vm.VM, error) {
+	reg, done := o.runObs()
+	defer done()
+	cfg.Obs = reg
+	v, err := vm.Load(m, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}
 	if tweak != nil {
 		tweak(v)
 	}
 	if _, err := v.Run(); err != nil {
-		return nil, nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}
-	return v, &pl.Stats, nil
+	return v, nil
+}
+
+// buildAndRun compiles w at the given level and executes it.
+func (o Options) buildAndRun(w *workload.Workload, lvl passes.Level, mode vm.Mode,
+	mech guard.Mechanism, tweak func(*vm.VM)) (*vm.VM, *passes.Stats, error) {
+	m, st, err := o.compileOnly(w, lvl)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := o.run(w.Name, m, o.vmConfig(mode, mech), tweak)
+	return v, st, err
 }
 
 // compileOnly runs the pipeline without executing (Table 1).
@@ -177,6 +190,8 @@ func (o Options) compileOnly(w *workload.Workload, lvl passes.Level) (*ir.Module
 	m := w.Build(o.Scale)
 	pl := passes.Build(lvl)
 	pl.Obs = o.Obs
+	// Workload legs are the parallel unit of a sweep; compiling each small
+	// workload module with one worker avoids nested parallelism.
 	pl.Workers = 1
 	if err := pl.Run(m); err != nil {
 		return nil, nil, fmt.Errorf("bench: %s: %w", w.Name, err)

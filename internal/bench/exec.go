@@ -16,12 +16,11 @@ import (
 )
 
 // Execution-engine microbenchmark: measures HOST throughput (modeled
-// instructions retired per host second) of the interpreter across its
-// engine configurations — baseline dispatch, predecoded dispatch,
-// predecode plus the guard/translation cache, and the closure
-// compilation tier. The modeled results (return value, cycles, guard
-// stats) are asserted identical across engines before any timing is
-// reported: the engines are host-speed optimizations only.
+// instructions retired per host second) of the VM's two engines — the
+// reference interpreter and the compiled engine — plus the compiled engine
+// with telemetry attached. The modeled results (instructions, cycles) are
+// asserted identical across legs before any timing is reported: the compiled
+// engine is a host-speed optimization only.
 
 // ExecBenchSchema identifies the exec-bench output document.
 const ExecBenchSchema = "carat.bench.exec"
@@ -32,8 +31,11 @@ const ExecBenchSchema = "carat.bench.exec"
 // telemetry_overhead_pct summary. v3: the matrix gains the closure
 // compilation tier (with ic_hits/ic_misses/deopts per leg and the
 // speedup_closure summary), and the telemetry leg rides the closure
-// engine — the tax is measured against the fastest tier.
-const ExecBenchVersion = 3
+// engine — the tax is measured against the fastest tier. v4: the predecode
+// executor is gone, so the legs are reference, compiled and
+// compiled+telemetry; the per-leg predecode/xcache/closure/deopts columns
+// and the speedup_predecode/speedup_full ratios go with it.
+const ExecBenchVersion = 4
 
 // execBenchSrc is a guard-heavy kernel: every loop iteration performs
 // several guarded loads/stores over three arrays plus enough integer work
@@ -41,8 +43,8 @@ const ExecBenchVersion = 3
 // not hoisted away — this is deliberately the worst case for software
 // address translation, where the cache has the most to recover. The outer
 // latch calls @mix once per outer iteration (feeding the loop bound, so it
-// cannot fold away) to exercise the closure tier's compiled call sites
-// without perturbing the inner-loop hot path.
+// cannot fold away) to exercise the compiled engine's call sites without
+// perturbing the inner-loop hot path.
 const execBenchSrc = `module "execbench"
 global @a : [4096 x i64]
 global @b : [4096 x i64]
@@ -117,13 +119,10 @@ func replaceIters(src string, iters int) string {
 	return out
 }
 
-// ExecEngineResult is one engine configuration's measurement.
+// ExecEngineResult is one leg's measurement.
 type ExecEngineResult struct {
-	Engine    string  `json:"engine"`
-	Predecode bool    `json:"predecode"`
-	XCache    bool    `json:"xcache"`
-	Closure   bool    `json:"closure"`
-	WallMS    float64 `json:"wall_ms"`
+	Engine string  `json:"engine"`
+	WallMS float64 `json:"wall_ms"`
 	// Instrs/Cycles are modeled quantities — identical across engines by
 	// construction (verified before this document is emitted).
 	Instrs uint64 `json:"instrs"`
@@ -131,15 +130,13 @@ type ExecEngineResult struct {
 	// MInstrsPerSec is modeled instructions retired per host second, in
 	// millions: the host-throughput figure of merit.
 	MInstrsPerSec float64 `json:"minstrs_per_sec"`
-	// XCacheHits/XCacheMisses are emitted for every leg (zero when the
-	// engine runs without the cache) so consumers see one row shape.
+	// XCacheHits/XCacheMisses and ICHits/ICMisses are the compiled engine's
+	// guard/translation-cache and call-site counters, emitted for every leg
+	// (zero on the reference interpreter) so consumers see one row shape.
 	XCacheHits   uint64 `json:"xcache_hits"`
 	XCacheMisses uint64 `json:"xcache_misses"`
-	// ICHits/ICMisses/Deopts are the closure tier's call-site inline-cache
-	// and deoptimization counters (zero for legs without the tier).
-	ICHits   uint64 `json:"ic_hits"`
-	ICMisses uint64 `json:"ic_misses"`
-	Deopts   uint64 `json:"deopts"`
+	ICHits       uint64 `json:"ic_hits"`
+	ICMisses     uint64 `json:"ic_misses"`
 	// Telemetry marks the leg that ran with the cycle-sampling profiler
 	// attached and a live HTTP telemetry server listening.
 	Telemetry bool `json:"telemetry"`
@@ -153,15 +150,12 @@ type ExecBenchDoc struct {
 	// Iters is the outer-loop trip count the kernel ran with.
 	Iters   int                `json:"iters"`
 	Engines []ExecEngineResult `json:"engines"`
-	// SpeedupPredecode is baseline wall time over predecode-only wall
-	// time; SpeedupFull is baseline over predecode+xcache; SpeedupClosure
-	// is baseline over the closure compilation tier. Ratios are
-	// host-machine dependent in absolute terms but stable enough across
-	// runs on one machine to gate regressions.
-	SpeedupPredecode float64 `json:"speedup_predecode"`
-	SpeedupFull      float64 `json:"speedup_full"`
-	SpeedupClosure   float64 `json:"speedup_closure"`
-	// TelemetryOverheadPct is how much full-engine throughput drops when
+	// SpeedupClosure is the reference interpreter's wall time over the
+	// compiled engine's. The ratio is host-machine dependent in absolute
+	// terms but stable enough across runs on one machine to gate
+	// regressions.
+	SpeedupClosure float64 `json:"speedup_closure"`
+	// TelemetryOverheadPct is how much compiled-engine throughput drops when
 	// the sampler and HTTP telemetry server are enabled. It comes from a
 	// dedicated paired measurement (see measureTelemetryOverhead): ABBA
 	// blocks of back-to-back plain/telemetry runs whose symmetric order
@@ -172,26 +166,23 @@ type ExecBenchDoc struct {
 	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
 }
 
-// execEngine is one engine configuration of the matrix.
+// execEngine is one leg of the measurement.
 type execEngine struct {
-	name                       string
-	predecode, xcache, closure bool
+	name     string
+	compiled bool // vm.Config.Closure
 	// telemetry attaches the cycle-sampling profiler and starts a live
 	// HTTP telemetry server for the duration of the leg, measuring the
-	// observability tax on the fastest engine.
+	// observability tax on the engine that ships.
 	telemetry bool
 }
 
-// execEngines is the fixed engine matrix, slowest first. The telemetry
-// leg rides the closure tier so the observability tax is measured where
-// it hurts most: against the fastest engine.
-var execEngines = []execEngine{
-	{name: "baseline"},
-	{name: "predecode", predecode: true},
-	{name: "predecode+xcache", predecode: true, xcache: true},
-	{name: "closure", predecode: true, xcache: true, closure: true},
-	{name: "closure+telemetry", predecode: true, xcache: true, closure: true, telemetry: true},
-}
+// The legs, slowest first.
+var (
+	execReference = execEngine{name: "reference"}
+	execCompiled  = execEngine{name: "compiled", compiled: true}
+	execTelemetry = execEngine{name: "compiled+telemetry", compiled: true, telemetry: true}
+	execEngines   = []execEngine{execReference, execCompiled, execTelemetry}
+)
 
 // runExecOnce executes the module under one engine configuration and
 // returns the VM (for modeled stats) plus host wall time. reg and sampler
@@ -201,9 +192,7 @@ func runExecOnce(m *ir.Module, eng execEngine, reg *obs.Registry, sampler *obs.S
 	cfg.MemBytes = 1 << 24
 	cfg.HeapBytes = 1 << 20
 	cfg.GuardMech = guard.MechBinarySearch
-	cfg.Predecode = eng.predecode
-	cfg.XCache = eng.xcache
-	cfg.Closure = eng.closure
+	cfg.Closure = eng.compiled
 	cfg.Obs = reg
 	cfg.Sampler = sampler
 	v, err := vm.Load(m, cfg)
@@ -217,15 +206,15 @@ func runExecOnce(m *ir.Module, eng execEngine, reg *obs.Registry, sampler *obs.S
 	return v, time.Since(start), nil
 }
 
-// RunExecBench measures every engine leg over the same program and
-// returns the document. reps > 1 keeps the best (minimum) wall time per
+// RunExecBench measures every leg over the same program and returns the
+// document. reps > 1 keeps the best (minimum) wall time per
 // engine, the standard cure for scheduler noise in microbenchmarks. Reps
 // run rep-major (every engine once per round, not every rep of one engine
 // in a block) so a host load spike or thermal drift hits all legs alike.
 // The telemetry-overhead figure does not reuse these walls: it gets its
 // own noise-hardened paired measurement (measureTelemetryOverhead).
 //
-// The closure+telemetry leg runs with a fresh registry, a cycle sampler,
+// The compiled+telemetry leg runs with a fresh registry, a cycle sampler,
 // and a live telemetry HTTP server on a loopback port. It passes the same
 // modeled-result invariance check as every other leg — the proof that
 // sampling never perturbs modeled execution.
@@ -238,21 +227,14 @@ func RunExecBench(iters, reps int) (*ExecBenchDoc, error) {
 	}
 	doc := &ExecBenchDoc{Schema: ExecBenchSchema, Version: ExecBenchVersion, Tool: "benchexec", Iters: iters}
 
-	var teleReg *obs.Registry
-	var teleSampler *obs.Sampler
-	var tele *telemetry.Server
-	for _, eng := range execEngines {
-		if eng.telemetry {
-			teleReg = obs.NewRegistry()
-			teleSampler = obs.NewSampler(0)
-			tele = &telemetry.Server{Registry: teleReg, Sampler: teleSampler}
-			if _, err := tele.Start("127.0.0.1:0"); err != nil {
-				return nil, fmt.Errorf("bench: execbench telemetry: %w", err)
-			}
-			tele.SetReady(true)
-			defer tele.Close()
-		}
+	teleReg := obs.NewRegistry()
+	teleSampler := obs.NewSampler(0)
+	tele := &telemetry.Server{Registry: teleReg, Sampler: teleSampler}
+	if _, err := tele.Start("127.0.0.1:0"); err != nil {
+		return nil, fmt.Errorf("bench: execbench telemetry: %w", err)
 	}
+	tele.SetReady(true)
+	defer tele.Close()
 
 	bests := make([]time.Duration, len(execEngines))
 	bestVMs := make([]*vm.VM, len(execEngines))
@@ -286,26 +268,17 @@ func RunExecBench(iters, reps int) (*ExecBenchDoc, error) {
 		}
 		res := ExecEngineResult{
 			Engine:        eng.name,
-			Predecode:     eng.predecode,
-			XCache:        eng.xcache,
-			Closure:       eng.closure,
 			Telemetry:     eng.telemetry,
 			WallMS:        float64(bests[i].Nanoseconds()) / 1e6,
 			Instrs:        bestVMs[i].Instrs,
 			Cycles:        bestVMs[i].Cycles,
 			MInstrsPerSec: float64(bestVMs[i].Instrs) / bests[i].Seconds() / 1e6,
 		}
-		if eng.xcache {
-			res.XCacheHits, res.XCacheMisses, _ = bestVMs[i].XCacheStats()
-		}
-		if eng.closure {
-			_, res.Deopts, res.ICHits, res.ICMisses = bestVMs[i].ClosureStats()
-		}
+		res.XCacheHits, res.XCacheMisses, _ = bestVMs[i].XCacheStats()
+		_, _, res.ICHits, res.ICMisses = bestVMs[i].ClosureStats()
 		doc.Engines = append(doc.Engines, res)
 	}
-	doc.SpeedupPredecode = doc.Engines[0].WallMS / doc.Engines[1].WallMS
-	doc.SpeedupFull = doc.Engines[0].WallMS / doc.Engines[2].WallMS
-	doc.SpeedupClosure = doc.Engines[0].WallMS / doc.Engines[3].WallMS
+	doc.SpeedupClosure = doc.Engines[0].WallMS / doc.Engines[1].WallMS
 	ovh, err := measureTelemetryOverhead(iters, teleReg, teleSampler)
 	if err != nil {
 		return nil, err
@@ -333,7 +306,7 @@ const (
 )
 
 // measureTelemetryOverhead measures the percent wall-time slowdown of the
-// full engine when the cycle sampler (and shared registry behind the live
+// compiled engine when the cycle sampler (and shared registry behind the live
 // HTTP server) is attached. Negative values mean the difference was below
 // the host's noise floor.
 func measureTelemetryOverhead(iters int, reg *obs.Registry, sampler *obs.Sampler) (float64, error) {
@@ -348,8 +321,7 @@ func measureTelemetryOverhead(iters int, reg *obs.Registry, sampler *obs.Sampler
 		}
 		return w, nil
 	}
-	plain := execEngines[3]
-	tele := execEngines[4]
+	plain, tele := execCompiled, execTelemetry
 	set := func() (float64, error) {
 		ratios := make([]float64, 0, overheadBlocks)
 		for b := 0; b < overheadBlocks; b++ {

@@ -6,8 +6,7 @@ import (
 	"carat/internal/passes"
 )
 
-// The engine configurations of the interpreter, measured over the same
-// guard-heavy kernel. Run via `make bench`:
+// The VM's two engines, measured over the same guard-heavy kernel. Run via `make bench`:
 //
 //	go test -run '^$' -bench BenchmarkExec ./internal/bench/
 //
@@ -15,7 +14,7 @@ import (
 // full kernel run. ReportMetric adds modeled-instructions-per-host-second,
 // the figure of merit BENCH_exec.json records.
 
-func benchEngine(b *testing.B, predecode, xcache, closure bool) {
+func benchEngine(b *testing.B, eng execEngine) {
 	b.Helper()
 	const iters = 20
 	var instrs uint64
@@ -27,7 +26,7 @@ func benchEngine(b *testing.B, predecode, xcache, closure bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		v, _, err := runExecOnce(m, execEngine{predecode: predecode, xcache: xcache, closure: closure}, nil, nil)
+		v, _, err := runExecOnce(m, eng, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,10 +35,8 @@ func benchEngine(b *testing.B, predecode, xcache, closure bool) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstrs/s")
 }
 
-func BenchmarkExecBaseline(b *testing.B)  { benchEngine(b, false, false, false) }
-func BenchmarkExecPredecode(b *testing.B) { benchEngine(b, true, false, false) }
-func BenchmarkExecXCache(b *testing.B)    { benchEngine(b, true, true, false) }
-func BenchmarkExecClosure(b *testing.B)   { benchEngine(b, true, true, true) }
+func BenchmarkExecReference(b *testing.B) { benchEngine(b, execReference) }
+func BenchmarkExecCompiled(b *testing.B)  { benchEngine(b, execCompiled) }
 
 // TestExecBenchGate runs the same measurement the CI gate uses, at reduced
 // size, and checks the document invariants (schema header, engine-invariant
@@ -52,33 +49,28 @@ func TestExecBenchGate(t *testing.T) {
 	if doc.Schema != ExecBenchSchema || doc.Version != ExecBenchVersion {
 		t.Errorf("schema header %s v%d, want %s v%d", doc.Schema, doc.Version, ExecBenchSchema, ExecBenchVersion)
 	}
-	if len(doc.Engines) != 5 {
-		t.Fatalf("engines = %d, want 5", len(doc.Engines))
+	if len(doc.Engines) != 3 {
+		t.Fatalf("engines = %d, want 3", len(doc.Engines))
 	}
 	for _, e := range doc.Engines {
 		if e.Instrs == 0 || e.WallMS <= 0 {
 			t.Errorf("engine %s: empty measurement %+v", e.Engine, e)
 		}
 	}
-	full := doc.Engines[2]
-	if full.XCacheHits == 0 {
-		t.Error("full engine recorded no xcache hits")
+	if ref := doc.Engines[0]; ref.XCacheHits+ref.XCacheMisses+ref.ICHits+ref.ICMisses != 0 {
+		t.Errorf("the reference leg shares the compiled engine's cache or call sites: %+v", ref)
 	}
-	clo := doc.Engines[3]
-	if !clo.Closure {
-		t.Errorf("engine %s should be the closure leg", clo.Engine)
+	if doc.Engines[1].XCacheHits == 0 {
+		t.Error("compiled leg recorded no xcache hits")
 	}
-	if clo.XCacheHits == 0 {
-		t.Error("closure leg recorded no xcache hits")
-	}
-	tele := doc.Engines[4]
-	if !tele.Telemetry || !tele.Closure {
-		t.Errorf("engine %s should be the closure telemetry leg", tele.Engine)
+	tele := doc.Engines[2]
+	if !tele.Telemetry {
+		t.Errorf("engine %s should be the telemetry leg", tele.Engine)
 	}
 	if tele.XCacheHits == 0 {
 		t.Error("telemetry leg recorded no xcache hits")
 	}
-	if doc.SpeedupFull <= 0 || doc.SpeedupClosure <= 0 {
+	if doc.SpeedupClosure <= 0 {
 		t.Error("speedup not computed")
 	}
 	// The overhead figure must be computed (any finite value; the CI bench

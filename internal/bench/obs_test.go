@@ -43,6 +43,44 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestSharedRegistryDoesNotChangeResults: a result is a function of its own
+// run. With -json, -metrics or -http every run of a sweep is handed the same
+// registry, and results that read registry-backed metrics (Figure 2's TLB
+// misses, Figure 6's tracking bytes, the policy documents' pause histograms)
+// used to report every earlier run's numbers on top of their own — at one
+// worker too.
+func TestSharedRegistryDoesNotChangeResults(t *testing.T) {
+	experiments := []struct {
+		id  string
+		run func(Options) (Result, error)
+	}{
+		{"fig2", func(o Options) (Result, error) { return Fig2(o) }},
+		{"fig6", func(o Options) (Result, error) { return Fig6(o) }},
+		{"defrag", func(o Options) (Result, error) { return Defrag(o) }},
+	}
+	shared := obs.NewRegistry() // one registry across the whole sweep, like caratbench -json
+	for _, e := range experiments {
+		o := quickOpts("EP", "canneal", "swaptions")
+		want, err := e.run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			o.Obs, o.Workers = shared, workers
+			got, err := e.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with a shared registry at %d workers:\n got %+v\nwant %+v (no registry)", e.id, workers, got, want)
+			}
+		}
+	}
+	if shared.Counter("carat.vm.instrs").Get() == 0 || shared.Histogram(runtime.PauseHist).Count() == 0 {
+		t.Error("the runs' metrics never reached the shared registry")
+	}
+}
+
 // TestTraceContainsAllMoveSteps checks the Fig-8 protocol coverage the
 // acceptance criteria demand: a traced Table 3 run must emit the parent
 // "move" span and all 11 named step spans, and the whole file must parse

@@ -48,11 +48,8 @@ const migrationPeriod = 100_000
 // with the demand-paging observer attached.
 func Table2(o Options) (*Table2Result, error) {
 	rows, err := eachWorkload(o, func(w *workload.Workload) (*Table2Row, error) {
-		m := w.Build(o.Scale)
-		pl := passes.Build(passes.LevelNone)
-		pl.Obs = o.Obs
-		pl.Workers = 1
-		if err := pl.Run(m); err != nil {
+		m, _, err := o.compileOnly(w, passes.LevelNone)
+		if err != nil {
 			return nil, err
 		}
 		staticPages := staticFootprintPages(m, o)
@@ -62,12 +59,9 @@ func Table2(o Options) (*Table2Result, error) {
 
 		cfg := o.vmConfig(vm.ModeTraditional, guard.MechRange)
 		cfg.Paging = paging
-		v, err := vm.Load(m, cfg)
+		v, err := o.run(w.Name, m, cfg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", w.Name, err)
-		}
-		if _, err := v.Run(); err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+			return nil, err
 		}
 
 		secs := float64(v.Cycles) / CPUFreqHz

@@ -86,6 +86,8 @@ type DefragResult struct {
 // the daemon compact until a superpage-sized contiguous free run exists.
 func Defrag(o Options) (*DefragResult, error) {
 	s := policyProcScale(o)
+	reg, done := o.runObs()
+	defer done()
 	h, err := mmpolicy.NewHarness(mmpolicy.HarnessConfig{
 		MemBytes: policyMemBytes(o),
 		Procs: []mmpolicy.ProcSpec{
@@ -94,7 +96,7 @@ func Defrag(o Options) (*DefragResult, error) {
 			{Name: "churn-c", Kind: mmpolicy.Churn, Slots: 48 * s, MaxPages: 4, Seed: 13},
 		},
 		Policies:    []mmpolicy.Policy{mmpolicy.NewDefrag(defragTargetRun)},
-		Obs:         o.Obs,
+		Obs:         reg,
 		Trace:       o.Trace,
 		Fault:       o.Fault,
 		Sampler:     o.Sampler,
@@ -184,6 +186,8 @@ type TieringResult struct {
 // allocations back in on access.
 func Tiering(o Options) (*TieringResult, error) {
 	s := policyProcScale(o)
+	reg, done := o.runObs()
+	defer done()
 	h, err := mmpolicy.NewHarness(mmpolicy.HarnessConfig{
 		MemBytes:  policyMemBytes(o) / 2,
 		TickEvery: 40_000,
@@ -193,7 +197,7 @@ func Tiering(o Options) (*TieringResult, error) {
 			{Name: "churn", Kind: mmpolicy.Churn, Slots: 96 * s, MaxPages: 3, Seed: 23},
 		},
 		Policies:    []mmpolicy.Policy{mmpolicy.NewTiering()},
-		Obs:         o.Obs,
+		Obs:         reg,
 		Trace:       o.Trace,
 		Fault:       o.Fault,
 		Sampler:     o.Sampler,
@@ -267,6 +271,8 @@ func Policy(o Options) (*PolicyResult, error) {
 		{Name: "stream", Kind: mmpolicy.Stream, Slots: 12 * s, MaxPages: 2, Seed: 33},
 		{Name: "cold", Kind: mmpolicy.ColdStore, Slots: 48 * s, MaxPages: 2, Seed: 34},
 	}
+	reg, done := o.runObs()
+	defer done()
 	h, err := mmpolicy.NewHarness(mmpolicy.HarnessConfig{
 		MemBytes:  policyMemBytes(o),
 		TickEvery: 50_000,
@@ -276,7 +282,7 @@ func Policy(o Options) (*PolicyResult, error) {
 			mmpolicy.NewTiering(),
 			mmpolicy.NewNUMARebalance(),
 		},
-		Obs:         o.Obs,
+		Obs:         reg,
 		Trace:       o.Trace,
 		Fault:       o.Fault,
 		Sampler:     o.Sampler,

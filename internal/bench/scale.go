@@ -106,9 +106,6 @@ func buildScaleGroup(procs, iters int, aborts bool) (*vm.Group, error) {
 		cfg := vm.DefaultConfig()
 		cfg.HeapBytes = 1 << 20
 		cfg.GuardMech = guard.MechBinarySearch
-		cfg.Predecode = true
-		cfg.XCache = true
-		cfg.Closure = true
 		if aborts {
 			inj := fault.New(int64(1000+i), nil)
 			inj.SetRate(fault.MoveAbort, 0.5)

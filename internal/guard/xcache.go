@@ -204,7 +204,7 @@ func (c *XCache) ValidPages() []uint64 {
 }
 
 // CheckTranslateCached is the fused guard-check + address-translation fast
-// path used by the closure execution tier: one epoch-stamped probe that, on
+// path used by the VM's compiled engine: one epoch-stamped probe that, on
 // a hit, both validates the access and proves identity translation safe, so
 // the caller can go straight to physical memory without a separate
 // translate step. The fusion is sound because a cached hit proves
@@ -218,8 +218,7 @@ func (c *XCache) ValidPages() []uint64 {
 // On a hit it charges exactly the cycles CheckCached would have charged and
 // returns (addr, true). On any other outcome it returns (0, false) without
 // touching the hit/miss counters: the caller then takes the unfused
-// CheckCached + translate path, which counts the miss once — keeping the
-// cache counters byte-identical with the predecode tier.
+// CheckCached + translate path, which counts the miss once.
 func (e *Evaluator) CheckTranslateCached(c *XCache, addr, size uint64, p Perm) (uint64, bool) {
 	if c == nil {
 		return 0, false

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,6 +228,91 @@ func TestVerifyCatchesBadIR(t *testing.T) {
 	m4.AddGlobal("g", I64)
 	if err := m4.Verify(); err == nil {
 		t.Error("Verify accepted duplicate global")
+	}
+}
+
+// TestVerifyOwnsExecutableShapes: "which IR is executable" is decided here,
+// once, before anything is signed or lowered. The three modules under
+// testdata/hostile parse, and at the commit before this test each took down
+// whichever engine finally reached it — and caratd with it — because nothing
+// upstream had said no. Each must be refused by name; its nearest legal
+// neighbour must still verify.
+func TestVerifyOwnsExecutableShapes(t *testing.T) {
+	cases := []struct {
+		file      string // under testdata/hostile
+		wantErr   string // the offending instruction, as the error names it
+		neighbour string // the same function body with the shape made legal
+	}{
+		{"aggregate_access.cir", "%v = load [3 x i64], @s", `
+  %v = load i64, @s
+  store i64 %v, @d
+  ret i64 0`},
+		{"struct_index_range.cir", "%p = gep {i64, i64}, @s, 0, 7", `
+  %p = gep {i64, i64}, @s, 0, 1
+  %v = load i64, %p
+  ret i64 %v`},
+		{"struct_index_dynamic.cir", "%p = gep {i64, i64}, @s, 0, %i", `
+  %z = load i64, @n
+  %i = and i64 %z, 1
+  %p = gep [2 x i64], @s, 0, %i
+  %v = load i64, %p
+  ret i64 %v`},
+	}
+	for _, c := range cases {
+		src, err := os.ReadFile(filepath.Join("testdata", "hostile", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: must parse (the shape is Verify's to refuse): %v", c.file, err)
+		}
+		if err := m.Verify(); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Verify = %v, want an error naming %q", c.file, err, c.wantErr)
+		}
+		header, _, _ := strings.Cut(string(src), "entry:")
+		if err := MustParse(header + "entry:" + c.neighbour + "\n}").Verify(); err != nil {
+			t.Errorf("%s: the legal neighbour no longer verifies: %v", c.file, err)
+		}
+	}
+
+	// Found by FuzzIRExecute (internal/vm): the tracking pass and the VM's
+	// builtins index a runtime entry point's operands by position, and the
+	// engines disagreed on a phi that control reaches along no edge.
+	for src, wantErr := range map[string]string{
+		"module \"m\"\nfunc @malloc() -> ptr\nfunc @main() -> i64 {\nentry:\n  %p = call ptr @malloc()\n  ret i64 0\n}": "@malloc is a runtime entry point: its signature must be ptr (i64)",
+		"module \"m\"\nfunc @main() -> i64 {\nentry:\n  %x = phi i64 [1, ^entry]\n  br ^entry\n}":                       "phi in the entry block",
+	} {
+		if err := MustParse(src).Verify(); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("Verify = %v, want %q, for:\n%s", err, wantErr, src)
+		}
+	}
+
+	// Shapes no text can spell: an opcode outside the defined set, and a phi
+	// that lists one predecessor twice and another not at all.
+	m := NewModule("undefined-op")
+	b := NewBuilder(m.AddFunc("f", Void))
+	b.Blk.Append(&Instr{Op: OpGuard + 1, Typ: Void})
+	b.Ret(nil)
+	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "undefined opcode") {
+		t.Errorf("opcode past OpGuard: Verify = %v", err)
+	}
+	m = MustParse(`module "phi"
+func @f(%c: i1) -> i64 {
+entry:
+  condbr %c, ^a, ^b
+a:
+  br ^join
+b:
+  br ^join
+join:
+  %x = phi i64 [1, ^a], [2, ^b]
+  ret i64 %x
+}`)
+	phi := m.Func("f").Blocks[3].Instrs[0]
+	phi.Preds[1] = phi.Preds[0]
+	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "no incoming for predecessor ^b") {
+		t.Errorf("phi without an incoming for ^b: Verify = %v", err)
 	}
 }
 

@@ -2,13 +2,17 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Verify checks structural and type well-formedness of the module:
 // terminated blocks, operand/def dominance is NOT checked (the VM tolerates
 // non-SSA uses produced by simple builders), phi/pred consistency, operand
-// type agreement, and callee signature agreement. It returns the first
-// problem found, or nil.
+// type agreement, and callee signature agreement. It is also the one place
+// that decides which shapes are executable: scalar-width loads and stores,
+// constant in-range struct indices in GEPs, defined opcodes. Every consumer
+// downstream of it — the analyses, both VM engines — relies on those rules
+// instead of re-checking them. It returns the first problem found, or nil.
 func (m *Module) Verify() error {
 	names := make(map[string]bool)
 	for _, g := range m.Globals {
@@ -28,11 +32,44 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("ir: duplicate symbol @%s", f.Name)
 		}
 		names["@"+f.Name] = true
+		if sig, ok := runtimeSigs[f.Name]; ok && !f.hasSig(sig) {
+			return fmt.Errorf("ir: @%s is a runtime entry point: its signature must be %s", f.Name, sig)
+		}
 		if err := verifyFunc(f); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runtimeSigs is the signature of each runtime entry point. The VM's
+// builtins and the tracking pass recognize them by name and index a call's
+// operands by position, so a function under one of these names — declared or
+// defined — has exactly this shape.
+var runtimeSigs = map[string]*Type{
+	FnMalloc:      FuncOf(Ptr, I64),
+	FnCalloc:      FuncOf(Ptr, I64, I64),
+	FnFree:        FuncOf(Void, Ptr),
+	FnTrackAlloc:  FuncOf(Void, Ptr, I64),
+	FnTrackFree:   FuncOf(Void, Ptr),
+	FnTrackEscape: FuncOf(Void, Ptr, Ptr),
+	FnPrintI64:    FuncOf(Void, I64),
+	FnPrintF64:    FuncOf(Void, F64),
+	FnThreadSpawn: FuncOf(I64, Ptr, Ptr),
+	FnThreadJoin:  FuncOf(Void, I64),
+}
+
+// hasSig reports whether f's return and parameter types are sig's.
+func (f *Func) hasSig(sig *Type) bool {
+	if !f.RetTyp.Equal(sig.Ret) || len(f.Params) != len(sig.Params) {
+		return false
+	}
+	for i, p := range f.Params {
+		if !p.Typ.Equal(sig.Params[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyFunc checks a single function's structural well-formedness: the
@@ -62,6 +99,11 @@ func verifyFunc(f *Func) error {
 			if in.Op == OpPhi && i > 0 && b.Instrs[i-1].Op != OpPhi {
 				return fmt.Errorf("ir: @%s/^%s: phi after non-phi", f.Name, b.Name)
 			}
+			if in.Op == OpPhi && b == f.Blocks[0] {
+				// Control first enters along no edge, so there is no incoming
+				// to select (LLVM's rule too).
+				return fmt.Errorf("ir: @%s/^%s: phi in the entry block", f.Name, b.Name)
+			}
 			if err := verifyInstr(f, b, in, blockSet, preds); err != nil {
 				return err
 			}
@@ -69,6 +111,10 @@ func verifyFunc(f *Func) error {
 	}
 	return nil
 }
+
+// scalarWidth reports whether n bytes is a width the machine loads and
+// stores in one access.
+func scalarWidth(n int64) bool { return n == 1 || n == 2 || n == 4 || n == 8 }
 
 // predecessors computes the predecessor sets of every block in f.
 func predecessors(f *Func) map[*Block][]*Block {
@@ -95,6 +141,9 @@ func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds m
 		if !blockSet[s] {
 			return fmt.Errorf("%s: successor ^%s not in function", where(), s.Name)
 		}
+	}
+	if in.Op <= OpInvalid || in.Op > OpGuard {
+		return fmt.Errorf("%s: undefined opcode", where())
 	}
 	switch {
 	case in.Op.IsBinary():
@@ -128,17 +177,41 @@ func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds m
 		if !in.Args[0].Type().IsPtr() {
 			return fmt.Errorf("%s: load from non-pointer", where())
 		}
+		if n := in.Elem.Size(); !scalarWidth(n) {
+			return fmt.Errorf("%s: load of %d bytes (access width must be 1, 2, 4 or 8)", where(), n)
+		}
 	case in.Op == OpStore:
 		if !in.Args[1].Type().IsPtr() {
 			return fmt.Errorf("%s: store to non-pointer", where())
+		}
+		if n := in.Args[0].Type().Size(); !scalarWidth(n) {
+			return fmt.Errorf("%s: store of %d bytes (access width must be 1, 2, 4 or 8)", where(), n)
 		}
 	case in.Op == OpGEP:
 		if !in.Args[0].Type().IsPtr() {
 			return fmt.Errorf("%s: gep base not a pointer", where())
 		}
-		for _, idx := range in.Args[1:] {
+		// The type walk every consumer repeats: the first index scales Elem,
+		// later ones descend into it. A struct level is only walkable by a
+		// constant that names one of its fields (LLVM's rule too).
+		typ := in.Elem
+		for i, idx := range in.Args[1:] {
 			if !idx.Type().IsInt() {
 				return fmt.Errorf("%s: gep index not an integer", where())
+			}
+			if i == 0 {
+				continue
+			}
+			switch typ.Kind {
+			case ArrayKind:
+				typ = typ.Elem
+			case StructKind:
+				c, isConst := idx.(*Const)
+				if !isConst || c.Int < 0 || c.Int >= int64(len(typ.Fields)) {
+					return fmt.Errorf("%s: gep index %d into a %d-field struct must be a constant in range",
+						where(), i, len(typ.Fields))
+				}
+				typ = typ.Fields[c.Int]
 			}
 		}
 	case in.Op == OpPhi:
@@ -150,15 +223,15 @@ func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds m
 			return fmt.Errorf("%s: phi has %d incoming, block has %d preds", where(), len(in.Args), len(want))
 		}
 		for _, pb := range in.Preds {
-			found := false
-			for _, w := range want {
-				if w == pb {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(want, pb) {
 				return fmt.Errorf("%s: phi incoming ^%s is not a predecessor", where(), pb.Name)
+			}
+		}
+		// And the other way round, so every edge into b carries a value: the
+		// counts agree, but one predecessor may have been listed twice.
+		for _, w := range want {
+			if !slices.Contains(in.Preds, w) {
+				return fmt.Errorf("%s: phi has no incoming for predecessor ^%s", where(), w.Name)
 			}
 		}
 		for _, a := range in.Args {

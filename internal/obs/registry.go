@@ -220,9 +220,8 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 
 // Merge folds a snapshot taken from another histogram into h, as if every
 // observation behind the snapshot had been observed here. Bucket shapes are
-// identical across all Histograms (fixed log2 scale), so the fold is exact.
-// The server uses this to roll per-request registries into tenant-visible
-// totals — counters merge by addition, histograms merge with Merge.
+// identical across all Histograms (fixed log2 scale), so the fold is exact
+// (see Registry.Merge).
 func (h *Histogram) Merge(s HistogramSnapshot) {
 	if s.Count == 0 {
 		return
@@ -352,6 +351,24 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// Merge folds every counter and histogram of from into r, as if each had
+// been recorded here: counters add, histograms merge bucket-wise. It is how a
+// run that needs exact readings of its own — the vm folds runtime cycle
+// counters into its modeled clock as deltas, experiment results read TLB,
+// tracking and pause metrics — publishes to a private registry and still
+// lands in the shared one: caratd merges every request's, the bench harness
+// every run's. Gauges stay behind: a finished run's point-in-time value says
+// nothing about r's present, and r's own writers keep adjusting theirs.
+func (r *Registry) Merge(from *Registry) {
+	snap := from.Snapshot()
+	for name, val := range snap.Counters {
+		r.Counter(name).Add(val)
+	}
+	for name, hs := range snap.Histograms {
+		r.Histogram(name).Merge(hs)
+	}
 }
 
 // Reset zeroes every metric, keeping the registered names and pointers

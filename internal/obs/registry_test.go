@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +156,32 @@ func TestSnapshotResetAndJSON(t *testing.T) {
 	s := r.Snapshot()
 	if s.Gauges["carat.runtime.escapes_live"] != 0 || s.Histograms["carat.vm.alloc_bytes"].Count != 0 {
 		t.Fatalf("reset incomplete: %+v", s)
+	}
+}
+
+// TestRegistryMerge: folding two private registries into a shared one gives
+// what recording everything in the shared one would have — for counters and
+// histograms; gauges stay where they were written.
+func TestRegistryMerge(t *testing.T) {
+	shared, direct := NewRegistry(), NewRegistry()
+	shared.Counter("c").Add(1)
+	direct.Counter("c").Add(1)
+	shared.Gauge("g").Set(7)
+	for run := uint64(1); run <= 2; run++ {
+		private := NewRegistry()
+		for _, r := range []*Registry{private, direct} {
+			r.Counter("c").Add(10 * run)
+			r.Counter("only").Inc()
+			r.Histogram("h").Observe(100 * run)
+		}
+		private.Gauge("g").Set(run)
+		shared.Merge(private)
+	}
+	got, want := shared.Snapshot(), direct.Snapshot()
+	if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("merged:\n got %+v\nwant %+v", got, want)
+	}
+	if g := shared.Gauge("g").Get(); g != 7 {
+		t.Errorf("gauge g = %d after merging; a finished run's reading must not overwrite the shared 7", g)
 	}
 }

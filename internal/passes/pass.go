@@ -208,10 +208,16 @@ type funcState struct {
 	err   error
 }
 
-// Run applies every pass in order. Function passes verify each function
-// they touched; a final module-wide Verify runs before stats are merged.
+// Run applies every pass in order. The module is verified on the way in —
+// the analyses walk GEP types and phi edges on the strength of ir.Verify's
+// rules, and a front end (ir.Parse) may hand over a module nobody checked —
+// function passes verify each function they touched, and a final module-wide
+// Verify runs before stats are merged.
 func (pm *PassManager) Run(m *ir.Module) error {
 	start := time.Now()
+	if err := m.Verify(); err != nil {
+		return fmt.Errorf("passes: %w", err)
+	}
 	// Serial module preparation, in pass order, before any function work.
 	for _, p := range pm.Passes {
 		if s, ok := p.(ModuleSetup); ok {

@@ -31,7 +31,7 @@ func TestCacheKeyStableAndCopyFree(t *testing.T) {
 	}
 }
 
-// progCall has a guest-to-guest call site, so the closure tier's call
+// progCall has a guest-to-guest call site, so the compiled engine's call
 // counters move.
 const progCall = `
 global acc: [8]int;
@@ -52,7 +52,6 @@ func main(): int {
 // lowers nothing. All of them answer with the same digest.
 func TestCodeCacheFirstHitRetention(t *testing.T) {
 	cfg := testConfig()
-	cfg.Closure = true
 	s, ts := newTestServer(t, cfg)
 	req := map[string]any{"tenant": "t", "kind": "cc", "name": "call", "source": progCall, "seed": 7}
 	counter := func(name string) uint64 { return s.Obs().Counter(name).Get() }
@@ -105,7 +104,6 @@ func TestCodeCacheFirstHitRetention(t *testing.T) {
 // compiled code is garbage.
 func TestEvictionDropsProgram(t *testing.T) {
 	cfg := testConfig()
-	cfg.Closure = true
 	cfg.CacheEntries = 2
 	s, ts := newTestServer(t, cfg)
 	run := func(name, src string) string {

@@ -29,7 +29,6 @@ import (
 
 	"carat/internal/cc"
 	"carat/internal/core"
-	"carat/internal/guard"
 	"carat/internal/ir"
 	"carat/internal/kernel"
 	"carat/internal/obs"
@@ -83,11 +82,6 @@ type Config struct {
 	// Either way the pause histograms land tenant-visible on /metrics;
 	// modeled results are identical.
 	PauseBudgetCycles uint64 `json:"pause_budget_cycles"`
-
-	// Closure runs every tenant VM on the closure compilation tier (the
-	// fastest engine; modeled results are byte-identical with the
-	// predecode tier, so this is a pure host-throughput knob).
-	Closure bool `json:"closure"`
 
 	// Obs, when non-nil, is the metrics registry (a private one is created
 	// otherwise). The telemetry endpoints serve whichever is used.
@@ -546,25 +540,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Each run gets a PRIVATE registry: the vm folds runtime cycle counters
 	// into its modeled clock as deltas, and a shared registry would leak
 	// other tenants' concurrent tracking cycles into this run's deltas —
-	// breaking byte-identical results. Counters are merged into the shared
-	// registry after the run, so /metrics still sees machine-wide totals.
+	// breaking byte-identical results.
 	runReg := obs.NewRegistry()
-	v, err := vm.LoadProgram(prog, vm.Config{
-		Mode:        vm.ModeCARAT,
-		GuardMech:   guard.MechRange,
-		Kernel:      s.kern,
-		Limiter:     ten,
-		Capsule:     true,
-		HeapBytes:   s.cfg.HeapBytes,
-		StackBytes:  s.cfg.StackBytes,
-		MaxInstrs:   s.cfg.MaxInstrs,
-		MaxCycles:   ten.quota.MaxCycles,
-		Predecode:   true,
-		XCache:      true,
-		Closure:     s.cfg.Closure,
-		Obs:         runReg,
-		PauseBudget: s.cfg.PauseBudgetCycles,
-	})
+	vcfg := vm.DefaultConfig()
+	vcfg.Kernel = s.kern
+	vcfg.Limiter = ten
+	vcfg.Capsule = true
+	vcfg.HeapBytes = s.cfg.HeapBytes
+	vcfg.StackBytes = s.cfg.StackBytes
+	vcfg.MaxInstrs = s.cfg.MaxInstrs
+	vcfg.MaxCycles = ten.quota.MaxCycles
+	vcfg.Obs = runReg
+	vcfg.PauseBudget = s.cfg.PauseBudgetCycles
+	v, err := vm.LoadProgram(prog, vcfg)
 	if err != nil {
 		switch {
 		case errors.Is(err, kernel.ErrQuota):
@@ -579,22 +567,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer v.Release() //nolint:errcheck // teardown; double-free is checked in tests
-	defer func() {
-		// Counters in a fresh registry are exact per-run totals; adding
-		// them into the shared registry keeps carat.vm.* / carat.runtime.*
-		// machine-wide on /metrics without contaminating any run's deltas.
-		// Histograms merge bucket-wise the same way — this is what makes
-		// the runtime's pause histograms (carat.runtime.pause_cycles*)
-		// tenant-visible on /metrics, so a tenant can read the p99 pause
-		// its requests actually experienced.
-		snap := runReg.Snapshot()
-		for name, val := range snap.Counters {
-			s.reg.Counter(name).Add(val)
-		}
-		for name, hs := range snap.Histograms {
-			s.reg.Histogram(name).Merge(hs)
-		}
-	}()
+	// Merged after the run, /metrics still sees machine-wide carat.vm.* and
+	// carat.runtime.* totals — and the runtime's pause histograms
+	// (carat.runtime.pause_cycles*), so a tenant can read the p99 pause its
+	// requests actually experienced.
+	defer s.reg.Merge(runReg)
 
 	ret, err := v.Run()
 	if err != nil {

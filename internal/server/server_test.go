@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -355,6 +358,51 @@ func TestMemoryReturnedAfterRuns(t *testing.T) {
 	}
 	if lp := s.tenantFor("t").LivePages(); lp != 0 {
 		t.Fatalf("tenant still holds %d pages", lp)
+	}
+}
+
+// TestHostileModulesAreRefusedNotExecuted: the three modules under
+// internal/ir/testdata/hostile parse as IR, and each used to reach an engine
+// that panicked on the guest goroutine — where no handler's recover could
+// catch it — killing the daemon and every tenant with it. ir.Verify refuses
+// them now, so each gets a 4xx carrying the verifier's message from both
+// endpoints, nothing leaks, and the next well-formed request is served.
+func TestHostileModulesAreRefusedNotExecuted(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	owned, free := s.kern.OwnedPageCount(), s.kern.Alloc.FreePages()
+	files, err := filepath.Glob("../ir/testdata/hostile/*.cir")
+	if err != nil || len(files) != 3 {
+		t.Fatalf("hostile modules: %v, %v", files, err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, endpoint := range []string{"/v1/run", "/v1/modules"} {
+			resp, doc := post(t, ts.URL+endpoint, runRequest{Tenant: "t", Kind: "cir", Source: string(src)})
+			msg, _ := doc["error"].(string)
+			if resp.StatusCode < 400 || resp.StatusCode > 499 || !strings.Contains(msg, "ir: @main/^entry: ") {
+				t.Errorf("%s to %s: status %d, error %q; want a 4xx with the verifier's message",
+					filepath.Base(file), endpoint, resp.StatusCode, msg)
+			}
+		}
+		resp, doc := post(t, ts.URL+"/v1/run", runRequest{Tenant: "t", Source: progLoop, Name: "loop"})
+		if resp.StatusCode != 200 {
+			t.Fatalf("after %s: a well-formed request got %d: %v", filepath.Base(file), resp.StatusCode, doc["error"])
+		}
+	}
+	if got := s.kern.OwnedPageCount(); got != owned {
+		t.Errorf("owned pages: %d before, %d after", owned, got)
+	}
+	if got := s.kern.Alloc.FreePages(); got != free {
+		t.Errorf("free pages: %d before, %d after", free, got)
+	}
+	ten := s.tenantFor("t")
+	ten.mu.Lock()
+	defer ten.mu.Unlock()
+	if ten.running != 0 || ten.pages != 0 {
+		t.Errorf("tenant still holds %d slots and %d pages", ten.running, ten.pages)
 	}
 }
 

@@ -15,7 +15,12 @@ type Hierarchy struct {
 
 	// walkCache caches upper-level paging structures, indexed by the
 	// PML4/PDPT/PD prefix of the VPN, skipping that many levels on a hit.
+	// Eviction is FIFO — wcFIFO holds the keys in insertion order, a ring
+	// once full, wcNext its oldest slot — so modeled walk cycles are a
+	// function of the access stream alone, never of Go's map iteration order.
 	walkCache map[uint64]int
+	wcFIFO    []uint64
+	wcNext    int
 	wcCap     int
 
 	Stats HierStats
@@ -121,14 +126,18 @@ func (h *Hierarchy) Translate(vaddr uint64) (paddr uint64, cycles uint64, ok boo
 	h.L2.Insert(vpn, ppn)
 	h.L1.Insert(vpn, ppn)
 	for skip := 1; skip <= Levels-1; skip++ {
-		prefix := vpn >> uint(9*(Levels-1-skip)) << 8
-		if len(h.walkCache) >= h.wcCap {
-			for k := range h.walkCache { // random-ish eviction
-				delete(h.walkCache, k)
-				break
-			}
+		key := vpn>>uint(9*(Levels-1-skip))<<8 | uint64(skip)
+		if _, cached := h.walkCache[key]; cached {
+			continue
 		}
-		h.walkCache[prefix|uint64(skip)] = skip
+		if len(h.wcFIFO) < h.wcCap {
+			h.wcFIFO = append(h.wcFIFO, key)
+		} else {
+			delete(h.walkCache, h.wcFIFO[h.wcNext])
+			h.wcFIFO[h.wcNext] = key
+			h.wcNext = (h.wcNext + 1) % h.wcCap
+		}
+		h.walkCache[key] = skip
 	}
 	return ppn<<PageShift | off, cycles, true
 }
@@ -153,6 +162,7 @@ func (h *Hierarchy) InvalidateRange(base, length uint64) {
 	h.L1.InvalidateRange(vpnLo, vpnHi)
 	h.L2.InvalidateRange(vpnLo, vpnHi)
 	h.walkCache = make(map[uint64]int)
+	h.wcFIFO, h.wcNext = h.wcFIFO[:0], 0
 }
 
 // DTLBMPKI returns level-1 DTLB misses per 1000 instructions (Figure 2's

@@ -11,11 +11,12 @@ import (
 	"carat/internal/runtime"
 )
 
-// The closure execution tier. The predecoded form still pays one switch
-// dispatch plus a five-counter accounting sequence per instruction; this
-// tier lowers each pfunc one step further into chained Go closures, where
-// every basic block becomes one superinstruction closure that fuses its
-// straight-line body:
+// Closure compilation: the second of the compiled engine's two stages, and
+// the form that executes. An interpreter over the predecoded form would
+// still pay one switch dispatch plus a five-counter accounting sequence per
+// instruction; this stage lowers each pfunc one step further into chained Go
+// closures, where every basic block becomes one superinstruction closure
+// that fuses its straight-line body:
 //
 //   - per-instruction accounting is batched into one charge per "group"
 //     (a maximal run of pure instructions, optionally ended by the single
@@ -39,7 +40,7 @@ import (
 // from it, on any goroutine — and independent of the region epoch:
 //
 //   - every memory access validates itself (xcache slots are epoch-stamped,
-//     fills are refused under a forwarding window, and every cold path goes
+//     nothing is filled under a forwarding window, and every cold path goes
 //     through pexecGuard/cdataAddr → translate);
 //   - the only baked addresses are the pool's global/function entries, which
 //     the cfunc records as relocs. A page move that relocates a global or
@@ -49,15 +50,14 @@ import (
 //     address.
 //
 // So compiled code survives moves, grants and forwarding windows at full
-// speed; the one closure → predecode transition left is the compiler's
-// refusal of a function with an undecodable shape, decided at its first
-// call.
+// speed, and — every verified function being compilable — nothing ever
+// leaves the engine: there is no deoptimization.
 //
-// Like the predecode tier, all of this is host-speed only: instruction
-// counts, modeled cycles, the cycle profile, guard evaluator state, xcache
-// hit/miss counters, and runtime callback order are byte-identical with the
-// baseline interpreter (closure_test.go and the engine-parity differential
-// tests pin this).
+// All of this is host-speed only: instruction counts, modeled cycles, the
+// cycle profile, guard evaluator state, and runtime callback order are
+// byte-identical with the reference interpreter, which shares neither
+// lowering stage nor the xcache (closure_test.go and the engine-parity
+// differential tests pin this).
 
 // cenv is the per-activation state threaded through a compiled function's
 // block closures: the closures themselves are VM-independent, so everything
@@ -86,7 +86,7 @@ type cenv struct {
 }
 
 // flush applies the deferred charges. Called at every point where the
-// counters become observable; the per-instruction tiers' invariant — all
+// counters become observable; the reference interpreter's invariant — all
 // instructions up to and including the observing one are charged before it
 // executes — is restored exactly at each such point.
 func (e *cenv) flush() {
@@ -121,7 +121,7 @@ func (e *cenv) charge(cyc uint64) {
 // false. So skipping flush + safepoint when every pre-check is false is
 // invisible: the charges ride through to the next observation point. Limits
 // compare at the block head before the incoming edge's phi copies are
-// charged, exactly where the per-instruction tiers trap.
+// charged, exactly where the reference interpreter traps.
 func (e *cenv) due(v *VM) bool {
 	return v.sched.stopReq.Load() ||
 		(v.track != nil && v.track.Due(v.Cycles+e.pendCyc)) ||
@@ -162,14 +162,13 @@ type cblock struct {
 // function addresses) live in a pool appended to the frame's register file
 // at activation entry, so every compiled operand is a plain register index —
 // no per-read branch on operand kind. Pool slots sit above the function's
-// nSlots and are invisible to the per-instruction tiers and the move
-// protocol's register patcher (which walks ptrSlots, all below nSlots).
+// nSlots and are invisible to the move protocol's register patcher (which
+// walks ptrSlots, all below nSlots).
 //
 // consts holds the pool as the module alone determines it: immediates in
 // place, address entries zero and listed in relocs. A binding copies consts
 // and bakes the relocs against its VM's address tables (VM.bakePool).
 type cfunc struct {
-	refused bool // undecodable shape: the function runs on the predecode tier
 	blocks  []*cblock
 	maxPhis int
 	consts  []uint64
@@ -257,7 +256,7 @@ func (v *VM) repatchPools() {
 
 // ccall runs one activation through fb's compiled body. The frame prologue
 // (profiling, frame push, alloca unwinding, depth check) is byte-identical
-// with pcall; the body is the block trampoline.
+// with callFunc's; the body is the block trampoline.
 func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	cf := fb.cf
 	fb.prof.Calls++
@@ -284,7 +283,7 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	return e.ret, nil
 }
 
-// cdataAddr is pdataAddr over a compiled operand: translate with one
+// cdataAddr is dataAddr over a compiled operand: translate with one
 // swap-in retry on a poisoned pointer. Re-reading the operand after the
 // swap-in is what picks up the runtime's pointer patch (only slot operands
 // can hold poisoned heap pointers; pool operands re-read to the same
@@ -304,18 +303,10 @@ func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, 
 	return 0, err
 }
 
-// compileClosure lowers pf into chained block closures. A function in which
-// any instruction carries the predecoder's fallback flag is refused (exotic
-// shapes execute through execInstr, which the closure form cannot batch
-// soundly). The result depends on the module alone.
+// compileClosure lowers pf into chained block closures. The predecoder is
+// total over verified modules, so there is nothing here to decline. The
+// result depends on the module alone.
 func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
-	for bi := range pf.blocks {
-		for ci := range pf.blocks[bi].code {
-			if pf.blocks[bi].code[ci].fallback {
-				return &cfunc{refused: true}
-			}
-		}
-	}
 	cf := &cfunc{
 		maxPhis: pf.maxPhis,
 		blocks:  make([]*cblock, len(pf.blocks)),
@@ -338,8 +329,8 @@ func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
 // state mid-block (fault, trace, guard walk, nested safepoints, division
 // errors). Observing instructions end a charge group: the group's batched
 // accounting lands just before the observing instruction executes, so at
-// every observation point the counters are exactly what the per-instruction
-// tiers would show.
+// every observation point the counters are exactly what the reference
+// interpreter would show.
 func cobserving(op ir.Op) bool {
 	switch op {
 	case ir.OpLoad, ir.OpStore, ir.OpGuard, ir.OpCall, ir.OpAlloca,
@@ -354,8 +345,8 @@ func (cf *cfunc) compileBlock(bi int32) {
 	code := cf.pf.blocks[bi].code
 
 	// take closes the accumulated charge group: the batched accounting for
-	// the group (including the observing instruction about to run, whose
-	// per-instruction tiers charge it before executing it) plus the group's
+	// the group (including the observing instruction about to run, which the
+	// reference interpreter charges before executing it) plus the group's
 	// pure steps, run with no per-step error checks — pures are infallible.
 	// The charge itself lands on the cenv's deferred counters.
 	var groupN, groupCyc uint64
@@ -371,18 +362,16 @@ func (cf *cfunc) compileBlock(bi int32) {
 	// Identify the terminator and a possible fused compare+branch: the
 	// block's last two instructions collapse when the compare's result
 	// feeds the conditional branch directly. The compare still writes its
-	// slot (other blocks may read it through a phi).
+	// slot (other blocks may read it through a phi). (Verify: every block
+	// ends in a terminator, so code is never empty.)
 	ti := len(code) - 1
 	bodyEnd := ti
 	fuseCmpBr := false
-	if ti >= 0 {
-		t := &code[ti]
-		if t.op == ir.OpCondBr && ti >= 1 && t.a.kind == pkSlot {
-			p := &code[ti-1]
-			if (p.op == ir.OpICmp || p.op == ir.OpFCmp) && p.dst >= 0 && p.dst == t.a.idx {
-				fuseCmpBr = true
-				bodyEnd = ti - 1
-			}
+	if t := &code[ti]; t.op == ir.OpCondBr && ti >= 1 && t.a.kind == pkSlot {
+		p := &code[ti-1]
+		if (p.op == ir.OpICmp || p.op == ir.OpFCmp) && p.dst >= 0 && p.dst == t.a.idx {
+			fuseCmpBr = true
+			bodyEnd = ti - 1
 		}
 	}
 
@@ -445,7 +434,7 @@ func (cf *cfunc) compileBlock(bi int32) {
 	// Trailing pures plus the terminator(s) form the final charge group,
 	// run just before the terminator closure.
 	var termN, termCyc uint64
-	for i := bodyEnd; i <= ti && i >= 0; i++ {
+	for i := bodyEnd; i <= ti; i++ {
 		termN++
 		termCyc += uint64(code[i].cost)
 	}
@@ -559,13 +548,13 @@ func (cf *cfunc) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
 // safepoint only at the virtual block heads where a stop request, a due
 // sample, or a limit about to trip needs one. It is taken on flushed
 // counters, before the edge copies are charged — exactly where the
-// per-instruction tiers sample or trap. (Copies cost zero cycles, so sample
+// reference interpreter samples or traps. (Copies cost zero cycles, so sample
 // timing is unaffected by their charge landing in the previous iteration.)
 // An external mover that relocates a global during a park there patches this
 // frame's pool registers in place, so the loop simply carries on. The
 // observed path — a sibling thread or an attached move policy — runs exactly
 // one iteration per run() call, like every other block, byte-identical with
-// the per-instruction tiers.
+// the reference interpreter.
 func (cf *cfunc) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
 	in := &code[ti]
 	cmp := cf.compileCmpBit(&code[ti-1])
@@ -634,12 +623,6 @@ func (cf *cfunc) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep
 // block's final charge group.
 func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
 	name := cf.fn.Name
-	if ti < 0 {
-		return func(e *cenv) (*cblock, error) {
-			e.flush()
-			return nil, fmt.Errorf("vm: block without terminator in @%s", name)
-		}
-	}
 	in := &code[ti]
 	switch in.op {
 	case ir.OpBr:
@@ -715,7 +698,7 @@ func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv
 			return nil, nil
 		}
 
-	default: // ir.OpUnreachable, or a malformed block
+	default: // ir.OpUnreachable
 		return func(e *cenv) (*cblock, error) {
 			e.flush()
 			return nil, fmt.Errorf("vm: reached unreachable in @%s", name)
@@ -1040,8 +1023,7 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 // The callee is named by its index into the program's function table, so
 // finding its binding is one slice index. A callee already bound with a
 // compiled body enters it directly (counted as an inline-cache hit); the
-// first call, which predecodes, compiles and binds — and every call of a
-// callee the compiler refused — goes through the VM's tier dispatch (a miss).
+// first call, which lowers and binds, goes through VM.callIdx (a miss).
 func (cf *cfunc) compileCall(in *pinstr) cstep {
 	dst := in.dst
 	callee, calleeIdx := in.callee, in.calleeIdx
@@ -1091,7 +1073,7 @@ func (cf *cfunc) compileCall(in *pinstr) cstep {
 // segN/segCyc/pures are the enclosing charge group (which includes the GEP
 // and the guard); they land on the deferred counters, as does the access's
 // own charge on a hit. The cold path flushes before the guard walk and
-// charges the access directly, exactly as the per-instruction tiers would.
+// charges the access directly, exactly as the reference interpreter would.
 func (cf *cfunc) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
 	ga, gb := cf.operand(gi.a), cf.operand(gi.b)
 	width := uint64(ai.width)
@@ -1115,7 +1097,8 @@ func (cf *cfunc) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, 
 
 	// On a hit the segment's charge and the access's own charge land as one
 	// deferred update; the cold path charges them separately (segment before
-	// the guard walk, access after it) to match the per-instruction order.
+	// the guard walk, access after it) to match the reference interpreter's
+	// order.
 	hitN, hitCyc := segN+1, segCyc+aCost
 
 	if ai.op == ir.OpLoad {

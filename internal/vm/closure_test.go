@@ -7,13 +7,12 @@ import (
 	"carat/internal/passes"
 )
 
-// Exact-count tests for the closure tier's counters. The counting model
+// Exact-count tests for the compiled engine's counters. The counting model
 // (see closure.go): compiled code survives every epoch bump — grants, page
 // moves, forwarding windows — so nothing recompiles and nothing leaves the
-// tier mid-run; the one deopt left is the compiler's refusal of a function
-// with an undecodable shape, counted once per VM that binds it. A compiled
-// call site hits when its callee is already bound and compiled, and misses
-// on the call that binds it.
+// engine; the deopt position of ClosureStats is the constant 0. A compiled
+// call site hits when its callee is already bound, and misses on the call
+// that binds it.
 
 // closureWorkerSrc calls @work 100 times through one call site, so the
 // site's inline cache sees exactly one miss and 99 hits.
@@ -64,7 +63,7 @@ done:
   ret i64 %acc1
 }`
 
-// closureRun loads src with the closure tier on, applies tweak, runs, and
+// closureRun loads src on the compiled engine, applies tweak, runs, and
 // returns the VM and result.
 func closureRun(t *testing.T, src string, lvl passes.Level, tweak func(*VM)) (*VM, int64) {
 	t.Helper()
@@ -72,7 +71,6 @@ func closureRun(t *testing.T, src string, lvl passes.Level, tweak func(*VM)) (*V
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	cfg.Closure = true
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,14 +116,14 @@ func TestClosureInlineCacheExactCounts(t *testing.T) {
 	}
 }
 
-// referenceRun runs src on the reference interpreter (every tier switch
-// off) with the closure tests' machine shape and returns the result.
+// referenceRun runs src on the reference interpreter with the closure
+// tests' machine shape and returns the result.
 func referenceRun(t *testing.T, src string, lvl passes.Level) int64 {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	cfg.Predecode, cfg.XCache = false, false
+	cfg.Closure = reference
 	_, ret := run(t, compile(t, src, lvl), cfg)
 	return ret
 }
@@ -206,67 +204,6 @@ func TestClosureSurvivesForwardingWindow(t *testing.T) {
 	}
 }
 
-// TestClosureRefusesUndecodableShapes: a dynamic struct-index GEP carries
-// the predecoder's fallback flag, so the closure compiler must refuse the
-// whole function — exactly one deopt per VM that binds it, zero blocks, and
-// the predecode tier produces the result. The refusal is the program's: a
-// second VM over the same Program finds it recorded and counts its own.
-func TestClosureRefusesUndecodableShapes(t *testing.T) {
-	const src = `module "dynstruct"
-global @s : {i64, i64}
-func @main() -> i64 {
-entry:
-  br ^loop
-loop:
-  %i = phi i64 [0, ^entry], [%i1, ^loop]
-  %f = and i64 %i, 1
-  %p = gep {i64, i64}, @s, 0, %f
-  store i64 %i, %p
-  %i1 = add i64 %i, 1
-  %c = icmp slt i64 %i1, 8
-  condbr %c, ^loop, ^done
-done:
-  %p0 = gep {i64, i64}, @s, 0, 0
-  %v0 = load i64, %p0
-  %p1 = gep {i64, i64}, @s, 0, 1
-  %v1 = load i64, %p1
-  %r = add i64 %v0, %v1
-  ret i64 %r
-}`
-	want := referenceRun(t, src, passes.LevelTracking)
-	p, err := NewProgram(compile(t, src, passes.LevelTracking))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.MemBytes = 1 << 23
-	cfg.HeapBytes = 1 << 19
-	cfg.Closure = true
-	for i := 0; i < 2; i++ {
-		v, err := LoadProgram(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ret, err := v.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ret != want {
-			t.Errorf("vm %d: ret = %d, want %d (reference interpreter)", i, ret, want)
-		}
-		blocks, deopts, icHits, icMisses := v.ClosureStats()
-		if blocks != 0 {
-			t.Errorf("vm %d: blocks = %d, want 0 (compile refused)", i, blocks)
-		}
-		if deopts != 1 {
-			t.Errorf("vm %d: deopts = %d, want exactly 1 (one refusal)", i, deopts)
-		}
-		if icHits != 0 || icMisses != 0 {
-			t.Errorf("vm %d: ic stats = %d/%d, want 0/0 (no compiled call sites)", i, icHits, icMisses)
-		}
-	}
-}
-
 // TestClosureReentryAfterDeopt keeps its name from the design in which an
 // epoch bump deopted every live compiled activation and this test watched
 // the tier recover. There is nothing to recover from now: with main and
@@ -300,15 +237,15 @@ func TestClosureReentryAfterDeopt(t *testing.T) {
 
 // TestClosureParityUnderInjectedMoves is the belt-and-braces end-to-end
 // leg: a worst-case move storm (real epoch bumps, not synthetic grants)
-// leaves the closure tier's result, modeled clock and memory identical to
-// the predecode tier's — without a single deopt or recompile.
+// leaves the compiled engine's result, modeled clock and memory identical
+// to the reference interpreter's — without a single recompile.
 func TestClosureParityUnderInjectedMoves(t *testing.T) {
-	runTier := func(closure bool) (*VM, int64) {
+	runOn := func(engine bool) (*VM, int64) {
 		m := compile(t, closureWorkerSrc, passes.LevelTracking)
 		cfg := DefaultConfig()
 		cfg.MemBytes = 1 << 23
 		cfg.HeapBytes = 1 << 19
-		cfg.Closure = closure
+		cfg.Closure = engine
 		v, err := Load(m, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -316,14 +253,14 @@ func TestClosureParityUnderInjectedMoves(t *testing.T) {
 		v.SetMovePolicy(400, func() error { return v.InjectWorstCaseMove() })
 		ret, err := v.Run()
 		if err != nil {
-			t.Fatalf("closure=%v: %v", closure, err)
+			t.Fatalf("compiled=%v: %v", engine, err)
 		}
 		return v, ret
 	}
-	pv, pret := runTier(false)
-	cv, cret := runTier(true)
+	pv, pret := runOn(reference)
+	cv, cret := runOn(compiled)
 	if pret != cret {
-		t.Errorf("ret: predecode %d, closure %d", pret, cret)
+		t.Errorf("ret: reference %d, compiled %d", pret, cret)
 	}
 	if pv.Instrs != cv.Instrs || pv.Cycles != cv.Cycles {
 		t.Errorf("model diverged: instrs %d/%d, cycles %d/%d",

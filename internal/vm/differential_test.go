@@ -135,17 +135,25 @@ func genProgram(seed int64) *ir.Module {
 	return m
 }
 
+// The two engines every differential leg names: the compiled engine is what
+// ships (DefaultConfig); the reference interpreter is the oracle, sharing no
+// lowering and no cache with it. Reference legs run once per seed — it is an
+// order of magnitude slower — and every other leg is compared against them.
+const (
+	reference = false // Config.Closure clear
+	compiled  = true
+)
+
 // runSeed compiles the seed's program at the given level and runs it on
-// the default (predecode+xcache) engine.
+// the compiled engine.
 func runSeed(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
 	tweak func(*VM)) int64 {
-	return runSeedEngine(t, seed, lvl, mech, false, tweak)
+	return runSeedEngine(t, seed, lvl, mech, compiled, tweak)
 }
 
-// runSeedEngine is runSeed with an engine choice: closure selects the
-// closure compilation tier on top of the default config.
+// runSeedEngine is runSeed with an engine choice (reference or compiled).
 func runSeedEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
-	closure bool, tweak func(*VM)) int64 {
+	engine bool, tweak func(*VM)) int64 {
 	t.Helper()
 	m := genProgram(seed)
 	pl := passes.Build(lvl)
@@ -156,7 +164,7 @@ func runSeedEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechan
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = mech
-	cfg.Closure = closure
+	cfg.Closure = engine
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Fatalf("seed %d: load: %v", seed, err)
@@ -166,7 +174,7 @@ func runSeedEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechan
 	}
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("seed %d (closure=%v): run: %v", seed, closure, err)
+		t.Fatalf("seed %d (compiled=%v): run: %v", seed, engine, err)
 	}
 	return ret
 }
@@ -177,13 +185,10 @@ func TestDifferentialPipelineLevels(t *testing.T) {
 		passes.LevelTracking, passes.LevelTrackingOnly,
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		want := runSeed(t, seed, passes.LevelNone, guard.MechRange, nil)
-		for _, lvl := range levels[1:] {
+		want := runSeedEngine(t, seed, passes.LevelNone, guard.MechRange, reference, nil)
+		for _, lvl := range levels {
 			if got := runSeed(t, seed, lvl, guard.MechRange, nil); got != want {
-				t.Errorf("seed %d level %d: got %d, want %d", seed, lvl, got, want)
-			}
-			if got := runSeedEngine(t, seed, lvl, guard.MechRange, true, nil); got != want {
-				t.Errorf("seed %d level %d closure: got %d, want %d", seed, lvl, got, want)
+				t.Errorf("seed %d level %d: got %d, want %d (reference, uninstrumented)", seed, lvl, got, want)
 			}
 		}
 	}
@@ -193,13 +198,10 @@ func TestDifferentialGuardMechanisms(t *testing.T) {
 	mechs := []guard.Mechanism{guard.MechRange, guard.MechMPX, guard.MechIfTree,
 		guard.MechBinarySearch, guard.MechLinear}
 	for seed := int64(50); seed <= 65; seed++ {
-		want := runSeed(t, seed, passes.LevelGuardsOpt, guard.MechRange, nil)
-		for _, mech := range mechs[1:] {
+		want := runSeedEngine(t, seed, passes.LevelGuardsOpt, guard.MechRange, reference, nil)
+		for _, mech := range mechs {
 			if got := runSeed(t, seed, passes.LevelGuardsOpt, mech, nil); got != want {
-				t.Errorf("seed %d mech %v: got %d, want %d", seed, mech, got, want)
-			}
-			if got := runSeedEngine(t, seed, passes.LevelGuardsOpt, mech, true, nil); got != want {
-				t.Errorf("seed %d mech %v closure: got %d, want %d", seed, mech, got, want)
+				t.Errorf("seed %d mech %v: got %d, want %d (reference, range guards)", seed, mech, got, want)
 			}
 		}
 	}
@@ -207,22 +209,19 @@ func TestDifferentialGuardMechanisms(t *testing.T) {
 
 func TestDifferentialUnderPageMoves(t *testing.T) {
 	for seed := int64(100); seed <= 125; seed++ {
-		want := runSeed(t, seed, passes.LevelTracking, guard.MechRange, nil)
+		want := runSeedEngine(t, seed, passes.LevelTracking, guard.MechRange, reference, nil)
 		movePolicy := func(v *VM) {
 			v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
 		}
 		if got := runSeed(t, seed, passes.LevelTracking, guard.MechRange, movePolicy); got != want {
-			t.Errorf("seed %d with page moves: got %d, want %d", seed, got, want)
-		}
-		if got := runSeedEngine(t, seed, passes.LevelTracking, guard.MechRange, true, movePolicy); got != want {
-			t.Errorf("seed %d with page moves closure: got %d, want %d", seed, got, want)
+			t.Errorf("seed %d with page moves: got %d, want %d (reference, no moves)", seed, got, want)
 		}
 	}
 }
 
 func TestDifferentialUnderAllocationMoves(t *testing.T) {
 	for seed := int64(200); seed <= 220; seed++ {
-		want := runSeed(t, seed, passes.LevelTracking, guard.MechRange, nil)
+		want := runSeedEngine(t, seed, passes.LevelTracking, guard.MechRange, reference, nil)
 		movePolicy := func(v *VM) {
 			v.SetMovePolicy(600, func() error {
 				if err := v.InjectWorstCaseAllocationMove(); err != nil {
@@ -232,17 +231,14 @@ func TestDifferentialUnderAllocationMoves(t *testing.T) {
 			})
 		}
 		if got := runSeed(t, seed, passes.LevelTracking, guard.MechRange, movePolicy); got != want {
-			t.Errorf("seed %d with allocation moves: got %d, want %d", seed, got, want)
-		}
-		if got := runSeedEngine(t, seed, passes.LevelTracking, guard.MechRange, true, movePolicy); got != want {
-			t.Errorf("seed %d with allocation moves closure: got %d, want %d", seed, got, want)
+			t.Errorf("seed %d with allocation moves: got %d, want %d (reference, no moves)", seed, got, want)
 		}
 	}
 }
 
 func TestDifferentialCapsule(t *testing.T) {
 	for seed := int64(300); seed <= 315; seed++ {
-		want := runSeed(t, seed, passes.LevelGuardsOpt, guard.MechRange, nil)
+		want := runSeedEngine(t, seed, passes.LevelGuardsOpt, guard.MechRange, reference, nil)
 		m := genProgram(seed)
 		pl := passes.Build(passes.LevelGuardsOpt)
 		if err := pl.Run(m); err != nil {
@@ -322,19 +318,19 @@ done:
 	}
 	for pi, src := range progs {
 		for _, lvl := range []passes.Level{passes.LevelGuardsOnly, passes.LevelGuardsOpt, passes.LevelTracking} {
-			for _, closure := range []bool{false, true} {
+			for _, engine := range []bool{reference, compiled} {
 				m := compile(t, src, lvl)
 				cfg := DefaultConfig()
 				cfg.MemBytes = 1 << 22
 				cfg.HeapBytes = 1 << 18
-				cfg.Closure = closure
+				cfg.Closure = engine
 				v, err := Load(m, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if _, err := v.Run(); err == nil {
-					t.Errorf("program %d at level %d (closure=%v): illegal access was admitted",
-						pi+1, lvl, closure)
+					t.Errorf("program %d at level %d (compiled=%v): illegal access was admitted",
+						pi+1, lvl, engine)
 				}
 			}
 		}

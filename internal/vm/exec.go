@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
@@ -56,21 +57,8 @@ func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error)
 		if len(phis) > 0 {
 			vals := make([]uint64, len(phis))
 			for i, phi := range phis {
-				found := false
-				for j, pb := range phi.Preds {
-					if pb == prev {
-						vals[i] = v.val(fr, phi.Args[j])
-						found = true
-						break
-					}
-				}
-				if !found {
-					prevName := "<entry>"
-					if prev != nil {
-						prevName = prev.Name
-					}
-					return 0, fmt.Errorf("vm: phi in ^%s has no incoming for ^%s", block.Name, prevName)
-				}
+				// Verify: no phi in the entry block, an incoming for every edge.
+				vals[i] = v.val(fr, phi.Args[slices.Index(phi.Preds, prev)])
 			}
 			for i, phi := range phis {
 				fr.regs[fb.slotOf[phi]] = vals[i]
@@ -221,7 +209,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		raw := v.kern.Mem.LoadN(paddr, loadWidth(n))
+		raw := v.kern.Mem.LoadN(paddr, n) // Verify: n is 1, 2, 4 or 8
 		if in.Elem.IsInt() {
 			raw = uint64(signExtend(raw, in.Elem.Bits))
 		}
@@ -235,7 +223,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		v.kern.Mem.StoreN(paddr, val, loadWidth(n))
+		v.kern.Mem.StoreN(paddr, val, n)
 		return nil
 
 	case in.Op == ir.OpGEP:
@@ -270,7 +258,8 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 
 // gepAddr computes a GEP's address with the same stepping rules the
 // analysis package uses (first index scales by Elem; later indices walk
-// into aggregates).
+// into aggregates — a struct level by an in-range constant, which ir.Verify
+// guarantees).
 func (v *VM) gepAddr(fr *frame, in *ir.Instr) uint64 {
 	addr := v.val(fr, in.Args[0])
 	typ := in.Elem
@@ -313,21 +302,12 @@ func (v *VM) execGuard(t *thread, fr *frame, in *ir.Instr) error {
 	if int64(size) <= 0 {
 		return nil // zero-trip range guard: nothing will be accessed
 	}
-	if v.checkGuard(t, addr, size, perm) {
+	// t.xc is nil here: the reference interpreter walks the evaluator every
+	// time, which is what makes it a check on the cache's replayed costs.
+	if v.eval.CheckCached(t.xc, addr, size, perm) {
 		return nil
 	}
 	return v.guardMiss(fr, in, addr, size, perm, func() uint64 { return v.val(fr, in.Args[0]) })
-}
-
-// checkGuard evaluates one guard through the thread's translation cache
-// when enabled, or the full evaluator walk otherwise. CheckCached replays
-// the recorded walk cost on a hit, so modeled cycles are byte-identical
-// either way.
-func (v *VM) checkGuard(t *thread, addr, size uint64, perm guard.Perm) bool {
-	if t.xc != nil {
-		return v.eval.CheckCached(t.xc, addr, size, perm)
-	}
-	return v.eval.Check(addr, size, perm)
 }
 
 // guardMiss is the shared cold path for a failed guard check (both
@@ -518,14 +498,6 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 }
 
 // --- scalar helpers ---
-
-func loadWidth(n int) int {
-	switch n {
-	case 1, 2, 4, 8:
-		return n
-	}
-	panic(fmt.Sprintf("vm: unsupported access width %d", n))
-}
 
 func boolBit(b bool) uint64 {
 	if b {

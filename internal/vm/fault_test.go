@@ -12,7 +12,7 @@ import (
 // through the VM and a move policy that keeps requesting worst-case moves,
 // swallowing injected aborts the way mmpolicy's daemon does. Returns the
 // program result and how many moves were rolled back.
-func runSeedFaulted(t *testing.T, seed int64, rate float64, closure bool) (int64, uint64) {
+func runSeedFaulted(t *testing.T, seed int64, rate float64, engine bool) (int64, uint64) {
 	t.Helper()
 	m := genProgram(seed)
 	pl := passes.Build(passes.LevelTracking)
@@ -23,8 +23,7 @@ func runSeedFaulted(t *testing.T, seed int64, rate float64, closure bool) (int64
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = guard.MechRange
-	cfg.XCache = true
-	cfg.Closure = closure
+	cfg.Closure = engine
 	inj := fault.New(seed, nil)
 	inj.SetRate(fault.MoveAbort, rate)
 	inj.SetRate(fault.PatchFail, rate)
@@ -58,15 +57,19 @@ func TestDifferentialUnderAbortedMoves(t *testing.T) {
 	var sawRollback bool
 	for seed := int64(100); seed <= 115; seed++ {
 		want := runSeed(t, seed, passes.LevelTracking, guard.MechRange, nil)
-		got, rollbacks := runSeedFaulted(t, seed, 0.5, false)
+		got, rollbacks := runSeedFaulted(t, seed, 0.5, compiled)
 		if got != want {
 			t.Errorf("seed %d with aborted moves: got %d, want %d", seed, got, want)
 		}
-		gotClo, rollClo := runSeedFaulted(t, seed, 0.5, true)
-		if gotClo != want {
-			t.Errorf("seed %d with aborted moves (closure): got %d, want %d", seed, gotClo, want)
+		gotRef, rollRef := runSeedFaulted(t, seed, 0.5, reference)
+		if gotRef != want {
+			t.Errorf("seed %d with aborted moves (reference): got %d, want %d", seed, gotRef, want)
 		}
-		if rollbacks > 0 && rollClo > 0 {
+		if rollbacks != rollRef {
+			t.Errorf("seed %d: %d rollbacks compiled, %d reference: the engines drew different faults",
+				seed, rollbacks, rollRef)
+		}
+		if rollbacks > 0 {
 			sawRollback = true
 		}
 	}

@@ -15,15 +15,15 @@ import (
 // `go test` without -fuzz still replays known-interesting programs. CI
 // runs each target for a short budget (see the Makefile fuzz target).
 
-// fuzzRun compiles and runs one seed at a level, returning the result.
-// Unlike runSeed it reports failures instead of t.Fatal-ing so the fuzzer
-// can minimize.
+// fuzzRun compiles one seed at a level and runs it on the compiled engine,
+// returning the result. Unlike runSeed it reports failures instead of
+// t.Fatal-ing so the fuzzer can minimize.
 func fuzzRun(t *testing.T, seed int64, lvl passes.Level, tweak func(*VM)) (int64, bool) {
-	return fuzzRunEngine(t, seed, lvl, false, tweak)
+	return fuzzRunEngine(t, seed, lvl, compiled, tweak)
 }
 
-// fuzzRunEngine is fuzzRun with an engine choice (closure tier on/off).
-func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, closure bool,
+// fuzzRunEngine is fuzzRun with an engine choice (reference or compiled).
+func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, engine bool,
 	tweak func(*VM)) (int64, bool) {
 	m := genProgram(seed)
 	pl := passes.Build(lvl)
@@ -35,7 +35,7 @@ func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, closure bool,
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = guard.MechRange
-	cfg.Closure = closure
+	cfg.Closure = engine
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Errorf("seed %d: load: %v", seed, err)
@@ -52,18 +52,19 @@ func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, closure bool,
 	return ret, true
 }
 
-// FuzzDifferentialPipeline: every pipeline level computes the same result
-// as the uninstrumented program.
+// FuzzDifferentialPipeline: every pipeline level computes, on the compiled
+// engine, the result the reference interpreter gives the uninstrumented
+// program.
 func FuzzDifferentialPipeline(f *testing.F) {
 	for _, seed := range []int64{1, 7, 19, 33, 40, 50, 57, 65} {
 		f.Add(seed)
 	}
 	levels := []passes.Level{
-		passes.LevelGuardsOnly, passes.LevelGuardsOpt,
+		passes.LevelNone, passes.LevelGuardsOnly, passes.LevelGuardsOpt,
 		passes.LevelTracking, passes.LevelTrackingOnly,
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		want, ok := fuzzRun(t, seed, passes.LevelNone, nil)
+		want, ok := fuzzRunEngine(t, seed, passes.LevelNone, reference, nil)
 		if !ok {
 			return
 		}
@@ -71,16 +72,13 @@ func FuzzDifferentialPipeline(f *testing.F) {
 			if got, ok := fuzzRun(t, seed, lvl, nil); ok && got != want {
 				t.Errorf("seed %d level %d: got %d, want %d", seed, lvl, got, want)
 			}
-			if got, ok := fuzzRunEngine(t, seed, lvl, true, nil); ok && got != want {
-				t.Errorf("seed %d level %d closure: got %d, want %d", seed, lvl, got, want)
-			}
 		}
 	})
 }
 
 // FuzzDifferentialMoves: concurrent page moves are invisible to the tracked
 // program — worst-case moves of its most-escaped page, and moves of its
-// globals and code pages, which the closure tier's constant pools bake.
+// globals and code pages, which the compiled engine's constant pools bake.
 // Seeds 108 and 139 are global-heavy: three global arrays and no heap, so
 // every access goes through a global operand.
 func FuzzDifferentialMoves(f *testing.F) {
@@ -88,7 +86,7 @@ func FuzzDifferentialMoves(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		want, ok := fuzzRun(t, seed, passes.LevelTracking, nil)
+		want, ok := fuzzRunEngine(t, seed, passes.LevelTracking, reference, nil)
 		if !ok {
 			return
 		}
@@ -98,14 +96,11 @@ func FuzzDifferentialMoves(f *testing.F) {
 		if got, ok := fuzzRun(t, seed, passes.LevelTracking, movePolicy); ok && got != want {
 			t.Errorf("seed %d with page moves: got %d, want %d", seed, got, want)
 		}
-		if got, ok := fuzzRunEngine(t, seed, passes.LevelTracking, true, movePolicy); ok && got != want {
-			t.Errorf("seed %d with page moves closure: got %d, want %d", seed, got, want)
-		}
 		staticsPolicy := func(v *VM) {
 			v.SetMovePolicy(750, (&staticsMover{t: t, v: v}).move)
 		}
-		if got, ok := fuzzRunEngine(t, seed, passes.LevelTracking, true, staticsPolicy); ok && got != want {
-			t.Errorf("seed %d with globals and code moves closure: got %d, want %d", seed, got, want)
+		if got, ok := fuzzRun(t, seed, passes.LevelTracking, staticsPolicy); ok && got != want {
+			t.Errorf("seed %d with globals and code moves: got %d, want %d", seed, got, want)
 		}
 	})
 }

@@ -11,13 +11,12 @@ import (
 )
 
 // groupCfg is the shared configuration for multi-process group tests:
-// small per-process footprints so several arenas fit one machine, with
-// every execution tier engaged.
+// small per-process footprints so several arenas fit one machine, on the
+// compiled engine.
 func groupCfg() Config {
 	cfg := DefaultConfig()
 	cfg.HeapBytes = 1 << 19
 	cfg.StackBytes = 1 << 18
-	cfg.Closure = true
 	return cfg
 }
 

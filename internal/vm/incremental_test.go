@@ -25,12 +25,12 @@ func pauseMetric(name string) bool {
 	return strings.HasPrefix(name, runtime.PauseHist) || name == "carat.runtime.batch_pauses"
 }
 
-// tierMetric reports whether a metric name is execution-tier bookkeeping:
-// the closure tier's own counters exist only when that tier is enabled, and
-// deopt/recompile counts legitimately differ between budgets (the
-// forwarding window of a bounded move bumps the region epoch more often). Everything else must match byte-for-byte across tiers.
-func tierMetric(name string) bool {
-	return strings.HasPrefix(name, "carat.vm.closure.")
+// engineMetric reports whether a metric name is the compiled engine's own
+// host-side bookkeeping — its lowering counters and its guard/translation
+// cache — which the reference interpreter has none of. Everything else must
+// match byte-for-byte across engines.
+func engineMetric(name string) bool {
+	return strings.HasPrefix(name, "carat.vm.closure.") || strings.HasPrefix(name, "carat.vm.xcache.")
 }
 
 // seedDigest is everything one fuzz-seed run must reproduce across budgets.
@@ -42,9 +42,9 @@ type seedDigest struct {
 }
 
 // runSeedDigest runs a fuzz seed under worst-case page moves and digests
-// the observable outcome, excluding pause-attribution and tier-bookkeeping
+// the observable outcome, excluding pause-attribution and engine-bookkeeping
 // metrics.
-func runSeedDigest(t *testing.T, seed int64, budget uint64, closure bool) seedDigest {
+func runSeedDigest(t *testing.T, seed int64, budget uint64, engine bool) seedDigest {
 	t.Helper()
 	m := genProgram(seed)
 	pl := passes.Build(passes.LevelTracking)
@@ -56,7 +56,7 @@ func runSeedDigest(t *testing.T, seed int64, budget uint64, closure bool) seedDi
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = guard.MechRange
 	cfg.PauseBudget = budget
-	cfg.Closure = closure
+	cfg.Closure = engine
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Fatalf("seed %d: load: %v", seed, err)
@@ -64,17 +64,17 @@ func runSeedDigest(t *testing.T, seed int64, budget uint64, closure bool) seedDi
 	v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("seed %d (budget=%d closure=%v): run: %v", seed, budget, closure, err)
+		t.Fatalf("seed %d (budget=%d compiled=%v): run: %v", seed, budget, engine, err)
 	}
 
 	snap := v.Obs().Snapshot()
 	for name := range snap.Counters {
-		if pauseMetric(name) || tierMetric(name) {
+		if pauseMetric(name) || engineMetric(name) {
 			delete(snap.Counters, name)
 		}
 	}
 	for name := range snap.Histograms {
-		if pauseMetric(name) || tierMetric(name) {
+		if pauseMetric(name) || engineMetric(name) {
 			delete(snap.Histograms, name)
 		}
 	}
@@ -95,20 +95,20 @@ func runSeedDigest(t *testing.T, seed int64, budget uint64, closure bool) seedDi
 var minBudget = runtime.PauseBound(runtime.MinMoveBatch)
 
 // TestIncrementalParityMatrix runs the existing differential fuzz seeds
-// under budgets {0, minimum, 1000} x {predecode, closure} and requires
+// under budgets {0, minimum, 1000} x {reference, compiled} and requires
 // byte-identical results: return value, modeled cycle clock, physical
 // memory checksum, and the full metrics snapshot minus pause attribution
-// and tier bookkeeping.
+// and engine bookkeeping.
 func TestIncrementalParityMatrix(t *testing.T) {
 	for seed := int64(100); seed <= 112; seed++ {
-		ref := runSeedDigest(t, seed, 0, false)
+		ref := runSeedDigest(t, seed, 0, reference)
 		for _, budget := range []uint64{0, minBudget, 1000} {
-			for _, closure := range []bool{false, true} {
-				if budget == 0 && !closure {
+			for _, engine := range []bool{reference, compiled} {
+				if budget == 0 && engine == reference {
 					continue // the reference leg itself
 				}
-				leg := fmt.Sprintf("budget=%d closure=%v", budget, closure)
-				got := runSeedDigest(t, seed, budget, closure)
+				leg := fmt.Sprintf("budget=%d compiled=%v", budget, engine)
+				got := runSeedDigest(t, seed, budget, engine)
 				if ref.ret != got.ret {
 					t.Errorf("seed %d: ret %d (reference) != %d (%s)", seed, ref.ret, got.ret, leg)
 				}

@@ -10,7 +10,7 @@ import (
 	"carat/internal/passes"
 )
 
-// The closure tier's constant pool is one more escape of every global and
+// The compiled engine's constant pool is one more escape of every global and
 // function address it bakes: a move that relocates one must patch the
 // binding's pool AND the copy of it in every live closure frame, wherever
 // that frame is suspended. InjectWorstCaseMove moves heap pages, so these
@@ -24,7 +24,7 @@ import (
 // Every program checks its own addresses: entry stores @a and @work into
 // pointer globals (tracked escapes, which the move protocol patches), and
 // each trip of the hot loop plays the patched escape off against the operand
-// itself — a pool register on the closure tier. It stores through the
+// itself — a pool register on the compiled engine. It stores through the
 // pointer it loads back from @gslot and reads the element again through @a;
 // it compares what it loads from @fslot with @work. A pool that missed a
 // move names the vacated page: the read-back returns an old trip's value and
@@ -167,19 +167,19 @@ entry:
   ret i64 %r
 }`
 
-// poolCfg is the tests' machine: the closure tier, or — closure unset — the
-// reference interpreter with every tier switch off.
-func poolCfg(closure bool, budget uint64) Config {
+// poolCfg is the tests' machine, on the compiled engine or the reference
+// interpreter.
+func poolCfg(engine bool, budget uint64) Config {
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	cfg.Predecode, cfg.XCache, cfg.Closure = closure, closure, closure
+	cfg.Closure = engine
 	cfg.PauseBudget = budget
 	return cfg
 }
 
 // staticsMover moves a global's page (each global in turn) and the code page
-// alternately, and audits the closure tier's pools around every move.
+// alternately, and audits the compiled engine's pools around every move.
 type staticsMover struct {
 	t *testing.T
 	v *VM
@@ -243,12 +243,12 @@ func (s *staticsMover) move() error {
 	return nil
 }
 
-// runPoolStorm runs src on the closure tier or the reference interpreter
+// runPoolStorm runs src on the compiled engine or the reference interpreter
 // under a statics move every period instructions and returns the VM, the
 // result and the mover's audit.
-func runPoolStorm(t *testing.T, src string, closure bool, budget, period uint64) (*VM, int64, *staticsMover) {
+func runPoolStorm(t *testing.T, src string, engine bool, budget, period uint64) (*VM, int64, *staticsMover) {
 	t.Helper()
-	v, err := Load(compile(t, src, passes.LevelTracking), poolCfg(closure, budget))
+	v, err := Load(compile(t, src, passes.LevelTracking), poolCfg(engine, budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,19 +256,19 @@ func runPoolStorm(t *testing.T, src string, closure bool, budget, period uint64)
 	v.SetMovePolicy(period, s.move)
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("closure=%v budget=%d: %v", closure, budget, err)
+		t.Fatalf("compiled=%v budget=%d: %v", engine, budget, err)
 	}
 	return v, ret, s
 }
 
 // checkPoolStorm runs src under the statics storm on the reference
-// interpreter and on the closure tier, at an unbounded and a bounded pause
+// interpreter and on the compiled engine, at an unbounded and a bounded pause
 // budget, and requires the same result, modeled clock and memory image from
 // both — plus pools that really were patched, with no deopt or recompile.
 func checkPoolStorm(t *testing.T, src string, period uint64) (ret int64, audit *staticsMover) {
 	for _, budget := range []uint64{0, 1000} {
-		rv, want, rs := runPoolStorm(t, src, false, budget, period)
-		cv, got, cs := runPoolStorm(t, src, true, budget, period)
+		rv, want, rs := runPoolStorm(t, src, reference, budget, period)
+		cv, got, cs := runPoolStorm(t, src, compiled, budget, period)
 		if got != want {
 			t.Errorf("budget %d: ret = %d, want %d (reference interpreter)", budget, got, want)
 		}
@@ -280,7 +280,7 @@ func checkPoolStorm(t *testing.T, src string, period uint64) (ret int64, audit *
 			t.Errorf("budget %d: physical memory checksums diverged", budget)
 		}
 		if cs.moves < 4 || cs.moves != rs.moves {
-			t.Fatalf("budget %d: %d moves on the closure tier, %d on the reference; want the same, at least 4",
+			t.Fatalf("budget %d: %d moves on the compiled engine, %d on the reference; want the same, at least 4",
 				budget, cs.moves, rs.moves)
 		}
 		if cs.patched == 0 || cv.closureRepatches == 0 {
@@ -369,7 +369,7 @@ func moveWhileSuspended(t *testing.T, v *VM, s *staticsMover, caught func() bool
 // registers of its one live frame.
 func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 	for _, budget := range []uint64{0, 1000} {
-		v, err := Load(compile(t, poolLoopSrc(poolUntilStopped), passes.LevelTracking), poolCfg(true, budget))
+		v, err := Load(compile(t, poolLoopSrc(poolUntilStopped), passes.LevelTracking), poolCfg(compiled, budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 // addresses, and @main reads @out through its own pool afterwards.
 func TestPoolPatchParkedSibling(t *testing.T) {
 	for _, budget := range []uint64{0, 1000} {
-		v, err := Load(compile(t, poolThreadSrc, passes.LevelTracking), poolCfg(true, budget))
+		v, err := Load(compile(t, poolThreadSrc, passes.LevelTracking), poolCfg(compiled, budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ done:
 	}
 	// The layout depends on the module's shape, not on the immediate: load
 	// once to learn where @a lands, then bake that address in as a number.
-	probe, err := Load(compile(t, src(0), passes.LevelTracking), poolCfg(true, 0))
+	probe, err := Load(compile(t, src(0), passes.LevelTracking), poolCfg(compiled, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ done:
 	for i := int64(0); i < 2000; i++ {
 		want += i ^ int64(addr)
 	}
-	v, err := Load(compile(t, src(addr), passes.LevelTracking), poolCfg(true, 0))
+	v, err := Load(compile(t, src(addr), passes.LevelTracking), poolCfg(compiled, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,28 +3,28 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
-	"carat/internal/obs"
 	"carat/internal/passes"
-	"carat/internal/runtime"
 )
 
-// The predecoded execution engine. callFunc interprets *ir.Instr values
-// directly: every operand read is an interface type switch plus (for SSA
-// values) a map lookup, every instruction execution allocates a `set`
-// closure, and every taken branch re-discovers the incoming phi edge by
+// Predecode lowering: the first of the compiled engine's two stages. The
+// reference interpreter (exec.go) walks *ir.Instr values directly: every
+// operand read is an interface type switch plus (for SSA values) a map
+// lookup, and every taken branch re-discovers the incoming phi edge by
 // scanning phi.Preds. None of that work depends on runtime state, so
-// pcallFunc lowers each function once — on its first call — into a flat
+// predecode lowers each function once — on its first call — into a flat
 // array-of-structs form with resolved register slots, immediate constants,
 // precomputed GEP strides, direct successor-block indices, and per-edge phi
-// copy lists. The dispatch loop then runs on integer indices only.
+// copy lists. The closure compiler (closure.go) takes that form as its
+// input; nothing executes it directly.
 //
-// The lowering is host-speed only: instruction counts, modeled cycles, the
-// cycle profile, guard evaluator state, and runtime callback order are
-// byte-identical with the baseline interpreter (the engine-parity
-// differential tests in predecode_test.go pin this).
+// The lowering is total over verified modules: ir.Verify rejects every shape
+// it has no form for (aggregate-width accesses, struct GEP indices that are
+// not in-range constants, undefined opcodes), and NewProgram verifies before
+// anything is lowered. A shape it still cannot lower is a bug, not an input.
 
 // poperand kinds.
 const (
@@ -57,13 +57,11 @@ type pcopy struct {
 
 // pinstr is one predecoded instruction. A single struct covers every op;
 // the op field selects which subset of the fields is meaningful. raw always
-// points at the source instruction for cold paths (faults, error messages,
-// and the execInstr fallback).
+// points at the source instruction for cold paths (faults, error messages).
 type pinstr struct {
-	op       ir.Op
-	fallback bool // true: execute raw via execInstr (rare, exotic shapes)
-	cost     uint8
-	dst      int32 // result slot, -1 when the op produces no value
+	op   ir.Op
+	cost uint8
+	dst  int32 // result slot, -1 when the op produces no value
 
 	a, b, c poperand // up to three scalar operands
 
@@ -100,9 +98,9 @@ type pfunc struct {
 	maxPhis int // widest phi set of any block, sizes the copy scratch
 }
 
-// predecode lowers l's function. The result depends on the module alone, so
-// it is a Program part: built by the first VM that calls the function and
-// shared from then on (see VM.bind).
+// predecode lowers l's function. The result depends on the module alone; it
+// lives on inside the cfunc compiled from it, whose cold paths keep pointers
+// into its code arrays (see VM.bind).
 func (p *Program) predecode(l *funcLayout) *pfunc {
 	f := l.fn
 	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
@@ -123,19 +121,8 @@ func (p *Program) predecode(l *funcLayout) *pfunc {
 		}
 		copies := make([]pcopy, len(phis))
 		for i, phi := range phis {
-			found := false
-			for j, pb := range phi.Preds {
-				if pb == prev {
-					copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: p.pdecodeOperand(l, phi.Args[j])}
-					found = true
-					break
-				}
-			}
-			if !found {
-				// Verified modules always have the edge; mirror the
-				// baseline's runtime error through a fallback phi.
-				copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: poperand{kind: pkImm}}
-			}
+			j := slices.Index(phi.Preds, prev) // Verify: every edge has an incoming
+			copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: p.pdecodeOperand(l, phi.Args[j])}
 		}
 		return copies
 	}
@@ -177,9 +164,10 @@ func (p *Program) pdecodeOperand(l *funcLayout, x ir.Value) poperand {
 	}
 }
 
-// pval reads a resolved operand. The pkGlobal/pkFunc indirection through
-// the phys tables (rebuilt by onMove) keeps kernel-initiated moves visible,
-// matching the baseline's live map lookups.
+// pval reads a resolved operand on the compiled engine's cold paths. The
+// pkGlobal/pkFunc indirection through the phys tables (rebased by onMove)
+// keeps kernel-initiated moves visible, like the reference interpreter's
+// live lookups.
 func (v *VM) pval(fr *frame, p poperand) uint64 {
 	switch p.kind {
 	case pkImm:
@@ -229,28 +217,17 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 
 	case in.Op == ir.OpLoad:
 		pi.a = opnd(0)
-		n := in.Elem.Size()
-		if n != 1 && n != 2 && n != 4 && n != 8 {
-			pi.fallback = true // keep the baseline's exec-time panic path
-			break
-		}
-		pi.width = uint8(n)
+		pi.width = uint8(in.Elem.Size())
 		pi.signed = in.Elem.IsInt()
 		pi.srcBits = uint8(in.Elem.Bits)
 
 	case in.Op == ir.OpStore:
 		pi.a, pi.b = opnd(0), opnd(1)
-		n := in.Args[0].Type().Size()
-		if n != 1 && n != 2 && n != 4 && n != 8 {
-			pi.fallback = true
-			break
-		}
-		pi.width = uint8(n)
+		pi.width = uint8(in.Args[0].Type().Size())
 
 	case in.Op == ir.OpGEP:
 		pi.a = opnd(0)
 		typ := in.Elem
-		ok := true
 		for i, idxV := range in.Args[1:] {
 			if i == 0 {
 				pi.gepAdd(p, l, idxV, typ.Size())
@@ -261,22 +238,12 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 				typ = typ.Elem
 				pi.gepAdd(p, l, idxV, typ.Size())
 			case ir.StructKind:
-				c, isConst := idxV.(*ir.Const)
-				if !isConst {
-					ok = false // dynamic struct index: type walk needs the value
-					break
-				}
+				c := idxV.(*ir.Const) // Verify: an in-range constant
 				pi.gepConst += uint64(typ.FieldOffset(int(c.Int)))
 				typ = typ.Fields[c.Int]
 			default:
 				pi.gepAdd(p, l, idxV, typ.Size())
 			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			pi.fallback = true
 		}
 
 	case in.Op == ir.OpSelect:
@@ -309,7 +276,7 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 		// nothing beyond successors/raw
 
 	default:
-		pi.fallback = true
+		panic(fmt.Sprintf("vm: predecode: no lowering for %s (module not verified?)", in))
 	}
 	return pi
 }
@@ -323,242 +290,9 @@ func (pi *pinstr) gepAdd(p *Program, l *funcLayout, idxV ir.Value, stride int64)
 	pi.gepSteps = append(pi.gepSteps, pgepStep{op: p.pdecodeOperand(l, idxV), stride: stride})
 }
 
-// pcall interprets one activation through the predecoded form. Control
-// flow, accounting, safepoint placement, and phi timing mirror callFunc
-// exactly: the safepoint at a block's head runs BEFORE that block's phi
-// copies are applied, so a move injected at the safepoint patches the
-// frame slots the copies then read — the same order the baseline gives.
-func (v *VM) pcall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
-	f, pf := fb.fn, fb.pf
-	fb.prof.Calls++
-	fr := &frame{fb: fb, regs: make([]uint64, fb.nSlots), spSave: t.sp}
-	copy(fr.regs, args) // params occupy slots 0..len(Params)-1 in order
-	t.frames = append(t.frames, fr)
-	defer t.popFrame(fr)
-	if len(t.frames) > 10000 {
-		return 0, fmt.Errorf("vm: call stack overflow in @%s", f.Name)
-	}
-	var tmp []uint64
-	if pf.maxPhis > 0 {
-		tmp = make([]uint64, pf.maxPhis)
-	}
-	var pending []pcopy
-	bi := int32(0)
-
-blockLoop:
-	for {
-		if err := t.safepoint(); err != nil {
-			return 0, err
-		}
-		if len(pending) > 0 {
-			for i := range pending {
-				tmp[i] = v.pval(fr, pending[i].src)
-			}
-			for i := range pending {
-				fr.regs[pending[i].dst] = tmp[i]
-			}
-			v.Instrs += uint64(len(pending))
-			fb.prof.Instrs += uint64(len(pending))
-			pending = nil
-		}
-		code := pf.blocks[bi].code
-		for ci := range code {
-			in := &code[ci]
-			v.Instrs++
-			c := uint64(in.cost)
-			v.Cycles += c
-			v.Prof.Cat[obs.CatCompute] += c
-			fb.prof.Instrs++
-			fb.prof.Cycles += c
-
-			if in.fallback {
-				if err := v.execInstr(t, fr, in.raw); err != nil {
-					return 0, err
-				}
-				continue
-			}
-
-			switch in.op {
-			case ir.OpBr:
-				pending, bi = in.copies0, in.succ0
-				continue blockLoop
-
-			case ir.OpCondBr:
-				if v.pval(fr, in.a)&1 != 0 {
-					pending, bi = in.copies0, in.succ0
-				} else {
-					pending, bi = in.copies1, in.succ1
-				}
-				continue blockLoop
-
-			case ir.OpRet:
-				if in.args != nil {
-					return v.pval(fr, in.a), nil
-				}
-				return 0, nil
-
-			case ir.OpUnreachable:
-				return 0, fmt.Errorf("vm: reached unreachable in @%s", f.Name)
-
-			case ir.OpICmp:
-				a, b := v.pval(fr, in.a), v.pval(fr, in.b)
-				if in.maskCmp {
-					a, b = maskToWidth(a, int(in.srcBits)), maskToWidth(b, int(in.srcBits))
-				}
-				fr.regs[in.dst] = boolBit(icmp(in.pred, a, b))
-
-			case ir.OpFCmp:
-				x := math.Float64frombits(v.pval(fr, in.a))
-				y := math.Float64frombits(v.pval(fr, in.b))
-				fr.regs[in.dst] = boolBit(fcmp(in.pred, x, y))
-
-			case ir.OpTrunc:
-				fr.regs[in.dst] = uint64(signExtend(v.pval(fr, in.a), int(in.bits)))
-			case ir.OpZExt:
-				fr.regs[in.dst] = maskToWidth(v.pval(fr, in.a), int(in.srcBits))
-			case ir.OpSExt:
-				fr.regs[in.dst] = uint64(signExtend(v.pval(fr, in.a), int(in.srcBits)))
-			case ir.OpPtrToInt, ir.OpIntToPtr:
-				fr.regs[in.dst] = v.pval(fr, in.a)
-			case ir.OpSIToFP:
-				fr.regs[in.dst] = math.Float64bits(float64(int64(v.pval(fr, in.a))))
-			case ir.OpFPToSI:
-				fr.regs[in.dst] = maskSigned(int64(math.Float64frombits(v.pval(fr, in.a))), int(in.bits))
-
-			case ir.OpAlloca:
-				count := int64(v.pval(fr, in.a))
-				size := alignTo(uint64(count)*in.elemSize, heapAlign)
-				if t.sp < t.stackBase+size {
-					return 0, &Fault{Addr: t.sp - size, Size: size, Perm: guard.PermRW, Msg: "stack overflow"}
-				}
-				t.sp -= size
-				if t.sp < t.minSP {
-					t.minSP = t.sp
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = t.sp
-				}
-
-			case ir.OpLoad:
-				paddr, err := v.pdataAddr(fr, in.a, uint64(in.width), guard.PermRead)
-				if err != nil {
-					return 0, err
-				}
-				raw := v.kern.Mem.LoadN(paddr, int(in.width))
-				if in.signed {
-					raw = uint64(signExtend(raw, int(in.srcBits)))
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = raw
-				}
-
-			case ir.OpStore:
-				val := v.pval(fr, in.a)
-				paddr, err := v.pdataAddr(fr, in.b, uint64(in.width), guard.PermWrite)
-				if err != nil {
-					return 0, err
-				}
-				v.kern.Mem.StoreN(paddr, val, int(in.width))
-
-			case ir.OpGEP:
-				addr := v.pval(fr, in.a) + in.gepConst
-				for si := range in.gepSteps {
-					st := &in.gepSteps[si]
-					addr += uint64(int64(v.pval(fr, st.op)) * st.stride)
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = addr
-				}
-
-			case ir.OpSelect:
-				var r uint64
-				if v.pval(fr, in.a)&1 != 0 {
-					r = v.pval(fr, in.b)
-				} else {
-					r = v.pval(fr, in.c)
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = r
-				}
-
-			case ir.OpGuard:
-				if err := v.pexecGuard(t, fr, in); err != nil {
-					return 0, err
-				}
-
-			case ir.OpCall:
-				cargs := make([]uint64, len(in.args))
-				for i := range in.args {
-					cargs[i] = v.pval(fr, in.args[i])
-				}
-				var ret uint64
-				var err error
-				if in.callee.IsDecl() {
-					ret, err = v.callBuiltin(t, in.callee, cargs)
-				} else {
-					ret, err = v.callIdx(t, in.calleeIdx, cargs)
-				}
-				if err != nil {
-					return 0, err
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = ret
-				}
-
-			default:
-				// Binops: float ops carry their own opcode range.
-				a, b := v.pval(fr, in.a), v.pval(fr, in.b)
-				if in.op >= ir.OpFAdd && in.op <= ir.OpFDiv {
-					x, y := math.Float64frombits(a), math.Float64frombits(b)
-					var r float64
-					switch in.op {
-					case ir.OpFAdd:
-						r = x + y
-					case ir.OpFSub:
-						r = x - y
-					case ir.OpFMul:
-						r = x * y
-					case ir.OpFDiv:
-						r = x / y
-					}
-					fr.regs[in.dst] = math.Float64bits(r)
-					continue
-				}
-				r, err := intBinop(in.op, a, b, int(in.bits))
-				if err != nil {
-					return 0, fmt.Errorf("vm: @%s: %s: %w", f.Name, in.raw, err)
-				}
-				if in.dst >= 0 {
-					fr.regs[in.dst] = r
-				}
-			}
-		}
-		// A verified block always ends in a terminator; reaching here means
-		// the module changed under us.
-		return 0, fmt.Errorf("vm: block without terminator in @%s", f.Name)
-	}
-}
-
-// pdataAddr is dataAddr over a predecoded operand: translate with one
-// swap-in retry on a poisoned pointer.
-func (v *VM) pdataAddr(fr *frame, opnd poperand, size uint64, perm guard.Perm) (uint64, error) {
-	addr := v.pval(fr, opnd)
-	paddr, err := v.translate(addr, size, perm)
-	if err == nil {
-		return paddr, nil
-	}
-	if slot, _, ok := runtime.DecodeSwapPoison(addr); ok {
-		if serr := v.swapIn(slot); serr != nil {
-			return 0, &Fault{Addr: addr, Size: size, Perm: perm, Msg: "swap-in failed: " + serr.Error()}
-		}
-		return v.translate(v.pval(fr, opnd), size, perm)
-	}
-	return 0, err
-}
-
-// pexecGuard evaluates a predecoded guard: the hot path is one xcache probe
-// (or one evaluator walk); misses and faults share the baseline's cold
-// path.
+// pexecGuard evaluates a predecoded guard — every guard the closure compiler
+// did not fuse with its access, and the cold path of every one it did: one
+// xcache probe, then the miss/fault path the reference interpreter shares.
 func (v *VM) pexecGuard(t *thread, fr *frame, in *pinstr) error {
 	var addr, size uint64
 	var perm guard.Perm
@@ -577,7 +311,7 @@ func (v *VM) pexecGuard(t *thread, fr *frame, in *pinstr) error {
 	if int64(size) <= 0 {
 		return nil
 	}
-	if v.checkGuard(t, addr, size, perm) {
+	if v.eval.CheckCached(t.xc, addr, size, perm) {
 		return nil
 	}
 	return v.guardMiss(fr, in.raw, addr, size, perm, func() uint64 { return v.pval(fr, in.a) })

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,13 +10,13 @@ import (
 	"carat/internal/passes"
 )
 
-// Engine parity: the predecoded engine, the guard/translation cache, and
-// the closure compilation tier are host-speed optimizations ONLY. Every
-// modeled observable — result, output, instruction count, cycle count,
-// per-category profile, guard evaluator stats, physical memory image —
-// must be byte-identical across the full {Predecode, XCache, Closure}
-// on/off matrix, including under injected page moves, allocation moves,
-// and swap storms.
+// Engine parity: the compiled engine — predecode lowering, closure
+// compilation, the guard/translation cache — is a host-speed optimization
+// ONLY. Every modeled observable — result, output, instruction count, cycle
+// count, per-category profile, guard evaluator stats, physical memory image
+// — must be byte-identical between it and the reference interpreter, which
+// shares none of the three, including under injected page moves, allocation
+// moves, and swap storms.
 
 // engineResult snapshots every modeled observable of one run.
 type engineResult struct {
@@ -33,7 +32,7 @@ type engineResult struct {
 }
 
 func runEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
-	predecode, xcache, closure bool, vmTweak func(*VM)) engineResult {
+	engine bool, vmTweak func(*VM)) engineResult {
 	t.Helper()
 	m := genProgram(seed)
 	pl := passes.Build(lvl)
@@ -44,9 +43,7 @@ func runEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.GuardMech = mech
-	cfg.Predecode = predecode
-	cfg.XCache = xcache
-	cfg.Closure = closure
+	cfg.Closure = engine
 	v, err := Load(m, cfg)
 	if err != nil {
 		t.Fatalf("seed %d: load: %v", seed, err)
@@ -56,7 +53,7 @@ func runEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
 	}
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("seed %d (predecode=%v xcache=%v closure=%v): run: %v", seed, predecode, xcache, closure, err)
+		t.Fatalf("seed %d (compiled=%v): run: %v", seed, engine, err)
 	}
 	return engineResult{
 		ret:        ret,
@@ -71,33 +68,21 @@ func runEngine(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism,
 	}
 }
 
-// engineConfigs is the engine parity matrix: baseline, each tier alone,
-// the PR-4 pair, and the closure tier with and without the xcache.
-var engineConfigs = []struct{ pre, xc, clo bool }{
-	{true, false, false},
-	{false, true, false},
-	{true, true, false},
-	{true, true, true},
-	{true, false, true},
-}
-
-// engineMatrix runs one seed through every engine configuration and
-// requires bit-identical results.
-func engineMatrix(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism, vmTweak func(*VM)) {
+// engineParity runs one seed on both engines and requires bit-identical
+// results.
+func engineParity(t *testing.T, seed int64, lvl passes.Level, mech guard.Mechanism, vmTweak func(*VM)) {
 	t.Helper()
-	want := runEngine(t, seed, lvl, mech, false, false, false, vmTweak)
-	for _, c := range engineConfigs {
-		got := runEngine(t, seed, lvl, mech, c.pre, c.xc, c.clo, vmTweak)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d predecode=%v xcache=%v closure=%v diverges:\n got %+v\nwant %+v",
-				seed, c.pre, c.xc, c.clo, got, want)
-		}
+	want := runEngine(t, seed, lvl, mech, reference, vmTweak)
+	got := runEngine(t, seed, lvl, mech, compiled, vmTweak)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d: the compiled engine diverges from the reference interpreter:\n got %+v\nwant %+v",
+			seed, got, want)
 	}
 }
 
 func TestEngineParityMatrix(t *testing.T) {
 	for seed := int64(400); seed <= 420; seed++ {
-		engineMatrix(t, seed, passes.LevelGuardsOpt, guard.MechRange, nil)
+		engineParity(t, seed, passes.LevelGuardsOpt, guard.MechRange, nil)
 	}
 }
 
@@ -105,13 +90,13 @@ func TestEngineParityAcrossMechanisms(t *testing.T) {
 	mechs := []guard.Mechanism{guard.MechRange, guard.MechMPX, guard.MechIfTree,
 		guard.MechBinarySearch, guard.MechLinear}
 	for i, mech := range mechs {
-		engineMatrix(t, int64(430+i), passes.LevelGuardsOnly, mech, nil)
+		engineParity(t, int64(430+i), passes.LevelGuardsOnly, mech, nil)
 	}
 }
 
 func TestEngineParityUnderPageMoves(t *testing.T) {
 	for seed := int64(440); seed <= 450; seed++ {
-		engineMatrix(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
+		engineParity(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
 			v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
 		})
 	}
@@ -119,7 +104,7 @@ func TestEngineParityUnderPageMoves(t *testing.T) {
 
 func TestEngineParityUnderAllocationMovesAndSwaps(t *testing.T) {
 	for seed := int64(460); seed <= 468; seed++ {
-		engineMatrix(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
+		engineParity(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
 			n := 0
 			v.SetMovePolicy(900, func() error {
 				n++
@@ -140,16 +125,11 @@ func TestEngineParityTracksGuardStats(t *testing.T) {
 	// Table-1-style evaluator statistics must be identical with and
 	// without the cache — AvgCycles is derived from (Cycles, Checks),
 	// both compared here explicitly on a guard-heavy program.
-	a := runEngine(t, 470, passes.LevelGuardsOnly, guard.MechBinarySearch, false, false, false, nil)
-	b := runEngine(t, 470, passes.LevelGuardsOnly, guard.MechBinarySearch, true, true, false, nil)
-	c := runEngine(t, 470, passes.LevelGuardsOnly, guard.MechBinarySearch, true, true, true, nil)
+	a := runEngine(t, 470, passes.LevelGuardsOnly, guard.MechBinarySearch, reference, nil)
+	b := runEngine(t, 470, passes.LevelGuardsOnly, guard.MechBinarySearch, compiled, nil)
 	if a.checks != b.checks || a.evalCycles != b.evalCycles {
 		t.Errorf("guard stats diverge: checks %d/%d cycles %d/%d",
 			a.checks, b.checks, a.evalCycles, b.evalCycles)
-	}
-	if a.checks != c.checks || a.evalCycles != c.evalCycles {
-		t.Errorf("closure guard stats diverge: checks %d/%d cycles %d/%d",
-			a.checks, c.checks, a.evalCycles, c.evalCycles)
 	}
 	if a.checks == 0 {
 		t.Fatal("program executed no guards")
@@ -161,7 +141,6 @@ func TestXCacheActuallyHits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 24
 	cfg.HeapBytes = 1 << 20
-	cfg.XCache = true
 	v, _ := run(t, m, cfg)
 	hits, misses, _ := v.XCacheStats()
 	if hits == 0 {
@@ -177,6 +156,18 @@ func TestXCacheActuallyHits(t *testing.T) {
 	snap := v.Obs().Snapshot()
 	if snap.Counters["carat.vm.xcache.hits"] != hits {
 		t.Errorf("published hits = %d, want %d", snap.Counters["carat.vm.xcache.hits"], hits)
+	}
+
+	// The reference interpreter exists to check the cache's "hits replay the
+	// recorded walk cost" claim, so it must not share the cache: same guard
+	// checks and cycles, by full evaluator walks alone.
+	cfg.Closure = reference
+	rv, _ := run(t, m, cfg)
+	if hits, misses, _ := rv.XCacheStats(); hits+misses != 0 || rv.sched.threads[0].xc != nil {
+		t.Errorf("the reference interpreter probed an xcache: %d hits, %d misses", hits, misses)
+	}
+	if rv.GuardChecks != v.GuardChecks || rv.Cycles != v.Cycles {
+		t.Errorf("reference: %d checks, %d cycles; compiled: %d, %d", rv.GuardChecks, rv.Cycles, v.GuardChecks, v.Cycles)
 	}
 }
 
@@ -390,59 +381,11 @@ entry:
 	}
 }
 
-func TestPredecodeFallbackShapes(t *testing.T) {
-	// A GEP with a dynamic struct index cannot be predecoded (the type
-	// walk needs the value); it must fall back to the baseline
-	// interpreter with identical results.
-	src := `module "fb"
-global @s : {i64, i64, i64}
-func @main() -> i64 {
-entry:
-  br ^loop
-loop:
-  %i = phi i64 [0, ^entry], [%i1, ^loop]
-  %f = srem i64 %i, 3
-  %p = gep {i64, i64, i64}, @s, 0, %f
-  store i64 %i, %p
-  %i1 = add i64 %i, 1
-  %c = icmp slt i64 %i1, 9
-  condbr %c, ^loop, ^sum
-sum:
-  %p0 = gep {i64, i64, i64}, @s, 0, 0
-  %a = load i64, %p0
-  %p1 = gep {i64, i64, i64}, @s, 0, 1
-  %b = load i64, %p1
-  %p2 = gep {i64, i64, i64}, @s, 0, 2
-  %d = load i64, %p2
-  %ab = add i64 %a, %b
-  %abd = add i64 %ab, %d
-  ret i64 %abd
-}`
-	var results [2]int64
-	var cycles [2]uint64
-	for i, pre := range []bool{false, true} {
-		m := compile(t, src, passes.LevelGuardsOpt)
-		cfg := DefaultConfig()
-		cfg.MemBytes = 1 << 22
-		cfg.HeapBytes = 1 << 18
-		cfg.Predecode = pre
-		v, ret := run(t, m, cfg)
-		results[i], cycles[i] = ret, v.Cycles
-	}
-	if results[0] != results[1] || cycles[0] != cycles[1] {
-		t.Errorf("fallback shape diverges: ret %d/%d cycles %d/%d",
-			results[0], results[1], cycles[0], cycles[1])
-	}
-	if results[0] != 6+7+8 {
-		t.Errorf("result = %d, want %d", results[0], 6+7+8)
-	}
-}
-
 func TestPredecodeDeterminism(t *testing.T) {
-	// Two identical runs of the full-featured config must agree to the
-	// cycle on a program exercising threads, tracking, and moves.
+	// Two identical runs of the compiled engine must agree to the cycle on a
+	// program exercising tracking and moves.
 	mk := func() (int64, uint64, uint64) {
-		r := runEngine(t, 480, passes.LevelTracking, guard.MechRange, true, true, true, func(v *VM) {
+		r := runEngine(t, 480, passes.LevelTracking, guard.MechRange, compiled, func(v *VM) {
 			v.SetMovePolicy(1000, func() error { return v.InjectWorstCaseMove() })
 		})
 		return r.ret, r.cycles, r.instrs
@@ -453,5 +396,3 @@ func TestPredecodeDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic: (%d,%d,%d) vs (%d,%d,%d)", r1, c1, i1, r2, c2, i2)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debug scaffolding edits

@@ -9,13 +9,12 @@ import (
 )
 
 // Program is the VM-independent half of a loaded module: everything the
-// loader, the predecoder and the closure compiler derive from the
+// loader and the compiled engine's two lowering stages derive from the
 // *ir.Module alone — function and global indices, and per function the
-// register-file layout, the predecoded body, and the compiled closure body
-// with its pool layout and relocs (or the compiler's refusal). Nothing in it
-// names a VM, a thread or an address, so one Program serves any number of
-// VMs on any goroutines: caratd hangs it off a module-cache entry so a cache
-// hit predecodes and compiles nothing.
+// register-file layout and the compiled closure body with its pool layout
+// and relocs. Nothing in it names a VM, a thread or an address, so one
+// Program serves any number of VMs on any goroutines: caratd hangs it off a
+// module-cache entry so a cache hit lowers nothing.
 //
 // Each function's parts are built on first use and published atomically.
 // The builds are deterministic functions of the module, so when two VMs
@@ -33,9 +32,8 @@ type Program struct {
 
 // funcCode is one function's share of a Program.
 type funcCode struct {
-	layout atomic.Pointer[funcLayout] // every tier
-	pf     atomic.Pointer[pfunc]      // predecode and closure tiers
-	cf     atomic.Pointer[cfunc]      // closure tier
+	layout atomic.Pointer[funcLayout] // both engines
+	cf     atomic.Pointer[cfunc]      // compiled engine
 }
 
 // funcLayout is the per-function "register file" layout: every SSA value
@@ -49,7 +47,8 @@ type funcLayout struct {
 }
 
 // NewProgram verifies mod — once, for every VM that will run it — and
-// indexes it. No function is lowered until a VM first calls it.
+// indexes it. No function is lowered until a VM first calls it; ir.Verify
+// passing is what guarantees every function then CAN be lowered.
 func NewProgram(mod *ir.Module) (*Program, error) {
 	if err := mod.Verify(); err != nil {
 		return nil, fmt.Errorf("vm: load: %w", err)
@@ -103,14 +102,11 @@ func buildLayout(f *ir.Func) *funcLayout {
 // funcBinding is one VM's view of one function: the program's code objects,
 // resolved once on the function's first call, plus what belongs to this run
 // alone — the profile bucket and the constant pool baked against this VM's
-// address tables. Which code objects are resolved is the VM's tier: all
-// three on the closure tier (cf stays nil for a refused function, which then
-// runs its pf), layout and pf on the predecode tier, the layout alone for
-// the reference interpreter.
+// address tables. cf and pool are set on the compiled engine and stay nil on
+// the reference interpreter, which needs the layout alone.
 type funcBinding struct {
 	*funcLayout // nil until the first call
 	prof        *obs.FuncProfile
-	pf          *pfunc
 	cf          *cfunc
 	pool        []uint64 // cf.consts with the relocs baked (VM.bakePool)
 }
@@ -121,48 +117,33 @@ type funcBinding struct {
 func (v *VM) bind(fb *funcBinding, idx int32) {
 	code, f := &v.prog.funcs[idx], v.prog.mod.Funcs[idx]
 	fb.funcLayout = publish(&code.layout, func() *funcLayout { return buildLayout(f) })
-	if !v.cfg.Predecode && !v.cfg.Closure {
+	if !v.compiled {
 		return
 	}
-	fb.pf = publish(&code.pf, func() *pfunc { return v.prog.predecode(fb.funcLayout) })
-	if !v.cfg.Closure {
-		return
-	}
-	cf := publish(&code.cf, func() *cfunc {
-		cf := compileClosure(fb.funcLayout, fb.pf)
+	fb.cf = publish(&code.cf, func() *cfunc {
+		cf := compileClosure(fb.funcLayout, v.prog.predecode(fb.funcLayout))
 		v.closureBlocks += uint64(len(cf.blocks))
 		return cf
 	})
-	if cf.refused {
-		// Undecodable shape somewhere in the body: the function runs on the
-		// predecode tier, in this VM and every other.
-		v.closureDeopts++
-		return
-	}
-	fb.cf = cf
-	fb.pool = append([]uint64(nil), cf.consts...)
+	fb.pool = append([]uint64(nil), fb.cf.consts...)
 	v.bakePool(fb)
 }
 
-// callIdx runs one activation of function idx on the tier its binding
-// resolved to.
+// callIdx runs one activation of function idx on this VM's engine.
 func (v *VM) callIdx(t *thread, idx int32, args []uint64) (uint64, error) {
 	fb := &v.bound[idx]
 	if fb.funcLayout == nil {
 		v.bind(fb, idx)
 	}
-	switch {
-	case fb.cf != nil:
+	if fb.cf != nil {
 		return v.ccall(t, fb, args)
-	case fb.pf != nil:
-		return v.pcall(t, fb, args)
 	}
 	return v.callFunc(t, fb, args)
 }
 
 // call dispatches a call by function value: thread entry points and the
-// reference interpreter's call sites. Predecoded and compiled call sites
-// carry the callee's index and skip the map.
+// reference interpreter's call sites. Compiled call sites carry the
+// callee's index and skip the map.
 func (v *VM) call(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 	if f.IsDecl() {
 		return v.callBuiltin(t, f, args)

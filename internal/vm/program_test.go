@@ -73,7 +73,6 @@ func sharedRun(p *Program, storm bool) (*VM, engineResult, error) {
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	cfg.Closure = true
 	v, err := LoadProgram(p, cfg)
 	if err != nil {
 		return nil, engineResult{}, err
@@ -155,13 +154,13 @@ func TestProgramSharedAcrossVMs(t *testing.T) {
 			continue
 		}
 		code := &p.funcs[idx]
-		pf, cf := code.pf.Load(), code.cf.Load()
-		if pf == nil || cf == nil || cf.refused {
+		cf := code.cf.Load()
+		if cf == nil {
 			t.Fatalf("@%s: the program holds no compiled body", f.Name)
 		}
 		progBlocks += uint64(len(cf.blocks))
 		for i, v := range vms {
-			if fb := &v.bound[idx]; fb.pf != pf || fb.cf != cf {
+			if fb := &v.bound[idx]; fb.cf != cf {
 				t.Errorf("vm %d is not bound to the program's one body of @%s", i, f.Name)
 			}
 		}

@@ -102,22 +102,22 @@ func TestSamplerReconcilesWithCycleCounters(t *testing.T) {
 // attaching the profiler (at any interval) must leave modeled instructions,
 // cycles, and the program result byte-identical.
 func TestSamplerDoesNotPerturbModeledResults(t *testing.T) {
-	runOnce := func(sampler *obs.Sampler, closure bool) (*VM, int64) {
+	runOnce := func(sampler *obs.Sampler, engine bool) (*VM, int64) {
 		m := compile(t, sumSrc, passes.LevelTracking)
 		cfg := DefaultConfig()
 		cfg.MemBytes = 1 << 24
 		cfg.HeapBytes = 1 << 20
 		cfg.Sampler = sampler
-		cfg.Closure = closure
+		cfg.Closure = engine
 		return run(t, m, cfg)
 	}
-	for _, closure := range []bool{false, true} {
-		base, baseRet := runOnce(nil, closure)
+	for _, engine := range []bool{reference, compiled} {
+		base, baseRet := runOnce(nil, engine)
 		for _, interval := range []uint64{1, 64, 4096} {
-			v, ret := runOnce(obs.NewSampler(interval), closure)
+			v, ret := runOnce(obs.NewSampler(interval), engine)
 			if ret != baseRet || v.Instrs != base.Instrs || v.Cycles != base.Cycles {
-				t.Errorf("interval %d (closure=%v) perturbed the model: ret %d/%d, instrs %d/%d, cycles %d/%d",
-					interval, closure, ret, baseRet, v.Instrs, base.Instrs, v.Cycles, base.Cycles)
+				t.Errorf("interval %d (compiled=%v) perturbed the model: ret %d/%d, instrs %d/%d, cycles %d/%d",
+					interval, engine, ret, baseRet, v.Instrs, base.Instrs, v.Cycles, base.Cycles)
 			}
 		}
 	}

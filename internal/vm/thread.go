@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,15 +49,17 @@ type thread struct {
 	resume   chan struct{}
 	yielded  chan struct{}
 	sliceEnd uint64 // instruction count at which to yield
+	dead     bool   // the run ended with t parked; see await
 
-	// xc is this thread's guard/translation cache (nil when disabled);
+	// xc is this thread's guard/translation cache (compiled engine in CARAT
+	// mode; nil otherwise — the reference interpreter never shares it);
 	// escBuf is its escape-event batch, flushed at yields and completion.
 	xc     *guard.XCache
 	escBuf *runtime.EscapeBuffer
 }
 
 // frame is one activation record: the function's SSA "registers" plus the
-// stack-pointer save for alloca unwinding. A closure-tier frame's regs
+// stack-pointer save for alloca unwinding. A compiled frame's regs
 // extend past the binding's nSlots with a copy of its constant pool, which
 // VM.repatchPools refreshes when a move relocates a global or code.
 type frame struct {
@@ -69,6 +72,9 @@ type frame struct {
 // frame's allocas: the runtime must forget their allocation entries before
 // the stack space is reused by a later call at the same depth.
 func (t *thread) popFrame(fr *frame) {
+	if t.dead {
+		return
+	}
 	t.frames = t.frames[:len(t.frames)-1]
 	if t.sp < fr.spSave {
 		t.v.rt.UntrackStackRange(t.sp, fr.spSave)
@@ -84,10 +90,13 @@ type scheduler struct {
 	quantum uint64
 	stopped bool // world currently stopped (nested stops are a protocol bug)
 
+	// done is closed when runMain returns: see thread.await.
+	done chan struct{}
+
 	// External suspension — the per-process stop request of the ragged
 	// safepoint protocol. stopReq is the process's "due" word: every
-	// block-head safepoint gate (all three execution tiers, including the
-	// closure tier's self-loop fast path) loads it, and when set the
+	// block-head safepoint gate (both engines, including the compiled
+	// engine's self-loop fast path) loads it, and when set the
 	// running guest thread parks inside safepoint() until every suspension
 	// is resumed. Only THIS process checks the word; sibling processes on
 	// the same machine never see it — a stop request for process A costs
@@ -197,7 +206,7 @@ func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
 		yielded:   make(chan struct{}),
 		escBuf:    s.v.rt.NewEscapeBuffer(),
 	}
-	if s.v.cfg.XCache && s.v.cfg.Mode == ModeCARAT {
+	if s.v.compiled && s.v.cfg.Mode == ModeCARAT {
 		t.xc = guard.NewXCache()
 	}
 	s.threads = append(s.threads, t)
@@ -205,12 +214,27 @@ func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
 	return t, nil
 }
 
+// await blocks until the scheduler hands t the baton. If the run ends with t
+// still parked — another thread failed, or the guest deadlocked — nobody ever
+// will: the goroutine exits instead of leaking, and its frames unwind without
+// touching the machine, which by then belongs to whoever called Run.
+func (t *thread) await() {
+	select {
+	case <-t.resume:
+	case <-t.v.sched.done:
+		t.dead = true
+		goruntime.Goexit()
+	}
+}
+
 // run is a thread goroutine: wait for the baton, execute, hand it back.
 func (t *thread) run() {
-	<-t.resume
-	args := []uint64{}
-	if len(t.entry.Params) == 1 {
-		args = []uint64{t.arg}
+	t.await()
+	// The entry receives arg as its first parameter; any further ones (no
+	// producer declares them, a hostile module may) read zero.
+	args := make([]uint64, len(t.entry.Params))
+	if len(args) > 0 {
+		args[0] = t.arg
 	}
 	ret, err := t.v.call(t, t.entry, args)
 	t.result, t.err = ret, err
@@ -226,7 +250,7 @@ func (t *thread) run() {
 func (t *thread) yield() {
 	t.escBuf.Flush()
 	t.yielded <- struct{}{}
-	<-t.resume
+	t.await()
 }
 
 // safepoint is called at block boundaries; it processes scheduler work:
@@ -321,6 +345,8 @@ func (s *scheduler) endRun() {
 // thread finishes. It returns main's result. The caller (VM.Run) must
 // hold the running window via beginRun/endRun.
 func (s *scheduler) runMain(main *ir.Func) (int64, error) {
+	s.done = make(chan struct{})
+	defer close(s.done)
 	mt, err := s.newThread(main, 0)
 	if err != nil {
 		return 0, err
@@ -349,23 +375,26 @@ func (s *scheduler) runMain(main *ir.Func) (int64, error) {
 			}
 		}
 	}
+	// Nothing is ready. A thread still waiting on a join can never be woken:
+	// the guest deadlocked itself (a thread joining itself, two joining each
+	// other).
+	for _, t := range s.threads {
+		if t.state == tJoinWait {
+			return 0, fmt.Errorf("vm: join deadlock: thread %d waits for thread %d", t.id, t.waitOn)
+		}
+	}
 	if mt.err != nil {
 		return 0, mt.err
 	}
 	return int64(mt.result), nil
 }
 
-// pick returns the next ready thread, preferring round-robin fairness.
+// pick returns the next ready thread (lowest index first), or nil when none
+// is.
 func (s *scheduler) pick() *thread {
 	for _, t := range s.threads {
 		if t.state == tReady {
 			return t
-		}
-	}
-	// Deadlock check: joinwait threads with no runnable target.
-	for _, t := range s.threads {
-		if t.state == tJoinWait {
-			panic("vm: join deadlock")
 		}
 	}
 	return nil

@@ -82,30 +82,21 @@ type Config struct {
 	// MaxInstrs aborts runaway programs (0 = no limit).
 	MaxInstrs uint64
 
-	// Predecode selects the predecoded execution engine: each function is
-	// lowered once into a flat dispatch form (resolved register slots,
-	// immediate constants, precomputed GEP strides, direct block indices).
-	// Host-speed only: modeled results are byte-identical to the baseline
-	// interpreter.
-	Predecode bool
-
-	// XCache puts a small per-thread direct-mapped guard/translation cache
-	// in front of the guard evaluator (CARAT mode only). Hits replay the
-	// recorded walk cost, so modeled cycles are byte-identical with the
-	// cache on or off.
-	XCache bool
-
-	// Closure selects the third execution tier: each predecoded function is
-	// lowered once more into chained Go closures — one superinstruction
-	// closure per basic block, fusing compare+branch, GEP+load/store, and
-	// guard-check+access pairs. The compiled form is VM-independent (it
-	// lives in the Program) and survives page moves, grants and forwarding
-	// windows: global/function addresses sit in a per-binding constant pool
-	// that a move re-bakes and re-copies into live frames. Only a function
-	// with an undecodable shape stays on the predecode tier. Implies the
-	// predecode lowering. Host-speed only: modeled results are
-	// byte-identical to both other tiers.
+	// Closure is the one engine bit. Set (DefaultConfig sets it), the VM runs
+	// the compiled engine: each function is lowered on its first call, in
+	// two stages (predecode.go, closure.go), into chained superinstruction
+	// closures that live in the Program and survive page moves, with a
+	// per-thread guard/translation cache (xcache) in front of the guard
+	// evaluator in CARAT mode. Clear, it runs the reference interpreter
+	// (exec.go), straight over the IR with neither the lowering nor the
+	// cache: the oracle the tests, -write-golden and `make bench`'s reference
+	// leg compare the compiled engine against. Host-speed only: modeled
+	// results are byte-identical either way.
 	Closure bool
+
+	// Predecode and XCache are never read. benchmark/adapter.go (frozen)
+	// still assigns them; the benchmark PR that moves it off them deletes both.
+	Predecode, XCache bool
 
 	// Obs, when set, is the shared metrics registry for all layers of
 	// this machine (kernel, runtime, tlb, vm). A private registry is
@@ -158,8 +149,7 @@ func DefaultConfig() Config {
 		HeapBytes:  1 << 26, // 64 MB
 		MemBytes:   1 << 28, // 256 MB
 		MaxInstrs:  2_000_000_000,
-		Predecode:  true,
-		XCache:     true,
+		Closure:    true,
 	}
 }
 
@@ -188,9 +178,13 @@ type VM struct {
 	eval  *guard.Evaluator
 	arena *kernel.Arena // non-nil iff Config.ArenaPages was set
 
+	// compiled is Config.Closure, read once at load: the compiled engine, or
+	// the reference interpreter.
+	compiled bool
+
 	// Layout: the address tables, indexed like the program's globals and
 	// functions (Program.globalIdx/funcIdx). onMove rebases them, keeping
-	// kernel-initiated moves visible to every tier.
+	// kernel-initiated moves visible to both engines.
 	globalPhys []uint64
 	funcPhys   []uint64
 	globalsLen uint64
@@ -209,15 +203,12 @@ type VM struct {
 	GuardChecks uint64
 	Output      []int64
 
-	// Closure-tier counters (host-side, never part of the model): blocks
+	// Compiled-engine counters (host-side, never part of the model): blocks
 	// this VM lowered to superinstruction closures (zero when the program
-	// already held them), functions bound to the predecode tier because the
-	// compiler refused their shape, constant pools re-baked because a move
-	// relocated a global or code, and compiled call sites that found their
-	// callee bound and compiled (hit) or had to go through tier dispatch —
-	// the binding first call, or a refused callee (miss).
+	// already held them), constant pools re-baked because a move relocated a
+	// global or code, and compiled call sites that found their callee bound
+	// (hit) or were the call that binds it (miss).
 	closureBlocks    uint64
-	closureDeopts    uint64
 	closureRepatches uint64
 	closureICHits    uint64
 	closureICMisses  uint64
@@ -351,6 +342,7 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	}
 	v := &VM{
 		cfg:        cfg,
+		compiled:   cfg.Closure,
 		prog:       p,
 		kern:       k,
 		proc:       proc,
@@ -589,7 +581,7 @@ func (v *VM) flushXCaches() {
 
 // onMove rebases the VM's own bookkeeping after the kernel moved
 // [src, src+length) to dst: heap metadata, the global and function address
-// tables, and — when one of those changed — the closure tier's constant
+// tables, and — when one of those changed — the compiled engine's constant
 // pools, which bake them. Thread register slots are patched separately
 // through the World interface.
 func (v *VM) onMove(src, dst, length uint64) {
@@ -651,30 +643,32 @@ func (v *VM) publishMetrics() {
 	v.obsReg.Counter("carat.vm.instrs").Add(v.Instrs)
 	v.obsReg.Counter("carat.vm.guard_checks").Add(v.GuardChecks)
 	v.obsReg.Counter("carat.vm.guard_faults").Add(v.eval.Faults)
-	if v.cfg.XCache && v.cfg.Mode == ModeCARAT {
-		hits, misses, invs := v.XCacheStats()
-		v.obsReg.Counter("carat.vm.xcache.hits").Add(hits)
-		v.obsReg.Counter("carat.vm.xcache.misses").Add(misses)
-		v.obsReg.Counter("carat.vm.xcache.invalidations").Add(invs)
-	}
-	if v.cfg.Closure {
-		v.obsReg.Counter("carat.vm.closure.blocks").Add(v.closureBlocks)
-		v.obsReg.Counter("carat.vm.closure.deopts").Add(v.closureDeopts)
+	if v.compiled {
+		if v.cfg.Mode == ModeCARAT {
+			hits, misses, invs := v.XCacheStats()
+			v.obsReg.Counter("carat.vm.xcache.hits").Add(hits)
+			v.obsReg.Counter("carat.vm.xcache.misses").Add(misses)
+			v.obsReg.Counter("carat.vm.xcache.invalidations").Add(invs)
+		}
+		blocks, deopts, icHits, icMisses := v.ClosureStats()
+		v.obsReg.Counter("carat.vm.closure.blocks").Add(blocks)
+		v.obsReg.Counter("carat.vm.closure.deopts").Add(deopts)
 		v.obsReg.Counter("carat.vm.closure.repatches").Add(v.closureRepatches)
-		v.obsReg.Counter("carat.vm.closure.ic_hits").Add(v.closureICHits)
-		v.obsReg.Counter("carat.vm.closure.ic_misses").Add(v.closureICMisses)
+		v.obsReg.Counter("carat.vm.closure.ic_hits").Add(icHits)
+		v.obsReg.Counter("carat.vm.closure.ic_misses").Add(icMisses)
 	}
 	v.Prof.PublishTo(v.obsReg, "carat.vm")
 }
 
-// ClosureStats returns the closure-tier counters: basic blocks this VM
-// lowered to superinstruction closures, functions refused by the compiler
-// (the only deopt left: they run on the predecode tier), and compiled call
-// sites that found their callee bound and compiled (hit) or not (miss: the
-// first call, which binds, or a refused callee). All zero unless
-// Config.Closure is set.
+// ClosureStats returns the compiled engine's counters: basic blocks this VM
+// lowered to superinstruction closures, deoptimizations — the constant 0:
+// every verified function compiles and compiled code survives every move, so
+// nothing ever leaves the engine; the position (and the
+// carat.vm.closure.deopts counter) stay because benchmark/ reads them — and
+// compiled call sites that found their callee bound (hit) or bound it
+// (miss). All zero on the reference interpreter.
 func (v *VM) ClosureStats() (blocks, deopts, icHits, icMisses uint64) {
-	return v.closureBlocks, v.closureDeopts, v.closureICHits, v.closureICMisses
+	return v.closureBlocks, 0, v.closureICHits, v.closureICMisses
 }
 
 // XCacheStats sums the per-thread guard/translation cache counters.

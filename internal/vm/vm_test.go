@@ -2,8 +2,10 @@ package vm
 
 import (
 	"errors"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
@@ -333,6 +335,62 @@ func TestTraditionalModeCountsTLBEvents(t *testing.T) {
 	}
 }
 
+// walkStormSrc touches one new page in each of 40 different 2 MB regions,
+// eight rounds over: every access misses both TLB levels and walks, and 40
+// page-directory prefixes cannot fit the 32-entry paging-structure cache, so
+// it evicts on nearly every walk.
+const walkStormSrc = `module "walkstorm"
+func @malloc(%sz: i64) -> ptr
+func @main() -> i64 {
+entry:
+  %buf = call ptr @malloc(i64 83886080)
+  br ^round
+round:
+  %r = phi i64 [0, ^entry], [%r1, ^next]
+  %row = mul i64 %r, 512
+  br ^region
+region:
+  %i = phi i64 [0, ^round], [%i1, ^region]
+  %col = mul i64 %i, 262144
+  %idx = add i64 %col, %row
+  %p = gep i64, %buf, %idx
+  store i64 %i, %p
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 40
+  condbr %c, ^region, ^next
+next:
+  %r1 = add i64 %r, 1
+  %d = icmp slt i64 %r1, 8
+  condbr %d, ^round, ^done
+done:
+  ret i64 0
+}`
+
+// TestTraditionalModeWalkCyclesDeterministic: modeled results are a function
+// of module and seed. The paging-structure cache used to evict whichever key
+// Go's map iteration produced first, so any run that overflowed it had
+// run-to-run different walk cycles (Figure 2, Table 2).
+func TestTraditionalModeWalkCyclesDeterministic(t *testing.T) {
+	var cycles, walkCycles uint64
+	for i := 0; i < 8; i++ {
+		cfg := DefaultConfig()
+		cfg.Mode = ModeTraditional
+		cfg.MemBytes = 1 << 27
+		cfg.HeapBytes = 96 << 20
+		v, _ := run(t, compile(t, walkStormSrc, passes.LevelNone), cfg)
+		st := v.Hierarchy().Stats
+		if st.Walks.Get() < 320 {
+			t.Fatalf("%d walks, want one per access (320): the kernel does not stress the walk cache", st.Walks.Get())
+		}
+		if i == 0 {
+			cycles, walkCycles = v.Cycles, st.WalkCycles.Get()
+		} else if v.Cycles != cycles || st.WalkCycles.Get() != walkCycles {
+			t.Fatalf("run %d: cycles %d, walk cycles %d; run 0 had %d and %d",
+				i, v.Cycles, st.WalkCycles.Get(), cycles, walkCycles)
+		}
+	}
+}
+
 func TestCallsAndRecursion(t *testing.T) {
 	src := `module "fib"
 func @fib(%n: i64) -> i64 {
@@ -468,6 +526,65 @@ entry:
 	_, ret := run(t, m, cfg)
 	if ret != 2000 {
 		t.Errorf("threaded sum = %d, want 2000", ret)
+	}
+}
+
+// TestFailedRunsParkNoThreadForever: a guest that deadlocks itself on a join
+// used to panic the scheduler, and any run that failed while sibling threads
+// sat parked left their goroutines (and the VM they pin) behind for good —
+// in caratd, per request. Both are a run error now, on either engine, and
+// every thread goroutine is gone soon after Run returns.
+func TestFailedRunsParkNoThreadForever(t *testing.T) {
+	const decls = `module "stuck"
+func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
+func @thread_join(%tid: i64) -> void
+`
+	progs := map[string]string{
+		// The main thread (id 1) joins itself.
+		"join deadlock": decls + `func @main() -> i64 {
+entry:
+  call void @thread_join(i64 1)
+  ret i64 0
+}`,
+		// Main waits for two workers; the first to run divides by zero while
+		// main and the other sit parked.
+		"division by zero": decls + `func @worker(%arg: ptr) -> i64 {
+entry:
+  %z = ptrtoint ptr %arg to i64
+  %q = sdiv i64 1, %z
+  ret i64 %q
+}
+func @main() -> i64 {
+entry:
+  %null = inttoptr i64 0 to ptr
+  %t0 = call i64 @thread_spawn(ptr @worker, ptr %null)
+  %t1 = call i64 @thread_spawn(ptr @worker, ptr %null)
+  call void @thread_join(i64 %t0)
+  call void @thread_join(i64 %t1)
+  ret i64 0
+}`,
+	}
+	before := goruntime.NumGoroutine()
+	for want, src := range progs {
+		for _, engine := range []bool{reference, compiled} {
+			cfg := DefaultConfig()
+			cfg.MemBytes = 1 << 24
+			cfg.HeapBytes = 1 << 18
+			cfg.Closure = engine
+			v, err := Load(compile(t, src, passes.LevelTracking), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("compiled=%v: Run = %v, want a %s error", engine, err, want)
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the runs, %d still alive after them", before, goruntime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,19 +1,16 @@
-// Command benchexec runs the execution-engine microbenchmark (baseline
-// dispatch vs predecoded dispatch vs predecode + guard/translation cache
-// vs the closure compilation tier, with a telemetry-attached closure leg)
-// and writes BENCH_exec.json (schema carat.bench.exec v3).
+// Command benchexec runs the execution-engine microbenchmark (the reference
+// interpreter vs the compiled engine, with a telemetry-attached compiled
+// leg) and writes BENCH_exec.json (schema carat.bench.exec v4).
 //
-// It enforces four gates:
+// It enforces three gates:
 //
-//   - the full engine (predecode+xcache) must reach -min-speedup over the
-//     baseline engine (default 2.0x),
-//   - the closure tier must reach -min-speedup-closure over the baseline
-//     engine (default 10.0x),
-//   - the closure+telemetry leg (cycle sampler plus a listening /metrics
+//   - the compiled engine must reach -min-speedup-closure over the reference
+//     interpreter (default 10.0x),
+//   - the compiled+telemetry leg (cycle sampler plus a listening /metrics
 //     server) must not lose more than -max-telemetry-overhead percent of
-//     closure-tier throughput (default 5%), and
+//     compiled-engine throughput (default 5%), and
 //   - when -baseline names a committed reference document, the measured
-//     speedups must not regress more than -regress (default 20%) below it.
+//     speedup must not regress more than -regress (default 20%) below it.
 //     Speedup ratios, not absolute wall times, are compared: ratios are
 //     stable across host machines, wall times are not.
 //
@@ -54,12 +51,11 @@ func main() {
 		baseline          = flag.String("baseline", "", "committed reference document to gate regressions against")
 		iters             = flag.Int("iters", 60, "outer-loop trip count of the bench kernel")
 		reps              = flag.Int("reps", 3, "repetitions per engine (best wall time kept)")
-		minSpeedup        = flag.Float64("min-speedup", 2.0, "required full-engine speedup over baseline dispatch")
 		minSpeedupClosure = flag.Float64("min-speedup-closure", 10.0,
-			"required closure-tier speedup over baseline dispatch")
+			"required compiled-engine speedup over the reference interpreter")
 		regress    = flag.Float64("regress", 0.20, "allowed fractional speedup regression vs -baseline")
 		maxTeleOvh = flag.Float64("max-telemetry-overhead", 5.0,
-			"allowed full-engine throughput loss (percent) with sampling and -http telemetry enabled")
+			"allowed compiled-engine throughput loss (percent) with sampling and -http telemetry enabled")
 		scale      = flag.Bool("scale", false, "run the multi-core scaling bench instead of the engine matrix")
 		scaleProcs = flag.Int("procs", 8, "concurrent processes per scaling leg (with -scale)")
 		scaleIters = flag.Int("scale-iters", 40, "outer-loop trip count per process (with -scale)")
@@ -79,36 +75,19 @@ func main() {
 		fatal(err)
 	}
 
-	if *out == "-" {
-		if err := doc.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		err = doc.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
+	if err := writeDoc(*out, doc.WriteJSON); err != nil {
+		fatal(err)
 	}
 
 	for _, e := range doc.Engines {
 		fmt.Fprintf(os.Stderr, "benchexec: %-18s %8.1f ms  %8.2f Minstr/s\n",
 			e.Engine, e.WallMS, e.MInstrsPerSec)
 	}
-	fmt.Fprintf(os.Stderr, "benchexec: speedup predecode=%.2fx full=%.2fx closure=%.2fx telemetry overhead=%.1f%%\n",
-		doc.SpeedupPredecode, doc.SpeedupFull, doc.SpeedupClosure, doc.TelemetryOverheadPct)
+	fmt.Fprintf(os.Stderr, "benchexec: compiled/reference speedup=%.2fx telemetry overhead=%.1f%%\n",
+		doc.SpeedupClosure, doc.TelemetryOverheadPct)
 
-	if doc.SpeedupFull < *minSpeedup {
-		fatal(fmt.Errorf("full-engine speedup %.2fx below required %.2fx", doc.SpeedupFull, *minSpeedup))
-	}
 	if doc.SpeedupClosure < *minSpeedupClosure {
-		fatal(fmt.Errorf("closure-tier speedup %.2fx below required %.2fx", doc.SpeedupClosure, *minSpeedupClosure))
+		fatal(fmt.Errorf("compiled-engine speedup %.2fx below required %.2fx", doc.SpeedupClosure, *minSpeedupClosure))
 	}
 	if doc.TelemetryOverheadPct > *maxTeleOvh {
 		fatal(fmt.Errorf("telemetry overhead %.1f%% exceeds allowed %.1f%%",
@@ -120,25 +99,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		floorFull := ref.SpeedupFull * (1 - *regress)
-		floorPre := ref.SpeedupPredecode * (1 - *regress)
-		floorClo := ref.SpeedupClosure * (1 - *regress)
-		if doc.SpeedupFull < floorFull {
-			fatal(fmt.Errorf("full-engine speedup %.2fx regressed >%.0f%% vs committed baseline %.2fx",
-				doc.SpeedupFull, *regress*100, ref.SpeedupFull))
-		}
-		if doc.SpeedupPredecode < floorPre {
-			fatal(fmt.Errorf("predecode speedup %.2fx regressed >%.0f%% vs committed baseline %.2fx",
-				doc.SpeedupPredecode, *regress*100, ref.SpeedupPredecode))
-		}
-		// Pre-v3 baselines carry no closure figure; skip the floor until
-		// the baseline is re-committed.
-		if ref.SpeedupClosure > 0 && doc.SpeedupClosure < floorClo {
-			fatal(fmt.Errorf("closure-tier speedup %.2fx regressed >%.0f%% vs committed baseline %.2fx",
+		if floor := ref.SpeedupClosure * (1 - *regress); doc.SpeedupClosure < floor {
+			fatal(fmt.Errorf("compiled-engine speedup %.2fx regressed >%.0f%% vs committed baseline %.2fx",
 				doc.SpeedupClosure, *regress*100, ref.SpeedupClosure))
 		}
-		fmt.Fprintf(os.Stderr, "benchexec: within %.0f%% of committed baseline (full %.2fx, predecode %.2fx, closure %.2fx)\n",
-			*regress*100, ref.SpeedupFull, ref.SpeedupPredecode, ref.SpeedupClosure)
+		fmt.Fprintf(os.Stderr, "benchexec: within %.0f%% of committed baseline (%.2fx)\n",
+			*regress*100, ref.SpeedupClosure)
 	}
 }
 

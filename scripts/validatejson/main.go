@@ -42,7 +42,7 @@ import (
 // them unconditional.
 var supported = map[string]int{
 	"carat.bench.result":  2,
-	"carat.bench.exec":    3,
+	"carat.bench.exec":    4,
 	"carat.bench.scale":   1,
 	"carat.vm.run":        1,
 	"carat.metrics":       1,
@@ -138,7 +138,7 @@ var structural = map[string]struct {
 	"carat.profile":     {1, validateProfile},
 	"carat.server.load": {1, validateServerLoad},
 	"carat.policy":      {2, validatePolicy},
-	"carat.bench.exec":  {3, validateBenchExec},
+	"carat.bench.exec":  {4, validateBenchExec},
 	"carat.bench.scale": {1, validateBenchScale},
 }
 
@@ -205,41 +205,37 @@ func validateBenchScale(data []byte) error {
 	return nil
 }
 
-// validateBenchExec structurally checks a carat.bench.exec v3 document:
-// the engine matrix must include a closure leg and a closure+telemetry
-// leg, every engine must report the same modeled instruction/cycle totals
-// (the engines are host-speed tiers over one model, so modeled results are
-// engine-invariant by construction), closure legs must carry inline-cache
-// counters, and speedup_closure must be present.
+// validateBenchExec structurally checks a carat.bench.exec v4 document:
+// the legs must be the reference interpreter, the compiled engine and the
+// compiled engine with telemetry; every leg must report the same modeled
+// instruction/cycle totals (the compiled engine is a host-speed optimization
+// over one model, so modeled results are engine-invariant by construction);
+// the reference leg must share neither the guard/translation cache nor the
+// compiled call sites, which the compiled legs must show live; and
+// speedup_closure must be present.
 func validateBenchExec(data []byte) error {
 	var doc bench.ExecBenchDoc
 	if err := decodeStrict("carat.bench.exec", data, &doc); err != nil {
 		return err
 	}
-	if len(doc.Engines) == 0 {
-		return fmt.Errorf("carat.bench.exec: no engines")
+	if len(doc.Engines) != 3 {
+		return fmt.Errorf("carat.bench.exec: %d legs, want reference, compiled, compiled+telemetry", len(doc.Engines))
 	}
-	var sawClosure, sawTelemetry bool
-	for _, e := range doc.Engines {
+	for i, e := range doc.Engines {
 		if e.Instrs != doc.Engines[0].Instrs || e.Cycles != doc.Engines[0].Cycles {
 			return fmt.Errorf("carat.bench.exec: engine %q modeled (%d instrs, %d cycles) diverges from %q (%d, %d)",
 				e.Engine, e.Instrs, e.Cycles, doc.Engines[0].Engine, doc.Engines[0].Instrs, doc.Engines[0].Cycles)
 		}
-		if e.Closure {
-			sawClosure = true
-			if e.ICHits == 0 && e.ICMisses == 0 {
-				return fmt.Errorf("carat.bench.exec: closure engine %q reports no inline-cache activity", e.Engine)
-			}
-			if e.Telemetry {
-				sawTelemetry = true
-			}
+		cacheOps, callOps := e.XCacheHits+e.XCacheMisses, e.ICHits+e.ICMisses
+		if i == 0 && cacheOps+callOps != 0 {
+			return fmt.Errorf("carat.bench.exec: the reference leg %q reports xcache or call-site activity", e.Engine)
 		}
-	}
-	if !sawClosure {
-		return fmt.Errorf("carat.bench.exec: v3 document has no closure leg")
-	}
-	if !sawTelemetry {
-		return fmt.Errorf("carat.bench.exec: v3 document has no closure+telemetry leg")
+		if i > 0 && (e.XCacheHits == 0 || callOps == 0) {
+			return fmt.Errorf("carat.bench.exec: compiled leg %q reports no xcache hits or no call-site activity", e.Engine)
+		}
+		if e.Telemetry != (i == 2) {
+			return fmt.Errorf("carat.bench.exec: leg %d (%q): telemetry = %v", i, e.Engine, e.Telemetry)
+		}
 	}
 	if doc.SpeedupClosure <= 0 {
 		return fmt.Errorf("carat.bench.exec: speedup_closure missing or non-positive")
