@@ -65,10 +65,12 @@ smoke: build
 
 # bench measures the two execution engines (reference interpreter,
 # compiled engine, compiled engine + telemetry), writes BENCH_exec.json,
-# validates its schema, and fails if the compiled engine is below 10x over
-# the reference interpreter, has regressed >20% against the committed
-# reference speedup, or loses >5% throughput with the cycle sampler and a
-# live -http telemetry server attached.
+# validates its schema, and fails if the compiled engine is below the 8x
+# floor over the reference interpreter (only a broken engine misses it: the
+# deleted predecode tiers measured 3.9-6.4x), has regressed >20% against the
+# committed reference speedup (the sensitive gate; BENCH_exec.baseline.json
+# is the median run of five), or loses >5% throughput with the cycle
+# sampler and a live -http telemetry server attached.
 bench: build
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 2x ./internal/bench/
 	$(GO) run ./scripts/benchexec -out BENCH_exec.json -baseline BENCH_exec.baseline.json -reps 8
@@ -128,8 +130,9 @@ soak: build
 	$(GO) run ./scripts/validatejson soak.json
 
 # fuzz runs each native fuzz target for a short budget (the differential
-# invariants over generated programs, the IR text round trip, and IR text
-# executed on both engines; seeds replay in plain `make test`).
+# invariants over generated programs, the IR text round trip, IR text
+# executed on both engines, and PhysMem's page-dirty map against the
+# byte-loop memory model; seeds replay in plain `make test`).
 # FuzzIRRoundTrip's and FuzzIRExecute's seeds are whole kernels, so
 # minimising one interesting input at the default 60 s would eat the
 # budget: cap it.
@@ -140,6 +143,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialMoves -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGuardsAgreeOnForgedPointers -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGroupMoves -fuzztime $(FUZZTIME) ./internal/vm/
+	$(GO) test -run '^$$' -fuzz FuzzPhysMemDirty -fuzztime $(FUZZTIME) ./internal/kernel/
 
 # loc prints non-test Go lines per package and their total, excluding the
 # frozen benchmark/ module (ROADMAP: non-test LOC is a tracked metric and

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 
 	"carat/internal/guard"
@@ -17,18 +18,47 @@ var benchSizes = []struct {
 	bytes uint64
 }{{"4M", 4 << 20}, {"64M", 64 << 20}}
 
+// A scrub costs what was written, not what is granted, so the scrubbing
+// benchmarks run both sides of that: "clean" (nobody wrote the range since
+// it was last cleared: the map is all the scrub reads) and "dirty" (one
+// Store64 into every page first: the scrub clears all of it, the cost
+// before there was a map).
+var benchLegs = []struct {
+	name  string
+	dirty bool
+}{{"clean", false}, {"dirty", true}}
+
+// dirtyEveryPage stores one word into each page of [base, base+n).
+func dirtyEveryPage(m *PhysMem, base, n uint64) {
+	for a := base; a < base+n; a += PageSize {
+		m.Store64(a, 1)
+	}
+}
+
 func BenchmarkPhysMemZero(b *testing.B) {
 	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			m := NewPhysMem(sz.bytes + PageSize)
-			b.SetBytes(int64(sz.bytes))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		for _, leg := range benchLegs {
+			b.Run(sz.name+"/"+leg.name, func(b *testing.B) {
+				m := NewPhysMem(sz.bytes + PageSize)
+				// Fault the range in and leave it clean.
+				dirtyEveryPage(m, PageSize, sz.bytes)
 				if err := m.Zero(PageSize, sz.bytes); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(int64(sz.bytes))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if leg.dirty {
+						b.StopTimer()
+						dirtyEveryPage(m, PageSize, sz.bytes)
+						b.StartTimer()
+					}
+					if err := m.Zero(PageSize, sz.bytes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -37,6 +67,7 @@ func BenchmarkPhysMemMove(b *testing.B) {
 		const n = 1 << 20
 		m := NewPhysMem(2*n + PageSize)
 		src, dst := uint64(PageSize), uint64(PageSize+n)
+		dirtyEveryPage(m, src, n)
 		b.SetBytes(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -48,33 +79,85 @@ func BenchmarkPhysMemMove(b *testing.B) {
 	})
 }
 
-// BenchmarkGrantRelease is one capsule (4M) or default heap (64M) granted
-// and retired on a 256 MB machine: allocator scan + owner stores + scrub,
-// then the same minus the scrub.
-func BenchmarkGrantRelease(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			k := New(256 << 20)
-			// Fault the whole machine in first: next-fit walks every grant
-			// onto new frames, and the host OS's first-touch page faults
-			// would otherwise be most of a 4M op.
-			if err := k.Mem.Zero(PageSize, k.Mem.Size()-PageSize); err != nil {
-				b.Fatal(err)
-			}
-			p := k.NewProcess()
-			b.SetBytes(int64(sz.bytes))
-			b.ReportAllocs()
+// BenchmarkStore64 is the store path the dirty map rides on: the data store
+// plus the mark. Sequential walks a 4 MB capsule a word at a time (512
+// stores per mark byte); page-strided touches a new page, and so a new mark
+// byte, with every store; scattered rewrites words at seeded random places
+// in the capsule, as the move protocol's escape patching does.
+func BenchmarkStore64(b *testing.B) {
+	for _, leg := range []struct {
+		name         string
+		span, stride uint64
+	}{{"sequential", 4 << 20, 8}, {"page-strided", 64 << 20, PageSize}} {
+		b.Run(leg.name, func(b *testing.B) {
+			m := NewPhysMem(leg.span + PageSize)
+			dirtyEveryPage(m, PageSize, leg.span)
 			b.ResetTimer()
+			addr := uint64(PageSize)
 			for i := 0; i < b.N; i++ {
-				base, err := p.GrantRegion(sz.bytes, guard.PermRW)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.ReleaseRegion(base, sz.bytes); err != nil {
-					b.Fatal(err)
+				m.Store64(addr, uint64(i))
+				if addr += leg.stride; addr >= PageSize+leg.span {
+					addr = PageSize
 				}
 			}
 		})
+	}
+	b.Run("scattered", func(b *testing.B) {
+		const span = 4 << 20
+		m := NewPhysMem(span + PageSize)
+		dirtyEveryPage(m, PageSize, span)
+		rng := rand.New(rand.NewSource(19))
+		locs := make([]uint32, 1<<16)
+		for i := range locs {
+			locs[i] = PageSize + uint32(rng.Intn(span/8))*8
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loc := uint64(locs[i%len(locs)])
+			m.Store64(loc, m.Load64(loc)+1)
+		}
+	})
+}
+
+// BenchmarkGrantRelease is one capsule (4M) or default heap (64M) granted
+// and retired on a 256 MB machine: allocator scan + owner stores + scrub,
+// then the same minus the scrub. The dirty leg writes every page of the
+// region between its grant and its release, off the clock.
+func BenchmarkGrantRelease(b *testing.B) {
+	for _, sz := range benchSizes {
+		for _, leg := range benchLegs {
+			b.Run(sz.name+"/"+leg.name, func(b *testing.B) {
+				k := New(256 << 20)
+				// Fault the whole machine in first, with writes (a Zero of
+				// never-written memory touches nothing): next-fit walks every
+				// grant onto new frames, and the host OS's first-touch page
+				// faults would otherwise be most of a 4M op.
+				dirtyEveryPage(k.Mem, PageSize, k.Mem.Size()-PageSize)
+				if !leg.dirty {
+					if err := k.Mem.Zero(PageSize, k.Mem.Size()-PageSize); err != nil {
+						b.Fatal(err)
+					}
+				}
+				p := k.NewProcess()
+				b.SetBytes(int64(sz.bytes))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					base, err := p.GrantRegion(sz.bytes, guard.PermRW)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if leg.dirty {
+						b.StopTimer()
+						dirtyEveryPage(k.Mem, base, sz.bytes)
+						b.StartTimer()
+					}
+					if err := p.ReleaseRegion(base, sz.bytes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

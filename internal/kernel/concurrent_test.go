@@ -44,9 +44,12 @@ func (l *testLimiter) ReleasePages(n uint64) {
 // pattern. Each goroutine stamps a unique byte into every page it was
 // granted and re-verifies before teardown, so any allocator overlap
 // between concurrently-live processes shows up as corruption (and the
-// -race run catches unsynchronized allocator state).
+// -race run catches unsynchronized allocator state). The machine is small
+// enough that frames change hands many times: every grant must read zero
+// although its frames carry another goroutine's stamps, and neighbouring
+// pages' dirty marks are stored from different goroutines at once.
 func TestConcurrentProcessLifecycle(t *testing.T) {
-	k := New(1 << 26)
+	k := New(1 << 21)
 	initialFree := k.Alloc.FreePages()
 
 	const goroutines = 16
@@ -66,6 +69,10 @@ func TestConcurrentProcessLifecycle(t *testing.T) {
 					base, err := proc.GrantRegion(size, guard.PermRW)
 					if err != nil {
 						t.Errorf("g%d i%d: grant: %v", g, i, err)
+						return
+					}
+					if img, err := k.Mem.ReadAt(base, size); err != nil || !allZero(img) {
+						t.Errorf("g%d i%d: granted region [%#x,+%d) does not read zero (%v)", g, i, base, size, err)
 						return
 					}
 					pages := size / PageSize

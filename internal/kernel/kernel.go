@@ -60,22 +60,24 @@ type Kernel struct {
 // protection changes — while the runtime layer owns tracking and per-move
 // cost attribution (carat.runtime.*); see DESIGN.md "Observability".
 type Stats struct {
-	PageAllocs  *obs.Counter // page frames handed out
-	PageFrees   *obs.Counter
-	PageMoves   *obs.Counter // pages moved by executed change requests
-	ProtChanges *obs.Counter // protection change requests executed
-	MoveVetoes  *obs.Counter // moves vetoed during negotiation
-	Shootdowns  *obs.Counter // invalidate/PTE-change notifier deliveries
+	PageAllocs    *obs.Counter // page frames handed out
+	PagesScrubbed *obs.Counter // granted pages that were dirty and had to be cleared
+	PageFrees     *obs.Counter
+	PageMoves     *obs.Counter // pages moved by executed change requests
+	ProtChanges   *obs.Counter // protection change requests executed
+	MoveVetoes    *obs.Counter // moves vetoed during negotiation
+	Shootdowns    *obs.Counter // invalidate/PTE-change notifier deliveries
 }
 
 func newStats(reg *obs.Registry) Stats {
 	return Stats{
-		PageAllocs:  reg.Counter("carat.kernel.page_allocs"),
-		PageFrees:   reg.Counter("carat.kernel.page_frees"),
-		PageMoves:   reg.Counter("carat.kernel.page_moves"),
-		ProtChanges: reg.Counter("carat.kernel.prot_changes"),
-		MoveVetoes:  reg.Counter("carat.kernel.move_vetoes"),
-		Shootdowns:  reg.Counter("carat.kernel.shootdowns"),
+		PageAllocs:    reg.Counter("carat.kernel.page_allocs"),
+		PagesScrubbed: reg.Counter("carat.kernel.pages_scrubbed"),
+		PageFrees:     reg.Counter("carat.kernel.page_frees"),
+		PageMoves:     reg.Counter("carat.kernel.page_moves"),
+		ProtChanges:   reg.Counter("carat.kernel.prot_changes"),
+		MoveVetoes:    reg.Counter("carat.kernel.move_vetoes"),
+		Shootdowns:    reg.Counter("carat.kernel.shootdowns"),
 	}
 }
 
@@ -272,7 +274,9 @@ func (p *Process) GrantRegion(sizeBytes uint64, perm guard.Perm) (uint64, error)
 		p.releasePages(pages)
 		return 0, err
 	}
-	// Scrub-on-grant is the only scrub: freed frames keep their contents.
+	// Scrub-on-grant is the only scrub: freed frames keep their contents,
+	// and Zero clears only the ones a previous owner wrote.
+	scrubbed := p.K.Mem.DirtyPages(base, pages*PageSize)
 	err = p.K.Mem.Zero(base, pages*PageSize)
 	if err == nil {
 		err = p.Regions.Add(guard.Region{Base: base, Len: pages * PageSize, Perm: perm})
@@ -283,6 +287,7 @@ func (p *Process) GrantRegion(sizeBytes uint64, perm guard.Perm) (uint64, error)
 		return 0, err
 	}
 	p.K.Stats.PageAllocs.Add(pages)
+	p.K.Stats.PagesScrubbed.Add(scrubbed)
 	p.notify(MMUEvent{Kind: EventAllocate, Base: base, Len: pages * PageSize})
 	return base, nil
 }

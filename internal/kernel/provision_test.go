@@ -50,12 +50,78 @@ func sameErr(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
+// refStore is StoreN (and Store64, n = 8) as a byte loop; like the real
+// ones it does not bounds-check.
+func refStore(m *PhysMem, addr, v uint64, n int) {
+	for i := 0; i < n; i++ {
+		m.data[addr+uint64(i)] = byte(v >> (8 * i))
+	}
+}
+
+// refWriteAt is PhysMem.WriteAt as a byte loop.
+func refWriteAt(m *PhysMem, addr uint64, b []byte) error {
+	if !m.InBounds(addr, uint64(len(b))) {
+		return fmt.Errorf("kernel: physical write [%#x,%#x) out of bounds", addr, addr+uint64(len(b)))
+	}
+	for i, c := range b {
+		m.data[addr+uint64(i)] = c
+	}
+	return nil
+}
+
+// allZero reports whether b holds no nonzero byte.
+func allZero(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
+
+// dirtyInvariant checks invariant D of the page-dirty map: a page marked
+// clean holds no nonzero byte. (A dirty page may be all zero.)
+func dirtyInvariant(m *PhysMem) error {
+	if uint64(len(m.dirty)) != m.Pages() {
+		return fmt.Errorf("dirty map covers %d pages, memory has %d", len(m.dirty), m.Pages())
+	}
+	for p, d := range m.dirty {
+		if d == 0 && !allZero(m.data[p*PageSize:(p+1)*PageSize]) {
+			return fmt.Errorf("page %d is marked clean but holds a nonzero byte", p)
+		}
+	}
+	return nil
+}
+
+// checkAgainstModel is the per-step check shared by the oracle test and
+// FuzzPhysMemDirty: same bytes as the byte-loop model, and D.
+func checkAgainstModel(t testing.TB, got, want *PhysMem, step int, op string) {
+	t.Helper()
+	if !bytes.Equal(got.data, want.data) {
+		t.Fatalf("step %d (%s): memory image differs from the byte-loop reference", step, op)
+	}
+	if err := dirtyInvariant(got); err != nil {
+		t.Fatalf("step %d (%s): %v", step, op, err)
+	}
+}
+
 func TestPhysMemBulkKernelsMatchByteLoops(t *testing.T) {
 	const size = 8 * PageSize
 	rng := rand.New(rand.NewSource(14))
 	got, want := NewPhysMem(size), NewPhysMem(size)
+	// refill rewrites the whole image behind the API's back, so it sets the
+	// map to match: about a third of the pages are left genuinely clean (the
+	// scrub must skip them and split its clears around them), a few are
+	// marked dirty while holding only zeros (allowed: D is one-sided), the
+	// rest are noise.
 	refill := func() {
-		rng.Read(got.data)
+		for p := 0; p < size/PageSize; p++ {
+			pg := got.data[p*PageSize : (p+1)*PageSize]
+			switch r := rng.Intn(10); {
+			case r < 3:
+				clear(pg)
+				got.dirty[p] = 0
+			case r < 4:
+				clear(pg)
+				got.dirty[p] = 1
+			default:
+				rng.Read(pg)
+				got.dirty[p] = 1
+			}
+		}
 		copy(want.data, got.data)
 	}
 	// pick draws addresses and lengths around the edges the bounds and
@@ -78,55 +144,95 @@ func TestPhysMemBulkKernelsMatchByteLoops(t *testing.T) {
 		}
 	}
 	length := func() uint64 {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			return 0
 		case 1:
 			return uint64(rng.Intn(3 * PageSize)) // page-straddling
 		case 2:
 			return pick()
+		case 3:
+			return uint64(1+rng.Intn(4)) * PageSize // whole pages, when addr is aligned
 		default:
 			return uint64(rng.Intn(300))
 		}
 	}
-	var okZero, okMove, badZero, badMove int
+	// edge draws a store address from 7 bytes below to 1 byte above a page
+	// boundary, kept inside memory for an n-byte store.
+	edge := func(n int) uint64 {
+		addr := uint64(1+rng.Intn(8))*PageSize + uint64(rng.Intn(9)) - 7
+		return min(addr, size-uint64(n))
+	}
+	var okZero, okMove, badZero, badMove, straddles int
 	for i := 0; i < 4000; i++ {
-		refill()
-		if i%2 == 0 {
+		// Most steps run on what the previous ones left, so a sub-page clear
+		// is followed by whole-page ones over the same still-dirty page.
+		if i%4 == 0 {
+			refill()
+		}
+		var op string
+		switch i % 8 {
+		case 0, 2, 4:
 			addr, n := pick(), length()
 			if i%64 == 0 {
 				addr, n = size-1, 1 // the last byte of memory
 			}
+			if i%16 == 2 {
+				addr &^= PageSize - 1 // whole-page scrubs, as GrantRegion issues them
+			}
+			op = fmt.Sprintf("Zero(%#x, %d)", addr, n)
 			ge, we := got.Zero(addr, n), refZero(want, addr, n)
 			if !sameErr(ge, we) {
-				t.Fatalf("Zero(%#x, %d): err %v, reference %v", addr, n, ge, we)
+				t.Fatalf("%s: err %v, reference %v", op, ge, we)
 			}
 			if ge == nil {
 				okZero++
 			} else {
 				badZero++
 			}
-		} else {
+		case 1, 3, 5:
 			dst, src, n := pick(), pick(), length()
 			if i%5 == 0 && n < size {
 				dst = src + uint64(rng.Intn(int(n+2))) // overlapping or abutting
 			}
+			op = fmt.Sprintf("Move(%#x, %#x, %d)", dst, src, n)
 			ge, we := got.Move(dst, src, n), refMove(want, dst, src, n)
 			if !sameErr(ge, we) {
-				t.Fatalf("Move(%#x, %#x, %d): err %v, reference %v", dst, src, n, ge, we)
+				t.Fatalf("%s: err %v, reference %v", op, ge, we)
 			}
 			if ge == nil {
 				okMove++
 			} else {
 				badMove++
 			}
+		case 6:
+			n := 1 << rng.Intn(4)
+			addr, v := edge(n), rng.Uint64()|1<<(8*n-1)|1 // first and last byte nonzero
+			if addr/PageSize != (addr+uint64(n)-1)/PageSize {
+				straddles++
+			}
+			if n == 8 && rng.Intn(2) == 0 {
+				op = fmt.Sprintf("Store64(%#x)", addr)
+				got.Store64(addr, v)
+			} else {
+				op = fmt.Sprintf("StoreN(%#x, %d)", addr, n)
+				got.StoreN(addr, v, n)
+			}
+			refStore(want, addr, v, n)
+		case 7:
+			addr := pick()
+			b := make([]byte, length()%(3*PageSize))
+			rng.Read(b)
+			op = fmt.Sprintf("WriteAt(%#x, %d bytes)", addr, len(b))
+			if ge, we := got.WriteAt(addr, b), refWriteAt(want, addr, b); !sameErr(ge, we) {
+				t.Fatalf("%s: err %v, reference %v", op, ge, we)
+			}
 		}
-		if !bytes.Equal(got.data, want.data) {
-			t.Fatalf("step %d: memory image differs from the byte-loop reference", i)
-		}
+		checkAgainstModel(t, got, want, i, op)
 	}
-	if okZero < 200 || okMove < 200 || badZero < 200 || badMove < 200 {
-		t.Errorf("weak coverage: zero ok/err %d/%d, move ok/err %d/%d", okZero, badZero, okMove, badMove)
+	if okZero < 200 || okMove < 200 || badZero < 200 || badMove < 200 || straddles < 100 {
+		t.Errorf("weak coverage: zero ok/err %d/%d, move ok/err %d/%d, straddling stores %d",
+			okZero, badZero, okMove, badMove, straddles)
 	}
 }
 

@@ -406,6 +406,70 @@ func TestHostileModulesAreRefusedNotExecuted(t *testing.T) {
 	}
 }
 
+// progScribble fills three quarters of its capsule heap (scribbleBytes)
+// with nonzero words; progFold ORs together the same span of a capsule it
+// never wrote.
+const scribbleBytes = 8 * 98304
+
+const progScribble = `
+func main(): int {
+    var n = 98304;
+    var buf = malloc(8 * n);
+    for (var i = 0; i < n; i = i + 1) { buf[i] = 0 - 1 - i; }
+    return buf[n - 1] & 1;
+}`
+
+const progFold = `
+func main(): int {
+    var n = 98304;
+    var buf = malloc(8 * n);
+    var t = 0;
+    for (var i = 0; i < n; i = i + 1) { t = t | buf[i]; }
+    return t;
+}`
+
+// TestTenantsNeverSeeEachOthersBytes is the property the grant-time scrub
+// exists for, through the front door: the machine holds one capsule at a
+// time, so the second tenant's capsule is the first one's frames, and the
+// kernel now clears only the pages its dirty map names. The second tenant
+// must fold its fresh heap to zero.
+func TestTenantsNeverSeeEachOthersBytes(t *testing.T) {
+	cfg := testConfig()
+	cfg.MemBytes = cfg.HeapBytes + 64*kernel.PageSize
+	s, ts := newTestServer(t, cfg)
+	owned := s.kern.OwnedPageCount()
+
+	resp, doc := post(t, ts.URL+"/v1/run", runRequest{Tenant: "alice", Source: progScribble, Name: "scribble"})
+	if resp.StatusCode != 200 {
+		t.Fatalf("alice: status %d: %v", resp.StatusCode, doc["error"])
+	}
+	// Freed frames keep their contents; without them the test proves nothing.
+	img, err := s.kern.Mem.ReadAt(kernel.PageSize, s.kern.Mem.Size()-kernel.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := len(img) - bytes.Count(img, []byte{0}); left < scribbleBytes/2 {
+		t.Fatalf("alice left only %d nonzero bytes behind", left)
+	}
+
+	granted, scrubbed := s.kern.Stats.PageAllocs.Get(), s.kern.Stats.PagesScrubbed.Get()
+	resp, doc = post(t, ts.URL+"/v1/run", runRequest{Tenant: "bob", Source: progFold, Name: "fold"})
+	if resp.StatusCode != 200 {
+		t.Fatalf("bob: status %d: %v", resp.StatusCode, doc["error"])
+	}
+	if exit, _ := doc["exit"].(float64); exit != 0 {
+		t.Errorf("bob folded a fresh capsule to %#x: he read alice's bytes", uint64(exit))
+	}
+	granted, scrubbed = s.kern.Stats.PageAllocs.Get()-granted, s.kern.Stats.PagesScrubbed.Get()-scrubbed
+	if scrubbed < scribbleBytes/kernel.PageSize || scrubbed > granted {
+		t.Errorf("bob's capsule: %d pages granted, %d scrubbed; alice dirtied at least %d of them",
+			granted, scrubbed, scribbleBytes/kernel.PageSize)
+	}
+	if got := s.kern.OwnedPageCount(); got != owned {
+		t.Errorf("owned pages: %d before, %d after", owned, got)
+	}
+}
+
 // TestCompileCoalescing pins single-flight: concurrent identical sources
 // compile once.
 func TestCompileCoalescing(t *testing.T) {
