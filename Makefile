@@ -14,7 +14,7 @@ FUZZTIME ?= 20s
 # cover` accepts. Raise it when coverage grows; never lower it.
 COVER_FLOOR ?= 75
 
-.PHONY: all fmt vet build test race smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test
+.PHONY: all fmt vet build test race smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test microbench
 
 all: check
 
@@ -131,11 +131,14 @@ soak: build
 
 # fuzz runs each native fuzz target for a short budget (the differential
 # invariants over generated programs, the IR text round trip, IR text
-# executed on both engines, and PhysMem's page-dirty map against the
-# byte-loop memory model; seeds replay in plain `make test`).
+# executed on both engines, PhysMem's page-dirty map against the
+# byte-loop memory model, the page-bucketed allocation table against the
+# map-scan model, and the in-place region set against sort-and-coalesce;
+# seeds replay in plain `make test`).
 # FuzzIRRoundTrip's and FuzzIRExecute's seeds are whole kernels, so
 # minimising one interesting input at the default 60 s would eat the
-# budget: cap it.
+# budget: cap it. The two table targets find new coverage every few
+# seconds at first, and minimising each find would stall them: cap too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIRRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/ir/
 	$(GO) test -run '^$$' -fuzz FuzzIRExecute -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/vm/
@@ -144,6 +147,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGuardsAgreeOnForgedPointers -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGroupMoves -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzPhysMemDirty -fuzztime $(FUZZTIME) ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz FuzzAllocationTable -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz FuzzRegionSet -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/guard/
 
 # loc prints non-test Go lines per package and their total, excluding the
 # frozen benchmark/ module (ROADMAP: non-test LOC is a tracked metric and
@@ -163,5 +168,13 @@ benchmark:
 
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# microbench runs every host-time micro-benchmark of the kernel, runtime and
+# guard packages, and the VM heap's, once each: not a measurement (use
+# -benchmem -count N for that, see EXPERIMENTS.md "PR 20"), a check that they
+# still build, set up and run.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/
+	$(GO) test -run '^$$' -bench BenchmarkHeapRebase -benchtime 1x ./internal/vm/
 
 check: fmt vet build test race

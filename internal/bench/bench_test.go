@@ -184,6 +184,22 @@ func TestFig6SwaptionsOutlier(t *testing.T) {
 	}
 }
 
+// TestFig6RowPinned pins one Figure 6 row at test scale, byte for byte.
+// freqmine is the row to watch: its tracking bytes are mostly the escape
+// batch buffer, reported by capacity (1 280 events once a batch has filled
+// it), so a refactor of the buffer — a second backing array, a preallocation,
+// a different drain — moves this number before it moves anything else.
+func TestFig6RowPinned(t *testing.T) {
+	r, err := Fig6(quickOpts("freqmine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Fig6Row{Name: "freqmine", BaselineBytes: 94256, TrackingBytes: 98096, Ratio: float64(94256+98096) / 94256}
+	if len(r.Rows) != 1 || r.Rows[0] != want {
+		t.Errorf("Figure 6 freqmine row = %+v, want %+v", r.Rows, want)
+	}
+}
+
 func TestFig7OverheadSmall(t *testing.T) {
 	r, err := Fig7(quickOpts("EP", "LU", "canneal"))
 	if err != nil {

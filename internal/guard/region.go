@@ -9,6 +9,7 @@ package guard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -82,7 +83,8 @@ func NewRegionSet() *RegionSet { return &RegionSet{} }
 func (s *RegionSet) Len() int { return len(s.regions) }
 
 // Regions returns the regions in address order. The caller must not
-// mutate the returned slice.
+// mutate the returned slice, and Add and Remove rewrite it in place: copy it
+// to keep it across a change of the set.
 func (s *RegionSet) Regions() []Region { return s.regions }
 
 // Clone returns an independent copy of the set.
@@ -94,42 +96,69 @@ func (s *RegionSet) Clone() *RegionSet {
 
 // Add inserts a region. It returns an error if the region overlaps an
 // existing one with different permissions; equal-permission overlap is
-// merged.
+// merged, and so are equal-permission neighbours the region touches. The set
+// is sorted and coalesced before the call, so only the regions r reaches can
+// change: they are found by binary search and replaced in place.
 func (s *RegionSet) Add(r Region) error {
 	if r.Len == 0 {
 		return fmt.Errorf("guard: empty region")
 	}
-	for _, x := range s.regions {
-		if r.Base < x.End() && x.Base < r.End() && x.Perm != r.Perm {
+	// regions[i:j] are the ones r overlaps or touches.
+	i := sort.Search(len(s.regions), func(k int) bool { return s.regions[k].End() >= r.Base })
+	j := i
+	for ; j < len(s.regions) && s.regions[j].Base <= r.End(); j++ {
+		if x := s.regions[j]; r.Base < x.End() && x.Base < r.End() && x.Perm != r.Perm {
 			return fmt.Errorf("guard: region %v overlaps %v with different permissions", r, x)
 		}
 	}
-	s.regions = append(s.regions, r)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
-	s.coalesce()
+	// A region of another permission in that run only touches r — one can
+	// end where r starts, one can start where r ends — and stays as it is.
+	if i < j && s.regions[i].End() == r.Base && s.regions[i].Perm != r.Perm {
+		i++
+	}
+	if i < j && s.regions[j-1].Base == r.End() && s.regions[j-1].Perm != r.Perm {
+		j--
+	}
+	if i < j {
+		end := max(r.End(), s.regions[j-1].End())
+		r.Base = min(r.Base, s.regions[i].Base)
+		r.Len = end - r.Base
+	}
+	s.regions = slices.Replace(s.regions, i, j, r)
 	s.Epoch++
 	return nil
 }
 
 // Remove deletes the address range [base, base+length) from the set,
-// splitting regions as needed.
+// splitting regions as needed: the regions the range overlaps are found by
+// binary search and replaced, in place, by what is left of the first and of
+// the last of them.
 func (s *RegionSet) Remove(base, length uint64) {
-	end := base + length
-	var out []Region
-	for _, x := range s.regions {
-		if x.End() <= base || x.Base >= end {
-			out = append(out, x)
-			continue
-		}
-		if x.Base < base {
-			out = append(out, Region{Base: x.Base, Len: base - x.Base, Perm: x.Perm})
-		}
-		if x.End() > end {
-			out = append(out, Region{Base: end, Len: x.End() - end, Perm: x.Perm})
-		}
-	}
-	s.regions = out
 	s.Epoch++
+	if length == 0 {
+		return // an empty range overlaps nothing, not even the region around it
+	}
+	end := base + length
+	// regions[i:j] are the ones the range overlaps.
+	i := sort.Search(len(s.regions), func(k int) bool { return s.regions[k].End() > base })
+	j := i
+	for j < len(s.regions) && s.regions[j].Base < end {
+		j++
+	}
+	if i == j {
+		return
+	}
+	var left [2]Region
+	n := 0
+	if x := s.regions[i]; x.Base < base {
+		left[n] = Region{Base: x.Base, Len: base - x.Base, Perm: x.Perm}
+		n++
+	}
+	if x := s.regions[j-1]; x.End() > end {
+		left[n] = Region{Base: end, Len: x.End() - end, Perm: x.Perm}
+		n++
+	}
+	s.regions = slices.Replace(s.regions, i, j, left[:n]...)
 }
 
 // SetPerm changes the permission of the range [base, base+length),
@@ -153,24 +182,6 @@ func (s *RegionSet) covered(base, length uint64) bool {
 		}
 	}
 	return addr >= end
-}
-
-func (s *RegionSet) coalesce() {
-	if len(s.regions) < 2 {
-		return
-	}
-	out := s.regions[:1]
-	for _, x := range s.regions[1:] {
-		last := &out[len(out)-1]
-		if x.Base <= last.End() && x.Perm == last.Perm {
-			if x.End() > last.End() {
-				last.Len = x.End() - last.Base
-			}
-			continue
-		}
-		out = append(out, x)
-	}
-	s.regions = out
 }
 
 // Find returns the region containing addr, if any, using binary search.

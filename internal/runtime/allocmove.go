@@ -77,7 +77,7 @@ func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBre
 	}
 	// Table maintenance.
 	r.Table.Rebase(a, dst)
-	moved := r.Table.RebaseEscapeLocs(base, base+length, dst)
+	moved := r.rebaseEscapeLocs(base, base+length, dst)
 	bd.PatchCycles += uint64(moved) * cycEscapePatch
 	r.rebaseSwapLocs(base, dst, length)
 
@@ -103,17 +103,8 @@ func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBre
 // allocation within [lo, hi), for the allocation-granularity ablation
 // (which relocates within the heap).
 func (r *Runtime) WorstCaseHeapAllocation(lo, hi uint64) (base, length uint64, ok bool) {
-	r.Flush()
-	var best *Allocation
-	bestN := -1
-	r.Table.ForEach(func(a *Allocation) bool {
-		if a.Static || a.Base < lo || a.End() > hi {
-			return true
-		}
-		if n := a.EscapeCount(); n > bestN {
-			best, bestN = a, n
-		}
-		return true
+	best := r.mostEscaped(func(a *Allocation) bool {
+		return !a.Static && a.Base >= lo && a.End() <= hi
 	})
 	if best == nil {
 		return 0, 0, false

@@ -124,9 +124,32 @@ func TestConcurrentEscapeTrackingSharded(t *testing.T) {
 			buf.Flush()
 		}(w)
 	}
-	// Readers exercise lookup paths concurrently with the flushes.
+	// Readers exercise lookup paths concurrently with the flushes, and a
+	// mover shuttles a page's worth of escapes between two pages nobody
+	// else writes (all shard locks, against the writers' one at a time).
+	const shuttled = 64
+	for i := uint64(0); i < shuttled; i++ {
+		rt.Table.AddEscape(0x500000+i*8, 0x100000)
+	}
 	stop := make(chan struct{})
 	var rg sync.WaitGroup
+	rg.Add(1)
+	go func() {
+		defer rg.Done()
+		from, to := uint64(0x500000), uint64(0x520000)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if moved, _ := rt.Table.RebaseEscapeLocs(from, from+kernel.PageSize, to); moved != shuttled {
+				t.Errorf("shuttle moved %d escapes, want %d", moved, shuttled)
+				return
+			}
+			from, to = to, from
+		}
+	}()
 	for r := 0; r < 4; r++ {
 		rg.Add(1)
 		go func() {
@@ -140,7 +163,11 @@ func TestConcurrentEscapeTrackingSharded(t *testing.T) {
 				rt.Table.EscapeCount()
 				rt.Table.Covering(0x100000 + 0x400)
 				rt.Table.EscapeTarget(0x400000)
-				rt.Table.ForEach(func(a *Allocation) bool { return true })
+				rt.Table.ForEach(func(a *Allocation) bool {
+					rt.Table.EscapeLocsOf(a)
+					a.EscapeCount()
+					return true
+				})
 			}
 		}()
 	}
@@ -149,7 +176,7 @@ func TestConcurrentEscapeTrackingSharded(t *testing.T) {
 	rg.Wait()
 	rt.Flush()
 
-	if got, want := rt.Table.EscapeCount(), nWriters*perWriter; got != want {
+	if got, want := rt.Table.EscapeCount(), nWriters*perWriter+shuttled; got != want {
 		t.Errorf("escape count = %d, want %d", got, want)
 	}
 	if err := rt.Table.CheckInvariants(); err != nil {

@@ -280,8 +280,8 @@ func (st *moveState) phasePatchEscapes() error {
 			}
 			val := st.r.mem.Load64(loc)
 			if val >= st.src && val < st.src+st.length {
-				if err := st.inj.Fail(fault.PatchFail, fmt.Sprintf("escape at %#x", loc)); err != nil {
-					return err
+				if st.inj.Should(fault.PatchFail) {
+					return &fault.Error{Point: fault.PatchFail, Detail: fmt.Sprintf("escape at %#x", loc)}
 				}
 				st.txn.memWrites = append(st.txn.memWrites, memWrite{loc: loc, old: val})
 				st.r.mem.Store64(loc, val-st.src+st.dst)
@@ -325,7 +325,7 @@ func (st *moveState) phaseRebase() error {
 		st.r.Table.Rebase(a, a.Base-st.src+st.dst)
 		st.txn.rebased = append(st.txn.rebased, a)
 	}
-	moved := st.r.Table.RebaseEscapeLocs(st.src, st.src+st.length, st.dst)
+	moved := st.r.rebaseEscapeLocs(st.src, st.src+st.length, st.dst)
 	st.txn.escMoved = true
 	st.bd.PatchCycles += uint64(moved) * cycEscapePatch
 	if err := st.meter.addBulk(moved, cycEscapePatch); err != nil {
@@ -427,7 +427,7 @@ func (r *Runtime) rollbackMove(req *kernel.MoveRequest, txn *moveTxn, src, dst, 
 		r.rebaseSwapLocs(dst, src, length)
 	}
 	if txn.escMoved {
-		r.Table.RebaseEscapeLocs(dst, dst+length, src)
+		r.rebaseEscapeLocs(dst, dst+length, src)
 	}
 	for i := len(txn.rebased) - 1; i >= 0; i-- {
 		a := txn.rebased[i]
@@ -497,19 +497,29 @@ func (r *Runtime) traceMove(bd *MoveBreakdown, src, dst, length, lookupCyc, scan
 // repeatedly moves ("the runtime selects a page that overlaps the
 // allocation with the most pointer escapes").
 func (r *Runtime) WorstCasePage() (uint64, bool) {
-	r.Flush()
-	var best *Allocation
-	bestN := -1
-	r.Table.ForEach(func(a *Allocation) bool {
-		if n := a.EscapeCount(); n > bestN {
-			best, bestN = a, n
-		}
-		return true
-	})
+	best := r.mostEscaped(nil)
 	if best == nil {
 		return 0, false
 	}
 	return alignDown(best.Base), true
+}
+
+// mostEscaped returns the allocation with the most escapes among those
+// eligible accepts (nil: all of them); of several with that many, the one at
+// the lowest address. One walk of the allocations, reading a count from
+// each: choosing what to move is the only step of an injected move that
+// looks at more than the move affects.
+func (r *Runtime) mostEscaped(eligible func(*Allocation) bool) *Allocation {
+	r.Flush()
+	var best *Allocation
+	bestN := -1
+	r.Table.ForEach(func(a *Allocation) bool {
+		if n := a.EscapeCount(); n > bestN && (eligible == nil || eligible(a)) {
+			best, bestN = a, n
+		}
+		return true
+	})
+	return best
 }
 
 func alignDown(a uint64) uint64 { return a &^ (kernel.PageSize - 1) }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"carat/internal/fault"
@@ -76,8 +77,10 @@ type Stats struct {
 	MoveRollbacks *obs.Counter // aborted moves rolled back to the pre-move state
 	BatchPauses   *obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
 	FlushRetries  *obs.Counter // escape-buffer flushes retried after an injected failure
-	MemoHits      *obs.Gauge   // shard-memo fast-path hits on escape resolution
-	MemoMisses    *obs.Gauge   // shard-memo misses (full tree descent)
+	MemoHits      *obs.Gauge   // memo fast-path hits on escape resolution
+	MemoMisses    *obs.Gauge   // memo misses (full tree descent)
+	RebaseVisited *obs.Counter // reverse-index entries RebaseEscapeLocs examined
+	RebaseMoved   *obs.Counter // reverse-index entries it rewrote: visited/moved says whether a move scanned the table
 }
 
 func newStats(reg *obs.Registry) Stats {
@@ -99,6 +102,8 @@ func newStats(reg *obs.Registry) Stats {
 		FlushRetries:  reg.Counter("carat.runtime.flush_retries"),
 		MemoHits:      reg.Gauge("carat.runtime.table.memo_hits"),
 		MemoMisses:    reg.Gauge("carat.runtime.table.memo_misses"),
+		RebaseVisited: reg.Counter("carat.runtime.table.rebase_visited"),
+		RebaseMoved:   reg.Counter("carat.runtime.table.rebase_moved"),
 	}
 }
 
@@ -382,6 +387,21 @@ type EscapeBuffer struct {
 	r      *Runtime
 	mu     sync.Mutex
 	events []escapeEvent
+
+	// seen is the flush's de-dupe scratch: an open-addressed table from a
+	// location to its position in the batch. A slot counts as occupied only
+	// if it carries the current flush's stamp, so starting a flush costs
+	// nothing however large the table has grown — TrackFree flushes batches
+	// of a handful of events, and clearing a full-batch-sized table on each
+	// of those would cost more than the flush.
+	seen  []seenSlot
+	stamp uint32
+}
+
+type seenSlot struct {
+	loc   uint64
+	stamp uint32
+	pos   uint32
 }
 
 // NewEscapeBuffer creates and registers a per-thread escape buffer. The
@@ -392,6 +412,15 @@ func (r *Runtime) NewEscapeBuffer() *EscapeBuffer {
 	r.bufs = append(r.bufs, b)
 	r.stateMu.Unlock()
 	return b
+}
+
+// buffers snapshots the registered escape buffers. The list only grows, by
+// append, so the snapshot can share its backing array: nothing the snapshot
+// reaches is written again.
+func (r *Runtime) buffers() []*EscapeBuffer {
+	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
+	return r.bufs[:len(r.bufs):len(r.bufs)]
 }
 
 // Track appends one escape event; the buffer self-flushes at the batch
@@ -409,19 +438,58 @@ func (b *EscapeBuffer) Track(loc, val uint64) {
 	}
 }
 
-// Flush drains this buffer into the table. An injected flush failure is
-// retried to completion: moves and swaps patch from the escape map under a
+// Flush drains this buffer into the table, in place: the buffer stays locked
+// for the drain, which delays nobody but a second flusher of the same buffer
+// (its owner is the one flushing, or is stopped). An injected flush failure
+// is retried to completion: moves and swaps patch from the escape map under a
 // stopped world, so a flush that silently gave up would leave them patching
 // from stale data — the drain must land before this returns.
 func (b *EscapeBuffer) Flush() {
 	b.mu.Lock()
-	drain := append([]escapeEvent(nil), b.events...)
-	b.events = b.events[:0]
-	b.mu.Unlock()
+	defer b.mu.Unlock()
 	for b.r.injector().Should(fault.FlushFail) {
 		b.r.Stats.FlushRetries.Inc()
 	}
-	b.r.apply(drain)
+	b.r.apply(b.dedupe())
+	b.events = b.events[:0]
+}
+
+// dedupe compacts the batch in place: within a batch only the last write to
+// a location matters, so each location keeps the position of its first event
+// and the value of its last (the batching win the paper describes: outdated
+// work is dropped). The order of first occurrence is what the table's memos
+// see, so it is part of the model. The caller holds b.mu.
+func (b *EscapeBuffer) dedupe() []escapeEvent {
+	ev := b.events
+	if len(ev) < 2 {
+		return ev
+	}
+	if len(b.seen) < 2*len(ev) {
+		b.seen = make([]seenSlot, 1<<bits.Len(uint(2*len(ev)-1)))
+		b.stamp = 0
+	}
+	if b.stamp++; b.stamp == 0 { // wrapped: stamps of 2^32 flushes ago must not read as current
+		clear(b.seen)
+		b.stamp = 1
+	}
+	mask := uint64(len(b.seen) - 1)
+	n := 0
+	for _, e := range ev {
+		for i := e.loc * 0x9E3779B97F4A7C15 >> 32 & mask; ; i = (i + 1) & mask {
+			slot := &b.seen[i]
+			if slot.stamp != b.stamp {
+				*slot = seenSlot{loc: e.loc, stamp: b.stamp, pos: uint32(n)}
+				ev[n] = e
+				n++
+				break
+			}
+			if slot.loc == e.loc {
+				ev[slot.pos].val = e.val
+				break
+			}
+		}
+	}
+	return ev[:n]
 }
 
 func (b *EscapeBuffer) footprint() uint64 {
@@ -437,36 +505,22 @@ func (r *Runtime) TrackEscape(loc, val uint64) { r.defBuf.Track(loc, val) }
 
 // Flush drains every registered escape buffer into the table.
 func (r *Runtime) Flush() {
-	r.stateMu.Lock()
-	bufs := append([]*EscapeBuffer(nil), r.bufs...)
-	r.stateMu.Unlock()
-	for _, b := range bufs {
+	for _, b := range r.buffers() {
 		b.Flush()
 	}
 }
 
-// apply drains one batch into the sharded table. Within a batch only the
-// last write to a location matters: dedupe so outdated work is dropped
-// (the batching win the paper describes).
+// apply drains one de-duplicated batch into the sharded table.
 func (r *Runtime) apply(events []escapeEvent) {
 	if len(events) == 0 {
 		return
 	}
-	last := make(map[uint64]uint64, len(events))
-	order := make([]uint64, 0, len(events))
 	for _, e := range events {
-		if _, seen := last[e.loc]; !seen {
-			order = append(order, e.loc)
-		}
-		last[e.loc] = e.val
-	}
-	for _, loc := range order {
-		val := last[loc]
-		if kernel.IsPoison(val) || val == 0 {
-			r.Table.RemoveEscape(loc)
+		if kernel.IsPoison(e.val) || e.val == 0 {
+			r.Table.RemoveEscape(e.loc)
 			continue
 		}
-		if !r.Table.AddEscape(loc, val) {
+		if !r.Table.AddEscape(e.loc, e.val) {
 			r.Stats.UntrackedEsc.Inc()
 		}
 		r.Stats.TrackingCycle.Add(cycEscapeProc)
@@ -476,6 +530,15 @@ func (r *Runtime) apply(events []escapeEvent) {
 	hits, misses := r.Table.MemoStats()
 	r.Stats.MemoHits.Set(hits)
 	r.Stats.MemoMisses.Set(misses)
+}
+
+// rebaseEscapeLocs is Table.RebaseEscapeLocs with its work counted: how many
+// reverse-index entries it looked at to find the ones it moved.
+func (r *Runtime) rebaseEscapeLocs(lo, hi, newLo uint64) int {
+	moved, visited := r.Table.RebaseEscapeLocs(lo, hi, newLo)
+	r.Stats.RebaseVisited.Add(uint64(visited))
+	r.Stats.RebaseMoved.Add(uint64(moved))
+	return moved
 }
 
 // UntrackStackRange drops every non-static allocation fully inside
@@ -505,11 +568,8 @@ const tombstoneBytes = 48
 // (Figure 6): live table + escape map, the batch buffers, and the retained
 // tombstones of freed allocations.
 func (r *Runtime) MemoryOverheadBytes() uint64 {
-	r.stateMu.Lock()
-	bufs := append([]*EscapeBuffer(nil), r.bufs...)
-	r.stateMu.Unlock()
 	var batch uint64
-	for _, b := range bufs {
+	for _, b := range r.buffers() {
 		batch += b.footprint()
 	}
 	return r.Table.MemoryFootprint() + batch + r.Stats.Frees.Get()*tombstoneBytes

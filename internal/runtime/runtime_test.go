@@ -394,7 +394,7 @@ func TestHandleMovePatchesEverything(t *testing.T) {
 	}
 	// No escape may still point into the vacated range (DESIGN invariant).
 	rt.Table.ForEach(func(a *Allocation) bool {
-		for _, loc := range a.EscapeLocs() {
+		for _, loc := range rt.Table.EscapeLocsOf(a) {
 			v := k.Mem.Load64(loc)
 			if v >= res.Src && v < res.Src+res.Pages*kernel.PageSize {
 				t.Errorf("escape at %#x still points into vacated range: %#x", loc, v)

@@ -4,24 +4,35 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"carat/internal/kernel"
 )
 
-// escShards is the number of escape shards. Escape locations are hashed
-// across shards so concurrent trackers (the multi-process pressure
-// workloads) contend on different locks; 16 is comfortably above the
-// process counts those harnesses run.
+// escShards is the number of lock domains of the escape map. Escape
+// locations are spread across them by page, so concurrent trackers (the
+// multi-process pressure workloads) contend on different locks while
+// everything located on one page — what a move of that page has to find —
+// sits behind one of them; 16 is comfortably above the process counts those
+// harnesses run.
 const escShards = 16
 
-// shardOf hashes an escape location to its shard. The low 4 bits below the
-// 16-byte allocator alignment are dropped so consecutive pointer slots
-// spread across shards.
-func shardOf(loc uint64) int { return int((loc >> 4) & (escShards - 1)) }
+// pageOf numbers the page holding loc; shardOfPage and shardOf name the lock
+// domain a page, and a location on it, belong to.
+func pageOf(loc uint64) uint64    { return loc / kernel.PageSize }
+func shardOfPage(page uint64) int { return int(page & (escShards - 1)) }
+func shardOf(loc uint64) int      { return shardOfPage(pageOf(loc)) }
+
+// memoOf picks the last-allocation memo an escape at loc consults. The low 4
+// bits below the 16-byte allocator alignment are dropped so consecutive
+// pointer slots use different memos.
+func memoOf(loc uint64) int { return int((loc >> 4) & (escShards - 1)) }
 
 // Allocation is one tracked memory block: a static allocation (global,
 // stack region) or a dynamic one (malloc, alloca). The escape set — the
 // Allocation to Escape Map entry of §4.2 "Tracking" — is stored sharded by
-// escape location: escs[s] holds this allocation's escapes whose location
-// hashes to shard s, and is guarded by that shard's lock.
+// escape location: escs[s] holds this allocation's escapes located on the
+// pages of shard s, and is guarded by that shard's lock. nEsc is the size of
+// the whole set, so asking for it touches no map.
 type Allocation struct {
 	Base uint64
 	Len  uint64
@@ -30,6 +41,7 @@ type Allocation struct {
 	Static bool
 
 	escs [escShards]map[uint64]struct{}
+	nEsc atomic.Int64
 }
 
 // End returns one past the allocation's last byte.
@@ -39,85 +51,54 @@ func (a *Allocation) End() uint64 { return a.Base + a.Len }
 func (a *Allocation) Covers(addr uint64) bool { return addr >= a.Base && addr < a.End() }
 
 // EscapeCount returns the number of tracked escapes into this allocation.
-// It reads the sharded sets unsynchronized: callers must hold the table
-// quiescent (world stopped, or single-threaded use).
-func (a *Allocation) EscapeCount() int {
-	n := 0
-	for s := range a.escs {
-		n += len(a.escs[s])
-	}
-	return n
-}
+func (a *Allocation) EscapeCount() int { return int(a.nEsc.Load()) }
 
-// EscapeLocs returns the escape locations of this allocation, unordered.
-// Same quiescence requirement as EscapeCount.
-func (a *Allocation) EscapeLocs() []uint64 {
-	out := make([]uint64, 0, a.EscapeCount())
-	for s := range a.escs {
-		for loc := range a.escs[s] {
-			out = append(out, loc)
-		}
-	}
-	return out
-}
-
-func (a *Allocation) addEsc(loc uint64) {
-	s := shardOf(loc)
-	if a.escs[s] == nil {
-		a.escs[s] = make(map[uint64]struct{})
-	}
-	a.escs[s][loc] = struct{}{}
-}
-
-func (a *Allocation) delEsc(loc uint64) {
-	delete(a.escs[shardOf(loc)], loc)
-}
-
-// escShard is one lock domain of the escape map: the reverse index for
-// locations hashing here, plus a last-allocation memo exploiting
-// TrackEscape's locality (consecutive escapes overwhelmingly target the
-// same allocation, so the memo short-circuits the rbtree descent).
+// escShard is one lock domain of the escape map: the location→allocation
+// reverse index of the pages hashing here, bucketed by page (page number →
+// the escapes located on that page), so that "what sits on this page?" is
+// one lookup and not a walk of every escape of the process. A bucket exists
+// only while it holds an entry.
 type escShard struct {
-	mu         sync.Mutex
-	locToAlloc map[uint64]*Allocation
-	memo       *Allocation
+	mu    sync.Mutex
+	pages map[uint64]map[uint64]*Allocation
 }
 
 // AllocationTable is the runtime's hard-state structure (§4.2): a red/black
 // tree keyed by allocation base address answering point queries ("which
 // allocation covers this address?") and range queries ("which allocations
-// overlap this page range?"), plus the sharded location→allocation reverse
-// index for escapes.
+// overlap this page range?"), plus the page-bucketed location→allocation
+// reverse index for escapes.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
-// rare next to escapes); each shard's reverse index, memo, and the escs
-// sub-maps of every allocation for that shard are guarded by the shard
-// lock. Lock order is treeMu before shard locks, shard locks in ascending
-// index order. Individual operations are atomic; multi-step sequences (the
-// move protocol) get their atomicity from the world stop, as in the paper.
+// rare next to escapes); each shard's page buckets and the escs sub-maps of
+// every allocation for that shard are guarded by the shard lock. Lock order
+// is treeMu before shard locks, shard locks in ascending index order.
+// Individual operations are atomic; multi-step sequences (the move
+// protocol) get their atomicity from the world stop, as in the paper.
 type AllocationTable struct {
 	treeMu sync.RWMutex
 	tree   rbTree
 
 	shards [escShards]escShard
 
+	// memo holds the allocations the last escapes resolved to, exploiting
+	// TrackEscape's locality (consecutive escapes overwhelmingly target the
+	// same allocation, so a memo short-circuits the rbtree descent). A memo
+	// serves locations of every page, hence of every shard: it is read and
+	// written atomically, under treeMu held for reading.
+	memo [escShards]atomic.Pointer[Allocation]
+
 	// escapeCount tracks the total escapes across all allocations.
 	escapeCount atomic.Int64
 
-	// memoHits/memoMisses count shard-memo outcomes for the
+	// memoHits/memoMisses count memo outcomes for the
 	// carat.runtime.table.* metrics.
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
 }
 
 // NewAllocationTable returns an empty table.
-func NewAllocationTable() *AllocationTable {
-	t := &AllocationTable{}
-	for i := range t.shards {
-		t.shards[i].locToAlloc = make(map[uint64]*Allocation)
-	}
-	return t
-}
+func NewAllocationTable() *AllocationTable { return &AllocationTable{} }
 
 // Len returns the number of tracked allocations.
 func (t *AllocationTable) Len() int {
@@ -129,7 +110,7 @@ func (t *AllocationTable) Len() int {
 // EscapeCount returns the total number of tracked escapes.
 func (t *AllocationTable) EscapeCount() int { return int(t.escapeCount.Load()) }
 
-// MemoStats returns the shard-memo hit/miss counts.
+// MemoStats returns the memo hit/miss counts.
 func (t *AllocationTable) MemoStats() (hits, misses uint64) {
 	return t.memoHits.Load(), t.memoMisses.Load()
 }
@@ -145,6 +126,50 @@ func (t *AllocationTable) lockShards() {
 func (t *AllocationTable) unlockShards() {
 	for i := range t.shards {
 		t.shards[i].mu.Unlock()
+	}
+}
+
+// setEscape makes a (nil: nobody) the allocation the escape at loc points
+// into, keeping reverse index, per-allocation sets and counts in step. Every
+// change to the escape map goes through here. The caller holds loc's shard
+// lock.
+func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
+	s, page := shardOf(loc), pageOf(loc)
+	sh := &t.shards[s]
+	bucket := sh.pages[page]
+	prev := bucket[loc]
+	if prev == a {
+		return
+	}
+	delta := int64(0)
+	if prev != nil {
+		delete(prev.escs[s], loc)
+		prev.nEsc.Add(-1)
+		delta--
+	}
+	if a == nil {
+		delete(bucket, loc)
+		if len(bucket) == 0 {
+			delete(sh.pages, page)
+		}
+	} else {
+		if bucket == nil {
+			if sh.pages == nil {
+				sh.pages = make(map[uint64]map[uint64]*Allocation)
+			}
+			bucket = make(map[uint64]*Allocation)
+			sh.pages[page] = bucket
+		}
+		bucket[loc] = a
+		if a.escs[s] == nil {
+			a.escs[s] = make(map[uint64]struct{})
+		}
+		a.escs[s][loc] = struct{}{}
+		a.nEsc.Add(1)
+		delta++
+	}
+	if delta != 0 {
+		t.escapeCount.Add(delta)
 	}
 }
 
@@ -178,22 +203,25 @@ func (t *AllocationTable) Remove(base uint64) *Allocation {
 	if a == nil {
 		return nil
 	}
-	removed := 0
 	for s := range t.shards {
+		if a.nEsc.Load() == 0 {
+			break // nothing (left) to unlink, no lock to take
+		}
 		sh := &t.shards[s]
 		sh.mu.Lock()
 		for loc := range a.escs[s] {
-			delete(sh.locToAlloc, loc)
-			removed++
-		}
-		if sh.memo == a {
-			// The memo must never outlive its allocation: a stale memo
-			// would report coverage for freed (and later reused) space.
-			sh.memo = nil
+			t.setEscape(loc, nil)
 		}
 		sh.mu.Unlock()
 	}
-	t.escapeCount.Add(int64(-removed))
+	for i := range t.memo {
+		// A memo must never outlive its allocation: a stale one would
+		// report coverage for freed (and later reused) space. (treeMu is
+		// held for writing: nobody stores a memo in between.)
+		if t.memo[i].Load() == a {
+			t.memo[i].Store(nil)
+		}
+	}
 	t.tree.Delete(base)
 	return a
 }
@@ -242,52 +270,30 @@ func (t *AllocationTable) Overlapping(lo, hi uint64) []*Allocation {
 // allocation, that stale escape is removed first (the location was
 // overwritten). It reports whether the target was a tracked allocation.
 func (t *AllocationTable) AddEscape(loc, target uint64) bool {
-	s := shardOf(loc)
-	sh := &t.shards[s]
+	sh := &t.shards[shardOf(loc)]
+	memo := &t.memo[memoOf(loc)]
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if prev, ok := sh.locToAlloc[loc]; ok {
-		delete(prev.escs[s], loc)
-		delete(sh.locToAlloc, loc)
-		t.escapeCount.Add(-1)
-	}
-	var a *Allocation
-	if m := sh.memo; m != nil && m.Covers(target) {
-		a = m
+	a := memo.Load()
+	if a != nil && a.Covers(target) {
 		t.memoHits.Add(1)
 	} else {
 		a = t.coveringLocked(target)
 		t.memoMisses.Add(1)
 		if a != nil {
-			sh.memo = a
+			memo.Store(a)
 		}
 	}
-	if a == nil {
-		return false
-	}
-	if a.escs[s] == nil {
-		a.escs[s] = make(map[uint64]struct{})
-	}
-	a.escs[s][loc] = struct{}{}
-	sh.locToAlloc[loc] = a
-	t.escapeCount.Add(1)
-	return true
+	t.setEscape(loc, a)
+	return a != nil
 }
 
 // RemoveEscape forgets the escape at loc (the location was overwritten
 // with a non-pointer or destroyed).
 func (t *AllocationTable) RemoveEscape(loc uint64) {
-	s := shardOf(loc)
-	sh := &t.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.locToAlloc[loc]; ok {
-		delete(prev.escs[s], loc)
-		delete(sh.locToAlloc, loc)
-		t.escapeCount.Add(-1)
-	}
+	t.relinkEscape(loc, nil)
 }
 
 // EscapeTarget returns the allocation the escape at loc points into, if
@@ -296,14 +302,18 @@ func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
 	sh := &t.shards[shardOf(loc)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	a, ok := sh.locToAlloc[loc]
+	a, ok := sh.pages[pageOf(loc)][loc]
 	return a, ok
 }
 
 // EscapeLocsOf snapshots allocation a's escape locations under the shard
 // locks; the move and swap engines iterate the snapshot while patching.
 func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
-	var out []uint64
+	n := a.EscapeCount()
+	if n == 0 {
+		return nil // most of what shares a moved page with the target: no lock taken
+	}
+	out := make([]uint64, 0, n)
 	for s := range t.shards {
 		sh := &t.shards[s]
 		sh.mu.Lock()
@@ -315,34 +325,21 @@ func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
 	return out
 }
 
-// relinkEscape records that loc escapes into allocation a, maintaining the
-// reverse index and counts; used when swap-in reconstructs an allocation's
-// escape set.
+// relinkEscape records that loc escapes into allocation a (nil: into
+// nothing), maintaining the reverse index and counts; used when swap-in
+// reconstructs an allocation's escape set.
 func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
-	s := shardOf(loc)
-	sh := &t.shards[s]
+	sh := &t.shards[shardOf(loc)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if prev, ok := sh.locToAlloc[loc]; ok {
-		if prev == a {
-			return
-		}
-		delete(prev.escs[s], loc)
-		t.escapeCount.Add(-1)
-	}
-	if a.escs[s] == nil {
-		a.escs[s] = make(map[uint64]struct{})
-	}
-	a.escs[s][loc] = struct{}{}
-	sh.locToAlloc[loc] = a
-	t.escapeCount.Add(1)
+	t.setEscape(loc, a)
 }
 
 // Rebase moves allocation a (which must be tracked) so its base becomes
 // newBase, keeping escape sets attached. Escape locations are NOT
 // rewritten here; the move engine handles location rebasing since it knows
-// the moved byte range. Shard memos stay valid: they reference a itself,
-// and Covers reads the live Base/Len.
+// the moved byte range. Memos stay valid: they reference a itself, and
+// Covers reads the live Base/Len.
 func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
@@ -353,34 +350,62 @@ func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 
 // RebaseEscapeLocs rewrites every tracked escape location within
 // [lo, hi) to location-lo+newLo, in both the per-allocation escape sets
-// and the reverse index. A rewritten location may hash to a different
-// shard, so all shard locks are held. It returns how many locations moved.
-// The move engine calls this when the moved byte range itself contained
-// pointers.
-func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) int {
-	type moved struct {
-		oldLoc, newLoc uint64
-		a              *Allocation
+// and the reverse index; an escape already recorded at a destination
+// location is stale (the moved bytes overwrite it) and is dropped. Only the
+// buckets of the pages [lo, hi) touches are opened — found by probing each
+// page number, or, when the range spans more pages than the index holds
+// buckets, by walking the buckets. The range need not be page-aligned
+// (MoveAllocationTo) nor the locations word-aligned, so every opened
+// bucket is filtered. A rewritten location may land in a different shard,
+// so all shard locks are held. It returns how many locations moved and how
+// many index entries it examined to find them. The move engine calls this
+// when the moved byte range itself contained pointers.
+func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited int) {
+	if lo >= hi {
+		return 0, 0
+	}
+	type entry struct {
+		loc uint64
+		a   *Allocation
 	}
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
 	t.lockShards()
 	defer t.unlockShards()
-	var ms []moved
-	for s := range t.shards {
-		for loc, a := range t.shards[s].locToAlloc {
+	var ms []entry
+	scan := func(bucket map[uint64]*Allocation) {
+		visited += len(bucket)
+		for loc, a := range bucket {
 			if loc >= lo && loc < hi {
-				ms = append(ms, moved{loc, loc - lo + newLo, a})
+				ms = append(ms, entry{loc, a})
+			}
+		}
+	}
+	first, last := pageOf(lo), pageOf(hi-1)
+	buckets := 0
+	for s := range t.shards {
+		buckets += len(t.shards[s].pages)
+	}
+	if last-first < uint64(buckets) {
+		for page := first; page <= last; page++ {
+			scan(t.shards[shardOfPage(page)].pages[page])
+		}
+	} else {
+		for s := range t.shards {
+			for page, bucket := range t.shards[s].pages {
+				if page >= first && page <= last {
+					scan(bucket)
+				}
 			}
 		}
 	}
 	for _, m := range ms {
-		m.a.delEsc(m.oldLoc)
-		delete(t.shards[shardOf(m.oldLoc)].locToAlloc, m.oldLoc)
-		m.a.addEsc(m.newLoc)
-		t.shards[shardOf(m.newLoc)].locToAlloc[m.newLoc] = m.a
+		t.setEscape(m.loc, nil)
 	}
-	return len(ms)
+	for _, m := range ms {
+		t.setEscape(m.loc-lo+newLo, m.a)
+	}
+	return len(ms), visited
 }
 
 // ForEach visits all allocations in address order. The callback must not
@@ -416,10 +441,12 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 }
 
 // CheckInvariants verifies the red-black tree shape, that allocations do
-// not overlap, that the reverse escape index is consistent, and that every
-// escape location lives in the shard its hash selects. Tests and the
-// property suite call this after mutation storms; MaybeCheckInvariants is
-// the debug-gated variant for hot loops.
+// not overlap, that each allocation's escape count equals the size of its
+// sets, that the reverse escape index is consistent, that every escape
+// location lives in the shard and the bucket of its own page, and that no
+// empty bucket survives. Tests and the property suite call this after
+// mutation storms; MaybeCheckInvariants is the debug-gated variant for hot
+// loops.
 func (t *AllocationTable) CheckInvariants() error {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
@@ -437,20 +464,27 @@ func (t *AllocationTable) CheckInvariants() error {
 				prev.Base, prev.End(), a.Base, a.End())
 			return false
 		}
+		n := 0
 		for s := range a.escs {
-			count += len(a.escs[s])
+			n += len(a.escs[s])
 			for loc := range a.escs[s] {
 				if shardOf(loc) != s {
-					bad = fmt.Errorf("runtime: escape %#x stored in shard %d, hashes to %d",
+					bad = fmt.Errorf("runtime: escape %#x stored in shard %d, its page belongs to %d",
 						loc, s, shardOf(loc))
 					return false
 				}
-				if t.shards[s].locToAlloc[loc] != a {
+				if t.shards[s].pages[pageOf(loc)][loc] != a {
 					bad = fmt.Errorf("runtime: reverse index missing escape %#x", loc)
 					return false
 				}
 			}
 		}
+		if n != a.EscapeCount() {
+			bad = fmt.Errorf("runtime: allocation %#x counts %d escapes, its sets hold %d",
+				a.Base, a.EscapeCount(), n)
+			return false
+		}
+		count += n
 		prev = a
 		return true
 	})
@@ -462,16 +496,24 @@ func (t *AllocationTable) CheckInvariants() error {
 	}
 	rev := 0
 	for s := range t.shards {
-		for loc, a := range t.shards[s].locToAlloc {
-			if shardOf(loc) != s {
-				return fmt.Errorf("runtime: reverse entry %#x in shard %d, hashes to %d",
-					loc, s, shardOf(loc))
+		for page, bucket := range t.shards[s].pages {
+			if len(bucket) == 0 {
+				return fmt.Errorf("runtime: empty bucket left for page %#x", page)
 			}
-			if _, ok := a.escs[s][loc]; !ok {
-				return fmt.Errorf("runtime: reverse entry %#x missing from allocation set", loc)
+			if shardOfPage(page) != s {
+				return fmt.Errorf("runtime: page %#x bucketed in shard %d, belongs to %d",
+					page, s, shardOfPage(page))
 			}
+			for loc, a := range bucket {
+				if pageOf(loc) != page {
+					return fmt.Errorf("runtime: reverse entry %#x in the bucket of page %#x", loc, page)
+				}
+				if _, ok := a.escs[s][loc]; !ok {
+					return fmt.Errorf("runtime: reverse entry %#x missing from allocation set", loc)
+				}
+			}
+			rev += len(bucket)
 		}
-		rev += len(t.shards[s].locToAlloc)
 	}
 	if rev != count {
 		return fmt.Errorf("runtime: reverse index size %d != escapes %d", rev, count)

@@ -74,40 +74,51 @@ func (h *heap) live(addr uint64) bool {
 }
 
 // rebase rewrites all heap metadata addresses within the moved range
-// [src, src+length) to their new location at dst.
+// [src, src+length) to their new location at dst. The two ranges do not
+// overlap: the kernel grants a move fresh frames, and MoveAllocationTo
+// refuses a destination that overlaps its source.
 func (h *heap) rebase(src, dst, length uint64) {
-	reb := func(a uint64) uint64 {
-		if a >= src && a < src+length {
-			return a - src + dst
-		}
-		return a
-	}
+	in := func(a uint64) bool { return a >= src && a < src+length }
 	// The region boundaries only shift when the whole heap area moved;
 	// handle the common case of interior page moves by leaving base/end
 	// alone unless they fall inside the range.
-	h.base = reb(h.base)
-	h.end = reb(h.end)
+	if in(h.base) {
+		h.base = h.base - src + dst
+	}
+	if in(h.end) {
+		h.end = h.end - src + dst
+	}
 	// The bump pointer must NOT follow the moved data: the vacated range
 	// is no longer mapped, and the destination range is exactly sized for
 	// the data it received. Skip the hole and keep bumping above it.
-	if h.brk >= src && h.brk < src+length {
+	if in(h.brk) {
 		h.brk = src + length
 	}
-	for cls, lst := range h.freeLists {
+	for _, lst := range h.freeLists {
 		for i, a := range lst {
-			lst[i] = reb(a)
-		}
-		h.freeLists[cls] = lst
-	}
-	moved := make(map[uint64]uint64)
-	for a, sz := range h.sizeOf {
-		if na := reb(a); na != a {
-			moved[a] = na
-			_ = sz
+			if in(a) {
+				lst[i] = a - src + dst
+			}
 		}
 	}
-	for a, na := range moved {
-		h.sizeOf[na] = h.sizeOf[a]
+	// Live blocks sit on heapAlign-spaced addresses: ask for each slot of
+	// the range when that is fewer questions than the heap has live blocks
+	// (a page move in a heap of thousands), walk the blocks otherwise.
+	move := func(a, sz uint64) {
 		delete(h.sizeOf, a)
+		h.sizeOf[a-src+dst] = sz
+	}
+	if length/heapAlign < uint64(len(h.sizeOf)) {
+		for a := alignTo(src, heapAlign); in(a); a += heapAlign {
+			if sz, ok := h.sizeOf[a]; ok {
+				move(a, sz)
+			}
+		}
+		return
+	}
+	for a, sz := range h.sizeOf {
+		if in(a) {
+			move(a, sz)
+		}
 	}
 }
