@@ -14,7 +14,7 @@ FUZZTIME ?= 20s
 # cover` accepts. Raise it when coverage grows; never lower it.
 COVER_FLOOR ?= 75
 
-.PHONY: all fmt vet build test race smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test microbench
+.PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test microbench
 
 all: check
 
@@ -39,6 +39,15 @@ test:
 # concurrently-accessed shared state.
 race:
 	$(GO) test -race ./...
+
+# debugtest builds and tests under the caratdebug tag, which turns the
+# development assertions on: the pass manager verifies every function after
+# every pass and names the pass that broke one (internal/passes/debug_on.go),
+# and the runtime walks its allocation-table invariants on the hot path
+# (internal/runtime/debug_on.go). The packages are the ones a compile or a
+# guest run goes through; a default build compiles neither file.
+debugtest:
+	$(GO) test -tags caratdebug ./internal/ir/ ./internal/analysis/ ./internal/passes/ ./internal/cc/ ./internal/runtime/ ./internal/vm/
 
 # smoke runs the full experiment suite at test scale with -json and
 # validates that the output parses and carries a supported schema version.
@@ -139,10 +148,13 @@ soak: build
 # minimising one interesting input at the default 60 s would eat the
 # budget: cap it. The two table targets find new coverage every few
 # seconds at first, and minimising each find would stall them: cap too.
+# The two targets that send what they generate or parse through the pass
+# pipeline run under caratdebug, so a pass that leaves a function malformed
+# is caught where it ran, on inputs nobody wrote by hand.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIRRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/ir/
-	$(GO) test -run '^$$' -fuzz FuzzIRExecute -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/vm/
-	$(GO) test -run '^$$' -fuzz FuzzDifferentialPipeline -fuzztime $(FUZZTIME) ./internal/vm/
+	$(GO) test -tags caratdebug -run '^$$' -fuzz FuzzIRExecute -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/vm/
+	$(GO) test -tags caratdebug -run '^$$' -fuzz FuzzDifferentialPipeline -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialMoves -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGuardsAgreeOnForgedPointers -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzGroupMoves -fuzztime $(FUZZTIME) ./internal/vm/
@@ -169,12 +181,12 @@ benchmark:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# microbench runs every host-time micro-benchmark of the kernel, runtime and
-# guard packages, and the VM heap's, once each: not a measurement (use
-# -benchmem -count N for that, see EXPERIMENTS.md "PR 20"), a check that they
-# still build, set up and run.
+# microbench runs every host-time micro-benchmark of the kernel, runtime,
+# guard and passes packages, and the VM heap's, once each: not a measurement
+# (use -benchmem -count N for that, see EXPERIMENTS.md "PR 20"), a check that
+# they still build, set up and run.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
 	$(GO) test -run '^$$' -bench BenchmarkHeapRebase -benchtime 1x ./internal/vm/
 
 check: fmt vet build test race

@@ -276,6 +276,3 @@ func (fa *FuncAnalyses) Invalidate(preserved Preserved) {
 		}
 	}
 }
-
-// InvalidateAll drops every cached analysis.
-func (fa *FuncAnalyses) InvalidateAll() { fa.Invalidate(PreserveNone) }

@@ -316,6 +316,113 @@ join:
 	}
 }
 
+// TestVerifyHostileEdges: a branch out of the function and a phi whose
+// incoming blocks are not the block's predecessors are refused whether or not
+// the function holds other phis, and wherever they sit relative to the damage
+// — verifyFunc builds the predecessor sets at the first phi it meets, and
+// checks successors without any set at all, so each rule is exercised with
+// the sets absent, built earlier, and built by the offending phi itself.
+func TestVerifyHostileEdges(t *testing.T) {
+	const phiFree = `module "m"
+func @other() -> void {
+entry:
+  br ^elsewhere
+elsewhere:
+  ret void
+}
+func @f(%c: i1) -> i64 {
+entry:
+  condbr %c, ^a, ^b
+a:
+  br ^join
+b:
+  br ^join
+join:
+  ret i64 0
+}`
+	// The same function with a loop phi ahead of the diamond and a phi in the
+	// join behind it.
+	const phiful = `module "m"
+func @other() -> void {
+entry:
+  br ^elsewhere
+elsewhere:
+  ret void
+}
+func @f(%c: i1) -> i64 {
+entry:
+  br ^spin
+spin:
+  %i = phi i64 [0, ^entry], [%i, ^spin]
+  condbr %c, ^spin, ^fork
+fork:
+  condbr %c, ^a, ^b
+a:
+  br ^join
+b:
+  br ^join
+join:
+  %x = phi i64 [1, ^a], [2, ^b]
+  ret i64 %x
+}`
+	block := func(f *Func, name string) *Block {
+		for _, b := range f.Blocks {
+			if b.Name == name {
+				return b
+			}
+		}
+		t.Fatalf("no block ^%s in @%s", name, f.Name)
+		return nil
+	}
+	cases := []struct {
+		name, src, want string
+		damage          func(m *Module, f *Func)
+	}{
+		{"branch out, no phis", phiFree, "successor ^elsewhere not in function", func(m *Module, f *Func) {
+			block(f, "a").Term().Succs[0] = block(m.Func("other"), "elsewhere")
+		}},
+		{"branch out, before the first phi", phiful, "successor ^elsewhere not in function", func(m *Module, f *Func) {
+			block(f, "entry").Term().Succs[0] = block(m.Func("other"), "elsewhere")
+		}},
+		{"branch out, after a phi", phiful, "successor ^elsewhere not in function", func(m *Module, f *Func) {
+			block(f, "fork").Term().Succs[1] = block(m.Func("other"), "elsewhere")
+		}},
+		{"first phi names a non-predecessor", phiful, "phi incoming ^fork is not a predecessor", func(m *Module, f *Func) {
+			block(f, "spin").Instrs[0].Preds[0] = block(f, "fork")
+		}},
+		{"later phi names a non-predecessor", phiful, "phi incoming ^entry is not a predecessor", func(m *Module, f *Func) {
+			block(f, "join").Instrs[0].Preds[0] = block(f, "entry")
+		}},
+		{"later phi lists one predecessor twice", phiful, "no incoming for predecessor ^b", func(m *Module, f *Func) {
+			phi := block(f, "join").Instrs[0]
+			phi.Preds[1] = phi.Preds[0]
+		}},
+		{"only phi misses an edge", phiFree, "phi has 1 incoming, block has 2 preds", func(m *Module, f *Func) {
+			join := block(f, "join")
+			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1)}, Preds: []*Block{block(f, "a")}}
+			join.InsertBefore(phi, join.Instrs[0])
+		}},
+		{"only phi names a non-predecessor", phiFree, "phi incoming ^entry is not a predecessor", func(m *Module, f *Func) {
+			join := block(f, "join")
+			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1), ConstInt(I64, 2)},
+				Preds: []*Block{block(f, "a"), block(f, "entry")}}
+			join.InsertBefore(phi, join.Instrs[0])
+		}},
+	}
+	for _, src := range []string{phiFree, phiful} {
+		if err := MustParse(src).Verify(); err != nil {
+			t.Fatalf("undamaged module does not verify: %v", err)
+		}
+	}
+	for _, c := range cases {
+		m := MustParse(c.src)
+		c.damage(m, m.Func("f"))
+		if err := m.Verify(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestBlockInsertRemove(t *testing.T) {
 	m := NewModule("b")
 	f := m.AddFunc("f", Void)

@@ -43,6 +43,46 @@ func (b *Block) Remove(in *Instr) {
 	panic("ir: Remove: instruction not in block")
 }
 
+// Edit rebuilds the block's instruction list in one pass. visit is called
+// once per instruction, in order, and returns what becomes of it: an
+// instruction to put immediately before it and one to put immediately after
+// it (nil for none; neither is itself visited), and whether it stays. A pass
+// that touches k instructions of an n-instruction block this way costs
+// O(n + k), where a loop over InsertBefore and Remove costs O(n·k): each of
+// those searches the block and shifts its tail.
+//
+// The result is written back into the block's own array for as long as the
+// write position stays behind the read position — always, for a visit that
+// only drops — and moves to a new array the first time an insertion would
+// land on an instruction not yet visited. visit must not touch b.Instrs.
+func (b *Block) Edit(visit func(in *Instr) (before, after *Instr, keep bool)) {
+	src := b.Instrs
+	out, inPlace := src[:0], true
+	for i, in := range src {
+		before, after, keep := visit(in)
+		if !keep {
+			in.Block = nil
+			in = nil
+		}
+		for _, x := range [...]*Instr{before, in, after} {
+			if x == nil {
+				continue
+			}
+			if inPlace && len(out) > i { // slots up to i are consumed; the next one is not
+				// Room for one insertion per instruction, the most guard injection makes.
+				out = append(make([]*Instr, 0, 2*len(src)), out...)
+				inPlace = false
+			}
+			x.Block = b
+			out = append(out, x)
+		}
+	}
+	if inPlace {
+		clear(src[len(out):]) // a dropped instruction must not live on in the array's tail
+	}
+	b.Instrs = out
+}
+
 // Term returns the block's terminator, or nil if the block is unterminated.
 func (b *Block) Term() *Instr {
 	if n := len(b.Instrs); n > 0 && b.Instrs[n-1].IsTerminator() {

@@ -73,20 +73,17 @@ func (f *Func) hasSig(sig *Type) bool {
 }
 
 // VerifyFunc checks a single function's structural well-formedness: the
-// per-function subset of Verify. The parallel pass manager calls it after
-// each pass so a corrupting transformation is caught without taking a
-// module-wide lock; it only reads f (and the signatures of its callees).
+// per-function subset of Verify. A caratdebug build of the pass manager calls
+// it after each pass so a corrupting transformation is caught, and named,
+// without taking a module-wide lock; it only reads f (and the signatures of
+// its callees).
 func VerifyFunc(f *Func) error { return verifyFunc(f) }
 
+// verifyFunc visits each instruction once and allocates only what it reads:
+// the predecessor sets exist for the phis' sake and are built when the first
+// phi asks (a function out of the cc front end has none).
 func verifyFunc(f *Func) error {
-	if f.IsDecl() {
-		return nil
-	}
-	blockSet := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		blockSet[b] = true
-	}
-	preds := predecessors(f)
+	var preds map[*Block][]*Block
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil {
@@ -104,7 +101,14 @@ func verifyFunc(f *Func) error {
 				// to select (LLVM's rule too).
 				return fmt.Errorf("ir: @%s/^%s: phi in the entry block", f.Name, b.Name)
 			}
-			if err := verifyInstr(f, b, in, blockSet, preds); err != nil {
+			var blockPreds []*Block
+			if in.Op == OpPhi {
+				if preds == nil {
+					preds = predecessors(f)
+				}
+				blockPreds = preds[b]
+			}
+			if err := verifyInstr(f, b, in, blockPreds); err != nil {
 				return err
 			}
 		}
@@ -127,7 +131,9 @@ func predecessors(f *Func) map[*Block][]*Block {
 	return preds
 }
 
-func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds map[*Block][]*Block) error {
+// verifyInstr checks one instruction of block b; preds is b's predecessor
+// set, which only a phi reads.
+func verifyInstr(f *Func, b *Block, in *Instr, preds []*Block) error {
 	where := func() string { return fmt.Sprintf("ir: @%s/^%s: %s", f.Name, b.Name, in) }
 	for _, a := range in.Args {
 		if a == nil {
@@ -138,7 +144,10 @@ func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds m
 		}
 	}
 	for _, s := range in.Succs {
-		if !blockSet[s] {
+		// A block's Fn is set where it is appended to that function's Blocks
+		// (Func.NewBlock, the parser's label definition) and nowhere else, and
+		// no block ever leaves a function: Fn is membership, without a set.
+		if s.Fn != f {
 			return fmt.Errorf("%s: successor ^%s not in function", where(), s.Name)
 		}
 	}
@@ -218,18 +227,17 @@ func verifyInstr(f *Func, b *Block, in *Instr, blockSet map[*Block]bool, preds m
 		if len(in.Args) != len(in.Preds) {
 			return fmt.Errorf("%s: phi args/preds mismatch", where())
 		}
-		want := preds[b]
-		if len(in.Args) != len(want) {
-			return fmt.Errorf("%s: phi has %d incoming, block has %d preds", where(), len(in.Args), len(want))
+		if len(in.Args) != len(preds) {
+			return fmt.Errorf("%s: phi has %d incoming, block has %d preds", where(), len(in.Args), len(preds))
 		}
 		for _, pb := range in.Preds {
-			if !slices.Contains(want, pb) {
+			if !slices.Contains(preds, pb) {
 				return fmt.Errorf("%s: phi incoming ^%s is not a predecessor", where(), pb.Name)
 			}
 		}
 		// And the other way round, so every edge into b carries a value: the
 		// counts agree, but one predecessor may have been listed twice.
-		for _, w := range want {
+		for _, w := range preds {
 			if !slices.Contains(in.Preds, w) {
 				return fmt.Errorf("%s: phi has no incoming for predecessor ^%s", where(), w.Name)
 			}

@@ -1,0 +1,90 @@
+package passes_test
+
+import (
+	"fmt"
+	"testing"
+
+	"carat/internal/ir"
+	"carat/internal/passes"
+	"carat/internal/workload"
+)
+
+// straightLine is a function whose one block repeats, n times, what a
+// generated program's main does per callee: load the accumulator, call, mix,
+// store it back. Every repetition gets three guards, two of which AC/DC then
+// removes — the long block on which editing one instruction at a time, each
+// a search and a shift, was quadratic.
+func straightLine(n int) *ir.Module {
+	m := ir.NewModule("line")
+	leaf := m.AddFunc("leaf", ir.I64, &ir.Param{Name: "x", Typ: ir.I64})
+	ir.NewBuilder(leaf).Ret(leaf.Params[0])
+	b := ir.NewBuilder(m.AddFunc("main", ir.I64))
+	acc := b.Alloca(ir.I64, b.I64(1))
+	b.Store(b.I64(1), acc)
+	for i := 0; i < n; i++ {
+		v := b.Load(ir.I64, acc)
+		b.Store(b.And(b.Xor(v, b.Call(leaf, v)), b.I64(0x7fffffff)), acc)
+	}
+	b.Ret(b.Load(ir.I64, acc))
+	return m
+}
+
+// BenchmarkPipeline times the full CARAT pipeline (LevelTracking, one worker)
+// over a suite kernel and over straightLine at n and 4n: ns/instr is per
+// instruction going in, and a pipeline that costs what it is given reads the
+// same on both lines.
+func BenchmarkPipeline(b *testing.B) {
+	ft, err := workload.Get("FT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 500
+	for _, c := range []struct {
+		name  string
+		build func() *ir.Module
+	}{
+		{"kernel/FT", func() *ir.Module { return ft.Build(workload.ScaleTest) }},
+		{fmt.Sprintf("line/%d", n), func() *ir.Module { return straightLine(n) }},
+		{fmt.Sprintf("line/%d", 4*n), func() *ir.Module { return straightLine(4 * n) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			instrs := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := c.build()
+				instrs += m.NumInstrs()
+				pm := passes.Build(passes.LevelTracking)
+				pm.Workers = 1
+				b.StartTimer()
+				if err := pm.Run(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+		})
+	}
+}
+
+// TestPipelineAllocsScaleLinearly stands in for a big-over-small ratio of the
+// pipeline, as TestParseAllocsScaleLinearly does for the parser: allocation
+// counts repeat exactly where timings do not. Per instruction, a block four
+// times as long may cost no more allocations than the short one.
+func TestPipelineAllocsScaleLinearly(t *testing.T) {
+	perInstr := func(n int) float64 {
+		instrs := straightLine(n).NumInstrs()
+		allocs := testing.AllocsPerRun(5, func() {
+			pm := passes.Build(passes.LevelTracking)
+			pm.Workers = 1
+			if err := pm.Run(straightLine(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs / float64(instrs)
+	}
+	small, big := perInstr(500), perInstr(2000)
+	t.Logf("allocs per instruction: %.2f at 500 repetitions, %.2f at 2000", small, big)
+	if big > 1.1*small {
+		t.Errorf("pipeline allocations grow faster than the block: %.2f/instr at 2000 repetitions vs %.2f at 500", big, small)
+	}
+}

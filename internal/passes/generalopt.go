@@ -14,13 +14,13 @@ type ConstFold struct{}
 // Name implements Pass.
 func (*ConstFold) Name() string { return "constfold" }
 
-// Preserves implements FuncPass: folding rewrites operands and removes
+// Preserves implements Pass: folding rewrites operands and removes
 // instructions without touching block structure.
 func (*ConstFold) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*ConstFold) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	for {
 		folded := 0
@@ -221,36 +221,38 @@ type DCE struct{}
 // Name implements Pass.
 func (*DCE) Name() string { return "dce" }
 
-// Preserves implements FuncPass: removals keep block structure intact.
+// Preserves implements Pass: removals keep block structure intact.
 func (*DCE) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*DCE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
+	used := make(map[*ir.Instr]bool)
+	sweep := func(in *ir.Instr) (_, _ *ir.Instr, keep bool) {
+		if sideEffectFree(in) && !used[in] {
+			stats.DCEd++
+			return nil, nil, false
+		}
+		return nil, nil, true
+	}
 	for {
-		used := make(map[ir.Value]bool)
+		clear(used)
 		f.ForEachInstr(func(in *ir.Instr) {
 			for _, a := range in.Args {
-				used[a] = true
-			}
-		})
-		removed := 0
-		for _, b := range f.Blocks {
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := b.Instrs[i]
-				if sideEffectFree(in) && !used[in] {
-					b.Remove(in)
-					removed++
+				if ai, ok := a.(*ir.Instr); ok {
+					used[ai] = true
 				}
 			}
+		})
+		before := stats.DCEd
+		for _, b := range f.Blocks {
+			b.Edit(sweep)
 		}
-		stats.DCEd += removed
-		if removed == 0 {
-			break
+		if stats.DCEd == before {
+			return nil
 		}
 	}
-	return nil
 }
 
 // sideEffectFree reports whether removing in cannot change behaviour
@@ -279,12 +281,12 @@ type CSE struct{}
 // Name implements Pass.
 func (*CSE) Name() string { return "cse" }
 
-// Preserves implements FuncPass: merging uses keeps block structure intact.
+// Preserves implements Pass: merging uses keeps block structure intact.
 func (*CSE) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	cfg := fa.CFG()
 	dom := fa.Dom()
@@ -379,14 +381,14 @@ type LICM struct{}
 // Name implements Pass.
 func (*LICM) Name() string { return "licm" }
 
-// Preserves implements FuncPass: moving instructions to preheaders keeps
+// Preserves implements Pass: moving instructions to preheaders keeps
 // block structure intact but changes loop contents (invariance, SCEV) and
 // the homes of values the alias/range analyses memoized.
 func (*LICM) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*LICM) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	cfg := fa.CFG()
 	dom := fa.Dom()

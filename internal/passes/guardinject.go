@@ -15,7 +15,7 @@ type GuardInject struct{}
 // Name implements Pass.
 func (*GuardInject) Name() string { return "guard-inject" }
 
-// Preserves implements FuncPass. Guards are void instructions nothing else
+// Preserves implements Pass. Guards are void instructions nothing else
 // references: block structure, alias facts, and value ranges all survive.
 // The per-loop analyses are not preserved (loop bodies now contain the
 // guards, and downstream passes must see them with fresh eyes).
@@ -24,48 +24,46 @@ func (*GuardInject) Preserves() analysis.Preserved {
 		analysis.IDAlias, analysis.IDRanges)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*GuardInject) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
-	for _, b := range f.Blocks {
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
-			var g *ir.Instr
-			switch in.Op {
-			case ir.OpLoad:
-				g = &ir.Instr{
-					Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardLoad,
-					Args: []ir.Value{in.Args[0], ir.ConstInt(ir.I64, in.AccessSize())},
-				}
-				stats.LoadGuards++
-			case ir.OpStore:
-				g = &ir.Instr{
-					Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardStore,
-					Args: []ir.Value{in.Args[1], ir.ConstInt(ir.I64, in.AccessSize())},
-				}
-				stats.StoreGuards++
-			case ir.OpCall:
-				// Calls into the trusted runtime are not guarded: the
-				// runtime is part of the TCB (§2.4) and guarding its
-				// own callbacks would recurse.
-				if in.Callee != nil && ir.IsRuntimeFn(in.Callee.Name) {
-					continue
-				}
-				foot := in.Callee.StackFootprint
-				if foot == 0 {
-					foot = DefaultStackFootprint
-				}
-				g = &ir.Instr{
-					Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardCall,
-					Args: []ir.Value{in.Callee, ir.ConstInt(ir.I64, foot)},
-				}
-				stats.CallGuards++
-			default:
-				continue
+	guard := func(in *ir.Instr) (g, _ *ir.Instr, keep bool) {
+		switch in.Op {
+		case ir.OpLoad:
+			g = &ir.Instr{
+				Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardLoad,
+				Args: []ir.Value{in.Args[0], ir.ConstInt(ir.I64, in.AccessSize())},
 			}
-			b.InsertBefore(g, in)
-			stats.GuardsInjected++
-			i++ // skip over the instruction we just guarded
+			stats.LoadGuards++
+		case ir.OpStore:
+			g = &ir.Instr{
+				Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardStore,
+				Args: []ir.Value{in.Args[1], ir.ConstInt(ir.I64, in.AccessSize())},
+			}
+			stats.StoreGuards++
+		case ir.OpCall:
+			// Calls into the trusted runtime are not guarded: the
+			// runtime is part of the TCB (§2.4) and guarding its
+			// own callbacks would recurse.
+			if in.Callee != nil && ir.IsRuntimeFn(in.Callee.Name) {
+				return nil, nil, true
+			}
+			foot := in.Callee.StackFootprint
+			if foot == 0 {
+				foot = DefaultStackFootprint
+			}
+			g = &ir.Instr{
+				Op: ir.OpGuard, Typ: ir.Void, Kind: ir.GuardCall,
+				Args: []ir.Value{in.Callee, ir.ConstInt(ir.I64, foot)},
+			}
+			stats.CallGuards++
+		default:
+			return nil, nil, true
 		}
+		stats.GuardsInjected++
+		return g, nil, true
+	}
+	for _, b := range f.Blocks {
+		b.Edit(guard)
 	}
 	return nil
 }

@@ -23,10 +23,10 @@ func (*HoistGuards) Name() string { return "carat-hoist" }
 var hoistPreserved = analysis.Preserve(analysis.IDCFG, analysis.IDDom,
 	analysis.IDLoops, analysis.IDAlias, analysis.IDRanges)
 
-// Preserves implements FuncPass.
+// Preserves implements Pass.
 func (*HoistGuards) Preserves() analysis.Preserved { return hoistPreserved }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*HoistGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	for {
 		if hoistFunc(f, stats, fa) == 0 {

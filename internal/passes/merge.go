@@ -23,7 +23,7 @@ type MergeGuards struct{}
 // Name implements Pass.
 func (*MergeGuards) Name() string { return "carat-scev-merge" }
 
-// Preserves implements FuncPass. Merging keeps block structure intact but
+// Preserves implements Pass. Merging keeps block structure intact but
 // synthesizes new values (range-guard address arithmetic) the precomputed
 // alias and range analyses have never seen, so only the structural
 // analyses survive.
@@ -31,7 +31,7 @@ func (*MergeGuards) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*MergeGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	mergeFunc(f, stats, fa)
 	return nil

@@ -5,11 +5,11 @@
 // optimizations (constant folding, DCE, CSE, LICM) used as the Figure 3(a)
 // baseline.
 //
-// The middle end is organized like LLVM's new pass manager: passes are
-// function-at-a-time (FuncPass) or module-wide (ModulePass), every
+// The middle end is organized like LLVM's new pass manager, minus module
+// passes (nothing here needs one): every pass is function-at-a-time, every
 // function carries an analysis cache (analysis.FuncAnalyses), and each
 // mutating pass declares which analyses it preserves so the manager
-// invalidates only what went stale. Function passes run concurrently over
+// invalidates only what went stale. Functions are compiled concurrently over
 // a bounded worker pool; output is byte-identical to sequential mode
 // because no pass depends on cross-function state and synthesized value
 // names use per-function counters.
@@ -26,18 +26,12 @@ import (
 	"carat/internal/obs"
 )
 
-// Pass is anything the PassManager can schedule. Concrete passes implement
-// FuncPass or ModulePass (or both Setup and FuncPass).
+// Pass transforms one function at a time. RunOnFunc may be called
+// concurrently for different functions; it must not touch module-level
+// state or other functions (beyond reading callee signatures).
 type Pass interface {
 	// Name identifies the pass in statistics and logs.
 	Name() string
-}
-
-// FuncPass transforms one function at a time. RunOnFunc may be called
-// concurrently for different functions; it must not touch module-level
-// state or other functions (beyond reading callee signatures).
-type FuncPass interface {
-	Pass
 	// RunOnFunc applies the pass to f, looking analyses up through fa and
 	// recording statistics in the function's own stats.
 	RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error
@@ -47,14 +41,7 @@ type FuncPass interface {
 	Preserves() analysis.Preserved
 }
 
-// ModulePass transforms the whole module serially and acts as a barrier
-// between parallel function stages.
-type ModulePass interface {
-	Pass
-	RunOnModule(m *ir.Module, stats *Stats) error
-}
-
-// ModuleSetup is an optional hook for a FuncPass that needs serial
+// ModuleSetup is an optional hook for a Pass that needs serial
 // module-level preparation (declaring runtime callees, say) before the
 // parallel function sweep begins. Setup hooks run in pass order, before
 // any function work.
@@ -178,16 +165,15 @@ func (s *Stats) frac(n int) float64 {
 	return float64(n) / float64(s.GuardsInjected)
 }
 
-// PassManager schedules an ordered list of passes over a module. Runs of
-// consecutive function passes form a stage executed function-at-a-time
-// over a bounded worker pool; module passes are serial barriers. Each
-// function keeps its analysis cache and Stats across stages, so an
-// analysis computed by Opt 1 and preserved through Opt 2 is a cache hit,
-// and guard attribution spans the whole pipeline.
+// PassManager runs an ordered list of passes over a module: each function
+// goes through the whole list on its own, functions spread over a bounded
+// worker pool. A function keeps one analysis cache and one Stats from the
+// first pass to the last, so an analysis computed by Opt 1 and preserved
+// through Opt 2 is a cache hit, and guard attribution spans the pipeline.
 type PassManager struct {
 	Passes []Pass
 	// Stats holds the module totals after Run: per-function statistics
-	// folded in m.Funcs order plus anything module passes recorded.
+	// folded in m.Funcs order.
 	Stats Stats
 	// Workers bounds how many functions are transformed concurrently.
 	// 0 means GOMAXPROCS; 1 compiles sequentially. Output is
@@ -200,19 +186,22 @@ type PassManager struct {
 	cache analysis.CacheStats
 }
 
-// funcState is one function's slice of the compilation: its statistics,
-// analysis cache, and the first error a stage produced for it.
+// funcState is one function's slice of the compilation: its statistics and
+// the first error a pass produced for it.
 type funcState struct {
+	f     *ir.Func
 	stats Stats
-	fa    *analysis.FuncAnalyses
 	err   error
 }
 
-// Run applies every pass in order. The module is verified on the way in —
-// the analyses walk GEP types and phi edges on the strength of ir.Verify's
-// rules, and a front end (ir.Parse) may hand over a module nobody checked —
-// function passes verify each function they touched, and a final module-wide
-// Verify runs before stats are merged.
+// Run applies every pass in order. The module is verified where trust
+// changes hands: on the way in — the analyses walk GEP types and phi edges on
+// the strength of ir.Verify's rules, and a front end (ir.Parse) may hand over
+// a module nobody checked — and on the way out, before anything is counted,
+// so no caller is ever handed a module to sign or load that the verifier has
+// not seen in its final form. Between the two, a pass is trusted to keep a
+// function well-formed; a caratdebug build checks that after every pass (see
+// debug_on.go) and names the pass that broke it.
 func (pm *PassManager) Run(m *ir.Module) error {
 	start := time.Now()
 	if err := m.Verify(); err != nil {
@@ -226,35 +215,16 @@ func (pm *PassManager) Run(m *ir.Module) error {
 			}
 		}
 	}
-	fstate := make(map[*ir.Func]*funcState)
-	for i := 0; i < len(pm.Passes); {
-		if mp, ok := pm.Passes[i].(ModulePass); ok {
-			if err := mp.RunOnModule(m, &pm.Stats); err != nil {
-				return fmt.Errorf("passes: %s: %w", mp.Name(), err)
-			}
-			if err := m.Verify(); err != nil {
-				return fmt.Errorf("passes: after %s: %w", mp.Name(), err)
-			}
-			// A module pass may rewrite anything: drop all cached analyses.
-			for _, st := range fstate {
-				st.fa.InvalidateAll()
-			}
-			i++
-			continue
+	work := make([]funcState, 0, len(m.Funcs))
+	for _, f := range m.Funcs {
+		if !f.IsDecl() {
+			work = append(work, funcState{f: f})
 		}
-		var stage []FuncPass
-		for i < len(pm.Passes) {
-			fp, ok := pm.Passes[i].(FuncPass)
-			if !ok {
-				break
-			}
-			stage = append(stage, fp)
-			i++
-		}
-		if len(stage) == 0 {
-			return fmt.Errorf("passes: %s implements neither FuncPass nor ModulePass", pm.Passes[i].Name())
-		}
-		if err := pm.runFuncStage(m, stage, fstate); err != nil {
+	}
+	pm.sweep(work)
+	// Errors are reported for the first failing function in m.Funcs order.
+	for i := range work {
+		if err := work[i].err; err != nil {
 			return err
 		}
 	}
@@ -262,44 +232,35 @@ func (pm *PassManager) Run(m *ir.Module) error {
 		return fmt.Errorf("passes: %w", err)
 	}
 	// Deterministic fold: per-function stats merge in m.Funcs order.
-	for _, f := range m.Funcs {
-		if st := fstate[f]; st != nil {
-			pm.Stats.Merge(&st.stats)
-		}
+	for i := range work {
+		pm.Stats.Merge(&work[i].stats)
 	}
 	pm.Stats.FinishGuardStats(m)
 	pm.publish(time.Since(start))
 	return nil
 }
 
-// runFuncStage applies a run of function passes to every defined function,
-// in parallel when Workers allows. Each function runs the full stage
-// (pass, invalidate, verify) independently; errors are reported for the
-// first failing function in m.Funcs order.
-func (pm *PassManager) runFuncStage(m *ir.Module, stage []FuncPass, fstate map[*ir.Func]*funcState) error {
-	var work []*ir.Func
-	for _, f := range m.Funcs {
-		if f.IsDecl() {
-			continue
+// runFunc takes one function through every pass: run, invalidate what the
+// pass does not preserve, and in a caratdebug build verify.
+func (pm *PassManager) runFunc(st *funcState) error {
+	fa := analysis.NewFuncAnalyses(st.f, &pm.cache)
+	for _, p := range pm.Passes {
+		if err := p.RunOnFunc(st.f, &st.stats, fa); err != nil {
+			return fmt.Errorf("passes: %s: @%s: %w", p.Name(), st.f.Name, err)
 		}
-		if fstate[f] == nil {
-			fstate[f] = &funcState{fa: analysis.NewFuncAnalyses(f, &pm.cache)}
-		}
-		work = append(work, f)
-	}
-	runOne := func(f *ir.Func) error {
-		st := fstate[f]
-		for _, fp := range stage {
-			if err := fp.RunOnFunc(f, &st.stats, st.fa); err != nil {
-				return fmt.Errorf("passes: %s: @%s: %w", fp.Name(), f.Name, err)
-			}
-			st.fa.Invalidate(fp.Preserves())
-			if err := ir.VerifyFunc(f); err != nil {
-				return fmt.Errorf("passes: after %s: %w", fp.Name(), err)
+		fa.Invalidate(p.Preserves())
+		if debugVerify {
+			if err := ir.VerifyFunc(st.f); err != nil {
+				return fmt.Errorf("passes: after %s: %w", p.Name(), err)
 			}
 		}
-		return nil
 	}
+	return nil
+}
+
+// sweep runs runFunc over work, in parallel when Workers allows, leaving
+// each function's error in its state.
+func (pm *PassManager) sweep(work []funcState) {
 	workers := pm.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -308,35 +269,29 @@ func (pm *PassManager) runFuncStage(m *ir.Module, stage []FuncPass, fstate map[*
 		workers = len(work)
 	}
 	if workers <= 1 {
-		for _, f := range work {
-			if err := runOne(f); err != nil {
-				return err
+		for i := range work {
+			if work[i].err = pm.runFunc(&work[i]); work[i].err != nil {
+				return
 			}
 		}
-		return nil
+		return
 	}
-	jobs := make(chan *ir.Func)
+	jobs := make(chan *funcState)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for f := range jobs {
-				fstate[f].err = runOne(f)
+			for st := range jobs {
+				st.err = pm.runFunc(st)
 			}
 		}()
 	}
-	for _, f := range work {
-		jobs <- f
+	for i := range work {
+		jobs <- &work[i]
 	}
 	close(jobs)
 	wg.Wait()
-	for _, f := range work {
-		if err := fstate[f].err; err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AnalysisStats returns the analysis-cache counters accumulated so far.

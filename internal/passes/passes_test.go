@@ -1,11 +1,13 @@
 package passes
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"carat/internal/analysis"
 	"carat/internal/ir"
+	"carat/internal/obs"
 )
 
 func countGuards(m *ir.Module) (total int, byKind map[ir.GuardKind]int) {
@@ -592,17 +594,39 @@ func TestTable1InvariantFractionsSum(t *testing.T) {
 	}
 }
 
-func TestPipelineVerifiesAfterEachPass(t *testing.T) {
-	// A pass that corrupts a function must be caught by the per-function
-	// verifier right after it runs.
-	m := ir.MustParse(loopSrc)
-	bad := funcPassStub{name: "corrupt", fn: func(f *ir.Func, _ *Stats, _ *analysis.FuncAnalyses) error {
-		f.Blocks[0].Instrs = nil // unterminate entry
-		return nil
-	}}
-	pl := &PassManager{Passes: []Pass{bad}}
-	if err := pl.Run(m); err == nil {
-		t.Error("pass manager did not catch corrupted function")
+// corruptPass leaves every function returning a value of the wrong type:
+// malformed, but nothing a later pass trips over.
+var corruptPass = funcPassStub{name: "corrupt", fn: func(f *ir.Func, _ *Stats, _ *analysis.FuncAnalyses) error {
+	for _, b := range f.Blocks {
+		if t := b.Term(); t.Op == ir.OpRet {
+			t.Args[0] = ir.ConstInt(ir.I1, 1)
+		}
+	}
+	return nil
+}}
+
+// TestPipelineVerifiesAtExit holds in every build: whichever pass corrupts a
+// function, Run fails — at the latest at its exit verify — and reports no
+// statistics, so a caller (core.Compiler.Compile) has nothing to sign. That
+// the error names the pass is a caratdebug guarantee: debug_test.go.
+func TestPipelineVerifiesAtExit(t *testing.T) {
+	for name, ps := range map[string][]Pass{
+		"only":  {corruptPass},
+		"first": {corruptPass, &GuardInject{}, &DCE{}},
+		"last":  {&GuardInject{}, &DCE{}, corruptPass},
+	} {
+		reg := obs.NewRegistry()
+		pl := &PassManager{Passes: ps, Obs: reg}
+		err := pl.Run(ir.MustParse(loopSrc))
+		if err == nil || !strings.Contains(err.Error(), "ret type mismatch") {
+			t.Errorf("%s: Run = %v, want the verifier's ret type mismatch", name, err)
+		}
+		if !reflect.DeepEqual(pl.Stats, Stats{}) {
+			t.Errorf("%s: a failed Run reported statistics: %+v", name, pl.Stats)
+		}
+		if n := reg.Counter("carat.passes.guards_injected").Get(); n != 0 {
+			t.Errorf("%s: a failed Run published guards_injected = %d", name, n)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type guardFact struct {
 	kind ir.GuardKind // call guards only subsume call guards
 }
 
-// Preserves implements FuncPass. Removing a guard deletes a void
+// Preserves implements Pass. Removing a guard deletes a void
 // instruction nothing references: block structure, alias facts, and value
 // ranges all survive; only the per-loop analyses (which record loop
 // contents) go stale.
@@ -33,7 +33,7 @@ func (*RedundantGuards) Preserves() analysis.Preserved {
 		analysis.IDAlias, analysis.IDRanges)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (*RedundantGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	acdcFunc(f, stats, fa)
 	return nil
@@ -107,25 +107,25 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 		return false
 	}
 
-	for _, b := range cfg.RPO {
-		avail := ins[b].Copy()
-		for i := 0; i < len(b.Instrs); i++ {
-			g := b.Instrs[i]
-			if g.Op != ir.OpGuard {
-				continue
-			}
-			if subsumes(avail, g) {
-				b.Remove(g)
-				if stats.Attribute(g) {
-					stats.Removed++
-				}
-				i--
-				continue
-			}
-			if id, ok := factOf[g]; ok {
-				avail.Set(id)
-			}
+	var avail analysis.Bits
+	sweep := func(g *ir.Instr) (_, _ *ir.Instr, keep bool) {
+		if g.Op != ir.OpGuard {
+			return nil, nil, true
 		}
+		if subsumes(avail, g) {
+			if stats.Attribute(g) {
+				stats.Removed++
+			}
+			return nil, nil, false
+		}
+		if id, ok := factOf[g]; ok {
+			avail.Set(id)
+		}
+		return nil, nil, true
+	}
+	for _, b := range cfg.RPO {
+		avail = ins[b].Copy()
+		b.Edit(sweep)
 	}
 }
 

@@ -35,7 +35,7 @@ func (t *TrackingInject) Setup(m *ir.Module) error {
 	return nil
 }
 
-// Preserves implements FuncPass. Inserted calls and size multiplies are
+// Preserves implements Pass. Inserted calls and size multiplies are
 // new values (and real calls), so everything derived from instruction
 // contents — alias, ranges, invariance, SCEV — goes stale; only block
 // structure survives.
@@ -43,83 +43,61 @@ func (*TrackingInject) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements FuncPass.
+// RunOnFunc implements Pass.
 func (t *TrackingInject) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
-	for _, b := range f.Blocks {
-		// Iterate over a snapshot: insertions must not be revisited.
-		snapshot := append([]*ir.Instr(nil), b.Instrs...)
-		for _, in := range snapshot {
-			switch {
-			case in.Op == ir.OpCall && in.Callee != nil && ir.IsAllocFn(in.Callee.Name):
-				size := allocSizeValue(f, b, in)
-				cb := &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: t.allocCB,
-					Args: []ir.Value{in, size}}
-				insertAfter(b, cb, in)
-				stats.AllocCallbacks++
+	callback := func(callee *ir.Func, args ...ir.Value) *ir.Instr {
+		return &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: callee, Args: args}
+	}
+	track := func(in *ir.Instr) (before, after *ir.Instr, keep bool) {
+		switch {
+		case in.Op == ir.OpCall && in.Callee != nil && ir.IsAllocFn(in.Callee.Name):
+			size, mul := allocSizeValue(f, in)
+			stats.AllocCallbacks++
+			return mul, callback(t.allocCB, in, size), true
 
-			case in.Op == ir.OpCall && in.Callee != nil && in.Callee.Name == ir.FnFree:
-				cb := &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: t.freeCB,
-					Args: []ir.Value{in.Args[0]}}
-				b.InsertBefore(cb, in)
-				stats.FreeCallbacks++
+		case in.Op == ir.OpCall && in.Callee != nil && in.Callee.Name == ir.FnFree:
+			stats.FreeCallbacks++
+			return callback(t.freeCB, in.Args[0]), nil, true
 
-			case in.Op == ir.OpAlloca:
-				size := allocaSizeValue(f, b, in)
-				cb := &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: t.allocCB,
-					Args: []ir.Value{in, size}}
-				insertAfter(b, cb, in)
-				stats.AllocCallbacks++
+		case in.Op == ir.OpAlloca:
+			size, mul := allocaSizeValue(f, in)
+			stats.AllocCallbacks++
+			return mul, callback(t.allocCB, in, size), true
 
-			case in.Op == ir.OpStore && in.Args[0].Type().IsPtr():
-				// A pointer was copied into memory: an escape (§2.2).
-				cb := &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: t.escCB,
-					Args: []ir.Value{in.Args[1], in.Args[0]}}
-				insertAfter(b, cb, in)
-				stats.EscapeCallbacks++
-			}
+		case in.Op == ir.OpStore && in.Args[0].Type().IsPtr():
+			// A pointer was copied into memory: an escape (§2.2).
+			stats.EscapeCallbacks++
+			return nil, callback(t.escCB, in.Args[1], in.Args[0]), true
 		}
+		return nil, nil, true
+	}
+	for _, b := range f.Blocks {
+		b.Edit(track)
 	}
 	return nil
 }
 
-// insertAfter places in immediately after pos within b. If pos is the
-// block terminator (it never is for the cases above), this panics via
-// InsertBefore's invariants.
-func insertAfter(b *ir.Block, in, pos *ir.Instr) {
-	for i, x := range b.Instrs {
-		if x == pos {
-			if i+1 == len(b.Instrs) {
-				b.Append(in)
-			} else {
-				b.InsertBefore(in, b.Instrs[i+1])
-			}
-			return
-		}
-	}
-	panic("passes: insertAfter: position not in block")
-}
-
 // allocSizeValue returns the byte size of a malloc/calloc result as a
-// Value, inserting a multiply before the call for calloc.
-func allocSizeValue(f *ir.Func, b *ir.Block, call *ir.Instr) ir.Value {
+// Value, and for calloc the multiply that computes it, to go before the call.
+func allocSizeValue(f *ir.Func, call *ir.Instr) (size ir.Value, mul *ir.Instr) {
 	if call.Callee.Name == ir.FnMalloc {
-		return call.Args[0]
+		return call.Args[0], nil
 	}
 	// calloc(n, size)
-	mul := &ir.Instr{Op: ir.OpMul, Name: f.FreshName("tk"), Typ: ir.I64,
+	mul = &ir.Instr{Op: ir.OpMul, Name: f.FreshName("tk"), Typ: ir.I64,
 		Args: []ir.Value{call.Args[0], call.Args[1]}}
-	b.InsertBefore(mul, call)
-	return mul
+	return mul, mul
 }
 
-// allocaSizeValue returns the byte size of an alloca as a Value.
-func allocaSizeValue(f *ir.Func, b *ir.Block, al *ir.Instr) ir.Value {
+// allocaSizeValue returns the byte size of an alloca as a Value, and when the
+// count is not a constant the multiply that computes it, to go before the
+// alloca.
+func allocaSizeValue(f *ir.Func, al *ir.Instr) (size ir.Value, mul *ir.Instr) {
 	elem := al.Elem.Size()
 	if c, ok := al.Args[0].(*ir.Const); ok {
-		return ir.ConstInt(ir.I64, c.Int*elem)
+		return ir.ConstInt(ir.I64, c.Int*elem), nil
 	}
-	mul := &ir.Instr{Op: ir.OpMul, Name: f.FreshName("tk"), Typ: ir.I64,
+	mul = &ir.Instr{Op: ir.OpMul, Name: f.FreshName("tk"), Typ: ir.I64,
 		Args: []ir.Value{al.Args[0], ir.ConstInt(ir.I64, elem)}}
-	b.InsertBefore(mul, al)
-	return mul
+	return mul, mul
 }
