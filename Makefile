@@ -142,8 +142,9 @@ soak: build
 # invariants over generated programs, the IR text round trip, IR text
 # executed on both engines, PhysMem's page-dirty map against the
 # byte-loop memory model, the page-bucketed allocation table against the
-# map-scan model, and the in-place region set against sort-and-coalesce;
-# seeds replay in plain `make test`).
+# map-scan model, the in-place region set against sort-and-coalesce, and
+# arbitrary bytes through the CARAT-C front end; seeds replay in plain
+# `make test`).
 # FuzzIRRoundTrip's and FuzzIRExecute's seeds are whole kernels, so
 # minimising one interesting input at the default 60 s would eat the
 # budget: cap it. The two table targets find new coverage every few
@@ -161,6 +162,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPhysMemDirty -fuzztime $(FUZZTIME) ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz FuzzAllocationTable -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzRegionSet -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/guard/
+	$(GO) test -run '^$$' -fuzz FuzzCCCompile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/cc/
 
 # loc prints non-test Go lines per package and their total, excluding the
 # frozen benchmark/ module (ROADMAP: non-test LOC is a tracked metric and
@@ -182,11 +184,11 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # microbench runs every host-time micro-benchmark of the kernel, runtime,
-# guard and passes packages, and the VM heap's, once each: not a measurement
-# (use -benchmem -count N for that, see EXPERIMENTS.md "PR 20"), a check that
-# they still build, set up and run.
+# guard and passes packages, and the VM's heap rebase and tier-up, once each:
+# not a measurement (use -benchmem -count N for that, see EXPERIMENTS.md
+# "PR 20"), a check that they still build, set up and run.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
-	$(GO) test -run '^$$' -bench BenchmarkHeapRebase -benchtime 1x ./internal/vm/
+	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp' -benchtime 1x ./internal/vm/
 
 check: fmt vet build test race

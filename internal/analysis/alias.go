@@ -199,10 +199,10 @@ var unknownObj = &ir.Global{Name: "<unknown>"}
 
 // NewPointsToAA computes points-to sets for every pointer value in f.
 func NewPointsToAA(f *ir.Func) *PointsToAA {
-	pt := &PointsToAA{sets: make(map[ir.Value]map[ir.Value]bool)}
 	if f == nil || f.IsDecl() {
-		return pt
+		return &PointsToAA{}
 	}
+	pt := &PointsToAA{sets: make(map[ir.Value]map[ir.Value]bool, f.NumInstrs()/4)}
 	// Iterate to a fixed point; the lattice is small (sets only grow).
 	for changed := true; changed; {
 		changed = false

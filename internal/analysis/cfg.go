@@ -24,8 +24,8 @@ type CFG struct {
 func NewCFG(f *ir.Func) *CFG {
 	c := &CFG{
 		Fn:     f,
-		Preds:  make(map[*ir.Block][]*ir.Block),
-		RPONum: make(map[*ir.Block]int),
+		Preds:  make(map[*ir.Block][]*ir.Block, len(f.Blocks)),
+		RPONum: make(map[*ir.Block]int, len(f.Blocks)),
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
@@ -33,8 +33,8 @@ func NewCFG(f *ir.Func) *CFG {
 		}
 	}
 	// Postorder DFS from entry, then reverse.
-	seen := make(map[*ir.Block]bool)
-	var post []*ir.Block
+	seen := make(map[*ir.Block]bool, len(f.Blocks))
+	post := make([]*ir.Block, 0, len(f.Blocks))
 	var dfs func(*ir.Block)
 	dfs = func(b *ir.Block) {
 		seen[b] = true

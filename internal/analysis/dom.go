@@ -11,7 +11,7 @@ type DomTree struct {
 
 // NewDomTree computes the dominator tree of f's CFG.
 func NewDomTree(c *CFG) *DomTree {
-	d := &DomTree{cfg: c, idom: make(map[*ir.Block]*ir.Block)}
+	d := &DomTree{cfg: c, idom: make(map[*ir.Block]*ir.Block, len(c.RPO))}
 	if len(c.RPO) == 0 {
 		return d
 	}

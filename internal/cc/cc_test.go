@@ -28,6 +28,18 @@ func runCC(t *testing.T, src string, lvl passes.Level) (*vm.VM, int64) {
 	return v, ret
 }
 
+// lex drains a lexer: every token of src, ending in tEOF.
+func lex(src string) ([]token, error) {
+	l := lexer{src: src, line: 1}
+	var toks []token
+	for {
+		toks = append(toks, l.scan())
+		if toks[len(toks)-1].kind == tEOF {
+			return toks, l.err
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := lex(`func f(x: int): int { return x << 2; } // comment`)
 	if err != nil {
@@ -267,13 +279,38 @@ func TestTypeErrors(t *testing.T) {
 }
 
 func TestParseErrorsCC(t *testing.T) {
+	deep := strings.Repeat("(", 100_000)
 	bad := []string{
 		`func`, `global x`, `func main() { return`, `func main(): int { if x { } }`,
 		`func main(): int { var = 3; }`,
+		`func main(): int { return ` + deep + `1; }`, // nesting is bounded
+		`func main(): int { ` + strings.ReplaceAll(deep, "(", "{"),
+		`func main(): int { return ` + strings.ReplaceAll(deep, "(", "-") + `1; }`,
+		`func main(): int { return ` + strings.ReplaceAll(deep, "(", "1+") + `1; }`, // left-deep, no recursion in the parser
 	}
 	for _, src := range bad {
 		if _, err := Compile("bad", src); err == nil {
-			t.Errorf("accepted malformed program: %s", src)
+			t.Errorf("accepted malformed program: %.60s", src)
+		}
+	}
+}
+
+// The parser pulls tokens as it goes, so what Parse reports is the first
+// error in source order, whichever layer found it.
+func TestFirstErrorInSourceOrder(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"func main(): int {\n return 1 +; }\n@", `line 2: unexpected token ";"`},
+		{"func main(): int {\n return 1 @ 2; }\nfunc", `line 2: unexpected character '@'`},
+		{"func main(): int { return 0; }\n\n$", `line 3: unexpected character '$'`},
+		// A token the parser consumed and then rejects comes before the bad
+		// character behind it.
+		{"global g: [0\n@]int;", `line 1: bad array length`},
+		{"func main(): int { return 99999999999999999999\n@; }", `line 1: bad integer`},
+		{"func f(a: [2]int\n@) {}", `line 1: array parameters`},
+		{"func main(): int { 1 =\n@ 2; }", `line 1: invalid assignment target`},
+	} {
+		if _, err := Parse(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
 		}
 	}
 }

@@ -53,66 +53,51 @@ var operators = []string{
 	"(", ")", "{", "}", "[", "]", ",", ";", ":",
 }
 
+// lexer scans src one token at a time, on the parser's demand: the parser
+// looks one token ahead and never backs up, so no token outlives its turn.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	err  error // the first bad character; every scan after it returns tEOF
 }
 
-// lex tokenizes src, returning a token slice ending in tEOF.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tEOF, line: l.line})
-			return l.toks, nil
+// scan returns the next token, tEOF at the end of src or at a character no
+// token starts with (which it records in l.err).
+func (l *lexer) scan() token {
+	l.skipSpace()
+	if l.pos >= len(l.src) || l.err != nil {
+		return token{kind: tEOF, line: l.line}
+	}
+	c := l.src[l.pos]
+	start := l.pos
+	switch {
+	case unicode.IsLetter(rune(c)) || c == '_':
+		for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
+			l.pos++
 		}
-		c := l.src[l.pos]
-		switch {
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := l.pos
-			for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{tIdent, l.src[start:l.pos], l.line})
-		case unicode.IsDigit(rune(c)):
-			start := l.pos
-			isFloat := false
-			for l.pos < len(l.src) {
-				d := l.src[l.pos]
-				if d == '.' {
-					isFloat = true
-					l.pos++
-					continue
-				}
-				if d == 'x' || d == 'X' || isHexByte(d) {
-					l.pos++
-					continue
-				}
+		return token{tIdent, l.src[start:l.pos], l.line}
+	case unicode.IsDigit(rune(c)):
+		kind := tInt
+		for l.pos < len(l.src) {
+			d := l.src[l.pos]
+			if d == '.' {
+				kind = tFloat
+			} else if d != 'x' && d != 'X' && !isHexByte(d) {
 				break
 			}
-			kind := tInt
-			if isFloat {
-				kind = tFloat
-			}
-			l.toks = append(l.toks, token{kind, l.src[start:l.pos], l.line})
-		default:
-			matched := false
-			for _, op := range operators {
-				if strings.HasPrefix(l.src[l.pos:], op) {
-					l.toks = append(l.toks, token{tPunct, op, l.line})
-					l.pos += len(op)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("cc: line %d: unexpected character %q", l.line, c)
-			}
+			l.pos++
+		}
+		return token{kind, l.src[start:l.pos], l.line}
+	}
+	for _, op := range operators {
+		if strings.HasPrefix(l.src[l.pos:], op) {
+			l.pos += len(op)
+			return token{tPunct, op, l.line}
 		}
 	}
+	l.err = fmt.Errorf("cc: line %d: unexpected character %q", l.line, c)
+	return token{kind: tEOF, line: l.line}
 }
 
 func (l *lexer) skipSpace() {

@@ -5,39 +5,67 @@ import (
 	"strconv"
 )
 
-// Parse parses CARAT-C source into an AST.
+// Parse parses CARAT-C source into an AST. The error is the first in source
+// order: a bad character ends the token stream where it stands, and the lexer
+// reaches it only when the parser looks at it, so whatever the parser says
+// from then on is about the early end and the lexer's error stands for it.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lex: lexer{src: src, line: 1}}
 	prog, err := p.program()
+	if p.lex.err != nil {
+		return nil, p.lex.err
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cc: line %d: %w", p.cur().line, err)
+		return nil, fmt.Errorf("cc: line %d: %w", p.tok.line, err)
 	}
 	return prog, nil
 }
 
+// parser pulls tokens from the lexer when it looks at them: tok is the one
+// token of look-ahead, scanned by the first cur after a next (have), never
+// before — a token the parser consumed and then rejects is reported without
+// the lexer having run past it.
 type parser struct {
-	toks []token
-	pos  int
+	lex   lexer
+	tok   token
+	have  bool
+	depth int // of the statement or expression being parsed, as an AST
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// maxDepth bounds how deep the AST gets: this parser recurses once per level
+// of brackets, blocks and unary operators, every walker of the AST once per
+// level of the tree (a chain of binary operators included, which binExpr
+// builds left-deep in a loop), and a megabyte of "(" or "1+" must be an
+// error, not a gigabyte of stack. Whoever calls nest restores p.depth.
+const maxDepth = 1000
+
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxDepth {
+		return fmt.Errorf("nesting deeper than %d", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) cur() token {
+	if !p.have {
+		p.tok, p.have = p.lex.scan(), true
+	}
+	return p.tok
+}
+
+func (p *parser) next() token { t := p.cur(); p.have = false; return t }
 
 func (p *parser) accept(text string) bool {
-	if p.cur().kind == tPunct && p.cur().text == text {
-		p.pos++
+	if t := p.cur(); t.kind == tPunct && t.text == text {
+		p.have = false
 		return true
 	}
 	return false
 }
 
 func (p *parser) acceptKw(kw string) bool {
-	if p.cur().kind == tIdent && p.cur().text == kw {
-		p.pos++
+	if t := p.cur(); t.kind == tIdent && t.text == kw {
+		p.have = false
 		return true
 	}
 	return false
@@ -197,6 +225,10 @@ func (p *parser) block() (*Block, error) {
 }
 
 func (p *parser) stmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	switch {
 	case p.cur().kind == tPunct && p.cur().text == "{":
 		return p.block()
@@ -406,14 +438,16 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := p.depth
 	for {
 		t := p.cur()
-		if t.kind != tPunct {
+		prec, ok := precedence[t.text]
+		if t.kind != tPunct || !ok || prec < minPrec {
+			p.depth = d
 			return lhs, nil
 		}
-		prec, ok := precedence[t.text]
-		if !ok || prec < minPrec {
-			return lhs, nil
+		if err := p.nest(); err != nil { // lhs goes one level down
+			return nil, err
 		}
 		p.next()
 		rhs, err := p.binExpr(prec + 1)
@@ -425,6 +459,10 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if p.accept("-") {
 		x, err := p.unary()
 		if err != nil {

@@ -402,6 +402,12 @@ join:
 			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1)}, Preds: []*Block{block(f, "a")}}
 			join.InsertBefore(phi, join.Instrs[0])
 		}},
+		{"parameter out of place", phiFree, "parameter 0 (%c) has Idx 1", func(m *Module, f *Func) {
+			f.Params[0].Idx = 1
+		}},
+		{"another function's parameter as an operand", phiFree, "operand %x is not a parameter of @f", func(m *Module, f *Func) {
+			block(f, "entry").Term().Args[0] = &Param{Name: "x", Typ: I1}
+		}},
 		{"only phi names a non-predecessor", phiFree, "phi incoming ^entry is not a predecessor", func(m *Module, f *Func) {
 			join := block(f, "join")
 			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1), ConstInt(I64, 2)},

@@ -83,6 +83,11 @@ func VerifyFunc(f *Func) error { return verifyFunc(f) }
 // the predecessor sets exist for the phis' sake and are built when the first
 // phi asks (a function out of the cc front end has none).
 func verifyFunc(f *Func) error {
+	for i, p := range f.Params {
+		if p.Idx != i { // the VM puts a parameter in register Idx; only AddFunc numbers them
+			return fmt.Errorf("ir: @%s: parameter %d (%%%s) has Idx %d", f.Name, i, p.Name, p.Idx)
+		}
+	}
 	var preds map[*Block][]*Block
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -141,6 +146,9 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds []*Block) error {
 		}
 		if _, isPH := a.(placeholder); isPH {
 			return fmt.Errorf("%s: unresolved operand", where())
+		}
+		if p, isParam := a.(*Param); isParam && (uint(p.Idx) >= uint(len(f.Params)) || f.Params[p.Idx] != p) {
+			return fmt.Errorf("%s: operand %%%s is not a parameter of @%s", where(), p.Name, f.Name)
 		}
 	}
 	for _, s := range in.Succs {

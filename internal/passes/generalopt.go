@@ -228,7 +228,7 @@ func (*DCE) Preserves() analysis.Preserved {
 
 // RunOnFunc implements Pass.
 func (*DCE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
-	used := make(map[*ir.Instr]bool)
+	used := make(map[*ir.Instr]bool, f.NumInstrs())
 	sweep := func(in *ir.Instr) (_, _ *ir.Instr, keep bool) {
 		if sideEffectFree(in) && !used[in] {
 			stats.DCEd++
@@ -290,8 +290,8 @@ func (*CSE) Preserves() analysis.Preserved {
 func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	cfg := fa.CFG()
 	dom := fa.Dom()
-	table := make(map[string][]*ir.Instr)
-	keyer := exprKeyer{ids: make(map[*ir.Instr]int)}
+	table := make(map[string][]*ir.Instr, f.NumInstrs()/4)
+	keyer := exprKeyer{ids: make(map[*ir.Instr]int, f.NumInstrs()/2)}
 	for _, b := range cfg.RPO {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]

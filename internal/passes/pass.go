@@ -95,7 +95,7 @@ type Stats struct {
 // guard was already credited (the caller must then not bump its counter).
 func (s *Stats) Attribute(g *ir.Instr) bool {
 	if s.attributed == nil {
-		s.attributed = make(map[*ir.Instr]bool)
+		s.attributed = make(map[*ir.Instr]bool, s.GuardsInjected)
 	}
 	if s.attributed[g] {
 		return false

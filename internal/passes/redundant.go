@@ -52,9 +52,9 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 		id   int
 		size int64 // constant size of this fact
 	}
-	facts := map[guardFact][]factInfo{} // (addr,kind) -> facts by size
+	facts := make(map[guardFact][]factInfo, stats.GuardsInjected) // (addr,kind) -> facts by size
 	var nFacts int
-	factOf := map[*ir.Instr]int{}
+	factOf := make(map[*ir.Instr]int, stats.GuardsInjected)
 
 	f.ForEachInstr(func(in *ir.Instr) {
 		if in.Op != ir.OpGuard {

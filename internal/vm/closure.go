@@ -101,6 +101,18 @@ func (e *cenv) flush() {
 	}
 }
 
+// enter opens an observing step: the charge group it ends lands on the
+// deferred counters, the group's pures run, and the flush makes the counters
+// exact before the instruction observes them.
+func (e *cenv) enter(segN, segCyc uint64, pures []cpure) {
+	e.pendN += segN
+	e.pendCyc += segCyc
+	for _, p := range pures {
+		p(e)
+	}
+	e.flush()
+}
+
 // charge applies one instruction's accounting directly (the cold path of a
 // fused access, after a flush, where the per-instruction order matters).
 func (e *cenv) charge(cyc uint64) {
@@ -169,16 +181,20 @@ type cblock struct {
 // place, address entries zero and listed in relocs. A binding copies consts
 // and bakes the relocs against its VM's address tables (VM.bakePool).
 type cfunc struct {
-	blocks  []*cblock
+	blocks  []cblock
 	maxPhis int
 	consts  []uint64
 	relocs  []creloc
+}
 
-	// Compile-time only, dropped before the cfunc is published.
-	fn     *ir.Func
-	pf     *pfunc
-	nslots int32
-	cindex map[poperand]cop
+// ccompiler is one function's closure compilation in flight: the cfunc it
+// fills — all that is published — and what only compiling needs.
+type ccompiler struct {
+	*cfunc
+	l     *funcLayout
+	pf    *pfunc
+	imms  map[uint64]cop // pool registers of immediates, by value
+	addrs map[uint64]cop // of address-table entries, by kind<<32 | index
 }
 
 // creloc names one pool entry that holds an address-table value.
@@ -199,19 +215,24 @@ func (o cop) get(fr *frame) uint64 { return fr.regs[o] }
 // constants into the pool by what they ARE (kind plus immediate or table
 // index), never by their current value: an immediate that happens to equal
 // a global's load-time address must not follow that global when it moves.
-func (cf *cfunc) operand(p poperand) cop {
+// One word-keyed map per kind of identity, so an intern hashes eight bytes.
+func (cf *ccompiler) operand(p poperand) cop {
 	if p.kind == pkSlot {
 		return cop(p.idx)
 	}
-	if i, ok := cf.cindex[p]; ok {
+	index, key := cf.imms, p.imm
+	if p.kind != pkImm {
+		index, key = cf.addrs, uint64(p.kind)<<32|uint64(uint32(p.idx))
+	}
+	if i, ok := index[key]; ok {
 		return i
 	}
-	i := cop(cf.nslots) + cop(len(cf.consts))
+	i := cop(cf.l.nSlots + len(cf.consts))
 	if p.kind != pkImm {
 		cf.relocs = append(cf.relocs, creloc{pool: int32(len(cf.consts)), src: p})
 	}
 	cf.consts = append(cf.consts, p.imm) // zero for a reloc, baked per binding
-	cf.cindex[p] = i
+	index[key] = i
 	return i
 }
 
@@ -272,7 +293,7 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	if cf.maxPhis > 0 {
 		e.tmp = make([]uint64, cf.maxPhis)
 	}
-	blk := cf.blocks[0]
+	blk := &cf.blocks[0]
 	var err error
 	for blk != nil {
 		blk, err = blk.run(e)
@@ -307,22 +328,17 @@ func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, 
 // total over verified modules, so there is nothing here to decline. The
 // result depends on the module alone.
 func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
-	cf := &cfunc{
-		maxPhis: pf.maxPhis,
-		blocks:  make([]*cblock, len(pf.blocks)),
-		nslots:  int32(l.nSlots),
-		fn:      l.fn,
-		pf:      pf,
-		cindex:  make(map[poperand]cop),
-	}
-	for i := range cf.blocks {
-		cf.blocks[i] = &cblock{}
+	cf := ccompiler{
+		cfunc: &cfunc{maxPhis: pf.maxPhis, blocks: make([]cblock, len(pf.blocks))},
+		l:     l,
+		pf:    pf,
+		imms:  make(map[uint64]cop),
+		addrs: make(map[uint64]cop),
 	}
 	for bi := range pf.blocks {
 		cf.compileBlock(int32(bi))
 	}
-	cf.fn, cf.pf, cf.cindex = nil, nil, nil
-	return cf
+	return cf.cfunc
 }
 
 // cobserving reports whether an instruction can observe or perturb machine
@@ -341,23 +357,31 @@ func cobserving(op ir.Op) bool {
 }
 
 // compileBlock fills cf.blocks[bi] with its superinstruction closure.
-func (cf *cfunc) compileBlock(bi int32) {
-	code := cf.pf.blocks[bi].code
+func (cf *ccompiler) compileBlock(bi int32) {
+	code := cf.pf.blocks[bi]
 
 	// take closes the accumulated charge group: the batched accounting for
 	// the group (including the observing instruction about to run, which the
 	// reference interpreter charges before executing it) plus the group's
 	// pure steps, run with no per-step error checks — pures are infallible.
 	// The charge itself lands on the cenv's deferred counters.
-	var groupN, groupCyc uint64
-	var groupPures []cpure
-	take := func(extraN, extraCyc uint64) (uint64, uint64, []cpure) {
-		n, cyc, pures := groupN+extraN, groupCyc+extraCyc, groupPures
-		groupN, groupCyc, groupPures = 0, 0, nil
-		return n, cyc, pures
+	// Sized once, from a count: an observing instruction is at most one
+	// step, and every group's pures are a run of one slab.
+	nObserving, hasCall := 0, false
+	for i := range code {
+		if cobserving(code[i].op) {
+			nObserving++
+			hasCall = hasCall || code[i].op == ir.OpCall
+		}
 	}
-
-	var steps []cstep
+	var groupN, groupCyc uint64
+	pures := make([]cpure, 0, len(code)-nObserving)
+	take := func(extraN, extraCyc uint64) (uint64, uint64, []cpure) {
+		n, cyc, group := groupN+extraN, groupCyc+extraCyc, pures[:len(pures):len(pures)]
+		groupN, groupCyc, pures = 0, 0, pures[len(pures):]
+		return n, cyc, group
+	}
+	steps := make([]cstep, 0, nObserving)
 
 	// Identify the terminator and a possible fused compare+branch: the
 	// block's last two instructions collapse when the compare's result
@@ -386,22 +410,22 @@ func (cf *cfunc) compileBlock(bi int32) {
 			// the access step — the address computes inline, skipping one
 			// closure call and a register round-trip (the result slot is
 			// still written: later instructions and cold paths read it).
-			if in.op == ir.OpGEP && len(in.gepSteps) == 1 && in.dst >= 0 && i+2 < bodyEnd {
+			if in.op == ir.OpGEP && len(in.ext.gepSteps) == 1 && in.dst >= 0 && i+2 < bodyEnd {
 				g, nx := &code[i+1], &code[i+2]
 				if g.op == ir.OpGuard && g.a.kind == pkSlot && g.a.idx == in.dst &&
 					((g.kind == ir.GuardLoad && nx.op == ir.OpLoad && g.a == nx.a) ||
 						(g.kind == ir.GuardStore && nx.op == ir.OpStore && g.a == nx.b)) {
 					groupN++ // the GEP rides the group charge
 					groupCyc += uint64(in.cost)
-					segN, segCyc, pures := take(1, uint64(g.cost))
-					steps = append(steps, cf.compileGuardedAccess(g, nx, in, segN, segCyc, pures))
+					segN, segCyc, group := take(1, uint64(g.cost))
+					steps = append(steps, cf.compileGuardedAccess(g, nx, in, segN, segCyc, group))
 					i += 2
 					continue
 				}
 			}
 			groupN++
 			groupCyc += uint64(in.cost)
-			groupPures = append(groupPures, cf.compilePure(in))
+			pures = append(pures, cf.compilePure(in))
 			continue
 		}
 		// Guard+access fusion: a load/store guard immediately followed by
@@ -412,23 +436,14 @@ func (cf *cfunc) compileBlock(bi int32) {
 				(in.kind == ir.GuardStore && nx.op == ir.OpStore && in.a == nx.b) {
 				// The guard rides the group charge; the whole segment —
 				// charge, pures, fused probe+access — is one step.
-				segN, segCyc, pures := take(1, uint64(in.cost))
-				steps = append(steps, cf.compileGuardedAccess(in, nx, nil, segN, segCyc, pures))
+				segN, segCyc, group := take(1, uint64(in.cost))
+				steps = append(steps, cf.compileGuardedAccess(in, nx, nil, segN, segCyc, group))
 				i++
 				continue
 			}
 		}
-		segN, segCyc, pures := take(1, uint64(in.cost))
-		ob := cf.compileObserving(in)
-		steps = append(steps, func(e *cenv) error {
-			e.pendN += segN
-			e.pendCyc += segCyc
-			for _, p := range pures {
-				p(e)
-			}
-			e.flush()
-			return ob(e)
-		})
+		segN, segCyc, group := take(1, uint64(in.cost))
+		steps = append(steps, cf.compileObserving(in, segN, segCyc, group))
 	}
 
 	// Trailing pures plus the terminator(s) form the final charge group,
@@ -446,13 +461,6 @@ func (cf *cfunc) compileBlock(bi int32) {
 	// re-enters this same block, in a block with no call steps, can iterate
 	// inside one run() invocation while the VM is unobserved (see
 	// compileSelfLoop).
-	hasCall := false
-	for i := 0; i < bodyEnd; i++ {
-		if code[i].op == ir.OpCall {
-			hasCall = true
-			break
-		}
-	}
 	if fuseCmpBr && !hasCall && (code[ti].succ0 == bi || code[ti].succ1 == bi) {
 		cf.compileSelfLoop(bi, code, ti, steps, finalN, finalCyc, finalPures)
 		return
@@ -510,10 +518,10 @@ func applyCopies(e *cenv, cc []ccopy) {
 // compileCmpBit lowers a compare that feeds a fused conditional branch:
 // the closure writes the compare's result slot (later blocks may read it
 // through a phi) and returns the branch bit.
-func (cf *cfunc) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
+func (cf *ccompiler) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
 	ca, cb := cf.operand(p.a), cf.operand(p.b)
 	dst := p.dst
-	pred := p.pred
+	pred := p.raw.Pred
 	if p.op == ir.OpFCmp {
 		return func(fr *frame) uint64 {
 			x := math.Float64frombits(ca.get(fr))
@@ -555,11 +563,11 @@ func (cf *cfunc) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
 // observed path — a sibling thread or an attached move policy — runs exactly
 // one iteration per run() call, like every other block, byte-identical with
 // the reference interpreter.
-func (cf *cfunc) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
+func (cf *ccompiler) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
 	in := &code[ti]
 	cmp := cf.compileCmpBit(&code[ti-1])
-	b0, b1 := cf.blocks[in.succ0], cf.blocks[in.succ1]
-	cp0, cp1 := cf.compileCopies(in.copies0), cf.compileCopies(in.copies1)
+	b0, b1 := &cf.blocks[in.succ0], &cf.blocks[in.succ1]
+	cp0, cp1 := cf.compileCopies(in.ext.copies0), cf.compileCopies(in.ext.copies1)
 	n0, n1 := uint64(len(cp0)), uint64(len(cp1))
 	selfOnTrue := in.succ0 == bi
 	selfOnFalse := in.succ1 == bi
@@ -621,26 +629,26 @@ func (cf *cfunc) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep
 // compileTerm lowers a block's terminator (possibly fused with the
 // preceding compare). The terminator's cycle charge already landed in the
 // block's final charge group.
-func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
-	name := cf.fn.Name
+func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
+	name := cf.l.fn.Name
 	in := &code[ti]
 	switch in.op {
 	case ir.OpBr:
-		nb := cf.blocks[in.succ0]
-		cp := cf.compileCopies(in.copies0)
+		nb := &cf.blocks[in.succ0]
+		cp := cf.compileCopies(in.ext.copies0)
 		return func(e *cenv) (*cblock, error) {
 			e.pending = cp
 			return nb, nil
 		}
 
 	case ir.OpCondBr:
-		b0, b1 := cf.blocks[in.succ0], cf.blocks[in.succ1]
-		cp0, cp1 := cf.compileCopies(in.copies0), cf.compileCopies(in.copies1)
+		b0, b1 := &cf.blocks[in.succ0], &cf.blocks[in.succ1]
+		cp0, cp1 := cf.compileCopies(in.ext.copies0), cf.compileCopies(in.ext.copies1)
 		if fuseCmpBr {
 			p := &code[ti-1]
 			ca, cb := cf.operand(p.a), cf.operand(p.b)
 			dst := p.dst
-			pred := p.pred
+			pred := p.raw.Pred
 			if p.op == ir.OpFCmp {
 				return func(e *cenv) (*cblock, error) {
 					fr := e.fr
@@ -684,7 +692,7 @@ func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv
 		}
 
 	case ir.OpRet:
-		if in.args != nil {
+		if in.hasRet {
 			a := cf.operand(in.a)
 			return func(e *cenv) (*cblock, error) {
 				e.flush()
@@ -707,7 +715,7 @@ func (cf *cfunc) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv
 }
 
 // compileCopies lowers one CFG edge's phi assignments to compiled form.
-func (cf *cfunc) compileCopies(cp []pcopy) []ccopy {
+func (cf *ccompiler) compileCopies(cp []pcopy) []ccopy {
 	if len(cp) == 0 {
 		return nil
 	}
@@ -721,7 +729,7 @@ func (cf *cfunc) compileCopies(cp []pcopy) []ccopy {
 // compilePure lowers one pure (non-observing, non-terminator) instruction.
 // Pure steps never fail and never touch the accounting counters — their
 // segment's prefix closure charges for them and runs them back to back.
-func (cf *cfunc) compilePure(in *pinstr) cpure {
+func (cf *ccompiler) compilePure(in *pinstr) cpure {
 	dst := in.dst
 	switch in.op {
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
@@ -746,7 +754,7 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 
 	case ir.OpICmp:
 		a, b := cf.operand(in.a), cf.operand(in.b)
-		pred := in.pred
+		pred := in.raw.Pred
 		if in.maskCmp {
 			srcBits := int(in.srcBits)
 			return func(e *cenv) {
@@ -762,7 +770,7 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 
 	case ir.OpFCmp:
 		a, b := cf.operand(in.a), cf.operand(in.b)
-		pred := in.pred
+		pred := in.raw.Pred
 		return func(e *cenv) {
 			fr := e.fr
 			x := math.Float64frombits(a.get(fr))
@@ -813,8 +821,9 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 
 	case ir.OpGEP:
 		a := cf.operand(in.a)
-		gc := in.gepConst
-		if len(in.gepSteps) == 0 {
+		gc := in.imm
+		steps := in.ext.gepSteps
+		if len(steps) == 0 {
 			return func(e *cenv) {
 				fr := e.fr
 				addr := a.get(fr) + gc
@@ -823,8 +832,8 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 				}
 			}
 		}
-		gsteps := make([]cgep, len(in.gepSteps))
-		for i, st := range in.gepSteps {
+		gsteps := make([]cgep, len(steps))
+		for i, st := range steps {
 			gsteps[i] = cgep{op: cf.operand(st.op), stride: st.stride}
 		}
 		if len(gsteps) == 1 {
@@ -849,7 +858,7 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 		}
 
 	case ir.OpSelect:
-		a, b, c := cf.operand(in.a), cf.operand(in.b), cf.operand(in.c)
+		a, b, c := cf.operand(in.a), cf.operand(in.b), cf.operand(in.ext.c)
 		return func(e *cenv) {
 			fr := e.fr
 			var r uint64
@@ -929,16 +938,19 @@ func (cf *cfunc) compilePure(in *pinstr) cpure {
 	}
 }
 
-// compileObserving lowers one observing instruction (ends its charge
-// group). in is a stable pointer into pf's code array, so cold paths can
-// hand it to the shared predecode helpers unchanged.
-func (cf *cfunc) compileObserving(in *pinstr) cstep {
+// compileObserving lowers one observing instruction and the charge group it
+// ends (segN/segCyc/pures, the instruction's own charge included) into one
+// step: every step opens with cenv.enter. in is a stable pointer into pf's
+// code slab, so cold paths can hand it to the shared predecode helpers
+// unchanged.
+func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []cpure) cstep {
 	dst := in.dst
 	switch in.op {
 	case ir.OpAlloca:
 		a := cf.operand(in.a)
-		elemSize := in.elemSize
+		elemSize := in.imm
 		return func(e *cenv) error {
+			e.enter(segN, segCyc, pures)
 			t, fr := e.t, e.fr
 			count := int64(a.get(fr))
 			size := alignTo(uint64(count)*elemSize, heapAlign)
@@ -960,6 +972,7 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 		width := uint64(in.width)
 		signed, srcBits := in.signed, int(in.srcBits)
 		return func(e *cenv) error {
+			e.enter(segN, segCyc, pures)
 			fr := e.fr
 			paddr, err := e.v.cdataAddr(fr, a, width, guard.PermRead)
 			if err != nil {
@@ -979,6 +992,7 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 		a, b := cf.operand(in.a), cf.operand(in.b)
 		width := uint64(in.width)
 		return func(e *cenv) error {
+			e.enter(segN, segCyc, pures)
 			fr := e.fr
 			val := a.get(fr)
 			paddr, err := e.v.cdataAddr(fr, b, width, guard.PermWrite)
@@ -994,11 +1008,12 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 		// not pair): the shared predecode path keeps miss/swap-in/fault
 		// semantics identical.
 		return func(e *cenv) error {
+			e.enter(segN, segCyc, pures)
 			return e.v.pexecGuard(e.t, e.fr, in)
 		}
 
 	case ir.OpCall:
-		return cf.compileCall(in)
+		return cf.compileCall(in, segN, segCyc, pures)
 	}
 
 	// Observing integer binops: the divisions, which can fail.
@@ -1007,6 +1022,7 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 	op := in.op
 	raw := in.raw
 	return func(e *cenv) error {
+		e.enter(segN, segCyc, pures)
 		fr := e.fr
 		r, err := intBinop(op, a.get(fr), b.get(fr), bits)
 		if err != nil {
@@ -1024,15 +1040,16 @@ func (cf *cfunc) compileObserving(in *pinstr) cstep {
 // finding its binding is one slice index. A callee already bound with a
 // compiled body enters it directly (counted as an inline-cache hit); the
 // first call, which lowers and binds, goes through VM.callIdx (a miss).
-func (cf *cfunc) compileCall(in *pinstr) cstep {
+func (cf *ccompiler) compileCall(in *pinstr, segN, segCyc uint64, pures []cpure) cstep {
 	dst := in.dst
-	callee, calleeIdx := in.callee, in.calleeIdx
-	cargsOps := make([]cop, len(in.args))
-	for i := range in.args {
-		cargsOps[i] = cf.operand(in.args[i])
+	callee, calleeIdx := in.raw.Callee, in.calleeIdx
+	cargsOps := make([]cop, len(in.ext.args))
+	for i, a := range in.ext.args {
+		cargsOps[i] = cf.operand(a)
 	}
 	builtin := callee.IsDecl()
 	return func(e *cenv) error {
+		e.enter(segN, segCyc, pures)
 		v, t, fr := e.v, e.t, e.fr
 		cargs := make([]uint64, len(cargsOps))
 		for i := range cargsOps {
@@ -1074,7 +1091,7 @@ func (cf *cfunc) compileCall(in *pinstr) cstep {
 // and the guard); they land on the deferred counters, as does the access's
 // own charge on a hit. The cold path flushes before the guard walk and
 // charges the access directly, exactly as the reference interpreter would.
-func (cf *cfunc) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
+func (cf *ccompiler) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
 	ga, gb := cf.operand(gi.a), cf.operand(gi.b)
 	width := uint64(ai.width)
 	w := int(ai.width)
@@ -1089,9 +1106,9 @@ func (cf *cfunc) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, 
 	var gdst int32
 	if hasGep {
 		gbase = cf.operand(gep.a)
-		ggc = gep.gepConst
-		gidx = cf.operand(gep.gepSteps[0].op)
-		gstride = gep.gepSteps[0].stride
+		ggc = gep.imm
+		gidx = cf.operand(gep.ext.gepSteps[0].op)
+		gstride = gep.ext.gepSteps[0].stride
 		gdst = gep.dst
 	}
 

@@ -37,9 +37,7 @@ func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error)
 	f := fb.fn
 	fb.prof.Calls++
 	fr := &frame{fb: fb, regs: make([]uint64, fb.nSlots), spSave: t.sp}
-	for i := range f.Params {
-		fr.regs[fb.slotOf[f.Params[i]]] = args[i]
-	}
+	copy(fr.regs, args) // params occupy slots 0..len(Params)-1 in order
 	t.frames = append(t.frames, fr)
 	defer t.popFrame(fr)
 	if len(t.frames) > 10000 {
@@ -115,14 +113,14 @@ func (v *VM) val(fr *frame, x ir.Value) uint64 {
 	case *ir.Func:
 		return v.funcPhys[v.prog.funcIdx[c]]
 	default:
-		return fr.regs[fr.fb.slotOf[x]]
+		return fr.regs[fr.fb.slot(x)]
 	}
 }
 
 func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 	fb := fr.fb
 	set := func(val uint64) {
-		if in.Op.HasResult() && in.Typ != ir.Void {
+		if hasSlot(in) {
 			fr.regs[fb.slotOf[in]] = val
 		}
 	}

@@ -57,98 +57,127 @@ type pcopy struct {
 
 // pinstr is one predecoded instruction. A single struct covers every op;
 // the op field selects which subset of the fields is meaningful. raw always
-// points at the source instruction for cold paths (faults, error messages).
+// points at the source instruction for cold paths (faults, error messages)
+// and for what only the closure compiler reads once (raw.Pred, raw.Callee).
+// The fixed part is what most instructions need; what only calls, dynamic
+// GEPs, selects and phi-carrying branches have sits behind ext.
 type pinstr struct {
 	op   ir.Op
-	cost uint8
+	kind ir.GuardKind
 	dst  int32 // result slot, -1 when the op produces no value
 
-	a, b, c poperand // up to three scalar operands
+	cost    uint8
+	bits    uint8 // result int width (binops, casts, FPToSI)
+	srcBits uint8 // source int width (ZExt/SExt, unsigned ICmp mask)
+	width   uint8 // Load/Store access width (1/2/4/8)
+	maskCmp bool  // ICmp: unsigned predicate needs width masking
+	signed  bool  // Load: sign-extend an int element
+	hasRet  bool  // Ret: a holds the return value
 
-	bits      uint8   // result int width (binops, casts, FPToSI)
-	srcBits   uint8   // source int width (ZExt/SExt, unsigned ICmp mask)
-	maskCmp   bool    // ICmp: unsigned predicate needs width masking
-	pred      ir.Pred // ICmp/FCmp
-	elemSize  uint64  // Alloca element size
-	width     uint8   // Load/Store access width (1/2/4/8)
-	signed    bool    // Load: sign-extend an int element
-	kind      ir.GuardKind
-	callee    *ir.Func
-	calleeIdx int32      // callee's index in the program's function table
-	args      []poperand // Call arguments
+	a, b poperand // up to two scalar operands (Select's third is in ext)
 
-	gepConst uint64 // folded constant GEP offset
-	gepSteps []pgepStep
+	calleeIdx    int32  // Call: callee's index in the program's function table
+	succ0, succ1 int32  // Br/CondBr successor block indices
+	imm          uint64 // Alloca: element size; GEP: folded constant offset
 
-	succ0, succ1     int32   // Br/CondBr successor block indices
-	copies0, copies1 []pcopy // phi copies for the taken edge
-
+	ext *pext
 	raw *ir.Instr
 }
 
-// pblock is one predecoded basic block: its non-phi instructions. Phis are
-// compiled away into the predecessors' edge copy lists.
-type pblock struct {
-	code []pinstr
+// pext is the rarely present tail of a pinstr. An instruction without one
+// points at noExt, every list empty, which nothing ever writes.
+type pext struct {
+	args             []poperand // Call arguments
+	gepSteps         []pgepStep // GEP: dynamic indices
+	copies0, copies1 []pcopy    // Br/CondBr: phi copies for the taken edge
+	c                poperand   // Select: the value when the condition is clear
 }
 
-// pfunc is a predecoded function body.
+var noExt pext
+
+// pfunc is a predecoded function body: per block its non-phi instructions
+// (phis are compiled away into the predecessors' edge copy lists), all
+// sub-slices of one slab.
 type pfunc struct {
-	blocks  []pblock
+	blocks  [][]pinstr
 	maxPhis int // widest phi set of any block, sizes the copy scratch
+}
+
+// pdecoder is the state of one function's predecode: the layout it resolves
+// registers against, the block numbering, and the slabs it carves — sized
+// once, from a counting pass, so nothing is allocated per instruction.
+type pdecoder struct {
+	*Program
+	l        *funcLayout
+	blockIdx map[*ir.Block]int32
+	pf       *pfunc
+	exts     []pext
+	args     []poperand
+}
+
+// needsExt reports whether in's lowering has a tail.
+func needsExt(in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpSelect, ir.OpCall:
+		return true
+	case ir.OpGEP:
+		return slices.ContainsFunc(in.Args[1:], func(x ir.Value) bool { _, c := x.(*ir.Const); return !c })
+	case ir.OpBr, ir.OpCondBr:
+		return slices.ContainsFunc(in.Succs, func(b *ir.Block) bool { return b.Instrs[0].Op == ir.OpPhi })
+	}
+	return false
 }
 
 // predecode lowers l's function. The result depends on the module alone; it
 // lives on inside the cfunc compiled from it, whose cold paths keep pointers
-// into its code arrays (see VM.bind).
+// into its code slab (see VM.bind).
 func (p *Program) predecode(l *funcLayout) *pfunc {
 	f := l.fn
-	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
+	d := pdecoder{Program: p, l: l, blockIdx: make(map[*ir.Block]int32, len(f.Blocks)),
+		pf: &pfunc{blocks: make([][]pinstr, len(f.Blocks))}}
+	nCode, nExt, nArgs := 0, 0, 0
 	for i, b := range f.Blocks {
-		blockIdx[b] = int32(i)
-	}
-	pf := &pfunc{blocks: make([]pblock, len(f.Blocks))}
-
-	// Edge copies: for the edge prev->b, the phis of b select the operand
-	// whose Preds entry is prev.
-	edgeCopies := func(prev, b *ir.Block) []pcopy {
-		phis := b.Phis()
-		if len(phis) == 0 {
-			return nil
-		}
-		if len(phis) > pf.maxPhis {
-			pf.maxPhis = len(phis)
-		}
-		copies := make([]pcopy, len(phis))
-		for i, phi := range phis {
-			j := slices.Index(phi.Preds, prev) // Verify: every edge has an incoming
-			copies[i] = pcopy{dst: int32(l.slotOf[phi]), src: p.pdecodeOperand(l, phi.Args[j])}
-		}
-		return copies
-	}
-
-	for bi, b := range f.Blocks {
-		phis := b.Phis()
-		code := make([]pinstr, 0, len(b.Instrs)-len(phis))
-		for _, in := range b.Instrs[len(phis):] {
-			pi := p.pdecodeInstr(l, in)
-			if in.Op == ir.OpBr || in.Op == ir.OpCondBr {
-				pi.succ0 = blockIdx[in.Succs[0]]
-				pi.copies0 = edgeCopies(b, in.Succs[0])
-				if in.Op == ir.OpCondBr {
-					pi.succ1 = blockIdx[in.Succs[1]]
-					pi.copies1 = edgeCopies(b, in.Succs[1])
+		d.blockIdx[b] = int32(i)
+		for _, in := range b.Instrs[len(b.Phis()):] {
+			nCode++
+			if needsExt(in) {
+				nExt++
+				if in.Op == ir.OpCall {
+					nArgs += len(in.Args)
 				}
 			}
-			code = append(code, pi)
 		}
-		pf.blocks[bi] = pblock{code: code}
 	}
-	return pf
+	code := make([]pinstr, nCode)
+	d.exts, d.args = make([]pext, nExt), make([]poperand, nArgs)
+	for bi, b := range f.Blocks {
+		body := b.Instrs[len(b.Phis()):]
+		d.pf.blocks[bi], code = code[:len(body):len(body)], code[len(body):]
+		for i, in := range body {
+			d.instr(&d.pf.blocks[bi][i], b, in)
+		}
+	}
+	return d.pf
 }
 
-// pdecodeOperand resolves one ir.Value into a poperand.
-func (p *Program) pdecodeOperand(l *funcLayout, x ir.Value) poperand {
+// edgeCopies lowers the phis of b for the edge prev->b: each selects the
+// operand whose Preds entry is prev.
+func (d *pdecoder) edgeCopies(prev, b *ir.Block) []pcopy {
+	phis := b.Phis()
+	if len(phis) == 0 {
+		return nil
+	}
+	d.pf.maxPhis = max(d.pf.maxPhis, len(phis))
+	copies := make([]pcopy, len(phis))
+	for i, phi := range phis {
+		j := slices.Index(phi.Preds, prev) // Verify: every edge has an incoming
+		copies[i] = pcopy{dst: d.l.slotOf[phi], src: d.operand(phi.Args[j])}
+	}
+	return copies
+}
+
+// operand resolves one ir.Value into a poperand.
+func (d *pdecoder) operand(x ir.Value) poperand {
 	switch c := x.(type) {
 	case *ir.Const:
 		if c.Typ.IsFloat() {
@@ -156,11 +185,11 @@ func (p *Program) pdecodeOperand(l *funcLayout, x ir.Value) poperand {
 		}
 		return poperand{kind: pkImm, imm: uint64(c.Int)}
 	case *ir.Global:
-		return poperand{kind: pkGlobal, idx: p.globalIdx[c]}
+		return poperand{kind: pkGlobal, idx: d.globalIdx[c]}
 	case *ir.Func:
-		return poperand{kind: pkFunc, idx: p.funcIdx[c]}
+		return poperand{kind: pkFunc, idx: d.funcIdx[c]}
 	default:
-		return poperand{kind: pkSlot, idx: int32(l.slotOf[x])}
+		return poperand{kind: pkSlot, idx: d.l.slot(x)}
 	}
 }
 
@@ -181,30 +210,29 @@ func (v *VM) pval(fr *frame, p poperand) uint64 {
 	}
 }
 
-// pdecodeInstr lowers one non-phi, possibly-terminator instruction.
-func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
-	pi := pinstr{op: in.Op, cost: uint8(opCycles[in.Op]), dst: -1, raw: in}
-	if in.Op.HasResult() && in.Typ != ir.Void {
-		pi.dst = int32(l.slotOf[in])
+// instr lowers in, a non-phi, possibly-terminator instruction of block b,
+// into pi, a zeroed element of the function's code slab.
+func (d *pdecoder) instr(pi *pinstr, b *ir.Block, in *ir.Instr) {
+	pi.op, pi.cost, pi.dst, pi.raw = in.Op, uint8(opCycles[in.Op]), -1, in
+	if hasSlot(in) {
+		pi.dst = d.l.slotOf[in]
 	}
-	opnd := func(i int) poperand { return p.pdecodeOperand(l, in.Args[i]) }
+	if pi.ext = &noExt; needsExt(in) {
+		pi.ext, d.exts = &d.exts[0], d.exts[1:]
+	}
+	opnd := func(i int) poperand { return d.operand(in.Args[i]) }
 
 	switch {
 	case in.Op.IsBinary():
 		pi.a, pi.b = opnd(0), opnd(1)
 		pi.bits = uint8(in.Typ.Bits)
 
-	case in.Op == ir.OpICmp:
+	case in.Op == ir.OpICmp, in.Op == ir.OpFCmp:
 		pi.a, pi.b = opnd(0), opnd(1)
-		pi.pred = in.Pred
 		if t := in.Args[0].Type(); in.Pred >= ir.PredULT && t.IsInt() && t.Bits < 64 {
-			pi.maskCmp = true
+			pi.maskCmp = true // an unsigned predicate on a narrow integer
 			pi.srcBits = uint8(t.Bits)
 		}
-
-	case in.Op == ir.OpFCmp:
-		pi.a, pi.b = opnd(0), opnd(1)
-		pi.pred = in.Pred
 
 	case in.Op.IsCast():
 		pi.a = opnd(0)
@@ -213,7 +241,7 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 
 	case in.Op == ir.OpAlloca:
 		pi.a = opnd(0)
-		pi.elemSize = uint64(in.Elem.Size())
+		pi.imm = uint64(in.Elem.Size())
 
 	case in.Op == ir.OpLoad:
 		pi.a = opnd(0)
@@ -229,25 +257,24 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 		pi.a = opnd(0)
 		typ := in.Elem
 		for i, idxV := range in.Args[1:] {
-			if i == 0 {
-				pi.gepAdd(p, l, idxV, typ.Size())
+			if i > 0 && typ.Kind == ir.StructKind {
+				c := idxV.(*ir.Const) // Verify: an in-range constant
+				pi.imm += uint64(typ.FieldOffset(int(c.Int)))
+				typ = typ.Fields[c.Int]
 				continue
 			}
-			switch typ.Kind {
-			case ir.ArrayKind:
+			if i > 0 && typ.Kind == ir.ArrayKind {
 				typ = typ.Elem
-				pi.gepAdd(p, l, idxV, typ.Size())
-			case ir.StructKind:
-				c := idxV.(*ir.Const) // Verify: an in-range constant
-				pi.gepConst += uint64(typ.FieldOffset(int(c.Int)))
-				typ = typ.Fields[c.Int]
-			default:
-				pi.gepAdd(p, l, idxV, typ.Size())
+			}
+			if c, isConst := idxV.(*ir.Const); isConst {
+				pi.imm += uint64(c.Int * typ.Size())
+			} else {
+				pi.ext.gepSteps = append(pi.ext.gepSteps, pgepStep{op: d.operand(idxV), stride: typ.Size()})
 			}
 		}
 
 	case in.Op == ir.OpSelect:
-		pi.a, pi.b, pi.c = opnd(0), opnd(1), opnd(2)
+		pi.a, pi.b, pi.ext.c = opnd(0), opnd(1), opnd(2)
 
 	case in.Op == ir.OpGuard:
 		pi.kind = in.Kind
@@ -257,37 +284,37 @@ func (p *Program) pdecodeInstr(l *funcLayout, in *ir.Instr) pinstr {
 		}
 
 	case in.Op == ir.OpCall:
-		pi.callee, pi.calleeIdx = in.Callee, p.funcIdx[in.Callee]
-		pi.args = make([]poperand, len(in.Args))
+		pi.calleeIdx = d.funcIdx[in.Callee]
+		n := len(in.Args)
+		pi.ext.args, d.args = d.args[:n:n], d.args[n:]
 		for i := range in.Args {
-			pi.args[i] = opnd(i)
+			pi.ext.args[i] = opnd(i)
 		}
 
-	case in.Op == ir.OpCondBr:
-		pi.a = opnd(0)
+	case in.Op == ir.OpBr, in.Op == ir.OpCondBr:
+		if in.Op == ir.OpCondBr {
+			pi.a = opnd(0)
+			pi.succ1 = d.blockIdx[in.Succs[1]]
+		}
+		pi.succ0 = d.blockIdx[in.Succs[0]]
+		if pi.ext != &noExt {
+			pi.ext.copies0 = d.edgeCopies(b, in.Succs[0])
+			if in.Op == ir.OpCondBr {
+				pi.ext.copies1 = d.edgeCopies(b, in.Succs[1])
+			}
+		}
 
 	case in.Op == ir.OpRet:
-		if len(in.Args) == 1 {
+		if pi.hasRet = len(in.Args) == 1; pi.hasRet {
 			pi.a = opnd(0)
-			pi.args = []poperand{pi.a} // non-nil marks "has return value"
 		}
 
-	case in.Op == ir.OpBr, in.Op == ir.OpUnreachable:
-		// nothing beyond successors/raw
+	case in.Op == ir.OpUnreachable:
+		// nothing beyond raw
 
 	default:
 		panic(fmt.Sprintf("vm: predecode: no lowering for %s (module not verified?)", in))
 	}
-	return pi
-}
-
-// gepAdd folds a constant index into gepConst or appends a dynamic step.
-func (pi *pinstr) gepAdd(p *Program, l *funcLayout, idxV ir.Value, stride int64) {
-	if c, isConst := idxV.(*ir.Const); isConst {
-		pi.gepConst += uint64(c.Int * stride)
-		return
-	}
-	pi.gepSteps = append(pi.gepSteps, pgepStep{op: p.pdecodeOperand(l, idxV), stride: stride})
 }
 
 // pexecGuard evaluates a predecoded guard — every guard the closure compiler

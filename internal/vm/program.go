@@ -38,12 +38,22 @@ type funcCode struct {
 
 // funcLayout is the per-function "register file" layout: every SSA value
 // gets a slot; pointer-typed slots are recorded so the move engine can
-// patch in-register pointers.
+// patch in-register pointers. Parameter i sits in slot i (ir.Verify:
+// Params[i].Idx == i), so only instructions need the map.
 type funcLayout struct {
 	fn       *ir.Func
-	slotOf   map[ir.Value]int
+	slotOf   map[*ir.Instr]int32
 	nSlots   int
 	ptrSlots []int
+}
+
+// slot returns the register of an SSA value: a parameter or an instruction.
+func (l *funcLayout) slot(x ir.Value) int32 {
+	if p, isParam := x.(*ir.Param); isParam {
+		return int32(p.Idx)
+	}
+	in, _ := x.(*ir.Instr)
+	return l.slotOf[in]
 }
 
 // NewProgram verifies mod — once, for every VM that will run it — and
@@ -77,22 +87,36 @@ func publish[T any](slot *atomic.Pointer[T], build func() *T) *T {
 	return slot.Load()
 }
 
+// hasSlot reports whether in produces a value and so owns a register.
+func hasSlot(in *ir.Instr) bool { return in.Op.HasResult() && in.Typ != ir.Void }
+
+// buildLayout numbers f's registers: parameters first, then every
+// value-producing instruction in block order. The map is sized once, from
+// a counting pass.
 func buildLayout(f *ir.Func) *funcLayout {
-	l := &funcLayout{fn: f, slotOf: make(map[ir.Value]int)}
-	add := func(v ir.Value, isPtr bool) {
-		l.slotOf[v] = l.nSlots
-		if isPtr {
+	nVals := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if hasSlot(in) {
+				nVals++
+			}
+		}
+	}
+	l := &funcLayout{fn: f, slotOf: make(map[*ir.Instr]int32, nVals)}
+	add := func(t *ir.Type) int32 {
+		if t.IsPtr() {
 			l.ptrSlots = append(l.ptrSlots, l.nSlots)
 		}
 		l.nSlots++
+		return int32(l.nSlots - 1)
 	}
 	for _, p := range f.Params {
-		add(p, p.Typ.IsPtr())
+		add(p.Typ)
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op.HasResult() && in.Typ != ir.Void {
-				add(in, in.Typ.IsPtr())
+			if hasSlot(in) {
+				l.slotOf[in] = add(in.Typ)
 			}
 		}
 	}
