@@ -13,8 +13,13 @@ FUZZTIME ?= 20s
 # COVER_FLOOR is the minimum total statement coverage (percent) `make
 # cover` accepts. Raise it when coverage grows; never lower it.
 COVER_FLOOR ?= 75
+# LOC_CEILING is the most non-test Go lines `make loc-check` accepts: the
+# total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
+# tracked metric). A PR that deletes lowers it in the same diff; one that
+# must grow the tree raises it and says why in EXPERIMENTS.md.
+LOC_CEILING := 27356
 
-.PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc benchmark benchmark-test microbench
+.PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check benchmark benchmark-test microbench
 
 all: check
 
@@ -172,6 +177,13 @@ loc:
 		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
+# loc-check fails when that total is above LOC_CEILING.
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
+	[ "$$total" -le $(LOC_CEILING) ] || \
+		{ echo "non-test Go LOC $$total is above the ceiling $(LOC_CEILING): delete, or raise LOC_CEILING and say why"; exit 1; }
+
 # benchmark runs the repository benchmark (BENCHMARK.json: four workloads,
 # end-to-end metrics in reference-host time; see benchmark/README.md).
 # benchmark-test vets and tests the nested benchmark/ module, which
@@ -184,11 +196,12 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # microbench runs every host-time micro-benchmark of the kernel, runtime,
-# guard and passes packages, and the VM's heap rebase and tier-up, once each:
+# guard and passes packages, and the VM's heap rebase, tier-up and access
+# step, once each:
 # not a measurement (use -benchmem -count N for that, see EXPERIMENTS.md
 # "PR 20"), a check that they still build, set up and run.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
-	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp' -benchtime 1x ./internal/vm/
+	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp|BenchmarkAccessStep' -benchtime 1x ./internal/vm/
 
-check: fmt vet build test race
+check: fmt vet build loc-check test race

@@ -22,11 +22,13 @@ import (
 //     (a maximal run of pure instructions, optionally ended by the single
 //     observing instruction that can fault, trace, or reach a safepoint);
 //   - compare+branch pairs collapse into a fused terminator;
-//   - guard-check + load/store pairs collapse into one step whose fast path
-//     is a single fused xcache probe (guard.CheckTranslateCached) followed
-//     by a direct physical access — no separate translate, no duplicate
-//     operand read (GEP+guard+access triples fold in for free: the GEP is
-//     pure, so it rides the same batched charge);
+//   - every load and store is one access step (compileAccess) in which the
+//     guard and the address GEP are both optional: the guard that covers it
+//     and the single-index GEP that feeds it fold into the step, and its fast
+//     path goes straight to physical memory — behind one fused xcache probe
+//     (guard.CheckTranslateCached) when guarded, behind a bounds compare when
+//     the compiler removed the guard — with no separate translate, no
+//     duplicate operand read and no flush;
 //   - immediates and global/function addresses live in a per-function
 //     constant pool laid out as extra registers.
 //
@@ -67,9 +69,10 @@ import (
 // pendN/pendCyc accumulate instruction and cycle charges not yet applied to
 // the VM-wide and per-function counters. Nothing on a block's fast path
 // reads those counters, so charges defer across whole blocks and flush only
-// where something can observe them: block entry (before the safepoint, where
-// the sampler and move policies read), before any step that can fault,
-// trace, walk a guard, or call out, and at Ret.
+// where something reads them: a block-head safepoint that is due (the sampler
+// and move policies), a guard walk, a call, Ret, and the branch of a step
+// that is about to fault, swap in, page-walk or return an error. A step that
+// merely could fault defers like any other.
 type cenv struct {
 	v       *VM
 	t       *thread
@@ -77,16 +80,17 @@ type cenv struct {
 	xc      *guard.XCache // t.xc, cached to skip a pointer chase per access
 	eval    *guard.Evaluator
 	mem     *kernel.PhysMem
-	ret     uint64  // return value, set by Ret terminators
-	pending []ccopy // phi copies owed to the block about to run
+	regions *guard.RegionSet // the process's, in CARAT mode; nil under paging
+	ret     uint64           // return value, set by Ret terminators
+	pending []ccopy          // phi copies owed to the block about to run
 	tmp     []uint64
 	prof    *obs.FuncProfile
 	pendN   uint64 // instruction charges not yet applied
 	pendCyc uint64 // cycle charges not yet applied
 }
 
-// flush applies the deferred charges. Called at every point where the
-// counters become observable; the reference interpreter's invariant — all
+// flush applies the deferred charges. Called at every point where something
+// reads the counters; the reference interpreter's invariant — all
 // instructions up to and including the observing one are charged before it
 // executes — is restored exactly at each such point.
 func (e *cenv) flush() {
@@ -101,16 +105,16 @@ func (e *cenv) flush() {
 	}
 }
 
-// enter opens an observing step: the charge group it ends lands on the
-// deferred counters, the group's pures run, and the flush makes the counters
-// exact before the instruction observes them.
-func (e *cenv) enter(segN, segCyc uint64, pures []cpure) {
+// open starts a step: the charge group it ends lands on the deferred
+// counters and the group's pures run. A step whose instruction reads the
+// counters whatever happens (a call, an unfused guard) flushes next; one that
+// reads them only when it fails flushes on that branch.
+func (e *cenv) open(segN, segCyc uint64, pures []cpure) {
 	e.pendN += segN
 	e.pendCyc += segCyc
 	for _, p := range pures {
 		p(e)
 	}
-	e.flush()
 }
 
 // charge applies one instruction's accounting directly (the cold path of a
@@ -185,6 +189,7 @@ type cfunc struct {
 	maxPhis int
 	consts  []uint64
 	relocs  []creloc
+	shapes  [2][2]int32 // access steps compiled, by [guarded][GEP-fused] (TestAccessShapes)
 }
 
 // ccompiler is one function's closure compilation in flight: the cfunc it
@@ -290,6 +295,9 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 		return 0, fmt.Errorf("vm: call stack overflow in @%s", fb.fn.Name)
 	}
 	e := &cenv{v: v, t: t, fr: fr, xc: t.xc, eval: v.eval, mem: v.kern.Mem, prof: fb.prof}
+	if v.cfg.Mode == ModeCARAT {
+		e.regions = v.proc.Regions
+	}
 	if cf.maxPhis > 0 {
 		e.tmp = make([]uint64, cf.maxPhis)
 	}
@@ -343,10 +351,11 @@ func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
 
 // cobserving reports whether an instruction can observe or perturb machine
 // state mid-block (fault, trace, guard walk, nested safepoints, division
-// errors). Observing instructions end a charge group: the group's batched
-// accounting lands just before the observing instruction executes, so at
-// every observation point the counters are exactly what the reference
-// interpreter would show.
+// errors). Observing instructions end a charge group and become a step: the
+// group's batched accounting is on the deferred counters before the
+// instruction executes, and the step flushes on whichever of its branches
+// reads them, so at every observation point the counters are exactly what
+// the reference interpreter would show.
 func cobserving(op ir.Op) bool {
 	switch op {
 	case ir.OpLoad, ir.OpStore, ir.OpGuard, ir.OpCall, ir.OpAlloca,
@@ -401,46 +410,35 @@ func (cf *ccompiler) compileBlock(bi int32) {
 
 	// Lower the body into segments: pures accumulate into the pending
 	// group; each observing instruction closes the group into one fused
-	// step (deferred charge + pures + its own action).
+	// step (deferred charge + pures + its own action). A load or store takes
+	// the guard and the GEP in front of it into its step (see accessAt), and
+	// both ride the step's charge. Taking the GEP in is one closure fewer to
+	// compile at tier-up; in steady state it measured nothing (EXPERIMENTS.md,
+	// PR 23) and stays because a matcher whose parts are each optional is
+	// smaller than one that sets the unguarded pair apart.
 	for i := 0; i < bodyEnd; i++ {
 		in := &code[i]
-		if !cobserving(in.op) {
-			// GEP+guard+access fusion: a single-dynamic-index GEP whose
-			// result immediately feeds the guard and access collapses into
-			// the access step — the address computes inline, skipping one
-			// closure call and a register round-trip (the result slot is
-			// still written: later instructions and cold paths read it).
-			if in.op == ir.OpGEP && len(in.ext.gepSteps) == 1 && in.dst >= 0 && i+2 < bodyEnd {
-				g, nx := &code[i+1], &code[i+2]
-				if g.op == ir.OpGuard && g.a.kind == pkSlot && g.a.idx == in.dst &&
-					((g.kind == ir.GuardLoad && nx.op == ir.OpLoad && g.a == nx.a) ||
-						(g.kind == ir.GuardStore && nx.op == ir.OpStore && g.a == nx.b)) {
-					groupN++ // the GEP rides the group charge
-					groupCyc += uint64(in.cost)
-					segN, segCyc, group := take(1, uint64(g.cost))
-					steps = append(steps, cf.compileGuardedAccess(g, nx, in, segN, segCyc, group))
-					i += 2
-					continue
-				}
+		if gep, gi, ai := accessAt(code[i:bodyEnd]); ai != nil {
+			own, guarded, fused := ai, 0, 0 // own: the instruction whose charge closes the group
+			if gep != nil {
+				groupN++
+				groupCyc += uint64(gep.cost)
+				i, fused = i+1, 1
 			}
+			if gi != nil {
+				own = gi // the access's charge follows the guard walk
+				i, guarded = i+1, 1
+			}
+			cf.shapes[guarded][fused]++
+			segN, segCyc, group := take(1, uint64(own.cost))
+			steps = append(steps, cf.compileAccess(gi, ai, gep, segN, segCyc, group))
+			continue
+		}
+		if !cobserving(in.op) {
 			groupN++
 			groupCyc += uint64(in.cost)
 			pures = append(pures, cf.compilePure(in))
 			continue
-		}
-		// Guard+access fusion: a load/store guard immediately followed by
-		// the access it covers (same address operand) becomes one step.
-		if in.op == ir.OpGuard && i+1 < bodyEnd {
-			nx := &code[i+1]
-			if (in.kind == ir.GuardLoad && nx.op == ir.OpLoad && in.a == nx.a) ||
-				(in.kind == ir.GuardStore && nx.op == ir.OpStore && in.a == nx.b) {
-				// The guard rides the group charge; the whole segment —
-				// charge, pures, fused probe+access — is one step.
-				segN, segCyc, group := take(1, uint64(in.cost))
-				steps = append(steps, cf.compileGuardedAccess(in, nx, nil, segN, segCyc, group))
-				i++
-				continue
-			}
 		}
 		segN, segCyc, group := take(1, uint64(in.cost))
 		steps = append(steps, cf.compileObserving(in, segN, segCyc, group))
@@ -490,6 +488,36 @@ func (cf *ccompiler) compileBlock(bi int32) {
 		}
 		return term(e)
 	}
+}
+
+// accessAt matches an access shape at the head of code: an optional
+// single-index GEP, an optional load/store guard, then the load or store,
+// each feeding the next (the GEP's result is the address operand, the guard
+// covers that same operand). ai is nil when code does not start with one; a
+// GEP or guard that is not part of a shape is lowered on its own and the
+// access behind it matches again, plain.
+func accessAt(code []pinstr) (gep, gi, ai *pinstr) {
+	i := 0
+	if in := &code[i]; in.op == ir.OpGEP && len(in.ext.gepSteps) == 1 && in.dst >= 0 && i+1 < len(code) {
+		gep, i = in, i+1
+	}
+	if in := &code[i]; in.op == ir.OpGuard && (in.kind == ir.GuardLoad || in.kind == ir.GuardStore) && i+1 < len(code) {
+		gi, i = in, i+1
+	}
+	ai = &code[i]
+	addr := ai.a
+	switch ai.op {
+	case ir.OpLoad:
+	case ir.OpStore:
+		addr = ai.b
+	default:
+		return nil, nil, nil
+	}
+	if gi != nil && (gi.a != addr || (gi.kind == ir.GuardLoad) != (ai.op == ir.OpLoad)) ||
+		gep != nil && (addr.kind != pkSlot || addr.idx != gep.dst) {
+		return nil, nil, nil
+	}
+	return gep, gi, ai
 }
 
 // applyCopies performs one edge's compiled phi assignments with
@@ -938,11 +966,11 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 	}
 }
 
-// compileObserving lowers one observing instruction and the charge group it
-// ends (segN/segCyc/pures, the instruction's own charge included) into one
-// step: every step opens with cenv.enter. in is a stable pointer into pf's
-// code slab, so cold paths can hand it to the shared predecode helpers
-// unchanged.
+// compileObserving lowers one observing instruction other than a load or
+// store (those are compileAccess's) and the charge group it ends
+// (segN/segCyc/pures, the instruction's own charge included) into one step:
+// every step opens with cenv.open. in is a stable pointer into pf's code
+// slab, so cold paths can hand it to the shared predecode helpers unchanged.
 func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []cpure) cstep {
 	dst := in.dst
 	switch in.op {
@@ -950,11 +978,12 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 		a := cf.operand(in.a)
 		elemSize := in.imm
 		return func(e *cenv) error {
-			e.enter(segN, segCyc, pures)
+			e.open(segN, segCyc, pures)
 			t, fr := e.t, e.fr
 			count := int64(a.get(fr))
 			size := alignTo(uint64(count)*elemSize, heapAlign)
 			if t.sp < t.stackBase+size {
+				e.flush()
 				return &Fault{Addr: t.sp - size, Size: size, Perm: guard.PermRW, Msg: "stack overflow"}
 			}
 			t.sp -= size
@@ -967,48 +996,13 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 			return nil
 		}
 
-	case ir.OpLoad:
-		a := cf.operand(in.a)
-		width := uint64(in.width)
-		signed, srcBits := in.signed, int(in.srcBits)
-		return func(e *cenv) error {
-			e.enter(segN, segCyc, pures)
-			fr := e.fr
-			paddr, err := e.v.cdataAddr(fr, a, width, guard.PermRead)
-			if err != nil {
-				return err
-			}
-			raw := e.mem.LoadN(paddr, int(width))
-			if signed {
-				raw = uint64(signExtend(raw, srcBits))
-			}
-			if dst >= 0 {
-				fr.regs[dst] = raw
-			}
-			return nil
-		}
-
-	case ir.OpStore:
-		a, b := cf.operand(in.a), cf.operand(in.b)
-		width := uint64(in.width)
-		return func(e *cenv) error {
-			e.enter(segN, segCyc, pures)
-			fr := e.fr
-			val := a.get(fr)
-			paddr, err := e.v.cdataAddr(fr, b, width, guard.PermWrite)
-			if err != nil {
-				return err
-			}
-			e.mem.StoreN(paddr, val, int(width))
-			return nil
-		}
-
 	case ir.OpGuard:
 		// Unfused guard (range/call guards, or an access the fuser could
 		// not pair): the shared predecode path keeps miss/swap-in/fault
 		// semantics identical.
 		return func(e *cenv) error {
-			e.enter(segN, segCyc, pures)
+			e.open(segN, segCyc, pures)
+			e.flush()
 			return e.v.pexecGuard(e.t, e.fr, in)
 		}
 
@@ -1022,10 +1016,11 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 	op := in.op
 	raw := in.raw
 	return func(e *cenv) error {
-		e.enter(segN, segCyc, pures)
+		e.open(segN, segCyc, pures)
 		fr := e.fr
 		r, err := intBinop(op, a.get(fr), b.get(fr), bits)
 		if err != nil {
+			e.flush()
 			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, raw, err)
 		}
 		if dst >= 0 {
@@ -1049,7 +1044,8 @@ func (cf *ccompiler) compileCall(in *pinstr, segN, segCyc uint64, pures []cpure)
 	}
 	builtin := callee.IsDecl()
 	return func(e *cenv) error {
-		e.enter(segN, segCyc, pures)
+		e.open(segN, segCyc, pures)
+		e.flush()
 		v, t, fr := e.v, e.t, e.fr
 		cargs := make([]uint64, len(cargsOps))
 		for i := range cargsOps {
@@ -1076,148 +1072,117 @@ func (cf *ccompiler) compileCall(in *pinstr, segN, segCyc uint64, pures []cpure)
 	}
 }
 
-// compileGuardedAccess fuses a load/store guard with the access it covers
-// (plus, when gep is non-nil, the single-dynamic-index GEP that computes
-// the address — still writing the GEP's result slot for later readers and
-// cold paths). The fast path is one fused xcache probe that both validates
-// the access and proves identity translation (see
-// guard.CheckTranslateCached), then goes straight to physical memory —
-// skipping the separate translate step and the duplicate address-operand
-// read. Every other outcome falls back to the exact unfused sequence, so
-// guard evaluator state, xcache counters, trace events, and swap-in
-// behavior stay byte-identical.
+// compileAccess lowers a load or store — ai — and the charge group it ends
+// into one access step. The guard that covers it (gi) and the single-index
+// GEP that computes its address (gep; its result slot is still written, for
+// later readers and the cold path) are each optional, matched by accessAt.
 //
-// segN/segCyc/pures are the enclosing charge group (which includes the GEP
-// and the guard); they land on the deferred counters, as does the access's
-// own charge on a hit. The cold path flushes before the guard walk and
-// charges the access directly, exactly as the reference interpreter would.
-func (cf *ccompiler) compileGuardedAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
-	ga, gb := cf.operand(gi.a), cf.operand(gi.b)
-	width := uint64(ai.width)
-	w := int(ai.width)
-	w8 := ai.width == 8
-	aCost := uint64(ai.cost)
-	dst := ai.dst
-
-	hasGep := gep != nil
-	var gbase, gidx cop
-	var ggc uint64
-	var gstride int64
-	var gdst int32
-	if hasGep {
-		gbase = cf.operand(gep.a)
-		ggc = gep.imm
-		gidx = cf.operand(gep.ext.gepSteps[0].op)
-		gstride = gep.ext.gepSteps[0].stride
-		gdst = gep.dst
+// The fast path goes straight to physical memory. Guarded, it is one fused
+// xcache probe that both validates the access and proves identity
+// translation (guard.CheckTranslateCached), and the access's own charge
+// lands on the deferred counters beside the group's. Unguarded — the
+// compiler proved the access safe — it is what CARAT says such an access
+// costs: a bounds compare, in CARAT mode with no forwarding window open (the
+// bounds compare stands in for the bus fault, as in VM.translate). Every
+// other outcome flushes and falls into exactly the unfused sequence —
+// pexecGuard, the access's direct charge, cdataAddr — so faults, swap-ins,
+// forwarding, paging-mode page walks, evaluator and xcache counters, trace
+// events and callback order stay byte-identical with the reference
+// interpreter. Both paths end in the one load/sign-extend/store tail.
+func (cf *ccompiler) compileAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
+	// What the step knows about its site, packed: the closure holds a copy,
+	// and there is one per load or store in the module (a group's charge fits
+	// 32 bits: its instructions are in memory). Operands intern in
+	// instruction order, guard before GEP (pool order is part of the
+	// lowering golden).
+	s := struct {
+		gi                 *pinstr
+		ggc                uint64 // GEP: folded constant offset
+		gstride            int64  // GEP: stride of the dynamic index
+		segN, segCyc       uint32
+		gbase, gidx, gsz   cop // GEP base and index; guard size
+		aop, vop           cop // address; stored value
+		dst                int32
+		w, cost, srcBits   uint8
+		perm               guard.Perm
+		hasGep, ld, signed bool
+	}{gi: gi, segN: uint32(segN), segCyc: uint32(segCyc), dst: ai.dst, w: ai.width, cost: ai.cost,
+		srcBits: ai.srcBits, perm: guard.PermRead, hasGep: gep != nil, ld: ai.op == ir.OpLoad, signed: ai.signed}
+	if gi != nil {
+		s.aop, s.gsz = cf.operand(gi.a), cf.operand(gi.b)
+	}
+	if gep != nil {
+		st := gep.ext.gepSteps[0]
+		s.gbase, s.ggc, s.gidx, s.gstride = cf.operand(gep.a), gep.imm, cf.operand(st.op), st.stride
+	}
+	if s.ld {
+		s.aop = cf.operand(ai.a)
+	} else {
+		s.vop, s.aop, s.perm = cf.operand(ai.a), cf.operand(ai.b), guard.PermWrite
 	}
 
-	// On a hit the segment's charge and the access's own charge land as one
-	// deferred update; the cold path charges them separately (segment before
-	// the guard walk, access after it) to match the reference interpreter's
-	// order.
-	hitN, hitCyc := segN+1, segCyc+aCost
-
-	if ai.op == ir.OpLoad {
-		signed, srcBits := ai.signed, int(ai.srcBits)
-		aop := cf.operand(ai.a)
-		return func(e *cenv) error {
-			fr := e.fr
-			for _, p := range pures {
-				p(e)
+	return func(e *cenv) error {
+		e.open(uint64(s.segN), uint64(s.segCyc), pures)
+		fr := e.fr
+		regs := fr.regs
+		var addr, val uint64
+		if s.hasGep {
+			addr = regs[s.gbase] + s.ggc + uint64(int64(regs[s.gidx])*s.gstride)
+			regs[s.aop] = addr
+		} else {
+			addr = regs[s.aop]
+		}
+		if !s.ld {
+			val = regs[s.vop] // after the GEP's write (it may BE the value), before cdataAddr's swap-in patch
+		}
+		width := uint64(s.w)
+		pa, ok := addr, false
+		if s.gi != nil {
+			if gsize := regs[s.gsz]; int64(gsize) > 0 && width <= gsize {
+				pa, ok = e.eval.CheckTranslateCached(e.xc, addr, gsize, s.perm)
 			}
-			regs := fr.regs
-			var addr uint64
-			if hasGep {
-				addr = regs[gbase] + ggc + uint64(int64(regs[gidx])*gstride)
-				regs[gdst] = addr
-			} else {
-				addr = regs[ga]
-			}
-			gsize := regs[gb]
-			if int64(gsize) > 0 && width <= gsize {
-				if pa, ok := e.eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermRead); ok {
-					e.pendN += hitN
-					e.pendCyc += hitCyc
-					var raw uint64
-					if w8 {
-						raw = e.mem.Load64(pa)
-					} else {
-						raw = e.mem.LoadN(pa, w)
-					}
-					if signed {
-						raw = uint64(signExtend(raw, srcBits))
-					}
-					if dst >= 0 {
-						regs[dst] = raw
-					}
-					return nil
-				}
-			}
-			e.pendN += segN
-			e.pendCyc += segCyc
+		} else if rs := e.regions; rs != nil {
+			ok = !rs.ForwardActive() && e.mem.InBounds(addr, width)
+		}
+		if !ok {
 			e.flush()
-			if err := e.v.pexecGuard(e.t, fr, gi); err != nil {
+			if s.gi != nil {
+				if err := e.v.pexecGuard(e.t, fr, s.gi); err != nil {
+					return err
+				}
+				if !s.ld {
+					val = regs[s.vop] // the guard is its own instruction: a swap-in under it patches the value too
+				}
+				e.charge(uint64(s.cost))
+			}
+			var err error
+			if pa, err = e.v.cdataAddr(fr, s.aop, width, s.perm); err != nil {
 				return err
 			}
-			e.charge(aCost)
-			paddr, err := e.v.cdataAddr(fr, aop, width, guard.PermRead)
-			if err != nil {
-				return err
-			}
-			raw := e.mem.LoadN(paddr, w)
-			if signed {
-				raw = uint64(signExtend(raw, srcBits))
-			}
-			if dst >= 0 {
-				fr.regs[dst] = raw
+		} else if s.gi != nil {
+			e.pendN++
+			e.pendCyc += uint64(s.cost)
+		}
+		if !s.ld {
+			if s.w == 8 {
+				e.mem.Store64(pa, val)
+			} else {
+				e.mem.StoreN(pa, val, int(s.w))
 			}
 			return nil
 		}
-	}
-
-	// Store fusion.
-	vop := cf.operand(ai.a)
-	bop := cf.operand(ai.b)
-	return func(e *cenv) error {
-		fr := e.fr
-		for _, p := range pures {
-			p(e)
-		}
-		regs := fr.regs
-		var addr uint64
-		if hasGep {
-			addr = regs[gbase] + ggc + uint64(int64(regs[gidx])*gstride)
-			regs[gdst] = addr
+		var raw uint64
+		if s.w == 8 {
+			raw = e.mem.Load64(pa)
 		} else {
-			addr = regs[ga]
+			raw = e.mem.LoadN(pa, int(s.w))
 		}
-		gsize := regs[gb]
-		if int64(gsize) > 0 && width <= gsize {
-			if pa, ok := e.eval.CheckTranslateCached(e.xc, addr, gsize, guard.PermWrite); ok {
-				e.pendN += hitN
-				e.pendCyc += hitCyc
-				if w8 {
-					e.mem.Store64(pa, regs[vop])
-				} else {
-					e.mem.StoreN(pa, regs[vop], w)
-				}
-				return nil
-			}
+		if s.signed {
+			raw = uint64(signExtend(raw, int(s.srcBits)))
 		}
-		e.pendN += segN
-		e.pendCyc += segCyc
-		e.flush()
-		if err := e.v.pexecGuard(e.t, fr, gi); err != nil {
-			return err
+		if s.dst >= 0 {
+			regs[s.dst] = raw
 		}
-		e.charge(aCost)
-		val := vop.get(fr)
-		paddr, err := e.v.cdataAddr(fr, bop, width, guard.PermWrite)
-		if err != nil {
-			return err
-		}
-		e.mem.StoreN(paddr, val, w)
 		return nil
 	}
 }

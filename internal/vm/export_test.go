@@ -29,3 +29,23 @@ func LoweringSummary(p *Program) []string {
 	}
 	return out
 }
+
+// AccessShapes counts the access steps first-call lowering compiles for p's
+// defined functions, by shape: [guarded][GEP-fused]. compileBlock counts
+// them where it emits the step, so a pass that stops putting a guard or a GEP
+// directly in front of its access, or a lowering change that stops
+// recognising or fusing one, moves a count.
+func AccessShapes(p *Program) (n [2][2]int) {
+	for _, f := range p.mod.Funcs {
+		if f.IsDecl() {
+			continue
+		}
+		l := buildLayout(f)
+		for g, row := range compileClosure(l, p.predecode(l)).shapes {
+			for fused, c := range row {
+				n[g][fused] += int(c)
+			}
+		}
+	}
+	return n
+}

@@ -202,7 +202,9 @@ func TestSchedulerWorldConformance(t *testing.T) {
 // (destination-naming) addresses are forwarded back to the source before
 // the copy, and stale source addresses forward to the destination after the
 // flip. The VM never hits this live under the baton discipline, so the unit
-// test is the coverage.
+// test is the coverage — of translate; that a compiled unguarded access,
+// which goes to memory without calling it, stands aside for an open window
+// is TestUnguardedAccessColdPaths/forwarding-window.
 func TestForwardingWindowOnAccessPath(t *testing.T) {
 	m := genProgram(2)
 	pl := passes.Build(passes.LevelTracking)
