@@ -19,7 +19,7 @@ COVER_FLOOR ?= 75
 # must grow the tree raises it and says why in EXPERIMENTS.md.
 LOC_CEILING := 27356
 
-.PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check benchmark benchmark-test microbench
+.PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
 all: check
 
@@ -184,6 +184,17 @@ loc-check:
 	[ "$$total" -le $(LOC_CEILING) ] || \
 		{ echo "non-test Go LOC $$total is above the ceiling $(LOC_CEILING): delete, or raise LOC_CEILING and say why"; exit 1; }
 
+# densecheck fails if a non-test file of the analyses or the passes spells a
+# map type keyed by a block, an instruction or an ir.Value: per-function tables
+# there are slices indexed by ir.Block.Idx and ir.Instr.ID (DESIGN.md "Dense
+# numbering"), and this keeps them from turning back into hash tables one map
+# at a time. A comment that spells such a type trips it too: describe it.
+densecheck:
+	@out=$$(grep -n 'map\[\*ir\.\|map\[ir\.Value\]' $$(ls internal/analysis/*.go internal/passes/*.go | grep -v _test.go)); \
+	if [ -n "$$out" ]; then \
+		echo "pointer-keyed map in internal/analysis or internal/passes (index a slice by Block.Idx / Instr.ID):"; echo "$$out"; exit 1; \
+	fi
+
 # benchmark runs the repository benchmark (BENCHMARK.json: four workloads,
 # end-to-end metrics in reference-host time; see benchmark/README.md).
 # benchmark-test vets and tests the nested benchmark/ module, which
@@ -204,4 +215,4 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
 	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp|BenchmarkAccessStep' -benchtime 1x ./internal/vm/
 
-check: fmt vet build loc-check test race
+check: fmt vet build loc-check densecheck test race

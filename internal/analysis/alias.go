@@ -1,6 +1,10 @@
 package analysis
 
-import "carat/internal/ir"
+import (
+	"slices"
+
+	"carat/internal/ir"
+)
 
 // AliasResult is the verdict of an alias query.
 type AliasResult int
@@ -125,36 +129,6 @@ func UnderlyingObject(v ir.Value) ir.Value {
 	return nil
 }
 
-// ObjectSize returns the size in bytes of an identified object, or -1 when
-// unknown (e.g. malloc with a non-constant size).
-func ObjectSize(obj ir.Value) int64 {
-	switch x := obj.(type) {
-	case *ir.Global:
-		return x.Size()
-	case *ir.Instr:
-		switch x.Op {
-		case ir.OpAlloca:
-			if c, ok := x.Args[0].(*ir.Const); ok {
-				return c.Int * x.Elem.Size()
-			}
-		case ir.OpCall:
-			if x.Callee.Name == ir.FnMalloc {
-				if c, ok := x.Args[0].(*ir.Const); ok {
-					return c.Int
-				}
-			}
-			if x.Callee.Name == ir.FnCalloc && len(x.Args) == 2 {
-				n, ok1 := x.Args[0].(*ir.Const)
-				s, ok2 := x.Args[1].(*ir.Const)
-				if ok1 && ok2 {
-					return n.Int * s.Int
-				}
-			}
-		}
-	}
-	return -1
-}
-
 // BaseObjectAA disambiguates accesses by identifying the allocation each
 // pointer is derived from: distinct identified objects never alias, and
 // same-object accesses with exact offsets alias iff their ranges overlap.
@@ -192,86 +166,85 @@ func (*BaseObjectAA) Alias(a ir.Value, asz int64, b ir.Value, bsz int64) AliasRe
 // calls); values whose provenance cannot be tracked (parameters, loads,
 // external calls, inttoptr) point to a distinguished unknown object.
 type PointsToAA struct {
-	sets map[ir.Value]map[ir.Value]bool // nil set means "unknown"
+	// sets holds each pointer-typed instruction's objects, by Instr.ID, in
+	// the order the fixed point found them (a function of the IR alone). A
+	// nil entry — a non-pointer, or an instruction born after the table was
+	// sized — means "unknown"; an empty one points at nothing (null-derived).
+	sets [][]ir.Value
 }
 
-var unknownObj = &ir.Global{Name: "<unknown>"}
+var (
+	unknownObj = &ir.Global{Name: "<unknown>"}
+	unknownSet = []ir.Value{unknownObj}
+)
 
 // NewPointsToAA computes points-to sets for every pointer value in f.
 func NewPointsToAA(f *ir.Func) *PointsToAA {
 	if f == nil || f.IsDecl() {
 		return &PointsToAA{}
 	}
-	pt := &PointsToAA{sets: make(map[ir.Value]map[ir.Value]bool, f.NumInstrs()/4)}
-	// Iterate to a fixed point; the lattice is small (sets only grow).
+	pt := &PointsToAA{sets: make([][]ir.Value, f.NumIDs())}
+	// Iterate to a fixed point; the lattice is small (sets only grow). An
+	// instruction's additions are gathered before its set is touched, so an
+	// operand not yet visited — the instruction itself included — still reads
+	// as unknown.
+	var add []ir.Value
 	for changed := true; changed; {
 		changed = false
 		f.ForEachInstr(func(in *ir.Instr) {
 			if !in.Typ.IsPtr() {
 				return
 			}
-			var add []ir.Value
-			switch in.Op {
-			case ir.OpAlloca:
-				add = []ir.Value{in}
-			case ir.OpCall:
-				if in.Callee != nil && ir.IsAllocFn(in.Callee.Name) {
-					add = []ir.Value{in}
-				} else {
-					add = []ir.Value{unknownObj}
-				}
-			case ir.OpGEP:
-				add = pt.objectsOf(in.Args[0])
-			case ir.OpPhi, ir.OpSelect:
+			var one [1]ir.Value
+			add = add[:0]
+			switch {
+			case in.Op == ir.OpAlloca, in.Op == ir.OpCall && in.Callee != nil && ir.IsAllocFn(in.Callee.Name):
+				add = append(add, in)
+			case in.Op == ir.OpGEP:
+				add = append(add, pt.objectsOf(in.Args[0], &one)...)
+			case in.Op == ir.OpPhi, in.Op == ir.OpSelect:
 				args := in.Args
 				if in.Op == ir.OpSelect {
 					args = in.Args[1:]
 				}
 				for _, a := range args {
-					add = append(add, pt.objectsOf(a)...)
+					add = append(add, pt.objectsOf(a, &one)...)
 				}
-			case ir.OpLoad, ir.OpIntToPtr:
-				add = []ir.Value{unknownObj}
-			default:
-				add = []ir.Value{unknownObj}
+			default: // other calls, loads, inttoptr: anything else that makes a pointer
+				add = append(add, unknownObj)
 			}
-			s := pt.sets[in]
+			s := pt.sets[in.ID]
 			if s == nil {
-				s = make(map[ir.Value]bool)
-				pt.sets[in] = s
+				s = []ir.Value{}
 			}
+			// Sets are a handful of objects; the membership test is a scan.
 			for _, o := range add {
-				if !s[o] {
-					s[o] = true
+				if !slices.Contains(s, o) {
+					s = append(s, o)
 					changed = true
 				}
 			}
+			pt.sets[in.ID] = s
 		})
 	}
 	return pt
 }
 
-// objectsOf returns the abstract objects v may point to.
-func (pt *PointsToAA) objectsOf(v ir.Value) []ir.Value {
+// objectsOf returns the abstract objects v may point to; one is the caller's
+// room for the set of a global, which is itself.
+func (pt *PointsToAA) objectsOf(v ir.Value, one *[1]ir.Value) []ir.Value {
 	switch x := v.(type) {
 	case *ir.Global:
-		return []ir.Value{x}
+		one[0] = x
+		return one[:]
 	case *ir.Const:
 		return nil // null points to nothing
-	case *ir.Param:
-		return []ir.Value{unknownObj}
 	case *ir.Instr:
-		s := pt.sets[x]
-		if s == nil {
-			return []ir.Value{unknownObj}
+		if s := at(pt.sets, x.ID); s != nil {
+			return s
 		}
-		out := make([]ir.Value, 0, len(s))
-		for o := range s {
-			out = append(out, o)
-		}
-		return out
 	}
-	return []ir.Value{unknownObj}
+	return unknownSet
 }
 
 // Name implements AliasAnalysis.
@@ -280,23 +253,16 @@ func (pt *PointsToAA) Name() string { return "points-to" }
 // Alias implements AliasAnalysis: disjoint known points-to sets (neither
 // containing the unknown object) cannot alias.
 func (pt *PointsToAA) Alias(a ir.Value, asz int64, b ir.Value, bsz int64) AliasResult {
-	sa := pt.objectsOf(a)
-	sb := pt.objectsOf(b)
+	var oneA, oneB [1]ir.Value
+	sa, sb := pt.objectsOf(a, &oneA), pt.objectsOf(b, &oneB)
 	if len(sa) == 0 || len(sb) == 0 {
 		return NoAlias // null-derived pointer
 	}
-	inA := make(map[ir.Value]bool, len(sa))
-	for _, o := range sa {
-		if o == unknownObj {
-			return MayAlias
-		}
-		inA[o] = true
+	if slices.Contains(sa, ir.Value(unknownObj)) {
+		return MayAlias
 	}
 	for _, o := range sb {
-		if o == unknownObj {
-			return MayAlias
-		}
-		if inA[o] {
+		if o == unknownObj || slices.Contains(sa, o) {
 			return MayAlias
 		}
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"carat/internal/ir"
@@ -73,12 +74,12 @@ func TestCFGRPO(t *testing.T) {
 		t.Error("RPO does not start at entry")
 	}
 	merge := blockByName(f, "merge")
-	if len(c.Preds[merge]) != 2 {
-		t.Errorf("merge has %d preds, want 2", len(c.Preds[merge]))
+	if len(c.PredsOf(merge)) != 2 {
+		t.Errorf("merge has %d preds, want 2", len(c.PredsOf(merge)))
 	}
 	// entry must come before everything; exit last.
-	if c.RPONum[blockByName(f, "exit")] != 4 {
-		t.Errorf("exit RPO position = %d, want 4", c.RPONum[blockByName(f, "exit")])
+	if c.RPONum(blockByName(f, "exit")) != 4 {
+		t.Errorf("exit RPO position = %d, want 4", c.RPONum(blockByName(f, "exit")))
 	}
 }
 
@@ -216,7 +217,7 @@ done:
 		t.Errorf("depths: outer %d inner %d", outer.Depth, inner.Depth)
 	}
 	ih := blockByName(f, "ih")
-	if lf.Innermost[ih] != inner {
+	if lf.Innermost(ih) != inner {
 		t.Error("innermost map wrong for inner header")
 	}
 	if got := len(lf.All()); got != 2 {
@@ -569,7 +570,7 @@ func TestBits(t *testing.T) {
 	if b.Has(64) {
 		t.Error("Clear failed")
 	}
-	c := b.Copy()
+	c := slices.Clone(b)
 	if !c.Equal(b) {
 		t.Error("Copy not equal")
 	}
@@ -582,7 +583,7 @@ func TestBits(t *testing.T) {
 	if !d.Has(129) || !d.Has(0) {
 		t.Error("FillAll failed")
 	}
-	e := d.Copy()
+	e := slices.Clone(d)
 	if changed := e.AndWith(b); !changed || !e.Equal(b) {
 		t.Error("AndWith wrong")
 	}
@@ -604,14 +605,14 @@ func TestForwardMustAvailability(t *testing.T) {
 		return in
 	})
 	merge := blockByName(f, "merge")
-	if !ins[merge].Has(0) {
+	if !ins[merge.Idx].Has(0) {
 		t.Error("fact from entry should be available at merge")
 	}
-	if ins[merge].Has(1) {
+	if ins[merge.Idx].Has(1) {
 		t.Error("one-arm fact must not be available at merge")
 	}
 	exit := blockByName(f, "exit")
-	if !ins[exit].Has(0) || ins[exit].Has(1) {
+	if !ins[exit.Idx].Has(0) || ins[exit.Idx].Has(1) {
 		t.Error("exit availability wrong")
 	}
 }
@@ -627,7 +628,7 @@ func TestForwardMustLoop(t *testing.T) {
 		return in
 	})
 	for _, name := range []string{"header", "body", "latch", "exit"} {
-		if !ins[blockByName(f, name)].Has(0) {
+		if !ins[blockByName(f, name).Idx].Has(0) {
 			t.Errorf("fact not available at %s", name)
 		}
 	}
@@ -648,7 +649,7 @@ entry:
 	f := m.Func("f")
 	vals := map[string]ir.Value{}
 	f.ForEachInstr(func(in *ir.Instr) { vals[in.Name] = in })
-	r := NewRanges()
+	r := NewRanges(f)
 
 	check := func(name string, lo, hi uint64) {
 		t.Helper()
@@ -671,7 +672,7 @@ entry:
 func TestRangesWidthBound(t *testing.T) {
 	m := ir.NewModule("w")
 	f := m.AddFunc("f", ir.Void, &ir.Param{Name: "b", Typ: ir.I8})
-	r := NewRanges()
+	r := NewRanges(f)
 	iv := r.Of(f.Params[0])
 	if iv.Lo != 0 || iv.Hi != 255 {
 		t.Errorf("i8 param range = [%d,%d], want [0,255]", iv.Lo, iv.Hi)
@@ -696,7 +697,7 @@ m:
 	f := m.Func("f")
 	vals := map[string]ir.Value{}
 	f.ForEachInstr(func(in *ir.Instr) { vals[in.Name] = in })
-	r := NewRanges()
+	r := NewRanges(f)
 	iv := r.Of(vals["phi"])
 	if iv.Lo != 0 || iv.Hi != 15 {
 		t.Errorf("phi range = [%d,%d], want [0,15]", iv.Lo, iv.Hi)
@@ -704,4 +705,75 @@ m:
 	if !r.Of(vals["bad"]).IsFull() {
 		t.Error("phi with unconstrained incoming should be full")
 	}
+}
+
+// TestLateBornInstructions: an instruction that enters a function after a
+// table was sized from NumIDs() — a guard under the alias analysis the guard
+// passes preserve, a value a hoisting sweep re-queries — has an ID past the
+// table's end and must read exactly as the absent key of the map the table
+// replaced did. One row per table that can outlive an insertion.
+func TestLateBornInstructions(t *testing.T) {
+	_, f := loopFn(t)
+	body := blockByName(f, "body")
+	sized := f.NumIDs()
+	c := NewCFG(f)
+	l := FindLoops(c, NewDomTree(c)).Top[0]
+	pt, r := NewPointsToAA(f), NewRanges(f)
+	inv := NewInvariance(l, &Chain{AAs: []AliasAnalysis{pt}})
+	inv.Invariant(body.Instrs[0]) // the tables have been used at their first size
+
+	// Born late, into the loop body: a pointer with a known base, an
+	// invariant and bounded integer, and a variant one.
+	g := f.Mod.Global("a")
+	late := func(in *ir.Instr) *ir.Instr {
+		body.InsertBefore(in, body.Term())
+		if int(in.ID) < sized {
+			t.Fatalf("%s got ID %d, inside a table sized %d", in, in.ID, sized)
+		}
+		return in
+	}
+	ptr := late(&ir.Instr{Op: ir.OpGEP, Name: "lp", Typ: ir.Ptr, Elem: ir.I64, Args: []ir.Value{g, ir.ConstInt(ir.I64, 1)}})
+	bounded := late(&ir.Instr{Op: ir.OpAnd, Name: "lb", Typ: ir.I64, Args: []ir.Value{f.Params[0], ir.ConstInt(ir.I64, 15)}})
+	variant := late(&ir.Instr{Op: ir.OpAdd, Name: "lv", Typ: ir.I64, Args: []ir.Value{body.Instrs[1], bounded}})
+
+	t.Run("PointsToAA reads the unknown object", func(t *testing.T) {
+		var one [1]ir.Value
+		if s := pt.objectsOf(ptr, &one); len(s) != 1 || s[0] != unknownObj {
+			t.Errorf("objects of a late-born gep = %v, want the unknown object", s)
+		}
+		if got := pt.Alias(ptr, 8, g, 8); got != MayAlias {
+			t.Errorf("late-born gep vs its own base: %v, want may", got)
+		}
+	})
+	t.Run("Invariance computes and memoises", func(t *testing.T) {
+		for _, c := range []struct {
+			in   *ir.Instr
+			want bool
+			memo int8
+		}{{bounded, true, 1}, {variant, false, 2}} {
+			if got := inv.Invariant(c.in); got != c.want {
+				t.Errorf("Invariant(%s) = %v, want %v", c.in, got, c.want)
+			}
+			if got := at(inv.memo, c.in.ID); got != c.memo {
+				t.Errorf("memo of %s = %d, want %d", c.in, got, c.memo)
+			}
+		}
+	})
+	t.Run("Ranges computes and memoises", func(t *testing.T) {
+		if iv := r.Of(bounded); iv != (Interval{0, 15}) {
+			t.Errorf("range of a late-born and = %v, want [0,15]", iv)
+		}
+		if m := at(r.memo, bounded.ID); !m.known || m.iv != (Interval{0, 15}) {
+			t.Errorf("memo of a late-born and = %+v", m)
+		}
+	})
+	t.Run("Bits past the end", func(t *testing.T) {
+		b := NewBits(sized)
+		if b.Has(int(variant.ID)) || b.Has(1<<20) {
+			t.Error("a bit past the end reads set")
+		}
+		if b = b.With(int(variant.ID) + 640); !b.Has(int(variant.ID)+640) || b.Has(int(variant.ID)) {
+			t.Error("With did not grow the set to the bit it sets")
+		}
+	})
 }

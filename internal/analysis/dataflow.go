@@ -14,14 +14,18 @@ func (b Bits) Set(i int) { b[i/64] |= 1 << (i % 64) }
 // Clear clears bit i.
 func (b Bits) Clear(i int) { b[i/64] &^= 1 << (i % 64) }
 
-// Has reports whether bit i is set.
-func (b Bits) Has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+// Has reports whether bit i is set; a bit past the end of b is clear (the
+// bitset form of at: see there).
+func (b Bits) Has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
 
-// Copy returns an independent copy of b.
-func (b Bits) Copy() Bits {
-	c := make(Bits, len(b))
-	copy(c, b)
-	return c
+// With returns b with bit i set, grown first when i is past its end (the
+// bitset form of put).
+func (b Bits) With(i int) Bits {
+	if n := i/64 + 1; n > len(b) {
+		b = append(b, make(Bits, n-len(b))...)
+	}
+	b.Set(i)
+	return b
 }
 
 // AndWith intersects b with o in place and reports whether b changed.
@@ -60,58 +64,60 @@ func (b Bits) Equal(o Bits) bool {
 	return true
 }
 
-// FillAll sets every bit in the universe of size n.
+// FillAll sets every bit in the universe of size n, a word at a time.
 func (b Bits) FillAll(n int) {
-	for i := 0; i < n; i++ {
-		b.Set(i)
+	for i := range b[:n/64] {
+		b[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		b[n/64] |= 1<<r - 1
 	}
 }
 
 // ForwardMust runs a forward "must" (intersection-confluence) dataflow to a
 // fixed point, as used by available-expressions style analyses (the AC/DC
 // analysis of paper §4.1.1). universe is the number of facts; transfer maps
-// a block's IN set to its OUT set (it must not retain or mutate in). The
-// returned map gives each reachable block's IN set. The entry block starts
-// from the empty set; all other blocks start from the full set (top).
-func ForwardMust(c *CFG, universe int, transfer func(b *ir.Block, in Bits) Bits) map[*ir.Block]Bits {
-	ins := make(map[*ir.Block]Bits, len(c.RPO))
-	outs := make(map[*ir.Block]Bits, len(c.RPO))
+// a block's IN set to its OUT set: it gets a scratch copy of IN, which it may
+// change and return but not keep. The result is each reachable block's IN set
+// by Block.Idx (nil for an unreachable block). The entry block starts from
+// the empty set, all others from the full set (top). Every set is carved from
+// one slab: the analysis allocates per call, not per block or per visit.
+func ForwardMust(c *CFG, universe int, transfer func(b *ir.Block, in Bits) Bits) []Bits {
+	words, n := (universe+63)/64, len(c.RPO)
+	slab := make(Bits, (2*n+1)*words)
+	set := func(i int) Bits { return slab[i*words : (i+1)*words : (i+1)*words] }
+	ins, outs, scratch := make([]Bits, len(c.Fn.Blocks)), make([]Bits, len(c.Fn.Blocks)), set(2*n)
 	for i, b := range c.RPO {
-		in := NewBits(universe)
+		ins[b.Idx], outs[b.Idx] = set(2*i), set(2*i+1)
 		if i > 0 {
-			in.FillAll(universe)
+			ins[b.Idx].FillAll(universe)
 		}
-		ins[b] = in
-		out := NewBits(universe)
-		out.FillAll(universe)
-		outs[b] = out
+		outs[b.Idx].FillAll(universe)
 	}
 	for changed := true; changed; {
 		changed = false
 		for i, b := range c.RPO {
-			in := ins[b]
+			in := ins[b.Idx]
 			if i > 0 {
 				first := true
-				for _, p := range c.Preds[b] {
+				for _, p := range c.PredsOf(b) {
 					if !c.Reachable(p) {
 						continue
 					}
 					if first {
-						copy(in, outs[p])
+						copy(in, outs[p.Idx])
 						first = false
 					} else {
-						in.AndWith(outs[p])
+						in.AndWith(outs[p.Idx])
 					}
 				}
 				if first { // no reachable preds (shouldn't happen past entry)
-					for j := range in {
-						in[j] = 0
-					}
+					clear(in)
 				}
 			}
-			out := transfer(b, in.Copy())
-			if !out.Equal(outs[b]) {
-				outs[b] = out
+			copy(scratch, in)
+			if out := transfer(b, scratch); !out.Equal(outs[b.Idx]) {
+				copy(outs[b.Idx], out)
 				changed = true
 			}
 		}

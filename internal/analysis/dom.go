@@ -6,23 +6,23 @@ import "carat/internal/ir"
 // iterative algorithm.
 type DomTree struct {
 	cfg  *CFG
-	idom map[*ir.Block]*ir.Block
+	idom []*ir.Block // by Block.Idx; the entry's is itself, an unreachable block's nil
 }
 
 // NewDomTree computes the dominator tree of f's CFG.
 func NewDomTree(c *CFG) *DomTree {
-	d := &DomTree{cfg: c, idom: make(map[*ir.Block]*ir.Block, len(c.RPO))}
+	d := &DomTree{cfg: c, idom: make([]*ir.Block, len(c.Fn.Blocks))}
 	if len(c.RPO) == 0 {
 		return d
 	}
 	entry := c.RPO[0]
-	d.idom[entry] = entry
+	d.idom[entry.Idx] = entry
 	for changed := true; changed; {
 		changed = false
 		for _, b := range c.RPO[1:] {
 			var newIdom *ir.Block
-			for _, p := range c.Preds[b] {
-				if d.idom[p] == nil {
+			for _, p := range c.PredsOf(b) {
+				if d.idom[p.Idx] == nil {
 					continue // not yet processed
 				}
 				if newIdom == nil {
@@ -31,8 +31,8 @@ func NewDomTree(c *CFG) *DomTree {
 					newIdom = d.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom != nil && d.idom[b.Idx] != newIdom {
+				d.idom[b.Idx] = newIdom
 				changed = true
 			}
 		}
@@ -42,11 +42,11 @@ func NewDomTree(c *CFG) *DomTree {
 
 func (d *DomTree) intersect(a, b *ir.Block) *ir.Block {
 	for a != b {
-		for d.cfg.RPONum[a] > d.cfg.RPONum[b] {
-			a = d.idom[a]
+		for d.cfg.rpoNum[a.Idx] > d.cfg.rpoNum[b.Idx] {
+			a = d.idom[a.Idx]
 		}
-		for d.cfg.RPONum[b] > d.cfg.RPONum[a] {
-			b = d.idom[b]
+		for d.cfg.rpoNum[b.Idx] > d.cfg.rpoNum[a.Idx] {
+			b = d.idom[b.Idx]
 		}
 	}
 	return a
@@ -55,7 +55,7 @@ func (d *DomTree) intersect(a, b *ir.Block) *ir.Block {
 // IDom returns the immediate dominator of b (nil for the entry block and
 // unreachable blocks).
 func (d *DomTree) IDom(b *ir.Block) *ir.Block {
-	id := d.idom[b]
+	id := d.idom[b.Idx]
 	if id == b {
 		return nil
 	}
@@ -71,7 +71,7 @@ func (d *DomTree) Dominates(a, b *ir.Block) bool {
 		if a == b {
 			return true
 		}
-		next := d.idom[b]
+		next := d.idom[b.Idx]
 		if next == nil || next == b {
 			return a == b
 		}

@@ -11,14 +11,14 @@ type Invariance struct {
 	Loop *Loop
 	AA   AliasAnalysis
 
-	memo     map[ir.Value]int8 // 0 unknown, 1 invariant, 2 variant
+	memo     []int8 // by Instr.ID: 0 unknown, 1 invariant, 2 variant
 	stores   []*ir.Instr
 	clobbers bool // loop contains a call that may write arbitrary memory
 }
 
 // NewInvariance prepares invariance queries for l using aa.
 func NewInvariance(l *Loop, aa AliasAnalysis) *Invariance {
-	iv := &Invariance{Loop: l, AA: aa, memo: make(map[ir.Value]int8)}
+	iv := &Invariance{Loop: l, AA: aa, memo: make([]int8, l.Header.Fn.NumIDs())}
 	for _, b := range l.Ordered {
 		for _, in := range b.Instrs {
 			switch in.Op {
@@ -52,16 +52,16 @@ func (iv *Invariance) Invariant(v ir.Value) bool {
 		if !iv.Loop.ContainsInstr(x) {
 			return true
 		}
-		switch iv.memo[x] {
+		switch at(iv.memo, x.ID) {
 		case 1:
 			return true
 		case 2:
 			return false
 		}
-		iv.memo[x] = 2 // break cycles (phis) pessimistically
+		iv.memo = put(iv.memo, x.ID, 2) // break cycles (phis) pessimistically
 		res := iv.invariantInstr(x)
 		if res {
-			iv.memo[x] = 1
+			iv.memo[x.ID] = 1
 		}
 		return res
 	}
@@ -101,7 +101,7 @@ func (iv *Invariance) invariantInstr(in *ir.Instr) bool {
 // StackAllocFree reports whether the loop performs no stack allocation, the
 // condition under which a call guard may be hoisted out of it (§4.1.1).
 func (iv *Invariance) StackAllocFree() bool {
-	for b := range iv.Loop.Blocks {
+	for _, b := range iv.Loop.Ordered {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpAlloca {
 				return false

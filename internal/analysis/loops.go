@@ -1,34 +1,38 @@
 package analysis
 
-import "carat/internal/ir"
+import (
+	"slices"
+
+	"carat/internal/ir"
+)
 
 // Loop is a natural loop: a header plus the set of blocks that can reach a
 // back edge to the header without leaving the loop.
 type Loop struct {
 	Header *ir.Block
-	Blocks map[*ir.Block]bool
-	// Ordered lists the loop's blocks in CFG reverse postorder. Passes and
-	// analyses iterate this instead of ranging over the Blocks set, so
-	// synthesized code lands in the same order on every compile (Go map
-	// iteration order is random).
+	// Ordered lists the loop's blocks in CFG reverse postorder: what passes and
+	// analyses iterate, so synthesized code lands in the same order every compile.
 	Ordered []*ir.Block
 	Parent  *Loop   // enclosing loop, or nil for top-level loops
 	Subs    []*Loop // directly nested loops
 	Depth   int     // nesting depth, 1 for top-level
+
+	blocks Bits // membership, by Block.Idx
 }
 
 // Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *ir.Block) bool { return l.blocks.Has(b.Idx) }
 
 // ContainsInstr reports whether in belongs to the loop.
-func (l *Loop) ContainsInstr(in *ir.Instr) bool { return l.Blocks[in.Block] }
+func (l *Loop) ContainsInstr(in *ir.Instr) bool { return l.blocks.Has(in.Block.Idx) }
 
 // Preheader returns the unique out-of-loop predecessor of the header, or
-// nil when the header has multiple out-of-loop predecessors. The CARAT
-// guard-hoisting pass creates one when needed.
+// nil when the header has several out-of-loop predecessors or the one it has
+// also branches elsewhere. No pass creates one: a loop without a preheader
+// is one LICM and the guard optimizations leave alone.
 func (l *Loop) Preheader(c *CFG) *ir.Block {
 	var ph *ir.Block
-	for _, p := range c.Preds[l.Header] {
+	for _, p := range c.PredsOf(l.Header) {
 		if l.Contains(p) {
 			continue
 		}
@@ -47,7 +51,7 @@ func (l *Loop) Preheader(c *CFG) *ir.Block {
 // Latches returns the in-loop predecessors of the header (back-edge sources).
 func (l *Loop) Latches(c *CFG) []*ir.Block {
 	var ls []*ir.Block
-	for _, p := range c.Preds[l.Header] {
+	for _, p := range c.PredsOf(l.Header) {
 		if l.Contains(p) {
 			ls = append(ls, p)
 		}
@@ -56,14 +60,12 @@ func (l *Loop) Latches(c *CFG) []*ir.Block {
 }
 
 // Exits returns the blocks outside the loop that are branched to from
-// inside the loop.
+// inside the loop, each once, in the order the edges appear.
 func (l *Loop) Exits() []*ir.Block {
-	seen := make(map[*ir.Block]bool)
 	var out []*ir.Block
 	for _, b := range l.Ordered {
 		for _, s := range b.Succs() {
-			if !l.Contains(s) && !seen[s] {
-				seen[s] = true
+			if !l.Contains(s) && !slices.Contains(out, s) {
 				out = append(out, s)
 			}
 		}
@@ -74,44 +76,44 @@ func (l *Loop) Exits() []*ir.Block {
 // LoopForest is the set of natural loops of a function, nested.
 type LoopForest struct {
 	// Top holds the outermost loops in header RPO order.
-	Top []*Loop
-	// ByHeader maps a header block to its loop.
-	ByHeader map[*ir.Block]*Loop
-	// Innermost maps each block to the innermost loop containing it.
-	Innermost map[*ir.Block]*Loop
+	Top       []*Loop
+	innermost []*Loop // by Block.Idx: the innermost loop containing the block
 }
+
+// Innermost returns the innermost loop containing b, nil if none does.
+func (lf *LoopForest) Innermost(b *ir.Block) *Loop { return lf.innermost[b.Idx] }
 
 // FindLoops discovers the natural loops of f using dominance: an edge
 // t→h is a back edge iff h dominates t; the loop body is found by a
 // reverse flood from t stopping at h.
 func FindLoops(c *CFG, dom *DomTree) *LoopForest {
-	lf := &LoopForest{
-		ByHeader:  make(map[*ir.Block]*Loop),
-		Innermost: make(map[*ir.Block]*Loop),
-	}
+	n := len(c.Fn.Blocks)
+	lf := &LoopForest{innermost: make([]*Loop, n)}
+	byHeader := make([]*Loop, n) // by the header's Block.Idx
+	var stack []*ir.Block
 	// Collect loops in RPO so outer loops come before inner ones.
 	for _, b := range c.RPO {
 		for _, s := range b.Succs() {
-			if dom.Dominates(s, b) { // back edge b→s
-				l := lf.ByHeader[s]
-				if l == nil {
-					l = &Loop{Header: s, Blocks: map[*ir.Block]bool{s: true}}
-					lf.ByHeader[s] = l
-				}
-				// Reverse flood from the latch.
-				var stack []*ir.Block
-				if !l.Blocks[b] {
-					l.Blocks[b] = true
-					stack = append(stack, b)
-				}
-				for len(stack) > 0 {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, p := range c.Preds[x] {
-						if !l.Blocks[p] && c.Reachable(p) {
-							l.Blocks[p] = true
-							stack = append(stack, p)
-						}
+			if !dom.Dominates(s, b) {
+				continue // not a back edge
+			}
+			l := byHeader[s.Idx]
+			if l == nil {
+				l = &Loop{Header: s, blocks: NewBits(n).With(s.Idx)}
+				byHeader[s.Idx] = l
+			}
+			// Reverse flood from the latch.
+			if !l.Contains(b) {
+				l.blocks.Set(b.Idx)
+				stack = append(stack, b)
+			}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, p := range c.PredsOf(x) {
+					if !l.Contains(p) && c.Reachable(p) {
+						l.blocks.Set(p.Idx)
+						stack = append(stack, p)
 					}
 				}
 			}
@@ -120,13 +122,13 @@ func FindLoops(c *CFG, dom *DomTree) *LoopForest {
 	// Nest loops: loop A is inside loop B if B contains A's header and A≠B.
 	var all []*Loop
 	for _, b := range c.RPO {
-		if l, ok := lf.ByHeader[b]; ok {
+		if l := byHeader[b.Idx]; l != nil {
 			all = append(all, l)
 		}
 	}
 	for _, l := range all {
 		for _, b := range c.RPO {
-			if l.Blocks[b] {
+			if l.Contains(b) {
 				l.Ordered = append(l.Ordered, b)
 			}
 		}
@@ -148,30 +150,18 @@ func FindLoops(c *CFG, dom *DomTree) *LoopForest {
 			lf.Top = append(lf.Top, inner)
 		}
 	}
-	var setDepth func(l *Loop, d int)
-	setDepth = func(l *Loop, d int) {
-		l.Depth = d
-		for _, s := range l.Subs {
-			setDepth(s, d+1)
+	// Depth, and the innermost table: All lists a loop before the loops
+	// nested in it, so a deeper loop overwrites a shallower one.
+	for _, l := range lf.All() {
+		l.Depth = 1
+		if l.Parent != nil {
+			l.Depth = l.Parent.Depth + 1
 		}
-	}
-	for _, l := range lf.Top {
-		setDepth(l, 1)
-	}
-	// Innermost map: deeper loops overwrite shallower ones.
-	var walk func(l *Loop)
-	walk = func(l *Loop) {
-		for b := range l.Blocks {
-			if cur := lf.Innermost[b]; cur == nil || cur.Depth < l.Depth {
-				lf.Innermost[b] = l
+		for _, b := range l.Ordered {
+			if cur := lf.innermost[b.Idx]; cur == nil || cur.Depth < l.Depth {
+				lf.innermost[b.Idx] = l
 			}
 		}
-		for _, s := range l.Subs {
-			walk(s)
-		}
-	}
-	for _, l := range lf.Top {
-		walk(l)
 	}
 	return lf
 }

@@ -134,8 +134,9 @@ type Key[T any] struct {
 // ID returns the key's analysis identifier.
 func (k Key[T]) ID() ID { return k.id }
 
-// LoopKey is a typed handle to a per-loop analysis; results are cached by
-// loop identity under the key's ID.
+// LoopKey is a typed handle to a per-loop analysis; results are cached per
+// loop — by its header, which no two loops of a forest share — under the
+// key's ID.
 type LoopKey[T any] struct {
 	id      ID
 	compute func(*FuncAnalyses, *Loop) T
@@ -159,7 +160,7 @@ var (
 	// AliasKey caches the chain alias analysis (base-object + points-to).
 	AliasKey = Key[AliasAnalysis]{IDAlias, func(fa *FuncAnalyses) AliasAnalysis { return NewChain(fa.F) }}
 	// RangesKey caches the value-range memo table.
-	RangesKey = Key[*Ranges]{IDRanges, func(fa *FuncAnalyses) *Ranges { return NewRanges() }}
+	RangesKey = Key[*Ranges]{IDRanges, func(fa *FuncAnalyses) *Ranges { return NewRanges(fa.F) }}
 	// InvarianceKey caches per-loop invariance facts.
 	InvarianceKey = LoopKey[*Invariance]{IDInvariance, func(fa *FuncAnalyses, l *Loop) *Invariance {
 		return NewInvariance(l, Get(fa, AliasKey))
@@ -179,7 +180,7 @@ type FuncAnalyses struct {
 	stats *CacheStats
 
 	slots     [numIDs]any
-	loopSlots [numIDs]map[*Loop]any
+	loopSlots [numIDs][]any // by the loop header's Block.Idx
 	// ever marks analyses computed at least once, distinguishing a first
 	// miss from a recompute after invalidation.
 	ever [numIDs]bool
@@ -209,18 +210,17 @@ func Get[T any](fa *FuncAnalyses, k Key[T]) T {
 
 // GetLoop returns the cached per-loop result for k, computing it on a miss.
 func GetLoop[T any](fa *FuncAnalyses, k LoopKey[T], l *Loop) T {
-	if m := fa.loopSlots[k.id]; m != nil {
-		if v, ok := m[l]; ok {
-			fa.stats.Hits.Add(1)
-			return v.(T)
-		}
+	if fa.loopSlots[k.id] == nil {
+		fa.loopSlots[k.id] = make([]any, len(fa.F.Blocks))
+	}
+	slot := &fa.loopSlots[k.id][l.Header.Idx]
+	if *slot != nil {
+		fa.stats.Hits.Add(1)
+		return (*slot).(T)
 	}
 	fa.countCompute(k.id)
 	v := k.compute(fa, l)
-	if fa.loopSlots[k.id] == nil {
-		fa.loopSlots[k.id] = make(map[*Loop]any)
-	}
-	fa.loopSlots[k.id][l] = v
+	*slot = v
 	fa.ever[k.id] = true
 	return v
 }
@@ -270,9 +270,11 @@ func (fa *FuncAnalyses) Invalidate(preserved Preserved) {
 			fa.slots[id] = nil
 			fa.stats.Invalidations.Add(1)
 		}
-		if m := fa.loopSlots[id]; len(m) > 0 {
-			fa.loopSlots[id] = nil
-			fa.stats.Invalidations.Add(uint64(len(m)))
+		for i, v := range fa.loopSlots[id] {
+			if v != nil {
+				fa.loopSlots[id][i] = nil
+				fa.stats.Invalidations.Add(1)
+			}
 		}
 	}
 }

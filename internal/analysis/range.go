@@ -22,30 +22,35 @@ var FullInterval = Interval{0, ^uint64(0)}
 // IsFull reports whether the interval carries no information.
 func (iv Interval) IsFull() bool { return iv == FullInterval }
 
-// Width returns Hi-Lo (saturating semantics are unnecessary: Hi >= Lo).
-func (iv Interval) Width() uint64 { return iv.Hi - iv.Lo }
-
 // Ranges computes intervals for integer values. It is loop-aware only in
 // the negative sense: phi nodes and loads are unconstrained unless their
 // width bounds them. Memoized per instance.
 type Ranges struct {
-	memo map[ir.Value]Interval
+	memo []rangeMemo // by Instr.ID; only instructions recurse, so only they are memoized
 }
 
-// NewRanges returns an empty analysis instance.
-func NewRanges() *Ranges {
-	return &Ranges{memo: make(map[ir.Value]Interval)}
+type rangeMemo struct {
+	iv    Interval
+	known bool
+}
+
+// NewRanges returns an empty analysis instance for the values of f.
+func NewRanges(f *ir.Func) *Ranges {
+	return &Ranges{memo: make([]rangeMemo, f.NumIDs())}
 }
 
 // Of returns a conservative unsigned interval for v. Any integer value is
 // at least bounded by its type width.
 func (r *Ranges) Of(v ir.Value) Interval {
-	if iv, ok := r.memo[v]; ok {
-		return iv
+	in, isInstr := v.(*ir.Instr)
+	if isInstr {
+		if m := at(r.memo, in.ID); m.known {
+			return m.iv
+		}
+		// Seed with the type-width bound and the pessimistic answer so that
+		// cycles (phis) terminate conservatively.
+		r.memo = put(r.memo, in.ID, rangeMemo{widthBound(v), true})
 	}
-	// Seed with the type-width bound and the pessimistic answer so that
-	// cycles (phis) terminate conservatively.
-	r.memo[v] = widthBound(v)
 	iv := r.compute(v)
 	// Intersect with the width bound: compute can only tighten.
 	wb := widthBound(v)
@@ -58,7 +63,9 @@ func (r *Ranges) Of(v ir.Value) Interval {
 	if iv.Lo > iv.Hi { // contradictory (shouldn't happen): give up safely
 		iv = wb
 	}
-	r.memo[v] = iv
+	if isInstr {
+		r.memo[in.ID].iv = iv
+	}
 	return iv
 }
 

@@ -47,7 +47,7 @@ type decision struct{ before, after, drop bool }
 // editBlock builds a block of len(ds) instructions %i0, %i1, … and edits it
 // by ds through edit, naming what goes before and after %iK %bK and %aK.
 func editBlock(ds []decision, edit func(*Block, func(*Instr) (before, after *Instr, keep bool))) (b *Block, orig []*Instr) {
-	b = &Block{Name: "b"}
+	b = NewModule("m").AddFunc("f", Void).NewBlock("b")
 	index := map[*Instr]int{}
 	for i := range ds {
 		index[b.Append(&Instr{Op: OpAdd, Name: fmt.Sprintf("i%d", i)})] = i
@@ -93,10 +93,17 @@ func TestEditMatchesPerInstructionLoop(t *testing.T) {
 			if in.Block != got {
 				t.Fatalf("seed %d: %%%s is in the block but its Block field says %v", seed, in.Name, in.Block)
 			}
+			// Both number an insertion when it enters the block, in the same order.
+			if in.ID == 0 || in.ID != want.Instrs[i].ID {
+				t.Fatalf("seed %d: %%%s has ID %d, the reference gave it %d", seed, in.Name, in.ID, want.Instrs[i].ID)
+			}
 		}
 		for i, in := range orig {
 			if ds[i].drop && in.Block != nil {
 				t.Fatalf("seed %d: dropped %%%s still claims a block", seed, in.Name)
+			}
+			if in.ID != int32(i+1) {
+				t.Fatalf("seed %d: the edit renumbered %%%s from %d to %d", seed, in.Name, i+1, in.ID)
 			}
 		}
 	}
@@ -105,7 +112,7 @@ func TestEditMatchesPerInstructionLoop(t *testing.T) {
 // TestEditDropsInPlace: a visit that only drops compacts the block's own
 // array and leaves no dropped instruction reachable from its tail.
 func TestEditDropsInPlace(t *testing.T) {
-	b := &Block{Name: "b"}
+	b := NewModule("m").AddFunc("f", Void).NewBlock("b")
 	for i := 0; i < 8; i++ {
 		b.Append(&Instr{Op: OpAdd, Name: fmt.Sprintf("i%d", i)})
 	}

@@ -5,8 +5,9 @@ import (
 	"strconv"
 )
 
-// Op enumerates instruction opcodes.
-type Op int
+// Op enumerates instruction opcodes. Op, Pred and GuardKind are a byte each
+// so that the three and Instr.ID share one word of an Instr.
+type Op uint8
 
 // Instruction opcodes.
 const (
@@ -67,7 +68,7 @@ const (
 )
 
 // Pred is a comparison predicate for ICmp and FCmp.
-type Pred int
+type Pred uint8
 
 // Comparison predicates. Integer comparisons are signed unless prefixed U.
 const (
@@ -95,7 +96,7 @@ func (p Pred) String() string { return nameOf(predNames[:], int(p)) }
 
 // GuardKind says what kind of access a guard protects; the distinction
 // matters for the cost model and for Table 1/Figure 3 accounting.
-type GuardKind int
+type GuardKind uint8
 
 // Guard kinds.
 const (
@@ -119,15 +120,21 @@ func (k GuardKind) String() string { return nameOf(guardKindNames[:], int(k)) }
 // meaning of the fields depends on Op as documented on the Op constants.
 type Instr struct {
 	Op   Op
+	Pred Pred      // ICmp/FCmp predicate
+	Kind GuardKind // Guard kind
+	// ID is what per-function tables index by: unique within the function,
+	// 1 ≤ ID < Func.NumIDs(), handed out when the instruction first enters a
+	// block (Block.adopt) and kept through moves and removals. Structural,
+	// like Param.Idx: never encoded.
+	ID int32
+
 	Name string  // SSA name of the result ("" when the op produces no value)
 	Typ  *Type   // result type (Void for stores, branches, guards, ...)
 	Args []Value // operands
 
-	Pred  Pred      // ICmp/FCmp predicate
-	Elem  *Type     // Alloca/Load/GEP element type
-	Kind  GuardKind // Guard kind
-	Preds []*Block  // Phi: incoming blocks, parallel to Args
-	Succs []*Block  // Br/CondBr: successor blocks
+	Elem  *Type    // Alloca/Load/GEP element type
+	Preds []*Block // Phi: incoming blocks, parallel to Args
+	Succs []*Block // Br/CondBr: successor blocks
 
 	Callee *Func // Call: target (direct calls only; see Func.Name)
 
@@ -148,10 +155,6 @@ func (in *Instr) IsTerminator() bool {
 	}
 	return false
 }
-
-// IsMemAccess reports whether the instruction reads or writes memory
-// through a pointer (loads and stores; calls are handled separately).
-func (in *Instr) IsMemAccess() bool { return in.Op == OpLoad || in.Op == OpStore }
 
 // Addr returns the pointer operand of a load, store, or guard. It panics
 // for other opcodes.
@@ -202,7 +205,7 @@ func nameOf(names []string, i int) string {
 
 // byName inverts a name table for the parser: name -> index. Slots the
 // table leaves empty (OpInvalid) name nothing.
-func byName[T ~int](names []string) map[string]T {
+func byName[T ~uint8](names []string) map[string]T {
 	m := make(map[string]T, len(names))
 	for i, s := range names {
 		if s != "" {

@@ -408,6 +408,21 @@ join:
 		{"another function's parameter as an operand", phiFree, "operand %x is not a parameter of @f", func(m *Module, f *Func) {
 			block(f, "entry").Term().Args[0] = &Param{Name: "x", Typ: I1}
 		}},
+		// The dense numbering per-function tables index by (DESIGN.md "Dense
+		// numbering"): each way of breaking it names function and block.
+		{"instruction put into a block around its methods", phiFree, "@f/^a: br ^join: ID 0, want 1 to 4", func(m *Module, f *Func) {
+			a := block(f, "a")
+			a.Instrs = []*Instr{{Op: OpBr, Typ: Void, Succs: a.Term().Succs, Block: a}}
+		}},
+		{"two instructions with one ID", phiful, "@f/^fork: condbr %c, ^a, ^b: ID 1 is another instruction's too", func(m *Module, f *Func) {
+			block(f, "fork").Term().ID = block(f, "entry").Term().ID
+		}},
+		{"ID the function never handed out", phiFree, "@f/^b: br ^join: ID 5, want 1 to 4", func(m *Module, f *Func) {
+			block(f, "b").Term().ID = int32(f.NumIDs())
+		}},
+		{"block out of position", phiFree, "@f/^b: block 1 has Idx 2", func(m *Module, f *Func) {
+			f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
+		}},
 		{"only phi names a non-predecessor", phiFree, "phi incoming ^entry is not a predecessor", func(m *Module, f *Func) {
 			join := block(f, "join")
 			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1), ConstInt(I64, 2)},

@@ -8,11 +8,25 @@ type Block struct {
 	Name   string
 	Instrs []*Instr
 	Fn     *Func
+	// Idx is the block's position in Fn.Blocks, set where it is appended
+	// (Func.NewBlock, the parser's label definition); blocks are never removed
+	// or reordered, so per-function tables index by it.
+	Idx int
+}
+
+// adopt makes b the owner of in and numbers in the first time it enters a
+// block. Append, InsertBefore and Edit are the only ways in, all through here.
+func (b *Block) adopt(in *Instr) {
+	in.Block = b
+	if in.ID == 0 {
+		b.Fn.lastID++
+		in.ID = b.Fn.lastID
+	}
 }
 
 // Append adds an instruction to the end of the block and sets its owner.
 func (b *Block) Append(in *Instr) *Instr {
-	in.Block = b
+	b.adopt(in)
 	b.Instrs = append(b.Instrs, in)
 	return in
 }
@@ -21,7 +35,7 @@ func (b *Block) Append(in *Instr) *Instr {
 func (b *Block) InsertBefore(in, pos *Instr) {
 	for i, x := range b.Instrs {
 		if x == pos {
-			in.Block = b
+			b.adopt(in)
 			b.Instrs = append(b.Instrs, nil)
 			copy(b.Instrs[i+1:], b.Instrs[i:])
 			b.Instrs[i] = in
@@ -73,7 +87,7 @@ func (b *Block) Edit(visit func(in *Instr) (before, after *Instr, keep bool)) {
 				out = append(make([]*Instr, 0, 2*len(src)), out...)
 				inPlace = false
 			}
-			x.Block = b
+			b.adopt(x)
 			out = append(out, x)
 		}
 	}
@@ -129,7 +143,13 @@ type Func struct {
 
 	nameCnt  int
 	freshCnt int
+	lastID   int32 // the highest Instr.ID handed out (Block.adopt)
 }
+
+// NumIDs returns the size of a table indexed by Instr.ID: one past the
+// highest ID handed out so far (none is 0). An instruction that enters later
+// gets an ID past it: DESIGN.md "Dense numbering" has the rule for reading one.
+func (f *Func) NumIDs() int { return int(f.lastID) + 1 }
 
 // FreshName returns a new SSA value name "prefix.N" with a per-function
 // counter, so names synthesized by passes are deterministic regardless of
@@ -168,7 +188,7 @@ func (f *Func) NewBlock(hint string) *Block {
 			name = fmt.Sprintf("%s%d", hint, f.nameCnt)
 		}
 	}
-	b := &Block{Name: name, Fn: f}
+	b := &Block{Name: name, Fn: f, Idx: len(f.Blocks)}
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -299,8 +319,3 @@ func IsRuntimeFn(name string) bool {
 
 // IsAllocFn reports whether name is a heap allocation function.
 func IsAllocFn(name string) bool { return name == FnMalloc || name == FnCalloc }
-
-// IsTrackingFn reports whether name is a CARAT tracking callback.
-func IsTrackingFn(name string) bool {
-	return name == FnTrackAlloc || name == FnTrackFree || name == FnTrackEscape
-}

@@ -434,7 +434,7 @@ func (p *parser) blockRef(name string, define bool) *Block {
 		if b.Fn != nil {
 			failf("label %s defined twice in @%s", name, p.fn.Name)
 		}
-		b.Fn = p.fn
+		b.Fn, b.Idx = p.fn, len(p.fn.Blocks)
 		p.fn.Blocks = append(p.fn.Blocks, b)
 		p.undefined--
 	}

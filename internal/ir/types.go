@@ -9,8 +9,6 @@
 // this IR directly against simulated physical memory.
 package ir
 
-import "fmt"
-
 // TypeKind discriminates the members of the IR type system.
 type TypeKind int
 
@@ -52,24 +50,6 @@ var (
 	Ptr  = &Type{Kind: PtrKind}
 )
 
-// IntType returns the interned integer type of the given bit width.
-// It panics on widths other than 1, 8, 16, 32, or 64.
-func IntType(bits int) *Type {
-	switch bits {
-	case 1:
-		return I1
-	case 8:
-		return I8
-	case 16:
-		return I16
-	case 32:
-		return I32
-	case 64:
-		return I64
-	}
-	panic(fmt.Sprintf("ir: unsupported integer width %d", bits))
-}
-
 // ArrayOf returns the type of an array of n elements of type elem.
 func ArrayOf(elem *Type, n int) *Type {
 	if n < 0 {
@@ -96,9 +76,6 @@ func (t *Type) IsFloat() bool { return t.Kind == FloatKind }
 
 // IsPtr reports whether t is the pointer type.
 func (t *Type) IsPtr() bool { return t.Kind == PtrKind }
-
-// IsAgg reports whether t is an aggregate (array or struct) type.
-func (t *Type) IsAgg() bool { return t.Kind == ArrayKind || t.Kind == StructKind }
 
 // Size returns the size of a value of type t in bytes as laid out in the
 // simulated machine. i1 and i8 occupy one byte; all scalars are stored at

@@ -14,12 +14,12 @@ import (
 // downstream of it — the analyses, both VM engines — relies on those rules
 // instead of re-checking them. It returns the first problem found, or nil.
 func (m *Module) Verify() error {
-	names := make(map[string]bool)
+	names := make(map[string]bool, len(m.Globals)+len(m.Funcs)) // globals and functions share @'s namespace
 	for _, g := range m.Globals {
-		if names["@"+g.Name] {
+		if names[g.Name] {
 			return fmt.Errorf("ir: duplicate global @%s", g.Name)
 		}
-		names["@"+g.Name] = true
+		names[g.Name] = true
 		if g.Elem == nil || g.Elem == Void {
 			return fmt.Errorf("ir: global @%s has invalid element type", g.Name)
 		}
@@ -28,10 +28,10 @@ func (m *Module) Verify() error {
 		}
 	}
 	for _, f := range m.Funcs {
-		if names["@"+f.Name] {
+		if names[f.Name] {
 			return fmt.Errorf("ir: duplicate symbol @%s", f.Name)
 		}
-		names["@"+f.Name] = true
+		names[f.Name] = true
 		if sig, ok := runtimeSigs[f.Name]; ok && !f.hasSig(sig) {
 			return fmt.Errorf("ir: @%s is a runtime entry point: its signature must be %s", f.Name, sig)
 		}
@@ -80,21 +80,37 @@ func (f *Func) hasSig(sig *Type) bool {
 func VerifyFunc(f *Func) error { return verifyFunc(f) }
 
 // verifyFunc visits each instruction once and allocates only what it reads:
-// the predecessor sets exist for the phis' sake and are built when the first
-// phi asks (a function out of the cc front end has none).
+// a mark per instruction ID, and the predecessor sets, which exist for the
+// phis' sake and are built when the first phi asks (a function out of the cc
+// front end has none).
 func verifyFunc(f *Func) error {
 	for i, p := range f.Params {
 		if p.Idx != i { // the VM puts a parameter in register Idx; only AddFunc numbers them
 			return fmt.Errorf("ir: @%s: parameter %d (%%%s) has Idx %d", f.Name, i, p.Name, p.Idx)
 		}
 	}
-	var preds map[*Block][]*Block
+	// The dense numbering every per-function table indexes by: a block's Idx
+	// is its position, an instruction's ID is in range and its own.
+	for i, b := range f.Blocks {
+		if b.Idx != i || b.Fn != f {
+			return fmt.Errorf("ir: @%s/^%s: block %d has Idx %d", f.Name, b.Name, i, b.Idx)
+		}
+	}
+	seen := make([]bool, f.NumIDs())
+	var preds [][]*Block
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil {
 			return fmt.Errorf("ir: @%s/^%s: block not terminated", f.Name, b.Name)
 		}
 		for i, in := range b.Instrs {
+			if id := int(in.ID); id <= 0 || id >= len(seen) {
+				return fmt.Errorf("ir: @%s/^%s: %s: ID %d, want 1 to %d (instructions enter a block through Append, InsertBefore or Edit)",
+					f.Name, b.Name, in, id, len(seen)-1)
+			} else if seen[id] {
+				return fmt.Errorf("ir: @%s/^%s: %s: ID %d is another instruction's too", f.Name, b.Name, in, id)
+			}
+			seen[in.ID] = true
 			if in.IsTerminator() && i != len(b.Instrs)-1 {
 				return fmt.Errorf("ir: @%s/^%s: terminator %s not last", f.Name, b.Name, in.Op)
 			}
@@ -111,7 +127,7 @@ func verifyFunc(f *Func) error {
 				if preds == nil {
 					preds = predecessors(f)
 				}
-				blockPreds = preds[b]
+				blockPreds = preds[b.Idx]
 			}
 			if err := verifyInstr(f, b, in, blockPreds); err != nil {
 				return err
@@ -125,12 +141,21 @@ func verifyFunc(f *Func) error {
 // stores in one access.
 func scalarWidth(n int64) bool { return n == 1 || n == 2 || n == 4 || n == 8 }
 
-// predecessors computes the predecessor sets of every block in f.
-func predecessors(f *Func) map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
+// owns reports whether b is one of f's blocks.
+func (f *Func) owns(b *Block) bool {
+	return b.Fn == f && uint(b.Idx) < uint(len(f.Blocks)) && f.Blocks[b.Idx] == b
+}
+
+// predecessors computes the predecessor sets of every block in f, indexed by
+// Block.Idx. An edge to a block of another function (verifyInstr reports it
+// when it gets there) is no edge of f's.
+func predecessors(f *Func) [][]*Block {
+	preds := make([][]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
+			if f.owns(s) {
+				preds[s.Idx] = append(preds[s.Idx], b)
+			}
 		}
 	}
 	return preds
@@ -152,10 +177,7 @@ func verifyInstr(f *Func, b *Block, in *Instr, preds []*Block) error {
 		}
 	}
 	for _, s := range in.Succs {
-		// A block's Fn is set where it is appended to that function's Blocks
-		// (Func.NewBlock, the parser's label definition) and nowhere else, and
-		// no block ever leaves a function: Fn is membership, without a set.
-		if s.Fn != f {
+		if !f.owns(s) {
 			return fmt.Errorf("%s: successor ^%s not in function", where(), s.Name)
 		}
 	}

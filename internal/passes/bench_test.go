@@ -2,8 +2,11 @@ package passes_test
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/ir"
 	"carat/internal/passes"
 	"carat/internal/workload"
@@ -29,10 +32,29 @@ func straightLine(n int) *ir.Module {
 	return m
 }
 
+// gen240 compiles internal/cc/testdata/gen240.c, a program in the shape the
+// repo benchmark's compile-cold workload generates: 241 functions averaging
+// 6.5 blocks and 43 instructions, so what a function costs before its first
+// instruction is looked at is what the pipeline costs.
+func gen240(tb testing.TB) func() *ir.Module {
+	src, err := os.ReadFile("../cc/testdata/gen240.c")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() *ir.Module {
+		m, err := cc.Compile("gen240", string(src))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return m
+	}
+}
+
 // BenchmarkPipeline times the full CARAT pipeline (LevelTracking, one worker)
-// over a suite kernel and over straightLine at n and 4n: ns/instr is per
-// instruction going in, and a pipeline that costs what it is given reads the
-// same on both lines.
+// over a suite kernel, over gen240 (the leg that resolves per-function cost:
+// kernel/FT ranges ± 20 % run to run) and over straightLine at n and 4n:
+// ns/instr is per instruction going in, and a pipeline that costs what it is
+// given reads the same on both lines.
 func BenchmarkPipeline(b *testing.B) {
 	ft, err := workload.Get("FT")
 	if err != nil {
@@ -44,6 +66,7 @@ func BenchmarkPipeline(b *testing.B) {
 		build func() *ir.Module
 	}{
 		{"kernel/FT", func() *ir.Module { return ft.Build(workload.ScaleTest) }},
+		{"gen/240", gen240(b)},
 		{fmt.Sprintf("line/%d", n), func() *ir.Module { return straightLine(n) }},
 		{fmt.Sprintf("line/%d", 4*n), func() *ir.Module { return straightLine(4 * n) }},
 	} {
@@ -86,5 +109,38 @@ func TestPipelineAllocsScaleLinearly(t *testing.T) {
 	t.Logf("allocs per instruction: %.2f at 500 repetitions, %.2f at 2000", small, big)
 	if big > 1.1*small {
 		t.Errorf("pipeline allocations grow faster than the block: %.2f/instr at 2000 repetitions vs %.2f at 500", big, small)
+	}
+}
+
+// TestPipelineAllocsPerInstr pins what the pipeline allocates per incoming
+// instruction of gen240, where per-function tables dominate. At the commit
+// before the analyses indexed by ir.Block.Idx and ir.Instr.ID instead of
+// hashing pointers it read 6.61 allocations and 521 bytes, with them 4.58 and
+// 354; a pointer-keyed map coming back shows here first.
+func TestPipelineAllocsPerInstr(t *testing.T) {
+	build := gen240(t)
+	const runs = 3
+	mods := make([]*ir.Module, runs)
+	instrs := 0
+	for i := range mods {
+		mods[i] = build()
+		instrs += mods[i].NumInstrs()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, m := range mods {
+		pm := passes.Build(passes.LevelTracking)
+		pm.Workers = 1
+		if err := pm.Run(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(instrs)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(instrs)
+	t.Logf("gen240: %.2f allocations and %.0f bytes per incoming instruction", allocs, bytes)
+	if allocs > 4.9 || bytes > 380 {
+		t.Errorf("pipeline allocates %.2f times and %.0f bytes per instruction, want at most 4.9 and 380 (a caratdebug build, which verifies after every pass, reads 4.79 and 368)", allocs, bytes)
 	}
 }

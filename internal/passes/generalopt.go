@@ -228,9 +228,9 @@ func (*DCE) Preserves() analysis.Preserved {
 
 // RunOnFunc implements Pass.
 func (*DCE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
-	used := make(map[*ir.Instr]bool, f.NumInstrs())
+	used := analysis.NewBits(f.NumIDs()) // by Instr.ID; DCE inserts nothing
 	sweep := func(in *ir.Instr) (_, _ *ir.Instr, keep bool) {
-		if sideEffectFree(in) && !used[in] {
+		if sideEffectFree(in) && !used.Has(int(in.ID)) {
 			stats.DCEd++
 			return nil, nil, false
 		}
@@ -241,7 +241,7 @@ func (*DCE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error
 		f.ForEachInstr(func(in *ir.Instr) {
 			for _, a := range in.Args {
 				if ai, ok := a.(*ir.Instr); ok {
-					used[ai] = true
+					used.Set(int(ai.ID))
 				}
 			}
 		})
@@ -291,14 +291,14 @@ func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error
 	cfg := fa.CFG()
 	dom := fa.Dom()
 	table := make(map[string][]*ir.Instr, f.NumInstrs()/4)
-	keyer := exprKeyer{ids: make(map[*ir.Instr]int, f.NumInstrs()/2)}
+	var key []byte // one buffer, reused for every key
 	for _, b := range cfg.RPO {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			if !pureValueOp(in) {
 				continue
 			}
-			key := keyer.key(in)
+			key = exprKey(key[:0], in)
 			replaced := false
 			for _, prev := range table[string(key)] {
 				if dom.InstrDominates(prev, in) {
@@ -330,18 +330,12 @@ func pureValueOp(in *ir.Instr) bool {
 	return false
 }
 
-// exprKeyer builds CSE's structural keys: two instructions get equal keys
-// exactly when they apply the same operation, at structurally equal types,
-// to the same operands. Constants are operands by printed value and type,
-// instructions by identity.
-type exprKeyer struct {
-	buf []byte
-	ids map[*ir.Instr]int // instruction operands seen so far, numbered
-}
-
-// key returns in's key in a buffer the next call reuses.
-func (k *exprKeyer) key(in *ir.Instr) []byte {
-	b := append(k.buf[:0], byte(in.Op), byte(in.Pred))
+// exprKey appends in's structural CSE key to b: two instructions get equal
+// keys exactly when they apply the same operation, at structurally equal
+// types, to the same operands. Constants are operands by printed value and
+// type, instructions by identity (their ID).
+func exprKey(b []byte, in *ir.Instr) []byte {
+	b = append(b, byte(in.Op), byte(in.Pred))
 	b = in.Typ.AppendText(b)
 	if in.Elem != nil {
 		b = in.Elem.AppendText(append(b, '/'))
@@ -358,17 +352,11 @@ func (k *exprKeyer) key(in *ir.Instr) []byte {
 		case *ir.Func:
 			b = append(append(b, 'f'), x.Name...)
 		case *ir.Instr:
-			id, ok := k.ids[x]
-			if !ok {
-				id = len(k.ids)
-				k.ids[x] = id
-			}
-			b = strconv.AppendInt(append(b, 'i'), int64(id), 10)
+			b = strconv.AppendInt(append(b, 'i'), int64(x.ID), 10)
 		default:
 			b = append(b, '?')
 		}
 	}
-	k.buf = b
 	return b
 }
 

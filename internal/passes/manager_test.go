@@ -63,14 +63,22 @@ func TestGuardAttributedOnce(t *testing.T) {
 	}
 }
 
+// TestAttributeCreditsOnce: each guard is credited once, whatever its ID —
+// the set starts empty and grows to the guards it is asked about, so a guard
+// born after any table was sized is no special case.
 func TestAttributeCreditsOnce(t *testing.T) {
 	var s Stats
-	g := &ir.Instr{Op: ir.OpGuard}
-	if !s.Attribute(g) {
-		t.Error("first Attribute = false, want true")
+	for _, id := range []int32{3, 1, 64, 1000} {
+		g := &ir.Instr{Op: ir.OpGuard, ID: id}
+		if !s.Attribute(g) {
+			t.Errorf("guard %d: first Attribute = false, want true", id)
+		}
+		if s.Attribute(g) {
+			t.Errorf("guard %d: second Attribute = true, want false", id)
+		}
 	}
-	if s.Attribute(g) {
-		t.Error("second Attribute = true, want false")
+	if s.Attribute(&ir.Instr{Op: ir.OpGuard, ID: 1}) || !s.Attribute(&ir.Instr{Op: ir.OpGuard, ID: 2}) {
+		t.Error("growing the set lost or invented a credit")
 	}
 }
 

@@ -86,26 +86,24 @@ type Stats struct {
 	// attributed tracks which guards have already been credited to one of
 	// the optimizations, so a guard that is hoisted and later merged or
 	// removed counts once (Table 1 attributes each guard to one column).
-	// Guards are function-local, so the map is scoped to one function's
-	// Stats and dies with it; it never enters the merged module totals.
-	attributed map[*ir.Instr]bool
+	// Guards are function-local, so the set (by Instr.ID) is scoped to one
+	// function's Stats and dies with it; it never enters the merged module
+	// totals.
+	attributed analysis.Bits
 }
 
 // Attribute credits guard g to an optimization, returning false when the
 // guard was already credited (the caller must then not bump its counter).
 func (s *Stats) Attribute(g *ir.Instr) bool {
-	if s.attributed == nil {
-		s.attributed = make(map[*ir.Instr]bool, s.GuardsInjected)
-	}
-	if s.attributed[g] {
+	if s.attributed.Has(int(g.ID)) {
 		return false
 	}
-	s.attributed[g] = true
+	s.attributed = s.attributed.With(int(g.ID))
 	return true
 }
 
 // Merge folds one function's statistics into s. Only the integer counters
-// transfer; the attribution map stays with the per-function value.
+// transfer; the attribution set stays with the per-function value.
 func (s *Stats) Merge(o *Stats) {
 	s.GuardsInjected += o.GuardsInjected
 	s.LoadGuards += o.LoadGuards

@@ -54,7 +54,9 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 	}
 	facts := make(map[guardFact][]factInfo, stats.GuardsInjected) // (addr,kind) -> facts by size
 	var nFacts int
-	factOf := make(map[*ir.Instr]int, stats.GuardsInjected)
+	// factOf is a guard's fact number plus one, by Instr.ID (0: it generates
+	// none). Nothing is inserted while the table lives.
+	factOf := make([]int32, f.NumIDs())
 
 	f.ForEachInstr(func(in *ir.Instr) {
 		if in.Op != ir.OpGuard {
@@ -67,14 +69,14 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 		key := guardFact{addr: in.Args[0], kind: normKind(in.Kind)}
 		for _, fi := range facts[key] {
 			if fi.size == szc.Int {
-				factOf[in] = fi.id
+				factOf[in.ID] = int32(fi.id) + 1
 				return
 			}
 		}
 		fi := factInfo{id: nFacts, size: szc.Int}
 		nFacts++
 		facts[key] = append(facts[key], fi)
-		factOf[in] = fi.id
+		factOf[in.ID] = int32(fi.id) + 1
 	})
 	if nFacts == 0 {
 		return
@@ -83,10 +85,8 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 	cfg := fa.CFG()
 	ins := analysis.ForwardMust(cfg, nFacts, func(b *ir.Block, in analysis.Bits) analysis.Bits {
 		for _, i := range b.Instrs {
-			if i.Op == ir.OpGuard {
-				if id, ok := factOf[i]; ok {
-					in.Set(id)
-				}
+			if i.Op == ir.OpGuard && factOf[i.ID] != 0 {
+				in.Set(int(factOf[i.ID]) - 1)
 			}
 		}
 		return in
@@ -118,13 +118,13 @@ func acdcFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 			}
 			return nil, nil, false
 		}
-		if id, ok := factOf[g]; ok {
-			avail.Set(id)
+		if factOf[g.ID] != 0 {
+			avail.Set(int(factOf[g.ID]) - 1)
 		}
 		return nil, nil, true
 	}
 	for _, b := range cfg.RPO {
-		avail = ins[b].Copy()
+		avail = append(avail[:0], ins[b.Idx]...)
 		b.Edit(sweep)
 	}
 }

@@ -59,7 +59,7 @@ func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error)
 				vals[i] = v.val(fr, phi.Args[slices.Index(phi.Preds, prev)])
 			}
 			for i, phi := range phis {
-				fr.regs[fb.slotOf[phi]] = vals[i]
+				fr.regs[fb.slotOf[phi.ID]] = vals[i]
 			}
 			v.Instrs += uint64(len(phis))
 			fb.prof.Instrs += uint64(len(phis))
@@ -121,7 +121,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 	fb := fr.fb
 	set := func(val uint64) {
 		if hasSlot(in) {
-			fr.regs[fb.slotOf[in]] = val
+			fr.regs[fb.slotOf[in.ID]] = val
 		}
 	}
 	switch {

@@ -104,15 +104,15 @@ type pfunc struct {
 }
 
 // pdecoder is the state of one function's predecode: the layout it resolves
-// registers against, the block numbering, and the slabs it carves — sized
-// once, from a counting pass, so nothing is allocated per instruction.
+// registers against and the slabs it carves — sized once, from a counting
+// pass, so nothing is allocated per instruction. A successor's block index is
+// its ir.Block.Idx.
 type pdecoder struct {
 	*Program
-	l        *funcLayout
-	blockIdx map[*ir.Block]int32
-	pf       *pfunc
-	exts     []pext
-	args     []poperand
+	l    *funcLayout
+	pf   *pfunc
+	exts []pext
+	args []poperand
 }
 
 // needsExt reports whether in's lowering has a tail.
@@ -133,11 +133,9 @@ func needsExt(in *ir.Instr) bool {
 // into its code slab (see VM.bind).
 func (p *Program) predecode(l *funcLayout) *pfunc {
 	f := l.fn
-	d := pdecoder{Program: p, l: l, blockIdx: make(map[*ir.Block]int32, len(f.Blocks)),
-		pf: &pfunc{blocks: make([][]pinstr, len(f.Blocks))}}
+	d := pdecoder{Program: p, l: l, pf: &pfunc{blocks: make([][]pinstr, len(f.Blocks))}}
 	nCode, nExt, nArgs := 0, 0, 0
-	for i, b := range f.Blocks {
-		d.blockIdx[b] = int32(i)
+	for _, b := range f.Blocks {
 		for _, in := range b.Instrs[len(b.Phis()):] {
 			nCode++
 			if needsExt(in) {
@@ -171,7 +169,7 @@ func (d *pdecoder) edgeCopies(prev, b *ir.Block) []pcopy {
 	copies := make([]pcopy, len(phis))
 	for i, phi := range phis {
 		j := slices.Index(phi.Preds, prev) // Verify: every edge has an incoming
-		copies[i] = pcopy{dst: d.l.slotOf[phi], src: d.operand(phi.Args[j])}
+		copies[i] = pcopy{dst: d.l.slotOf[phi.ID], src: d.operand(phi.Args[j])}
 	}
 	return copies
 }
@@ -215,7 +213,7 @@ func (v *VM) pval(fr *frame, p poperand) uint64 {
 func (d *pdecoder) instr(pi *pinstr, b *ir.Block, in *ir.Instr) {
 	pi.op, pi.cost, pi.dst, pi.raw = in.Op, uint8(opCycles[in.Op]), -1, in
 	if hasSlot(in) {
-		pi.dst = d.l.slotOf[in]
+		pi.dst = d.l.slotOf[in.ID]
 	}
 	if pi.ext = &noExt; needsExt(in) {
 		pi.ext, d.exts = &d.exts[0], d.exts[1:]
@@ -294,9 +292,9 @@ func (d *pdecoder) instr(pi *pinstr, b *ir.Block, in *ir.Instr) {
 	case in.Op == ir.OpBr, in.Op == ir.OpCondBr:
 		if in.Op == ir.OpCondBr {
 			pi.a = opnd(0)
-			pi.succ1 = d.blockIdx[in.Succs[1]]
+			pi.succ1 = int32(in.Succs[1].Idx)
 		}
-		pi.succ0 = d.blockIdx[in.Succs[0]]
+		pi.succ0 = int32(in.Succs[0].Idx)
 		if pi.ext != &noExt {
 			pi.ext.copies0 = d.edgeCopies(b, in.Succs[0])
 			if in.Op == ir.OpCondBr {

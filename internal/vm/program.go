@@ -39,10 +39,11 @@ type funcCode struct {
 // funcLayout is the per-function "register file" layout: every SSA value
 // gets a slot; pointer-typed slots are recorded so the move engine can
 // patch in-register pointers. Parameter i sits in slot i (ir.Verify:
-// Params[i].Idx == i), so only instructions need the map.
+// Params[i].Idx == i); an instruction's slot is slotOf[its ID] (a module is
+// never mutated once it has a Program, so no ID is past the table's end).
 type funcLayout struct {
 	fn       *ir.Func
-	slotOf   map[*ir.Instr]int32
+	slotOf   []int32
 	nSlots   int
 	ptrSlots []int
 }
@@ -52,8 +53,7 @@ func (l *funcLayout) slot(x ir.Value) int32 {
 	if p, isParam := x.(*ir.Param); isParam {
 		return int32(p.Idx)
 	}
-	in, _ := x.(*ir.Instr)
-	return l.slotOf[in]
+	return l.slotOf[x.(*ir.Instr).ID]
 }
 
 // NewProgram verifies mod — once, for every VM that will run it — and
@@ -91,18 +91,9 @@ func publish[T any](slot *atomic.Pointer[T], build func() *T) *T {
 func hasSlot(in *ir.Instr) bool { return in.Op.HasResult() && in.Typ != ir.Void }
 
 // buildLayout numbers f's registers: parameters first, then every
-// value-producing instruction in block order. The map is sized once, from
-// a counting pass.
+// value-producing instruction in block order.
 func buildLayout(f *ir.Func) *funcLayout {
-	nVals := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if hasSlot(in) {
-				nVals++
-			}
-		}
-	}
-	l := &funcLayout{fn: f, slotOf: make(map[*ir.Instr]int32, nVals)}
+	l := &funcLayout{fn: f, slotOf: make([]int32, f.NumIDs())}
 	add := func(t *ir.Type) int32 {
 		if t.IsPtr() {
 			l.ptrSlots = append(l.ptrSlots, l.nSlots)
@@ -116,7 +107,7 @@ func buildLayout(f *ir.Func) *funcLayout {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if hasSlot(in) {
-				l.slotOf[in] = add(in.Typ)
+				l.slotOf[in.ID] = add(in.Typ)
 			}
 		}
 	}

@@ -79,8 +79,13 @@ func TestFirstCallAllocs(t *testing.T) {
 // paths point into it, and caratd caches it with the Program), so its width
 // is live heap per cached instruction.
 func TestPinstrSize(t *testing.T) {
-	if size := unsafe.Sizeof(pinstr{}); size > 136 {
-		t.Errorf("pinstr is %d bytes, want at most 136", size)
+	if size := unsafe.Sizeof(pinstr{}); size > 88 {
+		t.Errorf("pinstr is %d bytes, want at most 88", size)
+	}
+	// And the IR it was lowered from, which the cached module holds too: Op,
+	// Pred, Kind and ID share one word.
+	if size := unsafe.Sizeof(ir.Instr{}); size > 128 {
+		t.Errorf("ir.Instr is %d bytes, want at most 128", size)
 	}
 }
 
