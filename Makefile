@@ -17,7 +17,7 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 27356
+LOC_CEILING := 27355
 
 .PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
@@ -207,12 +207,13 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # microbench runs every host-time micro-benchmark of the kernel, runtime,
-# guard and passes packages, and the VM's heap rebase, tier-up and access
-# step, once each:
+# guard and passes packages, the VM's heap rebase, tier-up and access step,
+# and caratd's cached request (BenchmarkHotRequest), once each:
 # not a measurement (use -benchmem -count N for that, see EXPERIMENTS.md
 # "PR 20"), a check that they still build, set up and run.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
 	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp|BenchmarkAccessStep' -benchtime 1x ./internal/vm/
+	$(GO) test -run '^$$' -bench 'BenchmarkHotRequest' -benchtime 1x ./internal/server/
 
 check: fmt vet build loc-check densecheck test race

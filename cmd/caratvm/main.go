@@ -225,7 +225,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "instrs: %d, cycles: %d (CPI %.2f)\n",
 		v.Instrs, v.Cycles, float64(v.Cycles)/float64(v.Instrs))
 	fmt.Fprintf(os.Stderr, "guards: %d checks\n", v.GuardChecks)
-	rs := v.Runtime().Stats
+	rs := &v.Runtime().Stats
 	fmt.Fprintf(os.Stderr, "tracking: %d allocs, %d frees, %d escape events\n",
 		rs.Allocs.Get(), rs.Frees.Get(), rs.EscapeEvents.Get())
 	if h := v.Hierarchy(); h != nil {

@@ -84,7 +84,7 @@ func main() {
 	fmt.Printf("exit code: %d\n", ret)
 	fmt.Printf("executed %d instructions in %d modeled cycles; %d guard checks\n",
 		v.Instrs, v.Cycles, v.GuardChecks)
-	rt := v.Runtime().Stats
+	rt := &v.Runtime().Stats
 	fmt.Printf("runtime tracked %d allocations, %d frees, %d escapes\n",
-		rt.Allocs, rt.Frees, rt.EscapeEvents)
+		rt.Allocs.Get(), rt.Frees.Get(), rt.EscapeEvents.Get())
 }

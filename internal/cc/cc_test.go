@@ -21,7 +21,15 @@ func runCC(t *testing.T, src string, lvl passes.Level) (*vm.VM, int64) {
 	cfg := vm.DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
-	v, ret, err := core.CompileAndRun(m, lvl, cfg)
+	c, err := core.NewCompiler(lvl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Compile(m)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	v, ret, err := core.NewSystem(c, cfg).Run(r)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

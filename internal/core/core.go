@@ -89,17 +89,3 @@ func (s *System) Run(r *Result) (*vm.VM, int64, error) {
 	ret, err := v.Run()
 	return v, ret, err
 }
-
-// CompileAndRun is the one-call convenience used by examples and tests:
-// compile m at the given level, then run it on a default machine.
-func CompileAndRun(m *ir.Module, level passes.Level, cfg vm.Config) (*vm.VM, int64, error) {
-	c, err := NewCompiler(level)
-	if err != nil {
-		return nil, 0, err
-	}
-	r, err := c.Compile(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	return NewSystem(c, cfg).Run(r)
-}

@@ -37,7 +37,15 @@ func cfg() vm.Config {
 }
 
 func TestEndToEnd(t *testing.T) {
-	v, ret, err := CompileAndRun(smallProgram(), passes.LevelTracking, cfg())
+	c, err := NewCompiler(passes.LevelTracking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Compile(smallProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ret, err := NewSystem(c, cfg()).Run(r)
 	if err != nil {
 		t.Fatal(err)
 	}

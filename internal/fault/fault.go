@@ -96,7 +96,6 @@ func Injected(err error) bool {
 // points are safe on a nil receiver, which never injects.
 type Injector struct {
 	mu    sync.Mutex
-	seed  int64
 	rng   *rand.Rand
 	rates map[Point]float64
 	armed map[Point]int
@@ -116,7 +115,6 @@ func New(seed int64, reg *obs.Registry) *Injector {
 		reg = obs.NewRegistry()
 	}
 	return &Injector{
-		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed)),
 		rates:    make(map[Point]float64),
 		armed:    make(map[Point]int),
@@ -125,14 +123,6 @@ func New(seed int64, reg *obs.Registry) *Injector {
 		injected: reg.Counter("carat.fault.injected"),
 		perPoint: make(map[Point]*obs.Counter),
 	}
-}
-
-// Seed returns the seed the injector draws from.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
 }
 
 // SetTracer attaches an event tracer: every injected fault then appears
@@ -160,20 +150,6 @@ func (in *Injector) SetRate(p Point, rate float64) {
 		return
 	}
 	in.rates[p] = rate
-}
-
-// Rates returns a copy of the non-zero per-point rates.
-func (in *Injector) Rates() map[Point]float64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Point]float64, len(in.rates))
-	for p, r := range in.rates {
-		out[p] = r
-	}
-	return out
 }
 
 // Arm schedules a one-shot fault: the nth subsequent check of p (1-based)

@@ -76,7 +76,6 @@ type Evaluator struct {
 	// reallocate lastPath zero it.
 	lastPath  []bool
 	lpBits    uint64
-	lastLeaf  int
 	treeEpoch uint64
 	tree      []treeNode
 
@@ -281,9 +280,6 @@ func (e *Evaluator) checkIfTree(addr, size uint64, p Perm) (bool, uint64) {
 		node = next
 	}
 }
-
-// Reset clears the accumulated statistics but keeps prediction state.
-func (e *Evaluator) Reset() { e.Cycles, e.Checks, e.Faults = 0, 0, 0 }
 
 // AvgCycles returns the mean modeled cycles per check.
 func (e *Evaluator) AvgCycles() float64 {

@@ -50,7 +50,8 @@ type pathStep struct {
 //
 // The first xslotInlSteps path steps pack into the slot itself (idx<<1 |
 // left), so the common shallow walk replays without chasing a separate
-// steps slice; deeper walks spill the remainder to more.
+// steps slice; deeper walks spill the remainder to the cache's side table
+// (XCache.more), which keeps every slot free of pointers.
 type xslot struct {
 	key    uint64 // page<<8 | perm<<1 | 1; 0 when invalid
 	epoch  uint64 // RegionSet.Epoch at fill
@@ -60,7 +61,6 @@ type xslot struct {
 	nsteps int32  // count of packed steps in inl
 	fast   bool   // pmask/pvals cover every step (all idx < 64, distinct)
 	inl    [xslotInlSteps]int32
-	more   []pathStep // path steps beyond inl (deep walks only)
 
 	// pmask/pvals summarize the recorded path as a bitset over predictor
 	// slots: when fast, e.lpBits&pmask == pvals means every recorded step
@@ -75,9 +75,10 @@ type xslot struct {
 // deep trees spill.
 const xslotInlSteps = 6
 
-// replay applies the recorded branch path against the evaluator's live
-// predictor history and returns the walk's modeled cost.
-func (s *xslot) replay(e *Evaluator) uint64 {
+// replay applies slot i's recorded branch path (inline steps, then spilled
+// ones) against the live predictor history and returns the walk's cost.
+func (c *XCache) replay(i int, e *Evaluator) uint64 {
+	s := &c.slots[i]
 	cost := s.base
 	lp := e.lastPath
 	for i := 0; i < int(s.nsteps); i++ {
@@ -91,7 +92,10 @@ func (s *xslot) replay(e *Evaluator) uint64 {
 			}
 		}
 	}
-	for _, st := range s.more {
+	if c.more == nil {
+		return cost
+	}
+	for _, st := range c.more[i] {
 		if lp[st.idx] != st.left {
 			cost += costMispredict
 			lp[st.idx] = st.left
@@ -103,8 +107,9 @@ func (s *xslot) replay(e *Evaluator) uint64 {
 	return cost
 }
 
-// fill populates a slot from a just-recorded walk.
-func (s *xslot) fill(key, epoch, lo, hi, base uint64, steps []pathStep) {
+// fill populates slot i from a just-recorded walk.
+func (c *XCache) fill(i int, key, epoch, lo, hi, base uint64, steps []pathStep) {
+	s := &c.slots[i]
 	*s = xslot{key: key, epoch: epoch, lo: lo, hi: hi, base: base}
 	fast := true
 	for _, st := range steps {
@@ -123,8 +128,13 @@ func (s *xslot) fill(key, epoch, lo, hi, base uint64, steps []pathStep) {
 	}
 	n := len(steps)
 	if n > xslotInlSteps {
-		s.more = append([]pathStep(nil), steps[xslotInlSteps:]...)
+		if c.more == nil {
+			c.more = make([][]pathStep, xcacheSlots)
+		}
+		c.more[i] = append(c.more[i][:0], steps[xslotInlSteps:]...)
 		n = xslotInlSteps
+	} else if c.more != nil {
+		c.more[i] = c.more[i][:0]
 	}
 	for i := 0; i < n; i++ {
 		w := steps[i].idx << 1
@@ -143,8 +153,11 @@ func xslotKey(page uint64, p Perm) uint64 {
 }
 
 // XCache is a per-thread direct-mapped guard/translation cache. It is not
-// safe for concurrent use; each VM thread owns one.
+// safe for concurrent use; each VM thread owns one. more is its only
+// pointer, and comes first, so the collector scans one word of it.
 type XCache struct {
+	// more is, per slot, a deep walk's steps past the inline ones (made lazily).
+	more  [][]pathStep
 	slots [xcacheSlots]xslot
 
 	// Hits, Misses and Invalidations count cache events. Invalidations
@@ -224,7 +237,8 @@ func (e *Evaluator) CheckTranslateCached(c *XCache, addr, size uint64, p Perm) (
 		return 0, false
 	}
 	page := addr >> xcachePageShift
-	s := &c.slots[xslotIndex(page, p)]
+	i := xslotIndex(page, p)
+	s := &c.slots[i]
 	// One fused compare covers validity, page, perm, and epoch.
 	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)) == 0 &&
 		addr >= s.lo && addr+size <= s.hi && size <= s.hi-s.lo {
@@ -233,7 +247,7 @@ func (e *Evaluator) CheckTranslateCached(c *XCache, addr, size uint64, p Perm) (
 		if s.fast && e.lpBits&s.pmask == s.pvals {
 			e.Cycles += s.base // path matches history: zero mispredicts
 		} else {
-			e.Cycles += s.replay(e)
+			e.Cycles += c.replay(i, e)
 		}
 		return addr, true
 	}
@@ -253,7 +267,8 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 		return e.Check(addr, size, p)
 	}
 	page := addr >> xcachePageShift
-	s := &c.slots[xslotIndex(page, p)]
+	i := xslotIndex(page, p)
+	s := &c.slots[i]
 	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)) == 0 &&
 		addr >= s.lo && addr+size <= s.hi && size <= s.hi-s.lo {
 		c.Hits++
@@ -261,7 +276,7 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 		if s.fast && e.lpBits&s.pmask == s.pvals {
 			e.Cycles += s.base
 		} else {
-			e.Cycles += s.replay(e)
+			e.Cycles += c.replay(i, e)
 		}
 		return true
 	}
@@ -297,6 +312,6 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 		hi = end
 	}
 	walkCost := e.Cycles - before
-	s.fill(xslotKey(page, p), e.Set.Epoch, lo, hi, walkCost-uint64(e.recMisp)*costMispredict, e.recSteps)
+	c.fill(i, xslotKey(page, p), e.Set.Epoch, lo, hi, walkCost-uint64(e.recMisp)*costMispredict, e.recSteps)
 	return true
 }

@@ -1,6 +1,10 @@
 package guard
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 // xcFill runs one successful cached check per page so the cache holds a
 // known population.
@@ -206,5 +210,56 @@ func TestXCacheAccessOutsideCachedWindowMisses(t *testing.T) {
 	// Spanning the region end must also fault.
 	if e.CheckCached(c, 0x100f8, 16, PermRead) {
 		t.Fatal("access spanning region end permitted")
+	}
+}
+
+// TestXSlotHoldsNoPointer pins the cache's layout: a slot is 88 bytes of
+// scalars, and the cache's one pointer-bearing field is the deep-walk side
+// table, first, so a thread's cache is a mostly-unscanned allocation.
+func TestXSlotHoldsNoPointer(t *testing.T) {
+	if got := unsafe.Sizeof(xslot{}); got != 88 {
+		t.Errorf("xslot is %d bytes, want 88", got)
+	}
+	st := reflect.TypeOf(xslot{})
+	for i := 0; i < st.NumField(); i++ {
+		switch f := st.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("xslot.%s is a %s: a slot must hold no pointer", f.Name, f.Type)
+		}
+	}
+	ct := reflect.TypeOf(XCache{})
+	if f := ct.Field(0); f.Name != "more" || f.Offset != 0 {
+		t.Errorf("XCache's first field is %s at %d, want the side table at 0", f.Name, f.Offset)
+	}
+	for i := 1; i < ct.NumField(); i++ {
+		if f := ct.Field(i); f.Type.Kind() != reflect.Uint64 && f.Type.Kind() != reflect.Array {
+			t.Errorf("XCache.%s is a %s: the side table must be its only pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestXCacheDeepWalkParity: walks deeper than a slot's inline steps replay
+// their spilled remainder from the side table at exactly the uncached cost.
+func TestXCacheDeepWalkParity(t *testing.T) {
+	var regions []Region
+	for i := uint64(0); i < 256; i++ {
+		regions = append(regions, Region{Base: (2*i + 1) << 16, Len: 1 << 12, Perm: PermRW})
+	}
+	for _, mech := range []Mechanism{MechIfTree, MechBinarySearch} {
+		plain := NewEvaluator(mech, mkSet(t, regions...))
+		cached := NewEvaluator(mech, mkSet(t, regions...))
+		c := NewXCache()
+		for i := uint64(0); i < 2000; i++ {
+			addr := (2*(i%12*21)+1)<<16 + i%64*8 // 12 pages of 12 regions, revisited
+			if plain.Check(addr, 8, PermRead) != cached.CheckCached(c, addr, 8, PermRead) {
+				t.Fatalf("mech %v: verdict diverges at %#x", mech, addr)
+			}
+		}
+		if plain.Cycles != cached.Cycles {
+			t.Errorf("mech %v: cycles %d cached, %d plain", mech, cached.Cycles, plain.Cycles)
+		}
+		if c.more == nil || c.Hits == 0 {
+			t.Errorf("mech %v: %d hits, side table %v: the fixture never replayed a spilled walk", mech, c.Hits, c.more != nil)
+		}
 	}
 }

@@ -66,14 +66,8 @@ func (bld *Builder) Shl(a, b Value) *Instr { return bld.Binary(OpShl, a, b) }
 // LShr emits a logical right shift.
 func (bld *Builder) LShr(a, b Value) *Instr { return bld.Binary(OpLShr, a, b) }
 
-// SRem emits a signed remainder.
-func (bld *Builder) SRem(a, b Value) *Instr { return bld.Binary(OpSRem, a, b) }
-
 // URem emits an unsigned remainder.
 func (bld *Builder) URem(a, b Value) *Instr { return bld.Binary(OpURem, a, b) }
-
-// SDiv emits a signed division.
-func (bld *Builder) SDiv(a, b Value) *Instr { return bld.Binary(OpSDiv, a, b) }
 
 // FAdd emits a floating add.
 func (bld *Builder) FAdd(a, b Value) *Instr { return bld.Binary(OpFAdd, a, b) }
@@ -194,9 +188,6 @@ func (bld *Builder) Guard(kind GuardKind, addr Value, size Value) *Instr {
 
 // I64 is shorthand for an i64 constant.
 func (bld *Builder) I64(v int64) *Const { return ConstInt(I64, v) }
-
-// I32 is shorthand for an i32 constant.
-func (bld *Builder) I32(v int64) *Const { return ConstInt(I32, v) }
 
 // F64V is shorthand for an f64 constant.
 func (bld *Builder) F64V(v float64) *Const { return ConstFloat(v) }

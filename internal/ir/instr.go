@@ -156,20 +156,6 @@ func (in *Instr) IsTerminator() bool {
 	return false
 }
 
-// Addr returns the pointer operand of a load, store, or guard. It panics
-// for other opcodes.
-func (in *Instr) Addr() Value {
-	switch in.Op {
-	case OpLoad:
-		return in.Args[0]
-	case OpStore:
-		return in.Args[1]
-	case OpGuard:
-		return in.Args[0]
-	}
-	panic(fmt.Sprintf("ir: Addr on %v", in.Op))
-}
-
 // AccessSize returns the number of bytes accessed by a load or store.
 func (in *Instr) AccessSize() int64 {
 	switch in.Op {

@@ -39,9 +39,6 @@ func (c *Const) Type() *Type { return c.Typ }
 // Ref implements Value; AppendRef (encode.go) defines the syntax.
 func (c *Const) Ref() string { return string(c.AppendRef(nil)) }
 
-// IsZero reports whether c is a zero constant (0, 0.0, or null).
-func (c *Const) IsZero() bool { return c.Int == 0 && c.Float == 0 }
-
 // Global is a module-level variable (the IR analogue of data/bss). Its
 // value, when used as an operand, is the address of its storage, so the
 // operand type is always ptr.

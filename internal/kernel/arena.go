@@ -63,9 +63,6 @@ func (k *Kernel) ReleaseArena(a *Arena) error {
 // Base returns the arena's first physical address.
 func (a *Arena) Base() uint64 { return a.base }
 
-// Pages returns the arena size in pages.
-func (a *Arena) Pages() uint64 { return a.pages }
-
 // Bytes returns the arena size in bytes.
 func (a *Arena) Bytes() uint64 { return a.pages * PageSize }
 

@@ -413,8 +413,8 @@ func TestPagingModelDemandPaging(t *testing.T) {
 	if m.PageAllocs != 60 {
 		t.Errorf("allocs = %d, want 60", m.PageAllocs)
 	}
-	if m.ResidentPages() != 60 {
-		t.Errorf("resident = %d, want 60", m.ResidentPages())
+	if uint64(len(m.resident)) != 60 {
+		t.Errorf("resident = %d, want 60", uint64(len(m.resident)))
 	}
 	if m.PageMoves != 0 {
 		t.Errorf("moves = %d, want 0 with no migration policy", m.PageMoves)

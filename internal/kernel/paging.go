@@ -78,6 +78,3 @@ func (m *PagingModel) Touch(addr uint64) {
 		m.PageMoves++
 	}
 }
-
-// ResidentPages returns the current resident set size in pages.
-func (m *PagingModel) ResidentPages() uint64 { return uint64(len(m.resident)) }

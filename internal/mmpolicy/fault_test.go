@@ -33,7 +33,7 @@ func TestTryMoveRetryBackoffAndPin(t *testing.T) {
 	if try(0) {
 		t.Fatal("move succeeded under an always-veto kernel")
 	}
-	if got := d.Stats().Retries.Get(); got != 0 {
+	if got := d.stats.Retries.Get(); got != 0 {
 		t.Errorf("first failure counted as a retry: %d", got)
 	}
 	if got := k.Stats.MoveVetoes.Get(); got != 1 {
@@ -57,16 +57,16 @@ func TestTryMoveRetryBackoffAndPin(t *testing.T) {
 		if try(now) {
 			t.Fatalf("retry %d succeeded under an always-veto kernel", i+1)
 		}
-		if got := d.Stats().Retries.Get(); got != uint64(i+1) {
+		if got := d.stats.Retries.Get(); got != uint64(i+1) {
 			t.Errorf("carat.policy.move_retries = %d after retry %d", got, i+1)
 		}
 	}
 
 	// Fourth failure pinned the page.
-	if got := d.Stats().Pins.Get(); got != 1 {
+	if got := d.stats.Pins.Get(); got != 1 {
 		t.Errorf("carat.policy.pins = %d, want 1", got)
 	}
-	if got := d.Stats().PinnedPages.Get(); got != 1 {
+	if got := d.stats.PinnedPages.Get(); got != 1 {
 		t.Errorf("carat.policy.pinned_pages = %d, want 1", got)
 	}
 	if len(d.moveFails) != 0 {
@@ -131,10 +131,10 @@ func TestTryMoveRecoversAfterTransientFailure(t *testing.T) {
 	if res.Dst == base {
 		t.Error("successful retry did not relocate the page")
 	}
-	if got := d.Stats().Retries.Get(); got != 1 {
+	if got := d.stats.Retries.Get(); got != 1 {
 		t.Errorf("carat.policy.move_retries = %d, want 1", got)
 	}
-	if d.Stats().Pins.Get() != 0 || len(d.pinned) != 0 {
+	if d.stats.Pins.Get() != 0 || len(d.pinned) != 0 {
 		t.Error("transient failure escalated to a pin")
 	}
 	if len(d.moveFails) != 0 {

@@ -272,9 +272,6 @@ func (d *Daemon) injector() *fault.Injector {
 	return d.inj
 }
 
-// Stats returns the daemon's metric handles.
-func (d *Daemon) Stats() Stats { return d.stats }
-
 // Attach places a process (and its runtime) under management. The
 // runtime's move listener keeps the daemon's heat map valid across moves.
 func (d *Daemon) Attach(name string, p *kernel.Process, rt *runtime.Runtime) *ManagedProc {

@@ -64,7 +64,7 @@ func TestRareMigrationLargeJump(t *testing.T) {
 func testProc(t *testing.T, d *Daemon, k *kernel.Kernel, name string) (*ManagedProc, *kernel.Process, *runtime.Runtime) {
 	t.Helper()
 	p := k.NewProcess()
-	rt := runtime.NewWith(k.Mem, nil, k.Obs)
+	rt := runtime.New(k.Mem, nil, k.Obs)
 	p.Handler = rt
 	return d.Attach(name, p, rt), p, rt
 }
@@ -160,7 +160,7 @@ func TestDefragAssemblesTargetRun(t *testing.T) {
 			t.Fatalf("move decision with zero modeled cost: %+v", dec)
 		}
 	}
-	if got := d.Stats().DefragMove.Get(); got != doc.Totals.Moves {
+	if got := d.stats.DefragMove.Get(); got != doc.Totals.Moves {
 		t.Fatalf("metric/document mismatch: %d defrag_moves vs %d moves", got, doc.Totals.Moves)
 	}
 }
@@ -198,7 +198,7 @@ func TestTieringSwapRoundTrip(t *testing.T) {
 	if !kernel.IsPoison(ptr) {
 		t.Fatalf("cold allocation not evicted: slot holds %#x", ptr)
 	}
-	if got := d.Stats().SwapOuts.Get(); got != 1 {
+	if got := d.stats.SwapOuts.Get(); got != 1 {
 		t.Fatalf("swap_outs = %d, want 1", got)
 	}
 
@@ -259,7 +259,7 @@ func TestNUMARebalanceMovesToHomeNode(t *testing.T) {
 	if onHome != 2 {
 		t.Fatalf("%d of 2 allocations on home node after rebalance", onHome)
 	}
-	if got := d.Stats().NUMAMoves.Get(); got == 0 {
+	if got := d.stats.NUMAMoves.Get(); got == 0 {
 		t.Fatal("no NUMA migrations recorded")
 	}
 	doc := d.Report()
@@ -427,7 +427,7 @@ func TestConcurrentAccessors(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := d.Stats().Accesses.Get(); got != 800 {
+	if got := d.stats.Accesses.Get(); got != 800 {
 		t.Fatalf("accesses = %d, want 800", got)
 	}
 }

@@ -145,7 +145,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 			spec.MaxPages = 4
 		}
 		p := k.NewProcess()
-		rt := runtime.NewWith(k.Mem, nil, k.Obs)
+		rt := runtime.New(k.Mem, nil, k.Obs)
 		rt.SetTracer(cfg.Trace)
 		rt.SetInjector(cfg.Fault)
 		rt.SetPauseBudget(cfg.PauseBudget)
@@ -295,9 +295,19 @@ func (h *Harness) stepProc(wp *WorkProc) error {
 	return fmt.Errorf("mmpolicy: harness: unknown work kind %d", wp.Spec.Kind)
 }
 
+// publish lands the runtimes' counts in the registry at the end of Run and Verify.
+func (h *Harness) publish() {
+	h.K.Obs.Publish(func(s obs.Sink) {
+		for _, wp := range h.Procs {
+			wp.MP.RT.Publish(s, true)
+		}
+	})
+}
+
 // Run interleaves the workloads for steps rounds (one op per process per
 // round), waking the daemon whenever the clock crosses the tick interval.
 func (h *Harness) Run(steps int) error {
+	defer h.publish()
 	for s := 0; s < steps; s++ {
 		for _, wp := range h.Procs {
 			if err := h.stepProc(wp); err != nil {
@@ -322,6 +332,7 @@ func (h *Harness) Run(steps int) error {
 // harness's proof that policy-driven moves and swaps never corrupted a
 // process's view of its memory.
 func (h *Harness) Verify() error {
+	defer h.publish()
 	for _, wp := range h.Procs {
 		wp.MP.RT.Flush()
 		for i := 0; i < wp.Spec.Slots; i++ {

@@ -76,9 +76,9 @@ type Document struct {
 	FragAfter  *kernel.FragStats `json:"frag_after,omitempty"`
 	// PauseCycles is the carat.runtime.pause_cycles histogram at Report
 	// time: every world-stop window (moves, aborts, protection flips,
-	// swaps) across all managed processes, with p50/p95/p99. All the
-	// harness's runtimes share the kernel's registry, so this aggregates
-	// the whole machine.
+	// swaps) across all managed processes, with p50/p95/p99. Every world
+	// stop publishes into the kernel's registry when it ends, so this
+	// aggregates the whole machine.
 	PauseCycles *obs.HistogramSnapshot `json:"pause_cycles,omitempty"`
 	// PauseP99Cycles (v2) surfaces the p99 pause as a first-class column so
 	// policy comparisons don't have to dig into the histogram; it equals

@@ -26,8 +26,12 @@ const (
 	NumCategories
 )
 
-var categoryNames = [NumCategories]string{
-	"compute", "guard", "tracking", "pagewalk", "pagefault", "protocol", "alloc",
+// categoryCounters are the counters Publish adds the categories to; a
+// category's name is its counter's last segment.
+var categoryCounters = [NumCategories]string{
+	"carat.vm.cycles.compute", "carat.vm.cycles.guard", "carat.vm.cycles.tracking",
+	"carat.vm.cycles.pagewalk", "carat.vm.cycles.pagefault", "carat.vm.cycles.protocol",
+	"carat.vm.cycles.alloc",
 }
 
 // String names the category (used as a metric-name suffix).
@@ -35,7 +39,7 @@ func (c Category) String() string {
 	if c < 0 || c >= NumCategories {
 		return "unknown"
 	}
-	return categoryNames[c]
+	return categoryCounters[c][len("carat.vm.cycles."):]
 }
 
 // FuncProfile accumulates per-function interpreter costs.
@@ -49,27 +53,23 @@ type FuncProfile struct {
 // CycleProfile is the VM's cycle-attribution profile: a per-category
 // breakdown plus per-function compute costs. It is owned by a single VM
 // and updated from the interpreter loop without synchronization, so it
-// adds no atomics to the hot path.
+// adds no atomics to the hot path. Function buckets are indexed by the
+// module's function index; names join them only when a report asks.
 type CycleProfile struct {
 	Cat   [NumCategories]uint64
-	funcs map[string]*FuncProfile
+	names []string
+	funcs []FuncProfile
 }
 
-// NewCycleProfile returns an empty profile.
-func NewCycleProfile() *CycleProfile {
-	return &CycleProfile{funcs: make(map[string]*FuncProfile)}
+// NewCycleProfile returns an empty profile with one bucket per name, in the
+// module's function order; names is only read, so profiles may share it.
+func NewCycleProfile(names []string) *CycleProfile {
+	return &CycleProfile{names: names, funcs: make([]FuncProfile, len(names))}
 }
 
-// Func returns the named function's bucket, creating it if needed. The
-// pointer is stable; the VM resolves it once per function at load time.
-func (p *CycleProfile) Func(name string) *FuncProfile {
-	f, ok := p.funcs[name]
-	if !ok {
-		f = &FuncProfile{Name: name}
-		p.funcs[name] = f
-	}
-	return f
-}
+// Func returns function i's bucket. The pointer is stable; the VM resolves
+// it once per function, on the function's first call.
+func (p *CycleProfile) Func(i int) *FuncProfile { return &p.funcs[i] }
 
 // Total returns the sum over all categories.
 func (p *CycleProfile) Total() uint64 {
@@ -80,12 +80,13 @@ func (p *CycleProfile) Total() uint64 {
 	return t
 }
 
-// Funcs returns the per-function buckets sorted by descending cycles
-// (ties broken by name for determinism).
+// Funcs returns the per-function buckets, named, sorted by descending
+// cycles (ties broken by name for determinism).
 func (p *CycleProfile) Funcs() []*FuncProfile {
-	out := make([]*FuncProfile, 0, len(p.funcs))
-	for _, f := range p.funcs {
-		out = append(out, f)
+	out := make([]*FuncProfile, len(p.funcs))
+	for i := range p.funcs {
+		p.funcs[i].Name = p.names[i]
+		out[i] = &p.funcs[i]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cycles != out[j].Cycles {
@@ -115,18 +116,13 @@ func (p *CycleProfile) MarshalJSON() ([]byte, error) {
 	}{p.ByCategory(), p.Funcs()})
 }
 
-// PublishTo adds the profile into reg as counters under prefix:
-// <prefix>.cycles.<category> plus <prefix>.cycles.total. Using Add (not
-// Set) lets a bench sweep accumulate across sequential VM runs sharing
-// one registry.
-func (p *CycleProfile) PublishTo(reg *Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	for c := Category(0); c < NumCategories; c++ {
-		if p.Cat[c] > 0 {
-			reg.Counter(prefix + ".cycles." + c.String()).Add(p.Cat[c])
+// Publish adds carat.vm.cycles.<category> for every category that charged
+// a cycle, plus carat.vm.cycles.total, into s.
+func (p *CycleProfile) Publish(s Sink) {
+	for c, n := range p.Cat {
+		if n > 0 {
+			s.Add(categoryCounters[c], n)
 		}
 	}
-	reg.Counter(prefix + ".cycles.total").Add(p.Total())
+	s.Add("carat.vm.cycles.total", p.Total())
 }

@@ -22,16 +22,16 @@ func TestCategoryNames(t *testing.T) {
 }
 
 func TestCycleProfile(t *testing.T) {
-	p := NewCycleProfile()
+	p := NewCycleProfile([]string{"main", "helper"})
 	p.Cat[CatCompute] += 100
 	p.Cat[CatGuard] += 20
-	f := p.Func("main")
+	f := p.Func(0)
 	f.Calls++
 	f.Instrs += 10
 	f.Cycles += 100
-	g := p.Func("helper")
+	g := p.Func(1)
 	g.Cycles += 200
-	if p.Func("main") != f {
+	if p.Func(0) != f {
 		t.Fatal("Func lookup not stable")
 	}
 	if p.Total() != 120 {
@@ -62,18 +62,19 @@ func TestCycleProfile(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	p.PublishTo(reg, "carat.vm")
+	reg.Publish(p.Publish)
 	s := reg.Snapshot()
 	if s.Counters["carat.vm.cycles.compute"] != 100 ||
 		s.Counters["carat.vm.cycles.guard"] != 20 ||
 		s.Counters["carat.vm.cycles.total"] != 120 {
 		t.Fatalf("published = %v", s.Counters)
 	}
-	// PublishTo accumulates across runs.
-	p.PublishTo(reg, "carat.vm")
-	if reg.Counter("carat.vm.cycles.total").Get() != 240 {
-		t.Fatal("PublishTo should accumulate")
+	if _, ok := s.Counters["carat.vm.cycles.alloc"]; ok {
+		t.Fatal("a category that charged nothing was published")
 	}
-	// nil registry is a no-op.
-	p.PublishTo(nil, "carat.vm")
+	// Publish accumulates across runs.
+	reg.Publish(p.Publish)
+	if reg.Counter("carat.vm.cycles.total").Get() != 240 {
+		t.Fatal("Publish should accumulate")
+	}
 }

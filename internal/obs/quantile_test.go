@@ -11,7 +11,7 @@ import (
 
 func TestQuantileEmpty(t *testing.T) {
 	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile(0.5) = %v, want 0", got)
 	}
 	s := h.Snapshot()
@@ -24,7 +24,7 @@ func TestQuantileSingleValue(t *testing.T) {
 	var h Histogram
 	h.Observe(100)
 	for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1} {
-		if got := h.Quantile(q); got != 100 {
+		if got := h.Snapshot().Quantile(q); got != 100 {
 			t.Errorf("Quantile(%v) = %v, want 100 (clamped to the only observation)", q, got)
 		}
 	}
@@ -36,7 +36,7 @@ func TestQuantileConstant(t *testing.T) {
 		h.Observe(777)
 	}
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := h.Quantile(q); got != 777 {
+		if got := h.Snapshot().Quantile(q); got != 777 {
 			t.Errorf("Quantile(%v) = %v, want 777", q, got)
 		}
 	}
@@ -51,11 +51,11 @@ func TestQuantileSingleBucketReturnsBound(t *testing.T) {
 		h.Observe(v)
 	}
 	for _, q := range []float64{0.25, 0.5, 0.75, 0.99} {
-		if got := h.Quantile(q); got != 14 {
+		if got := h.Snapshot().Quantile(q); got != 14 {
 			t.Errorf("single-bucket Quantile(%v) = %v, want bucket bound clamped to Max 14", q, got)
 		}
 	}
-	if got := h.Quantile(0); got != 9 {
+	if got := h.Snapshot().Quantile(0); got != 9 {
 		t.Errorf("single-bucket Quantile(0) = %v, want Min 9", got)
 	}
 }
@@ -80,8 +80,8 @@ func TestHistogramMerge(t *testing.T) {
 		whole.Observe(v)
 	}
 	var merged Histogram
-	merged.Merge(a.Snapshot())
-	merged.Merge(b.Snapshot())
+	a.addTo(&merged)
+	b.addTo(&merged)
 	ms, ws := merged.Snapshot(), whole.Snapshot()
 	if ms.Count != ws.Count || ms.Sum != ws.Sum || ms.Min != ws.Min || ms.Max != ws.Max {
 		t.Errorf("merged summary %+v != direct %+v", ms, ws)
@@ -98,10 +98,10 @@ func TestHistogramMerge(t *testing.T) {
 		t.Errorf("merged percentiles %v/%v/%v != direct %v/%v/%v",
 			ms.P50, ms.P95, ms.P99, ws.P50, ws.P95, ws.P99)
 	}
-	var empty Histogram
-	empty.Merge(HistogramSnapshot{})
-	if empty.Count() != 0 {
-		t.Errorf("merging an empty snapshot observed something: count %d", empty.Count())
+	var empty, none Histogram
+	none.addTo(&empty)
+	if empty.Count() != 0 || empty.Snapshot().Min != 0 {
+		t.Errorf("merging an empty histogram observed something: %+v", empty.Snapshot())
 	}
 }
 
@@ -119,7 +119,7 @@ func TestQuantileUniform(t *testing.T) {
 		{0.99, 990},
 	}
 	for _, c := range cases {
-		got := h.Quantile(c.q)
+		got := h.Snapshot().Quantile(c.q)
 		if rel := math.Abs(got-c.want) / c.want; rel > 0.10 {
 			t.Errorf("uniform 1..1000: Quantile(%v) = %.1f, want %.0f +/- 10%%", c.q, got, c.want)
 		}
@@ -136,10 +136,10 @@ func TestQuantileBimodal(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Observe(10000)
 	}
-	if p50 := h.Quantile(0.50); p50 < 8 || p50 > 15 {
+	if p50 := h.Snapshot().Quantile(0.50); p50 < 8 || p50 > 15 {
 		t.Errorf("bimodal p50 = %.1f, want within the [8,15] bucket of the low mode", p50)
 	}
-	if p99 := h.Quantile(0.99); p99 < 8192 || p99 > 10000 {
+	if p99 := h.Snapshot().Quantile(0.99); p99 < 8192 || p99 > 10000 {
 		t.Errorf("bimodal p99 = %.1f, want in the high mode's bucket (clamped at max 10000)", p99)
 	}
 }
@@ -172,10 +172,10 @@ func TestQuantileBoundsClamp(t *testing.T) {
 	var h Histogram
 	h.Observe(3)
 	h.Observe(300)
-	if got := h.Quantile(0); got != 3 {
+	if got := h.Snapshot().Quantile(0); got != 3 {
 		t.Errorf("Quantile(0) = %v, want Min 3", got)
 	}
-	if got := h.Quantile(1); got != 300 {
+	if got := h.Snapshot().Quantile(1); got != 300 {
 		t.Errorf("Quantile(1) = %v, want Max 300", got)
 	}
 }

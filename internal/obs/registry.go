@@ -24,8 +24,7 @@ import (
 )
 
 // Counter is a monotonically increasing metric with atomic updates. The
-// zero value is usable, but counters are normally obtained from a Registry
-// so they appear in snapshots.
+// zero value is usable: run-lifetime owners keep plain ones and publish them.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -103,25 +102,6 @@ func (h *Histogram) Observe(v uint64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the arithmetic mean of observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Quantile returns the value at quantile q (0 < q <= 1) estimated from
-// the live bucket counts with intra-bucket log interpolation. 0 when the
-// histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.snapshot().Quantile(q)
-}
 
 // BucketCount is one non-empty histogram bucket in a snapshot: Count
 // observations were <= Le (and greater than the previous bucket's Le).
@@ -203,9 +183,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // Snapshot returns a point-in-time copy of the histogram's state,
 // including the estimated p50/p95/p99.
-func (h *Histogram) Snapshot() HistogramSnapshot { return h.snapshot() }
-
-func (h *Histogram) snapshot() HistogramSnapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Min: h.min.Load(), Max: h.max.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
@@ -218,36 +196,35 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge folds a snapshot taken from another histogram into h, as if every
-// observation behind the snapshot had been observed here. Bucket shapes are
-// identical across all Histograms (fixed log2 scale), so the fold is exact
-// (see Registry.Merge).
-func (h *Histogram) Merge(s HistogramSnapshot) {
-	if s.Count == 0 {
+// addTo folds every observation of h into dst, as if each had been observed
+// there. Bucket shapes are identical across all Histograms (fixed log2
+// scale), so the fold is exact. The caller keeps h's observers out.
+func (h *Histogram) addTo(dst *Histogram) {
+	n := h.count.Load()
+	if n == 0 {
 		return
 	}
-	for _, b := range s.Buckets {
-		i := bits.Len64(b.Le)
-		if i >= HistogramBuckets {
-			i = HistogramBuckets - 1
+	for i := range h.buckets {
+		if c := h.buckets[i].Load(); c != 0 {
+			dst.buckets[i].Add(c)
 		}
-		h.buckets[i].Add(b.Count)
 	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
+	dst.count.Add(n)
+	dst.sum.Add(h.sum.Load())
+	min, max := h.min.Load(), h.max.Load()
 	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
+		cur := dst.max.Load()
+		if max <= cur || dst.max.CompareAndSwap(cur, max) {
 			break
 		}
 	}
-	if !h.minInit.Load() && h.minInit.CompareAndSwap(false, true) {
-		h.min.Store(s.Min)
+	if !dst.minInit.Load() && dst.minInit.CompareAndSwap(false, true) {
+		dst.min.Store(min)
 		return
 	}
 	for {
-		cur := h.min.Load()
-		if s.Min >= cur || h.min.CompareAndSwap(cur, s.Min) {
+		cur := dst.min.Load()
+		if min >= cur || dst.min.CompareAndSwap(cur, min) {
 			break
 		}
 	}
@@ -255,7 +232,9 @@ func (h *Histogram) Merge(s HistogramSnapshot) {
 
 func (h *Histogram) reset() {
 	for i := range h.buckets {
-		h.buckets[i].Store(0)
+		if h.buckets[i].Load() != 0 { // most are: an atomic store is not free
+			h.buckets[i].Store(0)
+		}
 	}
 	h.count.Store(0)
 	h.sum.Store(0)
@@ -287,36 +266,62 @@ func NewRegistry() *Registry {
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if needed.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	return lookup(r.hists, name)
+}
+
+// lookup returns m's metric called name, creating it if needed. The caller
+// holds the registry's lock.
+func lookup[T any](m map[string]*T, name string) *T {
+	x, ok := m[name]
 	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+		x = new(T)
+		m[name] = x
 	}
-	return h
+	return x
+}
+
+// Publish runs fn under one acquisition of the registry's lock, handing it
+// the Sink that writes there: how a run-lifetime owner (a VM, its runtime)
+// lands what it counted in plain fields of its own. fn must not call r.
+func (r *Registry) Publish(fn func(Sink)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn(Sink{r})
+}
+
+// Sink is the write side of one Registry.Publish step, valid only inside it.
+// Every method creates its series, even with nothing to add.
+type Sink struct{ r *Registry }
+
+// Add adds n to the named counter.
+func (s Sink) Add(name string, n uint64) { lookup(s.r.counters, name).Add(n) }
+
+// Set stores v in the named gauge.
+func (s Sink) Set(name string, v uint64) { lookup(s.r.gauges, name).Set(v) }
+
+// Drain moves every observation of h (nil: none) into the named histogram
+// and empties h, so the next Drain publishes only what was observed since.
+// The caller keeps h's observers out meanwhile.
+func (s Sink) Drain(name string, h *Histogram) {
+	dst := lookup(s.r.hists, name)
+	if h != nil {
+		h.addTo(dst)
+		h.reset()
+	}
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry. Maps
@@ -347,44 +352,29 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
-			s.Histograms[name] = h.snapshot()
+			s.Histograms[name] = h.Snapshot()
 		}
 	}
 	return s
 }
 
 // Merge folds every counter and histogram of from into r, as if each had
-// been recorded here: counters add, histograms merge bucket-wise. It is how a
-// run that needs exact readings of its own — the vm folds runtime cycle
-// counters into its modeled clock as deltas, experiment results read TLB,
-// tracking and pause metrics — publishes to a private registry and still
-// lands in the shared one: caratd merges every request's, the bench harness
-// every run's. Gauges stay behind: a finished run's point-in-time value says
-// nothing about r's present, and r's own writers keep adjusting theirs.
+// been recorded here: counters add, histograms merge bucket-wise. The bench
+// harness gives each experiment run a registry of its own and merges it into
+// the sweep's when the run is over. Gauges stay behind: a finished run's
+// point-in-time value says nothing about r's present, and r's own writers
+// keep adjusting theirs.
 func (r *Registry) Merge(from *Registry) {
-	snap := from.Snapshot()
-	for name, val := range snap.Counters {
-		r.Counter(name).Add(val)
-	}
-	for name, hs := range snap.Histograms {
-		r.Histogram(name).Merge(hs)
-	}
-}
-
-// Reset zeroes every metric, keeping the registered names and pointers
-// valid (holders of a *Counter keep writing to the same cell).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
+	from.mu.Lock()
+	defer from.mu.Unlock()
+	r.Publish(func(s Sink) {
+		for name, c := range from.counters {
+			s.Add(name, c.Get())
+		}
+		for name, h := range from.hists {
+			h.addTo(lookup(r.hists, name))
+		}
+	})
 }
 
 // Metrics document schema identifiers (see DESIGN.md "Observability").

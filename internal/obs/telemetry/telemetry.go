@@ -77,6 +77,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Listener timeouts, so a client that trickles its headers cannot hold a
+// goroutine forever. No write timeout: /trace?sec=N answers after N seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start binds addr (e.g. "localhost:9100" or ":0") and serves in a
 // background goroutine. It returns the bound address, so callers using
 // port 0 can discover the real port.
@@ -85,7 +92,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	s.mu.Lock()
 	s.ln, s.http = ln, srv
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -206,5 +207,33 @@ func TestTraceEndpointNoTracer(t *testing.T) {
 	defer srv.Close()
 	if code, _, _ := get(t, "http://"+addr+"/trace"); code != http.StatusServiceUnavailable {
 		t.Errorf("/trace with no tracer = %d, want 503", code)
+	}
+}
+
+// TestSlowHeadersAreDisconnected: a scraper that sends half a request line
+// and stalls is cut off once the header deadline passes.
+func TestSlowHeadersAreDisconnected(t *testing.T) {
+	srv := &Server{Registry: obs.NewRegistry()}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)) //nolint:errcheck
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a half request line", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("disconnected after %v, before the %v header deadline", waited, readHeaderTimeout)
 	}
 }

@@ -39,6 +39,7 @@ func (r *Runtime) MoveAllocationTo(base, dst uint64) (MoveBreakdown, error) {
 func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBreakdown, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
+	defer r.publishStop()
 	r.Flush()
 
 	var bd MoveBreakdown

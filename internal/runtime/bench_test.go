@@ -26,7 +26,7 @@ func must(t testing.TB, err error) {
 func benchMachine(b *testing.B, mem uint64) (*kernel.Process, *Runtime, uint64) {
 	k := kernel.New(mem)
 	p := k.NewProcess()
-	rt := New(k.Mem, nil)
+	rt := New(k.Mem, nil, nil)
 	p.Handler = rt
 	base, err := p.GrantRegion(mem/2, guard.PermRW)
 	must(b, err)

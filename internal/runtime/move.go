@@ -86,6 +86,7 @@ func (r *Runtime) HandleProtect(apply func() error) error {
 	defer w.ResumeTheWorld()
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
+	defer r.publishStop()
 	r.Flush()
 	r.tracer().Instant("protect.apply", "protocol")
 	err := apply()
@@ -136,6 +137,7 @@ func (r *Runtime) HandleMove(req *kernel.MoveRequest) (kernel.MoveResult, error)
 func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
+	defer r.publishStop()
 	r.Flush()
 
 	st := &moveState{
@@ -164,7 +166,9 @@ func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kern
 	r.MoveStats = append(r.MoveStats, st.bd)
 	r.Stats.Moves.Inc()
 	r.Stats.MoveCycles.Add(st.bd.TotalCycles())
-	r.moveHist.Observe(st.bd.TotalCycles())
+	r.pubMu.Lock()
+	r.hists().move.Observe(st.bd.TotalCycles())
+	r.pubMu.Unlock()
 	st.meter.finish()
 	r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
 	return kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.src, st.dst, st.length, nil

@@ -55,56 +55,110 @@ func (w *noWorld) StopTheWorld() []RegSet {
 }
 func (w *noWorld) ResumeTheWorld() { w.stopped = false }
 
-// Stats is the runtime's typed view over its obs.Registry metrics
-// (Figures 5-7). Each field is a live handle into the registry under the
-// carat.runtime.* namespace; read with Get(). The runtime layer owns
+// Stats is what the runtime counts (Figures 5-7), in plain fields that start
+// at zero and reach a registry only through Publish. The runtime layer owns
 // allocation/escape *tracking* and the per-move cost breakdown — page
-// lifecycle counts (grants, frees, moves) are owned by carat.kernel.*
-// (see DESIGN.md "Observability" for the full ownership table).
+// lifecycle counts are carat.kernel.*'s (DESIGN.md "Observability").
 type Stats struct {
-	Allocs        *obs.Counter // carat.alloc callbacks
-	Frees         *obs.Counter // carat.free callbacks
-	EscapeEvents  *obs.Counter // carat.escape callbacks (pre-batching)
-	EscapesLive   *obs.Gauge   // escapes currently tracked
-	BatchFlushes  *obs.Counter
-	UntrackedEsc  *obs.Counter // escapes whose target was not a tracked allocation
-	TrackingCycle *obs.Counter // modeled cycles spent in tracking callbacks
-	SwapOuts      *obs.Counter
-	SwapIns       *obs.Counter
-	SwapCycles    *obs.Counter // modeled world-stopped cycles across all swaps
-	Moves         *obs.Counter // completed kernel-initiated moves
-	MoveCycles    *obs.Counter // total modeled cycles across all moves
-	MoveRollbacks *obs.Counter // aborted moves rolled back to the pre-move state
-	BatchPauses   *obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
-	FlushRetries  *obs.Counter // escape-buffer flushes retried after an injected failure
-	MemoHits      *obs.Gauge   // memo fast-path hits on escape resolution
-	MemoMisses    *obs.Gauge   // memo misses (full tree descent)
-	RebaseVisited *obs.Counter // reverse-index entries RebaseEscapeLocs examined
-	RebaseMoved   *obs.Counter // reverse-index entries it rewrote: visited/moved says whether a move scanned the table
+	Allocs        obs.Counter // carat.alloc callbacks
+	Frees         obs.Counter // carat.free callbacks
+	EscapeEvents  obs.Counter // carat.escape callbacks (pre-batching)
+	EscapesLive   obs.Gauge   // escapes currently tracked
+	BatchFlushes  obs.Counter
+	UntrackedEsc  obs.Counter // escapes whose target was not a tracked allocation
+	TrackingCycle obs.Counter // modeled cycles of the program's tracking callbacks: what a run bills to its clock
+	LoadCycles    obs.Counter // modeled cycles of load-time registration (TrackStatic, TrackStaticEscape): never billed
+	SwapOuts      obs.Counter
+	SwapIns       obs.Counter
+	SwapCycles    obs.Counter // modeled world-stopped cycles across all swaps
+	Moves         obs.Counter // completed kernel-initiated moves
+	MoveCycles    obs.Counter // total modeled cycles across all moves
+	MoveRollbacks obs.Counter // aborted moves rolled back to the pre-move state
+	BatchPauses   obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
+	FlushRetries  obs.Counter // escape-buffer flushes retried after an injected failure
+	MemoHits      obs.Gauge   // memo fast-path hits on escape resolution
+	MemoMisses    obs.Gauge   // memo misses (full tree descent)
+	RebaseVisited obs.Counter // reverse-index entries RebaseEscapeLocs examined
+	RebaseMoved   obs.Counter // reverse-index entries it rewrote: visited/moved says whether a move scanned the table
 }
 
-func newStats(reg *obs.Registry) Stats {
-	return Stats{
-		Allocs:        reg.Counter("carat.runtime.allocs"),
-		Frees:         reg.Counter("carat.runtime.frees"),
-		EscapeEvents:  reg.Counter("carat.runtime.escape_events"),
-		EscapesLive:   reg.Gauge("carat.runtime.escapes_live"),
-		BatchFlushes:  reg.Counter("carat.runtime.batch_flushes"),
-		UntrackedEsc:  reg.Counter("carat.runtime.untracked_escapes"),
-		TrackingCycle: reg.Counter("carat.runtime.tracking_cycles"),
-		SwapOuts:      reg.Counter("carat.runtime.swap_outs"),
-		SwapIns:       reg.Counter("carat.runtime.swap_ins"),
-		SwapCycles:    reg.Counter("carat.runtime.swap_cycles"),
-		Moves:         reg.Counter("carat.runtime.moves"),
-		MoveCycles:    reg.Counter("carat.runtime.move_cycles"),
-		MoveRollbacks: reg.Counter("carat.runtime.move_rollbacks"),
-		BatchPauses:   reg.Counter("carat.runtime.batch_pauses"),
-		FlushRetries:  reg.Counter("carat.runtime.flush_retries"),
-		MemoHits:      reg.Gauge("carat.runtime.table.memo_hits"),
-		MemoMisses:    reg.Gauge("carat.runtime.table.memo_misses"),
-		RebaseVisited: reg.Counter("carat.runtime.table.rebase_visited"),
-		RebaseMoved:   reg.Counter("carat.runtime.table.rebase_moved"),
+// counterNames are the published names of Stats' counters, in counters()
+// order. Both kinds of tracking cycles publish as carat.runtime.tracking_cycles.
+var counterNames = [...]string{
+	"carat.runtime.allocs",
+	"carat.runtime.frees",
+	"carat.runtime.escape_events",
+	"carat.runtime.batch_flushes",
+	"carat.runtime.untracked_escapes",
+	"carat.runtime.tracking_cycles",
+	"carat.runtime.tracking_cycles",
+	"carat.runtime.swap_outs",
+	"carat.runtime.swap_ins",
+	"carat.runtime.swap_cycles",
+	"carat.runtime.moves",
+	"carat.runtime.move_cycles",
+	"carat.runtime.move_rollbacks",
+	"carat.runtime.batch_pauses",
+	"carat.runtime.flush_retries",
+	"carat.runtime.table.rebase_visited",
+	"carat.runtime.table.rebase_moved",
+}
+
+func (s *Stats) counters() [len(counterNames)]*obs.Counter {
+	return [...]*obs.Counter{
+		&s.Allocs, &s.Frees, &s.EscapeEvents, &s.BatchFlushes, &s.UntrackedEsc,
+		&s.TrackingCycle, &s.LoadCycles, &s.SwapOuts, &s.SwapIns, &s.SwapCycles,
+		&s.Moves, &s.MoveCycles, &s.MoveRollbacks, &s.BatchPauses, &s.FlushRetries,
+		&s.RebaseVisited, &s.RebaseMoved,
 	}
+}
+
+// pauseHists are the runtime's histograms, allocated at its first world
+// stop: a run that never stops the world carries none.
+type pauseHists struct {
+	move  obs.Histogram                   // per-move total cycles (carat.runtime.move_cycles_hist)
+	all   obs.Histogram                   // every pause (PauseHist)
+	cause [len(PauseCauses)]obs.Histogram // PauseHist + "." + PauseCauses[i]
+}
+
+// Publish adds into s what the runtime counted since its last Publish, so
+// each count lands once. gauges also sets the point-in-time gauges, which
+// only the owner of a whole machine should. A world stop publishes itself
+// when it ends (without gauges); the runtime's owner publishes the rest at
+// its own boundaries (a VM's Run and Release, the mmpolicy harness).
+func (r *Runtime) Publish(s obs.Sink, gauges bool) {
+	r.pubMu.Lock()
+	defer r.pubMu.Unlock()
+	for i, c := range r.Stats.counters() {
+		v := c.Get()
+		if d := v - r.published[i]; d > 0 || !r.everPublished {
+			s.Add(counterNames[i], d)
+			r.published[i] = v
+		}
+	}
+	if h := r.pauses; h != nil {
+		s.Drain("carat.runtime.move_cycles_hist", &h.move)
+		s.Drain(PauseHist, &h.all)
+		for i := range h.cause {
+			if h.cause[i].Count() > 0 {
+				s.Drain(PauseHist+"."+PauseCauses[i], &h.cause[i])
+			}
+		}
+	} else if !r.everPublished {
+		s.Drain("carat.runtime.move_cycles_hist", nil)
+		s.Drain(PauseHist, nil)
+	}
+	if gauges {
+		s.Set("carat.runtime.escapes_live", r.Stats.EscapesLive.Get())
+		s.Set("carat.runtime.table.memo_hits", r.Stats.MemoHits.Get())
+		s.Set("carat.runtime.table.memo_misses", r.Stats.MemoMisses.Get())
+	}
+	r.everPublished = true
+}
+
+// publishStop is a world stop's own publish, into the runtime's registry.
+func (r *Runtime) publishStop() {
+	r.Obs.Publish(func(s obs.Sink) { r.Publish(s, false) })
 }
 
 // Modeled per-operation tracking costs in cycles. An allocation insert is
@@ -135,12 +189,15 @@ type Runtime struct {
 	Table *AllocationTable
 	Stats Stats
 
-	// Obs is the registry backing Stats; moveHist is the log-scale
-	// histogram of per-move total cycles (carat.runtime.move_cycles_hist);
-	// pauseHist is the all-causes world-stop pause histogram (PauseHist).
-	Obs       *obs.Registry
-	moveHist  *obs.Histogram
-	pauseHist *obs.Histogram
+	// Obs is the registry a world stop publishes into when it ends (see
+	// Publish): the machine's, given at construction.
+	Obs *obs.Registry
+
+	// pubMu guards the counts last published and the histograms (inside a registry's lock).
+	pubMu         sync.Mutex
+	published     [len(counterNames)]uint64
+	everPublished bool
+	pauses        *pauseHists
 
 	mem *kernel.PhysMem
 
@@ -247,13 +304,28 @@ const PauseHist = "carat.runtime.pause_cycles"
 
 // PauseCauses enumerates the world-stop causes the runtime attributes
 // pauses to (the per-cause histogram suffixes).
-var PauseCauses = []string{"move", "move_abort", "protect", "swap_out", "swap_in"}
+var PauseCauses = [...]string{"move", "move_abort", "protect", "swap_out", "swap_in"}
+
+// hists returns the histograms, allocated at the first stop; pubMu is held.
+func (r *Runtime) hists() *pauseHists {
+	if r.pauses == nil {
+		r.pauses = new(pauseHists)
+	}
+	return r.pauses
+}
 
 // observePause records one world-stop window of the given modeled length.
 // Observe-only: callers must not charge cycles to the program clock here.
 func (r *Runtime) observePause(cause string, cycles uint64) {
-	r.pauseHist.Observe(cycles)
-	r.Obs.Histogram(PauseHist + "." + cause).Observe(cycles)
+	r.pubMu.Lock()
+	h := r.hists()
+	h.all.Observe(cycles)
+	for i, c := range PauseCauses {
+		if c == cause {
+			h.cause[i].Observe(cycles)
+		}
+	}
+	r.pubMu.Unlock()
 	r.tracer().Instant("pause", "protocol",
 		obs.A("cause", cause), obs.A("cycles", cycles))
 }
@@ -266,14 +338,9 @@ type escapeEvent struct {
 const DefaultBatchSize = 1024
 
 // New creates a runtime over the given physical memory. world may be nil
-// when no threads exist yet. Metrics go to a private registry; use
-// NewWith to share one across layers.
-func New(mem *kernel.PhysMem, world World) *Runtime {
-	return NewWith(mem, world, nil)
-}
-
-// NewWith is New with an explicit metrics registry (created if nil).
-func NewWith(mem *kernel.PhysMem, world World, reg *obs.Registry) *Runtime {
+// when no threads exist yet. World stops publish into reg, the machine's
+// registry (a private one if nil).
+func New(mem *kernel.PhysMem, world World, reg *obs.Registry) *Runtime {
 	if world == nil {
 		world = &noWorld{}
 	}
@@ -281,14 +348,11 @@ func NewWith(mem *kernel.PhysMem, world World, reg *obs.Registry) *Runtime {
 		reg = obs.NewRegistry()
 	}
 	r := &Runtime{
-		Table:     NewAllocationTable(),
-		Stats:     newStats(reg),
-		Obs:       reg,
-		moveHist:  reg.Histogram("carat.runtime.move_cycles_hist"),
-		pauseHist: reg.Histogram(PauseHist),
-		mem:       mem,
-		world:     world,
-		batchMax:  DefaultBatchSize,
+		Table:    NewAllocationTable(),
+		Obs:      reg,
+		mem:      mem,
+		world:    world,
+		batchMax: DefaultBatchSize,
 	}
 	r.defBuf = r.NewEscapeBuffer()
 	return r
@@ -343,7 +407,8 @@ func (r *Runtime) TrackAlloc(base, length uint64) error {
 }
 
 // TrackStatic records a load-time (static) allocation: a global, the
-// stack, or program code.
+// stack, or program code. Its cost is load work (Stats.LoadCycles), which
+// no run bills to its clock.
 func (r *Runtime) TrackStatic(base, length uint64) error {
 	return r.trackAlloc(base, length, true)
 }
@@ -353,7 +418,11 @@ func (r *Runtime) trackAlloc(base, length uint64, static bool) error {
 		return err
 	}
 	r.Stats.Allocs.Inc()
-	r.Stats.TrackingCycle.Add(cycAllocInsert)
+	cycles := &r.Stats.TrackingCycle
+	if static {
+		cycles = &r.Stats.LoadCycles
+	}
+	cycles.Add(cycAllocInsert)
 	return nil
 }
 
@@ -425,10 +494,13 @@ func (r *Runtime) buffers() []*EscapeBuffer {
 
 // Track appends one escape event; the buffer self-flushes at the batch
 // threshold.
-func (b *EscapeBuffer) Track(loc, val uint64) {
+func (b *EscapeBuffer) Track(loc, val uint64) { b.track(loc, val, &b.r.Stats.TrackingCycle) }
+
+// track is Track charging the enqueue to cycles.
+func (b *EscapeBuffer) track(loc, val uint64, cycles *obs.Counter) {
 	r := b.r
 	r.Stats.EscapeEvents.Inc()
-	r.Stats.TrackingCycle.Add(cycEscapeEnq)
+	cycles.Add(cycEscapeEnq)
 	b.mu.Lock()
 	b.events = append(b.events, escapeEvent{loc, val})
 	full := len(b.events) >= r.batchMax
@@ -502,6 +574,12 @@ func (b *EscapeBuffer) footprint() uint64 {
 // the pointer value val. Events are batched through the default buffer;
 // threaded callers use a dedicated EscapeBuffer instead.
 func (r *Runtime) TrackEscape(loc, val uint64) { r.defBuf.Track(loc, val) }
+
+// TrackStaticEscape is TrackEscape for a pointer the loader wrote (a global
+// initializer): like TrackStatic, its enqueue is load work.
+func (r *Runtime) TrackStaticEscape(loc, val uint64) {
+	r.defBuf.track(loc, val, &r.Stats.LoadCycles)
+}
 
 // Flush drains every registered escape buffer into the table.
 func (r *Runtime) Flush() {

@@ -7,6 +7,7 @@ import (
 
 	"carat/internal/guard"
 	"carat/internal/kernel"
+	"carat/internal/obs"
 )
 
 func TestRBTreeBasic(t *testing.T) {
@@ -212,7 +213,7 @@ func TestRemoveDropsEscapes(t *testing.T) {
 func newTestRuntime(t testing.TB) (*kernel.Kernel, *kernel.Process, *Runtime) {
 	k := kernel.New(1 << 22) // 4 MB
 	p := k.NewProcess()
-	rt := New(k.Mem, nil)
+	rt := New(k.Mem, nil, nil)
 	p.Handler = rt
 	return k, p, rt
 }
@@ -225,7 +226,7 @@ func TestTrackingCallbacks(t *testing.T) {
 	rt.TrackEscape(0x20000, 0x10040)
 	rt.Flush()
 	if rt.Stats.Allocs.Get() != 1 || rt.Stats.EscapeEvents.Get() != 1 {
-		t.Errorf("stats = %+v", rt.Stats)
+		t.Errorf("allocs = %d, escape events = %d", rt.Stats.Allocs.Get(), rt.Stats.EscapeEvents.Get())
 	}
 	if rt.Table.EscapeCount() != 1 {
 		t.Error("escape not in table after flush")
@@ -531,5 +532,52 @@ func TestQuickTableInvariantsUnderStorm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPublishAddsEachCountOnce: Publish lands what the runtime counted since
+// the last publish — never a count twice — with load-time and run-time
+// tracking cycles under one name, every series present from the first
+// publish, and gauges only when asked for.
+func TestPublishAddsEachCountOnce(t *testing.T) {
+	_, _, rt := newTestRuntime(t)
+	if err := rt.TrackStatic(0x10000, 4096); err != nil {
+		t.Fatal(err)
+	}
+	rt.TrackStaticEscape(0x10008, 0x10100)
+	if err := rt.TrackAlloc(0x20000, 256); err != nil {
+		t.Fatal(err)
+	}
+	rt.Flush()
+	reg := obs.NewRegistry()
+	reg.Publish(func(s obs.Sink) { rt.Publish(s, false) })
+	reg.Publish(func(s obs.Sink) { rt.Publish(s, false) })
+	snap := reg.Snapshot()
+	if got, want := snap.Counters["carat.runtime.tracking_cycles"], rt.Stats.TrackingCycle.Get()+rt.Stats.LoadCycles.Get(); got != want || rt.Stats.LoadCycles.Get() == 0 {
+		t.Errorf("tracking_cycles = %d, want %d (load-time %d included)", got, want, rt.Stats.LoadCycles.Get())
+	}
+	if got := snap.Counters["carat.runtime.allocs"]; got != 2 {
+		t.Errorf("allocs = %d after two publishes of two allocations", got)
+	}
+	if _, ok := snap.Counters["carat.runtime.moves"]; !ok {
+		t.Error("a counter that stayed zero has no series")
+	}
+	if _, ok := snap.Histograms[PauseHist]; !ok {
+		t.Error("no pause histogram series before the first world stop")
+	}
+	if len(snap.Gauges) != 0 {
+		t.Errorf("gauges published without being asked for: %v", snap.Gauges)
+	}
+
+	if err := rt.TrackFree(0x20000); err != nil {
+		t.Fatal(err)
+	}
+	reg.Publish(func(s obs.Sink) { rt.Publish(s, true) })
+	snap = reg.Snapshot()
+	if snap.Counters["carat.runtime.frees"] != 1 || snap.Counters["carat.runtime.allocs"] != 2 {
+		t.Errorf("after a free: %d frees, %d allocs published", snap.Counters["carat.runtime.frees"], snap.Counters["carat.runtime.allocs"])
+	}
+	if got, ok := snap.Gauges["carat.runtime.escapes_live"]; !ok || got != rt.Stats.EscapesLive.Get() {
+		t.Errorf("escapes_live gauge = %d (present %v), want %d", got, ok, rt.Stats.EscapesLive.Get())
 	}
 }

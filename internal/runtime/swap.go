@@ -69,6 +69,7 @@ func (r *Runtime) SwapOut(base uint64) (uint64, error) {
 func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
+	defer r.publishStop()
 	r.Flush()
 
 	a := r.Table.Covering(base)
@@ -170,6 +171,7 @@ func (r *Runtime) SwapIn(slot, newBase uint64) error {
 func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
+	defer r.publishStop()
 	r.Flush()
 
 	if slot >= uint64(len(r.swapSlots)) || r.swapSlots[slot] == nil {

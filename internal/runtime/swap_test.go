@@ -227,7 +227,7 @@ func TestMoveVetoOnImpossibleDestination(t *testing.T) {
 	// negotiation is vetoed and the world resumes consistently.
 	k := kernel.New(1 << 16) // 16 pages only
 	p := k.NewProcess()
-	rt := New(k.Mem, nil)
+	rt := New(k.Mem, nil, nil)
 	p.Handler = rt
 	base, err := p.GrantRegion(15*kernel.PageSize, guard.PermRW) // all 15 usable pages
 	if err != nil {

@@ -178,7 +178,7 @@ func FuzzAllocationTable(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		rt := New(kernel.NewPhysMem(kernel.PageSize), nil)
+		rt := New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
 		tb := rt.Table
 		m := &modelTable{esc: map[uint64]*modelAlloc{}}
 		live := map[*modelAlloc]*Allocation{}

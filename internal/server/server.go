@@ -206,9 +206,6 @@ func New(cfg Config) (*Server, error) {
 // Obs returns the server's metrics registry.
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
-// Kernel returns the shared machine (for tests).
-func (s *Server) Kernel() *kernel.Kernel { return s.kern }
-
 // Handler returns the full caratd mux: /v1/run and /v1/modules plus the
 // telemetry endpoints (/metrics, /profile, /trace, /healthz, /readyz) on
 // the same listener. StartBackground must have run for ballast traffic.
@@ -229,6 +226,15 @@ func (s *Server) StartBackground() {
 	s.tel.SetReady(true)
 }
 
+// Listener timeouts: without them a client that trickles its headers holds a
+// goroutine forever. No write timeout: a legitimate run may take longer than
+// any fixed bound; its own limits (MaxInstrs, the cycle quota) bound it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start binds the configured address, launches background services, and
 // serves in a goroutine. It returns the bound address.
 func (s *Server) Start() (string, error) {
@@ -236,7 +242,12 @@ func (s *Server) Start() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.mu.Lock()
 	s.ln, s.http = ln, srv
 	s.mu.Unlock()
@@ -537,11 +548,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "load", err)
 		return
 	}
-	// Each run gets a PRIVATE registry: the vm folds runtime cycle counters
-	// into its modeled clock as deltas, and a shared registry would leak
-	// other tenants' concurrent tracking cycles into this run's deltas —
-	// breaking byte-identical results.
-	runReg := obs.NewRegistry()
+	// The run counts into a runtime of its own and publishes into s.reg when
+	// it ends (Run, then Release): /metrics sees machine-wide totals, pause
+	// histograms included, and no tenant's counts reach another's clock.
 	vcfg := vm.DefaultConfig()
 	vcfg.Kernel = s.kern
 	vcfg.Limiter = ten
@@ -550,7 +559,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	vcfg.StackBytes = s.cfg.StackBytes
 	vcfg.MaxInstrs = s.cfg.MaxInstrs
 	vcfg.MaxCycles = ten.quota.MaxCycles
-	vcfg.Obs = runReg
 	vcfg.PauseBudget = s.cfg.PauseBudgetCycles
 	v, err := vm.LoadProgram(prog, vcfg)
 	if err != nil {
@@ -567,11 +575,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer v.Release() //nolint:errcheck // teardown; double-free is checked in tests
-	// Merged after the run, /metrics still sees machine-wide carat.vm.* and
-	// carat.runtime.* totals — and the runtime's pause histograms
-	// (carat.runtime.pause_cycles*), so a tenant can read the p99 pause its
-	// requests actually experienced.
-	defer s.reg.Merge(runReg)
 
 	ret, err := v.Run()
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -515,5 +517,39 @@ func TestMetricsExposedOnSameListener(t *testing.T) {
 		if !bytes.Contains([]byte(body), []byte(want)) {
 			t.Fatalf("/metrics missing %s\n%s", want, body[:min(len(body), 2000)])
 		}
+	}
+}
+
+// TestSlowHeadersAreDisconnected: a client that sends half a request line
+// and then stalls is cut off once the header deadline passes, instead of
+// holding a server goroutine for as long as it likes.
+func TestSlowHeadersAreDisconnected(t *testing.T) {
+	cfg := testConfig()
+	cfg.Addr = "127.0.0.1:0"
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/ru")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)) //nolint:errcheck
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a half request line", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("disconnected after %v, before the %v header deadline", waited, readHeaderTimeout)
 	}
 }

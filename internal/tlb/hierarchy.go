@@ -24,32 +24,30 @@ type Hierarchy struct {
 	wcCap     int
 
 	Stats HierStats
-
-	// Obs backs Stats (carat.tlb.* namespace).
-	Obs *obs.Registry
 }
 
-// HierStats is the hierarchy's typed view over its carat.tlb.* metrics:
-// the tlb layer owns all translation-path accounting (lookups, misses,
-// walks, walk cycles, translation faults). Read fields with Get().
+// HierStats is what the hierarchy counts, in plain fields it owns: the tlb
+// layer owns all translation-path accounting (lookups, misses, walks, walk
+// cycles, translation faults), published as carat.tlb.* by Publish. Read
+// fields with Get().
 type HierStats struct {
-	Lookups    *obs.Counter
-	L1Misses   *obs.Counter
-	L2Misses   *obs.Counter
-	Walks      *obs.Counter
-	WalkCycles *obs.Counter
-	Faults     *obs.Counter
+	Lookups    obs.Counter
+	L1Misses   obs.Counter
+	L2Misses   obs.Counter
+	Walks      obs.Counter
+	WalkCycles obs.Counter
+	Faults     obs.Counter
 }
 
-func newHierStats(reg *obs.Registry) HierStats {
-	return HierStats{
-		Lookups:    reg.Counter("carat.tlb.lookups"),
-		L1Misses:   reg.Counter("carat.tlb.l1_misses"),
-		L2Misses:   reg.Counter("carat.tlb.l2_misses"),
-		Walks:      reg.Counter("carat.tlb.walks"),
-		WalkCycles: reg.Counter("carat.tlb.walk_cycles"),
-		Faults:     reg.Counter("carat.tlb.faults"),
-	}
+// Publish adds the hierarchy's counts into s, once the run is over.
+func (h *Hierarchy) Publish(s obs.Sink) {
+	st := &h.Stats
+	s.Add("carat.tlb.lookups", st.Lookups.Get())
+	s.Add("carat.tlb.l1_misses", st.L1Misses.Get())
+	s.Add("carat.tlb.l2_misses", st.L2Misses.Get())
+	s.Add("carat.tlb.walks", st.Walks.Get())
+	s.Add("carat.tlb.walk_cycles", st.WalkCycles.Get())
+	s.Add("carat.tlb.faults", st.Faults.Get())
 }
 
 // Cycle cost constants for the walk model. A full four-level walk touches
@@ -63,25 +61,13 @@ const (
 )
 
 // NewHierarchy builds the default hierarchy over the given page table.
-// Metrics go to a private registry; use NewHierarchyWith to share one.
 func NewHierarchy(pt *PageTable) *Hierarchy {
-	return NewHierarchyWith(pt, nil)
-}
-
-// NewHierarchyWith is NewHierarchy with an explicit metrics registry
-// (created if nil).
-func NewHierarchyWith(pt *PageTable, reg *obs.Registry) *Hierarchy {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	return &Hierarchy{
 		L1:        NewTLB(64, 4),
 		L2:        NewTLB(1536, 12),
 		PT:        pt,
 		walkCache: make(map[uint64]int),
 		wcCap:     32,
-		Stats:     newHierStats(reg),
-		Obs:       reg,
 	}
 }
 
@@ -140,12 +126,6 @@ func (h *Hierarchy) Translate(vaddr uint64) (paddr uint64, cycles uint64, ok boo
 		h.walkCache[key] = skip
 	}
 	return ppn<<PageShift | off, cycles, true
-}
-
-// Invalidate performs a shootdown of one page in both TLB levels.
-func (h *Hierarchy) Invalidate(vpn uint64) {
-	h.L1.Invalidate(vpn)
-	h.L2.Invalidate(vpn)
 }
 
 // InvalidateRange shoots down the byte range [base, base+length) in both

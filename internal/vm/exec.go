@@ -334,14 +334,8 @@ func (v *VM) guardMiss(fr *frame, in *ir.Instr, addr, size uint64, perm guard.Pe
 	if in.Kind == ir.GuardCall {
 		msg = "stack footprint check failed"
 	}
-	if debugFaults {
-		fmt.Printf("FAULT guard %s in @%s/^%s addr=%#x arg=%s\n", in, fr.fb.fn.Name, in.Block.Name, addr, in.Args[0].Ref())
-	}
 	return &Fault{Addr: addr, Size: size, Perm: perm, Msg: msg}
 }
-
-// debugFaults enables fault-site dumps during development.
-var debugFaults = false
 
 // swapIn services a swapped-pointer guard fault: allocate a destination in
 // the heap and have the runtime restore and re-patch (§2.2's demand
@@ -439,7 +433,7 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		}
 		v.Cycles += 30
 		v.Prof.Cat[obs.CatAlloc] += 30
-		v.allocHist.Observe(args[0])
+		v.observeAlloc(args[0])
 		return addr, nil
 	case ir.FnCalloc:
 		n := args[0] * args[1]
@@ -452,7 +446,7 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		}
 		v.Cycles += 30 + n/16
 		v.Prof.Cat[obs.CatAlloc] += 30 + n/16
-		v.allocHist.Observe(n)
+		v.observeAlloc(n)
 		return addr, nil
 	case ir.FnFree:
 		if args[0] == 0 {
@@ -614,6 +608,3 @@ func fcmp(p ir.Pred, a, b float64) bool {
 	}
 	return false
 }
-
-// DebugFaults toggles fault-site dumps (development aid).
-func DebugFaults(on bool) { debugFaults = on }

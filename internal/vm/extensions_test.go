@@ -228,7 +228,7 @@ func TestSwapOutAndTransparentSwapIn(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("no swap-outs happened")
 	}
-	st := v.Runtime().Stats
+	st := &v.Runtime().Stats
 	if st.SwapIns.Get() != st.SwapOuts.Get() {
 		t.Errorf("swap-ins %d != swap-outs %d", st.SwapIns.Get(), st.SwapOuts.Get())
 	}

@@ -17,13 +17,13 @@ import (
 // affected pages, per Kernel.OwnersOf); process B's block-head fast path
 // never even branches.
 //
-// Determinism contract: each member runs inside its own page arena with a
-// private metrics registry, so its model cycles, guard counts, output,
-// and arena memory digest are byte-identical at any GOMAXPROCS — only the
-// cross-process interleaving varies. Close() merges the private
-// registries into the kernel's and asserts full page-accounting
-// integrity (every frame and every arena handed back, no page left with
-// a recorded owner).
+// Determinism contract: each member runs inside its own page arena and
+// counts into a runtime of its own, so its model cycles, guard counts,
+// output, and arena memory digest are byte-identical at any GOMAXPROCS —
+// only the cross-process interleaving varies. Members publish their metrics
+// into the kernel's registry as any run does; Close() asserts full
+// page-accounting integrity (every frame and every arena handed back, no
+// page left with a recorded owner).
 type Group struct {
 	kern  *kernel.Kernel
 	procs []*member
@@ -33,7 +33,6 @@ type Group struct {
 type member struct {
 	name string
 	vm   *VM
-	reg  *obs.Registry
 }
 
 // GroupResult is one process's outcome. Digest folds the architectural
@@ -61,21 +60,20 @@ func NewGroup(memBytes uint64) *Group {
 func (g *Group) Kernel() *kernel.Kernel { return g.kern }
 
 // Add loads a module as a new process of the group's machine, giving it a
-// private arena of arenaPages pages and a private metrics registry.
-// cfg.Kernel, cfg.Obs, and cfg.ArenaPages are overwritten. Calls must
-// happen before Run, from one goroutine: load order determines arena
+// private arena of arenaPages pages; it publishes into the kernel's
+// registry. cfg.Kernel, cfg.Obs, and cfg.ArenaPages are overwritten. Calls
+// must happen before Run, from one goroutine: load order determines arena
 // placement, so it is part of the deterministic setup. The returned VM
 // may be configured further (move policies, fault injectors) before Run.
 func (g *Group) Add(name string, mod *ir.Module, cfg Config, arenaPages uint64) (*VM, error) {
-	reg := obs.NewRegistry()
 	cfg.Kernel = g.kern
-	cfg.Obs = reg
+	cfg.Obs = nil
 	cfg.ArenaPages = arenaPages
 	v, err := Load(mod, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("vm: group add %q: %w", name, err)
 	}
-	g.procs = append(g.procs, &member{name: name, vm: v, reg: reg})
+	g.procs = append(g.procs, &member{name: name, vm: v})
 	return v, nil
 }
 
@@ -166,8 +164,7 @@ func (g *Group) StopOwners(base, length uint64) (resume func()) {
 
 // Close releases every member (regions and arenas) and verifies machine
 // integrity: all pages back in the machine allocator and no page with a
-// recorded owner. It then merges each member's private registry into the
-// kernel registry, so group metrics aggregate like any other run's.
+// recorded owner.
 func (g *Group) Close() error {
 	var firstErr error
 	for _, m := range g.procs {
@@ -183,15 +180,6 @@ func (g *Group) Close() error {
 	}
 	if n := g.kern.OwnedPageCount(); n != 0 {
 		return fmt.Errorf("vm: group left %d pages with owners", n)
-	}
-	for _, m := range g.procs {
-		snap := m.reg.Snapshot()
-		for name, val := range snap.Counters {
-			g.kern.Obs.Counter(name).Add(val)
-		}
-		for name, hs := range snap.Histograms {
-			g.kern.Obs.Histogram(name).Merge(hs)
-		}
 	}
 	return nil
 }

@@ -28,6 +28,7 @@ type Program struct {
 	funcIdx   map[*ir.Func]int32
 	globalIdx map[*ir.Global]int32
 	funcs     []funcCode // parallel to mod.Funcs
+	funcNames []string   // parallel to mod.Funcs: every VM's profile names its buckets with it
 }
 
 // funcCode is one function's share of a Program.
@@ -68,9 +69,11 @@ func NewProgram(mod *ir.Module) (*Program, error) {
 		funcIdx:   make(map[*ir.Func]int32, len(mod.Funcs)),
 		globalIdx: make(map[*ir.Global]int32, len(mod.Globals)),
 		funcs:     make([]funcCode, len(mod.Funcs)),
+		funcNames: make([]string, len(mod.Funcs)),
 	}
 	for i, f := range mod.Funcs {
 		p.funcIdx[f] = int32(i)
+		p.funcNames[i] = f.Name
 	}
 	for i, g := range mod.Globals {
 		p.globalIdx[g] = int32(i)
@@ -131,6 +134,7 @@ type funcBinding struct {
 // yet.
 func (v *VM) bind(fb *funcBinding, idx int32) {
 	code, f := &v.prog.funcs[idx], v.prog.mod.Funcs[idx]
+	fb.prof = v.Prof.Func(int(idx))
 	fb.funcLayout = publish(&code.layout, func() *funcLayout { return buildLayout(f) })
 	if !v.compiled {
 		return

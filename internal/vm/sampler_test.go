@@ -58,7 +58,7 @@ func TestSamplerReconcilesWithCycleCounters(t *testing.T) {
 
 	// Reconstruct the pre-fold execution clock: Run folds tracking, guard,
 	// and protocol cycles into v.Cycles after the final exec sample.
-	tracking := v.rt.Stats.TrackingCycle.Get() - v.trackStart
+	tracking := v.rt.Stats.TrackingCycle.Get()
 	var protocol uint64
 	for _, bd := range v.rt.MoveStats {
 		protocol += bd.TotalCycles()

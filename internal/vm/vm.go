@@ -214,15 +214,12 @@ type VM struct {
 	closureICMisses  uint64
 
 	// Prof attributes every charged cycle to a category and (for compute)
-	// a function; obsReg backs the carat.vm.* metrics published by Run.
+	// a function; obsReg is what Run and Release publish into; allocHist
+	// (carat.vm.alloc_bytes) is allocated by the first allocation.
 	Prof      *obs.CycleProfile
 	obsReg    *obs.Registry
 	tr        *obs.Tracer
 	allocHist *obs.Histogram
-
-	trackStart uint64 // rt.Stats.TrackingCycle at launch
-	moveStart  uint64 // rt.Stats.MoveCycles at launch
-	swapStart  uint64 // rt.Stats.SwapCycles at launch
 
 	// track is this VM's stream in the attached cycle sampler (nil when
 	// sampling is off). One track per VM, not per thread: the baton
@@ -352,11 +349,10 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 		bound:      make([]funcBinding, len(mod.Funcs)),
 		maxI:       saturate(cfg.MaxInstrs),
 		maxC:       saturate(cfg.MaxCycles),
-		Prof:       obs.NewCycleProfile(),
+		Prof:       obs.NewCycleProfile(p.funcNames),
 		obsReg:     reg,
-		allocHist:  reg.Histogram("carat.vm.alloc_bytes"),
 	}
-	v.rt = runtime.NewWith(k.Mem, nil, reg)
+	v.rt = runtime.New(k.Mem, nil, reg)
 	proc.Handler = v.rt
 	v.rt.AddMoveListener(v.onMove)
 
@@ -371,10 +367,6 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	}
 	v.rt.SetTracer(v.tr)
 	v.rt.SetInjector(cfg.Fault)
-
-	for i, f := range mod.Funcs {
-		v.bound[i].prof = v.Prof.Func(f.Name)
-	}
 
 	// Layout sizes. Code is position-independent by construction (the
 	// kernel can relocate it; function "addresses" are just identifiers
@@ -455,14 +447,14 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	for i, g := range mod.Globals {
 		for _, po := range g.PtrInit {
 			loc := v.globalPhys[i] + uint64(po)
-			v.rt.TrackEscape(loc, k.Mem.Load64(loc))
+			v.rt.TrackStaticEscape(loc, k.Mem.Load64(loc))
 		}
 	}
 
 	// Traditional mode: build the paging hierarchy. Pages are mapped on
 	// demand (identity), feeding the Table 2 paging model when attached.
 	if cfg.Mode == ModeTraditional {
-		v.hier = tlb.NewHierarchyWith(tlb.NewPageTable(), reg)
+		v.hier = tlb.NewHierarchy(tlb.NewPageTable())
 	}
 	v.eval = guard.NewEvaluator(cfg.GuardMech, proc.Regions)
 
@@ -497,9 +489,6 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	v.sched = newScheduler(v)
 	v.rt.SetWorld(v.sched)
 	v.rt.SetPauseBudget(cfg.PauseBudget)
-	v.trackStart = v.rt.Stats.TrackingCycle.Get()
-	v.moveStart = v.rt.Stats.MoveCycles.Get()
-	v.swapStart = v.rt.Stats.SwapCycles.Get()
 	if cfg.Sampler != nil {
 		v.track = cfg.Sampler.NewTrack()
 	}
@@ -509,9 +498,11 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 
 // Release frees every page region the process still holds, returning the
 // memory (and any quota reservations) to the machine, and returns the
-// process's arena (if any) too. Required after each run on a shared
-// kernel; a no-op on the second call.
+// process's arena (if any) too. It first publishes whatever the runtime
+// counted since Run did. Required after each run on a shared kernel; a
+// no-op on the second call.
 func (v *VM) Release() error {
+	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
 	}
@@ -542,15 +533,15 @@ func (v *VM) Arena() *kernel.Arena { return v.arena }
 func (v *VM) Suspend() (resume func()) { return v.sched.suspend() }
 
 // foldPhaseSamples converts the non-exec cycle counters accumulated since
-// Load into profiler samples. Counter baselines (trackStart etc.) keep a
-// shared registry's carry-over from earlier runs out of this VM's track.
-// Called at sampling points and once at the end of Run, so per-phase
-// sample totals track the counters within one interval.
+// Load into profiler samples: the runtime is this VM's alone, so its
+// counters hold this run's cycles and nothing else. Called at sampling
+// points and once at the end of Run, so per-phase sample totals track the
+// counters within one interval.
 func (v *VM) foldPhaseSamples() {
 	v.track.FoldPhase("guard", v.eval.Cycles)
-	v.track.FoldPhase("escape-flush", v.rt.Stats.TrackingCycle.Get()-v.trackStart)
-	v.track.FoldPhase("move", v.rt.Stats.MoveCycles.Get()-v.moveStart)
-	v.track.FoldPhase("swap", v.rt.Stats.SwapCycles.Get()-v.swapStart)
+	v.track.FoldPhase("escape-flush", v.rt.Stats.TrackingCycle.Get())
+	v.track.FoldPhase("move", v.rt.Stats.MoveCycles.Get())
+	v.track.FoldPhase("swap", v.rt.Stats.SwapCycles.Get())
 }
 
 // invalidateXCaches drops stale entries covering [base, base+length) from
@@ -622,7 +613,7 @@ func (v *VM) Run() (int64, error) {
 		v.track.Sample(v.Cycles, func() string { return "main" })
 		v.foldPhaseSamples()
 	}
-	tracking := v.rt.Stats.TrackingCycle.Get() - v.trackStart
+	tracking := v.rt.Stats.TrackingCycle.Get()
 	v.Cycles += tracking
 	v.Prof.Cat[obs.CatTracking] += tracking
 	v.Cycles += v.eval.Cycles
@@ -636,28 +627,43 @@ func (v *VM) Run() (int64, error) {
 	return ret, err
 }
 
-// publishMetrics adds this run's totals into the carat.vm.* namespace.
-// Counters accumulate, so a bench sweep sharing one registry across
-// sequential runs sees corpus-wide totals.
+// publishMetrics is the run's one publish step: its carat.vm.* totals and
+// its TLB hierarchy's and runtime's counts. Counters accumulate, so a bench
+// sweep sharing one registry across sequential runs sees corpus-wide totals.
 func (v *VM) publishMetrics() {
-	v.obsReg.Counter("carat.vm.instrs").Add(v.Instrs)
-	v.obsReg.Counter("carat.vm.guard_checks").Add(v.GuardChecks)
-	v.obsReg.Counter("carat.vm.guard_faults").Add(v.eval.Faults)
-	if v.compiled {
-		if v.cfg.Mode == ModeCARAT {
-			hits, misses, invs := v.XCacheStats()
-			v.obsReg.Counter("carat.vm.xcache.hits").Add(hits)
-			v.obsReg.Counter("carat.vm.xcache.misses").Add(misses)
-			v.obsReg.Counter("carat.vm.xcache.invalidations").Add(invs)
+	v.obsReg.Publish(func(s obs.Sink) {
+		s.Add("carat.vm.instrs", v.Instrs)
+		s.Add("carat.vm.guard_checks", v.GuardChecks)
+		s.Add("carat.vm.guard_faults", v.eval.Faults)
+		if v.compiled {
+			if v.cfg.Mode == ModeCARAT {
+				hits, misses, invs := v.XCacheStats()
+				s.Add("carat.vm.xcache.hits", hits)
+				s.Add("carat.vm.xcache.misses", misses)
+				s.Add("carat.vm.xcache.invalidations", invs)
+			}
+			blocks, deopts, icHits, icMisses := v.ClosureStats()
+			s.Add("carat.vm.closure.blocks", blocks)
+			s.Add("carat.vm.closure.deopts", deopts)
+			s.Add("carat.vm.closure.repatches", v.closureRepatches)
+			s.Add("carat.vm.closure.ic_hits", icHits)
+			s.Add("carat.vm.closure.ic_misses", icMisses)
 		}
-		blocks, deopts, icHits, icMisses := v.ClosureStats()
-		v.obsReg.Counter("carat.vm.closure.blocks").Add(blocks)
-		v.obsReg.Counter("carat.vm.closure.deopts").Add(deopts)
-		v.obsReg.Counter("carat.vm.closure.repatches").Add(v.closureRepatches)
-		v.obsReg.Counter("carat.vm.closure.ic_hits").Add(icHits)
-		v.obsReg.Counter("carat.vm.closure.ic_misses").Add(icMisses)
+		v.Prof.Publish(s)
+		s.Drain("carat.vm.alloc_bytes", v.allocHist)
+		if v.hier != nil {
+			v.hier.Publish(s)
+		}
+		v.rt.Publish(s, v.cfg.Kernel == nil) // gauges only when the machine is this run's
+	})
+}
+
+// observeAlloc records one guest allocation's size.
+func (v *VM) observeAlloc(n uint64) {
+	if v.allocHist == nil {
+		v.allocHist = new(obs.Histogram)
 	}
-	v.Prof.PublishTo(v.obsReg, "carat.vm")
+	v.allocHist.Observe(n)
 }
 
 // ClosureStats returns the compiled engine's counters: basic blocks this VM

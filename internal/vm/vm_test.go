@@ -142,9 +142,9 @@ entry:
 	if ret != 42 {
 		t.Errorf("result = %d, want 42", ret)
 	}
-	rs := v.Runtime().Stats
+	rs := &v.Runtime().Stats
 	if rs.Allocs.Get() == 0 || rs.Frees.Get() != 1 || rs.EscapeEvents.Get() == 0 {
-		t.Errorf("tracking stats = %+v", rs)
+		t.Errorf("tracking stats: %d allocs, %d frees, %d escape events", rs.Allocs.Get(), rs.Frees.Get(), rs.EscapeEvents.Get())
 	}
 }
 
@@ -378,7 +378,7 @@ func TestTraditionalModeWalkCyclesDeterministic(t *testing.T) {
 		cfg.MemBytes = 1 << 27
 		cfg.HeapBytes = 96 << 20
 		v, _ := run(t, compile(t, walkStormSrc, passes.LevelNone), cfg)
-		st := v.Hierarchy().Stats
+		st := &v.Hierarchy().Stats
 		if st.Walks.Get() < 320 {
 			t.Fatalf("%d walks, want one per access (320): the kernel does not stress the walk cache", st.Walks.Get())
 		}
