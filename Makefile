@@ -17,7 +17,7 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 27355
+LOC_CEILING := 27516
 
 .PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
@@ -48,11 +48,14 @@ race:
 # debugtest builds and tests under the caratdebug tag, which turns the
 # development assertions on: the pass manager verifies every function after
 # every pass and names the pass that broke one (internal/passes/debug_on.go),
-# and the runtime walks its allocation-table invariants on the hot path
+# and the runtime walks its allocation-table invariants on the hot path and
+# checks every WorstCasePage answer against a walk of the table
 # (internal/runtime/debug_on.go). The packages are the ones a compile or a
-# guest run goes through; a default build compiles neither file.
+# guest run goes through, plus every caller of the pick (caratbench's
+# experiments, the mmpolicy harness, caratd); a default build compiles
+# neither file.
 debugtest:
-	$(GO) test -tags caratdebug ./internal/ir/ ./internal/analysis/ ./internal/passes/ ./internal/cc/ ./internal/runtime/ ./internal/vm/
+	$(GO) test -tags caratdebug ./internal/ir/ ./internal/analysis/ ./internal/passes/ ./internal/cc/ ./internal/runtime/ ./internal/vm/ ./internal/bench/ ./internal/mmpolicy/ ./internal/server/
 
 # smoke runs the full experiment suite at test scale with -json and
 # validates that the output parses and carries a supported schema version.

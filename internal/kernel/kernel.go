@@ -370,9 +370,8 @@ func (r *MoveRequest) NegotiateDst(src uint64, pages uint64) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("kernel: move source %#x not in any region", src)
 	}
-	if err := r.kernel.inj.Fail(fault.KernelVeto,
-		fmt.Sprintf("move of [%#x,+%d pages)", src, pages)); err != nil {
-		return 0, err
+	if r.kernel.inj.Should(fault.KernelVeto) {
+		return 0, &fault.Error{Point: fault.KernelVeto, Detail: fmt.Sprintf("move of [%#x,+%d pages)", src, pages)}
 	}
 	// The destination counts against the quota until RetireSrc returns the
 	// source: a move transiently needs both ranges resident.

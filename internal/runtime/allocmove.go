@@ -104,7 +104,7 @@ func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBre
 // allocation within [lo, hi), for the allocation-granularity ablation
 // (which relocates within the heap).
 func (r *Runtime) WorstCaseHeapAllocation(lo, hi uint64) (base, length uint64, ok bool) {
-	best := r.mostEscaped(func(a *Allocation) bool {
+	best := r.mostEscapedWhere(func(a *Allocation) bool {
 		return !a.Static && a.Base >= lo && a.End() <= hi
 	})
 	if best == nil {

@@ -94,9 +94,9 @@ func TestInvalidationListenerMayReenterRuntime(t *testing.T) {
 }
 
 // Concurrent escape tracking through per-thread buffers against the
-// sharded table: run with -race. Writers hammer disjoint escape
-// locations targeting shared allocations while readers walk the table.
-func TestConcurrentEscapeTrackingSharded(t *testing.T) {
+// table: run with -race. Writers hammer disjoint escape locations
+// targeting shared allocations while readers walk the table and pick.
+func TestConcurrentEscapeTracking(t *testing.T) {
 	_, _, rt := newTestRuntime(t)
 	const nAllocs = 32
 	for i := uint64(0); i < nAllocs; i++ {
@@ -126,7 +126,7 @@ func TestConcurrentEscapeTrackingSharded(t *testing.T) {
 	}
 	// Readers exercise lookup paths concurrently with the flushes, and a
 	// mover shuttles a page's worth of escapes between two pages nobody
-	// else writes (all shard locks, against the writers' one at a time).
+	// else writes.
 	const shuttled = 64
 	for i := uint64(0); i < shuttled; i++ {
 		rt.Table.AddEscape(0x500000+i*8, 0x100000)
@@ -163,6 +163,7 @@ func TestConcurrentEscapeTrackingSharded(t *testing.T) {
 				rt.Table.EscapeCount()
 				rt.Table.Covering(0x100000 + 0x400)
 				rt.Table.EscapeTarget(0x400000)
+				rt.Table.mostEscaped()
 				rt.Table.ForEach(func(a *Allocation) bool {
 					rt.Table.EscapeLocsOf(a)
 					a.EscapeCount()

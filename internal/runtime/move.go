@@ -499,26 +499,35 @@ func (r *Runtime) traceMove(bd *MoveBreakdown, src, dst, length, lookupCyc, scan
 // WorstCasePage returns the page-aligned base of the page overlapping the
 // allocation with the most escapes — the page the Figure 9 experiment
 // repeatedly moves ("the runtime selects a page that overlaps the
-// allocation with the most pointer escapes").
+// allocation with the most pointer escapes"). The table's pick index answers
+// it: past a runtime's first pick it costs the allocations whose count or
+// base changed since the last one, not a walk. caratdebug builds check every
+// answer against the walk.
 func (r *Runtime) WorstCasePage() (uint64, bool) {
-	best := r.mostEscaped(nil)
+	r.Flush()
+	best := r.Table.mostEscaped()
+	if debugInvariants {
+		if walk := r.mostEscapedWhere(func(*Allocation) bool { return true }); walk != best {
+			panic(fmt.Sprintf("runtime: the pick index chose %v, the walk %v", best, walk))
+		}
+	}
 	if best == nil {
 		return 0, false
 	}
 	return alignDown(best.Base), true
 }
 
-// mostEscaped returns the allocation with the most escapes among those
-// eligible accepts (nil: all of them); of several with that many, the one at
-// the lowest address. One walk of the allocations, reading a count from
-// each: choosing what to move is the only step of an injected move that
-// looks at more than the move affects.
-func (r *Runtime) mostEscaped(eligible func(*Allocation) bool) *Allocation {
+// mostEscapedWhere returns the allocation with the most escapes among those
+// eligible accepts; of several with that many, the one at the lowest address.
+// One walk of the allocations, reading a count from each: the
+// allocation-granularity ablation's filtered pick, which the index does not
+// serve.
+func (r *Runtime) mostEscapedWhere(eligible func(*Allocation) bool) *Allocation {
 	r.Flush()
 	var best *Allocation
 	bestN := -1
 	r.Table.ForEach(func(a *Allocation) bool {
-		if n := a.EscapeCount(); n > bestN && (eligible == nil || eligible(a)) {
+		if n := a.EscapeCount(); n > bestN && eligible(a) {
 			best, bestN = a, n
 		}
 		return true

@@ -177,10 +177,10 @@ const (
 // the Allocation Table and escape map current via the injected callbacks,
 // and executes the kernel's protection and mapping change requests.
 //
-// Concurrency: the table is internally sharded (see AllocationTable), so
-// the tracking callbacks take no runtime-wide lock — TrackEscape appends
-// to a per-thread EscapeBuffer and the occasional flush runs under the
-// shard locks. opMu serializes the heavyweight map-changing operations
+// Concurrency: the table locks for itself (see AllocationTable), so the
+// tracking callbacks take no runtime-wide lock — TrackEscape appends to a
+// per-thread EscapeBuffer and the occasional flush runs under the table's
+// escape lock. opMu serializes the heavyweight map-changing operations
 // (moves, swaps, protect) against each other; stateMu guards the cold
 // registration state. No lock is ever held while user callbacks (move and
 // invalidation listeners) run, so a listener may freely re-enter
@@ -450,8 +450,8 @@ func (r *Runtime) TrackFree(base uint64) error {
 // Map changes slowly, while the Allocation to Escape Map changes quickly.
 // By batching the latter, we can mitigate redundant/outdated work.").
 // Each VM thread owns one, so the hot tracking path contends on nothing
-// wider than its own buffer; the batch drains into the sharded table at
-// the flush threshold, at world stops, and at queries.
+// wider than its own buffer; the batch drains into the table at the flush
+// threshold, at world stops, and at queries.
 type EscapeBuffer struct {
 	r      *Runtime
 	mu     sync.Mutex
@@ -588,7 +588,7 @@ func (r *Runtime) Flush() {
 	}
 }
 
-// apply drains one de-duplicated batch into the sharded table.
+// apply drains one de-duplicated batch into the table.
 func (r *Runtime) apply(events []escapeEvent) {
 	if len(events) == 0 {
 		return
@@ -604,8 +604,8 @@ func (r *Runtime) apply(events []escapeEvent) {
 		r.Stats.TrackingCycle.Add(cycEscapeProc)
 	}
 	r.Stats.BatchFlushes.Inc()
-	r.Stats.EscapesLive.Set(uint64(r.Table.EscapeCount()))
-	hits, misses := r.Table.MemoStats()
+	escapes, hits, misses := r.Table.counts()
+	r.Stats.EscapesLive.Set(uint64(escapes))
 	r.Stats.MemoHits.Set(hits)
 	r.Stats.MemoMisses.Set(misses)
 }

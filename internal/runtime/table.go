@@ -8,31 +8,21 @@ import (
 	"carat/internal/kernel"
 )
 
-// escShards is the number of lock domains of the escape map. Escape
-// locations are spread across them by page, so concurrent trackers (the
-// multi-process pressure workloads) contend on different locks while
-// everything located on one page — what a move of that page has to find —
-// sits behind one of them; 16 is comfortably above the process counts those
-// harnesses run.
-const escShards = 16
+// pageOf numbers the page holding loc.
+func pageOf(loc uint64) uint64 { return loc / kernel.PageSize }
 
-// pageOf numbers the page holding loc; shardOfPage and shardOf name the lock
-// domain a page, and a location on it, belong to.
-func pageOf(loc uint64) uint64    { return loc / kernel.PageSize }
-func shardOfPage(page uint64) int { return int(page & (escShards - 1)) }
-func shardOf(loc uint64) int      { return shardOfPage(pageOf(loc)) }
+// memoSlots is the number of last-allocation memos. memoOf picks the one an
+// escape at loc consults: the low 4 bits below the 16-byte allocator
+// alignment are dropped so consecutive pointer slots use different memos.
+const memoSlots = 16
 
-// memoOf picks the last-allocation memo an escape at loc consults. The low 4
-// bits below the 16-byte allocator alignment are dropped so consecutive
-// pointer slots use different memos.
-func memoOf(loc uint64) int { return int((loc >> 4) & (escShards - 1)) }
+func memoOf(loc uint64) int { return int((loc >> 4) & (memoSlots - 1)) }
 
 // Allocation is one tracked memory block: a static allocation (global,
-// stack region) or a dynamic one (malloc, alloca). The escape set — the
-// Allocation to Escape Map entry of §4.2 "Tracking" — is stored sharded by
-// escape location: escs[s] holds this allocation's escapes located on the
-// pages of shard s, and is guarded by that shard's lock. nEsc is the size of
-// the whole set, so asking for it touches no map.
+// stack region) or a dynamic one (malloc, alloca). escs is its escape set —
+// the Allocation to Escape Map entry of §4.2 "Tracking" — guarded by the
+// table's escMu; nEsc is the size of that set, so asking for it touches no
+// map and takes no lock.
 type Allocation struct {
 	Base uint64
 	Len  uint64
@@ -40,7 +30,11 @@ type Allocation struct {
 	// must never release.
 	Static bool
 
-	escs [escShards]map[uint64]struct{}
+	// dirty and pushed are the pick index's (see pickIndex), under escMu.
+	dirty  bool
+	pushed pickKey
+
+	escs map[uint64]struct{}
 	nEsc atomic.Int64
 }
 
@@ -53,48 +47,47 @@ func (a *Allocation) Covers(addr uint64) bool { return addr >= a.Base && addr < 
 // EscapeCount returns the number of tracked escapes into this allocation.
 func (a *Allocation) EscapeCount() int { return int(a.nEsc.Load()) }
 
-// escShard is one lock domain of the escape map: the location→allocation
-// reverse index of the pages hashing here, bucketed by page (page number →
-// the escapes located on that page), so that "what sits on this page?" is
-// one lookup and not a walk of every escape of the process. A bucket exists
-// only while it holds an entry.
-type escShard struct {
-	mu    sync.Mutex
-	pages map[uint64]map[uint64]*Allocation
+// String names the allocation in diagnostics.
+func (a *Allocation) String() string {
+	return fmt.Sprintf("[%#x,+%d) with %d escapes", a.Base, a.Len, a.EscapeCount())
 }
 
 // AllocationTable is the runtime's hard-state structure (§4.2): a red/black
 // tree keyed by allocation base address answering point queries ("which
 // allocation covers this address?") and range queries ("which allocations
-// overlap this page range?"), plus the page-bucketed location→allocation
-// reverse index for escapes.
+// overlap this page range?"), the escape map in both directions — each
+// allocation's escape set, and a location→allocation reverse index bucketed
+// by page (page number → the escapes located on that page, a bucket existing
+// only while it holds an entry), so that "what sits on this page?" is one
+// lookup — and the pick index of the most-escaped allocation.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
-// rare next to escapes); each shard's page buckets and the escs sub-maps of
-// every allocation for that shard are guarded by the shard lock. Lock order
-// is treeMu before shard locks, shard locks in ascending index order.
-// Individual operations are atomic; multi-step sequences (the move
-// protocol) get their atomicity from the world stop, as in the paper.
+// rare next to escapes); everything else by one lock, escMu. Lock order is
+// treeMu before escMu. One process's guest threads run one at a time and a
+// mover stops them first, and every process has its own table, so a finer
+// split buys nothing. Individual operations are atomic; multi-step sequences
+// (the move protocol) get their atomicity from the world stop, as in the
+// paper.
 type AllocationTable struct {
 	treeMu sync.RWMutex
 	tree   rbTree
 
-	shards [escShards]escShard
+	escMu sync.Mutex
+	pages map[uint64]map[uint64]*Allocation
 
 	// memo holds the allocations the last escapes resolved to, exploiting
 	// TrackEscape's locality (consecutive escapes overwhelmingly target the
-	// same allocation, so a memo short-circuits the rbtree descent). A memo
-	// serves locations of every page, hence of every shard: it is read and
-	// written atomically, under treeMu held for reading.
-	memo [escShards]atomic.Pointer[Allocation]
+	// same allocation, so a memo short-circuits the rbtree descent). Written
+	// under escMu with treeMu held for reading, or under treeMu held for
+	// writing (Remove), which excludes the former.
+	memo [memoSlots]*Allocation
 
-	// escapeCount tracks the total escapes across all allocations.
-	escapeCount atomic.Int64
+	// escapes is the total across all allocations; memoHits/memoMisses
+	// count memo outcomes for the carat.runtime.table.* metrics.
+	escapes              int
+	memoHits, memoMisses uint64
 
-	// memoHits/memoMisses count memo outcomes for the
-	// carat.runtime.table.* metrics.
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
+	pick pickIndex
 }
 
 // NewAllocationTable returns an empty table.
@@ -108,68 +101,61 @@ func (t *AllocationTable) Len() int {
 }
 
 // EscapeCount returns the total number of tracked escapes.
-func (t *AllocationTable) EscapeCount() int { return int(t.escapeCount.Load()) }
-
-// MemoStats returns the memo hit/miss counts.
-func (t *AllocationTable) MemoStats() (hits, misses uint64) {
-	return t.memoHits.Load(), t.memoMisses.Load()
+func (t *AllocationTable) EscapeCount() int {
+	escapes, _, _ := t.counts()
+	return escapes
 }
 
-// lockShards takes every shard lock in order; the caller must already hold
-// treeMu (either mode) or be otherwise ordered before shard locks.
-func (t *AllocationTable) lockShards() {
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-	}
-}
-
-func (t *AllocationTable) unlockShards() {
-	for i := range t.shards {
-		t.shards[i].mu.Unlock()
-	}
+// counts returns the total number of tracked escapes and the memo hit/miss
+// counts.
+func (t *AllocationTable) counts() (escapes int, memoHits, memoMisses uint64) {
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	return t.escapes, t.memoHits, t.memoMisses
 }
 
 // setEscape makes a (nil: nobody) the allocation the escape at loc points
-// into, keeping reverse index, per-allocation sets and counts in step. Every
-// change to the escape map goes through here. The caller holds loc's shard
-// lock.
+// into, keeping reverse index, per-allocation sets, counts and the pick
+// index's dirty list in step. Every change to the escape map goes through
+// here. The caller holds escMu.
 func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
-	s, page := shardOf(loc), pageOf(loc)
-	sh := &t.shards[s]
-	bucket := sh.pages[page]
+	page := pageOf(loc)
+	bucket := t.pages[page]
 	prev := bucket[loc]
 	if prev == a {
 		return
 	}
-	delta := int64(0)
 	if prev != nil {
-		delete(prev.escs[s], loc)
+		delete(prev.escs, loc)
 		prev.nEsc.Add(-1)
-		delta--
+		t.escapes--
+		if t.pick.live {
+			t.pick.touch(prev)
+		}
 	}
 	if a == nil {
 		delete(bucket, loc)
 		if len(bucket) == 0 {
-			delete(sh.pages, page)
+			delete(t.pages, page)
 		}
-	} else {
-		if bucket == nil {
-			if sh.pages == nil {
-				sh.pages = make(map[uint64]map[uint64]*Allocation)
-			}
-			bucket = make(map[uint64]*Allocation)
-			sh.pages[page] = bucket
-		}
-		bucket[loc] = a
-		if a.escs[s] == nil {
-			a.escs[s] = make(map[uint64]struct{})
-		}
-		a.escs[s][loc] = struct{}{}
-		a.nEsc.Add(1)
-		delta++
+		return
 	}
-	if delta != 0 {
-		t.escapeCount.Add(delta)
+	if bucket == nil {
+		if t.pages == nil {
+			t.pages = make(map[uint64]map[uint64]*Allocation)
+		}
+		bucket = make(map[uint64]*Allocation)
+		t.pages[page] = bucket
+	}
+	bucket[loc] = a
+	if a.escs == nil {
+		a.escs = make(map[uint64]struct{})
+	}
+	a.escs[loc] = struct{}{}
+	a.nEsc.Add(1)
+	t.escapes++
+	if t.pick.live {
+		t.pick.touch(a)
 	}
 }
 
@@ -203,23 +189,18 @@ func (t *AllocationTable) Remove(base uint64) *Allocation {
 	if a == nil {
 		return nil
 	}
-	for s := range t.shards {
-		if a.nEsc.Load() == 0 {
-			break // nothing (left) to unlink, no lock to take
-		}
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for loc := range a.escs[s] {
+	if a.EscapeCount() > 0 {
+		t.escMu.Lock()
+		for loc := range a.escs {
 			t.setEscape(loc, nil)
 		}
-		sh.mu.Unlock()
+		t.escMu.Unlock()
 	}
 	for i := range t.memo {
 		// A memo must never outlive its allocation: a stale one would
-		// report coverage for freed (and later reused) space. (treeMu is
-		// held for writing: nobody stores a memo in between.)
-		if t.memo[i].Load() == a {
-			t.memo[i].Store(nil)
+		// report coverage for freed (and later reused) space.
+		if t.memo[i] == a {
+			t.memo[i] = nil
 		}
 	}
 	t.tree.Delete(base)
@@ -270,20 +251,19 @@ func (t *AllocationTable) Overlapping(lo, hi uint64) []*Allocation {
 // allocation, that stale escape is removed first (the location was
 // overwritten). It reports whether the target was a tracked allocation.
 func (t *AllocationTable) AddEscape(loc, target uint64) bool {
-	sh := &t.shards[shardOf(loc)]
-	memo := &t.memo[memoOf(loc)]
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a := memo.Load()
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	memo := &t.memo[memoOf(loc)]
+	a := *memo
 	if a != nil && a.Covers(target) {
-		t.memoHits.Add(1)
+		t.memoHits++
 	} else {
 		a = t.coveringLocked(target)
-		t.memoMisses.Add(1)
+		t.memoMisses++
 		if a != nil {
-			memo.Store(a)
+			*memo = a
 		}
 	}
 	t.setEscape(loc, a)
@@ -299,29 +279,25 @@ func (t *AllocationTable) RemoveEscape(loc uint64) {
 // EscapeTarget returns the allocation the escape at loc points into, if
 // tracked.
 func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
-	sh := &t.shards[shardOf(loc)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, ok := sh.pages[pageOf(loc)][loc]
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	a, ok := t.pages[pageOf(loc)][loc]
 	return a, ok
 }
 
-// EscapeLocsOf snapshots allocation a's escape locations under the shard
-// locks; the move and swap engines iterate the snapshot while patching.
+// EscapeLocsOf snapshots allocation a's escape locations under escMu; the
+// move and swap engines iterate the snapshot while patching.
 func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
 	n := a.EscapeCount()
 	if n == 0 {
 		return nil // most of what shares a moved page with the target: no lock taken
 	}
 	out := make([]uint64, 0, n)
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for loc := range a.escs[s] {
-			out = append(out, loc)
-		}
-		sh.mu.Unlock()
+	t.escMu.Lock()
+	for loc := range a.escs {
+		out = append(out, loc)
 	}
+	t.escMu.Unlock()
 	return out
 }
 
@@ -329,9 +305,8 @@ func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
 // nothing), maintaining the reverse index and counts; used when swap-in
 // reconstructs an allocation's escape set.
 func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
-	sh := &t.shards[shardOf(loc)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
 	t.setEscape(loc, a)
 }
 
@@ -346,6 +321,22 @@ func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.tree.Delete(a.Base)
 	a.Base = newBase
 	t.tree.Insert(a.Base, a)
+	t.escMu.Lock()
+	if t.pick.live {
+		t.pick.touch(a)
+	}
+	t.escMu.Unlock()
+}
+
+// mostEscaped is the Figure 9 pick (see pickIndex): the allocation with the
+// most escapes, the lowest-based of several with as many, the lowest-based
+// allocation when none has an escape, nil for an empty table.
+func (t *AllocationTable) mostEscaped() *Allocation {
+	t.treeMu.RLock()
+	defer t.treeMu.RUnlock()
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	return t.pick.pick(&t.tree)
 }
 
 // RebaseEscapeLocs rewrites every tracked escape location within
@@ -356,10 +347,9 @@ func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 // page number, or, when the range spans more pages than the index holds
 // buckets, by walking the buckets. The range need not be page-aligned
 // (MoveAllocationTo) nor the locations word-aligned, so every opened
-// bucket is filtered. A rewritten location may land in a different shard,
-// so all shard locks are held. It returns how many locations moved and how
-// many index entries it examined to find them. The move engine calls this
-// when the moved byte range itself contained pointers.
+// bucket is filtered. It returns how many locations moved and how many
+// index entries it examined to find them. The move engine calls this when
+// the moved byte range itself contained pointers.
 func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited int) {
 	if lo >= hi {
 		return 0, 0
@@ -368,10 +358,8 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 		loc uint64
 		a   *Allocation
 	}
-	t.treeMu.RLock()
-	defer t.treeMu.RUnlock()
-	t.lockShards()
-	defer t.unlockShards()
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
 	var ms []entry
 	scan := func(bucket map[uint64]*Allocation) {
 		visited += len(bucket)
@@ -382,20 +370,14 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 		}
 	}
 	first, last := pageOf(lo), pageOf(hi-1)
-	buckets := 0
-	for s := range t.shards {
-		buckets += len(t.shards[s].pages)
-	}
-	if last-first < uint64(buckets) {
+	if last-first < uint64(len(t.pages)) {
 		for page := first; page <= last; page++ {
-			scan(t.shards[shardOfPage(page)].pages[page])
+			scan(t.pages[page])
 		}
 	} else {
-		for s := range t.shards {
-			for page, bucket := range t.shards[s].pages {
-				if page >= first && page <= last {
-					scan(bucket)
-				}
+		for page, bucket := range t.pages {
+			if page >= first && page <= last {
+				scan(bucket)
 			}
 		}
 	}
@@ -442,18 +424,30 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 
 // CheckInvariants verifies the red-black tree shape, that allocations do
 // not overlap, that each allocation's escape count equals the size of its
-// sets, that the reverse escape index is consistent, that every escape
-// location lives in the shard and the bucket of its own page, and that no
-// empty bucket survives. Tests and the property suite call this after
-// mutation storms; MaybeCheckInvariants is the debug-gated variant for hot
-// loops.
+// set, that the reverse escape index is consistent, that every escape
+// location lives in the bucket of its own page, that no empty bucket
+// survives, and the pick index's heap order, dirty flags and invariant (see
+// pickIndex; a dropped index marks nothing dirty). Tests and the
+// property suite call this after mutation storms; MaybeCheckInvariants is
+// the debug-gated variant for hot loops.
 func (t *AllocationTable) CheckInvariants() error {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
-	t.lockShards()
-	defer t.unlockShards()
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
 	if err := t.tree.checkInvariants(); err != nil {
 		return err
+	}
+	onList := make(map[*Allocation]bool, len(t.pick.dirty))
+	for _, a := range t.pick.dirty {
+		onList[a] = true
+	}
+	entries := make(map[pickEntry]bool, len(t.pick.heap))
+	for i, e := range t.pick.heap {
+		if i > 0 && e.above(t.pick.heap[(i-1)/2].pickKey) {
+			return fmt.Errorf("runtime: pick heap out of order at entry %d", i)
+		}
+		entries[e] = true
 	}
 	var prev *Allocation
 	var bad error
@@ -464,56 +458,48 @@ func (t *AllocationTable) CheckInvariants() error {
 				prev.Base, prev.End(), a.Base, a.End())
 			return false
 		}
-		n := 0
-		for s := range a.escs {
-			n += len(a.escs[s])
-			for loc := range a.escs[s] {
-				if shardOf(loc) != s {
-					bad = fmt.Errorf("runtime: escape %#x stored in shard %d, its page belongs to %d",
-						loc, s, shardOf(loc))
-					return false
-				}
-				if t.shards[s].pages[pageOf(loc)][loc] != a {
-					bad = fmt.Errorf("runtime: reverse index missing escape %#x", loc)
-					return false
-				}
+		if k := keyOf(a); a.dirty != onList[a] {
+			bad = fmt.Errorf("runtime: allocation %#x dirty %v, on the dirty list %v", a.Base, a.dirty, onList[a])
+			return false
+		} else if t.pick.live && !a.dirty && k.n > 0 && (a.pushed != k || !entries[pickEntry{k, a}]) {
+			bad = fmt.Errorf("runtime: pick entry missing for allocation %#x (%d escapes)", a.Base, k.n)
+			return false
+		}
+		for loc := range a.escs {
+			if t.pages[pageOf(loc)][loc] != a {
+				bad = fmt.Errorf("runtime: reverse index missing escape %#x", loc)
+				return false
 			}
 		}
-		if n != a.EscapeCount() {
-			bad = fmt.Errorf("runtime: allocation %#x counts %d escapes, its sets hold %d",
+		if n := len(a.escs); n != a.EscapeCount() {
+			bad = fmt.Errorf("runtime: allocation %#x counts %d escapes, its set holds %d",
 				a.Base, a.EscapeCount(), n)
 			return false
 		}
-		count += n
+		count += len(a.escs)
 		prev = a
 		return true
 	})
 	if bad != nil {
 		return bad
 	}
-	if count != int(t.escapeCount.Load()) {
-		return fmt.Errorf("runtime: escape count %d != tracked %d", count, t.escapeCount.Load())
+	if count != t.escapes {
+		return fmt.Errorf("runtime: escape count %d != tracked %d", count, t.escapes)
 	}
 	rev := 0
-	for s := range t.shards {
-		for page, bucket := range t.shards[s].pages {
-			if len(bucket) == 0 {
-				return fmt.Errorf("runtime: empty bucket left for page %#x", page)
-			}
-			if shardOfPage(page) != s {
-				return fmt.Errorf("runtime: page %#x bucketed in shard %d, belongs to %d",
-					page, s, shardOfPage(page))
-			}
-			for loc, a := range bucket {
-				if pageOf(loc) != page {
-					return fmt.Errorf("runtime: reverse entry %#x in the bucket of page %#x", loc, page)
-				}
-				if _, ok := a.escs[s][loc]; !ok {
-					return fmt.Errorf("runtime: reverse entry %#x missing from allocation set", loc)
-				}
-			}
-			rev += len(bucket)
+	for page, bucket := range t.pages {
+		if len(bucket) == 0 {
+			return fmt.Errorf("runtime: empty bucket left for page %#x", page)
 		}
+		for loc, a := range bucket {
+			if pageOf(loc) != page {
+				return fmt.Errorf("runtime: reverse entry %#x in the bucket of page %#x", loc, page)
+			}
+			if _, ok := a.escs[loc]; !ok {
+				return fmt.Errorf("runtime: reverse entry %#x missing from allocation set", loc)
+			}
+		}
+		rev += len(bucket)
 	}
 	if rev != count {
 		return fmt.Errorf("runtime: reverse index size %d != escapes %d", rev, count)

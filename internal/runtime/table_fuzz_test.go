@@ -93,9 +93,9 @@ func (m *modelTable) locsOf(a *modelAlloc) []uint64 {
 	return out
 }
 
-// worstCasePage is WorstCasePage's rule spelled out: most escapes, lowest
-// base among equals.
-func (m *modelTable) worstCasePage() (uint64, bool) {
+// mostEscaped is WorstCasePage's rule spelled out: most escapes, lowest base
+// among equals.
+func (m *modelTable) mostEscaped() *modelAlloc {
 	var best *modelAlloc
 	bestN := -1
 	for _, a := range m.allocs {
@@ -104,10 +104,7 @@ func (m *modelTable) worstCasePage() (uint64, bool) {
 			best, bestN = a, n
 		}
 	}
-	if best == nil {
-		return 0, false
-	}
-	return alignDown(best.base), true
+	return best
 }
 
 // The fuzzed address space: 48 allocation slots of 0x100 bytes, and escape
@@ -130,6 +127,7 @@ const (
 	fzRelink
 	fzRebase
 	fzRebaseLocs
+	fzPick
 	fzOps
 )
 
@@ -146,11 +144,13 @@ func tableOps(ops ...[7]byte) []byte {
 
 // FuzzAllocationTable drives the table and the map-scan model with one
 // sequence of Insert/Remove/AddEscape/RemoveEscape/relinkEscape/Rebase/
-// RebaseEscapeLocs and requires, after every step: the same allocations, the
-// same escape set and count per allocation, the same EscapeTarget for every
-// location either side knows, the same return values, the same WorstCasePage
-// pick, RebaseEscapeLocs examining nothing outside the pages its range
-// touches, and CheckInvariants.
+// RebaseEscapeLocs/WorstCasePage and requires, after every step: the same
+// allocations, the same escape set and count per allocation, the same
+// EscapeTarget for every location either side knows, the same return values,
+// RebaseEscapeLocs examining nothing outside the pages its range touches, and
+// CheckInvariants (the pick index's included). The input decides when to
+// pick, so changes pile up between picks as they do between injected moves;
+// the pick is compared once more at the end.
 func FuzzAllocationTable(f *testing.F) {
 	// Three allocations with 3, 2 and 1 escapes, located on three pages at
 	// odd alignments (0x40ffd straddles a page edge).
@@ -173,6 +173,25 @@ func FuzzAllocationTable(f *testing.F) {
 		{{fzRemove, 0}, {fzRemoveEscape, 0x10, 0x03}},        // leaves a tie for most escapes
 		{{fzRelink, 0x10, 0x00, 5}, {fzRelink, 0x33, 0x31, 2}, {fzRebase, 0, 0, 2, 9}},
 		{{fzAddEscape, 0x10, 0x00, 40, 0}, {fzAddEscape, 0x10, 0x03, 5, 1}}, // retarget: to nothing, to another
+		// A tie (2 and 2) the lower base wins, until a Rebase moves it above.
+		{{fzRemoveEscape, 0x00, 0x08}, {fzPick}, {fzRebase, 0, 0, 0, 9}, {fzPick}},
+		// The top's count falls to 0 (its stale entry is popped) and comes
+		// back to the same key: it must be pushed again.
+		{{fzAddEscape, 0x30, 0x00, 5, 1}, {fzAddEscape, 0x30, 0x08, 5, 2}, {fzAddEscape, 0x30, 0x10, 5, 3}, {fzPick},
+			{fzRemoveEscape, 0x2a, 0xa8}, {fzRemoveEscape, 0x30, 0x00}, {fzRemoveEscape, 0x30, 0x08}, {fzRemoveEscape, 0x30, 0x10}, {fzPick},
+			{fzAddEscape, 0x2a, 0xa8, 5, 0}, {fzAddEscape, 0x30, 0x00, 5, 1}, {fzAddEscape, 0x30, 0x08, 5, 2}, {fzAddEscape, 0x30, 0x10, 5, 3}, {fzPick}},
+		// The top is freed; then the last escape anywhere goes.
+		{{fzPick}, {fzRemove, 0}, {fzPick}, {fzRemove, 2}, {fzPick}, {fzRemoveEscape, 0x2a, 0xa8}, {fzPick}},
+		// Entries pile up below the top until the heap holds more than twice
+		// the table: rebuilt by a walk.
+		{{fzPick}, {fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick},
+			{fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick},
+			{fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick}},
+		// More allocations change between two picks than the table held at
+		// the first: the index is dropped, and the next pick rebuilds it.
+		{{fzPick}, {fzInsert, 10, 0x40}, {fzAddEscape, 0x34, 0x00, 10, 0}, {fzInsert, 11, 0x40}, {fzAddEscape, 0x34, 0x08, 11, 0},
+			{fzInsert, 12, 0x40}, {fzAddEscape, 0x34, 0x10, 12, 0}, {fzInsert, 13, 0x40}, {fzAddEscape, 0x34, 0x18, 13, 0},
+			{fzAddEscape, 0x34, 0x20, 13, 1}, {fzAddEscape, 0x34, 0x28, 13, 2}, {fzAddEscape, 0x34, 0x30, 13, 3}, {fzPick}},
 	} {
 		f.Add(with(ops...))
 	}
@@ -182,13 +201,23 @@ func FuzzAllocationTable(f *testing.F) {
 		tb := rt.Table
 		m := &modelTable{esc: map[uint64]*modelAlloc{}}
 		live := map[*modelAlloc]*Allocation{}
+		comparePick := func(step int) {
+			ma := m.mostEscaped()
+			if got := tb.mostEscaped(); got != live[ma] {
+				t.Fatalf("step %d: picked %v, model %v", step, got, ma)
+			}
+			if page, ok := rt.WorstCasePage(); ok != (ma != nil) || ok && page != alignDown(ma.base) {
+				t.Fatalf("step %d: WorstCasePage = %#x, %v; model %v", step, page, ok, ma)
+			}
+		}
 		pick := func(b byte) *modelAlloc {
 			if len(m.allocs) == 0 {
 				return nil
 			}
 			return m.allocs[int(b)%len(m.allocs)]
 		}
-		for step := 0; len(in) >= 7; step, in = step+1, in[7:] {
+		step := 0
+		for ; len(in) >= 7; step, in = step+1, in[7:] {
 			a, b, c, d := in[1], in[2], in[3], in[4]
 			loc := fzLocLo + (uint64(a)<<8|uint64(b))%fzLocSpan
 			switch in[0] % fzOps {
@@ -253,6 +282,8 @@ func FuzzAllocationTable(f *testing.F) {
 					t.Fatalf("step %d: RebaseEscapeLocs(%#x,%#x,%#x) examined %d entries, the pages of the range hold %d",
 						step, lo, hi, newLo, visited, onPages)
 				}
+			case fzPick:
+				comparePick(step)
 			}
 
 			if err := tb.CheckInvariants(); err != nil {
@@ -282,12 +313,8 @@ func FuzzAllocationTable(f *testing.F) {
 			if got, ok := tb.EscapeTarget(loc); ok != (m.esc[loc] != nil) {
 				t.Fatalf("step %d: EscapeTarget(%#x) = %v, %v; model %v", step, loc, got, ok, m.esc[loc])
 			}
-			gotPage, gotOK := rt.WorstCasePage()
-			wantPage, wantOK := m.worstCasePage()
-			if gotPage != wantPage || gotOK != wantOK {
-				t.Fatalf("step %d: WorstCasePage = %#x, %v; model %#x, %v", step, gotPage, gotOK, wantPage, wantOK)
-			}
 		}
+		comparePick(step)
 	})
 }
 
@@ -301,7 +328,7 @@ func TestPageMoveVisitsOnlyItsPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One big allocation everything points into, on the last page; 100 000
-	// escapes located on pages 8…57 (and so spread over every shard).
+	// escapes located on pages 8…57.
 	target := base + 63*kernel.PageSize
 	must(t, rt.TrackAlloc(target, 64))
 	for i := uint64(0); i < 100_000; i++ {
@@ -328,8 +355,9 @@ func TestPageMoveVisitsOnlyItsPage(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsSeesIndexDamage breaks, one at a time, the three things
-// the page-bucketed index adds to the invariants, and expects each reported.
+// TestCheckInvariantsSeesIndexDamage breaks, one at a time, the things the
+// page-bucketed index and the pick index add to the invariants, and expects
+// each reported.
 func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 	build := func() (*AllocationTable, *Allocation) {
 		tb := NewAllocationTable()
@@ -337,16 +365,25 @@ func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 		must(t, err)
 		tb.AddEscape(0x40008, 0x10000)
 		tb.AddEscape(0x41010, 0x10008)
+		if tb.mostEscaped() != a {
+			t.Fatal("the one allocation with escapes is not picked")
+		}
 		must(t, tb.CheckInvariants())
 		return tb, a
 	}
 	for name, damage := range map[string]func(*AllocationTable, *Allocation){
 		"count drifts from the sets": func(_ *AllocationTable, a *Allocation) { a.nEsc.Add(1) },
 		"empty bucket survives": func(tb *AllocationTable, _ *Allocation) {
-			tb.shards[shardOf(0x50000)].pages[pageOf(0x50000)] = map[uint64]*Allocation{} // page 0x40's shard
+			tb.pages[pageOf(0x50000)] = map[uint64]*Allocation{}
 		},
 		"entry in another page's bucket": func(tb *AllocationTable, a *Allocation) {
-			tb.shards[shardOf(0x40008)].pages[pageOf(0x40008)][0x50018] = a // same shard, wrong page
+			tb.pages[pageOf(0x40008)][0x50018] = a
+		},
+		"pick entry missing": func(tb *AllocationTable, _ *Allocation) {
+			tb.pick.heap = tb.pick.heap[:0]
+		},
+		"dirty allocation off the list": func(tb *AllocationTable, a *Allocation) {
+			a.dirty = true
 		},
 	} {
 		tb, a := build()

@@ -321,10 +321,10 @@ func TestXCacheInvalidationScope(t *testing.T) {
 	}
 }
 
-// Concurrent guarded execution against the sharded allocation table: two
+// Concurrent guarded execution against the allocation table: two
 // program threads hammer tracked heap memory while the move policy drives
 // map changes. Run under -race; the modeled result must also be stable.
-func TestConcurrentGuardedExecutionSharded(t *testing.T) {
+func TestConcurrentGuardedExecution(t *testing.T) {
 	src := `module "mt"
 func @malloc(%sz: i64) -> ptr
 func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
