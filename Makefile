@@ -17,7 +17,7 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 27516
+LOC_CEILING := 27299
 
 .PHONY: all fmt vet build test race debugtest smoke bench scale check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
@@ -150,9 +150,9 @@ soak: build
 # invariants over generated programs, the IR text round trip, IR text
 # executed on both engines, PhysMem's page-dirty map against the
 # byte-loop memory model, the page-bucketed allocation table against the
-# map-scan model, the in-place region set against sort-and-coalesce, and
-# arbitrary bytes through the CARAT-C front end; seeds replay in plain
-# `make test`).
+# map-scan model, the in-place region set against sort-and-coalesce,
+# arbitrary bytes through the CARAT-C front end, and arbitrary request bodies
+# through caratd's handler; seeds replay in plain `make test`).
 # FuzzIRRoundTrip's and FuzzIRExecute's seeds are whole kernels, so
 # minimising one interesting input at the default 60 s would eat the
 # budget: cap it. The two table targets find new coverage every few
@@ -171,6 +171,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAllocationTable -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzRegionSet -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/guard/
 	$(GO) test -run '^$$' -fuzz FuzzCCCompile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/cc/
+	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/server/
 
 # loc prints non-test Go lines per package and their total, excluding the
 # frozen benchmark/ module (ROADMAP: non-test LOC is a tracked metric and
@@ -212,8 +213,8 @@ benchmark-test:
 # microbench runs every host-time micro-benchmark of the kernel, runtime,
 # guard and passes packages, the VM's heap rebase, tier-up and access step,
 # and caratd's cached request (BenchmarkHotRequest), once each:
-# not a measurement (use -benchmem -count N for that, see EXPERIMENTS.md
-# "PR 20"), a check that they still build, set up and run.
+# not a measurement (use -benchmem -count N for that; docs/experiments/
+# has the numbers), a check that they still build, set up and run.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kernel/ ./internal/runtime/ ./internal/guard/ ./internal/passes/
 	$(GO) test -run '^$$' -bench 'BenchmarkHeapRebase|BenchmarkTierUp|BenchmarkAccessStep' -benchtime 1x ./internal/vm/

@@ -31,10 +31,10 @@ const ExecBenchSchema = "carat.bench.exec"
 // telemetry_overhead_pct summary. v3: the matrix gains the closure
 // compilation tier (with ic_hits/ic_misses/deopts per leg and the
 // speedup_closure summary), and the telemetry leg rides the closure
-// engine — the tax is measured against the fastest tier. v4: the predecode
-// executor is gone, so the legs are reference, compiled and
-// compiled+telemetry; the per-leg predecode/xcache/closure/deopts columns
-// and the speedup_predecode/speedup_full ratios go with it.
+// engine — the tax is measured against the fastest tier. v4: the legs are
+// the two engines — reference and compiled — plus compiled+telemetry; the
+// per-leg predecode/xcache/closure/deopts columns and the
+// speedup_predecode/speedup_full ratios went with the deleted tiers.
 const ExecBenchVersion = 4
 
 // execBenchSrc is a guard-heavy kernel: every loop iteration performs

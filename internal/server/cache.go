@@ -17,11 +17,11 @@ import (
 // so every compile parses a fresh module from source) and is shared by
 // every VM that runs it concurrently.
 //
-// prog is the module's VM-independent code (vm.Program: predecoded and
-// closure-compiled bodies), acquired on the entry's first cache HIT and
+// prog is the module's VM-independent code (vm.Program: register layouts
+// and closure-compiled bodies), acquired on the entry's first cache HIT and
 // shared by every later one, so a hot request lowers nothing. The request
 // that compiled the module runs on a throwaway Program instead: compiled
-// code retains roughly 400 B per IR instruction, and most never-seen
+// code retains roughly 90 B per IR instruction, and most never-seen
 // modules never run twice. Eviction drops the Program with the entry.
 type moduleEntry struct {
 	ref   string

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
@@ -11,12 +12,17 @@ import (
 	"carat/internal/runtime"
 )
 
-// Closure compilation: the second of the compiled engine's two stages, and
-// the form that executes. An interpreter over the predecoded form would
-// still pay one switch dispatch plus a five-counter accounting sequence per
-// instruction; this stage lowers each pfunc one step further into chained Go
-// closures, where every basic block becomes one superinstruction closure
-// that fuses its straight-line body:
+// Closure compilation: the compiled engine's one lowering stage, and the form
+// that executes. The reference interpreter (exec.go) walks *ir.Instr values
+// directly: every operand read is an interface type switch plus a slot-table
+// lookup, every taken branch re-discovers the incoming phi edge by scanning
+// phi.Preds, and every instruction pays a switch dispatch and a five-counter
+// accounting sequence. None of that depends on runtime state, so on a
+// function's first call compileClosure walks its IR once and resolves all of
+// it — operands to register indices, constants to a pool, result slots,
+// widths, compare masks, GEP offsets and strides, successor blocks, per-edge
+// phi copies — into chained Go closures, where every basic block becomes one
+// superinstruction closure that fuses its straight-line body:
 //
 //   - per-instruction accounting is batched into one charge per "group"
 //     (a maximal run of pure instructions, optionally ended by the single
@@ -33,7 +39,15 @@ import (
 //     constant pool laid out as extra registers.
 //
 // Each block closure returns the next block's closure directly, so there is
-// no central dispatch loop — just a trampoline.
+// no central dispatch loop — just a trampoline. A fused access's cold paths,
+// guardCold and cdataAddr, read registers and end in the reference
+// interpreter's guardMiss and translate; a guard that stands alone runs the
+// reference's execGuard, which reads its operands off the IR.
+//
+// The lowering is total over verified modules: ir.Verify rejects every shape
+// it has no form for (aggregate-width accesses, struct GEP indices that are
+// not in-range constants, undefined opcodes), and NewProgram verifies before
+// anything is lowered. A shape it still cannot lower is a bug, not an input.
 //
 // A compiled body is a pure function of the module: its closures capture
 // operand indices, strides and successor blocks, never a VM, a thread, or an
@@ -43,13 +57,13 @@ import (
 //
 //   - every memory access validates itself (xcache slots are epoch-stamped,
 //     nothing is filled under a forwarding window, and every cold path goes
-//     through pexecGuard/cdataAddr → translate);
+//     through a guard walk and translate);
 //   - the only baked addresses are the pool's global/function entries, which
 //     the cfunc records as relocs. A page move that relocates a global or
 //     code re-bakes each binding's pool and re-copies it into every live
 //     closure frame (VM.repatchPools), with the world stopped, beside the
 //     register patch of Figure 8 — the pool is one more escape of the
-//     address.
+//     address, and a cold path that reads a pool register reads it patched.
 //
 // So compiled code survives moves, grants and forwarding windows at full
 // speed, and — every verified function being compilable — nothing ever
@@ -57,8 +71,8 @@ import (
 //
 // All of this is host-speed only: instruction counts, modeled cycles, the
 // cycle profile, guard evaluator state, and runtime callback order are
-// byte-identical with the reference interpreter, which shares neither
-// lowering stage nor the xcache (closure_test.go and the engine-parity
+// byte-identical with the reference interpreter, which shares neither the
+// lowering nor the xcache (closure_test.go and the engine-parity
 // differential tests pin this).
 
 // cenv is the per-activation state threaded through a compiled function's
@@ -186,7 +200,7 @@ type cblock struct {
 // and bakes the relocs against its VM's address tables (VM.bakePool).
 type cfunc struct {
 	blocks  []cblock
-	maxPhis int
+	maxPhis int // widest phi set of any edge, sizes the copy scratch
 	consts  []uint64
 	relocs  []creloc
 	shapes  [2][2]int32 // access steps compiled, by [guarded][GEP-fused] (TestAccessShapes)
@@ -196,16 +210,18 @@ type cfunc struct {
 // fills — all that is published — and what only compiling needs.
 type ccompiler struct {
 	*cfunc
+	p     *Program
 	l     *funcLayout
-	pf    *pfunc
 	imms  map[uint64]cop // pool registers of immediates, by value
-	addrs map[uint64]cop // of address-table entries, by kind<<32 | index
+	addrs map[uint64]cop // of address-table entries, by fn<<32 | index
 }
 
-// creloc names one pool entry that holds an address-table value.
+// creloc names one pool entry that holds an address-table value: entry idx
+// of VM.funcPhys when fn is set, of VM.globalPhys otherwise.
 type creloc struct {
-	pool int32    // index into consts
-	src  poperand // pkGlobal or pkFunc
+	pool int32 // index into consts
+	idx  int32
+	fn   bool
 }
 
 // cop is a compiled operand: an index into the activation's extended
@@ -216,29 +232,64 @@ type cop int32
 
 func (o cop) get(fr *frame) uint64 { return fr.regs[o] }
 
-// operand resolves a predecoded operand to its register, interning
-// constants into the pool by what they ARE (kind plus immediate or table
-// index), never by their current value: an immediate that happens to equal
-// a global's load-time address must not follow that global when it moves.
-// One word-keyed map per kind of identity, so an intern hashes eight bytes.
-func (cf *ccompiler) operand(p poperand) cop {
-	if p.kind == pkSlot {
-		return cop(p.idx)
+// constBits is a constant's register image: an integer's two's complement,
+// a float's IEEE bits.
+func constBits(c *ir.Const) uint64 {
+	if c.Typ.IsFloat() {
+		return math.Float64bits(c.Float)
 	}
-	index, key := cf.imms, p.imm
-	if p.kind != pkImm {
-		index, key = cf.addrs, uint64(p.kind)<<32|uint64(uint32(p.idx))
+	return uint64(c.Int)
+}
+
+// sameValue reports whether two operands read the same value wherever they
+// are read: one SSA value, global or function, or constants with equal bits.
+func sameValue(x, y ir.Value) bool {
+	cx, okx := x.(*ir.Const)
+	cy, oky := y.(*ir.Const)
+	return x == y || okx && oky && constBits(cx) == constBits(cy)
+}
+
+// operand resolves an operand to its register, interning constants into the
+// pool by what they ARE (immediate bits, or which global or function),
+// never by their current value: an immediate that happens to equal a
+// global's load-time address must not follow that global when it moves. One
+// word-keyed map per kind of identity, so an intern hashes eight bytes. The
+// order of first uses is the pool's order.
+func (cf *ccompiler) operand(x ir.Value) cop {
+	index, key, reloc := cf.addrs, uint64(0), true
+	r := creloc{pool: int32(len(cf.consts))}
+	switch c := x.(type) {
+	case *ir.Const:
+		index, key, reloc = cf.imms, constBits(c), false
+	case *ir.Global:
+		r.idx = cf.p.globalIdx[c]
+		key = uint64(r.idx)
+	case *ir.Func:
+		r.idx, r.fn = cf.p.funcIdx[c], true
+		key = 1<<32 | uint64(r.idx)
+	default:
+		return cop(cf.l.slot(x))
 	}
 	if i, ok := index[key]; ok {
 		return i
 	}
 	i := cop(cf.l.nSlots + len(cf.consts))
-	if p.kind != pkImm {
-		cf.relocs = append(cf.relocs, creloc{pool: int32(len(cf.consts)), src: p})
+	if reloc {
+		cf.relocs = append(cf.relocs, r)
+		cf.consts = append(cf.consts, 0) // baked per binding
+	} else {
+		cf.consts = append(cf.consts, key)
 	}
-	cf.consts = append(cf.consts, p.imm) // zero for a reloc, baked per binding
 	index[key] = i
 	return i
+}
+
+// dst is in's result register, -1 when it produces no value.
+func (cf *ccompiler) dst(in *ir.Instr) int32 {
+	if hasSlot(in) {
+		return cf.l.slotOf[in.ID]
+	}
+	return -1
 }
 
 // cgep is one dynamic GEP index with its stride.
@@ -247,12 +298,56 @@ type cgep struct {
 	stride int64
 }
 
+// gepFold resolves a GEP's address arithmetic against its types: it returns
+// the byte offset its constant indices add up to and calls dyn with every
+// dynamic index and its stride, in operand order. (ir.Verify: a struct
+// level's index is an in-range constant.)
+func gepFold(in *ir.Instr, dyn func(idx ir.Value, stride int64)) (off uint64) {
+	typ := in.Elem
+	for i, x := range in.Args[1:] {
+		if i > 0 && typ.Kind == ir.StructKind {
+			c := x.(*ir.Const)
+			off += uint64(typ.FieldOffset(int(c.Int)))
+			typ = typ.Fields[c.Int]
+			continue
+		}
+		if i > 0 && typ.Kind == ir.ArrayKind {
+			typ = typ.Elem
+		}
+		if c, isConst := x.(*ir.Const); isConst {
+			off += uint64(c.Int * typ.Size())
+		} else {
+			dyn(x, typ.Size())
+		}
+	}
+	return off
+}
+
+// dynIndices counts a GEP's dynamic indices (struct indices are constants).
+func dynIndices(in *ir.Instr) int {
+	n := 0
+	for _, x := range in.Args[1:] {
+		if _, isConst := x.(*ir.Const); !isConst {
+			n++
+		}
+	}
+	return n
+}
+
+// relocAddr is the current value of r's address-table entry.
+func (v *VM) relocAddr(r creloc) uint64 {
+	if r.fn {
+		return v.funcPhys[r.idx]
+	}
+	return v.globalPhys[r.idx]
+}
+
 // bakePool (re)writes fb's pool relocs from the VM's current address tables
 // and reports whether any entry changed.
 func (v *VM) bakePool(fb *funcBinding) bool {
 	changed := false
 	for _, r := range fb.cf.relocs {
-		if a := v.pval(nil, r.src); fb.pool[r.pool] != a { // relocs never read the frame
+		if a := v.relocAddr(r); fb.pool[r.pool] != a {
 			fb.pool[r.pool] = a
 			changed = true
 		}
@@ -312,6 +407,22 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	return e.ret, nil
 }
 
+// guardCold is the cold path of a fused access's guard — an xcache probe that
+// missed, or a size the fast path does not take: the evaluator walk (xcache
+// fill), then the miss/fault path the reference interpreter shares. It reads
+// the guard's address and size from registers; a pool register reads what
+// the last move patched (repatchPools), as the reference's live lookup does.
+func (v *VM) guardCold(t *thread, fr *frame, in *ir.Instr, addr, size cop, perm guard.Perm) error {
+	a, n := addr.get(fr), size.get(fr)
+	if int64(n) <= 0 {
+		return nil
+	}
+	if v.eval.CheckCached(t.xc, a, n, perm) {
+		return nil
+	}
+	return v.guardMiss(fr, in, a, n, perm, func() uint64 { return addr.get(fr) })
+}
+
 // cdataAddr is dataAddr over a compiled operand: translate with one
 // swap-in retry on a poisoned pointer. Re-reading the operand after the
 // swap-in is what picks up the runtime's pointer patch (only slot operands
@@ -332,19 +443,18 @@ func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, 
 	return 0, err
 }
 
-// compileClosure lowers pf into chained block closures. The predecoder is
-// total over verified modules, so there is nothing here to decline. The
-// result depends on the module alone.
-func compileClosure(l *funcLayout, pf *pfunc) *cfunc {
+// compileClosure lowers l's function into chained block closures, walking its
+// IR once. The result depends on the module alone.
+func (p *Program) compileClosure(l *funcLayout) *cfunc {
 	cf := ccompiler{
-		cfunc: &cfunc{maxPhis: pf.maxPhis, blocks: make([]cblock, len(pf.blocks))},
+		cfunc: &cfunc{blocks: make([]cblock, len(l.fn.Blocks))},
+		p:     p,
 		l:     l,
-		pf:    pf,
 		imms:  make(map[uint64]cop),
 		addrs: make(map[uint64]cop),
 	}
-	for bi := range pf.blocks {
-		cf.compileBlock(int32(bi))
+	for _, b := range l.fn.Blocks {
+		cf.compileBlock(b)
 	}
 	return cf.cfunc
 }
@@ -365,9 +475,11 @@ func cobserving(op ir.Op) bool {
 	return false
 }
 
-// compileBlock fills cf.blocks[bi] with its superinstruction closure.
-func (cf *ccompiler) compileBlock(bi int32) {
-	code := cf.pf.blocks[bi]
+// compileBlock fills b's entry of cf.blocks with its superinstruction
+// closure. Phis are compiled away into the predecessors' edge copies.
+func (cf *ccompiler) compileBlock(b *ir.Block) {
+	bi := int32(b.Idx)
+	code := b.Instrs[len(b.Phis()):]
 
 	// take closes the accumulated charge group: the batched accounting for
 	// the group (including the observing instruction about to run, which the
@@ -377,10 +489,10 @@ func (cf *ccompiler) compileBlock(bi int32) {
 	// Sized once, from a count: an observing instruction is at most one
 	// step, and every group's pures are a run of one slab.
 	nObserving, hasCall := 0, false
-	for i := range code {
-		if cobserving(code[i].op) {
+	for _, in := range code {
+		if cobserving(in.Op) {
 			nObserving++
-			hasCall = hasCall || code[i].op == ir.OpCall
+			hasCall = hasCall || in.Op == ir.OpCall
 		}
 	}
 	var groupN, groupCyc uint64
@@ -400,9 +512,8 @@ func (cf *ccompiler) compileBlock(bi int32) {
 	ti := len(code) - 1
 	bodyEnd := ti
 	fuseCmpBr := false
-	if t := &code[ti]; t.op == ir.OpCondBr && ti >= 1 && t.a.kind == pkSlot {
-		p := &code[ti-1]
-		if (p.op == ir.OpICmp || p.op == ir.OpFCmp) && p.dst >= 0 && p.dst == t.a.idx {
+	if t := code[ti]; t.Op == ir.OpCondBr && ti >= 1 {
+		if p := code[ti-1]; (p.Op == ir.OpICmp || p.Op == ir.OpFCmp) && t.Args[0] == ir.Value(p) {
 			fuseCmpBr = true
 			bodyEnd = ti - 1
 		}
@@ -417,12 +528,12 @@ func (cf *ccompiler) compileBlock(bi int32) {
 	// PR 23) and stays because a matcher whose parts are each optional is
 	// smaller than one that sets the unguarded pair apart.
 	for i := 0; i < bodyEnd; i++ {
-		in := &code[i]
+		in := code[i]
 		if gep, gi, ai := accessAt(code[i:bodyEnd]); ai != nil {
 			own, guarded, fused := ai, 0, 0 // own: the instruction whose charge closes the group
 			if gep != nil {
 				groupN++
-				groupCyc += uint64(gep.cost)
+				groupCyc += opCycles[gep.Op]
 				i, fused = i+1, 1
 			}
 			if gi != nil {
@@ -430,39 +541,38 @@ func (cf *ccompiler) compileBlock(bi int32) {
 				i, guarded = i+1, 1
 			}
 			cf.shapes[guarded][fused]++
-			segN, segCyc, group := take(1, uint64(own.cost))
+			segN, segCyc, group := take(1, opCycles[own.Op])
 			steps = append(steps, cf.compileAccess(gi, ai, gep, segN, segCyc, group))
 			continue
 		}
-		if !cobserving(in.op) {
+		if !cobserving(in.Op) {
 			groupN++
-			groupCyc += uint64(in.cost)
+			groupCyc += opCycles[in.Op]
 			pures = append(pures, cf.compilePure(in))
 			continue
 		}
-		segN, segCyc, group := take(1, uint64(in.cost))
+		segN, segCyc, group := take(1, opCycles[in.Op])
 		steps = append(steps, cf.compileObserving(in, segN, segCyc, group))
 	}
 
 	// Trailing pures plus the terminator(s) form the final charge group,
 	// run just before the terminator closure.
 	var termN, termCyc uint64
-	for i := bodyEnd; i <= ti; i++ {
+	for _, in := range code[bodyEnd:] {
 		termN++
-		termCyc += uint64(code[i].cost)
+		termCyc += opCycles[in.Op]
 	}
 	finalN, finalCyc, finalPures := take(termN, termCyc)
-
-	term := cf.compileTerm(code, ti, fuseCmpBr)
 
 	// Self-loop specialization: a fused compare+branch whose taken edge
 	// re-enters this same block, in a block with no call steps, can iterate
 	// inside one run() invocation while the VM is unobserved (see
 	// compileSelfLoop).
-	if fuseCmpBr && !hasCall && (code[ti].succ0 == bi || code[ti].succ1 == bi) {
-		cf.compileSelfLoop(bi, code, ti, steps, finalN, finalCyc, finalPures)
+	if t := code[ti]; fuseCmpBr && !hasCall && (t.Succs[0] == b || t.Succs[1] == b) {
+		cf.compileSelfLoop(b, code[ti-1], t, steps, finalN, finalCyc, finalPures)
 		return
 	}
+	term := cf.compileTerm(b, code, ti, fuseCmpBr)
 	cf.blocks[bi].run = func(e *cenv) (*cblock, error) {
 		v := e.v
 		if e.due(v) || len(v.sched.threads) > 1 ||
@@ -496,25 +606,26 @@ func (cf *ccompiler) compileBlock(bi int32) {
 // covers that same operand). ai is nil when code does not start with one; a
 // GEP or guard that is not part of a shape is lowered on its own and the
 // access behind it matches again, plain.
-func accessAt(code []pinstr) (gep, gi, ai *pinstr) {
+func accessAt(code []*ir.Instr) (gep, gi, ai *ir.Instr) {
 	i := 0
-	if in := &code[i]; in.op == ir.OpGEP && len(in.ext.gepSteps) == 1 && in.dst >= 0 && i+1 < len(code) {
+	if in := code[i]; in.Op == ir.OpGEP && dynIndices(in) == 1 && hasSlot(in) && i+1 < len(code) {
 		gep, i = in, i+1
 	}
-	if in := &code[i]; in.op == ir.OpGuard && (in.kind == ir.GuardLoad || in.kind == ir.GuardStore) && i+1 < len(code) {
+	if in := code[i]; in.Op == ir.OpGuard && (in.Kind == ir.GuardLoad || in.Kind == ir.GuardStore) && i+1 < len(code) {
 		gi, i = in, i+1
 	}
-	ai = &code[i]
-	addr := ai.a
-	switch ai.op {
+	ai = code[i]
+	var addr ir.Value
+	switch ai.Op {
 	case ir.OpLoad:
+		addr = ai.Args[0]
 	case ir.OpStore:
-		addr = ai.b
+		addr = ai.Args[1]
 	default:
 		return nil, nil, nil
 	}
-	if gi != nil && (gi.a != addr || (gi.kind == ir.GuardLoad) != (ai.op == ir.OpLoad)) ||
-		gep != nil && (addr.kind != pkSlot || addr.idx != gep.dst) {
+	if gi != nil && (!sameValue(gi.Args[0], addr) || (gi.Kind == ir.GuardLoad) != (ai.Op == ir.OpLoad)) ||
+		gep != nil && addr != ir.Value(gep) {
 		return nil, nil, nil
 	}
 	return gep, gi, ai
@@ -543,14 +654,22 @@ func applyCopies(e *cenv, cc []ccopy) {
 	}
 }
 
+// cmpMask reports whether a compare reads its operands masked to their
+// width — an unsigned predicate on a narrow integer, whose registers hold it
+// sign-extended — and that width.
+func cmpMask(in *ir.Instr) (bool, int) {
+	t := in.Args[0].Type()
+	return in.Pred >= ir.PredULT && t.IsInt() && t.Bits < 64, t.Bits
+}
+
 // compileCmpBit lowers a compare that feeds a fused conditional branch:
 // the closure writes the compare's result slot (later blocks may read it
 // through a phi) and returns the branch bit.
-func (cf *ccompiler) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
-	ca, cb := cf.operand(p.a), cf.operand(p.b)
-	dst := p.dst
-	pred := p.raw.Pred
-	if p.op == ir.OpFCmp {
+func (cf *ccompiler) compileCmpBit(p *ir.Instr) func(fr *frame) uint64 {
+	ca, cb := cf.operand(p.Args[0]), cf.operand(p.Args[1])
+	dst := cf.dst(p)
+	pred := p.Pred
+	if p.Op == ir.OpFCmp {
 		return func(fr *frame) uint64 {
 			x := math.Float64frombits(ca.get(fr))
 			y := math.Float64frombits(cb.get(fr))
@@ -559,8 +678,7 @@ func (cf *ccompiler) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
 			return bit
 		}
 	}
-	maskCmp, srcBits := p.maskCmp, int(p.srcBits)
-	if maskCmp {
+	if maskCmp, srcBits := cmpMask(p); maskCmp {
 		return func(fr *frame) uint64 {
 			a, b := maskToWidth(ca.get(fr), srcBits), maskToWidth(cb.get(fr), srcBits)
 			bit := boolBit(icmp(pred, a, b))
@@ -591,16 +709,16 @@ func (cf *ccompiler) compileCmpBit(p *pinstr) func(fr *frame) uint64 {
 // observed path — a sibling thread or an attached move policy — runs exactly
 // one iteration per run() call, like every other block, byte-identical with
 // the reference interpreter.
-func (cf *ccompiler) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
-	in := &code[ti]
-	cmp := cf.compileCmpBit(&code[ti-1])
-	b0, b1 := &cf.blocks[in.succ0], &cf.blocks[in.succ1]
-	cp0, cp1 := cf.compileCopies(in.ext.copies0), cf.compileCopies(in.ext.copies1)
+func (cf *ccompiler) compileSelfLoop(b *ir.Block, cmpIn, in *ir.Instr, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
+	s0, s1 := in.Succs[0], in.Succs[1]
+	b0, b1 := &cf.blocks[s0.Idx], &cf.blocks[s1.Idx]
+	cp0, cp1 := cf.compileCopies(b, s0), cf.compileCopies(b, s1) // the copies intern before the compare
+	cmp := cf.compileCmpBit(cmpIn)
 	n0, n1 := uint64(len(cp0)), uint64(len(cp1))
-	selfOnTrue := in.succ0 == bi
-	selfOnFalse := in.succ1 == bi
+	selfOnTrue := s0 == b
+	selfOnFalse := s1 == b
 
-	cf.blocks[bi].run = func(e *cenv) (*cblock, error) {
+	cf.blocks[b.Idx].run = func(e *cenv) (*cblock, error) {
 		v := e.v
 		fast := v.movePolicy == nil && len(v.sched.threads) == 1
 		if !fast || e.due(v) {
@@ -657,27 +775,27 @@ func (cf *ccompiler) compileSelfLoop(bi int32, code []pinstr, ti int, bsteps []c
 // compileTerm lowers a block's terminator (possibly fused with the
 // preceding compare). The terminator's cycle charge already landed in the
 // block's final charge group.
-func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
+func (cf *ccompiler) compileTerm(b *ir.Block, code []*ir.Instr, ti int, fuseCmpBr bool) func(e *cenv) (*cblock, error) {
 	name := cf.l.fn.Name
-	in := &code[ti]
-	switch in.op {
+	in := code[ti]
+	switch in.Op {
 	case ir.OpBr:
-		nb := &cf.blocks[in.succ0]
-		cp := cf.compileCopies(in.ext.copies0)
+		nb := &cf.blocks[in.Succs[0].Idx]
+		cp := cf.compileCopies(b, in.Succs[0])
 		return func(e *cenv) (*cblock, error) {
 			e.pending = cp
 			return nb, nil
 		}
 
 	case ir.OpCondBr:
-		b0, b1 := &cf.blocks[in.succ0], &cf.blocks[in.succ1]
-		cp0, cp1 := cf.compileCopies(in.ext.copies0), cf.compileCopies(in.ext.copies1)
+		b0, b1 := &cf.blocks[in.Succs[0].Idx], &cf.blocks[in.Succs[1].Idx]
+		cp0, cp1 := cf.compileCopies(b, in.Succs[0]), cf.compileCopies(b, in.Succs[1])
 		if fuseCmpBr {
-			p := &code[ti-1]
-			ca, cb := cf.operand(p.a), cf.operand(p.b)
-			dst := p.dst
-			pred := p.raw.Pred
-			if p.op == ir.OpFCmp {
+			p := code[ti-1]
+			ca, cb := cf.operand(p.Args[0]), cf.operand(p.Args[1])
+			dst := cf.dst(p)
+			pred := p.Pred
+			if p.Op == ir.OpFCmp {
 				return func(e *cenv) (*cblock, error) {
 					fr := e.fr
 					x := math.Float64frombits(ca.get(fr))
@@ -692,7 +810,7 @@ func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *
 					return b1, nil
 				}
 			}
-			maskCmp, srcBits := p.maskCmp, int(p.srcBits)
+			maskCmp, srcBits := cmpMask(p)
 			return func(e *cenv) (*cblock, error) {
 				fr := e.fr
 				a, b := ca.get(fr), cb.get(fr)
@@ -709,7 +827,7 @@ func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *
 				return b1, nil
 			}
 		}
-		cond := cf.operand(in.a)
+		cond := cf.operand(in.Args[0])
 		return func(e *cenv) (*cblock, error) {
 			if cond.get(e.fr)&1 != 0 {
 				e.pending = cp0
@@ -720,8 +838,8 @@ func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *
 		}
 
 	case ir.OpRet:
-		if in.hasRet {
-			a := cf.operand(in.a)
+		if len(in.Args) == 1 {
+			a := cf.operand(in.Args[0])
 			return func(e *cenv) (*cblock, error) {
 				e.flush()
 				e.ret = a.get(e.fr)
@@ -742,14 +860,18 @@ func (cf *ccompiler) compileTerm(code []pinstr, ti int, fuseCmpBr bool) func(e *
 	}
 }
 
-// compileCopies lowers one CFG edge's phi assignments to compiled form.
-func (cf *ccompiler) compileCopies(cp []pcopy) []ccopy {
-	if len(cp) == 0 {
+// compileCopies lowers the phi assignments of the edge from->to: each of
+// to's phis takes the operand whose Preds entry is from.
+func (cf *ccompiler) compileCopies(from, to *ir.Block) []ccopy {
+	phis := to.Phis()
+	if len(phis) == 0 {
 		return nil
 	}
-	cc := make([]ccopy, len(cp))
-	for i, c := range cp {
-		cc[i] = ccopy{dst: c.dst, src: cf.operand(c.src)}
+	cf.maxPhis = max(cf.maxPhis, len(phis))
+	cc := make([]ccopy, len(phis))
+	for i, phi := range phis {
+		j := slices.Index(phi.Preds, from) // Verify: every edge has an incoming
+		cc[i] = ccopy{dst: cf.l.slotOf[phi.ID], src: cf.operand(phi.Args[j])}
 	}
 	return cc
 }
@@ -757,12 +879,12 @@ func (cf *ccompiler) compileCopies(cp []pcopy) []ccopy {
 // compilePure lowers one pure (non-observing, non-terminator) instruction.
 // Pure steps never fail and never touch the accounting counters — their
 // segment's prefix closure charges for them and runs them back to back.
-func (cf *ccompiler) compilePure(in *pinstr) cpure {
-	dst := in.dst
-	switch in.op {
+func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
+	dst := cf.dst(in)
+	switch in.Op {
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		a, b := cf.operand(in.a), cf.operand(in.b)
-		op := in.op
+		a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
+		op := in.Op
 		return func(e *cenv) {
 			fr := e.fr
 			x, y := math.Float64frombits(a.get(fr)), math.Float64frombits(b.get(fr))
@@ -781,10 +903,9 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 		}
 
 	case ir.OpICmp:
-		a, b := cf.operand(in.a), cf.operand(in.b)
-		pred := in.raw.Pred
-		if in.maskCmp {
-			srcBits := int(in.srcBits)
+		a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
+		pred := in.Pred
+		if maskCmp, srcBits := cmpMask(in); maskCmp {
 			return func(e *cenv) {
 				fr := e.fr
 				x, y := maskToWidth(a.get(fr), srcBits), maskToWidth(b.get(fr), srcBits)
@@ -797,8 +918,8 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 		}
 
 	case ir.OpFCmp:
-		a, b := cf.operand(in.a), cf.operand(in.b)
-		pred := in.raw.Pred
+		a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
+		pred := in.Pred
 		return func(e *cenv) {
 			fr := e.fr
 			x := math.Float64frombits(a.get(fr))
@@ -807,51 +928,54 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 		}
 
 	case ir.OpTrunc:
-		a := cf.operand(in.a)
-		bits := int(in.bits)
+		a := cf.operand(in.Args[0])
+		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = uint64(signExtend(a.get(fr), bits))
 		}
 	case ir.OpZExt:
-		a := cf.operand(in.a)
-		srcBits := int(in.srcBits)
+		a := cf.operand(in.Args[0])
+		srcBits := in.Args[0].Type().Bits
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = maskToWidth(a.get(fr), srcBits)
 		}
 	case ir.OpSExt:
-		a := cf.operand(in.a)
-		srcBits := int(in.srcBits)
+		a := cf.operand(in.Args[0])
+		srcBits := in.Args[0].Type().Bits
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = uint64(signExtend(a.get(fr), srcBits))
 		}
 	case ir.OpPtrToInt, ir.OpIntToPtr:
-		a := cf.operand(in.a)
+		a := cf.operand(in.Args[0])
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = a.get(fr)
 		}
 	case ir.OpSIToFP:
-		a := cf.operand(in.a)
+		a := cf.operand(in.Args[0])
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = math.Float64bits(float64(int64(a.get(fr))))
 		}
 	case ir.OpFPToSI:
-		a := cf.operand(in.a)
-		bits := int(in.bits)
+		a := cf.operand(in.Args[0])
+		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
 			fr.regs[dst] = maskSigned(int64(math.Float64frombits(a.get(fr))), bits)
 		}
 
 	case ir.OpGEP:
-		a := cf.operand(in.a)
-		gc := in.imm
-		steps := in.ext.gepSteps
-		if len(steps) == 0 {
+		a := cf.operand(in.Args[0])
+		var dyn []cgep
+		gc := gepFold(in, func(x ir.Value, stride int64) {
+			dyn = append(dyn, cgep{op: cf.operand(x), stride: stride})
+		})
+		gsteps := dyn // never reassigned: the closures below hold it by value
+		if len(gsteps) == 0 {
 			return func(e *cenv) {
 				fr := e.fr
 				addr := a.get(fr) + gc
@@ -859,10 +983,6 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 					fr.regs[dst] = addr
 				}
 			}
-		}
-		gsteps := make([]cgep, len(steps))
-		for i, st := range steps {
-			gsteps[i] = cgep{op: cf.operand(st.op), stride: st.stride}
 		}
 		if len(gsteps) == 1 {
 			g0 := gsteps[0]
@@ -886,7 +1006,7 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 		}
 
 	case ir.OpSelect:
-		a, b, c := cf.operand(in.a), cf.operand(in.b), cf.operand(in.ext.c)
+		a, b, c := cf.operand(in.Args[0]), cf.operand(in.Args[1]), cf.operand(in.Args[2])
 		return func(e *cenv) {
 			fr := e.fr
 			var r uint64
@@ -902,9 +1022,12 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 	}
 
 	// Pure integer binops (error-free: divisions are observing).
-	a, b := cf.operand(in.a), cf.operand(in.b)
-	bits := int(in.bits)
-	op := in.op
+	if !in.Op.IsBinary() {
+		panic(fmt.Sprintf("vm: lowering: no form for %s (module not verified?)", in))
+	}
+	a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
+	bits := in.Typ.Bits
+	op := in.Op
 	if bits == 64 {
 		switch op {
 		case ir.OpAdd:
@@ -969,14 +1092,13 @@ func (cf *ccompiler) compilePure(in *pinstr) cpure {
 // compileObserving lowers one observing instruction other than a load or
 // store (those are compileAccess's) and the charge group it ends
 // (segN/segCyc/pures, the instruction's own charge included) into one step:
-// every step opens with cenv.open. in is a stable pointer into pf's code
-// slab, so cold paths can hand it to the shared predecode helpers unchanged.
-func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []cpure) cstep {
-	dst := in.dst
-	switch in.op {
+// every step opens with cenv.open.
+func (cf *ccompiler) compileObserving(in *ir.Instr, segN, segCyc uint64, pures []cpure) cstep {
+	dst := cf.dst(in)
+	switch in.Op {
 	case ir.OpAlloca:
-		a := cf.operand(in.a)
-		elemSize := in.imm
+		a := cf.operand(in.Args[0])
+		elemSize := uint64(in.Elem.Size())
 		return func(e *cenv) error {
 			e.open(segN, segCyc, pures)
 			t, fr := e.t, e.fr
@@ -997,13 +1119,14 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 		}
 
 	case ir.OpGuard:
-		// Unfused guard (range/call guards, or an access the fuser could
-		// not pair): the shared predecode path keeps miss/swap-in/fault
-		// semantics identical.
+		// A guard standing alone (range and call guards, or one the access
+		// matcher could not pair) runs the reference interpreter's guard:
+		// its operands are read off the IR, live, so they need no pool
+		// registers, and miss/swap-in/fault semantics are the reference's.
 		return func(e *cenv) error {
 			e.open(segN, segCyc, pures)
 			e.flush()
-			return e.v.pexecGuard(e.t, e.fr, in)
+			return e.v.execGuard(e.t, e.fr, in)
 		}
 
 	case ir.OpCall:
@@ -1011,17 +1134,16 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 	}
 
 	// Observing integer binops: the divisions, which can fail.
-	a, b := cf.operand(in.a), cf.operand(in.b)
-	bits := int(in.bits)
-	op := in.op
-	raw := in.raw
+	a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
+	bits := in.Typ.Bits
+	op := in.Op
 	return func(e *cenv) error {
 		e.open(segN, segCyc, pures)
 		fr := e.fr
 		r, err := intBinop(op, a.get(fr), b.get(fr), bits)
 		if err != nil {
 			e.flush()
-			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, raw, err)
+			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, in, err)
 		}
 		if dst >= 0 {
 			fr.regs[dst] = r
@@ -1035,11 +1157,12 @@ func (cf *ccompiler) compileObserving(in *pinstr, segN, segCyc uint64, pures []c
 // finding its binding is one slice index. A callee already bound with a
 // compiled body enters it directly (counted as an inline-cache hit); the
 // first call, which lowers and binds, goes through VM.callIdx (a miss).
-func (cf *ccompiler) compileCall(in *pinstr, segN, segCyc uint64, pures []cpure) cstep {
-	dst := in.dst
-	callee, calleeIdx := in.raw.Callee, in.calleeIdx
-	cargsOps := make([]cop, len(in.ext.args))
-	for i, a := range in.ext.args {
+func (cf *ccompiler) compileCall(in *ir.Instr, segN, segCyc uint64, pures []cpure) cstep {
+	dst := cf.dst(in)
+	callee := in.Callee
+	calleeIdx := cf.p.funcIdx[callee]
+	cargsOps := make([]cop, len(in.Args))
+	for i, a := range in.Args {
 		cargsOps[i] = cf.operand(a)
 	}
 	builtin := callee.IsDecl()
@@ -1085,18 +1208,19 @@ func (cf *ccompiler) compileCall(in *pinstr, segN, segCyc uint64, pures []cpure)
 // costs: a bounds compare, in CARAT mode with no forwarding window open (the
 // bounds compare stands in for the bus fault, as in VM.translate). Every
 // other outcome flushes and falls into exactly the unfused sequence —
-// pexecGuard, the access's direct charge, cdataAddr — so faults, swap-ins,
+// guardCold, the access's direct charge, cdataAddr — so faults, swap-ins,
 // forwarding, paging-mode page walks, evaluator and xcache counters, trace
 // events and callback order stay byte-identical with the reference
 // interpreter. Both paths end in the one load/sign-extend/store tail.
-func (cf *ccompiler) compileAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pures []cpure) cstep {
+func (cf *ccompiler) compileAccess(gi, ai, gep *ir.Instr, segN, segCyc uint64, pures []cpure) cstep {
 	// What the step knows about its site, packed: the closure holds a copy,
 	// and there is one per load or store in the module (a group's charge fits
 	// 32 bits: its instructions are in memory). Operands intern in
 	// instruction order, guard before GEP (pool order is part of the
 	// lowering golden).
+	ld := ai.Op == ir.OpLoad
 	s := struct {
-		gi                 *pinstr
+		gi                 *ir.Instr
 		ggc                uint64 // GEP: folded constant offset
 		gstride            int64  // GEP: stride of the dynamic index
 		segN, segCyc       uint32
@@ -1106,19 +1230,24 @@ func (cf *ccompiler) compileAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pur
 		w, cost, srcBits   uint8
 		perm               guard.Perm
 		hasGep, ld, signed bool
-	}{gi: gi, segN: uint32(segN), segCyc: uint32(segCyc), dst: ai.dst, w: ai.width, cost: ai.cost,
-		srcBits: ai.srcBits, perm: guard.PermRead, hasGep: gep != nil, ld: ai.op == ir.OpLoad, signed: ai.signed}
+	}{gi: gi, segN: uint32(segN), segCyc: uint32(segCyc), dst: cf.dst(ai), cost: uint8(opCycles[ai.Op]),
+		perm: guard.PermRead, hasGep: gep != nil, ld: ld}
 	if gi != nil {
-		s.aop, s.gsz = cf.operand(gi.a), cf.operand(gi.b)
+		s.aop, s.gsz = cf.operand(gi.Args[0]), cf.operand(gi.Args[1])
 	}
 	if gep != nil {
-		st := gep.ext.gepSteps[0]
-		s.gbase, s.ggc, s.gidx, s.gstride = cf.operand(gep.a), gep.imm, cf.operand(st.op), st.stride
+		var gidx cop
+		var gstride int64
+		s.gbase = cf.operand(gep.Args[0])
+		s.ggc = gepFold(gep, func(x ir.Value, stride int64) { gidx, gstride = cf.operand(x), stride })
+		s.gidx, s.gstride = gidx, gstride
 	}
-	if s.ld {
-		s.aop = cf.operand(ai.a)
+	if ld {
+		s.aop = cf.operand(ai.Args[0])
+		s.w, s.srcBits, s.signed = uint8(ai.Elem.Size()), uint8(ai.Elem.Bits), ai.Elem.IsInt()
 	} else {
-		s.vop, s.aop, s.perm = cf.operand(ai.a), cf.operand(ai.b), guard.PermWrite
+		s.vop, s.aop, s.perm = cf.operand(ai.Args[0]), cf.operand(ai.Args[1]), guard.PermWrite
+		s.w = uint8(ai.Args[0].Type().Size())
 	}
 
 	return func(e *cenv) error {
@@ -1147,7 +1276,7 @@ func (cf *ccompiler) compileAccess(gi, ai, gep *pinstr, segN, segCyc uint64, pur
 		if !ok {
 			e.flush()
 			if s.gi != nil {
-				if err := e.v.pexecGuard(e.t, fr, s.gi); err != nil {
+				if err := e.v.guardCold(e.t, fr, s.gi, s.aop, s.gsz, s.perm); err != nil {
 					return err
 				}
 				if !s.ld {

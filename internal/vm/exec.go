@@ -104,10 +104,7 @@ func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error)
 func (v *VM) val(fr *frame, x ir.Value) uint64 {
 	switch c := x.(type) {
 	case *ir.Const:
-		if c.Typ.IsFloat() {
-			return math.Float64bits(c.Float)
-		}
-		return uint64(c.Int)
+		return constBits(c)
 	case *ir.Global:
 		return v.globalPhys[v.prog.globalIdx[c]]
 	case *ir.Func:

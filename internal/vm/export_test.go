@@ -15,14 +15,14 @@ func LoweringSummary(p *Program) []string {
 			continue
 		}
 		l := buildLayout(f)
-		cf := compileClosure(l, p.predecode(l))
+		cf := p.compileClosure(l)
 		relocs := make([]string, len(cf.relocs))
 		for i, r := range cf.relocs {
 			kind := "g"
-			if r.src.kind == pkFunc {
+			if r.fn {
 				kind = "f"
 			}
-			relocs[i] = fmt.Sprintf("%d:%s%d", r.pool, kind, r.src.idx)
+			relocs[i] = fmt.Sprintf("%d:%s%d", r.pool, kind, r.idx)
 		}
 		out = append(out, fmt.Sprintf("@%s nSlots=%d ptrSlots=%v consts=%v relocs=%v blocks=%d maxPhis=%d",
 			f.Name, l.nSlots, l.ptrSlots, cf.consts, relocs, len(cf.blocks), cf.maxPhis))
@@ -40,8 +40,7 @@ func AccessShapes(p *Program) (n [2][2]int) {
 		if f.IsDecl() {
 			continue
 		}
-		l := buildLayout(f)
-		for g, row := range compileClosure(l, p.predecode(l)).shapes {
+		for g, row := range p.compileClosure(buildLayout(f)).shapes {
 			for fused, c := range row {
 				n[g][fused] += int(c)
 			}

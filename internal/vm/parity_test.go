@@ -10,13 +10,13 @@ import (
 	"carat/internal/passes"
 )
 
-// Engine parity: the compiled engine — predecode lowering, closure
-// compilation, the guard/translation cache — is a host-speed optimization
-// ONLY. Every modeled observable — result, output, instruction count, cycle
-// count, per-category profile, guard evaluator stats, physical memory image
-// — must be byte-identical between it and the reference interpreter, which
-// shares none of the three, including under injected page moves, allocation
-// moves, and swap storms.
+// Engine parity: the compiled engine — closure compilation and the
+// guard/translation cache — is a host-speed optimization ONLY. Every modeled
+// observable — result, output, instruction count, cycle count, per-category
+// profile, guard evaluator stats, physical memory image — must be
+// byte-identical between it and the reference interpreter, which shares
+// neither, including under injected page moves, allocation moves, and swap
+// storms.
 
 // engineResult snapshots every modeled observable of one run.
 type engineResult struct {

@@ -228,7 +228,7 @@ func (s *staticsMover) move() error {
 		pool := fr.regs[fr.fb.nSlots:]
 		changed := false
 		for j, r := range fr.fb.cf.relocs {
-			if want := v.pval(nil, r.src); pool[r.pool] != want {
+			if want := v.relocAddr(r); pool[r.pool] != want {
 				s.t.Errorf("move %d: frame of @%s: pool reloc %d = %#x, want %#x (stale after the move)",
 					s.moves, fr.fb.fn.Name, j, pool[r.pool], want)
 			}
@@ -469,5 +469,91 @@ done:
 	}
 	if ret != want {
 		t.Errorf("ret = %d, want %d: the immediate %#x followed @a when it moved", ret, want, addr)
+	}
+}
+
+// guardColdSrc: @peek makes guarded accesses whose guard operands are pool
+// registers — the address of @cnt, and the access size of every guard — and
+// has no loop, so nothing hoists them out of it. @main calls it every trip
+// with a heap pointer it loads back from @slot, which a swap-out poisons.
+const guardColdSrc = `module "guardcold"
+global @cnt : i64
+global @slot : ptr
+func @malloc(%n: i64) -> ptr
+func @peek(%p: ptr, %i: i64) -> i64 {
+entry:
+  %x = load i64, @cnt
+  %x1 = add i64 %x, %i
+  store i64 %x1, @cnt
+  %m = and i64 %i, 255
+  %q = gep i64, %p, %m
+  store i64 %i, %q
+  %v = load i64, %q
+  ret i64 %v
+}
+func @main() -> i64 {
+entry:
+  %buf = call ptr @malloc(i64 2048)
+  store ptr %buf, @slot
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %acc = phi i64 [0, ^entry], [%acc1, ^loop]
+  %h = load ptr, @slot
+  %v = call i64 @peek(ptr %h, i64 %i)
+  %acc1 = add i64 %acc, %v
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 1500
+  condbr %c, ^loop, ^done
+done:
+  %r = load i64, @cnt
+  %s = add i64 %acc1, %r
+  ret i64 %s
+}`
+
+// TestGuardColdPathReadsPoolRegisters drives fused access guards whose
+// operands are pool registers onto their cold path (guardCold) both ways a
+// run gets there: after a globals-page move — the move flushes every xcache,
+// so the next guarded access to @cnt misses and walks with the address the
+// move patched into the pool, the frame's own copy included when the move
+// caught @peek live — and under a guard-miss swap-in of the buffer, with the
+// size read from the pool. Result, model and memory must equal the reference
+// interpreter's, which reads the global's address live.
+func TestGuardColdPathReadsPoolRegisters(t *testing.T) {
+	_, clean := accessRun(t, guardColdSrc, passes.LevelTracking, smallConfig(), compiled, nil)
+	if clean.err != "" {
+		t.Fatal(clean.err)
+	}
+	var s *staticsMover
+	v, r := accessParity(t, guardColdSrc, passes.LevelTracking, smallConfig(), func(v *VM) {
+		s = &staticsMover{t: t, v: v}
+		n := 0
+		v.SetMovePolicy(450, func() error {
+			if n++; n%2 == 1 {
+				return s.move()
+			}
+			base, _, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
+			if !ok {
+				return nil
+			}
+			_, err := v.SwapOutAllocation(base)
+			return err
+		})
+	})
+	if r.err != "" || r.ret != clean.ret {
+		t.Fatalf("with moves and swaps: ret %d, err %q; without: ret %d", r.ret, r.err, clean.ret)
+	}
+	if n := AccessShapes(v.prog); n[1][0]+n[1][1] < 3 {
+		t.Fatalf("shapes %v: want the three guarded accesses of @peek, the test covers nothing", n)
+	}
+	if s.moves < 4 || s.patched == 0 || s.maxDepth < 2 {
+		t.Errorf("%d statics moves, %d live frames patched, deepest stack %d: want several moves, some under @peek",
+			s.moves, s.patched, s.maxDepth)
+	}
+	if n := v.Runtime().Stats.SwapIns.Get(); n < 3 {
+		t.Errorf("%d swap-ins, want several: the poison never reached a guard", n)
+	}
+	if _, misses, _ := v.XCacheStats(); misses < uint64(s.moves) {
+		t.Errorf("%d xcache misses over %d moves: the guards never took their cold path", misses, s.moves)
 	}
 }

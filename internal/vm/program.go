@@ -9,7 +9,7 @@ import (
 )
 
 // Program is the VM-independent half of a loaded module: everything the
-// loader and the compiled engine's two lowering stages derive from the
+// loader and the compiled engine's lowering derive from the
 // *ir.Module alone — function and global indices, and per function the
 // register-file layout and the compiled closure body with its pool layout
 // and relocs. Nothing in it names a VM, a thread or an address, so one
@@ -140,7 +140,7 @@ func (v *VM) bind(fb *funcBinding, idx int32) {
 		return
 	}
 	fb.cf = publish(&code.cf, func() *cfunc {
-		cf := compileClosure(fb.funcLayout, v.prog.predecode(fb.funcLayout))
+		cf := v.prog.compileClosure(fb.funcLayout)
 		v.closureBlocks += uint64(len(cf.blocks))
 		return cf
 	})

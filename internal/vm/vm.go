@@ -83,8 +83,8 @@ type Config struct {
 	MaxInstrs uint64
 
 	// Closure is the one engine bit. Set (DefaultConfig sets it), the VM runs
-	// the compiled engine: each function is lowered on its first call, in
-	// two stages (predecode.go, closure.go), into chained superinstruction
+	// the compiled engine: each function is lowered on its first call,
+	// straight from its IR (closure.go), into chained superinstruction
 	// closures that live in the Program and survive page moves, with a
 	// per-thread guard/translation cache (xcache) in front of the guard
 	// evaluator in CARAT mode. Clear, it runs the reference interpreter
@@ -94,8 +94,8 @@ type Config struct {
 	// results are byte-identical either way.
 	Closure bool
 
-	// Predecode and XCache are never read. benchmark/adapter.go (frozen)
-	// still assigns them; the benchmark PR that moves it off them deletes both.
+	// Predecode and XCache are never read (there is no predecoded form); the
+	// frozen benchmark/adapter.go assigns them until the benchmark thaws.
 	Predecode, XCache bool
 
 	// Obs, when set, is the shared metrics registry for all layers of
