@@ -52,11 +52,12 @@ func (r *RareMigration) Due(now uint64) bool {
 	return true
 }
 
-// Pending reports what Due(now) would return, without arming the next
-// period. Hot paths use it to skip a safepoint entirely when no migration
-// is due: Due has no side effect in exactly the cases Pending is false.
-func (r *RareMigration) Pending(now uint64) bool {
-	return r.Period != 0 && now >= r.next
+// Next is the count at which Due next fires: never, for a zero period.
+func (r *RareMigration) Next() uint64 {
+	if r.Period == 0 {
+		return math.MaxUint64
+	}
+	return r.next
 }
 
 // Policy is one pluggable management strategy the daemon runs per tick.

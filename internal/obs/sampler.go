@@ -103,14 +103,14 @@ func (s *Sampler) NewTrack() *Track {
 	return t
 }
 
-// Due reports whether an exec sample is due at model cycle now. This is
-// the entire hot-path cost of an attached profiler: one comparison.
-func (t *Track) Due(now uint64) bool { return now >= t.next }
+// Next is the model cycle at which the next exec sample is due. Comparing
+// the clock against it is the entire hot-path cost of an attached profiler.
+func (t *Track) Next() uint64 { return t.next }
 
 // Sample records exec samples for every whole interval elapsed up to
 // model cycle now, attributed to the stack that stackFn builds. stackFn
-// runs only when at least one sample is due; call sites guard with Due so
-// stack construction stays off the hot path.
+// runs only when at least one sample is due; call sites compare against Next
+// first, so stack construction stays off the hot path.
 func (t *Track) Sample(now uint64, stackFn func() string) {
 	if now < t.next {
 		return

@@ -22,8 +22,8 @@ func TestTrackSampleCatchUp(t *testing.T) {
 	tr := s.NewTrack()
 	stack := func() string { return "main;hot" }
 
-	if tr.Due(99) {
-		t.Error("Due(99) before first interval")
+	if 99 >= tr.Next() {
+		t.Error("a sample due at 99, before the first interval")
 	}
 	tr.Sample(99, stack) // no-op below the first interval
 	tr.Sample(250, stack)
@@ -88,7 +88,7 @@ func TestSamplerReconciliation(t *testing.T) {
 		if step%100 == 99 {
 			moveCycles += 5000 + x%3000
 		}
-		if tr.Due(cycles) {
+		if cycles >= tr.Next() {
 			tr.Sample(cycles, func() string { return "main;work" })
 			tr.FoldPhase("guard", guardCycles)
 			tr.FoldPhase("move", moveCycles)

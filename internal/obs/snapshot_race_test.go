@@ -114,7 +114,7 @@ func TestSamplerConcurrentScrape(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			cycles += 7
 			moves += 3
-			if tr.Due(cycles) {
+			if cycles >= tr.Next() {
 				tr.Sample(cycles, func() string { return "main;loop" })
 				tr.FoldPhase("move", moves)
 			}

@@ -578,7 +578,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ret, err := v.Run()
 	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "runtime", err)
+		var stop *vm.StopError
+		errors.As(err, &stop) // every Run error is one
+		s.writeError(w, http.StatusUnprocessableEntity, string(stop.Reason), err)
 		return
 	}
 	s.reg.Histogram("carat.server.exec_cycles").Observe(v.Cycles)

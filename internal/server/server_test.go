@@ -273,6 +273,57 @@ func TestTenantCycleQuota(t *testing.T) {
 	}
 }
 
+// TestRunErrorsNameTheStop: a run that stops answers 422 with the reason the
+// VM's *vm.StopError names, not one word for every way a guest can end.
+func TestRunErrorsNameTheStop(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxInstrs = 5000
+	cfg.Tenants = map[string]Quota{"tiny": {MaxCycles: 1000}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartBackground()
+	t.Cleanup(func() { s.Close() })
+	const oobStore = `module "oob"
+func @main() -> i64 {
+entry:
+  %p = inttoptr i64 123456789 to ptr
+  store i64 1, %p
+  ret i64 0
+}`
+	const selfJoin = `module "selfjoin"
+func @thread_join(%tid: i64) -> void
+func @main() -> i64 {
+entry:
+  call void @thread_join(i64 1)
+  ret i64 0
+}`
+	for _, c := range []struct {
+		req  runRequest
+		want string
+	}{
+		{runRequest{Tenant: "tiny", Source: progLoop}, "cycle_budget"},
+		{runRequest{Source: progLoop}, "instr_limit"},
+		{runRequest{Kind: "cir", Source: oobStore}, "protection"},
+		{runRequest{Kind: "cir", Source: selfJoin}, "deadlock"},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		var doc errorResponse
+		if err := json.NewDecoder(w.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusUnprocessableEntity || doc.Reason != c.want {
+			t.Errorf("%s: status %d, reason %q (%s), want 422 and %q", c.want, w.Code, doc.Reason, doc.Error, c.want)
+		}
+	}
+}
+
 func TestTenantConcurrencySlots(t *testing.T) {
 	ten := &tenant{name: "x", quota: Quota{MaxConcurrent: 2}}
 	if err := ten.acquireSlot(); err != nil {

@@ -83,8 +83,8 @@ import (
 // pendN/pendCyc accumulate instruction and cycle charges not yet applied to
 // the VM-wide and per-function counters. Nothing on a block's fast path
 // reads those counters, so charges defer across whole blocks and flush only
-// where something reads them: a block-head safepoint that is due (the sampler
-// and move policies), a guard walk, a call, Ret, and the branch of a step
+// where something reads them: a block head whose gate is due (gate.go), a
+// guard walk, a call, Ret, and the branch of a step
 // that is about to fault, swap in, page-walk or return an error. A step that
 // merely could fault defers like any other.
 type cenv struct {
@@ -142,30 +142,6 @@ func (e *cenv) charge(cyc uint64) {
 	e.prof.Cycles += cyc
 }
 
-// due reports whether a block-head safepoint would DO something whoever is
-// running: a stop request is up, a sample is due, or a limit is about to
-// trip. Callers add their own share of the trigger list (a sibling thread,
-// an attached move policy). The tests mirror the safepoint's own exactly,
-// evaluated on (flushed + deferred) counters — the same values a flush would
-// produce — and Track.Due / RareMigration.Pending are side-effect-free when
-// false. So skipping flush + safepoint when every pre-check is false is
-// invisible: the charges ride through to the next observation point. Limits
-// compare at the block head before the incoming edge's phi copies are
-// charged, exactly where the reference interpreter traps.
-func (e *cenv) due(v *VM) bool {
-	return v.sched.stopReq.Load() ||
-		(v.track != nil && v.track.Due(v.Cycles+e.pendCyc)) ||
-		v.Instrs+e.pendN > v.maxI || v.Cycles+e.pendCyc > v.maxC
-}
-
-// safepoint takes a block-head safepoint some pre-check asked for. Deferred
-// charges flush first: the sampler, move policies, and pause attribution
-// all read the counters there.
-func (e *cenv) safepoint() error {
-	e.flush()
-	return e.t.safepoint()
-}
-
 // ccopy is one compiled phi assignment: regs[dst] receives regs[src], with
 // immediate/global sources resolved through the constant pool.
 type ccopy struct {
@@ -181,9 +157,9 @@ type cstep func(e *cenv) error
 // error check — by construction nothing they lower can fail.
 type cpure func(e *cenv)
 
-// cblock is one compiled basic block. run executes the block (safepoint,
-// pending phi copies, body steps) and returns the next block, or nil when
-// the activation completed.
+// cblock is one compiled basic block. run executes the block (pending phi
+// copies, body steps) and returns the next block, or nil when the activation
+// completed.
 type cblock struct {
 	run func(e *cenv) (*cblock, error)
 }
@@ -396,11 +372,19 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	if cf.maxPhis > 0 {
 		e.tmp = make([]uint64, cf.maxPhis)
 	}
+	// The trampoline asks the gate at every block head on flushed plus deferred
+	// counters, before the incoming edge's phi copies are charged: where the
+	// reference interpreter asks. A head where nothing is due flushes nothing.
 	blk := &cf.blocks[0]
 	var err error
 	for blk != nil {
-		blk, err = blk.run(e)
-		if err != nil {
+		if v.gate.due(v.Instrs+e.pendN, v.Cycles+e.pendCyc) {
+			e.flush()
+			if err = t.act(); err != nil {
+				return 0, err
+			}
+		}
+		if blk, err = blk.run(e); err != nil {
 			return 0, err
 		}
 	}
@@ -565,22 +549,14 @@ func (cf *ccompiler) compileBlock(b *ir.Block) {
 	finalN, finalCyc, finalPures := take(termN, termCyc)
 
 	// Self-loop specialization: a fused compare+branch whose taken edge
-	// re-enters this same block, in a block with no call steps, can iterate
-	// inside one run() invocation while the VM is unobserved (see
-	// compileSelfLoop).
+	// re-enters this same block, in a block with no call steps, iterates
+	// inside one run() invocation (see compileSelfLoop).
 	if t := code[ti]; fuseCmpBr && !hasCall && (t.Succs[0] == b || t.Succs[1] == b) {
 		cf.compileSelfLoop(b, code[ti-1], t, steps, finalN, finalCyc, finalPures)
 		return
 	}
 	term := cf.compileTerm(b, code, ti, fuseCmpBr)
 	cf.blocks[bi].run = func(e *cenv) (*cblock, error) {
-		v := e.v
-		if e.due(v) || len(v.sched.threads) > 1 ||
-			(v.movePolicy != nil && v.moveTrigger.Pending(v.Instrs+e.pendN)) {
-			if err := e.safepoint(); err != nil {
-				return nil, err
-			}
-		}
 		if n := len(e.pending); n > 0 {
 			applyCopies(e, e.pending)
 			e.pendN += uint64(n)
@@ -695,37 +671,20 @@ func (cf *ccompiler) compileCmpBit(p *ir.Instr) func(fr *frame) uint64 {
 
 // compileSelfLoop builds the specialized runner for a block whose fused
 // compare+branch re-enters the block itself and whose body has no call
-// steps. With a single thread and no move policy — the fast condition,
-// frozen for the whole run() call because nothing inside a call-free body
-// can attach a policy or spawn a thread — each iteration is just phi copies,
-// body steps, the final charge group and the compare: no trampoline, and a
-// safepoint only at the virtual block heads where a stop request, a due
-// sample, or a limit about to trip needs one. It is taken on flushed
-// counters, before the edge copies are charged — exactly where the
-// reference interpreter samples or traps. (Copies cost zero cycles, so sample
-// timing is unaffected by their charge landing in the previous iteration.)
-// An external mover that relocates a global during a park there patches this
-// frame's pool registers in place, so the loop simply carries on. The
-// observed path — a sibling thread or an attached move policy — runs exactly
-// one iteration per run() call, like every other block, byte-identical with
-// the reference interpreter.
+// steps: each iteration is just phi copies, body steps, the final charge
+// group and the compare — no trampoline — with the gate asked at every
+// virtual block head as the trampoline asks it. (Copies cost zero cycles, so
+// sample timing is unaffected by their charge landing in the previous
+// iteration.) A move — the policy's, acting here, or an external mover's
+// during a park here — that relocates a global patches this frame's pool
+// registers in place, so the loop simply carries on.
 func (cf *ccompiler) compileSelfLoop(b *ir.Block, cmpIn, in *ir.Instr, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
-	s0, s1 := in.Succs[0], in.Succs[1]
-	b0, b1 := &cf.blocks[s0.Idx], &cf.blocks[s1.Idx]
-	cp0, cp1 := cf.compileCopies(b, s0), cf.compileCopies(b, s1) // the copies intern before the compare
+	self := &cf.blocks[b.Idx]
+	b0, b1 := &cf.blocks[in.Succs[0].Idx], &cf.blocks[in.Succs[1].Idx]
+	cp0, cp1 := cf.compileCopies(b, in.Succs[0]), cf.compileCopies(b, in.Succs[1]) // the copies intern before the compare
 	cmp := cf.compileCmpBit(cmpIn)
-	n0, n1 := uint64(len(cp0)), uint64(len(cp1))
-	selfOnTrue := s0 == b
-	selfOnFalse := s1 == b
 
-	cf.blocks[b.Idx].run = func(e *cenv) (*cblock, error) {
-		v := e.v
-		fast := v.movePolicy == nil && len(v.sched.threads) == 1
-		if !fast || e.due(v) {
-			if err := e.safepoint(); err != nil {
-				return nil, err
-			}
-		}
+	self.run = func(e *cenv) (*cblock, error) {
 		if n := len(e.pending); n > 0 {
 			applyCopies(e, e.pending)
 			e.pendN += uint64(n)
@@ -742,32 +701,22 @@ func (cf *ccompiler) compileSelfLoop(b *ir.Block, cmpIn, in *ir.Instr, bsteps []
 			for _, p := range finalPures {
 				p(e)
 			}
+			next, cp := b1, cp1
 			if cmp(e.fr) != 0 {
-				if selfOnTrue && fast {
-					if e.due(v) {
-						if err := e.safepoint(); err != nil {
-							return nil, err
-						}
-					}
-					applyCopies(e, cp0)
-					e.pendN += n0
-					continue
-				}
-				e.pending = cp0
-				return b0, nil
+				next, cp = b0, cp0
 			}
-			if selfOnFalse && fast {
-				if e.due(v) {
-					if err := e.safepoint(); err != nil {
-						return nil, err
-					}
-				}
-				applyCopies(e, cp1)
-				e.pendN += n1
-				continue
+			if next != self {
+				e.pending = cp
+				return next, nil
 			}
-			e.pending = cp1
-			return b1, nil
+			if v := e.v; v.gate.due(v.Instrs+e.pendN, v.Cycles+e.pendCyc) {
+				e.flush()
+				if err := e.t.act(); err != nil {
+					return nil, err
+				}
+			}
+			applyCopies(e, cp)
+			e.pendN += uint64(len(cp))
 		}
 	}
 }

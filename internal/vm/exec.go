@@ -47,8 +47,10 @@ func (v *VM) callFunc(t *thread, fb *funcBinding, args []uint64) (uint64, error)
 	block := f.Entry()
 	var prev *ir.Block
 	for {
-		if err := t.safepoint(); err != nil {
-			return 0, err
+		if v.gate.due(v.Instrs, v.Cycles) {
+			if err := t.act(); err != nil {
+				return 0, err
+			}
 		}
 		// Phase 1: evaluate phis in parallel against the incoming edge.
 		phis := block.Phis()

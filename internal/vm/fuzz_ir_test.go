@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,8 @@ import (
 // through caratd: ir.Parse → Verify → the full CARAT pipeline → load → run,
 // on the reference interpreter and on the compiled engine. Nothing on that
 // path may panic, whatever the text; and whenever the module gets as far as
-// running, the two engines must agree on how the run ended and on every
+// running, the two engines must agree on how the run ended — a run error is
+// always a *vm.StopError, and its reason is the same on both — and on every
 // modeled observable.
 //
 // testdata/fuzz/FuzzIRExecute holds the shapes that used to panic somewhere
@@ -52,6 +54,7 @@ func FuzzIRExecute(f *testing.F) {
 	}
 	type outcome struct {
 		failed                 bool
+		stop                   vm.StopReason
 		ret                    int64
 		instrs, cycles, memSum uint64
 		output                 []int64
@@ -80,11 +83,19 @@ func FuzzIRExecute(f *testing.F) {
 				return outcome{failed: true}, err // too big for the machine
 			}
 			ret, err := v.Run()
-			return outcome{err != nil, ret, v.Instrs, v.Cycles, v.Kernel().Mem.Checksum(), v.Output}, err
+			var se *vm.StopError
+			if err != nil && !errors.As(err, &se) {
+				t.Fatalf("Run returned an untyped error: %v", err)
+			}
+			o := outcome{err != nil, "", ret, v.Instrs, v.Cycles, v.Kernel().Mem.Checksum(), v.Output}
+			if se != nil {
+				o.stop = se.Reason
+			}
+			return o, err
 		}
 		want, refErr := run(false)
 		got, err := run(true)
-		if got.failed != want.failed || !want.failed && !reflect.DeepEqual(got, want) {
+		if got.failed != want.failed || got.stop != want.stop || !want.failed && !reflect.DeepEqual(got, want) {
 			t.Errorf("the engines diverge:\n compiled  %+v (%v)\n reference %+v (%v)", got, err, want, refErr)
 		}
 	})

@@ -1,0 +1,122 @@
+package vm
+
+import (
+	"errors"
+	"math"
+	"sync/atomic"
+)
+
+// gate is the one question every block head asks, on both engines: must this
+// thread stop here? pending holds the asynchronous reasons, set from other
+// goroutines; atI is the first retired-instruction count at which something
+// must happen (MaxInstrs trips, the move policy fires), atC the first modeled
+// cycle count (MaxCycles trips, the profiler samples). due is one load and two
+// compares — the compiled engine asks it on flushed plus deferred counters, so
+// a head where nothing is due flushes nothing — and act handles what is due.
+// Only this process's guest reads its word: a stop request for a sibling
+// process costs it nothing.
+type gate struct {
+	pending  atomic.Uint32
+	atI, atC uint64
+}
+
+// pendingStop is the ragged safepoint protocol's stop request. suspend and
+// its resume write the word under susMu.
+const pendingStop uint32 = 1
+
+func (g *gate) due(instrs, cycles uint64) bool {
+	return g.pending.Load() != 0 || instrs >= g.atI || cycles >= g.atC
+}
+
+// past is the first count beyond a limit: never, for 0 (no limit).
+func past(limit uint64) uint64 {
+	if limit == 0 || limit == math.MaxUint64 {
+		return math.MaxUint64
+	}
+	return limit + 1
+}
+
+// arm recomputes the thresholds. Run arms before the guest starts, act after
+// every visit.
+func (v *VM) arm() {
+	v.gate.atI, v.gate.atC = past(v.cfg.MaxInstrs), past(v.cfg.MaxCycles)
+	if v.track != nil {
+		v.gate.atC = min(v.gate.atC, v.track.Next())
+	}
+	if v.movePolicy != nil {
+		v.gate.atI = min(v.gate.atI, v.moveTrigger.Next())
+	}
+}
+
+// act handles what the pre-check found due, in a fixed order: park for a
+// stop request, the instruction limit, the cycle budget, the profiler
+// sample, the move policy. Every counter it reads is flushed.
+func (t *thread) act() error {
+	v := t.v
+	if v.gate.pending.Load()&pendingStop != 0 {
+		v.sched.park(t)
+	}
+	if v.Instrs >= past(v.cfg.MaxInstrs) {
+		return &StopError{Reason: StopInstrLimit}
+	}
+	if v.Cycles >= past(v.cfg.MaxCycles) {
+		return &StopError{Reason: StopCycleBudget}
+	}
+	if v.track != nil && v.Cycles >= v.track.Next() {
+		// Attribute every elapsed interval to this thread's guest stack (it
+		// held the baton for the interval that tripped the check) and settle
+		// the phase counters at the same granularity.
+		v.track.Sample(v.Cycles, t.foldedStack)
+		v.foldPhaseSamples()
+	}
+	if v.movePolicy != nil && v.moveTrigger.Due(v.Instrs) {
+		if err := v.movePolicy(); err != nil {
+			return err
+		}
+	}
+	v.arm()
+	return nil
+}
+
+// StopReason names why a run ended without returning from @main.
+type StopReason string
+
+// The reasons a run stops.
+const (
+	StopInstrLimit  StopReason = "instr_limit"  // Config.MaxInstrs
+	StopCycleBudget StopReason = "cycle_budget" // Config.MaxCycles
+	StopDeadlock    StopReason = "deadlock"     // every live thread waits on a join
+	StopProtection  StopReason = "protection"   // a *Fault
+	StopTrap        StopReason = "trap"         // any other guest error: overflow, unreachable, division, heap exhaustion, a bad free or spawn, an undefined external
+)
+
+// StopError is every error VM.Run returns. Err is what stopped the run — a
+// protection stop's *Fault, a trap's cause — and nil for a limit or a
+// deadlock.
+type StopError struct {
+	Reason StopReason
+	Err    error
+}
+
+func (e *StopError) Error() string {
+	if e.Err == nil {
+		return "vm: run stopped: " + string(e.Reason)
+	}
+	return e.Err.Error()
+}
+
+// Unwrap returns Err: errors.As still finds a protection stop's *Fault.
+func (e *StopError) Unwrap() error { return e.Err }
+
+// stopped types the error a run ended with.
+func stopped(err error) error {
+	var se *StopError
+	var f *Fault
+	switch {
+	case err == nil || errors.As(err, &se):
+		return err
+	case errors.As(err, &f):
+		return &StopError{Reason: StopProtection, Err: err}
+	}
+	return &StopError{Reason: StopTrap, Err: err}
+}

@@ -180,14 +180,14 @@ func TestSchedulerSuspendConformance(t *testing.T) {
 	// sees a stop request.
 	a := vmA.Arena()
 	resume := g.StopOwners(a.Base(), a.Bytes())
-	if !vmA.sched.stopReq.Load() {
+	if !(vmA.gate.pending.Load()&pendingStop != 0) {
 		t.Error("StopOwners over A's arena did not set A's stop request")
 	}
-	if vmB.sched.stopReq.Load() {
+	if vmB.gate.pending.Load()&pendingStop != 0 {
 		t.Error("StopOwners over A's arena set B's stop request (ragged stop leaked)")
 	}
 	resume()
-	if vmA.sched.stopReq.Load() {
+	if vmA.gate.pending.Load()&pendingStop != 0 {
 		t.Error("resume did not clear A's stop request")
 	}
 	res := g.Run()

@@ -381,6 +381,74 @@ entry:
 	}
 }
 
+// lateSpawnSrc runs alone for more than 10 000 instructions, then spawns two
+// printing workers and churns tracked escapes until it joins them: the
+// escape batch's flush points decide its tracking cycles.
+const lateSpawnSrc = `module "latespawn"
+global @slot : ptr
+func @malloc(%sz: i64) -> ptr
+func @print_i64(%x: i64) -> void
+func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
+func @thread_join(%tid: i64) -> void
+func @worker(%arg: ptr) -> i64 {
+entry:
+  %n = ptrtoint ptr %arg to i64
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  call void @print_i64(i64 %i)
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, %n
+  condbr %c, ^loop, ^done
+done:
+  ret i64 %n
+}
+func @main() -> i64 {
+entry:
+  br ^spin
+spin:
+  %s = phi i64 [0, ^entry], [%s1, ^spin]
+  %s1 = add i64 %s, 1
+  %cs = icmp slt i64 %s1, 4000
+  condbr %cs, ^spin, ^go
+go:
+  %a = inttoptr i64 3 to ptr
+  %t1 = call i64 @thread_spawn(ptr @worker, ptr %a)
+  %t2 = call i64 @thread_spawn(ptr @worker, ptr %a)
+  br ^churn
+churn:
+  %k = phi i64 [0, ^go], [%k1, ^churn]
+  %p = call ptr @malloc(i64 16)
+  store ptr %p, @slot
+  %k1 = add i64 %k, 1
+  %ck = icmp slt i64 %k1, 6000
+  condbr %ck, ^churn, ^join
+join:
+  call void @thread_join(i64 %t1)
+  call void @thread_join(i64 %t2)
+  ret i64 %k1
+}`
+
+// TestEngineParityClosureLateSpawn: a guest that spawns threads after running
+// alone must cost the same on both engines. The compiled engine skipped
+// block-head safepoints while one thread ran, so a per-thread time slice went
+// stale there and its first yield after the spawn flushed the escape batch at
+// a different instruction than the reference interpreter's.
+func TestEngineParityClosureLateSpawn(t *testing.T) {
+	var res [2]engineResult
+	for i, engine := range []bool{reference, compiled} {
+		cfg := DefaultConfig()
+		cfg.MemBytes = 1 << 24
+		cfg.HeapBytes = 1 << 20
+		cfg.Closure = engine
+		v, ret := run(t, compile(t, lateSpawnSrc, passes.LevelTracking), cfg)
+		res[i] = engineResult{ret: ret, cycles: v.Cycles, instrs: v.Instrs, output: v.Output}
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Errorf("engines diverge on a late spawn:\nreference %+v\n compiled %+v", res[0], res[1])
+	}
+}
+
 func TestPredecodeDeterminism(t *testing.T) {
 	// Two identical runs of the compiled engine must agree to the cycle on a
 	// program exercising tracking and moves.

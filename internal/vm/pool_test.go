@@ -298,8 +298,8 @@ func checkPoolStorm(t *testing.T, src string, period uint64) (ret int64, audit *
 	return ret, audit
 }
 
-// TestPoolPatchInSelfLoop: the move policy fires at the head of @main's
-// self-loop (the observed path: one iteration per run() call).
+// TestPoolPatchInSelfLoop: the move policy fires at a virtual head of
+// @main's self-loop, which iterates in place across the move.
 func TestPoolPatchInSelfLoop(t *testing.T) {
 	const trips = 2000
 	if ret, _ := checkPoolStorm(t, poolLoopSrc(poolTrips(trips)), 900); ret != poolLoopWant(trips) {
@@ -362,9 +362,8 @@ func moveWhileSuspended(t *testing.T, v *VM, s *staticsMover, caught func() bool
 	return ret
 }
 
-// TestPoolPatchInsideFastSelfLoop: with no move policy attached @main's
-// self-loop iterates inside one run() call, parking only at a virtual block
-// head. An external mover suspends it there, relocates the globals and the
+// TestPoolPatchInsideFastSelfLoop: @main's self-loop iterates inside one
+// run() call, parking only at a virtual block head. An external mover suspends it there, relocates the globals and the
 // code page, and resumes it: the loop must carry on over the patched pool
 // registers of its one live frame.
 func TestPoolPatchInsideFastSelfLoop(t *testing.T) {

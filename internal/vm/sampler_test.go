@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,25 +101,75 @@ func TestSamplerReconcilesWithCycleCounters(t *testing.T) {
 
 // TestSamplerDoesNotPerturbModeledResults is the sampler's core contract:
 // attaching the profiler (at any interval) must leave modeled instructions,
-// cycles, and the program result byte-identical.
+// cycles, and the program result byte-identical — with and without a page
+// move injected every 100 instructions. sumSrc's loops are self-loops, which
+// iterate in place while the policy moves the page under them.
 func TestSamplerDoesNotPerturbModeledResults(t *testing.T) {
-	runOnce := func(sampler *obs.Sampler, engine bool) (*VM, int64) {
+	const period = 100
+	// runOnce returns the run's VM, result and stop reason ("" when @main
+	// returned), and the instruction count at every move the policy made.
+	runOnce := func(sampler *obs.Sampler, engine bool, movePeriod, maxInstrs uint64) (*VM, int64, StopReason, []uint64) {
 		m := compile(t, sumSrc, passes.LevelTracking)
 		cfg := DefaultConfig()
 		cfg.MemBytes = 1 << 24
 		cfg.HeapBytes = 1 << 20
 		cfg.Sampler = sampler
 		cfg.Closure = engine
-		return run(t, m, cfg)
+		cfg.MaxInstrs = maxInstrs
+		v, err := Load(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moves []uint64
+		if movePeriod > 0 {
+			v.SetMovePolicy(movePeriod, func() error {
+				moves = append(moves, v.Instrs)
+				return v.InjectWorstCaseMove()
+			})
+		}
+		ret, err := v.Run()
+		if maxInstrs == 0 && err != nil {
+			t.Fatalf("compiled=%v, moves every %d: %v", engine, movePeriod, err)
+		}
+		return v, ret, stopReason(err), moves
 	}
-	for _, engine := range []bool{reference, compiled} {
-		base, baseRet := runOnce(nil, engine)
-		for _, interval := range []uint64{1, 64, 4096} {
-			v, ret := runOnce(obs.NewSampler(interval), engine)
-			if ret != baseRet || v.Instrs != base.Instrs || v.Cycles != base.Cycles {
-				t.Errorf("interval %d (compiled=%v) perturbed the model: ret %d/%d, instrs %d/%d, cycles %d/%d",
-					interval, engine, ret, baseRet, v.Instrs, base.Instrs, v.Cycles, base.Cycles)
+	for _, movePeriod := range []uint64{0, period} {
+		for _, engine := range []bool{reference, compiled} {
+			base, baseRet, _, baseMoves := runOnce(nil, engine, movePeriod, 0)
+			if movePeriod > 0 && len(baseMoves) < 3 {
+				t.Fatalf("compiled=%v: %d moves, want at least 3", engine, len(baseMoves))
+			}
+			for _, interval := range []uint64{1, 64, 4096} {
+				v, ret, _, moves := runOnce(obs.NewSampler(interval), engine, movePeriod, 0)
+				if ret != baseRet || v.Instrs != base.Instrs || v.Cycles != base.Cycles || len(moves) != len(baseMoves) {
+					t.Errorf("interval %d (compiled=%v, moves every %d) perturbed the model: ret %d/%d, instrs %d/%d, cycles %d/%d, moves %d/%d",
+						interval, engine, movePeriod, ret, baseRet, v.Instrs, base.Instrs, v.Cycles, base.Cycles, len(moves), len(baseMoves))
+				}
 			}
 		}
+	}
+
+	// Where reasons coincide, the gate's order decides. With MaxInstrs one
+	// below the count at which the third move falls due, the limit, that
+	// move and a sample (interval 1: always due) meet on one virtual head of
+	// a self-loop; the limit goes first, so the third move never happens.
+	_, _, _, moves := runOnce(nil, reference, period, 0)
+	limit := moves[1] + period - 1
+	type outcome struct {
+		reason StopReason
+		moves  int
+		doc    *obs.ProfileDoc
+	}
+	var got [2]outcome
+	for i, engine := range []bool{reference, compiled} {
+		s := obs.NewSampler(1)
+		_, _, reason, moves := runOnce(s, engine, period, limit)
+		got[i] = outcome{reason, len(moves), s.Snapshot()}
+		if reason != StopInstrLimit || len(moves) != 2 {
+			t.Errorf("compiled=%v: stopped for %q after %d moves, want %q after 2", engine, reason, len(moves), StopInstrLimit)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("the engines order coinciding reasons differently:\nreference %+v\n compiled %+v", got[0], got[1])
 	}
 }

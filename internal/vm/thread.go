@@ -5,7 +5,6 @@ import (
 	goruntime "runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
@@ -13,18 +12,18 @@ import (
 )
 
 // The VM's thread model: every program thread runs on its own goroutine,
-// but a baton discipline ensures exactly one executes at a time, switching
-// at safepoints. This keeps execution deterministic (important for
-// differential testing of the guard optimizations and page moves) while
-// still exercising the full multi-thread world-stop protocol of Figure 8:
-// when a change request arrives, all other threads are by construction
-// parked at safepoints with their register state published.
+// but a baton discipline ensures exactly one executes at a time, each until
+// it joins an unfinished thread or finishes. This keeps execution
+// deterministic (important for differential testing of the guard
+// optimizations and page moves) while still exercising the full
+// multi-thread world-stop protocol of Figure 8: when a change request
+// arrives, all other threads are by construction parked with their
+// register state published.
 
 type threadState int
 
 const (
-	tReady threadState = iota
-	tRunning
+	tReady threadState = iota // ready or running
 	tJoinWait
 	tDone
 )
@@ -42,18 +41,18 @@ type thread struct {
 	sp        uint64 // grows down
 	minSP     uint64 // stack high-water mark (lowest sp seen)
 
-	entry    *ir.Func
-	arg      uint64
-	result   uint64
-	err      error
-	resume   chan struct{}
-	yielded  chan struct{}
-	sliceEnd uint64 // instruction count at which to yield
-	dead     bool   // the run ended with t parked; see await
+	entry   *ir.Func
+	arg     uint64
+	result  uint64
+	err     error
+	resume  chan struct{}
+	yielded chan struct{}
+	dead    bool // the run ended with t parked; see await
 
 	// xc is this thread's guard/translation cache (compiled engine in CARAT
 	// mode; nil otherwise — the reference interpreter never shares it);
-	// escBuf is its escape-event batch, flushed at yields and completion.
+	// escBuf is its escape-event batch, flushed at parks, joins and
+	// completion.
 	xc     *guard.XCache
 	escBuf *runtime.EscapeBuffer
 }
@@ -82,31 +81,25 @@ func (t *thread) popFrame(fr *frame) {
 	t.sp = fr.spSave
 }
 
-// scheduler round-robins threads and implements runtime.World.
+// scheduler runs threads one at a time and implements runtime.World.
 type scheduler struct {
 	v       *VM
 	threads []*thread
 	nextID  int64
-	quantum uint64
 	stopped bool // world currently stopped (nested stops are a protocol bug)
 
 	// done is closed when runMain returns: see thread.await.
 	done chan struct{}
 
 	// External suspension — the per-process stop request of the ragged
-	// safepoint protocol. stopReq is the process's "due" word: every
-	// block-head safepoint gate (both engines, including the compiled
-	// engine's self-loop fast path) loads it, and when set the
-	// running guest thread parks inside safepoint() until every suspension
-	// is resumed. Only THIS process checks the word; sibling processes on
-	// the same machine never see it — a stop request for process A costs
-	// process B nothing but its ordinary block-head load of B's own word.
+	// safepoint protocol, raised as pendingStop in the VM's gate: the
+	// running guest thread parks at its next block head until every
+	// suspension is resumed.
 	//
 	// susMu/susCond guard suspendReqs (outstanding suspensions) and
 	// running (a guest thread currently holds the baton). The mutex also
 	// publishes everything a suspender mutates (register patches, table
 	// rebases, region-set changes) to the guest before it resumes.
-	stopReq     atomic.Bool
 	susMu       sync.Mutex
 	susCond     *sync.Cond
 	suspendReqs int
@@ -114,7 +107,7 @@ type scheduler struct {
 }
 
 func newScheduler(v *VM) *scheduler {
-	s := &scheduler{v: v, quantum: 10_000}
+	s := &scheduler{v: v}
 	s.susCond = sync.NewCond(&s.susMu)
 	return s
 }
@@ -131,7 +124,7 @@ func newScheduler(v *VM) *scheduler {
 func (s *scheduler) suspend() (resume func()) {
 	s.susMu.Lock()
 	s.suspendReqs++
-	s.stopReq.Store(true)
+	s.v.gate.pending.Store(pendingStop)
 	for s.running {
 		s.susCond.Wait()
 	}
@@ -142,7 +135,7 @@ func (s *scheduler) suspend() (resume func()) {
 			s.susMu.Lock()
 			s.suspendReqs--
 			if s.suspendReqs == 0 {
-				s.stopReq.Store(false)
+				s.v.gate.pending.Store(0)
 			}
 			s.susCond.Broadcast()
 			s.susMu.Unlock()
@@ -153,8 +146,8 @@ func (s *scheduler) suspend() (resume func()) {
 // park holds the calling guest thread at its safepoint until every
 // outstanding suspension is resumed. The thread's escape batch is flushed
 // first so the suspender observes a fully-applied allocation map (same
-// invariant as a world stop). Charges are already flushed: every caller
-// reaches park through a safepoint gate that flushed deferred counters.
+// invariant as a world stop). Charges are already flushed: park is act's,
+// and the compiled engine flushes before it acts.
 func (s *scheduler) park(t *thread) {
 	t.escBuf.Flush()
 	s.susMu.Lock()
@@ -243,54 +236,6 @@ func (t *thread) run() {
 	t.yielded <- struct{}{}
 }
 
-// yield hands the baton back to the scheduler and waits to be resumed.
-// Called at safepoints when the time slice expires or when blocking. The
-// thread's escape batch is flushed first so escape events apply in program
-// order across the thread switch.
-func (t *thread) yield() {
-	t.escBuf.Flush()
-	t.yielded <- struct{}{}
-	t.await()
-}
-
-// safepoint is called at block boundaries; it processes scheduler work:
-// external stop requests, time-slice expiry, injected page moves, and
-// instruction limits.
-func (t *thread) safepoint() error {
-	v := t.v
-	if v.sched.stopReq.Load() {
-		v.sched.park(t)
-	}
-	if v.cfg.MaxInstrs > 0 && v.Instrs > v.cfg.MaxInstrs {
-		return fmt.Errorf("vm: instruction limit exceeded (%d)", v.cfg.MaxInstrs)
-	}
-	if v.cfg.MaxCycles > 0 && v.Cycles > v.cfg.MaxCycles {
-		return fmt.Errorf("vm: cycle budget exceeded (%d)", v.cfg.MaxCycles)
-	}
-	if v.track != nil && v.track.Due(v.Cycles) {
-		// One or more sampling intervals elapsed since the last sample:
-		// attribute them to this thread's guest stack (it held the baton
-		// for the interval that tripped the check) and settle the phase
-		// counters at the same granularity.
-		v.track.Sample(v.Cycles, t.foldedStack)
-		v.foldPhaseSamples()
-	}
-	if v.movePolicy != nil && v.moveTrigger.Due(v.Instrs) {
-		if err := v.movePolicy(); err != nil {
-			return err
-		}
-	}
-	if v.Instrs >= t.sliceEnd {
-		if t.v.sched.runnableOthers(t) {
-			t.state = tReady
-			t.yield()
-			t.state = tRunning
-		}
-		t.sliceEnd = v.Instrs + t.v.sched.quantum
-	}
-	return nil
-}
-
 // foldedStack renders this thread's live call stack root-first in the
 // folded "a;b;c" form the profiler aggregates on.
 func (t *thread) foldedStack() string {
@@ -305,16 +250,6 @@ func (t *thread) foldedStack() string {
 		b.WriteString(fr.fb.fn.Name)
 	}
 	return b.String()
-}
-
-// runnableOthers reports whether another thread could run.
-func (s *scheduler) runnableOthers(cur *thread) bool {
-	for _, t := range s.threads {
-		if t != cur && t.state == tReady {
-			return true
-		}
-	}
-	return false
 }
 
 // beginRun opens the running window for the suspension protocol: a
@@ -341,8 +276,8 @@ func (s *scheduler) endRun() {
 	s.susMu.Unlock()
 }
 
-// runMain creates the main thread and drives the round-robin until every
-// thread finishes. It returns main's result. The caller (VM.Run) must
+// runMain creates the main thread and hands the baton on until every thread
+// finishes. It returns main's result. The caller (VM.Run) must
 // hold the running window via beginRun/endRun.
 func (s *scheduler) runMain(main *ir.Func) (int64, error) {
 	s.done = make(chan struct{})
@@ -356,13 +291,8 @@ func (s *scheduler) runMain(main *ir.Func) (int64, error) {
 		if t == nil {
 			break
 		}
-		t.state = tRunning
-		t.sliceEnd = s.v.Instrs + s.quantum
 		t.resume <- struct{}{}
-		<-t.yielded
-		if t.state == tRunning {
-			t.state = tReady
-		}
+		<-t.yielded // t joined or finished
 		if t.state == tDone && t.err != nil {
 			return 0, t.err
 		}
@@ -380,7 +310,7 @@ func (s *scheduler) runMain(main *ir.Func) (int64, error) {
 	// other).
 	for _, t := range s.threads {
 		if t.state == tJoinWait {
-			return 0, fmt.Errorf("vm: join deadlock: thread %d waits for thread %d", t.id, t.waitOn)
+			return 0, &StopError{Reason: StopDeadlock}
 		}
 	}
 	if mt.err != nil {
@@ -389,8 +319,10 @@ func (s *scheduler) runMain(main *ir.Func) (int64, error) {
 	return int64(mt.result), nil
 }
 
-// pick returns the next ready thread (lowest index first), or nil when none
-// is.
+// pick returns the lowest-index ready thread, or nil when none is. A thread
+// runs until it blocks, and nothing it does readies a lower-index thread
+// (spawns append), so a time slice could never switch threads: there is
+// none.
 func (s *scheduler) pick() *thread {
 	for _, t := range s.threads {
 		if t.state == tReady {
@@ -410,8 +342,7 @@ func (s *scheduler) byID(id int64) *thread {
 }
 
 // StopTheWorld implements runtime.World. Under the baton discipline every
-// thread except (at most) the one triggering the change request is parked
-// at a safepoint, so the register state of all threads is already
+// thread except (at most) the one triggering the change request is parked, so the register state of all threads is already
 // published — the moral equivalent of the signal-handler register dump in
 // Figure 8. It returns one RegSet per live frame set.
 func (s *scheduler) StopTheWorld() []runtime.RegSet {
@@ -514,7 +445,9 @@ func (s *scheduler) spawn(fnAddr, arg uint64) (int64, error) {
 	return 0, fmt.Errorf("vm: thread_spawn of non-function address %#x", fnAddr)
 }
 
-// join implements the thread_join builtin from thread cur.
+// join implements the thread_join builtin from thread cur: it flushes cur's
+// escape batch (escape events apply in program order across the switch) and
+// hands the baton back until the scheduler wakes it.
 func (s *scheduler) join(cur *thread, id int64) {
 	tgt := s.byID(id)
 	if tgt == nil || tgt.state == tDone {
@@ -522,6 +455,7 @@ func (s *scheduler) join(cur *thread, id int64) {
 	}
 	cur.state = tJoinWait
 	cur.waitOn = id
-	cur.yield()
-	cur.state = tRunning
+	cur.escBuf.Flush()
+	cur.yielded <- struct{}{}
+	cur.await()
 }

@@ -64,7 +64,7 @@ type Config struct {
 	Limiter kernel.Limiter
 
 	// MaxCycles aborts the run once the modeled cycle clock passes the
-	// budget (0 = no limit). Checked at safepoints, like MaxInstrs; the
+	// budget (0 = no limit). Checked at block heads, like MaxInstrs; the
 	// caratd per-tenant "max cycles per request" quota.
 	MaxCycles uint64
 
@@ -109,11 +109,11 @@ type Config struct {
 
 	// Sampler, when set, attaches the cycle-sampling profiler: the VM
 	// registers one track and samples the running thread's guest stack
-	// every Sampler.Interval model cycles at safepoints, folding the
+	// every Sampler.Interval model cycles at block heads, folding the
 	// guard/tracking/move/swap cycle counters into phase samples at the
-	// same granularity. nil disables sampling; the hot-loop cost when
-	// enabled is one comparison per safepoint. Sampling never perturbs
-	// modeled results (it only reads the cycle counters).
+	// same granularity. nil disables sampling; enabled, it adds nothing per
+	// block head (the gate's cycle threshold covers it). Sampling never
+	// perturbs modeled results (it only reads the cycle counters).
 	Sampler *obs.Sampler
 
 	// Fault, when set, threads a seeded fault injector through the
@@ -192,10 +192,9 @@ type VM struct {
 	heap  heap
 	bound []funcBinding // parallel to the program's functions; see VM.bind
 
-	maxI, maxC uint64 // Config.MaxInstrs/MaxCycles, saturated
-
-	// Threads.
+	// Threads, and the gate their block heads ask (gate.go).
 	sched *scheduler
+	gate  gate
 
 	// Statistics.
 	Instrs      uint64
@@ -227,14 +226,14 @@ type VM struct {
 	// so per-thread tracks would double-count intervals.
 	track *obs.Track
 
-	// Move injection (Figure 9): movePolicy runs at safepoints, paced on
+	// Move injection (Figure 9): movePolicy runs at a block head, paced on
 	// retired instructions by the same rare-migration policy the paging
 	// model uses (mmpolicy.RareMigration).
 	movePolicy  func() error
 	moveTrigger *mmpolicy.RareMigration
 }
 
-// SetMovePolicy arranges for fn to run at a safepoint every period retired
+// SetMovePolicy arranges for fn to run at a block head every period retired
 // instructions — the Figure 9 page-move injector. Call before Run.
 func (v *VM) SetMovePolicy(period uint64, fn func() error) {
 	v.movePolicy = fn
@@ -347,8 +346,6 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 		globalPhys: make([]uint64, len(mod.Globals)),
 		funcPhys:   make([]uint64, len(mod.Funcs)),
 		bound:      make([]funcBinding, len(mod.Funcs)),
-		maxI:       saturate(cfg.MaxInstrs),
-		maxC:       saturate(cfg.MaxCycles),
 		Prof:       obs.NewCycleProfile(p.funcNames),
 		obsReg:     reg,
 	}
@@ -598,14 +595,15 @@ func (v *VM) onMove(src, dst, length uint64) {
 
 // Run executes @main to completion and returns its result (0 for void
 // mains). Tracking cycles accumulated by the runtime are folded into the
-// VM cycle count on return.
+// VM cycle count on return. Every error it returns is a *StopError.
 func (v *VM) Run() (int64, error) {
 	main := v.prog.mod.Func("main")
 	if main == nil || main.IsDecl() {
-		return 0, fmt.Errorf("vm: module has no @main")
+		return 0, stopped(fmt.Errorf("vm: module has no @main"))
 	}
 	v.sched.beginRun()
 	defer v.sched.endRun()
+	v.arm()
 	ret, err := v.sched.runMain(main)
 	if v.track != nil {
 		// Final exec catch-up at the pre-fold clock (the fold-ins below
@@ -624,7 +622,7 @@ func (v *VM) Run() (int64, error) {
 		v.Prof.Cat[obs.CatProtocol] += bd.TotalCycles()
 	}
 	v.publishMetrics()
-	return ret, err
+	return ret, stopped(err)
 }
 
 // publishMetrics is the run's one publish step: its carat.vm.* totals and
@@ -743,12 +741,3 @@ func (v *VM) InjectWorstCaseAllocationMove() error {
 }
 
 func alignTo(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
-
-// saturate maps a limit's "0 = none" to the largest value, so hot paths
-// compare against it unconditionally.
-func saturate(limit uint64) uint64 {
-	if limit == 0 {
-		return ^uint64(0)
-	}
-	return limit
-}

@@ -24,6 +24,15 @@ func compile(t testing.TB, src string, lvl passes.Level) *ir.Module {
 	return m
 }
 
+// stopReason is the reason a run stopped for, "" when err is no *StopError.
+func stopReason(err error) StopReason {
+	var se *StopError
+	if errors.As(err, &se) {
+		return se.Reason
+	}
+	return ""
+}
+
 func run(t testing.TB, m *ir.Module, cfg Config) (*VM, int64) {
 	t.Helper()
 	v, err := Load(m, cfg)
@@ -167,8 +176,8 @@ entry:
 	}
 	_, err = v.Run()
 	var f *Fault
-	if !errors.As(err, &f) {
-		t.Fatalf("expected Fault, got %v", err)
+	if !errors.As(err, &f) || stopReason(err) != StopProtection {
+		t.Fatalf("expected a protection stop wrapping a Fault, got %v", err)
 	}
 	if !strings.Contains(f.Msg, "guard") {
 		t.Errorf("fault message = %q", f.Msg)
@@ -539,16 +548,16 @@ func TestFailedRunsParkNoThreadForever(t *testing.T) {
 func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
 func @thread_join(%tid: i64) -> void
 `
-	progs := map[string]string{
+	progs := map[StopReason]string{
 		// The main thread (id 1) joins itself.
-		"join deadlock": decls + `func @main() -> i64 {
+		StopDeadlock: decls + `func @main() -> i64 {
 entry:
   call void @thread_join(i64 1)
   ret i64 0
 }`,
 		// Main waits for two workers; the first to run divides by zero while
 		// main and the other sit parked.
-		"division by zero": decls + `func @worker(%arg: ptr) -> i64 {
+		StopTrap: decls + `func @worker(%arg: ptr) -> i64 {
 entry:
   %z = ptrtoint ptr %arg to i64
   %q = sdiv i64 1, %z
@@ -575,8 +584,8 @@ entry:
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("compiled=%v: Run = %v, want a %s error", engine, err, want)
+			if _, err := v.Run(); stopReason(err) != want {
+				t.Errorf("compiled=%v: Run = %v, want a %s stop", engine, err, want)
 			}
 		}
 	}
@@ -643,7 +652,7 @@ entry:
 	cfg.MemBytes = 1 << 22
 	cfg.HeapBytes = 1 << 18
 	v, _ := Load(m, cfg)
-	if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), "zero") {
+	if _, err := v.Run(); stopReason(err) != StopTrap || !strings.Contains(err.Error(), "zero") {
 		t.Errorf("division by zero: %v", err)
 	}
 }
@@ -683,7 +692,7 @@ loop:
 	cfg.HeapBytes = 1 << 18
 	cfg.MaxInstrs = 100000
 	v, _ := Load(m, cfg)
-	if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := v.Run(); stopReason(err) != StopInstrLimit {
 		t.Errorf("infinite loop: %v", err)
 	}
 }
