@@ -29,7 +29,7 @@ func dedupeByMap(events []escapeEvent) []escapeEvent {
 // batches of every size — full ones that grow it, then handfuls that reuse a
 // table sized for a full one, across a wrap of the flush stamp — and wants
 // what the map gave: same locations, same order, same values. The order is
-// model-visible (it decides the memo hits the table counts).
+// the order new escapes join their allocations' sets, which a move patches in.
 func TestDedupeMatchesMapAndOrder(t *testing.T) {
 	_, _, rt := newTestRuntime(t)
 	b := rt.NewEscapeBuffer()

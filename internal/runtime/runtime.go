@@ -76,8 +76,6 @@ type Stats struct {
 	MoveRollbacks obs.Counter // aborted moves rolled back to the pre-move state
 	BatchPauses   obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
 	FlushRetries  obs.Counter // escape-buffer flushes retried after an injected failure
-	MemoHits      obs.Gauge   // memo fast-path hits on escape resolution
-	MemoMisses    obs.Gauge   // memo misses (full tree descent)
 	RebaseVisited obs.Counter // reverse-index entries RebaseEscapeLocs examined
 	RebaseMoved   obs.Counter // reverse-index entries it rewrote: visited/moved says whether a move scanned the table
 }
@@ -150,8 +148,6 @@ func (r *Runtime) Publish(s obs.Sink, gauges bool) {
 	}
 	if gauges {
 		s.Set("carat.runtime.escapes_live", r.Stats.EscapesLive.Get())
-		s.Set("carat.runtime.table.memo_hits", r.Stats.MemoHits.Get())
-		s.Set("carat.runtime.table.memo_misses", r.Stats.MemoMisses.Get())
 	}
 	r.everPublished = true
 }
@@ -529,8 +525,9 @@ func (b *EscapeBuffer) Flush() {
 // dedupe compacts the batch in place: within a batch only the last write to
 // a location matters, so each location keeps the position of its first event
 // and the value of its last (the batching win the paper describes: outdated
-// work is dropped). The order of first occurrence is what the table's memos
-// see, so it is part of the model. The caller holds b.mu.
+// work is dropped). The order of first occurrence is the order the batch's
+// new escapes join their allocations' sets, and so the order a later move
+// patches them in. The caller holds b.mu.
 func (b *EscapeBuffer) dedupe() []escapeEvent {
 	ev := b.events
 	if len(ev) < 2 {
@@ -604,10 +601,7 @@ func (r *Runtime) apply(events []escapeEvent) {
 		r.Stats.TrackingCycle.Add(cycEscapeProc)
 	}
 	r.Stats.BatchFlushes.Inc()
-	escapes, hits, misses := r.Table.counts()
-	r.Stats.EscapesLive.Set(uint64(escapes))
-	r.Stats.MemoHits.Set(hits)
-	r.Stats.MemoMisses.Set(misses)
+	r.Stats.EscapesLive.Set(uint64(r.Table.EscapeCount()))
 }
 
 // rebaseEscapeLocs is Table.RebaseEscapeLocs with its work counted: how many

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,18 +13,11 @@ import (
 // pageOf numbers the page holding loc.
 func pageOf(loc uint64) uint64 { return loc / kernel.PageSize }
 
-// memoSlots is the number of last-allocation memos. memoOf picks the one an
-// escape at loc consults: the low 4 bits below the 16-byte allocator
-// alignment are dropped so consecutive pointer slots use different memos.
-const memoSlots = 16
-
-func memoOf(loc uint64) int { return int((loc >> 4) & (memoSlots - 1)) }
-
 // Allocation is one tracked memory block: a static allocation (global,
 // stack region) or a dynamic one (malloc, alloca). escs is its escape set —
-// the Allocation to Escape Map entry of §4.2 "Tracking" — guarded by the
-// table's escMu; nEsc is the size of that set, so asking for it touches no
-// map and takes no lock.
+// the Allocation to Escape Map entry of §4.2 "Tracking" — each location
+// once, in an order fixed by the escape history, guarded by the table's
+// escMu; nEsc is its length, so asking for it takes no lock.
 type Allocation struct {
 	Base uint64
 	Len  uint64
@@ -34,8 +29,15 @@ type Allocation struct {
 	dirty  bool
 	pushed pickKey
 
-	escs map[uint64]struct{}
+	escs []uint64
 	nEsc atomic.Int64
+}
+
+// escRef is a reverse-index entry: the allocation an escape points into, and
+// the escape's position in that allocation's set.
+type escRef struct {
+	a *Allocation
+	i int
 }
 
 // End returns one past the allocation's last byte.
@@ -56,10 +58,12 @@ func (a *Allocation) String() string {
 // tree keyed by allocation base address answering point queries ("which
 // allocation covers this address?") and range queries ("which allocations
 // overlap this page range?"), the escape map in both directions — each
-// allocation's escape set, and a location→allocation reverse index bucketed
-// by page (page number → the escapes located on that page, a bucket existing
-// only while it holds an entry), so that "what sits on this page?" is one
-// lookup — and the pick index of the most-escaped allocation.
+// allocation's escape set, and a location→(allocation, position in its set)
+// reverse index bucketed by page (page number → the escapes located on that
+// page, a bucket existing only while it holds an entry), so that "what sits
+// on this page?" is one lookup and dropping an escape from its set is a
+// swap with the set's last — and the pick index of the most-escaped
+// allocation.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
 // rare next to escapes); everything else by one lock, escMu. Lock order is
@@ -73,25 +77,18 @@ type AllocationTable struct {
 	tree   rbTree
 
 	escMu sync.Mutex
-	pages map[uint64]map[uint64]*Allocation
+	pages map[uint64]map[uint64]escRef
 
-	// memo holds the allocations the last escapes resolved to, exploiting
-	// TrackEscape's locality (consecutive escapes overwhelmingly target the
-	// same allocation, so a memo short-circuits the rbtree descent). Written
-	// under escMu with treeMu held for reading, or under treeMu held for
-	// writing (Remove), which excludes the former.
-	memo [memoSlots]*Allocation
-
-	// escapes is the total across all allocations; memoHits/memoMisses
-	// count memo outcomes for the carat.runtime.table.* metrics.
-	escapes              int
-	memoHits, memoMisses uint64
+	// escapes is the total across all allocations.
+	escapes int
 
 	pick pickIndex
 }
 
 // NewAllocationTable returns an empty table.
-func NewAllocationTable() *AllocationTable { return &AllocationTable{} }
+func NewAllocationTable() *AllocationTable {
+	return &AllocationTable{pages: make(map[uint64]map[uint64]escRef)}
+}
 
 // Len returns the number of tracked allocations.
 func (t *AllocationTable) Len() int {
@@ -102,35 +99,36 @@ func (t *AllocationTable) Len() int {
 
 // EscapeCount returns the total number of tracked escapes.
 func (t *AllocationTable) EscapeCount() int {
-	escapes, _, _ := t.counts()
-	return escapes
-}
-
-// counts returns the total number of tracked escapes and the memo hit/miss
-// counts.
-func (t *AllocationTable) counts() (escapes int, memoHits, memoMisses uint64) {
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	return t.escapes, t.memoHits, t.memoMisses
+	return t.escapes
 }
 
 // setEscape makes a (nil: nobody) the allocation the escape at loc points
 // into, keeping reverse index, per-allocation sets, counts and the pick
 // index's dirty list in step. Every change to the escape map goes through
-// here. The caller holds escMu.
+// here. Leaving a set moves that set's last location into the freed position
+// and rewrites its reverse entry, which may sit in another page's bucket;
+// joining one appends. The caller holds escMu.
 func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 	page := pageOf(loc)
 	bucket := t.pages[page]
 	prev := bucket[loc]
-	if prev == a {
+	if prev.a == a {
 		return
 	}
-	if prev != nil {
-		delete(prev.escs, loc)
-		prev.nEsc.Add(-1)
+	if p := prev.a; p != nil {
+		last := len(p.escs) - 1
+		if prev.i != last {
+			moved := p.escs[last]
+			p.escs[prev.i] = moved
+			t.pages[pageOf(moved)][moved] = prev
+		}
+		p.escs = p.escs[:last]
+		p.nEsc.Add(-1)
 		t.escapes--
 		if t.pick.live {
-			t.pick.touch(prev)
+			t.pick.touch(p)
 		}
 	}
 	if a == nil {
@@ -141,17 +139,11 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 		return
 	}
 	if bucket == nil {
-		if t.pages == nil {
-			t.pages = make(map[uint64]map[uint64]*Allocation)
-		}
-		bucket = make(map[uint64]*Allocation)
+		bucket = make(map[uint64]escRef)
 		t.pages[page] = bucket
 	}
-	bucket[loc] = a
-	if a.escs == nil {
-		a.escs = make(map[uint64]struct{})
-	}
-	a.escs[loc] = struct{}{}
+	bucket[loc] = escRef{a, len(a.escs)}
+	a.escs = append(a.escs, loc)
 	a.nEsc.Add(1)
 	t.escapes++
 	if t.pick.live {
@@ -191,17 +183,10 @@ func (t *AllocationTable) Remove(base uint64) *Allocation {
 	}
 	if a.EscapeCount() > 0 {
 		t.escMu.Lock()
-		for loc := range a.escs {
-			t.setEscape(loc, nil)
+		for n := len(a.escs); n > 0; n = len(a.escs) {
+			t.setEscape(a.escs[n-1], nil) // the last: nothing to swap
 		}
 		t.escMu.Unlock()
-	}
-	for i := range t.memo {
-		// A memo must never outlive its allocation: a stale one would
-		// report coverage for freed (and later reused) space.
-		if t.memo[i] == a {
-			t.memo[i] = nil
-		}
 	}
 	t.tree.Delete(base)
 	return a
@@ -253,19 +238,9 @@ func (t *AllocationTable) Overlapping(lo, hi uint64) []*Allocation {
 func (t *AllocationTable) AddEscape(loc, target uint64) bool {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
+	a := t.coveringLocked(target)
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	memo := &t.memo[memoOf(loc)]
-	a := *memo
-	if a != nil && a.Covers(target) {
-		t.memoHits++
-	} else {
-		a = t.coveringLocked(target)
-		t.memoMisses++
-		if a != nil {
-			*memo = a
-		}
-	}
 	t.setEscape(loc, a)
 	return a != nil
 }
@@ -281,24 +256,19 @@ func (t *AllocationTable) RemoveEscape(loc uint64) {
 func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	a, ok := t.pages[pageOf(loc)][loc]
-	return a, ok
+	r, ok := t.pages[pageOf(loc)][loc]
+	return r.a, ok
 }
 
-// EscapeLocsOf snapshots allocation a's escape locations under escMu; the
-// move and swap engines iterate the snapshot while patching.
+// EscapeLocsOf snapshots allocation a's escape locations under escMu, in set
+// order; the move and swap engines iterate the snapshot while patching.
 func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
-	n := a.EscapeCount()
-	if n == 0 {
+	if a.EscapeCount() == 0 {
 		return nil // most of what shares a moved page with the target: no lock taken
 	}
-	out := make([]uint64, 0, n)
 	t.escMu.Lock()
-	for loc := range a.escs {
-		out = append(out, loc)
-	}
-	t.escMu.Unlock()
-	return out
+	defer t.escMu.Unlock()
+	return slices.Clone(a.escs)
 }
 
 // relinkEscape records that loc escapes into allocation a (nil: into
@@ -313,8 +283,7 @@ func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
 // Rebase moves allocation a (which must be tracked) so its base becomes
 // newBase, keeping escape sets attached. Escape locations are NOT
 // rewritten here; the move engine handles location rebasing since it knows
-// the moved byte range. Memos stay valid: they reference a itself, and
-// Covers reads the live Base/Len.
+// the moved byte range.
 func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
@@ -347,9 +316,11 @@ func (t *AllocationTable) mostEscaped() *Allocation {
 // page number, or, when the range spans more pages than the index holds
 // buckets, by walking the buckets. The range need not be page-aligned
 // (MoveAllocationTo) nor the locations word-aligned, so every opened
-// bucket is filtered. It returns how many locations moved and how many
-// index entries it examined to find them. The move engine calls this when
-// the moved byte range itself contained pointers.
+// bucket is filtered, and the moved locations are re-added in address order,
+// so the sets they join do not depend on bucket iteration. It returns how
+// many locations moved and how many index entries it examined to find them.
+// The move engine calls this when the moved byte range itself contained
+// pointers.
 func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited int) {
 	if lo >= hi {
 		return 0, 0
@@ -361,11 +332,11 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	var ms []entry
-	scan := func(bucket map[uint64]*Allocation) {
+	scan := func(bucket map[uint64]escRef) {
 		visited += len(bucket)
-		for loc, a := range bucket {
+		for loc, r := range bucket {
 			if loc >= lo && loc < hi {
-				ms = append(ms, entry{loc, a})
+				ms = append(ms, entry{loc, r.a})
 			}
 		}
 	}
@@ -381,6 +352,7 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 			}
 		}
 	}
+	slices.SortFunc(ms, func(x, y entry) int { return cmp.Compare(x.loc, y.loc) })
 	for _, m := range ms {
 		t.setEscape(m.loc, nil)
 	}
@@ -424,7 +396,8 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 
 // CheckInvariants verifies the red-black tree shape, that allocations do
 // not overlap, that each allocation's escape count equals the size of its
-// set, that the reverse escape index is consistent, that every escape
+// set, that the reverse escape index is consistent (every entry's position
+// names its own location in its allocation's set, and back), that every escape
 // location lives in the bucket of its own page, that no empty bucket
 // survives, and the pick index's heap order, dirty flags and invariant (see
 // pickIndex; a dropped index marks nothing dirty). Tests and the
@@ -465,9 +438,12 @@ func (t *AllocationTable) CheckInvariants() error {
 			bad = fmt.Errorf("runtime: pick entry missing for allocation %#x (%d escapes)", a.Base, k.n)
 			return false
 		}
-		for loc := range a.escs {
-			if t.pages[pageOf(loc)][loc] != a {
+		for i, loc := range a.escs {
+			if r := t.pages[pageOf(loc)][loc]; r.a != a {
 				bad = fmt.Errorf("runtime: reverse index missing escape %#x", loc)
+				return false
+			} else if r.i != i {
+				bad = fmt.Errorf("runtime: reverse entry %#x holds position %d, its location sits at %d", loc, r.i, i)
 				return false
 			}
 		}
@@ -491,12 +467,9 @@ func (t *AllocationTable) CheckInvariants() error {
 		if len(bucket) == 0 {
 			return fmt.Errorf("runtime: empty bucket left for page %#x", page)
 		}
-		for loc, a := range bucket {
+		for loc := range bucket {
 			if pageOf(loc) != page {
 				return fmt.Errorf("runtime: reverse entry %#x in the bucket of page %#x", loc, page)
-			}
-			if _, ok := a.escs[loc]; !ok {
-				return fmt.Errorf("runtime: reverse entry %#x missing from allocation set", loc)
 			}
 		}
 		rev += len(bucket)

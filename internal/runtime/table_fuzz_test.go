@@ -192,9 +192,26 @@ func FuzzAllocationTable(f *testing.F) {
 		{{fzPick}, {fzInsert, 10, 0x40}, {fzAddEscape, 0x34, 0x00, 10, 0}, {fzInsert, 11, 0x40}, {fzAddEscape, 0x34, 0x08, 11, 0},
 			{fzInsert, 12, 0x40}, {fzAddEscape, 0x34, 0x10, 12, 0}, {fzInsert, 13, 0x40}, {fzAddEscape, 0x34, 0x18, 13, 0},
 			{fzAddEscape, 0x34, 0x20, 13, 1}, {fzAddEscape, 0x34, 0x28, 13, 2}, {fzAddEscape, 0x34, 0x30, 13, 3}, {fzPick}},
+		// Allocation 0's set is 0x40008, 0x40ffd, 0x42ab0: dropping the first
+		// moves the last, whose reverse entry sits on another page, into its
+		// position; retargeting it from there moves 0x40ffd back across.
+		{{fzRemoveEscape, 0x00, 0x08}, {fzAddEscape, 0x2a, 0xb0, 2, 0}, {fzRemoveEscape, 0x0f, 0xfd}, {fzPick}},
 	} {
 		f.Add(with(ops...))
 	}
+	// 100 escapes into allocation 2 over all eight pages, every seventh
+	// retargeted to allocation 5 (a swap-delete from the middle), then
+	// allocation 2 freed: Remove pops its set empty.
+	var hundred [][7]byte
+	for i := 0; i < 100; i++ {
+		loc := uint16(i * 0x149)
+		hundred = append(hundred, [7]byte{fzAddEscape, byte(loc >> 8), byte(loc), 2, byte(i % 0x40)})
+		if i%7 == 6 {
+			loc := uint16((i - 3) * 0x149)
+			hundred = append(hundred, [7]byte{fzAddEscape, byte(loc >> 8), byte(loc), 5, 0})
+		}
+	}
+	f.Add(with(append(hundred, [7]byte{fzPick}, [7]byte{fzRemove, 2}, [7]byte{fzPick})...))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rt := New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
@@ -374,10 +391,13 @@ func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 	for name, damage := range map[string]func(*AllocationTable, *Allocation){
 		"count drifts from the sets": func(_ *AllocationTable, a *Allocation) { a.nEsc.Add(1) },
 		"empty bucket survives": func(tb *AllocationTable, _ *Allocation) {
-			tb.pages[pageOf(0x50000)] = map[uint64]*Allocation{}
+			tb.pages[pageOf(0x50000)] = map[uint64]escRef{}
 		},
 		"entry in another page's bucket": func(tb *AllocationTable, a *Allocation) {
-			tb.pages[pageOf(0x40008)][0x50018] = a
+			tb.pages[pageOf(0x40008)][0x50018] = escRef{a, 0}
+		},
+		"entry names the wrong position": func(tb *AllocationTable, a *Allocation) {
+			tb.pages[pageOf(0x40008)][0x40008] = escRef{a, 1}
 		},
 		"pick entry missing": func(tb *AllocationTable, _ *Allocation) {
 			tb.pick.heap = tb.pick.heap[:0]

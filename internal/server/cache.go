@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -147,20 +148,32 @@ func (c *moduleCache) getOrCompile(key string, compile func() (*moduleEntry, err
 
 	c.queueDepth.Add(1)
 	c.sem <- struct{}{} // wait for a compile worker slot
+	returned := false
+	// One deferred cleanup, so that a compile that panics still frees its
+	// slot and its flight: the panic goes on up this goroutine, and every
+	// waiter on the key gets errCompilePanicked instead of blocking forever.
+	defer func() {
+		<-c.sem
+		c.queueDepth.Add(^uint64(0)) // -1
+		if !returned {
+			job.entry, job.err = nil, errCompilePanicked
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if job.err == nil {
+			job.entry.ref = key
+			c.insert(key, job.entry)
+		}
+		c.mu.Unlock()
+		close(job.done)
+	}()
 	job.entry, job.err = compile()
-	<-c.sem
-	c.queueDepth.Add(^uint64(0)) // -1
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if job.err == nil {
-		job.entry.ref = key
-		c.insert(key, job.entry)
-	}
-	c.mu.Unlock()
-	close(job.done)
+	returned = true
 	return job.entry, false, job.err
 }
+
+// errCompilePanicked is what the waiters on a compile that panicked get.
+var errCompilePanicked = errors.New("server: compile panicked")
 
 // program returns the code object a request for e runs on. A request that
 // found e in the cache shares the entry's Program, creating it if this is

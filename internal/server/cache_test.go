@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"carat/internal/obs"
 	"carat/internal/vm"
 )
 
@@ -140,4 +142,71 @@ func TestEvictionDropsProgram(t *testing.T) {
 		}
 	}
 	t.Error("the evicted entry's Program was never collected: something still holds it")
+}
+
+// TestGetOrCompilePanicFreesWaiters: a compile that panics while a second
+// request waits on the same key hands that waiter an error, gives back its
+// worker slot and queue count, and leaves nothing in flight, so a third
+// request compiles afresh. The panic itself still reaches the compiling
+// goroutine.
+func TestGetOrCompilePanicFreesWaiters(t *testing.T) {
+	c := newModuleCache(8, 0, 2, obs.NewRegistry())
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.getOrCompile("k", func() (*moduleEntry, error) {
+			close(started)
+			<-release
+			panic("compiler bug")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		_, _, err := c.getOrCompile("k", func() (*moduleEntry, error) {
+			return nil, errors.New("the waiter compiled instead of joining the flight")
+		})
+		waited <- err
+	}()
+	// Release the compile only once both goroutines block inside
+	// getOrCompile: the compiler on release, the waiter on the flight.
+	for deadline := time.Now().Add(5 * time.Second); blockedIn("getOrCompile") < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never joined the flight")
+		}
+	}
+	close(release)
+	select {
+	case err := <-waited:
+		if !errors.Is(err, errCompilePanicked) {
+			t.Errorf("waiter got %v, want %v", err, errCompilePanicked)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter is still blocked 5 s after the compile panicked")
+	}
+	if p := <-panicked; p != "compiler bug" {
+		t.Errorf("the compiling goroutine recovered %v, want the compile's own panic", p)
+	}
+	if d, n := c.queueDepth.Get(), len(c.sem); d != 0 || n != 0 {
+		t.Errorf("after the panic: queue depth %d, %d worker slots held; want 0 and 0", d, n)
+	}
+	compiled := false
+	e, cached, err := c.getOrCompile("k", func() (*moduleEntry, error) { compiled = true; return &moduleEntry{}, nil })
+	if err != nil || e == nil || cached || !compiled {
+		t.Errorf("third request: entry %v, cached %v, err %v, compiled %v; want a fresh compile", e, cached, err, compiled)
+	}
+}
+
+// blockedIn counts the goroutines blocked on a channel receive with fn on
+// their stack.
+func blockedIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
 }

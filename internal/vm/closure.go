@@ -1119,7 +1119,8 @@ func (cf *ccompiler) compileCall(in *ir.Instr, segN, segCyc uint64, pures []cpur
 		e.open(segN, segCyc, pures)
 		e.flush()
 		v, t, fr := e.v, e.t, e.fr
-		cargs := make([]uint64, len(cargsOps))
+		var buf [maxStackArgs]uint64
+		cargs := argSlice(&buf, len(cargsOps))
 		for i := range cargsOps {
 			cargs[i] = cargsOps[i].get(fr)
 		}

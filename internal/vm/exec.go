@@ -239,7 +239,8 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		return v.execGuard(t, fr, in)
 
 	case in.Op == ir.OpCall:
-		args := make([]uint64, len(in.Args))
+		var buf [maxStackArgs]uint64
+		args := argSlice(&buf, len(in.Args))
 		for i, a := range in.Args {
 			args[i] = v.val(fr, a)
 		}
@@ -420,6 +421,21 @@ func (v *VM) translate(addr, size uint64, perm guard.Perm) (uint64, error) {
 		return 0, &Fault{Addr: addr, Size: size, Perm: perm, Msg: "page fault"}
 	}
 	return pa, nil
+}
+
+// maxStackArgs is the most arguments a call site passes from an array on its
+// Go stack; every builtin takes at most two.
+const maxStackArgs = 4
+
+// argSlice returns n argument slots: buf's when they fit, a new slice
+// otherwise. buf stays on the caller's Go stack because nothing keeps the
+// slice past the call: callBuiltin reads values, and callFunc and ccall copy
+// them into the new frame.
+func argSlice(buf *[maxStackArgs]uint64, n int) []uint64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]uint64, n)
 }
 
 // callBuiltin dispatches declared (external) functions to the VM runtime.

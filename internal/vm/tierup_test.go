@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -90,6 +92,62 @@ func TestFirstCallScalesLinearly(t *testing.T) {
 			t.Errorf("%s per instruction: %.3f at 16 000 instructions vs %.3f at 2 000 (ratio %.2f, want within 1.1x)",
 				c.what, c.big, c.small, r)
 		}
+	}
+}
+
+// TestBuiltinCallsDoNotAllocate runs, on the compiled engine, a guest loop
+// that stores one pointer into one global location n and then 4n times, so
+// every iteration calls carat.escape. A run of either length must make the
+// same number of host allocations: a builtin call's arguments live on the Go
+// stack, and an escape the table already holds allocates nothing. Loads
+// happen before the count, so it covers Run alone. The count is
+// process-wide and another goroutine allocates now and then, so each length
+// takes the least of a few readings and the two may differ by a handful —
+// far below the 3n that one allocation per call adds.
+func TestBuiltinCallsDoNotAllocate(t *testing.T) {
+	const n, readings = 2000, 5
+	allocs := func(iters int) float64 {
+		src := fmt.Sprintf(`global h: [1]ptr;
+func main(): int {
+    var q = malloc(64);
+    for (var i = 0; i < %d; i = i + 1) { h[0] = q; }
+    return 7;
+}`, iters)
+		m, err := cc.Compile("escloop", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := passes.Build(passes.LevelTracking).Run(m); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.MemBytes, cfg.HeapBytes, cfg.StackBytes = 1<<20, 256<<10, 64<<10
+		vms := make([]*VM, 2*readings) // AllocsPerRun(1, f) calls f twice
+		for i := range vms {
+			if vms[i], err = Load(m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := func() {
+			v := vms[0]
+			vms = vms[1:]
+			if ret, err := v.Run(); err != nil || ret != 7 {
+				t.Fatalf("run = %d, %v", ret, err)
+			}
+			if got := v.rt.Stats.EscapeEvents.Get(); got < uint64(iters) {
+				t.Fatalf("%d iterations tracked %d escapes: the loop's store is not tracked", iters, got)
+			}
+		}
+		least := testing.AllocsPerRun(1, run)
+		for i := 1; i < readings; i++ {
+			least = min(least, testing.AllocsPerRun(1, run))
+		}
+		return least
+	}
+	short, long := allocs(n), allocs(4*n)
+	if math.Abs(long-short) > 8 {
+		t.Errorf("a run of %d escaping stores allocates %.0f times, one of %d %.0f: %.2f allocations per call",
+			n, short, 4*n, long, (long-short)/(3*n))
 	}
 }
 
