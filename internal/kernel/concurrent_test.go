@@ -71,7 +71,8 @@ func TestConcurrentProcessLifecycle(t *testing.T) {
 						t.Errorf("g%d i%d: grant: %v", g, i, err)
 						return
 					}
-					if img, err := k.Mem.ReadAt(base, size); err != nil || !allZero(img) {
+					img := make([]byte, size)
+					if err := k.Mem.ReadAt(base, img); err != nil || !allZero(img) {
 						t.Errorf("g%d i%d: granted region [%#x,+%d) does not read zero (%v)", g, i, base, size, err)
 						return
 					}
@@ -92,8 +93,8 @@ func TestConcurrentProcessLifecycle(t *testing.T) {
 				// overlapping frame would have clobbered our stamp.
 				for r, base := range bases {
 					for off := uint64(0); off < lens[r]; off += PageSize {
-						got, err := k.Mem.ReadAt(base+off, 8)
-						if err != nil {
+						got := make([]byte, 8)
+						if err := k.Mem.ReadAt(base+off, got); err != nil {
 							t.Errorf("g%d i%d: read: %v", g, i, err)
 							return
 						}

@@ -149,8 +149,8 @@ func TestPagesScrubbedCountsDirtyPagesOnly(t *testing.T) {
 		if got := k.Stats.PagesScrubbed.Get() - before; got != wantScrubbed {
 			t.Errorf("%s: grant scrubbed %d pages, want %d", why, got, wantScrubbed)
 		}
-		img, err := k.Mem.ReadAt(base, pages*PageSize)
-		if err != nil {
+		img := make([]byte, pages*PageSize)
+		if err := k.Mem.ReadAt(base, img); err != nil {
 			t.Fatal(err)
 		}
 		if !allZero(img) {

@@ -15,7 +15,7 @@ type recordingHandler struct {
 	lastErr   error
 }
 
-func (h *recordingHandler) HandleMove(req *MoveRequest) (MoveResult, error) {
+func (h *recordingHandler) HandleMove(req MoveRequest) (MoveResult, error) {
 	h.moves++
 	if h.negotiate {
 		if _, err := req.NegotiateDst(req.Src, req.Pages); err != nil {

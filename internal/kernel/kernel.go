@@ -140,7 +140,7 @@ type MoveHandler interface {
 	// HandleMove is invoked with the kernel's proposed source range and
 	// the negotiated destination. It returns the realized source range
 	// (possibly expanded so no allocation straddles its boundary).
-	HandleMove(req *MoveRequest) (MoveResult, error)
+	HandleMove(req MoveRequest) (MoveResult, error)
 	// HandleProtect is invoked for a protection change: the handler stops
 	// the world so the next guard observes the new region set.
 	HandleProtect(apply func() error) error
@@ -351,8 +351,7 @@ func (p *Process) RequestMove(src uint64, pages uint64) (MoveResult, error) {
 	if src%PageSize != 0 {
 		return MoveResult{}, fmt.Errorf("kernel: unaligned move source %#x", src)
 	}
-	req := &MoveRequest{Src: src, Pages: pages, kernel: p.K, proc: p}
-	res, err := p.Handler.HandleMove(req)
+	res, err := p.Handler.HandleMove(MoveRequest{Src: src, Pages: pages, kernel: p.K, proc: p})
 	if err != nil {
 		return MoveResult{}, err
 	}

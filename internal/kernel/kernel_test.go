@@ -52,11 +52,12 @@ func TestPhysMemMove(t *testing.T) {
 	if err := m.Move(3*PageSize, PageSize, PageSize); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := m.ReadAt(3*PageSize, 4)
+	b := make([]byte, 4)
+	_ = m.ReadAt(3*PageSize, b)
 	if b[0] != 1 || b[3] != 4 {
 		t.Error("moved data wrong")
 	}
-	b, _ = m.ReadAt(PageSize, 4)
+	_ = m.ReadAt(PageSize, b)
 	if b[0] != 0 {
 		t.Error("source not zeroed")
 	}
@@ -331,7 +332,7 @@ type fakeHandler struct {
 	p *Process
 }
 
-func (h *fakeHandler) HandleMove(req *MoveRequest) (MoveResult, error) {
+func (h *fakeHandler) HandleMove(req MoveRequest) (MoveResult, error) {
 	dst, err := req.NegotiateDst(req.Src, req.Pages)
 	if err != nil {
 		return MoveResult{}, err

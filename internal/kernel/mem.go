@@ -54,14 +54,14 @@ func (m *PhysMem) InBounds(addr, n uint64) bool {
 	return addr > 0 && addr+n >= addr && addr+n <= m.Size()
 }
 
-// ReadAt copies n bytes at addr into a fresh slice.
-func (m *PhysMem) ReadAt(addr, n uint64) ([]byte, error) {
+// ReadAt copies len(b) bytes at addr into b.
+func (m *PhysMem) ReadAt(addr uint64, b []byte) error {
+	n := uint64(len(b))
 	if !m.InBounds(addr, n) {
-		return nil, fmt.Errorf("kernel: physical read [%#x,%#x) out of bounds", addr, addr+n)
+		return fmt.Errorf("kernel: physical read [%#x,%#x) out of bounds", addr, addr+n)
 	}
-	out := make([]byte, n)
-	copy(out, m.data[addr:addr+n])
-	return out, nil
+	copy(b, m.data[addr:addr+n])
+	return nil
 }
 
 // WriteAt copies b into memory at addr.

@@ -71,8 +71,9 @@ func (p *Process) notify(ev MMUEvent) {
 	if ev.Kind == EventInvalidateRange || ev.Kind == EventPTEChange {
 		p.K.Stats.Shootdowns.Inc()
 	}
-	p.K.tr.Instant("mmu."+ev.Kind.String(), "paging",
-		obs.A("base", ev.Base), obs.A("len", ev.Len))
+	if tr := p.K.tr; tr != nil {
+		tr.Instant("mmu."+ev.Kind.String(), "paging", obs.A("base", ev.Base), obs.A("len", ev.Len))
+	}
 	for _, n := range p.notifiers {
 		n.Notify(ev)
 	}

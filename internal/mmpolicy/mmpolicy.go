@@ -112,19 +112,13 @@ func (mp *ManagedProc) forget(base uint64) {
 func (mp *ManagedProc) rebaseHeat(src, dst, length uint64) {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	type kv struct {
-		base uint64
-		heat float64
-	}
-	var moved []kv
+	// A move's destination never overlaps its source, so an entry rebased
+	// here is outside the range if the walk meets it again.
 	for base, h := range mp.heat {
 		if base >= src && base < src+length {
-			moved = append(moved, kv{base, h})
+			delete(mp.heat, base)
+			mp.heat[base-src+dst] = h
 		}
-	}
-	for _, m := range moved {
-		delete(mp.heat, m.base)
-		mp.heat[m.base-src+dst] = m.heat
 	}
 }
 
@@ -382,8 +376,10 @@ func (d *Daemon) Tick(now uint64) (uint64, error) {
 		if err := pol.Tick(d, now); err != nil {
 			return d.collectCycles(), fmt.Errorf("mmpolicy: %s: %w", pol.Name(), err)
 		}
-		d.tr.SpanAt("policy."+pol.Name(), "policy", now+start, d.pendingCycles-start,
-			obs.A("tick", d.ticks))
+		if d.tr != nil {
+			d.tr.SpanAt("policy."+pol.Name(), "policy", now+start, d.pendingCycles-start,
+				obs.A("tick", d.ticks))
+		}
 	}
 	if d.track != nil {
 		d.track.FoldPhase("policy", d.totals.DaemonCycles+d.totals.MoveCycles)
@@ -429,9 +425,11 @@ func (d *Daemon) record(now uint64, policy, action string, proc string, base, pa
 	case ActionPin:
 		d.totals.Pins++
 	}
-	d.tr.InstantAt("policy."+action, "policy", now,
-		obs.A("policy", policy), obs.A("proc", proc), obs.A("base", base),
-		obs.A("pages", pages), obs.A("cycles", cycles), obs.A("reason", reason))
+	if d.tr != nil {
+		d.tr.InstantAt("policy."+action, "policy", now,
+			obs.A("policy", policy), obs.A("proc", proc), obs.A("base", base),
+			obs.A("pages", pages), obs.A("cycles", cycles), obs.A("reason", reason))
+	}
 }
 
 // Failure policy for policy-issued moves: a page whose move fails is

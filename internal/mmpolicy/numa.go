@@ -14,6 +14,8 @@ import (
 type NUMARebalance struct {
 	// MaxMovesPerTick bounds migration work per wakeup.
 	MaxMovesPerTick int
+
+	regions []guard.Region // Tick's snapshot of a region set, reused
 }
 
 // NewNUMARebalance returns a NUMA rebalancing policy.
@@ -35,7 +37,8 @@ func (p *NUMARebalance) Tick(d *Daemon, now uint64) error {
 		start, pages := d.nodePages(home)
 		lo, hi := start*kernel.PageSize, (start+pages)*kernel.PageSize
 		// Snapshot: RequestMove mutates the region set mid-iteration.
-		regions := append([]guard.Region(nil), mp.Proc.Regions.Regions()...)
+		regions := append(p.regions[:0], mp.Proc.Regions.Regions()...)
+		p.regions = regions
 		d.chargeScan(uint64(len(regions)) * cycPerPageScan)
 		for _, reg := range regions {
 			if moves >= p.MaxMovesPerTick {

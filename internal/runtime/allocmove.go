@@ -30,7 +30,7 @@ func (r *Runtime) MoveAllocationTo(base, dst uint64) (MoveBreakdown, error) {
 	}
 	// Listeners run with the world still stopped but outside every runtime
 	// lock (same contract as HandleMove).
-	for _, fn := range r.copyMoveListeners() {
+	for _, fn := range r.moveListenerList() {
 		fn(base, dst, length)
 	}
 	return bd, nil
@@ -56,7 +56,9 @@ func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBre
 	bd.AllocsMoved = 1
 
 	// Patch escapes of this allocation.
-	for _, loc := range r.Table.EscapeLocsOf(a) {
+	st := r.mover()
+	st.locs = r.Table.EscapeLocsOf(a, st.locs)
+	for _, loc := range st.locs {
 		bd.PatchCycles += cycEscapePatch
 		val := r.mem.Load64(loc)
 		if val >= base && val < base+length {
@@ -83,14 +85,7 @@ func (r *Runtime) moveAllocationLocked(base, dst uint64, regs []RegSet) (MoveBre
 	r.rebaseSwapLocs(base, dst, length)
 
 	// Copy only the allocation's bytes — not whole pages.
-	data, err := r.mem.ReadAt(base, length)
-	if err != nil {
-		return bd, 0, err
-	}
-	if err := r.mem.WriteAt(dst, data); err != nil {
-		return bd, 0, err
-	}
-	if err := r.mem.Zero(base, length); err != nil {
+	if err := r.mem.Move(dst, base, length); err != nil {
 		return bd, 0, err
 	}
 	bd.MoveCycles += length * cycPerByteMove

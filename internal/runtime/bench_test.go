@@ -24,45 +24,52 @@ func must(t testing.TB, err error) {
 
 // benchMachine is a runtime over mem bytes with one granted region covering
 // nearly all of it.
-func benchMachine(b *testing.B, mem uint64) (*kernel.Process, *Runtime, uint64) {
+func benchMachine(tb testing.TB, mem uint64) (*kernel.Process, *Runtime, uint64) {
 	k := kernel.New(mem)
 	p := k.NewProcess()
 	rt := New(k.Mem, nil, nil)
 	p.Handler = rt
 	base, err := p.GrantRegion(mem/2, guard.PermRW)
-	must(b, err)
+	must(tb, err)
 	return p, rt, base
 }
 
-// BenchmarkPageMove moves one page — four small allocations on it, a dozen
-// escapes into them, half of those located on the page itself — beside N
-// escapes located on other pages and pointing at another allocation. ns/op
-// and allocs/op must be flat in N.
+// pageMoveMachine sets up BenchmarkPageMove's page: four small allocations on
+// it, a dozen escapes into them, half of those located on the page itself,
+// beside n escapes located on other pages and pointing at another allocation.
+// It returns the page's base.
+func pageMoveMachine(tb testing.TB, n uint64) (*kernel.Process, *Runtime, uint64) {
+	p, rt, base := benchMachine(tb, 64<<20)
+	bystander := base + 2*kernel.PageSize
+	must(tb, rt.TrackAlloc(bystander, kernel.PageSize))
+	for i := uint64(0); i < n; i++ {
+		rt.TrackEscape(base+16*kernel.PageSize+i*8, bystander+i%512*8)
+	}
+	page := base + 4*kernel.PageSize
+	for i := uint64(0); i < 4; i++ {
+		obj := page + i*1024
+		must(tb, rt.TrackAlloc(obj, 512))
+		for j := uint64(0); j < 3; j++ {
+			in, out := obj+j*8, base+8*kernel.PageSize+(i*3+j)*8
+			rt.mem.Store64(in, obj+64)
+			rt.TrackEscape(in, obj+64)
+			rt.mem.Store64(out, obj+128)
+			rt.TrackEscape(out, obj+128)
+		}
+	}
+	rt.Flush()
+	return p, rt, page
+}
+
+// BenchmarkPageMove moves pageMoveMachine's page beside N escapes elsewhere.
+// ns/op and allocs/op must be flat in N.
 func BenchmarkPageMove(b *testing.B) {
 	for _, n := range []struct {
 		name    string
 		escapes uint64
 	}{{"1k", 1_000}, {"32k", 32_000}, {"1M", 1_000_000}} {
 		b.Run(n.name+"-escapes-elsewhere", func(b *testing.B) {
-			p, rt, base := benchMachine(b, 64<<20)
-			bystander := base + 2*kernel.PageSize
-			must(b, rt.TrackAlloc(bystander, kernel.PageSize))
-			for i := uint64(0); i < n.escapes; i++ {
-				rt.TrackEscape(base+16*kernel.PageSize+i*8, bystander+i%512*8)
-			}
-			page := base + 4*kernel.PageSize
-			for i := uint64(0); i < 4; i++ {
-				obj := page + i*1024
-				must(b, rt.TrackAlloc(obj, 512))
-				for j := uint64(0); j < 3; j++ {
-					in, out := obj+j*8, base+8*kernel.PageSize+(i*3+j)*8
-					rt.mem.Store64(in, obj+64)
-					rt.TrackEscape(in, obj+64)
-					rt.mem.Store64(out, obj+128)
-					rt.TrackEscape(out, obj+128)
-				}
-			}
-			rt.Flush()
+			p, rt, page := pageMoveMachine(b, n.escapes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

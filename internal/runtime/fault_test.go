@@ -38,7 +38,7 @@ func snapshot(k *kernel.Kernel, p *kernel.Process, rt *Runtime, regs *fakeRegs) 
 		FreePages: k.Alloc.FreePages(),
 	}
 	rt.Table.ForEach(func(a *Allocation) bool {
-		locs := append([]uint64(nil), rt.Table.EscapeLocsOf(a)...)
+		locs := rt.Table.EscapeLocsOf(a, nil)
 		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 		s.Allocs = append(s.Allocs, allocSnap{Base: a.Base, Len: a.Len, Static: a.Static, Escapes: locs})
 		return true

@@ -106,7 +106,7 @@ func (r *Runtime) HandleProtect(apply func() error) error {
 //	      allocation, and on saved registers
 //	9-10. move the data, free the source
 //	11-12. resume; report completion
-func (r *Runtime) HandleMove(req *kernel.MoveRequest) (kernel.MoveResult, error) {
+func (r *Runtime) HandleMove(req kernel.MoveRequest) (kernel.MoveResult, error) {
 	w := r.getWorld()
 	regs := w.StopTheWorld()
 	defer w.ResumeTheWorld()
@@ -118,7 +118,7 @@ func (r *Runtime) HandleMove(req *kernel.MoveRequest) (kernel.MoveResult, error)
 	// Listeners run with the world still stopped but outside every runtime
 	// lock, so a listener may re-enter the runtime (satellite: no callback
 	// under a held mutex).
-	for _, fn := range r.copyMoveListeners() {
+	for _, fn := range r.moveListenerList() {
 		fn(src, dst, length)
 	}
 	return res, nil
@@ -134,31 +134,18 @@ func (r *Runtime) HandleMove(req *kernel.MoveRequest) (kernel.MoveResult, error)
 // fault-injection draw, and every program-clock formula are the same at
 // every budget: the budget changes pause *attribution* only, so modeled
 // cycles and memory digests stay byte-identical per seed.
-func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
+func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	defer r.publishStop()
 	r.Flush()
 
-	st := &moveState{
-		r:     r,
-		req:   req,
-		regs:  regs,
-		inj:   r.injector(),
-		meter: r.newPauseMeter("move", true),
-	}
-	st.bd.ExpandCycles += cycBarrier
-
-	for _, phase := range []func() error{
-		st.phaseExpand,
-		st.phaseNegotiate,
-		st.phasePatchEscapes,
-		st.phasePatchRegisters,
-		st.phaseRebase,
-		st.phaseCopy,
-		st.phaseCommit,
-	} {
-		if err := phase(); err != nil {
+	st := r.mover()
+	defer st.reset()
+	st.req, st.regs, st.inj, st.bd.ExpandCycles = req, regs, r.injector(), cycBarrier
+	st.meter.start(r, "move", true)
+	for _, phase := range movePhases {
+		if err := phase(st); err != nil {
 			return st.fail(err)
 		}
 	}
@@ -174,15 +161,29 @@ func (r *Runtime) handleMoveLocked(req *kernel.MoveRequest, regs []RegSet) (kern
 	return kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.src, st.dst, st.length, nil
 }
 
-// moveState carries one in-flight move through its phases. The undo log
-// (txn) is nil until destination negotiation succeeds: a failure before
-// that point needs only a veto, a failure after it rolls back.
+// movePhases are a move's phases in protocol order.
+var movePhases = [...]func(*moveState) error{
+	(*moveState).phaseExpand,
+	(*moveState).phaseNegotiate,
+	(*moveState).phasePatchEscapes,
+	(*moveState).phasePatchRegisters,
+	(*moveState).phaseRebase,
+	(*moveState).phaseCopy,
+	(*moveState).phaseCommit,
+}
+
+// moveState carries one in-flight move through its phases. A runtime has
+// one, allocated at its first move or swap (see mover) and reset after every
+// move, so its slices keep their storage; a swap uses its pause meter and
+// scratch slices. The undo log (txn) opens when destination negotiation
+// succeeds: a failure before that point needs only a veto, a failure after it
+// rolls back.
 type moveState struct {
 	r     *Runtime
-	req   *kernel.MoveRequest
+	req   kernel.MoveRequest
 	regs  []RegSet
 	inj   *fault.Injector
-	meter *pauseMeter
+	meter pauseMeter
 
 	bd MoveBreakdown
 	// lookupCyc/scanCyc split ExpandCycles for trace attribution only;
@@ -192,8 +193,34 @@ type moveState struct {
 	src, dst, length uint64
 	pages            uint64
 	affected         []*Allocation
-	txn              *moveTxn
+	txn              moveTxn
 	fwd              *guard.RegionSet // set holding our open forwarding window
+
+	locs      []uint64    // one allocation's escape locations, snapshotted for patching
+	swapMoved [][2]uint64 // rebaseSwapLocs' scratch: (location, offset) pairs
+	spareData [][]byte    // swapped-in records' buffers, for later swap-outs
+}
+
+// mover returns the runtime's move state, allocating it at the first move or
+// swap: a run that never stops the world for either carries none. The caller
+// holds opMu.
+func (r *Runtime) mover() *moveState {
+	if r.mv == nil {
+		r.mv = &moveState{r: r}
+	}
+	return r.mv
+}
+
+// reset readies the state for the next move: it keeps the storage and drops
+// what the finished move referenced.
+func (st *moveState) reset() {
+	clear(st.affected)
+	clear(st.txn.regWrites)
+	clear(st.txn.rebased)
+	*st = moveState{
+		r: st.r, affected: st.affected[:0], locs: st.locs, swapMoved: st.swapMoved, spareData: st.spareData,
+		txn: moveTxn{memWrites: st.txn.memWrites[:0], regWrites: st.txn.regWrites[:0], rebased: st.txn.rebased[:0]},
+	}
 }
 
 // phaseExpand implements steps 5/6: expand [src, src+len) until its
@@ -210,7 +237,7 @@ func (st *moveState) phaseExpand() error {
 		if err := st.meter.add(cycTableLookup); err != nil {
 			return err
 		}
-		st.affected = st.r.Table.Overlapping(st.src, st.src+st.length)
+		st.affected = st.r.Table.Overlapping(st.src, st.src+st.length, st.affected)
 		st.bd.ExpandCycles += uint64(len(st.affected)) * cycPerAllocScan
 		st.scanCyc += uint64(len(st.affected)) * cycPerAllocScan
 		if err := st.meter.addBulk(len(st.affected), cycPerAllocScan); err != nil {
@@ -258,7 +285,7 @@ func (st *moveState) phaseNegotiate() error {
 	st.dst = dst
 	st.bd.MoveCycles += st.pages * cycPageAlloc
 	st.meter.concurrent(st.pages * cycPageAlloc)
-	st.txn = &moveTxn{}
+	st.txn.open = true
 	if st.meter.bounded() {
 		if rs := st.req.Regions(); rs != nil {
 			if err := rs.OpenForward(st.src, st.dst, st.length); err != nil {
@@ -277,7 +304,8 @@ func (st *moveState) phaseNegotiate() error {
 func (st *moveState) phasePatchEscapes() error {
 	for _, a := range st.affected {
 		st.bd.AllocsMoved++
-		for _, loc := range st.r.Table.EscapeLocsOf(a) {
+		st.locs = st.r.Table.EscapeLocsOf(a, st.locs)
+		for _, loc := range st.locs {
 			st.bd.PatchCycles += cycEscapePatch
 			if err := st.meter.add(cycEscapePatch); err != nil {
 				return err
@@ -377,24 +405,24 @@ func (st *moveState) closeForward() {
 	}
 }
 
-// fail unwinds a failed phase. Before destination negotiation (txn nil)
-// nothing has mutated: a bare veto suffices. After it, the undo log rolls
+// fail unwinds a failed phase. Before destination negotiation (txn not
+// open) nothing has mutated: a bare veto suffices. After it, the undo log rolls
 // the address space back to the exact pre-move state. The pause observed
 // at the abort covers the work since the last window boundary (at budget 0:
 // the whole partial breakdown).
 func (st *moveState) fail(cause error) (kernel.MoveResult, uint64, uint64, uint64, error) {
 	st.meter.closeWindow("move_abort")
-	if st.txn == nil {
+	if !st.txn.open {
 		st.req.Veto()
 		return kernel.MoveResult{}, 0, 0, 0, cause
 	}
 	st.closeForward()
-	return kernel.MoveResult{}, 0, 0, 0, st.r.rollbackMove(st.req, st.txn, st.src, st.dst, st.length, cause)
+	return kernel.MoveResult{}, 0, 0, 0, st.r.rollbackMove(&st.req, &st.txn, st.src, st.dst, st.length, cause)
 }
 
 // moveTxn is the undo log of one in-flight move: every mutation made
-// after destination negotiation, recorded before it is applied. The
-// booleans mark the all-or-nothing table/copy steps; the write logs keep
+// after destination negotiation (open), recorded before it is applied. The
+// other booleans mark the all-or-nothing table/copy steps; the write logs keep
 // original values in application order so rollback can restore them in
 // reverse.
 type moveTxn struct {
@@ -404,6 +432,7 @@ type moveTxn struct {
 	escMoved  bool          // escape locations rebased src->dst
 	swapMoved bool          // swap-record escape locations rebased
 	copied    bool          // data copied to dst (source zeroed)
+	open      bool          // destination negotiated: a failure rolls back
 }
 
 type memWrite struct{ loc, old uint64 }
@@ -450,9 +479,11 @@ func (r *Runtime) rollbackMove(req *kernel.MoveRequest, txn *moveTxn, src, dst, 
 	}
 	req.Veto()
 	r.Stats.MoveRollbacks.Inc()
-	r.tracer().Instant("fault.rollback", "fault",
-		obs.A("src", src), obs.A("dst", dst), obs.A("bytes", length),
-		obs.A("cause", cause.Error()))
+	if tr := r.tracer(); tr != nil {
+		tr.Instant("fault.rollback", "fault",
+			obs.A("src", src), obs.A("dst", dst), obs.A("bytes", length),
+			obs.A("cause", cause.Error()))
+	}
 	if err := r.Table.MaybeCheckInvariants(); err != nil {
 		return fmt.Errorf("runtime: invariants violated after rollback: %v (aborting move: %w)", err, cause)
 	}

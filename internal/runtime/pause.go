@@ -75,20 +75,18 @@ type pauseMeter struct {
 	inj *fault.Injector
 }
 
-// newPauseMeter builds the meter for one operation on the (stopped)
-// installed world. This is the one place a pause budget becomes a batch
-// size.
-func (r *Runtime) newPauseMeter(cause string, abortable bool) *pauseMeter {
+// start readies the meter for one operation on the (stopped) installed
+// world. This is the one place a pause budget becomes a batch size.
+func (m *pauseMeter) start(r *Runtime, cause string, abortable bool) {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
-	m := &pauseMeter{r: r, cause: cause, w: r.world, chunk: unboundedWindow}
+	*m = pauseMeter{r: r, cause: cause, w: r.world, chunk: unboundedWindow}
 	if r.pauseBudget > 0 {
 		m.chunk = uint64(BatchForBudget(r.pauseBudget)) * cycEscapePatch
 	}
 	if abortable {
 		m.inj = r.inj
 	}
-	return m
 }
 
 // bounded reports whether the mutators may run between this operation's
@@ -139,9 +137,10 @@ func (m *pauseMeter) boundary() error {
 	m.finish()
 	m.r.Stats.BatchPauses.Inc()
 	m.w.ResumeTheWorld()
-	err := m.inj.Fail(fault.MoveBatch, m.cause+" batch boundary")
+	fire := m.inj.Should(fault.MoveBatch)
 	m.w.StopTheWorld()
-	if err != nil {
+	if fire {
+		err := &fault.Error{Point: fault.MoveBatch, Detail: m.cause + " batch boundary"}
 		return fmt.Errorf("runtime: %s aborted at batch boundary: %w", m.cause, err)
 	}
 	return nil

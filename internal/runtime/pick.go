@@ -98,8 +98,7 @@ func (p *pickIndex) pick(tree *rbTree) *Allocation {
 	if len(p.heap) > 0 {
 		return p.heap[0].a
 	}
-	_, a, _ := tree.Ceiling(0)
-	return a
+	return tree.Ceiling(0)
 }
 
 // rebuild makes the index from one walk of the table.

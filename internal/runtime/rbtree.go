@@ -51,71 +51,60 @@ func (t *rbTree) Get(key uint64) *Allocation {
 }
 
 // Floor returns the entry with the largest key <= key, or nil.
-func (t *rbTree) Floor(key uint64) (uint64, *Allocation, bool) {
-	var best *rbNode
-	n := t.root
-	for n != nil {
-		if n.key == key {
-			return n.key, n.val, true
-		}
-		if n.key < key {
-			best = n
-			n = n.right
+func (t *rbTree) Floor(key uint64) *Allocation {
+	var best *Allocation
+	for n := t.root; n != nil; {
+		if n.key <= key {
+			best, n = n.val, n.right
 		} else {
 			n = n.left
 		}
 	}
-	if best == nil {
-		return 0, nil, false
-	}
-	return best.key, best.val, true
+	return best
 }
 
 // Ceiling returns the entry with the smallest key >= key, or nil.
-func (t *rbTree) Ceiling(key uint64) (uint64, *Allocation, bool) {
+func (t *rbTree) Ceiling(key uint64) *Allocation {
+	if n := t.ceiling(key); n != nil {
+		return n.val
+	}
+	return nil
+}
+
+func (t *rbTree) ceiling(key uint64) *rbNode {
 	var best *rbNode
-	n := t.root
-	for n != nil {
-		if n.key == key {
-			return n.key, n.val, true
-		}
-		if n.key > key {
-			best = n
-			n = n.left
+	for n := t.root; n != nil; {
+		if n.key >= key {
+			best, n = n, n.left
 		} else {
 			n = n.right
 		}
 	}
-	if best == nil {
-		return 0, nil, false
-	}
-	return best.key, best.val, true
+	return best
 }
 
 // Ascend calls fn for every entry with lo <= key < hi in key order; fn
-// returning false stops the walk.
+// returning false stops the walk. The walk follows parent links, so fn does
+// not escape and a caller's closure costs nothing.
 func (t *rbTree) Ascend(lo, hi uint64, fn func(key uint64, val *Allocation) bool) {
-	var walk func(n *rbNode) bool
-	walk = func(n *rbNode) bool {
-		if n == nil {
-			return true
+	for n := t.ceiling(lo); n != nil && n.key < hi; n = n.next() {
+		if !fn(n.key, n.val) {
+			return
 		}
-		if n.key >= lo {
-			if !walk(n.left) {
-				return false
-			}
-			if n.key < hi {
-				if !fn(n.key, n.val) {
-					return false
-				}
-			}
-		}
-		if n.key < hi {
-			return walk(n.right)
-		}
-		return true
 	}
-	walk(t.root)
+}
+
+// next returns n's in-order successor, or nil.
+func (n *rbNode) next() *rbNode {
+	if n.right != nil {
+		for n = n.right; n.left != nil; n = n.left {
+		}
+		return n
+	}
+	for n.parent != nil && n == n.parent.right {
+		n = n.parent
+	}
+	return n.parent
 }
 
 // AscendAll walks the whole tree in key order.
@@ -161,34 +150,35 @@ func (t *rbTree) rotateRight(x *rbNode) {
 	x.parent = y
 }
 
-// Insert adds or replaces the entry for key. It returns true when a new
-// node was created (false for replacement).
-func (t *rbTree) Insert(key uint64, val *Allocation) bool {
+// Insert links node n under n.key, whatever links n held before: a node
+// Delete returned is re-linked rather than allocated again. If the key is
+// already present its entry takes n.val and n stays unlinked; Insert returns
+// whether n was linked.
+func (t *rbTree) Insert(n *rbNode) bool {
 	var parent *rbNode
-	n := t.root
-	for n != nil {
-		parent = n
+	for c := t.root; c != nil; {
+		parent = c
 		switch {
-		case key < n.key:
-			n = n.left
-		case key > n.key:
-			n = n.right
+		case n.key < c.key:
+			c = c.left
+		case n.key > c.key:
+			c = c.right
 		default:
-			n.val = val
+			c.val = n.val
 			return false
 		}
 	}
-	node := &rbNode{key: key, val: val, col: red, parent: parent}
+	n.left, n.right, n.parent, n.col = nil, nil, parent, red
 	switch {
 	case parent == nil:
-		t.root = node
-	case key < parent.key:
-		parent.left = node
+		t.root = n
+	case n.key < parent.key:
+		parent.left = n
 	default:
-		parent.right = node
+		parent.right = n
 	}
 	t.size++
-	t.insertFixup(node)
+	t.insertFixup(n)
 	return true
 }
 
@@ -232,8 +222,8 @@ func (t *rbTree) insertFixup(z *rbNode) {
 	t.root.col = black
 }
 
-// Delete removes key and returns whether it was present.
-func (t *rbTree) Delete(key uint64) bool {
+// Delete unlinks the node holding key and returns it, nil if key is absent.
+func (t *rbTree) Delete(key uint64) *rbNode {
 	z := t.root
 	for z != nil && z.key != key {
 		if key < z.key {
@@ -243,7 +233,7 @@ func (t *rbTree) Delete(key uint64) bool {
 		}
 	}
 	if z == nil {
-		return false
+		return nil
 	}
 	t.size--
 
@@ -283,7 +273,7 @@ func (t *rbTree) Delete(key uint64) bool {
 	if yOrig == black {
 		t.deleteFixup(x, xParent)
 	}
-	return true
+	return z
 }
 
 func (t *rbTree) transplant(u, v *rbNode) {

@@ -34,7 +34,8 @@ type World interface {
 
 // RegSet exposes one stopped thread's pointer-bearing registers.
 type RegSet interface {
-	// Regs returns the register values.
+	// Regs returns the register values, in a slice the RegSet may reuse
+	// at its next Regs.
 	Regs() []uint64
 	// SetReg patches register i.
 	SetReg(i int, v uint64)
@@ -139,7 +140,7 @@ func (r *Runtime) Publish(s obs.Sink, gauges bool) {
 		s.Drain(PauseHist, &h.all)
 		for i := range h.cause {
 			if h.cause[i].Count() > 0 {
-				s.Drain(PauseHist+"."+PauseCauses[i], &h.cause[i])
+				s.Drain(pauseHistNames[i], &h.cause[i])
 			}
 		}
 	} else if !r.everPublished {
@@ -198,8 +199,10 @@ type Runtime struct {
 	mem *kernel.PhysMem
 
 	// opMu serializes moves, swaps, and protect flips. It is released
-	// before listeners fire.
+	// before listeners fire. It guards mv, the state every move and swap
+	// reuses (see mover).
 	opMu sync.Mutex
+	mv   *moveState
 
 	// stateMu guards the fields below (registration-time state and the
 	// swap-slot directory).
@@ -212,8 +215,10 @@ type Runtime struct {
 	invListeners  []func(base, length uint64)
 
 	// swapSlots holds evicted allocations (see swap.go); a nil entry is a
-	// slot that has been swapped back in. Guarded by opMu.
+	// slot that has been swapped back in. swapLive lists the non-nil ones,
+	// each record knowing its position. Guarded by opMu.
 	swapSlots []*swapRecord
+	swapLive  []*swapRecord
 
 	// MoveStats collects one breakdown per completed move. Appends happen
 	// under opMu; readers (experiment harnesses) read between runs.
@@ -265,25 +270,24 @@ func (r *Runtime) AddInvalidationListener(fn func(base, length uint64)) {
 	r.invListeners = append(r.invListeners, fn)
 }
 
-func (r *Runtime) copyMoveListeners() []func(src, dst, length uint64) {
+// moveListenerList and invListenerList snapshot the listener lists. Like
+// the buffer list, they only grow, by append, so a snapshot can share the
+// backing array.
+func (r *Runtime) moveListenerList() []func(src, dst, length uint64) {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
-	out := make([]func(src, dst, length uint64), len(r.moveListeners))
-	copy(out, r.moveListeners)
-	return out
+	return r.moveListeners[:len(r.moveListeners):len(r.moveListeners)]
 }
 
-func (r *Runtime) copyInvListeners() []func(base, length uint64) {
+func (r *Runtime) invListenerList() []func(base, length uint64) {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
-	out := make([]func(base, length uint64), len(r.invListeners))
-	copy(out, r.invListeners)
-	return out
+	return r.invListeners[:len(r.invListeners):len(r.invListeners)]
 }
 
 // notifyInvalidate runs the invalidation listeners for [base, base+length).
 func (r *Runtime) notifyInvalidate(base, length uint64) {
-	for _, fn := range r.copyInvListeners() {
+	for _, fn := range r.invListenerList() {
 		fn(base, length)
 	}
 }
@@ -301,6 +305,14 @@ const PauseHist = "carat.runtime.pause_cycles"
 // PauseCauses enumerates the world-stop causes the runtime attributes
 // pauses to (the per-cause histogram suffixes).
 var PauseCauses = [...]string{"move", "move_abort", "protect", "swap_out", "swap_in"}
+
+// pauseHistNames are the per-cause histogram names, PauseHist+"."+cause.
+var pauseHistNames = func() (names [len(PauseCauses)]string) {
+	for i, c := range PauseCauses {
+		names[i] = PauseHist + "." + c
+	}
+	return names
+}()
 
 // hists returns the histograms, allocated at the first stop; pubMu is held.
 func (r *Runtime) hists() *pauseHists {
@@ -322,8 +334,9 @@ func (r *Runtime) observePause(cause string, cycles uint64) {
 		}
 	}
 	r.pubMu.Unlock()
-	r.tracer().Instant("pause", "protocol",
-		obs.A("cause", cause), obs.A("cycles", cycles))
+	if tr := r.tracer(); tr != nil {
+		tr.Instant("pause", "protocol", obs.A("cause", cause), obs.A("cycles", cycles))
+	}
 }
 
 type escapeEvent struct {
@@ -620,7 +633,7 @@ func (r *Runtime) rebaseEscapeLocs(lo, hi, newLo uint64) int {
 func (r *Runtime) UntrackStackRange(lo, hi uint64) {
 	r.Flush()
 	var dead []uint64
-	for _, a := range r.Table.Overlapping(lo, hi) {
+	for _, a := range r.Table.Overlapping(lo, hi, nil) {
 		if !a.Static && a.Base >= lo && a.End() <= hi {
 			dead = append(dead, a.Base)
 		}

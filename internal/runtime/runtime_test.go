@@ -14,21 +14,21 @@ func TestRBTreeBasic(t *testing.T) {
 	var tr rbTree
 	a := &Allocation{Base: 10, Len: 5}
 	b := &Allocation{Base: 20, Len: 5}
-	tr.Insert(10, a)
-	tr.Insert(20, b)
+	tr.Insert(&rbNode{key: 10, val: a})
+	tr.Insert(&rbNode{key: 20, val: b})
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	if tr.Get(10) != a || tr.Get(20) != b || tr.Get(15) != nil {
 		t.Error("Get wrong")
 	}
-	if k, v, ok := tr.Floor(15); !ok || k != 10 || v != a {
+	if tr.Floor(15) != a || tr.Floor(9) != nil {
 		t.Error("Floor wrong")
 	}
-	if k, _, ok := tr.Ceiling(15); !ok || k != 20 {
+	if tr.Ceiling(15) != b || tr.Ceiling(21) != nil {
 		t.Error("Ceiling wrong")
 	}
-	if !tr.Delete(10) || tr.Delete(10) {
+	if tr.Delete(10) == nil || tr.Delete(10) != nil {
 		t.Error("Delete wrong")
 	}
 	if tr.Len() != 1 {
@@ -46,7 +46,7 @@ func TestRBTreeInvariantsUnderChurn(t *testing.T) {
 			tr.Delete(k)
 			delete(live, k)
 		} else {
-			tr.Insert(k, &Allocation{Base: k, Len: 1})
+			tr.Insert(&rbNode{key: k, val: &Allocation{Base: k, Len: 1}})
 			live[k] = true
 		}
 		if i%500 == 0 {
@@ -89,7 +89,7 @@ func TestQuickRBTreeMatchesMap(t *testing.T) {
 				delete(ref, k)
 			} else {
 				a := &Allocation{Base: k}
-				tr.Insert(k, a)
+				tr.Insert(&rbNode{key: k, val: a})
 				ref[k] = a
 			}
 		}
@@ -153,16 +153,16 @@ func TestAllocationTableOverlappingQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tb.Overlapping(0x3800, 0x5800)
+	got := tb.Overlapping(0x3800, 0x5800, nil)
 	if len(got) != 2 || got[0].Base != 0x3000 || got[1].Base != 0x5000 {
 		t.Fatalf("Overlapping = %+v", got)
 	}
 	// Range starting inside the first allocation.
-	got = tb.Overlapping(0x1400, 0x1500)
+	got = tb.Overlapping(0x1400, 0x1500, nil)
 	if len(got) != 1 || got[0].Base != 0x1000 {
 		t.Fatalf("interior Overlapping = %+v", got)
 	}
-	if got := tb.Overlapping(0x2800, 0x2900); len(got) != 0 {
+	if got := tb.Overlapping(0x2800, 0x2900, nil); len(got) != 0 {
 		t.Fatalf("gap Overlapping = %+v", got)
 	}
 }
@@ -395,7 +395,7 @@ func TestHandleMovePatchesEverything(t *testing.T) {
 	}
 	// No escape may still point into the vacated range (DESIGN invariant).
 	rt.Table.ForEach(func(a *Allocation) bool {
-		for _, loc := range rt.Table.EscapeLocsOf(a) {
+		for _, loc := range rt.Table.EscapeLocsOf(a, nil) {
 			v := k.Mem.Load64(loc)
 			if v >= res.Src && v < res.Src+res.Pages*kernel.PageSize {
 				t.Errorf("escape at %#x still points into vacated range: %#x", loc, v)

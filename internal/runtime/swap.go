@@ -28,6 +28,7 @@ type swapRecord struct {
 	length  uint64
 	escapes map[uint64]uint64 // escape location -> offset within the allocation
 	static  bool
+	live    int // position in Runtime.swapLive
 }
 
 // swapPoison encodes (slot, offset) into the non-canonical range.
@@ -86,25 +87,26 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 	// An injected I/O error models the write to the swap device failing.
 	// Checked before any mutation, so a failed swap-out leaves the
 	// allocation untouched and the caller simply skips or retries it.
-	if err := r.injector().Fail(fault.SwapOutIO, fmt.Sprintf("slot %d write", slot)); err != nil {
-		return 0, 0, err
+	if r.injector().Should(fault.SwapOutIO) {
+		return 0, 0, &fault.Error{Point: fault.SwapOutIO, Detail: fmt.Sprintf("slot %d write", slot)}
 	}
 
-	rec := &swapRecord{length: a.Len, escapes: make(map[uint64]uint64), static: a.Static}
-	data, err := r.mem.ReadAt(base, a.Len)
-	if err != nil {
+	st := r.mover()
+	rec := &swapRecord{data: st.swapBuffer(a.Len), length: a.Len, escapes: make(map[uint64]uint64, a.EscapeCount()), static: a.Static}
+	if err := r.mem.ReadAt(base, rec.data); err != nil {
 		return 0, 0, err
 	}
-	rec.data = data
 
 	// Swaps take no batch-boundary faults: they mutate nothing the undo log
 	// could restore (the poison patches are each individually reversible,
 	// and a half-poisoned allocation is safe — poisoned pointers fault into
 	// the swap-in path, unpoisoned ones still see live data at base).
-	meter := r.newPauseMeter("swap_out", false)
+	meter := &st.meter
+	meter.start(r, "swap_out", false)
 
 	// Patch escapes to poison and remember their offsets.
-	for _, loc := range r.Table.EscapeLocsOf(a) {
+	st.locs = r.Table.EscapeLocsOf(a, st.locs)
+	for _, loc := range st.locs {
 		val := r.mem.Load64(loc)
 		if val >= base && val < base+a.Len {
 			off := val - base
@@ -127,6 +129,8 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 		return 0, 0, err
 	}
 	r.swapSlots = append(r.swapSlots, rec)
+	rec.live = len(r.swapLive)
+	r.swapLive = append(r.swapLive, rec)
 	r.Stats.SwapOuts.Inc()
 	// Modeled length of this swap: the barrier round trip, one patch per
 	// poisoned escape, and the copy to the swap device (off-pause, under
@@ -136,8 +140,10 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
 	meter.concurrent(copyCyc)
 	meter.finish()
-	r.tracer().Instant("swap.out", "paging",
-		obs.A("slot", slot), obs.A("bytes", a.Len), obs.A("escapes", len(rec.escapes)))
+	if tr := r.tracer(); tr != nil {
+		tr.Instant("swap.out", "paging",
+			obs.A("slot", slot), obs.A("bytes", a.Len), obs.A("escapes", len(rec.escapes)))
+	}
 	return slot, a.Len, nil
 }
 
@@ -180,8 +186,8 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	// An injected I/O error models the read from the swap device failing.
 	// Checked before any mutation, so the slot stays intact and the fault
 	// handler can retry the swap-in.
-	if err := r.injector().Fail(fault.SwapInIO, fmt.Sprintf("slot %d read", slot)); err != nil {
-		return 0, err
+	if r.injector().Should(fault.SwapInIO) {
+		return 0, &fault.Error{Point: fault.SwapInIO, Detail: fmt.Sprintf("slot %d read", slot)}
 	}
 	rec := r.swapSlots[slot]
 	if err := r.mem.WriteAt(newBase, rec.data); err != nil {
@@ -191,7 +197,9 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	if err != nil {
 		return 0, fmt.Errorf("runtime: swap-in: %w", err)
 	}
-	meter := r.newPauseMeter("swap_in", false)
+	st := r.mover()
+	meter := &st.meter
+	meter.start(r, "swap_in", false)
 	for loc, off := range rec.escapes {
 		r.mem.Store64(loc, newBase+off)
 		r.Table.relinkEscape(loc, a)
@@ -206,6 +214,13 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 		}
 	}
 	r.swapSlots[slot] = nil
+	last := r.swapLive[len(r.swapLive)-1]
+	r.swapLive[rec.live], last.live = last, rec.live
+	r.swapLive[len(r.swapLive)-1] = nil
+	r.swapLive = r.swapLive[:len(r.swapLive)-1]
+	if len(st.spareData) < maxSpareBuffers {
+		st.spareData = append(st.spareData, rec.data)
+	}
 	r.Stats.SwapIns.Inc()
 	// Mirror of the swap-out pause model: barrier + per-pointer forward
 	// patches + the copy back from the swap device.
@@ -213,19 +228,36 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
 	meter.concurrent(copyCyc)
 	meter.finish()
-	r.tracer().Instant("swap.in", "paging", obs.A("slot", slot), obs.A("bytes", rec.length))
+	if tr := r.tracer(); tr != nil {
+		tr.Instant("swap.in", "paging", obs.A("slot", slot), obs.A("bytes", rec.length))
+	}
 	return rec.length, nil
+}
+
+// maxSpareBuffers bounds the swapped-in records' buffers a runtime keeps for
+// later swap-outs; each holds at most maxSwapLen bytes.
+const maxSpareBuffers = 8
+
+// swapBuffer returns n bytes for a swap-out's data: a spare buffer that big,
+// or a new one.
+func (st *moveState) swapBuffer(n uint64) []byte {
+	for i, b := range st.spareData {
+		if uint64(cap(b)) >= n {
+			st.spareData = append(st.spareData[:i], st.spareData[i+1:]...)
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
 }
 
 // rebaseSwapLocs keeps swap-record escape locations valid across page and
 // allocation moves: a location inside a moved range is itself relocated.
-// Callers hold opMu.
+// It visits the records still swapped out, not every slot the process ever
+// used. Callers hold opMu.
 func (r *Runtime) rebaseSwapLocs(src, dst, length uint64) {
-	for _, rec := range r.swapSlots {
-		if rec == nil {
-			continue
-		}
-		var moved [][2]uint64
+	st := r.mover()
+	for _, rec := range r.swapLive {
+		moved := st.swapMoved[:0]
 		for loc, off := range rec.escapes {
 			if loc >= src && loc < src+length {
 				moved = append(moved, [2]uint64{loc, off})
@@ -235,5 +267,6 @@ func (r *Runtime) rebaseSwapLocs(src, dst, length uint64) {
 			delete(rec.escapes, m[0])
 			rec.escapes[m[0]-src+dst] = m[1]
 		}
+		st.swapMoved = moved
 	}
 }

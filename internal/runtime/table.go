@@ -63,7 +63,9 @@ func (a *Allocation) String() string {
 // page, a bucket existing only while it holds an entry), so that "what sits
 // on this page?" is one lookup and dropping an escape from its set is a
 // swap with the set's last — and the pick index of the most-escaped
-// allocation.
+// allocation. An emptied bucket is kept, up to maxSpareBuckets of them, for
+// the next page that needs one: a page move empties its source page's bucket
+// and fills its destination's, which takes the same map.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
 // rare next to escapes); everything else by one lock, escMu. Lock order is
@@ -76,13 +78,25 @@ type AllocationTable struct {
 	treeMu sync.RWMutex
 	tree   rbTree
 
-	escMu sync.Mutex
-	pages map[uint64]map[uint64]escRef
+	escMu  sync.Mutex
+	pages  map[uint64]map[uint64]escRef
+	spare  []map[uint64]escRef
+	moving []escMove // RebaseEscapeLocs' scratch
 
 	// escapes is the total across all allocations.
 	escapes int
 
 	pick pickIndex
+}
+
+// maxSpareBuckets bounds the emptied buckets a table keeps for reuse: a
+// move's range spans a few pages, and a bucket is at most a page of entries.
+const maxSpareBuckets = 8
+
+// escMove is one escape RebaseEscapeLocs relocates.
+type escMove struct {
+	loc uint64
+	a   *Allocation
 }
 
 // NewAllocationTable returns an empty table.
@@ -135,11 +149,19 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 		delete(bucket, loc)
 		if len(bucket) == 0 {
 			delete(t.pages, page)
+			if len(t.spare) < maxSpareBuckets {
+				clear(bucket) // drops the deletions' tombstones
+				t.spare = append(t.spare, bucket)
+			}
 		}
 		return
 	}
 	if bucket == nil {
-		bucket = make(map[uint64]escRef)
+		if n := len(t.spare); n > 0 {
+			bucket, t.spare = t.spare[n-1], t.spare[:n-1]
+		} else {
+			bucket = make(map[uint64]escRef)
+		}
 		t.pages[page] = bucket
 	}
 	bucket[loc] = escRef{a, len(a.escs)}
@@ -159,16 +181,16 @@ func (t *AllocationTable) Insert(base, length uint64, static bool) (*Allocation,
 	}
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
-	if _, a, ok := t.tree.Floor(base); ok && a.Covers(base) {
+	if a := t.tree.Floor(base); a != nil && a.Covers(base) {
 		return nil, fmt.Errorf("runtime: allocation [%#x,%#x) overlaps existing [%#x,%#x)",
 			base, base+length, a.Base, a.End())
 	}
-	if _, next, ok := t.tree.Ceiling(base); ok && next.Base < base+length {
+	if next := t.tree.Ceiling(base); next != nil && next.Base < base+length {
 		return nil, fmt.Errorf("runtime: allocation [%#x,%#x) overlaps following [%#x,%#x)",
 			base, base+length, next.Base, next.End())
 	}
 	a := &Allocation{Base: base, Len: length, Static: static}
-	t.tree.Insert(base, a)
+	t.tree.Insert(&rbNode{key: base, val: a})
 	return a, nil
 }
 
@@ -201,21 +223,20 @@ func (t *AllocationTable) Covering(addr uint64) *Allocation {
 }
 
 func (t *AllocationTable) coveringLocked(addr uint64) *Allocation {
-	_, a, ok := t.tree.Floor(addr)
-	if !ok || !a.Covers(addr) {
-		return nil
+	if a := t.tree.Floor(addr); a != nil && a.Covers(addr) {
+		return a
 	}
-	return a
+	return nil
 }
 
 // Overlapping returns the allocations intersecting [lo, hi), in address
-// order.
-func (t *AllocationTable) Overlapping(lo, hi uint64) []*Allocation {
+// order, in out's storage.
+func (t *AllocationTable) Overlapping(lo, hi uint64, out []*Allocation) []*Allocation {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
-	var out []*Allocation
+	out = out[:0]
 	// An allocation with base < lo can still overlap: check the floor.
-	if _, a, ok := t.tree.Floor(lo); ok && a.End() > lo && a.Base < hi {
+	if a := t.tree.Floor(lo); a != nil && a.End() > lo && a.Base < hi {
 		out = append(out, a)
 	}
 	t.tree.Ascend(lo, hi, func(_ uint64, a *Allocation) bool {
@@ -261,14 +282,16 @@ func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
 }
 
 // EscapeLocsOf snapshots allocation a's escape locations under escMu, in set
-// order; the move and swap engines iterate the snapshot while patching.
-func (t *AllocationTable) EscapeLocsOf(a *Allocation) []uint64 {
+// order, into out's storage; the move and swap engines iterate the snapshot
+// while patching.
+func (t *AllocationTable) EscapeLocsOf(a *Allocation, out []uint64) []uint64 {
+	out = out[:0]
 	if a.EscapeCount() == 0 {
-		return nil // most of what shares a moved page with the target: no lock taken
+		return out // most of what shares a moved page with the target: no lock taken
 	}
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	return slices.Clone(a.escs)
+	return append(out, a.escs...)
 }
 
 // relinkEscape records that loc escapes into allocation a (nil: into
@@ -280,16 +303,22 @@ func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
 	t.setEscape(loc, a)
 }
 
-// Rebase moves allocation a (which must be tracked) so its base becomes
-// newBase, keeping escape sets attached. Escape locations are NOT
+// Rebase moves allocation a so its base becomes newBase, keeping escape sets
+// attached and re-linking a's own tree node. Escape locations are NOT
 // rewritten here; the move engine handles location rebasing since it knows
-// the moved byte range.
+// the moved byte range. An allocation the table no longer holds — freed while
+// a bounded move's mutators ran between its windows — only takes the new base.
 func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
-	t.tree.Delete(a.Base)
+	old := a.Base
 	a.Base = newBase
-	t.tree.Insert(a.Base, a)
+	if t.tree.Get(old) != a {
+		return
+	}
+	n := t.tree.Delete(old)
+	n.key = newBase
+	t.tree.Insert(n)
 	t.escMu.Lock()
 	if t.pick.live {
 		t.pick.touch(a)
@@ -325,18 +354,14 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 	if lo >= hi {
 		return 0, 0
 	}
-	type entry struct {
-		loc uint64
-		a   *Allocation
-	}
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	var ms []entry
+	ms := t.moving[:0]
 	scan := func(bucket map[uint64]escRef) {
 		visited += len(bucket)
 		for loc, r := range bucket {
 			if loc >= lo && loc < hi {
-				ms = append(ms, entry{loc, r.a})
+				ms = append(ms, escMove{loc, r.a})
 			}
 		}
 	}
@@ -352,13 +377,15 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 			}
 		}
 	}
-	slices.SortFunc(ms, func(x, y entry) int { return cmp.Compare(x.loc, y.loc) })
+	slices.SortFunc(ms, func(x, y escMove) int { return cmp.Compare(x.loc, y.loc) })
 	for _, m := range ms {
 		t.setEscape(m.loc, nil)
 	}
 	for _, m := range ms {
 		t.setEscape(m.loc-lo+newLo, m.a)
 	}
+	clear(ms) // the scratch must not keep freed allocations reachable
+	t.moving = ms[:0]
 	return len(ms), visited
 }
 
@@ -399,7 +426,7 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 // set, that the reverse escape index is consistent (every entry's position
 // names its own location in its allocation's set, and back), that every escape
 // location lives in the bucket of its own page, that no empty bucket
-// survives, and the pick index's heap order, dirty flags and invariant (see
+// survives, that every spare bucket is empty, and the pick index's heap order, dirty flags and invariant (see
 // pickIndex; a dropped index marks nothing dirty). Tests and the
 // property suite call this after mutation storms; MaybeCheckInvariants is
 // the debug-gated variant for hot loops.
@@ -476,6 +503,11 @@ func (t *AllocationTable) CheckInvariants() error {
 	}
 	if rev != count {
 		return fmt.Errorf("runtime: reverse index size %d != escapes %d", rev, count)
+	}
+	for _, bucket := range t.spare {
+		if len(bucket) != 0 { // so serves no page: a page's bucket is never empty
+			return fmt.Errorf("runtime: a spare bucket holds %d entries", len(bucket))
+		}
 	}
 	return nil
 }

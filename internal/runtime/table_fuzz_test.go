@@ -196,6 +196,12 @@ func FuzzAllocationTable(f *testing.F) {
 		// moves the last, whose reverse entry sits on another page, into its
 		// position; retargeting it from there moves 0x40ffd back across.
 		{{fzRemoveEscape, 0x00, 0x08}, {fzAddEscape, 0x2a, 0xb0, 2, 0}, {fzRemoveEscape, 0x0f, 0xfd}, {fzPick}},
+		// Page 0x41000's escapes move onto page 0x42000, which has a bucket:
+		// the emptied one is kept, and page 0x45000 takes it.
+		{{fzRebaseLocs, 0x10, 0x00, 0x10, 0x00, 0x20, 0x00}, {fzAddEscape, 0x50, 0x00, 2, 0}, {fzPick}},
+		// Allocation 0 is rebased past its neighbour at slot 2 and back: its
+		// tree node is unlinked and re-linked twice.
+		{{fzRebase, 0, 0, 0, 3}, {fzPick}, {fzRebase, 0, 0, 0, 0}, {fzPick}},
 	} {
 		f.Add(with(ops...))
 	}
@@ -315,7 +321,7 @@ func FuzzAllocationTable(f *testing.F) {
 				if tb.Covering(ma.base) != al || al.Base != ma.base {
 					t.Fatalf("step %d: allocation %#x not where the model has it", step, ma.base)
 				}
-				got, want := tb.EscapeLocsOf(al), m.locsOf(ma)
+				got, want := tb.EscapeLocsOf(al, nil), m.locsOf(ma)
 				slices.Sort(got)
 				if !slices.Equal(got, want) || al.EscapeCount() != len(want) {
 					t.Fatalf("step %d: allocation %#x escapes %#x (count %d), model %#x",
@@ -404,6 +410,9 @@ func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 		},
 		"dirty allocation off the list": func(tb *AllocationTable, a *Allocation) {
 			a.dirty = true
+		},
+		"spare bucket holds an entry": func(tb *AllocationTable, a *Allocation) {
+			tb.spare = append(tb.spare, map[uint64]escRef{0x50000: {a, 0}})
 		},
 	} {
 		tb, a := build()

@@ -497,8 +497,8 @@ func TestTenantsNeverSeeEachOthersBytes(t *testing.T) {
 		t.Fatalf("alice: status %d: %v", resp.StatusCode, doc["error"])
 	}
 	// Freed frames keep their contents; without them the test proves nothing.
-	img, err := s.kern.Mem.ReadAt(kernel.PageSize, s.kern.Mem.Size()-kernel.PageSize)
-	if err != nil {
+	img := make([]byte, s.kern.Mem.Size()-kernel.PageSize)
+	if err := s.kern.Mem.ReadAt(kernel.PageSize, img); err != nil {
 		t.Fatal(err)
 	}
 	if left := len(img) - bytes.Count(img, []byte{0}); left < scribbleBytes/2 {

@@ -262,8 +262,8 @@ func nonzeroBytes(t *testing.T, k *kernel.Kernel, regs []guard.Region) int {
 	t.Helper()
 	n := 0
 	for _, r := range regs {
-		img, err := k.Mem.ReadAt(r.Base, r.Len)
-		if err != nil {
+		img := make([]byte, r.Len)
+		if err := k.Mem.ReadAt(r.Base, img); err != nil {
 			t.Fatal(err)
 		}
 		n += len(img) - bytes.Count(img, []byte{0})

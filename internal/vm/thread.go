@@ -55,6 +55,9 @@ type thread struct {
 	// completion.
 	xc     *guard.XCache
 	escBuf *runtime.EscapeBuffer
+
+	// ptrRegs is Regs' buffer, reused from stop to stop.
+	ptrRegs []uint64
 }
 
 // frame is one activation record: the function's SSA "registers" plus the
@@ -87,6 +90,7 @@ type scheduler struct {
 	threads []*thread
 	nextID  int64
 	stopped bool // world currently stopped (nested stops are a protocol bug)
+	stopSet []runtime.RegSet
 
 	// done is closed when runMain returns: see thread.await.
 	done chan struct{}
@@ -344,26 +348,29 @@ func (s *scheduler) byID(id int64) *thread {
 // StopTheWorld implements runtime.World. Under the baton discipline every
 // thread except (at most) the one triggering the change request is parked, so the register state of all threads is already
 // published — the moral equivalent of the signal-handler register dump in
-// Figure 8. It returns one RegSet per live frame set.
+// Figure 8. It returns each live thread as a RegSet, in a slice the next
+// stop rewrites: no mutator runs between an operation's stops, so it
+// rewrites the same threads.
 func (s *scheduler) StopTheWorld() []runtime.RegSet {
 	if s.stopped {
 		panic("vm: nested world stop")
 	}
 	s.stopped = true
-	out := make([]runtime.RegSet, 0, len(s.threads))
+	out := s.stopSet[:0]
 	for _, t := range s.threads {
 		if t.state == tDone {
 			continue
 		}
-		out = append(out, &threadRegs{t: t})
+		out = append(out, t)
 	}
+	s.stopSet = out
 	return out
 }
 
 // ResumeTheWorld implements runtime.World; with the baton discipline
 // nothing needs releasing, and no mutator runs before a move's next
-// StopTheWorld, so earlier RegSet handles stay valid (threadRegs reads
-// through to the live frames).
+// StopTheWorld, so earlier RegSet handles stay valid (a thread's registers
+// read through to its live frames).
 func (s *scheduler) ResumeTheWorld() { s.stopped = false }
 
 // rebaseStacks relocates thread stack bookkeeping after a move of
@@ -403,24 +410,23 @@ func (s *scheduler) rebaseStacks(src, dst, length uint64) {
 	}
 }
 
-// threadRegs exposes a thread's pointer-typed SSA slots across all frames
-// as one flat register file for patching.
-type threadRegs struct{ t *thread }
-
-// Regs implements runtime.RegSet.
-func (r *threadRegs) Regs() []uint64 {
-	var out []uint64
-	for _, fr := range r.t.frames {
+// Regs implements runtime.RegSet: a stopped thread's pointer-typed SSA
+// slots across all frames, as one flat register file for patching, in a
+// buffer the thread's next Regs rewrites.
+func (t *thread) Regs() []uint64 {
+	out := t.ptrRegs[:0]
+	for _, fr := range t.frames {
 		for _, slot := range fr.fb.ptrSlots {
 			out = append(out, fr.regs[slot])
 		}
 	}
+	t.ptrRegs = out
 	return out
 }
 
 // SetReg implements runtime.RegSet.
-func (r *threadRegs) SetReg(i int, v uint64) {
-	for _, fr := range r.t.frames {
+func (t *thread) SetReg(i int, v uint64) {
+	for _, fr := range t.frames {
 		n := len(fr.fb.ptrSlots)
 		if i < n {
 			fr.regs[fr.fb.ptrSlots[i]] = v
