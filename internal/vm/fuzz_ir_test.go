@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"carat/internal/bench"
 	"carat/internal/ir"
 	"carat/internal/passes"
 	"carat/internal/vm"
@@ -30,8 +29,8 @@ import (
 // parameters nobody passes, a phi in the entry block — each a Verify or run
 // error now.
 //
-// The package is vm_test because the seeds come from bench and workload,
-// which import vm.
+// The package is vm_test because the seeds come from workload, which
+// imports vm.
 func FuzzIRExecute(f *testing.F) {
 	hostile, err := filepath.Glob("../ir/testdata/hostile/*.cir")
 	if err != nil || len(hostile) == 0 {
@@ -44,11 +43,7 @@ func FuzzIRExecute(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
-	execBench, err := bench.ExecBenchModule(2, passes.LevelNone)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(execBench.String())
+	f.Add(execKernel(f, 2, passes.LevelNone).String())
 	for _, w := range workload.All() {
 		f.Add(w.Build(workload.ScaleTest).String())
 	}

@@ -4,6 +4,7 @@ import (
 	hostrt "runtime"
 	"testing"
 
+	"carat/internal/fault"
 	"carat/internal/kernel"
 	"carat/internal/obs"
 	"carat/internal/passes"
@@ -24,8 +25,11 @@ const groupArenaPages = 512 // 2 MB arena per process
 
 // buildGroup assembles a group of n fuzz-generated processes, each with a
 // self-move policy (kernel-initiated worst-case moves at a per-process
-// period) so the ragged safepoint machinery is exercised, not idle.
-func buildGroup(t testing.TB, seeds []int64) *Group {
+// period) so the ragged safepoint machinery is exercised, not idle. With
+// aborts, process i's moves go through its own fault.New(1000+i) injector,
+// which aborts half of them and fails half of their patches; a rolled-back
+// move is one the program must not notice.
+func buildGroup(t testing.TB, seeds []int64, aborts bool) *Group {
 	t.Helper()
 	g := NewGroup(1 << 25)
 	for i, seed := range seeds {
@@ -34,24 +38,35 @@ func buildGroup(t testing.TB, seeds []int64) *Group {
 		if err := pl.Run(m); err != nil {
 			t.Fatalf("seed %d: passes: %v", seed, err)
 		}
-		v, err := g.Add("p"+string(rune('0'+i)), m, groupCfg(), groupArenaPages)
+		cfg := groupCfg()
+		if aborts {
+			cfg.Fault = fault.New(int64(1000+i), nil)
+			cfg.Fault.SetRate(fault.MoveAbort, 0.5)
+			cfg.Fault.SetRate(fault.PatchFail, 0.5)
+		}
+		v, err := g.Add("p"+string(rune('0'+i)), m, cfg, groupArenaPages)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Distinct periods per process: the move pattern is a function of
 		// the process's own instruction count only, never wall-clock.
-		v.SetMovePolicy(700+uint64(i)*130, v.InjectWorstCaseMove)
+		v.SetMovePolicy(700+uint64(i)*130, func() error {
+			if err := v.InjectWorstCaseMove(); !fault.Injected(err) {
+				return err
+			}
+			return nil
+		})
 	}
 	return g
 }
 
 // runGroupAt runs a fresh group at the given GOMAXPROCS and returns the
-// per-process results.
-func runGroupAt(t testing.TB, gomaxprocs int, seeds []int64) []GroupResult {
+// per-process results and the machine's move rollbacks.
+func runGroupAt(t testing.TB, gomaxprocs int, seeds []int64, aborts bool) ([]GroupResult, uint64) {
 	t.Helper()
 	prev := hostrt.GOMAXPROCS(gomaxprocs)
 	defer hostrt.GOMAXPROCS(prev)
-	g := buildGroup(t, seeds)
+	g := buildGroup(t, seeds, aborts)
 	res := g.Run()
 	for _, r := range res {
 		if r.Err != nil {
@@ -61,29 +76,41 @@ func runGroupAt(t testing.TB, gomaxprocs int, seeds []int64) []GroupResult {
 	if err := g.Close(); err != nil {
 		t.Fatalf("GOMAXPROCS=%d: %v", gomaxprocs, err)
 	}
-	return res
+	return res, g.Kernel().Obs.Counter("carat.runtime.move_rollbacks").Get()
 }
 
 // TestGroupDeterminismAcrossGOMAXPROCS is the tentpole's determinism
 // contract: per-process cycles, outputs, and arena digests are
 // byte-identical whether the processes time-share one core or run truly
-// concurrently on many — only the interleaving may change.
+// concurrently on many — only the interleaving may change. The aborts case
+// holds it under injected move aborts and patch failures, and fails if no
+// move rolled back.
 func TestGroupDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	seeds := []int64{7, 19, 40, 57}
-	base := runGroupAt(t, 1, seeds)
-	for _, gm := range []int{2, 8} {
-		got := runGroupAt(t, gm, seeds)
-		for i := range base {
-			if got[i].Digest != base[i].Digest {
-				t.Errorf("GOMAXPROCS=%d: process %s digest %#x, want %#x (cycles %d vs %d)",
-					gm, got[i].Name, got[i].Digest, base[i].Digest,
-					got[i].Cycles, base[i].Cycles)
+	for _, tc := range []struct {
+		name   string
+		aborts bool
+	}{{"plain", false}, {"aborts", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, rollbacks := runGroupAt(t, 1, seeds, tc.aborts)
+			if tc.aborts && rollbacks == 0 {
+				t.Error("no move rolled back")
 			}
-			if got[i].Ret != base[i].Ret {
-				t.Errorf("GOMAXPROCS=%d: process %s ret %d, want %d",
-					gm, got[i].Name, got[i].Ret, base[i].Ret)
+			for _, gm := range []int{2, 8} {
+				got, _ := runGroupAt(t, gm, seeds, tc.aborts)
+				for i := range base {
+					if got[i].Digest != base[i].Digest {
+						t.Errorf("GOMAXPROCS=%d: process %s digest %#x, want %#x (cycles %d vs %d)",
+							gm, got[i].Name, got[i].Digest, base[i].Digest,
+							got[i].Cycles, base[i].Cycles)
+					}
+					if got[i].Ret != base[i].Ret {
+						t.Errorf("GOMAXPROCS=%d: process %s ret %d, want %d",
+							gm, got[i].Name, got[i].Ret, base[i].Ret)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -172,7 +199,7 @@ func TestGroupRaggedIsolation(t *testing.T) {
 // shared suspension contract, plus StopOwners' ragged stop-set
 // construction on a live group.
 func TestSchedulerSuspendConformance(t *testing.T) {
-	g := buildGroup(t, []int64{7, 19})
+	g := buildGroup(t, []int64{7, 19}, false)
 	vmA, vmB := g.procs[0].vm, g.procs[1].vm
 	worldtest.SuspendConformance(t, "vm.scheduler", vmA)
 
@@ -211,8 +238,8 @@ func FuzzGroupMoves(f *testing.F) {
 	f.Add(int64(100), int64(210))
 	f.Fuzz(func(t *testing.T, seedA, seedB int64) {
 		seeds := []int64{seedA, seedB}
-		base := runGroupAt(t, 1, seeds)
-		got := runGroupAt(t, 2, seeds)
+		base, _ := runGroupAt(t, 1, seeds, false)
+		got, _ := runGroupAt(t, 2, seeds, false)
 		for i := range base {
 			if got[i].Digest != base[i].Digest {
 				t.Errorf("seeds (%d,%d): process %s digest %#x at GOMAXPROCS=2, want %#x",

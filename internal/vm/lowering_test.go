@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"carat/internal/bench"
 	"carat/internal/ir"
 	"carat/internal/passes"
 	"carat/internal/vm"
@@ -87,12 +86,8 @@ func TestLoweringGolden(t *testing.T) {
 	}
 	// The kernels are one @main each; the exec-bench program adds call
 	// sites, function relocs and multi-phi edges.
-	m, err := bench.ExecBenchModule(2, passes.LevelTracking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("execbench", m)
-	m = ir.MustParse(loweringShapes)
+	add("execbench", execKernel(t, 2, passes.LevelTracking))
+	m := ir.MustParse(loweringShapes)
 	if err := passes.Build(passes.LevelTracking).Run(m); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ type Config struct {
 	// per-thread guard/translation cache (xcache) in front of the guard
 	// evaluator in CARAT mode. Clear, it runs the reference interpreter
 	// (exec.go), straight over the IR with neither the lowering nor the
-	// cache: the oracle the tests, -write-golden and `make bench`'s reference
+	// cache: the oracle the tests, -write-golden and BenchmarkExec's reference
 	// leg compare the compiled engine against. Host-speed only: modeled
 	// results are byte-identical either way.
 	Closure bool

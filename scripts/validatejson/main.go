@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 
-	"carat/internal/bench"
 	"carat/internal/mmpolicy"
 	"carat/internal/runtime"
 )
@@ -42,8 +41,6 @@ import (
 // them unconditional.
 var supported = map[string]int{
 	"carat.bench.result":  2,
-	"carat.bench.exec":    4,
-	"carat.bench.scale":   1,
 	"carat.vm.run":        1,
 	"carat.metrics":       1,
 	"carat.trace":         1,
@@ -138,109 +135,6 @@ var structural = map[string]struct {
 	"carat.profile":     {1, validateProfile},
 	"carat.server.load": {1, validateServerLoad},
 	"carat.policy":      {2, validatePolicy},
-	"carat.bench.exec":  {4, validateBenchExec},
-	"carat.bench.scale": {1, validateBenchScale},
-}
-
-// validateBenchScale structurally checks a carat.bench.scale v1 document:
-// the leg matrix must cover GOMAXPROCS 1 and 8 in both the plain and
-// injected-abort families, every leg must carry one digest per process
-// with digests element-wise identical within its family (the determinism
-// contract, re-checked here so a hand-edited artifact cannot claim it),
-// abort legs must actually have rolled moves back, and the recorded
-// speedup must agree with the plain legs' throughputs.
-func validateBenchScale(data []byte) error {
-	var doc bench.ScaleBenchDoc
-	if err := decodeStrict("carat.bench.scale", data, &doc); err != nil {
-		return err
-	}
-	if doc.Procs <= 1 {
-		return fmt.Errorf("carat.bench.scale: procs must be >1")
-	}
-	if !doc.DeterminismOK {
-		return fmt.Errorf("carat.bench.scale: determinism_ok is false")
-	}
-	famDigests := map[bool][]uint64{}
-	covered := map[[2]interface{}]bool{}
-	var thr1, thr8 float64
-	for _, l := range doc.Legs {
-		if len(l.Digests) != doc.Procs {
-			return fmt.Errorf("carat.bench.scale: leg GOMAXPROCS=%d aborts=%v has %d digests, procs says %d",
-				l.GOMAXPROCS, l.Aborts, len(l.Digests), doc.Procs)
-		}
-		if ref, ok := famDigests[l.Aborts]; ok {
-			for j := range l.Digests {
-				if l.Digests[j] != ref[j] {
-					return fmt.Errorf("carat.bench.scale: digest mismatch within aborts=%v family at GOMAXPROCS=%d process %d",
-						l.Aborts, l.GOMAXPROCS, j)
-				}
-			}
-		} else {
-			famDigests[l.Aborts] = l.Digests
-		}
-		if l.Aborts && l.Rollbacks == 0 {
-			return fmt.Errorf("carat.bench.scale: abort leg GOMAXPROCS=%d rolled back no moves — injection not reaching the move path",
-				l.GOMAXPROCS)
-		}
-		covered[[2]interface{}{l.GOMAXPROCS, l.Aborts}] = true
-		if !l.Aborts && l.GOMAXPROCS == 1 {
-			thr1 = l.AggMInstrsPerSec
-		}
-		if !l.Aborts && l.GOMAXPROCS == 8 {
-			thr8 = l.AggMInstrsPerSec
-		}
-	}
-	for _, want := range [][2]interface{}{{1, false}, {8, false}, {1, true}, {8, true}} {
-		if !covered[want] {
-			return fmt.Errorf("carat.bench.scale: missing leg GOMAXPROCS=%v aborts=%v", want[0], want[1])
-		}
-	}
-	if thr1 <= 0 || thr8 <= 0 {
-		return fmt.Errorf("carat.bench.scale: non-positive plain-leg throughput")
-	}
-	if got := thr8 / thr1; got < doc.SpeedupAt8*0.999 || got > doc.SpeedupAt8*1.001 {
-		return fmt.Errorf("carat.bench.scale: speedup_8v1 %.3f disagrees with leg throughputs (%.3f)",
-			doc.SpeedupAt8, got)
-	}
-	return nil
-}
-
-// validateBenchExec structurally checks a carat.bench.exec v4 document:
-// the legs must be the reference interpreter, the compiled engine and the
-// compiled engine with telemetry; every leg must report the same modeled
-// instruction/cycle totals (the compiled engine is a host-speed optimization
-// over one model, so modeled results are engine-invariant by construction);
-// the reference leg must share neither the guard/translation cache nor the
-// compiled call sites, which the compiled legs must show live; and
-// speedup_closure must be present.
-func validateBenchExec(data []byte) error {
-	var doc bench.ExecBenchDoc
-	if err := decodeStrict("carat.bench.exec", data, &doc); err != nil {
-		return err
-	}
-	if len(doc.Engines) != 3 {
-		return fmt.Errorf("carat.bench.exec: %d legs, want reference, compiled, compiled+telemetry", len(doc.Engines))
-	}
-	for i, e := range doc.Engines {
-		if e.Instrs != doc.Engines[0].Instrs || e.Cycles != doc.Engines[0].Cycles {
-			return fmt.Errorf("carat.bench.exec: engine %q modeled (%d instrs, %d cycles) diverges from %q (%d, %d)",
-				e.Engine, e.Instrs, e.Cycles, doc.Engines[0].Engine, doc.Engines[0].Instrs, doc.Engines[0].Cycles)
-		}
-		cacheOps, callOps := e.XCacheHits+e.XCacheMisses, e.ICHits+e.ICMisses
-		if i == 0 && cacheOps+callOps != 0 {
-			return fmt.Errorf("carat.bench.exec: the reference leg %q reports xcache or call-site activity", e.Engine)
-		}
-		if i > 0 && (e.XCacheHits == 0 || callOps == 0) {
-			return fmt.Errorf("carat.bench.exec: compiled leg %q reports no xcache hits or no call-site activity", e.Engine)
-		}
-		if e.Telemetry != (i == 2) {
-			return fmt.Errorf("carat.bench.exec: leg %d (%q): telemetry = %v", i, e.Engine, e.Telemetry)
-		}
-	}
-	if doc.SpeedupClosure <= 0 {
-		return fmt.Errorf("carat.bench.exec: speedup_closure missing or non-positive")
-	}
-	return nil
 }
 
 // validatePolicy structurally checks a carat.policy v2 document: the
