@@ -21,15 +21,30 @@ package guard
 //     InvalidateRange for map changes that leave the region set alone —
 //     allocation-granularity moves, swap in/out) clears entries eagerly and
 //     feeds the carat.vm.xcache.invalidations counter.
+//
+// Neither costs a pass over the slots. InvalidateAll (and Reset, which
+// readies a recycled cache for its next owner) bumps the cache's
+// generation: every slot carries the one it was filled under and a probe
+// must match it as it must the epoch, so a flush is O(1) at any size.
+// InvalidateRange probes only the slots the range's pages hash to.
 
 // xcachePageShift matches kernel.PageSize (4 KiB); guard cannot import
 // kernel (kernel imports guard), so the constant is mirrored here.
 const xcachePageShift = 12
 
-// xcacheSlots is the number of direct-mapped entries. 64 entries cover a
-// 256 KiB working set of guarded pages, far beyond the loop footprints the
-// Fig-3 workloads touch between map changes.
-const xcacheSlots = 64
+// xcacheSlots is the number of direct-mapped entries (1 << xcacheBits).
+// 1024 entries cover a 4 MiB working set of guarded pages: at 64 slots
+// (256 KiB) mcf_s, xalancbmk_s and freqmine missed on a third to a half of
+// their checks; EXPERIMENTS.md has the census by size.
+const (
+	xcacheBits  = 10
+	xcacheSlots = 1 << xcacheBits
+)
+
+// xcachePerms are the permissions a VM check asks for, and the only ones
+// CheckCached fills: InvalidateRange finds a page's entries by probing the
+// slot of each.
+var xcachePerms = [...]Perm{PermRead, PermWrite, PermRW}
 
 // pathStep records one branch direction of a search walk: the predictor
 // slot it consulted (depth for binary search, node id for the if-tree) and
@@ -46,7 +61,8 @@ type pathStep struct {
 //
 // Page, permission, and validity pack into one key word so the hot probes
 // match an entry with a single compare: key is xslotKey(page, perm) when
-// valid and 0 when empty (xslotKey is never 0 — bit 0 is always set).
+// filled and 0 when dropped (xslotKey is never 0 — bit 0 is always set). A
+// filled slot is live only while gen equals its cache's generation.
 //
 // The first xslotInlSteps path steps pack into the slot itself (idx<<1 |
 // left), so the common shallow walk replays without chasing a separate
@@ -55,6 +71,7 @@ type pathStep struct {
 type xslot struct {
 	key    uint64 // page<<8 | perm<<1 | 1; 0 when invalid
 	epoch  uint64 // RegionSet.Epoch at fill
+	gen    uint64 // XCache.gen at fill
 	lo     uint64 // first valid byte
 	hi     uint64 // first invalid byte
 	base   uint64 // modeled cycles excluding mispredicts
@@ -110,7 +127,10 @@ func (c *XCache) replay(i int, e *Evaluator) uint64 {
 // fill populates slot i from a just-recorded walk.
 func (c *XCache) fill(i int, key, epoch, lo, hi, base uint64, steps []pathStep) {
 	s := &c.slots[i]
-	*s = xslot{key: key, epoch: epoch, lo: lo, hi: hi, base: base}
+	if !c.live(s) {
+		c.nlive++
+	}
+	*s = xslot{key: key, epoch: epoch, gen: c.gen, lo: lo, hi: hi, base: base}
 	fast := true
 	for _, st := range steps {
 		if st.idx >= 64 || s.pmask&(1<<st.idx) != 0 {
@@ -153,12 +173,18 @@ func xslotKey(page uint64, p Perm) uint64 {
 }
 
 // XCache is a per-thread direct-mapped guard/translation cache. It is not
-// safe for concurrent use; each VM thread owns one. more is its only
-// pointer, and comes first, so the collector scans one word of it.
+// safe for concurrent use; each VM thread owns one at a time (the VM
+// recycles them through Reset). more is its only pointer, and comes first,
+// so the collector scans one word of it.
 type XCache struct {
 	// more is, per slot, a deep walk's steps past the inline ones (made lazily).
 	more  [][]pathStep
 	slots [xcacheSlots]xslot
+
+	// gen is the generation a slot must carry to be live; nlive counts the
+	// live slots, so a flush knows how many it drops without visiting them.
+	gen   uint64
+	nlive uint64
 
 	// Hits, Misses and Invalidations count cache events. Invalidations
 	// counts entries actually dropped, not flush calls.
@@ -172,36 +198,65 @@ func NewXCache() *XCache { return &XCache{} }
 
 func xslotIndex(page uint64, p Perm) int {
 	h := (page ^ uint64(p)<<56) * 0x9E3779B97F4A7C15
-	return int(h >> 58) // top 6 bits: 64 slots
+	return int(h >> (64 - xcacheBits))
 }
+
+// live reports whether s holds an entry of the current generation (its
+// epoch may still be stale: that is the probe's business, not a flush's).
+func (c *XCache) live(s *xslot) bool { return s.key != 0 && s.gen == c.gen }
 
 // InvalidateAll drops every entry. Used when the region set itself changes
 // (search paths shift globally, so no entry can be trusted).
 func (c *XCache) InvalidateAll() {
-	for i := range c.slots {
-		if c.slots[i].key != 0 {
-			c.slots[i].key = 0
-			c.Invalidations++
-		}
+	if c.nlive == 0 {
+		return
 	}
+	c.Invalidations += c.nlive
+	c.nlive = 0
+	c.gen++
+}
+
+// Reset readies the cache for a new owner: no entry survives (whatever
+// region set or epoch it was filled under) and the counters read zero.
+func (c *XCache) Reset() {
+	c.gen++
+	c.nlive, c.Hits, c.Misses, c.Invalidations = 0, 0, 0, 0
 }
 
 // InvalidateRange drops entries whose page overlaps [base, base+length).
 // Used for map changes that do not touch the region set (allocation-
 // granularity moves, swap in/out), where only the affected pages go stale.
+// A range of up to a quarter of the cache's pages probes each page's slot
+// per permission; a wider one scans every slot.
 func (c *XCache) InvalidateRange(base, length uint64) {
-	if length == 0 {
+	if length == 0 || c.nlive == 0 {
 		return
 	}
 	first := base >> xcachePageShift
 	last := (base + length - 1) >> xcachePageShift
+	if last-first < xcacheSlots/4 {
+		for page := first; page <= last; page++ {
+			for _, p := range xcachePerms {
+				if s := &c.slots[xslotIndex(page, p)]; s.key == xslotKey(page, p) && s.gen == c.gen {
+					c.drop(s)
+				}
+			}
+		}
+		return
+	}
 	for i := range c.slots {
 		s := &c.slots[i]
-		if page := s.key >> 8; s.key != 0 && page >= first && page <= last {
-			s.key = 0
-			c.Invalidations++
+		if page := s.key >> 8; c.live(s) && page >= first && page <= last {
+			c.drop(s)
 		}
 	}
+}
+
+// drop invalidates live slot s.
+func (c *XCache) drop(s *xslot) {
+	s.key = 0
+	c.nlive--
+	c.Invalidations++
 }
 
 // ValidPages returns the page base addresses currently cached, for tests
@@ -209,8 +264,8 @@ func (c *XCache) InvalidateRange(base, length uint64) {
 func (c *XCache) ValidPages() []uint64 {
 	var pages []uint64
 	for i := range c.slots {
-		if c.slots[i].key != 0 {
-			pages = append(pages, (c.slots[i].key>>8)<<xcachePageShift)
+		if s := &c.slots[i]; c.live(s) {
+			pages = append(pages, (s.key>>8)<<xcachePageShift)
 		}
 	}
 	return pages
@@ -239,8 +294,8 @@ func (e *Evaluator) CheckTranslateCached(c *XCache, addr, size uint64, p Perm) (
 	page := addr >> xcachePageShift
 	i := xslotIndex(page, p)
 	s := &c.slots[i]
-	// One fused compare covers validity, page, perm, and epoch.
-	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)) == 0 &&
+	// One fused compare covers validity, page, perm, epoch and generation.
+	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)|(s.gen^c.gen)) == 0 &&
 		addr >= s.lo && addr+size <= s.hi && size <= s.hi-s.lo {
 		c.Hits++
 		e.Checks++
@@ -269,7 +324,7 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 	page := addr >> xcachePageShift
 	i := xslotIndex(page, p)
 	s := &c.slots[i]
-	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)) == 0 &&
+	if ((s.key^xslotKey(page, p))|(s.epoch^e.Set.Epoch)|(s.gen^c.gen)) == 0 &&
 		addr >= s.lo && addr+size <= s.hi && size <= s.hi-s.lo {
 		c.Hits++
 		e.Checks++
@@ -291,6 +346,9 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 	e.recOn = false
 	if !ok {
 		return false
+	}
+	if p != PermRead && p != PermWrite && p != PermRW {
+		return true // not in xcachePerms: InvalidateRange could not find it
 	}
 	if e.Set.ForwardActive() {
 		// Never cache inside a forwarding window: an entry stamped with the

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -213,12 +214,13 @@ func TestXCacheAccessOutsideCachedWindowMisses(t *testing.T) {
 	}
 }
 
-// TestXSlotHoldsNoPointer pins the cache's layout: a slot is 88 bytes of
-// scalars, and the cache's one pointer-bearing field is the deep-walk side
-// table, first, so a thread's cache is a mostly-unscanned allocation.
+// TestXSlotHoldsNoPointer pins the cache's layout: a slot is 96 bytes of
+// scalars (88 before the generation word), and the cache's one
+// pointer-bearing field is the deep-walk side table, first, so a thread's
+// cache is a mostly-unscanned allocation.
 func TestXSlotHoldsNoPointer(t *testing.T) {
-	if got := unsafe.Sizeof(xslot{}); got != 88 {
-		t.Errorf("xslot is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(xslot{}); got != 96 {
+		t.Errorf("xslot is %d bytes, want 96", got)
 	}
 	st := reflect.TypeOf(xslot{})
 	for i := 0; i < st.NumField(); i++ {
@@ -261,5 +263,119 @@ func TestXCacheDeepWalkParity(t *testing.T) {
 		if c.more == nil || c.Hits == 0 {
 			t.Errorf("mech %v: %d hits, side table %v: the fixture never replayed a spilled walk", mech, c.Hits, c.more != nil)
 		}
+	}
+}
+
+// TestRecycledXCacheNeverHitsAPreviousOwner: a cache Reset for a new owner
+// must not trust an entry its previous owner filled, even when the new
+// owner's region set happens to stand at the same epoch number — the epoch
+// stamp alone cannot tell two region sets apart; the generation can.
+func TestRecycledXCacheNeverHitsAPreviousOwner(t *testing.T) {
+	const page = 0x10000 >> xcachePageShift
+	a := mkSet(t, Region{Base: 0x10000, Len: 0x1000, Perm: PermRW})
+	b := mkSet(t, Region{Base: 0x80000, Len: 0x1000, Perm: PermRW}) // page not granted
+	if a.Epoch != b.Epoch {
+		t.Fatalf("fixture: epochs %d and %d differ", a.Epoch, b.Epoch)
+	}
+	c := NewXCache()
+	ea := NewEvaluator(MechRange, a)
+	xcFill(t, ea, c, page)
+	if !ea.CheckCached(c, 0x10008, 8, PermRead) || c.Hits != 1 {
+		t.Fatalf("previous owner's entry never hit (hits=%d)", c.Hits)
+	}
+	c.Reset()
+	if c.Hits+c.Misses+c.Invalidations != 0 || len(c.ValidPages()) != 0 {
+		t.Fatalf("Reset left counters %d/%d/%d and pages %v", c.Hits, c.Misses, c.Invalidations, c.ValidPages())
+	}
+	eb := NewEvaluator(MechRange, b)
+	if _, hit := eb.CheckTranslateCached(c, 0x10008, 8, PermRead); hit {
+		t.Fatal("the fused probe hit the previous owner's entry")
+	}
+	if eb.CheckCached(c, 0x10008, 8, PermRead) {
+		t.Fatal("a page the new owner was never granted passed its check")
+	}
+	if c.Hits != 0 || c.Misses != 1 || eb.Faults != 1 {
+		t.Errorf("hits=%d misses=%d faults=%d, want 0/1/1", c.Hits, c.Misses, eb.Faults)
+	}
+}
+
+// TestXCacheInvalidateRangeMatchesScan: page-probe invalidation (ranges up
+// to a quarter of the cache) and the whole-cache scan (wider ones) drop
+// exactly the live entries a scan of every slot would, for every
+// permission a check asks for, and count exactly those.
+func TestXCacheInvalidateRangeMatchesScan(t *testing.T) {
+	s := mkSet(t, Region{Base: 0, Len: 1 << 30, Perm: PermRW})
+	e := NewEvaluator(MechRange, s)
+	for _, n := range []uint64{1, 3, xcacheSlots / 4, xcacheSlots/4 + 1, 4 * xcacheSlots} {
+		c := NewXCache()
+		for pg := uint64(0); pg < 2*xcacheSlots; pg += 1 + pg%3 {
+			for _, p := range xcachePerms {
+				if !e.CheckCached(c, pg<<xcachePageShift, 8, p) {
+					t.Fatalf("fill of page %#x failed", pg)
+				}
+			}
+		}
+		first := uint64(xcacheSlots) // the lowest live page past a quarter
+		for i := range c.slots {
+			if pg := c.slots[i].key >> 8; c.live(&c.slots[i]) && pg >= xcacheSlots/4 {
+				first = min(first, pg)
+			}
+		}
+		var want []uint64
+		dropped := uint64(0)
+		for i := range c.slots {
+			sl := &c.slots[i]
+			if pg := sl.key >> 8; !c.live(sl) {
+				continue
+			} else if pg >= first && pg < first+n {
+				dropped++
+			} else {
+				want = append(want, pg<<xcachePageShift)
+			}
+		}
+		c.InvalidateRange(first<<xcachePageShift+17, n<<xcachePageShift-17)
+		if got := c.ValidPages(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d pages: %d entries survive, want %d", n, len(got), len(want))
+		}
+		if c.Invalidations != dropped || dropped == 0 {
+			t.Errorf("%d pages: Invalidations = %d, want %d (> 0)", n, c.Invalidations, dropped)
+		}
+		c.InvalidateAll()
+		if c.Invalidations != dropped+uint64(len(want)) || len(c.ValidPages()) != 0 {
+			t.Errorf("%d pages: a flush after the range counted %d, want %d", n, c.Invalidations-dropped, len(want))
+		}
+	}
+}
+
+// BenchmarkXCacheInvalidate times a flush (InvalidateAll) and a one-page
+// InvalidateRange on a cache holding 64 and 1024 live entries. Both should
+// be flat in the entry count: a flush bumps the generation, a one-page
+// range probes one slot per permission. Run it under a build with a smaller
+// xcacheBits, or at the parent commit, for the scanning implementation:
+//
+//	go test -run '^$' -bench XCacheInvalidate ./internal/guard/
+func BenchmarkXCacheInvalidate(b *testing.B) {
+	s := mkSet(b, Region{Base: 0, Len: 1 << 30, Perm: PermRW})
+	e := NewEvaluator(MechRange, s)
+	for _, entries := range []int{64, 1024} {
+		full := NewXCache() // entries distinct pages, or every slot if fewer
+		for pg := uint64(0); len(full.ValidPages()) < min(entries, xcacheSlots); pg++ {
+			if !e.CheckCached(full, pg<<xcachePageShift, 8, PermRead) {
+				b.Fatal("fill failed")
+			}
+		}
+		b.Run("all/entries-"+strconv.Itoa(entries), func(b *testing.B) {
+			c := *full
+			for i := 0; i < b.N; i++ {
+				c.InvalidateAll()
+				c.gen, c.nlive = full.gen, full.nlive // refill: every slot is live again
+			}
+		})
+		b.Run("range/entries-"+strconv.Itoa(entries), func(b *testing.B) {
+			c := *full
+			for i := 0; i < b.N; i++ {
+				c.InvalidateRange(0, 1<<xcachePageShift)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Block is a basic block: a straight-line instruction sequence ending in a
 // terminator. Blocks also serve as branch targets.
@@ -156,7 +159,7 @@ func (f *Func) NumIDs() int { return int(f.lastID) + 1 }
 // which other functions were compiled (or in what order) before this one.
 func (f *Func) FreshName(prefix string) string {
 	f.freshCnt++
-	return fmt.Sprintf("%s.%d", prefix, f.freshCnt)
+	return prefix + "." + strconv.Itoa(f.freshCnt)
 }
 
 // Type implements Value: a function used as an operand is its code address.
@@ -185,7 +188,7 @@ func (f *Func) NewBlock(hint string) *Block {
 	for _, b := range f.Blocks {
 		if b.Name == name {
 			f.nameCnt++
-			name = fmt.Sprintf("%s%d", hint, f.nameCnt)
+			name = hint + strconv.Itoa(f.nameCnt)
 		}
 	}
 	b := &Block{Name: name, Fn: f, Idx: len(f.Blocks)}
@@ -199,7 +202,7 @@ func (f *Func) uniqueName(hint string) string {
 		hint = "v"
 	}
 	f.nameCnt++
-	return fmt.Sprintf("%s%d", hint, f.nameCnt)
+	return hint + strconv.Itoa(f.nameCnt)
 }
 
 // ForEachInstr calls fn for every instruction in the function in block

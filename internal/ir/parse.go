@@ -498,7 +498,10 @@ func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 		if err != nil {
 			failf("%v", err)
 		}
-		if !t.IsPtr() && !t.IsInt() {
+		if t.IsInt() {
+			return ConstInt(t, n)
+		}
+		if !t.IsPtr() {
 			failf("integer literal %s for a value of type %s", tok.text, t)
 		}
 		return &Const{Typ: t, Int: n}

@@ -19,12 +19,37 @@ type Const struct {
 	Float float64 // value when Typ is f64
 }
 
-// ConstInt returns an integer constant of type t.
+// ConstInt returns an integer constant of type t. For a small value of an
+// interned integer type (I1 … I64) it is a shared instance: nothing mutates
+// a *Const once built, so a constant is a value and sharing one is safe.
 func ConstInt(t *Type, v int64) *Const {
 	if !t.IsInt() {
 		panic("ir: ConstInt with non-integer type")
 	}
+	if v >= smallIntMin && v <= smallIntMax {
+		for i, it := range smallIntTypes {
+			if t == it {
+				return &smallInts[i][v-smallIntMin]
+			}
+		}
+	}
 	return &Const{Typ: t, Int: v}
+}
+
+// smallInts[i][v-smallIntMin] is the shared ConstInt(smallIntTypes[i], v).
+const smallIntMin, smallIntMax = -16, 255
+
+var (
+	smallIntTypes = [...]*Type{I1, I8, I16, I32, I64}
+	smallInts     [len(smallIntTypes)][smallIntMax - smallIntMin + 1]Const
+)
+
+func init() {
+	for i, t := range smallIntTypes {
+		for j := range smallInts[i] {
+			smallInts[i][j] = Const{Typ: t, Int: int64(j) + smallIntMin}
+		}
+	}
 }
 
 // ConstFloat returns an f64 constant.

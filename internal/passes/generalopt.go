@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"hash/maphash"
 	"strconv"
 
 	"carat/internal/analysis"
@@ -20,27 +21,52 @@ func (*ConstFold) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements Pass.
+// RunOnFunc implements Pass. A sweep is one Block.Edit per block: a folded
+// instruction is dropped and its constant recorded by Instr.ID, and every
+// instruction resolves its operands through that table as the sweep reaches
+// it — so a fold feeds the folds after it, as rewriting every use at once
+// would. A use the sweep passed before its operand folded (a back-edge phi)
+// resolves in the next sweep, which a fold always triggers; the last sweep
+// folds nothing and so leaves no use of a dropped instruction.
 func (*ConstFold) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
+	var repl []ir.Value // by Instr.ID, made at the first fold, kept across sweeps
+	folded := 0
+	fold := func(in *ir.Instr) (_, _ *ir.Instr, keep bool) {
+		resolve(repl, in)
+		c := foldInstr(in)
+		if c == nil {
+			return nil, nil, true
+		}
+		if repl == nil {
+			repl = make([]ir.Value, f.NumIDs())
+		}
+		repl[in.ID] = c
+		folded++
+		return nil, nil, false
+	}
 	for {
-		folded := 0
+		folded = 0
 		for _, b := range f.Blocks {
-			for i := 0; i < len(b.Instrs); i++ {
-				in := b.Instrs[i]
-				if c := foldInstr(in); c != nil {
-					replaceUses(f, in, c)
-					b.Remove(in)
-					i--
-					folded++
-				}
-			}
+			b.Edit(fold)
 		}
 		stats.Folded += folded
 		if folded == 0 {
-			break
+			return nil
 		}
 	}
-	return nil
+}
+
+// resolve rewrites each operand of in that repl (by Instr.ID) replaces.
+// Replacements are never themselves replaced, so one lookup suffices.
+func resolve(repl []ir.Value, in *ir.Instr) {
+	if repl == nil {
+		return
+	}
+	for i, a := range in.Args {
+		if ai, ok := a.(*ir.Instr); ok && repl[ai.ID] != nil {
+			in.Args[i] = repl[ai.ID]
+		}
+	}
 }
 
 // foldInstr returns the constant an instruction folds to, or nil.
@@ -286,35 +312,85 @@ func (*CSE) Preserves() analysis.Preserved {
 	return analysis.Preserve(analysis.IDCFG, analysis.IDDom, analysis.IDLoops)
 }
 
-// RunOnFunc implements Pass.
+// RunOnFunc implements Pass. An eliminated instruction is recorded by
+// Instr.ID and operands resolve through that table as the walk reaches
+// them (in RPO, so before their key is taken); a block with eliminations
+// then drops them in one Block.Edit, and one last walk resolves the uses
+// the RPO walk reached first or never (back-edge phis, unreachable blocks).
 func (*CSE) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	cfg := fa.CFG()
 	dom := fa.Dom()
-	table := make(map[string][]*ir.Instr, f.NumInstrs()/4)
-	var key []byte // one buffer, reused for every key
+	t := cseTable{heads: make(map[uint64]cseChain, f.NumInstrs()/4), seed: maphash.MakeSeed()}
+	var repl []ir.Value // by Instr.ID, made at the first elimination
+	drop := func(in *ir.Instr) (_, _ *ir.Instr, keep bool) { return nil, nil, repl[in.ID] == nil }
 	for _, b := range cfg.RPO {
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+		hits := 0
+		for _, in := range b.Instrs {
+			resolve(repl, in)
 			if !pureValueOp(in) {
 				continue
 			}
-			key = exprKey(key[:0], in)
-			replaced := false
-			for _, prev := range table[string(key)] {
-				if dom.InstrDominates(prev, in) {
-					replaceUses(f, in, prev)
-					b.Remove(in)
-					i--
-					stats.CSEd++
-					replaced = true
-					break
+			if prev := t.lookup(in, dom); prev != nil {
+				if repl == nil {
+					repl = make([]ir.Value, f.NumIDs())
 				}
-			}
-			if !replaced {
-				table[string(key)] = append(table[string(key)], in)
+				repl[in.ID] = prev
+				hits++
 			}
 		}
+		if hits > 0 {
+			b.Edit(drop)
+			stats.CSEd += hits
+		}
 	}
+	if repl != nil {
+		f.ForEachInstr(func(in *ir.Instr) { resolve(repl, in) })
+	}
+	return nil
+}
+
+// cseTable holds, per expression key, the instructions that computed it in
+// insertion order: a hash of the key bytes heads a chain through entries,
+// and every entry's key lives in one shared byte arena.
+type cseTable struct {
+	heads   map[uint64]cseChain
+	entries []cseEntry
+	keys    []byte
+	seed    maphash.Seed
+}
+
+type cseChain struct{ first, last int32 }
+
+type cseEntry struct {
+	in       *ir.Instr
+	off, end int32 // the key is keys[off:end]
+	next     int32 // the chain's next entry, -1 at its end
+}
+
+// lookup returns the first instruction recorded under in's key that
+// dominates in; when there is none it records in and returns nil.
+func (t *cseTable) lookup(in *ir.Instr, dom *analysis.DomTree) *ir.Instr {
+	off := len(t.keys)
+	t.keys = exprKey(t.keys, in)
+	key := t.keys[off:]
+	h := maphash.Bytes(t.seed, key)
+	ch, ok := t.heads[h]
+	for j := ch.first; ok && j >= 0; j = t.entries[j].next {
+		e := &t.entries[j]
+		if string(t.keys[e.off:e.end]) == string(key) && dom.InstrDominates(e.in, in) {
+			t.keys = t.keys[:off]
+			return e.in
+		}
+	}
+	n := int32(len(t.entries))
+	t.entries = append(t.entries, cseEntry{in: in, off: int32(off), end: int32(len(t.keys)), next: -1})
+	if ok {
+		t.entries[ch.last].next = n
+		ch.last = n
+	} else {
+		ch = cseChain{n, n}
+	}
+	t.heads[h] = ch
 	return nil
 }
 

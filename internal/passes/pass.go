@@ -362,14 +362,3 @@ func Build(level Level) *PassManager {
 	}
 	return p
 }
-
-// replaceUses rewrites every use of old as new throughout the function.
-func replaceUses(f *ir.Func, old, new ir.Value) {
-	f.ForEachInstr(func(in *ir.Instr) {
-		for i, a := range in.Args {
-			if a == old {
-				in.Args[i] = new
-			}
-		}
-	})
-}

@@ -465,6 +465,57 @@ entry:
 	}
 }
 
+// TestFoldAndCSEReachBackEdgePhis: a fold or an elimination in a loop's
+// latch is read by the header's phis, which both passes visit before the
+// instruction they replace; when the pass returns, the phis read the
+// replacement and no operand anywhere names a dropped instruction.
+func TestFoldAndCSEReachBackEdgePhis(t *testing.T) {
+	m := ir.MustParse(`module "m"
+func @f(%x: i64, %n: i64) -> i64 {
+entry:
+  %e1 = mul i64 %x, 3
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %k = phi i64 [0, ^entry], [%c2, ^loop]
+  %d = phi i64 [0, ^entry], [%e2, ^loop]
+  %c1 = add i64 4, 5
+  %c2 = mul i64 %c1, 2
+  %e2 = mul i64 %x, 3
+  %i1 = add i64 %i, 1
+  %cc = icmp slt i64 %i1, %n
+  condbr %cc, ^loop, ^done
+done:
+  %r = add i64 %k, %d
+  ret i64 %r
+}`)
+	pl := &PassManager{Passes: []Pass{&ConstFold{}, &CSE{}}}
+	if err := pl.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	f := m.Func("f")
+	phis := map[string]*ir.Instr{}
+	f.ForEachInstr(func(in *ir.Instr) {
+		if in.Op == ir.OpPhi {
+			phis[in.Name] = in
+		}
+		for _, a := range in.Args {
+			if ai, ok := a.(*ir.Instr); ok && ai.Block == nil {
+				t.Errorf("%%%s still reads the dropped %%%s", in.Name, ai.Name)
+			}
+		}
+	})
+	if c, ok := phis["k"].Args[1].(*ir.Const); !ok || c.Int != 18 {
+		t.Errorf("back edge of %%k reads %s, want the folded 18", phis["k"].Args[1].Ref())
+	}
+	if e, ok := phis["d"].Args[1].(*ir.Instr); !ok || e.Name != "e1" {
+		t.Errorf("back edge of %%d reads %s, want %%e1", phis["d"].Args[1].Ref())
+	}
+	if pl.Stats.Folded != 2 || pl.Stats.CSEd != 1 {
+		t.Errorf("folded %d, CSEd %d; want 2 and 1", pl.Stats.Folded, pl.Stats.CSEd)
+	}
+}
+
 // TestCSEKeyClasses pins which computations CSE's key calls equal: types
 // structurally (two parses of one aggregate type), float constants by
 // printed value (so 0.0 and -0.0 stay apart), instruction operands by

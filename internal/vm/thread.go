@@ -20,6 +20,12 @@ import (
 // arrives, all other threads are by construction parked with their
 // register state published.
 
+// xcaches recycles guard/translation caches across VMs. A cache is about
+// 100 KB; a guest load that allocated (and zeroed) a fresh one would pay
+// that on every short run caratd serves. VM.Release returns a run's caches,
+// Reset first, so no entry of a previous owner is ever trusted.
+var xcaches = sync.Pool{New: func() any { return guard.NewXCache() }}
+
 type threadState int
 
 const (
@@ -204,7 +210,7 @@ func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
 		escBuf:    s.v.rt.NewEscapeBuffer(),
 	}
 	if s.v.compiled && s.v.cfg.Mode == ModeCARAT {
-		t.xc = guard.NewXCache()
+		t.xc = xcaches.Get().(*guard.XCache)
 	}
 	s.threads = append(s.threads, t)
 	go t.run()

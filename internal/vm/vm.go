@@ -496,10 +496,18 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 // Release frees every page region the process still holds, returning the
 // memory (and any quota reservations) to the machine, and returns the
 // process's arena (if any) too. It first publishes whatever the runtime
-// counted since Run did. Required after each run on a shared kernel; a
-// no-op on the second call.
+// counted since Run did, and hands the threads' guard/translation caches
+// back for the next guest (XCacheStats reads zero from here on). Required
+// after each run on a shared kernel; a no-op on the second call.
 func (v *VM) Release() error {
 	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
+	for _, t := range v.sched.threads {
+		if t.xc != nil {
+			t.xc.Reset()
+			xcaches.Put(t.xc)
+			t.xc = nil
+		}
+	}
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
 	}

@@ -1,0 +1,158 @@
+package vm
+
+import (
+	"flag"
+	goruntime "runtime"
+	"testing"
+	"unsafe"
+
+	"carat/internal/guard"
+	"carat/internal/ir"
+	"carat/internal/kernel"
+	"carat/internal/passes"
+	"carat/internal/workload"
+)
+
+// xcacheGuest touches 64 heap words through loads and stores that
+// xcacheModule guards one by one: a small guest whose run fills and hits
+// its thread's xcache.
+const xcacheGuest = `module "xcguest"
+func @malloc(%n: i64) -> ptr
+func @main() -> i64 {
+entry:
+  %p = call ptr @malloc(i64 512)
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %s = phi i64 [0, ^entry], [%s1, ^loop]
+  %q = gep i64, %p, %i
+  store i64 %i, %q
+  %v = load i64, %q
+  %s1 = add i64 %s, %v
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 64
+  condbr %c, ^loop, ^done
+done:
+  ret i64 %s1
+}`
+
+// xcacheModule is xcacheGuest with a guard in front of every access (no
+// hoisting or merging, which would leave the loop one range guard).
+func xcacheModule(t *testing.T) *ir.Module {
+	m := ir.MustParse(xcacheGuest)
+	if err := passes.Build(passes.LevelGuardsOnly).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestLoadAllocatesNoXCache: a guest's thread takes its xcache from the
+// pool VM.Release fills, so once warm a load/run/release cycle allocates
+// less than one cache's bytes — a cache allocated per load would be the
+// whole bound on its own.
+func TestLoadAllocatesNoXCache(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	p, err := NewProgram(xcacheModule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Kernel = kernel.New(1 << 24)
+	cfg.HeapBytes, cfg.StackBytes = 1<<16, 1<<16
+	cycle := func() {
+		v, err := LoadProgram(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ret, err := v.Run(); err != nil || ret != 63*64/2 {
+			t.Fatalf("guest returned %d, %v", ret, err)
+		}
+		if hits, _, _ := v.XCacheStats(); hits == 0 {
+			t.Fatal("the guest never hit its xcache")
+		}
+		if err := v.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	const cycles = 100
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	goruntime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	t.Logf("%d B per load/run/release cycle (one xcache is %d B)", perCycle, unsafe.Sizeof(guard.XCache{}))
+	if perCycle >= uint64(unsafe.Sizeof(guard.XCache{})) {
+		t.Errorf("%d B per cycle, at least one xcache's %d B: a load allocated its cache", perCycle, unsafe.Sizeof(guard.XCache{}))
+	}
+}
+
+// TestReleaseRecyclesXCaches: Release hands a run's caches back (the VM
+// keeps no reference to one another guest may now own), and a second
+// Release is still a no-op.
+func TestReleaseRecyclesXCaches(t *testing.T) {
+	v, err := Load(xcacheModule(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, _ := v.XCacheStats(); hits == 0 || misses == 0 {
+		t.Fatalf("xcache %d hits / %d misses before Release", hits, misses)
+	}
+	for i := 0; i < 2; i++ {
+		if err := v.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, invs := v.XCacheStats(); hits+misses+invs != 0 {
+			t.Errorf("Release %d: the VM still reads a cache (%d/%d/%d)", i+1, hits, misses, invs)
+		}
+	}
+}
+
+var censusScale = flag.String("xcache.census", "test", "BenchmarkXCacheCensus kernel scale: test or small")
+
+// BenchmarkXCacheCensus runs each suite kernel at LevelTracking on the
+// compiled engine and reports its xcache misses per run and miss share:
+// the census behind the cache's slot count (EXPERIMENTS.md). It runs at
+// ScaleTest unless asked for the kernels the benchmark's move-storm runs:
+//
+//	go test -run '^$' -bench XCacheCensus -benchtime 1x ./internal/vm/ -args -xcache.census=small
+func BenchmarkXCacheCensus(b *testing.B) {
+	scale := workload.ScaleTest
+	if *censusScale == "small" {
+		scale = workload.ScaleSmall
+	}
+	for _, w := range workload.All() {
+		m := w.Build(scale)
+		if err := passes.Build(passes.LevelTracking).Run(m); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.Name, func(b *testing.B) {
+			var hits, misses uint64
+			for i := 0; i < b.N; i++ {
+				v, err := Load(m, DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := v.Run(); err != nil {
+					b.Fatal(err)
+				}
+				h, mi, _ := v.XCacheStats()
+				hits, misses = hits+h, misses+mi
+				if err := v.Release(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(misses)/float64(b.N), "misses/run")
+			b.ReportMetric(100*float64(misses)/float64(max(hits+misses, 1)), "miss-%")
+		})
+	}
+}
