@@ -306,15 +306,13 @@ const (
 	FnTrackCallGrd = "carat.callgrd" // internal use by cost accounting
 	FnPrintI64     = "print_i64"
 	FnPrintF64     = "print_f64"
-	FnThreadSpawn  = "thread_spawn" // (ptr fn, ptr arg)
-	FnThreadJoin   = "thread_join"  // (i64 tid)
 )
 
 // IsRuntimeFn reports whether name names a VM-provided builtin.
 func IsRuntimeFn(name string) bool {
 	switch name {
 	case FnMalloc, FnCalloc, FnFree, FnTrackAlloc, FnTrackFree, FnTrackEscape,
-		FnTrackCallGrd, FnPrintI64, FnPrintF64, FnThreadSpawn, FnThreadJoin:
+		FnTrackCallGrd, FnPrintI64, FnPrintF64:
 		return true
 	}
 	return false

@@ -55,8 +55,6 @@ var runtimeSigs = map[string]*Type{
 	FnTrackEscape: FuncOf(Void, Ptr, Ptr),
 	FnPrintI64:    FuncOf(Void, I64),
 	FnPrintF64:    FuncOf(Void, F64),
-	FnThreadSpawn: FuncOf(I64, Ptr, Ptr),
-	FnThreadJoin:  FuncOf(Void, I64),
 }
 
 // hasSig reports whether f's return and parameter types are sig's.

@@ -74,7 +74,7 @@ func NewSampler(interval uint64) *Sampler {
 
 // Track is one sampled cycle stream — a VM's model clock, or a daemon's.
 // All Sample/FoldPhase calls on a track must come from a single goroutine
-// at a time (the VM's baton discipline guarantees this); snapshotting from
+// at a time (a VM samples from its guest's goroutine); snapshotting from
 // other goroutines is safe at any moment.
 type Track struct {
 	s *Sampler

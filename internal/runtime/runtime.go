@@ -262,7 +262,7 @@ func (r *Runtime) AddMoveListener(fn func(src, dst, length uint64)) {
 // AddInvalidationListener registers fn to run after an operation changed
 // the address map without going through the move protocol — swap-out and
 // swap-in — with the affected byte range. The VM uses this to invalidate
-// its per-thread guard/translation caches; mmpolicy-driven swaps reach the
+// its guard/translation cache; mmpolicy-driven swaps reach the
 // VM the same way. Listeners run outside all runtime locks.
 func (r *Runtime) AddInvalidationListener(fn func(base, length uint64)) {
 	r.stateMu.Lock()

@@ -370,7 +370,7 @@ func BenchmarkAccessStep(b *testing.B) {
 							b.Fatal(err)
 						}
 						if kind == "guarded-miss" {
-							v.SetMovePolicy(1, func() error { v.flushXCaches(); return nil })
+							v.SetMovePolicy(1, func() error { v.flushXCache(); return nil })
 						}
 						b.StartTimer()
 						if _, err := v.Run(); err != nil {

@@ -342,7 +342,7 @@ func (v *VM) repatchPools() {
 			v.closureRepatches++
 		}
 	}
-	for _, t := range v.sched.threads {
+	if t := v.sched.main; t != nil {
 		for _, fr := range t.frames {
 			if fb := fr.fb; fb.cf != nil {
 				copy(fr.regs[fb.nSlots:], fb.pool)

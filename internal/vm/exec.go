@@ -385,10 +385,11 @@ func (v *VM) translate(addr, size uint64, perm guard.Perm) (uint64, error) {
 		// a forwarding window is open, an access racing the half-patched
 		// state is redirected to wherever the data currently lives (already-
 		// patched pointers name the destination before the copy; stale ones
-		// name the source after it). Under the baton discipline mutators
-		// never actually run mid-move, so this never fires live here — it
-		// exists so the access path is correct under a preemptive world, and
-		// its unit tests drive it directly. Identity when no window is open.
+		// name the source after it). The guest never runs mid-move (a move
+		// runs at its safepoint or while it is parked), so this never fires
+		// live here — it exists so the access path is correct under a
+		// preemptive world, and its unit tests drive it directly. Identity
+		// when no window is open.
 		if rs := v.proc.Regions; rs.ForwardActive() {
 			addr = rs.Forward(addr)
 		}
@@ -484,8 +485,8 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		}
 		return 0, nil
 	case ir.FnTrackEscape:
-		// Per-thread escape batch: enqueue locally, flush at yields and
-		// thread completion (plus the size-triggered self-flush).
+		// The thread's escape batch: enqueue locally, flush at parks and
+		// at the end of the run (plus the size-triggered self-flush).
 		t.escBuf.Track(args[0], args[1])
 		return 0, nil
 	case ir.FnPrintI64:
@@ -493,12 +494,6 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		return 0, nil
 	case ir.FnPrintF64:
 		v.Output = append(v.Output, int64(math.Float64frombits(args[0])*1e6))
-		return 0, nil
-	case ir.FnThreadSpawn:
-		id, err := v.sched.spawn(args[0], args[1])
-		return uint64(id), err
-	case ir.FnThreadJoin:
-		v.sched.join(t, int64(args[0]))
 		return 0, nil
 	}
 	return 0, fmt.Errorf("vm: call to undefined external @%s", f.Name)

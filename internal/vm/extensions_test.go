@@ -162,24 +162,16 @@ func TestCapsuleGuardsCheaper(t *testing.T) {
 	}
 }
 
+// TestCapsuleThreadStacksFromHeap: in capsule mode @main's stack is carved
+// from the heap (§3: "additional stacks are allocated from the process
+// heap"), so the process stays one region while the stack is in use.
 func TestCapsuleThreadStacksFromHeap(t *testing.T) {
-	src := `module "capthreads"
-global @acc : [2 x i64]
-func @worker(%arg: ptr) -> i64 {
-entry:
-  %idx = ptrtoint ptr %arg to i64
-  %p = gep i64, @acc, %idx
-  store i64 7, %p
-  ret i64 0
-}
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
+	src := `module "capstack"
 func @main() -> i64 {
 entry:
-  %a1 = inttoptr i64 1 to ptr
-  %t = call i64 @thread_spawn(ptr @worker, ptr %a1)
-  call void @thread_join(i64 %t)
-  %p = gep i64, @acc, 1
+  %s = alloca i64, 4
+  %p = gep i64, %s, 3
+  store i64 7, %p
   %v = load i64, %p
   ret i64 %v
 }`
@@ -198,10 +190,14 @@ entry:
 		t.Fatal(err)
 	}
 	if ret != 7 {
-		t.Errorf("threaded capsule result = %d, want 7", ret)
+		t.Errorf("capsule result = %d, want 7", ret)
+	}
+	if st := v.sched.main; st.stackBase < v.heap.base || st.stackTop > v.heap.end || st.minSP >= st.stackTop {
+		t.Errorf("stack [%#x, %#x) (low water %#x) is not a used block of the heap [%#x, %#x)",
+			st.stackBase, st.stackTop, st.minSP, v.heap.base, v.heap.end)
 	}
 	if v.Process().Regions.Len() != 1 {
-		t.Error("spawning a thread broke the single-region capsule")
+		t.Error("the stack broke the single-region capsule")
 	}
 }
 

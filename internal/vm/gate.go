@@ -63,9 +63,8 @@ func (t *thread) act() error {
 		return &StopError{Reason: StopCycleBudget}
 	}
 	if v.track != nil && v.Cycles >= v.track.Next() {
-		// Attribute every elapsed interval to this thread's guest stack (it
-		// held the baton for the interval that tripped the check) and settle
-		// the phase counters at the same granularity.
+		// Attribute every elapsed interval to the guest's call stack and
+		// settle the phase counters at the same granularity.
 		v.track.Sample(v.Cycles, t.foldedStack)
 		v.foldPhaseSamples()
 	}
@@ -85,14 +84,12 @@ type StopReason string
 const (
 	StopInstrLimit  StopReason = "instr_limit"  // Config.MaxInstrs
 	StopCycleBudget StopReason = "cycle_budget" // Config.MaxCycles
-	StopDeadlock    StopReason = "deadlock"     // every live thread waits on a join
 	StopProtection  StopReason = "protection"   // a *Fault
-	StopTrap        StopReason = "trap"         // any other guest error: overflow, unreachable, division, heap exhaustion, a bad free or spawn, an undefined external
+	StopTrap        StopReason = "trap"         // any other guest error: overflow, unreachable, division, heap exhaustion, a bad free, an undefined external
 )
 
 // StopError is every error VM.Run returns. Err is what stopped the run — a
-// protection stop's *Fault, a trap's cause — and nil for a limit or a
-// deadlock.
+// protection stop's *Fault, a trap's cause — and nil for a limit.
 type StopError struct {
 	Reason StopReason
 	Err    error

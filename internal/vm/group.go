@@ -10,8 +10,8 @@ import (
 )
 
 // Group runs several processes of one simulated machine truly
-// concurrently: each process's guest threads execute on real goroutines
-// over the shared PhysMem, with the per-process ragged-safepoint protocol
+// concurrently: each process's guest thread executes on a goroutine of its
+// own over the shared PhysMem, with the per-process ragged-safepoint protocol
 // replacing the old global stop. This is the multi-core execution model:
 // a move in process A suspends only A (and any other owner of the
 // affected pages, per Kernel.OwnersOf); process B's block-head fast path

@@ -201,7 +201,7 @@ func TestSchedulerWorldConformance(t *testing.T) {
 // translate directly: with a window open, CARAT-mode accesses to patched
 // (destination-naming) addresses are forwarded back to the source before
 // the copy, and stale source addresses forward to the destination after the
-// flip. The VM never hits this live under the baton discipline, so the unit
+// flip. The VM never hits this live (its guest never runs mid-move), so the unit
 // test is the coverage — of translate; that a compiled unguarded access,
 // which goes to memory without calling it, stands aside for an open window
 // is TestUnguardedAccessColdPaths/forwarding-window.

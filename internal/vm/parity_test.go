@@ -163,7 +163,7 @@ func TestXCacheActuallyHits(t *testing.T) {
 	// checks and cycles, by full evaluator walks alone.
 	cfg.Closure = reference
 	rv, _ := run(t, m, cfg)
-	if hits, misses, _ := rv.XCacheStats(); hits+misses != 0 || rv.sched.threads[0].xc != nil {
+	if hits, misses, _ := rv.XCacheStats(); hits+misses != 0 || rv.sched.xc() != nil {
 		t.Errorf("the reference interpreter probed an xcache: %d hits, %d misses", hits, misses)
 	}
 	if rv.GuardChecks != v.GuardChecks || rv.Cycles != v.Cycles {
@@ -271,14 +271,14 @@ func TestXCacheInvalidationScope(t *testing.T) {
 					return nil
 				}
 				fired = true
-				// The running thread's cache is warm with both heap pages
+				// The guest thread's cache is warm with both heap pages
 				// (and stack/global pages). Apply the operation to the
 				// first heap allocation and inspect what survived.
 				base, _, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
 				if !ok {
 					t.Fatal("no heap allocation to operate on")
 				}
-				tt := v.sched.threads[0]
+				tt := v.sched.main
 				before := tt.xc.ValidPages()
 				if len(before) == 0 {
 					t.Fatal("xcache empty before operation")
@@ -321,15 +321,13 @@ func TestXCacheInvalidationScope(t *testing.T) {
 	}
 }
 
-// Concurrent guarded execution against the allocation table: two
-// program threads hammer tracked heap memory while the move policy drives
-// map changes. Run under -race; the modeled result must also be stable.
+// Guarded execution against the allocation table: @main runs a worker that
+// hammers tracked heap memory twice while the move policy drives map
+// changes. Run under -race; the modeled result must also be stable.
 func TestConcurrentGuardedExecution(t *testing.T) {
 	src := `module "mt"
 func @malloc(%sz: i64) -> ptr
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
-func @worker(%arg: ptr) -> i64 {
+func @worker(%arg: i64) -> i64 {
 entry:
   %buf = call ptr @malloc(i64 2048)
   br ^loop
@@ -337,7 +335,8 @@ loop:
   %i = phi i64 [0, ^entry], [%i1, ^loop]
   %m = and i64 %i, 255
   %q = gep i64, %buf, %m
-  store i64 %i, %q
+  %x0 = add i64 %i, %arg
+  store i64 %x0, %q
   %x = load i64, %q
   %i1 = add i64 %i, 1
   %c = icmp slt i64 %i1, 30000
@@ -349,15 +348,12 @@ done:
 }
 func @main() -> i64 {
 entry:
-  %a1 = inttoptr i64 1 to ptr
-  %a2 = inttoptr i64 2 to ptr
-  %t1 = call i64 @thread_spawn(ptr @worker, ptr %a1)
-  %t2 = call i64 @thread_spawn(ptr @worker, ptr %a2)
-  call void @thread_join(i64 %t1)
-  call void @thread_join(i64 %t2)
-  ret i64 0
+  %r1 = call i64 @worker(i64 1)
+  %r2 = call i64 @worker(i64 2)
+  %s = add i64 %r1, %r2
+  ret i64 %s
 }`
-	run1 := func() int64 {
+	run1 := func() engineResult {
 		m := compile(t, src, passes.LevelTracking)
 		cfg := DefaultConfig()
 		cfg.MemBytes = 1 << 24
@@ -374,78 +370,13 @@ entry:
 		if err := v.Runtime().Table.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
-		return ret
+		if len(v.Runtime().MoveStats) == 0 {
+			t.Error("the move policy moved nothing")
+		}
+		return engineResult{ret: ret, cycles: v.Cycles, instrs: v.Instrs}
 	}
-	if a, b := run1(), run1(); a != b {
-		t.Errorf("concurrent run not deterministic: %d vs %d", a, b)
-	}
-}
-
-// lateSpawnSrc runs alone for more than 10 000 instructions, then spawns two
-// printing workers and churns tracked escapes until it joins them: the
-// escape batch's flush points decide its tracking cycles.
-const lateSpawnSrc = `module "latespawn"
-global @slot : ptr
-func @malloc(%sz: i64) -> ptr
-func @print_i64(%x: i64) -> void
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
-func @worker(%arg: ptr) -> i64 {
-entry:
-  %n = ptrtoint ptr %arg to i64
-  br ^loop
-loop:
-  %i = phi i64 [0, ^entry], [%i1, ^loop]
-  call void @print_i64(i64 %i)
-  %i1 = add i64 %i, 1
-  %c = icmp slt i64 %i1, %n
-  condbr %c, ^loop, ^done
-done:
-  ret i64 %n
-}
-func @main() -> i64 {
-entry:
-  br ^spin
-spin:
-  %s = phi i64 [0, ^entry], [%s1, ^spin]
-  %s1 = add i64 %s, 1
-  %cs = icmp slt i64 %s1, 4000
-  condbr %cs, ^spin, ^go
-go:
-  %a = inttoptr i64 3 to ptr
-  %t1 = call i64 @thread_spawn(ptr @worker, ptr %a)
-  %t2 = call i64 @thread_spawn(ptr @worker, ptr %a)
-  br ^churn
-churn:
-  %k = phi i64 [0, ^go], [%k1, ^churn]
-  %p = call ptr @malloc(i64 16)
-  store ptr %p, @slot
-  %k1 = add i64 %k, 1
-  %ck = icmp slt i64 %k1, 6000
-  condbr %ck, ^churn, ^join
-join:
-  call void @thread_join(i64 %t1)
-  call void @thread_join(i64 %t2)
-  ret i64 %k1
-}`
-
-// TestEngineParityClosureLateSpawn: a guest that spawns threads after running
-// alone must cost the same on both engines. The compiled engine skipped
-// block-head safepoints while one thread ran, so a per-thread time slice went
-// stale there and its first yield after the spawn flushed the escape batch at
-// a different instruction than the reference interpreter's.
-func TestEngineParityClosureLateSpawn(t *testing.T) {
-	var res [2]engineResult
-	for i, engine := range []bool{reference, compiled} {
-		cfg := DefaultConfig()
-		cfg.MemBytes = 1 << 24
-		cfg.HeapBytes = 1 << 20
-		cfg.Closure = engine
-		v, ret := run(t, compile(t, lateSpawnSrc, passes.LevelTracking), cfg)
-		res[i] = engineResult{ret: ret, cycles: v.Cycles, instrs: v.Instrs, output: v.Output}
-	}
-	if !reflect.DeepEqual(res[0], res[1]) {
-		t.Errorf("engines diverge on a late spawn:\nreference %+v\n compiled %+v", res[0], res[1])
+	if a, b := run1(), run1(); !reflect.DeepEqual(a, b) {
+		t.Errorf("guarded run not deterministic: %+v vs %+v", a, b)
 	}
 }
 

@@ -16,10 +16,10 @@ import (
 // that frame is suspended. InjectWorstCaseMove moves heap pages, so these
 // tests move the globals page and the code page themselves, at the three
 // places a frame can be caught: inside a self-loop, mid-block under a nested
-// call, and — in a process with several threads — parked at a block head
-// beside a sibling blocked in a join. The mover is a move policy (which
-// fires at a block-head safepoint of the running thread) or an external
-// goroutine that suspends the process first.
+// call, and parked at a block head under a caller that sits mid-block at its
+// call step. The mover is a move policy (which fires at a block-head
+// safepoint of the guest) or an external goroutine that suspends the process
+// first.
 //
 // Every program checks its own addresses: entry stores @a and @work into
 // pointer globals (tracked escapes, which the move protocol patches), and
@@ -124,18 +124,15 @@ done:
   ret i64 %accN
 }`
 
-// poolThreadSrc: two workers run the self-checking loop until stopped, one
-// after the other (the baton goes to the first ready thread), while @main is
-// blocked mid-block in thread_join — so a move finds two threads with live
-// closure frames: the worker at a block head, @main under its call step.
-// Each worker prints its trip count; @main returns the sum of their results.
-const poolThreadSrc = `module "poolthr"` + poolGlobals + poolWork + `
-global @out : [2 x i64]
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
-func @worker(%arg: ptr) -> i64 {
+// poolParkedSrc: @main calls @worker, which runs the self-checking loop until
+// stopped, so an external mover catches @worker parked at a block head while
+// @main's frame sits mid-block under its call step. @worker prints its trip
+// count and leaves its sum in @out; @main reads @out and checks @work through
+// its own pool afterwards and returns the sum plus one passed compare.
+const poolParkedSrc = `module "poolparked"` + poolGlobals + poolWork + `
+global @out : i64
+func @worker() -> i64 {
 entry:
-  %idx = ptrtoint ptr %arg to i64
   br ^loop
 loop:
   %i = phi i64 [0, ^entry], [%i1, ^loop]
@@ -144,8 +141,7 @@ loop:
   ` + poolUntilStopped + `
   condbr %c, ^loop, ^done
 done:
-  %o = gep i64, @out, %idx
-  store i64 %accN, %o
+  store i64 %accN, @out
   call void @print_i64(i64 %i1)
   ret i64 0
 }
@@ -153,17 +149,12 @@ func @main() -> i64 {
 entry:
   store ptr @a, @gslot
   store ptr @work, @fslot
-  %a0 = inttoptr i64 0 to ptr
-  %a1 = inttoptr i64 1 to ptr
-  %t0 = call i64 @thread_spawn(ptr @worker, ptr %a0)
-  %t1 = call i64 @thread_spawn(ptr @worker, ptr %a1)
-  call void @thread_join(i64 %t0)
-  call void @thread_join(i64 %t1)
-  %p0 = gep i64, @out, 0
-  %v0 = load i64, %p0
-  %p1 = gep i64, @out, 1
-  %v1 = load i64, %p1
-  %r = add i64 %v0, %v1
+  %w = call i64 @worker()
+  %v = load i64, @out
+  %fa = load ptr, @fslot
+  %fe = icmp eq ptr %fa, @work
+  %fz = zext i1 %fe to i64
+  %r = add i64 %v, %fz
   ret i64 %r
 }`
 
@@ -185,8 +176,8 @@ type staticsMover struct {
 	v *VM
 
 	moves      int
-	maxDepth   int // deepest call stack of any thread seen at a move
-	maxThreads int // most threads with live frames seen at a move
+	maxDepth   int // deepest call stack seen at a move
+	maxPatched int // most live closure frames one move patched
 	patched    int // live closure frames whose pool registers changed
 }
 
@@ -203,14 +194,8 @@ func (s *staticsMover) move() error {
 	s.moves++
 	var frames []*frame
 	var before [][]uint64
-	threads := 0
-	for _, th := range v.sched.threads {
-		if len(th.frames) > 0 {
-			threads++
-		}
-		if len(th.frames) > s.maxDepth {
-			s.maxDepth = len(th.frames)
-		}
+	if th := v.sched.main; th != nil {
+		s.maxDepth = max(s.maxDepth, len(th.frames))
 		for _, fr := range th.frames {
 			if fr.fb.cf != nil {
 				frames = append(frames, fr)
@@ -218,12 +203,10 @@ func (s *staticsMover) move() error {
 			}
 		}
 	}
-	if threads > s.maxThreads {
-		s.maxThreads = threads
-	}
 	if _, err := v.Process().RequestMove(addr&^(kernel.PageSize-1), 1); err != nil {
 		return err
 	}
+	patched := 0
 	for i, fr := range frames {
 		pool := fr.regs[fr.fb.nSlots:]
 		changed := false
@@ -237,9 +220,11 @@ func (s *staticsMover) move() error {
 			}
 		}
 		if changed {
-			s.patched++
+			patched++
 		}
 	}
+	s.patched += patched
+	s.maxPatched = max(s.maxPatched, patched)
 	return nil
 }
 
@@ -374,7 +359,7 @@ func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 		}
 		s := &staticsMover{t: t, v: v}
 		ret := moveWhileSuspended(t, v, s, func() bool {
-			return len(v.sched.threads) == 1 && len(v.sched.threads[0].frames) == 1 && v.Instrs > 10_000
+			return v.sched.main != nil && len(v.sched.main.frames) == 1 && v.Instrs > 10_000
 		})
 		if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0]) {
 			t.Errorf("budget %d: ret = %d after %v trips: an address check failed", budget, ret, v.Output)
@@ -382,31 +367,25 @@ func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 	}
 }
 
-// TestPoolPatchParkedSibling: an external mover catches a worker thread
-// parked at a block head of its loop while @main sits in thread_join. Both
-// live frames must come back patched: the worker goes on checking its
-// addresses, and @main reads @out through its own pool afterwards.
+// TestPoolPatchParkedSibling: an external mover catches @worker parked at a
+// block head of its loop while @main's frame sits mid-block under its call
+// step. Both live frames must come back patched: @worker goes on checking its
+// addresses, and @main reads @out and @work through its own pool afterwards.
 func TestPoolPatchParkedSibling(t *testing.T) {
 	for _, budget := range []uint64{0, 1000} {
-		v, err := Load(compile(t, poolThreadSrc, passes.LevelTracking), poolCfg(compiled, budget))
+		v, err := Load(compile(t, poolParkedSrc, passes.LevelTracking), poolCfg(compiled, budget))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := &staticsMover{t: t, v: v}
 		ret := moveWhileSuspended(t, v, s, func() bool {
-			live := 0
-			for _, th := range v.sched.threads {
-				if len(th.frames) > 0 {
-					live++
-				}
-			}
-			return live >= 2 && v.Instrs > 10_000
+			return v.sched.main != nil && len(v.sched.main.frames) == 2 && v.Instrs > 10_000
 		})
-		if len(v.Output) != 2 || ret != poolLoopWant(v.Output[0])+poolLoopWant(v.Output[1]) {
+		if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0])+1 {
 			t.Errorf("budget %d: ret = %d after %v trips: an address check failed", budget, ret, v.Output)
 		}
-		if s.maxThreads < 2 {
-			t.Errorf("budget %d: the moves found %d threads with live frames, want 2", budget, s.maxThreads)
+		if s.maxPatched < 2 {
+			t.Errorf("budget %d: no move patched both live frames (at most %d)", budget, s.maxPatched)
 		}
 	}
 }

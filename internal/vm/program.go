@@ -160,7 +160,7 @@ func (v *VM) callIdx(t *thread, idx int32, args []uint64) (uint64, error) {
 	return v.callFunc(t, fb, args)
 }
 
-// call dispatches a call by function value: thread entry points and the
+// call dispatches a call by function value: @main and the
 // reference interpreter's call sites. Compiled call sites carry the
 // callee's index and skip the map.
 func (v *VM) call(t *thread, f *ir.Func, args []uint64) (uint64, error) {

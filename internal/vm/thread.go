@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"strings"
 	"sync"
 
@@ -11,35 +10,22 @@ import (
 	"carat/internal/runtime"
 )
 
-// The VM's thread model: every program thread runs on its own goroutine,
-// but a baton discipline ensures exactly one executes at a time, each until
-// it joins an unfinished thread or finishes. This keeps execution
-// deterministic (important for differential testing of the guard
-// optimizations and page moves) while still exercising the full
-// multi-thread world-stop protocol of Figure 8: when a change request
-// arrives, all other threads are by construction parked with their
-// register state published.
+// The VM's thread model: a process has exactly one guest thread, and it runs
+// on the goroutine that called VM.Run. Execution is therefore deterministic
+// (important for differential testing of the guard optimizations and page
+// moves), a Go panic inside the guest reaches Run's caller, and the
+// world-stop protocol of Figure 8 still runs step for step: when a change
+// request arrives, the thread is either the one raising it or parked at a
+// safepoint, with its register state published either way.
 
 // xcaches recycles guard/translation caches across VMs. A cache is about
 // 100 KB; a guest load that allocated (and zeroed) a fresh one would pay
-// that on every short run caratd serves. VM.Release returns a run's caches,
+// that on every short run caratd serves. VM.Release returns a run's cache,
 // Reset first, so no entry of a previous owner is ever trusted.
 var xcaches = sync.Pool{New: func() any { return guard.NewXCache() }}
 
-type threadState int
-
-const (
-	tReady threadState = iota // ready or running
-	tJoinWait
-	tDone
-)
-
 type thread struct {
-	id     int64
 	v      *VM
-	state  threadState
-	waitOn int64 // valid in tJoinWait
-
 	frames []*frame
 
 	stackBase uint64 // lowest address of the stack region
@@ -47,18 +33,9 @@ type thread struct {
 	sp        uint64 // grows down
 	minSP     uint64 // stack high-water mark (lowest sp seen)
 
-	entry   *ir.Func
-	arg     uint64
-	result  uint64
-	err     error
-	resume  chan struct{}
-	yielded chan struct{}
-	dead    bool // the run ended with t parked; see await
-
-	// xc is this thread's guard/translation cache (compiled engine in CARAT
-	// mode; nil otherwise — the reference interpreter never shares it);
-	// escBuf is its escape-event batch, flushed at parks, joins and
-	// completion.
+	// xc is the guard/translation cache (compiled engine in CARAT mode; nil
+	// otherwise — the reference interpreter never shares it); escBuf is the
+	// escape-event batch, flushed at parks and at the end of the run.
 	xc     *guard.XCache
 	escBuf *runtime.EscapeBuffer
 
@@ -80,9 +57,6 @@ type frame struct {
 // frame's allocas: the runtime must forget their allocation entries before
 // the stack space is reused by a later call at the same depth.
 func (t *thread) popFrame(fr *frame) {
-	if t.dead {
-		return
-	}
 	t.frames = t.frames[:len(t.frames)-1]
 	if t.sp < fr.spSave {
 		t.v.rt.UntrackStackRange(t.sp, fr.spSave)
@@ -90,26 +64,22 @@ func (t *thread) popFrame(fr *frame) {
 	t.sp = fr.spSave
 }
 
-// scheduler runs threads one at a time and implements runtime.World.
+// scheduler holds the process's guest thread and implements runtime.World.
 type scheduler struct {
 	v       *VM
-	threads []*thread
-	nextID  int64
-	stopped bool // world currently stopped (nested stops are a protocol bug)
-	stopSet []runtime.RegSet
-
-	// done is closed when runMain returns: see thread.await.
-	done chan struct{}
+	main    *thread // nil until Run creates it
+	stopped bool    // world currently stopped (nested stops are a protocol bug)
+	stopSet [1]runtime.RegSet
 
 	// External suspension — the per-process stop request of the ragged
 	// safepoint protocol, raised as pendingStop in the VM's gate: the
-	// running guest thread parks at its next block head until every
-	// suspension is resumed.
+	// guest thread parks at its next block head until every suspension is
+	// resumed.
 	//
 	// susMu/susCond guard suspendReqs (outstanding suspensions) and
-	// running (a guest thread currently holds the baton). The mutex also
-	// publishes everything a suspender mutates (register patches, table
-	// rebases, region-set changes) to the guest before it resumes.
+	// running (the guest is executing). The mutex also publishes everything
+	// a suspender mutates (register patches, table rebases, region-set
+	// changes) to the guest before it resumes.
 	susMu       sync.Mutex
 	susCond     *sync.Cond
 	suspendReqs int
@@ -122,15 +92,24 @@ func newScheduler(v *VM) *scheduler {
 	return s
 }
 
+// xc returns the guest thread's guard/translation cache, or nil: before Run,
+// on the reference interpreter, and outside CARAT mode.
+func (s *scheduler) xc() *guard.XCache {
+	if s == nil || s.main == nil {
+		return nil
+	}
+	return s.main.xc
+}
+
 // suspend blocks until this process's guest execution is parked at a
 // safepoint (or not running at all) and returns a resume function. Nested
 // suspensions stack; the guest resumes when the last one is released.
-// Callable from any goroutine EXCEPT the process's own guest threads —
-// a guest suspending itself would deadlock (its own park is what the
-// suspender waits for). While suspended, the caller may stop this
-// process's world (moves, protection changes, swaps) without racing the
-// guest: every thread is at a safepoint with its register state
-// published, exactly the Figure-8 precondition.
+// Callable from any goroutine EXCEPT the one running the guest — a guest
+// suspending itself would deadlock (its own park is what the suspender
+// waits for). While suspended, the caller may stop this process's world
+// (moves, protection changes, swaps) without racing the guest: the thread
+// is at a safepoint with its register state published, exactly the
+// Figure-8 precondition.
 func (s *scheduler) suspend() (resume func()) {
 	s.susMu.Lock()
 	s.suspendReqs++
@@ -153,11 +132,11 @@ func (s *scheduler) suspend() (resume func()) {
 	}
 }
 
-// park holds the calling guest thread at its safepoint until every
-// outstanding suspension is resumed. The thread's escape batch is flushed
-// first so the suspender observes a fully-applied allocation map (same
-// invariant as a world stop). Charges are already flushed: park is act's,
-// and the compiled engine flushes before it acts.
+// park holds the guest thread at its safepoint until every outstanding
+// suspension is resumed. The thread's escape batch is flushed first so the
+// suspender observes a fully-applied allocation map (same invariant as a
+// world stop). Charges are already flushed: park is act's, and the compiled
+// engine flushes before it acts.
 func (s *scheduler) park(t *thread) {
 	t.escBuf.Flush()
 	s.susMu.Lock()
@@ -170,8 +149,8 @@ func (s *scheduler) park(t *thread) {
 	s.susMu.Unlock()
 }
 
-// newThread allocates a stack region and creates a parked thread.
-func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
+// newThread allocates a stack region and creates the guest thread.
+func (s *scheduler) newThread() (*thread, error) {
 	stackBytes := s.v.cfg.StackBytes
 	if stackBytes == 0 {
 		stackBytes = DefaultConfig().StackBytes
@@ -179,8 +158,8 @@ func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
 	// The stack region is granted (guards must admit it) but NOT
 	// registered as one big allocation: individual allocas are tracked by
 	// the instrumentation, and nesting allocations is not representable.
-	// In capsule mode stacks are carved from the heap instead — "additional
-	// stacks are allocated from the process heap" (§3).
+	// In capsule mode the stack is carved from the heap instead —
+	// "additional stacks are allocated from the process heap" (§3).
 	var base uint64
 	if s.v.cfg.Capsule {
 		base = s.v.heap.alloc(stackBytes)
@@ -194,63 +173,26 @@ func (s *scheduler) newThread(entry *ir.Func, arg uint64) (*thread, error) {
 			return nil, fmt.Errorf("vm: stack region: %w", err)
 		}
 	}
-	s.nextID++
 	t := &thread{
-		id:        s.nextID,
 		v:         s.v,
-		state:     tReady,
 		stackBase: base,
 		stackTop:  base + stackBytes,
 		sp:        base + stackBytes,
 		minSP:     base + stackBytes,
-		entry:     entry,
-		arg:       arg,
-		resume:    make(chan struct{}),
-		yielded:   make(chan struct{}),
 		escBuf:    s.v.rt.NewEscapeBuffer(),
 	}
 	if s.v.compiled && s.v.cfg.Mode == ModeCARAT {
 		t.xc = xcaches.Get().(*guard.XCache)
 	}
-	s.threads = append(s.threads, t)
-	go t.run()
+	s.main = t
 	return t, nil
 }
 
-// await blocks until the scheduler hands t the baton. If the run ends with t
-// still parked — another thread failed, or the guest deadlocked — nobody ever
-// will: the goroutine exits instead of leaking, and its frames unwind without
-// touching the machine, which by then belongs to whoever called Run.
-func (t *thread) await() {
-	select {
-	case <-t.resume:
-	case <-t.v.sched.done:
-		t.dead = true
-		goruntime.Goexit()
-	}
-}
-
-// run is a thread goroutine: wait for the baton, execute, hand it back.
-func (t *thread) run() {
-	t.await()
-	// The entry receives arg as its first parameter; any further ones (no
-	// producer declares them, a hostile module may) read zero.
-	args := make([]uint64, len(t.entry.Params))
-	if len(args) > 0 {
-		args[0] = t.arg
-	}
-	ret, err := t.v.call(t, t.entry, args)
-	t.result, t.err = ret, err
-	t.state = tDone
-	t.escBuf.Flush()
-	t.yielded <- struct{}{}
-}
-
-// foldedStack renders this thread's live call stack root-first in the
+// foldedStack renders the thread's live call stack root-first in the
 // folded "a;b;c" form the profiler aggregates on.
 func (t *thread) foldedStack() string {
 	if len(t.frames) == 0 {
-		return t.entry.Name
+		return "main"
 	}
 	var b strings.Builder
 	for i, fr := range t.frames {
@@ -286,132 +228,75 @@ func (s *scheduler) endRun() {
 	s.susMu.Unlock()
 }
 
-// runMain creates the main thread and hands the baton on until every thread
-// finishes. It returns main's result. The caller (VM.Run) must
-// hold the running window via beginRun/endRun.
+// runMain creates the guest thread and runs main on it, on the calling
+// goroutine. The caller (VM.Run) must hold the running window via
+// beginRun/endRun.
 func (s *scheduler) runMain(main *ir.Func) (int64, error) {
-	s.done = make(chan struct{})
-	defer close(s.done)
-	mt, err := s.newThread(main, 0)
+	t, err := s.newThread()
 	if err != nil {
 		return 0, err
 	}
-	for {
-		t := s.pick()
-		if t == nil {
-			break
-		}
-		t.resume <- struct{}{}
-		<-t.yielded // t joined or finished
-		if t.state == tDone && t.err != nil {
-			return 0, t.err
-		}
-		// Wake joiners of finished threads.
-		for _, w := range s.threads {
-			if w.state == tJoinWait {
-				if tgt := s.byID(w.waitOn); tgt == nil || tgt.state == tDone {
-					w.state = tReady
-				}
-			}
-		}
-	}
-	// Nothing is ready. A thread still waiting on a join can never be woken:
-	// the guest deadlocked itself (a thread joining itself, two joining each
-	// other).
-	for _, t := range s.threads {
-		if t.state == tJoinWait {
-			return 0, &StopError{Reason: StopDeadlock}
-		}
-	}
-	if mt.err != nil {
-		return 0, mt.err
-	}
-	return int64(mt.result), nil
+	// Any parameters @main declares (no producer declares them, a hostile
+	// module may) read zero.
+	ret, err := s.v.call(t, main, make([]uint64, len(main.Params)))
+	t.escBuf.Flush()
+	return int64(ret), err
 }
 
-// pick returns the lowest-index ready thread, or nil when none is. A thread
-// runs until it blocks, and nothing it does readies a lower-index thread
-// (spawns append), so a time slice could never switch threads: there is
-// none.
-func (s *scheduler) pick() *thread {
-	for _, t := range s.threads {
-		if t.state == tReady {
-			return t
-		}
-	}
-	return nil
-}
-
-func (s *scheduler) byID(id int64) *thread {
-	for _, t := range s.threads {
-		if t.id == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// StopTheWorld implements runtime.World. Under the baton discipline every
-// thread except (at most) the one triggering the change request is parked, so the register state of all threads is already
-// published — the moral equivalent of the signal-handler register dump in
-// Figure 8. It returns each live thread as a RegSet, in a slice the next
-// stop rewrites: no mutator runs between an operation's stops, so it
-// rewrites the same threads.
+// StopTheWorld implements runtime.World. The guest thread is either the one
+// raising the change request or parked at a safepoint, so its register state
+// is already published — the moral equivalent of the signal-handler register
+// dump in Figure 8. It returns the thread as the one RegSet (none before
+// Run), in a slice the next stop rewrites.
 func (s *scheduler) StopTheWorld() []runtime.RegSet {
 	if s.stopped {
 		panic("vm: nested world stop")
 	}
 	s.stopped = true
-	out := s.stopSet[:0]
-	for _, t := range s.threads {
-		if t.state == tDone {
-			continue
-		}
-		out = append(out, t)
+	if s.main == nil {
+		return nil
 	}
-	s.stopSet = out
-	return out
+	s.stopSet[0] = s.main
+	return s.stopSet[:]
 }
 
-// ResumeTheWorld implements runtime.World; with the baton discipline
-// nothing needs releasing, and no mutator runs before a move's next
-// StopTheWorld, so earlier RegSet handles stay valid (a thread's registers
-// read through to its live frames).
+// ResumeTheWorld implements runtime.World; nothing needs releasing, and no
+// mutator runs before a move's next StopTheWorld, so earlier RegSet handles
+// stay valid (the thread's registers read through to its live frames).
 func (s *scheduler) ResumeTheWorld() { s.stopped = false }
 
-// rebaseStacks relocates thread stack bookkeeping after a move of
-// [src, src+length) to dst. Only threads whose stack region actually
-// intersects the moved range are touched: sp and spSave are boundary
-// pointers (an empty stack's sp equals stackTop, which is numerically the
-// base of whatever the kernel placed just above the stack), so naively
-// rebasing them whenever their value falls inside a moved range would drag
-// them along with moves of adjacent, unrelated pages.
+// rebaseStacks relocates the stack bookkeeping after a move of
+// [src, src+length) to dst, if the stack region actually intersects the
+// moved range: sp and spSave are boundary pointers (an empty stack's sp
+// equals stackTop, which is numerically the base of whatever the kernel
+// placed just above the stack), so naively rebasing them whenever their
+// value falls inside a moved range would drag them along with moves of
+// adjacent, unrelated pages.
 func (s *scheduler) rebaseStacks(src, dst, length uint64) {
+	t := s.main
+	if t == nil || t.stackBase >= src+length || src >= t.stackTop {
+		return // the stack did not move
+	}
 	reb := func(a uint64) uint64 {
 		if a >= src && a < src+length {
 			return a - src + dst
 		}
 		return a
 	}
-	for _, t := range s.threads {
-		if t.stackBase >= src+length || src >= t.stackTop {
-			continue // this thread's stack did not move
-		}
-		oldTop := t.stackTop
-		t.stackBase = reb(t.stackBase)
-		t.stackTop = reb(t.stackTop-1) + 1 // one-past-end: rebase last byte
-		if t.sp == oldTop {
-			t.sp = t.stackTop // empty stack: sp tracks the top boundary
+	oldTop := t.stackTop
+	t.stackBase = reb(t.stackBase)
+	t.stackTop = reb(t.stackTop-1) + 1 // one-past-end: rebase last byte
+	if t.sp == oldTop {
+		t.sp = t.stackTop // empty stack: sp tracks the top boundary
+	} else {
+		t.sp = reb(t.sp) // sp points at live alloca data
+	}
+	t.minSP = reb(t.minSP)
+	for _, fr := range t.frames {
+		if fr.spSave == oldTop {
+			fr.spSave = t.stackTop
 		} else {
-			t.sp = reb(t.sp) // sp points at live alloca data
-		}
-		t.minSP = reb(t.minSP)
-		for _, fr := range t.frames {
-			if fr.spSave == oldTop {
-				fr.spSave = t.stackTop
-			} else {
-				fr.spSave = reb(fr.spSave)
-			}
+			fr.spSave = reb(fr.spSave)
 		}
 	}
 }
@@ -440,34 +325,4 @@ func (t *thread) SetReg(i int, v uint64) {
 		}
 		i -= n
 	}
-}
-
-// spawn implements the thread_spawn builtin: fnAddr must be a function
-// code address; the new thread receives arg. Returns the thread id.
-func (s *scheduler) spawn(fnAddr, arg uint64) (int64, error) {
-	for i, a := range s.v.funcPhys {
-		if a == fnAddr {
-			t, err := s.newThread(s.v.prog.mod.Funcs[i], arg)
-			if err != nil {
-				return 0, err
-			}
-			return t.id, nil
-		}
-	}
-	return 0, fmt.Errorf("vm: thread_spawn of non-function address %#x", fnAddr)
-}
-
-// join implements the thread_join builtin from thread cur: it flushes cur's
-// escape batch (escape events apply in program order across the switch) and
-// hands the baton back until the scheduler wakes it.
-func (s *scheduler) join(cur *thread, id int64) {
-	tgt := s.byID(id)
-	if tgt == nil || tgt.state == tDone {
-		return
-	}
-	cur.state = tJoinWait
-	cur.waitOn = id
-	cur.escBuf.Flush()
-	cur.yielded <- struct{}{}
-	cur.await()
 }

@@ -73,9 +73,9 @@ type Config struct {
 	Paging *kernel.PagingModel
 
 	// Capsule lays the whole process out as ONE contiguous region (the
-	// "dark capsule" linkage model of §3): code, globals, heap, and all
-	// stacks (thread stacks are carved from the heap, as the paper
-	// prescribes). Guards then always hit the single-region fast path.
+	// "dark capsule" linkage model of §3): code, globals, heap, and the
+	// stack (carved from the heap, as the paper prescribes for thread
+	// stacks). Guards then always hit the single-region fast path.
 	// The tradeoff is a single rwx permission for the whole process.
 	Capsule bool
 
@@ -86,7 +86,7 @@ type Config struct {
 	// the compiled engine: each function is lowered on its first call,
 	// straight from its IR (closure.go), into chained superinstruction
 	// closures that live in the Program and survive page moves, with a
-	// per-thread guard/translation cache (xcache) in front of the guard
+	// guard/translation cache (xcache) in front of the guard
 	// evaluator in CARAT mode. Clear, it runs the reference interpreter
 	// (exec.go), straight over the IR with neither the lowering nor the
 	// cache: the oracle the tests, -write-golden and BenchmarkExec's reference
@@ -108,7 +108,7 @@ type Config struct {
 	Trace *obs.Tracer
 
 	// Sampler, when set, attaches the cycle-sampling profiler: the VM
-	// registers one track and samples the running thread's guest stack
+	// registers one track and samples the guest's call stack
 	// every Sampler.Interval model cycles at block heads, folding the
 	// guard/tracking/move/swap cycle counters into phase samples at the
 	// same granularity. nil disables sampling; enabled, it adds nothing per
@@ -123,7 +123,7 @@ type Config struct {
 	Fault *fault.Injector
 
 	// PauseBudget is the longest modeled world-stop pause, in cycles, a
-	// move or swap may impose on this machine's threads (see
+	// move or swap may impose on this machine's guests (see
 	// runtime.SetPauseBudget); 0 is unbounded, one stop per operation.
 	// Modeled cycles, memory contents, and fault-injection draws are
 	// byte-identical at every budget — only pause attribution changes.
@@ -192,7 +192,7 @@ type VM struct {
 	heap  heap
 	bound []funcBinding // parallel to the program's functions; see VM.bind
 
-	// Threads, and the gate their block heads ask (gate.go).
+	// The guest thread, and the gate its block heads ask (gate.go).
 	sched *scheduler
 	gate  gate
 
@@ -221,9 +221,7 @@ type VM struct {
 	allocHist *obs.Histogram
 
 	// track is this VM's stream in the attached cycle sampler (nil when
-	// sampling is off). One track per VM, not per thread: the baton
-	// discipline means v.Cycles is a single model clock all threads share,
-	// so per-thread tracks would double-count intervals.
+	// sampling is off).
 	track *obs.Track
 
 	// Move injection (Figure 9): movePolicy runs at a block head, paced on
@@ -268,13 +266,13 @@ func (v *VM) GlobalAddr(g *ir.Global) uint64 { return v.globalPhys[v.prog.global
 const ProcessBaseBytes = 64 << 10
 
 // ProgramFootprintBytes returns the program's own memory high-water mark:
-// globals plus heap bytes ever bumped plus per-thread stack high-water
+// globals plus heap bytes ever bumped plus the stack high-water mark
 // plus the fixed process baseline. Figure 6 compares this against the
 // runtime's tracking overhead.
 func (v *VM) ProgramFootprintBytes() uint64 {
 	total := uint64(ProcessBaseBytes) + v.globalsLen
 	total += v.heap.brk - v.heap.base
-	for _, t := range v.sched.threads {
+	if t := v.sched.main; t != nil {
 		total += t.stackTop - t.minSP
 	}
 	return total
@@ -283,8 +281,8 @@ func (v *VM) ProgramFootprintBytes() uint64 {
 // Load places the module into a fresh simulated machine: code, globals
 // (data+bss), stack, and heap regions are granted by the kernel; globals'
 // initializers are copied; static allocations are registered with the
-// runtime; and the entry thread is created but not started. This mirrors
-// the load-time sequence of §2.2 ("Run-time").
+// runtime. Run creates the guest thread and its stack. This mirrors the
+// load-time sequence of §2.2 ("Run-time").
 func Load(mod *ir.Module, cfg Config) (*VM, error) {
 	p, err := NewProgram(mod)
 	if err != nil {
@@ -381,7 +379,7 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	var codeBase, globalsBase, heapBase uint64
 	if cfg.Capsule {
 		// Dark-capsule layout (§3): one contiguous region holding code,
-		// globals, and the heap (thread stacks are carved from the heap).
+		// globals, and the heap (the stack is carved from the heap).
 		total := alignTo(codeLen, 16) + globalsLen + cfg.HeapBytes
 		base, gerr := proc.GrantRegion(total, guard.PermRead|guard.PermWrite|guard.PermExec)
 		if gerr != nil {
@@ -464,12 +462,12 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	// the MMU notifier flushes everything; the per-entry epoch stamp backs
 	// this up even if a path is missed.
 	v.rt.AddInvalidationListener(func(base, length uint64) {
-		v.invalidateXCaches(base, length)
+		v.invalidateXCache(base, length)
 	})
 	proc.RegisterNotifier(kernel.NotifierFunc(func(ev kernel.MMUEvent) {
 		switch ev.Kind {
 		case kernel.EventInvalidateRange, kernel.EventAllocate:
-			v.flushXCaches()
+			v.flushXCache()
 		}
 	}))
 	// The traditional-mode TLB hierarchy gets the same two-tier shootdown:
@@ -496,17 +494,15 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 // Release frees every page region the process still holds, returning the
 // memory (and any quota reservations) to the machine, and returns the
 // process's arena (if any) too. It first publishes whatever the runtime
-// counted since Run did, and hands the threads' guard/translation caches
-// back for the next guest (XCacheStats reads zero from here on). Required
-// after each run on a shared kernel; a no-op on the second call.
+// counted since Run did, and hands the guard/translation cache back for
+// the next guest (XCacheStats reads zero from here on). Required after
+// each run on a shared kernel; a no-op on the second call.
 func (v *VM) Release() error {
 	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
-	for _, t := range v.sched.threads {
-		if t.xc != nil {
-			t.xc.Reset()
-			xcaches.Put(t.xc)
-			t.xc = nil
-		}
+	if xc := v.sched.xc(); xc != nil {
+		xc.Reset()
+		xcaches.Put(xc)
+		v.sched.main.xc = nil
 	}
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
@@ -549,37 +545,27 @@ func (v *VM) foldPhaseSamples() {
 	v.track.FoldPhase("swap", v.rt.Stats.SwapCycles.Get())
 }
 
-// invalidateXCaches drops stale entries covering [base, base+length) from
-// every thread's guard/translation cache. Runs with the world stopped.
-func (v *VM) invalidateXCaches(base, length uint64) {
-	if v.sched == nil {
-		return
-	}
-	for _, t := range v.sched.threads {
-		if t.xc != nil {
-			t.xc.InvalidateRange(base, length)
-		}
+// invalidateXCache drops stale entries covering [base, base+length) from
+// the guard/translation cache. Runs with the world stopped.
+func (v *VM) invalidateXCache(base, length uint64) {
+	if xc := v.sched.xc(); xc != nil {
+		xc.InvalidateRange(base, length)
 	}
 }
 
-// flushXCaches drops every cached entry (region-set change: search paths
+// flushXCache drops every cached entry (region-set change: search paths
 // shifted globally).
-func (v *VM) flushXCaches() {
-	if v.sched == nil {
-		return
-	}
-	for _, t := range v.sched.threads {
-		if t.xc != nil {
-			t.xc.InvalidateAll()
-		}
+func (v *VM) flushXCache() {
+	if xc := v.sched.xc(); xc != nil {
+		xc.InvalidateAll()
 	}
 }
 
 // onMove rebases the VM's own bookkeeping after the kernel moved
 // [src, src+length) to dst: heap metadata, the global and function address
 // tables, and — when one of those changed — the compiled engine's constant
-// pools, which bake them. Thread register slots are patched separately
-// through the World interface.
+// pools, which bake them. The thread's register slots are patched
+// separately through the World interface.
 func (v *VM) onMove(src, dst, length uint64) {
 	v.heap.rebase(src, dst, length)
 	moved := false
@@ -596,9 +582,9 @@ func (v *VM) onMove(src, dst, length uint64) {
 		v.repatchPools()
 	}
 	// Both the vacated and the newly-populated ranges are stale in the
-	// per-thread guard caches.
-	v.invalidateXCaches(src, length)
-	v.invalidateXCaches(dst, length)
+	// guard cache.
+	v.invalidateXCache(src, length)
+	v.invalidateXCache(dst, length)
 }
 
 // Run executes @main to completion and returns its result (0 for void
@@ -683,16 +669,12 @@ func (v *VM) ClosureStats() (blocks, deopts, icHits, icMisses uint64) {
 	return v.closureBlocks, 0, v.closureICHits, v.closureICMisses
 }
 
-// XCacheStats sums the per-thread guard/translation cache counters.
+// XCacheStats returns the guard/translation cache's counters.
 func (v *VM) XCacheStats() (hits, misses, invalidations uint64) {
-	for _, t := range v.sched.threads {
-		if t.xc != nil {
-			hits += t.xc.Hits
-			misses += t.xc.Misses
-			invalidations += t.xc.Invalidations
-		}
+	if xc := v.sched.xc(); xc != nil {
+		return xc.Hits, xc.Misses, xc.Invalidations
 	}
-	return hits, misses, invalidations
+	return 0, 0, 0
 }
 
 // InjectWorstCaseMove performs one kernel-initiated move of the page

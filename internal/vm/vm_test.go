@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -492,108 +491,44 @@ entry:
 	}
 }
 
-func TestThreads(t *testing.T) {
-	src := `module "thr"
-global @acc : [4 x i64]
-func @worker(%arg: ptr) -> i64 {
-entry:
-  %idx = ptrtoint ptr %arg to i64
-  %p = gep i64, @acc, %idx
-  br ^loop
-loop:
-  %i = phi i64 [0, ^entry], [%i1, ^loop]
-  %x = load i64, %p
-  %x1 = add i64 %x, 1
-  store i64 %x1, %p
-  %i1 = add i64 %i, 1
-  %c = icmp slt i64 %i1, 1000
-  condbr %c, ^loop, ^done
-done:
-  ret i64 0
-}
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
-func @main() -> i64 {
-entry:
-  %a0 = inttoptr i64 0 to ptr
-  %a1 = inttoptr i64 1 to ptr
-  %t0 = call i64 @thread_spawn(ptr @worker, ptr %a0)
-  %t1 = call i64 @thread_spawn(ptr @worker, ptr %a1)
-  call void @thread_join(i64 %t0)
-  call void @thread_join(i64 %t1)
-  %p0 = gep i64, @acc, 0
-  %p1 = gep i64, @acc, 1
-  %v0 = load i64, %p0
-  %v1 = load i64, %p1
-  %s = add i64 %v0, %v1
-  ret i64 %s
-}`
-	m := compile(t, src, passes.LevelGuardsOnly)
-	cfg := DefaultConfig()
-	cfg.MemBytes = 1 << 24
-	cfg.HeapBytes = 1 << 18
-	_, ret := run(t, m, cfg)
-	if ret != 2000 {
-		t.Errorf("threaded sum = %d, want 2000", ret)
-	}
-}
-
-// TestFailedRunsParkNoThreadForever: a guest that deadlocks itself on a join
-// used to panic the scheduler, and any run that failed while sibling threads
-// sat parked left their goroutines (and the VM they pin) behind for good —
-// in caratd, per request. Both are a run error now, on either engine, and
-// every thread goroutine is gone soon after Run returns.
-func TestFailedRunsParkNoThreadForever(t *testing.T) {
-	const decls = `module "stuck"
-func @thread_spawn(%fn: ptr, %arg: ptr) -> i64
-func @thread_join(%tid: i64) -> void
-`
-	progs := map[StopReason]string{
-		// The main thread (id 1) joins itself.
-		StopDeadlock: decls + `func @main() -> i64 {
-entry:
-  call void @thread_join(i64 1)
-  ret i64 0
-}`,
-		// Main waits for two workers; the first to run divides by zero while
-		// main and the other sit parked.
-		StopTrap: decls + `func @worker(%arg: ptr) -> i64 {
-entry:
-  %z = ptrtoint ptr %arg to i64
-  %q = sdiv i64 1, %z
-  ret i64 %q
-}
-func @main() -> i64 {
-entry:
-  %null = inttoptr i64 0 to ptr
-  %t0 = call i64 @thread_spawn(ptr @worker, ptr %null)
-  %t1 = call i64 @thread_spawn(ptr @worker, ptr %null)
-  call void @thread_join(i64 %t0)
-  call void @thread_join(i64 %t1)
-  ret i64 0
-}`,
-	}
-	before := goruntime.NumGoroutine()
-	for want, src := range progs {
-		for _, engine := range []bool{reference, compiled} {
-			cfg := DefaultConfig()
-			cfg.MemBytes = 1 << 24
-			cfg.HeapBytes = 1 << 18
-			cfg.Closure = engine
-			v, err := Load(compile(t, src, passes.LevelTracking), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := v.Run(); stopReason(err) != want {
-				t.Errorf("compiled=%v: Run = %v, want a %s stop", engine, err, want)
-			}
+// TestVMPanicReachesCaller: the guest runs on the goroutine that called Run,
+// so a Go panic inside guest execution — here a move-policy hook's — reaches
+// Run's caller, which can recover it and still suspend and release the VM.
+func TestVMPanicReachesCaller(t *testing.T) {
+	for _, engine := range []bool{reference, compiled} {
+		k := kernel.New(1 << 24)
+		owned := k.OwnedPageCount()
+		cfg := DefaultConfig()
+		cfg.Kernel = k
+		cfg.HeapBytes, cfg.StackBytes = 1<<16, 1<<16
+		cfg.Closure = engine
+		v, err := Load(xcacheModule(t), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before the runs, %d still alive after them", before, goruntime.NumGoroutine())
+		v.SetMovePolicy(100, func() error { panic("policy hook") })
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			v.Run()
+			return nil
+		}()
+		if got != "policy hook" {
+			t.Fatalf("compiled=%v: recovered %v, want the hook's panic", engine, got)
 		}
-		time.Sleep(time.Millisecond)
+		suspended := make(chan func(), 1)
+		go func() { suspended <- v.Suspend() }()
+		select {
+		case resume := <-suspended:
+			resume()
+		case <-time.After(10 * time.Second):
+			t.Fatalf("compiled=%v: Suspend blocked after the panic", engine)
+		}
+		if err := v.Release(); err != nil {
+			t.Fatalf("compiled=%v: Release: %v", engine, err)
+		}
+		if got := k.OwnedPageCount(); got != owned {
+			t.Errorf("compiled=%v: %d pages owned after Release, %d before Load", engine, got, owned)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func xcacheModule(t *testing.T) *ir.Module {
 	return m
 }
 
-// TestLoadAllocatesNoXCache: a guest's thread takes its xcache from the
+// TestLoadAllocatesNoXCache: a guest takes its xcache from the
 // pool VM.Release fills, so once warm a load/run/release cycle allocates
 // less than one cache's bytes — a cache allocated per load would be the
 // whole bound on its own.
@@ -93,7 +93,7 @@ func TestLoadAllocatesNoXCache(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesXCaches: Release hands a run's caches back (the VM
+// TestReleaseRecyclesXCaches: Release hands a run's cache back (the VM
 // keeps no reference to one another guest may now own), and a second
 // Release is still a no-op.
 func TestReleaseRecyclesXCaches(t *testing.T) {
