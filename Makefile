@@ -17,7 +17,7 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 26424
+LOC_CEILING := 25826
 
 .PHONY: all fmt vet build test race debugtest smoke results check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
@@ -123,10 +123,8 @@ cover:
 		{ echo "coverage $$total% is below the floor $(COVER_FLOOR)%"; exit 1; }
 
 # soak runs seeded chaos runs (multi-process churn/defrag/tiering/swap
-# under randomized fault schedules): every seed soaks an unbounded, a
-# bounded (1000-cycle pause budget) and a chaos leg, and requires
-# byte-identical replay, cross-budget cycle/memory parity, every bounded
-# pause within its bound, and zero invariant violations. See scripts/soak.
+# under randomized fault schedules): every seed runs twice and requires
+# byte-identical replay and zero invariant violations. See scripts/soak.
 soak: build
 	$(GO) run ./scripts/soak -seeds $(SOAK_SEEDS) -start $(SOAK_START) -out soak.json
 	$(GO) run ./scripts/validatejson soak.json

@@ -55,8 +55,6 @@ func main() {
 		"worker-pool width for per-workload experiment legs (1 = sequential)")
 	faults := flag.String("faults", "",
 		"inject faults into policy experiments: seed:rate sets every injection point to rate (e.g. 42:0.01)")
-	pauseBudget := flag.Uint64("pausebudget", 0,
-		"max world-stop pause in cycles for policy experiments: moves and swaps patch in windows that fit the budget (0 = unbounded, one stop per operation)")
 	httpAddr := flag.String("http", "",
 		"serve live telemetry (/metrics, /profile, /trace, /healthz, /readyz) on this address (e.g. 127.0.0.1:8080, :0 picks a port)")
 	httpLinger := flag.Duration("http-linger", 0,
@@ -83,7 +81,6 @@ func main() {
 
 	o := bench.DefaultOptions(sc)
 	o.Workers = *workers
-	o.PauseBudget = *pauseBudget
 	if *only != "" {
 		o.Only = strings.Split(*only, ",")
 	}

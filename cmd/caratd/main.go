@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -29,32 +30,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "caratd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("caratd", flag.ExitOnError)
 	var (
-		configPath   = flag.String("config", "", "JSON config file (server.Config); flags override")
-		addr         = flag.String("addr", "", "listen address (overrides config; default localhost:0)")
-		memBytes     = flag.Uint64("mem", 0, "shared physical memory bytes (overrides config)")
-		maxInflight  = flag.Int("max-inflight", 0, "machine-wide concurrent request cap (overrides config)")
-		noBallast    = flag.Bool("no-ballast", false, "disable the background mmpolicy ballast service")
-		pauseBudget  = flag.Uint64("pausebudget", 0, "max world-stop pause in cycles per tenant run, 0 = unbounded (overrides config when non-zero)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
+		configPath   = fs.String("config", "", "JSON config file (server.Config); flags override")
+		addr         = fs.String("addr", "", "listen address (overrides config; default localhost:0)")
+		memBytes     = fs.Uint64("mem", 0, "shared physical memory bytes (overrides config)")
+		maxInflight  = fs.Int("max-inflight", 0, "machine-wide concurrent request cap (overrides config)")
+		noBallast    = fs.Bool("no-ballast", false, "disable the background mmpolicy ballast service")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	cfg := server.DefaultServerConfig()
 	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
+		var err error
+		if cfg, err = loadConfig(*configPath, cfg); err != nil {
 			return err
-		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return fmt.Errorf("parse %s: %w", *configPath, err)
 		}
 	}
 	if *addr != "" {
@@ -68,9 +66,6 @@ func run() error {
 	}
 	if *noBallast {
 		cfg.Ballast.Disabled = true
-	}
-	if *pauseBudget != 0 {
-		cfg.PauseBudgetCycles = *pauseBudget
 	}
 
 	s, err := server.New(cfg)
@@ -102,4 +97,20 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "caratd: drained cleanly")
 	return nil
+}
+
+// loadConfig reads the JSON config at path over cfg. A key server.Config
+// does not have — misspelled, or an option that no longer exists — is an
+// error naming it, not a setting silently ignored.
+func loadConfig(path string, cfg server.Config) (server.Config, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return cfg, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return cfg, nil
 }

@@ -55,11 +55,6 @@ type Options struct {
 	// Sampler, when non-nil, attaches the cycle-sampling profiler to every
 	// VM run (one track each) and to the policy daemon ("policy" phase).
 	Sampler *obs.Sampler
-	// PauseBudget is the max-pause budget in modeled cycles for the
-	// policy-daemon experiments' processes (caratbench's -pausebudget flag;
-	// see mmpolicy.HarnessConfig.PauseBudget). 0 is unbounded: one stop per
-	// move or swap.
-	PauseBudget uint64
 }
 
 // DefaultOptions returns the standard configuration for scale s.

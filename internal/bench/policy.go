@@ -49,23 +49,15 @@ func policyProcScale(o Options) int {
 const defragTargetRun = 64
 
 // pauseLine renders the carat.runtime.pause_cycles percentiles from a
-// policy document — the bounded-pause figure of merit every world-stop
-// (move, abort, protect, swap) in the run contributes to.
+// policy document: every world stop (move, abort, protect, swap) in the run
+// contributes to them.
 func pauseLine(w io.Writer, doc *mmpolicy.Document) {
 	if doc == nil || doc.PauseCycles == nil {
 		return
 	}
 	p := doc.PauseCycles
-	fmt.Fprintf(w, "pause cycles (%d world stops): p50 %.0f, p95 %.0f, p99 %.0f, max %d",
+	fmt.Fprintf(w, "pause cycles (%d world stops): p50 %.0f, p95 %.0f, p99 %.0f, max %d\n",
 		p.Count, p.P50, p.P95, p.P99, p.Max)
-	if doc.PauseBudgetCycles > 0 {
-		status := "within"
-		if p.Max > doc.PauseBudgetCycles {
-			status = "OVER"
-		}
-		fmt.Fprintf(w, " [budget %d: %s]", doc.PauseBudgetCycles, status)
-	}
-	fmt.Fprintln(w)
 }
 
 // DefragResult reports the defragmentation experiment.
@@ -95,12 +87,11 @@ func Defrag(o Options) (*DefragResult, error) {
 			{Name: "churn-b", Kind: mmpolicy.Churn, Slots: 48 * s, MaxPages: 4, Seed: 12},
 			{Name: "churn-c", Kind: mmpolicy.Churn, Slots: 48 * s, MaxPages: 4, Seed: 13},
 		},
-		Policies:    []mmpolicy.Policy{mmpolicy.NewDefrag(defragTargetRun)},
-		Obs:         reg,
-		Trace:       o.Trace,
-		Fault:       o.Fault,
-		Sampler:     o.Sampler,
-		PauseBudget: o.PauseBudget,
+		Policies: []mmpolicy.Policy{mmpolicy.NewDefrag(defragTargetRun)},
+		Obs:      reg,
+		Trace:    o.Trace,
+		Fault:    o.Fault,
+		Sampler:  o.Sampler,
 	})
 	if err != nil {
 		return nil, err
@@ -196,12 +187,11 @@ func Tiering(o Options) (*TieringResult, error) {
 			{Name: "cold", Kind: mmpolicy.ColdStore, Slots: 72 * s, MaxPages: 2, Seed: 22},
 			{Name: "churn", Kind: mmpolicy.Churn, Slots: 96 * s, MaxPages: 3, Seed: 23},
 		},
-		Policies:    []mmpolicy.Policy{mmpolicy.NewTiering()},
-		Obs:         reg,
-		Trace:       o.Trace,
-		Fault:       o.Fault,
-		Sampler:     o.Sampler,
-		PauseBudget: o.PauseBudget,
+		Policies: []mmpolicy.Policy{mmpolicy.NewTiering()},
+		Obs:      reg,
+		Trace:    o.Trace,
+		Fault:    o.Fault,
+		Sampler:  o.Sampler,
 	})
 	if err != nil {
 		return nil, err
@@ -282,11 +272,10 @@ func Policy(o Options) (*PolicyResult, error) {
 			mmpolicy.NewTiering(),
 			mmpolicy.NewNUMARebalance(),
 		},
-		Obs:         reg,
-		Trace:       o.Trace,
-		Fault:       o.Fault,
-		Sampler:     o.Sampler,
-		PauseBudget: o.PauseBudget,
+		Obs:     reg,
+		Trace:   o.Trace,
+		Fault:   o.Fault,
+		Sampler: o.Sampler,
 	})
 	if err != nil {
 		return nil, err

@@ -54,18 +54,12 @@ const (
 	// FlushFail fails one attempt to drain an escape buffer into the
 	// allocation table; the buffer retries until the flush lands.
 	FlushFail Point = "escape.flush"
-	// MoveBatch aborts a move at a pause-window boundary — the window close
-	// where mutator threads briefly resume between patch batches. Only
-	// checked when a move outgrows its window (never at pause budget 0); the
-	// runtime rolls the move back exactly as for MoveAbort.
-	MoveBatch Point = "move.batch_boundary"
 )
 
 // Points lists every injection point, in a fixed order (rate schedules and
 // reports iterate it).
 var Points = []Point{
 	KernelVeto, MoveAbort, PatchFail, SwapOutIO, SwapInIO, SwapDelay, FlushFail,
-	MoveBatch,
 }
 
 // Error is the error an injected fault produces. Injected faults model

@@ -71,9 +71,6 @@ type RegionSet struct {
 	// Epoch increments on every mutation; guard mechanisms that build
 	// per-set state (the if-tree) use it to invalidate caches.
 	Epoch uint64
-	// fwd is the forwarding window of an in-flight incremental move (see
-	// forward.go); opening, flipping, or closing it also bumps Epoch.
-	fwd forwardWindow
 }
 
 // NewRegionSet returns an empty region set.

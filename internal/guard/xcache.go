@@ -277,11 +277,8 @@ func (c *XCache) ValidPages() []uint64 {
 // the caller can go straight to physical memory without a separate
 // translate step. The fusion is sound because a cached hit proves
 // [addr, addr+size) lies inside a granted region — granted regions are in
-// physical bounds by construction — and a hit is impossible while an
-// incremental-move forwarding window could redirect the access:
-// OpenForward/FlipForward/CloseForward each bump the epoch (invalidating
-// every earlier entry on the stamp), and no entry is ever filled while a
-// window is open (CheckCached refuses to cache then).
+// physical bounds by construction, and any change to the set (a grant, a
+// protection change, a move) bumps the epoch every entry is stamped with.
 //
 // On a hit it charges exactly the cycles CheckCached would have charged and
 // returns (addr, true). On any other outcome it returns (0, false) without
@@ -349,13 +346,6 @@ func (e *Evaluator) CheckCached(c *XCache, addr, size uint64, p Perm) bool {
 	}
 	if p != PermRead && p != PermWrite && p != PermRW {
 		return true // not in xcachePerms: InvalidateRange could not find it
-	}
-	if e.Set.ForwardActive() {
-		// Never cache inside a forwarding window: an entry stamped with the
-		// window's epoch would let the fused translate path bypass the
-		// forwarding redirect. The window is brief and bumps the epoch again
-		// when it closes, so nothing of value is lost.
-		return true
 	}
 	r, found := e.Set.Find(addr)
 	if !found {

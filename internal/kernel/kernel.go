@@ -154,11 +154,6 @@ type MoveRequest struct {
 	proc   *Process
 }
 
-// Regions exposes the requesting process's region set. The runtime uses it
-// to open the forwarding window of an incremental move (guard.OpenForward)
-// on the same set the process's guards evaluate against.
-func (r *MoveRequest) Regions() *guard.RegionSet { return r.proc.Regions }
-
 // MoveResult reports what the runtime actually moved.
 type MoveResult struct {
 	Src   uint64 // realized (possibly expanded) source base

@@ -194,12 +194,6 @@ const (
 type Daemon struct {
 	K *kernel.Kernel
 
-	// PauseBudget is the max-pause budget (modeled cycles) the run was
-	// configured with, recorded into the policy document. Informational:
-	// the budget is enforced by the runtimes the harness configures, not by
-	// the daemon. 0 = unbounded (one stop per operation).
-	PauseBudget uint64
-
 	mu        sync.Mutex
 	procs     []*ManagedProc
 	policies  []Policy

@@ -83,12 +83,6 @@ type HarnessConfig struct {
 	// Sampler, when non-nil, receives the daemon's "policy"-phase cycle
 	// samples (see Daemon.AttachSampler).
 	Sampler *obs.Sampler
-	// PauseBudget is the max-pause budget in modeled cycles handed to every
-	// process runtime (runtime.SetPauseBudget): moves and swaps patch in
-	// windows whose worst-case pause fits the budget. 0 is unbounded — one
-	// stop per operation. Modeled cycles and memory digests are identical
-	// at every budget; only the pause histogram changes shape.
-	PauseBudget uint64
 }
 
 // WorkProc is one workload process in the harness.
@@ -138,7 +132,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	d.SetTracer(cfg.Trace)
 	d.SetInjector(cfg.Fault)
 	d.AttachSampler(cfg.Sampler)
-	d.PauseBudget = cfg.PauseBudget
 	h := &Harness{K: k, D: d, tickEvery: cfg.TickEvery, nextTick: cfg.TickEvery}
 	for _, spec := range cfg.Procs {
 		if spec.MaxPages == 0 {
@@ -148,7 +141,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		rt := runtime.New(k.Mem, nil, k.Obs)
 		rt.SetTracer(cfg.Trace)
 		rt.SetInjector(cfg.Fault)
-		rt.SetPauseBudget(cfg.PauseBudget)
 		p.Handler = rt
 		mp := d.Attach(spec.Name, p, rt)
 		wp := &WorkProc{

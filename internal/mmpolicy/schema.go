@@ -19,9 +19,9 @@ import (
 const Schema = "carat.policy"
 
 // SchemaVersion is the current document format version.
-// v2 adds pause_p99_cycles and pause_budget_cycles (the bounded-pause
-// protocol's headline number and its knob); pause_cycles existed in v1.
-const SchemaVersion = 2
+// v2 added pause_p99_cycles and pause_budget_cycles; v3 drops
+// pause_budget_cycles (a move or swap is always one stop).
+const SchemaVersion = 3
 
 // Decision actions.
 const (
@@ -75,7 +75,7 @@ type Document struct {
 	FragBefore *kernel.FragStats `json:"frag_before,omitempty"`
 	FragAfter  *kernel.FragStats `json:"frag_after,omitempty"`
 	// PauseCycles is the carat.runtime.pause_cycles histogram at Report
-	// time: every world-stop window (moves, aborts, protection flips,
+	// time: every world stop (moves, aborts, protection flips,
 	// swaps) across all managed processes, with p50/p95/p99. Every world
 	// stop publishes into the kernel's registry when it ends, so this
 	// aggregates the whole machine.
@@ -84,10 +84,6 @@ type Document struct {
 	// policy comparisons don't have to dig into the histogram; it equals
 	// PauseCycles.P99 (0 when no pauses were recorded).
 	PauseP99Cycles float64 `json:"pause_p99_cycles"`
-	// PauseBudgetCycles (v2) records the max-pause budget the run was
-	// configured with (HarnessConfig.PauseBudget); 0 means unbounded, one
-	// stop per operation.
-	PauseBudgetCycles uint64 `json:"pause_budget_cycles"`
 }
 
 // Report assembles the versioned decision document for the run so far.
@@ -107,7 +103,6 @@ func (d *Daemon) Report() *Document {
 	}
 	fs := d.K.Alloc.FragStats()
 	doc.FragAfter = &fs
-	doc.PauseBudgetCycles = d.PauseBudget
 	if ps := d.K.Obs.Histogram(runtime.PauseHist).Snapshot(); ps.Count > 0 {
 		doc.PauseCycles = &ps
 		doc.PauseP99Cycles = ps.P99

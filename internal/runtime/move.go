@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"carat/internal/fault"
-	"carat/internal/guard"
 	"carat/internal/kernel"
 	"carat/internal/obs"
 )
@@ -126,14 +125,8 @@ func (r *Runtime) HandleMove(req kernel.MoveRequest) (kernel.MoveResult, error) 
 
 // handleMoveLocked drives the move as a phase state machine: expand,
 // negotiate, patch escapes, patch registers, rebase tables, copy, commit.
-// The pause meter slices the stop-window work into windows that fit the
-// pause budget (SetPauseBudget), separated by resume/stop round trips, with
-// the guard-level forwarding window keeping accesses that race into the
-// half-patched state correct in between; at budget 0 the single window
-// never closes and the world stays stopped end to end. Phase order, every
-// fault-injection draw, and every program-clock formula are the same at
-// every budget: the budget changes pause *attribution* only, so modeled
-// cycles and memory digests stay byte-identical per seed.
+// The world stays stopped end to end: the move is one pause, its whole
+// MoveBreakdown.TotalCycles, observed once under "move" (or "move_abort").
 func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
@@ -143,7 +136,6 @@ func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kerne
 	st := r.mover()
 	defer st.reset()
 	st.req, st.regs, st.inj, st.bd.ExpandCycles = req, regs, r.injector(), cycBarrier
-	st.meter.start(r, "move", true)
 	for _, phase := range movePhases {
 		if err := phase(st); err != nil {
 			return st.fail(err)
@@ -156,7 +148,7 @@ func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kerne
 	r.pubMu.Lock()
 	r.hists().move.Observe(st.bd.TotalCycles())
 	r.pubMu.Unlock()
-	st.meter.finish()
+	r.observePause("move", st.bd.TotalCycles())
 	r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
 	return kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.src, st.dst, st.length, nil
 }
@@ -174,16 +166,14 @@ var movePhases = [...]func(*moveState) error{
 
 // moveState carries one in-flight move through its phases. A runtime has
 // one, allocated at its first move or swap (see mover) and reset after every
-// move, so its slices keep their storage; a swap uses its pause meter and
-// scratch slices. The undo log (txn) opens when destination negotiation
-// succeeds: a failure before that point needs only a veto, a failure after it
-// rolls back.
+// move, so its slices keep their storage; a swap uses its scratch slices.
+// The undo log (txn) opens when destination negotiation succeeds: a failure
+// before that point needs only a veto, a failure after it rolls back.
 type moveState struct {
-	r     *Runtime
-	req   kernel.MoveRequest
-	regs  []RegSet
-	inj   *fault.Injector
-	meter pauseMeter
+	r    *Runtime
+	req  kernel.MoveRequest
+	regs []RegSet
+	inj  *fault.Injector
 
 	bd MoveBreakdown
 	// lookupCyc/scanCyc split ExpandCycles for trace attribution only;
@@ -194,7 +184,6 @@ type moveState struct {
 	pages            uint64
 	affected         []*Allocation
 	txn              moveTxn
-	fwd              *guard.RegionSet // set holding our open forwarding window
 
 	locs      []uint64    // one allocation's escape locations, snapshotted for patching
 	swapMoved [][2]uint64 // rebaseSwapLocs' scratch: (location, offset) pairs
@@ -225,24 +214,16 @@ func (st *moveState) reset() {
 
 // phaseExpand implements steps 5/6: expand [src, src+len) until its
 // boundaries split no allocation (allocations must move in their entirety,
-// §4.3). The table is re-queried on every iteration, so a window
-// boundary inside this phase is safe: allocation churn from
-// briefly-resumed mutators is folded into the next query.
+// §4.3).
 func (st *moveState) phaseExpand() error {
 	st.src = st.req.Src
 	st.length = st.req.Pages * kernel.PageSize
 	for {
 		st.bd.ExpandCycles += cycTableLookup
 		st.lookupCyc += cycTableLookup
-		if err := st.meter.add(cycTableLookup); err != nil {
-			return err
-		}
 		st.affected = st.r.Table.Overlapping(st.src, st.src+st.length, st.affected)
 		st.bd.ExpandCycles += uint64(len(st.affected)) * cycPerAllocScan
 		st.scanCyc += uint64(len(st.affected)) * cycPerAllocScan
-		if err := st.meter.addBulk(len(st.affected), cycPerAllocScan); err != nil {
-			return err
-		}
 		grew := false
 		if len(st.affected) > 0 {
 			if first := st.affected[0]; first.Base < st.src {
@@ -271,12 +252,8 @@ func (st *moveState) phaseExpand() error {
 }
 
 // phaseNegotiate implements step 5: the kernel allocates and maps the
-// destination. On success the undo log opens — every later mutation is
-// recorded before it is applied — and, when the mutators will run between
-// pause windows, so does the forwarding window: patched pointers will name
-// the destination while the data still lives at the source, and the window
-// forwards those accesses back until the copy lands. A bounded move never
-// runs without that read barrier: if it cannot open, the move rolls back.
+// destination. On success the undo log opens: every later mutation is
+// recorded before it is applied.
 func (st *moveState) phaseNegotiate() error {
 	dst, err := st.req.NegotiateDst(st.src, st.pages)
 	if err != nil {
@@ -284,32 +261,19 @@ func (st *moveState) phaseNegotiate() error {
 	}
 	st.dst = dst
 	st.bd.MoveCycles += st.pages * cycPageAlloc
-	st.meter.concurrent(st.pages * cycPageAlloc)
 	st.txn.open = true
-	if st.meter.bounded() {
-		if rs := st.req.Regions(); rs != nil {
-			if err := rs.OpenForward(st.src, st.dst, st.length); err != nil {
-				return fmt.Errorf("runtime: move cannot open its forwarding window: %w", err)
-			}
-			st.fwd = rs
-		}
-	}
 	return nil
 }
 
 // phasePatchEscapes implements steps 7-8: patch every escape of every
 // affected allocation so each pointer names the address its target will
-// have after the move. This is the phase pause windows exist for — escape
-// density is what scales the pause (Table 3).
+// have after the move. Escape density is what scales the pause (Table 3).
 func (st *moveState) phasePatchEscapes() error {
 	for _, a := range st.affected {
 		st.bd.AllocsMoved++
 		st.locs = st.r.Table.EscapeLocsOf(a, st.locs)
 		for _, loc := range st.locs {
 			st.bd.PatchCycles += cycEscapePatch
-			if err := st.meter.add(cycEscapePatch); err != nil {
-				return err
-			}
 			val := st.r.mem.Load64(loc)
 			if val >= st.src && val < st.src+st.length {
 				if st.inj.Should(fault.PatchFail) {
@@ -324,25 +288,17 @@ func (st *moveState) phasePatchEscapes() error {
 	return st.inj.Fail(fault.MoveAbort, "after escape patch")
 }
 
-// phasePatchRegisters patches in-register pointers (dumped by the opening
-// world stop; the RegSet handles stay valid across batch boundaries). A
-// register patch is word-atomic, so a boundary between two registers is
-// safe: the patched ones read through the forwarding window.
+// phasePatchRegisters patches in-register pointers (dumped by the world
+// stop).
 func (st *moveState) phasePatchRegisters() error {
 	for _, rs := range st.regs {
 		vals := rs.Regs()
 		for i, v := range vals {
 			st.bd.RegCycles += cycRegScan
-			if err := st.meter.add(cycRegScan); err != nil {
-				return err
-			}
 			if v >= st.src && v < st.src+st.length {
 				st.txn.regWrites = append(st.txn.regWrites, regWrite{rs: rs, i: i, old: v})
 				rs.SetReg(i, v-st.src+st.dst)
 				st.bd.RegCycles += cycRegPatch
-				if err := st.meter.add(cycRegPatch); err != nil {
-					return err
-				}
 				st.bd.RegsPatched++
 			}
 		}
@@ -360,63 +316,41 @@ func (st *moveState) phaseRebase() error {
 	moved := st.r.rebaseEscapeLocs(st.src, st.src+st.length, st.dst)
 	st.txn.escMoved = true
 	st.bd.PatchCycles += uint64(moved) * cycEscapePatch
-	if err := st.meter.addBulk(moved, cycEscapePatch); err != nil {
-		return err
-	}
 	st.r.rebaseSwapLocs(st.src, st.dst, st.length)
 	st.txn.swapMoved = true
 	return st.inj.Fail(fault.MoveAbort, "before data copy")
 }
 
-// phaseCopy implements step 9: move the data. The copy is always charged to
-// the program clock, but attributed off-pause when the forwarding window is
-// open — a production runtime copies concurrently under it, and the flip to
-// the destination happens inside the final stop.
+// phaseCopy implements step 9: move the data.
 func (st *moveState) phaseCopy() error {
 	if err := st.r.mem.Move(st.dst, st.src, st.length); err != nil {
 		return fmt.Errorf("runtime: data move failed: %w", err)
 	}
 	st.txn.copied = true
 	st.bd.MoveCycles += st.length * cycPerByteMove
-	st.meter.concurrent(st.length * cycPerByteMove)
 	st.bd.PagesMoved = st.pages
-	if st.fwd != nil {
-		// Data is at the destination now: stale source pointers forward.
-		st.fwd.FlipForward()
-	}
 	return nil
 }
 
 // phaseCommit implements step 10: retire the source frames. RetireSrc is
-// the commit point — once the kernel retires the source the move is final
-// and the forwarding window closes.
+// the commit point — once the kernel retires the source the move is final.
 func (st *moveState) phaseCommit() error {
 	if err := st.req.RetireSrc(st.src, st.pages); err != nil {
 		return fmt.Errorf("runtime: source retire failed: %w", err)
 	}
-	st.closeForward()
 	return nil
-}
-
-func (st *moveState) closeForward() {
-	if st.fwd != nil {
-		st.fwd.CloseForward()
-		st.fwd = nil
-	}
 }
 
 // fail unwinds a failed phase. Before destination negotiation (txn not
 // open) nothing has mutated: a bare veto suffices. After it, the undo log rolls
 // the address space back to the exact pre-move state. The pause observed
-// at the abort covers the work since the last window boundary (at budget 0:
-// the whole partial breakdown).
+// at the abort is the partial breakdown: the work done before the failure.
 func (st *moveState) fail(cause error) (kernel.MoveResult, uint64, uint64, uint64, error) {
-	st.meter.closeWindow("move_abort")
+	st.r.observePause("move_abort", st.bd.TotalCycles())
 	if !st.txn.open {
 		st.req.Veto()
 		return kernel.MoveResult{}, 0, 0, 0, cause
 	}
-	st.closeForward()
 	return kernel.MoveResult{}, 0, 0, 0, st.r.rollbackMove(&st.req, &st.txn, st.src, st.dst, st.length, cause)
 }
 

@@ -120,9 +120,8 @@ func TestMoveIgnoresSwapHistory(t *testing.T) {
 	must(t, rt.Table.CheckInvariants())
 }
 
-// TestRebaseOfRemovedAllocation: a bounded move resumes mutators between its
-// windows, so an allocation it found can be freed before it rebases it. The
-// rebase then only updates the base: nothing is re-linked into the tree.
+// TestRebaseOfRemovedAllocation: a rebase of an allocation the table no
+// longer holds only updates the base: nothing is re-linked into the tree.
 func TestRebaseOfRemovedAllocation(t *testing.T) {
 	tb := NewAllocationTable()
 	a, err := tb.Insert(0x10000, 64, false)

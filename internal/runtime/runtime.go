@@ -19,11 +19,10 @@ import (
 //
 // Contract (verified by the internal/worldtest conformance suite):
 //
-//   - One operation may stop and resume the world several times (once per
-//     bounded pause window, see pause.go). RegSet handles returned by the
-//     first stop stay valid across later ResumeTheWorld/StopTheWorld cycles
-//     — patching continues on the same snapshots, and values written
-//     through them are visible after the next stop.
+//   - Each operation (move, swap, protection flip) stops the world exactly
+//     once and resumes it exactly once: no guest instruction runs while it
+//     is in flight, so it patches the stop's snapshots without a read
+//     barrier.
 //   - Nested stops are rejected: calling StopTheWorld while the world is
 //     already stopped panics. The move protocol never nests stops; a nest
 //     means re-entrancy the protocol cannot survive.
@@ -75,7 +74,6 @@ type Stats struct {
 	Moves         obs.Counter // completed kernel-initiated moves
 	MoveCycles    obs.Counter // total modeled cycles across all moves
 	MoveRollbacks obs.Counter // aborted moves rolled back to the pre-move state
-	BatchPauses   obs.Counter // window boundaries crossed (resume + re-stop between batches); 0 at pause budget 0
 	FlushRetries  obs.Counter // escape-buffer flushes retried after an injected failure
 	RebaseVisited obs.Counter // reverse-index entries RebaseEscapeLocs examined
 	RebaseMoved   obs.Counter // reverse-index entries it rewrote: visited/moved says whether a move scanned the table
@@ -97,7 +95,6 @@ var counterNames = [...]string{
 	"carat.runtime.moves",
 	"carat.runtime.move_cycles",
 	"carat.runtime.move_rollbacks",
-	"carat.runtime.batch_pauses",
 	"carat.runtime.flush_retries",
 	"carat.runtime.table.rebase_visited",
 	"carat.runtime.table.rebase_moved",
@@ -107,7 +104,7 @@ func (s *Stats) counters() [len(counterNames)]*obs.Counter {
 	return [...]*obs.Counter{
 		&s.Allocs, &s.Frees, &s.EscapeEvents, &s.BatchFlushes, &s.UntrackedEsc,
 		&s.TrackingCycle, &s.LoadCycles, &s.SwapOuts, &s.SwapIns, &s.SwapCycles,
-		&s.Moves, &s.MoveCycles, &s.MoveRollbacks, &s.BatchPauses, &s.FlushRetries,
+		&s.Moves, &s.MoveCycles, &s.MoveRollbacks, &s.FlushRetries,
 		&s.RebaseVisited, &s.RebaseMoved,
 	}
 }
@@ -228,25 +225,6 @@ type Runtime struct {
 	// point; batchMax is the per-buffer flush threshold.
 	defBuf   *EscapeBuffer
 	batchMax int
-
-	// pauseBudget is the max-pause budget in modeled cycles (see
-	// SetPauseBudget). Guarded by stateMu.
-	pauseBudget uint64
-}
-
-// SetPauseBudget sets the longest modeled world-stop pause, in cycles, a
-// move or swap may impose. 0 (the default) is unbounded: each operation is
-// one stop covering all of its work. A positive budget slices the
-// stop-window work into windows of BatchForBudget(cycles) escape patches,
-// resuming the mutators in between under the guard-level forwarding
-// window, so no recorded pause exceeds PauseBound of that batch (budgets
-// below PauseBound(MinMoveBatch) clamp up to it). The budget never changes
-// the program clock or the fault-injection draw sequence — modeled cycles
-// and memory digests are byte-identical at every budget.
-func (r *Runtime) SetPauseBudget(cycles uint64) {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	r.pauseBudget = cycles
 }
 
 // AddMoveListener registers fn to run after every completed move, while
@@ -292,13 +270,11 @@ func (r *Runtime) notifyInvalidate(base, length uint64) {
 	}
 }
 
-// PauseHist names the all-causes world-stop pause histogram. Every
-// stop-the-world window — moves (including aborted ones), protection
-// flips, swap-outs, swap-ins — observes its modeled duration here and
-// into a per-cause histogram named PauseHist + "." + cause. The p50/p95/
-// p99 of this histogram are the bounded-pause evidence the incremental-
-// move work will be judged against; observations never feed back into
-// the VM's cycle count, so attaching the histogram cannot perturb
+// PauseHist names the all-causes world-stop pause histogram. Every world
+// stop — moves (including aborted ones), protection flips, swap-outs,
+// swap-ins — observes its modeled duration here and into a per-cause
+// histogram named PauseHist + "." + cause. Observations never feed back
+// into the VM's cycle count, so attaching the histogram cannot perturb
 // modeled results.
 const PauseHist = "carat.runtime.pause_cycles"
 
@@ -322,7 +298,7 @@ func (r *Runtime) hists() *pauseHists {
 	return r.pauses
 }
 
-// observePause records one world-stop window of the given modeled length.
+// observePause records one world stop of the given modeled length.
 // Observe-only: callers must not charge cycles to the program clock here.
 func (r *Runtime) observePause(cause string, cycles uint64) {
 	r.pubMu.Lock()

@@ -299,8 +299,8 @@ func (f *fakeRegs) SetReg(i int, v uint64) { f.vals[i] = v }
 
 // fakeWorld hands back fixed register sets (mirroring the worldtest fake,
 // which internal test files cannot import — worldtest imports runtime) and
-// panics on nested stops, like the real VM scheduler. An operation that
-// crosses n pause-window boundaries stops and resumes it n+1 times.
+// panics on nested stops, like the real VM scheduler. It counts stops and
+// resumes: every operation stops and resumes it once.
 type fakeWorld struct {
 	regs    []*fakeRegs
 	stops   int

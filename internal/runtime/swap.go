@@ -97,13 +97,6 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 		return 0, 0, err
 	}
 
-	// Swaps take no batch-boundary faults: they mutate nothing the undo log
-	// could restore (the poison patches are each individually reversible,
-	// and a half-poisoned allocation is safe — poisoned pointers fault into
-	// the swap-in path, unpoisoned ones still see live data at base).
-	meter := &st.meter
-	meter.start(r, "swap_out", false)
-
 	// Patch escapes to poison and remember their offsets.
 	st.locs = r.Table.EscapeLocsOf(a, st.locs)
 	for _, loc := range st.locs {
@@ -112,7 +105,6 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 			off := val - base
 			r.mem.Store64(loc, swapPoison(slot, off))
 			rec.escapes[loc] = off
-			meter.add(cycEscapePatch) // never errors: no boundary fault point
 		}
 	}
 	// Patch registers.
@@ -132,14 +124,12 @@ func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, err
 	rec.live = len(r.swapLive)
 	r.swapLive = append(r.swapLive, rec)
 	r.Stats.SwapOuts.Inc()
-	// Modeled length of this swap: the barrier round trip, one patch per
-	// poisoned escape, and the copy to the swap device (off-pause, under
-	// I/O, when windows are bounded). Observe-only — swaps charge nothing
-	// to the program clock, so neither does the pause accounting.
-	copyCyc := a.Len * cycPerByteMove
-	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
-	meter.concurrent(copyCyc)
-	meter.finish()
+	// Modeled length of this swap, which is one pause: the barrier round
+	// trip, one patch per poisoned escape, and the copy to the swap device.
+	// Observe-only — swaps charge nothing to the program clock.
+	cyc := cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + a.Len*cycPerByteMove
+	r.Stats.SwapCycles.Add(cyc)
+	r.observePause("swap_out", cyc)
 	if tr := r.tracer(); tr != nil {
 		tr.Instant("swap.out", "paging",
 			obs.A("slot", slot), obs.A("bytes", a.Len), obs.A("escapes", len(rec.escapes)))
@@ -197,13 +187,9 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	if err != nil {
 		return 0, fmt.Errorf("runtime: swap-in: %w", err)
 	}
-	st := r.mover()
-	meter := &st.meter
-	meter.start(r, "swap_in", false)
 	for loc, off := range rec.escapes {
 		r.mem.Store64(loc, newBase+off)
 		r.Table.relinkEscape(loc, a)
-		meter.add(cycEscapePatch) // never errors: no boundary fault point
 	}
 	for _, rs := range regs {
 		vals := rs.Regs()
@@ -218,16 +204,15 @@ func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, err
 	r.swapLive[rec.live], last.live = last, rec.live
 	r.swapLive[len(r.swapLive)-1] = nil
 	r.swapLive = r.swapLive[:len(r.swapLive)-1]
-	if len(st.spareData) < maxSpareBuffers {
+	if st := r.mover(); len(st.spareData) < maxSpareBuffers {
 		st.spareData = append(st.spareData, rec.data)
 	}
 	r.Stats.SwapIns.Inc()
 	// Mirror of the swap-out pause model: barrier + per-pointer forward
 	// patches + the copy back from the swap device.
-	copyCyc := rec.length * cycPerByteMove
-	r.Stats.SwapCycles.Add(cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + copyCyc)
-	meter.concurrent(copyCyc)
-	meter.finish()
+	cyc := cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + rec.length*cycPerByteMove
+	r.Stats.SwapCycles.Add(cyc)
+	r.observePause("swap_in", cyc)
 	if tr := r.tracer(); tr != nil {
 		tr.Instant("swap.in", "paging", obs.A("slot", slot), obs.A("bytes", rec.length))
 	}

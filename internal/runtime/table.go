@@ -306,8 +306,8 @@ func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
 // Rebase moves allocation a so its base becomes newBase, keeping escape sets
 // attached and re-linking a's own tree node. Escape locations are NOT
 // rewritten here; the move engine handles location rebasing since it knows
-// the moved byte range. An allocation the table no longer holds — freed while
-// a bounded move's mutators ran between its windows — only takes the new base.
+// the moved byte range. An allocation the table no longer holds only takes
+// the new base: it is not resurrected.
 func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()

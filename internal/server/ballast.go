@@ -91,9 +91,6 @@ func (s *Server) newBallast(cfg BallastConfig) (*ballast, error) {
 			mmpolicy.NewTiering(),
 			mmpolicy.NewNUMARebalance(),
 		},
-		// The ballast's pauses land in the same tenant-visible pause
-		// histogram as everything else, so it honors the server's budget.
-		PauseBudget: s.cfg.PauseBudgetCycles,
 	})
 	if err != nil {
 		return nil, err

@@ -76,13 +76,6 @@ type Config struct {
 	// Ballast configures the background mmpolicy service.
 	Ballast BallastConfig `json:"ballast"`
 
-	// PauseBudgetCycles is the longest modeled world-stop pause, in cycles,
-	// a move or swap may impose on a request's (or the ballast's) threads
-	// (vm.Config.PauseBudget). Zero is unbounded: one stop per operation.
-	// Either way the pause histograms land tenant-visible on /metrics;
-	// modeled results are identical.
-	PauseBudgetCycles uint64 `json:"pause_budget_cycles"`
-
 	// Obs, when non-nil, is the metrics registry (a private one is created
 	// otherwise). The telemetry endpoints serve whichever is used.
 	Obs *obs.Registry `json:"-"`
@@ -559,7 +552,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	vcfg.StackBytes = s.cfg.StackBytes
 	vcfg.MaxInstrs = s.cfg.MaxInstrs
 	vcfg.MaxCycles = ten.quota.MaxCycles
-	vcfg.PauseBudget = s.cfg.PauseBudgetCycles
 	v, err := vm.LoadProgram(prog, vcfg)
 	if err != nil {
 		switch {

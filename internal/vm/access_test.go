@@ -6,17 +6,15 @@ import (
 	"strings"
 	"testing"
 
-	"carat/internal/guard"
-	"carat/internal/kernel"
 	"carat/internal/obs"
 	"carat/internal/passes"
 )
 
 // The unguarded access step's cold paths. An access whose guard the compiler
 // removed goes straight to memory behind a bounds compare (compileAccess);
-// everything that compare, the mode test or the forwarding-window test turns
-// away — a fault, a swapped-out allocation, an open window, a paging-mode
-// page walk — must come out exactly as the reference interpreter has it,
+// everything that compare or the mode test turns away — a fault, a
+// swapped-out allocation, a paging-mode page walk — must come out exactly as
+// the reference interpreter has it,
 // which runs every access through dataAddr/translate.
 
 // accessResult is every modeled observable of one run, error included.
@@ -200,59 +198,6 @@ done:
 				}
 				if n := v.Runtime().Stats.SwapIns.Get(); n < 3 {
 					t.Errorf("%d swap-ins, want several: the poison never reached an access", n)
-				}
-			})
-		}
-	})
-
-	// Compiled unguarded accesses under an open forwarding window: the fast
-	// path must stand aside (it would read and write where the data is not).
-	// Before the flip patched pointers name dst while the data is still at
-	// src; after it stale pointers name src and the data is at dst.
-	t.Run("forwarding-window", func(t *testing.T) {
-		const src = `module "fwd"
-global @slot : ptr
-func @main() -> i64 {
-entry:
-  %p = load ptr, @slot
-  %v = load i64, %p
-  %one = and i64 %v, 1
-  %v1 = add i64 %v, 1
-  %q = gep i64, %p, %one
-  store i64 %v1, %q
-  %r = load i64, %q
-  ret i64 %r
-}`
-		for _, flipped := range []bool{false, true} {
-			t.Run(fmt.Sprintf("flipped=%v", flipped), func(t *testing.T) {
-				var data, other uint64 // where the bytes live, and the window's other side
-				v, r := accessParity(t, src, passes.LevelNone, smallConfig(), func(v *VM) {
-					from, err := v.Process().GrantRegion(kernel.PageSize, guard.PermRW)
-					if err != nil {
-						t.Fatal(err)
-					}
-					to, err := v.Process().GrantRegion(kernel.PageSize, guard.PermRW)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := v.Process().Regions.OpenForward(from, to, kernel.PageSize); err != nil {
-						t.Fatal(err)
-					}
-					data, other = from, to
-					if flipped {
-						v.Process().Regions.FlipForward()
-						data, other = to, from
-					}
-					mem := v.Kernel().Mem
-					mem.Store64(data+16, 0xFEED)
-					mem.Store64(v.GlobalAddr(v.Module().Global("slot")), other+16)
-				})
-				if r.err != "" || r.ret != 0xFEEE {
-					t.Fatalf("ret %#x, err %q; want 0xfeee through the window", r.ret, r.err)
-				}
-				mem := v.Kernel().Mem
-				if got, stray := mem.Load64(data+24), mem.Load64(other+24); got != 0xFEEE || stray != 0 {
-					t.Errorf("store landed: data side %#x (want 0xfeee), named side %#x (want 0)", got, stray)
 				}
 			})
 		}

@@ -56,8 +56,7 @@ import (
 // from it, on any goroutine — and independent of the region epoch:
 //
 //   - every memory access validates itself (xcache slots are epoch-stamped,
-//     nothing is filled under a forwarding window, and every cold path goes
-//     through a guard walk and translate);
+//     and every cold path goes through a guard walk and translate);
 //   - the only baked addresses are the pool's global/function entries, which
 //     the cfunc records as relocs. A page move that relocates a global or
 //     code re-bakes each binding's pool and re-copies it into every live
@@ -65,9 +64,9 @@ import (
 //     register patch of Figure 8 — the pool is one more escape of the
 //     address, and a cold path that reads a pool register reads it patched.
 //
-// So compiled code survives moves, grants and forwarding windows at full
-// speed, and — every verified function being compilable — nothing ever
-// leaves the engine: there is no deoptimization.
+// So compiled code survives moves and grants at full speed, and — every
+// verified function being compilable — nothing ever leaves the engine: there
+// is no deoptimization.
 //
 // All of this is host-speed only: instruction counts, modeled cycles, the
 // cycle profile, guard evaluator state, and runtime callback order are
@@ -94,9 +93,9 @@ type cenv struct {
 	xc      *guard.XCache // t.xc, cached to skip a pointer chase per access
 	eval    *guard.Evaluator
 	mem     *kernel.PhysMem
-	regions *guard.RegionSet // the process's, in CARAT mode; nil under paging
-	ret     uint64           // return value, set by Ret terminators
-	pending []ccopy          // phi copies owed to the block about to run
+	carat   bool    // CARAT mode: an unguarded access is a bounds compare
+	ret     uint64  // return value, set by Ret terminators
+	pending []ccopy // phi copies owed to the block about to run
 	tmp     []uint64
 	prof    *obs.FuncProfile
 	pendN   uint64 // instruction charges not yet applied
@@ -365,10 +364,7 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 	if len(t.frames) > 10000 {
 		return 0, fmt.Errorf("vm: call stack overflow in @%s", fb.fn.Name)
 	}
-	e := &cenv{v: v, t: t, fr: fr, xc: t.xc, eval: v.eval, mem: v.kern.Mem, prof: fb.prof}
-	if v.cfg.Mode == ModeCARAT {
-		e.regions = v.proc.Regions
-	}
+	e := &cenv{v: v, t: t, fr: fr, xc: t.xc, eval: v.eval, mem: v.kern.Mem, prof: fb.prof, carat: v.cfg.Mode == ModeCARAT}
 	if cf.maxPhis > 0 {
 		e.tmp = make([]uint64, cf.maxPhis)
 	}
@@ -1155,13 +1151,12 @@ func (cf *ccompiler) compileCall(in *ir.Instr, segN, segCyc uint64, pures []cpur
 // translation (guard.CheckTranslateCached), and the access's own charge
 // lands on the deferred counters beside the group's. Unguarded — the
 // compiler proved the access safe — it is what CARAT says such an access
-// costs: a bounds compare, in CARAT mode with no forwarding window open (the
-// bounds compare stands in for the bus fault, as in VM.translate). Every
-// other outcome flushes and falls into exactly the unfused sequence —
-// guardCold, the access's direct charge, cdataAddr — so faults, swap-ins,
-// forwarding, paging-mode page walks, evaluator and xcache counters, trace
-// events and callback order stay byte-identical with the reference
-// interpreter. Both paths end in the one load/sign-extend/store tail.
+// costs: a bounds compare, in CARAT mode (the bounds compare stands in for
+// the bus fault, as in VM.translate). Every other outcome flushes and falls
+// into exactly the unfused sequence — guardCold, the access's direct charge,
+// cdataAddr — so faults, swap-ins, paging-mode page walks, evaluator and
+// xcache counters, trace events and callback order stay byte-identical with
+// the reference interpreter. Both paths end in the one load/sign-extend/store tail.
 func (cf *ccompiler) compileAccess(gi, ai, gep *ir.Instr, segN, segCyc uint64, pures []cpure) cstep {
 	// What the step knows about its site, packed: the closure holds a copy,
 	// and there is one per load or store in the module (a group's charge fits
@@ -1220,8 +1215,8 @@ func (cf *ccompiler) compileAccess(gi, ai, gep *ir.Instr, segN, segCyc uint64, p
 			if gsize := regs[s.gsz]; int64(gsize) > 0 && width <= gsize {
 				pa, ok = e.eval.CheckTranslateCached(e.xc, addr, gsize, s.perm)
 			}
-		} else if rs := e.regions; rs != nil {
-			ok = !rs.ForwardActive() && e.mem.InBounds(addr, width)
+		} else if e.carat {
+			ok = e.mem.InBounds(addr, width)
 		}
 		if !ok {
 			e.flush()

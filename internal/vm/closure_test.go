@@ -8,8 +8,8 @@ import (
 )
 
 // Exact-count tests for the compiled engine's counters. The counting model
-// (see closure.go): compiled code survives every epoch bump — grants, page
-// moves, forwarding windows — so nothing recompiles and nothing leaves the
+// (see closure.go): compiled code survives every epoch bump — grants,
+// releases, page moves — so nothing recompiles and nothing leaves the
 // engine; the deopt position of ClosureStats is the constant 0. A compiled
 // call site hits when its callee is already bound, and misses on the call
 // that binds it.
@@ -167,28 +167,27 @@ func TestClosureSurvivesEpochBump(t *testing.T) {
 	}
 }
 
-// TestClosureSurvivesForwardingWindow: OpenForward/FlipForward/CloseForward
-// each bump the region epoch; a full window cycled inside one safepoint
-// leaves the live activation compiled and the program result unperturbed.
-func TestClosureSurvivesForwardingWindow(t *testing.T) {
+// TestClosureSurvivesGrantAndRelease: a region granted and released again
+// inside one safepoint bumps the region epoch twice and leaves the set as it
+// was; the live activation stays compiled and the program result
+// unperturbed.
+func TestClosureSurvivesGrantAndRelease(t *testing.T) {
 	want := referenceRun(t, closureLoopSrc, passes.LevelTracking)
 	cycled := false
 	v, ret := closureRun(t, closureLoopSrc, passes.LevelTracking, func(v *VM) {
-		src, err := v.Process().GrantRegion(4096, guard.PermRW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst, err := v.Process().GrantRegion(4096, guard.PermRW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs := v.Process().Regions
 		v.SetMovePolicy(500, once(&cycled, func() error {
-			if err := rs.OpenForward(src, dst, 4096); err != nil {
+			p := v.Process()
+			epoch := p.Regions.Epoch
+			base, err := p.GrantRegion(4096, guard.PermRW)
+			if err != nil {
 				return err
 			}
-			rs.FlipForward()
-			rs.CloseForward()
+			if err := p.ReleaseRegion(base, 4096); err != nil {
+				return err
+			}
+			if p.Regions.Epoch < epoch+2 {
+				t.Errorf("grant and release bumped the epoch %d -> %d, want two bumps", epoch, p.Regions.Epoch)
+			}
 			return nil
 		}))
 	})

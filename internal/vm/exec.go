@@ -381,18 +381,6 @@ func (v *VM) dataAddr(fr *frame, in *ir.Instr, argIdx int, size uint64, perm gua
 // demand paging.
 func (v *VM) translate(addr, size uint64, perm guard.Perm) (uint64, error) {
 	if v.cfg.Mode == ModeCARAT {
-		// The epoch-barrier read path of the incremental move protocol: while
-		// a forwarding window is open, an access racing the half-patched
-		// state is redirected to wherever the data currently lives (already-
-		// patched pointers name the destination before the copy; stale ones
-		// name the source after it). The guest never runs mid-move (a move
-		// runs at its safepoint or while it is parked), so this never fires
-		// live here — it exists so the access path is correct under a
-		// preemptive world, and its unit tests drive it directly. Identity
-		// when no window is open.
-		if rs := v.proc.Regions; rs.ForwardActive() {
-			addr = rs.Forward(addr)
-		}
 		if !v.kern.Mem.InBounds(addr, size) {
 			return 0, &Fault{Addr: addr, Size: size, Perm: perm, Msg: "physical access out of bounds"}
 		}

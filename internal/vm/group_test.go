@@ -195,6 +195,38 @@ func TestGroupRaggedIsolation(t *testing.T) {
 	}
 }
 
+// TestSchedulerWorldConformance drives the VM's real scheduler through the
+// shared World conformance suite, mid-run, with live threads parked
+// at a safepoint — the exact state HandleMove sees.
+func TestSchedulerWorldConformance(t *testing.T) {
+	m := genProgram(1)
+	pl := passes.Build(passes.LevelTracking)
+	if err := pl.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MemBytes = 1 << 23
+	cfg.HeapBytes = 1 << 19
+	v, err := Load(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	v.SetMovePolicy(500, func() error {
+		if !ran {
+			ran = true
+			worldtest.Conformance(t, "vm.scheduler", v.sched)
+		}
+		return nil
+	})
+	if _, err := v.Run(); err != nil {
+		t.Fatalf("run with mid-flight conformance: %v", err)
+	}
+	if !ran {
+		t.Fatal("conformance suite never ran; program too short for the move policy period")
+	}
+}
+
 // TestSchedulerSuspendConformance drives the real scheduler through the
 // shared suspension contract, plus StopOwners' ragged stop-set
 // construction on a live group.

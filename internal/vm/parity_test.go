@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"carat/internal/guard"
@@ -99,6 +101,58 @@ func TestEngineParityUnderPageMoves(t *testing.T) {
 		engineParity(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
 			v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
 		})
+	}
+}
+
+// TestEngineMetricsParityUnderPageMoves runs the fuzz seeds under worst-case
+// page moves on both engines and requires the same return value, modeled
+// cycle clock, physical memory checksum and metrics snapshot — pause
+// histograms included — but for the compiled engine's own bookkeeping (its
+// lowering counters and its guard/translation cache), which the reference
+// interpreter has none of.
+func TestEngineMetricsParityUnderPageMoves(t *testing.T) {
+	type digest struct {
+		ret     int64
+		cycles  uint64
+		memSum  uint64
+		metrics string
+	}
+	run := func(seed int64, engine bool) digest {
+		m := genProgram(seed)
+		if err := passes.Build(passes.LevelTracking).Run(m); err != nil {
+			t.Fatalf("seed %d: passes: %v", seed, err)
+		}
+		cfg := DefaultConfig()
+		cfg.MemBytes = 1 << 23
+		cfg.HeapBytes = 1 << 19
+		cfg.GuardMech = guard.MechRange
+		cfg.Closure = engine
+		v, err := Load(m, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: load: %v", seed, err)
+		}
+		v.SetMovePolicy(750, func() error { return v.InjectWorstCaseMove() })
+		ret, err := v.Run()
+		if err != nil {
+			t.Fatalf("seed %d (compiled=%v): run: %v", seed, engine, err)
+		}
+		snap := v.Obs().Snapshot()
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "carat.vm.closure.") || strings.HasPrefix(name, "carat.vm.xcache.") {
+				delete(snap.Counters, name)
+			}
+		}
+		js, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest{ret, v.Cycles, v.Kernel().Mem.Checksum(), string(js)}
+	}
+	for seed := int64(100); seed <= 112; seed++ {
+		if want, got := run(seed, reference), run(seed, compiled); got != want {
+			t.Errorf("seed %d: the compiled engine diverges from the reference interpreter:\n got %+v\nwant %+v",
+				seed, got, want)
+		}
 	}
 }
 

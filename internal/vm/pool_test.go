@@ -160,12 +160,11 @@ entry:
 
 // poolCfg is the tests' machine, on the compiled engine or the reference
 // interpreter.
-func poolCfg(engine bool, budget uint64) Config {
+func poolCfg(engine bool) Config {
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 23
 	cfg.HeapBytes = 1 << 19
 	cfg.Closure = engine
-	cfg.PauseBudget = budget
 	return cfg
 }
 
@@ -231,9 +230,9 @@ func (s *staticsMover) move() error {
 // runPoolStorm runs src on the compiled engine or the reference interpreter
 // under a statics move every period instructions and returns the VM, the
 // result and the mover's audit.
-func runPoolStorm(t *testing.T, src string, engine bool, budget, period uint64) (*VM, int64, *staticsMover) {
+func runPoolStorm(t *testing.T, src string, engine bool, period uint64) (*VM, int64, *staticsMover) {
 	t.Helper()
-	v, err := Load(compile(t, src, passes.LevelTracking), poolCfg(engine, budget))
+	v, err := Load(compile(t, src, passes.LevelTracking), poolCfg(engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,46 +240,40 @@ func runPoolStorm(t *testing.T, src string, engine bool, budget, period uint64) 
 	v.SetMovePolicy(period, s.move)
 	ret, err := v.Run()
 	if err != nil {
-		t.Fatalf("compiled=%v budget=%d: %v", engine, budget, err)
+		t.Fatalf("compiled=%v: %v", engine, err)
 	}
 	return v, ret, s
 }
 
 // checkPoolStorm runs src under the statics storm on the reference
-// interpreter and on the compiled engine, at an unbounded and a bounded pause
-// budget, and requires the same result, modeled clock and memory image from
-// both — plus pools that really were patched, with no deopt or recompile.
-func checkPoolStorm(t *testing.T, src string, period uint64) (ret int64, audit *staticsMover) {
-	for _, budget := range []uint64{0, 1000} {
-		rv, want, rs := runPoolStorm(t, src, reference, budget, period)
-		cv, got, cs := runPoolStorm(t, src, compiled, budget, period)
-		if got != want {
-			t.Errorf("budget %d: ret = %d, want %d (reference interpreter)", budget, got, want)
-		}
-		if cv.Instrs != rv.Instrs || cv.Cycles != rv.Cycles {
-			t.Errorf("budget %d: model diverged: instrs %d/%d, cycles %d/%d",
-				budget, cv.Instrs, rv.Instrs, cv.Cycles, rv.Cycles)
-		}
-		if cv.Kernel().Mem.Checksum() != rv.Kernel().Mem.Checksum() {
-			t.Errorf("budget %d: physical memory checksums diverged", budget)
-		}
-		if cs.moves < 4 || cs.moves != rs.moves {
-			t.Fatalf("budget %d: %d moves on the compiled engine, %d on the reference; want the same, at least 4",
-				budget, cs.moves, rs.moves)
-		}
-		if cs.patched == 0 || cv.closureRepatches == 0 {
-			t.Errorf("budget %d: no pool value changed (%d live frames patched, %d pools re-baked)",
-				budget, cs.patched, cv.closureRepatches)
-		}
-		if got := cv.Obs().Counter("carat.vm.closure.repatches").Get(); got != cv.closureRepatches {
-			t.Errorf("budget %d: carat.vm.closure.repatches = %d, want %d", budget, got, cv.closureRepatches)
-		}
-		if _, deopts, _, _ := cv.ClosureStats(); deopts != 0 {
-			t.Errorf("budget %d: deopts = %d, want 0", budget, deopts)
-		}
-		ret, audit = got, cs
+// interpreter and on the compiled engine and requires the same result, modeled
+// clock and memory image from both — plus pools that really were patched, with
+// no deopt or recompile.
+func checkPoolStorm(t *testing.T, src string, period uint64) (int64, *staticsMover) {
+	rv, want, rs := runPoolStorm(t, src, reference, period)
+	cv, got, cs := runPoolStorm(t, src, compiled, period)
+	if got != want {
+		t.Errorf("ret = %d, want %d (reference interpreter)", got, want)
 	}
-	return ret, audit
+	if cv.Instrs != rv.Instrs || cv.Cycles != rv.Cycles {
+		t.Errorf("model diverged: instrs %d/%d, cycles %d/%d", cv.Instrs, rv.Instrs, cv.Cycles, rv.Cycles)
+	}
+	if cv.Kernel().Mem.Checksum() != rv.Kernel().Mem.Checksum() {
+		t.Errorf("physical memory checksums diverged")
+	}
+	if cs.moves < 4 || cs.moves != rs.moves {
+		t.Fatalf("%d moves on the compiled engine, %d on the reference; want the same, at least 4", cs.moves, rs.moves)
+	}
+	if cs.patched == 0 || cv.closureRepatches == 0 {
+		t.Errorf("no pool value changed (%d live frames patched, %d pools re-baked)", cs.patched, cv.closureRepatches)
+	}
+	if got := cv.Obs().Counter("carat.vm.closure.repatches").Get(); got != cv.closureRepatches {
+		t.Errorf("carat.vm.closure.repatches = %d, want %d", got, cv.closureRepatches)
+	}
+	if _, deopts, _, _ := cv.ClosureStats(); deopts != 0 {
+		t.Errorf("deopts = %d, want 0", deopts)
+	}
+	return got, cs
 }
 
 // TestPoolPatchInSelfLoop: the move policy fires at a virtual head of
@@ -352,18 +345,16 @@ func moveWhileSuspended(t *testing.T, v *VM, s *staticsMover, caught func() bool
 // code page, and resumes it: the loop must carry on over the patched pool
 // registers of its one live frame.
 func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
-	for _, budget := range []uint64{0, 1000} {
-		v, err := Load(compile(t, poolLoopSrc(poolUntilStopped), passes.LevelTracking), poolCfg(compiled, budget))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &staticsMover{t: t, v: v}
-		ret := moveWhileSuspended(t, v, s, func() bool {
-			return v.sched.main != nil && len(v.sched.main.frames) == 1 && v.Instrs > 10_000
-		})
-		if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0]) {
-			t.Errorf("budget %d: ret = %d after %v trips: an address check failed", budget, ret, v.Output)
-		}
+	v, err := Load(compile(t, poolLoopSrc(poolUntilStopped), passes.LevelTracking), poolCfg(compiled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &staticsMover{t: t, v: v}
+	ret := moveWhileSuspended(t, v, s, func() bool {
+		return v.sched.main != nil && len(v.sched.main.frames) == 1 && v.Instrs > 10_000
+	})
+	if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0]) {
+		t.Errorf("ret = %d after %v trips: an address check failed", ret, v.Output)
 	}
 }
 
@@ -372,21 +363,19 @@ func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 // step. Both live frames must come back patched: @worker goes on checking its
 // addresses, and @main reads @out and @work through its own pool afterwards.
 func TestPoolPatchParkedSibling(t *testing.T) {
-	for _, budget := range []uint64{0, 1000} {
-		v, err := Load(compile(t, poolParkedSrc, passes.LevelTracking), poolCfg(compiled, budget))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &staticsMover{t: t, v: v}
-		ret := moveWhileSuspended(t, v, s, func() bool {
-			return v.sched.main != nil && len(v.sched.main.frames) == 2 && v.Instrs > 10_000
-		})
-		if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0])+1 {
-			t.Errorf("budget %d: ret = %d after %v trips: an address check failed", budget, ret, v.Output)
-		}
-		if s.maxPatched < 2 {
-			t.Errorf("budget %d: no move patched both live frames (at most %d)", budget, s.maxPatched)
-		}
+	v, err := Load(compile(t, poolParkedSrc, passes.LevelTracking), poolCfg(compiled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &staticsMover{t: t, v: v}
+	ret := moveWhileSuspended(t, v, s, func() bool {
+		return v.sched.main != nil && len(v.sched.main.frames) == 2 && v.Instrs > 10_000
+	})
+	if len(v.Output) != 1 || ret != poolLoopWant(v.Output[0])+1 {
+		t.Errorf("ret = %d after %v trips: an address check failed", ret, v.Output)
+	}
+	if s.maxPatched < 2 {
+		t.Errorf("no move patched both live frames (at most %d)", s.maxPatched)
 	}
 }
 
@@ -419,7 +408,7 @@ done:
 	}
 	// The layout depends on the module's shape, not on the immediate: load
 	// once to learn where @a lands, then bake that address in as a number.
-	probe, err := Load(compile(t, src(0), passes.LevelTracking), poolCfg(compiled, 0))
+	probe, err := Load(compile(t, src(0), passes.LevelTracking), poolCfg(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +418,7 @@ done:
 	for i := int64(0); i < 2000; i++ {
 		want += i ^ int64(addr)
 	}
-	v, err := Load(compile(t, src(addr), passes.LevelTracking), poolCfg(compiled, 0))
+	v, err := Load(compile(t, src(addr), passes.LevelTracking), poolCfg(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}

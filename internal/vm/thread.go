@@ -260,9 +260,7 @@ func (s *scheduler) StopTheWorld() []runtime.RegSet {
 	return s.stopSet[:]
 }
 
-// ResumeTheWorld implements runtime.World; nothing needs releasing, and no
-// mutator runs before a move's next StopTheWorld, so earlier RegSet handles
-// stay valid (the thread's registers read through to its live frames).
+// ResumeTheWorld implements runtime.World; nothing needs releasing.
 func (s *scheduler) ResumeTheWorld() { s.stopped = false }
 
 // rebaseStacks relocates the stack bookkeeping after a move of

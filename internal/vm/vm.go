@@ -122,13 +122,6 @@ type Config struct {
 	// nil disables injection at zero cost.
 	Fault *fault.Injector
 
-	// PauseBudget is the longest modeled world-stop pause, in cycles, a
-	// move or swap may impose on this machine's guests (see
-	// runtime.SetPauseBudget); 0 is unbounded, one stop per operation.
-	// Modeled cycles, memory contents, and fault-injection draws are
-	// byte-identical at every budget — only pause attribution changes.
-	PauseBudget uint64
-
 	// ArenaPages, when nonzero, carves a private contiguous page arena of
 	// that size out of the (usually shared) kernel at load time and routes
 	// every grant and move destination of this process into it. This is
@@ -483,7 +476,6 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 
 	v.sched = newScheduler(v)
 	v.rt.SetWorld(v.sched)
-	v.rt.SetPauseBudget(cfg.PauseBudget)
 	if cfg.Sampler != nil {
 		v.track = cfg.Sampler.NewTrack()
 	}

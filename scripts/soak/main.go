@@ -7,15 +7,6 @@
 // and the allocation-table invariants to hold. A failure therefore comes
 // with its reproducer: the seed.
 //
-// Every seed runs three legs, each replayed twice: unbounded (pause
-// budget 0, one stop per move); bounded (-pausebudget, default 1000
-// cycles) under the identical fault schedule, which must match the
-// unbounded leg's cycle clock and memory image exactly while keeping
-// every recorded pause within one batch plus a barrier round trip and
-// cutting the p99 pause at least 5x; and chaos, which also aborts moves at
-// window boundaries (fault.MoveBatch) and must stay deterministic and
-// bounded while doing so.
-//
 // Usage:
 //
 //	go run ./scripts/soak -seeds 32              # seeds 1..32
@@ -24,7 +15,7 @@
 //	go run ./scripts/soak -seed 17 -trace t.json # with a Chrome trace
 //	go run ./scripts/soak -seeds 8 -out soak.json
 //
-// The report is a versioned carat.soak.result v2 JSON document
+// The report is a versioned carat.soak.result v3 JSON document
 // (validated by scripts/validatejson). Exit status is nonzero if any
 // seed failed, and the failing seeds' replay commands are printed.
 package main
@@ -47,7 +38,7 @@ import (
 // incompatible field change.
 const (
 	Schema  = "carat.soak.result"
-	Version = 2
+	Version = 3
 )
 
 // SeedResult is one seed's outcome: the fault schedule it ran under, the
@@ -65,19 +56,11 @@ type SeedResult struct {
 	Pins        uint64 `json:"pins"`
 	SwapRetries uint64 `json:"swap_retries"`
 
+	// PauseP99 is the p99 of the run's world stops (carat.runtime.pause_cycles).
+	PauseP99 float64 `json:"pause_p99"`
+
 	ReplayIdentical bool   `json:"replay_identical"`
 	Error           string `json:"error,omitempty"`
-
-	// The pause legs (v2: always present, keyed on budget). The bounded leg
-	// shares the unbounded leg's fault schedule; the chaos leg additionally
-	// aborts moves at window boundaries. Legs after a failed one are zero.
-	PauseBudget    uint64  `json:"pause_budget_cycles"`
-	PauseBound     uint64  `json:"pause_bound_cycles"` // one batch + barrier round trip
-	UnboundedP99   float64 `json:"unbounded_pause_p99"`
-	BoundedP99     float64 `json:"bounded_pause_p99"`
-	BoundedMax     uint64  `json:"bounded_pause_max"`
-	ChaosMax       uint64  `json:"chaos_pause_max"`
-	ChaosRollbacks uint64  `json:"chaos_rollbacks"`
 }
 
 // Document is the full soak report.
@@ -95,14 +78,6 @@ type Document struct {
 // cap at 16 attempts), so the ceilings are chosen to keep exhausting a
 // retry bound out of reach while still firing every point constantly:
 // e.g. sixteen consecutive swap-in failures at rate 0.3 is ~4e-9.
-// chaosBatchRate is the fault.MoveBatch rate for the chaos leg. It is
-// deliberately NOT in rateCeilings: window-boundary checks only happen
-// when a move outgrows its window, so scheduling the point would let the
-// bounded leg consume injector draws the unbounded leg never sees and
-// break the cross-budget cycle/memory parity the soak asserts. The chaos
-// leg opts in explicitly and gives up cross-budget comparison in exchange.
-const chaosBatchRate = 0.10
-
 var rateCeilings = map[fault.Point]float64{
 	fault.KernelVeto: 0.20,
 	fault.MoveAbort:  0.15,
@@ -128,23 +103,18 @@ func schedule(seed int64) map[fault.Point]float64 {
 	return rates
 }
 
-// digest is everything a replay must reproduce byte-for-byte, plus the
-// pause tail the pause legs assert on.
+// digest is everything a replay must reproduce byte-for-byte.
 type digest struct {
-	cycles    uint64
-	memSum    uint64
-	metrics   []byte // registry snapshot JSON (sorted keys)
-	policy    []byte // carat.policy decision document JSON
-	pauseMax  uint64
-	pauseP99  float64
-	rollbacks uint64
+	cycles  uint64
+	memSum  uint64
+	metrics []byte // registry snapshot JSON (sorted keys)
+	policy  []byte // carat.policy decision document JSON
 }
 
 // runSeed executes one soak run: build the machine, thread the seeded
 // injector through every layer, run the workloads, verify integrity, and
 // return the digest. trace, when non-nil, receives the run's events.
-// pauseBudget is every managed process's max-pause budget (0 = unbounded).
-func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget uint64, tr *obs.Tracer) (digest, SeedResult, error) {
+func runSeed(seed int64, steps int, rates map[fault.Point]float64, tr *obs.Tracer) (digest, SeedResult, error) {
 	reg := obs.NewRegistry()
 	inj := fault.New(seed, reg)
 	inj.SetTracer(tr)
@@ -171,10 +141,9 @@ func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget u
 			mmpolicy.NewTiering(),
 			mmpolicy.NewNUMARebalance(),
 		},
-		Obs:         reg,
-		Trace:       tr,
-		Fault:       inj,
-		PauseBudget: pauseBudget,
+		Obs:   reg,
+		Trace: tr,
+		Fault: inj,
 	})
 	if err != nil {
 		return digest{}, SeedResult{}, err
@@ -202,15 +171,11 @@ func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget u
 	if err := h.D.Report().WriteJSON(&policy); err != nil {
 		return digest{}, SeedResult{}, err
 	}
-	ps := reg.Histogram(runtime.PauseHist).Snapshot()
 	d := digest{
-		cycles:    h.Cycles,
-		memSum:    h.K.Mem.Checksum(),
-		metrics:   metrics.Bytes(),
-		policy:    policy.Bytes(),
-		pauseMax:  ps.Max,
-		pauseP99:  ps.P99,
-		rollbacks: reg.Counter("carat.runtime.move_rollbacks").Get(),
+		cycles:  h.Cycles,
+		memSum:  h.K.Mem.Checksum(),
+		metrics: metrics.Bytes(),
+		policy:  policy.Bytes(),
 	}
 	res := SeedResult{
 		Seed:        seed,
@@ -222,6 +187,7 @@ func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget u
 		Retries:     reg.Counter("carat.policy.move_retries").Get(),
 		Pins:        reg.Counter("carat.policy.pins").Get(),
 		SwapRetries: reg.Counter("carat.policy.swap_retries").Get(),
+		PauseP99:    reg.Histogram(runtime.PauseHist).Snapshot().P99,
 	}
 	res.Rates = make(map[string]float64, len(rates))
 	for p, r := range rates {
@@ -230,87 +196,26 @@ func runSeed(seed int64, steps int, rates map[fault.Point]float64, pauseBudget u
 	return d, res, nil
 }
 
-// replayPair runs the same configuration twice and reports how the
-// digests diverge ("" = byte-identical).
-func replayPair(seed int64, steps int, rates map[fault.Point]float64, budget uint64, tr *obs.Tracer) (digest, SeedResult, string) {
-	d1, res, err := runSeed(seed, steps, rates, budget, tr)
-	if err != nil {
-		return digest{}, SeedResult{Seed: seed, Steps: steps}, err.Error()
-	}
-	d2, _, err := runSeed(seed, steps, rates, budget, nil)
-	if err != nil {
-		return d1, res, fmt.Sprintf("replay: %v", err)
-	}
-	switch {
-	case d1.cycles != d2.cycles:
-		return d1, res, fmt.Sprintf("replay diverged: cycles %d vs %d", d1.cycles, d2.cycles)
-	case d1.memSum != d2.memSum:
-		return d1, res, fmt.Sprintf("replay diverged: memory %016x vs %016x", d1.memSum, d2.memSum)
-	case !bytes.Equal(d1.metrics, d2.metrics):
-		return d1, res, "replay diverged: metrics snapshots differ"
-	case !bytes.Equal(d1.policy, d2.policy):
-		return d1, res, "replay diverged: policy decision logs differ"
-	}
-	return d1, res, ""
-}
-
-// soakSeed runs a seed's three legs — unbounded, bounded, chaos — each
-// twice and byte-compared, with the cross-budget parity and bounded-pause
-// assertions.
-func soakSeed(seed int64, steps int, budget uint64, tr *obs.Tracer) SeedResult {
+// soakSeed runs one seed's workload under its fault schedule twice and
+// byte-compares the two runs.
+func soakSeed(seed int64, steps int, tr *obs.Tracer) SeedResult {
 	rates := schedule(seed)
-	batch := runtime.BatchForBudget(budget)
-	bound := runtime.PauseBound(batch)
-
-	dUnb, res, diverged := replayPair(seed, steps, rates, 0, tr)
-	res.PauseBudget, res.PauseBound = budget, bound
-	if diverged != "" {
-		res.Seed, res.Steps, res.Error = seed, steps, diverged
-		return res
+	d1, res, err := runSeed(seed, steps, rates, tr)
+	if err != nil {
+		return SeedResult{Seed: seed, Steps: steps, Error: err.Error()}
 	}
-	res.UnboundedP99 = dUnb.pauseP99
-
-	// Bounded leg: same fault schedule, bounded pauses. Everything the
-	// program and the fault stream can observe must match the unbounded
-	// leg — the modeled cycle clock and the physical memory image — while
-	// the pause attribution (and the injector's check counter, which ticks
-	// at every window boundary) legitimately differs.
-	dBnd, _, diverged := replayPair(seed, steps, rates, budget, nil)
-	res.BoundedP99 = dBnd.pauseP99
-	res.BoundedMax = dBnd.pauseMax
+	d2, _, err := runSeed(seed, steps, rates, nil)
 	switch {
-	case diverged != "":
-		res.Error = "bounded " + diverged
-	case dBnd.cycles != dUnb.cycles:
-		res.Error = fmt.Sprintf("budget divergence: cycles %d (unbounded) vs %d (bounded)", dUnb.cycles, dBnd.cycles)
-	case dBnd.memSum != dUnb.memSum:
-		res.Error = fmt.Sprintf("budget divergence: memory %016x (unbounded) vs %016x (bounded)", dUnb.memSum, dBnd.memSum)
-	case dBnd.pauseMax > bound:
-		res.Error = fmt.Sprintf("pause over bound: %d > %d (batch %d + barrier)", dBnd.pauseMax, bound, batch)
-	case dBnd.pauseP99 > 0 && dUnb.pauseP99 < 5*dBnd.pauseP99:
-		res.Error = fmt.Sprintf("p99 drop under 5x: unbounded %.0f vs bounded %.0f", dUnb.pauseP99, dBnd.pauseP99)
-	}
-	if res.Error != "" {
-		return res
-	}
-
-	// Chaos leg: moves abort at window boundaries (fault.MoveBatch armed as
-	// a scheduled rate) while every pause stays within the bound. The extra
-	// injector draws make this leg incomparable to the other two, but it
-	// must still replay byte-identically against itself.
-	chaosRates := make(map[fault.Point]float64, len(rates)+1)
-	for p, r := range rates {
-		chaosRates[p] = r
-	}
-	chaosRates[fault.MoveBatch] = chaosBatchRate
-	dChaos, _, diverged := replayPair(seed, steps, chaosRates, budget, nil)
-	res.ChaosMax = dChaos.pauseMax
-	res.ChaosRollbacks = dChaos.rollbacks
-	switch {
-	case diverged != "":
-		res.Error = "chaos " + diverged
-	case dChaos.pauseMax > bound:
-		res.Error = fmt.Sprintf("chaos pause over bound: %d > %d", dChaos.pauseMax, bound)
+	case err != nil:
+		res.Error = fmt.Sprintf("replay: %v", err)
+	case d1.cycles != d2.cycles:
+		res.Error = fmt.Sprintf("replay diverged: cycles %d vs %d", d1.cycles, d2.cycles)
+	case d1.memSum != d2.memSum:
+		res.Error = fmt.Sprintf("replay diverged: memory %016x vs %016x", d1.memSum, d2.memSum)
+	case !bytes.Equal(d1.metrics, d2.metrics):
+		res.Error = "replay diverged: metrics snapshots differ"
+	case !bytes.Equal(d1.policy, d2.policy):
+		res.Error = "replay diverged: policy decision logs differ"
 	}
 	res.ReplayIdentical = res.Error == ""
 	return res
@@ -321,16 +226,9 @@ func main() {
 	start := flag.Int64("start", 1, "first seed (CI rotates this nightly)")
 	one := flag.Int64("seed", 0, "run exactly this seed (overrides -seeds/-start)")
 	steps := flag.Int("steps", 400, "workload rounds per run")
-	pauseBudget := flag.Uint64("pausebudget", 1000,
-		"max-pause budget in cycles for the bounded (parity + pause bound + 5x p99 drop) and chaos (window-boundary move aborts) legs")
 	out := flag.String("out", "", "write the carat.soak.result JSON report here")
 	traceFile := flag.String("trace", "", "write a Chrome trace of the first run of the first seed")
 	flag.Parse()
-
-	if *pauseBudget == 0 {
-		fmt.Fprintln(os.Stderr, "soak: -pausebudget must be positive (the unbounded leg always runs)")
-		os.Exit(2)
-	}
 
 	first, count := *start, *seeds
 	if *one != 0 {
@@ -361,15 +259,12 @@ func main() {
 		if i == 0 {
 			seedTr = tr // only the first seed's first run is traced
 		}
-		res := soakSeed(seed, *steps, *pauseBudget, seedTr)
+		res := soakSeed(seed, *steps, seedTr)
 		doc.Seeds = append(doc.Seeds, res)
 		if res.Error == "" && res.ReplayIdentical {
 			doc.Passed++
-			fmt.Printf("seed %4d: ok    cycles=%d injected=%d rollbacks=%d retries=%d pins=%d\n",
-				seed, res.Cycles, res.Injected, res.Rollbacks, res.Retries, res.Pins)
-			fmt.Printf("           pause p99 %.0f -> %.0f (max %d <= bound %d), chaos max %d rollbacks %d\n",
-				res.UnboundedP99, res.BoundedP99, res.BoundedMax, res.PauseBound,
-				res.ChaosMax, res.ChaosRollbacks)
+			fmt.Printf("seed %4d: ok    cycles=%d injected=%d rollbacks=%d retries=%d pins=%d pause_p99=%.0f\n",
+				seed, res.Cycles, res.Injected, res.Rollbacks, res.Retries, res.Pins, res.PauseP99)
 		} else {
 			doc.Failed++
 			fmt.Printf("seed %4d: FAIL  %s\n", seed, res.Error)

@@ -31,21 +31,19 @@ import (
 	"strings"
 
 	"carat/internal/mmpolicy"
-	"carat/internal/runtime"
 )
 
 // supported maps known schema names to the highest version this tool
 // understands (kept in sync with the constants in internal/obs,
-// internal/bench, and scripts/soak). carat.soak.result v2 renamed the pause
-// legs' fields (legacy_*/incremental_* -> unbounded_*/bounded_*) and made
-// them unconditional.
+// internal/bench, and scripts/soak). carat.policy v3 and carat.soak.result
+// v3 drop the pause-budget fields: a move or swap is always one stop.
 var supported = map[string]int{
 	"carat.bench.result":  2,
 	"carat.vm.run":        1,
 	"carat.metrics":       1,
 	"carat.trace":         1,
-	"carat.policy":        2,
-	"carat.soak.result":   2,
+	"carat.policy":        3,
+	"carat.soak.result":   3,
 	"carat.profile":       1,
 	"carat.server.result": 1,
 	"carat.server.load":   1,
@@ -134,15 +132,12 @@ var structural = map[string]struct {
 }{
 	"carat.profile":     {1, validateProfile},
 	"carat.server.load": {1, validateServerLoad},
-	"carat.policy":      {2, validatePolicy},
+	"carat.policy":      {3, validatePolicy},
 }
 
-// validatePolicy structurally checks a carat.policy v2 document: the
+// validatePolicy structurally checks a carat.policy v3 document: the
 // first-class pause_p99_cycles column must agree with the embedded
-// pause_cycles histogram (and be zero when no pauses were recorded), and
-// a recorded pause budget must not have been blown (budgets below the
-// minimum batch clamp to MinMoveBatch, so the enforced bound — not the
-// raw budget — is what the max is held to).
+// pause_cycles histogram (and be zero when no pauses were recorded).
 func validatePolicy(data []byte) error {
 	var doc mmpolicy.Document
 	if err := decodeStrict("carat.policy", data, &doc); err != nil {
@@ -157,13 +152,6 @@ func validatePolicy(data []byte) error {
 	if doc.PauseP99Cycles != doc.PauseCycles.P99 {
 		return fmt.Errorf("carat.policy: pause_p99_cycles %.0f disagrees with pause_cycles.p99 %.0f",
 			doc.PauseP99Cycles, doc.PauseCycles.P99)
-	}
-	if doc.PauseBudgetCycles > 0 {
-		bound := runtime.PauseBound(runtime.BatchForBudget(doc.PauseBudgetCycles))
-		if doc.PauseCycles.Max > bound {
-			return fmt.Errorf("carat.policy: pause max %d over the enforced bound %d (budget %d)",
-				doc.PauseCycles.Max, bound, doc.PauseBudgetCycles)
-		}
 	}
 	return nil
 }
