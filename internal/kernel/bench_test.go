@@ -120,9 +120,9 @@ func BenchmarkStore64(b *testing.B) {
 }
 
 // BenchmarkGrantRelease is one capsule (4M) or default heap (64M) granted
-// and retired on a 256 MB machine: allocator scan + owner stores + scrub,
-// then the same minus the scrub. The dirty leg writes every page of the
-// region between its grant and its release, off the clock.
+// and retired on a 256 MB machine: allocator scan + scrub, then the same
+// minus the scrub. The dirty leg writes every page of the region between its
+// grant and its release, off the clock.
 func BenchmarkGrantRelease(b *testing.B) {
 	for _, sz := range benchSizes {
 		for _, leg := range benchLegs {

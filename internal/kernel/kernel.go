@@ -3,7 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"carat/internal/fault"
 	"carat/internal/guard"
@@ -44,15 +44,9 @@ type Kernel struct {
 	tr  *obs.Tracer
 	inj *fault.Injector
 
-	// ownMu guards the page-ownership table (owners[page] is the owning
-	// process, nil when unowned; owned counts the non-nil entries) and the
-	// process-ID counter. The table is sized once from Mem.Pages() and
-	// backs OwnerOf/OwnersOf: the stop-set computation of the ragged
-	// safepoint protocol (see arena.go).
-	ownMu  sync.Mutex
-	owners []*Process
-	owned  int
-	nextID uint64
+	// owned counts the page frames processes hold: allocFrames adds, and
+	// freeFrames subtracts (OwnedPageCount).
+	owned atomic.Int64
 }
 
 // Stats is the kernel's typed view over its carat.kernel.* metrics. The
@@ -94,11 +88,10 @@ func NewWith(memBytes uint64, reg *obs.Registry) *Kernel {
 	}
 	mem := NewPhysMem(memBytes)
 	return &Kernel{
-		Mem:    mem,
-		Alloc:  NewPageAllocator(mem.Pages()),
-		Stats:  newStats(reg),
-		Obs:    reg,
-		owners: make([]*Process, mem.Pages()),
+		Mem:   mem,
+		Alloc: NewPageAllocator(mem.Pages()),
+		Stats: newStats(reg),
+		Obs:   reg,
 	}
 }
 
@@ -165,11 +158,7 @@ type MoveResult struct {
 // runtime handler. The region set lives, conceptually, in the runtime's
 // landing zone; the kernel is its only writer (§4.2 "Protection").
 type Process struct {
-	K *Kernel
-	// ID orders processes machine-wide. Ragged-stop protocols acquire
-	// per-process suspensions in ascending ID order, so two concurrent
-	// movers whose stop sets overlap can never deadlock.
-	ID      uint64
+	K       *Kernel
 	Regions *guard.RegionSet
 	Handler MoveHandler
 
@@ -186,11 +175,7 @@ type Process struct {
 
 // NewProcess registers a process with an empty region set.
 func (k *Kernel) NewProcess() *Process {
-	k.ownMu.Lock()
-	k.nextID++
-	id := k.nextID
-	k.ownMu.Unlock()
-	return &Process{K: k, ID: id, Regions: guard.NewRegionSet()}
+	return &Process{K: k, Regions: guard.NewRegionSet()}
 }
 
 // SetArena routes all of this process's page allocations (grants and move
@@ -203,8 +188,8 @@ func (p *Process) SetArena(a *Arena) { p.arena = a }
 func (p *Process) Arena() *Arena { return p.arena }
 
 // allocFrames grabs n contiguous page frames from the process's arena, or
-// from the machine allocator when no arena is installed, and records this
-// process as their owner.
+// from the machine allocator when no arena is installed, and counts them as
+// owned.
 func (p *Process) allocFrames(n uint64) (uint64, error) {
 	var base uint64
 	var err error
@@ -216,12 +201,12 @@ func (p *Process) allocFrames(n uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.K.setOwner(base, n, p)
+	p.K.owned.Add(int64(n))
 	return base, nil
 }
 
 // freeFrames returns n page frames to whichever allocator owns them and
-// clears their ownership records.
+// stops counting them as owned.
 func (p *Process) freeFrames(base, n uint64) error {
 	var err error
 	if p.arena != nil && p.arena.Contains(base) {
@@ -232,9 +217,14 @@ func (p *Process) freeFrames(base, n uint64) error {
 	if err != nil {
 		return err
 	}
-	p.K.clearOwner(base, n)
+	p.K.owned.Add(-int64(n))
 	return nil
 }
+
+// OwnedPageCount returns the number of page frames processes hold — zero
+// once every process has released all regions (the group teardown integrity
+// check).
+func (k *Kernel) OwnedPageCount() int { return int(k.owned.Load()) }
 
 // SetLimiter installs a page-grant limiter (nil removes it). Call before
 // the first grant: the limiter only meters grants made while installed,

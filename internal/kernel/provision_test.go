@@ -11,11 +11,11 @@ import (
 	"carat/internal/guard"
 )
 
-// The page-provisioning data plane (PhysMem.Zero/Move, the page-owner
-// table, the word-wise PageAllocator) replaced per-byte and per-page loops.
-// The loops live on here as the oracles: the replacements must agree with
-// them on every result, error and byte, because physical addresses and
-// memory contents feed every digest the repository pins.
+// The page-provisioning data plane (PhysMem.Zero/Move, the word-wise
+// PageAllocator) replaced per-byte and per-page loops. The loops live on here
+// as the oracles: the replacements must agree with them on every result,
+// error and byte, because physical addresses and memory contents feed every
+// digest the repository pins.
 
 // refZero is PhysMem.Zero as it was: a byte-at-a-time index loop.
 func refZero(m *PhysMem, addr, n uint64) error {
@@ -473,58 +473,6 @@ func TestAllocatorMatchesPerPageScanner(t *testing.T) {
 	}
 }
 
-func procIDs(ps []*Process) []uint64 {
-	ids := make([]uint64, len(ps))
-	for i, p := range ps {
-		ids[i] = p.ID
-	}
-	return ids
-}
-
-func TestOwnersOfSortedAndDeduplicated(t *testing.T) {
-	k := New(1 << 20)
-	// Created in ID order, granted in reverse so address order and ID order
-	// disagree; the first process gets two grants so it shows up on both
-	// sides of the other two.
-	p1, p2, p3 := k.NewProcess(), k.NewProcess(), k.NewProcess()
-	var lo, hi uint64
-	for i, p := range []*Process{p1, p3, p2, p1} {
-		base, err := p.GrantRegion(3*PageSize, guard.PermRW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			lo = base
-		}
-		hi = base + 3*PageSize
-	}
-	if got := procIDs(k.OwnersOf(lo, hi-lo)); !reflect.DeepEqual(got, []uint64{1, 2, 3}) {
-		t.Errorf("OwnersOf over three owners = %v, want [1 2 3]", got)
-	}
-	// One byte into p3's grant up to one byte into p2's: exactly those two.
-	if got := procIDs(k.OwnersOf(lo+3*PageSize+1, 3*PageSize)); !reflect.DeepEqual(got, []uint64{2, 3}) {
-		t.Errorf("OwnersOf straddling two grants = %v, want [2 3]", got)
-	}
-	if got := k.OwnersOf(hi, 4*PageSize); len(got) != 0 {
-		t.Errorf("OwnersOf over free pages = %v, want none", procIDs(got))
-	}
-	if got := k.OwnersOf(k.Mem.Size()-PageSize, 1<<30); len(got) != 0 {
-		t.Errorf("OwnersOf past the end of memory = %v, want none", procIDs(got))
-	}
-	if p, ok := k.OwnerOf(lo + 4*PageSize); !ok || p != p3 {
-		t.Errorf("OwnerOf inside p3's grant = %v, %v", p, ok)
-	}
-	if _, ok := k.OwnerOf(hi); ok {
-		t.Error("OwnerOf a free page reported an owner")
-	}
-	if _, ok := k.OwnerOf(k.Mem.Size() + PageSize); ok {
-		t.Error("OwnerOf past the end of memory reported an owner")
-	}
-	if n := k.OwnedPageCount(); n != 12 {
-		t.Errorf("OwnedPageCount = %d, want 12", n)
-	}
-}
-
 func TestOwnedPageCountReturnsToZero(t *testing.T) {
 	for _, arena := range []bool{false, true} {
 		k := New(1 << 22)
@@ -572,7 +520,7 @@ func TestOwnedPageCountReturnsToZero(t *testing.T) {
 
 // TestGrantRegionFailureLeaksNothing forces Regions.Add to refuse a grant
 // after its frames were allocated (a stale read-only region covers all of
-// memory): the frames, their owner records, the limiter reservation and the
+// memory): the frames, the owned-page count, the limiter reservation and the
 // page_allocs count must all be back at baseline.
 func TestGrantRegionFailureLeaksNothing(t *testing.T) {
 	for _, arena := range []bool{false, true} {

@@ -21,21 +21,23 @@ type allocSnap struct {
 // machineSnap captures everything a rolled-back move must restore
 // bit-identically: the physical memory image, the region set, the
 // allocation table with its escape map, the register file, and the
-// kernel's free-frame count.
+// kernel's free-frame and owned-page counts.
 type machineSnap struct {
-	MemSum    uint64
-	Regions   []guard.Region
-	Allocs    []allocSnap
-	Regs      []uint64
-	FreePages uint64
+	MemSum     uint64
+	Regions    []guard.Region
+	Allocs     []allocSnap
+	Regs       []uint64
+	FreePages  uint64
+	OwnedPages int
 }
 
 func snapshot(k *kernel.Kernel, p *kernel.Process, rt *Runtime, regs *fakeRegs) machineSnap {
 	s := machineSnap{
-		MemSum:    k.Mem.Checksum(),
-		Regions:   append([]guard.Region(nil), p.Regions.Regions()...),
-		Regs:      append([]uint64(nil), regs.vals...),
-		FreePages: k.Alloc.FreePages(),
+		MemSum:     k.Mem.Checksum(),
+		Regions:    append([]guard.Region(nil), p.Regions.Regions()...),
+		Regs:       append([]uint64(nil), regs.vals...),
+		FreePages:  k.Alloc.FreePages(),
+		OwnedPages: k.OwnedPageCount(),
 	}
 	rt.Table.ForEach(func(a *Allocation) bool {
 		locs := rt.Table.EscapeLocsOf(a, nil)
@@ -83,8 +85,9 @@ func buildMoveFixture(t *testing.T) (*kernel.Kernel, *kernel.Process, *Runtime, 
 // TestAbortAtEveryStepBoundaryRollsBack forces a mid-move abort at each
 // of the four checked Fig-8 step boundaries in turn and requires the
 // machine — memory image, region set, allocation table, escape map,
-// registers, free frames — to be bit-identical to the pre-move snapshot.
-// The final armed fault exhausted, the same move must then succeed.
+// registers, free frames, owned pages — to be bit-identical to the
+// pre-move snapshot. The final armed fault exhausted, the same move must
+// then succeed.
 func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 	boundaries := []string{
 		"before destination negotiation",

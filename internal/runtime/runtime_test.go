@@ -299,7 +299,7 @@ func (f *fakeRegs) SetReg(i int, v uint64) { f.vals[i] = v }
 
 // fakeWorld hands back fixed register sets (mirroring the worldtest fake,
 // which internal test files cannot import — worldtest imports runtime) and
-// panics on nested stops, like the real VM scheduler. It counts stops and
+// panics on nested stops, like the real VM world. It counts stops and
 // resumes: every operation stops and resumes it once.
 type fakeWorld struct {
 	regs    []*fakeRegs
@@ -356,12 +356,17 @@ func TestHandleMovePatchesEverything(t *testing.T) {
 	world := &fakeWorld{regs: []*fakeRegs{{vals: []uint64{allocA + 300, 12345, allocB}}}}
 	rt.SetWorld(world)
 
+	owned := k.OwnedPageCount()
 	res, err := p.RequestMove(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pages != 1 {
 		t.Fatalf("pages moved = %d, want 1", res.Pages)
+	}
+	// The destination is owned and the source retired: the count stands.
+	if got := k.OwnedPageCount(); got != owned {
+		t.Errorf("owned pages = %d after the move, want %d", got, owned)
 	}
 	dst := res.Dst
 	delta := dst - res.Src

@@ -1,7 +1,7 @@
 package runtime_test
 
 // The World conformance suite, driven against the worldtest fake that
-// runtime-level move tests build on. The VM's real scheduler runs the
+// runtime-level move tests build on. The VM's real world runs the
 // identical suite from its own package (it is the other World
 // implementation), so both sides of the move protocol are held to the same
 // stop/resume contract. This file is an external test

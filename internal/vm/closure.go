@@ -341,7 +341,7 @@ func (v *VM) repatchPools() {
 			v.closureRepatches++
 		}
 	}
-	if t := v.sched.main; t != nil {
+	if t := v.world.main; t != nil {
 		for _, fr := range t.frames {
 			if fb := fr.fb; fb.cf != nil {
 				copy(fr.regs[fb.nSlots:], fb.pool)
@@ -671,9 +671,9 @@ func (cf *ccompiler) compileCmpBit(p *ir.Instr) func(fr *frame) uint64 {
 // group and the compare — no trampoline — with the gate asked at every
 // virtual block head as the trampoline asks it. (Copies cost zero cycles, so
 // sample timing is unaffected by their charge landing in the previous
-// iteration.) A move — the policy's, acting here, or an external mover's
-// during a park here — that relocates a global patches this frame's pool
-// registers in place, so the loop simply carries on.
+// iteration.) A move — the policy's, acting here — that relocates a global
+// patches this frame's pool registers in place, so the loop simply carries
+// on.
 func (cf *ccompiler) compileSelfLoop(b *ir.Block, cmpIn, in *ir.Instr, bsteps []cstep, finalN, finalCyc uint64, finalPures []cpure) {
 	self := &cf.blocks[b.Idx]
 	b0, b1 := &cf.blocks[in.Succs[0].Idx], &cf.blocks[in.Succs[1].Idx]

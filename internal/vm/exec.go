@@ -473,8 +473,9 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		}
 		return 0, nil
 	case ir.FnTrackEscape:
-		// The thread's escape batch: enqueue locally, flush at parks and
-		// at the end of the run (plus the size-triggered self-flush).
+		// The thread's escape batch: enqueue locally, drained at world
+		// stops and at the end of the run (plus the size-triggered
+		// self-flush).
 		t.escBuf.Track(args[0], args[1])
 		return 0, nil
 	case ir.FnPrintI64:

@@ -192,7 +192,7 @@ entry:
 	if ret != 7 {
 		t.Errorf("capsule result = %d, want 7", ret)
 	}
-	if st := v.sched.main; st.stackBase < v.heap.base || st.stackTop > v.heap.end || st.minSP >= st.stackTop {
+	if st := v.world.main; st.stackBase < v.heap.base || st.stackTop > v.heap.end || st.minSP >= st.stackTop {
 		t.Errorf("stack [%#x, %#x) (low water %#x) is not a used block of the heap [%#x, %#x)",
 			st.stackBase, st.stackTop, st.minSP, v.heap.base, v.heap.end)
 	}

@@ -3,29 +3,21 @@ package vm
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 )
 
 // gate is the one question every block head asks, on both engines: must this
-// thread stop here? pending holds the asynchronous reasons, set from other
-// goroutines; atI is the first retired-instruction count at which something
-// must happen (MaxInstrs trips, the move policy fires), atC the first modeled
-// cycle count (MaxCycles trips, the profiler samples). due is one load and two
-// compares — the compiled engine asks it on flushed plus deferred counters, so
-// a head where nothing is due flushes nothing — and act handles what is due.
-// Only this process's guest reads its word: a stop request for a sibling
-// process costs it nothing.
+// thread stop here? atI is the first retired-instruction count at which
+// something must happen (MaxInstrs trips, the move policy fires), atC the
+// first modeled cycle count (MaxCycles trips, the profiler samples). due is
+// two compares — the compiled engine asks it on flushed plus deferred
+// counters, so a head where nothing is due flushes nothing — and act handles
+// what is due. Only the process's own guest reads or writes it.
 type gate struct {
-	pending  atomic.Uint32
 	atI, atC uint64
 }
 
-// pendingStop is the ragged safepoint protocol's stop request. suspend and
-// its resume write the word under susMu.
-const pendingStop uint32 = 1
-
 func (g *gate) due(instrs, cycles uint64) bool {
-	return g.pending.Load() != 0 || instrs >= g.atI || cycles >= g.atC
+	return instrs >= g.atI || cycles >= g.atC
 }
 
 // past is the first count beyond a limit: never, for 0 (no limit).
@@ -48,14 +40,11 @@ func (v *VM) arm() {
 	}
 }
 
-// act handles what the pre-check found due, in a fixed order: park for a
-// stop request, the instruction limit, the cycle budget, the profiler
-// sample, the move policy. Every counter it reads is flushed.
+// act handles what the pre-check found due, in a fixed order: the
+// instruction limit, the cycle budget, the profiler sample, the move policy.
+// Every counter it reads is flushed.
 func (t *thread) act() error {
 	v := t.v
-	if v.gate.pending.Load()&pendingStop != 0 {
-		v.sched.park(t)
-	}
 	if v.Instrs >= past(v.cfg.MaxInstrs) {
 		return &StopError{Reason: StopInstrLimit}
 	}

@@ -11,11 +11,10 @@ import (
 
 // Group runs several processes of one simulated machine truly
 // concurrently: each process's guest thread executes on a goroutine of its
-// own over the shared PhysMem, with the per-process ragged-safepoint protocol
-// replacing the old global stop. This is the multi-core execution model:
-// a move in process A suspends only A (and any other owner of the
-// affected pages, per Kernel.OwnersOf); process B's block-head fast path
-// never even branches.
+// own over the shared PhysMem. A process's world is entered only from its
+// own goroutine — a move is raised by that process's move policy at a
+// safepoint of its guest — so a move in process A never pauses process B,
+// and no stop request crosses between them.
 //
 // Determinism contract: each member runs inside its own page arena and
 // counts into a runtime of its own, so its model cycles, guard counts,
@@ -23,7 +22,7 @@ import (
 // only the cross-process interleaving varies. Members publish their metrics
 // into the kernel's registry as any run does; Close() asserts full
 // page-accounting integrity (every frame and every arena handed back, no
-// page left with a recorded owner).
+// page left owned).
 type Group struct {
 	kern  *kernel.Kernel
 	procs []*member
@@ -56,7 +55,7 @@ func NewGroup(memBytes uint64) *Group {
 	return &Group{kern: k, free0: k.Alloc.FreePages()}
 }
 
-// Kernel exposes the shared machine (ownership queries, memory checks).
+// Kernel exposes the shared machine (page accounting, memory checks).
 func (g *Group) Kernel() *kernel.Kernel { return g.kern }
 
 // Add loads a module as a new process of the group's machine, giving it a
@@ -139,32 +138,9 @@ func digestResult(r *GroupResult, v *VM) uint64 {
 	return h
 }
 
-// StopOwners suspends every process owning pages in [base, base+length)
-// — the ragged stop set — and returns a resume function releasing them.
-// Suspension is in ascending process-ID order (and resume in reverse), so
-// concurrent multi-range stops cannot deadlock against each other.
-// Processes with no pages in the range are not touched.
-func (g *Group) StopOwners(base, length uint64) (resume func()) {
-	owners := g.kern.OwnersOf(base, length)
-	var resumes []func()
-	for _, p := range owners {
-		for _, m := range g.procs {
-			if m.vm.proc == p {
-				resumes = append(resumes, m.vm.Suspend())
-				break
-			}
-		}
-	}
-	return func() {
-		for i := len(resumes) - 1; i >= 0; i-- {
-			resumes[i]()
-		}
-	}
-}
-
 // Close releases every member (regions and arenas) and verifies machine
-// integrity: all pages back in the machine allocator and no page with a
-// recorded owner.
+// integrity: all pages back in the machine allocator and no page left
+// owned.
 func (g *Group) Close() error {
 	var firstErr error
 	for _, m := range g.procs {
@@ -179,7 +155,7 @@ func (g *Group) Close() error {
 		return fmt.Errorf("vm: group leaked pages: %d free, want %d", free, g.free0)
 	}
 	if n := g.kern.OwnedPageCount(); n != 0 {
-		return fmt.Errorf("vm: group left %d pages with owners", n)
+		return fmt.Errorf("vm: group left %d pages owned", n)
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"carat/internal/fault"
-	"carat/internal/kernel"
-	"carat/internal/obs"
 	"carat/internal/passes"
 	"carat/internal/worldtest"
 )
@@ -25,10 +23,10 @@ const groupArenaPages = 512 // 2 MB arena per process
 
 // buildGroup assembles a group of n fuzz-generated processes, each with a
 // self-move policy (kernel-initiated worst-case moves at a per-process
-// period) so the ragged safepoint machinery is exercised, not idle. With
-// aborts, process i's moves go through its own fault.New(1000+i) injector,
-// which aborts half of them and fails half of their patches; a rolled-back
-// move is one the program must not notice.
+// period), so each process's world stops while the others run. With aborts,
+// process i's moves go through its own fault.New(1000+i) injector, which
+// aborts half of them and fails half of their patches; a rolled-back move is
+// one the program must not notice.
 func buildGroup(t testing.TB, seeds []int64, aborts bool) *Group {
 	t.Helper()
 	g := NewGroup(1 << 25)
@@ -114,90 +112,9 @@ func TestGroupDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestGroupRaggedIsolation asserts the scalability half of the protocol:
-// suspending process A (and moving its pages from outside) never blocks
-// process B's block-head fast path. B runs start-to-finish while A is
-// parked.
-func TestGroupRaggedIsolation(t *testing.T) {
-	k := kernel.NewWith(1<<25, obs.NewRegistry())
-
-	load := func(seed int64) *VM {
-		m := genProgram(seed)
-		pl := passes.Build(passes.LevelTracking)
-		if err := pl.Run(m); err != nil {
-			t.Fatalf("seed %d: passes: %v", seed, err)
-		}
-		cfg := groupCfg()
-		cfg.Kernel = k
-		cfg.Obs = obs.NewRegistry()
-		cfg.ArenaPages = groupArenaPages
-		v, err := Load(m, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: load: %v", seed, err)
-		}
-		return v
-	}
-	vmA, vmB := load(33), load(65)
-	soloRet, ok := fuzzRunEngine(t, 33, passes.LevelTracking, true, nil)
-	if !ok {
-		t.Fatal("solo baseline run failed")
-	}
-
-	// Start A and wait (via its move policy) until a guest thread is
-	// provably mid-run at a safepoint; then the external suspension below
-	// parks a live process, not an un-started one.
-	started := make(chan struct{})
-	signaled := false
-	vmA.SetMovePolicy(500, func() error {
-		if !signaled {
-			signaled = true
-			close(started)
-		}
-		return nil
-	})
-	aDone := make(chan struct{})
-	var aRet int64
-	var aErr error
-	go func() {
-		aRet, aErr = vmA.Run()
-		close(aDone)
-	}()
-	<-started
-
-	worldtest.RaggedIsolation(t, "vm.group", vmA, func() error {
-		// While A is parked: move one of A's pages from this goroutine —
-		// the external-mover path (suspend, mutate, resume) — and then run
-		// all of B. Neither may wait on A.
-		if err := vmA.InjectWorstCaseMove(); err != nil {
-			return err
-		}
-		if _, err := vmB.Run(); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	<-aDone
-	if aErr != nil {
-		t.Fatalf("process A after external move: %v", aErr)
-	}
-	if aRet != soloRet {
-		t.Errorf("process A ret %d after suspension+external move, want %d", aRet, soloRet)
-	}
-	if err := vmA.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := vmB.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if n := k.OwnedPageCount(); n != 0 {
-		t.Errorf("%d pages still owned after release", n)
-	}
-}
-
-// TestSchedulerWorldConformance drives the VM's real scheduler through the
-// shared World conformance suite, mid-run, with live threads parked
-// at a safepoint — the exact state HandleMove sees.
+// TestSchedulerWorldConformance drives the VM's real world through the shared
+// World conformance suite, mid-run, from a move policy at a safepoint of the
+// guest — the exact state HandleMove sees.
 func TestSchedulerWorldConformance(t *testing.T) {
 	m := genProgram(1)
 	pl := passes.Build(passes.LevelTracking)
@@ -215,7 +132,7 @@ func TestSchedulerWorldConformance(t *testing.T) {
 	v.SetMovePolicy(500, func() error {
 		if !ran {
 			ran = true
-			worldtest.Conformance(t, "vm.scheduler", v.sched)
+			worldtest.Conformance(t, "vm.world", v.world)
 		}
 		return nil
 	})
@@ -224,39 +141,6 @@ func TestSchedulerWorldConformance(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("conformance suite never ran; program too short for the move policy period")
-	}
-}
-
-// TestSchedulerSuspendConformance drives the real scheduler through the
-// shared suspension contract, plus StopOwners' ragged stop-set
-// construction on a live group.
-func TestSchedulerSuspendConformance(t *testing.T) {
-	g := buildGroup(t, []int64{7, 19}, false)
-	vmA, vmB := g.procs[0].vm, g.procs[1].vm
-	worldtest.SuspendConformance(t, "vm.scheduler", vmA)
-
-	// StopOwners over A's arena must suspend A only: B's scheduler never
-	// sees a stop request.
-	a := vmA.Arena()
-	resume := g.StopOwners(a.Base(), a.Bytes())
-	if !(vmA.gate.pending.Load()&pendingStop != 0) {
-		t.Error("StopOwners over A's arena did not set A's stop request")
-	}
-	if vmB.gate.pending.Load()&pendingStop != 0 {
-		t.Error("StopOwners over A's arena set B's stop request (ragged stop leaked)")
-	}
-	resume()
-	if vmA.gate.pending.Load()&pendingStop != 0 {
-		t.Error("resume did not clear A's stop request")
-	}
-	res := g.Run()
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("process %s: %v", r.Name, r.Err)
-		}
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

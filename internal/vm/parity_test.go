@@ -217,7 +217,7 @@ func TestXCacheActuallyHits(t *testing.T) {
 	// checks and cycles, by full evaluator walks alone.
 	cfg.Closure = reference
 	rv, _ := run(t, m, cfg)
-	if hits, misses, _ := rv.XCacheStats(); hits+misses != 0 || rv.sched.xc() != nil {
+	if hits, misses, _ := rv.XCacheStats(); hits+misses != 0 || rv.world.xc() != nil {
 		t.Errorf("the reference interpreter probed an xcache: %d hits, %d misses", hits, misses)
 	}
 	if rv.GuardChecks != v.GuardChecks || rv.Cycles != v.Cycles {
@@ -332,7 +332,7 @@ func TestXCacheInvalidationScope(t *testing.T) {
 				if !ok {
 					t.Fatal("no heap allocation to operate on")
 				}
-				tt := v.sched.main
+				tt := v.world.main
 				before := tt.xc.ValidPages()
 				if len(before) == 0 {
 					t.Fatal("xcache empty before operation")

@@ -186,7 +186,7 @@ type VM struct {
 	bound []funcBinding // parallel to the program's functions; see VM.bind
 
 	// The guest thread, and the gate its block heads ask (gate.go).
-	sched *scheduler
+	world *world
 	gate  gate
 
 	// Statistics.
@@ -265,7 +265,7 @@ const ProcessBaseBytes = 64 << 10
 func (v *VM) ProgramFootprintBytes() uint64 {
 	total := uint64(ProcessBaseBytes) + v.globalsLen
 	total += v.heap.brk - v.heap.base
-	if t := v.sched.main; t != nil {
+	if t := v.world.main; t != nil {
 		total += t.stackTop - t.minSP
 	}
 	return total
@@ -474,8 +474,8 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 		}))
 	}
 
-	v.sched = newScheduler(v)
-	v.rt.SetWorld(v.sched)
+	v.world = &world{v: v}
+	v.rt.SetWorld(v.world)
 	if cfg.Sampler != nil {
 		v.track = cfg.Sampler.NewTrack()
 	}
@@ -491,10 +491,10 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 // each run on a shared kernel; a no-op on the second call.
 func (v *VM) Release() error {
 	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
-	if xc := v.sched.xc(); xc != nil {
+	if xc := v.world.xc(); xc != nil {
 		xc.Reset()
 		xcaches.Put(xc)
-		v.sched.main.xc = nil
+		v.world.main.xc = nil
 	}
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
@@ -512,19 +512,6 @@ func (v *VM) Release() error {
 // loaded without Config.ArenaPages.
 func (v *VM) Arena() *kernel.Arena { return v.arena }
 
-// Suspend parks this VM's guest execution at its next safepoint and
-// returns once it is parked (or before the run has started — the run then
-// waits). The returned resume function releases the suspension and is
-// idempotent. Suspensions nest: the guest resumes when the last one is
-// released. While suspended, the caller owns the process's world — it may
-// request moves, protection changes, or swaps against this process from
-// its own goroutine without racing guest execution, which is the only
-// sanctioned way to drive a foreign process's memory from outside its
-// safepoints. Must not be called from this VM's own guest execution
-// (a self-suspension would wait for its own park and deadlock); guests
-// use move policies instead.
-func (v *VM) Suspend() (resume func()) { return v.sched.suspend() }
-
 // foldPhaseSamples converts the non-exec cycle counters accumulated since
 // Load into profiler samples: the runtime is this VM's alone, so its
 // counters hold this run's cycles and nothing else. Called at sampling
@@ -540,7 +527,7 @@ func (v *VM) foldPhaseSamples() {
 // invalidateXCache drops stale entries covering [base, base+length) from
 // the guard/translation cache. Runs with the world stopped.
 func (v *VM) invalidateXCache(base, length uint64) {
-	if xc := v.sched.xc(); xc != nil {
+	if xc := v.world.xc(); xc != nil {
 		xc.InvalidateRange(base, length)
 	}
 }
@@ -548,7 +535,7 @@ func (v *VM) invalidateXCache(base, length uint64) {
 // flushXCache drops every cached entry (region-set change: search paths
 // shifted globally).
 func (v *VM) flushXCache() {
-	if xc := v.sched.xc(); xc != nil {
+	if xc := v.world.xc(); xc != nil {
 		xc.InvalidateAll()
 	}
 }
@@ -569,7 +556,7 @@ func (v *VM) onMove(src, dst, length uint64) {
 			}
 		}
 	}
-	v.sched.rebaseStacks(src, dst, length)
+	v.world.rebaseStacks(src, dst, length)
 	if moved {
 		v.repatchPools()
 	}
@@ -587,10 +574,8 @@ func (v *VM) Run() (int64, error) {
 	if main == nil || main.IsDecl() {
 		return 0, stopped(fmt.Errorf("vm: module has no @main"))
 	}
-	v.sched.beginRun()
-	defer v.sched.endRun()
 	v.arm()
-	ret, err := v.sched.runMain(main)
+	ret, err := v.world.runMain(main)
 	if v.track != nil {
 		// Final exec catch-up at the pre-fold clock (the fold-ins below
 		// belong to other phases), then settle every phase's remainder.
@@ -663,7 +648,7 @@ func (v *VM) ClosureStats() (blocks, deopts, icHits, icMisses uint64) {
 
 // XCacheStats returns the guard/translation cache's counters.
 func (v *VM) XCacheStats() (hits, misses, invalidations uint64) {
-	if xc := v.sched.xc(); xc != nil {
+	if xc := v.world.xc(); xc != nil {
 		return xc.Hits, xc.Misses, xc.Invalidations
 	}
 	return 0, 0, 0

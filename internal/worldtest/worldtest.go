@@ -1,7 +1,7 @@
 // Package worldtest is the shared conformance suite for implementations of
 // runtime.World — the stop-the-world interface every move, swap and
 // protection flip stops the guest through, once. Both the runtime's test fake
-// and the VM's real scheduler must satisfy the same contract: stops and
+// and the VM's real world must satisfy the same contract: stops and
 // resumes pair up, patches through a stop's RegSet handles read back, and
 // nested stops are rejected loudly. The suite lives in its own package so
 // the runtime's external tests and the VM's internal tests can drive the
@@ -10,7 +10,6 @@ package worldtest
 
 import (
 	"testing"
-	"time"
 
 	"carat/internal/runtime"
 )
@@ -30,10 +29,8 @@ func (f *FakeRegs) SetReg(i int, v uint64) { f.Vals[i] = v }
 type Fake struct {
 	RegSets []*FakeRegs
 
-	Stops, Resumes       int // StopTheWorld / ResumeTheWorld
-	Suspends, SusResumes int // ragged per-process suspensions
-	stopped              bool
-	suspended            int
+	Stops, Resumes int // StopTheWorld / ResumeTheWorld
+	stopped        bool
 }
 
 // NewFake builds a fake world over the given register files.
@@ -55,22 +52,6 @@ func (f *Fake) StopTheWorld() []runtime.RegSet {
 
 // ResumeTheWorld implements runtime.World.
 func (f *Fake) ResumeTheWorld() { f.stopped = false; f.Resumes++ }
-
-// Suspend implements Suspender: the fake has no concurrently running
-// guest, so suspension just counts and nests.
-func (f *Fake) Suspend() (resume func()) {
-	f.suspended++
-	f.Suspends++
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		f.suspended--
-		f.SusResumes++
-	}
-}
 
 // Conformance drives w through the World contract. The world must be
 // running (not stopped) on entry and is left running on return. Register-
@@ -108,62 +89,6 @@ func Conformance(t *testing.T, name string, w runtime.World) {
 			name, len(regs2), len(regs))
 	}
 	w.ResumeTheWorld()
-}
-
-// Suspender is the per-process half of the ragged-safepoint protocol: a
-// world that can park ONE process's guest execution at a safepoint from an
-// external goroutine, returning an idempotent resume. The VM scheduler and
-// the worldtest fake both implement it.
-type Suspender interface {
-	Suspend() (resume func())
-}
-
-// SuspendConformance drives s through the suspension contract: pairing,
-// nesting (the process stays parked until the LAST suspension resumes),
-// and idempotent resume functions. The process must not be suspended on
-// entry and is left unsuspended on return.
-func SuspendConformance(t *testing.T, name string, s Suspender) {
-	t.Helper()
-
-	// Single suspension pairs with its resume; double resume is a no-op.
-	r := s.Suspend()
-	r()
-	r()
-
-	// Nesting: two suspensions stack; each resume releases one.
-	r1 := s.Suspend()
-	r2 := s.Suspend()
-	r1()
-	r1() // idempotent mid-stack
-	r2()
-
-	// After full release, a fresh suspension must still work.
-	r3 := s.Suspend()
-	r3()
-	_ = name
-}
-
-// RaggedIsolation asserts the core multi-core invariant: suspending
-// process A must not block process B. It suspends a, then drives run()
-// — which must execute process B's workload to completion — on its own
-// goroutine. If B's block-head fast path wrongly acknowledges A's stop
-// request, run() hangs and the watchdog fails the test. a is resumed
-// before return.
-func RaggedIsolation(t *testing.T, name string, a Suspender, run func() error) {
-	t.Helper()
-	resume := a.Suspend()
-	defer resume()
-
-	done := make(chan error, 1)
-	go func() { done <- run() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("%s: process B failed while A was suspended: %v", name, err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Errorf("%s: process B blocked by process A's suspension (ragged stop leaked)", name)
-	}
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
