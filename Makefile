@@ -17,9 +17,9 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 25520
+LOC_CEILING := 25449
 
-.PHONY: all fmt vet build test race debugtest smoke results check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
+.PHONY: all fmt vet build test race debugtest smoke examples results check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 
 all: check
 
@@ -68,7 +68,8 @@ debugtest:
 # caratbench with a live -http telemetry server, curls /metrics and
 # /profile, and validates both (see scripts/smoke_telemetry.sh). The fourth
 # boots caratd, posts a module, runs it, scrapes /metrics, drives a small
-# load pass, and drains it (see scripts/smoke_server.sh).
+# load pass, and drains it (see scripts/smoke_server.sh). The last runs the
+# examples (make examples).
 smoke: build
 	$(GO) run ./cmd/caratbench -exp all -scale test -json -workers $(WORKERS) > smoke.json
 	$(GO) run ./scripts/validatejson smoke.json
@@ -79,6 +80,15 @@ smoke: build
 	@rm -f smoke.1.txt smoke.2.txt
 	sh ./scripts/smoke_telemetry.sh
 	sh ./scripts/smoke_server.sh
+	$(MAKE) examples
+
+# examples runs every program under examples/, the walkthroughs README
+# tells users to run, discarding their output: a non-zero exit fails it.
+examples:
+	@for e in examples/*/; do \
+		echo "go run ./$$e"; \
+		$(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 # results regenerates results_small.txt, the committed paper-figure tables:
 # every experiment of caratbench at the small scale (≈ 2 min). The tables

@@ -131,9 +131,6 @@ type Key[T any] struct {
 	compute func(*FuncAnalyses) T
 }
 
-// ID returns the key's analysis identifier.
-func (k Key[T]) ID() ID { return k.id }
-
 // LoopKey is a typed handle to a per-loop analysis; results are cached per
 // loop — by its header, which no two loops of a forest share — under the
 // key's ID.
@@ -141,9 +138,6 @@ type LoopKey[T any] struct {
 	id      ID
 	compute func(*FuncAnalyses, *Loop) T
 }
-
-// ID returns the key's analysis identifier.
-func (k LoopKey[T]) ID() ID { return k.id }
 
 // The registered analyses. Every pass in internal/passes goes through
 // these keys; adding an analysis means adding an ID, a deps entry, and a

@@ -57,9 +57,7 @@ func AblationAllocGranularity(o Options) (*AblAllocResult, error) {
 				allocVM = v
 				v.SetMovePolicy(moveEveryInstrs(o), func() error {
 					// Benchmarks without heap allocations cannot play.
-					if e := v.InjectWorstCaseAllocationMove(); e != nil {
-						return nil
-					}
+					_ = v.InjectWorstCaseAllocationMove()
 					return nil
 				})
 			})

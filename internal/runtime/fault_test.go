@@ -82,12 +82,37 @@ func buildMoveFixture(t *testing.T) (*kernel.Kernel, *kernel.Process, *Runtime, 
 	return k, p, rt, regs, base
 }
 
+// fixtureMove moves buildMoveFixture's allocation A (base+64): a kernel move
+// of its page, or — alloc — an allocation move of A alone to the empty page
+// at base+PageSize. moved reports whether A left its old place.
+func fixtureMove(p *kernel.Process, rt *Runtime, base uint64, alloc bool) (moved bool, err error) {
+	if alloc {
+		dst := base + kernel.PageSize
+		if _, err := rt.MoveAllocationTo(base+64, dst); err != nil {
+			return false, err
+		}
+		a := rt.Table.Covering(dst)
+		return a != nil && a.Base == dst, nil
+	}
+	res, err := p.RequestMove(base, 1)
+	return err == nil && res.Dst != res.Src, err
+}
+
+// moveKind names a fixtureMove kind in subtest names.
+func moveKind(alloc bool) string {
+	if alloc {
+		return "allocation"
+	}
+	return "page"
+}
+
 // TestAbortAtEveryStepBoundaryRollsBack forces a mid-move abort at each
-// of the four checked Fig-8 step boundaries in turn and requires the
-// machine — memory image, region set, allocation table, escape map,
-// registers, free frames, owned pages — to be bit-identical to the
-// pre-move snapshot. The final armed fault exhausted, the same move must
-// then succeed.
+// of the checked Fig-8 step boundaries in turn — four for a page move, the
+// three after destination negotiation for an allocation move, whose
+// destination exists from the start — and requires the machine — memory
+// image, region set, allocation table, escape map, registers, free frames,
+// owned pages — to be bit-identical to the pre-move snapshot. The final
+// armed fault exhausted, the same move must then succeed.
 func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 	boundaries := []string{
 		"before destination negotiation",
@@ -95,85 +120,117 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 		"after register patch",
 		"before data copy",
 	}
-	for nth, name := range boundaries {
-		t.Run(name, func(t *testing.T) {
+	for _, alloc := range []bool{false, true} {
+		for i, name := range boundaries {
+			// nth is the boundary's position among the move's checked ones.
+			nth := i + 1
+			if alloc {
+				if i == 0 {
+					continue
+				}
+				nth = i
+			}
+			sub := name
+			if alloc {
+				sub = "allocation " + name
+			}
+			t.Run(sub, func(t *testing.T) {
+				k, p, rt, regs, base := buildMoveFixture(t)
+				inj := fault.New(1, nil)
+				rt.SetInjector(inj)
+
+				before := snapshot(k, p, rt, regs)
+				vetoesBefore := k.Stats.MoveVetoes.Get()
+
+				inj.Arm(fault.MoveAbort, nth)
+				_, err := fixtureMove(p, rt, base, alloc)
+				if err == nil {
+					t.Fatalf("armed abort at %q did not fail the move", name)
+				}
+				if !fault.Injected(err) {
+					t.Fatalf("move error lost the injected fault: %v", err)
+				}
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("abort fired at the wrong boundary: %v", err)
+				}
+
+				after := snapshot(k, p, rt, regs)
+				if !reflect.DeepEqual(before, after) {
+					t.Errorf("state differs after rollback:\n before %+v\n after  %+v", before, after)
+				}
+				if err := rt.Table.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+				// A page move's abort is a kernel veto; an allocation move
+				// has no kernel request to veto.
+				wantVetoes := vetoesBefore + 1
+				if alloc {
+					wantVetoes = vetoesBefore
+				}
+				if got := k.Stats.MoveVetoes.Get(); got != wantVetoes {
+					t.Errorf("move vetoes = %d, want %d", got, wantVetoes)
+				}
+				// A page move's first boundary aborts before anything
+				// mutates; all later ones must roll back a real transaction.
+				wantRollbacks := uint64(1)
+				if nth == 1 && !alloc {
+					wantRollbacks = 0
+				}
+				if got := rt.Stats.MoveRollbacks.Get(); got != wantRollbacks {
+					t.Errorf("rollbacks = %d, want %d", got, wantRollbacks)
+				}
+
+				// Fault exhausted: the identical request must now succeed and
+				// actually move the allocation.
+				moved, err := fixtureMove(p, rt, base, alloc)
+				if err != nil {
+					t.Fatalf("move after abort: %v", err)
+				}
+				if !moved {
+					t.Error("successful move did not relocate the allocation")
+				}
+				if err := rt.Table.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// TestPatchFailureRollsBackPatchedEscapes fails the patch of the second
+// escape location: the first, already-patched escape must be restored to
+// its pre-move value, under a page move and under an allocation move.
+func TestPatchFailureRollsBackPatchedEscapes(t *testing.T) {
+	for _, alloc := range []bool{false, true} {
+		t.Run(moveKind(alloc), func(t *testing.T) {
 			k, p, rt, regs, base := buildMoveFixture(t)
 			inj := fault.New(1, nil)
 			rt.SetInjector(inj)
 
 			before := snapshot(k, p, rt, regs)
 			vetoesBefore := k.Stats.MoveVetoes.Get()
-
-			inj.Arm(fault.MoveAbort, nth+1)
-			_, err := p.RequestMove(base, 1)
-			if err == nil {
-				t.Fatalf("armed abort at %q did not fail the move", name)
+			inj.Arm(fault.PatchFail, 2)
+			if _, err := fixtureMove(p, rt, base, alloc); err == nil || !fault.Injected(err) {
+				t.Fatalf("armed patch failure did not abort the move: %v", err)
 			}
-			if !fault.Injected(err) {
-				t.Fatalf("move error lost the injected fault: %v", err)
-			}
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("abort fired at the wrong boundary: %v", err)
-			}
-
 			after := snapshot(k, p, rt, regs)
 			if !reflect.DeepEqual(before, after) {
-				t.Errorf("state differs after rollback:\n before %+v\n after  %+v", before, after)
+				t.Errorf("state differs after patch-failure rollback:\n before %+v\n after  %+v", before, after)
 			}
-			if err := rt.Table.CheckInvariants(); err != nil {
-				t.Error(err)
+			if rt.Stats.MoveRollbacks.Get() != 1 {
+				t.Errorf("rollbacks = %d, want 1", rt.Stats.MoveRollbacks.Get())
 			}
-			if got := k.Stats.MoveVetoes.Get(); got != vetoesBefore+1 {
-				t.Errorf("move vetoes = %d, want %d", got, vetoesBefore+1)
+			wantVetoes := uint64(1)
+			if alloc {
+				wantVetoes = 0
 			}
-			// The first boundary aborts before anything mutates; all later
-			// ones must roll back a real transaction.
-			wantRollbacks := uint64(1)
-			if nth == 0 {
-				wantRollbacks = 0
-			}
-			if got := rt.Stats.MoveRollbacks.Get(); got != wantRollbacks {
-				t.Errorf("rollbacks = %d, want %d", got, wantRollbacks)
-			}
-
-			// Fault exhausted: the identical request must now succeed and
-			// actually move the page.
-			res, err := p.RequestMove(base, 1)
-			if err != nil {
-				t.Fatalf("move after abort: %v", err)
-			}
-			if res.Dst == res.Src {
-				t.Error("successful move did not relocate the page")
+			if got := k.Stats.MoveVetoes.Get() - vetoesBefore; got != wantVetoes {
+				t.Errorf("rollback counted %d kernel vetoes, want %d", got, wantVetoes)
 			}
 			if err := rt.Table.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestPatchFailureRollsBackPatchedEscapes fails the patch of the second
-// escape location: the first, already-patched escape must be restored to
-// its pre-move value.
-func TestPatchFailureRollsBackPatchedEscapes(t *testing.T) {
-	k, p, rt, regs, base := buildMoveFixture(t)
-	inj := fault.New(1, nil)
-	rt.SetInjector(inj)
-
-	before := snapshot(k, p, rt, regs)
-	inj.Arm(fault.PatchFail, 2)
-	if _, err := p.RequestMove(base, 1); err == nil || !fault.Injected(err) {
-		t.Fatalf("armed patch failure did not abort the move: %v", err)
-	}
-	after := snapshot(k, p, rt, regs)
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("state differs after patch-failure rollback:\n before %+v\n after  %+v", before, after)
-	}
-	if rt.Stats.MoveRollbacks.Get() != 1 {
-		t.Errorf("rollbacks = %d, want 1", rt.Stats.MoveRollbacks.Get())
-	}
-	if err := rt.Table.CheckInvariants(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -106,28 +106,50 @@ func (r *Runtime) HandleProtect(apply func() error) error {
 //	9-10. move the data, free the source
 //	11-12. resume; report completion
 func (r *Runtime) HandleMove(req kernel.MoveRequest) (kernel.MoveResult, error) {
+	_, res, err := r.move(req, 0, false)
+	return res, err
+}
+
+// MoveAllocationTo relocates the single allocation based at base to dst, a
+// caller-provided destination of at least the allocation's size that must
+// not overlap it: the paper's §6 "Allocation Granularity" extension. It is
+// a move like HandleMove's — one stop, the same patch, register, rebase and
+// copy phases, the same undo log, counters and pause — with phaseLocate in
+// place of page expansion, negotiation and commit. Allocations move whole
+// by construction, so there is nothing to expand and no page semantics to
+// negotiate; the paper predicts (Table 3's last column) that this removes
+// ~95% of the move cost. The returned MoveBreakdown has zero expand cost:
+// no barrier, no page grant, only the allocation's bytes.
+func (r *Runtime) MoveAllocationTo(base, dst uint64) (MoveBreakdown, error) {
+	bd, _, err := r.move(kernel.MoveRequest{Src: base}, dst, true)
+	return bd, err
+}
+
+// move runs one move of either kind: stop the world, run the phases under
+// the runtime's lock, and — on success — run the move listeners with the
+// world still stopped but outside every runtime lock, so a listener may
+// re-enter the runtime. alloc selects the allocation move (dst is then the
+// caller's destination).
+func (r *Runtime) move(req kernel.MoveRequest, dst uint64, alloc bool) (MoveBreakdown, kernel.MoveResult, error) {
 	w := r.getWorld()
 	regs := w.StopTheWorld()
 	defer w.ResumeTheWorld()
 
-	res, src, dst, length, err := r.handleMoveLocked(req, regs)
+	bd, res, length, err := r.moveLocked(req, dst, alloc, regs)
 	if err != nil {
-		return res, err
+		return bd, res, err
 	}
-	// Listeners run with the world still stopped but outside every runtime
-	// lock, so a listener may re-enter the runtime (satellite: no callback
-	// under a held mutex).
 	for _, fn := range r.moveListenerList() {
-		fn(src, dst, length)
+		fn(res.Src, res.Dst, length)
 	}
-	return res, nil
+	return bd, res, nil
 }
 
-// handleMoveLocked drives the move as a phase state machine: expand,
-// negotiate, patch escapes, patch registers, rebase tables, copy, commit.
-// The world stays stopped end to end: the move is one pause, its whole
+// moveLocked drives the move as a phase state machine (pageMovePhases or
+// allocMovePhases), then runs the success epilogue both kinds share. The
+// world stays stopped end to end: the move is one pause, its whole
 // MoveBreakdown.TotalCycles, observed once under "move" (or "move_abort").
-func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kernel.MoveResult, uint64, uint64, uint64, error) {
+func (r *Runtime) moveLocked(req kernel.MoveRequest, dst uint64, alloc bool, regs []RegSet) (MoveBreakdown, kernel.MoveResult, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	defer r.publishStop()
@@ -135,10 +157,15 @@ func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kerne
 
 	st := r.mover()
 	defer st.reset()
-	st.req, st.regs, st.inj, st.bd.ExpandCycles = req, regs, r.injector(), cycBarrier
-	for _, phase := range movePhases {
+	st.req, st.regs, st.inj, st.alloc = req, regs, r.injector(), alloc
+	st.src, st.dst = req.Src, dst
+	phases := pageMovePhases[:]
+	if alloc {
+		phases = allocMovePhases[:]
+	}
+	for _, phase := range phases {
 		if err := phase(st); err != nil {
-			return st.fail(err)
+			return st.bd, kernel.MoveResult{}, 0, st.fail(err)
 		}
 	}
 
@@ -149,12 +176,14 @@ func (r *Runtime) handleMoveLocked(req kernel.MoveRequest, regs []RegSet) (kerne
 	r.hists().move.Observe(st.bd.TotalCycles())
 	r.pubMu.Unlock()
 	r.observePause("move", st.bd.TotalCycles())
-	r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
-	return kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.src, st.dst, st.length, nil
+	if !alloc {
+		r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
+	}
+	return st.bd, kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.length, nil
 }
 
-// movePhases are a move's phases in protocol order.
-var movePhases = [...]func(*moveState) error{
+// pageMovePhases are a kernel page move's phases in protocol order.
+var pageMovePhases = [...]func(*moveState) error{
 	(*moveState).phaseExpand,
 	(*moveState).phaseNegotiate,
 	(*moveState).phasePatchEscapes,
@@ -164,16 +193,31 @@ var movePhases = [...]func(*moveState) error{
 	(*moveState).phaseCommit,
 }
 
+// allocMovePhases are an allocation move's: its own first phase, then the
+// page move's patch, register, rebase and copy phases. There is no kernel
+// request to commit.
+var allocMovePhases = [...]func(*moveState) error{
+	(*moveState).phaseLocate,
+	(*moveState).phasePatchEscapes,
+	(*moveState).phasePatchRegisters,
+	(*moveState).phaseRebase,
+	(*moveState).phaseCopy,
+}
+
 // moveState carries one in-flight move through its phases. A runtime has
 // one, allocated at its first move or swap (see mover) and reset after every
 // move, so its slices keep their storage; a swap uses its scratch slices.
-// The undo log (txn) opens when destination negotiation succeeds: a failure
-// before that point needs only a veto, a failure after it rolls back.
+// The undo log (txn) opens once a destination exists: a failure before that
+// point needs only a veto, a failure after it rolls back.
 type moveState struct {
 	r    *Runtime
 	req  kernel.MoveRequest
 	regs []RegSet
 	inj  *fault.Injector
+	// alloc marks an allocation move: no kernel request stands behind it,
+	// so there is no veto, no destination to return, no barrier charge and
+	// no Figure 8 trace.
+	alloc bool
 
 	bd MoveBreakdown
 	// lookupCyc/scanCyc split ExpandCycles for trace attribution only;
@@ -212,11 +256,11 @@ func (st *moveState) reset() {
 	}
 }
 
-// phaseExpand implements steps 5/6: expand [src, src+len) until its
-// boundaries split no allocation (allocations must move in their entirety,
-// §4.3).
+// phaseExpand implements steps 5/6: charge the world-stop barrier, then
+// expand [src, src+len) until its boundaries split no allocation
+// (allocations must move in their entirety, §4.3).
 func (st *moveState) phaseExpand() error {
-	st.src = st.req.Src
+	st.bd.ExpandCycles += cycBarrier
 	st.length = st.req.Pages * kernel.PageSize
 	for {
 		st.bd.ExpandCycles += cycTableLookup
@@ -248,6 +292,26 @@ func (st *moveState) phaseExpand() error {
 	if err := st.inj.Fail(fault.MoveAbort, "before destination negotiation"); err != nil {
 		return fmt.Errorf("runtime: move aborted: %w", err)
 	}
+	return nil
+}
+
+// phaseLocate is an allocation move's first phase: take the allocation
+// based at src and check that it does not overlap the caller's destination.
+// The allocation is the whole move, so nothing expands; the destination
+// already exists, so the undo log opens at once.
+func (st *moveState) phaseLocate() error {
+	a := st.r.Table.Covering(st.src)
+	if a == nil || a.Base != st.src {
+		return fmt.Errorf("runtime: no allocation based at %#x", st.src)
+	}
+	st.length = a.Len
+	if st.dst < st.src+st.length && st.src < st.dst+st.length {
+		return fmt.Errorf("runtime: allocation move ranges overlap")
+	}
+	st.pages = alignUp(st.length) / kernel.PageSize
+	st.affected = append(st.affected, a)
+	st.bd.PatchCycles += cycTableLookup
+	st.txn.open = true
 	return nil
 }
 
@@ -341,21 +405,24 @@ func (st *moveState) phaseCommit() error {
 	return nil
 }
 
-// fail unwinds a failed phase. Before destination negotiation (txn not
-// open) nothing has mutated: a bare veto suffices. After it, the undo log rolls
-// the address space back to the exact pre-move state. The pause observed
-// at the abort is the partial breakdown: the work done before the failure.
-func (st *moveState) fail(cause error) (kernel.MoveResult, uint64, uint64, uint64, error) {
+// fail unwinds a failed phase. Before the undo log opens nothing has
+// mutated: a page move is vetoed, an allocation move simply fails. After it,
+// the undo log rolls the address space back to the exact pre-move state.
+// The pause observed at the abort is the partial breakdown: the work done
+// before the failure.
+func (st *moveState) fail(cause error) error {
 	st.r.observePause("move_abort", st.bd.TotalCycles())
-	if !st.txn.open {
-		st.req.Veto()
-		return kernel.MoveResult{}, 0, 0, 0, cause
+	if st.txn.open {
+		return st.r.rollbackMove(st, cause)
 	}
-	return kernel.MoveResult{}, 0, 0, 0, st.r.rollbackMove(&st.req, &st.txn, st.src, st.dst, st.length, cause)
+	if !st.alloc {
+		st.req.Veto()
+	}
+	return cause
 }
 
 // moveTxn is the undo log of one in-flight move: every mutation made
-// after destination negotiation (open), recorded before it is applied. The
+// once the destination exists (open), recorded before it is applied. The
 // other booleans mark the all-or-nothing table/copy steps; the write logs keep
 // original values in application order so rollback can restore them in
 // reverse.
@@ -366,7 +433,7 @@ type moveTxn struct {
 	escMoved  bool          // escape locations rebased src->dst
 	swapMoved bool          // swap-record escape locations rebased
 	copied    bool          // data copied to dst (source zeroed)
-	open      bool          // destination negotiated: a failure rolls back
+	open      bool          // destination exists: a failure rolls back
 }
 
 type memWrite struct{ loc, old uint64 }
@@ -379,12 +446,14 @@ type regWrite struct {
 
 // rollbackMove restores the exact pre-move state after an abort: undo the
 // data copy, rebase tables back, restore registers and memory words in
-// reverse application order, and return the negotiated destination to the
-// kernel — whose region release raises EventInvalidateRange, so the VM's
-// guard/translation caches drop anything covering the stillborn
-// destination. The abort counts as a veto in the kernel's accounting.
-// Returns the error the failed move reports, wrapping cause.
-func (r *Runtime) rollbackMove(req *kernel.MoveRequest, txn *moveTxn, src, dst, length uint64, cause error) error {
+// reverse application order. A page move then returns the negotiated
+// destination to the kernel — whose region release raises
+// EventInvalidateRange, so the VM's guard/translation caches drop anything
+// covering the stillborn destination — and counts as a veto in the kernel's
+// accounting; an allocation move's destination is its caller's. Returns
+// the error the failed move reports, wrapping cause.
+func (r *Runtime) rollbackMove(st *moveState, cause error) error {
+	txn, src, dst, length := &st.txn, st.src, st.dst, st.length
 	if txn.copied {
 		if err := r.mem.Move(src, dst, length); err != nil {
 			return fmt.Errorf("runtime: rollback copy-back failed: %v (aborting move: %w)", err, cause)
@@ -408,10 +477,12 @@ func (r *Runtime) rollbackMove(req *kernel.MoveRequest, txn *moveTxn, src, dst, 
 		w := txn.memWrites[i]
 		r.mem.Store64(w.loc, w.old)
 	}
-	if err := req.AbortDst(dst, length/kernel.PageSize); err != nil {
-		return fmt.Errorf("runtime: rollback destination release failed: %v (aborting move: %w)", err, cause)
+	if !st.alloc {
+		if err := st.req.AbortDst(dst, st.pages); err != nil {
+			return fmt.Errorf("runtime: rollback destination release failed: %v (aborting move: %w)", err, cause)
+		}
+		st.req.Veto()
 	}
-	req.Veto()
 	r.Stats.MoveRollbacks.Inc()
 	if tr := r.tracer(); tr != nil {
 		tr.Instant("fault.rollback", "fault",
@@ -498,6 +569,19 @@ func (r *Runtime) mostEscapedWhere(eligible func(*Allocation) bool) *Allocation 
 		return true
 	})
 	return best
+}
+
+// WorstCaseHeapAllocation returns the base of the most-escaped non-static
+// allocation within [lo, hi), for the allocation-granularity ablation
+// (which relocates within the heap).
+func (r *Runtime) WorstCaseHeapAllocation(lo, hi uint64) (base, length uint64, ok bool) {
+	best := r.mostEscapedWhere(func(a *Allocation) bool {
+		return !a.Static && a.Base >= lo && a.End() <= hi
+	})
+	if best == nil {
+		return 0, 0, false
+	}
+	return best.Base, best.Len, true
 }
 
 func alignDown(a uint64) uint64 { return a &^ (kernel.PageSize - 1) }

@@ -71,7 +71,7 @@ type Stats struct {
 	SwapOuts      obs.Counter
 	SwapIns       obs.Counter
 	SwapCycles    obs.Counter // modeled world-stopped cycles across all swaps
-	Moves         obs.Counter // completed kernel-initiated moves
+	Moves         obs.Counter // completed moves, page and allocation
 	MoveCycles    obs.Counter // total modeled cycles across all moves
 	MoveRollbacks obs.Counter // aborted moves rolled back to the pre-move state
 	FlushRetries  obs.Counter // escape-buffer flushes retried after an injected failure
@@ -222,9 +222,8 @@ type Runtime struct {
 	MoveStats []MoveBreakdown
 
 	// defBuf is the escape buffer behind the plain TrackEscape entry
-	// point; batchMax is the per-buffer flush threshold.
-	defBuf   *EscapeBuffer
-	batchMax int
+	// point.
+	defBuf *EscapeBuffer
 }
 
 // AddMoveListener registers fn to run after every completed move, while
@@ -333,11 +332,10 @@ func New(mem *kernel.PhysMem, world World, reg *obs.Registry) *Runtime {
 		reg = obs.NewRegistry()
 	}
 	r := &Runtime{
-		Table:    NewAllocationTable(),
-		Obs:      reg,
-		mem:      mem,
-		world:    world,
-		batchMax: DefaultBatchSize,
+		Table: NewAllocationTable(),
+		Obs:   reg,
+		mem:   mem,
+		world: world,
 	}
 	r.defBuf = r.NewEscapeBuffer()
 	return r
@@ -488,7 +486,7 @@ func (b *EscapeBuffer) track(loc, val uint64, cycles *obs.Counter) {
 	cycles.Add(cycEscapeEnq)
 	b.mu.Lock()
 	b.events = append(b.events, escapeEvent{loc, val})
-	full := len(b.events) >= r.batchMax
+	full := len(b.events) >= DefaultBatchSize
 	b.mu.Unlock()
 	if full {
 		b.Flush()

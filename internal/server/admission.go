@@ -42,15 +42,6 @@ type admission struct {
 }
 
 func newAdmission(k *kernel.Kernel, maxInflight int, highWater float64, retryAfter int, reg *obs.Registry) *admission {
-	if maxInflight <= 0 {
-		maxInflight = 32
-	}
-	if highWater <= 0 || highWater > 1 {
-		highWater = 0.85
-	}
-	if retryAfter <= 0 {
-		retryAfter = 1
-	}
 	return &admission{
 		kern:        k,
 		maxInflight: int64(maxInflight),

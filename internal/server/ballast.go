@@ -8,7 +8,7 @@ import (
 	"carat/internal/obs"
 )
 
-// BallastConfig sizes the background mmpolicy service. The ballast is a
+// BallastConfig switches the background mmpolicy service. The ballast is a
 // set of synthetic workload processes (churn, stream, coldstore) managed
 // by the policy daemon on the SAME kernel that serves tenant requests:
 // the daemon's defragmentation, tiering, and isolation windows genuinely
@@ -18,57 +18,28 @@ import (
 type BallastConfig struct {
 	// Disabled turns the background service off entirely.
 	Disabled bool `json:"disabled"`
-	// ChurnSlots/StreamSlots/ColdSlots size the three workload processes
-	// (slot = one pointer to a stamped allocation). Zero picks defaults.
-	ChurnSlots  int `json:"churn_slots"`
-	StreamSlots int `json:"stream_slots"`
-	ColdSlots   int `json:"cold_slots"`
-	// TickEvery is the daemon's wake interval on the harness's modeled
-	// clock; StepBatch is how many workload rounds run between checks of
-	// the stop channel; VerifyEvery counts batches between full
-	// stamp-integrity verifications. Zero picks defaults.
-	TickEvery   uint64 `json:"tick_every"`
-	StepBatch   int    `json:"step_batch"`
-	VerifyEvery int    `json:"verify_every"`
-	// Pace sleeps this long between batches so the ballast competes with
-	// tenant traffic without monopolizing a host core.
-	Pace time.Duration `json:"-"`
-	// Seed drives the workloads' allocation randomness.
-	Seed int64 `json:"seed"`
 }
 
-func (c BallastConfig) withDefaults() BallastConfig {
-	if c.ChurnSlots == 0 {
-		c.ChurnSlots = 48
-	}
-	if c.StreamSlots == 0 {
-		c.StreamSlots = 12
-	}
-	if c.ColdSlots == 0 {
-		c.ColdSlots = 12
-	}
-	if c.TickEvery == 0 {
-		c.TickEvery = 50_000
-	}
-	if c.StepBatch == 0 {
-		c.StepBatch = 32
-	}
-	if c.VerifyEvery == 0 {
-		c.VerifyEvery = 64
-	}
-	if c.Pace == 0 {
-		c.Pace = 200 * time.Microsecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// The ballast's shape: its three workload processes' slots (slot = one
+// pointer to a stamped allocation), the daemon's wake interval on the
+// harness's modeled clock, the workload rounds run between checks of the
+// stop channel, the batches between full stamp-integrity verifications,
+// the sleep between batches — so the ballast competes with tenant traffic
+// without monopolizing a host core — and the workloads' allocation seed.
+const (
+	ballastChurnSlots  = 48
+	ballastStreamSlots = 12
+	ballastColdSlots   = 12
+	ballastTickEvery   = 50_000
+	ballastStepBatch   = 32
+	ballastVerifyEvery = 64
+	ballastPace        = 200 * time.Microsecond
+	ballastSeed        = 1
+)
 
 // ballast runs the mmpolicy harness as a long-lived background goroutine.
 type ballast struct {
 	h    *mmpolicy.Harness
-	cfg  BallastConfig
 	stop chan struct{}
 	done chan struct{}
 
@@ -76,15 +47,14 @@ type ballast struct {
 	violations *obs.Counter
 }
 
-func (s *Server) newBallast(cfg BallastConfig) (*ballast, error) {
-	cfg = cfg.withDefaults()
+func (s *Server) newBallast() (*ballast, error) {
 	h, err := mmpolicy.NewHarness(mmpolicy.HarnessConfig{
 		Kernel:    s.kern,
-		TickEvery: cfg.TickEvery,
+		TickEvery: ballastTickEvery,
 		Procs: []mmpolicy.ProcSpec{
-			{Name: "ballast-churn", Kind: mmpolicy.Churn, Slots: cfg.ChurnSlots, MaxPages: 4, Seed: cfg.Seed},
-			{Name: "ballast-stream", Kind: mmpolicy.Stream, Slots: cfg.StreamSlots, MaxPages: 2, Seed: cfg.Seed + 1},
-			{Name: "ballast-cold", Kind: mmpolicy.ColdStore, Slots: cfg.ColdSlots, MaxPages: 2, Seed: cfg.Seed + 2},
+			{Name: "ballast-churn", Kind: mmpolicy.Churn, Slots: ballastChurnSlots, MaxPages: 4, Seed: ballastSeed},
+			{Name: "ballast-stream", Kind: mmpolicy.Stream, Slots: ballastStreamSlots, MaxPages: 2, Seed: ballastSeed + 1},
+			{Name: "ballast-cold", Kind: mmpolicy.ColdStore, Slots: ballastColdSlots, MaxPages: 2, Seed: ballastSeed + 2},
 		},
 		Policies: []mmpolicy.Policy{
 			mmpolicy.NewDefrag(64),
@@ -97,7 +67,6 @@ func (s *Server) newBallast(cfg BallastConfig) (*ballast, error) {
 	}
 	return &ballast{
 		h:          h,
-		cfg:        cfg,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		steps:      s.reg.Counter("carat.server.ballast_steps"),
@@ -106,7 +75,7 @@ func (s *Server) newBallast(cfg BallastConfig) (*ballast, error) {
 }
 
 // run is the service loop: workload rounds interleaved with daemon ticks,
-// a full integrity verification every VerifyEvery batches, and a final
+// a full integrity verification every ballastVerifyEvery batches, and a final
 // verification at shutdown. Every violation increments the counter that
 // Drain inspects — caratd exits nonzero if any occurred.
 func (b *ballast) run() {
@@ -119,20 +88,18 @@ func (b *ballast) run() {
 			return
 		default:
 		}
-		if err := b.h.Run(b.cfg.StepBatch); err != nil {
+		if err := b.h.Run(ballastStepBatch); err != nil {
 			log.Printf("caratd: ballast harness error: %v", err)
 			b.violations.Inc()
 			b.verify()
 			return
 		}
-		b.steps.Add(uint64(b.cfg.StepBatch))
+		b.steps.Add(ballastStepBatch)
 		batches++
-		if batches%b.cfg.VerifyEvery == 0 {
+		if batches%ballastVerifyEvery == 0 {
 			b.verify()
 		}
-		if b.cfg.Pace > 0 {
-			time.Sleep(b.cfg.Pace)
-		}
+		time.Sleep(ballastPace)
 	}
 }
 

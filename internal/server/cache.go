@@ -63,12 +63,6 @@ type moduleCache struct {
 }
 
 func newModuleCache(maxEntries int, maxBytes uint64, workers int, reg *obs.Registry) *moduleCache {
-	if maxEntries <= 0 {
-		maxEntries = 128
-	}
-	if workers <= 0 {
-		workers = 2
-	}
 	return &moduleCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,

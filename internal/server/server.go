@@ -153,6 +153,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = def.Addr
 	}
+	if cfg.CompileWorkers <= 0 {
+		cfg.CompileWorkers = def.CompileWorkers
+	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = def.CacheEntries
+	}
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = def.MaxInflight
+	}
+	if cfg.HighWatermark <= 0 || cfg.HighWatermark > 1 {
+		cfg.HighWatermark = def.HighWatermark
+	}
+	if cfg.RetryAfterSec <= 0 {
+		cfg.RetryAfterSec = def.RetryAfterSec
+	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -187,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 	s.adm = newAdmission(s.kern, cfg.MaxInflight, cfg.HighWatermark, cfg.RetryAfterSec, reg)
 	s.tel = &telemetry.Server{Registry: reg}
 	if !cfg.Ballast.Disabled {
-		b, err := s.newBallast(cfg.Ballast)
+		b, err := s.newBallast()
 		if err != nil {
 			return nil, fmt.Errorf("server: ballast: %w", err)
 		}

@@ -103,6 +103,36 @@ func post(t *testing.T, url string, req any) (*http.Response, map[string]any) {
 	return resp, doc
 }
 
+// TestNewFillsZeroLimitsFromDefaults: the limits a Config leaves zero take
+// DefaultServerConfig's values — the one place the defaults are declared —
+// not values the cache and admission control pick for themselves.
+func TestNewFillsZeroLimitsFromDefaults(t *testing.T) {
+	s, err := New(Config{MemBytes: 1 << 26, Ballast: BallastConfig{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := DefaultServerConfig()
+	if got := s.cache.maxEntries; got != def.CacheEntries {
+		t.Errorf("cache cap = %d, want %d", got, def.CacheEntries)
+	}
+	if got := cap(s.cache.sem); got != def.CompileWorkers {
+		t.Errorf("compile slots = %d, want %d", got, def.CompileWorkers)
+	}
+	if got := s.adm.maxInflight; got != int64(def.MaxInflight) {
+		t.Errorf("inflight cap = %d, want %d", got, def.MaxInflight)
+	}
+	if got := s.adm.highWater; got != def.HighWatermark {
+		t.Errorf("high watermark = %v, want %v", got, def.HighWatermark)
+	}
+	if got := s.adm.retryAfter; got != def.RetryAfterSec {
+		t.Errorf("Retry-After = %d, want %d", got, def.RetryAfterSec)
+	}
+	if def.CacheEntries != 256 || def.CompileWorkers != 4 || def.MaxInflight != 32 ||
+		def.HighWatermark != 0.85 || def.RetryAfterSec != 1 {
+		t.Errorf("defaults moved: %+v", def)
+	}
+}
+
 // TestRunDeterministicUnderConcurrency is the server's core promise: with
 // the ballast mmpolicy daemon churning the same physical memory and many
 // tenants running at once, identical (module, seed) requests produce
@@ -110,7 +140,6 @@ func post(t *testing.T, url string, req any) (*http.Response, map[string]any) {
 func TestRunDeterministicUnderConcurrency(t *testing.T) {
 	cfg := testConfig()
 	cfg.Ballast.Disabled = false
-	cfg.Ballast.Pace = 50 * time.Microsecond
 	s, ts := newTestServer(t, cfg)
 
 	progs := []string{progSum, progChain, progLoop}

@@ -7,18 +7,23 @@ import (
 
 	"carat/internal/obs"
 	"carat/internal/passes"
+	"carat/internal/runtime"
 )
 
 // samplerSrc churns the heap inside a guarded loop so every profiled
 // phase — exec, guard, escape-flush — accumulates enough cycles to clear
-// several sampling intervals.
+// several sampling intervals. The block @held points to lives the whole
+// run, so an allocation move always finds a heap allocation to move.
 const samplerSrc = `module "samprec"
 global @slot : ptr
+global @held : ptr
 global @a : [256 x i64]
 func @malloc(%sz: i64) -> ptr
 func @free(%p: ptr) -> void
 func @main() -> i64 {
 entry:
+  %h = call ptr @malloc(i64 512)
+  store ptr %h, @held
   br ^loop
 loop:
   %i = phi i64 [0, ^entry], [%i1, ^latch]
@@ -46,56 +51,89 @@ done:
 // TestSamplerReconcilesWithCycleCounters runs a real program with the
 // profiler attached and checks the acceptance invariant: per-phase sample
 // totals times the interval reconcile with the underlying cycle-attribution
-// counters to within one sampling interval per track.
+// counters to within one sampling interval per track — without moves, under
+// page moves and under allocation moves, which are one protocol: each is
+// counted, observes one "move" pause and is profiled under "move".
 func TestSamplerReconcilesWithCycleCounters(t *testing.T) {
 	const interval = 64
-	m := compile(t, samplerSrc, passes.LevelTracking)
-	cfg := DefaultConfig()
-	cfg.MemBytes = 1 << 24
-	cfg.HeapBytes = 1 << 20
-	s := obs.NewSampler(interval)
-	cfg.Sampler = s
-	v, _ := run(t, m, cfg)
-
-	// Reconstruct the pre-fold execution clock: Run folds tracking, guard,
-	// and protocol cycles into v.Cycles after the final exec sample.
-	tracking := v.rt.Stats.TrackingCycle.Get()
-	var protocol uint64
-	for _, bd := range v.rt.MoveStats {
-		protocol += bd.TotalCycles()
-	}
-	execPre := v.Cycles - tracking - v.eval.Cycles - protocol
-
-	ps := s.PhaseSamples()
-	checks := []struct {
-		phase  string
-		cycles uint64
+	for _, tc := range []struct {
+		name string
+		move func(*VM) error
 	}{
-		{"exec", execPre},
-		{"guard", v.eval.Cycles},
-		{"escape-flush", tracking},
-	}
-	for _, c := range checks {
-		folded := ps[c.phase] * interval
-		if folded > c.cycles || c.cycles-folded >= interval {
-			t.Errorf("phase %s: %d samples * %d = %d cycles vs counter %d: off by >= one interval",
-				c.phase, ps[c.phase], interval, folded, c.cycles)
-		}
-	}
-	if ps["exec"] == 0 || ps["guard"] == 0 || ps["escape-flush"] == 0 {
-		t.Errorf("phase samples missing: %v", ps)
-	}
+		{"none", nil},
+		{"page", (*VM).InjectWorstCaseMove},
+		{"allocation", (*VM).InjectWorstCaseAllocationMove},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := compile(t, samplerSrc, passes.LevelTracking)
+			cfg := DefaultConfig()
+			cfg.MemBytes = 1 << 24
+			cfg.HeapBytes = 1 << 20
+			s := obs.NewSampler(interval)
+			cfg.Sampler = s
+			v, err := Load(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.move != nil {
+				v.SetMovePolicy(500, func() error { return tc.move(v) })
+			}
+			if _, err := v.Run(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Exec samples carry the guest stack, rooted at the entry function.
-	doc := s.Snapshot()
-	foundMain := false
-	for _, fs := range doc.Stacks {
-		if fs.Phase == "exec" && strings.HasPrefix(fs.Stack, "main") {
-			foundMain = true
-		}
-	}
-	if !foundMain {
-		t.Errorf("no exec sample attributed to main: %+v", doc.Stacks)
+			// Reconstruct the pre-fold execution clock: Run folds tracking, guard,
+			// and protocol cycles into v.Cycles after the final exec sample.
+			tracking := v.rt.Stats.TrackingCycle.Get()
+			var protocol uint64
+			for _, bd := range v.rt.MoveStats {
+				protocol += bd.TotalCycles()
+			}
+			execPre := v.Cycles - tracking - v.eval.Cycles - protocol
+
+			ps := s.PhaseSamples()
+			checks := []struct {
+				phase  string
+				cycles uint64
+			}{
+				{"exec", execPre},
+				{"guard", v.eval.Cycles},
+				{"escape-flush", tracking},
+				{"move", protocol},
+			}
+			for _, c := range checks {
+				folded := ps[c.phase] * interval
+				if folded > c.cycles || c.cycles-folded >= interval {
+					t.Errorf("phase %s: %d samples * %d = %d cycles vs counter %d: off by >= one interval",
+						c.phase, ps[c.phase], interval, folded, c.cycles)
+				}
+			}
+			if ps["exec"] == 0 || ps["guard"] == 0 || ps["escape-flush"] == 0 {
+				t.Errorf("phase samples missing: %v", ps)
+			}
+
+			moves := uint64(len(v.rt.MoveStats))
+			if tc.move != nil && (moves == 0 || ps["move"] == 0) {
+				t.Errorf("%d moves, %d move samples: want both nonzero", moves, ps["move"])
+			}
+			pauses := v.Obs().Histogram(runtime.PauseHist + ".move").Snapshot()
+			if got := v.rt.Stats.Moves.Get(); got != moves || pauses.Count != moves || pauses.Sum != protocol {
+				t.Errorf("carat.runtime.moves = %d and %d move pauses summing %d, want %d moves of %d cycles",
+					got, pauses.Count, pauses.Sum, moves, protocol)
+			}
+
+			// Exec samples carry the guest stack, rooted at the entry function.
+			doc := s.Snapshot()
+			foundMain := false
+			for _, fs := range doc.Stacks {
+				if fs.Phase == "exec" && strings.HasPrefix(fs.Stack, "main") {
+					foundMain = true
+				}
+			}
+			if !foundMain {
+				t.Errorf("no exec sample attributed to main: %+v", doc.Stacks)
+			}
+		})
 	}
 }
 

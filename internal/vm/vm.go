@@ -12,6 +12,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"carat/internal/fault"
@@ -588,10 +589,9 @@ func (v *VM) Run() (int64, error) {
 	v.Cycles += v.eval.Cycles
 	v.Prof.Cat[obs.CatGuard] += v.eval.Cycles
 	v.GuardChecks = v.eval.Checks
-	for _, bd := range v.rt.MoveStats {
-		v.Cycles += bd.TotalCycles()
-		v.Prof.Cat[obs.CatProtocol] += bd.TotalCycles()
-	}
+	moves := v.rt.Stats.MoveCycles.Get()
+	v.Cycles += moves
+	v.Prof.Cat[obs.CatProtocol] += moves
 	v.publishMetrics()
 	return ret, stopped(err)
 }
@@ -699,7 +699,8 @@ func (v *VM) InjectWorstCaseAllocationMove() error {
 		return fmt.Errorf("vm: heap exhausted during allocation move")
 	}
 	if _, err := v.rt.MoveAllocationTo(base, dst); err != nil {
-		return err
+		// The move rolled back: dst holds nothing of the guest's.
+		return errors.Join(err, v.heap.free(dst))
 	}
 	// The move listener rebased the heap's metadata for base onto dst;
 	// the vacated block becomes reusable free space.

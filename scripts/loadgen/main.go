@@ -39,8 +39,6 @@ import (
 
 type runReq struct {
 	Tenant string `json:"tenant"`
-	Source string `json:"source,omitempty"`
-	Name   string `json:"name,omitempty"`
 	Ref    string `json:"ref,omitempty"`
 	Seed   int64  `json:"seed"`
 }
@@ -395,7 +393,6 @@ func backoff(retryAfter string, attempt int) time.Duration {
 
 type runResp struct {
 	Digest string `json:"digest"`
-	Error  string `json:"error"`
 }
 
 func postModule(client *http.Client, base, source, name string) (string, error) {

@@ -229,7 +229,6 @@ func validateServerLoad(data []byte) error {
 func validateProfile(data []byte) error {
 	var doc struct {
 		IntervalCycles uint64 `json:"interval_cycles"`
-		Tracks         int    `json:"tracks"`
 		TotalSamples   uint64 `json:"total_samples"`
 		Stacks         []struct {
 			Stack   string `json:"stack"`
