@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,6 +173,56 @@ func TestEngineParityUnderAllocationMovesAndSwaps(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestProfileCategoriesSumToCycles: every modeled cycle is billed to exactly
+// one cause, so the profile's categories add up to the cycle clock, on both
+// engines, under page moves, allocation moves and swaps. The compiled engine
+// defers its compute charges and flushes them into the compute category in
+// bulk; a flush that reached the clock but not the profile, or the profile
+// twice, shows here.
+func TestProfileCategoriesSumToCycles(t *testing.T) {
+	kinds := []struct {
+		name string
+		act  func(v *VM) error
+	}{
+		{"page moves", func(v *VM) error { return v.InjectWorstCaseMove() }},
+		{"allocation moves", func(v *VM) error { return v.InjectWorstCaseAllocationMove() }},
+		{"swaps", func(v *VM) error {
+			base, _, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
+			if !ok {
+				return errors.New("no heap allocation")
+			}
+			_, err := v.SwapOutAllocation(base)
+			return err
+		}},
+	}
+	for _, k := range kinds {
+		acted := 0 // some seeds allocate no heap: the kind must act on the others
+		for seed := int64(460); seed <= 468; seed++ {
+			for _, engine := range []bool{reference, compiled} {
+				r := runEngine(t, seed, passes.LevelTracking, guard.MechRange, engine, func(v *VM) {
+					v.SetMovePolicy(900, func() error {
+						if k.act(v) == nil {
+							acted++
+						}
+						return nil
+					})
+				})
+				var sum uint64
+				for _, c := range r.cat {
+					sum += c
+				}
+				if sum != r.cycles {
+					t.Errorf("seed %d under %s (compiled=%v): categories sum to %d, cycles %d (%v)",
+						seed, k.name, engine, sum, r.cycles, r.cat)
+				}
+			}
+		}
+		if acted == 0 {
+			t.Errorf("under %s the policy never acted: the case tests nothing", k.name)
+		}
 	}
 }
 
