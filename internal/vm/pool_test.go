@@ -274,8 +274,8 @@ func checkPoolStorm(t *testing.T, src string, period uint64) (int64, *staticsMov
 	return got, cs
 }
 
-// TestPoolPatchInSelfLoop: the move policy fires at a virtual head of
-// @main's self-loop, which iterates in place across the move.
+// TestPoolPatchInSelfLoop: the move policy fires at a head of @main's
+// self-loop block, and the activation goes on across the move.
 func TestPoolPatchInSelfLoop(t *testing.T) {
 	const trips = 2000
 	if ret, _ := checkPoolStorm(t, poolLoopSrc(poolTrips(trips)), 900); ret != poolLoopWant(trips) {
@@ -314,11 +314,11 @@ func TestPoolPatchParkedSibling(t *testing.T) {
 	}
 }
 
-// TestPoolPatchInsideFastSelfLoop: @main's self-loop iterates inside one
-// run() call, stopping only at a virtual block head. Once the loop is well
-// under way, the move policy relocates the globals and the code page four
-// times there, then sets @stop: the loop must carry on over the patched pool
-// registers of its one live frame.
+// TestPoolPatchInsideFastSelfLoop: @main's self-loop runs in one activation
+// of the dispatch loop, which stops only at a block head. Once the loop is
+// well under way, the move policy relocates the globals and the code page
+// four times there, then sets @stop: the loop must carry on over the patched
+// pool registers of its one live frame.
 func TestPoolPatchInsideFastSelfLoop(t *testing.T) {
 	v, err := Load(compile(t, poolLoopSrc(poolUntilStopped), passes.LevelTracking), poolCfg(compiled))
 	if err != nil {

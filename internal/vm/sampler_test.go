@@ -140,8 +140,8 @@ func TestSamplerReconcilesWithCycleCounters(t *testing.T) {
 // TestSamplerDoesNotPerturbModeledResults is the sampler's core contract:
 // attaching the profiler (at any interval) must leave modeled instructions,
 // cycles, and the program result byte-identical — with and without a page
-// move injected every 100 instructions. sumSrc's loops are self-loops, which
-// iterate in place while the policy moves the page under them.
+// move injected every 100 instructions. sumSrc's loops are self-loops: the
+// policy moves the page under a live activation, at a head of the loop block.
 func TestSamplerDoesNotPerturbModeledResults(t *testing.T) {
 	const period = 100
 	// runOnce returns the run's VM, result and stop reason ("" when @main
@@ -189,8 +189,8 @@ func TestSamplerDoesNotPerturbModeledResults(t *testing.T) {
 
 	// Where reasons coincide, the gate's order decides. With MaxInstrs one
 	// below the count at which the third move falls due, the limit, that
-	// move and a sample (interval 1: always due) meet on one virtual head of
-	// a self-loop; the limit goes first, so the third move never happens.
+	// move and a sample (interval 1: always due) meet on one head of a
+	// self-loop block; the limit goes first, so the third move never happens.
 	_, _, _, moves := runOnce(nil, reference, period, 0)
 	limit := moves[1] + period - 1
 	type outcome struct {

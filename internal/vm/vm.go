@@ -85,10 +85,10 @@ type Config struct {
 
 	// Closure is the one engine bit. Set (DefaultConfig sets it), the VM runs
 	// the compiled engine: each function is lowered on its first call,
-	// straight from its IR (closure.go), into chained superinstruction
-	// closures that live in the Program and survive page moves, with a
-	// guard/translation cache (xcache) in front of the guard
-	// evaluator in CARAT mode. Clear, it runs the reference interpreter
+	// straight from its IR (closure.go), into blocks of fused steps that one
+	// dispatch loop runs, which live in the Program and survive page moves,
+	// with a guard/translation cache (xcache) in front of the guard evaluator
+	// in CARAT mode. Clear, it runs the reference interpreter
 	// (exec.go), straight over the IR with neither the lowering nor the
 	// cache: the oracle the tests, -write-golden and BenchmarkExec's reference
 	// leg compare the compiled engine against. Host-speed only: modeled
@@ -197,7 +197,7 @@ type VM struct {
 	Output      []int64
 
 	// Compiled-engine counters (host-side, never part of the model): blocks
-	// this VM lowered to superinstruction closures (zero when the program
+	// this VM lowered (zero when the program
 	// already held them), constant pools re-baked because a move relocated a
 	// global or code, and compiled call sites that found their callee bound
 	// (hit) or were the call that binds it (miss).
@@ -636,7 +636,7 @@ func (v *VM) observeAlloc(n uint64) {
 }
 
 // ClosureStats returns the compiled engine's counters: basic blocks this VM
-// lowered to superinstruction closures, deoptimizations — the constant 0:
+// lowered, deoptimizations — the constant 0:
 // every verified function compiles and compiled code survives every move, so
 // nothing ever leaves the engine; the position (and the
 // carat.vm.closure.deopts counter) stay because benchmark/ reads them — and
