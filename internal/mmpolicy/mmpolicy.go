@@ -484,10 +484,10 @@ func (d *Daemon) tryMove(mp *ManagedProc, policy string, addr, pages, now uint64
 }
 
 // coldestSwappable returns the swappable allocation with the lowest heat
-// across all managed processes. Swappable means: heap (non-static), small
-// enough for a swap slot, and page-granular (base and length page-aligned)
-// so its frames can be released without touching a neighbor. Caller holds
-// d.mu.
+// across all managed processes. Swappable means: resident (not at a poison
+// base), heap (non-static), small enough for a swap slot, and page-granular
+// (base and length page-aligned) so its frames can be released without
+// touching a neighbor. Caller holds d.mu.
 func (d *Daemon) coldestSwappable(skip map[uint64]bool) (*ManagedProc, uint64, uint64, bool) {
 	var (
 		bestProc *ManagedProc
@@ -498,7 +498,7 @@ func (d *Daemon) coldestSwappable(skip map[uint64]bool) (*ManagedProc, uint64, u
 	for _, mp := range d.procs {
 		mp.mu.Lock()
 		mp.RT.Table.ForEach(func(a *runtime.Allocation) bool {
-			if a.Static || a.Len > swapMaxBytes || skip[a.Base] {
+			if a.Static || a.Len > swapMaxBytes || skip[a.Base] || kernel.IsPoison(a.Base) {
 				return true
 			}
 			if a.Base%kernel.PageSize != 0 || a.Len%kernel.PageSize != 0 {

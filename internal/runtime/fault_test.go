@@ -98,8 +98,8 @@ func fixtureMove(p *kernel.Process, rt *Runtime, base uint64, alloc bool) (moved
 	return err == nil && res.Dst != res.Src, err
 }
 
-// moveKind names a fixtureMove kind in subtest names.
-func moveKind(alloc bool) string {
+// kindName names a fixtureMove kind in subtest names.
+func kindName(alloc bool) string {
 	if alloc {
 		return "allocation"
 	}
@@ -202,7 +202,7 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 // its pre-move value, under a page move and under an allocation move.
 func TestPatchFailureRollsBackPatchedEscapes(t *testing.T) {
 	for _, alloc := range []bool{false, true} {
-		t.Run(moveKind(alloc), func(t *testing.T) {
+		t.Run(kindName(alloc), func(t *testing.T) {
 			k, p, rt, regs, base := buildMoveFixture(t)
 			inj := fault.New(1, nil)
 			rt.SetInjector(inj)

@@ -106,7 +106,7 @@ func (r *Runtime) HandleProtect(apply func() error) error {
 //	9-10. move the data, free the source
 //	11-12. resume; report completion
 func (r *Runtime) HandleMove(req kernel.MoveRequest) (kernel.MoveResult, error) {
-	_, res, err := r.move(req, 0, false)
+	_, res, err := r.move(kindPage, req, 0)
 	return res, err
 }
 
@@ -121,35 +121,56 @@ func (r *Runtime) HandleMove(req kernel.MoveRequest) (kernel.MoveResult, error) 
 // ~95% of the move cost. The returned MoveBreakdown has zero expand cost:
 // no barrier, no page grant, only the allocation's bytes.
 func (r *Runtime) MoveAllocationTo(base, dst uint64) (MoveBreakdown, error) {
-	bd, _, err := r.move(kernel.MoveRequest{Src: base}, dst, true)
+	bd, _, err := r.move(kindAlloc, kernel.MoveRequest{Src: base}, dst)
 	return bd, err
 }
 
-// move runs one move of either kind: stop the world, run the phases under
-// the runtime's lock, and — on success — run the move listeners with the
-// world still stopped but outside every runtime lock, so a listener may
-// re-enter the runtime. alloc selects the allocation move (dst is then the
-// caller's destination).
-func (r *Runtime) move(req kernel.MoveRequest, dst uint64, alloc bool) (MoveBreakdown, kernel.MoveResult, error) {
+// moveKind is what a move moves: which phases it runs (movePhases) and what
+// its success reports.
+type moveKind uint8
+
+const (
+	kindPage    moveKind = iota // the kernel's page range (HandleMove)
+	kindAlloc                   // one allocation to the caller's destination (MoveAllocationTo)
+	kindSwapOut                 // one allocation to its swap slot's poison base (SwapOut)
+	kindSwapIn                  // one allocation from its poison base to the caller's destination (SwapIn)
+)
+
+// move runs one move of any kind: stop the world, run the phases under the
+// runtime's lock, and — on success — run the listeners with the world still
+// stopped but outside every runtime lock, so a listener may re-enter the
+// runtime. A move calls the move listeners; a swap calls the invalidation
+// listeners with the range it vacated or filled, and never a move listener,
+// which would see a poison address for a destination.
+func (r *Runtime) move(kind moveKind, req kernel.MoveRequest, dst uint64) (MoveBreakdown, kernel.MoveResult, error) {
 	w := r.getWorld()
 	regs := w.StopTheWorld()
 	defer w.ResumeTheWorld()
 
-	bd, res, length, err := r.moveLocked(req, dst, alloc, regs)
+	bd, res, length, err := r.moveLocked(kind, req, dst, regs)
 	if err != nil {
 		return bd, res, err
 	}
-	for _, fn := range r.moveListenerList() {
-		fn(res.Src, res.Dst, length)
+	switch kind {
+	case kindSwapOut:
+		r.notifyInvalidate(res.Src, length)
+	case kindSwapIn:
+		r.notifyInvalidate(res.Dst, length)
+	default:
+		for _, fn := range r.moveListenerList() {
+			fn(res.Src, res.Dst, length)
+		}
 	}
 	return bd, res, nil
 }
 
-// moveLocked drives the move as a phase state machine (pageMovePhases or
-// allocMovePhases), then runs the success epilogue both kinds share. The
-// world stays stopped end to end: the move is one pause, its whole
-// MoveBreakdown.TotalCycles, observed once under "move" (or "move_abort").
-func (r *Runtime) moveLocked(req kernel.MoveRequest, dst uint64, alloc bool, regs []RegSet) (MoveBreakdown, kernel.MoveResult, uint64, error) {
+// moveLocked drives the move as a phase state machine (movePhases), then runs
+// the success epilogue of its kind. The world stays stopped end to end: a
+// move is one pause, its whole MoveBreakdown.TotalCycles, observed once under
+// "move" (or "move_abort"); a swap is one "swap_out" or "swap_in" pause (see
+// finishSwap). A swap draws only its own I/O faults, in its own phase: the
+// shared phases get no injector.
+func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, regs []RegSet) (MoveBreakdown, kernel.MoveResult, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	defer r.publishStop()
@@ -157,16 +178,26 @@ func (r *Runtime) moveLocked(req kernel.MoveRequest, dst uint64, alloc bool, reg
 
 	st := r.mover()
 	defer st.reset()
-	st.req, st.regs, st.inj, st.alloc = req, regs, r.injector(), alloc
+	st.kind, st.req, st.regs = kind, req, regs
 	st.src, st.dst = req.Src, dst
-	phases := pageMovePhases[:]
-	if alloc {
-		phases = allocMovePhases[:]
+	switch kind {
+	case kindSwapOut:
+		st.slot = uint64(len(r.swapSlots))
+		st.dst = swapPoison(st.slot, 0)
+	case kindSwapIn:
+		st.slot, _, _ = DecodeSwapPoison(st.src)
+	default:
+		st.inj = r.injector()
 	}
-	for _, phase := range phases {
+	for _, phase := range movePhases[kind] {
 		if err := phase(st); err != nil {
 			return st.bd, kernel.MoveResult{}, 0, st.fail(err)
 		}
+	}
+	res := kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}
+	if kind >= kindSwapOut {
+		r.finishSwap(st)
+		return st.bd, res, st.length, nil
 	}
 
 	r.MoveStats = append(r.MoveStats, st.bd)
@@ -176,48 +207,59 @@ func (r *Runtime) moveLocked(req kernel.MoveRequest, dst uint64, alloc bool, reg
 	r.hists().move.Observe(st.bd.TotalCycles())
 	r.pubMu.Unlock()
 	r.observePause("move", st.bd.TotalCycles())
-	if !alloc {
+	if kind == kindPage {
 		r.traceMove(&st.bd, st.src, st.dst, st.length, st.lookupCyc, st.scanCyc)
 	}
-	return st.bd, kernel.MoveResult{Src: st.src, Dst: st.dst, Pages: st.pages}, st.length, nil
+	return st.bd, res, st.length, nil
 }
 
-// pageMovePhases are a kernel page move's phases in protocol order.
-var pageMovePhases = [...]func(*moveState) error{
-	(*moveState).phaseExpand,
-	(*moveState).phaseNegotiate,
-	(*moveState).phasePatchEscapes,
-	(*moveState).phasePatchRegisters,
-	(*moveState).phaseRebase,
-	(*moveState).phaseCopy,
-	(*moveState).phaseCommit,
+// movePhases are each kind's phases in protocol order. Every kind patches,
+// rebases and copies through the same middle: a kernel page move expands and
+// negotiates first and commits last; an allocation move and both swaps
+// locate one allocation first; a swap checks its slot and draws its I/O fault
+// before anything mutates, and copies to or from the slot's buffer.
+var movePhases = [...][]func(*moveState) error{
+	kindPage: {
+		(*moveState).phaseExpand,
+		(*moveState).phaseNegotiate,
+		(*moveState).phasePatchEscapes,
+		(*moveState).phasePatchRegisters,
+		(*moveState).phaseRebase,
+		(*moveState).phaseCopy,
+		(*moveState).phaseCommit,
+	},
+	kindAlloc: {
+		(*moveState).phaseLocate,
+		(*moveState).phasePatchEscapes,
+		(*moveState).phasePatchRegisters,
+		(*moveState).phaseRebase,
+		(*moveState).phaseCopy,
+	},
+	kindSwapOut: swapPhases,
+	kindSwapIn:  swapPhases,
 }
 
-// allocMovePhases are an allocation move's: its own first phase, then the
-// page move's patch, register, rebase and copy phases. There is no kernel
-// request to commit.
-var allocMovePhases = [...]func(*moveState) error{
+// swapPhases are both swap directions' phases.
+var swapPhases = []func(*moveState) error{
 	(*moveState).phaseLocate,
+	(*moveState).phaseSwapIO,
 	(*moveState).phasePatchEscapes,
 	(*moveState).phasePatchRegisters,
 	(*moveState).phaseRebase,
-	(*moveState).phaseCopy,
+	(*moveState).phaseSwapCopy,
 }
 
 // moveState carries one in-flight move through its phases. A runtime has
 // one, allocated at its first move or swap (see mover) and reset after every
-// move, so its slices keep their storage; a swap uses its scratch slices.
-// The undo log (txn) opens once a destination exists: a failure before that
-// point needs only a veto, a failure after it rolls back.
+// one, so its slices keep their storage. The undo log (txn) opens at the
+// first patch: a failure before that point needs only a veto, a failure
+// after it rolls back.
 type moveState struct {
 	r    *Runtime
+	kind moveKind
 	req  kernel.MoveRequest
 	regs []RegSet
 	inj  *fault.Injector
-	// alloc marks an allocation move: no kernel request stands behind it,
-	// so there is no veto, no destination to return, no barrier charge and
-	// no Figure 8 trace.
-	alloc bool
 
 	bd MoveBreakdown
 	// lookupCyc/scanCyc split ExpandCycles for trace attribution only;
@@ -226,12 +268,12 @@ type moveState struct {
 
 	src, dst, length uint64
 	pages            uint64
+	slot             uint64 // a swap's slot
 	affected         []*Allocation
 	txn              moveTxn
 
-	locs      []uint64    // one allocation's escape locations, snapshotted for patching
-	swapMoved [][2]uint64 // rebaseSwapLocs' scratch: (location, offset) pairs
-	spareData [][]byte    // swapped-in records' buffers, for later swap-outs
+	locs      []uint64 // one allocation's escape locations, snapshotted for patching
+	spareData [][]byte // swapped-in slots' buffers, for later swap-outs
 }
 
 // mover returns the runtime's move state, allocating it at the first move or
@@ -251,7 +293,7 @@ func (st *moveState) reset() {
 	clear(st.txn.regWrites)
 	clear(st.txn.rebased)
 	*st = moveState{
-		r: st.r, affected: st.affected[:0], locs: st.locs, swapMoved: st.swapMoved, spareData: st.spareData,
+		r: st.r, affected: st.affected[:0], locs: st.locs, spareData: st.spareData,
 		txn: moveTxn{memWrites: st.txn.memWrites[:0], regWrites: st.txn.regWrites[:0], rebased: st.txn.rebased[:0]},
 	}
 }
@@ -295,29 +337,28 @@ func (st *moveState) phaseExpand() error {
 	return nil
 }
 
-// phaseLocate is an allocation move's first phase: take the allocation
-// based at src and check that it does not overlap the caller's destination.
-// The allocation is the whole move, so nothing expands; the destination
-// already exists, so the undo log opens at once.
+// phaseLocate is the first phase of an allocation move and of a swap: take
+// the allocation based at src and check that the destination overlaps no
+// tracked allocation, the moving one included. The allocation is the whole
+// move, so nothing expands. Only a swap-in moves from a poison base: any
+// other kind refuses a swapped-out allocation.
 func (st *moveState) phaseLocate() error {
 	a := st.r.Table.Covering(st.src)
-	if a == nil || a.Base != st.src {
+	if a == nil || a.Base != st.src || kernel.IsPoison(st.src) != (st.kind == kindSwapIn) {
 		return fmt.Errorf("runtime: no allocation based at %#x", st.src)
 	}
 	st.length = a.Len
-	if st.dst < st.src+st.length && st.src < st.dst+st.length {
-		return fmt.Errorf("runtime: allocation move ranges overlap")
+	if len(st.r.Table.Overlapping(st.dst, st.dst+st.length, nil)) > 0 {
+		return fmt.Errorf("runtime: move destination [%#x,%#x) overlaps a tracked allocation", st.dst, st.dst+st.length)
 	}
 	st.pages = alignUp(st.length) / kernel.PageSize
 	st.affected = append(st.affected, a)
 	st.bd.PatchCycles += cycTableLookup
-	st.txn.open = true
 	return nil
 }
 
 // phaseNegotiate implements step 5: the kernel allocates and maps the
-// destination. On success the undo log opens: every later mutation is
-// recorded before it is applied.
+// destination.
 func (st *moveState) phaseNegotiate() error {
 	dst, err := st.req.NegotiateDst(st.src, st.pages)
 	if err != nil {
@@ -325,26 +366,29 @@ func (st *moveState) phaseNegotiate() error {
 	}
 	st.dst = dst
 	st.bd.MoveCycles += st.pages * cycPageAlloc
-	st.txn.open = true
 	return nil
 }
 
 // phasePatchEscapes implements steps 7-8: patch every escape of every
 // affected allocation so each pointer names the address its target will
-// have after the move. Escape density is what scales the pause (Table 3).
+// have after the move. A location whose value no longer points into the
+// moved range (it was overwritten since) is left alone. Escape density is
+// what scales the pause (Table 3). The undo log opens here: the destination
+// exists, and every later mutation is recorded before it is applied.
 func (st *moveState) phasePatchEscapes() error {
+	st.txn.open = true
 	for _, a := range st.affected {
 		st.bd.AllocsMoved++
 		st.locs = st.r.Table.EscapeLocsOf(a, st.locs)
 		for _, loc := range st.locs {
 			st.bd.PatchCycles += cycEscapePatch
-			val := st.r.mem.Load64(loc)
+			val := st.r.loadEscape(loc)
 			if val >= st.src && val < st.src+st.length {
 				if st.inj.Should(fault.PatchFail) {
 					return &fault.Error{Point: fault.PatchFail, Detail: fmt.Sprintf("escape at %#x", loc)}
 				}
 				st.txn.memWrites = append(st.txn.memWrites, memWrite{loc: loc, old: val})
-				st.r.mem.Store64(loc, val-st.src+st.dst)
+				st.r.storeEscape(loc, val-st.src+st.dst)
 				st.bd.EscapesPatched++
 			}
 		}
@@ -371,7 +415,8 @@ func (st *moveState) phasePatchRegisters() error {
 }
 
 // phaseRebase performs the table maintenance: rebase moved allocations and
-// any escape locations that themselves live in the moved range.
+// any escape locations that themselves live in the moved range — for a
+// swap, into the slot's poison range and back out of it.
 func (st *moveState) phaseRebase() error {
 	for _, a := range st.affected {
 		st.r.Table.Rebase(a, a.Base-st.src+st.dst)
@@ -380,8 +425,6 @@ func (st *moveState) phaseRebase() error {
 	moved := st.r.rebaseEscapeLocs(st.src, st.src+st.length, st.dst)
 	st.txn.escMoved = true
 	st.bd.PatchCycles += uint64(moved) * cycEscapePatch
-	st.r.rebaseSwapLocs(st.src, st.dst, st.length)
-	st.txn.swapMoved = true
 	return st.inj.Fail(fault.MoveAbort, "before data copy")
 }
 
@@ -406,16 +449,18 @@ func (st *moveState) phaseCommit() error {
 }
 
 // fail unwinds a failed phase. Before the undo log opens nothing has
-// mutated: a page move is vetoed, an allocation move simply fails. After it,
+// mutated: a page move is vetoed, any other kind simply fails. After it,
 // the undo log rolls the address space back to the exact pre-move state.
-// The pause observed at the abort is the partial breakdown: the work done
-// before the failure.
+// A move's pause observed at the abort is the partial breakdown: the work
+// done before the failure. A swap observes a pause only when it completes.
 func (st *moveState) fail(cause error) error {
-	st.r.observePause("move_abort", st.bd.TotalCycles())
+	if st.kind < kindSwapOut {
+		st.r.observePause("move_abort", st.bd.TotalCycles())
+	}
 	if st.txn.open {
 		return st.r.rollbackMove(st, cause)
 	}
-	if !st.alloc {
+	if st.kind == kindPage {
 		st.req.Veto()
 	}
 	return cause
@@ -431,9 +476,8 @@ type moveTxn struct {
 	regWrites []regWrite    // saved-register rewrites
 	rebased   []*Allocation // allocations rebased src->dst
 	escMoved  bool          // escape locations rebased src->dst
-	swapMoved bool          // swap-record escape locations rebased
 	copied    bool          // data copied to dst (source zeroed)
-	open      bool          // destination exists: a failure rolls back
+	open      bool          // a patch may have been applied: a failure rolls back
 }
 
 type memWrite struct{ loc, old uint64 }
@@ -450,17 +494,15 @@ type regWrite struct {
 // destination to the kernel — whose region release raises
 // EventInvalidateRange, so the VM's guard/translation caches drop anything
 // covering the stillborn destination — and counts as a veto in the kernel's
-// accounting; an allocation move's destination is its caller's. Returns
-// the error the failed move reports, wrapping cause.
+// accounting; any other kind's destination is its caller's or a swap slot's.
+// A swap's copy is its last phase, so a swap never has a copy to undo.
+// Returns the error the failed move reports, wrapping cause.
 func (r *Runtime) rollbackMove(st *moveState, cause error) error {
 	txn, src, dst, length := &st.txn, st.src, st.dst, st.length
 	if txn.copied {
 		if err := r.mem.Move(src, dst, length); err != nil {
 			return fmt.Errorf("runtime: rollback copy-back failed: %v (aborting move: %w)", err, cause)
 		}
-	}
-	if txn.swapMoved {
-		r.rebaseSwapLocs(dst, src, length)
 	}
 	if txn.escMoved {
 		r.rebaseEscapeLocs(dst, dst+length, src)
@@ -475,9 +517,9 @@ func (r *Runtime) rollbackMove(st *moveState, cause error) error {
 	}
 	for i := len(txn.memWrites) - 1; i >= 0; i-- {
 		w := txn.memWrites[i]
-		r.mem.Store64(w.loc, w.old)
+		r.storeEscape(w.loc, w.old)
 	}
-	if !st.alloc {
+	if st.kind == kindPage {
 		if err := st.req.AbortDst(dst, st.pages); err != nil {
 			return fmt.Errorf("runtime: rollback destination release failed: %v (aborting move: %w)", err, cause)
 		}
@@ -533,7 +575,7 @@ func (r *Runtime) traceMove(bd *MoveBreakdown, src, dst, length, lookupCyc, scan
 }
 
 // WorstCasePage returns the page-aligned base of the page overlapping the
-// allocation with the most escapes — the page the Figure 9 experiment
+// resident allocation with the most escapes — the page the Figure 9 experiment
 // repeatedly moves ("the runtime selects a page that overlaps the
 // allocation with the most pointer escapes"). The table's pick index answers
 // it: past a runtime's first pick it costs the allocations whose count or
@@ -557,13 +599,13 @@ func (r *Runtime) WorstCasePage() (uint64, bool) {
 // eligible accepts; of several with that many, the one at the lowest address.
 // One walk of the allocations, reading a count from each: the
 // allocation-granularity ablation's filtered pick, which the index does not
-// serve.
+// serve. A swapped-out allocation is never eligible.
 func (r *Runtime) mostEscapedWhere(eligible func(*Allocation) bool) *Allocation {
 	r.Flush()
 	var best *Allocation
 	bestN := -1
 	r.Table.ForEach(func(a *Allocation) bool {
-		if n := a.EscapeCount(); n > bestN && eligible(a) {
+		if n := a.EscapeCount(); n > bestN && !kernel.IsPoison(a.Base) && eligible(a) {
 			best, bestN = a, n
 		}
 		return true

@@ -14,7 +14,7 @@ import (
 // the only pause of any cause.
 func TestMoveIsOneStop(t *testing.T) {
 	for _, alloc := range []bool{false, true} {
-		t.Run(moveKind(alloc), func(t *testing.T) {
+		t.Run(kindName(alloc), func(t *testing.T) {
 			k, p, rt := newTestRuntime(t)
 			base, err := p.GrantRegion(4*kernel.PageSize, guard.PermRW)
 			if err != nil {

@@ -1,5 +1,7 @@
 package runtime
 
+import "carat/internal/kernel"
+
 // pickIndex answers the Figure 9 question — which allocation has the most
 // escapes? — without walking the table: a max-heap of (escapes, base,
 // allocation) entries ordered by most escapes, then lowest base, which is the
@@ -26,7 +28,7 @@ type pickIndex struct {
 }
 
 // pickKey is what the pick orders by. n == 0 means "no entry": an allocation
-// without escapes never has one.
+// without escapes never has one, nor does a swapped-out one.
 type pickKey struct {
 	n    int
 	base uint64
@@ -37,7 +39,12 @@ type pickEntry struct {
 	a *Allocation
 }
 
-func keyOf(a *Allocation) pickKey { return pickKey{a.EscapeCount(), a.Base} }
+func keyOf(a *Allocation) pickKey {
+	if kernel.IsPoison(a.Base) {
+		return pickKey{}
+	}
+	return pickKey{a.EscapeCount(), a.Base}
+}
 
 // above reports whether k is picked before j.
 func (k pickKey) above(j pickKey) bool { return k.n > j.n || k.n == j.n && k.base < j.base }
@@ -70,9 +77,10 @@ func (p *pickIndex) clearDirty() {
 	p.dirty = p.dirty[:0]
 }
 
-// pick returns the allocation with the most escapes, the lowest-based of
-// several with as many; with no escape anywhere, the lowest-based allocation;
-// nil for an empty table. The heap is rebuilt by a walk when it would hold
+// pick returns the resident allocation with the most escapes, the
+// lowest-based of several with as many; with no escape into one, the
+// lowest-based resident allocation; nil when none is resident. Poison bases
+// sort above every resident one. The heap is rebuilt by a walk when it would hold
 // more than twice as many entries as the table has allocations: a rebuild
 // leaves at most one per allocation, so at least as many pushes as there are
 // allocations pay for each walk.
@@ -98,7 +106,10 @@ func (p *pickIndex) pick(tree *rbTree) *Allocation {
 	if len(p.heap) > 0 {
 		return p.heap[0].a
 	}
-	return tree.Ceiling(0)
+	if a := tree.Ceiling(0); a != nil && !kernel.IsPoison(a.Base) {
+		return a
+	}
+	return nil
 }
 
 // rebuild makes the index from one walk of the table.

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	goruntime "runtime"
 	"testing"
 
 	"carat/internal/guard"
@@ -57,22 +56,15 @@ func swapRoundTrip(tb testing.TB, rt *Runtime, base uint64) {
 }
 
 // TestSwapRoundTripReusesItsBuffer: a swap-out takes the buffer the last
-// swap-in returned, so a round trip allocates the swap record, its escape map
-// and the restored allocation's table entry, and not the allocation's bytes
-// again.
+// swap-in returned, and both directions move the allocation's table entry
+// rather than remove and insert it, so a warm round trip allocates nothing —
+// past the slot directory's amortized growth (slots are never reused).
 func TestSwapRoundTripReusesItsBuffer(t *testing.T) {
 	_, rt, base := swapMachine(t, 8)
 	swapRoundTrip(t, rt, base)
 	const trips = 100
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	for i := 0; i < trips; i++ {
-		swapRoundTrip(t, rt, base)
-	}
-	goruntime.ReadMemStats(&after)
-	if perTrip := (after.TotalAlloc - before.TotalAlloc) / trips; perTrip >= kernel.PageSize {
-		t.Errorf("a swap round trip of a %d-byte allocation allocates %d bytes: its buffer is not reused",
-			kernel.PageSize, perTrip)
+	if n := testing.AllocsPerRun(trips, func() { swapRoundTrip(t, rt, base) }); n != 0 {
+		t.Errorf("a swap round trip of a %d-byte allocation allocates %.0f objects, want 0", kernel.PageSize, n)
 	}
 	if got := rt.Table.Covering(base); got == nil || got.EscapeCount() != 8 {
 		t.Fatalf("after %d round trips the allocation is %v, want 8 escapes", trips, got)
@@ -90,10 +82,10 @@ func BenchmarkSwapRoundTrip(b *testing.B) {
 	}
 }
 
-// TestMoveIgnoresSwapHistory: slots are never reused, but a move rebases only
-// the records still swapped out. After 1 000 round trips of one allocation
-// the process has 1 001 slots and one live record — another allocation's,
-// whose poisoned escape sits on the page that then moves.
+// TestMoveIgnoresSwapHistory: slots are never reused, but a move sees only
+// what the table holds. After 1 000 round trips of one allocation the process
+// has 1 001 slots and one allocation swapped out — another one, whose
+// poisoned escape sits on the page that then moves.
 func TestMoveIgnoresSwapHistory(t *testing.T) {
 	p, rt, base := swapMachine(t, 8)
 	victim := base + 3*kernel.PageSize
@@ -108,8 +100,8 @@ func TestMoveIgnoresSwapHistory(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		swapRoundTrip(t, rt, base)
 	}
-	if len(rt.swapSlots) != 1001 || len(rt.swapLive) != 1 {
-		t.Fatalf("%d slots, %d live records; want 1001 and 1", len(rt.swapSlots), len(rt.swapLive))
+	if len(rt.swapSlots) != 1001 {
+		t.Fatalf("%d slots; want 1001", len(rt.swapSlots))
 	}
 	res, err := p.RequestMove(base+2*kernel.PageSize, 1)
 	must(t, err)

@@ -211,11 +211,10 @@ type Runtime struct {
 	moveListeners []func(src, dst, length uint64)
 	invListeners  []func(base, length uint64)
 
-	// swapSlots holds evicted allocations (see swap.go); a nil entry is a
-	// slot that has been swapped back in. swapLive lists the non-nil ones,
-	// each record knowing its position. Guarded by opMu.
-	swapSlots []*swapRecord
-	swapLive  []*swapRecord
+	// swapSlots holds the bytes of swapped-out allocations, by slot (see
+	// swap.go); a nil entry is a slot that has been swapped back in.
+	// Guarded by opMu.
+	swapSlots [][]byte
 
 	// MoveStats collects one breakdown per completed move. Appends happen
 	// under opMu; readers (experiment harnesses) read between runs.
@@ -236,9 +235,9 @@ func (r *Runtime) AddMoveListener(fn func(src, dst, length uint64)) {
 	r.moveListeners = append(r.moveListeners, fn)
 }
 
-// AddInvalidationListener registers fn to run after an operation changed
-// the address map without going through the move protocol — swap-out and
-// swap-in — with the affected byte range. The VM uses this to invalidate
+// AddInvalidationListener registers fn to run after a swap-out or a swap-in
+// changed the address map, with the byte range it vacated or filled: a swap
+// runs no move listener. The VM uses this to invalidate
 // its guard/translation cache; mmpolicy-driven swaps reach the
 // VM the same way. Listeners run outside all runtime locks.
 func (r *Runtime) AddInvalidationListener(fn func(base, length uint64)) {
@@ -414,7 +413,10 @@ func (r *Runtime) TrackFree(base uint64) error {
 	// Pending escapes may reference the dying allocation: flush first so
 	// stale batch entries cannot resurrect it.
 	r.Flush()
-	a := r.Table.Remove(base)
+	var a *Allocation
+	if !kernel.IsPoison(base) { // a swapped-out allocation is not the program's to free
+		a = r.Table.Remove(base)
+	}
 	if a == nil {
 		return fmt.Errorf("runtime: free of untracked allocation %#x", base)
 	}
@@ -578,7 +580,11 @@ func (r *Runtime) apply(events []escapeEvent) {
 		return
 	}
 	for _, e := range events {
-		if kernel.IsPoison(e.val) || e.val == 0 {
+		// A swap-poison value points into a swapped-out allocation, which
+		// the table keeps at its poison base: it is tracked like any
+		// pointer, so a swap-in patches it. Null and the other poison kinds
+		// point at nothing.
+		if _, _, swapped := DecodeSwapPoison(e.val); e.val == 0 || kernel.IsPoison(e.val) && !swapped {
 			r.Table.RemoveEscape(e.loc)
 			continue
 		}

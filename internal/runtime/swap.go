@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"carat/internal/fault"
@@ -13,23 +14,23 @@ import (
 // non-canonical address can be used to encode different conditions (e.g.,
 // swapped, demand-page, 'null pointer', etc)."
 //
-// SwapOut evicts one allocation: its bytes move to a swap slot and every
-// escaped pointer (and in-register pointer) is patched to a non-canonical
-// poison address encoding (slot, offset). The next guard on such a pointer
-// faults; the fault handler calls SwapIn, which restores the data at a new
-// physical location and patches every poisoned pointer forward.
+// A swap is a move. swapPoison(slot, off) is swapPoison(slot, 0) + off, so
+// SwapOut moves one allocation to its slot's poison base and SwapIn moves it
+// from there to a caller's destination, both on the move driver (move.go):
+// every escape and in-register pointer is patched by the shared phases, and
+// the table keeps the swapped-out allocation, rebased to its poison base,
+// with its escape set and the escape locations that lie inside it. The next
+// guard on a poisoned pointer faults; the fault handler calls SwapIn. A slot
+// is its buffer: the allocation's bytes while it is out.
 
 // maxSwapLen bounds a swappable allocation so the offset fits the poison
-// encoding's 16 offset bits.
+// encoding's 16 offset bits; slot bases are that far apart, so two
+// swapped-out allocations never overlap in the table.
 const maxSwapLen = 1 << 16
 
-type swapRecord struct {
-	data    []byte
-	length  uint64
-	escapes map[uint64]uint64 // escape location -> offset within the allocation
-	static  bool
-	live    int // position in Runtime.swapLive
-}
+// maxSwapSlots is how many slots the poison encoding's 16 slot bits name.
+// Slots are never reused: reuse would change the poison of a later swap.
+const maxSwapSlots = 1 << 16
 
 // swapPoison encodes (slot, offset) into the non-canonical range.
 func swapPoison(slot, off uint64) uint64 {
@@ -50,208 +51,138 @@ func DecodeSwapPoison(addr uint64) (slot, off uint64, ok bool) {
 	return addr >> 16 & 0xFFFF, addr & 0xFFFF, true
 }
 
-// SwapOut evicts the allocation based at base into a swap slot, patching
+// SwapOut evicts the allocation based at base into a new swap slot, patching
 // all of its escapes and in-register pointers to poison addresses. The
-// vacated bytes are zeroed (the kernel is free to reuse the frames).
+// vacated bytes are zeroed (the kernel is free to reuse the frames), and the
+// invalidation listeners (the VM's guard caches) hear which bytes went away.
 func (r *Runtime) SwapOut(base uint64) (uint64, error) {
-	w := r.getWorld()
-	regs := w.StopTheWorld()
-	defer w.ResumeTheWorld()
-	slot, length, err := r.swapOutLocked(base, regs)
+	_, res, err := r.move(kindSwapOut, kernel.MoveRequest{Src: base}, 0)
 	if err != nil {
 		return 0, err
 	}
-	// The address map changed without a move: tell invalidation listeners
-	// (the VM's guard caches) which bytes went away. Outside all locks.
-	r.notifyInvalidate(base, length)
+	slot, _, _ := DecodeSwapPoison(res.Dst)
 	return slot, nil
 }
 
-func (r *Runtime) swapOutLocked(base uint64, regs []RegSet) (uint64, uint64, error) {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	defer r.publishStop()
-	r.Flush()
-
-	a := r.Table.Covering(base)
-	if a == nil || a.Base != base {
-		return 0, 0, fmt.Errorf("runtime: swap-out of untracked allocation %#x", base)
-	}
-	if a.Len > maxSwapLen {
-		return 0, 0, fmt.Errorf("runtime: allocation too large to swap (%d bytes)", a.Len)
-	}
-	slot := uint64(len(r.swapSlots))
-	if slot >= 1<<16 {
-		return 0, 0, fmt.Errorf("runtime: out of swap slots")
-	}
-	// An injected I/O error models the write to the swap device failing.
-	// Checked before any mutation, so a failed swap-out leaves the
-	// allocation untouched and the caller simply skips or retries it.
-	if r.injector().Should(fault.SwapOutIO) {
-		return 0, 0, &fault.Error{Point: fault.SwapOutIO, Detail: fmt.Sprintf("slot %d write", slot)}
-	}
-
-	st := r.mover()
-	rec := &swapRecord{data: st.swapBuffer(a.Len), length: a.Len, escapes: make(map[uint64]uint64, a.EscapeCount()), static: a.Static}
-	if err := r.mem.ReadAt(base, rec.data); err != nil {
-		return 0, 0, err
-	}
-
-	// Patch escapes to poison and remember their offsets.
-	st.locs = r.Table.EscapeLocsOf(a, st.locs)
-	for _, loc := range st.locs {
-		val := r.mem.Load64(loc)
-		if val >= base && val < base+a.Len {
-			off := val - base
-			r.mem.Store64(loc, swapPoison(slot, off))
-			rec.escapes[loc] = off
-		}
-	}
-	// Patch registers.
-	for _, rs := range regs {
-		vals := rs.Regs()
-		for i, v := range vals {
-			if v >= base && v < base+a.Len {
-				rs.SetReg(i, swapPoison(slot, v-base))
-			}
-		}
-	}
-	r.Table.Remove(base)
-	if err := r.mem.Zero(base, a.Len); err != nil {
-		return 0, 0, err
-	}
-	r.swapSlots = append(r.swapSlots, rec)
-	rec.live = len(r.swapLive)
-	r.swapLive = append(r.swapLive, rec)
-	r.Stats.SwapOuts.Inc()
-	// Modeled length of this swap, which is one pause: the barrier round
-	// trip, one patch per poisoned escape, and the copy to the swap device.
-	// Observe-only — swaps charge nothing to the program clock.
-	cyc := cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + a.Len*cycPerByteMove
-	r.Stats.SwapCycles.Add(cyc)
-	r.observePause("swap_out", cyc)
-	if tr := r.tracer(); tr != nil {
-		tr.Instant("swap.out", "paging",
-			obs.A("slot", slot), obs.A("bytes", a.Len), obs.A("escapes", len(rec.escapes)))
-	}
-	return slot, a.Len, nil
-}
-
-// SwappedLen returns the byte length of the allocation in a swap slot.
+// SwappedLen returns the byte length of the allocation in a swap slot: the
+// length of the table's allocation at the slot's poison base.
 func (r *Runtime) SwappedLen(slot uint64) (uint64, error) {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	if slot >= uint64(len(r.swapSlots)) || r.swapSlots[slot] == nil {
-		return 0, fmt.Errorf("runtime: bad swap slot %d", slot)
+	if slot < maxSwapSlots {
+		if a := r.Table.Covering(swapPoison(slot, 0)); a != nil && a.Base == swapPoison(slot, 0) {
+			return a.Len, nil
+		}
 	}
-	return r.swapSlots[slot].length, nil
+	return 0, fmt.Errorf("runtime: bad swap slot %d", slot)
 }
 
 // SwapIn restores swap slot's allocation at newBase (caller-allocated, at
-// least SwappedLen bytes) and patches every poisoned pointer — in memory
-// and in registers — forward to the new location.
+// least SwappedLen bytes, overlapping no tracked allocation) and patches
+// every poisoned pointer — in memory and in registers — forward to the new
+// location. The invalidation listeners hear of the range it fills: stale
+// cache entries covering it must go.
 func (r *Runtime) SwapIn(slot, newBase uint64) error {
-	w := r.getWorld()
-	regs := w.StopTheWorld()
-	defer w.ResumeTheWorld()
-	length, err := r.swapInLocked(slot, newBase, regs)
-	if err != nil {
-		return err
+	if slot >= maxSwapSlots {
+		return fmt.Errorf("runtime: swap-in of bad slot %d", slot)
 	}
-	// The destination range now maps live data it did not before: stale
-	// cache entries covering it must go. Outside all locks.
-	r.notifyInvalidate(newBase, length)
+	_, _, err := r.move(kindSwapIn, kernel.MoveRequest{Src: swapPoison(slot, 0)}, newBase)
+	return err
+}
+
+// phaseSwapIO checks the swap device before anything mutates — a swap-out
+// needs an allocation that fits a slot and a slot left — then draws the
+// device's injected I/O error: the write or the read failing. A failed swap
+// leaves the allocation and the slot untouched, so the caller simply skips
+// or retries.
+func (st *moveState) phaseSwapIO() error {
+	point, op := fault.SwapOutIO, "write"
+	switch {
+	case st.kind == kindSwapIn:
+		point, op = fault.SwapInIO, "read"
+	case st.length > maxSwapLen:
+		return fmt.Errorf("runtime: allocation too large to swap (%d bytes)", st.length)
+	case st.slot >= maxSwapSlots:
+		return fmt.Errorf("runtime: out of swap slots")
+	}
+	if st.r.injector().Should(point) {
+		return &fault.Error{Point: point, Detail: fmt.Sprintf("slot %d %s", st.slot, op)}
+	}
 	return nil
 }
 
-func (r *Runtime) swapInLocked(slot, newBase uint64, regs []RegSet) (uint64, error) {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	defer r.publishStop()
-	r.Flush()
-
-	if slot >= uint64(len(r.swapSlots)) || r.swapSlots[slot] == nil {
-		return 0, fmt.Errorf("runtime: swap-in of bad slot %d", slot)
-	}
-	// An injected I/O error models the read from the swap device failing.
-	// Checked before any mutation, so the slot stays intact and the fault
-	// handler can retry the swap-in.
-	if r.injector().Should(fault.SwapInIO) {
-		return 0, &fault.Error{Point: fault.SwapInIO, Detail: fmt.Sprintf("slot %d read", slot)}
-	}
-	rec := r.swapSlots[slot]
-	if err := r.mem.WriteAt(newBase, rec.data); err != nil {
-		return 0, err
-	}
-	a, err := r.Table.Insert(newBase, rec.length, rec.static)
-	if err != nil {
-		return 0, fmt.Errorf("runtime: swap-in: %w", err)
-	}
-	for loc, off := range rec.escapes {
-		r.mem.Store64(loc, newBase+off)
-		r.Table.relinkEscape(loc, a)
-	}
-	for _, rs := range regs {
-		vals := rs.Regs()
-		for i, v := range vals {
-			if s, off, ok := DecodeSwapPoison(v); ok && s == slot {
-				rs.SetReg(i, newBase+off)
-			}
+// phaseSwapCopy is a swap's copy, its last phase. A swap-out's bytes,
+// already patched, become the new slot's buffer and the source is zeroed; a
+// swap-in writes the slot's buffer, already patched, to the destination and
+// empties the slot, keeping the buffer for a later swap-out.
+func (st *moveState) phaseSwapCopy() error {
+	r := st.r
+	if st.kind == kindSwapOut {
+		buf := st.swapBuffer(st.length)
+		if err := r.mem.ReadAt(st.src, buf); err != nil {
+			return err
 		}
+		r.swapSlots = append(r.swapSlots, buf)
+		return r.mem.Zero(st.src, st.length)
 	}
-	r.swapSlots[slot] = nil
-	last := r.swapLive[len(r.swapLive)-1]
-	r.swapLive[rec.live], last.live = last, rec.live
-	r.swapLive[len(r.swapLive)-1] = nil
-	r.swapLive = r.swapLive[:len(r.swapLive)-1]
-	if st := r.mover(); len(st.spareData) < maxSpareBuffers {
-		st.spareData = append(st.spareData, rec.data)
+	if err := r.mem.WriteAt(st.dst, r.swapSlots[st.slot]); err != nil {
+		return err
 	}
-	r.Stats.SwapIns.Inc()
-	// Mirror of the swap-out pause model: barrier + per-pointer forward
-	// patches + the copy back from the swap device.
-	cyc := cycBarrier + uint64(len(rec.escapes))*cycEscapePatch + rec.length*cycPerByteMove
-	r.Stats.SwapCycles.Add(cyc)
-	r.observePause("swap_in", cyc)
-	if tr := r.tracer(); tr != nil {
-		tr.Instant("swap.in", "paging", obs.A("slot", slot), obs.A("bytes", rec.length))
+	if len(st.spareData) < maxSpareBuffers {
+		st.spareData = append(st.spareData, r.swapSlots[st.slot])
 	}
-	return rec.length, nil
+	r.swapSlots[st.slot] = nil
+	return nil
 }
 
-// maxSpareBuffers bounds the swapped-in records' buffers a runtime keeps for
+// finishSwap is a completed swap's epilogue. Its modeled length is one
+// pause: the barrier round trip, one patch per pointer patched, and the copy
+// to or from the swap device. Observe-only — swaps charge nothing to the
+// program clock, and count neither as moves nor in MoveStats.
+func (r *Runtime) finishSwap(st *moveState) {
+	cyc := cycBarrier + uint64(st.bd.EscapesPatched)*cycEscapePatch + st.length*cycPerByteMove
+	r.Stats.SwapCycles.Add(cyc)
+	count, cause, event := &r.Stats.SwapIns, "swap_in", "swap.in"
+	if st.kind == kindSwapOut {
+		count, cause, event = &r.Stats.SwapOuts, "swap_out", "swap.out"
+	}
+	count.Inc()
+	r.observePause(cause, cyc)
+	if tr := r.tracer(); tr != nil {
+		tr.Instant(event, "paging", obs.A("slot", st.slot), obs.A("bytes", st.length), obs.A("escapes", st.bd.EscapesPatched))
+	}
+}
+
+// loadEscape and storeEscape read and write the word at an escape location.
+// A location inside a swapped-out allocation has a poison address, and its
+// word lives in that slot's buffer; every other location is in PhysMem.
+func (r *Runtime) loadEscape(loc uint64) uint64 {
+	if slot, off, ok := DecodeSwapPoison(loc); ok {
+		return binary.LittleEndian.Uint64(r.swapSlots[slot][off : off+8])
+	}
+	return r.mem.Load64(loc)
+}
+
+func (r *Runtime) storeEscape(loc, v uint64) {
+	if slot, off, ok := DecodeSwapPoison(loc); ok {
+		binary.LittleEndian.PutUint64(r.swapSlots[slot][off:off+8], v)
+		return
+	}
+	r.mem.Store64(loc, v)
+}
+
+// maxSpareBuffers bounds the swapped-in slots' buffers a runtime keeps for
 // later swap-outs; each holds at most maxSwapLen bytes.
 const maxSpareBuffers = 8
 
 // swapBuffer returns n bytes for a swap-out's data: a spare buffer that big,
-// or a new one.
+// or a new one. Its capacity spares 7 bytes past the end: a pointer stored
+// across the allocation's end is an escape located inside it, and its word
+// must stay readable in the slot. Those bytes are not swapped back in.
 func (st *moveState) swapBuffer(n uint64) []byte {
 	for i, b := range st.spareData {
-		if uint64(cap(b)) >= n {
+		if uint64(cap(b)) >= n+7 {
 			st.spareData = append(st.spareData[:i], st.spareData[i+1:]...)
 			return b[:n]
 		}
 	}
-	return make([]byte, n)
-}
-
-// rebaseSwapLocs keeps swap-record escape locations valid across page and
-// allocation moves: a location inside a moved range is itself relocated.
-// It visits the records still swapped out, not every slot the process ever
-// used. Callers hold opMu.
-func (r *Runtime) rebaseSwapLocs(src, dst, length uint64) {
-	st := r.mover()
-	for _, rec := range r.swapLive {
-		moved := st.swapMoved[:0]
-		for loc, off := range rec.escapes {
-			if loc >= src && loc < src+length {
-				moved = append(moved, [2]uint64{loc, off})
-			}
-		}
-		for _, m := range moved {
-			delete(rec.escapes, m[0])
-			rec.escapes[m[0]-src+dst] = m[1]
-		}
-		st.swapMoved = moved
-	}
+	return make([]byte, n, n+7)
 }

@@ -203,6 +203,109 @@ func TestSwapInAfterCompactionMoveOfEscapeHolder(t *testing.T) {
 	}
 }
 
+// TestSwapInLeavesAnOverwrittenLocationAlone: a location held a pointer into
+// A when A was swapped out; while A is out, a tracked store overwrites it
+// with a pointer to B. The swap-in patches by value, as every move does, so
+// the location keeps pointing at B, and the escape is B's.
+func TestSwapInLeavesAnOverwrittenLocationAlone(t *testing.T) {
+	k, p, rt := newTestRuntime(t)
+	base, err := p.GrantRegion(4*kernel.PageSize, guard.PermRW)
+	must(t, err)
+	a, b := base, base+kernel.PageSize
+	must(t, rt.TrackAlloc(a, 256))
+	must(t, rt.TrackAlloc(b, 256))
+	loc := base + 2*kernel.PageSize
+	k.Mem.Store64(loc, a+8)
+	rt.TrackEscape(loc, a+8)
+	rt.Flush()
+
+	slot, err := rt.SwapOut(a)
+	must(t, err)
+	k.Mem.Store64(loc, b+16)
+	rt.TrackEscape(loc, b+16)
+	rt.Flush()
+
+	newBase := base + 3*kernel.PageSize
+	must(t, rt.SwapIn(slot, newBase))
+	if got := k.Mem.Load64(loc); got != b+16 {
+		t.Errorf("swap-in rewrote the overwritten location: %#x, want B+16 = %#x", got, b+16)
+	}
+	if got, _ := rt.Table.EscapeTarget(loc); got == nil || got.Base != b {
+		t.Errorf("the location escapes into %v, want B at %#x", got, b)
+	}
+	if got := rt.Table.Covering(newBase); got == nil || got.EscapeCount() != 0 {
+		t.Errorf("the swapped-in allocation is %v, want no escapes", got)
+	}
+	must(t, rt.Table.CheckInvariants())
+}
+
+// TestSwapKeepsInnerEscapes: A holds a pointer to B at A+16. The escape's
+// location goes out with A and comes back with it: after a round trip to A',
+// a move of B patches A'+16; and a move of B while A is out again patches
+// the word in A's slot, which the next swap-in brings back.
+func TestSwapKeepsInnerEscapes(t *testing.T) {
+	k, p, rt := newTestRuntime(t)
+	base, err := p.GrantRegion(8*kernel.PageSize, guard.PermRW)
+	must(t, err)
+	a, b := base, base+kernel.PageSize
+	must(t, rt.TrackAlloc(a, 256))
+	must(t, rt.TrackAlloc(b, 256))
+	k.Mem.Store64(a+16, b+8)
+	rt.TrackEscape(a+16, b+8)
+	rt.Flush()
+
+	slot, err := rt.SwapOut(a)
+	must(t, err)
+	a1 := base + 2*kernel.PageSize
+	must(t, rt.SwapIn(slot, a1))
+	b1 := base + 3*kernel.PageSize
+	_, err = rt.MoveAllocationTo(b, b1)
+	must(t, err)
+	if got := k.Mem.Load64(a1 + 16); got != b1+8 {
+		t.Errorf("after a swap round trip of A and a move of B, A'+16 = %#x, want %#x", got, b1+8)
+	}
+
+	slot, err = rt.SwapOut(a1)
+	must(t, err)
+	b2 := base + 4*kernel.PageSize
+	_, err = rt.MoveAllocationTo(b1, b2)
+	must(t, err)
+	a2 := base + 5*kernel.PageSize
+	must(t, rt.SwapIn(slot, a2))
+	if got := k.Mem.Load64(a2 + 16); got != b2+8 {
+		t.Errorf("after B moved while A was out, A''+16 = %#x, want %#x", got, b2+8)
+	}
+	if got, _ := rt.Table.EscapeTarget(a2 + 16); got == nil || got.Base != b2 {
+		t.Errorf("A''+16 escapes into %v, want B at %#x", got, b2)
+	}
+	must(t, rt.Table.CheckInvariants())
+}
+
+// TestSwapOfAPointerAcrossTheEnd: a pointer stored 4 bytes before an
+// allocation's end is an escape located inside it. With the allocation
+// swapped out, a move of the pointer's target patches the word in the slot,
+// whose buffer holds the whole word.
+func TestSwapOfAPointerAcrossTheEnd(t *testing.T) {
+	k, p, rt := newTestRuntime(t)
+	base, err := p.GrantRegion(4*kernel.PageSize, guard.PermRW)
+	must(t, err)
+	a, b := base, base+kernel.PageSize
+	must(t, rt.TrackAlloc(a, 256))
+	must(t, rt.TrackAlloc(b, 256))
+	k.Mem.Store64(a+252, b)
+	rt.TrackEscape(a+252, b)
+	rt.Flush()
+	slot, err := rt.SwapOut(a)
+	must(t, err)
+	_, err = rt.MoveAllocationTo(b, base+2*kernel.PageSize)
+	must(t, err)
+	must(t, rt.SwapIn(slot, a))
+	if got := k.Mem.Load64(a+252) & 0xFFFFFFFF; got != (base+2*kernel.PageSize)&0xFFFFFFFF {
+		t.Errorf("the word's low half after the round trip = %#x, want the moved target's", got)
+	}
+	must(t, rt.Table.CheckInvariants())
+}
+
 func TestSwapOutRejectsOversizedAndUntracked(t *testing.T) {
 	_, _, rt := newTestRuntime(t)
 	if _, err := rt.SwapOut(0x9999); err == nil {
@@ -220,6 +323,33 @@ func TestSwapOutRejectsOversizedAndUntracked(t *testing.T) {
 	if err := rt.SwapIn(99, 0x50000); err == nil {
 		t.Error("SwapIn of bad slot succeeded")
 	}
+}
+
+// TestMoveRefusesATrackedDestination: an allocation move or a swap-in whose
+// destination overlaps a tracked allocation — another one, or the moving one
+// itself — fails before it mutates anything, leaving the table whole.
+func TestMoveRefusesATrackedDestination(t *testing.T) {
+	_, p, rt := newTestRuntime(t)
+	base, err := p.GrantRegion(4*kernel.PageSize, guard.PermRW)
+	must(t, err)
+	a, b := base, base+kernel.PageSize
+	must(t, rt.TrackAlloc(a, 256))
+	must(t, rt.TrackAlloc(b, 256))
+	for _, dst := range []uint64{b + 128, a + 64} {
+		if _, err := rt.MoveAllocationTo(a, dst); err == nil {
+			t.Errorf("an allocation move of [%#x,+256) onto %#x succeeded", a, dst)
+		}
+	}
+	slot, err := rt.SwapOut(a)
+	must(t, err)
+	if err := rt.SwapIn(slot, b-128); err == nil {
+		t.Errorf("a swap-in onto %#x, 128 bytes below a tracked allocation, succeeded", b-128)
+	}
+	must(t, rt.SwapIn(slot, a))
+	if rt.Stats.Moves.Get() != 0 || rt.Stats.MoveRollbacks.Get() != 0 {
+		t.Errorf("refused moves counted %d moves and %d rollbacks, want none", rt.Stats.Moves.Get(), rt.Stats.MoveRollbacks.Get())
+	}
+	must(t, rt.Table.CheckInvariants())
 }
 
 func TestMoveVetoOnImpossibleDestination(t *testing.T) {

@@ -269,7 +269,9 @@ func (t *AllocationTable) AddEscape(loc, target uint64) bool {
 // RemoveEscape forgets the escape at loc (the location was overwritten
 // with a non-pointer or destroyed).
 func (t *AllocationTable) RemoveEscape(loc uint64) {
-	t.relinkEscape(loc, nil)
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	t.setEscape(loc, nil)
 }
 
 // EscapeTarget returns the allocation the escape at loc points into, if
@@ -292,15 +294,6 @@ func (t *AllocationTable) EscapeLocsOf(a *Allocation, out []uint64) []uint64 {
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	return append(out, a.escs...)
-}
-
-// relinkEscape records that loc escapes into allocation a (nil: into
-// nothing), maintaining the reverse index and counts; used when swap-in
-// reconstructs an allocation's escape set.
-func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
-	t.escMu.Lock()
-	defer t.escMu.Unlock()
-	t.setEscape(loc, a)
 }
 
 // Rebase moves allocation a so its base becomes newBase, keeping escape sets
@@ -326,9 +319,10 @@ func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
 	t.escMu.Unlock()
 }
 
-// mostEscaped is the Figure 9 pick (see pickIndex): the allocation with the
-// most escapes, the lowest-based of several with as many, the lowest-based
-// allocation when none has an escape, nil for an empty table.
+// mostEscaped is the Figure 9 pick (see pickIndex): the resident allocation
+// with the most escapes, the lowest-based of several with as many, the
+// lowest-based resident allocation when none has an escape, nil when none is
+// resident.
 func (t *AllocationTable) mostEscaped() *Allocation {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()

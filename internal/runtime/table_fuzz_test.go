@@ -93,18 +93,29 @@ func (m *modelTable) locsOf(a *modelAlloc) []uint64 {
 	return out
 }
 
-// mostEscaped is WorstCasePage's rule spelled out: most escapes, lowest base
-// among equals.
+// mostEscaped is WorstCasePage's rule spelled out: of the resident
+// allocations, most escapes, lowest base among equals.
 func (m *modelTable) mostEscaped() *modelAlloc {
 	var best *modelAlloc
 	bestN := -1
 	for _, a := range m.allocs {
+		if kernel.IsPoison(a.base) {
+			continue
+		}
 		n := len(m.locsOf(a))
 		if n > bestN || (n == bestN && a.base < best.base) {
 			best, bestN = a, n
 		}
 	}
 	return best
+}
+
+// relinkEscape makes loc an escape into allocation a (nil: into nothing),
+// whatever it points at: the fuzzer's way to move an escape between sets.
+func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
+	t.escMu.Lock()
+	defer t.escMu.Unlock()
+	t.setEscape(loc, a)
 }
 
 // The fuzzed address space: 48 allocation slots of 0x100 bytes, and escape
@@ -128,6 +139,8 @@ const (
 	fzRebase
 	fzRebaseLocs
 	fzPick
+	fzSwap
+	fzInnerEscape
 	fzOps
 )
 
@@ -144,7 +157,10 @@ func tableOps(ops ...[7]byte) []byte {
 
 // FuzzAllocationTable drives the table and the map-scan model with one
 // sequence of Insert/Remove/AddEscape/RemoveEscape/relinkEscape/Rebase/
-// RebaseEscapeLocs/WorstCasePage and requires, after every step: the same
+// RebaseEscapeLocs/WorstCasePage, swaps — an allocation and the escape
+// locations inside it rebased to a poison base, or back from one, as SwapOut
+// and SwapIn rebase them — and escapes located inside allocations, and
+// requires, after every step: the same
 // allocations, the same escape set and count per allocation, the same
 // EscapeTarget for every location either side knows, the same return values,
 // RebaseEscapeLocs examining nothing outside the pages its range touches, and
@@ -202,6 +218,15 @@ func FuzzAllocationTable(f *testing.F) {
 		// Allocation 0 is rebased past its neighbour at slot 2 and back: its
 		// tree node is unlinked and re-linked twice.
 		{{fzRebase, 0, 0, 0, 3}, {fzPick}, {fzRebase, 0, 0, 0, 0}, {fzPick}},
+		// The only allocation with escapes is swapped out: the pick is the
+		// lowest-based resident one, then, with all three out, none; swapped
+		// back in at slot 7, allocation 0 is the pick again.
+		{{fzRemoveEscape, 0x10, 0x00}, {fzRemoveEscape, 0x10, 0x03}, {fzRemoveEscape, 0x2a, 0xa8},
+			{fzSwap, 0, 0, 0}, {fzPick}, {fzSwap, 0, 0, 1}, {fzSwap, 0, 0, 2}, {fzPick}, {fzSwap, 0, 0, 0, 7}, {fzPick}},
+		// Allocation 0 holds pointers at +0x10 and +0xf8: they go out with it
+		// and come back at slot 9; a swap-in onto slot 2 is refused.
+		{{fzInnerEscape, 0x00, 0x10, 2, 0}, {fzInnerEscape, 0x00, 0xf8, 5, 8}, {fzSwap, 0, 0, 0}, {fzPick},
+			{fzSwap, 0, 0, 0, 2}, {fzSwap, 0, 0, 0, 9}, {fzPick}},
 	} {
 		f.Add(with(ops...))
 	}
@@ -224,6 +249,7 @@ func FuzzAllocationTable(f *testing.F) {
 		tb := rt.Table
 		m := &modelTable{esc: map[uint64]*modelAlloc{}}
 		live := map[*modelAlloc]*Allocation{}
+		slots := uint64(0) // swap slots handed out
 		comparePick := func(step int) {
 			ma := m.mostEscaped()
 			if got := tb.mostEscaped(); got != live[ma] {
@@ -307,6 +333,34 @@ func FuzzAllocationTable(f *testing.F) {
 				}
 			case fzPick:
 				comparePick(step)
+			case fzSwap:
+				ma := pick(c)
+				if ma == nil {
+					continue
+				}
+				src, dst := ma.base, swapPoison(slots, 0)
+				if kernel.IsPoison(src) {
+					dst = fzAllocLo + uint64(d%fzSlots)*fzSlot
+					if m.overlaps(dst, ma.length, ma) {
+						continue
+					}
+				} else if slots++; slots > maxSwapSlots {
+					continue
+				}
+				ma.base = dst
+				want := m.rebaseEscapeLocs(src, src+ma.length, dst)
+				tb.Rebase(live[ma], dst)
+				if moved, _ := tb.RebaseEscapeLocs(src, src+ma.length, dst); moved != want {
+					t.Fatalf("step %d: swap of %#x to %#x moved %d escape locations, model %d", step, src, dst, moved, want)
+				}
+			case fzInnerEscape:
+				loc := fzAllocLo + (uint64(a)<<8|uint64(b))%(fzSlots*fzSlot)
+				target := fzAllocLo + uint64(c%fzSlots)*fzSlot + uint64(d)
+				ma := m.covering(target)
+				m.setEscape(loc, ma)
+				if got := tb.AddEscape(loc, target); got != (ma != nil) {
+					t.Fatalf("step %d: AddEscape(%#x,%#x) = %v, model %v", step, loc, target, got, ma != nil)
+				}
 			}
 
 			if err := tb.CheckInvariants(); err != nil {

@@ -491,7 +491,7 @@ func (v *VM) cdataAddr(fr *frame, o cop, size uint64, perm guard.Perm) (uint64, 
 		return paddr, nil
 	}
 	if slot, _, ok := runtime.DecodeSwapPoison(addr); ok {
-		if serr := v.swapIn(slot); serr != nil {
+		if _, serr := v.swapIn(slot); serr != nil {
 			return 0, &Fault{Addr: addr, Size: size, Perm: perm, Msg: "swap-in failed: " + serr.Error()}
 		}
 		return v.translate(o.get(fr), size, perm)

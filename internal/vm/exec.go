@@ -318,7 +318,7 @@ func (v *VM) guardMiss(fr *frame, in *ir.Instr, addr, size uint64, perm guard.Pe
 	v.tr.Instant("guard.fault", "guard",
 		obs.A("addr", addr), obs.A("size", size), obs.A("perm", perm.String()))
 	if slot, _, ok := runtime.DecodeSwapPoison(addr); ok {
-		if err := v.swapIn(slot); err != nil {
+		if _, err := v.swapIn(slot); err != nil {
 			return &Fault{Addr: addr, Size: size, Perm: perm, Msg: "swap-in failed: " + err.Error()}
 		}
 		retryAddr := reval()
@@ -339,17 +339,18 @@ func (v *VM) guardMiss(fr *frame, in *ir.Instr, addr, size uint64, perm guard.Pe
 
 // swapIn services a swapped-pointer guard fault: allocate a destination in
 // the heap and have the runtime restore and re-patch (§2.2's demand
-// swap-in, with the kernel's role played by the heap grant).
-func (v *VM) swapIn(slot uint64) error {
+// swap-in, with the kernel's role played by the heap grant). It returns the
+// allocation's new base.
+func (v *VM) swapIn(slot uint64) (uint64, error) {
 	length, err := v.rt.SwappedLen(slot)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	dst := v.heap.alloc(length)
 	if dst == 0 {
-		return fmt.Errorf("heap exhausted during swap-in")
+		return 0, fmt.Errorf("heap exhausted during swap-in")
 	}
-	return v.rt.SwapIn(slot, dst)
+	return dst, v.rt.SwapIn(slot, dst)
 }
 
 // dataAddr resolves the address operand of a load or store. When the
@@ -365,7 +366,7 @@ func (v *VM) dataAddr(fr *frame, in *ir.Instr, argIdx int, size uint64, perm gua
 		return paddr, nil
 	}
 	if slot, _, ok := runtime.DecodeSwapPoison(addr); ok {
-		if serr := v.swapIn(slot); serr != nil {
+		if _, serr := v.swapIn(slot); serr != nil {
 			return 0, &Fault{Addr: addr, Size: size, Perm: perm, Msg: "swap-in failed: " + serr.Error()}
 		}
 		addr = v.val(fr, in.Args[argIdx])
@@ -468,7 +469,18 @@ func (v *VM) callBuiltin(t *thread, f *ir.Func, args []uint64) (uint64, error) {
 		}
 		return 0, nil
 	case ir.FnTrackFree:
-		if err := v.rt.TrackFree(args[0]); err != nil {
+		ptr := args[0]
+		if slot, off, ok := runtime.DecodeSwapPoison(ptr); ok {
+			// Freeing a swapped-out allocation uses its pointer: swap it in
+			// first, as a guard on the pointer would. The swap-in patches the
+			// register the free call that follows reads.
+			base, err := v.swapIn(slot)
+			if err != nil {
+				return 0, fmt.Errorf("vm: swap-in before free: %w", err)
+			}
+			ptr = base + off
+		}
+		if err := v.rt.TrackFree(ptr); err != nil {
 			return 0, fmt.Errorf("vm: %w", err)
 		}
 		return 0, nil

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"testing"
 
 	"carat/internal/guard"
@@ -230,6 +231,75 @@ func TestSwapOutAndTransparentSwapIn(t *testing.T) {
 	}
 	if err := v.Runtime().Table.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// swapCopySrc stores a pointer to a heap allocation holding 7 in slots[0],
+// spins while the test swaps the allocation out, then copies the poisoned
+// pointer to slots[1] and dereferences both: 14 if the copy was patched too.
+const swapCopySrc = `module "swapcopy"
+global @slots : [2 x ptr]
+func @malloc(%sz: i64) -> ptr
+func @main() -> i64 {
+entry:
+  %p = call ptr @malloc(i64 64)
+  store i64 7, %p
+  %s0 = gep ptr, @slots, 0
+  store ptr %p, %s0
+  br ^spin
+spin:
+  %i = phi i64 [0, ^entry], [%i1, ^spin]
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 3000
+  condbr %c, ^spin, ^copy
+copy:
+  %t0 = gep ptr, @slots, 0
+  %q = load ptr, %t0
+  %t1 = gep ptr, @slots, 1
+  store ptr %q, %t1
+  %a = load ptr, %t0
+  %x = load i64, %a
+  %b = load ptr, %t1
+  %y = load i64, %b
+  %r = add i64 %x, %y
+  ret i64 %r
+}`
+
+// TestCopiedSwappedPointerIsPatched: a tracked copy of a poisoned pointer is
+// an escape like any other, so the swap-in its first dereference triggers
+// patches the copy as well, and the second dereference finds the allocation
+// resident. Both engines.
+func TestCopiedSwappedPointerIsPatched(t *testing.T) {
+	for _, engine := range []bool{reference, compiled} {
+		m := compile(t, swapCopySrc, passes.LevelTracking)
+		cfg := DefaultConfig()
+		cfg.MemBytes = 1 << 22
+		cfg.HeapBytes = 1 << 18
+		cfg.Closure = engine
+		v, err := Load(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped := false
+		v.SetMovePolicy(500, func() error {
+			if swapped {
+				return nil
+			}
+			base, _, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
+			if !ok {
+				return errors.New("no heap allocation to swap out")
+			}
+			_, err := v.SwapOutAllocation(base)
+			swapped = err == nil
+			return err
+		})
+		ret, err := v.Run()
+		if err != nil || ret != 14 {
+			t.Errorf("compiled=%v: got %d, %v; want 14", engine, ret, err)
+		}
+		if st := &v.Runtime().Stats; !swapped || st.SwapOuts.Get() != 1 || st.SwapIns.Get() != 1 {
+			t.Errorf("compiled=%v: %d swap-outs, %d swap-ins; want one of each", engine, st.SwapOuts.Get(), st.SwapIns.Get())
+		}
 	}
 }
 

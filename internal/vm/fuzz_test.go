@@ -76,13 +76,15 @@ func FuzzDifferentialPipeline(f *testing.F) {
 	})
 }
 
-// FuzzDifferentialMoves: concurrent page moves are invisible to the tracked
-// program — worst-case moves of its most-escaped page, and moves of its
-// globals and code pages, which the compiled engine's constant pools bake.
-// Seeds 108 and 139 are global-heavy: three global arrays and no heap, so
-// every access goes through a global operand.
+// FuzzDifferentialMoves: concurrent page moves and swaps are invisible to the
+// tracked program — worst-case moves of its most-escaped page, moves of its
+// globals and code pages, which the compiled engine's constant pools bake,
+// and swap-outs of its most-escaped heap allocation, which its next guarded
+// use swaps back in. Seeds 108 and 139 are global-heavy: three global arrays
+// and no heap, so every access goes through a global operand. Seed 689 frees
+// an allocation while it is swapped out.
 func FuzzDifferentialMoves(f *testing.F) {
-	for _, seed := range []int64{100, 108, 111, 125, 139, 200, 210, 220} {
+	for _, seed := range []int64{100, 108, 111, 125, 139, 200, 210, 220, 689} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -101,6 +103,19 @@ func FuzzDifferentialMoves(f *testing.F) {
 		}
 		if got, ok := fuzzRun(t, seed, passes.LevelTracking, staticsPolicy); ok && got != want {
 			t.Errorf("seed %d with globals and code moves: got %d, want %d", seed, got, want)
+		}
+		swapPolicy := func(v *VM) {
+			v.SetMovePolicy(750, func() error {
+				base, length, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
+				if !ok || length > 1<<16 { // nothing on the heap, or too big for a swap slot
+					return nil
+				}
+				_, err := v.SwapOutAllocation(base)
+				return err
+			})
+		}
+		if got, ok := fuzzRun(t, seed, passes.LevelTracking, swapPolicy); ok && got != want {
+			t.Errorf("seed %d with swaps: got %d, want %d", seed, got, want)
 		}
 	})
 }

@@ -157,22 +157,41 @@ func TestEngineMetricsParityUnderPageMoves(t *testing.T) {
 	}
 }
 
+// TestEngineParityUnderAllocationMovesAndSwaps alternates allocation moves
+// and swap-outs of the most-escaped heap allocation. On a seed where neither
+// succeeds (463, 464, 467, 468) the test compares plain runs, so each kind
+// must act on at least five seeds.
 func TestEngineParityUnderAllocationMovesAndSwaps(t *testing.T) {
+	var moveSeeds, swapSeeds []int64
 	for seed := int64(460); seed <= 468; seed++ {
+		moves, swaps := 0, 0
 		engineParity(t, seed, passes.LevelTracking, guard.MechRange, func(v *VM) {
 			n := 0
 			v.SetMovePolicy(900, func() error {
 				n++
 				if n%2 == 0 {
-					_ = v.InjectWorstCaseAllocationMove()
+					if v.InjectWorstCaseAllocationMove() == nil {
+						moves++
+					}
 					return nil
 				}
 				if base, _, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end); ok {
-					_, _ = v.SwapOutAllocation(base)
+					if _, err := v.SwapOutAllocation(base); err == nil {
+						swaps++
+					}
 				}
 				return nil
 			})
 		})
+		if moves > 0 {
+			moveSeeds = append(moveSeeds, seed)
+		}
+		if swaps > 0 {
+			swapSeeds = append(swapSeeds, seed)
+		}
+	}
+	if len(moveSeeds) < 5 || len(swapSeeds) < 5 {
+		t.Errorf("allocation moves acted on seeds %v and swaps on %v: want five seeds each", moveSeeds, swapSeeds)
 	}
 }
 
