@@ -61,15 +61,40 @@ func pageMoveMachine(tb testing.TB, n uint64) (*kernel.Process, *Runtime, uint64
 	return p, rt, page
 }
 
-// BenchmarkPageMove moves pageMoveMachine's page beside N escapes elsewhere.
-// ns/op and allocs/op must be flat in N.
+// densePageMachine sets up omnetpp_s's shape, where the storm's median move
+// sits: 256 16-byte allocations fill one page, each holding a pointer to its
+// neighbour (the last to the first), so one move carries 256 allocations and
+// patches and re-keys 256 escapes. It returns the page's base.
+func densePageMachine(tb testing.TB) (*kernel.Process, *Runtime, uint64) {
+	p, rt, base := benchMachine(tb, 64<<20)
+	page := base + 4*kernel.PageSize
+	const n, size = 256, 16
+	for i := uint64(0); i < n; i++ {
+		must(tb, rt.TrackAlloc(page+i*size, size))
+	}
+	for i := uint64(0); i < n; i++ {
+		next := page + (i+1)%n*size
+		rt.mem.Store64(page+i*size, next)
+		rt.TrackEscape(page+i*size, next)
+	}
+	rt.Flush()
+	return p, rt, page
+}
+
+// BenchmarkPageMove moves pageMoveMachine's page beside N escapes elsewhere
+// — ns/op and allocs/op must be flat in N — and densePageMachine's page.
 func BenchmarkPageMove(b *testing.B) {
 	for _, n := range []struct {
 		name    string
-		escapes uint64
-	}{{"1k", 1_000}, {"32k", 32_000}, {"1M", 1_000_000}} {
-		b.Run(n.name+"-escapes-elsewhere", func(b *testing.B) {
-			p, rt, page := pageMoveMachine(b, n.escapes)
+		machine func(testing.TB) (*kernel.Process, *Runtime, uint64)
+	}{
+		{"1k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000) }},
+		{"32k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 32_000) }},
+		{"1M-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000_000) }},
+		{"dense-256-allocs", densePageMachine},
+	} {
+		b.Run(n.name, func(b *testing.B) {
+			p, rt, page := n.machine(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -87,8 +112,9 @@ func BenchmarkPageMove(b *testing.B) {
 }
 
 // BenchmarkWorstCasePage prices choosing what an injected move moves, with
-// 0 or 512 random escape counts changed between two picks (untimed): ns/op
-// must be flat in table size, and grow with the changes only.
+// 0 or 512 random escape counts changed between two picks (untimed): the
+// pick is one descent along the subtree maxima, which every change keeps
+// current, so ns/op must be flat in both table size and changes.
 func BenchmarkWorstCasePage(b *testing.B) {
 	for _, n := range []uint64{1_000, 100_000} {
 		for _, changes := range []int{0, 512} {
@@ -102,7 +128,6 @@ func BenchmarkWorstCasePage(b *testing.B) {
 						rt.TrackEscape(base+16<<20+(i*4+j)*40, obj)
 					}
 				}
-				rt.WorstCasePage() // the first pick's walk is not what this measures
 				rng := rand.New(rand.NewSource(1))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -220,3 +220,64 @@ func TestConcurrentFreeVsEscapeFlush(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConcurrentEscapesAgainstTreeEdits: escape adds, removes and
+// location rebases race allocations being inserted and removed and the
+// Figure 9 pick, under -race. A count change rewrites subtree maxima on tree
+// nodes, which Insert and Remove rotate: every path that edits the escape
+// map must hold treeMu for reading.
+func TestConcurrentEscapesAgainstTreeEdits(t *testing.T) {
+	_, _, rt := newTestRuntime(t)
+	const nAllocs = 64
+	slot := func(i int) uint64 { return 0x100000 + uint64(i)*0x1000 }
+	for i := 0; i < nAllocs; i += 2 { // the odd slots churn
+		if err := rt.TrackAlloc(slot(i), 0x800); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo := 0x800000 + uint64(w)*0x10000 // the writer's two pages
+			for i := 0; i < 6000; i++ {
+				loc := lo + uint64(i%1024)*8
+				rt.Table.AddEscape(loc, slot(i%nAllocs)+uint64(i%0x800))
+				if i%3 == 2 {
+					rt.Table.RemoveEscape(loc)
+				}
+				if i%100 == 99 { // onto the second page, dropping what it held, and back
+					rt.Table.RebaseEscapeLocs(lo, lo+kernel.PageSize, lo+kernel.PageSize)
+					rt.Table.RebaseEscapeLocs(lo+kernel.PageSize, lo+2*kernel.PageSize, lo)
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 200; r++ {
+			for i := 1; i < nAllocs; i += 2 {
+				if r%2 == 0 {
+					_, _ = rt.Table.Insert(slot(i), 0x800, false) // present or not: either is fine
+				} else {
+					rt.Table.Remove(slot(i))
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			rt.Table.mostEscaped() // WorstCasePage's read; its caratdebug walk would see edits land between the two
+		}
+	}()
+	wg.Wait()
+	if err := rt.Table.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.Table.mostEscaped(), rt.mostEscapedWhere(func(*Allocation) bool { return true }); got != want {
+		t.Errorf("the pick chose %v, the walk %v", got, want)
+	}
+}

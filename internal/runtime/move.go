@@ -291,10 +291,9 @@ func (r *Runtime) mover() *moveState {
 func (st *moveState) reset() {
 	clear(st.affected)
 	clear(st.txn.regWrites)
-	clear(st.txn.rebased)
 	*st = moveState{
 		r: st.r, affected: st.affected[:0], locs: st.locs, spareData: st.spareData,
-		txn: moveTxn{memWrites: st.txn.memWrites[:0], regWrites: st.txn.regWrites[:0], rebased: st.txn.rebased[:0]},
+		txn: moveTxn{memWrites: st.txn.memWrites[:0], regWrites: st.txn.regWrites[:0]},
 	}
 }
 
@@ -414,14 +413,12 @@ func (st *moveState) phasePatchRegisters() error {
 	return st.inj.Fail(fault.MoveAbort, "after register patch")
 }
 
-// phaseRebase performs the table maintenance: rebase moved allocations and
-// any escape locations that themselves live in the moved range — for a
-// swap, into the slot's poison range and back out of it.
+// phaseRebase performs the table maintenance: rebase the moved allocations,
+// in one table call, and any escape locations that themselves live in the
+// moved range — for a swap, into the slot's poison range and back out of it.
 func (st *moveState) phaseRebase() error {
-	for _, a := range st.affected {
-		st.r.Table.Rebase(a, a.Base-st.src+st.dst)
-		st.txn.rebased = append(st.txn.rebased, a)
-	}
+	st.r.Table.Rebase(st.affected, st.src, st.dst)
+	st.txn.rebased = true
 	moved := st.r.rebaseEscapeLocs(st.src, st.src+st.length, st.dst)
 	st.txn.escMoved = true
 	st.bd.PatchCycles += uint64(moved) * cycEscapePatch
@@ -472,12 +469,12 @@ func (st *moveState) fail(cause error) error {
 // original values in application order so rollback can restore them in
 // reverse.
 type moveTxn struct {
-	memWrites []memWrite    // escape-location rewrites
-	regWrites []regWrite    // saved-register rewrites
-	rebased   []*Allocation // allocations rebased src->dst
-	escMoved  bool          // escape locations rebased src->dst
-	copied    bool          // data copied to dst (source zeroed)
-	open      bool          // a patch may have been applied: a failure rolls back
+	memWrites []memWrite // escape-location rewrites
+	regWrites []regWrite // saved-register rewrites
+	rebased   bool       // the affected allocations rebased src->dst
+	escMoved  bool       // escape locations rebased src->dst
+	copied    bool       // data copied to dst (source zeroed)
+	open      bool       // a patch may have been applied: a failure rolls back
 }
 
 type memWrite struct{ loc, old uint64 }
@@ -507,9 +504,8 @@ func (r *Runtime) rollbackMove(st *moveState, cause error) error {
 	if txn.escMoved {
 		r.rebaseEscapeLocs(dst, dst+length, src)
 	}
-	for i := len(txn.rebased) - 1; i >= 0; i-- {
-		a := txn.rebased[i]
-		r.Table.Rebase(a, a.Base-dst+src)
+	if txn.rebased {
+		r.Table.Rebase(st.affected, dst, src)
 	}
 	for i := len(txn.regWrites) - 1; i >= 0; i-- {
 		w := txn.regWrites[i]
@@ -577,16 +573,15 @@ func (r *Runtime) traceMove(bd *MoveBreakdown, src, dst, length, lookupCyc, scan
 // WorstCasePage returns the page-aligned base of the page overlapping the
 // resident allocation with the most escapes — the page the Figure 9 experiment
 // repeatedly moves ("the runtime selects a page that overlaps the
-// allocation with the most pointer escapes"). The table's pick index answers
-// it: past a runtime's first pick it costs the allocations whose count or
-// base changed since the last one, not a walk. caratdebug builds check every
-// answer against the walk.
+// allocation with the most pointer escapes"). One descent of the allocation
+// tree answers it, along the subtree escape maxima (rbTree.mostEscaped), not
+// a walk. caratdebug builds check every answer against the walk.
 func (r *Runtime) WorstCasePage() (uint64, bool) {
 	r.Flush()
 	best := r.Table.mostEscaped()
 	if debugInvariants {
 		if walk := r.mostEscapedWhere(func(*Allocation) bool { return true }); walk != best {
-			panic(fmt.Sprintf("runtime: the pick index chose %v, the walk %v", best, walk))
+			panic(fmt.Sprintf("runtime: the tree's pick chose %v, the walk %v", best, walk))
 		}
 	}
 	if best == nil {
@@ -598,8 +593,8 @@ func (r *Runtime) WorstCasePage() (uint64, bool) {
 // mostEscapedWhere returns the allocation with the most escapes among those
 // eligible accepts; of several with that many, the one at the lowest address.
 // One walk of the allocations, reading a count from each: the
-// allocation-granularity ablation's filtered pick, which the index does not
-// serve. A swapped-out allocation is never eligible.
+// allocation-granularity ablation's filtered pick, which the subtree maxima
+// do not serve. A swapped-out allocation is never eligible.
 func (r *Runtime) mostEscapedWhere(eligible func(*Allocation) bool) *Allocation {
 	r.Flush()
 	var best *Allocation

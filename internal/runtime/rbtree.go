@@ -9,7 +9,11 @@ package runtime
 // fits): an ordered map from uint64 keys to *Allocation supporting
 // predecessor queries ("find the allocation covering this address") and
 // in-order range iteration ("find all allocations overlapping this page
-// range"), both needed on the move path.
+// range"), both needed on the move path. Each node also keeps the most
+// escapes any resident allocation in its subtree holds, which answers the
+// Figure 9 pick (mostEscaped) by one descent.
+
+import "carat/internal/kernel"
 
 type color bool
 
@@ -23,6 +27,43 @@ type rbNode struct {
 	val                 *Allocation
 	left, right, parent *rbNode
 	col                 color
+	// max is the most escapes into one resident allocation of the subtree.
+	// Written under treeMu, or under escMu with treeMu held for reading.
+	max int
+}
+
+// own is what n's allocation adds to the maxima: its escape count, 0 for a
+// swapped-out allocation, which the pick never chooses.
+func (n *rbNode) own() int {
+	if kernel.IsPoison(n.key) {
+		return 0
+	}
+	return n.val.EscapeCount()
+}
+
+// subtreeMax computes n.max from n's own count and its children's maxima.
+func (n *rbNode) subtreeMax() int {
+	m := n.own()
+	if n.left != nil {
+		m = max(m, n.left.max)
+	}
+	if n.right != nil {
+		m = max(m, n.right.max)
+	}
+	return m
+}
+
+// fixMax recomputes the maxima of n and its ancestors. With early it stops
+// at the first node whose maximum does not change: right when only n's own
+// count or one leaf below it changed, not when a node moved within the path.
+func fixMax(n *rbNode, early bool) {
+	for ; n != nil; n = n.parent {
+		m := n.subtreeMax()
+		if early && m == n.max {
+			return
+		}
+		n.max = m
+	}
 }
 
 // rbTree is a left-leaning-free classic red-black tree.
@@ -129,6 +170,8 @@ func (t *rbTree) rotateLeft(x *rbNode) {
 	}
 	y.left = x
 	x.parent = y
+	y.max = x.max // the same subtree
+	x.max = x.subtreeMax()
 }
 
 func (t *rbTree) rotateRight(x *rbNode) {
@@ -148,12 +191,14 @@ func (t *rbTree) rotateRight(x *rbNode) {
 	}
 	y.right = x
 	x.parent = y
+	y.max = x.max
+	x.max = x.subtreeMax()
 }
 
 // Insert links node n under n.key, whatever links n held before: a node
 // Delete returned is re-linked rather than allocated again. If the key is
 // already present its entry takes n.val and n stays unlinked; Insert returns
-// whether n was linked.
+// whether n was linked. The value's node is the one that holds it.
 func (t *rbTree) Insert(n *rbNode) bool {
 	var parent *rbNode
 	for c := t.root; c != nil; {
@@ -164,7 +209,8 @@ func (t *rbTree) Insert(n *rbNode) bool {
 		case n.key > c.key:
 			c = c.right
 		default:
-			c.val = n.val
+			c.val, n.val.node = n.val, c
+			fixMax(c, true)
 			return false
 		}
 	}
@@ -177,6 +223,9 @@ func (t *rbTree) Insert(n *rbNode) bool {
 	default:
 		parent.right = n
 	}
+	n.val.node = n
+	n.max = n.own()
+	fixMax(parent, true)
 	t.size++
 	t.insertFixup(n)
 	return true
@@ -232,9 +281,14 @@ func (t *rbTree) Delete(key uint64) *rbNode {
 			z = z.right
 		}
 	}
-	if z == nil {
-		return nil
+	if z != nil {
+		t.deleteNode(z)
 	}
+	return z
+}
+
+// deleteNode unlinks z, a node of t.
+func (t *rbTree) deleteNode(z *rbNode) {
 	t.size--
 
 	y := z
@@ -270,10 +324,39 @@ func (t *rbTree) Delete(key uint64) *rbNode {
 		y.left.parent = y
 		y.col = z.col
 	}
+	// y may have taken z's place above xParent: no early stop.
+	fixMax(xParent, false)
 	if yOrig == black {
 		t.deleteFixup(x, xParent)
 	}
-	return z
+}
+
+// mostEscaped is the Figure 9 pick: the resident allocation with the most
+// escapes, the lowest-based of several with as many; with no escape into
+// one, the lowest-based resident allocation; nil when none is resident.
+// Poison bases sort above every resident one. One descent: left while the
+// left subtree holds the maximum, else n itself if it does, else right.
+func (t *rbTree) mostEscaped() *Allocation {
+	n := t.root
+	if n == nil {
+		return nil
+	}
+	if n.max == 0 {
+		if a := t.Ceiling(0); !kernel.IsPoison(a.Base) {
+			return a
+		}
+		return nil
+	}
+	for m := n.max; ; {
+		switch {
+		case n.left != nil && n.left.max == m:
+			n = n.left
+		case n.own() == m:
+			return n.val
+		default:
+			n = n.right
+		}
+	}
 }
 
 func (t *rbTree) transplant(u, v *rbNode) {
@@ -374,7 +457,8 @@ func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 
 func isBlack(n *rbNode) bool { return n == nil || n.col == black }
 
-// checkInvariants validates the red-black properties; used by tests.
+// checkInvariants validates the red-black properties, every node's subtree
+// maximum and that each value names its node; used by tests.
 func (t *rbTree) checkInvariants() error {
 	if t.root != nil && t.root.col != black {
 		return errRBRootRed
@@ -388,6 +472,8 @@ var (
 	errRBRedRed    = rbError("red node with red child")
 	errRBBlackPath = rbError("unequal black heights")
 	errRBOrder     = rbError("BST order violated")
+	errRBMax       = rbError("subtree maximum stale")
+	errRBNode      = rbError("a value names another node")
 )
 
 type rbError string
@@ -419,6 +505,12 @@ func checkNode(n *rbNode) (int, error) {
 	}
 	if lh != rh {
 		return 0, errRBBlackPath
+	}
+	if n.max != n.subtreeMax() {
+		return 0, errRBMax
+	}
+	if n.val.node != n {
+		return 0, errRBNode
 	}
 	if n.col == black {
 		lh++

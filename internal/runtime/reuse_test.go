@@ -125,7 +125,7 @@ func TestRebaseOfRemovedAllocation(t *testing.T) {
 	if tb.Remove(0x10000) != a {
 		t.Fatal("Remove did not return the allocation")
 	}
-	tb.Rebase(a, 0x20000)
+	tb.Rebase([]*Allocation{a}, a.Base, 0x20000)
 	if a.Base != 0x20000 || tb.Len() != 0 || tb.Covering(0x20000) != nil || tb.mostEscaped() != nil {
 		t.Errorf("a rebase of a removed allocation left base %#x, %d allocations, Covering %v, pick %v",
 			a.Base, tb.Len(), tb.Covering(0x20000), tb.mostEscaped())

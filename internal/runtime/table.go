@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -25,9 +24,8 @@ type Allocation struct {
 	// must never release.
 	Static bool
 
-	// dirty and pushed are the pick index's (see pickIndex), under escMu.
-	dirty  bool
-	pushed pickKey
+	// node is the tree node holding the allocation, nil once it is removed.
+	node *rbNode
 
 	escs []uint64
 	nEsc atomic.Int64
@@ -62,16 +60,18 @@ func (a *Allocation) String() string {
 // reverse index bucketed by page (page number → the escapes located on that
 // page, a bucket existing only while it holds an entry), so that "what sits
 // on this page?" is one lookup and dropping an escape from its set is a
-// swap with the set's last — and the pick index of the most-escaped
-// allocation. An emptied bucket is kept, up to maxSpareBuckets of them, for
-// the next page that needs one: a page move empties its source page's bucket
-// and fills its destination's, which takes the same map.
+// swap with the set's last — and, on every tree node, the most escapes into
+// one allocation of its subtree, which the Figure 9 pick descends. An
+// emptied bucket is kept, up to maxSpareBuckets of them, for the next page
+// that needs one: a page move empties its source page's bucket and fills its
+// destination's, which takes the same map.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
 // rare next to escapes); everything else by one lock, escMu. Lock order is
-// treeMu before escMu. One process's guest threads run one at a time and a
-// mover stops them first, and every process has its own table, so a finer
-// split buys nothing. Individual operations are atomic; multi-step sequences
+// treeMu before escMu. A count change rewrites subtree maxima on tree
+// nodes, so whoever edits the escape map holds treeMu too, for reading. One
+// process's guest threads run one at a time and a mover stops them first,
+// and every process has its own table, so a finer split buys nothing. Individual operations are atomic; multi-step sequences
 // (the move protocol) get their atomicity from the world stop, as in the
 // paper.
 type AllocationTable struct {
@@ -82,21 +82,21 @@ type AllocationTable struct {
 	pages  map[uint64]map[uint64]escRef
 	spare  []map[uint64]escRef
 	moving []escMove // RebaseEscapeLocs' scratch
+	drops  []uint64  // RebaseEscapeLocs' scratch
 
 	// escapes is the total across all allocations.
 	escapes int
-
-	pick pickIndex
 }
 
 // maxSpareBuckets bounds the emptied buckets a table keeps for reuse: a
 // move's range spans a few pages, and a bucket is at most a page of entries.
 const maxSpareBuckets = 8
 
-// escMove is one escape RebaseEscapeLocs relocates.
+// escMove is one escape RebaseEscapeLocs relocates: where it is, and its
+// reverse entry.
 type escMove struct {
 	loc uint64
-	a   *Allocation
+	r   escRef
 }
 
 // NewAllocationTable returns an empty table.
@@ -119,11 +119,12 @@ func (t *AllocationTable) EscapeCount() int {
 }
 
 // setEscape makes a (nil: nobody) the allocation the escape at loc points
-// into, keeping reverse index, per-allocation sets, counts and the pick
-// index's dirty list in step. Every change to the escape map goes through
-// here. Leaving a set moves that set's last location into the freed position
-// and rewrites its reverse entry, which may sit in another page's bucket;
-// joining one appends. The caller holds escMu.
+// into, keeping reverse index, per-allocation sets, counts and subtree
+// maxima in step. Every change to an escape's allocation goes through here.
+// Leaving a set moves that set's last location into the freed position and
+// rewrites its reverse entry, which may sit in another page's bucket;
+// joining one appends. The caller holds escMu and treeMu, the latter at
+// least for reading.
 func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 	page := pageOf(loc)
 	bucket := t.pages[page]
@@ -141,21 +142,25 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 		p.escs = p.escs[:last]
 		p.nEsc.Add(-1)
 		t.escapes--
-		if t.pick.live {
-			t.pick.touch(p)
-		}
+		fixMax(p.node, true)
 	}
 	if a == nil {
-		delete(bucket, loc)
-		if len(bucket) == 0 {
-			delete(t.pages, page)
-			if len(t.spare) < maxSpareBuckets {
-				clear(bucket) // drops the deletions' tombstones
-				t.spare = append(t.spare, bucket)
-			}
+		if delete(bucket, loc); len(bucket) == 0 {
+			t.dropBucket(page, bucket)
 		}
 		return
 	}
+	t.index(page, bucket, loc, escRef{a, len(a.escs)})
+	a.escs = append(a.escs, loc)
+	a.nEsc.Add(1)
+	t.escapes++
+	fixMax(a.node, true)
+}
+
+// index sets loc's reverse entry in bucket, page's bucket, taking a spare
+// one (or a new one) when the page has none, and returns the bucket. The
+// caller holds escMu.
+func (t *AllocationTable) index(page uint64, bucket map[uint64]escRef, loc uint64, r escRef) map[uint64]escRef {
 	if bucket == nil {
 		if n := len(t.spare); n > 0 {
 			bucket, t.spare = t.spare[n-1], t.spare[:n-1]
@@ -164,12 +169,17 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 		}
 		t.pages[page] = bucket
 	}
-	bucket[loc] = escRef{a, len(a.escs)}
-	a.escs = append(a.escs, loc)
-	a.nEsc.Add(1)
-	t.escapes++
-	if t.pick.live {
-		t.pick.touch(a)
+	bucket[loc] = r
+	return bucket
+}
+
+// dropBucket takes page's bucket out of the index, keeping it, emptied, as a
+// spare. The caller holds escMu.
+func (t *AllocationTable) dropBucket(page uint64, bucket map[uint64]escRef) {
+	delete(t.pages, page)
+	if len(t.spare) < maxSpareBuckets {
+		clear(bucket) // drops the entries, or the deletions' tombstones
+		t.spare = append(t.spare, bucket)
 	}
 }
 
@@ -190,7 +200,7 @@ func (t *AllocationTable) Insert(base, length uint64, static bool) (*Allocation,
 			base, base+length, next.Base, next.End())
 	}
 	a := &Allocation{Base: base, Len: length, Static: static}
-	t.tree.Insert(&rbNode{key: base, val: a})
+	t.tree.Insert(&rbNode{key: base, val: a}) // sets a.node
 	return a, nil
 }
 
@@ -210,7 +220,8 @@ func (t *AllocationTable) Remove(base uint64) *Allocation {
 		}
 		t.escMu.Unlock()
 	}
-	t.tree.Delete(base)
+	t.tree.deleteNode(a.node)
+	a.node = nil
 	return a
 }
 
@@ -269,6 +280,8 @@ func (t *AllocationTable) AddEscape(loc, target uint64) bool {
 // RemoveEscape forgets the escape at loc (the location was overwritten
 // with a non-pointer or destroyed).
 func (t *AllocationTable) RemoveEscape(loc uint64) {
+	t.treeMu.RLock()
+	defer t.treeMu.RUnlock()
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	t.setEscape(loc, nil)
@@ -296,66 +309,81 @@ func (t *AllocationTable) EscapeLocsOf(a *Allocation, out []uint64) []uint64 {
 	return append(out, a.escs...)
 }
 
-// Rebase moves allocation a so its base becomes newBase, keeping escape sets
-// attached and re-linking a's own tree node. Escape locations are NOT
+// Rebase moves every allocation of as by dst-src — one at src+off goes to
+// dst+off — under one hold of treeMu, keeping escape sets attached and
+// re-linking each allocation's own tree node. All are unlinked before any is
+// re-linked, so the two ranges may overlap. Escape locations are NOT
 // rewritten here; the move engine handles location rebasing since it knows
 // the moved byte range. An allocation the table no longer holds only takes
 // the new base: it is not resurrected.
-func (t *AllocationTable) Rebase(a *Allocation, newBase uint64) {
+func (t *AllocationTable) Rebase(as []*Allocation, src, dst uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
-	old := a.Base
-	a.Base = newBase
-	if t.tree.Get(old) != a {
-		return
+	for _, a := range as {
+		if a.node != nil {
+			t.tree.deleteNode(a.node)
+		}
+		a.Base = a.Base - src + dst
 	}
-	n := t.tree.Delete(old)
-	n.key = newBase
-	t.tree.Insert(n)
-	t.escMu.Lock()
-	if t.pick.live {
-		t.pick.touch(a)
+	for _, a := range as {
+		if n := a.node; n != nil {
+			n.key = a.Base
+			t.tree.Insert(n)
+		}
 	}
-	t.escMu.Unlock()
 }
 
-// mostEscaped is the Figure 9 pick (see pickIndex): the resident allocation
-// with the most escapes, the lowest-based of several with as many, the
-// lowest-based resident allocation when none has an escape, nil when none is
-// resident.
+// mostEscaped is the Figure 9 pick (rbTree.mostEscaped): the resident
+// allocation with the most escapes, the lowest-based of several with as
+// many, the lowest-based resident allocation when none has an escape, nil
+// when none is resident.
 func (t *AllocationTable) mostEscaped() *Allocation {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	return t.pick.pick(&t.tree)
+	return t.tree.mostEscaped()
 }
 
 // RebaseEscapeLocs rewrites every tracked escape location within
-// [lo, hi) to location-lo+newLo, in both the per-allocation escape sets
-// and the reverse index; an escape already recorded at a destination
-// location is stale (the moved bytes overwrite it) and is dropped. Only the
-// buckets of the pages [lo, hi) touches are opened — found by probing each
-// page number, or, when the range spans more pages than the index holds
-// buckets, by walking the buckets. The range need not be page-aligned
-// (MoveAllocationTo) nor the locations word-aligned, so every opened
-// bucket is filtered, and the moved locations are re-added in address order,
-// so the sets they join do not depend on bucket iteration. It returns how
-// many locations moved and how many index entries it examined to find them.
-// The move engine calls this when the moved byte range itself contained
+// [lo, hi) to location-lo+newLo, in place: each escape keeps its
+// allocation, its count and its position in that allocation's set; only its
+// reverse entry changes bucket. An escape already recorded at a destination
+// location outside [lo, hi) is stale (the moved bytes overwrite it) and is
+// dropped first, in address order, so the sets it leaves do not depend on
+// bucket iteration. Only the buckets of the pages [lo, hi) touches are
+// opened — found by probing each page number, or, when the range spans more
+// pages than the index holds buckets, by walking the buckets. The range need
+// not be page-aligned (MoveAllocationTo, a swap) nor the locations
+// word-aligned, and it may overlap its destination, so every opened bucket is
+// filtered, and every moving entry leaves the index before any lands — a
+// bucket all of whose entries move leaves whole. It returns how many
+// locations moved and how many index entries it examined to find them. The
+// move engine calls this when the moved byte range itself contained
 // pointers.
 func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited int) {
 	if lo >= hi {
 		return 0, 0
 	}
+	t.treeMu.RLock()
+	defer t.treeMu.RUnlock()
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	ms := t.moving[:0]
-	scan := func(bucket map[uint64]escRef) {
-		visited += len(bucket)
-		for loc, r := range bucket {
+	ms, drops := t.moving[:0], t.drops[:0]
+	dPage, dBucket := ^uint64(0), map[uint64]escRef(nil) // a destination page's, looked up once
+	scan := func(src map[uint64]escRef) {
+		visited += len(src)
+		for loc, r := range src {
 			if loc >= lo && loc < hi {
-				ms = append(ms, escMove{loc, r.a})
+				ms = append(ms, escMove{loc, r})
+				if d := loc - lo + newLo; d < lo || d >= hi {
+					if p := pageOf(d); p != dPage {
+						dPage, dBucket = p, t.pages[p]
+					}
+					if _, stale := dBucket[d]; stale {
+						drops = append(drops, d)
+					}
+				}
 			}
 		}
 	}
@@ -371,15 +399,38 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 			}
 		}
 	}
-	slices.SortFunc(ms, func(x, y escMove) int { return cmp.Compare(x.loc, y.loc) })
-	for _, m := range ms {
-		t.setEscape(m.loc, nil)
+	if len(drops) > 0 {
+		slices.Sort(drops)
+		for _, d := range drops {
+			t.setEscape(d, nil)
+		}
+		for i, m := range ms { // a drop's swap-delete may have shifted a moving escape
+			ms[i].r = t.pages[pageOf(m.loc)][m.loc]
+		}
 	}
+	for i, j := 0, 0; i < len(ms); i = j { // ms holds each bucket's movers in one run
+		page := pageOf(ms[i].loc)
+		for j = i + 1; j < len(ms) && pageOf(ms[j].loc) == page; j++ {
+		}
+		if src := t.pages[page]; j-i == len(src) {
+			t.dropBucket(page, src)
+		} else {
+			for _, m := range ms[i:j] {
+				delete(src, m.loc)
+			}
+		}
+	}
+	dPage, dBucket = ^uint64(0), nil
 	for _, m := range ms {
-		t.setEscape(m.loc-lo+newLo, m.a)
+		d := m.loc - lo + newLo
+		m.r.a.escs[m.r.i] = d
+		if p := pageOf(d); p != dPage {
+			dPage, dBucket = p, t.pages[p]
+		}
+		dBucket = t.index(dPage, dBucket, d, m.r)
 	}
 	clear(ms) // the scratch must not keep freed allocations reachable
-	t.moving = ms[:0]
+	t.moving, t.drops = ms[:0], drops[:0]
 	return len(ms), visited
 }
 
@@ -420,8 +471,8 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 // set, that the reverse escape index is consistent (every entry's position
 // names its own location in its allocation's set, and back), that every escape
 // location lives in the bucket of its own page, that no empty bucket
-// survives, that every spare bucket is empty, and the pick index's heap order, dirty flags and invariant (see
-// pickIndex; a dropped index marks nothing dirty). Tests and the
+// survives, that every spare bucket is empty, and every tree node's subtree
+// maximum (see rbTree.checkInvariants). Tests and the
 // property suite call this after mutation storms; MaybeCheckInvariants is
 // the debug-gated variant for hot loops.
 func (t *AllocationTable) CheckInvariants() error {
@@ -432,17 +483,6 @@ func (t *AllocationTable) CheckInvariants() error {
 	if err := t.tree.checkInvariants(); err != nil {
 		return err
 	}
-	onList := make(map[*Allocation]bool, len(t.pick.dirty))
-	for _, a := range t.pick.dirty {
-		onList[a] = true
-	}
-	entries := make(map[pickEntry]bool, len(t.pick.heap))
-	for i, e := range t.pick.heap {
-		if i > 0 && e.above(t.pick.heap[(i-1)/2].pickKey) {
-			return fmt.Errorf("runtime: pick heap out of order at entry %d", i)
-		}
-		entries[e] = true
-	}
 	var prev *Allocation
 	var bad error
 	count := 0
@@ -450,13 +490,6 @@ func (t *AllocationTable) CheckInvariants() error {
 		if prev != nil && prev.End() > a.Base {
 			bad = fmt.Errorf("runtime: allocations overlap: [%#x,%#x) then [%#x,%#x)",
 				prev.Base, prev.End(), a.Base, a.End())
-			return false
-		}
-		if k := keyOf(a); a.dirty != onList[a] {
-			bad = fmt.Errorf("runtime: allocation %#x dirty %v, on the dirty list %v", a.Base, a.dirty, onList[a])
-			return false
-		} else if t.pick.live && !a.dirty && k.n > 0 && (a.pushed != k || !entries[pickEntry{k, a}]) {
-			bad = fmt.Errorf("runtime: pick entry missing for allocation %#x (%d escapes)", a.Base, k.n)
 			return false
 		}
 		for i, loc := range a.escs {

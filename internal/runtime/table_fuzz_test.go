@@ -113,6 +113,8 @@ func (m *modelTable) mostEscaped() *modelAlloc {
 // relinkEscape makes loc an escape into allocation a (nil: into nothing),
 // whatever it points at: the fuzzer's way to move an escape between sets.
 func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
+	t.treeMu.RLock()
+	defer t.treeMu.RUnlock()
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	t.setEscape(loc, a)
@@ -164,7 +166,7 @@ func tableOps(ops ...[7]byte) []byte {
 // allocations, the same escape set and count per allocation, the same
 // EscapeTarget for every location either side knows, the same return values,
 // RebaseEscapeLocs examining nothing outside the pages its range touches, and
-// CheckInvariants (the pick index's included). The input decides when to
+// CheckInvariants (the subtree maxima included). The input decides when to
 // pick, so changes pile up between picks as they do between injected moves;
 // the pick is compared once more at the end.
 func FuzzAllocationTable(f *testing.F) {
@@ -191,20 +193,19 @@ func FuzzAllocationTable(f *testing.F) {
 		{{fzAddEscape, 0x10, 0x00, 40, 0}, {fzAddEscape, 0x10, 0x03, 5, 1}}, // retarget: to nothing, to another
 		// A tie (2 and 2) the lower base wins, until a Rebase moves it above.
 		{{fzRemoveEscape, 0x00, 0x08}, {fzPick}, {fzRebase, 0, 0, 0, 9}, {fzPick}},
-		// The top's count falls to 0 (its stale entry is popped) and comes
-		// back to the same key: it must be pushed again.
+		// The top's count falls to 0 — the root's maximum falls to the next
+		// allocation's — and comes back.
 		{{fzAddEscape, 0x30, 0x00, 5, 1}, {fzAddEscape, 0x30, 0x08, 5, 2}, {fzAddEscape, 0x30, 0x10, 5, 3}, {fzPick},
 			{fzRemoveEscape, 0x2a, 0xa8}, {fzRemoveEscape, 0x30, 0x00}, {fzRemoveEscape, 0x30, 0x08}, {fzRemoveEscape, 0x30, 0x10}, {fzPick},
 			{fzAddEscape, 0x2a, 0xa8, 5, 0}, {fzAddEscape, 0x30, 0x00, 5, 1}, {fzAddEscape, 0x30, 0x08, 5, 2}, {fzAddEscape, 0x30, 0x10, 5, 3}, {fzPick}},
 		// The top is freed; then the last escape anywhere goes.
 		{{fzPick}, {fzRemove, 0}, {fzPick}, {fzRemove, 2}, {fzPick}, {fzRemoveEscape, 0x2a, 0xa8}, {fzPick}},
-		// Entries pile up below the top until the heap holds more than twice
-		// the table: rebuilt by a walk.
+		// One count rises and falls below the top between picks, three times.
 		{{fzPick}, {fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick},
 			{fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick},
 			{fzAddEscape, 0x33, 0x00, 2, 0}, {fzPick}, {fzRemoveEscape, 0x33, 0x00}, {fzPick}},
-		// More allocations change between two picks than the table held at
-		// the first: the index is dropped, and the next pick rebuilds it.
+		// More allocations are inserted and change between two picks than the
+		// table held at the first.
 		{{fzPick}, {fzInsert, 10, 0x40}, {fzAddEscape, 0x34, 0x00, 10, 0}, {fzInsert, 11, 0x40}, {fzAddEscape, 0x34, 0x08, 11, 0},
 			{fzInsert, 12, 0x40}, {fzAddEscape, 0x34, 0x10, 12, 0}, {fzInsert, 13, 0x40}, {fzAddEscape, 0x34, 0x18, 13, 0},
 			{fzAddEscape, 0x34, 0x20, 13, 1}, {fzAddEscape, 0x34, 0x28, 13, 2}, {fzAddEscape, 0x34, 0x30, 13, 3}, {fzPick}},
@@ -243,6 +244,31 @@ func FuzzAllocationTable(f *testing.F) {
 		}
 	}
 	f.Add(with(append(hundred, [7]byte{fzPick}, [7]byte{fzRemove, 2}, [7]byte{fzPick})...))
+	// Seven allocations inserted as a balanced tree, 4(2(1,3),6(5,7)), and
+	// five escapes into one of them. A delete whose successor takes the
+	// deleted node's place must re-pull the whole path: 2, the only
+	// allocation with escapes, is swapped out (unlinked, its successor 3
+	// keeps its own maximum, and the root's must still fall); 4, the root, is
+	// freed while 1 holds the escapes (its successor 5 comes up from below 6,
+	// whose maximum does not change, and must take 1's).
+	balanced := func(slot byte) [][7]byte {
+		var ops [][7]byte
+		for _, s := range []byte{4, 2, 6, 1, 3, 5, 7} {
+			ops = append(ops, [7]byte{fzInsert, s, 0x3f})
+		}
+		for i := byte(0); i < 5; i++ {
+			ops = append(ops, [7]byte{fzAddEscape, 0x01, i * 8, slot, i})
+		}
+		return append(ops, [7]byte{fzPick})
+	}
+	f.Add(tableOps(append(balanced(2), [7]byte{fzSwap, 0, 0, 1}, [7]byte{fzPick})...))
+	f.Add(tableOps(append(balanced(1), [7]byte{fzRemove, 4}, [7]byte{fzPick})...))
+	// Allocation 0's set ends in 0x41000, 0x40000; 0x40000 moves onto
+	// 0x41000, whose stale escape is dropped first: the drop's swap-delete
+	// moves the moving escape into its place, and the move must write it
+	// there.
+	f.Add(with([7]byte{fzAddEscape, 0x10, 0x00, 0, 0x30}, [7]byte{fzAddEscape, 0x00, 0x00, 0, 0x31},
+		[7]byte{fzRebaseLocs, 0x00, 0x00, 0x00, 0x08, 0x10, 0x00}, [7]byte{fzPick}))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rt := New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
@@ -311,8 +337,8 @@ func FuzzAllocationTable(f *testing.F) {
 				if ma == nil || m.overlaps(base, ma.length, ma) {
 					continue
 				}
+				tb.Rebase([]*Allocation{live[ma]}, ma.base, base)
 				ma.base = base
-				tb.Rebase(live[ma], base)
 			case fzRebaseLocs:
 				lo, hi := loc, loc+(uint64(c)<<8|uint64(d))%(4*kernel.PageSize+1)
 				newLo := fzLocLo + (uint64(in[5])<<8|uint64(in[6]))%fzDestSpan
@@ -349,7 +375,7 @@ func FuzzAllocationTable(f *testing.F) {
 				}
 				ma.base = dst
 				want := m.rebaseEscapeLocs(src, src+ma.length, dst)
-				tb.Rebase(live[ma], dst)
+				tb.Rebase([]*Allocation{live[ma]}, src, dst)
 				if moved, _ := tb.RebaseEscapeLocs(src, src+ma.length, dst); moved != want {
 					t.Fatalf("step %d: swap of %#x to %#x moved %d escape locations, model %d", step, src, dst, moved, want)
 				}
@@ -433,8 +459,8 @@ func TestPageMoveVisitsOnlyItsPage(t *testing.T) {
 }
 
 // TestCheckInvariantsSeesIndexDamage breaks, one at a time, the things the
-// page-bucketed index and the pick index add to the invariants, and expects
-// each reported.
+// page-bucketed index and the subtree escape maxima add to the invariants,
+// and expects each reported.
 func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 	build := func() (*AllocationTable, *Allocation) {
 		tb := NewAllocationTable()
@@ -459,11 +485,8 @@ func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 		"entry names the wrong position": func(tb *AllocationTable, a *Allocation) {
 			tb.pages[pageOf(0x40008)][0x40008] = escRef{a, 1}
 		},
-		"pick entry missing": func(tb *AllocationTable, _ *Allocation) {
-			tb.pick.heap = tb.pick.heap[:0]
-		},
-		"dirty allocation off the list": func(tb *AllocationTable, a *Allocation) {
-			a.dirty = true
+		"subtree maximum stale": func(_ *AllocationTable, a *Allocation) {
+			a.node.max--
 		},
 		"spare bucket holds an entry": func(tb *AllocationTable, a *Allocation) {
 			tb.spare = append(tb.spare, map[uint64]escRef{0x50000: {a, 0}})

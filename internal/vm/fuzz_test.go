@@ -84,7 +84,7 @@ func FuzzDifferentialPipeline(f *testing.F) {
 // and no heap, so every access goes through a global operand. Seed 689 frees
 // an allocation while it is swapped out.
 func FuzzDifferentialMoves(f *testing.F) {
-	for _, seed := range []int64{100, 108, 111, 125, 139, 200, 210, 220, 689} {
+	for _, seed := range movesCorpus {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -104,20 +104,48 @@ func FuzzDifferentialMoves(f *testing.F) {
 		if got, ok := fuzzRun(t, seed, passes.LevelTracking, staticsPolicy); ok && got != want {
 			t.Errorf("seed %d with globals and code moves: got %d, want %d", seed, got, want)
 		}
-		swapPolicy := func(v *VM) {
-			v.SetMovePolicy(750, func() error {
-				base, length, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
-				if !ok || length > 1<<16 { // nothing on the heap, or too big for a swap slot
-					return nil
-				}
-				_, err := v.SwapOutAllocation(base)
-				return err
-			})
-		}
 		if got, ok := fuzzRun(t, seed, passes.LevelTracking, swapPolicy); ok && got != want {
 			t.Errorf("seed %d with swaps: got %d, want %d", seed, got, want)
 		}
 	})
+}
+
+// movesCorpus is FuzzDifferentialMoves' corpus. Every seed's swap leg swaps
+// (TestMovesCorpusSwaps) but the global-heavy ones', whose programs have no
+// heap: staticsSeeds.
+var movesCorpus = []int64{100, 108, 111, 125, 139, 150, 212, 241, 689}
+
+var staticsSeeds = map[int64]bool{108: true, 139: true}
+
+// swapPolicy is FuzzDifferentialMoves' swap leg: every 750 instructions,
+// swap out the most-escaped heap allocation.
+func swapPolicy(v *VM) {
+	v.SetMovePolicy(750, func() error {
+		base, length, ok := v.Runtime().WorstCaseHeapAllocation(v.heap.base, v.heap.end)
+		if !ok || length > 1<<16 { // nothing on the heap, or too big for a swap slot
+			return nil
+		}
+		_, err := v.SwapOutAllocation(base)
+		return err
+	})
+}
+
+// TestMovesCorpusSwaps: a corpus seed whose swap leg swaps nothing compares
+// two plain runs, and covers neither swap direction.
+func TestMovesCorpusSwaps(t *testing.T) {
+	for _, seed := range movesCorpus {
+		if staticsSeeds[seed] {
+			continue
+		}
+		var v *VM
+		fuzzRun(t, seed, passes.LevelTracking, func(x *VM) { v = x; swapPolicy(x) })
+		if v == nil {
+			continue // fuzzRun reported why
+		}
+		if n := v.Runtime().Stats.SwapOuts.Get(); n == 0 {
+			t.Errorf("seed %d: the swap leg made no swap-out", seed)
+		}
+	}
 }
 
 // FuzzGuardsAgreeOnForgedPointers: guard optimization must never change
