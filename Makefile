@@ -17,7 +17,7 @@ COVER_FLOOR ?= 75
 # total `make loc` printed at the last PR that changed it (ROADMAP aim 2's
 # tracked metric). A PR that deletes lowers it in the same diff; one that
 # must grow the tree raises it and says why in EXPERIMENTS.md.
-LOC_CEILING := 25362
+LOC_CEILING := 25311
 
 .PHONY: all fmt vet build test race debugtest smoke examples results check lint cover soak fuzz serve loadtest loc loc-check densecheck benchmark benchmark-test microbench
 

@@ -12,11 +12,11 @@
 //	caratbench -exp all -http 127.0.0.1:0 -http-linger 30s
 //
 // -json replaces the text tables with one versioned JSON document
-// (schema carat.bench.result; see DESIGN.md "Observability"). -trace
+// (bench.Document; see DESIGN.md "Observability"). -trace
 // writes a Chrome trace_event file viewable in Perfetto; -metrics writes
 // the final metrics-registry snapshot. -policy writes the decision log of
-// the last policy-daemon experiment (defrag, tiering, policy) as a
-// carat.policy document.
+// the last policy-daemon experiment (defrag, tiering, policy) as an
+// mmpolicy.Document.
 //
 // -http serves live telemetry while the experiments run: /metrics
 // (Prometheus text), /profile (cycle-sampling profiler), /trace?sec=N
@@ -50,7 +50,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event file (open in Perfetto)")
 	metricsFile := flag.String("metrics", "", "write the final metrics snapshot as JSON")
-	policyFile := flag.String("policy", "", "write the policy daemon's decision log as JSON (carat.policy)")
+	policyFile := flag.String("policy", "", "write the policy daemon's decision log as JSON")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"worker-pool width for per-workload experiment legs (1 = sequential)")
 	faults := flag.String("faults", "",

@@ -8,7 +8,7 @@
 //	caratc [-level none|guards|guards-opt|carat|tracking-only] [-workers N] [-emit] [-stats] [-metrics m.json] file.cir | file.cc
 //
 // -metrics writes the compile pipeline's metrics-registry snapshot
-// (schema carat.metrics: carat.passes.* counters and per-pass cycle
+// (obs.MetricsDocument: carat.passes.* counters and per-pass cycle
 // histograms) as JSON, the same registry the caratvm and caratbench
 // telemetry endpoints expose live.
 package main

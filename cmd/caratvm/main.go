@@ -37,28 +37,6 @@ import (
 	"carat/internal/vm"
 )
 
-// Schema of the -json run report. Bump the version on any incompatible
-// field change (see DESIGN.md "Observability").
-const (
-	runSchema  = "carat.vm.run"
-	runVersion = 1
-)
-
-// runReport is the -json document: the run's outcome plus the full
-// cycle-attribution profile and metrics snapshot.
-type runReport struct {
-	Schema  string            `json:"schema"`
-	Version int               `json:"version"`
-	Module  string            `json:"module"`
-	Exit    int64             `json:"exit"`
-	Instrs  uint64            `json:"instrs"`
-	Cycles  uint64            `json:"cycles"`
-	CPI     float64           `json:"cpi"`
-	Profile *obs.CycleProfile `json:"profile"`
-	Metrics obs.Snapshot      `json:"metrics"`
-	Output  []int64           `json:"output,omitempty"`
-}
-
 func main() {
 	level := flag.String("level", "carat", "pipeline level: none, guards, guards-opt, carat, tracking-only")
 	mode := flag.String("mode", "carat", "address translation model: carat or traditional")
@@ -198,21 +176,9 @@ func main() {
 	}
 
 	if *jsonOut {
-		rep := runReport{
-			Schema:  runSchema,
-			Version: runVersion,
-			Module:  m.Name,
-			Exit:    ret,
-			Instrs:  v.Instrs,
-			Cycles:  v.Cycles,
-			CPI:     float64(v.Cycles) / float64(v.Instrs),
-			Profile: v.Prof,
-			Metrics: v.Obs().Snapshot(),
-			Output:  v.Output,
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := enc.Encode(v.Report(ret)); err != nil {
 			fatal(err)
 		}
 		return

@@ -46,7 +46,7 @@ type Options struct {
 	Obs *obs.Registry
 	// Trace, when non-nil, receives trace events from every VM run.
 	Trace *obs.Tracer
-	// PolicySink, when non-nil, receives the carat.policy document of each
+	// PolicySink, when non-nil, receives the decision document of each
 	// policy-daemon experiment (defrag, tiering, policy) after it runs.
 	PolicySink func(*mmpolicy.Document)
 	// Fault, when non-nil, threads a seeded fault injector through the

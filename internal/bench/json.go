@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"runtime"
 	"time"
@@ -29,6 +30,27 @@ type ExperimentResult struct {
 	// (host time, not simulated time).
 	WallMS float64 `json:"wall_ms"`
 	Data   Result  `json:"data"`
+}
+
+// UnmarshalJSON decodes strictly, Data included: Data decodes into the type
+// its experiment's runner returns.
+func (r *ExperimentResult) UnmarshalJSON(b []byte) error {
+	type header ExperimentResult // without this method
+	raw := struct {
+		*header
+		Data json.RawMessage `json:"data"`
+	}{header: (*header)(r)}
+	if err := obs.DecodeStrict(b, &raw); err != nil {
+		return err
+	}
+	for _, e := range Experiments() {
+		if e.ID == r.Experiment {
+			var err error
+			r.Data, err = e.decode(raw.Data)
+			return err
+		}
+	}
+	return fmt.Errorf("unknown experiment %q", r.Experiment)
 }
 
 // Document is the top-level machine-readable output of a bench run.

@@ -96,16 +96,9 @@ func TestTraceContainsAllMoveSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var doc struct {
-		Schema      string `json:"schema"`
-		Version     int    `json:"version"`
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
+	var doc obs.TraceDoc
+	if err := obs.DecodeStrict(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace does not decode as an obs.TraceDoc: %v", err)
 	}
 	if doc.Schema != obs.TraceSchema || doc.Version != obs.TraceSchemaVersion {
 		t.Errorf("trace schema = %s v%d, want %s v%d",

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"carat/internal/obs"
 )
 
 // Result is what every experiment produces: a typed, JSON-encodable value
@@ -20,43 +22,45 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(o Options) (Result, error)
+	// decode strictly decodes the Data of this experiment's
+	// ExperimentResult into the type Run returns.
+	decode func(data []byte) (Result, error)
+}
+
+// experiment declares an experiment by its typed runner, which also fixes
+// the Go type its Data decodes into.
+func experiment[R Result](id, title string, run func(Options) (R, error)) Experiment {
+	return Experiment{ID: id, Title: title,
+		Run: func(o Options) (Result, error) { return run(o) },
+		decode: func(data []byte) (Result, error) {
+			var r R
+			err := obs.DecodeStrict(data, &r)
+			return r, err
+		},
+	}
 }
 
 // Experiments lists every experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"fig2", "L1 DTLB misses per 1000 instructions",
-			func(o Options) (Result, error) { return Fig2(o) }},
-		{"table1", "Effectiveness of compiler optimizations",
-			func(o Options) (Result, error) { return Table1(o) }},
-		{"fig3a", "Guard overhead, general optimizations",
-			func(o Options) (Result, error) { return Fig3(o, false) }},
-		{"fig3b", "Guard overhead, CARAT optimizations",
-			func(o Options) (Result, error) { return Fig3(o, true) }},
-		{"fig4", "Multi-region software guard cost",
-			func(o Options) (Result, error) { return Fig4(o) }},
-		{"table2", "Page allocation and movement rates",
-			func(o Options) (Result, error) { return Table2(o) }},
-		{"fig5", "Escapes per allocation",
-			func(o Options) (Result, error) { return Fig5(o) }},
-		{"fig6", "Memory overhead of tracking",
-			func(o Options) (Result, error) { return Fig6(o) }},
-		{"fig7", "Time overhead of tracking",
-			func(o Options) (Result, error) { return Fig7(o) }},
-		{"fig9", "Worst-case page movement overheads",
-			func(o Options) (Result, error) { return Fig9(o) }},
-		{"table3", "Per-move cycle breakdown",
-			func(o Options) (Result, error) { return Table3(o) }},
-		{"abl-alloc", "Ablation: allocation- vs page-granularity moves",
-			func(o Options) (Result, error) { return AblationAllocGranularity(o) }},
-		{"abl-capsule", "Ablation: capsule vs multi-region layout",
-			func(o Options) (Result, error) { return AblationCapsule(o) }},
-		{"defrag", "Policy daemon: defragmentation to a superpage run",
-			func(o Options) (Result, error) { return Defrag(o) }},
-		{"tiering", "Policy daemon: hot/cold tiering via swap",
-			func(o Options) (Result, error) { return Tiering(o) }},
-		{"policy", "Policy daemon: multi-process pressure, all policies",
-			func(o Options) (Result, error) { return Policy(o) }},
+		experiment("fig2", "L1 DTLB misses per 1000 instructions", Fig2),
+		experiment("table1", "Effectiveness of compiler optimizations", Table1),
+		experiment("fig3a", "Guard overhead, general optimizations",
+			func(o Options) (*Fig3Result, error) { return Fig3(o, false) }),
+		experiment("fig3b", "Guard overhead, CARAT optimizations",
+			func(o Options) (*Fig3Result, error) { return Fig3(o, true) }),
+		experiment("fig4", "Multi-region software guard cost", Fig4),
+		experiment("table2", "Page allocation and movement rates", Table2),
+		experiment("fig5", "Escapes per allocation", Fig5),
+		experiment("fig6", "Memory overhead of tracking", Fig6),
+		experiment("fig7", "Time overhead of tracking", Fig7),
+		experiment("fig9", "Worst-case page movement overheads", Fig9),
+		experiment("table3", "Per-move cycle breakdown", Table3),
+		experiment("abl-alloc", "Ablation: allocation- vs page-granularity moves", AblationAllocGranularity),
+		experiment("abl-capsule", "Ablation: capsule vs multi-region layout", AblationCapsule),
+		experiment("defrag", "Policy daemon: defragmentation to a superpage run", Defrag),
+		experiment("tiering", "Policy daemon: hot/cold tiering via swap", Tiering),
+		experiment("policy", "Policy daemon: multi-process pressure, all policies", Policy),
 	}
 }
 

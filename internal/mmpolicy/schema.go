@@ -2,6 +2,7 @@ package mmpolicy
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"carat/internal/kernel"
@@ -108,6 +109,21 @@ func (d *Daemon) Report() *Document {
 		doc.PauseP99Cycles = ps.P99
 	}
 	return doc
+}
+
+// Validate checks the document against itself: the first-class
+// pause_p99_cycles column agrees with the pause_cycles histogram, and is
+// zero when no pauses were recorded.
+func (doc *Document) Validate() error {
+	var p99 float64
+	if doc.PauseCycles != nil && doc.PauseCycles.Count > 0 {
+		p99 = doc.PauseCycles.P99
+	}
+	if doc.PauseP99Cycles != p99 {
+		return fmt.Errorf("pause_p99_cycles %.0f disagrees with the pause_cycles p99 %.0f",
+			doc.PauseP99Cycles, p99)
+	}
+	return nil
 }
 
 // WriteJSON writes the document as indented JSON.

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // Category buckets a modeled cycle by what the machine was doing when it
 // was spent. The VM interpreter attributes every cycle it charges to
@@ -108,12 +105,15 @@ func (p *CycleProfile) ByCategory() map[string]uint64 {
 	return m
 }
 
-// MarshalJSON encodes the profile as {"categories":{...},"functions":[...]}.
-func (p *CycleProfile) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Categories map[string]uint64 `json:"categories"`
-		Functions  []*FuncProfile    `json:"functions,omitempty"`
-	}{p.ByCategory(), p.Funcs()})
+// CycleBreakdown is a profile as a report carries it.
+type CycleBreakdown struct {
+	Categories map[string]uint64 `json:"categories"`
+	Functions  []*FuncProfile    `json:"functions,omitempty"`
+}
+
+// Breakdown returns the profile's categories and named function buckets.
+func (p *CycleProfile) Breakdown() CycleBreakdown {
+	return CycleBreakdown{p.ByCategory(), p.Funcs()}
 }
 
 // Publish adds carat.vm.cycles.<category> for every category that charged

@@ -46,15 +46,12 @@ func TestCycleProfile(t *testing.T) {
 		t.Fatalf("by-category = %v", bc)
 	}
 
-	data, err := json.Marshal(p)
+	data, err := json.Marshal(p.Breakdown())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Categories map[string]uint64 `json:"categories"`
-		Functions  []FuncProfile     `json:"functions"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
+	var out CycleBreakdown
+	if err := DecodeStrict(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Categories["compute"] != 100 || len(out.Functions) != 2 {

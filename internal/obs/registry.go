@@ -15,6 +15,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -389,6 +390,16 @@ type MetricsDocument struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
 	Snapshot
+}
+
+// DecodeStrict decodes one JSON document into v, rejecting any field v's
+// type does not declare: the Go type is a carat.* document's one schema
+// declaration, so a renamed or misspelled field fails here instead of
+// silently reading zero.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // WriteJSON writes the registry's snapshot as an indented, versioned JSON

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -41,7 +42,7 @@ import (
 // DefaultSampleInterval is the default sampling period in model cycles.
 const DefaultSampleInterval = 4096
 
-// Profile document schema identifiers (validated by scripts/validatejson).
+// Profile document schema identifiers (see DESIGN.md "Observability").
 const (
 	ProfileSchema        = "carat.profile"
 	ProfileSchemaVersion = 1
@@ -167,7 +168,7 @@ type FoldedStack struct {
 	Samples uint64 `json:"samples"`
 }
 
-// ProfileDoc is the versioned machine-readable profile (carat.profile v1):
+// ProfileDoc is the versioned machine-readable profile (ProfileSchema):
 // folded stacks plus the sample metadata needed to reconstruct cycles
 // (cycles ≈ samples * interval_cycles).
 type ProfileDoc struct {
@@ -223,6 +224,29 @@ func (s *Sampler) Snapshot() *ProfileDoc {
 		return a.Phase < b.Phase
 	})
 	return doc
+}
+
+// Validate checks the profile against itself: every stack names its phase,
+// and the stacks and the per-phase totals each sum to total_samples.
+func (doc *ProfileDoc) Validate() error {
+	if doc.IntervalCycles == 0 {
+		return fmt.Errorf("interval_cycles is zero")
+	}
+	var stackSum, phaseSum uint64
+	for _, s := range doc.Stacks {
+		if s.Phase == "" {
+			return fmt.Errorf("stack %q has no phase", s.Stack)
+		}
+		stackSum += s.Samples
+	}
+	for _, n := range doc.PhaseTotals {
+		phaseSum += n
+	}
+	if stackSum != doc.TotalSamples || phaseSum != doc.TotalSamples {
+		return fmt.Errorf("stacks sum to %d samples and phase_totals to %d, total_samples says %d",
+			stackSum, phaseSum, doc.TotalSamples)
+	}
+	return nil
 }
 
 // PhaseSamples returns the current per-phase sample totals (a cheap

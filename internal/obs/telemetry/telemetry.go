@@ -8,9 +8,9 @@
 //
 //	/metrics   Prometheus text exposition (version 0.0.4) of every
 //	           counter, gauge, and histogram in the registry
-//	/profile   carat.profile v1 JSON (default) or raw folded stacks
+//	/profile   obs.ProfileDoc JSON (default) or raw folded stacks
 //	           with ?format=folded — flamegraph.pl-compatible
-//	/trace     carat.trace v1 JSON holding the events emitted during a
+//	/trace     an obs.TraceDoc holding the events emitted during a
 //	           ?sec=N host-time window (requires an attached tracer)
 //	/healthz   liveness: always 200 once the server is up
 //	/readyz    readiness: 503 until the host process calls SetReady —
@@ -23,7 +23,9 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -122,18 +124,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var doc *obs.ProfileDoc
-	if s.Sampler != nil {
-		doc = s.Sampler.Snapshot()
-	} else {
-		doc = &obs.ProfileDoc{
-			Schema:         obs.ProfileSchema,
-			Version:        obs.ProfileSchemaVersion,
-			Stacks:         []obs.FoldedStack{},
-			PhaseTotals:    map[string]uint64{},
-			IntervalCycles: obs.DefaultSampleInterval,
-		}
+	sampler := s.Sampler
+	if sampler == nil {
+		sampler = obs.NewSampler(0) // an empty profile
 	}
+	doc := sampler.Snapshot()
 	if r.URL.Query().Get("format") == "folded" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		doc.WriteFolded(w) //nolint:errcheck // best-effort over HTTP
@@ -271,4 +266,77 @@ func promLe(le uint64) string {
 		return strconv.FormatFloat(math.MaxFloat64, 'g', -1, 64)
 	}
 	return strconv.FormatUint(le, 10)
+}
+
+// ValidatePrometheus checks text exposition format as WritePrometheus
+// writes it: every sample line is `name[{labels}] value`, follows a # TYPE
+// header for its family, and every histogram family ends its bucket series
+// with le="+Inf".
+func ValidatePrometheus(r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	typed := map[string]string{} // family -> counter|gauge|histogram
+	sawInf := map[string]bool{}
+	samples := 0
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Text()
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			if f := strings.Fields(line); len(f) >= 4 && f[1] == "TYPE" {
+				typed[f[2]] = f[3]
+			}
+			continue
+		}
+		metric, value, ok := splitPromSample(line)
+		if !ok {
+			return fmt.Errorf("line %d: malformed sample %q", lineNo, line)
+		}
+		if _, err := strconv.ParseFloat(value, 64); err != nil {
+			return fmt.Errorf("line %d: bad value %q: %v", lineNo, value, err)
+		}
+		family := metric
+		if i := strings.IndexByte(metric, '{'); i >= 0 {
+			family = metric[:i]
+			if metric[len(metric)-1] != '}' {
+				return fmt.Errorf("line %d: unterminated label set in %q", lineNo, metric)
+			}
+			sawInf[family] = sawInf[family] || strings.Contains(metric[i:], `le="+Inf"`)
+		}
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(family, "_bucket"), "_sum"), "_count")
+		if typed[family] == "" && typed[base] == "" {
+			return fmt.Errorf("line %d: sample %q has no # TYPE header", lineNo, family)
+		}
+		samples++
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	for fam, typ := range typed {
+		if typ == "histogram" && !sawInf[fam+"_bucket"] {
+			return fmt.Errorf("histogram %s has no le=\"+Inf\" bucket", fam)
+		}
+	}
+	if samples == 0 {
+		return fmt.Errorf("no samples")
+	}
+	return nil
+}
+
+// splitPromSample splits a sample line into metric (with any label set)
+// and value, tolerating spaces inside quoted label values and dropping a
+// trailing timestamp.
+func splitPromSample(line string) (metric, value string, ok bool) {
+	inQuote := false
+	for i := 0; i < len(line); i++ {
+		switch {
+		case line[i] == '"' && (i == 0 || line[i-1] != '\\'):
+			inQuote = !inQuote
+		case line[i] == ' ' && !inQuote:
+			value, _, _ = strings.Cut(strings.TrimSpace(line[i:]), " ")
+			return line[:i], value, value != ""
+		}
+	}
+	return "", "", false
 }

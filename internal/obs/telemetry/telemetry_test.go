@@ -91,6 +91,25 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
 	}
+	if err := ValidatePrometheus(strings.NewReader(body)); err != nil {
+		t.Errorf("/metrics is not valid exposition format: %v", err)
+	}
+}
+
+// TestValidatePrometheusRefuses: each malformed exposition is refused.
+func TestValidatePrometheusRefuses(t *testing.T) {
+	for name, text := range map[string]string{
+		"empty":             "",
+		"no TYPE header":    "carat_x 1\n",
+		"bad value":         "# TYPE carat_x counter\ncarat_x one\n",
+		"no value":          "# TYPE carat_x counter\ncarat_x\n",
+		"open label set":    "# TYPE carat_h histogram\ncarat_h_bucket{le=\"1\" 1\n",
+		"histogram no +Inf": "# TYPE carat_h histogram\ncarat_h_bucket{le=\"1\"} 1\ncarat_h_count 1\n",
+	} {
+		if ValidatePrometheus(strings.NewReader(text)) == nil {
+			t.Errorf("%s: accepted %q", name, text)
+		}
+	}
 }
 
 func TestProfileEndpoint(t *testing.T) {
@@ -144,6 +163,9 @@ func TestProfileEndpointNoSampler(t *testing.T) {
 	}
 	if doc.TotalSamples != 0 {
 		t.Errorf("empty profile has %d samples", doc.TotalSamples)
+	}
+	if err := doc.Validate(); err != nil {
+		t.Errorf("empty profile: %v", err)
 	}
 }
 

@@ -60,8 +60,7 @@ func NewTracer(w io.Writer, clock func() uint64) *Tracer {
 	t := &Tracer{traceSink: &traceSink{first: true}, clock: clock}
 	if w != nil {
 		t.w = bufio.NewWriter(w)
-		fmt.Fprintf(t.w, "{\"schema\":%q,\"version\":%d,\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
-			TraceSchema, TraceSchemaVersion)
+		t.w.WriteString(TraceHeader())
 	}
 	return t
 }
@@ -79,14 +78,37 @@ func (t *Tracer) SetTap(tap func(body string)) {
 	t.mu.Unlock()
 }
 
-// TraceHeader returns the opening of a carat.trace v1 document, for
-// callers re-framing tapped events into a complete trace.
+// TraceDoc is a carat.trace document as it decodes. Every event the tracer
+// writes is a TraceEvent.
+type TraceDoc struct {
+	Schema          string       `json:"schema"`
+	Version         int          `json:"version"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
+}
+
+// TraceEvent is one trace_event object: a span (ph "X"), an instant (ph
+// "i", scope s "t") or a process-name record (ph "M").
+type TraceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	S    string         `json:"s,omitempty"`
+	TS   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// TraceHeader returns the opening of a carat.trace document, for the tracer
+// and for callers re-framing tapped events into a complete trace.
 func TraceHeader() string {
 	return fmt.Sprintf("{\"schema\":%q,\"version\":%d,\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
 		TraceSchema, TraceSchemaVersion)
 }
 
-// TraceFooter returns the closing of a carat.trace v1 document.
+// TraceFooter returns the closing of a carat.trace document.
 func TraceFooter() string { return "\n]}\n" }
 
 // Now reads this lane's simulated-cycle clock (0 when it has none or the
@@ -234,7 +256,7 @@ func (t *Tracer) Close() error {
 	if t.w == nil {
 		return t.err
 	}
-	t.w.WriteString("\n]}\n")
+	t.w.WriteString(TraceFooter())
 	if err := t.w.Flush(); err != nil && t.err == nil {
 		t.err = err
 	}

@@ -51,20 +51,9 @@ func TestTraceGolden(t *testing.T) {
 func TestTraceParsesAsChromeFormat(t *testing.T) {
 	var b strings.Builder
 	buildSampleTrace(&b)
-	var doc struct {
-		Schema      string `json:"schema"`
-		Version     int    `json:"version"`
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Ts   uint64         `json:"ts"`
-			Dur  uint64         `json:"dur"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("trace does not parse as JSON: %v\n%s", err, b.String())
+	var doc TraceDoc
+	if err := DecodeStrict([]byte(b.String()), &doc); err != nil {
+		t.Fatalf("trace does not decode as a TraceDoc: %v\n%s", err, b.String())
 	}
 	if doc.Schema != TraceSchema || doc.Version != TraceSchemaVersion {
 		t.Fatalf("schema = %q v%d", doc.Schema, doc.Version)
@@ -76,14 +65,14 @@ func TestTraceParsesAsChromeFormat(t *testing.T) {
 		t.Fatalf("first event should be process metadata, got %+v", doc.TraceEvents[0])
 	}
 	span := doc.TraceEvents[2]
-	if span.Name != "move.copy_data" || span.Ph != "X" || span.Ts != 150 || span.Dur != 4096 {
+	if span.Name != "move.copy_data" || span.Ph != "X" || span.TS != 150 || span.Dur != 4096 {
 		t.Fatalf("span = %+v", span)
 	}
 	if span.Args["bytes"].(float64) != 4096 || span.Args["dry"].(bool) != false {
 		t.Fatalf("span args = %+v", span.Args)
 	}
 	inst := doc.TraceEvents[3]
-	if inst.Name != "guard.fault" || inst.Ph != "i" || inst.Ts != 5000 {
+	if inst.Name != "guard.fault" || inst.Ph != "i" || inst.TS != 5000 {
 		t.Fatalf("instant = %+v", inst)
 	}
 }

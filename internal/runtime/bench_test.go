@@ -111,45 +111,27 @@ func BenchmarkPageMove(b *testing.B) {
 	}
 }
 
-// BenchmarkWorstCasePage prices choosing what an injected move moves, with
-// 0 or 512 random escape counts changed between two picks (untimed): the
-// pick is one descent along the subtree maxima, which every change keeps
-// current, so ns/op must be flat in both table size and changes.
+// BenchmarkWorstCasePage prices choosing what an injected move moves: the
+// pick is one descent along the subtree maxima, so ns/op must be flat in
+// table size.
 func BenchmarkWorstCasePage(b *testing.B) {
 	for _, n := range []uint64{1_000, 100_000} {
-		for _, changes := range []int{0, 512} {
-			b.Run(fmt.Sprintf("%dk-allocs/%d-changes", n/1000, changes), func(b *testing.B) {
-				_, rt, base := benchMachine(b, 64<<20)
-				extra := base + 24<<20 // one toggled escape per allocation
-				for i := uint64(0); i < n; i++ {
-					obj := base + i*64
-					must(b, rt.TrackAlloc(obj, 48))
-					for j := uint64(0); j < i%4; j++ { // 0–3 escapes each
-						rt.TrackEscape(base+16<<20+(i*4+j)*40, obj)
-					}
+		b.Run(fmt.Sprintf("%dk-allocs", n/1000), func(b *testing.B) {
+			_, rt, base := benchMachine(b, 64<<20)
+			for i := uint64(0); i < n; i++ {
+				obj := base + i*64
+				must(b, rt.TrackAlloc(obj, 48))
+				for j := uint64(0); j < i%4; j++ { // 0–3 escapes each
+					rt.TrackEscape(base+16<<20+(i*4+j)*40, obj)
 				}
-				rng := rand.New(rand.NewSource(1))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if changes > 0 {
-						b.StopTimer()
-						for c := 0; c < changes; c++ {
-							obj := uint64(rng.Int63n(int64(n)))
-							loc := extra + obj*8
-							if _, ok := rt.Table.EscapeTarget(loc); ok {
-								rt.Table.RemoveEscape(loc)
-							} else {
-								rt.Table.AddEscape(loc, base+obj*64)
-							}
-						}
-						b.StartTimer()
-					}
-					if _, ok := rt.WorstCasePage(); !ok {
-						b.Fatal("no page")
-					}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := rt.WorstCasePage(); !ok {
+					b.Fatal("no page")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

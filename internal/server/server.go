@@ -365,8 +365,16 @@ type runRequest struct {
 	Seed int64 `json:"seed"`
 }
 
-// runResponse is the carat.server.result v1 document.
-type runResponse struct {
+// Run result schema identifiers (see DESIGN.md "Observability"). Bump
+// ResultVersion on any incompatible field change.
+const (
+	ResultSchema  = "carat.server.result"
+	ResultVersion = 1
+)
+
+// RunResult is the carat.server.result document: the body of a successful
+// POST /v1/run.
+type RunResult struct {
 	Schema      string  `json:"schema"`
 	Version     int     `json:"version"`
 	Ref         string  `json:"ref"`
@@ -522,7 +530,7 @@ func (s *Server) handleModules(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun executes a module as a fresh kernel.Process on the shared
-// machine and returns the carat.server.result v1 document.
+// machine and returns its RunResult.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decode(w, r)
 	if !ok {
@@ -592,9 +600,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Histogram("carat.server.exec_cycles").Observe(v.Cycles)
 
-	resp := runResponse{
-		Schema:      "carat.server.result",
-		Version:     1,
+	resp := RunResult{
+		Schema:      ResultSchema,
+		Version:     ResultVersion,
 		Ref:         entry.ref,
 		Cached:      cached,
 		Seed:        req.Seed,
@@ -612,7 +620,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // digest fingerprints the modeled result: every field that must be
 // byte-identical for identical (module, seed) requests regardless of
 // concurrency. Wall time and cache state are deliberately excluded.
-func digest(r *runResponse) string {
+func digest(r *RunResult) string {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {

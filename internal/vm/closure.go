@@ -243,11 +243,14 @@ type cop int32
 
 func (o cop) get(fr *frame) uint64 { return fr.regs[o] }
 
-// constBits is a constant's register image: an integer's two's complement,
-// a float's IEEE bits.
+// constBits is a constant's register image: an integer's two's complement
+// (an i1's 0 or 1, as narrow holds it), a float's IEEE bits.
 func constBits(c *ir.Const) uint64 {
 	if c.Typ.IsFloat() {
 		return math.Float64bits(c.Float)
+	}
+	if c.Typ.Bits == 1 {
+		return uint64(c.Int) & 1
 	}
 	return uint64(c.Int)
 }
@@ -802,7 +805,7 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = uint64(signExtend(a.get(fr), bits))
+			fr.regs[dst] = narrow(a.get(fr), bits)
 		}
 	case ir.OpZExt:
 		a := cf.operand(in.Args[0])
@@ -835,7 +838,7 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = maskSigned(int64(math.Float64frombits(a.get(fr))), bits)
+			fr.regs[dst] = narrow(uint64(int64(math.Float64frombits(a.get(fr)))), bits)
 		}
 
 	case ir.OpGEP:
@@ -1227,7 +1230,7 @@ func (s *accSite) cold(e *cenv) error {
 	}
 	raw := e.mem.LoadN(pa, int(s.w))
 	if s.signed {
-		raw = uint64(signExtend(raw, int(s.srcBits)))
+		raw = narrow(raw, int(s.srcBits))
 	}
 	if s.dst >= 0 {
 		fr.regs[s.dst] = raw

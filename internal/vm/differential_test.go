@@ -20,6 +20,7 @@ import (
 // mask-bounded so the program is memory-safe by construction; indices mix
 // loop induction variables, loaded values, and RNG state.
 func genProgram(seed int64) *ir.Module {
+	const innerMark = 0x5eed
 	rng := rand.New(rand.NewSource(seed))
 	m := ir.NewModule("fuzz")
 	malloc := m.DeclareFunc(ir.FnMalloc, ir.Ptr, ir.I64)
@@ -36,12 +37,16 @@ func genProgram(seed int64) *ir.Module {
 	f := m.AddFunc("main", ir.I64)
 	b := ir.NewBuilder(f)
 
-	// Optionally allocate a heap buffer and escape it.
-	var heapBuf ir.Value
+	// Optionally allocate a heap buffer and escape it, and a second block
+	// whose pointer lives in the buffer's word past its masked array: an
+	// escape inside the buffer, which a move or swap of it must carry.
 	useHeap := rng.Intn(2) == 0
 	if useHeap {
-		heapBuf = b.Call(malloc, b.I64(arrLen*8))
+		heapBuf := b.Call(malloc, b.I64((arrLen+1)*8))
 		b.Store(heapBuf, slot)
+		inner := b.Call(malloc, b.I64(64))
+		b.Store(b.I64(innerMark), inner)
+		b.Store(inner, b.GEP(ir.Ptr, heapBuf, b.I64(arrLen)))
 	}
 
 	// acc accumulates everything the program computes.
@@ -126,6 +131,9 @@ func genProgram(seed int64) *ir.Module {
 			cur := b.Load(ir.I64, acc)
 			b.Store(b.Xor(cur, b.Add(x, i)), acc)
 		})
+		inner := b.Load(ir.Ptr, b.GEP(ir.Ptr, hb, b.I64(arrLen)))
+		b.Store(b.Add(b.Load(ir.I64, acc), b.Load(ir.I64, inner)), acc)
+		b.Call(freeFn, inner)
 		b.Call(freeFn, hb)
 	}
 	b.Ret(b.Load(ir.I64, acc))

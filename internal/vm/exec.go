@@ -171,8 +171,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		a := v.val(fr, in.Args[0])
 		switch in.Op {
 		case ir.OpTrunc:
-			// Values are stored sign-extended per their width.
-			set(uint64(signExtend(a, in.Typ.Bits)))
+			set(narrow(a, in.Typ.Bits))
 		case ir.OpZExt:
 			// Zero-extension reads the source's width-masked bits.
 			set(maskToWidth(a, in.Args[0].Type().Bits))
@@ -183,7 +182,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		case ir.OpSIToFP:
 			set(math.Float64bits(float64(int64(a))))
 		case ir.OpFPToSI:
-			set(maskSigned(int64(math.Float64frombits(a)), in.Typ.Bits))
+			set(narrow(uint64(int64(math.Float64frombits(a))), in.Typ.Bits))
 		}
 		return nil
 
@@ -208,7 +207,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		}
 		raw := v.kern.Mem.LoadN(paddr, n) // Verify: n is 1, 2, 4 or 8
 		if in.Elem.IsInt() {
-			raw = uint64(signExtend(raw, in.Elem.Bits))
+			raw = narrow(raw, in.Elem.Bits)
 		}
 		set(raw)
 		return nil
@@ -524,8 +523,15 @@ func signExtend(v uint64, bits int) int64 {
 	return int64(v<<shift) >> shift
 }
 
-func maskSigned(v int64, bits int) uint64 {
-	return uint64(signExtend(uint64(v), bits))
+// narrow is how a register holds a bits-wide integer: sign-extended, except
+// that an i1 holds 0 or 1, the encoding icmp and fcmp produce and the
+// constant folder assumes. One encoding of true means a truncated, a
+// computed and a compared bool compare equal and store the same byte.
+func narrow(v uint64, bits int) uint64 {
+	if bits == 1 {
+		return v & 1
+	}
+	return uint64(signExtend(v, bits))
 }
 
 func intBinop(op ir.Op, a, b uint64, bits int) (uint64, error) {
@@ -573,7 +579,7 @@ func intBinop(op ir.Op, a, b uint64, bits int) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("bad binop %v", op)
 	}
-	return maskSigned(r, bits), nil
+	return narrow(uint64(r), bits), nil
 }
 
 func icmp(p ir.Pred, a, b uint64) bool {

@@ -131,8 +131,11 @@ func swapPolicy(v *VM) {
 }
 
 // TestMovesCorpusSwaps: a corpus seed whose swap leg swaps nothing compares
-// two plain runs, and covers neither swap direction.
+// two plain runs, and covers neither swap direction. And some seed's swaps
+// must carry an escape inside the swapped allocation (genProgram's second
+// block), or the leg never checks that one is patched.
 func TestMovesCorpusSwaps(t *testing.T) {
+	var rebased uint64
 	for _, seed := range movesCorpus {
 		if staticsSeeds[seed] {
 			continue
@@ -145,6 +148,11 @@ func TestMovesCorpusSwaps(t *testing.T) {
 		if n := v.Runtime().Stats.SwapOuts.Get(); n == 0 {
 			t.Errorf("seed %d: the swap leg made no swap-out", seed)
 		}
+		t.Logf("seed %d: %d escape locations rebased", seed, v.Runtime().Stats.RebaseMoved.Get())
+		rebased += v.Runtime().Stats.RebaseMoved.Get()
+	}
+	if rebased == 0 {
+		t.Error("no corpus seed's swap leg moved an escape location inside a swapped allocation")
 	}
 }
 

@@ -622,3 +622,69 @@ loop:
 		t.Errorf("infinite loop: %v", err)
 	}
 }
+
+// TestBoolEncodingsAgree: an i1 true is one value whichever instruction
+// produced it — icmp, trunc, or i1 arithmetic (xor) — so eq, ne and slt
+// between them, the fused compare-and-branch included, answer the same on
+// both engines, and a stored i1 reads back as the byte 1.
+func TestBoolEncodingsAgree(t *testing.T) {
+	const src = `module "bools"
+global @g : i64
+global @b : [8 x i8]
+func @main() -> i64 {
+entry:
+  store i64 1, @g
+  %one = load i64, @g
+  %zero = sub i64 %one, %one
+  %t = trunc i64 %one to i1
+  %c = icmp eq i64 %one, %one
+  %f = trunc i64 %zero to i1
+  %x = xor i1 %f, 1
+  %e1 = icmp eq i1 %t, %c
+  %e2 = icmp eq i1 %x, %c
+  %n1 = icmp ne i1 %t, %x
+  %s1 = icmp slt i1 %t, %c
+  %s2 = icmp slt i1 %c, %x
+  %q0 = gep i8, @b, 0
+  store i1 %t, %q0
+  %q1 = gep i8, @b, 1
+  store i1 %x, %q1
+  %b0 = load i8, %q0
+  %b1 = load i8, %q1
+  %z1 = zext i1 %e1 to i64
+  %z2 = zext i1 %e2 to i64
+  %z3 = zext i1 %n1 to i64
+  %z4 = zext i1 %s1 to i64
+  %z5 = zext i1 %s2 to i64
+  %w0 = sext i8 %b0 to i64
+  %w1 = sext i8 %b1 to i64
+  %r2 = mul i64 %z2, 10
+  %r3 = mul i64 %z3, 100
+  %r4 = mul i64 %z4, 1000
+  %r5 = mul i64 %z5, 10000
+  %r6 = mul i64 %w0, 100000
+  %r7 = mul i64 %w1, 1000000
+  %a1 = add i64 %z1, %r2
+  %a2 = add i64 %a1, %r3
+  %a3 = add i64 %a2, %r4
+  %a4 = add i64 %a3, %r5
+  %a5 = add i64 %a4, %r6
+  %a6 = add i64 %a5, %r7
+  %e3 = icmp eq i1 %t, %x
+  condbr %e3, ^same, ^differ
+same:
+  ret i64 %a6
+differ:
+  ret i64 -1
+}`
+	for _, engine := range []bool{reference, compiled} {
+		cfg := DefaultConfig()
+		cfg.MemBytes, cfg.HeapBytes = 1<<22, 1<<18
+		cfg.Closure = engine
+		_, got := run(t, compile(t, src, passes.LevelNone), cfg)
+		// e1, e2 true; ne and both slt false; both stored bytes 1.
+		if want := int64(1_100_011); got != want {
+			t.Errorf("compiled=%v: got %d, want %d", engine, got, want)
+		}
+	}
+}
