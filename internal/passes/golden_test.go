@@ -106,6 +106,114 @@ join:
   ret i64 %sum
 }`
 
+// loopShapesSrc holds the loop shapes whose code moves between blocks: a
+// chain of invariant adds each using the one before it (LICM hoists the whole
+// chain into the preheader), a store to an invariant address two loops deep
+// (its guard hoists one level per sweep), an affine walk over an i32
+// induction variable from a non-constant start to a non-constant bound (the
+// range guard's bounds are sign-extended in the preheader) beside a load and
+// a store at a masked index (constant range guards), and one block computing
+// an address several times over (CSE within the block).
+const loopShapesSrc = `module "loops"
+global @tbl : [16 x i64]
+func @chain(%x: i64, %n: i64) -> i64 {
+entry:
+  br ^head
+head:
+  %i = phi i64 [0, ^entry], [%i1, ^body]
+  %acc = phi i64 [0, ^entry], [%acc1, ^body]
+  %c = icmp slt i64 %i, %n
+  condbr %c, ^body, ^exit
+body:
+  %k1 = add i64 %x, 3
+  %k2 = mul i64 %k1, %x
+  %k3 = xor i64 %k2, 7
+  %k4 = add i64 %k3, %k1
+  %acc1 = add i64 %acc, %k4
+  %i1 = add i64 %i, 1
+  br ^head
+exit:
+  ret i64 %acc
+}
+func @nest(%p: ptr, %n: i64, %m: i64) -> void {
+entry:
+  br ^outer
+outer:
+  %i = phi i64 [0, ^entry], [%i1, ^olatch]
+  %ci = icmp slt i64 %i, %n
+  condbr %ci, ^opre, ^exit
+opre:
+  br ^inner
+inner:
+  %j = phi i64 [0, ^opre], [%j1, ^ibody]
+  %cj = icmp slt i64 %j, %m
+  condbr %cj, ^ibody, ^olatch
+ibody:
+  store i64 %j, %p
+  %j1 = add i64 %j, 1
+  br ^inner
+olatch:
+  %i1 = add i64 %i, 1
+  br ^outer
+exit:
+  ret void
+}
+func @affine(%a: ptr, %s: i32, %n: i32) -> i64 {
+entry:
+  br ^head
+head:
+  %i = phi i32 [%s, ^entry], [%i1, ^body]
+  %acc = phi i64 [0, ^entry], [%acc1, ^body]
+  %c = icmp slt i32 %i, %n
+  condbr %c, ^body, ^exit
+body:
+  %ix = sext i32 %i to i64
+  %q = gep i64, %a, %ix
+  %v = load i64, %q
+  %v1 = add i64 %v, 1
+  store i64 %v1, %q
+  %h = mul i64 %ix, 7
+  %r = and i64 %h, 15
+  %t = gep i64, @tbl, %r
+  %w = load i64, %t
+  store i64 %v, %t
+  %acc1 = add i64 %acc, %w
+  %i1 = add i32 %i, 1
+  br ^head
+exit:
+  ret i64 %acc
+}
+func @repeat(%a: ptr, %k: i64) -> i64 {
+entry:
+  %p1 = gep i64, %a, %k
+  %l1 = load i64, %p1
+  %p2 = gep i64, %a, %k
+  %l2 = load i64, %p2
+  %p3 = gep i64, %a, %k
+  %l3 = load i64, %p3
+  %s1 = add i64 %l1, %l2
+  %s2 = add i64 %s1, %l3
+  ret i64 %s2
+}`
+
+// localsSrc is CARAT-C that declares locals inside a loop body and after a
+// branch: cc gives every local a slot at the head of the entry block, in the
+// order the declarations are lowered.
+const localsSrc = `func main(): int {
+    var n = 5;
+    var total = 0;
+    for (var i = 0; i < n; i = i + 1) {
+        var sq = i * i;
+        total = total + sq;
+    }
+    if (total > 10) {
+        var big = total - 10;
+        total = big;
+    }
+    var last = total * 2;
+    return last;
+}`
+
 // counters renders the exported fields of st as %+v would: the counters are
 // the oracle, how Stats keeps its books while the passes run is not.
 func counters(st passes.Stats) string {
@@ -139,6 +247,14 @@ func pipelineGolden(t *testing.T) string {
 		return m
 	}})
 	inputs = append(inputs, input{"ir:shapes", func() *ir.Module { return ir.MustParse(shapesSrc) }})
+	inputs = append(inputs, input{"ir:loops", func() *ir.Module { return ir.MustParse(loopShapesSrc) }})
+	inputs = append(inputs, input{"cc:locals", func() *ir.Module {
+		m, err := cc.Compile("locals", localsSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}})
 	var sb strings.Builder
 	for _, in := range inputs {
 		for _, lvl := range levels {
