@@ -18,7 +18,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"carat/internal/obs"
 	"carat/internal/server"
 )
 
@@ -107,9 +107,7 @@ func loadConfig(path string, cfg server.Config) (server.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(data), &cfg); err != nil {
 		return cfg, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return cfg, nil

@@ -128,26 +128,6 @@ func TestDominators(t *testing.T) {
 	}
 }
 
-func TestInstrDominates(t *testing.T) {
-	_, f := loopFn(t)
-	c := NewCFG(f)
-	dom := NewDomTree(c)
-	header := blockByName(f, "header")
-	body := blockByName(f, "body")
-	phi := header.Instrs[0]
-	load := body.Instrs[1]
-	if !dom.InstrDominates(phi, load) {
-		t.Error("phi should dominate load in body")
-	}
-	if dom.InstrDominates(load, phi) {
-		t.Error("load should not dominate phi")
-	}
-	cmp := header.Instrs[1]
-	if !dom.InstrDominates(phi, cmp) || dom.InstrDominates(cmp, phi) {
-		t.Error("same-block ordering wrong")
-	}
-}
-
 func TestFindLoops(t *testing.T) {
 	_, f := loopFn(t)
 	c := NewCFG(f)
@@ -726,7 +706,7 @@ func TestLateBornInstructions(t *testing.T) {
 	// invariant and bounded integer, and a variant one.
 	g := f.Mod.Global("a")
 	late := func(in *ir.Instr) *ir.Instr {
-		body.InsertBefore(in, body.Term())
+		body.Insert(len(body.Instrs)-1, in)
 		if int(in.ID) < sized {
 			t.Fatalf("%s got ID %d, inside a table sized %d", in, in.ID, sized)
 		}

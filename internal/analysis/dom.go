@@ -78,20 +78,3 @@ func (d *DomTree) Dominates(a, b *ir.Block) bool {
 		b = next
 	}
 }
-
-// InstrDominates reports whether instruction a dominates instruction b:
-// a and b in the same block with a earlier, or a's block dominating b's.
-func (d *DomTree) InstrDominates(a, b *ir.Instr) bool {
-	if a.Block == b.Block {
-		for _, in := range a.Block.Instrs {
-			if in == a {
-				return true
-			}
-			if in == b {
-				return false
-			}
-		}
-		return false
-	}
-	return d.Dominates(a.Block, b.Block)
-}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,7 +41,7 @@ func (r *ExperimentResult) UnmarshalJSON(b []byte) error {
 		*header
 		Data json.RawMessage `json:"data"`
 	}{header: (*header)(r)}
-	if err := obs.DecodeStrict(b, &raw); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(b), &raw); err != nil {
 		return err
 	}
 	for _, e := range Experiments() {

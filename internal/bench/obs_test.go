@@ -97,7 +97,7 @@ func TestTraceContainsAllMoveSteps(t *testing.T) {
 	}
 
 	var doc obs.TraceDoc
-	if err := obs.DecodeStrict(buf.Bytes(), &doc); err != nil {
+	if err := obs.DecodeStrict(&buf, &doc); err != nil {
 		t.Fatalf("trace does not decode as an obs.TraceDoc: %v", err)
 	}
 	if doc.Schema != obs.TraceSchema || doc.Version != obs.TraceSchemaVersion {

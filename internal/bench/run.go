@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -34,7 +35,7 @@ func experiment[R Result](id, title string, run func(Options) (R, error)) Experi
 		Run: func(o Options) (Result, error) { return run(o) },
 		decode: func(data []byte) (Result, error) {
 			var r R
-			err := obs.DecodeStrict(data, &r)
+			err := obs.DecodeStrict(bytes.NewReader(data), &r)
 			return r, err
 		},
 	}

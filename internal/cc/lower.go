@@ -77,6 +77,9 @@ type lowerer struct {
 	// slots numbers the module's stack slots: value names depend on the
 	// source alone, not on what the process compiled before.
 	slots int
+	// allocas holds the function being lowered's stack slots, in creation
+	// order, for its entry block's head; each function reuses the array.
+	allocas []*ir.Instr
 }
 
 type globalInfo struct {
@@ -150,33 +153,23 @@ func Lower(name string, prog *Program) (*ir.Module, error) {
 // fnLowerer is the per-function lowering state.
 type fnLowerer struct {
 	*lowerer
-	fd      *FuncDecl
-	fn      *ir.Func
-	b       *ir.Builder
-	scopes  []map[string]local
-	done    bool // current block already terminated
-	nAllocs int  // allocas placed at the head of the entry block
+	fd     *FuncDecl
+	fn     *ir.Func
+	b      *ir.Builder
+	scopes []map[string]local
+	done   bool // current block already terminated
 }
 
-// newSlot creates a stack slot in the function's ENTRY block regardless of
+// newSlot creates a stack slot for the function's ENTRY block regardless of
 // the current lowering position: a `var` inside a loop body must not
-// re-alloca every iteration (the frame would grow without bound).
+// re-alloca every iteration (the frame would grow without bound). lowerFunc
+// places every slot at the entry block's head once the body is lowered.
 func (fl *fnLowerer) newSlot(t *ir.Type) ir.Value {
-	in := &ir.Instr{Op: ir.OpAlloca, Name: fl.freshSlotName(), Typ: ir.Ptr,
-		Elem: t, Args: []ir.Value{ir.ConstInt(ir.I64, 1)}}
-	entry := fl.fn.Entry()
-	if fl.nAllocs >= len(entry.Instrs) {
-		entry.Append(in)
-	} else {
-		entry.InsertBefore(in, entry.Instrs[fl.nAllocs])
-	}
-	fl.nAllocs++
-	return in
-}
-
-func (fl *fnLowerer) freshSlotName() string {
 	fl.slots++
-	return fmt.Sprintf("slot%d", fl.slots)
+	in := &ir.Instr{Op: ir.OpAlloca, Name: fmt.Sprintf("slot%d", fl.slots), Typ: ir.Ptr,
+		Elem: t, Args: []ir.Value{ir.ConstInt(ir.I64, 1)}}
+	fl.allocas = append(fl.allocas, in)
+	return in
 }
 
 func (lo *lowerer) lowerFunc(fd *FuncDecl) error {
@@ -204,6 +197,8 @@ func (lo *lowerer) lowerFunc(fd *FuncDecl) error {
 			fl.b.Ret(ir.ConstInt(ir.I64, 0))
 		}
 	}
+	fn.Entry().Insert(0, fl.allocas...)
+	fl.allocas = fl.allocas[:0]
 	return nil
 }
 

@@ -90,12 +90,7 @@ func TestTamperedBinaryRejected(t *testing.T) {
 	// Strip the guards post-signing: a malicious loader bypass attempt.
 	for _, f := range r.Binary.Module.Funcs {
 		for _, b := range f.Blocks {
-			for i := 0; i < len(b.Instrs); i++ {
-				if b.Instrs[i].Op == ir.OpGuard {
-					b.Remove(b.Instrs[i])
-					i--
-				}
-			}
+			b.Edit(func(in *ir.Instr) (_, _ *ir.Instr, keep bool) { return nil, nil, in.Op != ir.OpGuard })
 		}
 	}
 	sys := NewSystem(c, cfg())

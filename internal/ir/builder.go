@@ -129,12 +129,7 @@ func (bld *Builder) GEP(elem *Type, ptr Value, indices ...Value) *Instr {
 func (bld *Builder) Phi(t *Type) *Instr {
 	// Phis must precede non-phi instructions; insert after existing phis.
 	in := &Instr{Op: OpPhi, Typ: t, Name: bld.Fn.uniqueName("v")}
-	phis := bld.Blk.Phis()
-	if len(phis) == len(bld.Blk.Instrs) {
-		bld.Blk.Append(in)
-	} else {
-		bld.Blk.InsertBefore(in, bld.Blk.Instrs[len(phis)])
-	}
+	bld.Blk.Insert(len(bld.Blk.Phis()), in)
 	return in
 }
 

@@ -94,6 +94,17 @@ var predNames = [...]string{
 // a value that is not a predicate.
 func (p Pred) String() string { return nameOf(predNames[:], int(p)) }
 
+// ICmpPred is the predicate an icmp applies to its operands as 64-bit
+// values. An i1 is held as 0 or 1 and a signed predicate reads its true as
+// -1, so on i1 a signed predicate is the unsigned one of the opposite sense
+// (true slt false is 1 ugt 0).
+func (in *Instr) ICmpPred() Pred {
+	if t := in.Args[0].Type(); t.IsInt() && t.Bits == 1 && in.Pred >= PredLT && in.Pred <= PredGE {
+		return [...]Pred{PredUGT, PredUGE, PredULT, PredULE}[in.Pred-PredLT]
+	}
+	return in.Pred
+}
+
 // GuardKind says what kind of access a guard protects; the distinction
 // matters for the cost model and for Table 1/Figure 3 accounting.
 type GuardKind uint8

@@ -3,6 +3,7 @@ package ir
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -400,7 +401,7 @@ join:
 		{"only phi misses an edge", phiFree, "phi has 1 incoming, block has 2 preds", func(m *Module, f *Func) {
 			join := block(f, "join")
 			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1)}, Preds: []*Block{block(f, "a")}}
-			join.InsertBefore(phi, join.Instrs[0])
+			join.Insert(0, phi)
 		}},
 		{"parameter out of place", phiFree, "parameter 0 (%c) has Idx 1", func(m *Module, f *Func) {
 			f.Params[0].Idx = 1
@@ -427,7 +428,7 @@ join:
 			join := block(f, "join")
 			phi := &Instr{Op: OpPhi, Name: "x", Typ: I64, Args: []Value{ConstInt(I64, 1), ConstInt(I64, 2)},
 				Preds: []*Block{block(f, "a"), block(f, "entry")}}
-			join.InsertBefore(phi, join.Instrs[0])
+			join.Insert(0, phi)
 		}},
 	}
 	for _, src := range []string{phiFree, phiful} {
@@ -444,20 +445,29 @@ join:
 	}
 }
 
-func TestBlockInsertRemove(t *testing.T) {
+// TestBlockInsert: a batch lands in order at the index given, at the head,
+// in the middle and at the end, owned by the block and numbered in order.
+func TestBlockInsert(t *testing.T) {
 	m := NewModule("b")
 	f := m.AddFunc("f", Void)
 	b := NewBuilder(f)
 	i1 := b.Add(b.I64(1), b.I64(2))
-	i3 := b.Add(b.I64(3), b.I64(4))
-	i2 := &Instr{Op: OpAdd, Name: "mid", Typ: I64, Args: []Value{ConstInt(I64, 5), ConstInt(I64, 6)}}
-	b.Blk.InsertBefore(i2, i3)
-	if b.Blk.Instrs[1] != i2 {
-		t.Fatal("InsertBefore misplaced instruction")
+	i2 := b.Add(b.I64(3), b.I64(4))
+	add := func(name string) *Instr {
+		return &Instr{Op: OpAdd, Name: name, Typ: I64, Args: []Value{ConstInt(I64, 5), ConstInt(I64, 6)}}
 	}
-	b.Blk.Remove(i2)
-	if len(b.Blk.Instrs) != 2 || b.Blk.Instrs[0] != i1 || b.Blk.Instrs[1] != i3 {
-		t.Fatal("Remove corrupted block")
+	h, m1, m2, e := add("h"), add("m1"), add("m2"), add("e")
+	b.Blk.Insert(1, m1, m2)
+	b.Blk.Insert(0, h)
+	b.Blk.Insert(len(b.Blk.Instrs), e)
+	want := []*Instr{h, i1, m1, m2, i2, e}
+	if !slices.Equal(b.Blk.Instrs, want) {
+		t.Fatalf("block holds %v, want %v", b.Blk.Instrs, want)
+	}
+	for k, in := range []*Instr{m1, m2, h, e} {
+		if in.Block != b.Blk || in.ID != int32(3+k) {
+			t.Errorf("%%%s: block %v, ID %d; want the block and ID %d", in.Name, in.Block, in.ID, 3+k)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -18,7 +19,7 @@ type Block struct {
 }
 
 // adopt makes b the owner of in and numbers in the first time it enters a
-// block. Append, InsertBefore and Edit are the only ways in, all through here.
+// block. Append, Insert and Edit are the only ways in, all through here.
 func (b *Block) adopt(in *Instr) {
 	in.Block = b
 	if in.ID == 0 {
@@ -34,30 +35,15 @@ func (b *Block) Append(in *Instr) *Instr {
 	return in
 }
 
-// InsertBefore inserts in immediately before pos, which must be in b.
-func (b *Block) InsertBefore(in, pos *Instr) {
-	for i, x := range b.Instrs {
-		if x == pos {
-			b.adopt(in)
-			b.Instrs = append(b.Instrs, nil)
-			copy(b.Instrs[i+1:], b.Instrs[i:])
-			b.Instrs[i] = in
-			return
-		}
+// Insert places ins, in order, before the instruction at index i (at the end
+// when i is len(b.Instrs)): one shift of the block's tail for the whole batch,
+// O(n + k). A pass that moves instructions into a block gathers them first
+// and places them with one Insert.
+func (b *Block) Insert(i int, ins ...*Instr) {
+	for _, in := range ins {
+		b.adopt(in)
 	}
-	panic("ir: InsertBefore: position not in block")
-}
-
-// Remove deletes in from the block. It panics if in is not in b.
-func (b *Block) Remove(in *Instr) {
-	for i, x := range b.Instrs {
-		if x == in {
-			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-			in.Block = nil
-			return
-		}
-	}
-	panic("ir: Remove: instruction not in block")
+	b.Instrs = slices.Insert(b.Instrs, i, ins...)
 }
 
 // Edit rebuilds the block's instruction list in one pass. visit is called
@@ -65,8 +51,8 @@ func (b *Block) Remove(in *Instr) {
 // instruction to put immediately before it and one to put immediately after
 // it (nil for none; neither is itself visited), and whether it stays. A pass
 // that touches k instructions of an n-instruction block this way costs
-// O(n + k), where a loop over InsertBefore and Remove costs O(n·k): each of
-// those searches the block and shifts its tail.
+// O(n + k); one that searched the block and shifted its tail per edit would
+// cost O(n·k).
 //
 // The result is written back into the block's own array for as long as the
 // write position stays behind the read position — always, for a visit that

@@ -103,7 +103,7 @@ func verifyFunc(f *Func) error {
 		}
 		for i, in := range b.Instrs {
 			if id := int(in.ID); id <= 0 || id >= len(seen) {
-				return fmt.Errorf("ir: @%s/^%s: %s: ID %d, want 1 to %d (instructions enter a block through Append, InsertBefore or Edit)",
+				return fmt.Errorf("ir: @%s/^%s: %s: ID %d, want 1 to %d (instructions enter a block through Append, Insert or Edit)",
 					f.Name, b.Name, in, id, len(seen)-1)
 			} else if seen[id] {
 				return fmt.Errorf("ir: @%s/^%s: %s: ID %d is another instruction's too", f.Name, b.Name, in, id)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -51,7 +52,7 @@ func TestCycleProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out CycleBreakdown
-	if err := DecodeStrict(data, &out); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Categories["compute"] != 100 || len(out.Functions) != 2 {

@@ -15,8 +15,8 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/bits"
@@ -392,14 +392,21 @@ type MetricsDocument struct {
 	Snapshot
 }
 
-// DecodeStrict decodes one JSON document into v, rejecting any field v's
-// type does not declare: the Go type is a carat.* document's one schema
-// declaration, so a renamed or misspelled field fails here instead of
-// silently reading zero.
-func DecodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+// DecodeStrict decodes one JSON document from r into v, rejecting any field
+// v's type does not declare and anything but white space after it: the Go
+// type is the document's one declaration (a carat.* schema, a config file, a
+// request), so a renamed or misspelled field fails here instead of silently
+// reading zero.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON document")
+	}
+	return nil
 }
 
 // WriteJSON writes the registry's snapshot as an indented, versioned JSON

@@ -52,7 +52,7 @@ func TestTraceParsesAsChromeFormat(t *testing.T) {
 	var b strings.Builder
 	buildSampleTrace(&b)
 	var doc TraceDoc
-	if err := DecodeStrict([]byte(b.String()), &doc); err != nil {
+	if err := DecodeStrict(strings.NewReader(b.String()), &doc); err != nil {
 		t.Fatalf("trace does not decode as a TraceDoc: %v\n%s", err, b.String())
 	}
 	if doc.Schema != TraceSchema || doc.Version != TraceSchemaVersion {

@@ -101,8 +101,9 @@ func foldInstr(in *ir.Instr) *ir.Const {
 	if in.Op == ir.OpICmp {
 		a, okA := in.Args[0].(*ir.Const)
 		b, okB := in.Args[1].(*ir.Const)
-		if okA && okB && a.Typ.IsInt() {
-			return ir.ConstInt(ir.I1, boolToInt(evalICmp(in.Pred, a.Int, b.Int)))
+		if okA && okB && a.Typ.IsInt() { // read at their width, as the engines read them
+			x, y := truncToWidth(a.Int, a.Typ.Bits), truncToWidth(b.Int, a.Typ.Bits)
+			return ir.ConstInt(ir.I1, boolToInt(evalICmp(in.ICmpPred(), x, y)))
 		}
 	}
 	if in.Op.IsBinary() && in.Typ.IsFloat() {
@@ -368,7 +369,10 @@ type cseEntry struct {
 }
 
 // lookup returns the first instruction recorded under in's key that
-// dominates in; when there is none it records in and returns nil.
+// dominates in; when there is none it records in and returns nil. Block
+// dominance decides: the RPO walk records an instruction only after every
+// one before it in its block, so a recorded entry in in's own block precedes
+// it.
 func (t *cseTable) lookup(in *ir.Instr, dom *analysis.DomTree) *ir.Instr {
 	off := len(t.keys)
 	t.keys = exprKey(t.keys, in)
@@ -377,7 +381,7 @@ func (t *cseTable) lookup(in *ir.Instr, dom *analysis.DomTree) *ir.Instr {
 	ch, ok := t.heads[h]
 	for j := ch.first; ok && j >= 0; j = t.entries[j].next {
 		e := &t.entries[j]
-		if string(t.keys[e.off:e.end]) == string(key) && dom.InstrDominates(e.in, in) {
+		if string(t.keys[e.off:e.end]) == string(key) && dom.Dominates(e.in.Block, in.Block) {
 			t.keys = t.keys[:off]
 			return e.in
 		}
@@ -456,52 +460,75 @@ func (*LICM) Preserves() analysis.Preserved {
 func (*LICM) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	cfg := fa.CFG()
 	dom := fa.Dom()
-	loops := fa.Loops()
-	// Innermost-first so hoisted code can cascade outward on later runs.
-	all := loops.All()
+	var inv *analysis.Invariance
+	var latches []*ir.Block
+	stats.LICMMoved += hoistEach(fa, cfg, func(l *analysis.Loop) {
+		inv, latches = fa.Invariance(l), l.Latches(cfg)
+	}, func(l *analysis.Loop, ph, b *ir.Block, in *ir.Instr) bool {
+		return (pureValueOp(in) || in.Op == ir.OpLoad) &&
+			(in.Op != ir.OpLoad || dominatesAll(dom, b, latches)) &&
+			invariantInstr(inv, in) && operandsAvailable(dom, l, in, ph)
+	})
+	return nil
+}
+
+// hoistEach sweeps each loop that has a preheader, innermost first: enter
+// readies what goes needs to know of the loop, and every instruction of the
+// loop's blocks that goes approves moves to the preheader. A loop's moves
+// land before the next loop is swept, so an outer loop sees what an inner
+// one hoisted. It returns how many instructions moved.
+func hoistEach(fa *analysis.FuncAnalyses, cfg *analysis.CFG, enter func(l *analysis.Loop),
+	goes func(l *analysis.Loop, ph, b *ir.Block, in *ir.Instr) bool) int {
+	var e loopEdit
+	moved := 0
+	all := fa.Loops().All()
 	for i := len(all) - 1; i >= 0; i-- {
 		l := all[i]
 		ph := l.Preheader(cfg)
 		if ph == nil {
 			continue
 		}
-		inv := fa.Invariance(l)
-		latches := l.Latches(cfg)
+		enter(l)
 		for _, b := range l.Ordered {
-			for j := 0; j < len(b.Instrs); j++ {
-				in := b.Instrs[j]
-				if !hoistable(in) {
-					continue
+			for _, in := range b.Instrs {
+				if goes(l, ph, b, in) {
+					e.hoist(in, ph)
 				}
-				if in.Op == ir.OpLoad && !dominatesAll(dom, b, latches) {
-					continue
-				}
-				if !invariantInstr(inv, in) {
-					continue
-				}
-				// Operands must be available at the preheader.
-				if !operandsAvailable(dom, l, in, ph) {
-					continue
-				}
-				b.Remove(in)
-				ph.InsertBefore(in, ph.Term())
-				stats.LICMMoved++
-				j--
 			}
 		}
+		moved += len(e.place)
+		e.apply(l, ph)
 	}
-	return nil
+	return moved
 }
 
-func hoistable(in *ir.Instr) bool {
-	if in.Op.IsBinary() || in.Op.IsCast() {
-		return true
+// loopEdit gathers what a pass does to one loop before doing any of it, so
+// that apply edits each loop block and the preheader once: O(n + k) for the
+// loop. A taken instruction's Block already says where it is going — the
+// preheader for a hoist, nil for a drop — while it still sits in its loop
+// block, so whatever asks where it lives (operand availability, loop
+// membership) gets the answer moving it at once would give. place lists what
+// goes before the preheader's terminator, in order.
+type loopEdit struct{ place []*ir.Instr }
+
+// hoist moves in from its loop block to the preheader ph.
+func (e *loopEdit) hoist(in *ir.Instr, ph *ir.Block) {
+	in.Block = ph
+	e.place = append(e.place, in)
+}
+
+// apply carries out what was gathered for l, whose preheader is ph. Every
+// pass that takes an instruction out also places one, so a loop with nothing
+// to place is untouched.
+func (e *loopEdit) apply(l *analysis.Loop, ph *ir.Block) {
+	if len(e.place) == 0 {
+		return
 	}
-	switch in.Op {
-	case ir.OpICmp, ir.OpFCmp, ir.OpGEP, ir.OpSelect, ir.OpLoad:
-		return true
+	for _, b := range l.Ordered {
+		b.Edit(func(in *ir.Instr) (_, _ *ir.Instr, keep bool) { return nil, nil, in.Block == b })
 	}
-	return false
+	ph.Insert(len(ph.Instrs)-1, e.place...)
+	e.place = e.place[:0]
 }
 
 // invariantInstr checks the instruction itself (not just a Value use).

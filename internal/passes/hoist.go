@@ -29,7 +29,7 @@ func (*HoistGuards) Preserves() analysis.Preserved { return hoistPreserved }
 // RunOnFunc implements Pass.
 func (*HoistGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
 	for {
-		if hoistFunc(f, stats, fa) == 0 {
+		if hoistFunc(stats, fa) == 0 {
 			break
 		}
 		// Another sweep follows over the mutated loop bodies: drop what
@@ -43,59 +43,37 @@ func (*HoistGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyse
 // how many guards moved. Stats.Attribute ensures each original guard counts
 // at most once toward the Opt 1 statistics even when hoisted through
 // several loop levels.
-func hoistFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) int {
+func hoistFunc(stats *Stats, fa *analysis.FuncAnalyses) int {
 	cfg := fa.CFG()
 	dom := fa.Dom()
-	loops := fa.Loops()
-	moved := 0
-	all := loops.All()
-	for i := len(all) - 1; i >= 0; i-- { // innermost first
-		l := all[i]
-		ph := l.Preheader(cfg)
-		if ph == nil {
-			continue
+	var inv *analysis.Invariance
+	var latches []*ir.Block
+	stackFree := false
+	return hoistEach(fa, cfg, func(l *analysis.Loop) {
+		inv, latches = fa.Invariance(l), l.Latches(cfg)
+		stackFree = inv.StackAllocFree()
+	}, func(l *analysis.Loop, ph, b *ir.Block, in *ir.Instr) bool {
+		// The guarded path must run every iteration; otherwise hoisting
+		// would guard an access that may never happen, turning a legal run
+		// into a fault.
+		if in.Op != ir.OpGuard || !dominatesAll(dom, b, latches) {
+			return false
 		}
-		inv := fa.Invariance(l)
-		latches := l.Latches(cfg)
-		stackFree := inv.StackAllocFree()
-		for _, b := range l.Ordered {
-			for j := 0; j < len(b.Instrs); j++ {
-				in := b.Instrs[j]
-				if in.Op != ir.OpGuard {
-					continue
-				}
-				// The guarded path must run every iteration; otherwise
-				// hoisting would guard an access that may never happen,
-				// turning a legal run into a fault.
-				if !dominatesAll(dom, b, latches) {
-					continue
-				}
-				ok := false
-				switch in.Kind {
-				case ir.GuardCall:
-					// Safe when the loop allocates no stack: the footprint
-					// check result cannot change across iterations.
-					ok = stackFree
-				case ir.GuardLoad, ir.GuardStore, ir.GuardRange, ir.GuardRangeStore:
-					ok = inv.Invariant(in.Args[0]) && inv.Invariant(in.Args[1]) &&
-						operandsAvailable(dom, l, in, ph)
-				}
-				if !ok {
-					continue
-				}
-				b.Remove(in)
-				ph.InsertBefore(in, ph.Term())
-				// Range guards belong to Opt 2's statistics; each guard
-				// is attributed to one optimization only.
-				if in.Kind != ir.GuardRange && in.Kind != ir.GuardRangeStore {
-					if stats.Attribute(in) {
-						stats.Hoisted++
-					}
-				}
-				moved++
-				j--
-			}
+		ok := false
+		switch in.Kind {
+		case ir.GuardCall:
+			// Safe when the loop allocates no stack: the footprint check
+			// result cannot change across iterations.
+			ok = stackFree
+		case ir.GuardLoad, ir.GuardStore, ir.GuardRange, ir.GuardRangeStore:
+			ok = inv.Invariant(in.Args[0]) && inv.Invariant(in.Args[1]) &&
+				operandsAvailable(dom, l, in, ph)
 		}
-	}
-	return moved
+		// Range guards belong to Opt 2's statistics; each guard is
+		// attributed to one optimization only.
+		if ok && in.Kind != ir.GuardRange && in.Kind != ir.GuardRangeStore && stats.Attribute(in) {
+			stats.Hoisted++
+		}
+		return ok
+	})
 }

@@ -33,15 +33,10 @@ func (*MergeGuards) Preserves() analysis.Preserved {
 
 // RunOnFunc implements Pass.
 func (*MergeGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) error {
-	mergeFunc(f, stats, fa)
-	return nil
-}
-
-func mergeFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 	cfg := fa.CFG()
 	dom := fa.Dom()
-	loops := fa.Loops()
-	all := loops.All()
+	var e loopEdit
+	all := fa.Loops().All()
 	for i := len(all) - 1; i >= 0; i-- { // innermost first
 		l := all[i]
 		ph := l.Preheader(cfg)
@@ -99,8 +94,8 @@ func mergeFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 				kind = ir.GuardRangeStore
 			}
 			lastAdj := c.acc.Bound.LastIVAdjust(l, c.g.Block)
-			emitRangeGuard(f, ph, c.acc, c.sz, lastAdj, kind)
-			c.g.Block.Remove(c.g)
+			emitRangeGuard(f, &e, c.acc, c.sz, lastAdj, kind)
+			c.g.Block = nil // dropped by e.apply
 			if stats.Attribute(c.g) {
 				stats.Merged++
 			}
@@ -122,15 +117,17 @@ func mergeFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyses) {
 				if bc.isStore {
 					kind = ir.GuardRangeStore
 				}
-				emitConstRangeGuard(f, ph, bc.base, bc.loOff, bc.span, kind)
+				emitConstRangeGuard(f, &e, bc.base, bc.loOff, bc.span, kind)
 				stats.RangeNew++
 			}
-			bc.g.Block.Remove(bc.g)
+			bc.g.Block = nil
 			if stats.Attribute(bc.g) {
 				stats.Merged++
 			}
 		}
+		e.apply(l, ph)
 	}
+	return nil
 }
 
 // boundedCand is a guard mergeable by the bounded-index rule.
@@ -178,16 +175,14 @@ func boundedAccessOf(ranges *analysis.Ranges, dom *analysis.DomTree, l *analysis
 	return bc, true
 }
 
-// emitConstRangeGuard inserts, before ph's terminator, a range guard over
+// emitConstRangeGuard queues for the preheader a range guard over
 // [base+loOff, base+loOff+span).
-func emitConstRangeGuard(f *ir.Func, ph *ir.Block, base ir.Value, loOff, span int64, kind ir.GuardKind) {
-	term := ph.Term()
+func emitConstRangeGuard(f *ir.Func, e *loopEdit, base ir.Value, loOff, span int64, kind ir.GuardKind) {
 	lo := &ir.Instr{Op: ir.OpGEP, Name: f.FreshName("rg"), Typ: ir.Ptr, Elem: ir.I8,
 		Args: []ir.Value{base, ir.ConstInt(ir.I64, loOff)}}
-	ph.InsertBefore(lo, term)
 	gu := &ir.Instr{Op: ir.OpGuard, Typ: ir.Void, Kind: kind,
 		Args: []ir.Value{lo, ir.ConstInt(ir.I64, span)}}
-	ph.InsertBefore(gu, term)
+	e.place = append(e.place, lo, gu)
 }
 
 // valueAvailableAt reports whether v is usable at block ph.
@@ -199,7 +194,7 @@ func valueAvailableAt(dom *analysis.DomTree, l *analysis.Loop, v ir.Value, ph *i
 	return !l.Contains(in.Block) && dom.Dominates(in.Block, ph)
 }
 
-// emitRangeGuard inserts, before ph's terminator:
+// emitRangeGuard queues for the preheader:
 //
 //	lowOff  = K*start + C
 //	lo      = gep i8 base, lowOff
@@ -209,10 +204,9 @@ func valueAvailableAt(dom *analysis.DomTree, l *analysis.Loop, v ir.Value, ph *i
 // where bound+lastAdj is the maximum induction value the guarded access
 // observes (see TripBound.LastIVAdjust). All arithmetic is i64; the VM
 // treats a non-positive span as a trivially passing guard.
-func emitRangeGuard(f *ir.Func, ph *ir.Block, acc *analysis.AffineAccess, size, lastAdj int64, kind ir.GuardKind) {
-	term := ph.Term()
+func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, lastAdj int64, kind ir.GuardKind) {
 	ins := func(in *ir.Instr) *ir.Instr {
-		ph.InsertBefore(in, term)
+		e.place = append(e.place, in)
 		return in
 	}
 	newv := func(op ir.Op, a, b ir.Value) *ir.Instr {
@@ -221,8 +215,8 @@ func emitRangeGuard(f *ir.Func, ph *ir.Block, acc *analysis.AffineAccess, size, 
 	k := ir.ConstInt(ir.I64, acc.Lin.K)
 	cOff := ir.ConstInt(ir.I64, acc.Lin.C)
 
-	start := widenToI64(f, ph, term, acc.Lin.IV.Start)
-	bound := widenToI64(f, ph, term, acc.Bound.Bound)
+	start := widenToI64(f, e, acc.Lin.IV.Start)
+	bound := widenToI64(f, e, acc.Bound.Bound)
 
 	lowOff := newv(ir.OpAdd, newv(ir.OpMul, k, start), cOff)
 	lo := ins(&ir.Instr{Op: ir.OpGEP, Name: f.FreshName("rg"), Typ: ir.Ptr, Elem: ir.I8,
@@ -234,8 +228,8 @@ func emitRangeGuard(f *ir.Func, ph *ir.Block, acc *analysis.AffineAccess, size, 
 	ins(&ir.Instr{Op: ir.OpGuard, Typ: ir.Void, Kind: kind, Args: []ir.Value{lo, span}})
 }
 
-// widenToI64 sign-extends v to i64 at the insertion point if needed.
-func widenToI64(f *ir.Func, ph *ir.Block, term *ir.Instr, v ir.Value) ir.Value {
+// widenToI64 sign-extends v to i64 in the preheader if needed.
+func widenToI64(f *ir.Func, e *loopEdit, v ir.Value) ir.Value {
 	if v.Type().Equal(ir.I64) {
 		return v
 	}
@@ -243,6 +237,6 @@ func widenToI64(f *ir.Func, ph *ir.Block, term *ir.Instr, v ir.Value) ir.Value {
 		return ir.ConstInt(ir.I64, c.Int)
 	}
 	in := &ir.Instr{Op: ir.OpSExt, Name: f.FreshName("rgw"), Typ: ir.I64, Args: []ir.Value{v}}
-	ph.InsertBefore(in, term)
+	e.place = append(e.place, in)
 	return in
 }

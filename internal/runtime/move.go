@@ -182,7 +182,10 @@ func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, 
 	st.src, st.dst = req.Src, dst
 	switch kind {
 	case kindSwapOut:
-		st.slot = uint64(len(r.swapSlots))
+		st.slot = uint64(len(r.swapSlots)) // see maxSwapSlots
+		if n := len(r.freeSlots); st.slot == maxSwapSlots && n > 0 {
+			st.slot = r.freeSlots[n-1]
+		}
 		st.dst = swapPoison(st.slot, 0)
 	case kindSwapIn:
 		st.slot, _, _ = DecodeSwapPoison(st.src)

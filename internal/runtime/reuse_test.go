@@ -58,7 +58,7 @@ func swapRoundTrip(tb testing.TB, rt *Runtime, base uint64) {
 // TestSwapRoundTripReusesItsBuffer: a swap-out takes the buffer the last
 // swap-in returned, and both directions move the allocation's table entry
 // rather than remove and insert it, so a warm round trip allocates nothing —
-// past the slot directory's amortized growth (slots are never reused).
+// past the slot directory's amortized growth (fresh slots come first).
 func TestSwapRoundTripReusesItsBuffer(t *testing.T) {
 	_, rt, base := swapMachine(t, 8)
 	swapRoundTrip(t, rt, base)
@@ -68,6 +68,25 @@ func TestSwapRoundTripReusesItsBuffer(t *testing.T) {
 	}
 	if got := rt.Table.Covering(base); got == nil || got.EscapeCount() != 8 {
 		t.Fatalf("after %d round trips the allocation is %v, want 8 escapes", trips, got)
+	}
+	must(t, rt.Table.CheckInvariants())
+}
+
+// TestSwapSlotsAreReused: a swap-out takes a fresh slot, in order, while any
+// of the 65 536 the poison encoding names is unused, and then the slot the
+// latest swap-in freed, so a process swaps for as long as it lives.
+func TestSwapSlotsAreReused(t *testing.T) {
+	_, rt, base := swapMachine(t, 1)
+	for i := uint64(0); i < 70_000; i++ {
+		slot, err := rt.SwapOut(base)
+		must(t, err)
+		if want := min(i, maxSwapSlots-1); slot != want {
+			t.Fatalf("swap-out %d took slot %d, want %d", i, slot, want)
+		}
+		must(t, rt.SwapIn(slot, base))
+	}
+	if got := rt.Table.Covering(base); got == nil || got.EscapeCount() != 1 {
+		t.Fatalf("after the round trips the allocation is %v, want 1 escape", got)
 	}
 	must(t, rt.Table.CheckInvariants())
 }
@@ -82,8 +101,8 @@ func BenchmarkSwapRoundTrip(b *testing.B) {
 	}
 }
 
-// TestMoveIgnoresSwapHistory: slots are never reused, but a move sees only
-// what the table holds. After 1 000 round trips of one allocation the process
+// TestMoveIgnoresSwapHistory: a move sees only what the table holds, not
+// every slot the process has used. After 1 000 round trips of one allocation the process
 // has 1 001 slots and one allocation swapped out — another one, whose
 // poisoned escape sits on the page that then moves.
 func TestMoveIgnoresSwapHistory(t *testing.T) {

@@ -212,9 +212,11 @@ type Runtime struct {
 	invListeners  []func(base, length uint64)
 
 	// swapSlots holds the bytes of swapped-out allocations, by slot (see
-	// swap.go); a nil entry is a slot that has been swapped back in.
-	// Guarded by opMu.
+	// swap.go); a nil entry is a slot that has been swapped back in, and
+	// freeSlots stacks those slots in the order they were freed. Guarded by
+	// opMu.
 	swapSlots [][]byte
+	freeSlots []uint64
 
 	// MoveStats collects one breakdown per completed move. Appends happen
 	// under opMu; readers (experiment harnesses) read between runs.

@@ -28,8 +28,9 @@ import (
 // swapped-out allocations never overlap in the table.
 const maxSwapLen = 1 << 16
 
-// maxSwapSlots is how many slots the poison encoding's 16 slot bits name.
-// Slots are never reused: reuse would change the poison of a later swap.
+// maxSwapSlots is how many slots the poison encoding's 16 slot bits name. A
+// swap-out takes a fresh slot while there is one, then the slot the latest
+// swap-in freed; with neither, phaseSwapIO refuses it.
 const maxSwapSlots = 1 << 16
 
 // swapPoison encodes (slot, offset) into the non-canonical range.
@@ -120,7 +121,11 @@ func (st *moveState) phaseSwapCopy() error {
 		if err := r.mem.ReadAt(st.src, buf); err != nil {
 			return err
 		}
-		r.swapSlots = append(r.swapSlots, buf)
+		if st.slot < uint64(len(r.swapSlots)) {
+			r.swapSlots[st.slot], r.freeSlots = buf, r.freeSlots[:len(r.freeSlots)-1]
+		} else {
+			r.swapSlots = append(r.swapSlots, buf)
+		}
 		return r.mem.Zero(st.src, st.length)
 	}
 	if err := r.mem.WriteAt(st.dst, r.swapSlots[st.slot]); err != nil {
@@ -130,6 +135,7 @@ func (st *moveState) phaseSwapCopy() error {
 		st.spareData = append(st.spareData, r.swapSlots[st.slot])
 	}
 	r.swapSlots[st.slot] = nil
+	r.freeSlots = append(r.freeSlots, st.slot)
 	return nil
 }
 

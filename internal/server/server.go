@@ -431,8 +431,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*runRequest, bo
 		return nil, false
 	}
 	var req runRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := obs.DecodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "body", fmt.Errorf("decode request: %w", err))
 		return nil, false
 	}

@@ -356,6 +356,43 @@ entry:
 	}
 }
 
+// TestRequestBodyIsStrict: a request body is one runRequest object. A key
+// the type does not declare is refused, not ignored ({"levle":"none"} would
+// otherwise run at the carat level, {"sed":7} under seed 0), and so is
+// anything after the object but white space: each is a 400 with reason body.
+func TestRequestBodyIsStrict(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartBackground()
+	t.Cleanup(func() { s.Close() })
+	src, err := json.Marshal(progLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"source":` + string(src) + "}\n", http.StatusOK},
+		{`{"levle":"none","source":` + string(src) + `}`, http.StatusBadRequest},
+		{`{"sed":7,"source":` + string(src) + `}`, http.StatusBadRequest},
+		{`{"source":` + string(src) + `} {"seed":7}`, http.StatusBadRequest},
+		{`{"source":` + string(src) + `}]`, http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(c.body)))
+		var doc errorResponse
+		if err := json.NewDecoder(w.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != c.want || (c.want == http.StatusBadRequest && doc.Reason != "body") {
+			t.Errorf("%.40s…: status %d, reason %q (%s); want %d", c.body, w.Code, doc.Reason, doc.Error, c.want)
+		}
+	}
+}
+
 func TestTenantConcurrencySlots(t *testing.T) {
 	ten := &tenant{name: "x", quota: Quota{MaxConcurrent: 2}}
 	if err := ten.acquireSlot(); err != nil {

@@ -69,10 +69,9 @@ func TestTamperDetected(t *testing.T) {
 	ts.Trust(tc.Name, tc.Public())
 
 	// Modify the module after signing: inject an extra instruction.
-	f := m.Func("main")
-	b := ir.NewBuilder(f)
-	b.Blk.InsertBefore(&ir.Instr{Op: ir.OpAdd, Name: "evil", Typ: ir.I64,
-		Args: []ir.Value{ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2)}}, f.Entry().Term())
+	entry := m.Func("main").Entry()
+	entry.Insert(len(entry.Instrs)-1, &ir.Instr{Op: ir.OpAdd, Name: "evil", Typ: ir.I64,
+		Args: []ir.Value{ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2)}})
 	if err := ts.Verify(sm); err == nil {
 		t.Error("tampered module accepted")
 	}

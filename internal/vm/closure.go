@@ -716,11 +716,12 @@ func (cf *ccompiler) compileTerm(b *ir.Block, code []*ir.Instr, ti int, fuseCmpB
 		}
 		p := code[ti-1]
 		t.a, t.b = cf.operand(p.Args[0]), cf.operand(p.Args[1])
-		t.dst, t.pred, t.kind = cf.dst(p), p.Pred, tICmp
-		if p.Op == ir.OpFCmp {
-			t.kind = tFCmp
-		} else if maskCmp, srcBits := cmpMask(p); maskCmp {
-			t.kind, t.bits = tICmpMasked, uint8(srcBits)
+		t.dst, t.pred, t.kind = cf.dst(p), p.Pred, tFCmp
+		if p.Op == ir.OpICmp {
+			t.pred, t.kind = p.ICmpPred(), tICmp
+			if maskCmp, srcBits := cmpMask(p); maskCmp {
+				t.kind, t.bits = tICmpMasked, uint8(srcBits)
+			}
 		}
 		return t
 
@@ -777,7 +778,7 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 
 	case ir.OpICmp:
 		a, b := cf.operand(in.Args[0]), cf.operand(in.Args[1])
-		pred := in.Pred
+		pred := in.ICmpPred()
 		if maskCmp, srcBits := cmpMask(in); maskCmp {
 			return func(e *cenv) {
 				fr := e.fr

@@ -158,7 +158,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 				a, b = maskToWidth(a, t.Bits), maskToWidth(b, t.Bits)
 			}
 		}
-		set(boolBit(icmp(in.Pred, a, b)))
+		set(boolBit(icmp(in.ICmpPred(), a, b)))
 		return nil
 
 	case in.Op == ir.OpFCmp:

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -626,7 +627,9 @@ loop:
 // TestBoolEncodingsAgree: an i1 true is one value whichever instruction
 // produced it — icmp, trunc, or i1 arithmetic (xor) — so eq, ne and slt
 // between them, the fused compare-and-branch included, answer the same on
-// both engines, and a stored i1 reads back as the byte 1.
+// both engines, and a stored i1 reads back as the byte 1. A signed predicate
+// reads an i1 true as -1, as LLVM does: true slt false, in a compare, in a
+// fused compare-and-branch and folded by ConstFold.
 func TestBoolEncodingsAgree(t *testing.T) {
 	const src = `module "bools"
 global @g : i64
@@ -670,10 +673,29 @@ entry:
   %a4 = add i64 %a3, %r5
   %a5 = add i64 %a4, %r6
   %a6 = add i64 %a5, %r7
+  %s3 = icmp slt i1 %t, %f
+  %s4 = icmp sge i1 %t, %f
+  %k1 = icmp slt i1 1, 0
+  %k2 = icmp sgt i1 1, 0
+  %z6 = zext i1 %s3 to i64
+  %z7 = zext i1 %s4 to i64
+  %z8 = zext i1 %k1 to i64
+  %z9 = zext i1 %k2 to i64
+  %r8 = mul i64 %z6, 10000000
+  %r9 = mul i64 %z7, 100000000
+  %r10 = mul i64 %z8, 1000000000
+  %r11 = mul i64 %z9, 10000000000
+  %a7 = add i64 %a6, %r8
+  %a8 = add i64 %a7, %r9
+  %a9 = add i64 %a8, %r10
+  %a10 = add i64 %a9, %r11
   %e3 = icmp eq i1 %t, %x
   condbr %e3, ^same, ^differ
 same:
-  ret i64 %a6
+  %s5 = icmp sgt i1 %f, %t
+  condbr %s5, ^signed, ^differ
+signed:
+  ret i64 %a10
 differ:
   ret i64 -1
 }`
@@ -682,9 +704,57 @@ differ:
 		cfg.MemBytes, cfg.HeapBytes = 1<<22, 1<<18
 		cfg.Closure = engine
 		_, got := run(t, compile(t, src, passes.LevelNone), cfg)
-		// e1, e2 true; ne and both slt false; both stored bytes 1.
-		if want := int64(1_100_011); got != want {
+		// e1, e2 true; ne and both equal-value slt false; both stored bytes
+		// 1; true slt false, folded or not; true sge false neither way.
+		if want := int64(1_011_100_011); got != want {
 			t.Errorf("compiled=%v: got %d, want %d", engine, got, want)
+		}
+	}
+}
+
+// TestFoldedComparesMatchTheEngines: ConstFold reads a compare's constants
+// as both engines read the same values at run time — at their width, an i1
+// true as -1 to a signed predicate — including constants written outside
+// their type's range (an i1 -1, an i8 255 or 256).
+func TestFoldedComparesMatchTheEngines(t *testing.T) {
+	const folded = `module "folded"
+func @main() -> i64 {
+entry:
+  %%c = icmp %[1]s %[2]s %[3]d, %[4]d
+  %%r = zext i1 %%c to i64
+  ret i64 %%r
+}`
+	const ran = `module "ran"
+global @g : [2 x i64]
+func @main() -> i64 {
+entry:
+  %%pa = gep i64, @g, 0
+  %%pb = gep i64, @g, 1
+  store i64 %[3]d, %%pa
+  store i64 %[4]d, %%pb
+  %%la = load i64, %%pa
+  %%lb = load i64, %%pb
+  %%a = trunc i64 %%la to %[2]s
+  %%b = trunc i64 %%lb to %[2]s
+  %%c = icmp %[1]s %[2]s %%a, %%b
+  %%r = zext i1 %%c to i64
+  ret i64 %%r
+}`
+	cfg := DefaultConfig()
+	cfg.MemBytes, cfg.HeapBytes = 1<<22, 1<<18
+	for _, c := range []struct {
+		typ  string
+		a, b int64
+	}{{"i1", -1, 1}, {"i1", 1, 0}, {"i1", 0, -1}, {"i8", 255, 0}, {"i8", -1, 1}, {"i8", 256, 0}} {
+		for p := ir.PredEQ; p <= ir.PredUGE; p++ {
+			for _, engine := range []bool{reference, compiled} {
+				cfg.Closure = engine
+				_, want := run(t, compile(t, fmt.Sprintf(ran, p, c.typ, c.a, c.b), passes.LevelNone), cfg)
+				_, got := run(t, compile(t, fmt.Sprintf(folded, p, c.typ, c.a, c.b), passes.LevelNone), cfg)
+				if got != want {
+					t.Errorf("compiled=%v: icmp %s %s %d, %d folds to %d, runs to %d", engine, p, c.typ, c.a, c.b, got, want)
+				}
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -100,7 +101,7 @@ func validate(r io.Reader) error {
 		return fmt.Errorf("schema %s version %d unsupported (want %d)", head.Schema, head.Version, s.version)
 	}
 	doc := s.doc()
-	if err := obs.DecodeStrict(data, doc); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(data), doc); err != nil {
 		return fmt.Errorf("%s: %w", head.Schema, err)
 	}
 	if v, ok := doc.(interface{ Validate() error }); ok {
