@@ -23,7 +23,8 @@
 // (windowed trace capture), /healthz, and /readyz (503 until the
 // experiments finish). The bound address is printed to stderr; with
 // -http-linger the server stays up that long after the run so scrapers
-// can collect final state.
+// can collect final state. -pprof adds the host's Go profiles under
+// /debug/pprof/ (go tool pprof http://ADDR/debug/pprof/profile).
 package main
 
 import (
@@ -59,6 +60,7 @@ func main() {
 		"serve live telemetry (/metrics, /profile, /trace, /healthz, /readyz) on this address (e.g. 127.0.0.1:8080, :0 picks a port)")
 	httpLinger := flag.Duration("http-linger", 0,
 		"keep the -http server up this long after the experiments finish")
+	pprofOn := flag.Bool("pprof", false, "also serve the host's Go profiles (net/http/pprof) under /debug/pprof/ on the -http server")
 	flag.Parse()
 
 	if *list {
@@ -130,7 +132,7 @@ func main() {
 	// scrape the port immediately (same contract as caratvm and caratd).
 	var tele *telemetry.Server
 	if *httpAddr != "" {
-		tele = &telemetry.Server{Registry: o.Obs, Sampler: o.Sampler, Tracer: o.Trace}
+		tele = &telemetry.Server{Registry: o.Obs, Sampler: o.Sampler, Tracer: o.Trace, Pprof: *pprofOn}
 		addr, err := tele.Start(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "caratbench:", err)

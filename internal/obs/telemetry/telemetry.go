@@ -16,6 +16,8 @@
 //	/readyz    readiness: 503 until the host process calls SetReady —
 //	           lets scripts poll for "experiments finished" before
 //	           scraping final numbers
+//	/debug/pprof/  the host process's Go profiles (net/http/pprof), only
+//	           with Server.Pprof set
 //
 // Everything is read-only and safe to scrape mid-run: metrics are atomic
 // snapshots, profiles aggregate lock-free sample buckets, and the trace
@@ -29,6 +31,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,6 +49,11 @@ type Server struct {
 	Registry *obs.Registry
 	Sampler  *obs.Sampler
 	Tracer   *obs.Tracer
+	// Pprof mounts net/http/pprof under /debug/pprof/: the host's CPU,
+	// heap and goroutine profiles, next to the model's. Off by default.
+	// (Importing the package also registers it on http.DefaultServeMux,
+	// which nothing here serves.)
+	Pprof bool
 
 	ready atomic.Bool
 
@@ -76,6 +84,13 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ready")
 	})
+	if s.Pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	return mux
 }
 

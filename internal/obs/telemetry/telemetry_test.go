@@ -183,6 +183,27 @@ func TestHealthAndReady(t *testing.T) {
 	}
 }
 
+// TestPprofBehindTheFlag: /debug/pprof/ answers only when Pprof is set.
+func TestPprofBehindTheFlag(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		srv := &Server{Registry: obs.NewRegistry(), Pprof: on}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := http.StatusNotFound
+		if on {
+			want = http.StatusOK
+		}
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+			if code, _, _ := get(t, "http://"+addr+path); code != want {
+				t.Errorf("Pprof=%v: %s = %d, want %d", on, path, code, want)
+			}
+		}
+		srv.Close()
+	}
+}
+
 func TestTraceEndpoint(t *testing.T) {
 	tracer := obs.NewTracer(nil, nil) // sink-less: events exist only for taps
 	_, _, _, base := startServer(t, tracer)

@@ -75,8 +75,8 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		a, okA := in.Args[0].(*ir.Const)
 		b, okB := in.Args[1].(*ir.Const)
 		if okA && okB {
-			if v, ok := evalIntBinop(in.Op, a.Int, b.Int); ok {
-				return ir.ConstInt(in.Typ, truncToWidth(v, in.Typ.Bits))
+			if v, err := ir.IntBinop(in.Op, uint64(a.Int), uint64(b.Int), in.Typ.Bits); err == nil {
+				return ir.ConstInt(in.Typ, int64(v))
 			}
 		}
 		// Identities.
@@ -102,8 +102,9 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		a, okA := in.Args[0].(*ir.Const)
 		b, okB := in.Args[1].(*ir.Const)
 		if okA && okB && a.Typ.IsInt() { // read at their width, as the engines read them
-			x, y := truncToWidth(a.Int, a.Typ.Bits), truncToWidth(b.Int, a.Typ.Bits)
-			return ir.ConstInt(ir.I1, boolToInt(evalICmp(in.ICmpPred(), x, y)))
+			bits := a.Typ.Bits
+			x, y := ir.Narrow(uint64(a.Int), bits), ir.Narrow(uint64(b.Int), bits)
+			return ir.ConstInt(ir.I1, boolToInt(ir.ICmpAt(in.ICmpPred(), x, y, bits)))
 		}
 	}
 	if in.Op.IsBinary() && in.Typ.IsFloat() {
@@ -128,110 +129,20 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		if a, ok := in.Args[0].(*ir.Const); ok {
 			switch in.Op {
 			case ir.OpTrunc:
-				return ir.ConstInt(in.Typ, truncToWidth(a.Int, in.Typ.Bits))
+				return ir.ConstInt(in.Typ, int64(ir.Narrow(uint64(a.Int), in.Typ.Bits)))
 			case ir.OpZExt:
-				src := a.Typ.Bits
-				masked := uint64(a.Int)
-				if src < 64 {
-					masked &= 1<<uint(src) - 1
-				}
-				return ir.ConstInt(in.Typ, truncToWidth(int64(masked), in.Typ.Bits))
+				masked := ir.MaskToWidth(uint64(a.Int), a.Typ.Bits)
+				return ir.ConstInt(in.Typ, int64(ir.Narrow(masked, in.Typ.Bits)))
 			case ir.OpSExt:
-				return ir.ConstInt(in.Typ, a.Int)
+				return ir.ConstInt(in.Typ, ir.SignExtend(uint64(a.Int), a.Typ.Bits))
 			case ir.OpSIToFP:
 				return ir.ConstFloat(float64(a.Int))
 			case ir.OpFPToSI:
-				return ir.ConstInt(in.Typ, int64(a.Float))
+				return ir.ConstInt(in.Typ, int64(ir.Narrow(uint64(int64(a.Float)), in.Typ.Bits)))
 			}
 		}
 	}
 	return nil
-}
-
-func evalIntBinop(op ir.Op, a, b int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, true
-	case ir.OpSub:
-		return a - b, true
-	case ir.OpMul:
-		return a * b, true
-	case ir.OpSDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case ir.OpSRem:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case ir.OpUDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return int64(uint64(a) / uint64(b)), true
-	case ir.OpURem:
-		if b == 0 {
-			return 0, false
-		}
-		return int64(uint64(a) % uint64(b)), true
-	case ir.OpAnd:
-		return a & b, true
-	case ir.OpOr:
-		return a | b, true
-	case ir.OpXor:
-		return a ^ b, true
-	case ir.OpShl:
-		return a << (uint64(b) & 63), true
-	case ir.OpLShr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	case ir.OpAShr:
-		return a >> (uint64(b) & 63), true
-	}
-	return 0, false
-}
-
-func evalICmp(p ir.Pred, a, b int64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredLT:
-		return a < b
-	case ir.PredLE:
-		return a <= b
-	case ir.PredGT:
-		return a > b
-	case ir.PredGE:
-		return a >= b
-	case ir.PredULT:
-		return uint64(a) < uint64(b)
-	case ir.PredULE:
-		return uint64(a) <= uint64(b)
-	case ir.PredUGT:
-		return uint64(a) > uint64(b)
-	case ir.PredUGE:
-		return uint64(a) >= uint64(b)
-	}
-	return false
-}
-
-func truncToWidth(v int64, bits int) int64 {
-	if bits >= 64 {
-		return v
-	}
-	mask := int64(1)<<uint(bits) - 1
-	v &= mask
-	// sign-extend back for signed interpretation consistency
-	if v&(1<<uint(bits-1)) != 0 {
-		v |= ^mask
-	}
-	if bits == 1 {
-		v &= 1
-	}
-	return v
 }
 
 func boolToInt(b bool) int64 {

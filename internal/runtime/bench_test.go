@@ -64,9 +64,13 @@ func pageMoveMachine(tb testing.TB, n uint64) (*kernel.Process, *Runtime, uint64
 // densePageMachine sets up omnetpp_s's shape, where the storm's median move
 // sits: 256 16-byte allocations fill one page, each holding a pointer to its
 // neighbour (the last to the first), so one move carries 256 allocations and
-// patches and re-keys 256 escapes. It returns the page's base.
-func densePageMachine(tb testing.TB) (*kernel.Process, *Runtime, uint64) {
+// patches and re-keys 256 escapes; others more 48-byte allocations sit on other
+// pages. It returns the page's base.
+func densePageMachine(tb testing.TB, others uint64) (*kernel.Process, *Runtime, uint64) {
 	p, rt, base := benchMachine(tb, 64<<20)
+	for i := uint64(0); i < others; i++ {
+		must(tb, rt.TrackAlloc(base+8<<20+i*64, 48))
+	}
 	page := base + 4*kernel.PageSize
 	const n, size = 256, 16
 	for i := uint64(0); i < n; i++ {
@@ -82,7 +86,9 @@ func densePageMachine(tb testing.TB) (*kernel.Process, *Runtime, uint64) {
 }
 
 // BenchmarkPageMove moves pageMoveMachine's page beside N escapes elsewhere
-// — ns/op and allocs/op must be flat in N — and densePageMachine's page.
+// — ns/op and allocs/op must be flat in N — and densePageMachine's page,
+// alone and beside 100k allocations: the tree splices the page's run in
+// O(256 + log n), so the two dense legs must be close.
 func BenchmarkPageMove(b *testing.B) {
 	for _, n := range []struct {
 		name    string
@@ -91,7 +97,8 @@ func BenchmarkPageMove(b *testing.B) {
 		{"1k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000) }},
 		{"32k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 32_000) }},
 		{"1M-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000_000) }},
-		{"dense-256-allocs", densePageMachine},
+		{"dense-256-allocs", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 0) }},
+		{"dense-256-allocs-100k-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 100_000) }},
 	} {
 		b.Run(n.name, func(b *testing.B) {
 			p, rt, page := n.machine(b)

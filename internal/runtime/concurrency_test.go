@@ -165,7 +165,7 @@ func TestConcurrentEscapeTracking(t *testing.T) {
 				rt.Table.EscapeTarget(0x400000)
 				rt.Table.mostEscaped()
 				rt.Table.ForEach(func(a *Allocation) bool {
-					rt.Table.EscapeLocsOf(a, nil)
+					rt.Table.escapeLocs(a)
 					a.EscapeCount()
 					return true
 				})

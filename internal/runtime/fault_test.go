@@ -40,7 +40,7 @@ func snapshot(k *kernel.Kernel, p *kernel.Process, rt *Runtime, regs *fakeRegs) 
 		OwnedPages: k.OwnedPageCount(),
 	}
 	rt.Table.ForEach(func(a *Allocation) bool {
-		locs := rt.Table.EscapeLocsOf(a, nil)
+		locs := rt.Table.escapeLocs(a)
 		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 		s.Allocs = append(s.Allocs, allocSnap{Base: a.Base, Len: a.Len, Static: a.Static, Escapes: locs})
 		return true

@@ -275,7 +275,8 @@ type moveState struct {
 	affected         []*Allocation
 	txn              moveTxn
 
-	locs      []uint64 // one allocation's escape locations, snapshotted for patching
+	locs      []uint64 // the affected allocations' escape locations, snapshotted for patching
+	ends      []int    // where each affected allocation's locations end in locs
 	spareData [][]byte // swapped-in slots' buffers, for later swap-outs
 }
 
@@ -295,7 +296,7 @@ func (st *moveState) reset() {
 	clear(st.affected)
 	clear(st.txn.regWrites)
 	*st = moveState{
-		r: st.r, affected: st.affected[:0], locs: st.locs, spareData: st.spareData,
+		r: st.r, affected: st.affected[:0], locs: st.locs, ends: st.ends, spareData: st.spareData,
 		txn: moveTxn{memWrites: st.txn.memWrites[:0], regWrites: st.txn.regWrites[:0]},
 	}
 }
@@ -379,10 +380,12 @@ func (st *moveState) phaseNegotiate() error {
 // exists, and every later mutation is recorded before it is applied.
 func (st *moveState) phasePatchEscapes() error {
 	st.txn.open = true
-	for _, a := range st.affected {
+	st.locs, st.ends = st.r.Table.EscapeLocsOf(st.affected, st.locs, st.ends)
+	i := 0
+	for _, end := range st.ends {
 		st.bd.AllocsMoved++
-		st.locs = st.r.Table.EscapeLocsOf(a, st.locs)
-		for _, loc := range st.locs {
+		for ; i < end; i++ {
+			loc := st.locs[i]
 			st.bd.PatchCycles += cycEscapePatch
 			val := st.r.loadEscape(loc)
 			if val >= st.src && val < st.src+st.length {

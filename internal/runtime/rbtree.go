@@ -271,22 +271,6 @@ func (t *rbTree) insertFixup(z *rbNode) {
 	t.root.col = black
 }
 
-// Delete unlinks the node holding key and returns it, nil if key is absent.
-func (t *rbTree) Delete(key uint64) *rbNode {
-	z := t.root
-	for z != nil && z.key != key {
-		if key < z.key {
-			z = z.left
-		} else {
-			z = z.right
-		}
-	}
-	if z != nil {
-		t.deleteNode(z)
-	}
-	return z
-}
-
 // deleteNode unlinks z, a node of t.
 func (t *rbTree) deleteNode(z *rbNode) {
 	t.size--
@@ -328,6 +312,190 @@ func (t *rbTree) deleteNode(z *rbNode) {
 	fixMax(xParent, false)
 	if yOrig == black {
 		t.deleteFixup(x, xParent)
+	}
+}
+
+// shift moves every key in [lo, hi) — a contiguous run starting at the key
+// lo, such as the allocations a page move carries — by dst-lo, into a range
+// that holds no other key, in one splice: split at lo and at the run's
+// successor, join the outer trees by that successor, shift the run's keys
+// in place (its shape and colours stay valid; its maxima are recomputed, as
+// a key that becomes or stops being a poison base changes what its node
+// adds), split the rest at dst and join the run back in there by its first
+// and last node. O(k + log n) for k moved keys. It returns k and whether
+// the destination held no other key; a run that lands among other keys
+// leaves the tree out of order.
+func (t *rbTree) shift(lo, hi, dst uint64) (int, bool) {
+	next := t.ceiling(hi)
+	u, first, mid := split(subtree{t.root, blackHeight(t.root)}, lo)
+	if next != nil {
+		var c subtree
+		mid, _, c = split(mid, next.key)
+		u = join(u, next, c)
+	}
+	k := shiftKeys(first, dst-lo) + shiftKeys(mid.root, dst-lo)
+	u1, at, u2 := split(u, dst)
+	if at != nil { // the destination is not clear: keep the key it holds
+		u2 = join(subtree{}, at, u2)
+	}
+	clear := at == nil && (u2.root == nil || leftmost(u2.root).key >= dst+(hi-lo))
+	if mid.root == nil {
+		t.root = join(u1, first, u2).root
+		return k, clear
+	}
+	asRoot(mid.root, 0)
+	last, mt := mid.root, rbTree{root: mid.root}
+	for last.right != nil {
+		last = last.right
+	}
+	mt.deleteNode(last)
+	x := join(u1, first, subtree{mt.root, blackHeight(mt.root)})
+	t.root = join(x, last, u2).root
+	return k, clear
+}
+
+// shiftKeys adds delta to every key of n's subtree, recomputes its maxima
+// bottom up and returns its size.
+func shiftKeys(n *rbNode, delta uint64) int {
+	if n == nil {
+		return 0
+	}
+	k := shiftKeys(n.left, delta) + shiftKeys(n.right, delta) + 1
+	n.key += delta
+	n.max = n.subtreeMax()
+	return k
+}
+
+func leftmost(n *rbNode) *rbNode {
+	for n.left != nil {
+		n = n.left
+	}
+	return n
+}
+
+// blackHeight counts the black nodes on a path from n down to a leaf, n
+// included.
+func blackHeight(n *rbNode) int {
+	h := 0
+	for ; n != nil; n = n.left {
+		if n.col == black {
+			h++
+		}
+	}
+	return h
+}
+
+// subtree is a tree being cut or joined: its root, which may still name an
+// old parent, and its black height.
+type subtree struct {
+	root *rbNode
+	h    int
+}
+
+// children returns n's subtrees, given n's black height h.
+func children(n *rbNode, h int) (subtree, subtree) {
+	if n.col == black {
+		h--
+	}
+	return subtree{n.left, h}, subtree{n.right, h}
+}
+
+// split cuts s at key: the keys below it, the node holding it (detached;
+// nil if none) and the keys above. Each level joins what it cut off to one
+// side, and the joins' costs telescope to O(log n).
+func split(s subtree, key uint64) (l subtree, m *rbNode, r subtree) {
+	n := s.root
+	if n == nil {
+		return s, nil, s
+	}
+	a, b := children(n, s.h)
+	switch {
+	case key < n.key:
+		l, m, r = split(a, key)
+		r = join(r, n, b)
+	case key > n.key:
+		l, m, r = split(b, key)
+		l = join(a, n, l)
+	default:
+		l, m, r = a, n, b
+		n.left, n.right = nil, nil
+	}
+	return l, m, r
+}
+
+// join links l, node m and r — every key of l below m's, every key of r
+// above — into one tree and returns it, its root parentless and black.
+// With both roots black, m hangs red from the taller tree's inner spine
+// over the first black node as tall as the other tree, and a red-red pair
+// that leaves is mended on the way up by a recolour and a rotation two
+// levels higher: O(|l.h-r.h|+1).
+func join(l subtree, m *rbNode, r subtree) subtree {
+	l.h, r.h = asRoot(l.root, l.h), asRoot(r.root, r.h)
+	if l.h == r.h {
+		link(m, l.root, r.root)
+		m.parent, m.col, m.max = nil, black, m.subtreeMax()
+		return subtree{m, l.h + 1}
+	}
+	right := l.h > r.h
+	t, c, h, target := rbTree{root: r.root}, r.root, r.h, l.h
+	if right {
+		t, c, h, target = rbTree{root: l.root}, l.root, l.h, r.h
+	}
+	var p *rbNode
+	for !isBlack(c) || h != target {
+		if c.col == black {
+			h--
+		}
+		if p = c; right {
+			c = c.right
+		} else {
+			c = c.left
+		}
+	}
+	if m.parent = p; right {
+		link(m, c, r.root)
+		p.right = m
+	} else {
+		link(m, l.root, c)
+		p.left = m
+	}
+	m.col = red
+	fixMax(m, false)
+	for x := m; x.parent != nil && x.parent.col == red; x = x.parent { // x is red
+		x.col = black
+		if right {
+			t.rotateLeft(x.parent.parent)
+		} else {
+			t.rotateRight(x.parent.parent)
+		}
+	}
+	h = max(l.h, r.h)
+	if t.root.col == red {
+		t.root.col, h = black, h+1
+	}
+	return subtree{t.root, h}
+}
+
+// asRoot detaches n from its parent and blackens it, returning its black
+// height given h, the height before.
+func asRoot(n *rbNode, h int) int {
+	if n != nil {
+		n.parent = nil
+		if n.col == red {
+			n.col, h = black, h+1
+		}
+	}
+	return h
+}
+
+// link makes l and r m's children.
+func link(m, l, r *rbNode) {
+	m.left, m.right = l, r
+	if l != nil {
+		l.parent = m
+	}
+	if r != nil {
+		r.parent = m
 	}
 }
 
@@ -375,9 +543,6 @@ func (t *rbTree) transplant(u, v *rbNode) {
 
 func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 	for x != t.root && isBlack(x) {
-		if parent == nil {
-			break
-		}
 		if x == parent.left {
 			w := parent.right
 			if w != nil && w.col == red {
@@ -385,11 +550,6 @@ func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 				parent.col = red
 				t.rotateLeft(parent)
 				w = parent.right
-			}
-			if w == nil {
-				x = parent
-				parent = x.parent
-				continue
 			}
 			if isBlack(w.left) && isBlack(w.right) {
 				w.col = red
@@ -420,11 +580,6 @@ func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 				parent.col = red
 				t.rotateRight(parent)
 				w = parent.left
-			}
-			if w == nil {
-				x = parent
-				parent = x.parent
-				continue
 			}
 			if isBlack(w.right) && isBlack(w.left) {
 				w.col = red

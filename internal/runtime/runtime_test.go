@@ -10,6 +10,23 @@ import (
 	"carat/internal/obs"
 )
 
+// Delete unlinks the node holding key and returns it, nil if key is absent:
+// the tests' way to drop a key.
+func (t *rbTree) Delete(key uint64) *rbNode {
+	z := t.root
+	for z != nil && z.key != key {
+		if key < z.key {
+			z = z.left
+		} else {
+			z = z.right
+		}
+	}
+	if z != nil {
+		t.deleteNode(z)
+	}
+	return z
+}
+
 func TestRBTreeBasic(t *testing.T) {
 	var tr rbTree
 	a := &Allocation{Base: 10, Len: 5}
@@ -400,7 +417,7 @@ func TestHandleMovePatchesEverything(t *testing.T) {
 	}
 	// No escape may still point into the vacated range (DESIGN invariant).
 	rt.Table.ForEach(func(a *Allocation) bool {
-		for _, loc := range rt.Table.EscapeLocsOf(a, nil) {
+		for _, loc := range rt.Table.escapeLocs(a) {
 			v := k.Mem.Load64(loc)
 			if v >= res.Src && v < res.Src+res.Pages*kernel.PageSize {
 				t.Errorf("escape at %#x still points into vacated range: %#x", loc, v)
@@ -584,5 +601,40 @@ func TestPublishAddsEachCountOnce(t *testing.T) {
 	}
 	if got, ok := snap.Gauges["carat.runtime.escapes_live"]; !ok || got != rt.Stats.EscapesLive.Get() {
 		t.Errorf("escapes_live gauge = %d (present %v), want %d", got, ok, rt.Stats.EscapesLive.Get())
+	}
+}
+
+// TestRebaseChecksItsRunInDebugBuilds: a caratdebug build refuses a Rebase
+// whose allocations are not one contiguous run of the tree's keys, or
+// whose destination already holds a key; the splice would reorder the
+// tree silently.
+func TestRebaseChecksItsRunInDebugBuilds(t *testing.T) {
+	if !debugInvariants {
+		t.Skip("only caratdebug builds check the run")
+	}
+	for _, c := range []struct {
+		name     string
+		src, dst uint64
+		pick     []int
+	}{{"scattered run", 0x1000, 0x9000, []int{0, 2}}, {"onto a tracked base", 0x1000, 0x1100, []int{0}}} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := NewAllocationTable()
+			var as []*Allocation
+			for i := uint64(0); i < 3; i++ {
+				a, err := tb.Insert(0x1000+i*0x100, 0x10, false)
+				must(t, err)
+				as = append(as, a)
+			}
+			var run []*Allocation
+			for _, i := range c.pick {
+				run = append(run, as[i])
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Rebase accepted the run")
+				}
+			}()
+			tb.Rebase(run, c.src, c.dst)
+		})
 	}
 }

@@ -296,40 +296,48 @@ func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
 	return r.a, ok
 }
 
-// EscapeLocsOf snapshots allocation a's escape locations under escMu, in set
-// order, into out's storage; the move and swap engines iterate the snapshot
-// while patching.
-func (t *AllocationTable) EscapeLocsOf(a *Allocation, out []uint64) []uint64 {
-	out = out[:0]
-	if a.EscapeCount() == 0 {
-		return out // most of what shares a moved page with the target: no lock taken
-	}
+// EscapeLocsOf snapshots the escape locations of every allocation of as
+// under one hold of escMu, in as order and each in set order, into locs'
+// storage; ends[i] is where allocation i's locations end. The move and swap
+// engines iterate the snapshot while patching.
+func (t *AllocationTable) EscapeLocsOf(as []*Allocation, locs []uint64, ends []int) ([]uint64, []int) {
+	locs, ends = locs[:0], ends[:0]
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
-	return append(out, a.escs...)
+	for _, a := range as {
+		locs = append(locs, a.escs...)
+		ends = append(ends, len(locs))
+	}
+	return locs, ends
 }
 
 // Rebase moves every allocation of as by dst-src — one at src+off goes to
-// dst+off — under one hold of treeMu, keeping escape sets attached and
-// re-linking each allocation's own tree node. All are unlinked before any is
-// re-linked, so the two ranges may overlap. Escape locations are NOT
-// rewritten here; the move engine handles location rebasing since it knows
-// the moved byte range. An allocation the table no longer holds only takes
-// the new base: it is not resurrected.
+// dst+off — under one hold of treeMu, keeping escape sets attached. The
+// tracked ones are the contiguous run of the tree's keys from the lowest of
+// their bases to the highest, and they land in a key range holding no other
+// allocation (a page move's affected set, a single allocation), so the tree
+// moves them in one splice (rbTree.shift), whatever their number; the two
+// ranges may overlap. caratdebug builds check both conditions. Escape
+// locations are NOT rewritten here; the move engine handles location
+// rebasing since it knows the moved byte range. An allocation the table no
+// longer holds only takes the new base: it is not resurrected.
 func (t *AllocationTable) Rebase(as []*Allocation, src, dst uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
+	lo, hi, linked := ^uint64(0), uint64(0), 0
 	for _, a := range as {
 		if a.node != nil {
-			t.tree.deleteNode(a.node)
+			lo, hi, linked = min(lo, a.Base), max(hi, a.Base+1), linked+1
 		}
 		a.Base = a.Base - src + dst
 	}
-	for _, a := range as {
-		if n := a.node; n != nil {
-			n.key = a.Base
-			t.tree.Insert(n)
-		}
+	if linked == 0 {
+		return
+	}
+	moved, clear := t.tree.shift(lo, hi, lo-src+dst)
+	if debugInvariants && (moved != linked || !clear) {
+		panic(fmt.Sprintf("runtime: Rebase of %d allocations [%#x,%#x] to %#x: %d keys in the run, destination clear %v",
+			linked, lo, hi-1, lo-src+dst, moved, clear))
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -44,6 +45,24 @@ func (m *modelTable) overlaps(base, length uint64, except *modelAlloc) bool {
 		}
 	}
 	return false
+}
+
+// overlapsOutside reports whether [base, base+length) overlaps an
+// allocation that is not one of run.
+func (m *modelTable) overlapsOutside(base, length uint64, run []*modelAlloc) bool {
+	for _, a := range m.allocs {
+		if !slices.Contains(run, a) && base < a.base+a.length && a.base < base+length {
+			return true
+		}
+	}
+	return false
+}
+
+// sorted returns the allocations in base order.
+func (m *modelTable) sorted() []*modelAlloc {
+	out := slices.Clone(m.allocs)
+	slices.SortFunc(out, func(a, b *modelAlloc) int { return cmp.Compare(a.base, b.base) })
+	return out
 }
 
 func (m *modelTable) remove(a *modelAlloc) {
@@ -110,6 +129,12 @@ func (m *modelTable) mostEscaped() *modelAlloc {
 	return best
 }
 
+// escapeLocs is EscapeLocsOf for one allocation.
+func (t *AllocationTable) escapeLocs(a *Allocation) []uint64 {
+	locs, _ := t.EscapeLocsOf([]*Allocation{a}, nil, nil)
+	return locs
+}
+
 // relinkEscape makes loc an escape into allocation a (nil: into nothing),
 // whatever it points at: the fuzzer's way to move an escape between sets.
 func (t *AllocationTable) relinkEscape(loc uint64, a *Allocation) {
@@ -143,6 +168,7 @@ const (
 	fzPick
 	fzSwap
 	fzInnerEscape
+	fzRebaseRun
 	fzOps
 )
 
@@ -270,6 +296,28 @@ func FuzzAllocationTable(f *testing.F) {
 	f.Add(with([7]byte{fzAddEscape, 0x10, 0x00, 0, 0x30}, [7]byte{fzAddEscape, 0x00, 0x00, 0, 0x31},
 		[7]byte{fzRebaseLocs, 0x00, 0x00, 0x00, 0x08, 0x10, 0x00}, [7]byte{fzPick}))
 
+	// 36 allocations inserted out of order, eight of them with 1–8 escapes,
+	// then runs of 8, 8, 5 and 1 spliced out and back in across the tree,
+	// a pick after each: the joins between trees of unequal black height
+	// must recolour and rotate, and the maxima of what they rebuild must
+	// follow.
+	var runs [][7]byte
+	for i := 0; i < 36; i++ {
+		runs = append(runs, [7]byte{fzInsert, byte(i * 17 % 36), 0x3f})
+	}
+	for i := 0; i < 8; i++ {
+		for j := 0; j <= i; j++ {
+			loc := uint16(i*0x200 + j*8)
+			runs = append(runs, [7]byte{fzAddEscape, byte(loc >> 8), byte(loc), byte(i*5 + 1), 0})
+		}
+	}
+	runs = append(runs, [7]byte{fzPick},
+		[7]byte{fzRebaseRun, 0, 0, 2, 7, 40, 0}, [7]byte{fzPick}, // slots 2–9 to 40–47
+		[7]byte{fzRebaseRun, 0, 0, 20, 7, 2, 0}, [7]byte{fzPick}, // the 21st to 28th to 2–9
+		[7]byte{fzRebaseRun, 0, 0, 0, 4, 22, 0x80}, [7]byte{fzPick}, // five, to between slots
+		[7]byte{fzRebaseRun, 0, 0, 30, 0, 0, 0}, [7]byte{fzPick})
+	f.Add(tableOps(runs...))
+
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rt := New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
 		tb := rt.Table
@@ -379,6 +427,31 @@ func FuzzAllocationTable(f *testing.F) {
 				if moved, _ := tb.RebaseEscapeLocs(src, src+ma.length, dst); moved != want {
 					t.Fatalf("step %d: swap of %#x to %#x moved %d escape locations, model %d", step, src, dst, moved, want)
 				}
+			case fzRebaseRun:
+				// The resident allocations from the c-th, d%8+1 of them in
+				// base order, to an empty range: a page move's affected set.
+				var run []*modelAlloc
+				for _, ma := range m.sorted() {
+					if !kernel.IsPoison(ma.base) {
+						run = append(run, ma)
+					}
+				}
+				if len(run) == 0 {
+					continue
+				}
+				i := int(c) % len(run)
+				run = run[i:min(len(run), i+int(d%8)+1)]
+				lo, hi := run[0].base, run[len(run)-1].base+run[len(run)-1].length
+				dst := fzAllocLo + (uint64(in[5])<<8|uint64(in[6]))%(fzSlots*fzSlot)
+				if dst == lo || m.overlapsOutside(dst, hi-lo, run) {
+					continue
+				}
+				as := make([]*Allocation, len(run))
+				for j, ma := range run {
+					as[j] = live[ma]
+					ma.base = ma.base - lo + dst
+				}
+				tb.Rebase(as, lo, dst)
 			case fzInnerEscape:
 				loc := fzAllocLo + (uint64(a)<<8|uint64(b))%(fzSlots*fzSlot)
 				target := fzAllocLo + uint64(c%fzSlots)*fzSlot + uint64(d)
@@ -392,6 +465,13 @@ func FuzzAllocationTable(f *testing.F) {
 			if err := tb.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+			var order []*Allocation
+			tb.ForEach(func(a *Allocation) bool { order = append(order, a); return true })
+			for i, ma := range m.sorted() {
+				if i >= len(order) || order[i] != live[ma] || order[i].Base != ma.base {
+					t.Fatalf("step %d: the table's %d-th allocation is not the model's %#x", step, i, ma.base)
+				}
+			}
 			if tb.Len() != len(m.allocs) || tb.EscapeCount() != len(m.esc) {
 				t.Fatalf("step %d: %d allocations / %d escapes, model %d / %d",
 					step, tb.Len(), tb.EscapeCount(), len(m.allocs), len(m.esc))
@@ -401,7 +481,7 @@ func FuzzAllocationTable(f *testing.F) {
 				if tb.Covering(ma.base) != al || al.Base != ma.base {
 					t.Fatalf("step %d: allocation %#x not where the model has it", step, ma.base)
 				}
-				got, want := tb.EscapeLocsOf(al, nil), m.locsOf(ma)
+				got, want := tb.escapeLocs(al), m.locsOf(ma)
 				slices.Sort(got)
 				if !slices.Equal(got, want) || al.EscapeCount() != len(want) {
 					t.Fatalf("step %d: allocation %#x escapes %#x (count %d), model %#x",

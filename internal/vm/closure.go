@@ -443,11 +443,11 @@ func (v *VM) ccall(t *thread, fb *funcBinding, args []uint64) (uint64, error) {
 		case tCondBr:
 			bit = regs[tm.a] & 1
 		case tICmp:
-			bit = boolBit(icmp(tm.pred, regs[tm.a], regs[tm.b]))
+			bit = boolBit(ir.ICmp(tm.pred, regs[tm.a], regs[tm.b]))
 			regs[tm.dst] = bit
 		case tICmpMasked:
 			bits := int(tm.bits)
-			bit = boolBit(icmp(tm.pred, maskToWidth(regs[tm.a], bits), maskToWidth(regs[tm.b], bits)))
+			bit = boolBit(ir.ICmp(tm.pred, ir.MaskToWidth(regs[tm.a], bits), ir.MaskToWidth(regs[tm.b], bits)))
 			regs[tm.dst] = bit
 		case tFCmp:
 			bit = boolBit(fcmp(tm.pred, math.Float64frombits(regs[tm.a]), math.Float64frombits(regs[tm.b])))
@@ -782,13 +782,13 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		if maskCmp, srcBits := cmpMask(in); maskCmp {
 			return func(e *cenv) {
 				fr := e.fr
-				x, y := maskToWidth(a.get(fr), srcBits), maskToWidth(b.get(fr), srcBits)
-				fr.regs[dst] = boolBit(icmp(pred, x, y))
+				x, y := ir.MaskToWidth(a.get(fr), srcBits), ir.MaskToWidth(b.get(fr), srcBits)
+				fr.regs[dst] = boolBit(ir.ICmp(pred, x, y))
 			}
 		}
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = boolBit(icmp(pred, a.get(fr), b.get(fr)))
+			fr.regs[dst] = boolBit(ir.ICmp(pred, a.get(fr), b.get(fr)))
 		}
 
 	case ir.OpFCmp:
@@ -806,21 +806,21 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = narrow(a.get(fr), bits)
+			fr.regs[dst] = ir.Narrow(a.get(fr), bits)
 		}
 	case ir.OpZExt:
 		a := cf.operand(in.Args[0])
 		srcBits := in.Args[0].Type().Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = maskToWidth(a.get(fr), srcBits)
+			fr.regs[dst] = ir.MaskToWidth(a.get(fr), srcBits)
 		}
 	case ir.OpSExt:
 		a := cf.operand(in.Args[0])
 		srcBits := in.Args[0].Type().Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = uint64(signExtend(a.get(fr), srcBits))
+			fr.regs[dst] = uint64(ir.SignExtend(a.get(fr), srcBits))
 		}
 	case ir.OpPtrToInt, ir.OpIntToPtr:
 		a := cf.operand(in.Args[0])
@@ -839,7 +839,7 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		bits := in.Typ.Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = narrow(uint64(int64(math.Float64frombits(a.get(fr)))), bits)
+			fr.regs[dst] = ir.Narrow(uint64(int64(math.Float64frombits(a.get(fr)))), bits)
 		}
 
 	case ir.OpGEP:
@@ -956,7 +956,7 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 	}
 	return func(e *cenv) {
 		fr := e.fr
-		r, _ := intBinop(op, a.get(fr), b.get(fr), bits)
+		r, _ := ir.IntBinop(op, a.get(fr), b.get(fr), bits)
 		if dst >= 0 {
 			fr.regs[dst] = r
 		}
@@ -1014,7 +1014,7 @@ func (cf *ccompiler) compileObserving(in *ir.Instr, segN, segCyc uint64, pures [
 	return func(e *cenv) error {
 		e.open(segN, segCyc, pures)
 		fr := e.fr
-		r, err := intBinop(op, a.get(fr), b.get(fr), bits)
+		r, err := ir.IntBinop(op, a.get(fr), b.get(fr), bits)
 		if err != nil {
 			e.flush()
 			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, in, err)
@@ -1231,7 +1231,7 @@ func (s *accSite) cold(e *cenv) error {
 	}
 	raw := e.mem.LoadN(pa, int(s.w))
 	if s.signed {
-		raw = narrow(raw, int(s.srcBits))
+		raw = ir.Narrow(raw, int(s.srcBits))
 	}
 	if s.dst >= 0 {
 		fr.regs[s.dst] = raw

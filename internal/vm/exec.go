@@ -142,7 +142,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 			set(math.Float64bits(r))
 			return nil
 		}
-		r, err := intBinop(in.Op, a, b, in.Typ.Bits)
+		r, err := ir.IntBinop(in.Op, a, b, in.Typ.Bits)
 		if err != nil {
 			return fmt.Errorf("vm: @%s: %s: %w", fr.fb.fn.Name, in, err)
 		}
@@ -151,14 +151,11 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 
 	case in.Op == ir.OpICmp:
 		a, b := v.val(fr, in.Args[0]), v.val(fr, in.Args[1])
-		// Unsigned predicates compare the width-masked representation;
-		// values are stored sign-extended, which would corrupt them.
-		if in.Pred >= ir.PredULT {
-			if t := in.Args[0].Type(); t.IsInt() && t.Bits < 64 {
-				a, b = maskToWidth(a, t.Bits), maskToWidth(b, t.Bits)
-			}
+		bits := 64
+		if t := in.Args[0].Type(); t.IsInt() {
+			bits = t.Bits
 		}
-		set(boolBit(icmp(in.ICmpPred(), a, b)))
+		set(boolBit(ir.ICmpAt(in.ICmpPred(), a, b, bits)))
 		return nil
 
 	case in.Op == ir.OpFCmp:
@@ -171,18 +168,18 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		a := v.val(fr, in.Args[0])
 		switch in.Op {
 		case ir.OpTrunc:
-			set(narrow(a, in.Typ.Bits))
+			set(ir.Narrow(a, in.Typ.Bits))
 		case ir.OpZExt:
 			// Zero-extension reads the source's width-masked bits.
-			set(maskToWidth(a, in.Args[0].Type().Bits))
+			set(ir.MaskToWidth(a, in.Args[0].Type().Bits))
 		case ir.OpSExt:
-			set(uint64(signExtend(a, in.Args[0].Type().Bits)))
+			set(uint64(ir.SignExtend(a, in.Args[0].Type().Bits)))
 		case ir.OpPtrToInt, ir.OpIntToPtr:
 			set(a)
 		case ir.OpSIToFP:
 			set(math.Float64bits(float64(int64(a))))
 		case ir.OpFPToSI:
-			set(narrow(uint64(int64(math.Float64frombits(a))), in.Typ.Bits))
+			set(ir.Narrow(uint64(int64(math.Float64frombits(a))), in.Typ.Bits))
 		}
 		return nil
 
@@ -207,7 +204,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		}
 		raw := v.kern.Mem.LoadN(paddr, n) // Verify: n is 1, 2, 4 or 8
 		if in.Elem.IsInt() {
-			raw = narrow(raw, in.Elem.Bits)
+			raw = ir.Narrow(raw, in.Elem.Bits)
 		}
 		set(raw)
 		return nil
@@ -506,106 +503,6 @@ func boolBit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func maskToWidth(v uint64, bits int) uint64 {
-	if bits >= 64 {
-		return v
-	}
-	return v & (1<<uint(bits) - 1)
-}
-
-func signExtend(v uint64, bits int) int64 {
-	if bits >= 64 || bits == 0 {
-		return int64(v)
-	}
-	shift := uint(64 - bits)
-	return int64(v<<shift) >> shift
-}
-
-// narrow is how a register holds a bits-wide integer: sign-extended, except
-// that an i1 holds 0 or 1, the encoding icmp and fcmp produce and the
-// constant folder assumes. One encoding of true means a truncated, a
-// computed and a compared bool compare equal and store the same byte.
-func narrow(v uint64, bits int) uint64 {
-	if bits == 1 {
-		return v & 1
-	}
-	return uint64(signExtend(v, bits))
-}
-
-func intBinop(op ir.Op, a, b uint64, bits int) (uint64, error) {
-	sa, sb := signExtend(a, bits), signExtend(b, bits)
-	var r int64
-	switch op {
-	case ir.OpAdd:
-		r = sa + sb
-	case ir.OpSub:
-		r = sa - sb
-	case ir.OpMul:
-		r = sa * sb
-	case ir.OpSDiv:
-		if sb == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		r = sa / sb
-	case ir.OpSRem:
-		if sb == 0 {
-			return 0, fmt.Errorf("remainder by zero")
-		}
-		r = sa % sb
-	case ir.OpUDiv:
-		if sb == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		r = int64(maskToWidth(a, bits) / maskToWidth(b, bits))
-	case ir.OpURem:
-		if sb == 0 {
-			return 0, fmt.Errorf("remainder by zero")
-		}
-		r = int64(maskToWidth(a, bits) % maskToWidth(b, bits))
-	case ir.OpAnd:
-		r = sa & sb
-	case ir.OpOr:
-		r = sa | sb
-	case ir.OpXor:
-		r = sa ^ sb
-	case ir.OpShl:
-		r = sa << (uint64(sb) & 63)
-	case ir.OpLShr:
-		r = int64(maskToWidth(a, bits) >> (uint64(sb) & 63))
-	case ir.OpAShr:
-		r = sa >> (uint64(sb) & 63)
-	default:
-		return 0, fmt.Errorf("bad binop %v", op)
-	}
-	return narrow(uint64(r), bits), nil
-}
-
-func icmp(p ir.Pred, a, b uint64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredLT:
-		return int64(a) < int64(b)
-	case ir.PredLE:
-		return int64(a) <= int64(b)
-	case ir.PredGT:
-		return int64(a) > int64(b)
-	case ir.PredGE:
-		return int64(a) >= int64(b)
-	case ir.PredULT:
-		return a < b
-	case ir.PredULE:
-		return a <= b
-	case ir.PredUGT:
-		return a > b
-	case ir.PredUGE:
-		return a >= b
-	}
-	return false
 }
 
 func fcmp(p ir.Pred, a, b float64) bool {

@@ -758,3 +758,48 @@ entry:
 		}
 	}
 }
+
+// TestFoldedBinopsMatchTheEngines: ConstFold computes a narrow binop at its
+// operand width, as both engines do: `udiv i8 -1, 2` is 127 and `sdiv i8 1,
+// 255` is -1, whether the folder or the engine computes it.
+func TestFoldedBinopsMatchTheEngines(t *testing.T) {
+	const folded = `module "folded"
+func @main() -> i64 {
+entry:
+  %%r = %[1]s i8 %[2]d, %[3]d
+  %%w = sext i8 %%r to i64
+  ret i64 %%w
+}`
+	const ran = `module "ran"
+global @g : [2 x i64]
+func @main() -> i64 {
+entry:
+  %%pa = gep i64, @g, 0
+  %%pb = gep i64, @g, 1
+  store i64 %[2]d, %%pa
+  store i64 %[3]d, %%pb
+  %%la = load i64, %%pa
+  %%lb = load i64, %%pb
+  %%a = trunc i64 %%la to i8
+  %%b = trunc i64 %%lb to i8
+  %%r = %[1]s i8 %%a, %%b
+  %%w = sext i8 %%r to i64
+  ret i64 %%w
+}`
+	cfg := DefaultConfig()
+	cfg.MemBytes, cfg.HeapBytes = 1<<22, 1<<18
+	for _, c := range []struct {
+		op         string
+		a, b, want int64
+	}{{"udiv", -1, 2, 127}, {"sdiv", 1, 255, -1}} {
+		for _, engine := range []bool{reference, compiled} {
+			cfg.Closure = engine
+			for _, src := range []string{folded, ran} {
+				prog := fmt.Sprintf(src, c.op, c.a, c.b)
+				if _, got := run(t, compile(t, prog, passes.LevelNone), cfg); got != c.want {
+					t.Errorf("compiled=%v: %s i8 %d, %d in\n%s\nreturns %d, want %d", engine, c.op, c.a, c.b, prog, got, c.want)
+				}
+			}
+		}
+	}
+}
