@@ -7,7 +7,8 @@
 // Endpoints:
 //
 //	/metrics   Prometheus text exposition (version 0.0.4) of every
-//	           counter, gauge, and histogram in the registry
+//	           counter, gauge, and histogram in the registry, then the
+//	           host process's heap and collector series (go_*)
 //	/profile   obs.ProfileDoc JSON (default) or raw folded stacks
 //	           with ?format=folded — flamegraph.pl-compatible
 //	/trace     an obs.TraceDoc holding the events emitted during a
@@ -32,7 +33,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,10 +134,47 @@ func (s *Server) Close() error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.Registry == nil {
-		return
+	if s.Registry != nil {
+		WritePrometheus(w, s.Registry.Snapshot())
 	}
-	WritePrometheus(w, s.Registry.Snapshot())
+	writeGoSeries(w)
+}
+
+// goSeries are the host process's heap and collector series /metrics ends
+// with: name, Prometheus type, and the runtime/metrics sample read.
+var goSeries = [...][3]string{
+	{"go_heap_alloc_bytes", "counter", "/gc/heap/allocs:bytes"},
+	{"go_heap_alloc_objects", "counter", "/gc/heap/allocs:objects"},
+	{"go_heap_live_bytes", "gauge", "/gc/heap/live:bytes"},
+	{"go_gc_cycles", "counter", "/gc/cycles/total:gc-cycles"},
+	{"go_goroutines", "gauge", "/sched/goroutines:goroutines"},
+	{"go_gc_pause_seconds", "histogram", "/sched/pauses/total/gc:seconds"},
+}
+
+// writeGoSeries writes goSeries; the pause histogram's buckets are
+// cumulative, and it has no _sum, which runtime/metrics does not keep.
+func writeGoSeries(w io.Writer) {
+	var samples [len(goSeries)]metrics.Sample
+	for i, g := range goSeries {
+		samples[i].Name = g[2]
+	}
+	metrics.Read(samples[:])
+	var b strings.Builder
+	for i, g := range goSeries {
+		fmt.Fprintf(&b, "# TYPE %s %s\n", g[0], g[1])
+		if v := samples[i].Value; v.Kind() == metrics.KindUint64 {
+			fmt.Fprintf(&b, "%s %d\n", g[0], v.Uint64())
+		} else if v.Kind() == metrics.KindFloat64Histogram {
+			h, cum := v.Float64Histogram(), uint64(0)
+			for j, n := range h.Counts {
+				if cum += n; !math.IsInf(h.Buckets[j+1], 1) {
+					fmt.Fprintf(&b, "%s_bucket{le=\"%g\"} %d\n", g[0], h.Buckets[j+1], cum)
+				}
+			}
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_count %d\n", g[0], cum, g[0], cum)
+		}
+	}
+	io.WriteString(w, b.String()) //nolint:errcheck // best-effort over HTTP
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
@@ -210,47 +249,35 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // name, so scrapes of an idle process are byte-stable.
 func WritePrometheus(w interface{ Write([]byte) (int, error) }, snap obs.Snapshot) {
 	var b strings.Builder
-
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Counters) {
 		pn := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", pn, pn, snap.Counters[name])
 	}
-
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Gauges) {
 		pn := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", pn, pn, snap.Gauges[name])
 	}
-
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Histograms[name]
-		pn := promName(name)
+	for _, name := range sortedKeys(snap.Histograms) {
+		h, pn := snap.Histograms[name], promName(name)
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)
 		var cum uint64
 		for _, bk := range h.Buckets {
 			cum += bk.Count
 			fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d\n", pn, promLe(bk.Le), cum)
 		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count)
-		fmt.Fprintf(&b, "%s_sum %d\n", pn, h.Sum)
-		fmt.Fprintf(&b, "%s_count %d\n", pn, h.Count)
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n", pn, h.Count, pn, h.Sum, pn, h.Count)
 	}
-
 	w.Write([]byte(b.String())) //nolint:errcheck // best-effort over HTTP
+}
+
+// sortedKeys returns m's names in order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // promName maps a dotted registry name to a legal Prometheus metric name.

@@ -86,6 +86,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE carat_runtime_pause_cycles histogram",
 		`le="+Inf"`,
 		"carat_runtime_pause_cycles_count 5",
+		"# TYPE go_heap_alloc_bytes counter",
+		"# TYPE go_heap_alloc_objects counter",
+		"# TYPE go_heap_live_bytes gauge",
+		"# TYPE go_gc_cycles counter",
+		"# TYPE go_goroutines gauge",
+		"# TYPE go_gc_pause_seconds histogram",
+		`go_gc_pause_seconds_bucket{le="+Inf"}`,
+		"go_gc_pause_seconds_count",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

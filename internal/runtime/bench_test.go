@@ -62,17 +62,17 @@ func pageMoveMachine(tb testing.TB, n uint64) (*kernel.Process, *Runtime, uint64
 }
 
 // densePageMachine sets up omnetpp_s's shape, where the storm's median move
-// sits: 256 16-byte allocations fill one page, each holding a pointer to its
-// neighbour (the last to the first), so one move carries 256 allocations and
-// patches and re-keys 256 escapes; others more 48-byte allocations sit on other
-// pages. It returns the page's base.
-func densePageMachine(tb testing.TB, others uint64) (*kernel.Process, *Runtime, uint64) {
+// sits: n allocations fill one page (256 of 16 bytes in omnetpp_s), each
+// holding a pointer to its neighbour (the last to the first), so one move
+// carries n allocations and patches and re-keys n escapes; others more
+// 48-byte allocations sit on other pages. It returns the page's base.
+func densePageMachine(tb testing.TB, others, n uint64) (*kernel.Process, *Runtime, uint64) {
 	p, rt, base := benchMachine(tb, 64<<20)
 	for i := uint64(0); i < others; i++ {
 		must(tb, rt.TrackAlloc(base+8<<20+i*64, 48))
 	}
 	page := base + 4*kernel.PageSize
-	const n, size = 256, 16
+	size := kernel.PageSize / n
 	for i := uint64(0); i < n; i++ {
 		must(tb, rt.TrackAlloc(page+i*size, size))
 	}
@@ -97,8 +97,8 @@ func BenchmarkPageMove(b *testing.B) {
 		{"1k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000) }},
 		{"32k-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 32_000) }},
 		{"1M-escapes-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return pageMoveMachine(tb, 1_000_000) }},
-		{"dense-256-allocs", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 0) }},
-		{"dense-256-allocs-100k-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 100_000) }},
+		{"dense-256-allocs", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 0, 256) }},
+		{"dense-256-allocs-100k-elsewhere", func(tb testing.TB) (*kernel.Process, *Runtime, uint64) { return densePageMachine(tb, 100_000, 256) }},
 	} {
 		b.Run(n.name, func(b *testing.B) {
 			p, rt, page := n.machine(b)
@@ -144,7 +144,10 @@ func BenchmarkWorstCasePage(b *testing.B) {
 
 // BenchmarkTrackEscape prices the tracking hot path, flushes included, per
 // tracked event: "sequential" fills an array of pointers slot by slot (the
-// memo's best case, page after page of the index), "scattered" stores at
+// dense shape: page after page of the index full), "sparse-pages" stores four
+// pointers on each of 2 048 pages and on every other pass nulls them (a
+// request's shape on caratd: a bucket per page taken for a few entries and
+// handed back), "scattered" stores at
 // random over 1 024 pages into 4 096 allocations (every event another bucket
 // and likely another target), "free-churn" frees and reallocates an object
 // every eight events, so that most flushes drain a handful of events.
@@ -164,6 +167,20 @@ func BenchmarkTrackEscape(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rt.TrackEscape(base+uint64(i)%(1<<20)*8, heap+uint64(i>>8)%objs*objBytes)
+		}
+		rt.Flush()
+	})
+	b.Run("sparse-pages", func(b *testing.B) {
+		rt, base, heap := setup(b)
+		const pages, perPage = 2048, 4
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			val := heap + uint64(i>>6)%objs*objBytes
+			if i/(pages*perPage)%2 == 1 {
+				val = 0
+			}
+			rt.TrackEscape(base+uint64(i/perPage%pages)*kernel.PageSize+uint64(i%perPage)*8, val)
 		}
 		rt.Flush()
 	})

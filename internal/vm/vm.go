@@ -487,8 +487,9 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 // Release frees every page region the process still holds, returning the
 // memory (and any quota reservations) to the machine, and returns the
 // process's arena (if any) too. It first publishes whatever the runtime
-// counted since Run did, and hands the guard/translation cache back for
-// the next guest (XCacheStats reads zero from here on). Required after
+// counted since Run did, and hands the guard/translation cache and the
+// escape index's page buckets back for the next guest (XCacheStats reads
+// zero from here on, and the allocation table is empty). Required after
 // each run on a shared kernel; a no-op on the second call.
 func (v *VM) Release() error {
 	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
@@ -497,6 +498,7 @@ func (v *VM) Release() error {
 		xcaches.Put(xc)
 		v.world.main.xc = nil
 	}
+	v.rt.Table.Release()
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
 	}

@@ -759,6 +759,41 @@ entry:
 	}
 }
 
+// TestNarrowConstantsCompareAtTheirWidth: an i8 constant spelled outside the
+// signed range is the i8 value it wraps to — 255 is -1, 128 is -128 — so an
+// i8 register compared against either spelling gets one answer, Go's int8
+// answer, from every signed predicate (eq and ne too) on both engines.
+func TestNarrowConstantsCompareAtTheirWidth(t *testing.T) {
+	const src = `module "narrow"
+global @g : i64
+func @main() -> i64 {
+entry:
+  store i64 %[3]d, @g
+  %%l = load i64, @g
+  %%x = trunc i64 %%l to i8
+  %%c = icmp %[1]s i8 %%x, %[2]d
+  %%r = zext i1 %%c to i64
+  ret i64 %%r
+}`
+	cfg := DefaultConfig()
+	cfg.MemBytes, cfg.HeapBytes = 1<<22, 1<<18
+	for _, x := range []int8{0, -1, 127, -128} {
+		for _, k := range []int64{255, -1, 128, -128} {
+			y := int8(k)
+			for p, want := range map[ir.Pred]bool{ir.PredEQ: x == y, ir.PredNE: x != y, ir.PredLT: x < y,
+				ir.PredLE: x <= y, ir.PredGT: x > y, ir.PredGE: x >= y} {
+				for _, engine := range []bool{reference, compiled} {
+					cfg.Closure = engine
+					_, got := run(t, compile(t, fmt.Sprintf(src, p, k, x), passes.LevelNone), cfg)
+					if got != map[bool]int64{false: 0, true: 1}[want] {
+						t.Errorf("compiled=%v: icmp %s i8 %d, %d = %d, want %v", engine, p, x, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFoldedBinopsMatchTheEngines: ConstFold computes a narrow binop at its
 // operand width, as both engines do: `udiv i8 -1, 2` is 127 and `sdiv i8 1,
 // 255` is -1, whether the folder or the engine computes it.

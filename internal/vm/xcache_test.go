@@ -10,6 +10,7 @@ import (
 	"carat/internal/ir"
 	"carat/internal/kernel"
 	"carat/internal/passes"
+	"carat/internal/runtime"
 	"carat/internal/workload"
 )
 
@@ -90,6 +91,64 @@ func TestLoadAllocatesNoXCache(t *testing.T) {
 	t.Logf("%d B per load/run/release cycle (one xcache is %d B)", perCycle, unsafe.Sizeof(guard.XCache{}))
 	if perCycle >= uint64(unsafe.Sizeof(guard.XCache{})) {
 		t.Errorf("%d B per cycle, at least one xcache's %d B: a load allocated its cache", perCycle, unsafe.Sizeof(guard.XCache{}))
+	}
+}
+
+// fillGuest stores a pointer to its buffer in every word of the buffer's
+// first two pages: at LevelTracking, a page or more of escapes.
+const fillGuest = `module "fill"
+func @malloc(%n: i64) -> ptr
+func @main() -> i64 {
+entry:
+  %p = call ptr @malloc(i64 8192)
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %q = gep i64, %p, %i
+  store ptr %p, %q
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 1024
+  condbr %c, ^loop, ^done
+done:
+  ret i64 0
+}`
+
+// TestReleaseRecyclesPageBuckets: a guest takes its escape index's page
+// buckets from the pool VM.Release fills, so once warm a load, run and
+// release of a guest that fills a page with escapes makes no new bucket.
+func TestReleaseRecyclesPageBuckets(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	p, err := NewProgram(compile(t, fillGuest, passes.LevelTracking))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Kernel = kernel.New(1 << 24)
+	cfg.HeapBytes, cfg.StackBytes = 1<<16, 1<<16
+	cycle := func() {
+		v, err := LoadProgram(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := v.Runtime().Table.EscapeCount(); n < 1024 {
+			t.Fatalf("the guest left %d escapes, want 1024", n)
+		}
+		if err := v.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	made := runtime.BucketsMade()
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if n := runtime.BucketsMade() - made; n != 0 {
+		t.Errorf("10 warm cycles made %d page buckets, want 0", n)
 	}
 }
 
