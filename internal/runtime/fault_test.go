@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,13 +20,16 @@ type allocSnap struct {
 }
 
 // machineSnap captures everything a rolled-back move must restore
-// bit-identically: the physical memory image, the region set, the
-// allocation table with its escape map, the register file, and the
+// bit-identically: the physical memory image, the swap slots' bytes, the
+// region set, the allocation table with its escape sets and its reverse
+// index (each location's allocation base), the register file, and the
 // kernel's free-frame and owned-page counts.
 type machineSnap struct {
 	MemSum     uint64
+	Slots      [][]byte
 	Regions    []guard.Region
 	Allocs     []allocSnap
+	Index      map[uint64]uint64
 	Regs       []uint64
 	FreePages  uint64
 	OwnedPages int
@@ -38,6 +42,13 @@ func snapshot(k *kernel.Kernel, p *kernel.Process, rt *Runtime, regs *fakeRegs) 
 		Regs:       append([]uint64(nil), regs.vals...),
 		FreePages:  k.Alloc.FreePages(),
 		OwnedPages: k.OwnedPageCount(),
+		Index:      map[uint64]uint64{},
+	}
+	for _, b := range rt.swapSlots {
+		s.Slots = append(s.Slots, slices.Clone(b))
+	}
+	for page, b := range rt.Table.pages {
+		b.each(page*kernel.PageSize, func(loc uint64, r escRef) { s.Index[loc] = rt.Table.allocs[r.h()].Base })
 	}
 	rt.Table.ForEach(func(a *Allocation) bool {
 		locs := rt.Table.escapeLocs(a)
@@ -82,37 +93,53 @@ func buildMoveFixture(t *testing.T) (*kernel.Kernel, *kernel.Process, *Runtime, 
 	return k, p, rt, regs, base
 }
 
-// fixtureMove moves buildMoveFixture's allocation A (base+64): a kernel move
-// of its page, or — alloc — an allocation move of A alone to the empty page
-// at base+PageSize. moved reports whether A left its old place.
-func fixtureMove(p *kernel.Process, rt *Runtime, base uint64, alloc bool) (moved bool, err error) {
-	if alloc {
-		dst := base + kernel.PageSize
-		if _, err := rt.MoveAllocationTo(base+64, dst); err != nil {
-			return false, err
-		}
-		a := rt.Table.Covering(dst)
-		return a != nil && a.Base == dst, nil
-	}
-	res, err := p.RequestMove(base, 1)
-	return err == nil && res.Dst != res.Src, err
+// fixtureKinds are the four move kinds the rollback tests run.
+var fixtureKinds = []moveKind{kindPage, kindAlloc, kindSwapOut, kindSwapIn}
+
+// kindName names a move kind in subtest names.
+func kindName(kind moveKind) string {
+	return [...]string{"page", "allocation", "swap-out", "swap-in"}[kind]
 }
 
-// kindName names a fixtureMove kind in subtest names.
-func kindName(alloc bool) string {
-	if alloc {
-		return "allocation"
+// moveFixture is buildMoveFixture made ready for a move of kind — for a
+// swap-in, allocation A (base+64) is swapped out to slot 0 first — and A.
+func moveFixture(t *testing.T, kind moveKind) (*kernel.Kernel, *kernel.Process, *Runtime, *fakeRegs, uint64, *Allocation) {
+	k, p, rt, regs, base := buildMoveFixture(t)
+	a := rt.Table.Covering(base + 64)
+	if kind == kindSwapIn {
+		if slot, err := rt.SwapOut(base + 64); err != nil || slot != 0 {
+			t.Fatalf("swap-out to slot %d: %v", slot, err)
+		}
 	}
-	return "page"
+	return k, p, rt, regs, base, a
+}
+
+// fixtureMove moves allocation A by kind: a kernel move of its page, an
+// allocation move of A alone to the empty page at base+PageSize, a swap-out,
+// or a swap-in of A back to base+64.
+func fixtureMove(p *kernel.Process, rt *Runtime, base uint64, kind moveKind) error {
+	var err error
+	switch kind {
+	case kindPage:
+		_, err = p.RequestMove(base, 1)
+	case kindAlloc:
+		_, err = rt.MoveAllocationTo(base+64, base+kernel.PageSize)
+	case kindSwapOut:
+		_, err = rt.SwapOut(base + 64)
+	case kindSwapIn:
+		err = rt.SwapIn(0, base+64)
+	}
+	return err
 }
 
 // TestAbortAtEveryStepBoundaryRollsBack forces a mid-move abort at each
 // of the checked Fig-8 step boundaries in turn — four for a page move, the
-// three after destination negotiation for an allocation move, whose
-// destination exists from the start — and requires the machine — memory
-// image, region set, allocation table, escape map, registers, free frames,
-// owned pages — to be bit-identical to the pre-move snapshot. The final
-// armed fault exhausted, the same move must then succeed.
+// three after destination negotiation for an allocation move and a swap,
+// whose destination exists from the start — and requires the machine —
+// memory image, swap slots, region set, allocation table, escape sets and
+// reverse index, registers, free frames, owned pages — to be bit-identical
+// to the pre-move snapshot. The final armed fault exhausted, the same move
+// must then succeed.
 func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 	boundaries := []string{
 		"before destination negotiation",
@@ -120,22 +147,22 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 		"after register patch",
 		"before data copy",
 	}
-	for _, alloc := range []bool{false, true} {
+	for _, kind := range fixtureKinds {
 		for i, name := range boundaries {
 			// nth is the boundary's position among the move's checked ones.
 			nth := i + 1
-			if alloc {
+			if kind != kindPage {
 				if i == 0 {
 					continue
 				}
 				nth = i
 			}
-			sub := name
-			if alloc {
-				sub = "allocation " + name
+			sub := name // a page move's subtests keep their first names
+			if kind != kindPage {
+				sub = kindName(kind) + " " + name
 			}
 			t.Run(sub, func(t *testing.T) {
-				k, p, rt, regs, base := buildMoveFixture(t)
+				k, p, rt, regs, base, a := moveFixture(t, kind)
 				inj := fault.New(1, nil)
 				rt.SetInjector(inj)
 
@@ -143,7 +170,7 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 				vetoesBefore := k.Stats.MoveVetoes.Get()
 
 				inj.Arm(fault.MoveAbort, nth)
-				_, err := fixtureMove(p, rt, base, alloc)
+				err := fixtureMove(p, rt, base, kind)
 				if err == nil {
 					t.Fatalf("armed abort at %q did not fail the move", name)
 				}
@@ -161,11 +188,11 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 				if err := rt.Table.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
-				// A page move's abort is a kernel veto; an allocation move
-				// has no kernel request to veto.
-				wantVetoes := vetoesBefore + 1
-				if alloc {
-					wantVetoes = vetoesBefore
+				// A page move's abort is a kernel veto; no other kind has a
+				// kernel request to veto.
+				wantVetoes := vetoesBefore
+				if kind == kindPage {
+					wantVetoes++
 				}
 				if got := k.Stats.MoveVetoes.Get(); got != wantVetoes {
 					t.Errorf("move vetoes = %d, want %d", got, wantVetoes)
@@ -173,7 +200,7 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 				// A page move's first boundary aborts before anything
 				// mutates; all later ones must roll back a real transaction.
 				wantRollbacks := uint64(1)
-				if nth == 1 && !alloc {
+				if nth == 1 && kind == kindPage {
 					wantRollbacks = 0
 				}
 				if got := rt.Stats.MoveRollbacks.Get(); got != wantRollbacks {
@@ -182,11 +209,11 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 
 				// Fault exhausted: the identical request must now succeed and
 				// actually move the allocation.
-				moved, err := fixtureMove(p, rt, base, alloc)
-				if err != nil {
+				from := a.Base
+				if err := fixtureMove(p, rt, base, kind); err != nil {
 					t.Fatalf("move after abort: %v", err)
 				}
-				if !moved {
+				if a.Base == from {
 					t.Error("successful move did not relocate the allocation")
 				}
 				if err := rt.Table.CheckInvariants(); err != nil {
@@ -199,18 +226,18 @@ func TestAbortAtEveryStepBoundaryRollsBack(t *testing.T) {
 
 // TestPatchFailureRollsBackPatchedEscapes fails the patch of the second
 // escape location: the first, already-patched escape must be restored to
-// its pre-move value, under a page move and under an allocation move.
+// its pre-move value, under every kind of move.
 func TestPatchFailureRollsBackPatchedEscapes(t *testing.T) {
-	for _, alloc := range []bool{false, true} {
-		t.Run(kindName(alloc), func(t *testing.T) {
-			k, p, rt, regs, base := buildMoveFixture(t)
+	for _, kind := range fixtureKinds {
+		t.Run(kindName(kind), func(t *testing.T) {
+			k, p, rt, regs, base, _ := moveFixture(t, kind)
 			inj := fault.New(1, nil)
 			rt.SetInjector(inj)
 
 			before := snapshot(k, p, rt, regs)
 			vetoesBefore := k.Stats.MoveVetoes.Get()
 			inj.Arm(fault.PatchFail, 2)
-			if _, err := fixtureMove(p, rt, base, alloc); err == nil || !fault.Injected(err) {
+			if err := fixtureMove(p, rt, base, kind); err == nil || !fault.Injected(err) {
 				t.Fatalf("armed patch failure did not abort the move: %v", err)
 			}
 			after := snapshot(k, p, rt, regs)
@@ -220,9 +247,9 @@ func TestPatchFailureRollsBackPatchedEscapes(t *testing.T) {
 			if rt.Stats.MoveRollbacks.Get() != 1 {
 				t.Errorf("rollbacks = %d, want 1", rt.Stats.MoveRollbacks.Get())
 			}
-			wantVetoes := uint64(1)
-			if alloc {
-				wantVetoes = 0
+			wantVetoes := uint64(0)
+			if kind == kindPage {
+				wantVetoes = 1
 			}
 			if got := k.Stats.MoveVetoes.Get() - vetoesBefore; got != wantVetoes {
 				t.Errorf("rollback counted %d kernel vetoes, want %d", got, wantVetoes)

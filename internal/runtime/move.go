@@ -168,8 +168,8 @@ func (r *Runtime) move(kind moveKind, req kernel.MoveRequest, dst uint64) (MoveB
 // the success epilogue of its kind. The world stays stopped end to end: a
 // move is one pause, its whole MoveBreakdown.TotalCycles, observed once under
 // "move" (or "move_abort"); a swap is one "swap_out" or "swap_in" pause (see
-// finishSwap). A swap draws only its own I/O faults, in its own phase: the
-// shared phases get no injector.
+// finishSwap). Every kind draws the injector's faults at the shared phases'
+// boundaries, and a swap its I/O fault besides.
 func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, regs []RegSet) (MoveBreakdown, kernel.MoveResult, uint64, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
@@ -178,7 +178,7 @@ func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, 
 
 	st := r.mover()
 	defer st.reset()
-	st.kind, st.req, st.regs = kind, req, regs
+	st.kind, st.req, st.regs, st.inj = kind, req, regs, r.injector()
 	st.src, st.dst = req.Src, dst
 	switch kind {
 	case kindSwapOut:
@@ -189,8 +189,6 @@ func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, 
 		st.dst = swapPoison(st.slot, 0)
 	case kindSwapIn:
 		st.slot, _, _ = DecodeSwapPoison(st.src)
-	default:
-		st.inj = r.injector()
 	}
 	for _, phase := range movePhases[kind] {
 		if err := phase(st); err != nil {

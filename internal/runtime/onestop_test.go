@@ -13,8 +13,8 @@ import (
 // MoveBreakdown.TotalCycles, page allocation and data copy included — and
 // the only pause of any cause.
 func TestMoveIsOneStop(t *testing.T) {
-	for _, alloc := range []bool{false, true} {
-		t.Run(kindName(alloc), func(t *testing.T) {
+	for _, kind := range []moveKind{kindPage, kindAlloc} {
+		t.Run(kindName(kind), func(t *testing.T) {
 			k, p, rt := newTestRuntime(t)
 			base, err := p.GrantRegion(4*kernel.PageSize, guard.PermRW)
 			if err != nil {
@@ -35,7 +35,7 @@ func TestMoveIsOneStop(t *testing.T) {
 			world := &fakeWorld{regs: []*fakeRegs{{vals: []uint64{allocA + 96, 12345, allocA + 128}}}}
 			rt.SetWorld(world)
 
-			if alloc {
+			if kind == kindAlloc {
 				_, err = rt.MoveAllocationTo(allocA, base+3*kernel.PageSize)
 			} else {
 				_, err = p.RequestMove(base, 1)

@@ -104,7 +104,7 @@ func (st *moveState) phaseSwapIO() error {
 	case st.slot >= maxSwapSlots:
 		return fmt.Errorf("runtime: out of swap slots")
 	}
-	if st.r.injector().Should(point) {
+	if st.inj.Should(point) {
 		return &fault.Error{Point: point, Detail: fmt.Sprintf("slot %d %s", st.slot, op)}
 	}
 	return nil
