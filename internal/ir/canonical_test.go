@@ -226,6 +226,9 @@ func FuzzIRRoundTrip(f *testing.F) {
 	f.Add(genModule(f, 12).String())
 	f.Add("module \"a\\\"b\"\nglobal @g : {i8, [2 x f64]} = #00ff ptrs [0, 8]\n" +
 		"func @f(%p: ptr) -> f64 {\ne:\n  store ptr ptr:0x10, %p\n  %x = fadd f64 f64:0x7ff8000000000001, -0.0\n  ret f64 %x\n}\n")
+	f.Add("module \"narrow\"\nfunc @f(%x: i8) -> i64 {\ne:\n  %a = add i8 %x, 255\n  %b = icmp ult i8 %a, 128\n" +
+		"  %c = xor i1 %b, -1\n  %d = add i16 65535, -32768\n  %e = add i32 4294967295, -2147483648\n" +
+		"  %s = select i1 %c, i32 %e, i32 2147483648\n  %z = zext i32 %s to i64\n  ret i64 %z\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ir.Parse(src)
 		if err != nil {

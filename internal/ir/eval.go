@@ -4,10 +4,10 @@ import "fmt"
 
 // Integer semantics at a width: the one copy both engines and the constant
 // folder compute with. A register holds a bits-wide integer in one encoding
-// (Narrow): sign-extended to 64 bits, except that an i1 holds 0 or 1.
-// IntBinop reads its operands at their width, whatever encoding they arrive
-// in; ICmpAt expects the register encoding, so the folder narrows a
-// constant before it compares.
+// (Narrow): sign-extended to 64 bits, except that an i1 holds 0 or 1. A
+// Const holds it too (ConstInt), so a constant reads as a register does.
+// IntBinop reads its operands at their width; ICmpAt expects the register
+// encoding.
 
 // SignExtend reads the low bits of v as a signed bits-wide integer.
 func SignExtend(v uint64, bits int) int64 {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -143,6 +144,49 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", src)
+		}
+	}
+}
+
+// TestParseIntegerLiteralRange: a literal must fit its type read either
+// way, signed or unsigned: -2^(b-1) … 2^b-1.
+func TestParseIntegerLiteralRange(t *testing.T) {
+	src := func(typ, lit string) string {
+		return fmt.Sprintf("module \"m\"\nfunc @f() -> %[1]s {\ne:\n  ret %[1]s %[2]s\n}\n", typ, lit)
+	}
+	for _, c := range []struct {
+		typ, lit string
+		ok       bool
+	}{
+		{"i1", "-1", true}, {"i1", "1", true}, {"i1", "2", false}, {"i1", "-2", false},
+		{"i8", "255", true}, {"i8", "-128", true}, {"i8", "256", false}, {"i8", "-129", false}, {"i8", "1000", false},
+		{"i16", "65535", true}, {"i16", "65536", false}, {"i16", "-32769", false},
+		{"i32", "4294967295", true}, {"i32", "-2147483648", true}, {"i32", "4294967296", false},
+		{"i64", "-9223372036854775808", true}, {"i64", "9223372036854775807", true},
+	} {
+		_, err := Parse(src(c.typ, c.lit))
+		if c.ok && err != nil {
+			t.Errorf("%s %s: %v", c.typ, c.lit, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "line 4: integer literal "+c.lit+" out of range for "+c.typ)) {
+			t.Errorf("%s %s: got error %v, want line 4's out-of-range error", c.typ, c.lit, err)
+		}
+	}
+}
+
+// TestNarrowLiteralSpellingsAreOneConstant: an i8 spelled by its unsigned
+// value (255) and by its signed one (-1) parses to one constant, stored in
+// the register encoding, and prints the same.
+func TestNarrowLiteralSpellingsAreOneConstant(t *testing.T) {
+	parse := func(v int) (*Module, *Const) {
+		m := MustParse(fmt.Sprintf("module \"m\"\nfunc @f() -> i8 {\ne:\n  ret i8 %d\n}\n", v))
+		return m, m.Func("f").Blocks[0].Instrs[0].Args[0].(*Const)
+	}
+	for v := 0; v < 256; v++ {
+		mu, cu := parse(v)
+		ms, cs := parse(int(int8(v)))
+		if *cu != *cs || cu.Int != int64(int8(v)) || mu.String() != ms.String() {
+			t.Errorf("i8 %d parses to %+v printing %q, i8 %d to %+v printing %q", v, *cu, mu.String(), int8(v), *cs, ms.String())
 		}
 	}
 }

@@ -499,6 +499,10 @@ func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 			failf("%v", err)
 		}
 		if t.IsInt() {
+			if b := t.Bits; b < 64 && (n < -1<<(b-1) || n > 1<<b-1) {
+				p.lex.line = tok.line // the literal's line, not the look-ahead's
+				failf("integer literal %s out of range for %s", tok.text, t)
+			}
 			return ConstInt(t, n)
 		}
 		if !t.IsPtr() {

@@ -15,17 +15,20 @@ type Value interface {
 // unavailable.
 type Const struct {
 	Typ   *Type
-	Int   int64   // value when Typ is integer or pointer
+	Int   int64   // value when Typ is pointer, or integer in the register encoding
 	Float float64 // value when Typ is f64
 }
 
-// ConstInt returns an integer constant of type t. For a small value of an
-// interned integer type (I1 … I64) it is a shared instance: nothing mutates
-// a *Const once built, so a constant is a value and sharing one is safe.
+// ConstInt returns an integer constant of type t holding v in the register
+// encoding (Narrow), so `i8 255` and `i8 -1` are one constant and every
+// reader takes Int as it is. For a small value of an interned integer type
+// (I1 … I64) it is a shared instance: nothing mutates a *Const once built,
+// so a constant is a value and sharing one is safe.
 func ConstInt(t *Type, v int64) *Const {
 	if !t.IsInt() {
 		panic("ir: ConstInt with non-integer type")
 	}
+	v = int64(Narrow(uint64(v), t.Bits))
 	if v >= smallIntMin && v <= smallIntMax {
 		for i, it := range smallIntTypes {
 			if t == it {

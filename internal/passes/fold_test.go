@@ -57,64 +57,54 @@ func goCmpI8(p ir.Pred, a, b uint8) bool {
 }
 
 // TestFoldI8MatchesGo folds every i8 pair of every integer binop and
-// predicate, and every i8 value's extensions to i64, with the constants stored either way the IR stores a narrow
-// value — sign-extended, as ir.ConstInt(ir.I8, -1) holds it, and
-// zero-extended, as the parser holds `i8 255` — and checks each result's
-// low byte against Go's int8/uint8 arithmetic, an oracle that shares no
-// code with the folder.
+// predicate, and every i8 value's extensions to i64, with each constant
+// built from its unsigned spelling 0…255, which ir.ConstInt stores
+// sign-extended (so 255 is the constant -1, as the parser reads `i8 255`:
+// TestNarrowLiteralSpellingsAreOneConstant in internal/ir), and checks each
+// result's low byte against Go's int8/uint8 arithmetic, an oracle that
+// shares no code with the folder.
 func TestFoldI8MatchesGo(t *testing.T) {
-	x, y := &ir.Const{Typ: ir.I8}, &ir.Const{Typ: ir.I8} // not ConstInt's shared instances: the test rewrites them
-	for _, enc := range []struct {
-		name  string
-		store func(uint8) int64
-	}{
-		{"sign-extended", func(v uint8) int64 { return int64(int8(v)) }},
-		{"zero-extended", func(v uint8) int64 { return int64(v) }},
-	} {
-		for op := ir.OpAdd; op <= ir.OpAShr; op++ {
-			in := &ir.Instr{Op: op, Typ: ir.I8, Args: []ir.Value{x, y}}
-			wrong := 0
-			for a := 0; a < 256; a++ {
-				for b := 0; b < 256; b++ {
-					want, ok := goI8(op, uint8(a), uint8(b))
-					if !ok {
-						continue
-					}
-					x.Int, y.Int = enc.store(uint8(a)), enc.store(uint8(b))
-					if c := foldInstr(in); c == nil || uint8(c.Int) != want {
-						wrong++
-					}
-				}
-			}
-			if wrong > 0 {
-				t.Errorf("%s %s: %d i8 pairs fold wrong", enc.name, op, wrong)
-			}
-		}
-		sext := &ir.Instr{Op: ir.OpSExt, Typ: ir.I64, Args: []ir.Value{x}}
-		zext := &ir.Instr{Op: ir.OpZExt, Typ: ir.I64, Args: []ir.Value{x}}
+	k := func(v int) ir.Value { return ir.ConstInt(ir.I8, int64(v)) }
+	for op := ir.OpAdd; op <= ir.OpAShr; op++ {
+		wrong := 0
 		for a := 0; a < 256; a++ {
-			x.Int = enc.store(uint8(a))
-			if c := foldInstr(sext); c == nil || c.Int != int64(int8(a)) {
-				t.Errorf("%s sext i8 %d to i64 folds to %v", enc.name, x.Int, c)
-			}
-			if c := foldInstr(zext); c == nil || c.Int != int64(uint8(a)) {
-				t.Errorf("%s zext i8 %d to i64 folds to %v", enc.name, x.Int, c)
-			}
-		}
-		for p := ir.PredEQ; p <= ir.PredUGE; p++ {
-			in := &ir.Instr{Op: ir.OpICmp, Pred: p, Typ: ir.I1, Args: []ir.Value{x, y}}
-			wrong := 0
-			for a := 0; a < 256; a++ {
-				for b := 0; b < 256; b++ {
-					x.Int, y.Int = enc.store(uint8(a)), enc.store(uint8(b))
-					if c := foldInstr(in); c == nil || (c.Int == 1) != goCmpI8(p, uint8(a), uint8(b)) {
-						wrong++
-					}
+			for b := 0; b < 256; b++ {
+				want, ok := goI8(op, uint8(a), uint8(b))
+				if !ok {
+					continue
+				}
+				in := &ir.Instr{Op: op, Typ: ir.I8, Args: []ir.Value{k(a), k(b)}}
+				if c := foldInstr(in); c == nil || uint8(c.Int) != want {
+					wrong++
 				}
 			}
-			if wrong > 0 {
-				t.Errorf("%s icmp %s: %d i8 pairs fold wrong", enc.name, p, wrong)
+		}
+		if wrong > 0 {
+			t.Errorf("%s: %d i8 pairs fold wrong", op, wrong)
+		}
+	}
+	for a := 0; a < 256; a++ {
+		sext := &ir.Instr{Op: ir.OpSExt, Typ: ir.I64, Args: []ir.Value{k(a)}}
+		zext := &ir.Instr{Op: ir.OpZExt, Typ: ir.I64, Args: []ir.Value{k(a)}}
+		if c := foldInstr(sext); c == nil || c.Int != int64(int8(a)) {
+			t.Errorf("sext i8 %d to i64 folds to %v", a, c)
+		}
+		if c := foldInstr(zext); c == nil || c.Int != int64(uint8(a)) {
+			t.Errorf("zext i8 %d to i64 folds to %v", a, c)
+		}
+	}
+	for p := ir.PredEQ; p <= ir.PredUGE; p++ {
+		wrong := 0
+		for a := 0; a < 256; a++ {
+			for b := 0; b < 256; b++ {
+				in := &ir.Instr{Op: ir.OpICmp, Pred: p, Typ: ir.I1, Args: []ir.Value{k(a), k(b)}}
+				if c := foldInstr(in); c == nil || (c.Int == 1) != goCmpI8(p, uint8(a), uint8(b)) {
+					wrong++
+				}
 			}
+		}
+		if wrong > 0 {
+			t.Errorf("icmp %s: %d i8 pairs fold wrong", p, wrong)
 		}
 	}
 }

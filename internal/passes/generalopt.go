@@ -102,9 +102,7 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		a, okA := in.Args[0].(*ir.Const)
 		b, okB := in.Args[1].(*ir.Const)
 		if okA && okB && a.Typ.IsInt() { // read at their width, as the engines read them
-			bits := a.Typ.Bits
-			x, y := ir.Narrow(uint64(a.Int), bits), ir.Narrow(uint64(b.Int), bits)
-			return ir.ConstInt(ir.I1, boolToInt(ir.ICmpAt(in.ICmpPred(), x, y, bits)))
+			return ir.ConstInt(ir.I1, boolToInt(ir.ICmpAt(in.ICmpPred(), uint64(a.Int), uint64(b.Int), a.Typ.Bits)))
 		}
 	}
 	if in.Op.IsBinary() && in.Typ.IsFloat() {
@@ -129,16 +127,15 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		if a, ok := in.Args[0].(*ir.Const); ok {
 			switch in.Op {
 			case ir.OpTrunc:
-				return ir.ConstInt(in.Typ, int64(ir.Narrow(uint64(a.Int), in.Typ.Bits)))
+				return ir.ConstInt(in.Typ, a.Int)
 			case ir.OpZExt:
-				masked := ir.MaskToWidth(uint64(a.Int), a.Typ.Bits)
-				return ir.ConstInt(in.Typ, int64(ir.Narrow(masked, in.Typ.Bits)))
+				return ir.ConstInt(in.Typ, int64(ir.MaskToWidth(uint64(a.Int), a.Typ.Bits)))
 			case ir.OpSExt:
 				return ir.ConstInt(in.Typ, ir.SignExtend(uint64(a.Int), a.Typ.Bits))
 			case ir.OpSIToFP:
-				return ir.ConstFloat(float64(a.Int))
+				return ir.ConstFloat(float64(ir.SignExtend(uint64(a.Int), a.Typ.Bits)))
 			case ir.OpFPToSI:
-				return ir.ConstInt(in.Typ, int64(ir.Narrow(uint64(int64(a.Float)), in.Typ.Bits)))
+				return ir.ConstInt(in.Typ, int64(a.Float))
 			}
 		}
 	}

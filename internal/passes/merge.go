@@ -156,7 +156,9 @@ func boundedAccessOf(ranges *analysis.Ranges, dom *analysis.DomTree, l *analysis
 		}
 	}
 	iv := ranges.Of(gep.Args[1])
-	if iv.IsFull() {
+	// Ranges are unsigned at the width, but a GEP reads a narrow index
+	// sign-extended: an interval reaching the sign bit is no window.
+	if bits := gep.Args[1].Type().Bits; iv.IsFull() || bits > 1 && bits < 64 && iv.Hi >= 1<<uint(bits-1) {
 		return bc, false
 	}
 	elem := gep.Elem.Size()

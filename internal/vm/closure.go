@@ -243,14 +243,13 @@ type cop int32
 
 func (o cop) get(fr *frame) uint64 { return fr.regs[o] }
 
-// constBits is a constant's register image: an integer as ir.Narrow holds
-// it (sign-extended from its width, so an i8 255 is -1; an i1 0 or 1), a
-// float's IEEE bits.
+// constBits is a constant's register image: an integer's Int, which
+// ir.ConstInt stores in the register encoding, or a float's IEEE bits.
 func constBits(c *ir.Const) uint64 {
 	if c.Typ.IsFloat() {
 		return math.Float64bits(c.Float)
 	}
-	return ir.Narrow(uint64(c.Int), c.Typ.Bits)
+	return uint64(c.Int)
 }
 
 // sameValue reports whether two operands read the same value wherever they
@@ -828,9 +827,10 @@ func (cf *ccompiler) compilePure(in *ir.Instr) cpure {
 		}
 	case ir.OpSIToFP:
 		a := cf.operand(in.Args[0])
+		srcBits := in.Args[0].Type().Bits
 		return func(e *cenv) {
 			fr := e.fr
-			fr.regs[dst] = math.Float64bits(float64(int64(a.get(fr))))
+			fr.regs[dst] = math.Float64bits(float64(ir.SignExtend(a.get(fr), srcBits)))
 		}
 	case ir.OpFPToSI:
 		a := cf.operand(in.Args[0])

@@ -177,7 +177,7 @@ func (v *VM) execInstr(t *thread, fr *frame, in *ir.Instr) error {
 		case ir.OpPtrToInt, ir.OpIntToPtr:
 			set(a)
 		case ir.OpSIToFP:
-			set(math.Float64bits(float64(int64(a))))
+			set(math.Float64bits(float64(ir.SignExtend(a, in.Args[0].Type().Bits))))
 		case ir.OpFPToSI:
 			set(ir.Narrow(uint64(int64(math.Float64frombits(a))), in.Typ.Bits))
 		}
