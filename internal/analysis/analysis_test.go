@@ -649,6 +649,28 @@ entry:
 	}
 }
 
+// TestRangesNarrowConstant: a narrow constant with its top bit set is read
+// at its width, not as the negative number it is stored as.
+func TestRangesNarrowConstant(t *testing.T) {
+	m := ir.MustParse(`module "nc"
+func @f(%x: i64) -> i64 {
+entry:
+  %t = trunc i64 %x to i16
+  %u = urem i16 %t, 40000
+  %z = zext i16 %u to i64
+  ret i64 %z
+}`)
+	f := m.Func("f")
+	vals := map[string]ir.Value{}
+	f.ForEachInstr(func(in *ir.Instr) { vals[in.Name] = in })
+	r := NewRanges(f)
+	for _, name := range []string{"u", "z"} {
+		if iv := r.Of(vals[name]); iv.Lo != 0 || iv.Hi != 39999 {
+			t.Errorf("%s: range [%d,%d], want [0,39999]", name, iv.Lo, iv.Hi)
+		}
+	}
+}
+
 func TestRangesWidthBound(t *testing.T) {
 	m := ir.NewModule("w")
 	f := m.AddFunc("f", ir.Void, &ir.Param{Name: "b", Typ: ir.I8})

@@ -86,7 +86,8 @@ func (s *SCEV) LinearOf(v ir.Value) (*Linear, bool) {
 			}
 			return nil, false
 		}
-		if !s.Loop.ContainsInstr(x) {
+		// Narrow arithmetic wraps at its width; sext is exact.
+		if !s.Loop.ContainsInstr(x) || x.Typ.Bits < 64 && x.Op != ir.OpSExt {
 			return nil, false
 		}
 		switch x.Op {
@@ -128,7 +129,7 @@ func (s *SCEV) LinearOf(v ir.Value) (*Linear, bool) {
 				}
 			}
 			return nil, false
-		case ir.OpZExt, ir.OpSExt:
+		case ir.OpSExt: // not zext, which reads a negative IV as large
 			return s.LinearOf(x.Args[0])
 		}
 	}
@@ -163,8 +164,8 @@ func (s *SCEV) TripBoundOf() (*TripBound, bool) {
 	if !ok || cmp.Op != ir.OpICmp {
 		return nil, false
 	}
-	if cmp.Pred != ir.PredLT && cmp.Pred != ir.PredLE &&
-		cmp.Pred != ir.PredULT && cmp.Pred != ir.PredULE {
+	// Signed tests only: a range guard widens start and bound signed.
+	if cmp.Pred != ir.PredLT && cmp.Pred != ir.PredLE {
 		return nil, false
 	}
 	var iv *IndVar
@@ -183,11 +184,15 @@ func (s *SCEV) TripBoundOf() (*TripBound, bool) {
 	if iv.Step <= 0 {
 		return nil, false
 	}
+	// A narrow IV wraps at its width unless it steps by one to a strict
+	// bound of its own width.
+	if iv.Phi.Typ.Bits < 64 && (cmp.Args[0] != ir.Value(iv.Phi) || iv.Step != 1 || cmp.Pred != ir.PredLT) {
+		return nil, false
+	}
 	if !s.Inv.Invariant(cmp.Args[1]) {
 		return nil, false
 	}
-	incl := cmp.Pred == ir.PredLE || cmp.Pred == ir.PredULE
-	return &TripBound{IV: iv, Bound: cmp.Args[1], CmpOff: cmpOff, Inclusive: incl}, true
+	return &TripBound{IV: iv, Bound: cmp.Args[1], CmpOff: cmpOff, Inclusive: cmp.Pred == ir.PredLE}, true
 }
 
 // LastIVAdjust returns A such that the maximum induction value observed by
