@@ -174,6 +174,26 @@ func TestParseIntegerLiteralRange(t *testing.T) {
 	}
 }
 
+// TestParseErrorsNameTheirLine: an error names the line of the token at
+// fault, not the line the lexer has read ahead to — a bad token last on its
+// line, or a use resolved only when its function or the module ends.
+func TestParseErrorsNameTheirLine(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"module \"m\"\nfunc @f() -> i64 {\ne:\n  ret i64 99999999999999999999\n}\n", "line 4: strconv.ParseInt"},
+		{"module \"m\"\nfunc @f(%x: i64) -> i64 {\ne:\n  %z = add i64 %y, 1\n  ret i64 %z\n}\n", "line 4: undefined value %y"},
+		{"module \"m\"\nfunc @f() -> void {\ne:\n  br ^nowhere\n}\n", "line 4: branch to undefined label ^nowhere"},
+		{"module \"m\"\nfunc @f() -> void {\ne:\n  call void @g()\n  ret void\n}\n", "line 4: undefined symbol @g"},
+		{"module \"m\"\nglobal @g : i65\nfunc @f() -> void {\ne:\n  ret void\n}\n", `line 2: unknown type "i65"`},
+		{"module \"m\"\nfunc @f(%p: ptr) -> i64 {\ne:\n  ret i64 %p\n}\n", "line 4: %p has type ptr, not i64"},
+		{"module \"m\"\nfunc @f() -> i64 {\ne:\n  %z = add i64 1\n  ret i64 %z\n}\n", `line 5: expected ",", got "ret"`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: got error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 // TestNarrowLiteralSpellingsAreOneConstant: an i8 spelled by its unsigned
 // value (255) and by its signed one (-1) parses to one constant, stored in
 // the register encoding, and prints the same.

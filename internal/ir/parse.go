@@ -24,7 +24,11 @@ func Parse(src string) (m *Module, err error) {
 			if !ok {
 				panic(r)
 			}
-			m, err = nil, fmt.Errorf("ir: parse: line %d: %w", p.lex.line, pe.error)
+			line := pe.line
+			if line == 0 {
+				line = p.lex.last
+			}
+			m, err = nil, fmt.Errorf("ir: parse: line %d: %w", line, pe.error)
 		}
 	}()
 	p.lex.advance()
@@ -33,10 +37,23 @@ func Parse(src string) (m *Module, err error) {
 
 // parseError carries a syntax error up to Parse: the lexer and the parser's
 // productions panic with it rather than thread an error through every
-// call, and Parse alone recovers it (any other panic passes through).
-type parseError struct{ error }
+// call, and Parse alone recovers it (any other panic passes through). line
+// is the offending token's; 0 names the token the parser consumed last.
+type parseError struct {
+	line int
+	error
+}
 
-func failf(format string, args ...any) { panic(parseError{fmt.Errorf(format, args...)}) }
+// failf fails on the token the parser consumed last.
+func failf(format string, args ...any) { failAt(0, format, args...) }
+
+// failAt fails on a token of the given line.
+func failAt(line int, format string, args ...any) {
+	panic(parseError{line, fmt.Errorf(format, args...)})
+}
+
+// failHere fails on the token in hand, not yet consumed.
+func (p *parser) failHere(format string, args ...any) { failAt(p.lex.tok.line, format, args...) }
 
 // MustParse is Parse that panics on error, for tests and examples.
 func MustParse(src string) *Module {
@@ -71,6 +88,7 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
+	last int // the line of the token before tok, the last one consumed
 	tok  token
 }
 
@@ -83,6 +101,7 @@ func (l *lexer) colonFollows() bool {
 }
 
 func (l *lexer) advance() {
+	l.last = l.tok.line
 	l.skipSpace()
 	start := l.pos
 	if l.pos >= len(l.src) {
@@ -119,12 +138,12 @@ func (l *lexer) advance() {
 			l.pos++
 		}
 		if l.pos >= len(l.src) || l.src[l.pos] != '"' {
-			failf("unterminated string")
+			failAt(l.line, "unterminated string")
 		}
 		l.pos++
 		text, err := strconv.Unquote(l.src[start:l.pos])
 		if err != nil {
-			failf("bad string %s: %v", l.src[start:l.pos], err)
+			failAt(l.line, "bad string %s: %v", l.src[start:l.pos], err)
 		}
 		l.tok = token{kind: tStr, text: text, line: l.line}
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
@@ -186,8 +205,8 @@ func isNumChar(c byte) bool {
 	return c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
 }
 
-// fixup is a use parsed before its definition: operand arg of instr (or,
-// with arg == calleeArg, its Callee) is the value called name.
+// fixup is a use parsed before its definition, on line: operand arg of
+// instr (or, with arg == calleeArg, its Callee) is the value called name.
 type fixup struct {
 	instr *Instr
 	arg   int
@@ -206,6 +225,7 @@ type parser struct {
 	// undefined counts the labels of p.blocks mentioned but not yet defined.
 	undefined int
 	fixups    []fixup // forward references to locals, resolved per function
+	labelRefs []fixup // the first mention of each label not yet defined at it
 	// Module symbols by name: Module.Func and Module.Global scan, which per
 	// call and per operand would make parsing quadratic in module size.
 	funcs      map[string]*Func
@@ -218,14 +238,14 @@ func (p *parser) isIdent(s string) bool { return p.lex.tok.kind == tIdent && p.l
 
 func (p *parser) expectPunct(s string) {
 	if !p.isPunct(s) {
-		failf("expected %q, got %q", s, p.lex.tok.text)
+		p.failHere("expected %q, got %q", s, p.lex.tok.text)
 	}
 	p.lex.advance()
 }
 
 func (p *parser) expectIdent(s string) {
 	if !p.isIdent(s) {
-		failf("expected %q, got %q", s, p.lex.tok.text)
+		p.failHere("expected %q, got %q", s, p.lex.tok.text)
 	}
 	p.lex.advance()
 }
@@ -234,7 +254,7 @@ func (p *parser) expectIdent(s string) {
 // otherwise, and returns its text.
 func (p *parser) take(k tokKind, what string) string {
 	if p.lex.tok.kind != k {
-		failf("expected %s, got %q", what, p.lex.tok.text)
+		p.failHere("expected %s, got %q", what, p.lex.tok.text)
 	}
 	text := p.lex.tok.text
 	p.lex.advance()
@@ -263,14 +283,13 @@ func (p *parser) parseModule() *Module {
 		case p.isIdent("func"):
 			p.parseFunc()
 		default:
-			failf("unexpected token %q at top level", p.lex.tok.text)
+			p.failHere("unexpected token %q at top level", p.lex.tok.text)
 		}
 	}
 	for _, fx := range p.funcFixups {
 		f := p.funcs[fx.name]
 		if f == nil {
-			p.lex.line = fx.line
-			failf("undefined symbol @%s", fx.name)
+			failAt(fx.line, "undefined symbol @%s", fx.name)
 		}
 		if fx.arg == calleeArg {
 			fx.instr.Callee = f
@@ -331,7 +350,7 @@ func (p *parser) parseType() *Type {
 		p.list("}", func() { fields = append(fields, p.parseType()) })
 		return StructOf(fields...)
 	}
-	failf("expected type, got %q", p.lex.tok.text)
+	p.failHere("expected type, got %q", p.lex.tok.text)
 	return nil
 }
 
@@ -381,7 +400,7 @@ func (p *parser) parseFunc() {
 
 	clear(p.locals)
 	clear(p.blocks)
-	p.undefined, p.fixups = 0, p.fixups[:0]
+	p.undefined, p.fixups, p.labelRefs = 0, p.fixups[:0], p.labelRefs[:0]
 	for _, prm := range fn.Params {
 		p.locals[prm.Name] = prm
 	}
@@ -390,13 +409,13 @@ func (p *parser) parseFunc() {
 	for !p.isPunct("}") {
 		switch {
 		case p.lex.tok.kind == tEOF:
-			failf("unexpected EOF in function body")
+			p.failHere("unexpected EOF in function body")
 		case p.lex.tok.kind == tIdent && p.lex.colonFollows(): // label line
 			cur = p.blockRef(p.lex.tok.text, true)
 			p.lex.advance()
 			p.lex.advance()
 		case cur == nil:
-			failf("instruction before first block label")
+			p.failHere("instruction before first block label")
 		default:
 			in := cur.Append(p.parseInstr())
 			if in.Name != "" {
@@ -407,15 +426,19 @@ func (p *parser) parseFunc() {
 	p.lex.advance() // "}"
 
 	if p.undefined != 0 {
-		failf("branch to undefined label in @%s", fn.Name)
+		for _, r := range p.labelRefs {
+			if p.blocks[r.name].Fn == nil {
+				failAt(r.line, "branch to undefined label ^%s in @%s", r.name, fn.Name)
+			}
+		}
 	}
 	// Resolve fixups (forward value references, e.g. in phis).
 	for _, fx := range p.fixups {
 		v, ok := p.locals[fx.name]
 		if !ok {
-			failf("undefined value %%%s in @%s", fx.name, fn.Name)
+			failAt(fx.line, "undefined value %%%s in @%s", fx.name, fn.Name)
 		}
-		fx.instr.Args[fx.arg] = checkType(v, fx.instr.Args[fx.arg].Type(), "%", fx.name)
+		fx.instr.Args[fx.arg] = checkType(fx.line, v, fx.instr.Args[fx.arg].Type(), "%", fx.name)
 	}
 }
 
@@ -429,10 +452,13 @@ func (p *parser) blockRef(name string, define bool) *Block {
 		b = &Block{Name: name}
 		p.blocks[name] = b
 		p.undefined++
+		if !define {
+			p.labelRefs = append(p.labelRefs, fixup{name: name, line: p.lex.last})
+		}
 	}
 	if define {
 		if b.Fn != nil {
-			failf("label %s defined twice in @%s", name, p.fn.Name)
+			p.failHere("label %s defined twice in @%s", name, p.fn.Name)
 		}
 		b.Fn, b.Idx = p.fn, len(p.fn.Blocks)
 		p.fn.Blocks = append(p.fn.Blocks, b)
@@ -449,13 +475,13 @@ func (p *parser) label() *Block { return p.blockRef(p.take(tLabel, "block label"
 // size); a literal there is an i64.
 var anyInt = &Type{Kind: IntKind, Bits: 64}
 
-// checkType fails unless v, written sigil+name, has the type its context
-// states. The encoder writes several instructions' types from their
+// checkType fails unless v, written sigil+name on line, has the type its
+// context states. The encoder writes several instructions' types from their
 // operands, so a value admitted under another type would print as text
 // that parses differently.
-func checkType(v Value, want *Type, sigil, name string) Value {
+func checkType(line int, v Value, want *Type, sigil, name string) Value {
 	if want != anyInt && !v.Type().Equal(want) {
-		failf("%s%s has type %s, not %s", sigil, name, v.Type(), want)
+		failAt(line, "%s%s has type %s, not %s", sigil, name, v.Type(), want)
 	}
 	return v
 }
@@ -469,9 +495,9 @@ func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 	switch tok.kind {
 	case tLocal:
 		if v, ok := p.locals[tok.text]; ok {
-			return checkType(v, t, "%", tok.text)
+			return checkType(tok.line, v, t, "%", tok.text)
 		}
-		p.fixups = append(p.fixups, fixup{instr: in, arg: argIdx, name: tok.text})
+		p.fixups = append(p.fixups, fixup{instr: in, arg: argIdx, name: tok.text, line: tok.line})
 		return placeholder{t}
 	case tGlobal: // a global or a function: either way an address
 		var v Value = placeholder{Ptr}
@@ -482,7 +508,7 @@ func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 		} else {
 			p.funcFixups = append(p.funcFixups, fixup{instr: in, arg: argIdx, name: tok.text, line: tok.line})
 		}
-		return checkType(v, t, "@", tok.text)
+		return checkType(tok.line, v, t, "@", tok.text)
 	case tNum:
 		if t == anyInt {
 			t = I64
@@ -500,7 +526,6 @@ func (p *parser) operand(in *Instr, argIdx int, t *Type) Value {
 		}
 		if t.IsInt() {
 			if b := t.Bits; b < 64 && (n < -1<<(b-1) || n > 1<<b-1) {
-				p.lex.line = tok.line // the literal's line, not the look-ahead's
 				failf("integer literal %s out of range for %s", tok.text, t)
 			}
 			return ConstInt(t, n)

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"math/bits"
+
 	"carat/internal/analysis"
 	"carat/internal/ir"
 )
@@ -94,7 +96,11 @@ func (*MergeGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyse
 				kind = ir.GuardRangeStore
 			}
 			lastAdj := c.acc.Bound.LastIVAdjust(l, c.g.Block)
-			emitRangeGuard(f, &e, c.acc, c.sz, lastAdj, kind)
+			hiConst, ok := rangeGuardConst(c.acc, c.sz, lastAdj)
+			if !ok {
+				continue // the guard's i64 arithmetic would wrap: it stays
+			}
+			emitRangeGuard(f, &e, c.acc, c.sz, hiConst, kind)
 			c.g.Block = nil // dropped by e.apply
 			if stats.Attribute(c.g) {
 				stats.Merged++
@@ -204,9 +210,10 @@ func valueAvailableAt(dom *analysis.DomTree, l *analysis.Loop, v ir.Value, ph *i
 //	guard range lo, span
 //
 // where bound+lastAdj is the maximum induction value the guarded access
-// observes (see TripBound.LastIVAdjust). All arithmetic is i64; the VM
-// treats a non-positive span as a trivially passing guard.
-func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, lastAdj int64, kind ir.GuardKind) {
+// observes (see TripBound.LastIVAdjust) and hiConst is K*lastAdj + C + size
+// (rangeGuardConst). All arithmetic is i64; the VM treats a non-positive
+// span as a trivially passing guard.
+func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, hiConst int64, kind ir.GuardKind) {
 	ins := func(in *ir.Instr) *ir.Instr {
 		e.place = append(e.place, in)
 		return in
@@ -224,10 +231,54 @@ func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, l
 	lo := ins(&ir.Instr{Op: ir.OpGEP, Name: f.FreshName("rg"), Typ: ir.Ptr, Elem: ir.I8,
 		Args: []ir.Value{acc.Base, lowOff}})
 
-	hiConst := acc.Lin.K*lastAdj + acc.Lin.C + size
 	hiOff := newv(ir.OpAdd, newv(ir.OpMul, k, bound), ir.ConstInt(ir.I64, hiConst))
 	span := newv(ir.OpSub, hiOff, lowOff)
 	ins(&ir.Instr{Op: ir.OpGuard, Typ: ir.Void, Kind: kind, Args: []ir.Value{lo, span}})
+}
+
+// rangeGuardConst returns emitRangeGuard's hiConst, K*lastAdj + C + size,
+// and whether the guard's constant arithmetic fits in i64: hiConst, and
+// with a constant start or bound K*start + C, K*bound + hiConst and the span
+// between them. Wrapped, a span can come out small or negative and pass an
+// access far outside it.
+func rangeGuardConst(acc *analysis.AffineAccess, size, lastAdj int64) (int64, bool) {
+	ok := true
+	ma := func(a, b, c int64) int64 {
+		v, fits := mulAdd(a, b, c)
+		ok = ok && fits
+		return v
+	}
+	k, c := acc.Lin.K, acc.Lin.C
+	hiConst := ma(ma(k, lastAdj, c), 1, size)
+	start, constStart := acc.Lin.IV.Start.(*ir.Const)
+	bound, constBound := acc.Bound.Bound.(*ir.Const)
+	var lowOff, hiOff int64
+	if constStart {
+		lowOff = ma(k, start.Int, c) // a narrow constant's Int is its sign extension
+	}
+	if constBound {
+		hiOff = ma(k, bound.Int, hiConst)
+	}
+	if constStart && constBound {
+		ma(-1, lowOff, hiOff)
+	}
+	return hiConst, ok
+}
+
+// mulAdd returns a*b + c and whether a*b and the sum fit in an int64: the
+// signed product's high word, the unsigned one's less a negative factor's
+// partner, must be the low word's sign.
+func mulAdd(a, b, c int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if a < 0 {
+		hi -= uint64(b)
+	}
+	if b < 0 {
+		hi -= uint64(a)
+	}
+	p := int64(lo)
+	s := p + c
+	return s, int64(hi) == p>>63 && (s > p) == (c > 0)
 }
 
 // widenToI64 sign-extends v to i64 in the preheader if needed.

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -743,5 +744,36 @@ exit:
 	}
 	if pl.Stats.Merged < 2 {
 		t.Errorf("stats.Merged = %d, want >= 2", pl.Stats.Merged)
+	}
+}
+
+// TestMulAddOverflow: the range guard's constant arithmetic is refused at
+// the first product or sum that leaves i64, and only there.
+func TestMulAddOverflow(t *testing.T) {
+	for _, c := range []struct {
+		a, b, c int64
+		want    int64
+		ok      bool
+	}{
+		{3, 4, 5, 17, true},
+		{-3, 4, 5, -7, true},
+		{-3, -4, -5, 7, true},
+		{8, 1 << 61, 0, 0, false}, // 2^64 wraps to 0
+		{8, -1 << 60, 0, math.MinInt64, true},
+		{-8, 1 << 60, 0, math.MinInt64, true},
+		{-8, -1 << 60, 0, 0, false},
+		{-1, math.MinInt64, 0, 0, false},
+		{math.MinInt64, 1, 0, math.MinInt64, true},
+		{1 << 32, 1 << 31, 0, 0, false},
+		{1 << 31, 1 << 31, 0, 1 << 62, true},
+		{1, math.MaxInt64, 1, 0, false},
+		{1, math.MinInt64, -1, 0, false},
+		{1, math.MaxInt64, -1, math.MaxInt64 - 1, true},
+		{0, math.MaxInt64, math.MaxInt64, math.MaxInt64, true},
+	} {
+		got, ok := mulAdd(c.a, c.b, c.c)
+		if ok != c.ok || ok && got != c.want {
+			t.Errorf("mulAdd(%d, %d, %d) = %d, %v; want %d, %v", c.a, c.b, c.c, got, ok, c.want, c.ok)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync"
 	"testing"
 
@@ -279,5 +280,44 @@ func TestConcurrentEscapesAgainstTreeEdits(t *testing.T) {
 	}
 	if got, want := rt.Table.mostEscaped(), rt.mostEscapedWhere(func(*Allocation) bool { return true }); got != want {
 		t.Errorf("the pick chose %v, the walk %v", got, want)
+	}
+}
+
+// TestConcurrentTablesShareStocks: tables on several goroutines fill,
+// release and take the process's stocks, slab and buckets, at once, under
+// -race: a table's writes to a stock happen before the next table's, and
+// no more stocks than GOMAXPROCS are kept.
+func TestConcurrentTablesShareStocks(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 30; r++ {
+				tb := NewAllocationTable()
+				for i := uint64(0); i < 300; i++ { // past one chunk
+					base := 0x100000 + i*0x100
+					if _, err := tb.Insert(base, 0x80, false); err != nil {
+						t.Error(err)
+						return
+					}
+					tb.AddEscape(0x800000+i*8, base)
+					if i%2 == 1 {
+						tb.Remove(base - 0x100)
+					}
+				}
+				if err := tb.CheckInvariants(); err != nil {
+					t.Error(err)
+					return
+				}
+				tb.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	stocks.Lock()
+	defer stocks.Unlock()
+	if n, max := len(stocks.list), goruntime.GOMAXPROCS(0); n > max {
+		t.Errorf("%d stocks kept, at most GOMAXPROCS = %d", n, max)
 	}
 }

@@ -48,7 +48,7 @@ func snapshot(k *kernel.Kernel, p *kernel.Process, rt *Runtime, regs *fakeRegs) 
 		s.Slots = append(s.Slots, slices.Clone(b))
 	}
 	for page, b := range rt.Table.pages {
-		b.each(page*kernel.PageSize, func(loc uint64, r escRef) { s.Index[loc] = rt.Table.allocs[r.h()].Base })
+		b.each(page*kernel.PageSize, func(loc uint64, r escRef) { s.Index[loc] = rt.Table.slot(r.h()).Base })
 	}
 	rt.Table.ForEach(func(a *Allocation) bool {
 		locs := rt.Table.escapeLocs(a)

@@ -175,6 +175,10 @@ func (r *Runtime) moveLocked(kind moveKind, req kernel.MoveRequest, dst uint64, 
 	defer r.opMu.Unlock()
 	defer r.publishStop()
 	r.Flush()
+	if debugInvariants { // st.affected holds slots: none may be reused before the move ends
+		r.Table.frozen.Store(true)
+		defer r.Table.frozen.Store(false)
+	}
 
 	st := r.mover()
 	defer st.reset()

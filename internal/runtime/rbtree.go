@@ -6,12 +6,13 @@
 package runtime
 
 // The red/black tree below is written from scratch (no stdlib container
-// fits): an ordered map from uint64 keys to *Allocation supporting
-// predecessor queries ("find the allocation covering this address") and
-// in-order range iteration ("find all allocations overlapping this page
-// range"), both needed on the move path. Each node also keeps the most
-// escapes any resident allocation in its subtree holds, which answers the
-// Figure 9 pick (mostEscaped) by one descent.
+// fits): an intrusive ordered set of allocations keyed by Base — each
+// Allocation is its own node — supporting predecessor queries ("find the
+// allocation covering this address") and in-order range iteration ("find all
+// allocations overlapping this page range"), both needed on the move path.
+// Each node also keeps the most escapes any resident allocation in its
+// subtree holds, which answers the Figure 9 pick (mostEscaped) by one
+// descent.
 
 import "carat/internal/kernel"
 
@@ -22,27 +23,17 @@ const (
 	black color = true
 )
 
-type rbNode struct {
-	key                 uint64
-	val                 *Allocation
-	left, right, parent *rbNode
-	col                 color
-	// max is the most escapes into one resident allocation of the subtree.
-	// Written under treeMu, or under escMu with treeMu held for reading.
-	max int
-}
-
-// own is what n's allocation adds to the maxima: its escape count, 0 for a
-// swapped-out allocation, which the pick never chooses.
-func (n *rbNode) own() int {
-	if kernel.IsPoison(n.key) {
+// own is what n adds to the maxima: its escape count, 0 for a swapped-out
+// allocation, which the pick never chooses.
+func (n *Allocation) own() int {
+	if kernel.IsPoison(n.Base) {
 		return 0
 	}
-	return n.val.EscapeCount()
+	return n.EscapeCount()
 }
 
 // subtreeMax computes n.max from n's own count and its children's maxima.
-func (n *rbNode) subtreeMax() int {
+func (n *Allocation) subtreeMax() int {
 	m := n.own()
 	if n.left != nil {
 		m = max(m, n.left.max)
@@ -56,7 +47,7 @@ func (n *rbNode) subtreeMax() int {
 // fixMax recomputes the maxima of n and its ancestors. With early it stops
 // at the first node whose maximum does not change: right when only n's own
 // count or one leaf below it changed, not when a node moved within the path.
-func fixMax(n *rbNode, early bool) {
+func fixMax(n *Allocation, early bool) {
 	for ; n != nil; n = n.parent {
 		m := n.subtreeMax()
 		if early && m == n.max {
@@ -68,35 +59,35 @@ func fixMax(n *rbNode, early bool) {
 
 // rbTree is a left-leaning-free classic red-black tree.
 type rbTree struct {
-	root *rbNode
+	root *Allocation
 	size int
 }
 
 // Len returns the number of entries.
 func (t *rbTree) Len() int { return t.size }
 
-// Get returns the value stored at key, or nil.
+// Get returns the allocation based at key, or nil.
 func (t *rbTree) Get(key uint64) *Allocation {
 	n := t.root
 	for n != nil {
 		switch {
-		case key < n.key:
+		case key < n.Base:
 			n = n.left
-		case key > n.key:
+		case key > n.Base:
 			n = n.right
 		default:
-			return n.val
+			return n
 		}
 	}
 	return nil
 }
 
-// Floor returns the entry with the largest key <= key, or nil.
+// Floor returns the allocation with the largest base <= key, or nil.
 func (t *rbTree) Floor(key uint64) *Allocation {
 	var best *Allocation
 	for n := t.root; n != nil; {
-		if n.key <= key {
-			best, n = n.val, n.right
+		if n.Base <= key {
+			best, n = n, n.right
 		} else {
 			n = n.left
 		}
@@ -104,18 +95,11 @@ func (t *rbTree) Floor(key uint64) *Allocation {
 	return best
 }
 
-// Ceiling returns the entry with the smallest key >= key, or nil.
+// Ceiling returns the allocation with the smallest base >= key, or nil.
 func (t *rbTree) Ceiling(key uint64) *Allocation {
-	if n := t.ceiling(key); n != nil {
-		return n.val
-	}
-	return nil
-}
-
-func (t *rbTree) ceiling(key uint64) *rbNode {
-	var best *rbNode
+	var best *Allocation
 	for n := t.root; n != nil; {
-		if n.key >= key {
+		if n.Base >= key {
 			best, n = n, n.left
 		} else {
 			n = n.right
@@ -124,19 +108,19 @@ func (t *rbTree) ceiling(key uint64) *rbNode {
 	return best
 }
 
-// Ascend calls fn for every entry with lo <= key < hi in key order; fn
-// returning false stops the walk. The walk follows parent links, so fn does
-// not escape and a caller's closure costs nothing.
-func (t *rbTree) Ascend(lo, hi uint64, fn func(key uint64, val *Allocation) bool) {
-	for n := t.ceiling(lo); n != nil && n.key < hi; n = n.next() {
-		if !fn(n.key, n.val) {
+// Ascend calls fn for every allocation with lo <= base < hi in base order;
+// fn returning false stops the walk. The walk follows parent links, so fn
+// does not escape and a caller's closure costs nothing.
+func (t *rbTree) Ascend(lo, hi uint64, fn func(*Allocation) bool) {
+	for n := t.Ceiling(lo); n != nil && n.Base < hi; n = n.next() {
+		if !fn(n) {
 			return
 		}
 	}
 }
 
 // next returns n's in-order successor, or nil.
-func (n *rbNode) next() *rbNode {
+func (n *Allocation) next() *Allocation {
 	if n.right != nil {
 		for n = n.right; n.left != nil; n = n.left {
 		}
@@ -149,11 +133,11 @@ func (n *rbNode) next() *rbNode {
 }
 
 // AscendAll walks the whole tree in key order.
-func (t *rbTree) AscendAll(fn func(key uint64, val *Allocation) bool) {
+func (t *rbTree) AscendAll(fn func(*Allocation) bool) {
 	t.Ascend(0, ^uint64(0), fn)
 }
 
-func (t *rbTree) rotateLeft(x *rbNode) {
+func (t *rbTree) rotateLeft(x *Allocation) {
 	y := x.right
 	x.right = y.left
 	if y.left != nil {
@@ -174,7 +158,7 @@ func (t *rbTree) rotateLeft(x *rbNode) {
 	x.max = x.subtreeMax()
 }
 
-func (t *rbTree) rotateRight(x *rbNode) {
+func (t *rbTree) rotateRight(x *Allocation) {
 	y := x.left
 	x.left = y.right
 	if y.right != nil {
@@ -195,22 +179,19 @@ func (t *rbTree) rotateRight(x *rbNode) {
 	x.max = x.subtreeMax()
 }
 
-// Insert links node n under n.key, whatever links n held before: a node
-// Delete returned is re-linked rather than allocated again. If the key is
-// already present its entry takes n.val and n stays unlinked; Insert returns
-// whether n was linked. The value's node is the one that holds it.
-func (t *rbTree) Insert(n *rbNode) bool {
-	var parent *rbNode
+// Insert links n under n.Base, whatever links n held before. If another
+// allocation is based there already n stays unlinked; Insert returns whether
+// n was linked.
+func (t *rbTree) Insert(n *Allocation) bool {
+	var parent *Allocation
 	for c := t.root; c != nil; {
 		parent = c
 		switch {
-		case n.key < c.key:
+		case n.Base < c.Base:
 			c = c.left
-		case n.key > c.key:
+		case n.Base > c.Base:
 			c = c.right
 		default:
-			c.val, n.val.node = n.val, c
-			fixMax(c, true)
 			return false
 		}
 	}
@@ -218,12 +199,11 @@ func (t *rbTree) Insert(n *rbNode) bool {
 	switch {
 	case parent == nil:
 		t.root = n
-	case n.key < parent.key:
+	case n.Base < parent.Base:
 		parent.left = n
 	default:
 		parent.right = n
 	}
-	n.val.node = n
 	n.max = n.own()
 	fixMax(parent, true)
 	t.size++
@@ -231,7 +211,7 @@ func (t *rbTree) Insert(n *rbNode) bool {
 	return true
 }
 
-func (t *rbTree) insertFixup(z *rbNode) {
+func (t *rbTree) insertFixup(z *Allocation) {
 	for z.parent != nil && z.parent.col == red {
 		gp := z.parent.parent
 		if z.parent == gp.left {
@@ -272,13 +252,13 @@ func (t *rbTree) insertFixup(z *rbNode) {
 }
 
 // deleteNode unlinks z, a node of t.
-func (t *rbTree) deleteNode(z *rbNode) {
+func (t *rbTree) deleteNode(z *Allocation) {
 	t.size--
 
 	y := z
 	yOrig := y.col
-	var x *rbNode
-	var xParent *rbNode
+	var x *Allocation
+	var xParent *Allocation
 	switch {
 	case z.left == nil:
 		x = z.right
@@ -326,11 +306,11 @@ func (t *rbTree) deleteNode(z *rbNode) {
 // the destination held no other key; a run that lands among other keys
 // leaves the tree out of order.
 func (t *rbTree) shift(lo, hi, dst uint64) (int, bool) {
-	next := t.ceiling(hi)
+	next := t.Ceiling(hi)
 	u, first, mid := split(subtree{t.root, blackHeight(t.root)}, lo)
 	if next != nil {
 		var c subtree
-		mid, _, c = split(mid, next.key)
+		mid, _, c = split(mid, next.Base)
 		u = join(u, next, c)
 	}
 	k := shiftKeys(first, dst-lo) + shiftKeys(mid.root, dst-lo)
@@ -338,7 +318,7 @@ func (t *rbTree) shift(lo, hi, dst uint64) (int, bool) {
 	if at != nil { // the destination is not clear: keep the key it holds
 		u2 = join(subtree{}, at, u2)
 	}
-	clear := at == nil && (u2.root == nil || leftmost(u2.root).key >= dst+(hi-lo))
+	clear := at == nil && (u2.root == nil || leftmost(u2.root).Base >= dst+(hi-lo))
 	if mid.root == nil {
 		t.root = join(u1, first, u2).root
 		return k, clear
@@ -354,19 +334,19 @@ func (t *rbTree) shift(lo, hi, dst uint64) (int, bool) {
 	return k, clear
 }
 
-// shiftKeys adds delta to every key of n's subtree, recomputes its maxima
-// bottom up and returns its size.
-func shiftKeys(n *rbNode, delta uint64) int {
+// shiftKeys adds delta to the base of every allocation of n's subtree,
+// recomputes its maxima bottom up and returns its size.
+func shiftKeys(n *Allocation, delta uint64) int {
 	if n == nil {
 		return 0
 	}
 	k := shiftKeys(n.left, delta) + shiftKeys(n.right, delta) + 1
-	n.key += delta
+	n.Base += delta
 	n.max = n.subtreeMax()
 	return k
 }
 
-func leftmost(n *rbNode) *rbNode {
+func leftmost(n *Allocation) *Allocation {
 	for n.left != nil {
 		n = n.left
 	}
@@ -375,7 +355,7 @@ func leftmost(n *rbNode) *rbNode {
 
 // blackHeight counts the black nodes on a path from n down to a leaf, n
 // included.
-func blackHeight(n *rbNode) int {
+func blackHeight(n *Allocation) int {
 	h := 0
 	for ; n != nil; n = n.left {
 		if n.col == black {
@@ -388,12 +368,12 @@ func blackHeight(n *rbNode) int {
 // subtree is a tree being cut or joined: its root, which may still name an
 // old parent, and its black height.
 type subtree struct {
-	root *rbNode
+	root *Allocation
 	h    int
 }
 
 // children returns n's subtrees, given n's black height h.
-func children(n *rbNode, h int) (subtree, subtree) {
+func children(n *Allocation, h int) (subtree, subtree) {
 	if n.col == black {
 		h--
 	}
@@ -403,17 +383,17 @@ func children(n *rbNode, h int) (subtree, subtree) {
 // split cuts s at key: the keys below it, the node holding it (detached;
 // nil if none) and the keys above. Each level joins what it cut off to one
 // side, and the joins' costs telescope to O(log n).
-func split(s subtree, key uint64) (l subtree, m *rbNode, r subtree) {
+func split(s subtree, key uint64) (l subtree, m *Allocation, r subtree) {
 	n := s.root
 	if n == nil {
 		return s, nil, s
 	}
 	a, b := children(n, s.h)
 	switch {
-	case key < n.key:
+	case key < n.Base:
 		l, m, r = split(a, key)
 		r = join(r, n, b)
-	case key > n.key:
+	case key > n.Base:
 		l, m, r = split(b, key)
 		l = join(a, n, l)
 	default:
@@ -429,7 +409,7 @@ func split(s subtree, key uint64) (l subtree, m *rbNode, r subtree) {
 // over the first black node as tall as the other tree, and a red-red pair
 // that leaves is mended on the way up by a recolour and a rotation two
 // levels higher: O(|l.h-r.h|+1).
-func join(l subtree, m *rbNode, r subtree) subtree {
+func join(l subtree, m *Allocation, r subtree) subtree {
 	l.h, r.h = asRoot(l.root, l.h), asRoot(r.root, r.h)
 	if l.h == r.h {
 		link(m, l.root, r.root)
@@ -441,7 +421,7 @@ func join(l subtree, m *rbNode, r subtree) subtree {
 	if right {
 		t, c, h, target = rbTree{root: l.root}, l.root, l.h, r.h
 	}
-	var p *rbNode
+	var p *Allocation
 	for !isBlack(c) || h != target {
 		if c.col == black {
 			h--
@@ -478,7 +458,7 @@ func join(l subtree, m *rbNode, r subtree) subtree {
 
 // asRoot detaches n from its parent and blackens it, returning its black
 // height given h, the height before.
-func asRoot(n *rbNode, h int) int {
+func asRoot(n *Allocation, h int) int {
 	if n != nil {
 		n.parent = nil
 		if n.col == red {
@@ -489,7 +469,7 @@ func asRoot(n *rbNode, h int) int {
 }
 
 // link makes l and r m's children.
-func link(m, l, r *rbNode) {
+func link(m, l, r *Allocation) {
 	m.left, m.right = l, r
 	if l != nil {
 		l.parent = m
@@ -520,14 +500,14 @@ func (t *rbTree) mostEscaped() *Allocation {
 		case n.left != nil && n.left.max == m:
 			n = n.left
 		case n.own() == m:
-			return n.val
+			return n
 		default:
 			n = n.right
 		}
 	}
 }
 
-func (t *rbTree) transplant(u, v *rbNode) {
+func (t *rbTree) transplant(u, v *Allocation) {
 	switch {
 	case u.parent == nil:
 		t.root = v
@@ -541,7 +521,7 @@ func (t *rbTree) transplant(u, v *rbNode) {
 	}
 }
 
-func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
+func (t *rbTree) deleteFixup(x *Allocation, parent *Allocation) {
 	for x != t.root && isBlack(x) {
 		if x == parent.left {
 			w := parent.right
@@ -610,10 +590,10 @@ func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 	}
 }
 
-func isBlack(n *rbNode) bool { return n == nil || n.col == black }
+func isBlack(n *Allocation) bool { return n == nil || n.col == black }
 
 // checkInvariants validates the red-black properties, every node's subtree
-// maximum and that each value names its node; used by tests.
+// maximum and that each child names its parent; used by tests.
 func (t *rbTree) checkInvariants() error {
 	if t.root != nil && t.root.col != black {
 		return errRBRootRed
@@ -628,14 +608,14 @@ var (
 	errRBBlackPath = rbError("unequal black heights")
 	errRBOrder     = rbError("BST order violated")
 	errRBMax       = rbError("subtree maximum stale")
-	errRBNode      = rbError("a value names another node")
+	errRBParent    = rbError("a child names another parent")
 )
 
 type rbError string
 
 func (e rbError) Error() string { return "rbtree: " + string(e) }
 
-func checkNode(n *rbNode) (int, error) {
+func checkNode(n *Allocation) (int, error) {
 	if n == nil {
 		return 1, nil
 	}
@@ -644,11 +624,14 @@ func checkNode(n *rbNode) (int, error) {
 			return 0, errRBRedRed
 		}
 	}
-	if n.left != nil && n.left.key >= n.key {
+	if n.left != nil && n.left.Base >= n.Base {
 		return 0, errRBOrder
 	}
-	if n.right != nil && n.right.key <= n.key {
+	if n.right != nil && n.right.Base <= n.Base {
 		return 0, errRBOrder
+	}
+	if n.left != nil && n.left.parent != n || n.right != nil && n.right.parent != n {
+		return 0, errRBParent
 	}
 	lh, err := checkNode(n.left)
 	if err != nil {
@@ -663,9 +646,6 @@ func checkNode(n *rbNode) (int, error) {
 	}
 	if n.max != n.subtreeMax() {
 		return 0, errRBMax
-	}
-	if n.val.node != n {
-		return 0, errRBNode
 	}
 	if n.col == black {
 		lh++

@@ -159,12 +159,95 @@ func TestRebaseOfRemovedAllocation(t *testing.T) {
 	must(t, tb.CheckInvariants())
 }
 
-// TestAllocationIs64Bytes: every tracked allocation is one Allocation, so its
-// size is paid per allocation on every workload. The handle must sit in
-// Static's padding: after node it makes the struct 72 bytes, an 80-byte size
-// class.
-func TestAllocationIs64Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Allocation{}); n != 64 {
-		t.Errorf("Allocation is %d bytes, want 64", n)
+// TestAllocationSlotIsAtMost88Bytes: every tracked allocation is one slab
+// slot, its tree links included, so its size is paid per allocation on every
+// workload — against 128 bytes when the allocation and its tree node were
+// two 64-byte objects. The slot, colour and linked flag must sit in Static's
+// padding.
+func TestAllocationSlotIsAtMost88Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Allocation{}); n > 88 {
+		t.Errorf("an allocation slot is %d bytes, want at most 88", n)
 	}
+	if n := unsafe.Sizeof(chunk{}); n != chunkSlots*unsafe.Sizeof(Allocation{}) {
+		t.Errorf("a chunk of %d slots is %d bytes", chunkSlots, n)
+	}
+}
+
+// TestTableChurnAllocatesNothing: on a warm table, tracking an allocation,
+// an escape into it and its free reuses a slot, a bucket and the escape set's
+// storage; and a released table's successor takes its stock — index, buckets
+// and slab — so a warm Release and reuse allocates nothing either.
+func TestTableChurnAllocatesNothing(t *testing.T) {
+	tb := NewAllocationTable()
+	_, err := tb.Insert(0x10000, 64, true)
+	must(t, err)
+	churn := func() {
+		_, err := tb.Insert(0x20000, 64, false)
+		must(t, err)
+		tb.AddEscape(0x40008, 0x20010)
+		tb.AddEscape(0x41000, 0x10000)
+		if tb.Remove(0x20000) == nil {
+			t.Fatal("Remove found nothing")
+		}
+		tb.RemoveEscape(0x41000)
+	}
+	churn()
+	if n := testing.AllocsPerRun(100, churn); n != 0 {
+		t.Errorf("an Insert, AddEscape, Remove cycle allocates %.0f objects, want 0", n)
+	}
+	reuse := func() {
+		tb.Release()
+		for i := uint64(0); i < 300; i++ { // past one chunk
+			_, err := tb.Insert(0x10000+i*0x100, 64, false)
+			must(t, err)
+			tb.AddEscape(0x40000+i*8, 0x10000+i*0x100)
+		}
+	}
+	reuse()
+	if n := testing.AllocsPerRun(20, reuse); n != 0 {
+		t.Errorf("a Release and refill of 300 allocations allocates %.0f objects, want 0", n)
+	}
+	must(t, tb.CheckInvariants())
+}
+
+// TestReleaseDropsALargeIndex: a released page index goes to the next table
+// emptied, unless it held more than maxPooledPages pages: a map keeps the
+// capacity of its most entries, and every later table would pay that to
+// clear it at Release and to walk it in a move.
+func TestReleaseDropsALargeIndex(t *testing.T) {
+	for _, pages := range []uint64{maxPooledPages, maxPooledPages + 1} {
+		tb := NewAllocationTable()
+		_, err := tb.Insert(0x10000, 64, false)
+		must(t, err)
+		for p := uint64(0); p < pages; p++ {
+			tb.AddEscape(0x100000+p*kernel.PageSize, 0x10000)
+		}
+		s := tb.stock
+		tb.Release()
+		if kept := s.pages != nil; kept != (pages <= maxPooledPages) || kept && len(s.pages) != 0 {
+			t.Errorf("%d pages: the released index is kept: %v, with %d entries", pages, kept, len(s.pages))
+		}
+	}
+}
+
+// TestChurnKeepsOneChunk: swaptions' shape — a few long-lived allocations and
+// 8 192 short-lived ones, each freed before the next — reuses the freed slot
+// every time, so the slab holds one chunk, however long the churn.
+func TestChurnKeepsOneChunk(t *testing.T) {
+	tb := NewAllocationTable()
+	for i := uint64(0); i < 3; i++ {
+		_, err := tb.Insert(0x10000+i*0x1000, 0x800, false)
+		must(t, err)
+	}
+	for i := uint64(0); i < 8192; i++ {
+		base := 0x20000 + i%16*0x100
+		_, err := tb.Insert(base, 0x40, false)
+		must(t, err)
+		tb.AddEscape(0x40000+i%512*8, base)
+		tb.Remove(base)
+	}
+	if tb.slots != 4 || len(tb.stock.chunks) != 1 {
+		t.Errorf("8 192 insert/remove pairs beside 3 allocations: %d slots in %d chunks, want 4 in 1", tb.slots, len(tb.stock.chunks))
+	}
+	must(t, tb.CheckInvariants())
 }

@@ -10,17 +10,10 @@ import (
 	"carat/internal/obs"
 )
 
-// Delete unlinks the node holding key and returns it, nil if key is absent:
-// the tests' way to drop a key.
-func (t *rbTree) Delete(key uint64) *rbNode {
-	z := t.root
-	for z != nil && z.key != key {
-		if key < z.key {
-			z = z.left
-		} else {
-			z = z.right
-		}
-	}
+// Delete unlinks the allocation based at key and returns it, nil if key is
+// absent: the tests' way to drop a key.
+func (t *rbTree) Delete(key uint64) *Allocation {
+	z := t.Get(key)
 	if z != nil {
 		t.deleteNode(z)
 	}
@@ -31,8 +24,11 @@ func TestRBTreeBasic(t *testing.T) {
 	var tr rbTree
 	a := &Allocation{Base: 10, Len: 5}
 	b := &Allocation{Base: 20, Len: 5}
-	tr.Insert(&rbNode{key: 10, val: a})
-	tr.Insert(&rbNode{key: 20, val: b})
+	tr.Insert(a)
+	tr.Insert(b)
+	if tr.Insert(&Allocation{Base: 10}) {
+		t.Error("a second allocation based at 10 was linked")
+	}
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d", tr.Len())
 	}
@@ -63,7 +59,7 @@ func TestRBTreeInvariantsUnderChurn(t *testing.T) {
 			tr.Delete(k)
 			delete(live, k)
 		} else {
-			tr.Insert(&rbNode{key: k, val: &Allocation{Base: k, Len: 1}})
+			tr.Insert(&Allocation{Base: k, Len: 1})
 			live[k] = true
 		}
 		if i%500 == 0 {
@@ -82,7 +78,8 @@ func TestRBTreeInvariantsUnderChurn(t *testing.T) {
 	var prev uint64
 	first := true
 	count := 0
-	tr.AscendAll(func(k uint64, _ *Allocation) bool {
+	tr.AscendAll(func(a *Allocation) bool {
+		k := a.Base
 		if !first && k <= prev {
 			t.Fatalf("walk out of order: %d after %d", k, prev)
 		}
@@ -105,9 +102,9 @@ func TestQuickRBTreeMatchesMap(t *testing.T) {
 				tr.Delete(k)
 				delete(ref, k)
 			} else {
-				a := &Allocation{Base: k}
-				tr.Insert(&rbNode{key: k, val: a})
-				ref[k] = a
+				if a := (&Allocation{Base: k}); tr.Insert(a) {
+					ref[k] = a
+				}
 			}
 		}
 		if tr.Len() != len(ref) {

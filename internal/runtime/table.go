@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	mathbits "math/bits"
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,10 +15,15 @@ import (
 func pageOf(loc uint64) uint64 { return loc / kernel.PageSize }
 
 // Allocation is one tracked memory block: a static allocation (global,
-// stack region) or a dynamic one (malloc, alloca). escs is its escape set —
-// the Allocation to Escape Map entry of §4.2 "Tracking" — each location
-// once, in an order fixed by the escape history, guarded by the table's
-// escMu; nEsc is its length, so asking for it takes no lock.
+// stack region) or a dynamic one (malloc, alloca), and its own node in the
+// table's tree, keyed by Base. escs is its escape set — the Allocation to
+// Escape Map entry of §4.2 "Tracking" — each location once, in an order
+// fixed by the escape history, guarded by the table's escMu; nEsc is its
+// length, so asking for it takes no lock.
+//
+// An Allocation is a slot of its table's slab (see stock), so a *Allocation
+// the table hands out is valid until the slot's next Insert — Remove frees
+// the slot for it — or until the table's Release.
 type Allocation struct {
 	Base uint64
 	Len  uint64
@@ -25,17 +31,24 @@ type Allocation struct {
 	// must never release.
 	Static bool
 
-	// h is the allocation's handle, what the reverse index names it by, held
-	// while escs is not empty; it fits in Static's padding. node is the tree
-	// node holding the allocation, nil once it is removed.
-	h    uint32
-	node *rbNode
+	// linked is true while the allocation is in the table, col is its tree
+	// colour and h its slot, what the reverse index names it by: all three
+	// fit in Static's padding.
+	linked bool
+	col    color
+	h      uint32
+
+	// The tree links (parent also links a free slot to the next), and max,
+	// the most escapes into one resident allocation of the subtree: written
+	// under treeMu, or max under escMu with treeMu held for reading.
+	left, right, parent *Allocation
+	max                 int
 
 	escs []uint64
 	nEsc atomic.Int64
 }
 
-// escRef is a reverse-index entry: the handle of the allocation an escape
+// escRef is a reverse-index entry: the slot of the allocation an escape
 // points into above the escape's position in its set. No Go pointer, so a
 // pooled bucket keeps nothing alive.
 type escRef uint64
@@ -114,24 +127,51 @@ func (b *bucket) each(base uint64, fn func(loc uint64, r escRef)) {
 	}
 }
 
-// stock is every bucket a table has had: all[:next] handed out, spare the
-// ones of those it emptied since. stocks recycles stocks across the
-// process's tables, as vm's xcaches does guard caches: a table takes one at
-// its first bucket and hands it back at Release, when every bucket in it is
-// free again — one Put and no walk, however many pages it held. takeBucket
-// hides old entries by clearing the mask, so nothing is zeroed on release.
+// chunkSlots is the number of allocation slots in one slab chunk.
+const chunkSlots = 256
+
+// maxPooledPages is the most pages a released page index may have held and
+// still go to the next table.
+const maxPooledPages = 64
+
+// chunk is a run of allocation slots. A chunk never moves, so neither does
+// an allocation.
+type chunk [chunkSlots]Allocation
+
+// stock is everything a table has had: its page index and every bucket —
+// all[:next] handed out, spare the ones of those it emptied since — and the
+// allocation slab, whose slot h is chunks[h/chunkSlots][h%chunkSlots]. The
+// stocks list recycles stocks across the process's tables: a table takes
+// one at its first allocation or bucket and hands it back at Release, when
+// everything in it is free again — one handback and no walk, however many
+// pages and allocations it held. takeBucket hides old entries by clearing
+// the mask and Insert overwrites its slot, so only the index is cleared.
+// A map keeps the capacity of the most entries it ever held, and clearing
+// or walking it costs that, so an index that held more than maxPooledPages
+// is dropped rather than handed on: a table that large makes its own.
 type stock struct {
-	all   []*bucket
-	next  int
-	spare []*bucket
+	pages  map[uint64]*bucket
+	all    []*bucket
+	next   int
+	spare  []*bucket
+	chunks []*chunk
 }
 
-var stocks = sync.Pool{New: func() any { return new(stock) }}
+// stocks holds released stocks, the latest last, at most GOMAXPROCS of them:
+// as many as tables can fill at once. Any goroutine takes any of them, so a
+// process that runs one table at a time fills one stock.
+var stocks struct {
+	sync.Mutex
+	list []*stock
+}
 
-var bucketsMade atomic.Uint64
+var bucketsMade, chunksMade atomic.Uint64
 
 // BucketsMade counts the page buckets the process has allocated.
 func BucketsMade() uint64 { return bucketsMade.Load() }
+
+// ChunksMade counts the allocation slab chunks the process has allocated.
+func ChunksMade() uint64 { return chunksMade.Load() }
 
 // End returns one past the allocation's last byte.
 func (a *Allocation) End() uint64 { return a.Base + a.Len }
@@ -148,15 +188,18 @@ func (a *Allocation) String() string {
 }
 
 // AllocationTable is the runtime's hard-state structure (§4.2): a red/black
-// tree keyed by allocation base address answering point queries ("which
+// tree of allocations keyed by base address answering point queries ("which
 // allocation covers this address?") and range queries ("which allocations
 // overlap this page range?"), the escape map in both directions — each
-// allocation's escape set, and a location→(allocation handle, position in
+// allocation's escape set, and a location→(allocation slot, position in
 // its set) reverse index bucketed by page (page number → a bucket, existing
 // only while it holds an entry), so that "what sits on this page?" is one
 // lookup and dropping an escape from its set is a swap with the set's last —
 // and, on every tree node, the most escapes into one allocation of its
-// subtree, which the Figure 9 pick descends.
+// subtree, which the Figure 9 pick descends. The allocations are the
+// stock's slab slots 0 to slots-1, the removed ones among them on the freed
+// list, which Insert takes from first, so the slab grows with the most
+// allocations the table held at once, not with churn.
 //
 // Concurrency: the tree is guarded by treeMu (allocations and frees are
 // rare next to escapes); everything else by one lock, escMu. Lock order is
@@ -169,15 +212,16 @@ func (a *Allocation) String() string {
 type AllocationTable struct {
 	treeMu sync.RWMutex
 	tree   rbTree
+	slots  uint32      // slab slots handed out
+	freed  *Allocation // removed slots, the latest first, linked by parent
+	frozen atomic.Bool // a move holds *Allocation pointers: no Insert (checked in caratdebug builds)
 
 	escMu  sync.Mutex
-	pages  map[uint64]*bucket // nil until the first bucket, as is stock
+	pages  map[uint64]*bucket // the stock's; nil until the first bucket
 	stock  *stock
-	allocs []*Allocation // by handle: the allocations with escapes, nil at a free handle
-	free   []uint32      // free handles
-	moving []escMove     // RebaseEscapeLocs' scratch
-	drops  []uint64      // RebaseEscapeLocs' scratch
-	whole  []handover    // RebaseEscapeLocs' scratch
+	moving []escMove  // RebaseEscapeLocs' scratch
+	drops  []uint64   // RebaseEscapeLocs' scratch
+	whole  []handover // RebaseEscapeLocs' scratch
 
 	// escapes is the total across all allocations.
 	escapes int
@@ -226,7 +270,7 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 	prev, had := b.get(loc)
 	var p *Allocation
 	if had {
-		p = t.allocs[prev.h()]
+		p = t.slot(prev.h())
 	}
 	if p == a {
 		return
@@ -238,12 +282,10 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 			p.escs[i] = moved
 			t.pages[pageOf(moved)].put(moved, prev)
 		}
-		if p.escs = p.escs[:last]; last == 0 {
-			t.allocs[p.h], t.free = nil, append(t.free, p.h)
-		}
+		p.escs = p.escs[:last]
 		p.nEsc.Add(-1)
 		t.escapes--
-		fixMax(p.node, true)
+		fixMax(p, true)
 	}
 	if a == nil {
 		if b.del(loc); b.n == 0 {
@@ -254,28 +296,44 @@ func (t *AllocationTable) setEscape(loc uint64, a *Allocation) {
 	if b == nil {
 		b = t.takeBucket(page)
 	}
-	if len(a.escs) == 0 {
-		if n := len(t.free); n > 0 {
-			a.h, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			a.h, t.allocs = uint32(len(t.allocs)), append(t.allocs, nil)
-		}
-		t.allocs[a.h] = a
-	}
 	b.put(loc, ref(a.h, len(a.escs)))
 	a.escs = append(a.escs, loc)
 	a.nEsc.Add(1)
 	t.escapes++
-	fixMax(a.node, true)
+	fixMax(a, true)
+}
+
+// slot returns the allocation in slot h. The caller holds treeMu, or escMu.
+func (t *AllocationTable) slot(h uint32) *Allocation {
+	return &t.stock.chunks[h/chunkSlots][h%chunkSlots]
+}
+
+// useStock takes the latest released stock, a new one if there is none, for
+// the table if it has none. The caller holds treeMu for writing, or escMu
+// and treeMu for reading.
+func (t *AllocationTable) useStock() {
+	if t.stock != nil {
+		return
+	}
+	stocks.Lock()
+	defer stocks.Unlock()
+	if n := len(stocks.list); n > 0 {
+		t.stock, stocks.list[n-1], stocks.list = stocks.list[n-1], nil, stocks.list[:n-1]
+	} else {
+		t.stock = new(stock)
+	}
+	t.pages = t.stock.pages
 }
 
 // takeBucket gives page an empty bucket from the stock, a new one when it
 // has none left, and returns it. The caller holds escMu.
 func (t *AllocationTable) takeBucket(page uint64) *bucket {
-	if t.stock == nil {
-		t.stock, t.pages = stocks.Get().(*stock), make(map[uint64]*bucket)
-	}
+	t.useStock()
 	s := t.stock
+	if t.pages == nil {
+		t.pages = make(map[uint64]*bucket)
+		s.pages = t.pages
+	}
 	var b *bucket
 	if n := len(s.spare); n > 0 {
 		b, s.spare = s.spare[n-1], s.spare[:n-1]
@@ -298,19 +356,29 @@ func (t *AllocationTable) dropBucket(page uint64, b *bucket) {
 	t.stock.spare = append(t.stock.spare, b)
 }
 
-// Release hands the stock, every bucket in it, to the pool and forgets what
-// the table tracked: the table is empty afterwards. A process calls it when
-// it ends.
+// Release hands the stock, every bucket and slab chunk in it, back for the
+// next table and forgets what the table tracked: the table is empty
+// afterwards, and every *Allocation it handed out is void. A process calls
+// it when it ends.
 func (t *AllocationTable) Release() {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	if s := t.stock; s != nil {
+		if s.next > maxPooledPages {
+			s.pages = nil
+		} else {
+			clear(s.pages)
+		}
 		s.next, s.spare = 0, s.spare[:0]
-		stocks.Put(s)
+		stocks.Lock()
+		if len(stocks.list) < goruntime.GOMAXPROCS(0) {
+			stocks.list = append(stocks.list, s)
+		}
+		stocks.Unlock()
 	}
-	t.tree, t.pages, t.stock, t.allocs, t.free, t.escapes = rbTree{}, nil, nil, nil, nil, 0
+	t.tree, t.slots, t.freed, t.pages, t.stock, t.escapes = rbTree{}, 0, nil, nil, nil, 0
 }
 
 // Insert records a new allocation. Overlapping an existing allocation is
@@ -329,9 +397,34 @@ func (t *AllocationTable) Insert(base, length uint64, static bool) (*Allocation,
 		return nil, fmt.Errorf("runtime: allocation [%#x,%#x) overlaps following [%#x,%#x)",
 			base, base+length, next.Base, next.End())
 	}
-	a := &Allocation{Base: base, Len: length, Static: static}
-	t.tree.Insert(&rbNode{key: base, val: a}) // sets a.node
+	if debugInvariants && t.frozen.Load() {
+		panic(fmt.Sprintf("runtime: Insert of %#x during a move, which may hold the slot it reuses", base))
+	}
+	a := t.takeSlot()
+	a.Base, a.Len, a.Static, a.linked, a.escs = base, length, static, true, a.escs[:0]
+	a.nEsc.Store(0)
+	t.tree.Insert(a) // sets the links, colour and max
 	return a, nil
+}
+
+// takeSlot hands out the latest removed slot, else the slab's next unused
+// one, adding a chunk when every slot is taken. The caller holds treeMu for
+// writing.
+func (t *AllocationTable) takeSlot() *Allocation {
+	if a := t.freed; a != nil {
+		t.freed = a.parent
+		return a
+	}
+	t.useStock()
+	s, h := t.stock, t.slots
+	if int(h/chunkSlots) == len(s.chunks) {
+		s.chunks = append(s.chunks, new(chunk))
+		chunksMade.Add(1)
+	}
+	t.slots++
+	a := t.slot(h)
+	a.h = h
+	return a
 }
 
 // Remove drops the allocation based exactly at base, unlinking all of its
@@ -350,8 +443,8 @@ func (t *AllocationTable) Remove(base uint64) *Allocation {
 		}
 		t.escMu.Unlock()
 	}
-	t.tree.deleteNode(a.node)
-	a.node = nil
+	t.tree.deleteNode(a)
+	a.linked, a.parent, t.freed = false, t.freed, a
 	return a
 }
 
@@ -380,7 +473,7 @@ func (t *AllocationTable) Overlapping(lo, hi uint64, out []*Allocation) []*Alloc
 	if a := t.tree.Floor(lo); a != nil && a.End() > lo && a.Base < hi {
 		out = append(out, a)
 	}
-	t.tree.Ascend(lo, hi, func(_ uint64, a *Allocation) bool {
+	t.tree.Ascend(lo, hi, func(a *Allocation) bool {
 		if len(out) > 0 && out[len(out)-1] == a {
 			return true
 		}
@@ -425,7 +518,7 @@ func (t *AllocationTable) EscapeTarget(loc uint64) (*Allocation, bool) {
 	t.escMu.Lock()
 	defer t.escMu.Unlock()
 	if r, ok := t.pages[pageOf(loc)].get(loc); ok {
-		return t.allocs[r.h()], true
+		return t.slot(r.h()), true
 	}
 	return nil, false
 }
@@ -450,20 +543,22 @@ func (t *AllocationTable) EscapeLocsOf(as []*Allocation, locs []uint64, ends []i
 // tracked ones are the contiguous run of the tree's keys from the lowest of
 // their bases to the highest, and they land in a key range holding no other
 // allocation (a page move's affected set, a single allocation), so the tree
-// moves them in one splice (rbTree.shift), whatever their number; the two
-// ranges may overlap. caratdebug builds check both conditions. Escape
-// locations are NOT rewritten here; the move engine handles location
-// rebasing since it knows the moved byte range. An allocation the table no
-// longer holds only takes the new base: it is not resurrected.
+// moves them, bases and all, in one splice (rbTree.shift), whatever their
+// number; the two ranges may overlap. caratdebug builds check both
+// conditions. Escape locations are NOT rewritten here; the move engine
+// handles location rebasing since it knows the moved byte range. An
+// allocation the table no longer holds only takes the new base: it is not
+// resurrected (its slot is not reused before the move ends; see frozen).
 func (t *AllocationTable) Rebase(as []*Allocation, src, dst uint64) {
 	t.treeMu.Lock()
 	defer t.treeMu.Unlock()
 	lo, hi, linked := ^uint64(0), uint64(0), 0
 	for _, a := range as {
-		if a.node != nil {
+		if a.linked {
 			lo, hi, linked = min(lo, a.Base), max(hi, a.Base+1), linked+1
+		} else {
+			a.Base = a.Base - src + dst
 		}
-		a.Base = a.Base - src + dst
 	}
 	if linked == 0 {
 		return
@@ -558,7 +653,7 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 	}
 	for _, m := range ms {
 		d := m.loc + shift
-		t.allocs[m.r.h()].escs[m.r.i()] = d
+		t.slot(m.r.h()).escs[m.r.i()] = d
 		b := t.pages[pageOf(d)]
 		if b == nil {
 			b = t.takeBucket(pageOf(d))
@@ -568,7 +663,7 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 	for _, w := range whole {
 		base := w.page * kernel.PageSize
 		t.pages[pageOf(base+shift)] = w.b
-		w.b.each(base, func(loc uint64, r escRef) { t.allocs[r.h()].escs[r.i()] = loc + shift })
+		w.b.each(base, func(loc uint64, r escRef) { t.slot(r.h()).escs[r.i()] = loc + shift })
 	}
 	clear(whole) // the scratch must not keep pooled buckets reachable
 	t.moving, t.drops, t.whole = ms[:0], drops[:0], whole[:0]
@@ -580,7 +675,7 @@ func (t *AllocationTable) RebaseEscapeLocs(lo, hi, newLo uint64) (moved, visited
 func (t *AllocationTable) ForEach(fn func(*Allocation) bool) {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
-	t.tree.AscendAll(func(_ uint64, a *Allocation) bool { return fn(a) })
+	t.tree.AscendAll(fn)
 }
 
 // MemoryFootprint estimates the bytes the table's data structures occupy,
@@ -609,8 +704,9 @@ func (t *AllocationTable) MaybeCheckInvariants() error {
 
 // CheckInvariants verifies the red-black tree shape, that allocations do
 // not overlap, that each allocation's escape count equals the size of its
-// set, that the allocations with escapes, and only they, hold handles, that
-// the reverse escape index is consistent (every entry's handle and position
+// set, that every slot handed out is either in the tree, at its own slot, or
+// on the free list, that the reverse escape index is consistent (every
+// entry's slot and position
 // name its own location in an allocation's set, and back: the index holds as
 // many entries as the sets and each bucket as many as it counts, none empty),
 // and every tree node's subtree maximum (see rbTree.checkInvariants). Tests and
@@ -626,18 +722,16 @@ func (t *AllocationTable) CheckInvariants() error {
 	}
 	var prev *Allocation
 	var bad error
-	count, held := 0, 0
-	t.tree.AscendAll(func(_ uint64, a *Allocation) bool {
+	count := 0
+	t.tree.AscendAll(func(a *Allocation) bool {
 		if prev != nil && prev.End() > a.Base {
 			bad = fmt.Errorf("runtime: allocations overlap: [%#x,%#x) then [%#x,%#x)",
 				prev.Base, prev.End(), a.Base, a.End())
 			return false
 		}
-		if len(a.escs) > 0 {
-			if held++; int(a.h) >= len(t.allocs) || t.allocs[a.h] != a {
-				bad = fmt.Errorf("runtime: allocation %#x is not at its handle %d", a.Base, a.h)
-				return false
-			}
+		if !a.linked || a.h >= t.slots || t.slot(a.h) != a {
+			bad = fmt.Errorf("runtime: allocation %#x is not at its slot %d (linked %v)", a.Base, a.h, a.linked)
+			return false
 		}
 		for i, loc := range a.escs {
 			if r, ok := t.pages[pageOf(loc)].get(loc); !ok || r.h() != a.h {
@@ -663,8 +757,15 @@ func (t *AllocationTable) CheckInvariants() error {
 	if count != t.escapes {
 		return fmt.Errorf("runtime: escape count %d != tracked %d", count, t.escapes)
 	}
-	if n := len(t.allocs) - len(t.free); n != held {
-		return fmt.Errorf("runtime: %d handles held for %d allocations with escapes", n, held)
+	free := 0
+	for a := t.freed; a != nil && free <= int(t.slots); a = a.parent {
+		if a.linked {
+			return fmt.Errorf("runtime: allocation %#x is in the tree and on the free list", a.Base)
+		}
+		free++
+	}
+	if free+t.tree.Len() != int(t.slots) {
+		return fmt.Errorf("runtime: %d slots handed out, %d allocations and %d free", t.slots, t.tree.Len(), free)
 	}
 	rev := 0
 	for page, b := range t.pages {

@@ -189,9 +189,10 @@ func tableOps(ops ...[7]byte) []byte {
 // RebaseEscapeLocs/WorstCasePage, swaps — an allocation and the escape
 // locations inside it rebased to a poison base, or back from one, as SwapOut
 // and SwapIn rebase them — escapes located inside allocations, and
-// releases (the model starts over beside a fresh table), and requires,
-// after every step: the same allocations, the same escape set and count per
-// allocation, the same
+// releases (the model starts over, beside the released table or a new
+// process's, either of which takes the released slab and buckets), and
+// requires, after every step: the same allocations, the same escape set and
+// count per allocation, the same
 // EscapeTarget for every location either side knows, the same return values,
 // RebaseEscapeLocs examining nothing outside the pages its range touches, and
 // CheckInvariants (the subtree maxima included). The input decides when to
@@ -346,6 +347,15 @@ func FuzzAllocationTable(f *testing.F) {
 	// must read empty.
 	f.Add(with(word(fzAddEscape, 1), word(fzAddEscape, 9), [7]byte{fzAddEscape, 0x30, 0x05, 2, 0}, [7]byte{fzRelease},
 		[7]byte{fzInsert, 2, 0x40}, [7]byte{fzAddEscape, 0x30, 0x10, 2, 0}, [7]byte{fzAddEscape, 0x00, 0x03, 2, 0}, [7]byte{fzPick}))
+	// Slots are reused: allocation 2 is freed and slot 9 takes its slot;
+	// the table is released with a slot on its free list and refilled, then
+	// released to a new process's table, which takes the same slab.
+	for _, c := range []byte{0, 1} {
+		f.Add(with([7]byte{fzRemove, 2}, [7]byte{fzInsert, 9, 0x10}, [7]byte{fzAddEscape, 0x20, 0x00, 9, 0}, [7]byte{fzRemove, 5},
+			[7]byte{fzRelease, 0, 0, c}, [7]byte{fzInsert, 4, 0x20}, [7]byte{fzInsert, 3, 0x20}, [7]byte{fzAddEscape, 0x00, 0x08, 3, 0},
+			[7]byte{fzRemove, 4}, [7]byte{fzInsert, 6, 0x20}, [7]byte{fzAddEscape, 0x00, 0x10, 6, 0}, [7]byte{fzPick},
+			[7]byte{fzRelease, 0, 0, 1}, [7]byte{fzInsert, 1, 0x08}, [7]byte{fzAddEscape, 0x00, 0x18, 1, 0}, [7]byte{fzPick}))
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rt := New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
@@ -486,8 +496,11 @@ func FuzzAllocationTable(f *testing.F) {
 				if err := tb.CheckInvariants(); err != nil || tb.Len() != 0 || tb.EscapeCount() != 0 {
 					t.Fatalf("step %d: after Release %d allocations, %d escapes, %v", step, tb.Len(), tb.EscapeCount(), err)
 				}
-				rt = New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
-				tb, m, live, slots = rt.Table, &modelTable{esc: map[uint64]*modelAlloc{}}, map[*modelAlloc]*Allocation{}, 0
+				if c%2 == 1 {
+					rt = New(kernel.NewPhysMem(kernel.PageSize), nil, nil)
+					tb = rt.Table
+				}
+				m, live, slots = &modelTable{esc: map[uint64]*modelAlloc{}}, map[*modelAlloc]*Allocation{}, 0
 			case fzInnerEscape:
 				loc := fzAllocLo + (uint64(a)<<8|uint64(b))%(fzSlots*fzSlot)
 				target := fzAllocLo + uint64(c%fzSlots)*fzSlot + uint64(d)
@@ -575,8 +588,8 @@ func TestPageMoveVisitsOnlyItsPage(t *testing.T) {
 }
 
 // TestCheckInvariantsSeesIndexDamage breaks, one at a time, the things the
-// page-bucketed index, its handles and the subtree escape maxima add to the
-// invariants, and expects each reported.
+// page-bucketed index, the allocation slots and the subtree escape maxima
+// add to the invariants, and expects each reported.
 func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 	build := func() (*AllocationTable, *Allocation) {
 		tb := NewAllocationTable()
@@ -607,27 +620,37 @@ func TestCheckInvariantsSeesIndexDamage(t *testing.T) {
 		"entry names a freed allocation": func(tb *AllocationTable, _ *Allocation) {
 			f, err := tb.Insert(0x20000, 8, false)
 			must(t, err)
-			tb.AddEscape(0x42000, 0x20000) // f takes a handle, freed with it
-			tb.Remove(0x20000)
+			tb.AddEscape(0x42000, 0x20000)
+			tb.Remove(0x20000) // frees f's slot
 			tb.pages[pageOf(0x40008)].put(0x40008, ref(f.h, 0))
 		},
-		"freed handle lost": func(tb *AllocationTable, _ *Allocation) {
+		"freed slot lost": func(tb *AllocationTable, _ *Allocation) {
 			_, err := tb.Insert(0x20000, 8, false)
 			must(t, err)
-			tb.AddEscape(0x42000, 0x20000)
-			tb.RemoveEscape(0x42000) // its last escape: the handle is freed
-			tb.free = tb.free[:0]
+			tb.Remove(0x20000)
+			tb.freed = nil
+		},
+		"freed slot still linked": func(tb *AllocationTable, _ *Allocation) {
+			f, err := tb.Insert(0x20000, 8, false)
+			must(t, err)
+			tb.Remove(0x20000)
+			f.linked = true
 		},
 		"bucket miscounts its entries": func(tb *AllocationTable, _ *Allocation) {
 			tb.pages[pageOf(0x41010)].n++
 		},
-		"allocation off its handle": func(tb *AllocationTable, a *Allocation) {
-			tb.allocs = append(tb.allocs, a)
-			tb.allocs[a.h] = nil
-			a.h = uint32(len(tb.allocs) - 1)
+		"allocation off its slot": func(tb *AllocationTable, a *Allocation) {
+			_, err := tb.Insert(0x20000, 8, false)
+			must(t, err)
+			a.h++
 		},
 		"subtree maximum stale": func(_ *AllocationTable, a *Allocation) {
-			a.node.max--
+			a.max--
+		},
+		"child names another parent": func(tb *AllocationTable, a *Allocation) {
+			c, err := tb.Insert(0x20000, 8, false)
+			must(t, err)
+			c.parent = nil
 		},
 	} {
 		tb, a := build()

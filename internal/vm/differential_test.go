@@ -472,6 +472,23 @@ loop:
 done:
   ret i64 0
 }`,
+		// 8 times the bound 2^61 wraps i64 to 0: a merged guard's span
+		// would be 0 and pass.
+		`module "r9"
+global @g : [16 x i64]
+func @main() -> i64 {
+entry:
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %p = gep i64, @g, %i
+  store i64 1, %p
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 2305843009213693952
+  condbr %c, ^loop, ^done
+done:
+  ret i64 0
+}`,
 	}
 	levels := []struct {
 		lvl     passes.Level

@@ -114,12 +114,10 @@ done:
 }`
 
 // TestReleaseRecyclesPageBuckets: a guest takes its escape index's page
-// buckets from the pool VM.Release fills, so once warm a load, run and
-// release of a guest that fills a page with escapes makes no new bucket.
+// buckets and its allocation slab from the stock VM.Release hands back, so
+// once warm a load, run and release of a guest that fills a page with
+// escapes makes no new bucket and no new slab chunk, at any GOMAXPROCS.
 func TestReleaseRecyclesPageBuckets(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops objects at random under -race")
-	}
 	p, err := NewProgram(compile(t, fillGuest, passes.LevelTracking))
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +141,15 @@ func TestReleaseRecyclesPageBuckets(t *testing.T) {
 		}
 	}
 	cycle()
-	made := runtime.BucketsMade()
+	buckets, chunks := runtime.BucketsMade(), runtime.ChunksMade()
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
-	if n := runtime.BucketsMade() - made; n != 0 {
+	if n := runtime.BucketsMade() - buckets; n != 0 {
 		t.Errorf("10 warm cycles made %d page buckets, want 0", n)
+	}
+	if n := runtime.ChunksMade() - chunks; n != 0 {
+		t.Errorf("10 warm cycles made %d slab chunks, want 0", n)
 	}
 }
 
