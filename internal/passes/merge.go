@@ -13,7 +13,8 @@ import (
 // preheader checking the lowest and highest address the loop will touch.
 // The range extent is computed at run time from the loop bound; the VM
 // treats a non-positive extent as a trivially passing guard (the loop body
-// never runs).
+// never runs). An access in the loop header runs once even then, at the
+// IV's start, so a header guard's extent is floored at the access size.
 //
 // A second merging rule uses the value-range analysis (the paper combines
 // SCEV with a value range analysis): a guard whose index is not affine but
@@ -100,7 +101,7 @@ func (*MergeGuards) RunOnFunc(f *ir.Func, stats *Stats, fa *analysis.FuncAnalyse
 			if !ok {
 				continue // the guard's i64 arithmetic would wrap: it stays
 			}
-			emitRangeGuard(f, &e, c.acc, c.sz, hiConst, kind)
+			emitRangeGuard(f, &e, c.acc, c.sz, hiConst, kind, c.g.Block == l.Header)
 			c.g.Block = nil // dropped by e.apply
 			if stats.Attribute(c.g) {
 				stats.Merged++
@@ -212,8 +213,13 @@ func valueAvailableAt(dom *analysis.DomTree, l *analysis.Loop, v ir.Value, ph *i
 // where bound+lastAdj is the maximum induction value the guarded access
 // observes (see TripBound.LastIVAdjust) and hiConst is K*lastAdj + C + size
 // (rangeGuardConst). All arithmetic is i64; the VM treats a non-positive
-// span as a trivially passing guard.
-func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, hiConst int64, kind ir.GuardKind) {
+// span as a trivially passing guard. A header access runs once at the IV's
+// start even when the loop never iterates, so inHeader floors the span at
+// size (that access's own range at lo):
+//
+//	lt   = icmp slt span, size
+//	span = select lt, size, span
+func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, hiConst int64, kind ir.GuardKind, inHeader bool) {
 	ins := func(in *ir.Instr) *ir.Instr {
 		e.place = append(e.place, in)
 		return in
@@ -233,6 +239,11 @@ func emitRangeGuard(f *ir.Func, e *loopEdit, acc *analysis.AffineAccess, size, h
 
 	hiOff := newv(ir.OpAdd, newv(ir.OpMul, k, bound), ir.ConstInt(ir.I64, hiConst))
 	span := newv(ir.OpSub, hiOff, lowOff)
+	if inHeader {
+		sz := ir.ConstInt(ir.I64, size)
+		lt := ins(&ir.Instr{Op: ir.OpICmp, Name: f.FreshName("rg"), Typ: ir.I1, Pred: ir.PredLT, Args: []ir.Value{span, sz}})
+		span = ins(&ir.Instr{Op: ir.OpSelect, Name: f.FreshName("rg"), Typ: ir.I64, Args: []ir.Value{lt, sz, span}})
+	}
 	ins(&ir.Instr{Op: ir.OpGuard, Typ: ir.Void, Kind: kind, Args: []ir.Value{lo, span}})
 }
 

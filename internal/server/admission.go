@@ -88,9 +88,10 @@ func (a *admission) admit() (release func(), httpStatus int, reason string, ok b
 	a.stateG.Set(stateAdmitting)
 	n := a.inflight.Load()
 	a.inflightG.Set(uint64(n))
-	// Lifetime high-water mark: loadgen asserts it exceeds 1 under a
-	// concurrent session load — the proof the server actually overlaps
-	// tenant executions instead of silently serializing them.
+	// Lifetime high-water mark: TestRunDeterministicUnderConcurrency
+	// asserts it exceeds 1 under a concurrent session load — the proof the
+	// server actually overlaps tenant executions instead of silently
+	// serializing them.
 	for {
 		p := a.peak.Load()
 		if n <= p {

@@ -81,8 +81,8 @@ type Config struct {
 	Obs *obs.Registry `json:"-"`
 }
 
-// DefaultServerConfig returns a configuration suitable for local serving
-// and the loadgen harness.
+// DefaultServerConfig returns a configuration suitable for local serving;
+// the benchmark's serve-mixed workload and the tests start from it.
 func DefaultServerConfig() Config {
 	return Config{
 		Addr:           "localhost:0",

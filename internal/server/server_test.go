@@ -87,20 +87,30 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func post(t *testing.T, url string, req any) (*http.Response, map[string]any) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	resp, doc, err := tryPost(url, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp, doc
+}
+
+// tryPost is post for a goroutine other than the test's: it returns the
+// error post would fail the test on.
+func tryPost(url string, req any) (*http.Response, map[string]any, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, nil, err
+	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	var doc map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("decode response: %v", err)
+		return nil, nil, fmt.Errorf("decode response: %w", err)
 	}
-	return resp, doc
+	return resp, doc, nil
 }
 
 // TestNewFillsZeroLimitsFromDefaults: the limits a Config leaves zero take
@@ -133,69 +143,120 @@ func TestNewFillsZeroLimitsFromDefaults(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicUnderConcurrency is the server's core promise: with
-// the ballast mmpolicy daemon churning the same physical memory and many
-// tenants running at once, identical (module, seed) requests produce
-// byte-identical modeled results.
+// progHeavy holds an in-flight slot for tens of milliseconds, long enough
+// for a burst of them to pile up behind the admission cap.
+const progHeavy = `
+func main(): int {
+    var s = 7;
+    for (var i = 0; i < 400000; i = i + 1) {
+        s = (s * 31 + i) & 1048575;
+    }
+    print_int(s);
+    return s;
+}`
+
+// TestRunDeterministicUnderConcurrency is the server's core promise under
+// load: with the ballast mmpolicy daemon churning the same physical memory
+// and many tenants running at once behind a small in-flight cap, every
+// session's runs complete (429s are retried) and identical (module, seed)
+// requests produce byte-identical modeled results. Half the sessions run by
+// source and half by ref after a /v1/modules precompile, so first hits on
+// the code cache race each other. Runs must overlap, and a burst of one-shot
+// runs past the cap must be shed with 429s that say why and when to retry.
 func TestRunDeterministicUnderConcurrency(t *testing.T) {
 	cfg := testConfig()
 	cfg.Ballast.Disabled = false
+	cfg.MaxInflight = 4
 	s, ts := newTestServer(t, cfg)
 
 	progs := []string{progSum, progChain, progLoop}
-	const goroutines = 32
-	const perG = 4
-	digests := make([][]string, len(progs))
-	for i := range digests {
-		digests[i] = make([]string, 0, goroutines*perG)
+	refs := make([]string, len(progs))
+	for pi, src := range progs {
+		resp, doc := post(t, ts.URL+"/v1/modules", runRequest{Source: src, Name: fmt.Sprintf("prog-%d", pi)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("precompile prog %d: status %d: %v", pi, resp.StatusCode, doc["error"])
+		}
+		refs[pi] = doc["ref"].(string)
 	}
+
+	const sessions, perSession = 32, 4
+	digests := make([][]string, len(progs))
+	var failures []string
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < sessions; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := 0; k < perG; k++ {
+			for k := 0; k < perSession; k++ {
 				pi := (g + k) % len(progs)
-				req := runRequest{
-					Tenant: fmt.Sprintf("tenant-%d", g%4),
-					Source: progs[pi],
-					Name:   fmt.Sprintf("prog-%d", pi),
-					Seed:   int64(pi),
+				req := runRequest{Tenant: fmt.Sprintf("tenant-%d", g%4), Seed: int64(pi)}
+				if g%2 == 0 {
+					req.Ref = refs[pi]
+				} else {
+					req.Source, req.Name = progs[pi], fmt.Sprintf("prog-%d", pi)
 				}
-				for {
-					resp, doc := post(t, ts.URL+"/v1/run", req)
-					if resp.StatusCode == http.StatusTooManyRequests {
-						time.Sleep(2 * time.Millisecond)
-						continue
-					}
-					if resp.StatusCode != http.StatusOK {
-						errCh <- fmt.Errorf("prog %d: status %d: %v", pi, resp.StatusCode, doc["error"])
-						return
-					}
-					mu.Lock()
+				resp, doc, err := tryPost(ts.URL+"/v1/run", req)
+				for err == nil && resp.StatusCode == http.StatusTooManyRequests {
+					time.Sleep(2 * time.Millisecond)
+					resp, doc, err = tryPost(ts.URL+"/v1/run", req)
+				}
+				mu.Lock()
+				switch {
+				case err != nil:
+					failures = append(failures, fmt.Sprintf("session %d, prog %d: %v", g, pi, err))
+				case resp.StatusCode == http.StatusOK:
 					digests[pi] = append(digests[pi], doc["digest"].(string))
-					mu.Unlock()
-					break
+				default:
+					failures = append(failures, fmt.Sprintf("session %d, prog %d: status %d: %v", g, pi, resp.StatusCode, doc["error"]))
 				}
+				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	completed := 0
+	for _, ds := range digests {
+		completed += len(ds)
+	}
+	if completed != sessions*perSession {
+		t.Errorf("%d of %d runs completed; the first failure: %s", completed, sessions*perSession, failures[0])
 	}
 	for pi, ds := range digests {
-		if len(ds) == 0 {
-			t.Fatalf("prog %d: no successful runs", pi)
-		}
 		for _, d := range ds {
 			if d != ds[0] {
-				t.Fatalf("prog %d: digest diverged: %s vs %s", pi, d, ds[0])
+				t.Errorf("prog %d: digest diverged: %s vs %s", pi, d, ds[0])
+				break
 			}
 		}
+	}
+
+	// Overload: one-shot runs sent at once, with no retries.
+	const burst = 16 // four times the cap
+	var shed int
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, doc, err := tryPost(ts.URL+"/v1/run", runRequest{Tenant: fmt.Sprintf("burst-%d", i%4), Source: progHeavy, Seed: 99})
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
+				t.Errorf("burst run %d: %v", i, err)
+			case resp.StatusCode == http.StatusTooManyRequests && doc["reason"] == "inflight cap" && resp.Header.Get("Retry-After") != "":
+				shed++
+			case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests:
+				t.Errorf("burst run %d: status %d: %v", i, resp.StatusCode, doc["error"])
+			}
+		}(i)
+	}
+	wg.Wait()
+	if shed == 0 {
+		t.Errorf("a burst of %d runs against an in-flight cap of %d drew no inflight-cap 429 with Retry-After", burst, cfg.MaxInflight)
+	}
+	if peak := s.reg.Gauge("carat.server.inflight_peak").Get(); peak < 2 {
+		t.Errorf("inflight peak %d under %d concurrent sessions: the server serialized every run", peak, sessions)
 	}
 	if n, err := s.Drain(context.Background()); err != nil || n != 0 {
 		t.Fatalf("drain: violations=%d err=%v", n, err)

@@ -489,6 +489,24 @@ loop:
 done:
   ret i64 0
 }`,
+		// The loop runs zero times, but its header's store runs once at
+		// the IV's start: a merged guard's range, start … bound, is empty
+		// and must still cover that one access.
+		`module "r12"
+global @g : [16 x i64]
+func @main() -> i64 {
+entry:
+  br ^loop
+loop:
+  %i = phi i64 [1000000000, ^entry], [%i1, ^loop]
+  %p = gep i64, @g, %i
+  store i64 1, %p
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 0
+  condbr %c, ^loop, ^done
+done:
+  ret i64 0
+}`,
 	}
 	levels := []struct {
 		lvl     passes.Level

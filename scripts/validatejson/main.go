@@ -44,7 +44,6 @@ var schemas = map[string]struct {
 	mmpolicy.Schema:     {mmpolicy.SchemaVersion, func() any { return new(mmpolicy.Document) }},
 	mmpolicy.SoakSchema: {mmpolicy.SoakVersion, func() any { return new(mmpolicy.SoakDocument) }},
 	server.ResultSchema: {server.ResultVersion, func() any { return new(server.RunResult) }},
-	server.LoadSchema:   {server.LoadVersion, func() any { return new(server.LoadDocument) }},
 }
 
 func main() {

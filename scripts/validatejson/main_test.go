@@ -103,14 +103,6 @@ func producerOutputs(t *testing.T) map[string][]byte {
 	}
 	out["caratd /v1/run"] = rec.Body.Bytes()
 
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	load, err := server.RunLoad(ts.URL, server.LoadConfig{Sessions: 4, Requests: 2, Modules: 2, Tenants: 2, Burst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["server.RunLoad"] = encode(t, load)
-
 	m, err := cc.Compile("guest", guestSource)
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +118,6 @@ func producerOutputs(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	out["vm.Report"] = encode(t, v.Report(ret))
-
-	committed, err := os.ReadFile("../../BENCH_server.load.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["BENCH_server.load.json"] = committed
 	return out
 }
 
@@ -185,8 +171,6 @@ func TestValidateRejectsInconsistentDocuments(t *testing.T) {
 		"profile stacks": &obs.ProfileDoc{Schema: obs.ProfileSchema, Version: obs.ProfileSchemaVersion,
 			IntervalCycles: 1, TotalSamples: 2, Stacks: []obs.FoldedStack{{Stack: "a", Phase: "exec", Samples: 1}},
 			PhaseTotals: map[string]uint64{"exec": 2}},
-		"load leg sum": &server.LoadDocument{Schema: server.LoadSchema, Version: server.LoadVersion, Sessions: 1,
-			Legs: []server.LoadLeg{{Name: "steady", Requests: 3, OK: 1}}},
 		"policy p99": &mmpolicy.Document{Schema: mmpolicy.Schema, Version: mmpolicy.SchemaVersion, PauseP99Cycles: 5},
 	} {
 		if validate(bytes.NewReader(encode(t, doc))) == nil {
