@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 )
@@ -55,6 +56,42 @@ func TestDedupeMatchesMapAndOrder(t *testing.T) {
 	}
 	if len(b.seen) != 2048 {
 		t.Errorf("scratch table has %d slots after full batches, want 2048 (twice the batch)", len(b.seen))
+	}
+}
+
+// TestRecycledScratchDedupesAsFresh: a runtime's escape buffer takes the
+// scratch an earlier runtime's Release handed back, seen table and stamp
+// together, and de-dupes batches exactly as a fresh buffer does: the same
+// events, in the same order. Read against a fresh stamp, the earlier owner's
+// slots would pass for the current flush's and swallow the locations they
+// hold.
+func TestRecycledScratchDedupesAsFresh(t *testing.T) {
+	batch := func(seed int64) []escapeEvent {
+		rng := rand.New(rand.NewSource(seed))
+		ev := make([]escapeEvent, 600)
+		for i := range ev {
+			ev[i] = escapeEvent{0x40000 + uint64(rng.Intn(300))*16, rng.Uint64()}
+		}
+		return ev
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a pool ages its objects at each collection
+	_, _, prev := newTestRuntime(t)
+	prev.defBuf.events = append(prev.defBuf.events, batch(1)...)
+	prev.defBuf.dedupe()
+	prev.Release()
+	made := ScratchMade()
+	_, _, rt := newTestRuntime(t)
+	b, fresh := rt.defBuf, &EscapeBuffer{}
+	if ScratchMade() != made || len(b.seen) == 0 {
+		t.Fatalf("the buffer made its scratch (%d boxes made, %d slots) instead of taking the released one",
+			ScratchMade()-made, len(b.seen))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		b.events = append(b.events[:0], batch(seed)...)
+		fresh.events = append(fresh.events[:0], batch(seed)...)
+		if got, want := b.dedupe(), fresh.dedupe(); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: the recycled buffer keeps %d events, a fresh one %d", seed, len(got), len(want))
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"carat/internal/fault"
 	"carat/internal/kernel"
@@ -342,6 +344,23 @@ func New(mem *kernel.PhysMem, world World, reg *obs.Registry) *Runtime {
 	return r
 }
 
+// Release hands the table's stock and every escape buffer's scratch back
+// for the next runtime; their unflushed events are dropped. A no-op on the
+// second call.
+func (r *Runtime) Release() {
+	r.Table.Release()
+	for _, b := range r.buffers() {
+		b.mu.Lock()
+		if b.box != nil {
+			b.peak = max(b.peak, len(b.events))
+			*b.box, b.escapeScratch = escapeScratch{b.events[:0], b.seen, b.stamp}, escapeScratch{}
+			scratches.Put(b.box)
+			b.box = nil
+		}
+		b.mu.Unlock()
+	}
+}
+
 // SetTracer attaches an event tracer (nil disables tracing).
 func (r *Runtime) SetTracer(tr *obs.Tracer) {
 	r.stateMu.Lock()
@@ -440,19 +459,35 @@ func (r *Runtime) TrackFree(base uint64) error {
 // wider than its own buffer; the batch drains into the table at the flush
 // threshold, at world stops, and at queries.
 type EscapeBuffer struct {
-	r      *Runtime
-	mu     sync.Mutex
-	events []escapeEvent
-
-	// seen is the flush's de-dupe scratch: an open-addressed table from a
-	// location to its position in the batch. A slot counts as occupied only
-	// if it carries the current flush's stamp, so starting a flush costs
-	// nothing however large the table has grown — TrackFree flushes batches
-	// of a handful of events, and clearing a full-batch-sized table on each
-	// of those would cost more than the flush.
-	seen  []seenSlot
-	stamp uint32
+	r  *Runtime
+	mu sync.Mutex
+	escapeScratch
+	// box is what Runtime.Release hands the scratch back in; nil once it has.
+	box *escapeScratch
+	// peak is the most events the batch has held.
+	peak int
 }
+
+// escapeScratch is an escape buffer's batch and its flush's de-dupe scratch,
+// which Runtime.Release recycles whole. seen is an open-addressed table from
+// a location to its position in the batch; a slot counts as occupied only if
+// it carries the current flush's stamp, so starting a flush costs nothing
+// however large the table has grown — TrackFree flushes batches of a handful
+// of events, and clearing a full-batch-sized table on each of those would
+// cost more than the flush. The stamp travels with the table: read against a
+// fresh stamp, a previous owner's slots would read as current.
+type escapeScratch struct {
+	events []escapeEvent
+	seen   []seenSlot
+	stamp  uint32
+}
+
+var scratches Pool[escapeScratch]
+
+var scratchMade atomic.Uint64
+
+// ScratchMade counts the escape-buffer scratch boxes the process has made.
+func ScratchMade() uint64 { return scratchMade.Load() }
 
 type seenSlot struct {
 	loc   uint64
@@ -463,7 +498,12 @@ type seenSlot struct {
 // NewEscapeBuffer creates and registers a per-thread escape buffer. The
 // runtime drains all registered buffers at world stops and queries.
 func (r *Runtime) NewEscapeBuffer() *EscapeBuffer {
-	b := &EscapeBuffer{r: r}
+	b := &EscapeBuffer{r: r, box: scratches.Get()}
+	if b.box == nil {
+		b.box = new(escapeScratch)
+		scratchMade.Add(1)
+	}
+	b.escapeScratch, *b.box = *b.box, escapeScratch{}
 	r.stateMu.Lock()
 	r.bufs = append(r.bufs, b)
 	r.stateMu.Unlock()
@@ -510,6 +550,7 @@ func (b *EscapeBuffer) Flush() {
 		b.r.Stats.FlushRetries.Inc()
 	}
 	b.r.apply(b.dedupe())
+	b.peak = max(b.peak, len(b.events))
 	b.events = b.events[:0]
 }
 
@@ -552,11 +593,30 @@ func (b *EscapeBuffer) dedupe() []escapeEvent {
 	return ev[:n]
 }
 
+// footprint is the batch's bytes at the capacity a fresh batch grown one
+// event at a time reaches: a recycled one's own is its previous owner's.
 func (b *EscapeBuffer) footprint() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return uint64(cap(b.events)) * 16
+	n := max(b.peak, len(b.events))
+	if n == 0 {
+		return 0
+	}
+	i, _ := slices.BinarySearch(batchCaps, n)
+	return uint64(batchCaps[min(i, len(batchCaps)-1)]) * 16
 }
+
+// batchCaps are the capacities append takes a batch through, up to one that
+// holds a full batch.
+var batchCaps = func() (caps []int) {
+	var s []escapeEvent
+	for len(s) < DefaultBatchSize {
+		if s = append(s, escapeEvent{}); len(caps) == 0 || caps[len(caps)-1] != cap(s) {
+			caps = append(caps, cap(s))
+		}
+	}
+	return caps
+}()
 
 // TrackEscape is the carat.escape callback: memory location loc now holds
 // the pointer value val. Events are batched through the default buffer;

@@ -141,6 +141,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = def.HeapBytes
 	}
+	if cfg.HeapBytes >= vm.MaxHeapBytes {
+		return nil, fmt.Errorf("server: heap_bytes %d: want below %d", cfg.HeapBytes, uint64(vm.MaxHeapBytes))
+	}
 	if cfg.StackBytes == 0 {
 		cfg.StackBytes = def.StackBytes
 	}

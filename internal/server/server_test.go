@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"carat/internal/kernel"
+	"carat/internal/vm"
 )
 
 // Three deterministic CARAT-C workloads: heap writes, global histogram,
@@ -68,6 +69,25 @@ func testConfig() Config {
 	cfg.StackBytes = 1 << 17
 	cfg.Ballast.Disabled = true
 	return cfg
+}
+
+// TestHeapBytesBound: caratd refuses at start a heap_bytes the VM's heap
+// cannot describe, not at the first request.
+func TestHeapBytesBound(t *testing.T) {
+	for _, tc := range []struct {
+		heap uint64
+		ok   bool
+	}{{vm.MaxHeapBytes - 16, true}, {vm.MaxHeapBytes, false}, {vm.MaxHeapBytes + 16, false}} {
+		cfg := testConfig()
+		cfg.MemBytes, cfg.HeapBytes = 1<<22, tc.heap
+		s, err := New(cfg)
+		if (err == nil) != tc.ok || err != nil && !strings.Contains(err.Error(), "heap_bytes") {
+			t.Errorf("heap_bytes %#x: New error %v, want accepted %v", tc.heap, err, tc.ok)
+		}
+		if s != nil {
+			s.Close()
+		}
+	}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -19,14 +19,15 @@ import (
 // returning the result. Unlike runSeed it reports failures instead of
 // t.Fatal-ing so the fuzzer can minimize.
 func fuzzRun(t *testing.T, seed int64, lvl passes.Level, tweak func(*VM)) (int64, bool) {
-	return fuzzRunEngine(t, seed, lvl, compiled, tweak)
+	return fuzzRunEngine(t, seed, passes.Build(lvl), compiled, tweak)
 }
 
-// fuzzRunEngine is fuzzRun with an engine choice (reference or compiled).
-func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, engine bool,
+// fuzzRunEngine is fuzzRun with the pipeline given and an engine choice
+// (reference or compiled). It releases every VM it loads, so the next seed's
+// heap and escape buffers run on recycled class pages and scratch.
+func fuzzRunEngine(t *testing.T, seed int64, pl *passes.PassManager, engine bool,
 	tweak func(*VM)) (int64, bool) {
 	m := genProgram(seed)
-	pl := passes.Build(lvl)
 	if err := pl.Run(m); err != nil {
 		t.Errorf("seed %d: passes: %v", seed, err)
 		return 0, false
@@ -41,6 +42,11 @@ func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, engine bool,
 		t.Errorf("seed %d: load: %v", seed, err)
 		return 0, false
 	}
+	defer func() {
+		if err := v.Release(); err != nil {
+			t.Errorf("seed %d: release: %v", seed, err)
+		}
+	}()
 	if tweak != nil {
 		tweak(v)
 	}
@@ -53,8 +59,9 @@ func fuzzRunEngine(t *testing.T, seed int64, lvl passes.Level, engine bool,
 }
 
 // FuzzDifferentialPipeline: every pipeline level computes, on the compiled
-// engine, the result the reference interpreter gives the uninstrumented
-// program.
+// engine, the result the reference interpreter gives the program as
+// generated, through no pass at all (LevelNone still folds, CSEs, hoists and
+// deletes).
 func FuzzDifferentialPipeline(f *testing.F) {
 	for _, seed := range []int64{1, 7, 19, 33, 40, 50, 57, 65} {
 		f.Add(seed)
@@ -64,7 +71,7 @@ func FuzzDifferentialPipeline(f *testing.F) {
 		passes.LevelTracking, passes.LevelTrackingOnly,
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		want, ok := fuzzRunEngine(t, seed, passes.LevelNone, reference, nil)
+		want, ok := fuzzRunEngine(t, seed, &passes.PassManager{}, reference, nil)
 		if !ok {
 			return
 		}
@@ -88,7 +95,7 @@ func FuzzDifferentialMoves(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		want, ok := fuzzRunEngine(t, seed, passes.LevelTracking, reference, nil)
+		want, ok := fuzzRunEngine(t, seed, passes.Build(passes.LevelTracking), reference, nil)
 		if !ok {
 			return
 		}

@@ -3,8 +3,10 @@ package vm
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"carat/internal/kernel"
+	"carat/internal/runtime"
 )
 
 // heap is the process's dynamic memory allocator: a bump allocator with
@@ -12,17 +14,16 @@ import (
 // keyed by slot, not by address: a block's key is its page's slot plus its
 // offset in the page, and a page the kernel moves keeps its slot, so rebase
 // — which the VM's move listener calls whenever the kernel relocates pages —
-// re-points one table entry per whole page it moves. A page of the region
-// as granted is its own slot while it is home, which the table does not
-// spell out: it holds only the pages away from home and the slots they
-// carry.
+// re-points one table entry per whole page it moves, and touches no block's
+// class. A page of the region as granted is its own slot while it is home,
+// which the table does not spell out: it holds only the pages away from home
+// and the slots they carry.
 type heap struct {
 	base, end, brk uint64
 	// freeLists maps a size class to reusable blocks' keys.
 	freeLists map[uint64][]uint64
-	// sizeOf maps each block's key to its size class, with freeBit set while
-	// the block sits on a free list.
-	sizeOf map[uint64]uint64
+	// classes holds each block's size class by key; nil until the first.
+	classes *classTable
 
 	// [homeLo, homeHi) are the pages of the region as granted.
 	homeLo, homeHi uint64
@@ -41,11 +42,28 @@ type heap struct {
 const (
 	heapAlign = 16
 	heapPage  = kernel.PageSize
-	// freeBit marks a free block's class in sizeOf: classes are multiples
-	// of heapAlign.
+	// freeBit marks a free block's class: classes are multiples of
+	// heapAlign.
 	freeBit = 1
 	// vacant is no slot: slots are page-aligned.
 	vacant = 1
+	// MaxHeapBytes bounds Config.HeapBytes: no class reaches it, so a class
+	// page's 32-bit entry holds class>>3 whole.
+	MaxHeapBytes = 1 << 35
+)
+
+// classPage holds the class of each block starting on one slot page, by
+// offset/heapAlign: class>>3 | freeBit, 0 where no block starts.
+type classPage [heapPage / heapAlign]uint32
+
+// classTable is a heap's class pages by (slot−homeLo)/heapPage, nil where no
+// block has started. VM.Release hands a table back whole, so pages[len:cap]
+// hold an earlier heap's classes: a heap clears each as it first reaches it.
+type classTable struct{ pages []*classPage }
+
+var (
+	classTables    runtime.Pool[classTable]
+	classPagesMade atomic.Uint64
 )
 
 func newHeap(base, size uint64) heap {
@@ -53,7 +71,6 @@ func newHeap(base, size uint64) heap {
 	return heap{
 		base: base, end: base + size, brk: base,
 		freeLists: make(map[uint64][]uint64),
-		sizeOf:    make(map[uint64]uint64),
 		homeLo:    lo, homeHi: hi, nextSlot: hi,
 	}
 }
@@ -63,6 +80,48 @@ func sizeClass(n uint64) uint64 {
 		n = heapAlign
 	}
 	return (n + heapAlign - 1) &^ (heapAlign - 1)
+}
+
+// class returns the class of the block keyed k, freeBit included; 0 when no
+// block starts there.
+func (h *heap) class(k uint64) uint64 {
+	if i := (k - h.homeLo) / heapPage; h.classes != nil && i < uint64(len(h.classes.pages)) && h.classes.pages[i] != nil {
+		e := h.classes.pages[i][k%heapPage/heapAlign]
+		return uint64(e&^freeBit)<<3 | uint64(e&freeBit)
+	}
+	return 0
+}
+
+// setClass records c, a class or 0, as the block keyed k's.
+func (h *heap) setClass(k, c uint64) {
+	if h.classes == nil {
+		if h.classes = classTables.Get(); h.classes == nil {
+			h.classes = new(classTable)
+		}
+	}
+	t, i := h.classes, int((k-h.homeLo)/heapPage)
+	if n := len(t.pages); i >= n {
+		t.pages = slices.Grow(t.pages[:cap(t.pages)], max(0, i+1-cap(t.pages)))[:i+1]
+		for _, p := range t.pages[n:] {
+			if p != nil {
+				*p = classPage{}
+			}
+		}
+	}
+	if t.pages[i] == nil {
+		t.pages[i] = new(classPage)
+		classPagesMade.Add(1)
+	}
+	t.pages[i][k%heapPage/heapAlign] = uint32(c>>3) | uint32(c&freeBit)
+}
+
+// release hands the class table back for the next heap.
+func (h *heap) release() {
+	if h.classes != nil {
+		h.classes.pages = h.classes.pages[:0]
+		classTables.Put(h.classes)
+		h.classes = nil
+	}
 }
 
 // slotOf returns the slot page p's blocks are keyed under; false when p can
@@ -114,29 +173,32 @@ func (h *heap) addrOf(k uint64) uint64 {
 // heap is exhausted.
 func (h *heap) alloc(n uint64) uint64 {
 	cls := sizeClass(n)
+	if cls < n {
+		return 0 // n within heapAlign of 2^64: no class holds it
+	}
 	if lst := h.freeLists[cls]; len(lst) > 0 {
 		k := lst[len(lst)-1]
 		h.freeLists[cls] = lst[:len(lst)-1]
-		h.sizeOf[k] = cls
+		h.setClass(k, cls)
 		return h.addrOf(k)
 	}
-	if h.brk+cls > h.end {
+	if h.brk+cls > h.end || h.brk+cls < cls {
 		return 0
 	}
 	addr := h.brk
 	h.brk += cls
-	h.sizeOf[h.keyFor(addr)] = cls
+	h.setClass(h.keyFor(addr), cls)
 	return addr
 }
 
 // free returns a block to its size-class list.
 func (h *heap) free(addr uint64) error {
 	k, ok := h.keyOf(addr)
-	cls, live := h.sizeOf[k]
-	if !ok || !live || cls&freeBit != 0 {
+	cls := h.class(k)
+	if !ok || cls == 0 || cls&freeBit != 0 {
 		return fmt.Errorf("vm: free of unallocated address %#x", addr)
 	}
-	h.sizeOf[k] = cls | freeBit
+	h.setClass(k, cls|freeBit)
 	h.freeLists[cls] = append(h.freeLists[cls], k)
 	return nil
 }
@@ -145,7 +207,7 @@ func (h *heap) free(addr uint64) error {
 // used when the allocation-granularity move engine vacates a heap block.
 func (h *heap) donate(addr, cls uint64) {
 	k := h.keyFor(addr)
-	h.sizeOf[k] = cls | freeBit
+	h.setClass(k, cls|freeBit)
 	h.freeLists[cls] = append(h.freeLists[cls], k)
 }
 
@@ -216,13 +278,13 @@ func (h *heap) repoint(p, q uint64) bool {
 // engine never moves a free block part of a page at a time.
 func (h *heap) rekey(a, b uint64) {
 	k, ok := h.keyOf(a)
-	cls, found := h.sizeOf[k]
-	if !ok || !found {
+	cls := h.class(k)
+	if !ok || cls == 0 {
 		return
 	}
 	nk := h.keyFor(b)
-	delete(h.sizeOf, k)
-	h.sizeOf[nk] = cls
+	h.setClass(k, 0)
+	h.setClass(nk, cls)
 	if lst := h.freeLists[cls&^freeBit]; cls&freeBit != 0 {
 		lst[slices.Index(lst, k)] = nk
 	}

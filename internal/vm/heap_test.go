@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"carat/internal/ir"
 )
 
 // flatHeap is the heap keyed by address, the reference the slot-keyed heap is
@@ -76,8 +79,8 @@ func (f *flatHeap) rebaseWalk(src, dst, length uint64) {
 // live reports whether addr is the base of a live block.
 func (h *heap) live(addr uint64) bool {
 	k, ok := h.keyOf(addr)
-	cls, known := h.sizeOf[k]
-	return ok && known && cls&freeBit == 0
+	cls := h.class(k)
+	return ok && cls != 0 && cls&freeBit == 0
 }
 
 // flat returns what h holds, by address.
@@ -94,12 +97,26 @@ func (h *heap) flat() flatHeap {
 		}
 		f.freeLists[cls] = addrs
 	}
-	for k, cls := range h.sizeOf {
+	h.eachClass(func(k, cls uint64) {
 		if cls&freeBit == 0 {
 			f.sizeOf[h.addrOf(k)] = cls
 		}
-	}
+	})
 	return f
+}
+
+// eachClass calls fn with every block's key and class, freeBit included.
+func (h *heap) eachClass(fn func(k, cls uint64)) {
+	if h.classes == nil {
+		return
+	}
+	for i, pg := range h.classes.pages {
+		for j := 0; pg != nil && j < len(pg); j++ {
+			if k := h.homeLo + uint64(i)*heapPage + uint64(j)*heapAlign; h.class(k) != 0 {
+				fn(k, h.class(k))
+			}
+		}
+	}
 }
 
 // empty reports whether [lo, lo+n) holds no block start and not brk.
@@ -340,7 +357,9 @@ func (h *heap) clone() heap {
 	for cls, lst := range h.freeLists {
 		c.freeLists[cls] = slices.Clone(lst)
 	}
-	c.sizeOf, c.slots, c.pages = clonemap(h.sizeOf), clonemap(h.slots), clonemap(h.pages)
+	c.slots, c.pages = clonemap(h.slots), clonemap(h.pages)
+	c.classes = nil
+	h.eachClass(c.setClass)
 	return c
 }
 
@@ -394,17 +413,32 @@ func TestHeapMoveThenReuse(t *testing.T) {
 }
 
 // TestHeapMatchesFlatReference runs seeded random sequences of allocations,
-// frees, page moves (to fresh frames and onto frames earlier moves
-// vacated), allocation moves and swaps back, checking the heap against the
-// address-keyed reference after every step.
+// frees, page moves (to fresh frames, some shifted by less than a page, and
+// onto frames earlier moves vacated), allocation moves and swaps back, checking the heap against the
+// address-keyed reference after every step. Halfway, the heap is released
+// and a new one takes its class table, the earlier heap's pages in it. The
+// sequences must reach a fresh slot past the home range, which grows the
+// class table past the home pages, a page move carrying free blocks, and a
+// recycled table.
 func TestHeapMatchesFlatReference(t *testing.T) {
 	const base, size, page = 0x100000, 0x40000, 0x1000
+	var pastHome, movedFree, recycled int
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newHeapPair(t, base, size)
 		fresh := uint64(0x4000000)
 		var vacated []uint64 // frames a page move left, free for another
+		var released *classTable
 		for i := 0; i < 400; i++ {
+			if i == 200 {
+				released = p.h.classes
+				p.h.release()
+				p.h = newHeap(base, size)
+				p.f, vacated = p.h.flat(), nil
+			}
+			if p.h.classes != nil && len(p.h.classes.pages) > int((p.h.homeHi-p.h.homeLo)/heapPage) {
+				pastHome++
+			}
 			var live []uint64
 			for a := range p.f.sizeOf {
 				live = append(live, a)
@@ -429,12 +463,21 @@ func TestHeapMatchesFlatReference(t *testing.T) {
 					(vacated[j] >= base+size || vacated[j] < p.f.brk&^(page-1)) {
 					dst = vacated[j]
 					vacated = slices.Delete(vacated, j, j+1)
-				} else {
-					fresh += n
+				} else if fresh += n; rng.Intn(3) == 0 {
+					// Shifted by less than a page, the blocks are re-keyed
+					// one by one onto pages that take fresh slots.
+					dst += uint64(1+rng.Intn(page/heapAlign-1)) * heapAlign
+					fresh += page
 				}
 				for q := src; q < src+n; q += page {
 					if !slices.Contains(vacated, q) {
 						vacated = append(vacated, q)
+					}
+				}
+				for _, lst := range p.f.freeLists {
+					if slices.ContainsFunc(lst, func(a uint64) bool { return a >= src && a < src+n }) {
+						movedFree++
+						break
 					}
 				}
 				p.rebase(src, dst, n)
@@ -443,5 +486,54 @@ func TestHeapMatchesFlatReference(t *testing.T) {
 				p.moveAllocation(a, p.f.sizeOf[a]-uint64(rng.Intn(16)))
 			}
 		}
+		if released != nil && p.h.classes == released {
+			recycled++
+		}
+		p.h.release()
+	}
+	if pastHome == 0 || movedFree == 0 || recycled == 0 {
+		t.Errorf("steps with the class table past the home pages: %d, page moves carrying free blocks: %d, "+
+			"reloads on a recycled table: %d; want each above 0", pastHome, movedFree, recycled)
+	}
+	t.Logf("steps past the home pages %d, page moves carrying free blocks %d, recycled tables %d", pastHome, movedFree, recycled)
+}
+
+// TestHeapBytesBound: a class page entry holds class>>3 in 32 bits, so Load
+// refuses a heap of MaxHeapBytes or more, and alloc cuts no class larger than
+// the heap it has, however large the request, nor one that wraps: the entry
+// is never truncated.
+func TestHeapBytesBound(t *testing.T) {
+	m := ir.MustParse(`module "h"
+func @main() -> i64 {
+entry:
+  ret i64 0
+}`)
+	for _, tc := range []struct {
+		heap    uint64
+		refused bool
+	}{{MaxHeapBytes - heapAlign, false}, {MaxHeapBytes, true}, {MaxHeapBytes + heapAlign, true}} {
+		cfg := DefaultConfig()
+		cfg.MemBytes, cfg.HeapBytes = 1<<22, tc.heap
+		v, err := Load(m, cfg)
+		if refused := err != nil && strings.Contains(err.Error(), "the heap holds below"); refused != tc.refused {
+			t.Errorf("HeapBytes %#x: load error %v, want refused %v", tc.heap, err, tc.refused)
+		}
+		if v != nil {
+			_ = v.Release()
+		}
+	}
+	const base = 0x100000
+	h := newHeap(base, MaxHeapBytes-heapAlign)
+	defer h.release()
+	for _, n := range []uint64{MaxHeapBytes, MaxHeapBytes - 1, ^uint64(0), ^uint64(0) - heapAlign} {
+		if a := h.alloc(n); a != 0 {
+			t.Errorf("alloc(%#x) = %#x from a heap of %#x bytes", n, a, uint64(MaxHeapBytes-heapAlign))
+		}
+	}
+	if a := h.alloc(MaxHeapBytes - heapAlign); a != base || h.class(base) != MaxHeapBytes-heapAlign {
+		t.Errorf("a block the size of the heap: at %#x, class %#x", a, h.class(base))
+	}
+	if err := h.free(base); err != nil || h.class(base) != MaxHeapBytes-heapAlign|freeBit {
+		t.Errorf("freed: %v, class %#x", err, h.class(base))
 	}
 }

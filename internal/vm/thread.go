@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"carat/internal/guard"
 	"carat/internal/ir"
@@ -22,7 +21,7 @@ import (
 // 100 KB; a guest load that allocated (and zeroed) a fresh one would pay
 // that on every short run caratd serves. VM.Release returns a run's cache,
 // Reset first, so no entry of a previous owner is ever trusted.
-var xcaches = sync.Pool{New: func() any { return guard.NewXCache() }}
+var xcaches runtime.Pool[guard.XCache]
 
 type thread struct {
 	v      *VM
@@ -116,7 +115,9 @@ func (w *world) newThread() (*thread, error) {
 		escBuf:    w.v.rt.NewEscapeBuffer(),
 	}
 	if w.v.compiled && w.v.cfg.Mode == ModeCARAT {
-		t.xc = xcaches.Get().(*guard.XCache)
+		if t.xc = xcaches.Get(); t.xc == nil {
+			t.xc = guard.NewXCache()
+		}
 	}
 	w.main = t
 	return t, nil

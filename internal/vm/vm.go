@@ -290,6 +290,9 @@ func Load(mod *ir.Module, cfg Config) (*VM, error) {
 // the program has called is already lowered.
 func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	mod := p.mod
+	if cfg.HeapBytes >= MaxHeapBytes {
+		return nil, fmt.Errorf("vm: heap of %d bytes: the heap holds below %d", cfg.HeapBytes, uint64(MaxHeapBytes))
+	}
 	reg := cfg.Obs
 	shared := cfg.Kernel != nil
 	if reg == nil {
@@ -487,10 +490,11 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 // Release frees every page region the process still holds, returning the
 // memory (and any quota reservations) to the machine, and returns the
 // process's arena (if any) too. It first publishes whatever the runtime
-// counted since Run did, and hands the guard/translation cache and the
-// escape index's page buckets back for the next guest (XCacheStats reads
-// zero from here on, and the allocation table is empty). Required after
-// each run on a shared kernel; a no-op on the second call.
+// counted since Run did, and hands the guard/translation cache, the
+// runtime's table stock and escape scratch, and the heap's class table back
+// for the next guest (XCacheStats reads zero from here on, and the
+// allocation table is empty). Required after each run on a shared kernel; a
+// no-op on the second call.
 func (v *VM) Release() error {
 	v.obsReg.Publish(func(s obs.Sink) { v.rt.Publish(s, v.cfg.Kernel == nil) })
 	if xc := v.world.xc(); xc != nil {
@@ -498,7 +502,8 @@ func (v *VM) Release() error {
 		xcaches.Put(xc)
 		v.world.main.xc = nil
 	}
-	v.rt.Table.Release()
+	v.rt.Release()
+	v.heap.release()
 	if err := v.proc.ReleaseAll(); err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package vm
 import (
 	"flag"
 	goruntime "runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -52,9 +54,6 @@ func xcacheModule(t *testing.T) *ir.Module {
 // less than one cache's bytes — a cache allocated per load would be the
 // whole bound on its own.
 func TestLoadAllocatesNoXCache(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops objects at random under -race")
-	}
 	p, err := NewProgram(xcacheModule(t))
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +93,9 @@ func TestLoadAllocatesNoXCache(t *testing.T) {
 	}
 }
 
-// fillGuest stores a pointer to its buffer in every word of the buffer's
-// first two pages: at LevelTracking, a page or more of escapes.
+// fillGuest mallocs 1 024 48-byte blocks, twelve heap pages of them, and
+// stores a pointer to each in a word of its buffer's first two pages: at
+// LevelTracking, a page or more of escapes and a full escape batch.
 const fillGuest = `module "fill"
 func @malloc(%n: i64) -> ptr
 func @main() -> i64 {
@@ -104,8 +104,9 @@ entry:
   br ^loop
 loop:
   %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %b = call ptr @malloc(i64 48)
   %q = gep i64, %p, %i
-  store ptr %p, %q
+  store ptr %b, %q
   %i1 = add i64 %i, 1
   %c = icmp slt i64 %i1, 1024
   condbr %c, ^loop, ^done
@@ -114,9 +115,12 @@ done:
 }`
 
 // TestReleaseRecyclesPageBuckets: a guest takes its escape index's page
-// buckets and its allocation slab from the stock VM.Release hands back, so
-// once warm a load, run and release of a guest that fills a page with
-// escapes makes no new bucket and no new slab chunk, at any GOMAXPROCS.
+// buckets and its allocation slab from the stock VM.Release hands back, its
+// heap's class pages and its escape buffers' scratch from the pools Release
+// fills, so once warm a load, run and release of a guest that mallocs a
+// thousand blocks and fills a page with escapes makes none of them, at any
+// GOMAXPROCS and under -race. The GC is held off for the counted cycles: a
+// pool lets go of what sat idle across two collections.
 func TestReleaseRecyclesPageBuckets(t *testing.T) {
 	p, err := NewProgram(compile(t, fillGuest, passes.LevelTracking))
 	if err != nil {
@@ -124,7 +128,7 @@ func TestReleaseRecyclesPageBuckets(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Kernel = kernel.New(1 << 24)
-	cfg.HeapBytes, cfg.StackBytes = 1<<16, 1<<16
+	cfg.HeapBytes, cfg.StackBytes = 1<<17, 1<<16
 	cycle := func() {
 		v, err := LoadProgram(p, cfg)
 		if err != nil {
@@ -141,7 +145,9 @@ func TestReleaseRecyclesPageBuckets(t *testing.T) {
 		}
 	}
 	cycle()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	buckets, chunks := runtime.BucketsMade(), runtime.ChunksMade()
+	pages, scratch := classPagesMade.Load(), runtime.ScratchMade()
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
@@ -150,6 +156,78 @@ func TestReleaseRecyclesPageBuckets(t *testing.T) {
 	}
 	if n := runtime.ChunksMade() - chunks; n != 0 {
 		t.Errorf("10 warm cycles made %d slab chunks, want 0", n)
+	}
+	if n := classPagesMade.Load() - pages; n != 0 {
+		t.Errorf("10 warm cycles made %d heap class pages, want 0", n)
+	}
+	if n := runtime.ScratchMade() - scratch; n != 0 {
+		t.Errorf("10 warm cycles made %d escape scratch boxes, want 0", n)
+	}
+}
+
+// TestRecycledHeapForgetsPreviousOwner: a guest's heap takes the class table
+// an earlier guest's Release handed back, pages and all, and trusts none of
+// it: freeing an address only the earlier guest allocated fails, and the
+// guest's own malloc cuts a fresh block at its heap's base.
+func TestRecycledHeapForgetsPreviousOwner(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a pool ages its objects at each collection
+	cfg := DefaultConfig()
+	cfg.Kernel = kernel.New(1 << 24)
+	cfg.HeapBytes, cfg.StackBytes = 1<<16, 1<<16
+	run := func(src string) (*VM, error) {
+		v, err := Load(compile(t, src, passes.LevelNone), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = v.Run()
+		return v, err
+	}
+	a, err := run(`module "a"
+func @malloc(%n: i64) -> ptr
+func @main() -> i64 {
+entry:
+  br ^loop
+loop:
+  %i = phi i64 [0, ^entry], [%i1, ^loop]
+  %p = call ptr @malloc(i64 16)
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, 20
+  condbr %c, ^loop, ^done
+done:
+  ret i64 0
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.heap.brk != a.heap.base+20*16 {
+		t.Fatalf("guest A cut %d bytes, want 20 blocks of 16", a.heap.brk-a.heap.base)
+	}
+	if err := a.Release(); err != nil {
+		t.Fatal(err)
+	}
+	pages := classPagesMade.Load()
+	// B's block is A's first; A's fourth, 48 bytes on, is no block of B's.
+	b, err := run(`module "b"
+func @malloc(%n: i64) -> ptr
+func @free(%p: ptr) -> void
+func @main() -> i64 {
+entry:
+  %p = call ptr @malloc(i64 16)
+  %q = gep i64, %p, 6
+  call void @free(ptr %q)
+  ret i64 0
+}`)
+	if err == nil || !strings.Contains(err.Error(), "free of unallocated address") {
+		t.Errorf("guest B freed a block only guest A allocated: %v", err)
+	}
+	if n := classPagesMade.Load() - pages; n != 0 {
+		t.Errorf("guest B made %d class pages instead of taking guest A's", n)
+	}
+	if b.heap.brk != b.heap.base+16 || !b.heap.live(b.heap.base) {
+		t.Errorf("guest B's malloc cut no fresh block at its base: brk %#x, base %#x", b.heap.brk, b.heap.base)
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
 	}
 }
 
