@@ -210,7 +210,7 @@ func (a *PageAllocator) ClearIsolation() {
 
 // Prefer makes Alloc try the page window [start, start+pages) before the
 // regular next-fit scan, until ClearPreference. Allocations that do not
-// fit the window fall back to the whole arena.
+// fit the window fall back to the whole machine.
 func (a *PageAllocator) Prefer(start, pages uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

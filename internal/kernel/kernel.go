@@ -165,10 +165,6 @@ type Process struct {
 	// limiter, when set, meters this process's page grants (see Limiter).
 	limiter Limiter
 
-	// arena, when set, is the private page range every grant and move
-	// destination of this process is served from (see arena.go).
-	arena *Arena
-
 	// notifiers receive MMU-notifier-style paging events (see notifier.go).
 	notifiers []MMUNotifier
 }
@@ -178,26 +174,10 @@ func (k *Kernel) NewProcess() *Process {
 	return &Process{K: k, Regions: guard.NewRegionSet()}
 }
 
-// SetArena routes all of this process's page allocations (grants and move
-// destinations) through a private arena. Install before the first grant:
-// frames allocated earlier came from the machine allocator and would be
-// freed into the wrong pool.
-func (p *Process) SetArena(a *Arena) { p.arena = a }
-
-// Arena returns the process's private arena (nil when unset).
-func (p *Process) Arena() *Arena { return p.arena }
-
-// allocFrames grabs n contiguous page frames from the process's arena, or
-// from the machine allocator when no arena is installed, and counts them as
-// owned.
+// allocFrames grabs n contiguous page frames from the machine allocator and
+// counts them as owned.
 func (p *Process) allocFrames(n uint64) (uint64, error) {
-	var base uint64
-	var err error
-	if p.arena != nil {
-		base, err = p.arena.allocPages(n)
-	} else {
-		base, err = p.K.Alloc.Alloc(n)
-	}
+	base, err := p.K.Alloc.Alloc(n)
 	if err != nil {
 		return 0, err
 	}
@@ -205,16 +185,10 @@ func (p *Process) allocFrames(n uint64) (uint64, error) {
 	return base, nil
 }
 
-// freeFrames returns n page frames to whichever allocator owns them and
-// stops counting them as owned.
+// freeFrames returns n page frames to the machine allocator and stops
+// counting them as owned.
 func (p *Process) freeFrames(base, n uint64) error {
-	var err error
-	if p.arena != nil && p.arena.Contains(base) {
-		err = p.arena.freePages(base, n)
-	} else {
-		err = p.K.Alloc.Free(base, n)
-	}
-	if err != nil {
+	if err := p.K.Alloc.Free(base, n); err != nil {
 		return err
 	}
 	p.K.owned.Add(-int64(n))
@@ -222,8 +196,7 @@ func (p *Process) freeFrames(base, n uint64) error {
 }
 
 // OwnedPageCount returns the number of page frames processes hold — zero
-// once every process has released all regions (the group teardown integrity
-// check).
+// once every process has released all regions.
 func (k *Kernel) OwnedPageCount() int { return int(k.owned.Load()) }
 
 // SetLimiter installs a page-grant limiter (nil removes it). Call before

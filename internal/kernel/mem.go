@@ -154,26 +154,6 @@ func (m *PhysMem) Checksum() uint64 {
 	return h
 }
 
-// ChecksumRange returns the FNV-1a hash of [addr, addr+n) only. The group
-// runner digests each process's arena with it: concurrent processes leave
-// the whole-memory image interleaving-dependent (freed frames keep their
-// contents), but an arena-confined process's own range is deterministic.
-func (m *PhysMem) ChecksumRange(addr, n uint64) (uint64, error) {
-	if !m.InBounds(addr, n) {
-		return 0, fmt.Errorf("kernel: checksum [%#x,%#x) out of bounds", addr, addr+n)
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range m.data[addr : addr+n] {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, nil
-}
-
 // Zero clears [addr, addr+n). It costs what the dirty pages in the range
 // cost: pages nobody wrote since they were last cleared are skipped.
 func (m *PhysMem) Zero(addr, n uint64) error {

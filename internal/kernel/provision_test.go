@@ -474,47 +474,31 @@ func TestAllocatorMatchesPerPageScanner(t *testing.T) {
 }
 
 func TestOwnedPageCountReturnsToZero(t *testing.T) {
-	for _, arena := range []bool{false, true} {
-		k := New(1 << 22)
-		free := k.Alloc.FreePages()
-		var procs []*Process
-		var arenas []*Arena
-		for i := 0; i < 3; i++ {
-			p := k.NewProcess()
-			if arena {
-				a, err := k.NewArena(64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.SetArena(a)
-				arenas = append(arenas, a)
-			}
-			for _, sz := range []uint64{PageSize, 5 * PageSize, 17 * PageSize} {
-				if _, err := p.GrantRegion(sz, guard.PermRW); err != nil {
-					t.Fatal(err)
-				}
-			}
-			procs = append(procs, p)
-		}
-		if n := k.OwnedPageCount(); n != 3*23 {
-			t.Errorf("arena=%v: OwnedPageCount = %d, want %d", arena, n, 3*23)
-		}
-		for _, p := range procs {
-			if err := p.ReleaseAll(); err != nil {
+	k := New(1 << 22)
+	free := k.Alloc.FreePages()
+	var procs []*Process
+	for i := 0; i < 3; i++ {
+		p := k.NewProcess()
+		for _, sz := range []uint64{PageSize, 5 * PageSize, 17 * PageSize} {
+			if _, err := p.GrantRegion(sz, guard.PermRW); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, a := range arenas {
-			if err := k.ReleaseArena(a); err != nil {
-				t.Fatal(err)
-			}
+		procs = append(procs, p)
+	}
+	if n := k.OwnedPageCount(); n != 3*23 {
+		t.Errorf("OwnedPageCount = %d, want %d", n, 3*23)
+	}
+	for _, p := range procs {
+		if err := p.ReleaseAll(); err != nil {
+			t.Fatal(err)
 		}
-		if n := k.OwnedPageCount(); n != 0 {
-			t.Errorf("arena=%v: OwnedPageCount = %d after ReleaseAll, want 0", arena, n)
-		}
-		if got := k.Alloc.FreePages(); got != free {
-			t.Errorf("arena=%v: free pages = %d, want %d", arena, got, free)
-		}
+	}
+	if n := k.OwnedPageCount(); n != 0 {
+		t.Errorf("OwnedPageCount = %d after ReleaseAll, want 0", n)
+	}
+	if got := k.Alloc.FreePages(); got != free {
+		t.Errorf("free pages = %d, want %d", got, free)
 	}
 }
 
@@ -523,44 +507,32 @@ func TestOwnedPageCountReturnsToZero(t *testing.T) {
 // memory): the frames, the owned-page count, the limiter reservation and the
 // page_allocs count must all be back at baseline.
 func TestGrantRegionFailureLeaksNothing(t *testing.T) {
-	for _, arena := range []bool{false, true} {
-		k := New(1 << 20)
-		lim := &testLimiter{max: 1 << 20}
-		p := k.NewProcess()
-		p.SetLimiter(lim)
-		if arena {
-			a, err := k.NewArena(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.SetArena(a)
-		}
-		free := k.Alloc.FreePages()
-		if err := p.Regions.Add(guard.Region{Base: PageSize, Len: k.Mem.Size() - PageSize, Perm: guard.PermRead}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.GrantRegion(8*PageSize, guard.PermRW); err == nil {
-			t.Fatal("grant over a conflicting region succeeded")
-		}
-		if got := k.Alloc.FreePages(); got != free {
-			t.Errorf("arena=%v: free pages = %d, want %d", arena, got, free)
-		}
-		if arena && p.Arena().UsedPages() != 0 {
-			t.Errorf("arena still holds %d pages", p.Arena().UsedPages())
-		}
-		if n := k.OwnedPageCount(); n != 0 {
-			t.Errorf("arena=%v: OwnedPageCount = %d, want 0", arena, n)
-		}
-		if lim.live != 0 {
-			t.Errorf("arena=%v: limiter holds %d pages, want 0", arena, lim.live)
-		}
-		if n := k.Stats.PageAllocs.Get(); n != 0 {
-			t.Errorf("arena=%v: page_allocs = %d after a failed grant, want 0", arena, n)
-		}
-		// The process is still usable once the conflict is gone.
-		p.Regions.Remove(PageSize, k.Mem.Size()-PageSize)
-		if _, err := p.GrantRegion(8*PageSize, guard.PermRW); err != nil {
-			t.Errorf("arena=%v: grant after clearing the conflict: %v", arena, err)
-		}
+	k := New(1 << 20)
+	lim := &testLimiter{max: 1 << 20}
+	p := k.NewProcess()
+	p.SetLimiter(lim)
+	free := k.Alloc.FreePages()
+	if err := p.Regions.Add(guard.Region{Base: PageSize, Len: k.Mem.Size() - PageSize, Perm: guard.PermRead}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.GrantRegion(8*PageSize, guard.PermRW); err == nil {
+		t.Fatal("grant over a conflicting region succeeded")
+	}
+	if got := k.Alloc.FreePages(); got != free {
+		t.Errorf("free pages = %d, want %d", got, free)
+	}
+	if n := k.OwnedPageCount(); n != 0 {
+		t.Errorf("OwnedPageCount = %d, want 0", n)
+	}
+	if lim.live != 0 {
+		t.Errorf("limiter holds %d pages, want 0", lim.live)
+	}
+	if n := k.Stats.PageAllocs.Get(); n != 0 {
+		t.Errorf("page_allocs = %d after a failed grant, want 0", n)
+	}
+	// The process is still usable once the conflict is gone.
+	p.Regions.Remove(PageSize, k.Mem.Size()-PageSize)
+	if _, err := p.GrantRegion(8*PageSize, guard.PermRW); err != nil {
+		t.Errorf("grant after clearing the conflict: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	goruntime "runtime"
 	"sync"
 	"testing"
 
@@ -286,10 +285,13 @@ func TestConcurrentEscapesAgainstTreeEdits(t *testing.T) {
 // TestConcurrentTablesShareStocks: tables on several goroutines fill,
 // release and take the process's stocks, slab and buckets, at once, under
 // -race: a table's writes to a stock happen before the next table's, and
-// no more stocks than GOMAXPROCS are kept.
+// the pool keeps no more stocks than there were tables at once.
 func TestConcurrentTablesShareStocks(t *testing.T) {
+	const workers = 4
+	for stocks.Get() != nil { // what earlier tests released
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -315,9 +317,9 @@ func TestConcurrentTablesShareStocks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stocks.Lock()
-	defer stocks.Unlock()
-	if n, max := len(stocks.list), goruntime.GOMAXPROCS(0); n > max {
-		t.Errorf("%d stocks kept, at most GOMAXPROCS = %d", n, max)
+	stocks.mu.Lock()
+	defer stocks.mu.Unlock()
+	if n := len(stocks.cur) + len(stocks.old); n > workers {
+		t.Errorf("%d stocks kept, at most one per table at once = %d", n, workers)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Pool recycles one kind of per-process scratch across processes: the escape
-// buffers' batches, the VM heap's class tables, the guard/translation
-// caches. It keeps sync.Pool's lifetime, an object idle across two garbage
+// buffers' batches, the allocation tables' stocks, the VM heap's class
+// tables, the guard/translation caches. It keeps sync.Pool's lifetime, an object idle across two garbage
 // collections is let go, but not its chance: sync.Pool drops a quarter of
 // its Puts under the race detector and a Pool none, so a warm guest's reuse
 // holds exactly in every build. The zero Pool is empty.

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	mathbits "math/bits"
-	goruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -141,7 +140,7 @@ type chunk [chunkSlots]Allocation
 // stock is everything a table has had: its page index and every bucket —
 // all[:next] handed out, spare the ones of those it emptied since — and the
 // allocation slab, whose slot h is chunks[h/chunkSlots][h%chunkSlots]. The
-// stocks list recycles stocks across the process's tables: a table takes
+// stocks pool recycles stocks across the process's tables: a table takes
 // one at its first allocation or bucket and hands it back at Release, when
 // everything in it is free again — one handback and no walk, however many
 // pages and allocations it held. takeBucket hides old entries by clearing
@@ -157,13 +156,9 @@ type stock struct {
 	chunks []*chunk
 }
 
-// stocks holds released stocks, the latest last, at most GOMAXPROCS of them:
-// as many as tables can fill at once. Any goroutine takes any of them, so a
+// stocks holds released stocks: any goroutine takes any of them, so a
 // process that runs one table at a time fills one stock.
-var stocks struct {
-	sync.Mutex
-	list []*stock
-}
+var stocks Pool[stock]
 
 var bucketsMade, chunksMade atomic.Uint64
 
@@ -315,11 +310,7 @@ func (t *AllocationTable) useStock() {
 	if t.stock != nil {
 		return
 	}
-	stocks.Lock()
-	defer stocks.Unlock()
-	if n := len(stocks.list); n > 0 {
-		t.stock, stocks.list[n-1], stocks.list = stocks.list[n-1], nil, stocks.list[:n-1]
-	} else {
+	if t.stock = stocks.Get(); t.stock == nil {
 		t.stock = new(stock)
 	}
 	t.pages = t.stock.pages
@@ -372,11 +363,7 @@ func (t *AllocationTable) Release() {
 			clear(s.pages)
 		}
 		s.next, s.spare = 0, s.spare[:0]
-		stocks.Lock()
-		if len(stocks.list) < goruntime.GOMAXPROCS(0) {
-			stocks.list = append(stocks.list, s)
-		}
-		stocks.Unlock()
+		stocks.Put(s)
 	}
 	t.tree, t.slots, t.freed, t.pages, t.stock, t.escapes = rbTree{}, 0, nil, nil, nil, 0
 }

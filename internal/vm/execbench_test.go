@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -113,47 +112,4 @@ func BenchmarkExec(b *testing.B) {
 			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstrs/s")
 		})
 	}
-}
-
-// BenchmarkGroup runs eight exec-kernel processes on one machine as a
-// vm.Group, each moving its own worst-case page every 200 000 + 17 000·i of
-// its instructions, and reports their aggregate throughput. Process i runs
-// 40+i outer iterations, so no two digests alias. The group is built outside
-// the timer.
-//
-//	go test -run '^$' -bench BenchmarkGroup -cpu 1,2,8 -count 5 ./internal/vm/
-func BenchmarkGroup(b *testing.B) {
-	const procs = 8
-	mods := make([]*ir.Module, procs)
-	for i := range mods {
-		mods[i] = execKernel(b, 40+i, passes.LevelGuardsOnly)
-	}
-	var instrs uint64
-	for n := 0; n < b.N; n++ {
-		b.StopTimer()
-		g := vm.NewGroup(1 << 26)
-		for i, m := range mods {
-			cfg := vm.DefaultConfig()
-			cfg.HeapBytes = 1 << 20
-			cfg.GuardMech = guard.MechBinarySearch
-			v, err := g.Add(fmt.Sprintf("p%d", i), m, cfg, 1024)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v.SetMovePolicy(uint64(200_000+i*17_000), v.InjectWorstCaseMove)
-		}
-		b.StartTimer()
-		for _, r := range g.Run() {
-			if r.Err != nil {
-				b.Fatalf("%s: %v", r.Name, r.Err)
-			}
-			instrs += r.Instrs
-		}
-		b.StopTimer()
-		if err := g.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstrs/s")
 }

@@ -122,16 +122,6 @@ type Config struct {
 	// aborted mid-protocol (and rolled back), swaps may fail and retry.
 	// nil disables injection at zero cost.
 	Fault *fault.Injector
-
-	// ArenaPages, when nonzero, carves a private contiguous page arena of
-	// that size out of the (usually shared) kernel at load time and routes
-	// every grant and move destination of this process into it. This is
-	// what makes a process's physical layout — and therefore its guard
-	// walks, translation-cache behavior, and memory digest — independent of
-	// how other processes' allocations interleave with its own, the
-	// precondition for the multi-core determinism contract. 0 keeps the
-	// shared first-fit allocator (fine for a machine with one process).
-	ArenaPages uint64
 }
 
 // DefaultConfig returns a reasonable configuration for running workloads.
@@ -163,14 +153,13 @@ func (f *Fault) Error() string {
 
 // VM is a loaded process ready to run.
 type VM struct {
-	cfg   Config
-	prog  *Program
-	kern  *kernel.Kernel
-	proc  *kernel.Process
-	rt    *runtime.Runtime
-	hier  *tlb.Hierarchy
-	eval  *guard.Evaluator
-	arena *kernel.Arena // non-nil iff Config.ArenaPages was set
+	cfg  Config
+	prog *Program
+	kern *kernel.Kernel
+	proc *kernel.Process
+	rt   *runtime.Runtime
+	hier *tlb.Hierarchy
+	eval *guard.Evaluator
 
 	// compiled is Config.Closure, read once at load: the compiled engine, or
 	// the reference interpreter.
@@ -314,30 +303,17 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 	}
 	// On a shared machine a failed load must hand its partial grants back.
 	loaded := false
-	var arena *kernel.Arena
 	defer func() {
 		if !loaded {
 			_ = proc.ReleaseAll()
-			if arena != nil {
-				_ = k.ReleaseArena(arena)
-			}
 		}
 	}()
-	if cfg.ArenaPages > 0 {
-		a, aerr := k.NewArena(cfg.ArenaPages)
-		if aerr != nil {
-			return nil, fmt.Errorf("vm: %w", aerr)
-		}
-		arena = a
-		proc.SetArena(a)
-	}
 	v := &VM{
 		cfg:        cfg,
 		compiled:   cfg.Closure,
 		prog:       p,
 		kern:       k,
 		proc:       proc,
-		arena:      arena,
 		globalPhys: make([]uint64, len(mod.Globals)),
 		funcPhys:   make([]uint64, len(mod.Funcs)),
 		bound:      make([]funcBinding, len(mod.Funcs)),
@@ -488,8 +464,7 @@ func LoadProgram(p *Program, cfg Config) (*VM, error) {
 }
 
 // Release frees every page region the process still holds, returning the
-// memory (and any quota reservations) to the machine, and returns the
-// process's arena (if any) too. It first publishes whatever the runtime
+// memory (and any quota reservations) to the machine. It first publishes whatever the runtime
 // counted since Run did, and hands the guard/translation cache, the
 // runtime's table stock and escape scratch, and the heap's class table back
 // for the next guest (XCacheStats reads zero from here on, and the
@@ -504,21 +479,8 @@ func (v *VM) Release() error {
 	}
 	v.rt.Release()
 	v.heap.release()
-	if err := v.proc.ReleaseAll(); err != nil {
-		return err
-	}
-	if v.arena != nil {
-		if err := v.kern.ReleaseArena(v.arena); err != nil {
-			return err
-		}
-		v.arena = nil
-	}
-	return nil
+	return v.proc.ReleaseAll()
 }
-
-// Arena returns the process's private page arena, or nil when the VM was
-// loaded without Config.ArenaPages.
-func (v *VM) Arena() *kernel.Arena { return v.arena }
 
 // foldPhaseSamples converts the non-exec cycle counters accumulated since
 // Load into profiler samples: the runtime is this VM's alone, so its

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -208,5 +212,63 @@ func TestDesignSchemaTable(t *testing.T) {
 	}
 	if !strings.Contains(string(design), "### Machine-readable output schemas") {
 		t.Error("DESIGN.md lost its schema section")
+	}
+}
+
+// TestDocsNameLiveIdentifiers fails when DESIGN.md or README.md names, in
+// backticks, pkg.Ident where pkg is a package under internal/, Ident is
+// exported and no file of pkg, test files included, declares it: a function,
+// method, type, variable or constant by that name. A deletion that leaves the
+// docs naming what it deleted fails here.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	declared := map[string]map[string]bool{} // package directory name -> identifiers
+	err := filepath.WalkDir("../../internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if declared[pkg] == nil {
+			declared[pkg] = map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				declared[pkg][decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declared[pkg][spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							declared[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	name := regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllString(string(text), -1) {
+			for _, m := range name.FindAllStringSubmatch(s, -1) {
+				if ids, ok := declared[m[1]]; ok && !ids[m[2]] {
+					t.Errorf("%s names %s.%s in %s, which internal/%s does not declare", doc, m[1], m[2], s, m[1])
+				}
+			}
+		}
 	}
 }
